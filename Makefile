@@ -5,7 +5,7 @@ COVER_THRESHOLD ?= 75.0
 FUZZTIME ?= 30s
 BENCH_THRESHOLD ?= 30
 
-.PHONY: all build test race bench bench-ci bench-check bench-baseline cover fuzz vet fmt lint vulncheck apicheck api ci
+.PHONY: all build test race bench bench-ci bench-check bench-baseline bench-harness cover fuzz vet fmt lint vulncheck apicheck api ci
 
 all: build
 
@@ -53,6 +53,14 @@ bench-check: bench-ci
 bench-baseline: bench-ci
 	cp BENCH_ci.json BENCH_baseline.json
 	@echo "BENCH_baseline.json refreshed; commit it with the change that moved the numbers"
+
+# bench-harness mirrors the CI `bench-harness` job: bench/ is its own
+# module, invisible to `go build ./...` and `go test ./...`, so this is the
+# only target that compiles it, runs its tests and smoke-runs every
+# workload of the repository benchmark.
+bench-harness:
+	$(GO) test -C bench ./...
+	bash bench/run.sh -smoke
 
 # cover mirrors the CI `cover` job: coverage profile + ratchet threshold.
 cover:

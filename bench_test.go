@@ -877,6 +877,43 @@ func BenchmarkCore_GGetParallel(b *testing.B) {
 	})
 }
 
+// BenchmarkCore_GetUser is one Art. 15 read of a subject with recs records
+// (100-byte values, envelope encryption on, as on the repo benchmark's
+// rights-under-write workload): ns/op ÷ recs is the per-record cost of the
+// owner walk.
+func BenchmarkCore_GetUser(b *testing.B) {
+	for _, recs := range []int{16, 256} {
+		b.Run(fmt.Sprintf("recs=%d", recs), func(b *testing.B) {
+			cfg := core.Config{Compliant: true, Timing: core.TimingEventual, Capability: core.CapabilityFull}
+			cfg.DefaultTTL = 24 * time.Hour
+			cfg.Envelope = true
+			cfg.MasterKey = bytes.Repeat([]byte{7}, cryptoutil.BlockCipherKeySize)
+			st, err := core.Open(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			st.ACL().AddPrincipal(acl.Principal{ID: "bench", Role: acl.RoleController})
+			ctx := core.Ctx{Actor: "bench", Purpose: "benchmark"}
+			opts := core.PutOptions{Owner: "subject", Purposes: []string{"benchmark"}}
+			val := make([]byte, 100)
+			for i := 0; i < recs; i++ {
+				if err := st.Put(ctx, fmt.Sprintf("subject:rec%d", i), val, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				got, err := st.GetUser(ctx, "subject")
+				if err != nil || len(got) != recs {
+					b.Fatalf("GetUser: %d records, %v", len(got), err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkEngine_Set(b *testing.B) {
 	db := store.New(store.Options{})
 	val := make([]byte, benchValueSize)

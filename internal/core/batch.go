@@ -102,7 +102,7 @@ func (s *Store) PutBatch(ctx Ctx, entries []BatchEntry, opts PutOptions) error {
 		}
 	}
 
-	meta := Metadata{
+	meta := &Metadata{
 		Owner:              opts.Owner,
 		Purposes:           purposes,
 		Origin:             opts.Origin,
@@ -116,28 +116,27 @@ func (s *Store) PutBatch(ctx Ctx, entries []BatchEntry, opts PutOptions) error {
 
 	stored := vals
 	if s.keyring != nil && opts.Owner != "" {
-		k, wrapped, created, err := s.keyring.Ensure(opts.Owner)
+		c, epoch, err := s.sealerFor(opts.Owner)
 		if err != nil {
-			if err == cryptoutil.ErrUnknownKey {
-				return fmt.Errorf("%w: %s", ErrErased, opts.Owner)
-			}
 			return err
 		}
-		// Stamped under the owner stripe, like Put: no Forget can advance
-		// the epoch between Ensure and the seal below.
-		meta.KeyEpoch = s.keyring.Epoch(opts.Owner)
-		if created {
-			if err := s.appendLog(opKey, []byte(opts.Owner), wrapped, epochArg(meta.KeyEpoch)); err != nil {
-				return err
-			}
+		meta.KeyEpoch = epoch
+		// One key schedule and one buffer for the whole batch; the engine
+		// clones what it stores, so the buffer dies with the call.
+		size := 0
+		for _, v := range vals {
+			size += len(v) + cryptoutil.SealOverhead
 		}
+		buf := make([]byte, 0, size)
+		var ad []byte
 		stored = make([][]byte, len(vals))
 		for i, v := range vals {
-			sealed, err := cryptoutil.Seal(k, v, []byte(keys[i]))
-			if err != nil {
+			start := len(buf)
+			ad = append(ad[:0], keys[i]...)
+			if buf, err = c.Seal(buf, v, ad); err != nil {
 				return err
 			}
-			stored[i] = sealed
+			stored[i] = buf[start:]
 		}
 	}
 
@@ -151,11 +150,11 @@ func (s *Store) PutBatch(ctx Ctx, entries []BatchEntry, opts PutOptions) error {
 		return err
 	}
 	// One GMETAB record covers the whole batch: the shared metadata once,
-	// then the key list.
+	// then the key list. The index shares the one immutable value too.
 	logArgs := make([][]byte, 0, len(keys)+1)
 	logArgs = append(logArgs, mb)
 	for _, k := range keys {
-		s.ix.put(k, meta.clone())
+		s.ix.put(k, meta)
 		logArgs = append(logArgs, []byte(k))
 	}
 	if err := s.appendLog(opMetaBatch, logArgs...); err != nil {
@@ -191,6 +190,8 @@ func (s *Store) GetBatch(ctx Ctx, keys []string) ([]BatchGetResult, error) {
 		return out, nil
 	}
 	served, missing := 0, 0
+	// Consecutive keys of one owner share one key schedule.
+	var oc ownerCipher
 	for i, key := range keys {
 		// Each key is read under its own stripe; the batch as a whole is
 		// not an atomic snapshot (per-key reads never were, either). The
@@ -202,7 +203,7 @@ func (s *Store) GetBatch(ctx Ctx, keys []string) ([]BatchGetResult, error) {
 			ks.Unlock()
 			return nil, ErrClosed
 		}
-		v, _, err := s.getLocked(ctx, key)
+		v, _, err := s.getLocked(ctx, key, &oc)
 		ks.Unlock()
 		out[i] = BatchGetResult{Value: v, Err: err}
 		switch {
@@ -233,20 +234,30 @@ func (s *Store) GetBatch(ctx Ctx, keys []string) ([]BatchGetResult, error) {
 // limitation, ghost-metadata cleanup, decryption — used by both Get and
 // GetBatch. Callers hold key's stripe and handle read auditing; denials
 // are audited here (they are evidence regardless of the calling path). The
-// owner is returned for the caller's audit records.
-func (s *Store) getLocked(ctx Ctx, key string) (value []byte, owner string, err error) {
-	meta, hasMeta := s.metaLive(key)
-	owner = meta.Owner
-	if hasMeta && s.recordDead(meta) {
-		// Crypto-erased but not yet reclaimed by the sweep: the record is
-		// already gone for Article 17 purposes, so serve exactly what a
-		// completed sweep would.
-		return nil, owner, ErrNotFound
+// owner is returned for the caller's audit records. oc carries the owner's
+// prepared cipher from one key of a call to the next; it is re-read from
+// the keyring when the owner changes or the key it was built from has been
+// shredded since.
+func (s *Store) getLocked(ctx Ctx, key string, oc *ownerCipher) (value []byte, owner string, err error) {
+	meta := s.metaLive(key)
+	owner = meta.owner()
+	if meta != nil {
+		if oc.owner != owner || (oc.sealed && !s.keyring.RecordLive(owner, oc.epoch)) {
+			if *oc, err = s.ownerCipherFor(owner); err != nil {
+				return nil, owner, err
+			}
+		}
+		if !oc.live(meta) {
+			// Crypto-erased but not yet reclaimed by the sweep: the record
+			// is already gone for Article 17 purposes, so serve exactly
+			// what a completed sweep would.
+			return nil, owner, ErrNotFound
+		}
 	}
 	if err := s.check(ctx, acl.OpRead, owner, "GET", key); err != nil {
 		return nil, owner, err
 	}
-	if hasMeta && s.cfg.Capability == CapabilityFull {
+	if meta != nil && s.cfg.Capability == CapabilityFull {
 		if !meta.PermitsPurpose(ctx.Purpose) {
 			s.auditOp(audit.Record{
 				Actor: ctx.Actor, Op: "GET", Key: key, Owner: owner,
@@ -261,16 +272,8 @@ func (s *Store) getLocked(ctx Ctx, key string) (value []byte, owner string, err 
 		s.ix.del(key) // ghost metadata from lazy expiry
 		return nil, owner, ErrNotFound
 	}
-	if s.keyring != nil && owner != "" {
-		k, err := s.keyring.KeyFor(owner)
-		if err != nil {
-			return nil, owner, fmt.Errorf("%w: %s", ErrErased, owner)
-		}
-		pt, err := cryptoutil.Open(k, v, []byte(key))
-		if err != nil {
-			return nil, owner, err
-		}
-		v = pt
+	if meta != nil && oc.sealed {
+		v, err = oc.c.Open(nil, v, []byte(key))
 	}
-	return v, owner, nil
+	return v, owner, err
 }

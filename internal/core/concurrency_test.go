@@ -58,7 +58,7 @@ func TestConcurrentMixedOperations(t *testing.T) {
 
 	// Invariant 1: no ghost metadata after maintenance.
 	var ghost string
-	s.ix.rangeMeta(func(k string, _ Metadata) bool {
+	s.ix.rangeMeta(func(k string, _ *Metadata) bool {
 		if !s.db.Exists(k) {
 			ghost = k
 			return false
@@ -69,7 +69,7 @@ func TestConcurrentMixedOperations(t *testing.T) {
 		t.Fatalf("ghost metadata for %q after Maintain", ghost)
 	}
 	// Invariant 2: owner index agrees with metadata, in both directions.
-	s.ix.rangeMeta(func(k string, m Metadata) bool {
+	s.ix.rangeMeta(func(k string, m *Metadata) bool {
 		if m.Owner == "" {
 			return true
 		}
@@ -84,8 +84,7 @@ func TestConcurrentMixedOperations(t *testing.T) {
 	for i := 0; i < owners; i++ {
 		owner := fmt.Sprintf("owner%d", i)
 		for _, k := range s.ix.ownerKeys(owner) {
-			m, ok := s.ix.get(k)
-			if !ok || m.Owner != owner {
+			if m := s.ix.get(k); m == nil || m.Owner != owner {
 				t.Fatalf("owner index inconsistent: %q -> %q", owner, k)
 			}
 		}

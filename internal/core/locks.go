@@ -1,6 +1,9 @@
 package core
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // The compliance layer used to serialise every operation on one Store-wide
 // mutex; GPUT/GGET for different data subjects contended even though they
@@ -9,7 +12,7 @@ import "sync"
 //
 //   - ownerStripes serialise owner-scoped state: the standing objections
 //     map, the keyring entry, and the owner's key set (Put/PutBatch,
-//     Forget, Object, GetUser, ...). Operations for different owners take
+//     Forget, Object, ...). Operations for different owners take
 //     different stripes and proceed in parallel.
 //   - keyStripes serialise the per-key compound invariant "engine value and
 //     metadata-index entry agree" (Put, Get, Delete, Expire, ...). An
@@ -28,6 +31,16 @@ import "sync"
 // when more than one is held, and the engine/AOF/audit/ACL/keyring locks
 // are leaves. The engine below has its own shard locks; the audit trail,
 // AOF, ACL and keyring have their own internal locks.
+//
+// Owner-scoped reads (GetUser and what is built on it) hold the owner
+// stripe only to decide and to snapshot: ACL check, the owner's key list,
+// its data key and key epoch. The walk over the records then runs with the
+// stripe released, one key stripe at a time (walkKeys), re-validating each
+// record's owner and epoch under that stripe, and the epoch is read again
+// at the end: a Forget that got in between makes the whole answer the
+// erased one, never part of a report. Writers for the owner therefore wait
+// for a snapshot, not for a walk. Without a keyring there is no epoch to
+// re-read, so there the stripe stays held across the walk.
 //
 // The erasure sweeper (maintain.go) deliberately stays at the bottom of
 // this ordering: it holds ONE key stripe at a time while reclaiming a
@@ -91,6 +104,33 @@ func (s *Store) unlockKeyStripes(idxs []int) {
 	for i := len(idxs) - 1; i >= 0; i-- {
 		s.keys[idxs[i]].Unlock()
 	}
+}
+
+// walkOwner visits every record the index attributes to owner; see
+// walkKeys. Callers that need the key set frozen hold owner's stripe.
+func (s *Store) walkOwner(owner string, fn func(key string, m *Metadata) bool) bool {
+	return s.walkKeys(owner, s.ix.ownerKeys(owner), fn)
+}
+
+// walkKeys visits, in key order, those of keys (a snapshot of owner's key
+// set, which it sorts) that still belong to owner. fn runs under the key's
+// stripe, taken one at a time per the ordering protocol, with the key's
+// current metadata: a key deleted since the snapshot, or re-Put by another
+// subject, is skipped, so nothing of theirs is ever touched or reported.
+// fn returns false to stop; walkKeys reports whether it reached the end.
+func (s *Store) walkKeys(owner string, keys []string, fn func(key string, m *Metadata) bool) bool {
+	slices.Sort(keys)
+	for _, k := range keys {
+		ks := s.keyStripeFor(k)
+		ks.Lock()
+		m := s.ix.get(k)
+		more := m == nil || m.Owner != owner || fn(k, m)
+		ks.Unlock()
+		if !more {
+			return false
+		}
+	}
+	return true
 }
 
 // lockAll acquires the whole-store write lock: gmu, every owner stripe,

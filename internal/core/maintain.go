@@ -7,12 +7,7 @@ import (
 	"time"
 
 	"gdprstore/internal/audit"
-	"gdprstore/internal/cryptoutil"
 )
-
-func openSealed(key, sealed []byte, recordKey string) ([]byte, error) {
-	return cryptoutil.Open(key, sealed, []byte(recordKey))
-}
 
 // epochArg encodes a keyring epoch for a journal record argument.
 func epochArg(e uint64) []byte {
@@ -27,7 +22,7 @@ func parseEpoch(b []byte) (uint64, error) {
 // recordDead reports whether m's record is crypto-erased: sealed under a
 // keyring epoch whose key has since been destroyed. Dead records are
 // invisible to every read path and are reclaimed by the lazy-delete sweep.
-func (s *Store) recordDead(m Metadata) bool {
+func (s *Store) recordDead(m *Metadata) bool {
 	if s.keyring == nil || m.Owner == "" {
 		return false
 	}
@@ -42,11 +37,8 @@ func (s *Store) KeyVisible(key string) bool {
 	if s.keyring == nil {
 		return true
 	}
-	m, ok := s.ix.get(key)
-	if !ok {
-		return true
-	}
-	return !s.recordDead(m)
+	m := s.ix.get(key)
+	return m == nil || !s.recordDead(m)
 }
 
 // markErasurePending registers owner with the lazy-delete sweep: the owner
@@ -97,36 +89,25 @@ func (s *Store) ErasureSweepCycle() SweepStats {
 	}
 	s.erasure.mu.Unlock()
 	sort.Strings(owners)
-	halted := false
 	for _, owner := range owners {
-		if halted || st.Reclaimed >= budget {
+		if st.Reclaimed >= budget || s.closed.Load() {
 			break
 		}
-		keys := s.ix.ownerKeys(owner)
-		sort.Strings(keys)
-		complete := true
-		for _, k := range keys {
-			if st.Reclaimed >= budget {
-				complete = false
-				break
+		// Ownership is re-validated under each stripe (walkOwner): the key
+		// may have been deleted, re-owned, or rewritten under a live epoch
+		// since the walk began.
+		complete := s.walkOwner(owner, func(k string, m *Metadata) bool {
+			if st.Reclaimed >= budget || s.closed.Load() {
+				return false
 			}
-			ks := s.keyStripeFor(k)
-			ks.Lock()
-			if s.closed.Load() {
-				ks.Unlock()
-				complete, halted = false, true
-				break
-			}
-			// Re-validate under the stripe: the key may have been deleted,
-			// re-owned, or rewritten under a live epoch since the walk began.
-			if m, ok := s.ix.get(k); ok && m.Owner == owner && s.recordDead(m) {
+			if s.recordDead(m) {
 				s.db.Del(k)
 				s.ix.del(k)
 				st.Reclaimed++
 			}
-			ks.Unlock()
 			st.Scanned++
-		}
+			return true
+		})
 		if complete {
 			s.erasure.mu.Lock()
 			delete(s.erasure.pending, owner)
@@ -288,8 +269,9 @@ func (s *Store) ErasureStats() ErasureStats {
 }
 
 // reclaimErasedLocked fully reclaims every pending owner's dead records.
-// Callers hold the whole-store lock (lockAll), so no stripe juggling is
-// needed; this is Maintain's backstop when no background sweeper runs.
+// Callers hold the whole-store lock (lockAll), every key stripe included,
+// which is why this loop cannot be walkOwner; this is Maintain's backstop
+// when no background sweeper runs.
 func (s *Store) reclaimErasedLocked() int {
 	if s.keyring == nil {
 		return 0
@@ -304,7 +286,7 @@ func (s *Store) reclaimErasedLocked() int {
 	drained := 0
 	for _, owner := range owners {
 		for _, k := range s.ix.ownerKeys(owner) {
-			if m, ok := s.ix.get(k); ok && m.Owner == owner && s.recordDead(m) {
+			if m := s.ix.get(k); m != nil && m.Owner == owner && s.recordDead(m) {
 				s.db.Del(k)
 				s.ix.del(k)
 				n++
@@ -335,7 +317,7 @@ func (s *Store) reclaimErasedLocked() int {
 func (s *Store) snapshotAll(emit func(name string, args ...[]byte) error) error {
 	err := s.db.Snapshot(func(name string, args ...[]byte) error {
 		if s.keyring != nil && len(args) > 0 {
-			if m, ok := s.ix.get(string(args[0])); ok && s.recordDead(m) {
+			if m := s.ix.get(string(args[0])); m != nil && s.recordDead(m) {
 				return nil
 			}
 		}
@@ -345,7 +327,7 @@ func (s *Store) snapshotAll(emit func(name string, args ...[]byte) error) error 
 		return err
 	}
 	var emitErr error
-	s.ix.rangeMeta(func(k string, m Metadata) bool {
+	s.ix.rangeMeta(func(k string, m *Metadata) bool {
 		if !s.db.Exists(k) || s.recordDead(m) {
 			return true
 		}
@@ -446,7 +428,7 @@ func (s *Store) Maintain() MaintStats {
 	var st MaintStats
 	s.lockAll()
 	var ghosts []string
-	s.ix.rangeMeta(func(k string, _ Metadata) bool {
+	s.ix.rangeMeta(func(k string, _ *Metadata) bool {
 		if !s.db.Exists(k) {
 			ghosts = append(ghosts, k)
 		}

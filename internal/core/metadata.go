@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -43,13 +44,22 @@ type Metadata struct {
 	KeyEpoch uint64 `json:"key_epoch,omitempty"`
 }
 
-// clone returns a deep copy so callers cannot mutate indexed state.
+// clone returns a deep copy, for callers outside the package that may write
+// to what they are given.
 func (m Metadata) clone() Metadata {
 	c := m
 	c.Purposes = append([]string(nil), m.Purposes...)
 	c.Objections = append([]string(nil), m.Objections...)
 	c.SharedWith = append([]string(nil), m.SharedWith...)
 	return c
+}
+
+// owner is m.Owner, "" for a key without metadata (nil m).
+func (m *Metadata) owner() string {
+	if m == nil {
+		return ""
+	}
+	return m.Owner
 }
 
 // PermitsPurpose reports whether processing under the given purpose is
@@ -90,6 +100,11 @@ func decodeMetadata(b []byte) (Metadata, error) {
 // and all keys processable under a purpose (Art. 21) without scanning the
 // keyspace.
 //
+// Indexed values are immutable: put publishes a *Metadata that nobody
+// writes to afterwards (an update copies, changes the copy and puts it), so
+// readers use the pointer get returns without copying it and a batch shares
+// one value across its keys.
+//
 // The index is internally lock-striped so metadata writes for unrelated
 // keys/owners never contend: the primary key→Metadata map is sharded by
 // key, the owner and purpose association sets by owner/purpose. Each shard
@@ -97,10 +112,9 @@ func decodeMetadata(b []byte) (Metadata, error) {
 // guarantees memory safety and per-map consistency on its own; compound
 // read-modify-write invariants (e.g. "engine value and metadata agree for
 // key k") are the caller's job, which Store provides via its key/owner
-// stripe locks. Between put's primary-map update and its association
-// updates, a reader of a *different* owner/purpose set may briefly miss an
-// entry being re-indexed — callers that need a stable owner view hold that
-// owner's stripe, which serialises all re-indexing for the owner's keys.
+// stripe locks. A key leaves its owner's set only when its new metadata
+// names another owner, so re-indexing a key under the same owner (Expire,
+// an objection, a re-Put) never hides it from a reader of that set.
 type metaIndex struct {
 	meta      []metaShard
 	byOwner   []assocShard
@@ -110,7 +124,7 @@ type metaIndex struct {
 // metaShard is one stripe of the key→Metadata map.
 type metaShard struct {
 	mu sync.Mutex
-	m  map[string]Metadata
+	m  map[string]*Metadata
 }
 
 // assocShard is one stripe of a string→key-set association index.
@@ -126,7 +140,7 @@ func newMetaIndex() *metaIndex {
 		byPurpose: make([]assocShard, stripeCount),
 	}
 	for i := 0; i < stripeCount; i++ {
-		ix.meta[i].m = make(map[string]Metadata)
+		ix.meta[i].m = make(map[string]*Metadata)
 		ix.byOwner[i].m = make(map[string]map[string]struct{})
 		ix.byPurpose[i].m = make(map[string]map[string]struct{})
 	}
@@ -174,41 +188,50 @@ func (sh *assocShard) keys(name string) []string {
 	return out
 }
 
-func (ix *metaIndex) put(key string, m Metadata) {
+func (ix *metaIndex) put(key string, m *Metadata) {
 	ms := ix.metaShardFor(key)
 	ms.mu.Lock()
-	old, had := ms.m[key]
+	old := ms.m[key]
 	ms.m[key] = m
 	ms.mu.Unlock()
-	if had {
-		ix.unindex(key, old)
+	if old == nil || old.Owner != m.Owner {
+		if old != nil && old.Owner != "" {
+			ix.byOwner[stripeIndex(old.Owner)].remove(old.Owner, key)
+		}
+		ix.byOwner[stripeIndex(m.Owner)].add(m.Owner, key)
 	}
-	ix.byOwner[stripeIndex(m.Owner)].add(m.Owner, key)
+	if old != nil {
+		if slices.Equal(old.Purposes, m.Purposes) {
+			return
+		}
+		for _, p := range old.Purposes {
+			ix.byPurpose[stripeIndex(p)].remove(p, key)
+		}
+	}
 	for _, p := range m.Purposes {
 		ix.byPurpose[stripeIndex(p)].add(p, key)
 	}
 }
 
-func (ix *metaIndex) get(key string) (Metadata, bool) {
+// get returns key's metadata, nil when it has none. The value is shared
+// with the index: read it, never write to it.
+func (ix *metaIndex) get(key string) *Metadata {
 	ms := ix.metaShardFor(key)
 	ms.mu.Lock()
-	m, ok := ms.m[key]
+	m := ms.m[key]
 	ms.mu.Unlock()
-	return m, ok
+	return m
 }
 
 func (ix *metaIndex) del(key string) {
 	ms := ix.metaShardFor(key)
 	ms.mu.Lock()
-	m, ok := ms.m[key]
+	m := ms.m[key]
 	delete(ms.m, key)
 	ms.mu.Unlock()
-	if ok {
-		ix.unindex(key, m)
+	if m == nil {
+		return
 	}
-}
-
-func (ix *metaIndex) unindex(key string, m Metadata) {
 	if m.Owner != "" {
 		ix.byOwner[stripeIndex(m.Owner)].remove(m.Owner, key)
 	}
@@ -242,7 +265,7 @@ func (ix *metaIndex) purposeKeys(purpose string) []string {
 // fn must not call back into the index for the same shard (it may read
 // other entries via get). Entries added or removed concurrently may or may
 // not be visited — callers that need a stable view hold Store.lockAll.
-func (ix *metaIndex) rangeMeta(fn func(key string, m Metadata) bool) {
+func (ix *metaIndex) rangeMeta(fn func(key string, m *Metadata) bool) {
 	for i := range ix.meta {
 		sh := &ix.meta[i]
 		sh.mu.Lock()
@@ -263,7 +286,7 @@ func (ix *metaIndex) rangeMeta(fn func(key string, m Metadata) bool) {
 func (ix *metaIndex) clear() {
 	for i := 0; i < stripeCount; i++ {
 		ix.meta[i].mu.Lock()
-		ix.meta[i].m = make(map[string]Metadata)
+		ix.meta[i].m = make(map[string]*Metadata)
 		ix.meta[i].mu.Unlock()
 		ix.byOwner[i].mu.Lock()
 		ix.byOwner[i].m = make(map[string]map[string]struct{})

@@ -8,7 +8,6 @@ import (
 
 	"gdprstore/internal/acl"
 	"gdprstore/internal/audit"
-	"gdprstore/internal/cryptoutil"
 	"gdprstore/internal/store"
 )
 
@@ -96,21 +95,18 @@ func (s *Store) DumpForMigration(key string) (rec MigrationRecord, raw []byte, o
 	}
 	raw = v
 	if s.cfg.Compliant {
-		if m, hasMeta := s.metaLive(key); hasMeta {
-			if s.recordDead(m) {
+		if m := s.metaLive(key); m != nil {
+			oc, err := s.ownerCipherFor(m.Owner)
+			if err != nil {
+				return rec, nil, false, err
+			}
+			if !oc.live(m) {
 				return rec, nil, false, nil
 			}
-			if s.keyring != nil && m.Owner != "" {
-				dk, kerr := s.keyring.KeyFor(m.Owner)
-				if kerr != nil {
-					// Shredded between metaLive and here: erased, not dumped.
-					return rec, nil, false, nil
+			if oc.sealed {
+				if v, err = oc.c.Open(nil, v, []byte(key)); err != nil {
+					return rec, nil, false, err
 				}
-				pt, oerr := openSealed(dk, v, key)
-				if oerr != nil {
-					return rec, nil, false, oerr
-				}
-				v = pt
 			}
 			mc := m.clone()
 			return MigrationRecord{Key: key, Value: v, Meta: &mc}, raw, true, nil
@@ -153,27 +149,16 @@ func (s *Store) RestoreRecord(ctx Ctx, rec MigrationRecord) error {
 		return err
 	}
 	stored := rec.Value
+	meta.KeyEpoch = 0
 	if s.keyring != nil && meta.Owner != "" {
-		k, wrapped, created, err := s.keyring.Ensure(meta.Owner)
-		if err != nil {
-			if err == cryptoutil.ErrUnknownKey {
-				return fmt.Errorf("%w: %s", ErrErased, meta.Owner)
-			}
-			return err
-		}
-		meta.KeyEpoch = s.keyring.Epoch(meta.Owner)
-		if created {
-			if err := s.appendLog(opKey, []byte(meta.Owner), wrapped, epochArg(meta.KeyEpoch)); err != nil {
-				return err
-			}
-		}
-		sealed, err := cryptoutil.Seal(k, rec.Value, []byte(rec.Key))
+		c, epoch, err := s.sealerFor(meta.Owner)
 		if err != nil {
 			return err
 		}
-		stored = sealed
-	} else {
-		meta.KeyEpoch = 0
+		meta.KeyEpoch = epoch
+		if stored, err = c.Seal(nil, rec.Value, []byte(rec.Key)); err != nil {
+			return err
+		}
 	}
 	if meta.Expiry.IsZero() {
 		s.db.Set(rec.Key, stored)
@@ -188,7 +173,7 @@ func (s *Store) RestoreRecord(ctx Ctx, rec MigrationRecord) error {
 	if err != nil {
 		return err
 	}
-	s.ix.put(rec.Key, meta)
+	s.ix.put(rec.Key, &meta)
 	if err := s.appendLog(opMeta, []byte(rec.Key), mb); err != nil {
 		return err
 	}

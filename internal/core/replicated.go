@@ -30,7 +30,7 @@ func (s *Store) applyRecord(name string, args [][]byte) error {
 		if err != nil {
 			return err
 		}
-		s.ix.put(string(args[0]), m)
+		s.ix.put(string(args[0]), &m)
 		return nil
 	case opMetaBatch:
 		if len(args) < 2 {
@@ -41,7 +41,7 @@ func (s *Store) applyRecord(name string, args [][]byte) error {
 			return err
 		}
 		for _, k := range args[1:] {
-			s.ix.put(string(k), m.clone())
+			s.ix.put(string(k), &m)
 		}
 		return nil
 	case opObject:
@@ -128,11 +128,10 @@ func (s *Store) applyRecord(name string, args [][]byte) error {
 		// pruning the owner's remaining index entries here is defensive
 		// (e.g. metadata whose DEL was compacted away) and makes the marker
 		// idempotent.
-		for _, k := range s.ix.ownerKeys(owner) {
-			if m, ok := s.ix.get(k); ok && m.Owner == owner {
-				s.ix.del(k)
-			}
-		}
+		s.walkOwner(owner, func(k string, _ *Metadata) bool {
+			s.ix.del(k)
+			return true
+		})
 		return nil
 	case "DEL":
 		for _, a := range args {

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -11,6 +12,9 @@ import (
 )
 
 // UserRecord pairs one key the subject owns with its value and metadata.
+// The records of one report share memory: a Value is a slice of a buffer
+// holding its neighbours too, and the Metadata's slices are the store's own
+// (immutable) ones. Read them; copy before changing anything.
 type UserRecord struct {
 	Key      string   `json:"key"`
 	Value    []byte   `json:"value"`
@@ -20,20 +24,15 @@ type UserRecord struct {
 // GetUser implements Article 15's right of access: it returns every record
 // owned by the subject, decrypted, with its metadata. The metadata index
 // makes this a lookup rather than a keyspace scan.
+//
+// The report is the owner's records as of the call: keys written for the
+// owner after it started are not in it, and if an erasure of the owner
+// lands while it is being assembled the report is empty, never partial.
 func (s *Store) GetUser(ctx Ctx, owner string) ([]UserRecord, error) {
 	if !s.cfg.Compliant {
 		return nil, ErrNotCompliant
 	}
-	os := s.ownerStripeFor(owner)
-	os.mu.Lock()
-	defer os.mu.Unlock()
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	if err := s.check(ctx, acl.OpRights, owner, "GETUSER", ""); err != nil {
-		return nil, err
-	}
-	recs, err := s.collectOwnerLocked(owner)
+	recs, err := s.collectOwner(ctx, owner)
 	if err != nil {
 		return nil, err
 	}
@@ -44,44 +43,75 @@ func (s *Store) GetUser(ctx Ctx, owner string) ([]UserRecord, error) {
 	return recs, nil
 }
 
-// collectOwnerLocked gathers the owner's records. Callers hold the owner's
-// stripe (which freezes the owner's key set); each record is read under
-// its key stripe, taken one at a time per the lock-ordering protocol.
-func (s *Store) collectOwnerLocked(owner string) ([]UserRecord, error) {
-	keys := s.ix.ownerKeys(owner)
-	sort.Strings(keys)
+// valueChunk is how much value space collectOwner allocates at a time, so
+// a report costs one allocation per chunk instead of one per record.
+const valueChunk = 32 << 10
+
+// collectOwner is the one pass behind every owner-scoped read. Under the
+// owner's stripe it decides (closed, ACL) and snapshots what the pass needs
+// once: the owner's key list, and its data key and key epoch as a prepared
+// cipher. It then walks the keys with the stripe released (see locks.go):
+// one index lookup and one engine lookup per record, the value opened
+// straight from the engine's slice into a shared buffer.
+func (s *Store) collectOwner(ctx Ctx, owner string) ([]UserRecord, error) {
+	os := s.ownerStripeFor(owner)
+	os.mu.Lock()
+	if s.keyring == nil {
+		// No key epoch to re-read after the walk; the stripe is what keeps
+		// an eager Forget from deleting half of what the walk reports.
+		defer os.mu.Unlock()
+	}
+	var keys []string
+	var oc ownerCipher
+	err := ErrClosed
+	if !s.closed.Load() {
+		if err = s.check(ctx, acl.OpRights, owner, "GETUSER", ""); err == nil {
+			keys = s.ix.ownerKeys(owner)
+			oc, err = s.ownerCipherFor(owner)
+		}
+	}
+	if s.keyring != nil {
+		os.mu.Unlock()
+	}
+	if err != nil {
+		return nil, err
+	}
+
 	recs := make([]UserRecord, 0, len(keys))
-	for _, k := range keys {
-		ks := s.keyStripeFor(k)
-		ks.Lock()
-		m, ok := s.metaLive(k)
-		if !ok || m.Owner != owner || s.recordDead(m) {
-			// Re-validate ownership under the stripe: the key may have
-			// been re-Put by a different subject since the index
-			// snapshot, and their record must not leak into this
-			// owner's Article 15 report. Crypto-erased records awaiting
-			// the sweep are equally invisible — the subject's report
-			// must not resurrect data they asked to be forgotten.
-			ks.Unlock()
-			continue
+	var buf, ad []byte
+	s.walkKeys(owner, keys, func(k string, m *Metadata) bool {
+		if !oc.live(m) {
+			// Crypto-erased, awaiting the sweep: the subject's report must
+			// not resurrect data they asked to be forgotten.
+			return true
 		}
-		v, ok := s.db.Get(k)
-		ks.Unlock()
+		v, ok := s.db.GetNoCopy(k)
 		if !ok {
-			continue
+			s.ix.del(k) // ghost metadata: the key expired underneath
+			return true
 		}
-		if s.keyring != nil && owner != "" {
-			dk, err := s.keyring.KeyFor(owner)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %s", ErrErased, owner)
-			}
-			pt, err := openSealed(dk, v, k)
-			if err != nil {
-				return nil, err
-			}
-			v = pt
+		if cap(buf)-len(buf) < len(v) {
+			// Room for the records still to come if they are this size,
+			// a chunk at most, this record at least.
+			buf = make([]byte, 0, max(len(v), min(len(v)*(len(keys)-len(recs)), valueChunk)))
 		}
-		recs = append(recs, UserRecord{Key: k, Value: v, Metadata: m.clone()})
+		start := len(buf)
+		if oc.sealed {
+			ad = append(ad[:0], k...)
+			buf, err = oc.c.Open(buf, v, ad)
+		} else {
+			buf = append(buf, v...)
+		}
+		recs = append(recs, UserRecord{Key: k, Value: buf[start:len(buf):len(buf)], Metadata: *m})
+		return err == nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if oc.sealed && !s.keyring.RecordLive(owner, oc.epoch) {
+		// A Forget shredded the key during the walk. The erasure is
+		// acknowledged (or about to be): answer as after it.
+		return []UserRecord{}, nil
 	}
 	return recs, nil
 }
@@ -256,22 +286,16 @@ func (s *Store) Forget(ctx Ctx, owner string) (int, error) {
 		return s.forgetShredLocked(ctx, owner, os)
 	}
 	// The owner stripe freezes the owner's key set (no new Puts for this
-	// owner can land); each key is erased under its key stripe, acquired
-	// in ascending order per the lock-ordering protocol. Ownership is
-	// re-validated under the stripes: between the index snapshot and the
-	// stripe acquisition another subject may have re-Put one of these
-	// keys, and erasing it here would destroy *their* record.
-	keys := s.ix.ownerKeys(owner)
-	stripes := s.keyStripesFor(keys)
-	s.lockKeyStripes(stripes)
+	// owner can land); each key is erased under its key stripe, with
+	// ownership re-validated there: another subject may have re-Put one of
+	// these keys since the index snapshot, and erasing it here would
+	// destroy *their* record.
 	n := 0
-	for _, k := range keys {
-		if m, ok := s.ix.get(k); ok && m.Owner == owner {
-			n += s.db.Del(k)
-			s.ix.del(k)
-		}
-	}
-	s.unlockKeyStripes(stripes)
+	s.walkOwner(owner, func(k string, _ *Metadata) bool {
+		n += s.db.Del(k)
+		s.ix.del(k)
+		return true
+	})
 	// The erasure marker follows the per-key DELs in the journal stream:
 	// replicas replay it after the deletions, prune any residual metadata,
 	// and audit that the Article 17 erasure reached their copy.
@@ -388,18 +412,15 @@ func (s *Store) setObjection(ctx Ctx, owner, purpose string, add bool) error {
 	}
 	// Re-journal the affected records' metadata so replay converges even
 	// if the GOBJ record were compacted away.
-	for _, k := range s.ix.ownerKeys(owner) {
-		ks := s.keyStripeFor(k)
-		ks.Lock()
-		m, ok := s.ix.get(k)
-		ks.Unlock()
-		if ok && m.Owner == owner {
-			if mb, err := m.encode(); err == nil {
-				if err := s.appendLog(opMeta, []byte(k), mb); err != nil {
-					return err
-				}
-			}
+	var jerr error
+	s.walkOwner(owner, func(k string, m *Metadata) bool {
+		if mb, err := m.encode(); err == nil {
+			jerr = s.appendLog(opMeta, []byte(k), mb)
 		}
+		return jerr == nil
+	})
+	if jerr != nil {
+		return jerr
 	}
 	s.auditOp(audit.Record{
 		Actor: ctx.Actor, Op: opName, Owner: owner, Purpose: purpose,
@@ -427,7 +448,8 @@ func (s *Store) applyUnobjection(owner, purpose string) {
 
 // applyObjectionLocked mutates objection state and stamps the objection
 // onto the owner's existing records. Callers hold the owner's stripe; each
-// record's metadata is rewritten under its key stripe.
+// record's metadata is republished under its key stripe (a record re-Put by
+// another subject since the index snapshot does not inherit it).
 func (s *Store) applyObjectionLocked(os *ownerStripe, owner, purpose string) {
 	set, ok := os.objections[owner]
 	if !ok {
@@ -435,30 +457,15 @@ func (s *Store) applyObjectionLocked(os *ownerStripe, owner, purpose string) {
 		os.objections[owner] = set
 	}
 	set[purpose] = struct{}{}
-	for _, k := range s.ix.ownerKeys(owner) {
-		ks := s.keyStripeFor(k)
-		ks.Lock()
-		m, ok := s.ix.get(k)
-		if !ok || m.Owner != owner {
-			// The key may have been re-Put by another subject since the
-			// index snapshot; their record must not inherit this
-			// owner's objection.
-			ks.Unlock()
-			continue
+	s.walkOwner(owner, func(k string, m *Metadata) bool {
+		if !slices.Contains(m.Objections, purpose) {
+			mm := *m
+			// Clip: the append must copy, the published slice has readers.
+			mm.Objections = append(slices.Clip(m.Objections), purpose)
+			s.ix.put(k, &mm)
 		}
-		found := false
-		for _, o := range m.Objections {
-			if o == purpose {
-				found = true
-				break
-			}
-		}
-		if !found {
-			m.Objections = append(m.Objections, purpose)
-			s.ix.put(k, m)
-		}
-		ks.Unlock()
-	}
+		return true
+	})
 }
 
 func (s *Store) applyUnobjectionLocked(os *ownerStripe, owner, purpose string) {
@@ -468,24 +475,15 @@ func (s *Store) applyUnobjectionLocked(os *ownerStripe, owner, purpose string) {
 			delete(os.objections, owner)
 		}
 	}
-	for _, k := range s.ix.ownerKeys(owner) {
-		ks := s.keyStripeFor(k)
-		ks.Lock()
-		m, ok := s.ix.get(k)
-		if !ok || m.Owner != owner {
-			ks.Unlock()
-			continue
+	s.walkOwner(owner, func(k string, m *Metadata) bool {
+		if slices.Contains(m.Objections, purpose) {
+			mm := *m
+			// Filter a copy: the published slice has readers.
+			mm.Objections = slices.DeleteFunc(slices.Clone(m.Objections), func(o string) bool { return o == purpose })
+			s.ix.put(k, &mm)
 		}
-		kept := m.Objections[:0]
-		for _, o := range m.Objections {
-			if o != purpose {
-				kept = append(kept, o)
-			}
-		}
-		m.Objections = kept
-		s.ix.put(k, m)
-		ks.Unlock()
-	}
+		return true
+	})
 }
 
 // Objections returns the subject's standing objections.
@@ -512,12 +510,9 @@ func (s *Store) KeysByPurpose(ctx Ctx, purpose string) ([]string, error) {
 	for _, k := range keys {
 		ks := s.keyStripeFor(k)
 		ks.Lock()
-		m, ok := s.metaLive(k)
+		m := s.metaLive(k)
 		ks.Unlock()
-		if !ok || s.recordDead(m) {
-			continue
-		}
-		if m.PermitsPurpose(purpose) {
+		if m != nil && !s.recordDead(m) && m.PermitsPurpose(purpose) {
 			out = append(out, k)
 		}
 	}
@@ -536,18 +531,13 @@ func (s *Store) OwnerKeys(ctx Ctx, owner string) ([]string, error) {
 	if err := s.check(ctx, acl.OpRead, owner, "OWNERKEYS", ""); err != nil {
 		return nil, err
 	}
-	keys := s.ix.ownerKeys(owner)
-	out := keys[:0]
-	for _, k := range keys {
-		ks := s.keyStripeFor(k)
-		ks.Lock()
-		m, ok := s.metaLive(k)
-		ks.Unlock()
-		if ok && m.Owner == owner && !s.recordDead(m) {
+	out := []string{}
+	s.walkOwner(owner, func(k string, _ *Metadata) bool {
+		if m := s.metaLive(k); m != nil && !s.recordDead(m) {
 			out = append(out, k)
 		}
-	}
-	sort.Strings(out)
+		return true
+	})
 	return out, nil
 }
 

@@ -1,0 +1,451 @@
+package core
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"gdprstore/internal/clock"
+	"gdprstore/internal/cryptoutil"
+)
+
+// Tests for the one-pass owner-scoped read (collectOwner/walkKeys): it must
+// answer exactly as the walk it replaced, within an allocation budget, and
+// keep its promises while writers, expiry, re-owning and erasure run beside
+// it without the owner stripe to hide behind.
+
+// parentCollectOwner is the walk GetUser ran before the one-pass rewrite
+// (commit 08471e7), kept as the oracle: owner stripe held throughout, an
+// Exists and a Get per record, one keyring round trip for liveness and one
+// for the key, one key schedule per Open, a deep copy of the metadata.
+func parentCollectOwner(s *Store, owner string) ([]UserRecord, error) {
+	os := s.ownerStripeFor(owner)
+	os.mu.Lock()
+	defer os.mu.Unlock()
+	keys := s.ix.ownerKeys(owner)
+	sort.Strings(keys)
+	recs := make([]UserRecord, 0, len(keys))
+	for _, k := range keys {
+		ks := s.keyStripeFor(k)
+		ks.Lock()
+		m := s.metaLive(k)
+		if m == nil || m.Owner != owner || s.recordDead(m) {
+			ks.Unlock()
+			continue
+		}
+		v, ok := s.db.Get(k)
+		ks.Unlock()
+		if !ok {
+			continue
+		}
+		if s.keyring != nil && owner != "" {
+			dk, err := s.keyring.KeyFor(owner)
+			if err != nil {
+				return nil, fmt.Errorf("%w: %s", ErrErased, owner)
+			}
+			pt, err := cryptoutil.Open(dk, v, []byte(k))
+			if err != nil {
+				return nil, err
+			}
+			v = pt
+		}
+		recs = append(recs, UserRecord{Key: k, Value: v, Metadata: m.clone()})
+	}
+	return recs, nil
+}
+
+// parentOwnerKeys is OwnerKeys as of the same commit.
+func parentOwnerKeys(s *Store, owner string) []string {
+	os := s.ownerStripeFor(owner)
+	os.mu.Lock()
+	defer os.mu.Unlock()
+	out := []string{}
+	for _, k := range s.ix.ownerKeys(owner) {
+		ks := s.keyStripeFor(k)
+		ks.Lock()
+		m := s.metaLive(k)
+		ks.Unlock()
+		if m != nil && m.Owner == owner && !s.recordDead(m) {
+			out = append(out, k)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func exportJSON(t *testing.T, owner string, recs []UserRecord) []byte {
+	t.Helper()
+	b, err := json.MarshalIndent(struct {
+		Format  string       `json:"format"`
+		Owner   string       `json:"owner"`
+		Records []UserRecord `json:"records"`
+	}{"gdprstore-export/v1", owner, recs}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func TestRightsReadsMatchParentWalk(t *testing.T) {
+	ctx := Ctx{Actor: "app", Purpose: "service"}
+	for _, envelope := range []bool{true, false} {
+		for seed := int64(1); seed <= 12; seed++ {
+			vc := clock.NewVirtual(time.Date(2019, 5, 16, 0, 0, 0, 0, time.UTC))
+			s, err := Open(erasureCfg(func(c *Config) {
+				c.Envelope = envelope
+				c.Clock = vc
+				c.ErasureSweepBudget = 3
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(seed))
+			owners := []string{"o0", "o1", "o2", "o3", "o4"}
+			owner := func() string { return owners[rng.Intn(len(owners))] }
+			key := func() string { return fmt.Sprintf("k%02d", rng.Intn(40)) }
+			ttls := []time.Duration{time.Minute, 5 * time.Minute, time.Hour}
+			// Errors are part of the history (a Put for an erased owner, an
+			// Expire of a missing key); the two walks are compared on
+			// whatever state results.
+			for i := 0; i < 500; i++ {
+				switch p := rng.Intn(100); {
+				case p < 50: // the shared key pool makes re-owned keys
+					_ = s.Put(ctx, key(), []byte(fmt.Sprintf("v%d", i)), PutOptions{
+						Owner: owner(), Purposes: []string{"service", "ads"}[:1+rng.Intn(2)], TTL: ttls[rng.Intn(len(ttls))],
+					})
+				case p < 60: // expired keys whose metadata lingers
+					vc.Advance(time.Duration(20+rng.Intn(100)) * time.Second)
+				case p < 67: // dead-epoch residue (envelope) or eager deletion
+					_, _ = s.Forget(ctx, owner())
+				case p < 75: // reinstated owners: old residue, new records
+					_ = s.Reinstate(ctx, owner())
+				case p < 80:
+					_ = s.Object(ctx, owner(), "ads")
+				case p < 84:
+					_ = s.Unobject(ctx, owner(), "ads")
+				case p < 90:
+					_ = s.Expire(ctx, key(), ttls[rng.Intn(len(ttls))])
+				case p < 95:
+					_ = s.Delete(ctx, key())
+				default: // a budgeted, hence partial, sweep
+					s.ErasureSweepCycle()
+				}
+			}
+			for i, o := range owners {
+				name := fmt.Sprintf("envelope=%v seed=%d owner=%s", envelope, seed, o)
+				// Both walks prune ghost metadata; alternate which goes
+				// first so neither can lean on the other's pruning.
+				var want, got []UserRecord
+				var wantKeys, gotKeys []string
+				var gerr, werr error
+				if i%2 == 0 {
+					want, werr = parentCollectOwner(s, o)
+					wantKeys = parentOwnerKeys(s, o)
+				}
+				got, gerr = s.GetUser(ctx, o)
+				gotKeys, kerr := s.OwnerKeys(ctx, o)
+				export, xerr := s.Export(ctx, o)
+				if i%2 == 1 {
+					want, werr = parentCollectOwner(s, o)
+					wantKeys = parentOwnerKeys(s, o)
+				}
+				if gerr != nil || werr != nil || kerr != nil || xerr != nil {
+					t.Fatalf("%s: errors %v / %v / %v / %v", name, gerr, werr, kerr, xerr)
+				}
+				if !reflect.DeepEqual(gotKeys, wantKeys) {
+					t.Fatalf("%s: OwnerKeys %v, parent %v", name, gotKeys, wantKeys)
+				}
+				// Through JSON: nil and empty metadata slices are the same
+				// answer, and it is the form EXPORTUSER ships.
+				if g, w := exportJSON(t, o, got), exportJSON(t, o, want); !bytes.Equal(g, w) {
+					t.Fatalf("%s: GetUser differs from the parent's walk\n got %s\nwant %s", name, g, w)
+				} else if !bytes.Equal(export, w) {
+					t.Fatalf("%s: Export differs from the parent's walk", name)
+				}
+			}
+			s.Close()
+		}
+	}
+}
+
+// One Art. 15 read costs a constant number of allocations plus one value
+// buffer per 32 KB: nothing per record (the parent paid seven).
+func TestGetUserAllocBudget(t *testing.T) {
+	allocs := func(recs int) float64 {
+		s, err := Open(erasureCfg(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		ctx := Ctx{Actor: "app", Purpose: "service"}
+		val := bytes.Repeat([]byte("x"), 100)
+		for i := 0; i < recs; i++ {
+			if err := s.Put(ctx, fmt.Sprintf("alice:%04d", i), val, PutOptions{Owner: "alice", Purposes: []string{"service"}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(50, func() {
+			if got, err := s.GetUser(ctx, "alice"); err != nil || len(got) != recs {
+				t.Fatalf("GetUser: %d records, %v", len(got), err)
+			}
+		})
+	}
+	small, large := allocs(16), allocs(256)
+	t.Logf("GetUser allocations: %.0f for 16 records, %.0f for 256", small, large)
+	if small > 24 {
+		t.Errorf("constant part: %.0f allocations for 16 records, budget 24", small)
+	}
+	if perRecord := (large - small) / 240; perRecord > 0.1 {
+		t.Errorf("%.2f allocations per record (%.0f → %.0f), budget 0.1", perRecord, small, large)
+	}
+}
+
+// recordValue makes every value name its key, its owner and its write
+// number, so a reader can tell whose it is and how fresh.
+func recordValue(key, owner string, seq int64) []byte {
+	return []byte(key + "|" + owner + "|" + strconv.FormatInt(seq, 10))
+}
+
+func parseRecordValue(t *testing.T, v []byte) (key, owner string, seq int64) {
+	parts := strings.Split(string(v), "|")
+	if len(parts) != 3 {
+		t.Errorf("value %q is not one this test wrote", v)
+		return "", "", -1
+	}
+	seq, _ = strconv.ParseInt(parts[2], 10, 64)
+	return parts[0], parts[1], seq
+}
+
+// GETUSER beside PUT, EXPIRE and another owner re-PUTting shared keys, no
+// owner stripe held across the walk. Never another owner's record; every
+// value is one acknowledged for that key no earlier than the read began (or
+// in flight during it); every key that is the owner's throughout is there.
+func TestGetUserConcurrentWithWrites(t *testing.T) {
+	s, err := Open(erasureCfg(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := Ctx{Actor: "app", Purpose: "service"}
+	const private, shared = 48, 16
+	privKey := func(i int) string { return fmt.Sprintf("alice:%02d", i) }
+	sharedKey := func(i int) string { return fmt.Sprintf("shared:%02d", i) }
+	// acked[i] is the last write number acknowledged for alice's private
+	// key i, begun[i] the last one started; a read that runs between two
+	// loads of them must see a write in that window.
+	var acked, begun [private]atomic.Int64
+	put := func(key, owner string, seq int64) {
+		if err := s.Put(ctx, key, recordValue(key, owner, seq), PutOptions{Owner: owner, Purposes: []string{"service"}, TTL: time.Hour}); err != nil {
+			t.Errorf("put %s for %s: %v", key, owner, err)
+		}
+	}
+	for i := 0; i < private; i++ {
+		put(privKey(i), "alice", 0)
+	}
+	for i := 0; i < shared; i++ {
+		put(sharedKey(i), "alice", 0)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	background := func(fn func(n int64)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := int64(1); ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+					fn(n)
+				}
+			}
+		}()
+	}
+	background(func(n int64) { // alice's writer: one goroutine, so per-key writes are ordered
+		i := int(n % private)
+		begun[i].Store(n)
+		put(privKey(i), "alice", n)
+		acked[i].Store(n)
+	})
+	background(func(n int64) { // retention changes on alice's keys
+		if err := s.Expire(ctx, privKey(int(n%private)), time.Duration(1+n%3)*time.Hour); err != nil {
+			t.Errorf("expire: %v", err)
+		}
+	})
+	background(func(n int64) { // bob and alice take the shared keys from each other
+		owner := []string{"bob", "alice"}[n%2]
+		put(sharedKey(int(n/2%shared)), owner, n)
+	})
+
+	for round := 0; round < 300; round++ {
+		var lo [private]int64
+		for i := range lo {
+			lo[i] = acked[i].Load()
+		}
+		recs, err := s.GetUser(ctx, "alice")
+		if err != nil {
+			t.Fatalf("GetUser: %v", err)
+		}
+		seen := map[string]bool{}
+		for _, r := range recs {
+			key, owner, seq := parseRecordValue(t, r.Value)
+			if r.Metadata.Owner != "alice" || owner != "alice" || key != r.Key {
+				t.Fatalf("alice's report holds key %s with metadata owner %q and value %q", r.Key, r.Metadata.Owner, r.Value)
+			}
+			seen[r.Key] = true
+			var i int
+			if _, err := fmt.Sscanf(r.Key, "alice:%02d", &i); err != nil {
+				continue // a shared key, hers at that moment
+			}
+			if hi := begun[i].Load(); seq < lo[i] || seq > hi {
+				t.Fatalf("%s: write %d reported; %d was acknowledged before the read and %d is the latest begun", r.Key, seq, lo[i], hi)
+			}
+		}
+		for i := 0; i < private; i++ {
+			if !seen[privKey(i)] {
+				t.Fatalf("round %d: %s, alice's throughout, is missing from her report (%d records)", round, privKey(i), len(recs))
+			}
+		}
+		if !sort.SliceIsSorted(recs, func(a, b int) bool { return recs[a].Key < recs[b].Key }) {
+			t.Fatal("report not in key order")
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// GETUSER racing FORGETUSER on the same owner: the answer is the full
+// pre-erasure set or nothing, and once the erasure is acknowledged, nothing.
+func TestGetUserRacingForget(t *testing.T) {
+	s, err := Open(erasureCfg(func(c *Config) { c.ErasureSweepBudget = 7 }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := Ctx{Actor: "app", Purpose: "service"}
+	const recs = 96
+	for round := 0; round < 40; round++ {
+		for i := 0; i < recs; i++ {
+			k := fmt.Sprintf("carol:%02d", i)
+			if err := s.Put(ctx, k, recordValue(k, "carol", int64(round)), PutOptions{Owner: "carol", Purposes: []string{"service"}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var forgotten atomic.Bool
+		var wg sync.WaitGroup
+		for r := 0; r < 3; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for done := false; !done; {
+					// Sampled first: if the erasure was already acknowledged
+					// when the read began, the read must come back empty.
+					done = forgotten.Load()
+					got, err := s.GetUser(ctx, "carol")
+					if err != nil {
+						t.Errorf("GetUser: %v", err)
+						return
+					}
+					if len(got) != 0 && (done || len(got) != recs) {
+						t.Errorf("round %d: %d of %d records reported (erasure acknowledged before the read: %v)", round, len(got), recs, done)
+						return
+					}
+					for _, rec := range got {
+						if _, _, seq := parseRecordValue(t, rec.Value); seq != int64(round) {
+							t.Errorf("round %d: %s carries write %d, residue of an erased epoch", round, rec.Key, seq)
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() { // the sweep reclaims residue of earlier rounds beside all this
+			defer wg.Done()
+			s.ErasureSweepCycle()
+		}()
+		if _, err := s.Forget(ctx, "carol"); err != nil {
+			t.Fatal(err)
+		}
+		forgotten.Store(true)
+		wg.Wait()
+		if err := s.Reinstate(ctx, "carol"); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// UNOBJECT used to filter a record's Objections in place, rewriting the
+// backing array the indexed value and every copy handed out still pointed
+// at; only the owner stripe, held across the readers' whole walk, kept that
+// from being a data race. Readers no longer hold it.
+func TestUnobjectDuringRightsReads(t *testing.T) {
+	s, err := Open(erasureCfg(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := Ctx{Actor: "app", Purpose: "service"}
+	putOwnerKeys(t, s, "dave", 64)
+	for _, p := range []string{"ads", "profiling", "research"} {
+		if err := s.Object(ctx, "dave", p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			p := []string{"ads", "profiling", "research"}[i%3]
+			if err := s.Unobject(ctx, "dave", p); err != nil {
+				t.Errorf("unobject: %v", err)
+			}
+			if err := s.Object(ctx, "dave", p); err != nil {
+				t.Errorf("object: %v", err)
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		recs, err := s.GetUser(ctx, "dave")
+		if err != nil || len(recs) != 64 {
+			t.Fatalf("GetUser: %d records, %v", len(recs), err)
+		}
+		rep, err := s.Access(ctx, "dave")
+		if err != nil || rep.RecordCount != 64 {
+			t.Fatalf("Access: %d records, %v", rep.RecordCount, err)
+		}
+		for _, r := range append(recs, rep.Records...) {
+			// At most one of the three is withdrawn at any moment, and a
+			// half-filtered slice would show a purpose twice.
+			seen := map[string]bool{}
+			for _, o := range r.Metadata.Objections {
+				if seen[o] {
+					t.Fatalf("%s: objections %v", r.Key, r.Metadata.Objections)
+				}
+				seen[o] = true
+			}
+			if len(seen) < 2 || len(seen) > 3 {
+				t.Fatalf("%s: objections %v", r.Key, r.Metadata.Objections)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+}

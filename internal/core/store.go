@@ -252,7 +252,7 @@ func (s *Store) replay(path string, key []byte) error {
 	// a destroyed key epoch re-enter the sweep's pending set so reclamation
 	// resumes where the previous process left off.
 	var ghosts []string
-	s.ix.rangeMeta(func(k string, m Metadata) bool {
+	s.ix.rangeMeta(func(k string, m *Metadata) bool {
 		if !s.db.Exists(k) {
 			ghosts = append(ghosts, k)
 		} else if s.recordDead(m) {
@@ -373,7 +373,7 @@ func (s *Store) Put(ctx Ctx, key string, value []byte, opts PutOptions) error {
 		}
 	}
 
-	meta := Metadata{
+	meta := &Metadata{
 		Owner:              opts.Owner,
 		Purposes:           purposes,
 		Origin:             opts.Origin,
@@ -388,27 +388,14 @@ func (s *Store) Put(ctx Ctx, key string, value []byte, opts PutOptions) error {
 
 	stored := value
 	if s.keyring != nil && opts.Owner != "" {
-		k, wrapped, created, err := s.keyring.Ensure(opts.Owner)
-		if err != nil {
-			if err == cryptoutil.ErrUnknownKey {
-				return fmt.Errorf("%w: %s", ErrErased, opts.Owner)
-			}
-			return err
-		}
-		// The owner stripe is held, so no Forget can advance the epoch
-		// between Ensure and here: the record is stamped with the epoch of
-		// the key it is sealed under.
-		meta.KeyEpoch = s.keyring.Epoch(opts.Owner)
-		if created {
-			if err := s.appendLog(opKey, []byte(opts.Owner), wrapped, epochArg(meta.KeyEpoch)); err != nil {
-				return err
-			}
-		}
-		sealed, err := cryptoutil.Seal(k, value, []byte(key))
+		c, epoch, err := s.sealerFor(opts.Owner)
 		if err != nil {
 			return err
 		}
-		stored = sealed
+		meta.KeyEpoch = epoch
+		if stored, err = c.Seal(nil, value, []byte(key)); err != nil {
+			return err
+		}
 	}
 
 	if deadline.IsZero() {
@@ -431,6 +418,65 @@ func (s *Store) Put(ctx Ctx, key string, value []byte, opts PutOptions) error {
 	return nil
 }
 
+// sealerFor returns the prepared cipher for a write to owner's records and
+// the key epoch to stamp them with, from one keyring read; a key created by
+// this call is journaled first. Callers hold owner's stripe, so no Forget
+// can advance the epoch between this read and the seal.
+func (s *Store) sealerFor(owner string) (cryptoutil.Cipher, uint64, error) {
+	key, epoch, wrapped, err := s.keyring.EnsureAt(owner)
+	if err != nil {
+		if err == cryptoutil.ErrUnknownKey {
+			err = fmt.Errorf("%w: %s", ErrErased, owner)
+		}
+		return cryptoutil.Cipher{}, 0, err
+	}
+	if wrapped != nil {
+		if err := s.appendLog(opKey, []byte(owner), wrapped, epochArg(epoch)); err != nil {
+			return cryptoutil.Cipher{}, 0, err
+		}
+	}
+	c, err := cryptoutil.NewCipher(key)
+	return c, epoch, err
+}
+
+// ownerCipher is what a read needs from the keyring to serve one owner's
+// records: the prepared cipher and the key epoch it belongs to, from one
+// locked read. It is built per call and never kept beyond it: it holds the
+// expanded key, which has to die with the call for Shred to mean anything.
+type ownerCipher struct {
+	owner string
+	// sealed is false when the owner's records are stored in the clear (no
+	// envelope encryption, or no owner); none of them is ever crypto-erased.
+	sealed bool
+	epoch  uint64
+	// keyed is false when the owner is erased (or never had a key): nothing
+	// sealed for the owner can be opened, and c is not usable.
+	keyed bool
+	c     cryptoutil.Cipher
+}
+
+func (s *Store) ownerCipherFor(owner string) (ownerCipher, error) {
+	oc := ownerCipher{owner: owner}
+	if s.keyring == nil || owner == "" {
+		return oc, nil
+	}
+	oc.sealed = true
+	var key []byte
+	if key, oc.epoch, oc.keyed = s.keyring.Current(owner); !oc.keyed {
+		return oc, nil
+	}
+	var err error
+	oc.c, err = cryptoutil.NewCipher(key)
+	return oc, err
+}
+
+// live reports whether m's record is readable: stored in the clear, or
+// sealed under the epoch of the key oc holds. Anything else is
+// crypto-erased and merely awaits the sweep.
+func (oc *ownerCipher) live(m *Metadata) bool {
+	return !oc.sealed || (oc.keyed && m.KeyEpoch == oc.epoch)
+}
+
 // Get reads the value at key, enforcing purpose limitation and access
 // control, and auditing the read when the configuration demands it. The
 // enforcement body is getLocked, shared with GetBatch.
@@ -448,7 +494,8 @@ func (s *Store) Get(ctx Ctx, key string) ([]byte, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
-	v, owner, err := s.getLocked(ctx, key)
+	var oc ownerCipher
+	v, owner, err := s.getLocked(ctx, key, &oc)
 	if err != nil {
 		if errors.Is(err, ErrNotFound) && s.cfg.auditReads {
 			s.auditOp(audit.Record{
@@ -482,8 +529,8 @@ func (s *Store) Delete(ctx Ctx, key string) error {
 		ks.Unlock()
 		return ErrClosed
 	}
-	meta, _ := s.metaLive(key)
-	if err := s.check(ctx, acl.OpWrite, meta.Owner, "DEL", key); err != nil {
+	owner := s.metaLive(key).owner()
+	if err := s.check(ctx, acl.OpWrite, owner, "DEL", key); err != nil {
 		ks.Unlock()
 		return err
 	}
@@ -494,7 +541,7 @@ func (s *Store) Delete(ctx Ctx, key string) error {
 		outcome = audit.OutcomeMissing
 	}
 	s.auditOp(audit.Record{
-		Actor: ctx.Actor, Op: "DEL", Key: key, Owner: meta.Owner,
+		Actor: ctx.Actor, Op: "DEL", Key: key, Owner: owner,
 		Purpose: ctx.Purpose, Outcome: outcome,
 	})
 	ks.Unlock()
@@ -520,19 +567,16 @@ func (s *Store) Delete(ctx Ctx, key string) error {
 	return nil
 }
 
-// metaLive returns key's metadata if the key still exists in the engine;
-// ghost metadata (key expired underneath) is pruned. Callers hold key's
-// stripe.
-func (s *Store) metaLive(key string) (Metadata, bool) {
-	m, ok := s.ix.get(key)
-	if !ok {
-		return Metadata{}, false
-	}
-	if !s.db.Exists(key) {
+// metaLive returns key's metadata if the key still exists in the engine,
+// nil otherwise; ghost metadata (key expired underneath) is pruned. Callers
+// hold key's stripe.
+func (s *Store) metaLive(key string) *Metadata {
+	m := s.ix.get(key)
+	if m != nil && !s.db.Exists(key) {
 		s.ix.del(key)
-		return Metadata{}, false
+		return nil
 	}
-	return m, true
+	return m
 }
 
 // Metadata returns the GDPR metadata for key.
@@ -543,8 +587,8 @@ func (s *Store) Metadata(ctx Ctx, key string) (Metadata, error) {
 	ks := s.keyStripeFor(key)
 	ks.Lock()
 	defer ks.Unlock()
-	m, ok := s.metaLive(key)
-	if !ok || s.recordDead(m) {
+	m := s.metaLive(key)
+	if m == nil || s.recordDead(m) {
 		return Metadata{}, ErrNotFound
 	}
 	if err := s.check(ctx, acl.OpRead, m.Owner, "GETMETA", key); err != nil {
@@ -569,16 +613,17 @@ func (s *Store) Expire(ctx Ctx, key string, ttl time.Duration) error {
 	ks := s.keyStripeFor(key)
 	ks.Lock()
 	defer ks.Unlock()
-	m, _ := s.metaLive(key)
-	if err := s.check(ctx, acl.OpWrite, m.Owner, "EXPIRE", key); err != nil {
+	owner := s.metaLive(key).owner()
+	if err := s.check(ctx, acl.OpWrite, owner, "EXPIRE", key); err != nil {
 		return err
 	}
 	if !s.db.Expire(key, ttl) {
 		return ErrNotFound
 	}
-	if mm, ok := s.ix.get(key); ok {
+	if m := s.ix.get(key); m != nil {
+		mm := *m
 		mm.Expiry = s.cfg.Config.Clock.Now().Add(ttl)
-		s.ix.put(key, mm)
+		s.ix.put(key, &mm)
 		if mb, err := mm.encode(); err == nil {
 			if err := s.appendLog(opMeta, []byte(key), mb); err != nil {
 				return err
@@ -586,7 +631,7 @@ func (s *Store) Expire(ctx Ctx, key string, ttl time.Duration) error {
 		}
 	}
 	s.auditOp(audit.Record{
-		Actor: ctx.Actor, Op: "EXPIRE", Key: key, Owner: m.Owner,
+		Actor: ctx.Actor, Op: "EXPIRE", Key: key, Owner: owner,
 		Purpose: ctx.Purpose, Outcome: audit.OutcomeOK,
 	})
 	return nil

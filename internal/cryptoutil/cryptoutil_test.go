@@ -2,6 +2,7 @@ package cryptoutil
 
 import (
 	"bytes"
+	"encoding/hex"
 	"io"
 	"testing"
 	"testing/quick"
@@ -293,5 +294,111 @@ func TestSealBadKeySize(t *testing.T) {
 	}
 	if _, err := Open([]byte("short"), []byte("x"), nil); err != ErrBadKeySize {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// A prepared Cipher and the key-taking Seal/Open are one format: each opens
+// what the other sealed, into whatever buffer the caller brings.
+func TestCipherInterchangeableWithSealOpen(t *testing.T) {
+	key, ad := testKey(3), []byte("user:alice:email")
+	c, err := NewCipher(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pt := range [][]byte{nil, []byte("x"), bytes.Repeat([]byte("personal data "), 40)} {
+		prefix := []byte("already here|")
+		sealed, err := c.Seal(append([]byte(nil), prefix...), pt, ad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(sealed, prefix) || len(sealed) != len(prefix)+len(pt)+SealOverhead {
+			t.Fatalf("Seal into dst: %d bytes for a %d-byte plaintext after a %d-byte prefix", len(sealed), len(pt), len(prefix))
+		}
+		got, err := Open(key, sealed[len(prefix):], ad)
+		if err != nil || !bytes.Equal(got, pt) {
+			t.Fatalf("Open of Cipher.Seal output: %q, %v", got, err)
+		}
+
+		sealed, err = Seal(key, pt, ad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err = c.Open(append([]byte(nil), prefix...), sealed, ad)
+		if err != nil || !bytes.Equal(got, append(prefix, pt...)) {
+			t.Fatalf("Cipher.Open of Seal output: %q, %v", got, err)
+		}
+		if _, err := c.Open(nil, sealed, []byte("another key")); err != ErrCorrupt {
+			t.Fatalf("Cipher.Open with the wrong AD: %v", err)
+		}
+	}
+	if _, err := c.Open(nil, []byte("short"), ad); err != ErrCorrupt {
+		t.Fatalf("Cipher.Open of a truncated record: %v", err)
+	}
+	if _, err := NewCipher([]byte("short")); err != ErrBadKeySize {
+		t.Fatalf("NewCipher with a short key: %v", err)
+	}
+}
+
+// The record format did not move: ciphertext written by the commit before
+// the prepared cipher existed (its Seal, key 0x42…, AD as below) still opens.
+func TestOpenCiphertextSealedByParentCommit(t *testing.T) {
+	sealed, err := hex.DecodeString("923929d582be1943413f5ab2e2684bf9922c64545d0c655140282eb18cbf1509a0b5d2d16978d10c686cc9dae407ecffcdacc0b339d510")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, ad, want := testKey(0x42), []byte("user:alice:email"), "sealed by the parent commit"
+	if got, err := Open(key, sealed, ad); err != nil || string(got) != want {
+		t.Fatalf("Open: %q, %v", got, err)
+	}
+	c, err := NewCipher(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.Open(nil, sealed, ad); err != nil || string(got) != want {
+		t.Fatalf("Cipher.Open: %q, %v", got, err)
+	}
+}
+
+// Current is the read side of the ring (never creates a key, reports the
+// epoch even for an erased owner); EnsureAt is Current plus creation.
+func TestKeyringCurrentAndEnsureAt(t *testing.T) {
+	kr, err := NewKeyring(testKey(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := kr.Current("alice"); ok {
+		t.Fatal("Current invented a key")
+	}
+	k1, e1, wrapped, err := kr.EnsureAt("alice")
+	if err != nil || wrapped == nil || e1 != 0 {
+		t.Fatalf("first EnsureAt: epoch %d wrapped %v err %v", e1, wrapped != nil, err)
+	}
+	k2, e2, wrapped, err := kr.EnsureAt("alice")
+	if err != nil || wrapped != nil || e2 != 0 || !bytes.Equal(k1, k2) {
+		t.Fatalf("second EnsureAt: epoch %d wrapped %v err %v", e2, wrapped != nil, err)
+	}
+	k3, e3, ok := kr.Current("alice")
+	if !ok || e3 != 0 || !bytes.Equal(k1, k3) {
+		t.Fatalf("Current: epoch %d ok %v", e3, ok)
+	}
+	k3[0] ^= 0xff // a copy: the ring's key is untouched
+	if k4, _, _ := kr.Current("alice"); !bytes.Equal(k1, k4) {
+		t.Fatal("Current handed out the ring's own slice")
+	}
+
+	kr.Shred("alice")
+	if _, e, ok := kr.Current("alice"); ok || e != 1 {
+		t.Fatalf("Current after Shred: epoch %d ok %v", e, ok)
+	}
+	if _, _, _, err := kr.EnsureAt("alice"); err != ErrUnknownKey {
+		t.Fatalf("EnsureAt after Shred: %v", err)
+	}
+	kr.Reinstate("alice")
+	if _, e, ok := kr.Current("alice"); ok || e != 1 {
+		t.Fatalf("Current after Reinstate, before any write: epoch %d ok %v", e, ok)
+	}
+	k5, e5, wrapped, err := kr.EnsureAt("alice")
+	if err != nil || wrapped == nil || e5 != 1 || bytes.Equal(k1, k5) {
+		t.Fatalf("EnsureAt after Reinstate: epoch %d wrapped %v err %v", e5, wrapped != nil, err)
 	}
 }

@@ -24,46 +24,77 @@ var ErrUnknownKey = errors.New("cryptoutil: unknown or shredded key")
 // ErrCorrupt is returned when an authenticated record fails to open.
 var ErrCorrupt = errors.New("cryptoutil: ciphertext corrupt or wrong key")
 
-// Seal encrypts plaintext with AES-256-GCM under key, prepending the nonce.
-func Seal(key, plaintext, additionalData []byte) ([]byte, error) {
-	aead, err := newGCM(key)
-	if err != nil {
-		return nil, err
+// SealOverhead is how many bytes a sealed record is longer than its
+// plaintext: the GCM nonce in front, the tag behind.
+const SealOverhead = 12 + 16
+
+// Cipher is the prepared form of one data key: its AES key schedule and GCM
+// tables, built once so a call that seals or opens many records under the
+// same owner pays for them once. A Cipher holds the expanded key, so it
+// lives for one call and is never cached: a cipher kept after Shred would
+// keep the destroyed key usable. The zero Cipher is not usable.
+type Cipher struct {
+	aead cipher.AEAD
+}
+
+// NewCipher prepares AES-256-GCM under key.
+func NewCipher(key []byte) (Cipher, error) {
+	if len(key) != BlockCipherKeySize {
+		return Cipher{}, ErrBadKeySize
 	}
-	nonce := make([]byte, aead.NonceSize())
+	b, err := aes.NewCipher(key)
+	if err != nil {
+		return Cipher{}, err
+	}
+	aead, err := cipher.NewGCM(b)
+	return Cipher{aead: aead}, err
+}
+
+// Seal appends nonce||ciphertext of plaintext to dst and returns the
+// extended slice. The format is the one the package-level Seal writes.
+func (c Cipher) Seal(dst, plaintext, additionalData []byte) ([]byte, error) {
+	ns := c.aead.NonceSize()
+	if need := len(plaintext) + SealOverhead; cap(dst)-len(dst) < need {
+		dst = append(make([]byte, 0, len(dst)+need), dst...)
+	}
+	nonce := dst[len(dst) : len(dst)+ns]
 	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
 		return nil, fmt.Errorf("cryptoutil: nonce: %w", err)
 	}
-	out := aead.Seal(nonce, nonce, plaintext, additionalData)
+	return c.aead.Seal(dst[:len(dst)+ns], nonce, plaintext, additionalData), nil
+}
+
+// Open appends the plaintext of a sealed record to dst and returns the
+// extended slice. sealed is only read, so it may be a slice lent by the
+// engine.
+func (c Cipher) Open(dst, sealed, additionalData []byte) ([]byte, error) {
+	ns := c.aead.NonceSize()
+	if len(sealed) < ns {
+		return nil, ErrCorrupt
+	}
+	out, err := c.aead.Open(dst, sealed[:ns], sealed[ns:], additionalData)
+	if err != nil {
+		return nil, ErrCorrupt
+	}
 	return out, nil
+}
+
+// Seal encrypts plaintext with AES-256-GCM under key, prepending the nonce.
+func Seal(key, plaintext, additionalData []byte) ([]byte, error) {
+	c, err := NewCipher(key)
+	if err != nil {
+		return nil, err
+	}
+	return c.Seal(nil, plaintext, additionalData)
 }
 
 // Open decrypts a record produced by Seal.
 func Open(key, sealed, additionalData []byte) ([]byte, error) {
-	aead, err := newGCM(key)
+	c, err := NewCipher(key)
 	if err != nil {
 		return nil, err
 	}
-	if len(sealed) < aead.NonceSize() {
-		return nil, ErrCorrupt
-	}
-	nonce, ct := sealed[:aead.NonceSize()], sealed[aead.NonceSize():]
-	pt, err := aead.Open(nil, nonce, ct, additionalData)
-	if err != nil {
-		return nil, ErrCorrupt
-	}
-	return pt, nil
-}
-
-func newGCM(key []byte) (cipher.AEAD, error) {
-	if len(key) != BlockCipherKeySize {
-		return nil, ErrBadKeySize
-	}
-	b, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, err
-	}
-	return cipher.NewGCM(b)
+	return c.Open(nil, sealed, additionalData)
 }
 
 // DeriveKey derives a 32-byte subkey from master for the given context
@@ -129,41 +160,52 @@ func (kr *Keyring) KeyFor(owner string) ([]byte, error) {
 // copy: a concurrent Shred zeroes only the ring's own slice, never one a
 // reader is still sealing with.
 func (kr *Keyring) Ensure(owner string) (key, wrapped []byte, created bool, err error) {
-	kr.mu.RLock()
-	if kr.shred[owner] {
-		kr.mu.RUnlock()
-		return nil, nil, false, ErrUnknownKey
-	}
-	if k, ok := kr.keys[owner]; ok {
-		out := make([]byte, len(k))
-		copy(out, k)
-		kr.mu.RUnlock()
-		return out, nil, false, nil
-	}
-	kr.mu.RUnlock()
+	key, _, wrapped, err = kr.EnsureAt(owner)
+	return key, wrapped, wrapped != nil, err
+}
 
+// Current is the read-side lookup: owner's data key (a defensive copy) and
+// the epoch it belongs to, from one locked read. ok is false when the owner
+// is shredded or has no key, i.e. when nothing sealed for the owner can be
+// opened; the epoch is reported either way.
+func (kr *Keyring) Current(owner string) (key []byte, epoch uint64, ok bool) {
+	kr.mu.RLock()
+	defer kr.mu.RUnlock()
+	epoch = kr.epoch[owner]
+	k, has := kr.keys[owner]
+	if !has || kr.shred[owner] {
+		return nil, epoch, false
+	}
+	return append([]byte(nil), k...), epoch, true
+}
+
+// EnsureAt is the write-side lookup: Current, generating the key on first
+// use. wrapped is non-nil exactly when this call created the key; callers
+// journal it with the epoch so the keyring survives restarts. It returns
+// ErrUnknownKey if the owner's key was shredded.
+func (kr *Keyring) EnsureAt(owner string) (key []byte, epoch uint64, wrapped []byte, err error) {
+	if k, e, ok := kr.Current(owner); ok {
+		return k, e, nil, nil
+	}
 	kr.mu.Lock()
 	defer kr.mu.Unlock()
 	if kr.shred[owner] {
-		return nil, nil, false, ErrUnknownKey
+		return nil, 0, nil, ErrUnknownKey
 	}
+	epoch = kr.epoch[owner]
 	if k, ok := kr.keys[owner]; ok {
-		out := make([]byte, len(k))
-		copy(out, k)
-		return out, nil, false, nil
+		return append([]byte(nil), k...), epoch, nil, nil
 	}
 	k := make([]byte, BlockCipherKeySize)
 	if _, err := io.ReadFull(rand.Reader, k); err != nil {
-		return nil, nil, false, fmt.Errorf("cryptoutil: keygen: %w", err)
+		return nil, 0, nil, fmt.Errorf("cryptoutil: keygen: %w", err)
 	}
 	w, err := Seal(kr.master, k, []byte("wrap:"+owner))
 	if err != nil {
-		return nil, nil, false, err
+		return nil, 0, nil, err
 	}
 	kr.keys[owner] = k
-	out := make([]byte, len(k))
-	copy(out, k)
-	return out, w, true, nil
+	return append([]byte(nil), k...), epoch, w, nil
 }
 
 // Import installs a previously wrapped data key for owner (journal replay).

@@ -110,7 +110,9 @@ var ErrNoKey = errors.New("store: no such key")
 // the sampling slice and expiry heap that serve it. Every field is guarded
 // by mu.
 type shard struct {
-	mu      sync.Mutex
+	mu sync.Mutex
+	// dict values are immutable once installed: writers replace the slice,
+	// never its bytes. GetNoCopy's callers rely on it.
 	dict    map[string][]byte
 	expires map[string]time.Time
 
@@ -427,8 +429,12 @@ func (db *DB) Get(key string) ([]byte, bool) {
 	return v, ok
 }
 
-// GetNoCopy is Get without the defensive copy; callers must not retain or
-// mutate the returned slice. It exists for the benchmark hot path.
+// GetNoCopy is Get without the defensive copy: one shard lookup that lends
+// the stored slice. The engine never writes a stored value in place (every
+// Set/Apply installs a fresh clone), so the slice stays valid and unchanged
+// after the call returns, whatever happens to the key; callers must not
+// write to it or hand it to code that might. Rights reads decrypt straight
+// from it.
 func (db *DB) GetNoCopy(key string) ([]byte, bool) {
 	sh := db.shardFor(key)
 	sh.mu.Lock()

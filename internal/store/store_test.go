@@ -43,6 +43,38 @@ func TestGetReturnsCopy(t *testing.T) {
 	}
 }
 
+// A slice lent by GetNoCopy keeps its bytes whatever later happens to the
+// key: writers install fresh slices, they never write into a stored one.
+// Rights reads decrypt from lent slices after the shard lock is released.
+func TestGetNoCopyLendsImmutableSlice(t *testing.T) {
+	db, vc := newTestDB()
+	mutations := map[string]func(k string){
+		"Set":        func(k string) { db.Set(k, []byte("new")) },
+		"SetEX":      func(k string) { db.SetEX(k, []byte("new"), time.Hour) },
+		"SetKeepTTL": func(k string) { db.SetKeepTTL(k, []byte("new")) },
+		"SetBatch":   func(k string) { db.SetBatch([]string{k}, [][]byte{[]byte("new")}) },
+		"SetBatchEX": func(k string) { db.SetBatchEX([]string{k}, [][]byte{[]byte("new")}, vc.Now().Add(time.Hour)) },
+		"Apply":      func(k string) { _ = db.Apply("SET", [][]byte{[]byte(k), []byte("new")}) },
+		"Del":        func(k string) { db.Del(k) },
+		"expiry":     func(k string) { vc.Advance(2 * time.Minute) },
+		"FlushAll":   func(k string) { db.FlushAll() },
+	}
+	for name, mutate := range mutations {
+		db.SetEX(name, []byte("old"), time.Minute)
+		lent, ok := db.GetNoCopy(name)
+		if !ok {
+			t.Fatalf("%s: key missing", name)
+		}
+		mutate(name)
+		if _, still := db.GetNoCopy(name); name == "expiry" && still {
+			t.Fatal("expired key still served")
+		}
+		if string(lent) != "old" {
+			t.Errorf("%s rewrote a lent slice: %q", name, lent)
+		}
+	}
+}
+
 func TestSetClearsTTL(t *testing.T) {
 	db, vc := newTestDB()
 	db.SetEX("k", []byte("v"), time.Minute)
