@@ -74,6 +74,8 @@ cover:
 fuzz:
 	$(GO) test ./internal/resp -run '^$$' -fuzz '^FuzzReadValue$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/resp -run '^$$' -fuzz '^FuzzReadCommand$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/audit -run '^$$' -fuzz '^FuzzDecodeAuditRecord$$' -fuzztime $(FUZZTIME)
 
 vet:
 	$(GO) vet ./...

@@ -11,18 +11,18 @@
 // eventual mode records are batched and flushed once per second.
 //
 // Since the pipeline rebuild, Append is a cheap enqueue onto a bounded
-// queue drained by worker goroutines that pseudonymize (mask.go),
-// serialize and write records through pluggable sinks (sink.go,
-// socket.go). Strict mode keeps its fsync-before-ack semantics through a
-// per-record completion handshake — with the free upside that concurrent
-// strict appends group-commit under one fsync. Back-pressure when the
+// queue drained by worker goroutines that pseudonymize (mask.go), encode
+// (codec.go) and write records through pluggable sinks (sink.go,
+// socket.go), a whole claim of up to 64 records per write. Strict mode
+// keeps its fsync-before-ack semantics through a per-record completion
+// handshake — with the free upside that concurrent strict appends
+// group-commit under one fsync. Back-pressure when the
 // queue fills is a policy: Block (no record ever lost; the data path
 // waits) or Drop (the data path never waits; shed records are counted).
 // See DESIGN.md §11.
 package audit
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -349,13 +349,14 @@ func (t *Trail) Append(r Record) (Record, error) {
 }
 
 // worker drains the queue: each pass claims up to workerBatch pending
-// records, masks and serializes them, writes them through the sink, and —
-// in strict mode — issues one fsync for the whole claim before
-// acknowledging each handshake (group commit).
+// records, masks them, encodes the whole claim into one buffer the worker
+// owns, hands the sink one write, and — in strict mode — issues one fsync
+// for the claim before acknowledging each handshake (group commit).
 func (t *Trail) worker() {
 	defer t.workerWG.Done()
 	batch := make([]pending, 0, workerBatch)
-	errs := make([]error, 0, workerBatch)
+	recs := make([]Record, 0, workerBatch)
+	var enc []byte
 	for p := range t.queue {
 		batch = append(batch[:0], p)
 	claim:
@@ -370,41 +371,33 @@ func (t *Trail) worker() {
 				break claim
 			}
 		}
-		errs = errs[:0]
+		recs, enc = recs[:0], enc[:0]
 		for _, q := range batch {
-			errs = append(errs, t.emit(q.rec))
-		}
-		var syncErr error
-		if t.mode == SyncEveryOp {
-			if syncErr = t.sink.Sync(); syncErr != nil {
-				t.sinkErrors.Inc()
-				t.setErr(syncErr)
+			r := q.rec
+			if t.masker != nil {
+				r = t.masker.Mask(r)
+				t.masked.Inc()
 			}
+			recs = append(recs, r)
+			enc = appendRecord(enc, r)
+		}
+		err := t.sink.Write(recs, enc)
+		if t.mode == SyncEveryOp {
+			// Even after a failed write: a MultiSink reports a dead export
+			// sink while the file sink took the batch and owes its fsync.
+			err = errors.Join(err, t.sink.Sync())
+		}
+		if err != nil {
+			t.sinkErrors.Inc()
+			t.setErr(err)
 		}
 		t.processed.Add(uint64(len(batch)))
-		for i, q := range batch {
+		for _, q := range batch {
 			if q.done != nil {
-				q.done <- errors.Join(errs[i], syncErr)
+				q.done <- err
 			}
 		}
 	}
-}
-
-// emit masks, serializes and writes one record.
-func (t *Trail) emit(r Record) error {
-	if t.masker != nil {
-		r = t.masker.Mask(r)
-		t.masked.Inc()
-	}
-	line, err := json.Marshal(r)
-	if err == nil {
-		err = t.sink.Write(r, line)
-	}
-	if err != nil {
-		t.sinkErrors.Inc()
-		t.setErr(err)
-	}
-	return err
 }
 
 // flushLoop is the SyncBatched once-per-second durability pump. Sync

@@ -160,8 +160,11 @@ func TestSyncEveryOpCounts(t *testing.T) {
 	}
 }
 
+// TestScanOrder pins the one order the file has (DESIGN.md §17): a single
+// worker writes in dequeue order, so appends made one after the other scan
+// back in sequence. With more workers, or appenders that race, they need not.
 func TestScanOrder(t *testing.T) {
-	tr := tempTrail(t, Options{})
+	tr := tempTrail(t, Options{Workers: 1})
 	for i := 0; i < 10; i++ {
 		tr.Append(Record{Op: fmt.Sprintf("OP%d", i), Outcome: OutcomeOK})
 	}
@@ -249,12 +252,12 @@ func TestAppendAfterClose(t *testing.T) {
 
 func TestTornTailTolerated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "audit.log")
-	tr, _ := Open(Options{Path: path})
+	tr, _ := Open(Options{Path: path, Workers: 1}) // one worker: B is written last
 	tr.Append(Record{Op: "A", Outcome: OutcomeOK})
 	tr.Append(Record{Op: "B", Outcome: OutcomeOK})
 	tr.Close()
 	b, _ := os.ReadFile(path)
-	os.WriteFile(path, b[:len(b)-5], 0o600) // torn final line
+	os.WriteFile(path, b[:len(b)-5], 0o600) // torn final record
 	tr2, err := Open(Options{Path: path})
 	if err != nil {
 		t.Fatalf("reopen with torn tail: %v", err)

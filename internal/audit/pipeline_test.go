@@ -13,15 +13,15 @@ import (
 	"time"
 )
 
-// slowSink delays every write, so tests can fill the queue reliably.
+// slowSink delays every record, so tests can fill the queue reliably.
 type slowSink struct {
 	delay  time.Duration
-	writes atomic.Uint64
+	writes atomic.Uint64 // records, not batches
 }
 
-func (s *slowSink) Write(Record, []byte) error {
-	time.Sleep(s.delay)
-	s.writes.Add(1)
+func (s *slowSink) Write(recs []Record, _ []byte) error {
+	time.Sleep(s.delay * time.Duration(len(recs)))
+	s.writes.Add(uint64(len(recs)))
 	return nil
 }
 func (s *slowSink) Sync() error  { return nil }
@@ -35,9 +35,9 @@ type countSink struct {
 	syncedThrough uint64
 }
 
-func (s *countSink) Write(Record, []byte) error {
+func (s *countSink) Write(recs []Record, _ []byte) error {
 	s.mu.Lock()
-	s.writes++
+	s.writes += uint64(len(recs))
 	s.mu.Unlock()
 	return nil
 }
@@ -323,11 +323,13 @@ type captureSink struct {
 	buf bytes.Buffer
 }
 
-func (c *captureSink) Write(_ Record, line []byte) error {
+func (c *captureSink) Write(recs []Record, _ []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.buf.Write(line)
-	c.buf.WriteByte('\n')
+	for _, r := range recs {
+		c.buf.Write(r.AppendJSON(nil))
+		c.buf.WriteByte('\n')
+	}
 	return nil
 }
 func (c *captureSink) Sync() error  { return nil }
@@ -434,9 +436,9 @@ func TestInvalidSocketSpec(t *testing.T) {
 // TestCloseReturnsDrainTimeout verifies a wedged sink bounds Close.
 type stuckSink struct{ release chan struct{} }
 
-func (s *stuckSink) Write(Record, []byte) error { <-s.release; return nil }
-func (s *stuckSink) Sync() error                { return nil }
-func (s *stuckSink) Close() error               { return nil }
+func (s *stuckSink) Write([]Record, []byte) error { <-s.release; return nil }
+func (s *stuckSink) Sync() error                  { return nil }
+func (s *stuckSink) Close() error                 { return nil }
 
 func TestCloseReturnsDrainTimeout(t *testing.T) {
 	stuck := &stuckSink{release: make(chan struct{})}

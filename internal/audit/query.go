@@ -1,12 +1,11 @@
 package audit
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -56,7 +55,8 @@ func (f Filter) Match(r Record) bool {
 	return true
 }
 
-// Query returns matching records in sequence order. It serves from the
+// Query returns matching records in sequence order, which the file does not
+// promise (DESIGN.md §17): it sorts whatever it collected. It serves from the
 // durable file when the trail is file-backed (so results are complete
 // even past the memory cap), falling back to the in-memory ring
 // otherwise. The pipeline is drained first so a query observes every
@@ -113,6 +113,10 @@ func (t *Trail) Scan(fn func(Record) error) error {
 	return scanFile(t.file.Path(), t.file.key, emit)
 }
 
+// scanFile streams the entries of the trail file at path, frames and legacy
+// lines alike, through fn in file order. An entry the file ends in the
+// middle of (crash mid-append) or whose damage reaches the end of the file
+// is a torn tail and tolerated; damage with anything after it is not.
 func scanFile(path string, key []byte, fn func(Record) error) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -130,27 +134,47 @@ func scanFile(path string, key []byte, fn func(Record) error) error {
 		}
 		src = cryptoutil.NewReader(f, c)
 	}
-	sc := bufio.NewScanner(src)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var r Record
-		if err := json.Unmarshal(line, &r); err != nil {
-			// A torn tail line is tolerated (crash mid-append); corruption
-			// mid-file is not.
-			if !sc.Scan() {
-				return nil
+	// buf[p:] is what has been read and not yet consumed. It grows only to
+	// hold one entry, and an entry is bounded (maxFrame; a line, by the
+	// bytes the file really has).
+	buf := make([]byte, 0, 1<<16)
+	p, eof := 0, false
+	for {
+	entries:
+		for p < len(buf) {
+			r, size, ok, err := decodeEntry(buf[p:], eof)
+			switch {
+			case err == nil:
+			case errors.Is(err, errCorrupt) && p+size < len(buf):
+				return fmt.Errorf("audit: scan: %w with %d bytes after it", err, len(buf)-p-size)
+			case eof:
+				return nil // torn tail
+			default:
+				break entries // the rest of the entry, or what follows the damage, is still to be read
 			}
-			return fmt.Errorf("audit: corrupt record: %w", err)
+			p += size
+			if ok {
+				if err := fn(r); err != nil {
+					return err
+				}
+			}
 		}
-		if err := fn(r); err != nil {
-			return err
+		if eof {
+			return nil
+		}
+		buf = buf[:copy(buf, buf[p:])]
+		p = 0
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, len(buf))
+		}
+		n, err := src.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if errors.Is(err, io.EOF) {
+			eof = true
+		} else if err != nil {
+			return fmt.Errorf("audit: scan: %w", err)
 		}
 	}
-	return sc.Err()
 }
 
 // BreachReport aggregates the audit evidence a controller must produce

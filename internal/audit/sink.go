@@ -2,8 +2,6 @@ package audit
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -13,15 +11,17 @@ import (
 	"gdprstore/internal/cryptoutil"
 )
 
-// Sink consumes serialized audit records. The pipeline's workers call
-// Write once per record with both the decoded record and its JSONL
-// serialization (no trailing newline), so in-engine sinks can keep the
-// struct and export sinks can forward bytes without re-marshalling.
-// Implementations must be safe for concurrent use: the pipeline runs
+// Sink consumes audit records. The pipeline's workers call Write once per
+// claim (up to 64 records) with both the records and their trail-file
+// encoding (codec.go: the frames, back to back), so in-engine sinks keep
+// the structs, the file sink appends the bytes in one write, and an export
+// sink renders whatever its consumer was promised (Record.AppendJSON). Both
+// slices belong to the worker and are reused after Write returns.
+// Implementations must be safe for concurrent use: the pipeline may run
 // several workers against one sink.
 type Sink interface {
-	// Write appends one record.
-	Write(r Record, line []byte) error
+	// Write appends one batch of records, all or none.
+	Write(recs []Record, enc []byte) error
 	// Sync forces everything written so far to stable storage (or the
 	// remote end). Strict mode calls it before acknowledging an append.
 	Sync() error
@@ -29,9 +29,9 @@ type Sink interface {
 	Close() error
 }
 
-// FileSink persists records as (optionally encrypted) JSONL — the same
-// on-disk format the pre-pipeline Trail wrote, so existing trails replay
-// and new trails stay readable by scanFile.
+// FileSink persists records as (optionally encrypted) frames (codec.go),
+// appended to whatever the file already holds: a trail begun as JSONL by an
+// earlier version continues in frames and stays readable by scanFile.
 type FileSink struct {
 	mu    sync.Mutex
 	f     *os.File
@@ -69,24 +69,19 @@ func NewFileSink(path string, key []byte) (*FileSink, error) {
 	return s, nil
 }
 
-// Write appends one serialized record.
-func (s *FileSink) Write(_ Record, line []byte) error {
+// Write appends one encoded batch.
+func (s *FileSink) Write(_ []Record, enc []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
 		return errors.New("audit: file sink closed")
 	}
-	n, err := s.w.Write(line)
+	n, err := s.w.Write(enc)
 	s.size += int64(n)
-	if err != nil {
-		return err
+	if n > 0 {
+		s.dirty = true
 	}
-	if err := s.w.WriteByte('\n'); err != nil {
-		return err
-	}
-	s.size++
-	s.dirty = true
-	return nil
+	return err
 }
 
 // Flush pushes buffered bytes to the OS without forcing an fsync — enough
@@ -155,18 +150,20 @@ func (s *FileSink) Syncs() uint64 {
 // Path returns the trail file path.
 func (s *FileSink) Path() string { return s.path }
 
-// recoverTailWindow bounds how far back RecoverLastSeq reads. Records are
-// small (a few hundred bytes) and pipeline reordering is bounded by
-// workers × batch size, so the highest sequence number always sits well
-// inside the final megabyte.
+// recoverTailWindow bounds how far back RecoverLastSeq reads. The file is
+// not in sequence order (DESIGN.md §17): a record can be followed by records
+// with lower numbers, but only by those that already had their number when
+// it was dequeued — the claims other workers held (64 records each) and
+// appends that raced it into the queue. Records are around a hundred bytes,
+// so the highest number sits well inside the final megabyte.
 const recoverTailWindow = 1 << 20
 
 // RecoverLastSeq returns the highest sequence number persisted in the
 // trail file at path, reading only the final recoverTailWindow bytes
 // instead of scanning the whole file (O(1) startup on large trails). A
-// missing file returns 0. Torn tail lines (crash mid-append) are skipped;
-// because pipeline workers may complete out of order, the maximum seq in
-// the window is returned, not the last line's.
+// missing file returns 0. The window starts wherever it starts and may end
+// in a torn record (crash mid-append); lastSeq finds the whole records in
+// between and returns the maximum, not the last one's.
 func RecoverLastSeq(path string, key []byte) (uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -181,13 +178,7 @@ func RecoverLastSeq(path string, key []byte) (uint64, error) {
 		return 0, fmt.Errorf("audit: recover: %w", err)
 	}
 	size := st.Size()
-	if size == 0 {
-		return 0, nil
-	}
-	off := int64(0)
-	if size > recoverTailWindow {
-		off = size - recoverTailWindow
-	}
+	off := max(size-recoverTailWindow, 0)
 	buf := make([]byte, size-off)
 	if _, err := f.ReadAt(buf, off); err != nil && !errors.Is(err, io.EOF) {
 		return 0, fmt.Errorf("audit: recover: %w", err)
@@ -199,34 +190,7 @@ func RecoverLastSeq(path string, key []byte) (uint64, error) {
 		}
 		c.Apply(buf, off)
 	}
-	if off > 0 {
-		// The window almost surely starts mid-line; drop the fragment.
-		if i := bytes.IndexByte(buf, '\n'); i >= 0 {
-			buf = buf[i+1:]
-		} else {
-			buf = nil
-		}
-	}
-	var last uint64
-	for len(buf) > 0 {
-		line := buf
-		if i := bytes.IndexByte(buf, '\n'); i >= 0 {
-			line, buf = buf[:i], buf[i+1:]
-		} else {
-			buf = nil // torn tail (no newline): still try to parse
-		}
-		if len(line) == 0 {
-			continue
-		}
-		var r Record
-		if err := json.Unmarshal(line, &r); err != nil {
-			continue // torn or corrupt line; seq recovery is best-effort max
-		}
-		if r.Seq > last {
-			last = r.Seq
-		}
-	}
-	return last, nil
+	return lastSeq(buf, off == 0), nil
 }
 
 // MemSink keeps a bounded ring of the most recent records in memory — the
@@ -246,17 +210,19 @@ func NewMemSink(capacity int) *MemSink {
 	return &MemSink{cap: capacity}
 }
 
-// Write appends the record, evicting the oldest half in one copy when the
+// Write appends the records, evicting the oldest half in one copy when the
 // ring is full (amortised O(1)).
-func (s *MemSink) Write(r Record, _ []byte) error {
+func (s *MemSink) Write(recs []Record, _ []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.buf) >= s.cap {
-		half := len(s.buf) / 2
-		copy(s.buf, s.buf[half:])
-		s.buf = s.buf[:len(s.buf)-half]
+	for _, r := range recs {
+		if len(s.buf) >= s.cap {
+			half := len(s.buf) / 2
+			copy(s.buf, s.buf[half:])
+			s.buf = s.buf[:len(s.buf)-half]
+		}
+		s.buf = append(s.buf, r)
 	}
-	s.buf = append(s.buf, r)
 	return nil
 }
 
@@ -292,10 +258,10 @@ func NewMultiSink(sinks ...Sink) *MultiSink {
 }
 
 // Write fans out to every child.
-func (m *MultiSink) Write(r Record, line []byte) error {
+func (m *MultiSink) Write(recs []Record, enc []byte) error {
 	var errs []error
 	for _, s := range m.sinks {
-		if err := s.Write(r, line); err != nil {
+		if err := s.Write(recs, enc); err != nil {
 			errs = append(errs, err)
 		}
 	}

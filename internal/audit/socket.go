@@ -33,6 +33,7 @@ type SocketSink struct {
 
 	mu       sync.Mutex
 	conn     net.Conn
+	buf      []byte // one batch as JSON lines, reused
 	nextDial time.Time
 	backoff  time.Duration
 	dropped  uint64
@@ -57,23 +58,25 @@ func NewSocketSink(spec string) (*SocketSink, error) {
 	return &SocketSink{network: network, addr: addr, backoff: socketBackoffMin}, nil
 }
 
-// Write sends one line. Disconnected with backoff pending, the line is
-// dropped and an error returned (counted, never blocking the pipeline
-// beyond the dial/write timeouts).
-func (s *SocketSink) Write(_ Record, line []byte) error {
+// Write sends one batch as JSON lines in one write: the collector was
+// promised JSONL, whatever the trail file holds. Disconnected with backoff
+// pending, the lines are dropped and an error returned (counted, never
+// blocking the pipeline beyond the dial/write timeouts).
+func (s *SocketSink) Write(recs []Record, _ []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("audit: socket sink closed")
 	}
+	lines := uint64(len(recs))
 	if s.conn == nil {
 		if time.Now().Before(s.nextDial) {
-			s.dropped++
+			s.dropped += lines
 			return fmt.Errorf("audit: socket sink %s://%s disconnected (backoff)", s.network, s.addr)
 		}
 		conn, err := net.DialTimeout(s.network, s.addr, socketDialTimeout)
 		if err != nil {
-			s.dropped++
+			s.dropped += lines
 			s.deferRedialLocked()
 			return fmt.Errorf("audit: socket sink dial: %w", err)
 		}
@@ -81,13 +84,14 @@ func (s *SocketSink) Write(_ Record, line []byte) error {
 		s.backoff = socketBackoffMin
 	}
 	_ = s.conn.SetWriteDeadline(time.Now().Add(socketWriteTimeout))
-	buf := make([]byte, 0, len(line)+1)
-	buf = append(buf, line...)
-	buf = append(buf, '\n')
-	if _, err := s.conn.Write(buf); err != nil {
+	s.buf = s.buf[:0]
+	for _, r := range recs {
+		s.buf = append(r.AppendJSON(s.buf), '\n')
+	}
+	if _, err := s.conn.Write(s.buf); err != nil {
 		s.conn.Close()
 		s.conn = nil
-		s.dropped++
+		s.dropped += lines
 		s.deferRedialLocked()
 		return fmt.Errorf("audit: socket sink write: %w", err)
 	}

@@ -11,9 +11,9 @@ import (
 
 // The batch operations amortise the per-operation compliance overhead the
 // paper measures (metadata writes, audit records, AOF appends, lock
-// round-trips): a batch of N keys takes the store lock once, appends to the
-// AOF once (MSET/MSETEX for the data, GMETAB for the metadata), and emits
-// one audit record, instead of paying each cost N times.
+// round-trips): a batch of N keys takes the store lock once, journals the
+// shared metadata once per touched engine shard (one GREC record each), and
+// emits one audit record, instead of paying each cost N times.
 
 // BatchEntry is one key/value pair of a batch write.
 type BatchEntry struct {
@@ -33,7 +33,7 @@ type BatchGetResult struct {
 // the whole batch, like a bulk import of records for one data subject). It
 // is the amortised form of calling Put once per entry: one lock
 // acquisition, one ACL decision, one retention/location resolution, one
-// AOF data record, one metadata record, one audit record.
+// journal record per touched engine shard, one audit record.
 func (s *Store) PutBatch(ctx Ctx, entries []BatchEntry, opts PutOptions) error {
 	if len(entries) == 0 {
 		return nil
@@ -75,7 +75,8 @@ func (s *Store) PutBatch(ctx Ctx, entries []BatchEntry, opts PutOptions) error {
 		purposes = []string{ctx.Purpose}
 	}
 
-	deadline := s.effectiveDeadline(opts, purposes)
+	now := canonicalTime(s.cfg.Config.Clock.Now())
+	deadline := s.effectiveDeadline(now, opts, purposes)
 	if s.cfg.requireTTL && deadline.IsZero() {
 		return ErrNoTTL
 	}
@@ -110,7 +111,7 @@ func (s *Store) PutBatch(ctx Ctx, entries []BatchEntry, opts PutOptions) error {
 		Expiry:             deadline,
 		Location:           loc,
 		AutomatedDecisions: opts.AutomatedDecisions,
-		Created:            s.cfg.Config.Clock.Now(),
+		Created:            now,
 	}
 	meta.Objections = append(meta.Objections, s.objectionsOfLocked(os, opts.Owner)...)
 
@@ -140,25 +141,14 @@ func (s *Store) PutBatch(ctx Ctx, entries []BatchEntry, opts PutOptions) error {
 		}
 	}
 
-	if deadline.IsZero() {
-		s.db.SetBatch(keys, stored)
-	} else {
-		s.db.SetBatchEX(keys, stored, deadline)
-	}
-	mb, err := meta.encode()
-	if err != nil {
-		return err
-	}
-	// One GMETAB record covers the whole batch: the shared metadata once,
-	// then the key list. The index shares the one immutable value too.
-	logArgs := make([][]byte, 0, len(keys)+1)
-	logArgs = append(logArgs, mb)
+	// Each touched shard's GREC record carries the shared metadata once and
+	// that shard's pairs. The index shares the one immutable value too.
+	jerr := s.db.SetRecorded(keys, stored, deadline, opRecord, encodeMetadata(meta))
 	for _, k := range keys {
 		s.ix.put(k, meta)
-		logArgs = append(logArgs, []byte(k))
 	}
-	if err := s.appendLog(opMetaBatch, logArgs...); err != nil {
-		return err
+	if jerr != nil {
+		return jerr
 	}
 	s.auditOp(audit.Record{
 		Actor: ctx.Actor, Op: "MPUT", Key: keys[0], Owner: opts.Owner,

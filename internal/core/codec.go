@@ -1,0 +1,293 @@
+package core
+
+import (
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
+	"time"
+)
+
+// The record codec (DESIGN.md §17): one append-style binary form for the
+// compliance layer's journal records and for slot migration, behind a
+// version byte that is never '{', the first byte of the JSON it replaced.
+// Writers emit only this form; the decoders still take the JSON.
+//
+//	metadata = metaV1 flags str(owner) list(purposes) list(objections)
+//	           str(origin) list(sharedWith) [time(expiry)] str(location)
+//	           [time(created)] uvarint(keyEpoch)
+//	record   = recordV1 flags str(key) str(value) [metadata] [int64be(expireAtMs)]
+//	str      = uvarint(len) bytes
+//	list     = uvarint(count) str...
+//	time     = int64be(UnixNano)
+//
+// A zero time is a cleared flag bit, not eight bytes; an empty list is one
+// byte.
+const (
+	metaV1   = 0x01
+	recordV1 = 0x01
+
+	metaAutomated  = 1 << 0
+	metaHasExpiry  = 1 << 1
+	metaHasCreated = 1 << 2
+
+	recordHasMeta     = 1 << 0
+	recordHasExpireAt = 1 << 1
+)
+
+var errCodec = errors.New("malformed binary record")
+
+func appendStr[S string | []byte](dst []byte, s S) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+func appendList(dst []byte, l []string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(l)))
+	for _, s := range l {
+		dst = appendStr(dst, s)
+	}
+	return dst
+}
+
+// unixNano is t.UnixNano() held to the range an int64 of nanoseconds has
+// (years 1678 to 2262): a retention deadline beyond it means "never" either
+// way, and must not wrap around into the past.
+func unixNano(t time.Time) int64 {
+	switch {
+	case t.After(maxNanoTime):
+		return math.MaxInt64
+	case t.Before(minNanoTime):
+		return math.MinInt64
+	}
+	return t.UnixNano()
+}
+
+var (
+	maxNanoTime = time.Unix(0, math.MaxInt64)
+	minNanoTime = time.Unix(0, math.MinInt64)
+)
+
+// canonicalTime is t as it comes back from the codec: the same instant (held
+// to the codec's range), in UTC, without a monotonic reading. Put stores the
+// deadline it journals in this form, so the live engine and a replay agree
+// on it to the nanosecond.
+func canonicalTime(t time.Time) time.Time {
+	if t.IsZero() {
+		return t
+	}
+	return time.Unix(0, unixNano(t)).UTC()
+}
+
+// encodeMetadata returns m's binary form in a buffer of its own, sized so
+// that the usual record (an owner, a purpose or two, a region) needs no
+// second allocation.
+func encodeMetadata(m *Metadata) []byte {
+	return appendMetadata(make([]byte, 0, 128), m)
+}
+
+// appendMetadata appends m's binary form.
+func appendMetadata(dst []byte, m *Metadata) []byte {
+	flags := byte(0)
+	if m.AutomatedDecisions {
+		flags |= metaAutomated
+	}
+	if !m.Expiry.IsZero() {
+		flags |= metaHasExpiry
+	}
+	if !m.Created.IsZero() {
+		flags |= metaHasCreated
+	}
+	dst = append(dst, metaV1, flags)
+	dst = appendStr(dst, m.Owner)
+	dst = appendList(dst, m.Purposes)
+	dst = appendList(dst, m.Objections)
+	dst = appendStr(dst, m.Origin)
+	dst = appendList(dst, m.SharedWith)
+	if flags&metaHasExpiry != 0 {
+		dst = binary.BigEndian.AppendUint64(dst, uint64(unixNano(m.Expiry)))
+	}
+	dst = appendStr(dst, m.Location)
+	if flags&metaHasCreated != 0 {
+		dst = binary.BigEndian.AppendUint64(dst, uint64(unixNano(m.Created)))
+	}
+	return binary.AppendUvarint(dst, m.KeyEpoch)
+}
+
+// decoder reads the binary form off the front of b. The first malformed
+// field sets err and every later read returns a zero value, so callers
+// check once at the end. It accepts only what the encoder writes (minimal
+// varints, no unknown flag), and a length is checked against the bytes that
+// are really there before anything is allocated for it.
+type decoder struct {
+	b   []byte
+	err error
+}
+
+func (d *decoder) fail() { d.err, d.b = errCodec, nil }
+
+func (d *decoder) u8() byte {
+	if len(d.b) == 0 {
+		d.fail()
+		return 0
+	}
+	c := d.b[0]
+	d.b = d.b[1:]
+	return c
+}
+
+func (d *decoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 || (n > 1 && d.b[n-1] == 0) {
+		d.fail()
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *decoder) i64() int64 {
+	if len(d.b) < 8 {
+		d.fail()
+		return 0
+	}
+	v := binary.BigEndian.Uint64(d.b)
+	d.b = d.b[8:]
+	return int64(v)
+}
+
+// bytes returns the next length-prefixed field, aliasing the input.
+func (d *decoder) bytes() []byte {
+	n := d.uvarint()
+	if n > uint64(len(d.b)) {
+		d.fail()
+		return nil
+	}
+	s := d.b[:n]
+	d.b = d.b[n:]
+	return s
+}
+
+func (d *decoder) list() []string {
+	n := d.uvarint()
+	if n > uint64(len(d.b)) { // every element takes a byte at least
+		d.fail()
+		return nil
+	}
+	if n == 0 {
+		return nil
+	}
+	l := make([]string, n)
+	for i := range l {
+		l[i] = string(d.bytes())
+	}
+	return l
+}
+
+func (d *decoder) metadata() Metadata {
+	var m Metadata
+	if d.u8() != metaV1 {
+		d.fail()
+	}
+	flags := d.u8()
+	if flags&^(metaAutomated|metaHasExpiry|metaHasCreated) != 0 {
+		d.fail()
+	}
+	m.AutomatedDecisions = flags&metaAutomated != 0
+	m.Owner = string(d.bytes())
+	m.Purposes = d.list()
+	m.Objections = d.list()
+	m.Origin = string(d.bytes())
+	m.SharedWith = d.list()
+	if flags&metaHasExpiry != 0 {
+		m.Expiry = time.Unix(0, d.i64()).UTC()
+	}
+	m.Location = string(d.bytes())
+	if flags&metaHasCreated != 0 {
+		m.Created = time.Unix(0, d.i64()).UTC()
+	}
+	m.KeyEpoch = d.uvarint()
+	return m
+}
+
+// decodeMetadata decodes a journal record's metadata payload: the binary
+// form, or the JSON object the previous format wrote.
+func decodeMetadata(b []byte) (Metadata, error) {
+	if len(b) > 0 && b[0] == '{' {
+		var m Metadata
+		if err := json.Unmarshal(b, &m); err != nil {
+			return Metadata{}, fmt.Errorf("core: decode metadata: %w", err)
+		}
+		return m, nil
+	}
+	d := decoder{b: b}
+	m := d.metadata()
+	if d.err != nil || len(d.b) != 0 {
+		return Metadata{}, fmt.Errorf("core: decode metadata: %w", errCodec)
+	}
+	return m, nil
+}
+
+// EncodeMigrationRecord serializes a record for the wire. It cannot fail;
+// the error result is kept for its callers.
+func EncodeMigrationRecord(rec MigrationRecord) ([]byte, error) {
+	flags := byte(0)
+	if rec.Meta != nil {
+		flags |= recordHasMeta
+	}
+	if rec.ExpireAtMs != 0 {
+		flags |= recordHasExpireAt
+	}
+	dst := make([]byte, 0, 64+len(rec.Key)+len(rec.Value))
+	dst = append(dst, recordV1, flags)
+	dst = appendStr(dst, rec.Key)
+	dst = appendStr(dst, rec.Value)
+	if rec.Meta != nil {
+		dst = appendMetadata(dst, rec.Meta)
+	}
+	if rec.ExpireAtMs != 0 {
+		dst = binary.BigEndian.AppendUint64(dst, uint64(rec.ExpireAtMs))
+	}
+	return dst, nil
+}
+
+// DecodeMigrationRecord parses a wire-form migration record, binary or the
+// JSON an older source node sends.
+func DecodeMigrationRecord(b []byte) (MigrationRecord, error) {
+	var rec MigrationRecord
+	if len(b) > 0 && b[0] == '{' {
+		if err := json.Unmarshal(b, &rec); err != nil {
+			return MigrationRecord{}, fmt.Errorf("core: decode migration record: %w", err)
+		}
+	} else {
+		d := decoder{b: b}
+		if d.u8() != recordV1 {
+			d.fail()
+		}
+		flags := d.u8()
+		if flags&^(recordHasMeta|recordHasExpireAt) != 0 {
+			d.fail()
+		}
+		rec.Key = string(d.bytes())
+		if v := d.bytes(); len(v) > 0 {
+			rec.Value = append([]byte(nil), v...)
+		}
+		if flags&recordHasMeta != 0 {
+			m := d.metadata()
+			rec.Meta = &m
+		}
+		if flags&recordHasExpireAt != 0 {
+			if rec.ExpireAtMs = d.i64(); rec.ExpireAtMs == 0 {
+				d.fail() // zero is spelled as a cleared flag
+			}
+		}
+		if d.err != nil || len(d.b) != 0 {
+			return MigrationRecord{}, fmt.Errorf("core: decode migration record: %w", errCodec)
+		}
+	}
+	if rec.Key == "" {
+		return MigrationRecord{}, fmt.Errorf("core: migration record without key")
+	}
+	return rec, nil
+}

@@ -1,0 +1,523 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"testing/quick"
+	"time"
+
+	"gdprstore/internal/acl"
+	"gdprstore/internal/aof"
+	"gdprstore/internal/audit"
+	"gdprstore/internal/clock"
+)
+
+// sampleMetadata covers what the quick generator rarely hits: nothing set,
+// everything set, zero times, a time past what an int64 of nanoseconds
+// holds, '{' and '\n' where a format sniffer or a line reader would trip,
+// strings long enough for multi-byte lengths.
+func sampleMetadata() []Metadata {
+	at := time.Date(2026, 9, 25, 15, 30, 13, 547276659, time.UTC)
+	return []Metadata{
+		{},
+		{Owner: "alice", Created: at},
+		{Owner: "{alice}\n", Purposes: []string{"{", "\n", ""}, Objections: []string{"*"}, Origin: "signup\nform",
+			SharedWith: []string{"processor-a", "processor-b"}, Expiry: at.Add(time.Hour), Location: "eu-west",
+			AutomatedDecisions: true, Created: at, KeyEpoch: 1 << 40},
+		{Owner: strings.Repeat("o", 300), Purposes: []string{strings.Repeat("p", 20_000)}, Expiry: maxNanoTime.UTC(), Created: minNanoTime.UTC()},
+	}
+}
+
+func normMetadata(m Metadata) Metadata {
+	norm := func(s []string) []string {
+		if len(s) == 0 {
+			return nil
+		}
+		return s
+	}
+	m.Purposes, m.Objections, m.SharedWith = norm(m.Purposes), norm(m.Objections), norm(m.SharedWith)
+	return m
+}
+
+func TestRecordCodecRoundTrip(t *testing.T) {
+	check := func(rec MigrationRecord) error {
+		b, err := EncodeMigrationRecord(rec)
+		if err != nil {
+			return err
+		}
+		if b[0] == '{' {
+			return errors.New("binary record starts like JSON")
+		}
+		got, err := DecodeMigrationRecord(b)
+		if err != nil {
+			return err
+		}
+		if rec.Meta != nil {
+			m := normMetadata(*rec.Meta)
+			rec.Meta = &m
+		}
+		if len(rec.Value) == 0 {
+			rec.Value = nil
+		}
+		if !reflect.DeepEqual(got, rec) {
+			return fmt.Errorf("got %+v (meta %+v), want %+v (meta %+v)", got, got.Meta, rec, rec.Meta)
+		}
+		return nil
+	}
+	for i, m := range sampleMetadata() {
+		m := m
+		got, err := decodeMetadata(appendMetadata([]byte("prefix"), &m)[len("prefix"):])
+		if err != nil || !reflect.DeepEqual(got, normMetadata(m)) {
+			t.Fatalf("metadata sample %d: got %+v, %v", i, got, err)
+		}
+		for _, rec := range []MigrationRecord{
+			{Key: "k\n{", Value: []byte("v"), Meta: &m},
+			{Key: "k", Value: bytes.Repeat([]byte{0, '{', '\n'}, 50_000), Meta: &m, ExpireAtMs: -5},
+			{Key: strings.Repeat("k", 200), ExpireAtMs: 1_900_000_000_000},
+		} {
+			if err := check(rec); err != nil {
+				t.Fatalf("record with metadata sample %d: %v", i, err)
+			}
+		}
+	}
+	f := func(key string, value []byte, hasMeta bool, expireAtMs int64, owner, origin, loc string,
+		purposes, objections, shared []string, auto bool, expNs, creNs int64, epoch uint64) bool {
+		rec := MigrationRecord{Key: "k" + key, Value: value, ExpireAtMs: expireAtMs}
+		if hasMeta {
+			rec.Meta = &Metadata{Owner: owner, Origin: origin, Location: loc, Purposes: purposes,
+				Objections: objections, SharedWith: shared, AutomatedDecisions: auto,
+				Expiry: time.Unix(0, expNs).UTC(), Created: time.Unix(0, creNs).UTC(), KeyEpoch: epoch}
+		}
+		return check(rec) == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+
+	// A time outside the codec's range is held to it, not wrapped around.
+	far := Metadata{Owner: "a", Expiry: time.Date(9999, 12, 31, 0, 0, 0, 0, time.UTC)}
+	got, err := decodeMetadata(appendMetadata(nil, &far))
+	if err != nil || !got.Expiry.Equal(maxNanoTime) {
+		t.Fatalf("year-9999 deadline decodes to %v, %v; want the range's end %v", got.Expiry, err, maxNanoTime.UTC())
+	}
+}
+
+// TestDecodersAcceptParentJSON pins the old -> new direction of a
+// mixed-version migration and of a journal replay: what the parent's
+// json.Marshal wrote still decodes.
+func TestDecodersAcceptParentJSON(t *testing.T) {
+	m, err := decodeMetadata([]byte(`{"owner":"alice","purposes":["billing","support"],"origin":"signup-form","shared_with":["processor-a"],"expiry":"2026-12-24T12:00:00Z","location":"eu-west","automated_decisions":true,"created":"2026-09-25T12:00:00Z","key_epoch":3}`))
+	if err != nil || m.Owner != "alice" || len(m.Purposes) != 2 || !m.AutomatedDecisions || m.KeyEpoch != 3 ||
+		!m.Expiry.Equal(time.Date(2026, 12, 24, 12, 0, 0, 0, time.UTC)) {
+		t.Fatalf("legacy metadata = %+v, %v", m, err)
+	}
+	rec, err := DecodeMigrationRecord([]byte(`{"key":"pd:alice:1","value":"YWxpY2Utb25l","meta":{"owner":"alice","created":"2026-09-25T12:00:00Z"}}`))
+	if err != nil || rec.Key != "pd:alice:1" || string(rec.Value) != "alice-one" || rec.Meta == nil || rec.Meta.Owner != "alice" {
+		t.Fatalf("legacy migration record = %+v, %v", rec, err)
+	}
+	if _, err := DecodeMigrationRecord([]byte(`{"value":"eA=="}`)); err == nil {
+		t.Fatal("migration record without key accepted")
+	}
+}
+
+func FuzzDecodeRecord(f *testing.F) {
+	for _, m := range sampleMetadata()[:3] {
+		m := m
+		f.Add(appendMetadata(nil, &m))
+		b, _ := EncodeMigrationRecord(MigrationRecord{Key: "k", Value: []byte("value"), Meta: &m, ExpireAtMs: 7})
+		f.Add(b)
+	}
+	f.Add([]byte{recordV1, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	f.Add([]byte{metaV1, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add([]byte(`{"owner":"alice","created":"2026-09-25T12:00:00Z"}`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		binary := len(b) > 0 && b[0] != '{'
+		if m, err := decodeMetadata(b); err == nil && binary {
+			if again := appendMetadata(nil, &m); !bytes.Equal(again, b) {
+				t.Fatalf("metadata %x re-encodes to %x", b, again)
+			}
+		}
+		if rec, err := DecodeMigrationRecord(b); err == nil && binary {
+			if again, _ := EncodeMigrationRecord(rec); !bytes.Equal(again, b) {
+				t.Fatalf("record %x re-encodes to %x", b, again)
+			}
+		}
+	})
+}
+
+// tickClock is a virtual clock that counts its readings and moves on by a
+// nanosecond with each, the way a wall clock does between two reads.
+type tickClock struct {
+	*clock.Virtual
+	reads atomic.Int64
+}
+
+func (c *tickClock) Now() time.Time {
+	c.reads.Add(1)
+	c.Advance(time.Nanosecond)
+	return c.Virtual.Now()
+}
+
+// TestOneDeadlinePerRecord: the metadata's Expiry is the engine's deadline,
+// exactly, live and after replay, because Put reads the clock once. (The
+// parent read it four times and the two deadlines differed.)
+func TestOneDeadlinePerRecord(t *testing.T) {
+	path := tempAOF(t)
+	clk := &tickClock{Virtual: clock.NewVirtual(time.Date(2026, 9, 25, 12, 0, 0, 0, time.UTC))}
+	cfg := Config{Compliant: true, Capability: CapabilityFull, AOFPath: path, AOFSync: Ptr(aof.SyncNo), Clock: clk,
+		Envelope: true, MasterKey: bytes.Repeat([]byte{7}, 32)}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addPrincipals(s)
+	opts := PutOptions{Owner: "alice", Purposes: []string{"billing"}, TTL: time.Hour}
+	if err := s.Put(ctlCtx, "warm", []byte("v"), opts); err != nil { // creates alice's key
+		t.Fatal(err)
+	}
+	before := clk.reads.Load()
+	if err := s.Put(ctlCtx, "k", []byte("v"), opts); err != nil {
+		t.Fatal(err)
+	}
+	// No trail here: an audit record's timestamp is the trail's own reading.
+	if n := clk.reads.Load() - before; n != 1 {
+		t.Fatalf("Put read the clock %d times, want 1", n)
+	}
+	entries := []BatchEntry{{Key: "b1", Value: []byte("v")}, {Key: "b2", Value: []byte("v")}}
+	if err := s.PutBatch(ctlCtx, entries, opts); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Expire(ctlCtx, "b2", 30*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	check := func(s *Store, when string) map[string]time.Time {
+		t.Helper()
+		out := map[string]time.Time{}
+		for _, k := range []string{"k", "b1", "b2"} {
+			m, err := s.Metadata(ctlCtx, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dl, ok := s.Engine().Deadline(k)
+			if !ok || !dl.Equal(m.Expiry) || m.Expiry != canonicalTime(m.Expiry) {
+				t.Fatalf("%s %s: metadata expires %v, engine %v (%v)", when, k, m.Expiry, dl, ok)
+			}
+			out[k] = dl
+		}
+		return out
+	}
+	live := check(s, "live")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	addPrincipals(s2)
+	if replayed := check(s2, "replayed"); !reflect.DeepEqual(replayed, live) {
+		t.Fatalf("deadlines after replay %v, live %v", replayed, live)
+	}
+}
+
+const (
+	legacyAOF       = "testdata/legacy.aof"
+	legacyMasterKey = "legacy-fixture-master-key-32byte"
+)
+
+// legacyCfg is the configuration testdata/gen_legacy.go ran the parent
+// commit under; the clock stands where the fixture's last operation left it.
+func legacyCfg(path string) Config {
+	cfg := EventualFull("")
+	cfg.AOFPath = path
+	cfg.AOFSync = Ptr(aof.SyncNo)
+	cfg.Envelope = true
+	cfg.MasterKey = []byte(legacyMasterKey)
+	cfg.Clock = clock.NewVirtual(time.Date(2026, 9, 25, 12, 1, 0, 0, time.UTC))
+	cfg.DefaultLocation = "eu-west"
+	return cfg
+}
+
+func openLegacy(t *testing.T, raw []byte) (*Store, string) {
+	t.Helper()
+	path := tempAOF(t)
+	if err := os.WriteFile(path, raw, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(legacyCfg(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	s.ACL().AddPrincipal(acl.Principal{ID: "controller", Role: acl.RoleController})
+	s.ACL().AddPrincipal(acl.Principal{ID: "auditor", Role: acl.RoleController})
+	return s, path
+}
+
+// TestLegacyTornPairOrphan shows the hole in the format the parent wrote:
+// a log cut between a write's SETEX and its GMETA replays an owned
+// ciphertext with no metadata, which a read serves raw and no rights
+// operation can see. GREC closes it (TestRecordIsAllOrNothing).
+func TestLegacyTornPairOrphan(t *testing.T) {
+	raw, err := os.ReadFile(legacyAOF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := bytes.Index(raw, []byte("*3\r\n$5\r\nGMETA\r\n$10\r\npd:alice:1\r\n"))
+	if cut < 0 || !bytes.Contains(raw[:cut], []byte("SETEX\r\n$10\r\npd:alice:1\r\n")) {
+		t.Fatal("fixture does not hold the SETEX/GMETA pair of pd:alice:1")
+	}
+	s, _ := openLegacy(t, raw[:cut])
+	ctx := Ctx{Actor: "controller", Purpose: "billing"}
+	v, err := s.Get(ctx, "pd:alice:1")
+	if err != nil || len(v) == 0 || bytes.Equal(v, []byte("alice-one")) {
+		t.Fatalf("orphan read = %q, %v; want the raw ciphertext served", v, err)
+	}
+	if _, err := s.Metadata(ctx, "pd:alice:1"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("orphan has metadata: %v", err)
+	}
+	if keys, err := s.OwnerKeys(ctx, "alice"); err != nil || len(keys) != 0 {
+		t.Fatalf("orphan visible to its owner's rights: %v, %v", keys, err)
+	}
+	if recs, err := s.GetUser(ctx, "alice"); err != nil || len(recs) != 0 {
+		t.Fatalf("GETUSER sees the orphan: %v, %v", recs, err)
+	}
+}
+
+// TestLegacyAOFRewritesToRecords replays the parent-written log, compacts
+// it, and replays the result: the same state from a file that holds the new
+// record form only.
+func TestLegacyAOFRewritesToRecords(t *testing.T) {
+	raw, err := os.ReadFile(legacyAOF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, path := openLegacy(t, raw)
+	ctx := Ctx{Actor: "controller", Purpose: "billing"}
+	for key, want := range map[string]string{
+		"pd:alice:1": "alice-one", "pd:alice:2": "alice-two", "pd:alice:3": "alice-three",
+		"pd:carol:1": "carol-one", "pd:carol:3": "carol-three", "pd:dave:2": "dave-new",
+	} {
+		if v, err := s.Get(ctx, key); err != nil || string(v) != want {
+			t.Fatalf("legacy replay: %s = %q, %v", key, v, err)
+		}
+	}
+	for _, key := range []string{"pd:bob:1", "pd:bob:2", "pd:dave:1", "pd:carol:2"} {
+		if _, err := s.Get(ctx, key); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("legacy replay: erased or deleted %s reads %v", key, err)
+		}
+	}
+	if m, err := s.Metadata(ctx, "pd:alice:3"); err != nil || !reflect.DeepEqual(m.Objections, []string{"support"}) {
+		t.Fatalf("legacy replay: standing objection not on pd:alice:3: %+v, %v", m, err)
+	}
+	// The sweep reclaims bob's and dave's dead ciphertext, as it would have
+	// on the node that wrote the log; a snapshot leaves it out either way.
+	s.DrainErasure()
+	want := legacyDump(t, s)
+	if err := s.Compact(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rewritten, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, old := range []string{"SETEX", "MSETEX", "GMETA", "GMETAB"} {
+		if bytes.Contains(rewritten, []byte("\r\n"+old+"\r\n")) {
+			t.Fatalf("rewritten log still holds a %s record", old)
+		}
+	}
+	if n := bytes.Count(rewritten, []byte("\r\n"+opRecord+"\r\n")); n != 6 {
+		t.Fatalf("rewritten log holds %d %s records, want one per live key (6)", n, opRecord)
+	}
+	if bytes.Contains(rewritten, []byte(`"owner"`)) {
+		t.Fatal("rewritten log still holds JSON metadata")
+	}
+	s2, _ := openLegacy(t, rewritten)
+	if got := legacyDump(t, s2); got != want {
+		t.Fatalf("rewrite changed the state\n--- legacy replay ---\n%s--- rewrite replay ---\n%s", want, got)
+	}
+}
+
+// legacyDump is crashDump plus what the fixture exercises beyond it.
+func legacyDump(t *testing.T, s *Store) string {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString(crashDump(t, s))
+	ctx := Ctx{Actor: "controller", Purpose: "billing"}
+	for _, owner := range []string{"alice", "bob", "carol", "dave"} {
+		recs, err := s.GetUser(ctx, owner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			m := r.Metadata
+			fmt.Fprintf(&b, "user %s %s=%s expiry=%s created=%s origin=%s shared=%v loc=%s auto=%v epoch=%d\n", owner, r.Key, r.Value,
+				m.Expiry.UTC().Format(time.RFC3339Nano), m.Created.UTC().Format(time.RFC3339Nano),
+				m.Origin, m.SharedWith, m.Location, m.AutomatedDecisions, m.KeyEpoch)
+		}
+	}
+	fmt.Fprintf(&b, "erasure %+v\n", s.ErasureStats().ShreddedOwners)
+	return b.String()
+}
+
+// TestRecordIsAllOrNothing truncates the log at every byte of its last
+// entry, a Put's or a PutBatch's one GREC: replay yields the write complete
+// (value, deadline, metadata, owner index) or absent, never a value without
+// its metadata, and the replayed state equals the live state the prefix
+// stands for.
+func TestRecordIsAllOrNothing(t *testing.T) {
+	for _, envelope := range []bool{false, true} {
+		for _, batch := range []bool{false, true} {
+			t.Run(fmt.Sprintf("envelope=%v/batch=%v", envelope, batch), func(t *testing.T) {
+				path := tempAOF(t)
+				vc := clock.NewVirtual(time.Unix(1_700_000_000, 0))
+				cfg := crashCfg(path, vc, 1, aof.SyncNo)
+				if envelope {
+					cfg.Envelope, cfg.MasterKey = true, bytes.Repeat([]byte{3}, 32)
+				}
+				s, err := Open(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				ctx := Ctx{Actor: "app", Purpose: "service"}
+				opts := PutOptions{Owner: "alice", Purposes: []string{"service"}, TTL: time.Hour}
+				for i := 0; i < 4; i++ {
+					if err := s.Put(ctx, fmt.Sprintf("k%d", i), []byte("old"), opts); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := s.Object(ctx, "alice", "ads"); err != nil {
+					t.Fatal(err)
+				}
+				// bob's first write journals his data key ahead of it.
+				if err := s.Put(ctx, "kb", []byte("old"), PutOptions{Owner: "bob", Purposes: []string{"billing"}}); err != nil {
+					t.Fatal(err)
+				}
+				snap := func() (string, int) {
+					if err := s.Log().Sync(); err != nil {
+						t.Fatal(err)
+					}
+					return crashDump(t, s) + ownerDump(t, s), int(s.Log().Size())
+				}
+				before, start := snap()
+				if batch {
+					err = s.PutBatch(ctx, []BatchEntry{{Key: "k1", Value: []byte("new1")}, {Key: "fresh", Value: []byte("new2")}}, opts)
+				} else {
+					err = s.Put(ctx, "k1", []byte("new"), PutOptions{Owner: "bob", Purposes: []string{"billing"}, TTL: 2 * time.Hour})
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				after, end := snap()
+				full, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				last := full[start:end]
+				if n := bytes.Count(last, []byte("\r\n$4\r\n"+opRecord+"\r\n")); n != 1 || last[0] != '*' {
+					t.Fatalf("the write journaled %d entries in %q, want one %s", n, last, opRecord)
+				}
+				for cut := start; cut <= end; cut++ {
+					killPath := filepath.Join(t.TempDir(), "kill.aof")
+					if err := os.WriteFile(killPath, full[:cut], 0o600); err != nil {
+						t.Fatal(err)
+					}
+					kcfg := cfg
+					kcfg.AOFPath = killPath
+					re, err := Open(kcfg)
+					if err != nil {
+						t.Fatalf("cut %d: %v", cut, err)
+					}
+					got := crashDump(t, re) + ownerDump(t, re)
+					re.Close()
+					want := before
+					if cut == end {
+						want = after
+					}
+					if got != want {
+						t.Fatalf("cut %d of [%d,%d]: replayed state is neither with nor without the write\n--- want ---\n%s--- got ---\n%s", cut, start, end, want, got)
+					}
+				}
+			})
+		}
+	}
+}
+
+// ownerDump renders what the rights operations see: the owner index.
+func ownerDump(t *testing.T, s *Store) string {
+	t.Helper()
+	var b strings.Builder
+	for _, owner := range []string{"alice", "bob"} {
+		keys, err := s.OwnerKeys(Ctx{Actor: "auditor"}, owner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "owner %s: %v\n", owner, keys)
+	}
+	return b.String()
+}
+
+// TestWriteAllocBudgets bounds the allocations of the compliant hot path
+// with everything on (envelope encryption, journal, audit trail on disk):
+// a Put, and a Get that is audited.
+func TestWriteAllocBudgets(t *testing.T) {
+	dir := t.TempDir()
+	cfg := EventualFull(filepath.Join(dir, "audit.log"))
+	cfg.AOFPath = filepath.Join(dir, "store.aof")
+	cfg.Envelope, cfg.MasterKey = true, bytes.Repeat([]byte{1}, 32)
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.ACL().AddPrincipal(acl.Principal{ID: "app", Role: acl.RoleController})
+	ctx := Ctx{Actor: "app", Purpose: "service"}
+	opts := PutOptions{Owner: "alice", TTL: time.Hour}
+	val := bytes.Repeat([]byte("x"), 100)
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("pd:alice:%06d", i)
+		if err := s.Put(ctx, keys[i], val, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Fill the trail's in-memory ring first: it grows by appending.
+	for i := 0; i < 1<<17; i++ {
+		s.auditOp(audit.Record{Actor: "app", Op: "WARM", Outcome: audit.OutcomeOK})
+	}
+	if err := s.Trail().Sync(); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	puts := testing.AllocsPerRun(2000, func() {
+		if err := s.Put(ctx, keys[i%len(keys)], val, opts); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	gets := testing.AllocsPerRun(2000, func() {
+		if _, err := s.Get(ctx, keys[i%len(keys)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	t.Logf("allocations: Put %.1f, audited Get %.1f", puts, gets)
+	if puts > 18 {
+		t.Errorf("compliant Put allocates %.1f times, budget 18 (the two-record JSON path: 25)", puts)
+	}
+	if gets > 9 {
+		t.Errorf("audited Get allocates %.1f times, budget 9", gets)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gdprstore/internal/audit"
+	"gdprstore/internal/store"
 )
 
 // epochArg encodes a keyring epoch for a journal record argument.
@@ -307,43 +308,35 @@ func (s *Store) reclaimErasedLocked() int {
 }
 
 // snapshotAll emits the commands that reconstruct the full compliance
-// state: the dataset (SET/SETEX), metadata (GMETA), standing objections
-// (GOBJ), and the envelope keyring (GKEY/GSHRED, with key epochs). Callers
-// hold the whole-store lock (lockAll), so the cut is globally consistent.
+// state: one record per live key (GREC with its metadata; SET/SETEX for a
+// key that has none), standing objections (GOBJ), and the envelope keyring
+// (GKEY/GSHRED, with key epochs). Callers hold the whole-store lock
+// (lockAll), so the cut is globally consistent. Whatever format the records
+// were journaled in, a snapshot holds the current one only, and each record
+// carries one deadline: the engine's, which is the one enforced.
 //
-// Crypto-erased records the sweep has not reclaimed yet are omitted — both
-// their engine values and their metadata — so a compaction purges dead
-// ciphertext from the AOF even while the in-memory sweep is still running.
+// Crypto-erased records the sweep has not reclaimed yet are omitted, so a
+// compaction purges dead ciphertext from the AOF even while the in-memory
+// sweep is still running. emit must not keep its arguments.
 func (s *Store) snapshotAll(emit func(name string, args ...[]byte) error) error {
-	err := s.db.Snapshot(func(name string, args ...[]byte) error {
-		if s.keyring != nil && len(args) > 0 {
-			if m := s.ix.get(string(args[0])); m != nil && s.recordDead(m) {
-				return nil
-			}
+	var mb []byte
+	err := s.db.SnapshotRecords(func(k string, v []byte, deadline time.Time) error {
+		m := s.ix.get(k)
+		switch {
+		case m == nil && deadline.IsZero():
+			return emit("SET", []byte(k), v)
+		case m == nil:
+			return emit("SETEX", []byte(k), store.EncodeDeadline(deadline), v)
+		case s.recordDead(m):
+			return nil
 		}
-		return emit(name, args...)
+		mm := *m
+		mm.Expiry = deadline
+		mb = appendMetadata(mb[:0], &mm)
+		return emit(opRecord, mb, []byte(k), v)
 	})
 	if err != nil {
 		return err
-	}
-	var emitErr error
-	s.ix.rangeMeta(func(k string, m *Metadata) bool {
-		if !s.db.Exists(k) || s.recordDead(m) {
-			return true
-		}
-		mb, err := m.encode()
-		if err != nil {
-			emitErr = err
-			return false
-		}
-		if err := emit(opMeta, []byte(k), mb); err != nil {
-			emitErr = err
-			return false
-		}
-		return true
-	})
-	if emitErr != nil {
-		return emitErr
 	}
 	for _, os := range s.owners {
 		for owner, set := range os.objections {

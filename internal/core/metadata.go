@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/json"
-	"fmt"
 	"slices"
 	"sync"
 	"time"
@@ -77,22 +75,6 @@ func (m Metadata) PermitsPurpose(purpose string) bool {
 		}
 	}
 	return false
-}
-
-func (m Metadata) encode() ([]byte, error) {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return nil, fmt.Errorf("core: encode metadata: %w", err)
-	}
-	return b, nil
-}
-
-func decodeMetadata(b []byte) (Metadata, error) {
-	var m Metadata
-	if err := json.Unmarshal(b, &m); err != nil {
-		return Metadata{}, fmt.Errorf("core: decode metadata: %w", err)
-	}
-	return m, nil
 }
 
 // metaIndex maintains the secondary indexes the paper's "metadata

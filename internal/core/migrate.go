@@ -2,8 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
 	"time"
 
 	"gdprstore/internal/acl"
@@ -38,33 +36,13 @@ import (
 // MigrationRecord is one key's portable form for slot migration. Meta is
 // nil for records written without compliance metadata (baseline stores or
 // raw SETs); those carry their absolute retention deadline, if any, in
-// ExpireAtMs instead.
+// ExpireAtMs instead. On the wire it is the record codec's binary form
+// (codec.go); the JSON tags are what an older source node sends.
 type MigrationRecord struct {
 	Key        string    `json:"key"`
 	Value      []byte    `json:"value"`
 	Meta       *Metadata `json:"meta,omitempty"`
 	ExpireAtMs int64     `json:"expire_at_ms,omitempty"`
-}
-
-// EncodeMigrationRecord serializes a record for the wire.
-func EncodeMigrationRecord(rec MigrationRecord) ([]byte, error) {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("core: encode migration record: %w", err)
-	}
-	return b, nil
-}
-
-// DecodeMigrationRecord parses a wire-form migration record.
-func DecodeMigrationRecord(b []byte) (MigrationRecord, error) {
-	var rec MigrationRecord
-	if err := json.Unmarshal(b, &rec); err != nil {
-		return MigrationRecord{}, fmt.Errorf("core: decode migration record: %w", err)
-	}
-	if rec.Key == "" {
-		return MigrationRecord{}, fmt.Errorf("core: migration record without key")
-	}
-	return rec, nil
 }
 
 // AuthorizeMigration checks that the acting principal may drive slot
@@ -125,7 +103,7 @@ func (s *Store) DumpForMigration(key string) (rec MigrationRecord, raw []byte, o
 // RestoreRecord ingests a migration record: the destination half of a slot
 // transfer. Metadata-bearing records go through the full compliance path —
 // sealed under this node's keyring at the owner's current epoch,
-// re-indexed, GMETA-journaled, audited — with the source's metadata
+// re-indexed, journaled as one GREC record, audited — with the source's metadata
 // (Created, Origin, Objections, Expiry, ...) preserved verbatim. A record
 // whose owner is crypto-shredded here fails with ErrErased: an erasure
 // that raced ahead of the migration wins. A record already past its
@@ -160,22 +138,14 @@ func (s *Store) RestoreRecord(ctx Ctx, rec MigrationRecord) error {
 			return err
 		}
 	}
-	if meta.Expiry.IsZero() {
-		s.db.Set(rec.Key, stored)
-	} else {
-		ttl := meta.Expiry.Sub(s.cfg.Config.Clock.Now())
-		if ttl <= 0 {
-			return nil
-		}
-		s.db.SetEX(rec.Key, stored, ttl)
+	meta.Expiry = canonicalTime(meta.Expiry)
+	if !meta.Expiry.IsZero() && !meta.Expiry.After(s.cfg.Config.Clock.Now()) {
+		return nil
 	}
-	mb, err := meta.encode()
-	if err != nil {
-		return err
-	}
+	jerr := s.db.SetRecorded([]string{rec.Key}, [][]byte{stored}, meta.Expiry, opRecord, encodeMetadata(&meta))
 	s.ix.put(rec.Key, &meta)
-	if err := s.appendLog(opMeta, []byte(rec.Key), mb); err != nil {
-		return err
+	if jerr != nil {
+		return jerr
 	}
 	s.auditOp(audit.Record{
 		Actor: ctx.Actor, Op: "RESTOREKEY", Key: rec.Key, Owner: meta.Owner,

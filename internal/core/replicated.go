@@ -12,7 +12,7 @@ import (
 // shared) and the live network replication link (one applier goroutine,
 // concurrent with local reads). Both must interpret every record type the
 // primary can emit — the engine's data-plane records (SET/SETEX/DEL/...)
-// and the compliance layer's control records (GMETA/GOBJ/GSHRED/GFORGET/...)
+// and the compliance layer's own (GREC/GMETA/GOBJ/GSHRED/GFORGET/...)
 // — identically, or a replica's state would drift from what a primary
 // restart reconstructs.
 
@@ -22,6 +22,25 @@ import (
 // owner stripe, and the engine applies under its shard locks.
 func (s *Store) applyRecord(name string, args [][]byte) error {
 	switch name {
+	case opRecord:
+		if len(args) < 3 || len(args)%2 != 1 {
+			return errors.New("core: replay GREC: need metadata and key/value pairs")
+		}
+		m, err := decodeMetadata(args[0])
+		if err != nil {
+			return err
+		}
+		for i := 1; i < len(args); i += 2 {
+			// Under the key stripe, as Put installs them: a reader on a
+			// replica sees the value with its metadata or neither.
+			k := string(args[i])
+			ks := s.keyStripeFor(k)
+			ks.Lock()
+			s.db.Restore(k, args[i+1], m.Expiry)
+			s.ix.put(k, &m)
+			ks.Unlock()
+		}
+		return nil
 	case opMeta:
 		if len(args) != 2 {
 			return errors.New("core: replay GMETA: need 2 args")

@@ -19,12 +19,36 @@ func (s *Store) rechainJournal() {
 		legs = append(legs, store.JournalFunc(s.log.Append))
 	}
 	if s.primary != nil {
-		legs = append(legs, s.primary)
+		legs = append(legs, engineLeg{s.primary})
 	}
 	if s.hub != nil {
 		legs = append(legs, s.hub)
 	}
 	s.db.SetJournal(store.NewMultiJournal(legs...))
+}
+
+// engineLeg feeds the in-process fan-out, whose replicas are bare engines
+// that know no compliance record: a GREC reaches them as the SET/SETEX per
+// pair it stands for.
+type engineLeg struct{ p *replica.Primary }
+
+// AppendOp implements store.Journal.
+func (l engineLeg) AppendOp(name string, args ...[]byte) error {
+	if name != opRecord {
+		return l.p.AppendOp(name, args...)
+	}
+	m, err := decodeMetadata(args[0])
+	if err != nil {
+		return err
+	}
+	for i := 1; i+1 < len(args) && err == nil; i += 2 {
+		if m.Expiry.IsZero() {
+			err = l.p.AppendOp("SET", args[i], args[i+1])
+		} else {
+			err = l.p.AppendOp("SETEX", args[i], store.EncodeDeadline(m.Expiry), args[i+1])
+		}
+	}
+	return err
 }
 
 // EnableReplication creates a journal fan-out in the given mode and chains

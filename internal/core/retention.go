@@ -79,29 +79,30 @@ func (s *Store) RetentionFor(purposes []string, requested time.Duration) time.Du
 }
 
 // effectiveDeadline resolves a write's retention deadline under the
-// policy, the request, and the config default.
-func (s *Store) effectiveDeadline(opts PutOptions, purposes []string) time.Time {
+// policy, the request, and the config default, relative to now: the one
+// clock reading its caller takes for the write. It is returned as the record
+// codec carries it (canonicalTime), so the engine, the index and a replay of
+// the journal hold the same deadline to the nanosecond.
+func (s *Store) effectiveDeadline(now time.Time, opts PutOptions, purposes []string) time.Time {
 	p := s.retention.Load()
+	var deadline time.Time
 	if !opts.ExpireAt.IsZero() {
-		// An absolute deadline still respects the policy cap.
-		if p != nil {
-			if d := p.Effective(purposes, 0); d > 0 {
-				capped := s.cfg.Config.Clock.Now().Add(d)
-				if capped.Before(opts.ExpireAt) {
-					return capped
-				}
-			}
+		deadline = opts.ExpireAt
+		// An absolute deadline still respects the policy cap (none
+		// without a policy).
+		if d := p.Effective(purposes, 0); d > 0 && now.Add(d).Before(deadline) {
+			deadline = now.Add(d)
 		}
-		return opts.ExpireAt
+	} else {
+		d := p.Effective(purposes, opts.TTL)
+		if d == 0 {
+			d = s.cfg.DefaultTTL
+		}
+		if d != 0 {
+			deadline = now.Add(d)
+		}
 	}
-	d := p.Effective(purposes, opts.TTL)
-	if d == 0 {
-		d = s.cfg.DefaultTTL
-	}
-	if d == 0 {
-		return time.Time{}
-	}
-	return s.cfg.Config.Clock.Now().Add(d)
+	return canonicalTime(deadline)
 }
 
 // RetentionStats is a point-in-time view of retention enforcement — the

@@ -414,9 +414,7 @@ func (s *Store) setObjection(ctx Ctx, owner, purpose string, add bool) error {
 	// if the GOBJ record were compacted away.
 	var jerr error
 	s.walkOwner(owner, func(k string, m *Metadata) bool {
-		if mb, err := m.encode(); err == nil {
-			jerr = s.appendLog(opMeta, []byte(k), mb)
-		}
+		jerr = s.appendLog(opMeta, []byte(k), encodeMetadata(m))
 		return jerr == nil
 	})
 	if jerr != nil {

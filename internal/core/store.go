@@ -18,10 +18,20 @@ import (
 )
 
 // Journal record types appended by the compliance layer alongside the
-// engine's SET/SETEX/DEL records. They reconstruct GDPR state on replay.
+// engine's SET/DEL/EXPIREAT records. They reconstruct GDPR state on replay.
+// Metadata payloads are the record codec's binary form (codec.go).
 const (
-	opMeta      = "GMETA"   // GMETA key metadataJSON
-	opMetaBatch = "GMETAB"  // GMETAB metadataJSON key1 key2 ... (batch writes)
+	// GREC metadata key value [key value ...]: a compliant write, whole —
+	// stored value, metadata with the one retention deadline (Expiry) and the
+	// key epoch — journaled by the engine in place of its own SET/SETEX
+	// (store.DB.SetRecorded), one per Put and one per touched shard of a
+	// PutBatch.
+	opRecord = "GREC"
+	// GMETA key metadata: a metadata-only update (Expire, an objection).
+	opMeta = "GMETA"
+	// GMETAB metadata key1 key2 ...: with SETEX/MSETEX + GMETA, how writes
+	// were journaled before GREC; replayed, no longer written.
+	opMetaBatch = "GMETAB"
 	opObject    = "GOBJ"    // GOBJ owner purpose
 	opUnobj     = "GUNOBJ"  // GUNOBJ owner purpose
 	opKey       = "GKEY"    // GKEY owner wrappedDataKey [epoch]
@@ -345,7 +355,10 @@ func (s *Store) Put(ctx Ctx, key string, value []byte, opts PutOptions) error {
 
 	// Retention bound (Art. 5 storage limitation): the tightest of the
 	// requested TTL, the purpose-based retention policy, and the default.
-	deadline := s.effectiveDeadline(opts, purposes)
+	// The clock is read once: the record has one creation time and one
+	// deadline, the one the engine enforces and the journal carries.
+	now := canonicalTime(s.cfg.Config.Clock.Now())
+	deadline := s.effectiveDeadline(now, opts, purposes)
 	if s.cfg.requireTTL && deadline.IsZero() {
 		return ErrNoTTL
 	}
@@ -381,7 +394,7 @@ func (s *Store) Put(ctx Ctx, key string, value []byte, opts PutOptions) error {
 		Expiry:             deadline,
 		Location:           loc,
 		AutomatedDecisions: opts.AutomatedDecisions,
-		Created:            s.cfg.Config.Clock.Now(),
+		Created:            now,
 	}
 	// Standing objections of this owner apply to new records immediately.
 	meta.Objections = append(meta.Objections, s.objectionsOfLocked(os, opts.Owner)...)
@@ -393,23 +406,18 @@ func (s *Store) Put(ctx Ctx, key string, value []byte, opts PutOptions) error {
 			return err
 		}
 		meta.KeyEpoch = epoch
-		if stored, err = c.Seal(nil, value, []byte(key)); err != nil {
+		// One buffer for the key (the sealing's associated data) and the
+		// ciphertext behind it.
+		buf := append(make([]byte, 0, len(key)+len(value)+cryptoutil.SealOverhead), key...)
+		if stored, err = c.Seal(buf[len(key):], value, buf); err != nil {
 			return err
 		}
 	}
 
-	if deadline.IsZero() {
-		s.db.Set(key, stored)
-	} else {
-		s.db.SetEX(key, stored, deadline.Sub(s.cfg.Config.Clock.Now()))
-	}
-	mb, err := meta.encode()
-	if err != nil {
-		return err
-	}
+	jerr := s.db.SetRecorded([]string{key}, [][]byte{stored}, deadline, opRecord, encodeMetadata(meta))
 	s.ix.put(key, meta)
-	if err := s.appendLog(opMeta, []byte(key), mb); err != nil {
-		return err
+	if jerr != nil {
+		return jerr
 	}
 	s.auditOp(audit.Record{
 		Actor: ctx.Actor, Op: "PUT", Key: key, Owner: opts.Owner,
@@ -617,17 +625,16 @@ func (s *Store) Expire(ctx Ctx, key string, ttl time.Duration) error {
 	if err := s.check(ctx, acl.OpWrite, owner, "EXPIRE", key); err != nil {
 		return err
 	}
-	if !s.db.Expire(key, ttl) {
+	deadline := canonicalTime(s.cfg.Config.Clock.Now().Add(ttl))
+	if !s.db.ExpireAt(key, deadline) {
 		return ErrNotFound
 	}
 	if m := s.ix.get(key); m != nil {
 		mm := *m
-		mm.Expiry = s.cfg.Config.Clock.Now().Add(ttl)
+		mm.Expiry = deadline
 		s.ix.put(key, &mm)
-		if mb, err := mm.encode(); err == nil {
-			if err := s.appendLog(opMeta, []byte(key), mb); err != nil {
-				return err
-			}
+		if err := s.appendLog(opMeta, []byte(key), encodeMetadata(&mm)); err != nil {
+			return err
 		}
 	}
 	s.auditOp(audit.Record{

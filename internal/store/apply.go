@@ -134,21 +134,29 @@ func (db *DB) Apply(name string, args [][]byte) error {
 // keyspace — an AOF rewrite or replica seed taken from it can be replayed
 // against the journal stream without losing or resurrecting keys.
 func (db *DB) Snapshot(emit func(name string, args ...[]byte) error) error {
+	return db.SnapshotRecords(func(key string, value []byte, deadline time.Time) error {
+		if deadline.IsZero() {
+			return emit("SET", []byte(key), value)
+		}
+		return emit("SETEX", []byte(key), EncodeDeadline(deadline), value)
+	})
+}
+
+// SnapshotRecords is the cut Snapshot takes, handed out as values instead of
+// commands: fn sees every live key with its stored value and its deadline
+// (zero: none), for a caller that writes its own record per key. The value
+// is lent, not copied; every shard is locked while fn runs.
+func (db *DB) SnapshotRecords(fn func(key string, value []byte, deadline time.Time) error) error {
 	db.lockAll()
 	defer db.unlockAll()
 	now := db.clk.Now()
 	for _, sh := range db.shards {
 		for k, v := range sh.dict {
-			if t, ok := sh.expires[k]; ok {
-				if !t.After(now) {
-					continue // expired: do not resurrect
-				}
-				if err := emit("SETEX", []byte(k), encodeDeadline(t), v); err != nil {
-					return err
-				}
-				continue
+			t, ok := sh.expires[k]
+			if ok && !t.After(now) {
+				continue // expired: do not resurrect
 			}
-			if err := emit("SET", []byte(k), v); err != nil {
+			if err := fn(k, v, t); err != nil {
 				return err
 			}
 		}

@@ -48,7 +48,7 @@ func (db *DB) expireAtLocked(sh *shard, key string, deadline time.Time) bool {
 		return true
 	}
 	db.setExpireLocked(sh, key, deadline)
-	db.jq.enqueue("EXPIREAT", []byte(key), encodeDeadline(deadline))
+	db.jq.enqueue("EXPIREAT", []byte(key), EncodeDeadline(deadline))
 	return true
 }
 

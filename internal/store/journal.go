@@ -5,10 +5,13 @@ import (
 	"sync/atomic"
 )
 
-// journalRec is one buffered journal record awaiting its group commit.
+// journalRec is one buffered journal record awaiting its group commit. A
+// non-zero ticket means the enqueuer collects the sink's error for it
+// (result), where every other record's error is dropped.
 type journalRec struct {
-	name string
-	args [][]byte
+	name   string
+	args   [][]byte
+	ticket uint64
 }
 
 // journalQueue decouples journal I/O from the shard locks. Mutating
@@ -38,9 +41,20 @@ type journalQueue struct {
 	// lock-free no-op on the common read path.
 	pendingN atomic.Int64
 
-	mu      sync.Mutex // guards pending and sink
+	mu      sync.Mutex // guards pending, sink and failed
 	pending []journalRec
 	sink    Journal
+	// spare is the drained batch, emptied, for pending to grow into next;
+	// writeMu guards it.
+	spare []journalRec
+
+	// failed holds the sink's error per ticket until result collects it.
+	// It is written before pendingN is lowered, so a flusher that returns
+	// finds its records' errors there; nfailed keeps the lookup off the
+	// path where nothing failed.
+	tickets atomic.Uint64
+	nfailed atomic.Int64
+	failed  map[uint64]error
 
 	writeMu sync.Mutex // serialises drains (held across Journal I/O)
 }
@@ -49,15 +63,61 @@ type journalQueue struct {
 // shard (or every shard lock, for cross-shard records such as FLUSHALL),
 // which fixes the order of records for any given key.
 func (q *journalQueue) enqueue(name string, args ...[]byte) {
+	q.enqueueTicket(0, name, args)
+}
+
+// enqueueTicket is enqueue for a record whose sink error the caller wants
+// back: ticket comes from q.tickets, and result(ticket) after flush
+// returns what the sink said about the records enqueued under it.
+func (q *journalQueue) enqueueTicket(ticket uint64, name string, args [][]byte) {
 	if !q.attached.Load() {
 		return
 	}
 	q.mu.Lock()
 	if q.sink != nil {
-		q.pending = append(q.pending, journalRec{name: name, args: args})
+		q.pending = append(q.pending, journalRec{name: name, args: args, ticket: ticket})
 		q.pendingN.Add(1)
 	}
 	q.mu.Unlock()
+}
+
+// result returns, once, the first error the sink reported for a record
+// enqueued under ticket. Call it after flush.
+func (q *journalQueue) result(ticket uint64) error {
+	if q.nfailed.Load() == 0 {
+		return nil
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	err, ok := q.failed[ticket]
+	if ok {
+		delete(q.failed, ticket)
+		q.nfailed.Add(-1)
+	}
+	return err
+}
+
+// drain hands batch to sink in order and lowers pendingN once all of it is
+// written. Callers hold writeMu.
+func (q *journalQueue) drain(sink Journal, batch []journalRec) {
+	if sink != nil {
+		for _, r := range batch {
+			err := sink.AppendOp(r.name, r.args...)
+			if err == nil || r.ticket == 0 {
+				continue
+			}
+			q.mu.Lock()
+			if _, dup := q.failed[r.ticket]; !dup {
+				if q.failed == nil {
+					q.failed = make(map[uint64]error)
+				}
+				q.failed[r.ticket] = err
+				q.nfailed.Add(1)
+			}
+			q.mu.Unlock()
+		}
+	}
+	q.pendingN.Add(-int64(len(batch)))
 }
 
 // active reports whether a journal is attached; mutating paths use it to
@@ -66,9 +126,10 @@ func (q *journalQueue) enqueue(name string, args ...[]byte) {
 func (q *journalQueue) active() bool { return q.attached.Load() }
 
 // flush drains every pending record to the sink, in enqueue order. Callers
-// must not hold any shard lock. Journal errors are dropped, as before: the
-// journal's own health API (e.g. the AOF's last-error) reports them, and
-// the engine keeps serving, as Redis does with appendfsync errors.
+// must not hold any shard lock. Journal errors are dropped unless the record
+// carries a ticket: the journal's own health API (e.g. the AOF's
+// last-error) reports them, and the engine keeps serving, as Redis does
+// with appendfsync errors.
 func (q *journalQueue) flush() {
 	if !q.attached.Load() || q.pendingN.Load() == 0 {
 		return
@@ -77,18 +138,14 @@ func (q *journalQueue) flush() {
 	defer q.writeMu.Unlock()
 	q.mu.Lock()
 	batch := q.pending
-	q.pending = nil
+	q.pending = q.spare
 	sink := q.sink
 	q.mu.Unlock()
-	if len(batch) == 0 {
-		return
+	if len(batch) > 0 {
+		q.drain(sink, batch)
 	}
-	if sink != nil {
-		for _, r := range batch {
-			_ = sink.AppendOp(r.name, r.args...)
-		}
-	}
-	q.pendingN.Add(-int64(len(batch)))
+	clear(batch) // drop the records' arguments
+	q.spare = batch[:0]
 }
 
 // multiJournal fans one record out to several sinks in order. It is the
@@ -150,10 +207,5 @@ func (q *journalQueue) set(j Journal) {
 	q.sink = j
 	q.attached.Store(j != nil)
 	q.mu.Unlock()
-	if old != nil {
-		for _, r := range batch {
-			_ = old.AppendOp(r.name, r.args...)
-		}
-	}
-	q.pendingN.Add(-int64(len(batch)))
+	q.drain(old, batch)
 }

@@ -292,9 +292,80 @@ func (db *DB) SetEX(key string, value []byte, ttl time.Duration) {
 	sh.mu.Lock()
 	sh.dict[key] = cloneBytes(value)
 	db.setExpireLocked(sh, key, deadline)
-	db.jq.enqueue("SETEX", []byte(key), encodeDeadline(deadline), value)
+	db.jq.enqueue("SETEX", []byte(key), EncodeDeadline(deadline), value)
 	sh.mu.Unlock()
 	db.jq.flush()
+}
+
+// SetRecorded stores each value under its key with one absolute deadline
+// (zero: none, clearing any TTL as Set does) and journals the caller's
+// record of the write in place of the engine's own SET/SETEX/MSET:
+// per touched shard, and under its lock where that record would have been
+// enqueued, `name head... key value [key value ...]` with the shard's pairs.
+// So the record keeps its key's place among the engine's other records
+// (an expiry DEL, a later SET) on every leg of the journal. The engine does
+// not read the record and Apply does not know its name: whoever replays the
+// journal claims it and installs the pairs with Restore. The journal's error
+// for these records is returned; the values are stored either way, as with
+// every engine write.
+func (db *DB) SetRecorded(keys []string, values [][]byte, deadline time.Time, name string, head ...[]byte) error {
+	if len(keys) == 0 {
+		return nil
+	}
+	journal := db.jq.active()
+	var ticket uint64
+	if journal {
+		ticket = db.jq.tickets.Add(1)
+	}
+	put := func(sh *shard, idxs []int) {
+		var args [][]byte
+		if journal {
+			args = append(make([][]byte, 0, len(head)+2*len(idxs)), head...)
+		}
+		sh.mu.Lock()
+		for _, i := range idxs {
+			db.installLocked(sh, keys[i], values[i], deadline)
+			if journal {
+				args = append(args, []byte(keys[i]), values[i])
+			}
+		}
+		if journal {
+			db.jq.enqueueTicket(ticket, name, args)
+		}
+		sh.mu.Unlock()
+	}
+	if len(keys) == 1 {
+		put(db.shardFor(keys[0]), []int{0})
+	} else {
+		for sh, idxs := range db.batchGroup(keys) {
+			put(sh, idxs)
+		}
+	}
+	if !journal {
+		return nil
+	}
+	db.jq.flush()
+	return db.jq.result(ticket)
+}
+
+// Restore installs value under key with an absolute deadline (zero: none)
+// without journaling it: the replay of one pair of a SetRecorded record.
+func (db *DB) Restore(key string, value []byte, deadline time.Time) {
+	sh := db.shardFor(key)
+	sh.mu.Lock()
+	db.installLocked(sh, key, value, deadline)
+	sh.mu.Unlock()
+}
+
+// installLocked stores a copy of value under key and sets or clears its
+// deadline. Callers hold sh.mu.
+func (db *DB) installLocked(sh *shard, key string, value []byte, deadline time.Time) {
+	sh.dict[key] = cloneBytes(value)
+	if deadline.IsZero() {
+		sh.removeExpireLocked(key)
+	} else {
+		db.setExpireLocked(sh, key, deadline)
+	}
 }
 
 // SetKeepTTL stores value under key preserving an existing TTL (Redis SET
@@ -345,36 +416,6 @@ func (db *DB) SetBatch(keys []string, values [][]byte) {
 		}
 		if journal {
 			db.jq.enqueue("MSET", args...)
-		}
-		sh.mu.Unlock()
-	}
-	db.jq.flush()
-}
-
-// SetBatchEX is SetBatch with one shared absolute retention deadline. It
-// journals one MSETEX record (carrying the deadline once) per touched
-// shard.
-func (db *DB) SetBatchEX(keys []string, values [][]byte, deadline time.Time) {
-	if len(keys) == 0 {
-		return
-	}
-	journal := db.jq.active()
-	encoded := encodeDeadline(deadline)
-	for sh, idxs := range db.batchGroup(keys) {
-		sh.mu.Lock()
-		var args [][]byte
-		if journal {
-			args = append(make([][]byte, 0, 2*len(idxs)+1), encoded)
-		}
-		for _, i := range idxs {
-			sh.dict[keys[i]] = cloneBytes(values[i])
-			db.setExpireLocked(sh, keys[i], deadline)
-			if journal {
-				args = append(args, []byte(keys[i]), values[i])
-			}
-		}
-		if journal {
-			db.jq.enqueue("MSETEX", args...)
 		}
 		sh.mu.Unlock()
 	}
@@ -633,7 +674,9 @@ func cloneBytes(b []byte) []byte {
 	return out
 }
 
-func encodeDeadline(t time.Time) []byte {
+// EncodeDeadline renders a deadline as the engine's journal records carry
+// it (SETEX/MSETEX/EXPIREAT).
+func EncodeDeadline(t time.Time) []byte {
 	return []byte(t.UTC().Format(time.RFC3339Nano))
 }
 

@@ -2,7 +2,10 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -53,11 +56,14 @@ func TestGetNoCopyLendsImmutableSlice(t *testing.T) {
 		"SetEX":      func(k string) { db.SetEX(k, []byte("new"), time.Hour) },
 		"SetKeepTTL": func(k string) { db.SetKeepTTL(k, []byte("new")) },
 		"SetBatch":   func(k string) { db.SetBatch([]string{k}, [][]byte{[]byte("new")}) },
-		"SetBatchEX": func(k string) { db.SetBatchEX([]string{k}, [][]byte{[]byte("new")}, vc.Now().Add(time.Hour)) },
-		"Apply":      func(k string) { _ = db.Apply("SET", [][]byte{[]byte(k), []byte("new")}) },
-		"Del":        func(k string) { db.Del(k) },
-		"expiry":     func(k string) { vc.Advance(2 * time.Minute) },
-		"FlushAll":   func(k string) { db.FlushAll() },
+		"SetRecorded": func(k string) {
+			_ = db.SetRecorded([]string{k}, [][]byte{[]byte("new")}, vc.Now().Add(time.Hour), "REC")
+		},
+		"Restore":  func(k string) { db.Restore(k, []byte("new"), time.Time{}) },
+		"Apply":    func(k string) { _ = db.Apply("SET", [][]byte{[]byte(k), []byte("new")}) },
+		"Del":      func(k string) { db.Del(k) },
+		"expiry":   func(k string) { vc.Advance(2 * time.Minute) },
+		"FlushAll": func(k string) { db.FlushAll() },
 	}
 	for name, mutate := range mutations {
 		db.SetEX(name, []byte("old"), time.Minute)
@@ -314,5 +320,115 @@ func TestStrategyString(t *testing.T) {
 		if got := s.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", s, got, want)
 		}
+	}
+}
+
+// SetRecorded journals the caller's record where the engine's own would
+// have gone: once per touched shard, with that shard's pairs, in the key's
+// order against the engine's other records for it. Restore replays a pair
+// without journaling.
+func TestSetRecordedJournalsCallersRecord(t *testing.T) {
+	db, vc := newTestDB()
+	var log []string
+	db.SetJournal(JournalFunc(func(name string, args ...[]byte) error {
+		log = append(log, name+" "+string(bytes.Join(args, []byte(" "))))
+		return nil
+	}))
+	deadline := vc.Now().Add(time.Hour)
+	if err := db.SetRecorded([]string{"k"}, [][]byte{[]byte("v1")}, deadline, "REC", []byte("head")); err != nil {
+		t.Fatal(err)
+	}
+	db.Del("k")
+	if err := db.SetRecorded([]string{"k"}, [][]byte{[]byte("v2")}, time.Time{}, "REC", []byte("h1"), []byte("h2")); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"REC head k v1", "DEL k", "REC h1 h2 k v2"}
+	if !slices.Equal(log, want) {
+		t.Fatalf("journal = %q, want %q", log, want)
+	}
+	if _, has := db.Deadline("k"); has {
+		t.Fatal("a zero deadline did not clear the TTL")
+	}
+
+	log = nil
+	keys := make([]string, 40)
+	vals := make([][]byte, len(keys))
+	for i := range keys {
+		keys[i], vals[i] = fmt.Sprintf("batch%02d", i), []byte(fmt.Sprintf("val%02d", i))
+	}
+	if err := db.SetRecorded(keys, vals, deadline, "REC", []byte("head")); err != nil {
+		t.Fatal(err)
+	}
+	if len(log) < 2 || len(log) > db.ShardCount() {
+		t.Fatalf("%d records for a batch over %d shards", len(log), db.ShardCount())
+	}
+	seen := map[string]string{}
+	for _, rec := range log {
+		f := strings.Fields(rec)
+		if f[0] != "REC" || f[1] != "head" || len(f)%2 != 0 {
+			t.Fatalf("record %q", rec)
+		}
+		first := db.shardFor(f[2])
+		for i := 2; i < len(f); i += 2 {
+			if db.shardFor(f[i]) != first {
+				t.Fatalf("record %q spans shards", rec)
+			}
+			seen[f[i]] = f[i+1]
+		}
+	}
+	for i, k := range keys {
+		if seen[k] != string(vals[i]) {
+			t.Fatalf("journal holds %q for %s", seen[k], k)
+		}
+		if v, ok := db.Get(k); !ok || !bytes.Equal(v, vals[i]) {
+			t.Fatalf("engine holds %q for %s", v, k)
+		}
+		if dl, has := db.Deadline(k); !has || !dl.Equal(deadline) {
+			t.Fatalf("deadline of %s = %v, %v", k, dl, has)
+		}
+	}
+
+	log = nil
+	db.Restore("restored", []byte("v"), deadline)
+	if dl, has := db.Deadline("restored"); !has || !dl.Equal(deadline) || len(log) != 0 {
+		t.Fatalf("Restore: deadline %v (%v), journaled %q", dl, has, log)
+	}
+}
+
+// The journal's error for a SetRecorded record comes back to its caller and
+// to nobody else.
+func TestSetRecordedReturnsJournalError(t *testing.T) {
+	db, _ := newTestDB()
+	boom := errors.New("disk full")
+	db.SetJournal(JournalFunc(func(name string, args ...[]byte) error {
+		if name == "REC" && string(args[len(args)-1]) == "bad" {
+			return boom
+		}
+		return nil
+	}))
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				val, want := "good", error(nil)
+				if (i+g)%3 == 0 {
+					val, want = "bad", boom
+				}
+				k := fmt.Sprintf("k%d-%d", g, i)
+				if err := db.SetRecorded([]string{k}, [][]byte{[]byte(val)}, time.Time{}, "REC"); err != want {
+					t.Errorf("%s (%s): err %v, want %v", k, val, err, want)
+				}
+				db.Set(k+"x", []byte("v")) // untracked records pass through
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := db.jq.nfailed.Load(); n != 0 || len(db.jq.failed) != 0 {
+		t.Fatalf("%d uncollected journal errors", n)
+	}
+	if v, ok := db.Get("k0-0"); !ok || string(v) != "bad" {
+		t.Fatal("the value of a write whose journaling failed was not stored")
 	}
 }
