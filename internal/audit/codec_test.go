@@ -265,8 +265,8 @@ func TestScanRejectsDamageBeforeTheTail(t *testing.T) {
 	}
 }
 
-// TestEncodeBatchAllocs is the allocation budget of the worker's encode
-// step: a full claim into the buffer the worker owns, nothing once the
+// TestEncodeBatchAllocs is the allocation budget of the drainer's encode
+// step: a full claim into the buffer the drainer owns, nothing once the
 // buffer has grown.
 func TestEncodeBatchAllocs(t *testing.T) {
 	recs := make([]Record, workerBatch)

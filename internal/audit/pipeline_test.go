@@ -56,16 +56,17 @@ func (s *countSink) covered() uint64 {
 }
 
 // TestDrainOnCloseUnderLoad closes the trail while many goroutines append.
-// Every append that was acknowledged must be on disk after Close, and Close
-// must finish within the drain bound.
+// Every append that returned nil must be in the file after Close, by its
+// own sequence number, and Close must finish within the drain bound.
 func TestDrainOnCloseUnderLoad(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "audit.log")
-	tr, err := Open(Options{Path: path, Mode: SyncBatched, Workers: 4})
+	tr, err := Open(Options{Path: path, Mode: SyncBatched})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const appenders = 8
-	var acked atomic.Uint64
+	var ackedMu sync.Mutex
+	var acked []uint64
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for i := 0; i < appenders; i++ {
@@ -78,14 +79,17 @@ func TestDrainOnCloseUnderLoad(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := tr.Append(Record{Actor: "load", Op: "GET", Outcome: OutcomeOK}); err != nil {
+				r, err := tr.Append(Record{Actor: "load", Op: "GET", Outcome: OutcomeOK})
+				if err != nil {
 					if errors.Is(err, ErrClosed) {
 						return
 					}
 					t.Errorf("append: %v", err)
 					return
 				}
-				acked.Add(1)
+				ackedMu.Lock()
+				acked = append(acked, r.Seq)
+				ackedMu.Unlock()
 			}
 		}()
 	}
@@ -102,12 +106,14 @@ func TestDrainOnCloseUnderLoad(t *testing.T) {
 		t.Fatalf("close took %v, want < %v", closeTime, defaultDrainTimeout)
 	}
 
-	var onDisk int
-	if err := scanFile(path, nil, func(Record) error { onDisk++; return nil }); err != nil {
+	onDisk := make(map[uint64]bool)
+	if err := scanFile(path, nil, func(r Record) error { onDisk[r.Seq] = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if uint64(onDisk) < acked.Load() {
-		t.Fatalf("acked %d appends but only %d on disk after close", acked.Load(), onDisk)
+	for _, seq := range acked {
+		if !onDisk[seq] {
+			t.Fatalf("append %d was acknowledged but is not in the file after close (%d acked, %d on disk)", seq, len(acked), len(onDisk))
+		}
 	}
 	st := tr.Stats()
 	if st.Processed != st.Enqueued {
@@ -122,7 +128,7 @@ func TestDrainOnCloseUnderLoad(t *testing.T) {
 func TestDropPolicyCounters(t *testing.T) {
 	slow := &slowSink{delay: 200 * time.Microsecond}
 	tr, err := Open(Options{
-		Mode: SyncNone, Workers: 1, QueueDepth: 4, MemoryCap: -1,
+		Mode: SyncNone, QueueDepth: 4, MemoryCap: -1,
 		Backpressure: BackpressureDrop, ExtraSinks: []Sink{slow},
 	})
 	if err != nil {
@@ -178,7 +184,7 @@ func TestDropPolicyCounters(t *testing.T) {
 func TestStrictFsyncBeforeAck(t *testing.T) {
 	cs := &countSink{}
 	tr, err := Open(Options{
-		Mode: SyncEveryOp, Workers: 2, MemoryCap: -1, ExtraSinks: []Sink{cs},
+		Mode: SyncEveryOp, MemoryCap: -1, ExtraSinks: []Sink{cs},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -434,16 +440,11 @@ func TestInvalidSocketSpec(t *testing.T) {
 }
 
 // TestCloseReturnsDrainTimeout verifies a wedged sink bounds Close.
-type stuckSink struct{ release chan struct{} }
-
-func (s *stuckSink) Write([]Record, []byte) error { <-s.release; return nil }
-func (s *stuckSink) Sync() error                  { return nil }
-func (s *stuckSink) Close() error                 { return nil }
-
 func TestCloseReturnsDrainTimeout(t *testing.T) {
-	stuck := &stuckSink{release: make(chan struct{})}
+	stuck := newGateSink()
+	stuck.writeGate = make(chan struct{})
 	tr, err := Open(Options{
-		Mode: SyncNone, Workers: 1, MemoryCap: -1,
+		Mode: SyncNone, MemoryCap: -1,
 		ExtraSinks: []Sink{stuck}, DrainTimeout: 50 * time.Millisecond,
 	})
 	if err != nil {
@@ -460,7 +461,7 @@ func TestCloseReturnsDrainTimeout(t *testing.T) {
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("close took %v despite 50ms drain timeout", d)
 	}
-	close(stuck.release)
+	close(stuck.writeGate)
 }
 
 // TestBlockPolicyLosesNothing saturates a tiny queue under the Block policy
@@ -468,7 +469,7 @@ func TestCloseReturnsDrainTimeout(t *testing.T) {
 func TestBlockPolicyLosesNothing(t *testing.T) {
 	slow := &slowSink{delay: 50 * time.Microsecond}
 	tr, err := Open(Options{
-		Mode: SyncNone, Workers: 2, QueueDepth: 2, MemoryCap: -1,
+		Mode: SyncNone, QueueDepth: 2, MemoryCap: -1,
 		Backpressure: BackpressureBlock, ExtraSinks: []Sink{slow},
 	})
 	if err != nil {

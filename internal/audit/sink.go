@@ -11,14 +11,14 @@ import (
 	"gdprstore/internal/cryptoutil"
 )
 
-// Sink consumes audit records. The pipeline's workers call Write once per
+// Sink consumes audit records. The pipeline's drainer calls Write once per
 // claim (up to 64 records) with both the records and their trail-file
 // encoding (codec.go: the frames, back to back), so in-engine sinks keep
 // the structs, the file sink appends the bytes in one write, and an export
 // sink renders whatever its consumer was promised (Record.AppendJSON). Both
-// slices belong to the worker and are reused after Write returns.
-// Implementations must be safe for concurrent use: the pipeline may run
-// several workers against one sink.
+// slices belong to the drainer and are reused after Write returns.
+// Implementations must be safe for concurrent use: Write comes from the one
+// drainer, in sequence order, but Trail.Sync and queries run beside it.
 type Sink interface {
 	// Write appends one batch of records, all or none.
 	Write(recs []Record, enc []byte) error
@@ -150,12 +150,11 @@ func (s *FileSink) Syncs() uint64 {
 // Path returns the trail file path.
 func (s *FileSink) Path() string { return s.path }
 
-// recoverTailWindow bounds how far back RecoverLastSeq reads. The file is
-// not in sequence order (DESIGN.md §17): a record can be followed by records
-// with lower numbers, but only by those that already had their number when
-// it was dequeued — the claims other workers held (64 records each) and
-// appends that raced it into the queue. Records are around a hundred bytes,
-// so the highest number sits well inside the final megabyte.
+// recoverTailWindow bounds how far back RecoverLastSeq reads. What this
+// version writes is in sequence order, but a file begun by an earlier one
+// is not (DESIGN.md §17): there a record can be followed by a few dozen
+// records with lower numbers. Records are around a hundred bytes, so the
+// highest number sits well inside the final megabyte.
 const recoverTailWindow = 1 << 20
 
 // RecoverLastSeq returns the highest sequence number persisted in the

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// Socket sink tuning. Dial and write bound how long a worker can stall on
+// Socket sink tuning. Dial and write bound how long the drainer can stall on
 // a dead collector; the backoff caps how hard a flapping collector is
 // re-dialled.
 const (

@@ -9,9 +9,9 @@ import (
 )
 
 // TestPipelineStress exercises every moving part of the pipeline at once —
-// concurrent appenders across policies, queries racing the workers, stat
+// concurrent appenders across policies, queries racing the drainer, stat
 // snapshots, and a Close racing it all — primarily for the CI race job
-// (`go test -race ./...`), which runs it against the full worker pool.
+// (`go test -race ./...`).
 func TestPipelineStress(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -26,7 +26,6 @@ func TestPipelineStress(t *testing.T) {
 			tr, err := Open(Options{
 				Path:         filepath.Join(t.TempDir(), "audit.log"),
 				Mode:         tc.mode,
-				Workers:      4,
 				QueueDepth:   64,
 				Backpressure: tc.policy,
 				MaskKey:      []byte("stress-mask"),
@@ -58,7 +57,7 @@ func TestPipelineStress(t *testing.T) {
 					}
 				}()
 			}
-			// Readers racing the workers.
+			// Readers racing the drainer.
 			for i := 0; i < 2; i++ {
 				wg.Add(1)
 				go func() {

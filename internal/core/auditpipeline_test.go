@@ -73,19 +73,15 @@ func TestMaskedAuditRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAuditPipelineConfigWiring checks the new config knobs reach the
-// pipeline: worker count, queue depth and back-pressure policy show up in
-// the trail's stats.
+// TestAuditPipelineConfigWiring checks the config knobs reach the
+// pipeline: queue depth and back-pressure policy show up in the trail's
+// stats.
 func TestAuditPipelineConfigWiring(t *testing.T) {
 	s := newFullStore(t, func(c *Config) {
-		c.AuditWorkers = 3
 		c.AuditQueueDepth = 128
 		c.AuditBackpressure = Ptr(audit.BackpressureDrop)
 	})
 	st := s.Trail().Stats()
-	if st.Workers != 3 {
-		t.Fatalf("workers = %d, want 3", st.Workers)
-	}
 	if st.QueueCap != 128 {
 		t.Fatalf("queue cap = %d, want 128", st.QueueCap)
 	}

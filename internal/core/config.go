@@ -106,11 +106,8 @@ type Config struct {
 	// now has to be followed by a logging-write operation"); nil derives
 	// from Capability (full → true).
 	AuditReads *bool
-	// AuditWorkers is the audit pipeline's worker-goroutine count
-	// (0 = pipeline default).
-	AuditWorkers int
-	// AuditQueueDepth bounds the audit pipeline's enqueue ring
-	// (0 = pipeline default).
+	// AuditQueueDepth bounds the records the audit pipeline holds
+	// accepted and not yet written (0 = pipeline default).
 	AuditQueueDepth int
 	// AuditBackpressure overrides the full-queue policy; nil derives
 	// Block (shedding audit records is an explicit opt-in, whatever the

@@ -191,7 +191,6 @@ func Open(cfg Config) (*Store, error) {
 			Mode:         n.auditMode,
 			Key:          n.AtRestKey,
 			Clock:        n.Config.Clock,
-			Workers:      n.AuditWorkers,
 			QueueDepth:   n.AuditQueueDepth,
 			Backpressure: n.auditBP,
 			DrainTimeout: n.AuditDrainTimeout,

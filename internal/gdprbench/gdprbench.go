@@ -163,8 +163,8 @@ func (r Result) String() string {
 		s += fmt.Sprintf("\n  %-16s %s", op, snap.String())
 	}
 	if a := r.Audit; a != nil {
-		s += fmt.Sprintf("\n  audit: mode=%s policy=%s workers=%d queue=%d/%d enqueued=%d processed=%d dropped=%d sink_errors=%d syncs=%d",
-			a.Mode, a.Policy, a.Workers, a.QueueDepth, a.QueueCap,
+		s += fmt.Sprintf("\n  audit: mode=%s policy=%s queue=%d/%d enqueued=%d processed=%d dropped=%d sink_errors=%d syncs=%d",
+			a.Mode, a.Policy, a.QueueDepth, a.QueueCap,
 			a.Enqueued, a.Processed, a.Dropped, a.SinkErrors, a.Syncs)
 	}
 	if r.OpsObserved != nil {

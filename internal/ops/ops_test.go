@@ -207,6 +207,41 @@ func TestInfoParity(t *testing.T) {
 	}
 }
 
+// TestAuditQueueGauges: INFO audit and /metrics report the pipeline's
+// queue as depth against capacity (their ratio is the pressure an operator
+// alerts on; internal/audit's held-sink test drives it to 1.0), the
+// capacity is the configured AuditQueueDepth, and the worker count that
+// used to sit beside them is gone with the workers.
+func TestAuditQueueGauges(t *testing.T) {
+	cfg := fullConfig()
+	cfg.AuditQueueDepth = 128
+	o, c := startOps(t, cfg)
+	if err := c.Set(context.Background(), "k1", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	status, body := opsGET(t, o, "/info/audit")
+	if status != http.StatusOK {
+		t.Fatalf("/info/audit status %d", status)
+	}
+	var sec map[string]string
+	if err := json.Unmarshal(body, &sec); err != nil {
+		t.Fatalf("/info/audit not JSON: %v\n%s", err, body)
+	}
+	if sec["audit_queue_cap"] != "128" {
+		t.Errorf("audit_queue_cap = %q, want 128", sec["audit_queue_cap"])
+	}
+	if _, ok := sec["audit_queue_depth"]; !ok {
+		t.Error("audit_queue_depth missing from INFO audit")
+	}
+	if _, ok := sec["audit_workers"]; ok {
+		t.Error("audit_workers still in INFO audit")
+	}
+	_, body = opsGET(t, o, "/metrics")
+	if !strings.Contains(string(body), "\ngdprkv_audit_queue_capacity 128\n") {
+		t.Errorf("/metrics does not report the queue capacity as 128:\n%s", body)
+	}
+}
+
 func TestMetricsUnderConcurrentTraffic(t *testing.T) {
 	o, c := startOps(t, fullConfig())
 	ctx := context.Background()

@@ -152,7 +152,6 @@ func (s *Server) auditFields() []InfoField {
 		fbool("audit_enabled", true),
 		fstr("audit_mode", st.Mode.String()),
 		fstr("audit_backpressure", st.Policy.String()),
-		fint("audit_workers", st.Workers),
 		fint("audit_queue_depth", st.QueueDepth),
 		fint("audit_queue_cap", st.QueueCap),
 		fuint("audit_seq", st.Seq),
