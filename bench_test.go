@@ -181,11 +181,12 @@ func benchFsync(b *testing.B, policy aof.SyncPolicy, journalReads bool) {
 		st.Engine().Set(ycsb.KeyName(int64(i)), val)
 	}
 	rng := rand.New(rand.NewSource(1))
+	now := time.Now()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		key := ycsb.KeyName(rng.Int63n(benchRecords))
 		if i%2 == 0 {
-			st.Engine().GetNoCopy(key)
+			st.Engine().GetNoCopy(key, now)
 		} else {
 			st.Engine().Set(key, val)
 		}
@@ -796,12 +797,13 @@ func BenchmarkEngine_GetParallel(b *testing.B) {
 	}
 	var worker atomic.Int64
 	benchGoroutines(b)
+	now := time.Now()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		id := worker.Add(1)%8 + 1
 		i := 0
 		for pb.Next() {
-			db.GetNoCopy(fmt.Sprintf("w%d-%d", id, i%benchRecords))
+			db.GetNoCopy(fmt.Sprintf("w%d-%d", id, i%benchRecords), now)
 			i++
 		}
 	})
@@ -929,9 +931,10 @@ func BenchmarkEngine_Get(b *testing.B) {
 	for i := 0; i < benchRecords; i++ {
 		db.Set(ycsb.KeyName(int64(i)), val)
 	}
+	now := time.Now()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		db.GetNoCopy(ycsb.KeyName(int64(i % benchRecords)))
+		db.GetNoCopy(ycsb.KeyName(int64(i%benchRecords)), now)
 	}
 }
 

@@ -13,7 +13,8 @@
 // one audit record per batch instead of per key.
 //
 // The storage engine is lock-striped into power-of-two shards (FNV-1a key
-// routing), each owning its own dict, expires dict and expiry machinery,
+// routing), each owning its own dict (one entry per key: value, deadline,
+// sampling slot) and expiry machinery,
 // with journal records group-committed outside the shard locks; the
 // compliance layer mirrors the design with per-owner and per-key lock
 // stripes, so operations on independent keys and data subjects scale with

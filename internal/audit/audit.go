@@ -150,9 +150,10 @@ type Options struct {
 	Key []byte
 	// Clock supplies record timestamps; defaults to the wall clock.
 	Clock clock.Clock
-	// MemoryCap bounds the in-memory tail kept for fast queries; older
-	// records remain on disk. Default 1<<16 records, 0 means default;
-	// negative means keep nothing in memory.
+	// MemoryCap bounds the in-memory ring a trail without a Path keeps for
+	// queries. Default 1<<16 records, 0 means default; negative means keep
+	// nothing. A trail with a file keeps no ring: its queries read the
+	// file, which is complete, and never looked at one.
 	MemoryCap int
 	// QueueDepth bounds the records accepted and not yet written (default
 	// 4096).
@@ -163,7 +164,7 @@ type Options struct {
 	// before any sink sees the record (mask.go). Engine-side queries
 	// resolve pseudonyms through the in-memory reverse table.
 	MaskKey []byte
-	// ExtraSinks are appended after the file and memory sinks — e.g. a
+	// ExtraSinks are appended after the file or memory sink — e.g. a
 	// SocketSink exporting the trail to an external collector.
 	ExtraSinks []Sink
 	// DrainTimeout bounds how long Close waits for the queue to drain
@@ -244,14 +245,15 @@ func Open(opts Options) (*Trail, error) {
 	t.sinkErrors = t.counters.Get("sink_errors")
 	t.masked = t.counters.Get("masked")
 
-	memCap := opts.MemoryCap
-	if memCap == 0 {
-		memCap = 1 << 16
-	}
-	if memCap > 0 {
-		t.mem = NewMemSink(memCap)
-	}
-	if opts.Path != "" {
+	if opts.Path == "" {
+		memCap := opts.MemoryCap
+		if memCap == 0 {
+			memCap = 1 << 16
+		}
+		if memCap > 0 {
+			t.mem = NewMemSink(memCap)
+		}
+	} else {
 		fs, err := NewFileSink(opts.Path, opts.Key)
 		if err != nil {
 			return nil, err

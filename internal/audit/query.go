@@ -57,13 +57,13 @@ func (f Filter) Match(r Record) bool {
 
 // Query returns matching records in sequence order, which the file does not
 // promise (DESIGN.md §17): it sorts whatever it collected. It serves from the
-// durable file when the trail is file-backed (so results are complete
-// even past the memory cap), falling back to the in-memory ring
-// otherwise. The pipeline is drained first so a query observes every
-// record appended before the call, and pseudonymized fields are resolved
-// back through the engine-held masker table — the query path is inside
-// the engine, so filters match on real keys and owners while every sink
-// (and the file itself) holds pseudonyms only.
+// durable file when the trail is file-backed (so results are complete),
+// and from the in-memory ring, the only copy, when it is not. The pipeline
+// is drained first so a query observes every record appended before the
+// call, and pseudonymized fields are resolved back through the engine-held
+// masker table — the query path is inside the engine, so filters match on
+// real keys and owners while every sink (and the file itself) holds
+// pseudonyms only.
 func (t *Trail) Query(f Filter) ([]Record, error) {
 	var out []Record
 	err := t.Scan(func(r Record) error {

@@ -193,8 +193,8 @@ func RecoverLastSeq(path string, key []byte) (uint64, error) {
 }
 
 // MemSink keeps a bounded ring of the most recent records in memory — the
-// in-engine sink query.go serves from when the trail has no file, and the
-// fast tail for diagnostics when it does.
+// in-engine sink query.go serves from when the trail has no file. A trail
+// with a file composes none: its queries read the file.
 type MemSink struct {
 	mu  sync.Mutex
 	buf []Record

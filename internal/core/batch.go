@@ -233,9 +233,7 @@ func (s *Store) getLocked(ctx Ctx, key string, oc *ownerCipher) (value []byte, o
 	owner = meta.owner()
 	if meta != nil {
 		if oc.owner != owner || (oc.sealed && !s.keyring.RecordLive(owner, oc.epoch)) {
-			if *oc, err = s.ownerCipherFor(owner); err != nil {
-				return nil, owner, err
-			}
+			*oc = s.ownerCipherFor(owner)
 		}
 		if !oc.live(meta) {
 			// Crypto-erased but not yet reclaimed by the sweep: the record

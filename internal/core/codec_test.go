@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -15,7 +16,6 @@ import (
 
 	"gdprstore/internal/acl"
 	"gdprstore/internal/aof"
-	"gdprstore/internal/audit"
 	"gdprstore/internal/clock"
 )
 
@@ -471,7 +471,7 @@ func ownerDump(t *testing.T, s *Store) string {
 
 // TestWriteAllocBudgets bounds the allocations of the compliant hot path
 // with everything on (envelope encryption, journal, audit trail on disk):
-// a Put, and a Get that is audited.
+// a Put, and a Get that is audited, of an owner whose cipher is cached.
 func TestWriteAllocBudgets(t *testing.T) {
 	dir := t.TempDir()
 	cfg := EventualFull(filepath.Join(dir, "audit.log"))
@@ -493,13 +493,6 @@ func TestWriteAllocBudgets(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Fill the trail's in-memory ring first: it grows by appending.
-	for i := 0; i < 1<<17; i++ {
-		s.auditOp(audit.Record{Actor: "app", Op: "WARM", Outcome: audit.OutcomeOK})
-	}
-	if err := s.Trail().Sync(); err != nil {
-		t.Fatal(err)
-	}
 	i := 0
 	puts := testing.AllocsPerRun(2000, func() {
 		if err := s.Put(ctx, keys[i%len(keys)], val, opts); err != nil {
@@ -514,10 +507,65 @@ func TestWriteAllocBudgets(t *testing.T) {
 		i++
 	})
 	t.Logf("allocations: Put %.1f, audited Get %.1f", puts, gets)
-	if puts > 18 {
-		t.Errorf("compliant Put allocates %.1f times, budget 18 (the two-record JSON path: 25)", puts)
+	// Measured 9 and 3 with the owner's cipher served by the keyring's cache;
+	// building it per call (aes.NewCipher, cipher.NewGCM, the key copy) made
+	// them 12 and 6.
+	if puts > 10 {
+		t.Errorf("compliant Put allocates %.1f times, budget 10", puts)
 	}
-	if gets > 9 {
-		t.Errorf("audited Get allocates %.1f times, budget 9", gets)
+	if gets > 4 {
+		t.Errorf("audited Get allocates %.1f times, budget 4", gets)
+	}
+	if hits, misses := s.keyring.CipherStats(); misses != 1 || hits == 0 {
+		t.Errorf("one owner's cipher was built %d times and served from the cache %d times, want built once", misses, hits)
+	}
+}
+
+// TestResidentBytesPerRecord bounds what one stored record costs in live
+// heap under the repo benchmark's configuration (EventualFull, envelope
+// encryption, AOF and trail on disk, 1 h TTL, 108 B of key and value, ten
+// records per owner): engine entry, metadata, both indexes, the owner's key
+// and its share of the keyring's cipher cache. The engine's RAM is its
+// capacity, so this is the number a GDPR feature is charged in.
+func TestResidentBytesPerRecord(t *testing.T) {
+	const records, perOwner = 20_000, 10
+	// Measured 683 B. With two more maps per engine shard and an in-memory
+	// ring beside the trail file (20 000 of its 65 536 records filled here)
+	// the same load measured 895 B.
+	const budget = 683 * 110 / 100
+
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	dir := t.TempDir()
+	cfg := EventualFull(filepath.Join(dir, "audit.log"))
+	cfg.AOFPath = filepath.Join(dir, "store.aof")
+	cfg.Envelope, cfg.MasterKey = true, bytes.Repeat([]byte{1}, 32)
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.ACL().AddPrincipal(acl.Principal{ID: "app", Role: acl.RoleController})
+	ctx := Ctx{Actor: "app", Purpose: "service"}
+	val := bytes.Repeat([]byte("x"), 100)
+	before := heap()
+	for i := 0; i < records; i++ {
+		opts := PutOptions{Owner: fmt.Sprintf("u%05d", i%(records/perOwner)), TTL: time.Hour}
+		if err := s.Put(ctx, fmt.Sprintf("k%07d", i), val, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Trail().Sync(); err != nil {
+		t.Fatal(err)
+	}
+	perRecord := (heap() - before) / records
+	t.Logf("resident heap: %d B per 108 B record", perRecord)
+	if perRecord > budget {
+		t.Errorf("a stored record holds %d B of heap, budget %d", perRecord, budget)
 	}
 }

@@ -6,12 +6,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"gdprstore/internal/aof"
 	"gdprstore/internal/clock"
+	"gdprstore/internal/cryptoutil"
 )
 
 // Tests for O(1) erasure via crypto-shredding: the FORGETUSER fast path
@@ -398,5 +401,143 @@ func TestErasureConcurrentStress(t *testing.T) {
 	s.DrainErasure()
 	if st := s.ErasureStats(); st.PendingOwners != 0 {
 		t.Fatalf("stress left pending owners: %+v", st)
+	}
+}
+
+// TestCipherCacheForget: the keyring serves a hot owner's prepared cipher
+// from its cache, and an acknowledged Forget ends that: the owner's records
+// read as gone, no read builds or finds a cipher for them, and the data
+// written after reinstatement is sealed under a new key that the old
+// ciphertext does not open.
+func TestCipherCacheForget(t *testing.T) {
+	s, err := Open(erasureCfg(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := Ctx{Actor: "app", Purpose: "service"}
+	keys := putOwnerKeys(t, s, "alice", 8)
+	for _, k := range keys {
+		if _, err := s.Get(ctx, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hits, misses := s.keyring.CipherStats(); misses != 1 || hits != 15 {
+		t.Fatalf("8 Puts and 8 Gets of one owner: cipher built %d times, cached %d, want 1 and 15", misses, hits)
+	}
+	if _, err := s.Forget(Ctx{Actor: "alice"}, "alice"); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		if v, err := s.Get(ctx, k); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Get %s after Forget = %q, %v", k, v, err)
+		}
+	}
+	if recs, err := s.GetUser(Ctx{Actor: "alice"}, "alice"); err != nil || len(recs) != 0 {
+		t.Fatalf("GetUser after Forget = %d records, %v", len(recs), err)
+	}
+	if err := s.Put(ctx, keys[0], []byte("again"), PutOptions{Owner: "alice"}); !errors.Is(err, ErrErased) {
+		t.Fatalf("Put for an erased owner = %v, want ErrErased", err)
+	}
+	if hits, misses := s.keyring.CipherStats(); misses != 1 || hits != 15 {
+		t.Fatalf("reads and a write of an erased owner touched the cipher cache: built %d, cached %d", misses, hits)
+	}
+	if err := s.Reinstate(Ctx{Actor: "admin"}, "alice"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(ctx, "alice:new", []byte("fresh"), PutOptions{Owner: "alice", Purposes: []string{"service"}}); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := s.Get(ctx, "alice:new"); err != nil || string(v) != "fresh" {
+		t.Fatalf("Get after reinstatement = %q, %v", v, err)
+	}
+	if _, misses := s.keyring.CipherStats(); misses != 2 {
+		t.Fatalf("the reinstated owner's new key was prepared %d times in all, want 2", misses)
+	}
+}
+
+// TestCipherCacheForgetDrill: four goroutines Put, Get and GetUser one
+// owner's records through the cached cipher while a fifth erases and
+// reinstates the owner, each time rewriting a marker record with the number
+// of the erasure it follows. A read that began after erasure n was
+// acknowledged never returns a marker older than n, and nothing ever fails
+// to open: a record is sealed by the key of the epoch it is stamped with.
+// Run under -race.
+func TestCipherCacheForgetDrill(t *testing.T) {
+	s, err := Open(erasureCfg(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := Ctx{Actor: "app", Purpose: "service"}
+	opts := PutOptions{Owner: "alice", Purposes: []string{"service"}}
+	const marker, rounds, reads = "alice:marker", 150, 1000
+	var acked atomic.Int64  // erasures acknowledged so far
+	var looped atomic.Int64 // passes the readers have made
+	var stop atomic.Bool
+
+	check := func(what string, floor int64, v []byte, err error) {
+		switch {
+		case errors.Is(err, cryptoutil.ErrCorrupt):
+			t.Errorf("%s: %v: a record was sealed under a key other than its epoch's", what, err)
+		case err != nil:
+			// Erased, or not rewritten yet.
+		default:
+			if n, perr := strconv.ParseInt(string(v), 10, 64); perr != nil || n < floor {
+				t.Errorf("%s began after erasure %d was acknowledged and returned marker %q", what, floor, v)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			mine := fmt.Sprintf("alice:w%d", g)
+			for ; !stop.Load(); looped.Add(1) {
+				// ErrErased between a Forget and its Reinstate is expected.
+				if err := s.Put(ctx, mine, []byte("0"), opts); err != nil && !errors.Is(err, ErrErased) {
+					t.Error(err)
+					return
+				}
+				_, err := s.Get(ctx, mine)
+				check("Get "+mine, 0, []byte("0"), err)
+
+				floor := acked.Load()
+				v, err := s.Get(ctx, marker)
+				check("Get", floor, v, err)
+
+				floor = acked.Load()
+				recs, err := s.GetUser(Ctx{Actor: "alice"}, "alice")
+				if err != nil {
+					check("GetUser", floor, nil, err)
+				}
+				for _, r := range recs {
+					if r.Key == marker {
+						check("GetUser", floor, r.Value, nil)
+					}
+				}
+			}
+		}(g)
+	}
+	// At least so many erasures, and as many more as it takes for the
+	// readers to have raced them.
+	n := int64(1)
+	for ; n <= rounds || looped.Load() < reads; n++ {
+		if _, err := s.Forget(Ctx{Actor: "alice"}, "alice"); err != nil {
+			t.Fatal(err)
+		}
+		acked.Store(n)
+		if err := s.Reinstate(Ctx{Actor: "admin"}, "alice"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put(ctx, marker, []byte(strconv.FormatInt(n, 10)), opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if hits, misses := s.keyring.CipherStats(); int64(misses) < n-1 || hits == 0 {
+		t.Errorf("cipher built %d times over %d key generations, cached %d", misses, n-1, hits)
 	}
 }

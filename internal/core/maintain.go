@@ -231,6 +231,10 @@ type ErasureStats struct {
 	// SweeperRunning reports whether the background sweeper goroutine is
 	// active.
 	SweeperRunning bool
+	// CipherHits and CipherMisses count the keyring's prepared-cipher
+	// lookups served from its cache and those that built a cipher: the hit
+	// rate that justifies the cache's size.
+	CipherHits, CipherMisses uint64
 }
 
 // ErasureStats reports the current crypto-shredding/sweep state.
@@ -241,6 +245,7 @@ func (s *Store) ErasureStats() ErasureStats {
 	}
 	st.Enabled = true
 	st.ShreddedOwners = s.keyring.ShredCount()
+	st.CipherHits, st.CipherMisses = s.keyring.CipherStats()
 	now := s.cfg.Config.Clock.Now()
 	s.erasure.mu.Lock()
 	st.PendingOwners = len(s.erasure.pending)

@@ -74,10 +74,7 @@ func (s *Store) DumpForMigration(key string) (rec MigrationRecord, raw []byte, o
 	raw = v
 	if s.cfg.Compliant {
 		if m := s.metaLive(key); m != nil {
-			oc, err := s.ownerCipherFor(m.Owner)
-			if err != nil {
-				return rec, nil, false, err
-			}
+			oc := s.ownerCipherFor(m.Owner)
 			if !oc.live(m) {
 				return rec, nil, false, nil
 			}

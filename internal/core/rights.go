@@ -67,7 +67,7 @@ func (s *Store) collectOwner(ctx Ctx, owner string) ([]UserRecord, error) {
 	if !s.closed.Load() {
 		if err = s.check(ctx, acl.OpRights, owner, "GETUSER", ""); err == nil {
 			keys = s.ix.ownerKeys(owner)
-			oc, err = s.ownerCipherFor(owner)
+			oc = s.ownerCipherFor(owner)
 		}
 	}
 	if s.keyring != nil {
@@ -79,13 +79,16 @@ func (s *Store) collectOwner(ctx Ctx, owner string) ([]UserRecord, error) {
 
 	recs := make([]UserRecord, 0, len(keys))
 	var buf, ad []byte
+	// One clock read for the walk: a record's retention deadline is judged
+	// as of the moment the report was asked for.
+	now := s.cfg.Config.Clock.Now()
 	s.walkKeys(owner, keys, func(k string, m *Metadata) bool {
 		if !oc.live(m) {
 			// Crypto-erased, awaiting the sweep: the subject's report must
 			// not resurrect data they asked to be forgotten.
 			return true
 		}
-		v, ok := s.db.GetNoCopy(k)
+		v, ok := s.db.GetNoCopy(k, now)
 		if !ok {
 			s.ix.del(k) // ghost metadata: the key expired underneath
 			return true

@@ -426,11 +426,12 @@ func (s *Store) Put(ctx Ctx, key string, value []byte, opts PutOptions) error {
 }
 
 // sealerFor returns the prepared cipher for a write to owner's records and
-// the key epoch to stamp them with, from one keyring read; a key created by
-// this call is journaled first. Callers hold owner's stripe, so no Forget
-// can advance the epoch between this read and the seal.
+// the key epoch to stamp them with, from one keyring read (the keyring keeps
+// a hot owner's cipher prepared); a key created by this call is journaled
+// first. Callers hold owner's stripe, so no Forget can advance the epoch
+// between this read and the seal.
 func (s *Store) sealerFor(owner string) (cryptoutil.Cipher, uint64, error) {
-	key, epoch, wrapped, err := s.keyring.EnsureAt(owner)
+	c, epoch, wrapped, err := s.keyring.SealerFor(owner)
 	if err != nil {
 		if err == cryptoutil.ErrUnknownKey {
 			err = fmt.Errorf("%w: %s", ErrErased, owner)
@@ -442,14 +443,13 @@ func (s *Store) sealerFor(owner string) (cryptoutil.Cipher, uint64, error) {
 			return cryptoutil.Cipher{}, 0, err
 		}
 	}
-	c, err := cryptoutil.NewCipher(key)
-	return c, epoch, err
+	return c, epoch, nil
 }
 
 // ownerCipher is what a read needs from the keyring to serve one owner's
 // records: the prepared cipher and the key epoch it belongs to, from one
-// locked read. It is built per call and never kept beyond it: it holds the
-// expanded key, which has to die with the call for Shred to mean anything.
+// locked read. It is never kept beyond the call it was read for: only the
+// keyring, which drops it on Shred, may hold the expanded key longer.
 type ownerCipher struct {
 	owner string
 	// sealed is false when the owner's records are stored in the clear (no
@@ -462,19 +462,13 @@ type ownerCipher struct {
 	c     cryptoutil.Cipher
 }
 
-func (s *Store) ownerCipherFor(owner string) (ownerCipher, error) {
+func (s *Store) ownerCipherFor(owner string) ownerCipher {
 	oc := ownerCipher{owner: owner}
-	if s.keyring == nil || owner == "" {
-		return oc, nil
+	if s.keyring != nil && owner != "" {
+		oc.sealed = true
+		oc.c, oc.epoch, oc.keyed = s.keyring.CipherFor(owner)
 	}
-	oc.sealed = true
-	var key []byte
-	if key, oc.epoch, oc.keyed = s.keyring.Current(owner); !oc.keyed {
-		return oc, nil
-	}
-	var err error
-	oc.c, err = cryptoutil.NewCipher(key)
-	return oc, err
+	return oc
 }
 
 // live reports whether m's record is readable: stored in the clear, or

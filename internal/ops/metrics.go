@@ -58,6 +58,10 @@ func (o *Server) renderMetrics() string {
 		"dead records physically deleted by sweeps", float64(er.Reclaimed))
 	e.Counter("gdprkv_erasure_sweep_cycles_total",
 		"lazy-delete sweep cycles run", float64(er.SweepCycles))
+	e.Counter("gdprkv_keyring_cipher_hits_total",
+		"prepared-cipher lookups served from the keyring's cache", float64(er.CipherHits))
+	e.Counter("gdprkv_keyring_cipher_misses_total",
+		"prepared-cipher lookups that built a cipher", float64(er.CipherMisses))
 
 	// Audit pipeline (Art. 30) pressure.
 	var depth, capQ, enq, proc, drop, sinkErrs float64

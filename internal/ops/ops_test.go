@@ -242,6 +242,33 @@ func TestAuditQueueGauges(t *testing.T) {
 	}
 }
 
+// TestKeyringCipherCounters: the hit rate of the keyring's prepared-cipher
+// cache is a number the server prints, in INFO erasure and in /metrics: one
+// owner's writes build its cipher once and find it cached afterwards.
+func TestKeyringCipherCounters(t *testing.T) {
+	o, c := startOps(t, fullConfig())
+	for i := 0; i < 5; i++ {
+		if err := c.GPut(context.Background(), fmt.Sprintf("pd:%d", i), []byte("v"), gdprkv.PutOptions{Owner: "alice", TTL: time.Hour}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, body := opsGET(t, o, "/info/erasure")
+	var sec map[string]string
+	if err := json.Unmarshal(body, &sec); err != nil {
+		t.Fatalf("/info/erasure not JSON: %v\n%s", err, body)
+	}
+	if sec["keyring_cipher_misses"] != "1" || sec["keyring_cipher_hits"] != "4" {
+		t.Errorf("INFO erasure: keyring_cipher_misses=%q keyring_cipher_hits=%q, want 1 and 4",
+			sec["keyring_cipher_misses"], sec["keyring_cipher_hits"])
+	}
+	_, body = opsGET(t, o, "/metrics")
+	for _, line := range []string{"\ngdprkv_keyring_cipher_misses_total 1\n", "\ngdprkv_keyring_cipher_hits_total 4\n"} {
+		if !strings.Contains(string(body), line) {
+			t.Errorf("/metrics lacks %q:\n%s", strings.TrimSpace(line), body)
+		}
+	}
+}
+
 func TestMetricsUnderConcurrentTraffic(t *testing.T) {
 	o, c := startOps(t, fullConfig())
 	ctx := context.Background()

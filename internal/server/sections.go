@@ -185,6 +185,8 @@ func (s *Server) erasureFields() []InfoField {
 		fint64("erasure_sweep_lag_ms", st.SweepLag.Milliseconds()),
 		fint64("erasure_last_cycle_us", st.LastCycle.Microseconds()),
 		fbool("erasure_sweeper_running", st.SweeperRunning),
+		fuint("keyring_cipher_hits", st.CipherHits),
+		fuint("keyring_cipher_misses", st.CipherMisses),
 	}
 }
 

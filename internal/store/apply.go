@@ -15,7 +15,10 @@ import (
 //
 // Deadlines that have already passed are applied as-is: the key becomes
 // present-but-expired and is reclaimed by the normal lazy/active paths,
-// mirroring how a restarted store re-discovers overdue keys.
+// mirroring how a restarted store re-discovers overdue keys. Replay never
+// expires a key by its own clock: SET ... KEEPTTL keeps whatever deadline
+// the key has, because the writer that found the key dead journaled the DEL
+// first, and a key that died since must not come back without its TTL.
 func (db *DB) Apply(name string, args [][]byte) error {
 	switch name {
 	case "SET":
@@ -24,13 +27,16 @@ func (db *DB) Apply(name string, args [][]byte) error {
 		}
 		key := string(args[0])
 		keepTTL := len(args) >= 3 && bytes.Equal(args[2], []byte("KEEPTTL"))
-		sh := db.shardFor(key)
-		sh.mu.Lock()
-		sh.dict[key] = cloneBytes(args[1])
-		if !keepTTL {
-			sh.removeExpireLocked(key)
+		if keepTTL {
+			sh := db.shardFor(key)
+			sh.mu.Lock()
+			e := sh.dict[key]
+			e.val = cloneBytes(args[1])
+			sh.dict[key] = e
+			sh.mu.Unlock()
+		} else {
+			db.Restore(key, args[1], time.Time{})
 		}
-		sh.mu.Unlock()
 	case "SETEX":
 		if len(args) != 3 {
 			return fmt.Errorf("store: apply SETEX: need 3 args, got %d", len(args))
@@ -39,23 +45,13 @@ func (db *DB) Apply(name string, args [][]byte) error {
 		if err != nil {
 			return fmt.Errorf("store: apply SETEX: %w", err)
 		}
-		key := string(args[0])
-		sh := db.shardFor(key)
-		sh.mu.Lock()
-		sh.dict[key] = cloneBytes(args[2])
-		db.setExpireLocked(sh, key, deadline)
-		sh.mu.Unlock()
+		db.Restore(string(args[0]), args[2], deadline)
 	case "MSET":
 		if len(args) == 0 || len(args)%2 != 0 {
 			return fmt.Errorf("store: apply MSET: need even args, got %d", len(args))
 		}
 		for i := 0; i+1 < len(args); i += 2 {
-			key := string(args[i])
-			sh := db.shardFor(key)
-			sh.mu.Lock()
-			sh.dict[key] = cloneBytes(args[i+1])
-			sh.removeExpireLocked(key)
-			sh.mu.Unlock()
+			db.Restore(string(args[i]), args[i+1], time.Time{})
 		}
 	case "MSETEX":
 		if len(args) < 3 || len(args)%2 != 1 {
@@ -66,12 +62,7 @@ func (db *DB) Apply(name string, args [][]byte) error {
 			return fmt.Errorf("store: apply MSETEX: %w", err)
 		}
 		for i := 1; i+1 < len(args); i += 2 {
-			key := string(args[i])
-			sh := db.shardFor(key)
-			sh.mu.Lock()
-			sh.dict[key] = cloneBytes(args[i+1])
-			db.setExpireLocked(sh, key, deadline)
-			sh.mu.Unlock()
+			db.Restore(string(args[i]), args[i+1], deadline)
 		}
 	case "EXPIREAT":
 		if len(args) != 2 {
@@ -84,8 +75,8 @@ func (db *DB) Apply(name string, args [][]byte) error {
 		key := string(args[0])
 		sh := db.shardFor(key)
 		sh.mu.Lock()
-		if _, ok := sh.dict[key]; ok {
-			db.setExpireLocked(sh, key, deadline)
+		if e, ok := sh.dict[key]; ok {
+			db.putLocked(sh, key, e.val, deadlineNS(deadline))
 		}
 		sh.mu.Unlock()
 	case "PERSIST":
@@ -95,7 +86,9 @@ func (db *DB) Apply(name string, args [][]byte) error {
 		key := string(args[0])
 		sh := db.shardFor(key)
 		sh.mu.Lock()
-		sh.removeExpireLocked(key)
+		if e, ok := sh.dict[key]; ok {
+			db.putLocked(sh, key, e.val, 0)
+		}
 		sh.mu.Unlock()
 	case "READ":
 		// Monitoring records from JournalReads mode: no state change.
@@ -104,17 +97,15 @@ func (db *DB) Apply(name string, args [][]byte) error {
 			key := string(a)
 			sh := db.shardFor(key)
 			sh.mu.Lock()
-			sh.deleteLocked(key)
+			if e, ok := sh.dict[key]; ok {
+				sh.deleteLocked(key, e)
+			}
 			sh.mu.Unlock()
 		}
 	case "FLUSHALL":
 		db.lockAll()
 		for _, sh := range db.shards {
-			sh.dict = make(map[string][]byte)
-			sh.expires = make(map[string]time.Time)
-			sh.expireKeys = sh.expireKeys[:0]
-			sh.expireIdx = make(map[string]int)
-			sh.heap = sh.heap[:0]
+			sh.resetLocked()
 		}
 		db.unlockAll()
 	default:
@@ -149,14 +140,17 @@ func (db *DB) Snapshot(emit func(name string, args ...[]byte) error) error {
 func (db *DB) SnapshotRecords(fn func(key string, value []byte, deadline time.Time) error) error {
 	db.lockAll()
 	defer db.unlockAll()
-	now := db.clk.Now()
+	now := db.nowNS()
 	for _, sh := range db.shards {
-		for k, v := range sh.dict {
-			t, ok := sh.expires[k]
-			if ok && !t.After(now) {
+		for k, e := range sh.dict {
+			if e.deadAt(now) {
 				continue // expired: do not resurrect
 			}
-			if err := fn(k, v, t); err != nil {
+			var deadline time.Time
+			if e.deadline != 0 {
+				deadline = time.Unix(0, e.deadline)
+			}
+			if err := fn(k, e.val, deadline); err != nil {
 				return err
 			}
 		}

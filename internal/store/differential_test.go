@@ -1,0 +1,431 @@
+package store
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"gdprstore/internal/clock"
+)
+
+// refModel is the oracle of TestDifferentialShard: the engine's layout
+// before a key's value, deadline and sampling slot moved into one dict
+// entry. It keeps Redis's two tables (dict, expires) and the sampling slice
+// with its index map, unsharded, and implements each operation the way the
+// engine then did: expireIfNeeded's probe of expires, then the probe of
+// dict; three map writes for a key's first SETEX.
+type refModel struct {
+	clk        *clock.Virtual
+	dict       map[string][]byte
+	expires    map[string]time.Time
+	expireKeys []string
+	expireIdx  map[string]int
+}
+
+func newRefModel(clk *clock.Virtual) *refModel {
+	m := &refModel{clk: clk}
+	m.flushAll()
+	return m
+}
+
+func (m *refModel) flushAll() {
+	m.dict = map[string][]byte{}
+	m.expires = map[string]time.Time{}
+	m.expireKeys = nil
+	m.expireIdx = map[string]int{}
+}
+
+func (m *refModel) setExpire(k string, t time.Time) {
+	if _, ok := m.expires[k]; !ok {
+		m.expireIdx[k] = len(m.expireKeys)
+		m.expireKeys = append(m.expireKeys, k)
+	}
+	m.expires[k] = t
+}
+
+func (m *refModel) removeExpire(k string) {
+	if _, ok := m.expires[k]; !ok {
+		return
+	}
+	delete(m.expires, k)
+	i, last := m.expireIdx[k], len(m.expireKeys)-1
+	if i != last {
+		moved := m.expireKeys[last]
+		m.expireKeys[i] = moved
+		m.expireIdx[moved] = i
+	}
+	m.expireKeys = m.expireKeys[:last]
+	delete(m.expireIdx, k)
+}
+
+func (m *refModel) remove(k string) {
+	delete(m.dict, k)
+	m.removeExpire(k)
+}
+
+func (m *refModel) due(k string) bool {
+	t, ok := m.expires[k]
+	return ok && !t.After(m.clk.Now())
+}
+
+// expireIfNeeded is lazy expiry: true if k was due and is now gone.
+func (m *refModel) expireIfNeeded(k string) bool {
+	if !m.due(k) {
+		return false
+	}
+	m.remove(k)
+	return true
+}
+
+func (m *refModel) set(k string, v []byte) {
+	m.dict[k] = v
+	m.removeExpire(k)
+}
+
+func (m *refModel) setAt(k string, v []byte, deadline time.Time) {
+	m.dict[k] = v
+	if deadline.IsZero() {
+		m.removeExpire(k)
+	} else {
+		m.setExpire(k, deadline)
+	}
+}
+
+// setKeepTTL is Redis's: the dead key is expired first, so the new value
+// does not inherit a deadline that has already passed.
+func (m *refModel) setKeepTTL(k string, v []byte) {
+	m.expireIfNeeded(k)
+	m.dict[k] = v
+}
+
+func (m *refModel) get(k string) ([]byte, bool) {
+	if m.expireIfNeeded(k) {
+		return nil, false
+	}
+	v, ok := m.dict[k]
+	return v, ok
+}
+
+func (m *refModel) ttl(k string) (time.Duration, TTLStatus) {
+	if _, ok := m.get(k); !ok {
+		return 0, TTLMissing
+	}
+	t, ok := m.expires[k]
+	if !ok {
+		return 0, TTLNone
+	}
+	return t.Sub(m.clk.Now()), TTLSet
+}
+
+func (m *refModel) del(k string) int {
+	if _, ok := m.get(k); !ok {
+		return 0
+	}
+	m.remove(k)
+	return 1
+}
+
+func (m *refModel) expireAt(k string, deadline time.Time) bool {
+	if _, ok := m.get(k); !ok {
+		return false
+	}
+	if !deadline.After(m.clk.Now()) {
+		m.remove(k)
+	} else {
+		m.setExpire(k, deadline)
+	}
+	return true
+}
+
+func (m *refModel) persist(k string) bool {
+	if _, ok := m.get(k); !ok {
+		return false
+	}
+	_, had := m.expires[k]
+	m.removeExpire(k)
+	return had
+}
+
+func (m *refModel) retentionLag() (overdue int, oldest time.Duration) {
+	now := m.clk.Now()
+	for _, t := range m.expires {
+		if !t.After(now) {
+			overdue++
+			oldest = max(oldest, now.Sub(t))
+		}
+	}
+	return overdue, oldest
+}
+
+// snapshot renders the live keys the way DB.Snapshot's records do.
+func (m *refModel) snapshot() map[string]string {
+	out := map[string]string{}
+	for k, v := range m.dict {
+		if m.due(k) {
+			continue
+		}
+		out[k] = snapshotLine(v, m.expires[k])
+	}
+	return out
+}
+
+func snapshotLine(v []byte, deadline time.Time) string {
+	if deadline.IsZero() {
+		return "SET " + string(v)
+	}
+	return "SETEX " + string(EncodeDeadline(deadline)) + " " + string(v)
+}
+
+// checkSlots verifies the shard invariant: every key whose entry carries a
+// deadline sits in its shard's expireKeys exactly once, at entry.slot, and
+// nothing else sits there.
+func checkSlots(db *DB) error {
+	for i, sh := range db.shards {
+		sh.mu.Lock()
+		withTTL := 0
+		for k, e := range sh.dict {
+			if e.deadline == 0 {
+				continue
+			}
+			withTTL++
+			if int(e.slot) >= len(sh.expireKeys) || sh.expireKeys[e.slot] != k {
+				sh.mu.Unlock()
+				return fmt.Errorf("shard %d: %q has deadline %d and slot %d, which does not hold it", i, k, e.deadline, e.slot)
+			}
+		}
+		n := len(sh.expireKeys)
+		sh.mu.Unlock()
+		// Each TTL'd key names a distinct slot that holds it, so equal
+		// counts mean the slice holds those keys and nothing more.
+		if withTTL != n {
+			return fmt.Errorf("shard %d: %d keys carry a deadline, expireKeys holds %d", i, withTTL, n)
+		}
+	}
+	return nil
+}
+
+// TestDifferentialShard drives the engine and the two-table oracle with one
+// seeded random history (writes of every kind, TTL edits, deletes, flushes,
+// clock advances, expiry cycles) and compares everything observable after
+// every step, under each strategy and while switching between them. The
+// engine's journal feeds the oracle the one thing it cannot predict (which
+// due keys a probabilistic cycle drew) and is replayed at the end.
+func TestDifferentialShard(t *testing.T) {
+	strategies := []ExpiryStrategy{ExpiryLazyProbabilistic, ExpiryFastScan, ExpiryHeap}
+	for _, tc := range []struct {
+		name      string
+		start     ExpiryStrategy
+		switching bool
+	}{
+		{"lazy-probabilistic", ExpiryLazyProbabilistic, false},
+		{"fast-scan", ExpiryFastScan, false},
+		{"expiry-heap", ExpiryHeap, false},
+		{"switching", ExpiryLazyProbabilistic, true},
+	} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {
+				var pick func(*rand.Rand) ExpiryStrategy
+				if tc.switching {
+					pick = func(r *rand.Rand) ExpiryStrategy { return strategies[r.Intn(len(strategies))] }
+				}
+				runDifferential(t, seed, tc.start, pick)
+			})
+		}
+	}
+}
+
+func runDifferential(t *testing.T, seed int64, strategy ExpiryStrategy, pick func(*rand.Rand) ExpiryStrategy) {
+	const steps, universe = 1500, 48
+	rnd := rand.New(rand.NewSource(seed))
+	start := time.Unix(1_600_000_000, 0)
+	vc := clock.NewVirtual(start)
+	db := New(Options{Clock: vc, Seed: seed, Strategy: strategy, Shards: 4})
+	ref := newRefModel(vc)
+
+	var log []journalRec
+	db.SetJournal(JournalFunc(func(name string, args ...[]byte) error {
+		cp := make([][]byte, len(args))
+		for i, a := range args {
+			cp[i] = bytes.Clone(a)
+		}
+		log = append(log, journalRec{name: name, args: cp})
+		return nil
+	}))
+
+	key := func() string { return fmt.Sprintf("key:%d", rnd.Intn(universe)) }
+	val := func(step int) []byte { return []byte(fmt.Sprintf("v%d", step)) }
+	ttl := func() time.Duration { return time.Duration(1+rnd.Intn(90_000)) * time.Millisecond }
+
+	for step := 0; step < steps; step++ {
+		op := rnd.Intn(100)
+		// Every other stretch of the history writes few TTLs, so the shards
+		// pass through both regimes of scanTTLLocked.
+		if sparse := (step/250)%2 == 1; sparse && op >= 12 && op < 50 && rnd.Intn(8) != 0 {
+			op = 0
+		}
+		desc := ""
+		switch {
+		case op < 12:
+			k, v := key(), val(step)
+			desc = "Set " + k
+			db.Set(k, v)
+			ref.set(k, v)
+		case op < 30:
+			k, v, d := key(), val(step), ttl()
+			desc = fmt.Sprintf("SetEX %s %v", k, d)
+			db.SetEX(k, v, d)
+			ref.setAt(k, v, vc.Now().Add(d))
+		case op < 38:
+			k, v := key(), val(step)
+			desc = "SetKeepTTL " + k
+			db.SetKeepTTL(k, v)
+			ref.setKeepTTL(k, v)
+		case op < 50:
+			// One or two pairs under one deadline (sometimes none), as a
+			// compliant Put and PutBatch journal them.
+			keys, vals := []string{key()}, [][]byte{val(step)}
+			if k2 := key(); rnd.Intn(3) == 0 && k2 != keys[0] {
+				keys, vals = append(keys, k2), append(vals, val(step))
+			}
+			var deadline time.Time
+			if rnd.Intn(5) > 0 {
+				deadline = vc.Now().Add(ttl())
+			}
+			desc = fmt.Sprintf("SetRecorded %v %v", keys, deadline)
+			if err := db.SetRecorded(keys, vals, deadline, "REC", EncodeDeadline(deadline)); err != nil {
+				t.Fatal(err)
+			}
+			for i, k := range keys {
+				ref.setAt(k, vals[i], deadline)
+			}
+		case op < 58:
+			// Sometimes already in the past: ExpireAt then deletes.
+			k, deadline := key(), vc.Now().Add(ttl()-20*time.Second)
+			desc = fmt.Sprintf("ExpireAt %s %v", k, deadline)
+			if got, want := db.ExpireAt(k, deadline), ref.expireAt(k, deadline); got != want {
+				t.Fatalf("step %d %s = %v, oracle %v", step, desc, got, want)
+			}
+		case op < 64:
+			k := key()
+			desc = "Persist " + k
+			if got, want := db.Persist(k), ref.persist(k); got != want {
+				t.Fatalf("step %d %s = %v, oracle %v", step, desc, got, want)
+			}
+		case op < 74:
+			k := key()
+			desc = "Del " + k
+			if got, want := db.Del(k), ref.del(k); got != want {
+				t.Fatalf("step %d %s = %d, oracle %d", step, desc, got, want)
+			}
+		case op < 75:
+			desc = "FlushAll"
+			db.FlushAll()
+			ref.flushAll()
+		case op < 88:
+			d := time.Duration(rnd.Intn(20_000)) * time.Millisecond
+			desc = fmt.Sprintf("Advance %v", d)
+			vc.Advance(d)
+		case op < 98 || pick == nil:
+			desc = "ActiveExpireCycle under " + db.Strategy().String()
+			before := len(log)
+			st := db.ActiveExpireCycle()
+			for _, r := range log[before:] {
+				k := string(r.args[0])
+				if r.name != "DEL" || !ref.due(k) {
+					t.Fatalf("step %d %s journaled %s %s, which the oracle does not hold overdue", step, desc, r.name, k)
+				}
+				ref.remove(k)
+			}
+			if st.Expired != len(log)-before {
+				t.Fatalf("step %d %s reports %d expired, journaled %d", step, desc, st.Expired, len(log)-before)
+			}
+			if n, _ := ref.retentionLag(); n != 0 && db.Strategy() != ExpiryLazyProbabilistic {
+				t.Fatalf("step %d %s left %d overdue keys", step, desc, n)
+			}
+		default:
+			s := pick(rnd)
+			desc = "SetStrategy " + s.String()
+			db.SetStrategy(s)
+		}
+
+		fail := func(what string, got, want any) {
+			t.Helper()
+			t.Fatalf("step %d after %s: %s = %v, oracle %v", step, desc, what, got, want)
+		}
+		// What reading does not change first; Get and TTL, which expire
+		// lazily on both sides, on a few keys only, so the cycles still find
+		// overdue keys to reclaim.
+		if got, want := db.RawLen(), len(ref.dict); got != want {
+			fail("RawLen", got, want)
+		}
+		if got, want := db.ExpireLen(), len(ref.expires); got != want {
+			fail("ExpireLen", got, want)
+		}
+		overdue, oldest := ref.retentionLag()
+		if got := db.ExpiredUnreclaimed(); got != overdue {
+			fail("ExpiredUnreclaimed", got, overdue)
+		}
+		if got, age := db.RetentionLag(); got != overdue || age != oldest {
+			fail("RetentionLag", fmt.Sprint(got, age), fmt.Sprint(overdue, oldest))
+		}
+		if got, want := db.Len(), len(ref.dict)-overdue; got != want {
+			fail("Len", got, want)
+		}
+		snap := map[string]string{}
+		if err := db.SnapshotRecords(func(k string, v []byte, deadline time.Time) error {
+			snap[k] = snapshotLine(v, deadline)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fmt.Sprint(snap), fmt.Sprint(ref.snapshot()); got != want {
+			fail("Snapshot", got, want)
+		}
+		if err := checkSlots(db); err != nil {
+			t.Fatalf("step %d after %s: %v", step, desc, err)
+		}
+		for i := 0; i < 3; i++ {
+			k := key()
+			gd, gs := db.TTL(k)
+			wd, ws := ref.ttl(k)
+			if gd != wd || gs != ws {
+				fail("TTL "+k, fmt.Sprint(gd, gs), fmt.Sprint(wd, ws))
+			}
+			gv, gok := db.Get(k)
+			wv, wok := ref.get(k)
+			if gok != wok || !bytes.Equal(gv, wv) {
+				fail("Get "+k, fmt.Sprintf("%q %v", gv, gok), fmt.Sprintf("%q %v", wv, wok))
+			}
+		}
+	}
+
+	// The journal, replayed, rebuilds the same physical keyspace: every
+	// lazy or active expiry is in it as the DEL it amounted to, ahead of
+	// whatever write found the key dead.
+	fresh := New(Options{Clock: vc, Shards: 2})
+	for _, r := range log {
+		if r.name != "REC" {
+			if err := fresh.Apply(r.name, r.args); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		deadline, err := DecodeDeadline(r.args[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i+1 < len(r.args); i += 2 {
+			fresh.Restore(string(r.args[i]), r.args[i+1], deadline)
+		}
+	}
+	liveVals, liveExps := dumpState(db)
+	gotVals, gotExps := dumpState(fresh)
+	if fmt.Sprint(gotVals) != fmt.Sprint(liveVals) || fmt.Sprint(gotExps) != fmt.Sprint(liveExps) {
+		t.Fatalf("replayed journal diverges from the live engine:\nlive   %v %v\nreplay %v %v", liveVals, liveExps, gotVals, gotExps)
+	}
+	if err := checkSlots(fresh); err != nil {
+		t.Fatalf("replayed engine: %v", err)
+	}
+}

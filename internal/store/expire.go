@@ -35,19 +35,16 @@ func (db *DB) ExpireAt(key string, deadline time.Time) bool {
 }
 
 func (db *DB) expireAtLocked(sh *shard, key string, deadline time.Time) bool {
-	if db.expireIfNeededLocked(sh, key) {
+	e, ok := db.liveLocked(sh, key)
+	if !ok {
 		return false
 	}
-	if _, ok := sh.dict[key]; !ok {
-		return false
-	}
-	if !deadline.After(db.clk.Now()) {
-		sh.deleteLocked(key)
-		sh.expired++
-		db.jq.enqueue("DEL", []byte(key))
+	ns := deadlineNS(deadline)
+	if ns <= db.nowNS() {
+		db.reapLocked(sh, key, e)
 		return true
 	}
-	db.setExpireLocked(sh, key, deadline)
+	db.putLocked(sh, key, e.val, ns)
 	db.jq.enqueue("EXPIREAT", []byte(key), EncodeDeadline(deadline))
 	return true
 }
@@ -56,82 +53,42 @@ func (db *DB) expireAtLocked(sh *shard, key string, deadline time.Time) bool {
 func (db *DB) Persist(key string) bool {
 	sh := db.shardFor(key)
 	sh.mu.Lock()
-	if db.expireIfNeededLocked(sh, key) {
-		sh.mu.Unlock()
-		db.jq.flush()
-		return false
+	e, ok := db.liveLocked(sh, key)
+	if ok = ok && e.deadline != 0; ok {
+		db.putLocked(sh, key, e.val, 0)
+		db.jq.enqueue("PERSIST", []byte(key))
 	}
-	if _, ok := sh.expires[key]; !ok {
-		sh.mu.Unlock()
-		return false
-	}
-	sh.removeExpireLocked(key)
-	db.jq.enqueue("PERSIST", []byte(key))
 	sh.mu.Unlock()
 	db.jq.flush()
-	return true
+	return ok
 }
 
 // TTL returns the remaining time-to-live of key.
 func (db *DB) TTL(key string) (time.Duration, TTLStatus) {
 	sh := db.shardFor(key)
 	sh.mu.Lock()
-	if db.expireIfNeededLocked(sh, key) {
-		sh.mu.Unlock()
-		db.jq.flush()
-		return 0, TTLMissing
-	}
-	if _, ok := sh.dict[key]; !ok {
-		sh.mu.Unlock()
-		return 0, TTLMissing
-	}
-	t, ok := sh.expires[key]
+	e, ok := db.liveLocked(sh, key)
 	sh.mu.Unlock()
-	if !ok {
+	db.jq.flush()
+	switch {
+	case !ok:
+		return 0, TTLMissing
+	case e.deadline == 0:
 		return 0, TTLNone
 	}
-	return t.Sub(db.clk.Now()), TTLSet
+	return time.Unix(0, e.deadline).Sub(db.clk.Now()), TTLSet
 }
 
 // Deadline returns the absolute expiry deadline for key, if one is set.
 func (db *DB) Deadline(key string) (time.Time, bool) {
 	sh := db.shardFor(key)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	t, ok := sh.expires[key]
-	return t, ok
-}
-
-// setExpireLocked records a deadline for key. Callers hold sh.mu.
-func (db *DB) setExpireLocked(sh *shard, key string, deadline time.Time) {
-	if _, exists := sh.expires[key]; !exists {
-		sh.expireIdx[key] = len(sh.expireKeys)
-		sh.expireKeys = append(sh.expireKeys, key)
+	e := sh.dict[key]
+	sh.mu.Unlock()
+	if e.deadline == 0 {
+		return time.Time{}, false
 	}
-	sh.expires[key] = deadline
-	if db.Strategy() == ExpiryHeap {
-		// Stale heap entries for the same key are tolerated: pop validates
-		// against the expires dict before deleting.
-		sh.heap.push(heapEntry{deadline: deadline, key: key})
-	}
-}
-
-func (sh *shard) removeExpireLocked(key string) {
-	if _, ok := sh.expires[key]; !ok {
-		return
-	}
-	delete(sh.expires, key)
-	// swap-remove from the sampling slice
-	i := sh.expireIdx[key]
-	last := len(sh.expireKeys) - 1
-	if i != last {
-		moved := sh.expireKeys[last]
-		sh.expireKeys[i] = moved
-		sh.expireIdx[moved] = i
-	}
-	sh.expireKeys = sh.expireKeys[:last]
-	delete(sh.expireIdx, key)
-	// heap entries are invalidated lazily
+	return time.Unix(0, e.deadline), true
 }
 
 // CycleStats reports what one active-expire cycle did.
@@ -177,16 +134,16 @@ func (db *DB) ActiveExpireCycle() CycleStats {
 }
 
 // probabilisticCycle is Redis 4.0's activeExpireCycle as described in the
-// paper: sample 20 random keys from the expires dict, delete the expired
-// ones, and repeat immediately while at least 5 of the 20 sampled keys
-// were expired.
+// paper: sample 20 random keys from those that carry a TTL (Redis's expires
+// dict; here the shards' sampling slices), delete the expired ones, and
+// repeat immediately while at least 5 of the 20 sampled keys were expired.
 //
 // The 20-key budget is deliberately global rather than per shard: each
-// lookup picks a shard weighted by its expires-dict size, then a uniform
-// key within it — uniform sampling over the whole expires set, exactly as
-// the unsharded engine did. Sampling 20 keys per shard instead would
-// reclaim shard-count times faster and silently erase the Figure 2 erasure
-// lag this strategy exists to reproduce.
+// lookup picks a shard weighted by how many TTL'd keys it holds, then a
+// uniform key within it — uniform sampling over every key with a TTL,
+// exactly as the unsharded engine did. Sampling 20 keys per shard instead
+// would reclaim shard-count times faster and silently erase the Figure 2
+// erasure lag this strategy exists to reproduce.
 func (db *DB) probabilisticCycle() CycleStats {
 	var st CycleStats
 	sizes := make([]int, len(db.shards))
@@ -207,10 +164,10 @@ func (db *DB) probabilisticCycle() CycleStats {
 			lookups = total
 		}
 		expiredThisLoop := 0
-		now := db.clk.Now()
+		now := db.nowNS()
 		for i := 0; i < lookups; i++ {
 			// Weighted shard pick: index r into the concatenation of the
-			// shards' expires sets (sizes are a per-loop snapshot; the
+			// shards' sampling slices (sizes are a per-loop snapshot; the
 			// slight staleness only perturbs the sampling distribution).
 			r := db.randIntn(total)
 			shIdx := 0
@@ -226,10 +183,8 @@ func (db *DB) probabilisticCycle() CycleStats {
 			}
 			k := sh.expireKeys[db.randIntn(len(sh.expireKeys))]
 			st.Sampled++
-			if !sh.expires[k].After(now) {
-				sh.deleteLocked(k)
-				sh.expired++
-				db.jq.enqueue("DEL", []byte(k))
+			if e := sh.dict[k]; e.deadline <= now {
+				db.reapLocked(sh, k, e)
 				expiredThisLoop++
 				st.Expired++
 			}
@@ -246,31 +201,48 @@ func (db *DB) probabilisticCycle() CycleStats {
 }
 
 // fastScanShard is the paper's modification (§4.3) applied to one shard:
-// iterate the shard's whole expires dict and erase every key that is due.
-// One pass over every shard guarantees that no expired key survives the
-// cycle.
+// visit every key of the shard that carries a TTL and erase each one that
+// is due. One pass over every shard guarantees that no expired key survives
+// the cycle.
 func (db *DB) fastScanShard(sh *shard, st *CycleStats) {
 	sh.mu.Lock()
-	now := db.clk.Now()
-	var due []string
-	for k, t := range sh.expires {
-		st.Sampled++
-		if !t.After(now) {
-			due = append(due, k)
+	now := db.nowNS()
+	st.Sampled += len(sh.expireKeys)
+	sh.scanTTLLocked(func(k string, e entry) {
+		if e.deadline <= now {
+			db.reapLocked(sh, k, e)
+			st.Expired++
 		}
-	}
-	for _, k := range due {
-		sh.deleteLocked(k)
-		sh.expired++
-		db.jq.enqueue("DEL", []byte(k))
-		st.Expired++
-	}
+	})
 	sh.mu.Unlock()
+}
+
+// scanTTLLocked calls fn with every key of the shard that carries a TTL,
+// and its entry; fn may delete the key it is given. Where most keys carry
+// one it ranges the dict, which is sequential memory, and where few do it
+// probes the dict for each key of the sampling slice: at 50 000 keys, all
+// with a TTL, a pass is 0.6 ms the first way and 2.3 ms the second, and
+// the second is the one that does not grow with the keys that have none.
+// Callers hold sh.mu.
+func (sh *shard) scanTTLLocked(fn func(key string, e entry)) {
+	if 4*len(sh.expireKeys) >= len(sh.dict) {
+		for k, e := range sh.dict {
+			if e.deadline != 0 {
+				fn(k, e)
+			}
+		}
+		return
+	}
+	// Backwards, so the key a deletion swaps into slot i has been visited.
+	for i := len(sh.expireKeys) - 1; i >= 0; i-- {
+		k := sh.expireKeys[i]
+		fn(k, sh.dict[k])
+	}
 }
 
 // heapCycleShard pops due entries off one shard's deadline-ordered
 // min-heap. Heap entries may be stale (the key was deleted or its TTL
-// changed); they are validated against the expires dict before deletion.
+// changed); they are validated against the key's entry before deletion.
 func (db *DB) heapCycleShard(sh *shard, st *CycleStats) {
 	sh.mu.Lock()
 	now := db.clk.Now()
@@ -281,13 +253,11 @@ func (db *DB) heapCycleShard(sh *shard, st *CycleStats) {
 		}
 		sh.heap.pop()
 		st.Sampled++
-		cur, ok := sh.expires[top.key]
-		if !ok || !cur.Equal(top.deadline) {
+		e, ok := sh.dict[top.key]
+		if !ok || e.deadline != top.deadline.UnixNano() {
 			continue // stale entry
 		}
-		sh.deleteLocked(top.key)
-		sh.expired++
-		db.jq.enqueue("DEL", []byte(top.key))
+		db.reapLocked(sh, top.key, e)
 		st.Expired++
 	}
 	sh.mu.Unlock()
@@ -296,40 +266,40 @@ func (db *DB) heapCycleShard(sh *shard, st *CycleStats) {
 // ExpiredUnreclaimed returns how many keys are past their deadline but
 // still physically present — the quantity whose decay Figure 2 plots.
 func (db *DB) ExpiredUnreclaimed() int {
-	now := db.clk.Now()
-	n := 0
-	for _, sh := range db.shards {
-		sh.mu.Lock()
-		for _, t := range sh.expires {
-			if !t.After(now) {
-				n++
-			}
-		}
-		sh.mu.Unlock()
-	}
+	n, _ := db.RetentionLag()
 	return n
 }
 
-// RetentionLag walks every shard's expires dict and returns how many
-// keys are past their deadline but still physically present, plus the
-// age of the oldest overdue deadline — the retention analogue of
-// replication lag: how far reclamation trails the storage-limitation
-// deadlines the controller promised.
+// RetentionLag visits every key that carries a TTL and returns how many
+// are past their deadline but still physically present, plus the age of the
+// oldest overdue deadline — the retention analogue of replication lag: how
+// far reclamation trails the storage-limitation deadlines the controller
+// promised.
 func (db *DB) RetentionLag() (overdue int, oldest time.Duration) {
-	now := db.clk.Now()
+	now := db.nowNS()
+	earliest := now
 	for _, sh := range db.shards {
 		sh.mu.Lock()
-		for _, t := range sh.expires {
-			if !t.After(now) {
-				overdue++
-				if age := now.Sub(t); age > oldest {
-					oldest = age
-				}
-			}
-		}
+		n, first := sh.overdueLocked(now)
 		sh.mu.Unlock()
+		overdue += n
+		earliest = min(earliest, first)
 	}
-	return overdue, oldest
+	return overdue, time.Unix(0, now).Sub(time.Unix(0, earliest))
+}
+
+// overdueLocked counts the shard's keys whose deadline is at or before now,
+// and returns the earliest such deadline (now when there is none). Callers
+// hold sh.mu.
+func (sh *shard) overdueLocked(now int64) (n int, earliest int64) {
+	earliest = now
+	sh.scanTTLLocked(func(_ string, e entry) {
+		if e.deadline <= now {
+			n++
+			earliest = min(earliest, e.deadline)
+		}
+	})
+	return n, earliest
 }
 
 // heapEntry is one (deadline, key) pair in the expiry min-heap.

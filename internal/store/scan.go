@@ -8,12 +8,12 @@ import "sort"
 // atomic snapshot — the same guarantee Redis KEYS gives under concurrent
 // writers.
 func (db *DB) Keys(pattern string) []string {
-	now := db.clk.Now()
+	now := db.nowNS()
 	var out []string
 	for _, sh := range db.shards {
 		sh.mu.Lock()
-		for k := range sh.dict {
-			if t, ok := sh.expires[k]; ok && !t.After(now) {
+		for k, e := range sh.dict {
+			if e.deadAt(now) {
 				continue // expired but unreclaimed: invisible, as in Redis
 			}
 			if MatchGlob(pattern, k) {
@@ -37,7 +37,7 @@ func (db *DB) Scan(cursor uint64, pattern string, count int) (keys []string, nex
 	if count <= 0 {
 		count = 10
 	}
-	now := db.clk.Now()
+	now := db.nowNS()
 	var all []string
 	for _, sh := range db.shards {
 		sh.mu.Lock()
@@ -48,8 +48,8 @@ func (db *DB) Scan(cursor uint64, pattern string, count int) (keys []string, nex
 			copy(grown, all)
 			all = grown
 		}
-		for k := range sh.dict {
-			if t, ok := sh.expires[k]; ok && !t.After(now) {
+		for k, e := range sh.dict {
+			if e.deadAt(now) {
 				continue
 			}
 			all = append(all, k)
@@ -85,14 +85,14 @@ func (db *DB) Scan(cursor uint64, pattern string, count int) (keys []string, nex
 // shard's lock is held while its keys are visited; fn must not call back
 // into the DB.
 func (db *DB) RangeKeys(fn func(key string, value []byte) bool) {
-	now := db.clk.Now()
+	now := db.nowNS()
 	for _, sh := range db.shards {
 		sh.mu.Lock()
-		for k, v := range sh.dict {
-			if t, ok := sh.expires[k]; ok && !t.After(now) {
+		for k, e := range sh.dict {
+			if e.deadAt(now) {
 				continue
 			}
-			if !fn(k, v) {
+			if !fn(k, e.val) {
 				sh.mu.Unlock()
 				return
 			}

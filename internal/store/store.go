@@ -2,13 +2,17 @@
 // Redis v4.0.11 in this reproduction. It models the pieces of Redis that the
 // paper's experiments depend on:
 //
-//   - a hash-table keyspace (dict) plus a separate expires dict, exactly
-//     Redis's two-table layout — here split across N lock-striped shards so
-//     operations on independent keys proceed in parallel;
+//   - a hash-table keyspace (dict), split across N lock-striped shards so
+//     operations on independent keys proceed in parallel. Redis keeps a
+//     key's deadline in a second table, the expires dict; here it is a field
+//     of the key's one dict entry, so every keyed operation is one probe,
+//     and what the expires dict is for, a uniform random draw over exactly
+//     the keys that carry a TTL, is served by a slice of those keys
+//     (expireKeys) that each entry points back into;
 //   - lazy expiration on access, plus Redis's probabilistic active-expire
 //     cycle (every 100 ms sample 20 keys with TTLs, delete the expired ones,
 //     and repeat immediately while ≥5 of the 20 were expired) — the
-//     algorithm whose erasure lag Figure 2 measures;
+//     algorithm whose erasure lag Figure 2 measures, sampling law unchanged;
 //   - the paper's modification: a full-scan "fast active expiry" that erases
 //     every expired key in one pass, giving sub-second erasure up to 1M keys;
 //   - an expiry-heap strategy (our ablation) that achieves timely deletion
@@ -17,10 +21,10 @@
 //     EXPIRE/EXPIREAT/PERSIST/TTL.
 //
 // Concurrency model: keys are routed to shards by FNV-1a hash; each shard
-// owns its own dict, expires dict, sampling slice, and expiry heap, guarded
-// by one mutex. Journal records are enqueued under the owning shard's lock
-// (fixing per-key order) but written to the Journal outside any shard lock
-// via a group-commit queue (see journalQueue). Cross-shard operations
+// owns its own dict, sampling slice, and expiry heap, guarded by one mutex.
+// Journal records are enqueued under the owning shard's lock (fixing
+// per-key order) but written to the Journal outside any shard lock via a
+// group-commit queue (see journalQueue). Cross-shard operations
 // (FLUSHALL, Snapshot) lock every shard in index order — the one
 // deterministic multi-shard protocol — and Scan/Keys/Len lock one shard at
 // a time, giving per-shard-consistent (not globally atomic) views, as
@@ -32,6 +36,7 @@ package store
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -62,8 +67,8 @@ const (
 	// ExpiryLazyProbabilistic is Redis's algorithm: periodic random
 	// sampling; expired keys may linger for hours (Figure 2).
 	ExpiryLazyProbabilistic ExpiryStrategy = iota
-	// ExpiryFastScan is the paper's modification: scan the entire expires
-	// dict each cycle and erase everything due.
+	// ExpiryFastScan is the paper's modification: scan every key that
+	// carries a TTL each cycle and erase everything due.
 	ExpiryFastScan
 	// ExpiryHeap is this repository's extension: a min-heap ordered by
 	// deadline pops exactly the due keys in O(k log n).
@@ -106,21 +111,32 @@ const DefaultShards = 16
 // ErrNoKey is returned by operations that require an existing key.
 var ErrNoKey = errors.New("store: no such key")
 
-// shard is one lock stripe of the keyspace: a dict plus expires pair with
-// the sampling slice and expiry heap that serve it. Every field is guarded
-// by mu.
-type shard struct {
-	mu sync.Mutex
-	// dict values are immutable once installed: writers replace the slice,
-	// never its bytes. GetNoCopy's callers rely on it.
-	dict    map[string][]byte
-	expires map[string]time.Time
+// entry is everything the engine holds for one key.
+type entry struct {
+	// val is immutable once installed: writers replace the slice, never its
+	// bytes. GetNoCopy's callers rely on it.
+	val []byte
+	// deadline is the key's expiry in Unix nanoseconds; 0 means none.
+	deadline int64
+	// slot is the key's index in its shard's expireKeys while deadline != 0.
+	slot int32
+}
 
-	// expireKeys/expireIdx mirror the expires dict as a slice so the
-	// probabilistic cycle can sample uniformly at random in O(1), the way
-	// dictGetRandomKey does in Redis.
+// deadAt reports whether the entry's deadline has passed at now (Unix ns):
+// the key is gone for every reader, reclaimed or not.
+func (e entry) deadAt(now int64) bool { return e.deadline != 0 && e.deadline <= now }
+
+// shard is one lock stripe of the keyspace: the dict, plus the sampling
+// slice and expiry heap that serve expiry. Every field is guarded by mu.
+type shard struct {
+	mu   sync.Mutex
+	dict map[string]entry
+
+	// expireKeys holds each key that carries a TTL exactly once, at its
+	// entry's slot, so the probabilistic cycle can draw one uniformly at
+	// random in O(1), the way dictGetRandomKey over the expires dict does
+	// in Redis, and the full scans can visit TTL'd keys only.
 	expireKeys []string
-	expireIdx  map[string]int
 
 	heap expiryHeap // used only by ExpiryHeap strategy
 
@@ -191,11 +207,7 @@ func New(opts Options) *DB {
 	}
 	db.strategy.Store(int32(opts.Strategy))
 	for i := range db.shards {
-		db.shards[i] = &shard{
-			dict:      make(map[string][]byte),
-			expires:   make(map[string]time.Time),
-			expireIdx: make(map[string]int),
-		}
+		db.shards[i] = &shard{dict: make(map[string]entry)}
 	}
 	return db
 }
@@ -254,10 +266,10 @@ func (db *DB) Strategy() ExpiryStrategy {
 }
 
 // SetStrategy switches the expiry strategy. Switching to ExpiryHeap
-// rebuilds each shard's heap from its expires dict; the strategy flips
+// rebuilds each shard's heap from its TTL'd keys; the strategy flips
 // first so TTL writes concurrent with the rebuild push their heap entries
-// (a duplicate entry is harmless — pops validate against the expires
-// dict), and a cycle racing the switch may miss not-yet-rebuilt shards
+// (a duplicate entry is harmless — pops validate against the key's
+// entry), and a cycle racing the switch may miss not-yet-rebuilt shards
 // for that one cycle.
 func (db *DB) SetStrategy(s ExpiryStrategy) {
 	db.strategy.Store(int32(s))
@@ -267,8 +279,8 @@ func (db *DB) SetStrategy(s ExpiryStrategy) {
 	for _, sh := range db.shards {
 		sh.mu.Lock()
 		sh.heap = sh.heap[:0]
-		for k, t := range sh.expires {
-			sh.heap.push(heapEntry{deadline: t, key: k})
+		for _, k := range sh.expireKeys {
+			sh.heap.push(heapEntry{deadline: time.Unix(0, sh.dict[k].deadline), key: k})
 		}
 		sh.mu.Unlock()
 	}
@@ -278,8 +290,7 @@ func (db *DB) SetStrategy(s ExpiryStrategy) {
 func (db *DB) Set(key string, value []byte) {
 	sh := db.shardFor(key)
 	sh.mu.Lock()
-	sh.dict[key] = cloneBytes(value)
-	sh.removeExpireLocked(key)
+	db.putLocked(sh, key, cloneBytes(value), 0)
 	db.jq.enqueue("SET", []byte(key), value)
 	sh.mu.Unlock()
 	db.jq.flush()
@@ -290,8 +301,7 @@ func (db *DB) SetEX(key string, value []byte, ttl time.Duration) {
 	deadline := db.clk.Now().Add(ttl)
 	sh := db.shardFor(key)
 	sh.mu.Lock()
-	sh.dict[key] = cloneBytes(value)
-	db.setExpireLocked(sh, key, deadline)
+	db.putLocked(sh, key, cloneBytes(value), deadlineNS(deadline))
 	db.jq.enqueue("SETEX", []byte(key), EncodeDeadline(deadline), value)
 	sh.mu.Unlock()
 	db.jq.flush()
@@ -360,20 +370,63 @@ func (db *DB) Restore(key string, value []byte, deadline time.Time) {
 // installLocked stores a copy of value under key and sets or clears its
 // deadline. Callers hold sh.mu.
 func (db *DB) installLocked(sh *shard, key string, value []byte, deadline time.Time) {
-	sh.dict[key] = cloneBytes(value)
-	if deadline.IsZero() {
-		sh.removeExpireLocked(key)
-	} else {
-		db.setExpireLocked(sh, key, deadline)
+	var ns int64
+	if !deadline.IsZero() {
+		ns = deadlineNS(deadline)
+	}
+	db.putLocked(sh, key, cloneBytes(value), ns)
+}
+
+// putLocked writes key's entry, val under deadline (0: none), and keeps the
+// sampling slice in step: one probe for what the key had, one map write,
+// and one append when the key gains its first TTL. Callers hold sh.mu.
+func (db *DB) putLocked(sh *shard, key string, val []byte, deadline int64) {
+	old, had := sh.dict[key]
+	e := entry{val: val, deadline: deadline}
+	switch hadTTL := had && old.deadline != 0; {
+	case deadline == 0:
+		if hadTTL {
+			sh.unslotLocked(old.slot)
+		}
+	case hadTTL:
+		e.slot = old.slot
+	default:
+		e.slot = int32(len(sh.expireKeys))
+		sh.expireKeys = append(sh.expireKeys, key)
+	}
+	sh.dict[key] = e
+	if deadline != 0 && db.Strategy() == ExpiryHeap {
+		// Stale heap entries for the same key are tolerated: pop validates
+		// against the key's entry before deleting.
+		sh.heap.push(heapEntry{deadline: time.Unix(0, deadline), key: key})
 	}
 }
 
+// unslotLocked swap-removes slot i from the sampling slice and points the
+// key moved into it, if any, at its new slot. Heap entries are invalidated
+// lazily.
+func (sh *shard) unslotLocked(i int32) {
+	last := int32(len(sh.expireKeys) - 1)
+	if i != last {
+		moved := sh.expireKeys[last]
+		sh.expireKeys[i] = moved
+		m := sh.dict[moved]
+		m.slot = i
+		sh.dict[moved] = m
+	}
+	sh.expireKeys[last] = ""
+	sh.expireKeys = sh.expireKeys[:last]
+}
+
 // SetKeepTTL stores value under key preserving an existing TTL (Redis SET
-// ... KEEPTTL).
+// ... KEEPTTL). A key already past its deadline is expired first, as on any
+// access, so the new value carries no TTL instead of a dead one.
 func (db *DB) SetKeepTTL(key string, value []byte) {
 	sh := db.shardFor(key)
 	sh.mu.Lock()
-	sh.dict[key] = cloneBytes(value)
+	e, _ := db.liveLocked(sh, key)
+	e.val = cloneBytes(value)
+	sh.dict[key] = e
 	db.jq.enqueue("SET", []byte(key), value, []byte("KEEPTTL"))
 	sh.mu.Unlock()
 	db.jq.flush()
@@ -408,8 +461,7 @@ func (db *DB) SetBatch(keys []string, values [][]byte) {
 			args = make([][]byte, 0, 2*len(idxs))
 		}
 		for _, i := range idxs {
-			sh.dict[keys[i]] = cloneBytes(values[i])
-			sh.removeExpireLocked(keys[i])
+			db.putLocked(sh, keys[i], cloneBytes(values[i]), 0)
 			if journal {
 				args = append(args, []byte(keys[i]), values[i])
 			}
@@ -432,14 +484,10 @@ func (db *DB) GetBatch(keys []string) (values [][]byte, present []bool) {
 		sh.mu.Lock()
 		for _, i := range idxs {
 			k := keys[i]
-			if db.expireIfNeededLocked(sh, k) {
-				db.logReadLocked(k)
-				continue
-			}
-			v, ok := sh.dict[k]
+			e, ok := db.liveLocked(sh, k)
 			db.logReadLocked(k)
 			if ok {
-				values[i] = cloneBytes(v)
+				values[i] = cloneBytes(e.val)
 				present[i] = true
 			}
 		}
@@ -454,42 +502,33 @@ func (db *DB) GetBatch(keys []string) (values [][]byte, present []bool) {
 func (db *DB) Get(key string) ([]byte, bool) {
 	sh := db.shardFor(key)
 	sh.mu.Lock()
-	if db.expireIfNeededLocked(sh, key) {
-		db.logReadLocked(key)
-		sh.mu.Unlock()
-		db.jq.flush()
-		return nil, false
-	}
-	v, ok := sh.dict[key]
+	e, ok := db.liveLocked(sh, key)
 	db.logReadLocked(key)
-	if ok {
-		v = cloneBytes(v)
-	}
 	sh.mu.Unlock()
 	db.jq.flush()
-	return v, ok
+	// The copy needs no lock: stored values are never written in place.
+	return cloneBytes(e.val), ok
 }
 
-// GetNoCopy is Get without the defensive copy: one shard lookup that lends
-// the stored slice. The engine never writes a stored value in place (every
-// Set/Apply installs a fresh clone), so the slice stays valid and unchanged
-// after the call returns, whatever happens to the key; callers must not
-// write to it or hand it to code that might. Rights reads decrypt straight
-// from it.
-func (db *DB) GetNoCopy(key string) ([]byte, bool) {
+// GetNoCopy is Get without the defensive copy and without the clock read:
+// one shard lookup that lends the stored slice, judging expiry against the
+// caller's now, so a walk over many keys reads the clock once. The engine
+// never writes a stored value in place (every Set/Apply installs a fresh
+// clone), so the slice stays valid and unchanged after the call returns,
+// whatever happens to the key; callers must not write to it or hand it to
+// code that might. Rights reads decrypt straight from it.
+func (db *DB) GetNoCopy(key string, now time.Time) ([]byte, bool) {
 	sh := db.shardFor(key)
 	sh.mu.Lock()
-	if db.expireIfNeededLocked(sh, key) {
-		db.logReadLocked(key)
-		sh.mu.Unlock()
-		db.jq.flush()
-		return nil, false
+	e, ok := sh.dict[key]
+	if ok && e.deadAt(now.UnixNano()) {
+		db.reapLocked(sh, key, e)
+		e, ok = entry{}, false
 	}
-	v, ok := sh.dict[key]
 	db.logReadLocked(key)
 	sh.mu.Unlock()
 	db.jq.flush()
-	return v, ok
+	return e.val, ok
 }
 
 // logReadLocked emits a READ record when read-journaling is on (§4.1's
@@ -504,12 +543,7 @@ func (db *DB) logReadLocked(key string) {
 func (db *DB) Exists(key string) bool {
 	sh := db.shardFor(key)
 	sh.mu.Lock()
-	if db.expireIfNeededLocked(sh, key) {
-		sh.mu.Unlock()
-		db.jq.flush()
-		return false
-	}
-	_, ok := sh.dict[key]
+	_, ok := db.liveLocked(sh, key)
 	sh.mu.Unlock()
 	db.jq.flush()
 	return ok
@@ -523,12 +557,8 @@ func (db *DB) Del(keys ...string) int {
 	for _, k := range keys {
 		sh := db.shardFor(k)
 		sh.mu.Lock()
-		if db.expireIfNeededLocked(sh, k) {
-			sh.mu.Unlock()
-			continue
-		}
-		if _, ok := sh.dict[k]; ok {
-			sh.deleteLocked(k)
+		if e, ok := db.liveLocked(sh, k); ok {
+			sh.deleteLocked(k, e)
 			db.jq.enqueue("DEL", []byte(k))
 			n++
 		}
@@ -543,11 +573,7 @@ func (db *DB) Del(keys ...string) int {
 func (db *DB) FlushAll() {
 	db.lockAll()
 	for _, sh := range db.shards {
-		sh.dict = make(map[string][]byte)
-		sh.expires = make(map[string]time.Time)
-		sh.expireKeys = sh.expireKeys[:0]
-		sh.expireIdx = make(map[string]int)
-		sh.heap = sh.heap[:0]
+		sh.resetLocked()
 	}
 	db.jq.enqueue("FLUSHALL")
 	db.unlockAll()
@@ -559,16 +585,12 @@ func (db *DB) FlushAll() {
 // RawLen). Shards are counted one at a time; concurrent writers make the
 // total approximate, as in any sharded store.
 func (db *DB) Len() int {
-	now := db.clk.Now()
+	now := db.nowNS()
 	n := 0
 	for _, sh := range db.shards {
 		sh.mu.Lock()
-		n += len(sh.dict)
-		for _, t := range sh.expires {
-			if !t.After(now) {
-				n--
-			}
-		}
+		overdue, _ := sh.overdueLocked(now)
+		n += len(sh.dict) - overdue
 		sh.mu.Unlock()
 	}
 	return n
@@ -592,7 +614,7 @@ func (db *DB) ExpireLen() int {
 	n := 0
 	for _, sh := range db.shards {
 		sh.mu.Lock()
-		n += len(sh.expires)
+		n += len(sh.expireKeys)
 		sh.mu.Unlock()
 	}
 	return n
@@ -618,8 +640,9 @@ func (db *DB) RandomKey() (string, bool) {
 	for i := 0; i < len(db.shards); i++ {
 		sh := db.shards[(start+i)%len(db.shards)]
 		sh.mu.Lock()
-		for k := range sh.dict {
-			if db.expireIfNeededLocked(sh, k) {
+		for k, e := range sh.dict {
+			if e.deadline != 0 && e.deadAt(db.nowNS()) {
+				db.reapLocked(sh, k, e)
 				continue
 			}
 			sh.mu.Unlock()
@@ -641,28 +664,64 @@ func (db *DB) randIntn(n int) int {
 	return v
 }
 
-// deleteLocked removes key from every structure of its shard. Callers hold
-// sh.mu.
-func (sh *shard) deleteLocked(key string) {
-	delete(sh.dict, key)
-	sh.removeExpireLocked(key)
+// resetLocked empties the shard. Callers hold sh.mu.
+func (sh *shard) resetLocked() {
+	sh.dict = make(map[string]entry)
+	clear(sh.expireKeys)
+	sh.expireKeys = sh.expireKeys[:0]
+	sh.heap = sh.heap[:0]
 }
 
-// expireIfNeededLocked lazily deletes key if its TTL has passed. It returns
-// true if the key was expired (and is now gone). Callers hold sh.mu and
+// deleteLocked removes key, whose entry is e, from every structure of its
+// shard. Callers hold sh.mu.
+func (sh *shard) deleteLocked(key string, e entry) {
+	delete(sh.dict, key)
+	if e.deadline != 0 {
+		sh.unslotLocked(e.slot)
+	}
+}
+
+// reapLocked deletes key, whose entry e is past its deadline, as an expiry:
+// counted, and journaled as the DEL it amounts to. Callers hold sh.mu and
 // must flush the journal queue after releasing it.
-func (db *DB) expireIfNeededLocked(sh *shard, key string) bool {
-	t, ok := sh.expires[key]
-	if !ok {
-		return false
-	}
-	if t.After(db.clk.Now()) {
-		return false
-	}
-	sh.deleteLocked(key)
+func (db *DB) reapLocked(sh *shard, key string, e entry) {
+	sh.deleteLocked(key, e)
 	sh.expired++
 	db.jq.enqueue("DEL", []byte(key))
-	return true
+}
+
+// liveLocked is the one probe behind every keyed operation: key's entry,
+// after lazily deleting it if its TTL has passed (the clock is read only
+// for a key that carries one). Callers hold sh.mu and must flush the
+// journal queue after releasing it.
+func (db *DB) liveLocked(sh *shard, key string) (entry, bool) {
+	e, ok := sh.dict[key]
+	if ok && e.deadline != 0 && e.deadAt(db.nowNS()) {
+		db.reapLocked(sh, key, e)
+		return entry{}, false
+	}
+	return e, ok
+}
+
+func (db *DB) nowNS() int64 { return db.clk.Now().UnixNano() }
+
+// The first and last instants UnixNano can represent (1678, 2262).
+var minDeadline, maxDeadline = time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64)
+
+// deadlineNS is a deadline as entries hold it. Times UnixNano cannot
+// represent clamp to the nearest one it can, and the one instant that would
+// read as "none" moves a nanosecond early.
+func deadlineNS(t time.Time) int64 {
+	switch {
+	case t.Before(minDeadline):
+		return math.MinInt64
+	case t.After(maxDeadline):
+		return math.MaxInt64
+	}
+	if ns := t.UnixNano(); ns != 0 {
+		return ns
+	}
+	return -1
 }
 
 func cloneBytes(b []byte) []byte {

@@ -67,12 +67,12 @@ func TestGetNoCopyLendsImmutableSlice(t *testing.T) {
 	}
 	for name, mutate := range mutations {
 		db.SetEX(name, []byte("old"), time.Minute)
-		lent, ok := db.GetNoCopy(name)
+		lent, ok := db.GetNoCopy(name, vc.Now())
 		if !ok {
 			t.Fatalf("%s: key missing", name)
 		}
 		mutate(name)
-		if _, still := db.GetNoCopy(name); name == "expiry" && still {
+		if _, still := db.GetNoCopy(name, vc.Now()); name == "expiry" && still {
 			t.Fatal("expired key still served")
 		}
 		if string(lent) != "old" {
@@ -101,6 +101,60 @@ func TestSetKeepTTL(t *testing.T) {
 	vc.Advance(2 * time.Minute)
 	if _, ok := db.Get("k"); ok {
 		t.Fatal("key survived its kept TTL")
+	}
+}
+
+// TestSetKeepTTLOnDeadKey: a KEEPTTL write that finds the key past its
+// deadline but not yet reclaimed expires it first, as Redis does, so the
+// acknowledged value has no TTL instead of a dead one that deletes it on the
+// next access; the journal says so (DEL, then the SET) and replays to the
+// same state. Replay itself never expires by its own clock.
+func TestSetKeepTTLOnDeadKey(t *testing.T) {
+	db, vc := newTestDB()
+	var log []journalRec
+	db.SetJournal(JournalFunc(func(name string, args ...[]byte) error {
+		log = append(log, journalRec{name: name, args: args})
+		return nil
+	}))
+	db.SetEX("k", []byte("v"), time.Minute)
+	vc.Advance(2 * time.Minute) // dead, and no cycle or access has reclaimed it
+	db.SetKeepTTL("k", []byte("v2"))
+
+	fresh := New(Options{Clock: vc})
+	var ops []string
+	for _, r := range log {
+		ops = append(ops, r.name)
+		if err := fresh.Apply(r.name, r.args); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fmt.Sprint(ops); got != "[SETEX DEL SET]" {
+		t.Fatalf("journal = %s, want [SETEX DEL SET]", got)
+	}
+	vc.Advance(time.Hour)
+	for name, e := range map[string]*DB{"live": db, "replayed": fresh} {
+		if v, ok := e.Get("k"); !ok || string(v) != "v2" {
+			t.Errorf("%s: Get = %q, %v: the acknowledged write was lost to the old deadline", name, v, ok)
+		}
+		if _, st := e.TTL("k"); st != TTLNone {
+			t.Errorf("%s: TTL status %v, want none", name, st)
+		}
+		if n := e.ExpireLen(); n != 0 {
+			t.Errorf("%s: %d keys carry a TTL, want 0", name, n)
+		}
+	}
+
+	// A replica applying the primary's KEEPTTL after the key died on its own
+	// clock keeps the deadline: the primary found the key alive, and bringing
+	// it back without its TTL would serve it past its retention bound.
+	late := New(Options{Clock: vc})
+	late.SetEX("r", []byte("v"), time.Minute)
+	vc.Advance(2 * time.Minute)
+	if err := late.Apply("SET", [][]byte{[]byte("r"), []byte("v2"), []byte("KEEPTTL")}); err != nil {
+		t.Fatal(err)
+	}
+	if late.ExpireLen() != 1 || late.Exists("r") {
+		t.Fatal("replayed KEEPTTL resurrected a dead key")
 	}
 }
 
@@ -263,7 +317,7 @@ func TestConcurrentAccess(t *testing.T) {
 
 func TestExpireSampleSliceConsistency(t *testing.T) {
 	// Property: after an arbitrary interleaving of SetEX/Del/Persist, the
-	// sampling slice and the expires dict must describe the same key set.
+	// sampling slice holds exactly the keys whose entry carries a deadline.
 	f := func(ops []uint8) bool {
 		db, _ := newTestDB()
 		for i, op := range ops {
@@ -279,31 +333,7 @@ func TestExpireSampleSliceConsistency(t *testing.T) {
 				db.Persist(k)
 			}
 		}
-		for _, sh := range db.shards {
-			sh.mu.Lock()
-			ok := len(sh.expireKeys) == len(sh.expires)
-			if ok {
-				for _, k := range sh.expireKeys {
-					if _, present := sh.expires[k]; !present {
-						ok = false
-						break
-					}
-				}
-			}
-			if ok {
-				for k, i := range sh.expireIdx {
-					if sh.expireKeys[i] != k {
-						ok = false
-						break
-					}
-				}
-			}
-			sh.mu.Unlock()
-			if !ok {
-				return false
-			}
-		}
-		return true
+		return checkSlots(db) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -134,11 +134,11 @@ func dumpState(db *DB) (map[string]string, map[string]time.Time) {
 	exps := make(map[string]time.Time)
 	for _, sh := range db.shards {
 		sh.mu.Lock()
-		for k, v := range sh.dict {
-			vals[k] = string(v)
-		}
-		for k, d := range sh.expires {
-			exps[k] = d
+		for k, e := range sh.dict {
+			vals[k] = string(e.val)
+			if e.deadline != 0 {
+				exps[k] = time.Unix(0, e.deadline)
+			}
 		}
 		sh.mu.Unlock()
 	}
