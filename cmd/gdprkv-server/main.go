@@ -257,7 +257,7 @@ func main() {
 		fmt.Printf("TLS tunnel entry point: %s\n", tun.Addr())
 	}
 
-	// Periodic maintenance: ghost-metadata pruning, deferred compaction.
+	// Periodic maintenance: expired grants, deferred compaction.
 	stop := make(chan struct{})
 	go func() {
 		t := time.NewTicker(30 * time.Second)

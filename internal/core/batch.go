@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
 	"gdprstore/internal/acl"
 	"gdprstore/internal/audit"
 	"gdprstore/internal/cryptoutil"
+	"gdprstore/internal/store"
 )
 
 // The batch operations amortise the per-operation compliance overhead the
@@ -64,56 +66,12 @@ func (s *Store) PutBatch(ctx Ctx, entries []BatchEntry, opts PutOptions) error {
 	if err := s.check(ctx, acl.OpWrite, opts.Owner, "MPUT", keys[0]); err != nil {
 		return err
 	}
-
-	full := s.cfg.Capability == CapabilityFull
-	if full && opts.Owner == "" {
-		return ErrNoOwner
+	p, now, deadline, err := s.writeTerms(ctx, os, "MPUT", keys[0], opts)
+	if err != nil {
+		return err
 	}
-
-	purposes := opts.Purposes
-	if len(purposes) == 0 && ctx.Purpose != "" {
-		purposes = []string{ctx.Purpose}
-	}
-
-	now := canonicalTime(s.cfg.Config.Clock.Now())
-	deadline := s.effectiveDeadline(now, opts, purposes)
-	if s.cfg.requireTTL && deadline.IsZero() {
-		return ErrNoTTL
-	}
-
-	loc := opts.Location
-	if loc == "" {
-		loc = s.cfg.DefaultLocation
-	}
-	if len(s.cfg.AllowedLocations) > 0 && full {
-		ok := false
-		for _, a := range s.cfg.AllowedLocations {
-			if a == loc {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			s.auditOp(audit.Record{
-				Actor: ctx.Actor, Op: "MPUT", Key: keys[0], Owner: opts.Owner,
-				Purpose: ctx.Purpose, Outcome: audit.OutcomeDenied,
-				Detail: "location " + loc + " not permitted",
-			})
-			return fmt.Errorf("%w: %q", ErrLocationDenied, loc)
-		}
-	}
-
-	meta := &Metadata{
-		Owner:              opts.Owner,
-		Purposes:           purposes,
-		Origin:             opts.Origin,
-		SharedWith:         append([]string(nil), opts.SharedWith...),
-		Expiry:             deadline,
-		Location:           loc,
-		AutomatedDecisions: opts.AutomatedDecisions,
-		Created:            now,
-	}
-	meta.Objections = append(meta.Objections, s.objectionsOfLocked(os, opts.Owner)...)
+	// The whole batch shares one record, as it shares its metadata.
+	rec := &store.Record{Policy: p, Created: createdNS(now)}
 
 	stored := vals
 	if s.keyring != nil && opts.Owner != "" {
@@ -121,7 +79,7 @@ func (s *Store) PutBatch(ctx Ctx, entries []BatchEntry, opts PutOptions) error {
 		if err != nil {
 			return err
 		}
-		meta.KeyEpoch = epoch
+		rec.Epoch = epoch
 		// One key schedule and one buffer for the whole batch; the engine
 		// clones what it stores, so the buffer dies with the call.
 		size := 0
@@ -142,13 +100,9 @@ func (s *Store) PutBatch(ctx Ctx, entries []BatchEntry, opts PutOptions) error {
 	}
 
 	// Each touched shard's GREC record carries the shared metadata once and
-	// that shard's pairs. The index shares the one immutable value too.
-	jerr := s.db.SetRecorded(keys, stored, deadline, opRecord, encodeMetadata(meta))
-	for _, k := range keys {
-		s.ix.put(k, meta)
-	}
-	if jerr != nil {
-		return jerr
+	// that shard's pairs.
+	if err := s.db.SetRecorded(keys, stored, rec, deadline, opRecord, encodeMetadata(rec, deadline)); err != nil {
+		return err
 	}
 	s.auditOp(audit.Record{
 		Actor: ctx.Actor, Op: "MPUT", Key: keys[0], Owner: opts.Owner,
@@ -221,21 +175,22 @@ func (s *Store) GetBatch(ctx Ctx, keys []string) ([]BatchGetResult, error) {
 }
 
 // getLocked is the shared single-key read body — ACL check, purpose
-// limitation, ghost-metadata cleanup, decryption — used by both Get and
-// GetBatch. Callers hold key's stripe and handle read auditing; denials
-// are audited here (they are evidence regardless of the calling path). The
-// owner is returned for the caller's audit records. oc carries the owner's
-// prepared cipher from one key of a call to the next; it is re-read from
-// the keyring when the owner changes or the key it was built from has been
-// shredded since.
+// limitation, decryption — used by both Get and GetBatch: one engine probe
+// for the value and its record together. Callers hold key's stripe and
+// handle read auditing; denials are audited here (they are evidence
+// regardless of the calling path). The owner is returned for the caller's
+// audit records. oc carries the owner's prepared cipher from one key of a
+// call to the next; it is re-read from the keyring when the owner changes or
+// the key it was built from has been shredded since.
 func (s *Store) getLocked(ctx Ctx, key string, oc *ownerCipher) (value []byte, owner string, err error) {
-	meta := s.metaLive(key)
-	owner = meta.owner()
-	if meta != nil {
+	e, ok := s.db.Lookup(key)
+	rec := e.Record
+	owner = ownerOf(rec)
+	if rec != nil {
 		if oc.owner != owner || (oc.sealed && !s.keyring.RecordLive(owner, oc.epoch)) {
 			*oc = s.ownerCipherFor(owner)
 		}
-		if !oc.live(meta) {
+		if !oc.live(rec) {
 			// Crypto-erased but not yet reclaimed by the sweep: the record
 			// is already gone for Article 17 purposes, so serve exactly
 			// what a completed sweep would.
@@ -245,8 +200,8 @@ func (s *Store) getLocked(ctx Ctx, key string, oc *ownerCipher) (value []byte, o
 	if err := s.check(ctx, acl.OpRead, owner, "GET", key); err != nil {
 		return nil, owner, err
 	}
-	if meta != nil && s.cfg.Capability == CapabilityFull {
-		if !meta.PermitsPurpose(ctx.Purpose) {
+	if rec != nil && s.cfg.Capability == CapabilityFull {
+		if !permits(rec.Policy, ctx.Purpose) {
 			s.auditOp(audit.Record{
 				Actor: ctx.Actor, Op: "GET", Key: key, Owner: owner,
 				Purpose: ctx.Purpose, Outcome: audit.OutcomeDenied,
@@ -255,13 +210,13 @@ func (s *Store) getLocked(ctx Ctx, key string, oc *ownerCipher) (value []byte, o
 			return nil, owner, fmt.Errorf("%w: %q", ErrPurposeDenied, ctx.Purpose)
 		}
 	}
-	v, ok := s.db.Get(key)
 	if !ok {
-		s.ix.del(key) // ghost metadata from lazy expiry
 		return nil, owner, ErrNotFound
 	}
-	if meta != nil && oc.sealed {
-		v, err = oc.c.Open(nil, v, []byte(key))
+	if rec != nil && oc.sealed {
+		// Opened straight from the lent slice: one allocation, the plaintext.
+		v, err := oc.c.Open(nil, e.Value, []byte(key))
+		return v, owner, err
 	}
-	return v, owner, err
+	return bytes.Clone(e.Value), owner, nil
 }

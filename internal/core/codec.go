@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"gdprstore/internal/store"
 )
 
 // The record codec (DESIGN.md §17): one append-style binary form for the
@@ -80,11 +82,12 @@ func canonicalTime(t time.Time) time.Time {
 	return time.Unix(0, unixNano(t)).UTC()
 }
 
-// encodeMetadata returns m's binary form in a buffer of its own, sized so
-// that the usual record (an owner, a purpose or two, a region) needs no
-// second allocation.
-func encodeMetadata(m *Metadata) []byte {
-	return appendMetadata(make([]byte, 0, 128), m)
+// encodeMetadata returns the binary form of rec's metadata under deadline
+// (zero: none) in a buffer of its own, sized so that the usual record (an
+// owner, a purpose or two, a region) needs no second allocation.
+func encodeMetadata(rec *store.Record, deadline time.Time) []byte {
+	m := metadataOf(rec, deadline)
+	return appendMetadata(make([]byte, 0, 128), &m)
 }
 
 // appendMetadata appends m's binary form.

@@ -2,20 +2,22 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"gdprstore/internal/acl"
+	"gdprstore/internal/store"
 	"gdprstore/internal/testutil"
 )
 
 // TestConcurrentMixedOperations hammers the compliance layer from many
 // goroutines and then checks the core consistency invariants:
 //
-//  1. every metadata entry refers to a key the engine still has (after one
-//     Maintain pass prunes expiry ghosts);
-//  2. every owner-index entry round-trips through GetUser;
+//  1. every key in an owner's index set holds a record of that owner;
+//  2. every record the engine holds is in its owner's index set, and
+//     MetaCount counts exactly those records;
 //  3. forgotten owners have no surviving records.
 func TestConcurrentMixedOperations(t *testing.T) {
 	s := newFullStore(t, nil)
@@ -54,40 +56,32 @@ func TestConcurrentMixedOperations(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	s.Maintain()
 
-	// Invariant 1: no ghost metadata after maintenance.
-	var ghost string
-	s.ix.rangeMeta(func(k string, _ *Metadata) bool {
-		if !s.db.Exists(k) {
-			ghost = k
-			return false
-		}
-		return true
-	})
-	if ghost != "" {
-		t.Fatalf("ghost metadata for %q after Maintain", ghost)
-	}
-	// Invariant 2: owner index agrees with metadata, in both directions.
-	s.ix.rangeMeta(func(k string, m *Metadata) bool {
-		if m.Owner == "" {
-			return true
-		}
-		for _, ok := range s.ix.ownerKeys(m.Owner) {
-			if ok == k {
-				return true
-			}
-		}
-		t.Errorf("key %q (owner %q) missing from owner index", k, m.Owner)
-		return true
-	})
+	// Invariant 1: no index entry outlives its record.
+	now := vclock(s).Now()
 	for i := 0; i < owners; i++ {
 		owner := fmt.Sprintf("owner%d", i)
 		for _, k := range s.ix.ownerKeys(owner) {
-			if m := s.ix.get(k); m == nil || m.Owner != owner {
+			if e, ok := s.db.Peek(k, now); !ok || ownerOf(e.Record) != owner {
 				t.Fatalf("owner index inconsistent: %q -> %q", owner, k)
 			}
 		}
+	}
+	// Invariant 2: every record is indexed under its owner, and counted.
+	records := 0
+	if err := s.db.SnapshotRecords(func(k string, e store.Entry) error {
+		if e.Record != nil {
+			records++
+			if !slices.Contains(s.ix.ownerKeys(e.Record.Policy.Owner), k) {
+				t.Errorf("key %q (owner %q) missing from owner index", k, e.Record.Policy.Owner)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.MetaCount(); n != records {
+		t.Fatalf("MetaCount = %d, the engine holds %d records", n, records)
 	}
 
 	// Invariant 3: forgetting an owner leaves nothing behind.

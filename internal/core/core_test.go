@@ -198,9 +198,9 @@ func TestTTLExpiryEndToEnd(t *testing.T) {
 	if _, err := s.Get(ctlCtx, "k"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("expired key read: %v", err)
 	}
-	// Ghost metadata must be pruned on access.
+	// The record went with the value.
 	if _, err := s.Metadata(ctlCtx, "k"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("ghost metadata served: %v", err)
+		t.Fatalf("metadata of an expired key served: %v", err)
 	}
 }
 
@@ -397,20 +397,24 @@ func TestExpireUpdatesMetadata(t *testing.T) {
 	}
 }
 
-func TestMaintainPrunesGhosts(t *testing.T) {
+// Expiry drops a key's record with its value, and the indexes with it: no
+// maintenance pass in between, and nothing for one to prune.
+func TestExpiryDropsRecord(t *testing.T) {
 	s := newFullStore(t, nil)
-	s.Put(ctlCtx, "k", []byte("v"), PutOptions{Owner: "alice", TTL: time.Minute})
+	s.Put(ctlCtx, "k", []byte("v"), PutOptions{Owner: "alice", Purposes: []string{"billing"}, TTL: time.Minute})
+	if s.MetaCount() != 1 {
+		t.Fatalf("meta count after the write = %d", s.MetaCount())
+	}
 	vclock(s).Advance(2 * time.Minute)
 	s.Engine().ActiveExpireCycle() // strict strategy: reclaims in engine
-	if s.MetaCount() != 1 {
-		t.Fatalf("meta count before maintain = %d", s.MetaCount())
+	if n := s.MetaCount(); n != 0 {
+		t.Fatalf("meta count after expiry = %d", n)
 	}
-	st := s.Maintain()
-	if st.GhostMetaPruned != 1 {
-		t.Fatalf("pruned = %d", st.GhostMetaPruned)
+	if keys := s.ix.ownerKeys("alice"); len(keys) != 0 {
+		t.Fatalf("owner index after expiry: %v", keys)
 	}
-	if s.MetaCount() != 0 {
-		t.Fatal("ghost meta survived maintain")
+	if keys := s.ix.purposeKeys("billing"); len(keys) != 0 {
+		t.Fatalf("purpose index after expiry: %v", keys)
 	}
 }
 

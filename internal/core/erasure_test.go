@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"gdprstore/internal/aof"
 	"gdprstore/internal/clock"
 	"gdprstore/internal/cryptoutil"
+	"gdprstore/internal/store"
 )
 
 // Tests for O(1) erasure via crypto-shredding: the FORGETUSER fast path
@@ -126,6 +128,50 @@ func TestShredInvisibleBeforeSweep(t *testing.T) {
 	}
 	if !s.PendingRewrite() {
 		t.Fatal("sweep reclamation did not owe an AOF compaction")
+	}
+}
+
+// FORGETUSER reports the records it erased: not those expiry reaped before
+// it. The count was the owner's index set, which kept a reaped key until the
+// next MAINTAIN, so the reply, the trail's erased= and the sweep's pending
+// records all said 4 here.
+func TestForgetCountsOnlyUnexpiredRecords(t *testing.T) {
+	for _, envelope := range []bool{true, false} {
+		t.Run(fmt.Sprintf("envelope=%v", envelope), func(t *testing.T) {
+			vc := clock.NewVirtual(time.Date(2026, 10, 1, 0, 0, 0, 0, time.UTC))
+			s, err := Open(erasureCfg(func(c *Config) {
+				c.Envelope, c.Clock, c.AuditEnabled = envelope, vc, true
+				c.ExpiryStrategy = Ptr(store.ExpiryFastScan)
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			ctx := Ctx{Actor: "app", Purpose: "service"}
+			for i, ttl := range []time.Duration{time.Second, time.Hour, time.Second, time.Hour} {
+				if err := s.Put(ctx, fmt.Sprintf("alice:%d", i), []byte("v"), PutOptions{Owner: "alice", TTL: ttl}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			vc.Advance(2 * time.Second)
+			if st := s.ExpiryCycle(); st.Expired != 2 {
+				t.Fatalf("expiry cycle reaped %d records, want 2", st.Expired)
+			}
+			if n := s.MetaCount(); n != 2 {
+				t.Fatalf("MetaCount after expiry = %d, want 2", n)
+			}
+			n, err := s.Forget(Ctx{Actor: "alice"}, "alice")
+			if err != nil || n != 2 {
+				t.Fatalf("Forget = %d, %v; want erased=2", n, err)
+			}
+			recs, err := s.Trail().Query(auditOpFilter("FORGETUSER"))
+			if err != nil || len(recs) != 1 || !strings.HasPrefix(recs[0].Detail, "erased=2") {
+				t.Fatalf("FORGETUSER trail records %+v, %v; want one with erased=2", recs, err)
+			}
+			if st := s.ErasureStats(); envelope && st.PendingRecords != 2 {
+				t.Fatalf("pending records after the shred = %d, want 2", st.PendingRecords)
+			}
+		})
 	}
 }
 

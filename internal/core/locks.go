@@ -3,52 +3,55 @@ package core
 import (
 	"slices"
 	"sync"
+	"time"
+
+	"gdprstore/internal/store"
 )
 
-// The compliance layer used to serialise every operation on one Store-wide
-// mutex; GPUT/GGET for different data subjects contended even though they
-// share no state. It now uses striped locking at two granularities, chosen
-// per operation:
+// The compliance layer keeps no table of its own beside the engine's: a
+// key's value, retention deadline and compliance record are one engine entry
+// (store.Record, metadata.go), installed and dropped together under the
+// engine's shard lock, so they cannot disagree. The layer locks state that
+// spans keys, at two granularities chosen per operation:
 //
 //   - ownerStripes serialise owner-scoped state: the standing objections
-//     map, the keyring entry, and the owner's key set (Put/PutBatch,
-//     Forget, Object, ...). Operations for different owners take
-//     different stripes and proceed in parallel.
-//   - keyStripes serialise the per-key compound invariant "engine value and
-//     metadata-index entry agree" (Put, Get, Delete, Expire, ...). An
-//     operation that knows its owner takes the owner stripe first, then
-//     the key stripe(s); key-only operations (Get, Delete — the owner is
-//     discovered from the metadata) take just the key stripe.
+//     map, the keyring entry, the owner's shared policy and key set
+//     (Put/PutBatch, Forget, Object, ...). Operations for different owners
+//     take different stripes and proceed in parallel.
+//   - keyStripes serialise an operation's read-check-write of one key
+//     (Delete and Expire read the owner from the record, check, then write)
+//     and are what Close's barrier waits out. An operation that knows its
+//     owner takes the owner stripe first, then the key stripe(s); key-only
+//     operations (Get, Delete) take just the key stripe.
 //
-// Whole-store operations (AOF rewrite/snapshot, Maintain, Close, replay)
-// take gmu and then every stripe, in index order — the deterministic
-// lock-ordering protocol that makes cross-stripe operations deadlock-free:
+// Below them come the engine's shard locks, and below those the owner and
+// purpose index stripes (metaIndex), leaves the engine's record observer
+// takes for one map operation. Whole-store operations (AOF
+// rewrite/snapshot, Maintain, Close) take gmu and then every stripe, in
+// index order — the protocol that makes cross-stripe operations
+// deadlock-free:
 //
-//	gmu → ownerStripes (ascending) → keyStripes (ascending) → subsystem locks
+//	gmu → ownerStripes (ascending) → keyStripes (ascending) → engine shard → index stripe
 //
-// No operation takes more than one owner stripe, key stripes are always
-// acquired after the (single) owner stripe and in ascending index order
-// when more than one is held, and the engine/AOF/audit/ACL/keyring locks
-// are leaves. The engine below has its own shard locks; the audit trail,
-// AOF, ACL and keyring have their own internal locks.
+// No operation takes more than one owner stripe, key stripes are acquired
+// after it and in ascending order, and the AOF/audit/ACL/keyring locks are
+// leaves beside the index stripes.
 //
 // Owner-scoped reads (GetUser and what is built on it) hold the owner
 // stripe only to decide and to snapshot: ACL check, the owner's key list,
-// its data key and key epoch. The walk over the records then runs with the
-// stripe released, one key stripe at a time (walkKeys), re-validating each
-// record's owner and epoch under that stripe, and the epoch is read again
-// at the end: a Forget that got in between makes the whole answer the
-// erased one, never part of a report. Writers for the owner therefore wait
+// its data key and key epoch. The walk then runs with the stripe released,
+// one key stripe and one engine probe (value and record together) per
+// record (walkKeys), re-validating its owner and epoch, and the epoch is
+// read again at the end: a Forget that got in between makes the whole
+// answer the erased one, never part of a report. Writers for the owner wait
 // for a snapshot, not for a walk. Without a keyring there is no epoch to
 // re-read, so there the stripe stays held across the walk.
 //
-// The erasure sweeper (maintain.go) deliberately stays at the bottom of
-// this ordering: it holds ONE key stripe at a time while reclaiming a
-// dead record and never takes an owner stripe or gmu, so it can run
-// concurrently with the foreground compliance path without joining the
-// stop-the-world protocol. erasureState.mu (pending-owner set and sweep
-// counters) is a leaf like the keyring's internal lock: it is only ever
-// acquired last and nothing is called while holding it.
+// The erasure sweeper (maintain.go) stays at the bottom of this ordering:
+// it holds ONE key stripe at a time while reclaiming a dead record and never
+// takes an owner stripe or gmu, so it runs beside the foreground path
+// without joining the stop-the-world protocol. erasureState.mu is a leaf
+// like the keyring's internal lock: acquired last, nothing called under it.
 const stripeCount = 64 // power of two
 
 // ownerStripe guards one stripe of owner-scoped compliance state. The
@@ -107,24 +110,28 @@ func (s *Store) unlockKeyStripes(idxs []int) {
 }
 
 // walkOwner visits every record the index attributes to owner; see
-// walkKeys. Callers that need the key set frozen hold owner's stripe.
-func (s *Store) walkOwner(owner string, fn func(key string, m *Metadata) bool) bool {
-	return s.walkKeys(owner, s.ix.ownerKeys(owner), fn)
+// walkKeys. It reads records, not data: the probe journals no READ.
+// Callers that need the key set frozen hold owner's stripe.
+func (s *Store) walkOwner(owner string, fn func(key string, e store.Entry) bool) bool {
+	return s.walkKeys(owner, s.ix.ownerKeys(owner), s.db.Peek, fn)
 }
 
 // walkKeys visits, in key order, those of keys (a snapshot of owner's key
-// set, which it sorts) that still belong to owner. fn runs under the key's
-// stripe, taken one at a time per the ordering protocol, with the key's
-// current metadata: a key deleted since the snapshot, or re-Put by another
-// subject, is skipped, so nothing of theirs is ever touched or reported.
-// fn returns false to stop; walkKeys reports whether it reached the end.
-func (s *Store) walkKeys(owner string, keys []string, fn func(key string, m *Metadata) bool) bool {
+// set, which it sorts) that still hold a record of owner. fn runs under the
+// key's stripe, taken one at a time per the ordering protocol, with the
+// key's entry as one probe finds it, judged at one clock reading for the
+// whole walk: a key deleted or expired since the snapshot, or re-Put by
+// another subject, is skipped, so nothing of theirs is ever touched or
+// reported. fn returns false to stop; walkKeys reports whether it reached
+// the end.
+func (s *Store) walkKeys(owner string, keys []string, probe func(string, time.Time) (store.Entry, bool), fn func(key string, e store.Entry) bool) bool {
 	slices.Sort(keys)
+	now := s.cfg.Config.Clock.Now()
 	for _, k := range keys {
 		ks := s.keyStripeFor(k)
 		ks.Lock()
-		m := s.ix.get(k)
-		more := m == nil || m.Owner != owner || fn(k, m)
+		e, ok := probe(k, now)
+		more := !ok || ownerOf(e.Record) != owner || fn(k, e)
 		ks.Unlock()
 		if !more {
 			return false

@@ -20,14 +20,14 @@ func parseEpoch(b []byte) (uint64, error) {
 	return strconv.ParseUint(string(b), 10, 64)
 }
 
-// recordDead reports whether m's record is crypto-erased: sealed under a
-// keyring epoch whose key has since been destroyed. Dead records are
-// invisible to every read path and are reclaimed by the lazy-delete sweep.
-func (s *Store) recordDead(m *Metadata) bool {
-	if s.keyring == nil || m.Owner == "" {
+// recordDead reports whether rec is crypto-erased: sealed under a keyring
+// epoch whose key has since been destroyed. Dead records are invisible to
+// every read path and are reclaimed by the lazy-delete sweep.
+func (s *Store) recordDead(rec *store.Record) bool {
+	if s.keyring == nil || rec.Policy.Owner == "" {
 		return false
 	}
-	return !s.keyring.RecordLive(m.Owner, m.KeyEpoch)
+	return !s.keyring.RecordLive(rec.Policy.Owner, rec.Epoch)
 }
 
 // KeyVisible reports whether key is currently visible to clients: a key
@@ -38,8 +38,8 @@ func (s *Store) KeyVisible(key string) bool {
 	if s.keyring == nil {
 		return true
 	}
-	m := s.ix.get(key)
-	return m == nil || !s.recordDead(m)
+	e, _ := s.entryOf(key)
+	return e.Record == nil || !s.recordDead(e.Record)
 }
 
 // markErasurePending registers owner with the lazy-delete sweep: the owner
@@ -55,9 +55,9 @@ func (s *Store) markErasurePending(owner string) {
 
 // SweepStats reports what one lazy-delete sweep cycle did.
 type SweepStats struct {
-	// Scanned counts index entries examined for deadness.
+	// Scanned counts records examined for deadness.
 	Scanned int
-	// Reclaimed counts dead records physically deleted (engine + index).
+	// Reclaimed counts dead records physically deleted.
 	Reclaimed int
 	// OwnersDrained counts owners whose dead ciphertext was fully
 	// reclaimed, removing them from the pending set.
@@ -97,13 +97,12 @@ func (s *Store) ErasureSweepCycle() SweepStats {
 		// Ownership is re-validated under each stripe (walkOwner): the key
 		// may have been deleted, re-owned, or rewritten under a live epoch
 		// since the walk began.
-		complete := s.walkOwner(owner, func(k string, m *Metadata) bool {
+		complete := s.walkOwner(owner, func(k string, e store.Entry) bool {
 			if st.Reclaimed >= budget || s.closed.Load() {
 				return false
 			}
-			if s.recordDead(m) {
+			if s.recordDead(e.Record) {
 				s.db.Del(k)
-				s.ix.del(k)
 				st.Reclaimed++
 			}
 			st.Scanned++
@@ -132,8 +131,8 @@ func (s *Store) ErasureSweepCycle() SweepStats {
 }
 
 // DrainErasure runs sweep cycles until no shredded owner remains pending;
-// a synchronous backstop for tests and shutdown-style flows. Returns the
-// accumulated stats.
+// the synchronous backstop Maintain runs, for deployments without a
+// background sweeper. Returns the accumulated stats.
 func (s *Store) DrainErasure() SweepStats {
 	var total SweepStats
 	for {
@@ -213,9 +212,9 @@ type ErasureStats struct {
 	// PendingOwners counts shredded owners whose dead ciphertext the sweep
 	// has not fully reclaimed yet.
 	PendingOwners int
-	// PendingRecords counts index entries still attributed to pending
-	// owners (an upper bound on dead records: a reinstated owner's live
-	// records are included until the owner drains).
+	// PendingRecords counts the records pending owners still hold (an upper
+	// bound on dead records: a reinstated owner's live records are included
+	// until the owner drains; records expiry has reaped are not).
 	PendingRecords int
 	// Reclaimed is the total records physically deleted by sweeps.
 	Reclaimed uint64
@@ -274,44 +273,6 @@ func (s *Store) ErasureStats() ErasureStats {
 	return st
 }
 
-// reclaimErasedLocked fully reclaims every pending owner's dead records.
-// Callers hold the whole-store lock (lockAll), every key stripe included,
-// which is why this loop cannot be walkOwner; this is Maintain's backstop
-// when no background sweeper runs.
-func (s *Store) reclaimErasedLocked() int {
-	if s.keyring == nil {
-		return 0
-	}
-	s.erasure.mu.Lock()
-	owners := make([]string, 0, len(s.erasure.pending))
-	for o := range s.erasure.pending {
-		owners = append(owners, o)
-	}
-	s.erasure.mu.Unlock()
-	n := 0
-	drained := 0
-	for _, owner := range owners {
-		for _, k := range s.ix.ownerKeys(owner) {
-			if m := s.ix.get(k); m != nil && m.Owner == owner && s.recordDead(m) {
-				s.db.Del(k)
-				s.ix.del(k)
-				n++
-			}
-		}
-		s.erasure.mu.Lock()
-		delete(s.erasure.pending, owner)
-		s.erasure.mu.Unlock()
-		drained++
-	}
-	if n > 0 || drained > 0 {
-		s.erasure.mu.Lock()
-		s.erasure.reclaimed += uint64(n)
-		s.erasure.drained += uint64(drained)
-		s.erasure.mu.Unlock()
-	}
-	return n
-}
-
 // snapshotAll emits the commands that reconstruct the full compliance
 // state: one record per live key (GREC with its metadata; SET/SETEX for a
 // key that has none), standing objections (GOBJ), and the envelope keyring
@@ -325,20 +286,18 @@ func (s *Store) reclaimErasedLocked() int {
 // sweep is still running. emit must not keep its arguments.
 func (s *Store) snapshotAll(emit func(name string, args ...[]byte) error) error {
 	var mb []byte
-	err := s.db.SnapshotRecords(func(k string, v []byte, deadline time.Time) error {
-		m := s.ix.get(k)
+	err := s.db.SnapshotRecords(func(k string, e store.Entry) error {
 		switch {
-		case m == nil && deadline.IsZero():
-			return emit("SET", []byte(k), v)
-		case m == nil:
-			return emit("SETEX", []byte(k), store.EncodeDeadline(deadline), v)
-		case s.recordDead(m):
+		case e.Record == nil && e.Deadline.IsZero():
+			return emit("SET", []byte(k), e.Value)
+		case e.Record == nil:
+			return emit("SETEX", []byte(k), store.EncodeDeadline(e.Deadline), e.Value)
+		case s.recordDead(e.Record):
 			return nil
 		}
-		mm := *m
-		mm.Expiry = deadline
-		mb = appendMetadata(mb[:0], &mm)
-		return emit(opRecord, mb, []byte(k), v)
+		m := metadataOf(e.Record, e.Deadline)
+		mb = appendMetadata(mb[:0], &m)
+		return emit(opRecord, mb, []byte(k), e.Value)
 	})
 	if err != nil {
 		return err
@@ -403,9 +362,6 @@ func (s *Store) Compact(ctx Ctx) error {
 
 // MaintStats reports what one maintenance pass did.
 type MaintStats struct {
-	// GhostMetaPruned counts metadata entries dropped because the engine
-	// had already expired their keys.
-	GhostMetaPruned int
 	// GrantsPurged counts expired ACL grants removed.
 	GrantsPurged int
 	// ErasedReclaimed counts crypto-shredded records physically deleted by
@@ -417,30 +373,17 @@ type MaintStats struct {
 	Took time.Duration
 }
 
-// Maintain runs one background maintenance pass: it prunes ghost metadata
-// left behind by engine-side expiry, purges expired grants, and performs
-// any deferred AOF compaction (the "eventual" half of the compliance
-// spectrum — erasure work postponed off the critical path lands here).
+// Maintain runs one background maintenance pass: it purges expired grants,
+// reclaims crypto-erased records no sweeper has, and performs any deferred
+// AOF compaction (the "eventual" half of the compliance spectrum — erasure
+// work postponed off the critical path lands here).
 func (s *Store) Maintain() MaintStats {
 	start := time.Now()
-	var st MaintStats
+	// The sweep's own walk, one key stripe at a time, before the global
+	// locks; it owes the compaction below for what it reclaims.
+	st := MaintStats{ErasedReclaimed: s.DrainErasure().Reclaimed}
 	s.lockAll()
-	var ghosts []string
-	s.ix.rangeMeta(func(k string, _ *Metadata) bool {
-		if !s.db.Exists(k) {
-			ghosts = append(ghosts, k)
-		}
-		return true
-	})
-	for _, k := range ghosts {
-		s.ix.del(k)
-		st.GhostMetaPruned++
-	}
 	st.GrantsPurged = s.acl.PurgeExpired()
-	st.ErasedReclaimed = s.reclaimErasedLocked()
-	if st.ErasedReclaimed > 0 {
-		s.pendingRewrite.Store(true)
-	}
 	if s.pendingRewrite.Load() {
 		if err := s.propagateErasureLocked(Ctx{Actor: "system:maintenance"}); err == nil {
 			st.Rewrote = true
@@ -457,8 +400,18 @@ func (s *Store) PendingRewrite() bool {
 	return s.pendingRewrite.Load()
 }
 
-// MetaCount returns the number of metadata entries currently indexed
-// (including ghosts not yet pruned); for tests and introspection.
+// MetaCount returns the number of records the owner index holds: every
+// record with an owner, none the engine has dropped. For tests and
+// introspection; it visits every owner.
 func (s *Store) MetaCount() int {
-	return s.ix.len()
+	n := 0
+	for i := range s.ix.byOwner {
+		sh := &s.ix.byOwner[i]
+		sh.mu.Lock()
+		for _, set := range sh.m {
+			n += len(set.keys)
+		}
+		sh.mu.Unlock()
+	}
+	return n
 }

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"sync"
 	"time"
+
+	"gdprstore/internal/store"
 )
 
 // Metadata is the per-record GDPR metadata the compliance layer maintains
@@ -11,6 +14,8 @@ import (
 // controller to report back to the data subject: processing purposes,
 // recipients, the storage period, and automated decision-making; plus the
 // origin (Art. 14), objections (Art. 21), and storage location (Art. 46).
+// In memory a record is a store.Record in its key's engine entry; a
+// Metadata is built from one where a caller or a format needs it.
 type Metadata struct {
 	// Owner is the data subject the record belongs to. Required.
 	Owner string `json:"owner"`
@@ -52,239 +57,274 @@ func (m Metadata) clone() Metadata {
 	return c
 }
 
-// owner is m.Owner, "" for a key without metadata (nil m).
-func (m *Metadata) owner() string {
-	if m == nil {
-		return ""
-	}
-	return m.Owner
-}
-
-// PermitsPurpose reports whether processing under the given purpose is
-// permitted: it must be whitelisted and not objected to. The empty purpose
-// is never permitted on records with purpose restrictions.
-func (m Metadata) PermitsPurpose(purpose string) bool {
-	for _, o := range m.Objections {
+// permits reports whether processing under purpose is permitted by p: it
+// must be whitelisted and not objected to. The empty purpose is never
+// permitted on records with purpose restrictions.
+func permits(p *store.Policy, purpose string) bool {
+	for _, o := range p.Objections {
 		if o == purpose || o == "*" {
 			return false
 		}
 	}
-	for _, p := range m.Purposes {
-		if p == purpose || p == "*" {
+	for _, w := range p.Purposes {
+		if w == purpose || w == "*" {
 			return true
 		}
 	}
 	return false
 }
 
-// metaIndex maintains the secondary indexes the paper's "metadata
-// indexing" feature calls for: find all keys of a subject (Art. 15/17/20)
-// and all keys processable under a purpose (Art. 21) without scanning the
-// keyspace.
-//
-// Indexed values are immutable: put publishes a *Metadata that nobody
-// writes to afterwards (an update copies, changes the copy and puts it), so
-// readers use the pointer get returns without copying it and a batch shares
-// one value across its keys.
-//
-// The index is internally lock-striped so metadata writes for unrelated
-// keys/owners never contend: the primary key→Metadata map is sharded by
-// key, the owner and purpose association sets by owner/purpose. Each shard
-// lock is held only for the individual map operation. The index therefore
-// guarantees memory safety and per-map consistency on its own; compound
-// read-modify-write invariants (e.g. "engine value and metadata agree for
-// key k") are the caller's job, which Store provides via its key/owner
-// stripe locks. A key leaves its owner's set only when its new metadata
-// names another owner, so re-indexing a key under the same owner (Expire,
-// an objection, a re-Put) never hides it from a reader of that set.
+// noCreated is a record's Created when its metadata has none. It is the one
+// instant the record codec holds that a record cannot: a Created that far
+// back (1677) reads as none.
+const noCreated = math.MinInt64
+
+// metadataOf is the exported form of rec, the record of a key whose engine
+// deadline is deadline (zero: none). Its slices are the policy's: read them,
+// or clone.
+func metadataOf(rec *store.Record, deadline time.Time) Metadata {
+	p := rec.Policy
+	m := Metadata{
+		Owner:              p.Owner,
+		Purposes:           p.Purposes,
+		Objections:         p.Objections,
+		Origin:             p.Origin,
+		SharedWith:         p.SharedWith,
+		Location:           p.Location,
+		AutomatedDecisions: p.Automated,
+		KeyEpoch:           rec.Epoch,
+	}
+	if !deadline.IsZero() {
+		m.Expiry = deadline.UTC()
+	}
+	if rec.Created != noCreated {
+		m.Created = time.Unix(0, rec.Created).UTC()
+	}
+	return m
+}
+
+// createdNS is a creation time as a record holds it: canonicalTime's
+// instant, which round-trips through metadataOf exactly.
+func createdNS(t time.Time) int64 {
+	if t.IsZero() {
+		return noCreated
+	}
+	return unixNano(t)
+}
+
+// recordOf is the record of a write or a replayed write with metadata m,
+// under the owner's shared policy when m's terms are the owner's current
+// ones. The deadline is not in it: the engine holds that.
+func (s *Store) recordOf(m *Metadata) *store.Record {
+	cand := store.Policy{
+		Owner: m.Owner, Purposes: m.Purposes, Objections: m.Objections, Origin: m.Origin,
+		SharedWith: m.SharedWith, Location: m.Location, Automated: m.AutomatedDecisions,
+	}
+	return &store.Record{Policy: s.ix.policy(&cand), Created: createdNS(m.Created), Epoch: m.KeyEpoch}
+}
+
+// ownerOf is rec's owner, "" for a key without a record.
+func ownerOf(rec *store.Record) string {
+	if rec == nil {
+		return ""
+	}
+	return rec.Policy.Owner
+}
+
+// metaIndex holds the secondary indexes the paper's "metadata indexing"
+// feature calls for: all keys of a subject (Art. 15/17/20) and all keys
+// processable under a purpose (Art. 21), without a keyspace scan. The
+// records themselves live in their keys' engine entries. The index follows
+// them from one place, changed, which the engine calls under the key's
+// shard lock on every install, replacement and removal of a record, expiry
+// and FLUSHALL included: no index entry outlives its record. A key leaves
+// its owner's set only when its record goes or names another owner, so
+// re-recording it under the same owner (Expire, an objection, a re-Put)
+// never hides it from a reader of that set. The sets are striped by name;
+// a stripe lock is a leaf, held for one map operation.
 type metaIndex struct {
-	meta      []metaShard
-	byOwner   []assocShard
-	byPurpose []assocShard
+	byOwner, byPurpose []setShard
 }
 
-// metaShard is one stripe of the key→Metadata map.
-type metaShard struct {
-	mu sync.Mutex
-	m  map[string]*Metadata
+// keySet is the keys of one owner or one purpose. An owner's also holds the
+// policy of the owner's latest write, which the owner's next write reuses
+// when its terms are equal; it goes with the owner's last record.
+type keySet struct {
+	keys   map[string]struct{}
+	policy *store.Policy
 }
 
-// assocShard is one stripe of a string→key-set association index.
-type assocShard struct {
+// setShard is one stripe of a name→keySet index.
+type setShard struct {
 	mu sync.Mutex
-	m  map[string]map[string]struct{}
+	m  map[string]*keySet
 }
 
 func newMetaIndex() *metaIndex {
-	ix := &metaIndex{
-		meta:      make([]metaShard, stripeCount),
-		byOwner:   make([]assocShard, stripeCount),
-		byPurpose: make([]assocShard, stripeCount),
-	}
+	ix := &metaIndex{byOwner: make([]setShard, stripeCount), byPurpose: make([]setShard, stripeCount)}
 	for i := 0; i < stripeCount; i++ {
-		ix.meta[i].m = make(map[string]*Metadata)
-		ix.byOwner[i].m = make(map[string]map[string]struct{})
-		ix.byPurpose[i].m = make(map[string]map[string]struct{})
+		ix.byOwner[i].m = make(map[string]*keySet)
+		ix.byPurpose[i].m = make(map[string]*keySet)
 	}
 	return ix
 }
 
-func (ix *metaIndex) metaShardFor(key string) *metaShard {
-	return &ix.meta[stripeIndex(key)]
+func stripeOf(shards []setShard, name string) *setShard {
+	return &shards[stripeIndex(name)]
 }
 
-func (sh *assocShard) add(name, key string) {
+// changed is the engine's record observer (store.DB.OnRecord): key's record
+// went from old to new, either nil for none. An overwrite under the same
+// shared policy, the usual re-Put, touches no stripe.
+func (ix *metaIndex) changed(key string, old, new *store.Record) {
+	var op, np *store.Policy
+	if old != nil {
+		op = old.Policy
+	}
+	if new != nil {
+		np = new.Policy
+	}
+	if op == np {
+		return
+	}
+	if op == nil || np == nil || op.Owner != np.Owner {
+		if op != nil {
+			stripeOf(ix.byOwner, op.Owner).remove(op.Owner, key)
+		}
+		if np != nil {
+			stripeOf(ix.byOwner, np.Owner).add(np.Owner, key, np)
+		}
+	}
+	if op != nil && np != nil && slices.Equal(op.Purposes, np.Purposes) {
+		return
+	}
+	if op != nil {
+		for _, p := range op.Purposes {
+			stripeOf(ix.byPurpose, p).remove(p, key)
+		}
+	}
+	if np != nil {
+		for _, p := range np.Purposes {
+			stripeOf(ix.byPurpose, p).add(p, key, nil)
+		}
+	}
+}
+
+// add puts key in name's set, created with policy p if name had none.
+func (sh *setShard) add(name, key string, p *store.Policy) {
 	if name == "" {
 		return
 	}
 	sh.mu.Lock()
 	set, ok := sh.m[name]
 	if !ok {
-		set = make(map[string]struct{})
+		set = &keySet{keys: make(map[string]struct{}), policy: p}
 		sh.m[name] = set
 	}
-	set[key] = struct{}{}
+	set.keys[key] = struct{}{}
 	sh.mu.Unlock()
 }
 
-func (sh *assocShard) remove(name, key string) {
+func (sh *setShard) remove(name, key string) {
 	sh.mu.Lock()
 	if set, ok := sh.m[name]; ok {
-		delete(set, key)
-		if len(set) == 0 {
+		delete(set.keys, key)
+		if len(set.keys) == 0 {
 			delete(sh.m, name)
 		}
 	}
 	sh.mu.Unlock()
 }
 
-// keys returns the member keys of name's set, in unspecified order.
-func (sh *assocShard) keys(name string) []string {
+// keys returns the members of name's set, in unspecified order.
+func (sh *setShard) keys(name string) []string {
 	sh.mu.Lock()
-	set := sh.m[name]
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
+	defer sh.mu.Unlock()
+	var out []string
+	if set := sh.m[name]; set != nil {
+		out = make([]string, 0, len(set.keys))
+		for k := range set.keys {
+			out = append(out, k)
+		}
 	}
-	sh.mu.Unlock()
 	return out
 }
 
-func (ix *metaIndex) put(key string, m *Metadata) {
-	ms := ix.metaShardFor(key)
-	ms.mu.Lock()
-	old := ms.m[key]
-	ms.m[key] = m
-	ms.mu.Unlock()
-	if old == nil || old.Owner != m.Owner {
-		if old != nil && old.Owner != "" {
-			ix.byOwner[stripeIndex(old.Owner)].remove(old.Owner, key)
-		}
-		ix.byOwner[stripeIndex(m.Owner)].add(m.Owner, key)
-	}
-	if old != nil {
-		if slices.Equal(old.Purposes, m.Purposes) {
-			return
-		}
-		for _, p := range old.Purposes {
-			ix.byPurpose[stripeIndex(p)].remove(p, key)
-		}
-	}
-	for _, p := range m.Purposes {
-		ix.byPurpose[stripeIndex(p)].add(p, key)
-	}
-}
-
-// get returns key's metadata, nil when it has none. The value is shared
-// with the index: read it, never write to it.
-func (ix *metaIndex) get(key string) *Metadata {
-	ms := ix.metaShardFor(key)
-	ms.mu.Lock()
-	m := ms.m[key]
-	ms.mu.Unlock()
-	return m
-}
-
-func (ix *metaIndex) del(key string) {
-	ms := ix.metaShardFor(key)
-	ms.mu.Lock()
-	m := ms.m[key]
-	delete(ms.m, key)
-	ms.mu.Unlock()
-	if m == nil {
-		return
-	}
-	if m.Owner != "" {
-		ix.byOwner[stripeIndex(m.Owner)].remove(m.Owner, key)
-	}
-	for _, p := range m.Purposes {
-		ix.byPurpose[stripeIndex(p)].remove(p, key)
-	}
-}
-
-// ownerKeys returns the keys owned by owner, in unspecified order.
+// ownerKeys returns the keys that hold a record of owner.
 func (ix *metaIndex) ownerKeys(owner string) []string {
-	return ix.byOwner[stripeIndex(owner)].keys(owner)
-}
-
-// ownerKeyCount returns how many keys the index currently attributes to
-// owner without materialising the key slice — the O(1) cardinality the
-// crypto-shred fast path reports as its erasure count.
-func (ix *metaIndex) ownerKeyCount(owner string) int {
-	sh := &ix.byOwner[stripeIndex(owner)]
-	sh.mu.Lock()
-	n := len(sh.m[owner])
-	sh.mu.Unlock()
-	return n
+	return stripeOf(ix.byOwner, owner).keys(owner)
 }
 
 // purposeKeys returns the keys whitelisted for purpose.
 func (ix *metaIndex) purposeKeys(purpose string) []string {
-	return ix.byPurpose[stripeIndex(purpose)].keys(purpose)
+	return stripeOf(ix.byPurpose, purpose).keys(purpose)
 }
 
-// rangeMeta calls fn for every (key, metadata) entry, one shard at a time.
-// fn must not call back into the index for the same shard (it may read
-// other entries via get). Entries added or removed concurrently may or may
-// not be visited — callers that need a stable view hold Store.lockAll.
-func (ix *metaIndex) rangeMeta(fn func(key string, m *Metadata) bool) {
-	for i := range ix.meta {
-		sh := &ix.meta[i]
-		sh.mu.Lock()
-		for k, m := range sh.m {
-			if !fn(k, m) {
-				sh.mu.Unlock()
-				return
-			}
+// ownerKeyCount returns how many keys hold a record of owner without
+// materialising the key slice — the O(1) cardinality the crypto-shred fast
+// path reports as its erasure count.
+func (ix *metaIndex) ownerKeyCount(owner string) int {
+	sh := stripeOf(ix.byOwner, owner)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if set := sh.m[owner]; set != nil {
+		return len(set.keys)
+	}
+	return 0
+}
+
+// policy returns the shared policy for a write under cand's terms: the
+// owner's current one when its terms are cand's, else a copy of cand, which
+// becomes the owner's current one. cand may alias the caller's memory; only
+// a miss copies it.
+func (ix *metaIndex) policy(cand *store.Policy) *store.Policy {
+	sh := stripeOf(ix.byOwner, cand.Owner)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	set := sh.m[cand.Owner]
+	if set != nil && samePolicy(set.policy, cand) {
+		return set.policy
+	}
+	p := &store.Policy{
+		Owner:      cand.Owner,
+		Purposes:   append([]string(nil), cand.Purposes...),
+		Objections: append([]string(nil), cand.Objections...),
+		Origin:     cand.Origin,
+		SharedWith: append([]string(nil), cand.SharedWith...),
+		Location:   cand.Location,
+		Automated:  cand.Automated,
+	}
+	if set != nil {
+		set.policy = p
+	}
+	return p
+}
+
+// defaultPurposes is the purpose list of a write for owner that names none,
+// under the context purpose purpose: the owner's current policy's own list
+// when it is just that one, so the write allocates nothing for it.
+func (ix *metaIndex) defaultPurposes(owner, purpose string) []string {
+	sh := stripeOf(ix.byOwner, owner)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if set := sh.m[owner]; set != nil && len(set.policy.Purposes) == 1 && set.policy.Purposes[0] == purpose {
+		return set.policy.Purposes
+	}
+	return []string{purpose}
+}
+
+// samePolicy reports whether p and c are the same terms. Objections are
+// compared as a set: a write lists them in whatever order it found them.
+func samePolicy(p, c *store.Policy) bool {
+	if p.Owner != c.Owner || p.Origin != c.Origin || p.Location != c.Location || p.Automated != c.Automated ||
+		!slices.Equal(p.Purposes, c.Purposes) || !slices.Equal(p.SharedWith, c.SharedWith) ||
+		len(p.Objections) != len(c.Objections) {
+		return false
+	}
+	for _, o := range c.Objections {
+		if !slices.Contains(p.Objections, o) {
+			return false
 		}
-		sh.mu.Unlock()
 	}
-}
-
-// clear empties every shard in place. Unlike swapping in a fresh index,
-// clearing keeps the *metaIndex pointer stable, so a live replication
-// apply of FLUSHALL is safe against concurrent readers holding the store's
-// ix field.
-func (ix *metaIndex) clear() {
-	for i := 0; i < stripeCount; i++ {
-		ix.meta[i].mu.Lock()
-		ix.meta[i].m = make(map[string]*Metadata)
-		ix.meta[i].mu.Unlock()
-		ix.byOwner[i].mu.Lock()
-		ix.byOwner[i].m = make(map[string]map[string]struct{})
-		ix.byOwner[i].mu.Unlock()
-		ix.byPurpose[i].mu.Lock()
-		ix.byPurpose[i].m = make(map[string]map[string]struct{})
-		ix.byPurpose[i].mu.Unlock()
-	}
-}
-
-func (ix *metaIndex) len() int {
-	n := 0
-	for i := range ix.meta {
-		ix.meta[i].mu.Lock()
-		n += len(ix.meta[i].m)
-		ix.meta[i].mu.Unlock()
-	}
-	return n
+	return true
 }

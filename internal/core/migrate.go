@@ -6,7 +6,6 @@ import (
 
 	"gdprstore/internal/acl"
 	"gdprstore/internal/audit"
-	"gdprstore/internal/store"
 )
 
 // Slot migration moves keys between cluster nodes while both stay live.
@@ -57,9 +56,10 @@ func (s *Store) AuthorizeMigration(ctx Ctx) error {
 // DumpForMigration extracts key as a portable migration record. ok is
 // false when the key does not exist, is crypto-erased awaiting the sweep,
 // or belongs to an owner shredded since — none of which migrate. raw is
-// the engine's stored bytes at dump time; the caller hands it back to
-// RemoveMigrated so a write that lands between dump and removal is
-// detected instead of lost.
+// the engine's stored bytes at dump time, lent, and so is the Value of a
+// record stored in the clear: read them, never write to them. The caller
+// hands raw back to RemoveMigrated so a write that lands between dump and
+// removal is detected instead of lost.
 func (s *Store) DumpForMigration(key string) (rec MigrationRecord, raw []byte, ok bool, err error) {
 	ks := s.keyStripeFor(key)
 	ks.Lock()
@@ -67,32 +67,28 @@ func (s *Store) DumpForMigration(key string) (rec MigrationRecord, raw []byte, o
 	if s.closed.Load() {
 		return rec, nil, false, ErrClosed
 	}
-	v, exists := s.db.Get(key)
+	e, exists := s.db.Lookup(key)
 	if !exists {
 		return rec, nil, false, nil
 	}
-	raw = v
-	if s.cfg.Compliant {
-		if m := s.metaLive(key); m != nil {
-			oc := s.ownerCipherFor(m.Owner)
-			if !oc.live(m) {
-				return rec, nil, false, nil
-			}
-			if oc.sealed {
-				if v, err = oc.c.Open(nil, v, []byte(key)); err != nil {
-					return rec, nil, false, err
-				}
-			}
-			mc := m.clone()
-			return MigrationRecord{Key: key, Value: v, Meta: &mc}, raw, true, nil
+	raw = e.Value
+	if r := e.Record; r != nil {
+		oc := s.ownerCipherFor(r.Policy.Owner)
+		if !oc.live(r) {
+			return rec, nil, false, nil
 		}
+		v := e.Value
+		if oc.sealed {
+			if v, err = oc.c.Open(nil, v, []byte(key)); err != nil {
+				return rec, nil, false, err
+			}
+		}
+		m := metadataOf(r, e.Deadline).clone()
+		return MigrationRecord{Key: key, Value: v, Meta: &m}, raw, true, nil
 	}
-	rec = MigrationRecord{Key: key, Value: v}
-	switch ttl, status := s.db.TTL(key); status {
-	case store.TTLMissing:
-		return rec, nil, false, nil
-	case store.TTLSet:
-		rec.ExpireAtMs = s.cfg.Config.Clock.Now().Add(ttl).UnixMilli()
+	rec = MigrationRecord{Key: key, Value: e.Value}
+	if !e.Deadline.IsZero() {
+		rec.ExpireAtMs = e.Deadline.UnixMilli()
 	}
 	return rec, raw, true, nil
 }
@@ -110,7 +106,7 @@ func (s *Store) RestoreRecord(ctx Ctx, rec MigrationRecord) error {
 	if rec.Meta == nil || !s.cfg.Compliant {
 		return s.restoreRaw(rec)
 	}
-	meta := rec.Meta.clone()
+	meta := rec.Meta
 	os := s.ownerStripeFor(meta.Owner)
 	os.mu.Lock()
 	defer os.mu.Unlock()
@@ -124,25 +120,25 @@ func (s *Store) RestoreRecord(ctx Ctx, rec MigrationRecord) error {
 		return err
 	}
 	stored := rec.Value
-	meta.KeyEpoch = 0
+	var epoch uint64
 	if s.keyring != nil && meta.Owner != "" {
-		c, epoch, err := s.sealerFor(meta.Owner)
+		c, e, err := s.sealerFor(meta.Owner)
 		if err != nil {
 			return err
 		}
-		meta.KeyEpoch = epoch
+		epoch = e
 		if stored, err = c.Seal(nil, rec.Value, []byte(rec.Key)); err != nil {
 			return err
 		}
 	}
-	meta.Expiry = canonicalTime(meta.Expiry)
-	if !meta.Expiry.IsZero() && !meta.Expiry.After(s.cfg.Config.Clock.Now()) {
+	expiry := canonicalTime(meta.Expiry)
+	if !expiry.IsZero() && !expiry.After(s.cfg.Config.Clock.Now()) {
 		return nil
 	}
-	jerr := s.db.SetRecorded([]string{rec.Key}, [][]byte{stored}, meta.Expiry, opRecord, encodeMetadata(&meta))
-	s.ix.put(rec.Key, &meta)
-	if jerr != nil {
-		return jerr
+	r := s.recordOf(meta)
+	r.Epoch = epoch
+	if err := s.db.SetRecorded([]string{rec.Key}, [][]byte{stored}, r, expiry, opRecord, encodeMetadata(r, expiry)); err != nil {
+		return err
 	}
 	s.auditOp(audit.Record{
 		Actor: ctx.Actor, Op: "RESTOREKEY", Key: rec.Key, Owner: meta.Owner,
@@ -186,16 +182,15 @@ func (s *Store) RemoveMigrated(key string, expect []byte) (removed, changed bool
 	if s.closed.Load() {
 		return false, false
 	}
-	v, ok := s.db.Get(key)
+	e, ok := s.db.Lookup(key)
 	if !ok {
 		// Already gone (erased or expired meanwhile): nothing to remove.
 		return false, false
 	}
-	if !bytes.Equal(v, expect) {
+	if !bytes.Equal(e.Value, expect) {
 		return false, true
 	}
 	s.db.Del(key)
-	s.ix.del(key)
 	return true, false
 }
 

@@ -18,8 +18,10 @@ import (
 
 // applyRecord applies one journal record without re-journaling it. It is
 // safe for a single applier goroutine running concurrently with readers:
-// the metadata index is internally lock-striped, objection state takes the
-// owner stripe, and the engine applies under its shard locks.
+// a record is installed with its value under the engine's shard lock,
+// objection state takes the owner stripe, and the indexes follow the
+// engine. A written record goes through the owner's shared policy, as a
+// live write does, so a replayed store shares policies as the live one did.
 func (s *Store) applyRecord(name string, args [][]byte) error {
 	switch name {
 	case opRecord:
@@ -30,14 +32,13 @@ func (s *Store) applyRecord(name string, args [][]byte) error {
 		if err != nil {
 			return err
 		}
+		rec := s.recordOf(&m)
 		for i := 1; i < len(args); i += 2 {
-			// Under the key stripe, as Put installs them: a reader on a
-			// replica sees the value with its metadata or neither.
+			// Under the key stripe, as Put installs them.
 			k := string(args[i])
 			ks := s.keyStripeFor(k)
 			ks.Lock()
-			s.db.Restore(k, args[i+1], m.Expiry)
-			s.ix.put(k, &m)
+			s.db.Restore(k, args[i+1], rec, m.Expiry)
 			ks.Unlock()
 		}
 		return nil
@@ -49,7 +50,9 @@ func (s *Store) applyRecord(name string, args [][]byte) error {
 		if err != nil {
 			return err
 		}
-		s.ix.put(string(args[0]), &m)
+		// The metadata of a key the engine holds; its deadline is the
+		// engine's, set by the record this one follows.
+		s.db.SetRecord(string(args[0]), s.recordOf(&m))
 		return nil
 	case opMetaBatch:
 		if len(args) < 2 {
@@ -59,21 +62,16 @@ func (s *Store) applyRecord(name string, args [][]byte) error {
 		if err != nil {
 			return err
 		}
+		rec := s.recordOf(&m)
 		for _, k := range args[1:] {
-			s.ix.put(string(k), &m)
+			s.db.SetRecord(string(k), rec)
 		}
 		return nil
-	case opObject:
+	case opObject, opUnobj:
 		if len(args) != 2 {
-			return errors.New("core: replay GOBJ: need 2 args")
+			return fmt.Errorf("core: replay %s: need 2 args", name)
 		}
-		s.applyObjection(string(args[0]), string(args[1]))
-		return nil
-	case opUnobj:
-		if len(args) != 2 {
-			return errors.New("core: replay GUNOBJ: need 2 args")
-		}
-		s.applyUnobjection(string(args[0]), string(args[1]))
+		s.applyObjection(string(args[0]), string(args[1]), name == opObject)
 		return nil
 	case opKey:
 		if len(args) != 2 && len(args) != 3 {
@@ -131,35 +129,15 @@ func (s *Store) applyRecord(name string, args [][]byte) error {
 		if len(args) != 1 && len(args) != 2 {
 			return errors.New("core: replay GFORGET: need 1 or 2 args")
 		}
+		// An eager-mode marker follows the erasure's DELs in the stream,
+		// which took the owner's records with them. A crypto-shred one had
+		// no DELs before it: the paired GSHRED made the owner's records
+		// dead, and the sweep reclaims them, found by their epoch stamps.
 		owner := string(args[0])
-		if len(args) == 2 && string(args[1]) == forgetModeShred {
-			// Crypto-shred fast path: no DELs preceded this marker — the
-			// paired GSHRED already made the owner's records dead, and the
-			// sweep reclaims them. Do NOT prune the index here: the entries'
-			// epoch stamps are what lets the sweep (and snapshotAll) find
-			// the dead ciphertext to physically remove.
-			if s.keyring != nil && s.ix.ownerKeyCount(owner) > 0 {
-				s.markErasurePending(owner)
-			}
-			return nil
+		if len(args) == 2 && string(args[1]) == forgetModeShred && s.keyring != nil && s.ix.ownerKeyCount(owner) > 0 {
+			s.markErasurePending(owner)
 		}
-		// Eager-mode marker: the erasure's DELs precede it in the stream;
-		// pruning the owner's remaining index entries here is defensive
-		// (e.g. metadata whose DEL was compacted away) and makes the marker
-		// idempotent.
-		s.walkOwner(owner, func(k string, _ *Metadata) bool {
-			s.ix.del(k)
-			return true
-		})
 		return nil
-	case "DEL":
-		for _, a := range args {
-			s.ix.del(string(a))
-		}
-		return s.db.Apply(name, args)
-	case "FLUSHALL":
-		s.ix.clear()
-		return s.db.Apply(name, args)
 	default:
 		return s.db.Apply(name, args)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"gdprstore/internal/acl"
 	"gdprstore/internal/audit"
+	"gdprstore/internal/store"
 )
 
 // UserRecord pairs one key the subject owns with its value and metadata.
@@ -51,8 +52,10 @@ const valueChunk = 32 << 10
 // owner's stripe it decides (closed, ACL) and snapshots what the pass needs
 // once: the owner's key list, and its data key and key epoch as a prepared
 // cipher. It then walks the keys with the stripe released (see locks.go):
-// one index lookup and one engine lookup per record, the value opened
-// straight from the engine's slice into a shared buffer.
+// one engine probe per record for value and record together, judged at one
+// clock reading (a record's retention deadline is judged as of the moment
+// the report was asked for), the value opened straight from the engine's
+// slice into a shared buffer.
 func (s *Store) collectOwner(ctx Ctx, owner string) ([]UserRecord, error) {
 	os := s.ownerStripeFor(owner)
 	os.mu.Lock()
@@ -79,20 +82,13 @@ func (s *Store) collectOwner(ctx Ctx, owner string) ([]UserRecord, error) {
 
 	recs := make([]UserRecord, 0, len(keys))
 	var buf, ad []byte
-	// One clock read for the walk: a record's retention deadline is judged
-	// as of the moment the report was asked for.
-	now := s.cfg.Config.Clock.Now()
-	s.walkKeys(owner, keys, func(k string, m *Metadata) bool {
-		if !oc.live(m) {
+	s.walkKeys(owner, keys, s.db.GetNoCopy, func(k string, e store.Entry) bool {
+		if !oc.live(e.Record) {
 			// Crypto-erased, awaiting the sweep: the subject's report must
 			// not resurrect data they asked to be forgotten.
 			return true
 		}
-		v, ok := s.db.GetNoCopy(k, now)
-		if !ok {
-			s.ix.del(k) // ghost metadata: the key expired underneath
-			return true
-		}
+		v := e.Value
 		if cap(buf)-len(buf) < len(v) {
 			// Room for the records still to come if they are this size,
 			// a chunk at most, this record at least.
@@ -105,7 +101,7 @@ func (s *Store) collectOwner(ctx Ctx, owner string) ([]UserRecord, error) {
 		} else {
 			buf = append(buf, v...)
 		}
-		recs = append(recs, UserRecord{Key: k, Value: buf[start:len(buf):len(buf)], Metadata: *m})
+		recs = append(recs, UserRecord{Key: k, Value: buf[start:len(buf):len(buf)], Metadata: metadataOf(e.Record, e.Deadline)})
 		return err == nil
 	})
 	if err != nil {
@@ -152,7 +148,6 @@ func (s *Store) Access(ctx Ctx, owner string) (AccessReport, error) {
 	os.mu.Lock()
 	objections := s.objectionsOfLocked(os, owner)
 	os.mu.Unlock()
-	sort.Strings(objections)
 
 	rep := AccessReport{
 		Owner:       owner,
@@ -294,14 +289,13 @@ func (s *Store) Forget(ctx Ctx, owner string) (int, error) {
 	// these keys since the index snapshot, and erasing it here would
 	// destroy *their* record.
 	n := 0
-	s.walkOwner(owner, func(k string, _ *Metadata) bool {
+	s.walkOwner(owner, func(k string, _ store.Entry) bool {
 		n += s.db.Del(k)
-		s.ix.del(k)
 		return true
 	})
 	// The erasure marker follows the per-key DELs in the journal stream:
-	// replicas replay it after the deletions, prune any residual metadata,
-	// and audit that the Article 17 erasure reached their copy.
+	// replicas replay it after the deletions and audit that the Article 17
+	// erasure reached their copy.
 	if err := s.appendLog(opForget, []byte(owner)); err != nil {
 		os.mu.Unlock()
 		return n, err
@@ -323,9 +317,10 @@ func (s *Store) Forget(ctx Ctx, owner string) (int, error) {
 // forgetShredLocked is the crypto-shred fast path of Forget. The caller
 // holds the owner stripe os; this function releases it. The work is
 // constant-time in the owner's key count: one keyring mutation, two journal
-// appends, one audit record. The owner's index entries and engine
-// ciphertext are left in place for the sweep; every read path treats them
-// as already erased via Metadata.KeyEpoch.
+// appends, one audit record. The owner's records and engine ciphertext are
+// left in place for the sweep; every read path treats them as already
+// erased via the record's key epoch. The erased count is the owner's
+// records the engine holds: none that expiry has already reaped.
 func (s *Store) forgetShredLocked(ctx Ctx, owner string, os *ownerStripe) (int, error) {
 	n := s.ix.ownerKeyCount(owner)
 	epoch := s.keyring.Shred(owner)
@@ -405,19 +400,15 @@ func (s *Store) setObjection(ctx Ctx, owner, purpose string, add bool) error {
 	if err := s.check(ctx, acl.OpRights, owner, opName, ""); err != nil {
 		return err
 	}
-	if add {
-		s.applyObjectionLocked(os, owner, purpose)
-	} else {
-		s.applyUnobjectionLocked(os, owner, purpose)
-	}
+	s.applyObjectionLocked(os, owner, purpose, add)
 	if err := s.appendLog(logOp, []byte(owner), []byte(purpose)); err != nil {
 		return err
 	}
 	// Re-journal the affected records' metadata so replay converges even
 	// if the GOBJ record were compacted away.
 	var jerr error
-	s.walkOwner(owner, func(k string, m *Metadata) bool {
-		jerr = s.appendLog(opMeta, []byte(k), encodeMetadata(m))
+	s.walkOwner(owner, func(k string, e store.Entry) bool {
+		jerr = s.appendLog(opMeta, []byte(k), encodeMetadata(e.Record, e.Deadline))
 		return jerr == nil
 	})
 	if jerr != nil {
@@ -430,71 +421,56 @@ func (s *Store) setObjection(ctx Ctx, owner, purpose string, add bool) error {
 	return nil
 }
 
-// applyObjection locks the owner stripe and records the objection; it is
-// the AOF-replay entry point (replay is single-threaded, but the stripes
-// keep the state containers consistent either way).
-func (s *Store) applyObjection(owner, purpose string) {
+// applyObjection locks the owner stripe and applies an objection (add) or
+// its withdrawal; it is the AOF-replay entry point (replay is
+// single-threaded, but the stripes keep the state containers consistent
+// either way).
+func (s *Store) applyObjection(owner, purpose string, add bool) {
 	os := s.ownerStripeFor(owner)
 	os.mu.Lock()
 	defer os.mu.Unlock()
-	s.applyObjectionLocked(os, owner, purpose)
+	s.applyObjectionLocked(os, owner, purpose, add)
 }
 
-func (s *Store) applyUnobjection(owner, purpose string) {
-	os := s.ownerStripeFor(owner)
-	os.mu.Lock()
-	defer os.mu.Unlock()
-	s.applyUnobjectionLocked(os, owner, purpose)
-}
-
-// applyObjectionLocked mutates objection state and stamps the objection
-// onto the owner's existing records. Callers hold the owner's stripe; each
-// record's metadata is republished under its key stripe (a record re-Put by
-// another subject since the index snapshot does not inherit it).
-func (s *Store) applyObjectionLocked(os *ownerStripe, owner, purpose string) {
-	set, ok := os.objections[owner]
-	if !ok {
-		set = make(map[string]struct{})
-		os.objections[owner] = set
-	}
-	set[purpose] = struct{}{}
-	s.walkOwner(owner, func(k string, m *Metadata) bool {
-		if !slices.Contains(m.Objections, purpose) {
-			mm := *m
-			// Clip: the append must copy, the published slice has readers.
-			mm.Objections = append(slices.Clip(m.Objections), purpose)
-			s.ix.put(k, &mm)
+// applyObjectionLocked records an objection to purpose (add) or its
+// withdrawal in owner's standing objections and restamps the owner's
+// existing records. Callers hold the owner's stripe; each record is
+// replaced under its key stripe, through the owner's shared policy (a
+// record re-Put by another subject since the index snapshot is untouched).
+func (s *Store) applyObjectionLocked(os *ownerStripe, owner, purpose string, add bool) {
+	set := os.objections[owner]
+	if add {
+		if set == nil {
+			set = make(map[string]struct{})
+			os.objections[owner] = set
 		}
+		set[purpose] = struct{}{}
+	} else if delete(set, purpose); len(set) == 0 {
+		delete(os.objections, owner)
+	}
+	s.walkOwner(owner, func(k string, e store.Entry) bool {
+		r := e.Record
+		if slices.Contains(r.Policy.Objections, purpose) == add {
+			return true
+		}
+		// Edit a copy: the shared slice has readers.
+		cand := *r.Policy
+		if add {
+			cand.Objections = append(slices.Clip(cand.Objections), purpose)
+		} else {
+			cand.Objections = slices.DeleteFunc(slices.Clone(cand.Objections), func(o string) bool { return o == purpose })
+		}
+		s.db.SetRecord(k, &store.Record{Policy: s.ix.policy(&cand), Created: r.Created, Epoch: r.Epoch})
 		return true
 	})
 }
 
-func (s *Store) applyUnobjectionLocked(os *ownerStripe, owner, purpose string) {
-	if set, ok := os.objections[owner]; ok {
-		delete(set, purpose)
-		if len(set) == 0 {
-			delete(os.objections, owner)
-		}
-	}
-	s.walkOwner(owner, func(k string, m *Metadata) bool {
-		if slices.Contains(m.Objections, purpose) {
-			mm := *m
-			// Filter a copy: the published slice has readers.
-			mm.Objections = slices.DeleteFunc(slices.Clone(m.Objections), func(o string) bool { return o == purpose })
-			s.ix.put(k, &mm)
-		}
-		return true
-	})
-}
-
-// Objections returns the subject's standing objections.
+// Objections returns the subject's standing objections, sorted.
 func (s *Store) Objections(owner string) []string {
 	os := s.ownerStripeFor(owner)
 	os.mu.Lock()
-	out := s.objectionsOfLocked(os, owner)
-	os.mu.Unlock()
-	sort.Strings(out)
-	return out
+	defer os.mu.Unlock()
+	return s.objectionsOfLocked(os, owner)
 }
 
 // KeysByPurpose returns the keys whitelisted for a processing purpose that
@@ -511,9 +487,9 @@ func (s *Store) KeysByPurpose(ctx Ctx, purpose string) ([]string, error) {
 	for _, k := range keys {
 		ks := s.keyStripeFor(k)
 		ks.Lock()
-		m := s.metaLive(k)
+		e, _ := s.entryOf(k)
 		ks.Unlock()
-		if m != nil && !s.recordDead(m) && m.PermitsPurpose(purpose) {
+		if r := e.Record; r != nil && !s.recordDead(r) && permits(r.Policy, purpose) {
 			out = append(out, k)
 		}
 	}
@@ -533,8 +509,8 @@ func (s *Store) OwnerKeys(ctx Ctx, owner string) ([]string, error) {
 		return nil, err
 	}
 	out := []string{}
-	s.walkOwner(owner, func(k string, _ *Metadata) bool {
-		if m := s.metaLive(k); m != nil && !s.recordDead(m) {
+	s.walkOwner(owner, func(k string, e store.Entry) bool {
+		if !s.recordDead(e.Record) {
 			out = append(out, k)
 		}
 		return true

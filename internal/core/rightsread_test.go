@@ -24,9 +24,10 @@ import (
 // it without the owner stripe to hide behind.
 
 // parentCollectOwner is the walk GetUser ran before the one-pass rewrite
-// (commit 08471e7), kept as the oracle: owner stripe held throughout, an
-// Exists and a Get per record, one keyring round trip for liveness and one
-// for the key, one key schedule per Open, a deep copy of the metadata.
+// (commit 08471e7), kept as the oracle: owner stripe held throughout, a
+// record probe and a Get per record, one keyring round trip for liveness
+// and one for the key, one key schedule per Open, a deep copy of the
+// metadata.
 func parentCollectOwner(s *Store, owner string) ([]UserRecord, error) {
 	os := s.ownerStripeFor(owner)
 	os.mu.Lock()
@@ -37,8 +38,8 @@ func parentCollectOwner(s *Store, owner string) ([]UserRecord, error) {
 	for _, k := range keys {
 		ks := s.keyStripeFor(k)
 		ks.Lock()
-		m := s.metaLive(k)
-		if m == nil || m.Owner != owner || s.recordDead(m) {
+		e, ok := s.entryOf(k)
+		if !ok || ownerOf(e.Record) != owner || s.recordDead(e.Record) {
 			ks.Unlock()
 			continue
 		}
@@ -58,7 +59,7 @@ func parentCollectOwner(s *Store, owner string) ([]UserRecord, error) {
 			}
 			v = pt
 		}
-		recs = append(recs, UserRecord{Key: k, Value: v, Metadata: m.clone()})
+		recs = append(recs, UserRecord{Key: k, Value: v, Metadata: metadataOf(e.Record, e.Deadline).clone()})
 	}
 	return recs, nil
 }
@@ -72,9 +73,9 @@ func parentOwnerKeys(s *Store, owner string) []string {
 	for _, k := range s.ix.ownerKeys(owner) {
 		ks := s.keyStripeFor(k)
 		ks.Lock()
-		m := s.metaLive(k)
+		e, ok := s.entryOf(k)
 		ks.Unlock()
-		if m != nil && m.Owner == owner && !s.recordDead(m) {
+		if ok && ownerOf(e.Record) == owner && !s.recordDead(e.Record) {
 			out = append(out, k)
 		}
 	}
@@ -142,8 +143,8 @@ func TestRightsReadsMatchParentWalk(t *testing.T) {
 			}
 			for i, o := range owners {
 				name := fmt.Sprintf("envelope=%v seed=%d owner=%s", envelope, seed, o)
-				// Both walks prune ghost metadata; alternate which goes
-				// first so neither can lean on the other's pruning.
+				// Both walks reap expired keys; alternate which goes first
+				// so neither can lean on the other's reaping.
 				var want, got []UserRecord
 				var wantKeys, gotKeys []string
 				var gerr, werr error

@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -157,6 +158,7 @@ func Open(cfg Config) (*Store, error) {
 		JournalReads: n.JournalReads,
 		Shards:       n.Shards,
 	})
+	s.db.OnRecord(s.ix.changed)
 	s.acl = acl.New(n.Config.Clock)
 	s.acl.SetEnforce(n.Config.Compliant && n.enforceACL)
 
@@ -252,25 +254,27 @@ func auditMaskKey(n normalized) ([]byte, error) {
 // replay is single-threaded. The record interpretation is applyRecord
 // (replicated.go), shared with the live replication link.
 func (s *Store) replay(path string, key []byte) error {
-	_, err := aof.Load(path, key, s.applyRecord)
-	if err != nil {
+	if _, err := aof.Load(path, key, s.applyRecord); err != nil {
 		return err
 	}
-	// Drop metadata for keys that did not survive the replay, and rediscover
-	// crypto-shredded ciphertext that replayed back in: records sealed under
-	// a destroyed key epoch re-enter the sweep's pending set so reclamation
-	// resumes where the previous process left off.
-	var ghosts []string
-	s.ix.rangeMeta(func(k string, m *Metadata) bool {
-		if !s.db.Exists(k) {
-			ghosts = append(ghosts, k)
-		} else if s.recordDead(m) {
-			s.markErasurePending(m.Owner)
+	if s.keyring == nil {
+		return nil
+	}
+	// Rediscover crypto-shredded ciphertext that replayed back in: records
+	// sealed under an epoch their owner's key has since left re-enter the
+	// sweep's pending set, so reclamation resumes where the previous process
+	// left off. Only an owner whose epoch ever advanced can have one.
+	for owner, epoch := range s.keyring.Epochs() {
+		if epoch == 0 {
+			continue
 		}
-		return true
-	})
-	for _, k := range ghosts {
-		s.ix.del(k)
+		s.walkOwner(owner, func(_ string, e store.Entry) bool {
+			if s.recordDead(e.Record) {
+				s.markErasurePending(owner)
+				return false
+			}
+			return true
+		})
 	}
 	return nil
 }
@@ -313,14 +317,62 @@ func (s *Store) check(ctx Ctx, op acl.OpClass, owner, opName, key string) error 
 	return fmt.Errorf("%w: %s", ErrDenied, d.Reason)
 }
 
-// objectionsOfLocked returns the standing objections of owner. Callers
-// hold owner's stripe.
+// objectionsOfLocked returns the standing objections of owner, sorted.
+// Callers hold owner's stripe.
 func (s *Store) objectionsOfLocked(os *ownerStripe, owner string) []string {
 	var out []string
 	for p := range os.objections[owner] {
 		out = append(out, p)
 	}
+	slices.Sort(out)
 	return out
+}
+
+// writeTerms resolves what a write for opts stores beside its values, from
+// one clock reading: the shared policy, the creation time and the retention
+// deadline. It enforces the write's owner, retention and location rules,
+// auditing a location denial as op on key. Callers hold owner's stripe.
+func (s *Store) writeTerms(ctx Ctx, os *ownerStripe, op, key string, opts PutOptions) (p *store.Policy, now, deadline time.Time, err error) {
+	full := s.cfg.Capability == CapabilityFull
+	if full && opts.Owner == "" {
+		return nil, now, deadline, ErrNoOwner
+	}
+
+	purposes := opts.Purposes
+	if len(purposes) == 0 && ctx.Purpose != "" {
+		purposes = s.ix.defaultPurposes(opts.Owner, ctx.Purpose)
+	}
+
+	// Retention bound (Art. 5 storage limitation): the tightest of the
+	// requested TTL, the purpose-based retention policy, and the default.
+	// The clock is read once: the record has one creation time and one
+	// deadline, the one the engine enforces and the journal carries.
+	now = canonicalTime(s.cfg.Config.Clock.Now())
+	deadline = s.effectiveDeadline(now, opts, purposes)
+	if s.cfg.requireTTL && deadline.IsZero() {
+		return nil, now, deadline, ErrNoTTL
+	}
+
+	// Location policy (Art. 46).
+	loc := opts.Location
+	if loc == "" {
+		loc = s.cfg.DefaultLocation
+	}
+	if len(s.cfg.AllowedLocations) > 0 && full && !slices.Contains(s.cfg.AllowedLocations, loc) {
+		s.auditOp(audit.Record{
+			Actor: ctx.Actor, Op: op, Key: key, Owner: opts.Owner,
+			Purpose: ctx.Purpose, Outcome: audit.OutcomeDenied,
+			Detail: "location " + loc + " not permitted",
+		})
+		return nil, now, deadline, fmt.Errorf("%w: %q", ErrLocationDenied, loc)
+	}
+
+	// Standing objections of this owner apply to new records immediately.
+	p = s.ix.policy(&store.Policy{
+		Owner: opts.Owner, Purposes: purposes, Objections: s.objectionsOfLocked(os, opts.Owner),
+		Origin: opts.Origin, SharedWith: opts.SharedWith, Location: loc, Automated: opts.AutomatedDecisions,
+	})
+	return p, now, deadline, nil
 }
 
 // Put stores personal data under key with the supplied GDPR metadata.
@@ -341,62 +393,11 @@ func (s *Store) Put(ctx Ctx, key string, value []byte, opts PutOptions) error {
 	if err := s.check(ctx, acl.OpWrite, opts.Owner, "PUT", key); err != nil {
 		return err
 	}
-
-	full := s.cfg.Capability == CapabilityFull
-	if full && opts.Owner == "" {
-		return ErrNoOwner
+	p, now, deadline, err := s.writeTerms(ctx, os, "PUT", key, opts)
+	if err != nil {
+		return err
 	}
-
-	purposes := opts.Purposes
-	if len(purposes) == 0 && ctx.Purpose != "" {
-		purposes = []string{ctx.Purpose}
-	}
-
-	// Retention bound (Art. 5 storage limitation): the tightest of the
-	// requested TTL, the purpose-based retention policy, and the default.
-	// The clock is read once: the record has one creation time and one
-	// deadline, the one the engine enforces and the journal carries.
-	now := canonicalTime(s.cfg.Config.Clock.Now())
-	deadline := s.effectiveDeadline(now, opts, purposes)
-	if s.cfg.requireTTL && deadline.IsZero() {
-		return ErrNoTTL
-	}
-
-	// Location policy (Art. 46).
-	loc := opts.Location
-	if loc == "" {
-		loc = s.cfg.DefaultLocation
-	}
-	if len(s.cfg.AllowedLocations) > 0 && full {
-		ok := false
-		for _, a := range s.cfg.AllowedLocations {
-			if a == loc {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			s.auditOp(audit.Record{
-				Actor: ctx.Actor, Op: "PUT", Key: key, Owner: opts.Owner,
-				Purpose: ctx.Purpose, Outcome: audit.OutcomeDenied,
-				Detail: "location " + loc + " not permitted",
-			})
-			return fmt.Errorf("%w: %q", ErrLocationDenied, loc)
-		}
-	}
-
-	meta := &Metadata{
-		Owner:              opts.Owner,
-		Purposes:           purposes,
-		Origin:             opts.Origin,
-		SharedWith:         append([]string(nil), opts.SharedWith...),
-		Expiry:             deadline,
-		Location:           loc,
-		AutomatedDecisions: opts.AutomatedDecisions,
-		Created:            now,
-	}
-	// Standing objections of this owner apply to new records immediately.
-	meta.Objections = append(meta.Objections, s.objectionsOfLocked(os, opts.Owner)...)
+	rec := &store.Record{Policy: p, Created: createdNS(now)}
 
 	stored := value
 	if s.keyring != nil && opts.Owner != "" {
@@ -404,7 +405,7 @@ func (s *Store) Put(ctx Ctx, key string, value []byte, opts PutOptions) error {
 		if err != nil {
 			return err
 		}
-		meta.KeyEpoch = epoch
+		rec.Epoch = epoch
 		// One buffer for the key (the sealing's associated data) and the
 		// ciphertext behind it.
 		buf := append(make([]byte, 0, len(key)+len(value)+cryptoutil.SealOverhead), key...)
@@ -413,10 +414,8 @@ func (s *Store) Put(ctx Ctx, key string, value []byte, opts PutOptions) error {
 		}
 	}
 
-	jerr := s.db.SetRecorded([]string{key}, [][]byte{stored}, deadline, opRecord, encodeMetadata(meta))
-	s.ix.put(key, meta)
-	if jerr != nil {
-		return jerr
+	if err := s.db.SetRecorded([]string{key}, [][]byte{stored}, rec, deadline, opRecord, encodeMetadata(rec, deadline)); err != nil {
+		return err
 	}
 	s.auditOp(audit.Record{
 		Actor: ctx.Actor, Op: "PUT", Key: key, Owner: opts.Owner,
@@ -471,11 +470,11 @@ func (s *Store) ownerCipherFor(owner string) ownerCipher {
 	return oc
 }
 
-// live reports whether m's record is readable: stored in the clear, or
+// live reports whether rec's value is readable: stored in the clear, or
 // sealed under the epoch of the key oc holds. Anything else is
 // crypto-erased and merely awaits the sweep.
-func (oc *ownerCipher) live(m *Metadata) bool {
-	return !oc.sealed || (oc.keyed && m.KeyEpoch == oc.epoch)
+func (oc *ownerCipher) live(rec *store.Record) bool {
+	return !oc.sealed || (oc.keyed && rec.Epoch == oc.epoch)
 }
 
 // Get reads the value at key, enforcing purpose limitation and access
@@ -530,13 +529,13 @@ func (s *Store) Delete(ctx Ctx, key string) error {
 		ks.Unlock()
 		return ErrClosed
 	}
-	owner := s.metaLive(key).owner()
+	e, _ := s.entryOf(key)
+	owner := ownerOf(e.Record)
 	if err := s.check(ctx, acl.OpWrite, owner, "DEL", key); err != nil {
 		ks.Unlock()
 		return err
 	}
 	n := s.db.Del(key)
-	s.ix.del(key)
 	outcome := audit.OutcomeOK
 	if n == 0 {
 		outcome = audit.OutcomeMissing
@@ -568,16 +567,11 @@ func (s *Store) Delete(ctx Ctx, key string) error {
 	return nil
 }
 
-// metaLive returns key's metadata if the key still exists in the engine,
-// nil otherwise; ghost metadata (key expired underneath) is pruned. Callers
-// hold key's stripe.
-func (s *Store) metaLive(key string) *Metadata {
-	m := s.ix.get(key)
-	if m != nil && !s.db.Exists(key) {
-		s.ix.del(key)
-		return nil
-	}
-	return m
+// entryOf is key's entry as the compliance checks of an operation on key
+// read it: judged at the clock's now, without a READ record. Callers hold
+// key's stripe.
+func (s *Store) entryOf(key string) (store.Entry, bool) {
+	return s.db.Peek(key, s.cfg.Config.Clock.Now())
 }
 
 // Metadata returns the GDPR metadata for key.
@@ -588,14 +582,14 @@ func (s *Store) Metadata(ctx Ctx, key string) (Metadata, error) {
 	ks := s.keyStripeFor(key)
 	ks.Lock()
 	defer ks.Unlock()
-	m := s.metaLive(key)
-	if m == nil || s.recordDead(m) {
+	e, _ := s.entryOf(key)
+	if e.Record == nil || s.recordDead(e.Record) {
 		return Metadata{}, ErrNotFound
 	}
-	if err := s.check(ctx, acl.OpRead, m.Owner, "GETMETA", key); err != nil {
+	if err := s.check(ctx, acl.OpRead, e.Record.Policy.Owner, "GETMETA", key); err != nil {
 		return Metadata{}, err
 	}
-	return m.clone(), nil
+	return metadataOf(e.Record, e.Deadline).clone(), nil
 }
 
 // TTL returns the remaining retention time for key.
@@ -614,7 +608,8 @@ func (s *Store) Expire(ctx Ctx, key string, ttl time.Duration) error {
 	ks := s.keyStripeFor(key)
 	ks.Lock()
 	defer ks.Unlock()
-	owner := s.metaLive(key).owner()
+	e, _ := s.entryOf(key)
+	owner := ownerOf(e.Record)
 	if err := s.check(ctx, acl.OpWrite, owner, "EXPIRE", key); err != nil {
 		return err
 	}
@@ -622,11 +617,10 @@ func (s *Store) Expire(ctx Ctx, key string, ttl time.Duration) error {
 	if !s.db.ExpireAt(key, deadline) {
 		return ErrNotFound
 	}
-	if m := s.ix.get(key); m != nil {
-		mm := *m
-		mm.Expiry = deadline
-		s.ix.put(key, &mm)
-		if err := s.appendLog(opMeta, []byte(key), encodeMetadata(&mm)); err != nil {
+	// The record is unchanged: the deadline lives only in the engine entry.
+	// The journal's GMETA still carries it, for replay and older readers.
+	if e.Record != nil {
+		if err := s.appendLog(opMeta, []byte(key), encodeMetadata(e.Record, deadline)); err != nil {
 			return err
 		}
 	}
@@ -637,17 +631,11 @@ func (s *Store) Expire(ctx Ctx, key string, ttl time.Duration) error {
 	return nil
 }
 
-// FlushAll removes every key and all compliance metadata as one atomic
-// cut: the engine journals a single FLUSHALL record (replicas and AOF
-// replay observe the same reset via applyRecord), and the metadata index
-// is cleared in the same critical section so the live store never serves
-// ghost metadata for a flushed keyspace.
-func (s *Store) FlushAll() {
-	s.lockAll()
-	defer s.unlockAll()
-	s.db.FlushAll()
-	s.ix.clear()
-}
+// FlushAll removes every key and its compliance record as one atomic cut:
+// the engine journals a single FLUSHALL record (replicas and AOF replay
+// observe the same reset via applyRecord), and drops each record, and with
+// it each index entry, with its value.
+func (s *Store) FlushAll() { s.db.FlushAll() }
 
 // Exists reports whether key is present and unexpired.
 func (s *Store) Exists(key string) bool { return s.db.Exists(key) }

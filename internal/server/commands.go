@@ -266,11 +266,11 @@ func init() {
 			return resp.SimpleStringValue("OK"), nil
 		}})
 	register(Command{Name: "MAINTAIN", MinArgs: 0, MaxArgs: 0, Flags: FlagWrite | FlagAdmin,
-		Summary: "run one maintenance pass (ghost metadata, grants, deferred compaction)",
+		Summary: "run one maintenance pass (grants, erased records, deferred compaction)",
 		Handler: func(ctx *Ctx) (resp.Value, error) {
 			st := ctx.Srv.store.Maintain()
 			return resp.SimpleStringValue(fmt.Sprintf(
-				"ghosts=%d grants=%d rewrote=%v", st.GhostMetaPruned, st.GrantsPurged, st.Rewrote)), nil
+				"grants=%d rewrote=%v", st.GrantsPurged, st.Rewrote)), nil
 		}})
 	register(Command{Name: "ACL", MinArgs: 1, MaxArgs: -1, Flags: FlagWrite | FlagAdmin,
 		Summary: "ACL ADDPRINCIPAL|DELPRINCIPAL|GRANT|REVOKE: principal and grant management",

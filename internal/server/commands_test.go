@@ -176,7 +176,7 @@ func TestCompactAndMaintainCommands(t *testing.T) {
 		t.Fatal(err)
 	}
 	v, err := c.Do("MAINTAIN")
-	if err != nil || !strings.Contains(v.Text(), "ghosts=") {
+	if err != nil || !strings.Contains(v.Text(), "grants=") {
 		t.Fatalf("maintain = %q, %v", v.Text(), err)
 	}
 }

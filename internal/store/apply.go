@@ -30,12 +30,10 @@ func (db *DB) Apply(name string, args [][]byte) error {
 		if keepTTL {
 			sh := db.shardFor(key)
 			sh.mu.Lock()
-			e := sh.dict[key]
-			e.val = cloneBytes(args[1])
-			sh.dict[key] = e
+			db.keepTTLLocked(sh, key, sh.dict[key], args[1])
 			sh.mu.Unlock()
 		} else {
-			db.Restore(key, args[1], time.Time{})
+			db.Restore(key, args[1], nil, time.Time{})
 		}
 	case "SETEX":
 		if len(args) != 3 {
@@ -45,13 +43,13 @@ func (db *DB) Apply(name string, args [][]byte) error {
 		if err != nil {
 			return fmt.Errorf("store: apply SETEX: %w", err)
 		}
-		db.Restore(string(args[0]), args[2], deadline)
+		db.Restore(string(args[0]), args[2], nil, deadline)
 	case "MSET":
 		if len(args) == 0 || len(args)%2 != 0 {
 			return fmt.Errorf("store: apply MSET: need even args, got %d", len(args))
 		}
 		for i := 0; i+1 < len(args); i += 2 {
-			db.Restore(string(args[i]), args[i+1], time.Time{})
+			db.Restore(string(args[i]), args[i+1], nil, time.Time{})
 		}
 	case "MSETEX":
 		if len(args) < 3 || len(args)%2 != 1 {
@@ -62,7 +60,7 @@ func (db *DB) Apply(name string, args [][]byte) error {
 			return fmt.Errorf("store: apply MSETEX: %w", err)
 		}
 		for i := 1; i+1 < len(args); i += 2 {
-			db.Restore(string(args[i]), args[i+1], deadline)
+			db.Restore(string(args[i]), args[i+1], nil, deadline)
 		}
 	case "EXPIREAT":
 		if len(args) != 2 {
@@ -76,7 +74,7 @@ func (db *DB) Apply(name string, args [][]byte) error {
 		sh := db.shardFor(key)
 		sh.mu.Lock()
 		if e, ok := sh.dict[key]; ok {
-			db.putLocked(sh, key, e.val, deadlineNS(deadline))
+			db.putLocked(sh, key, e.val, e.rec, deadlineNS(deadline))
 		}
 		sh.mu.Unlock()
 	case "PERSIST":
@@ -87,7 +85,7 @@ func (db *DB) Apply(name string, args [][]byte) error {
 		sh := db.shardFor(key)
 		sh.mu.Lock()
 		if e, ok := sh.dict[key]; ok {
-			db.putLocked(sh, key, e.val, 0)
+			db.putLocked(sh, key, e.val, e.rec, 0)
 		}
 		sh.mu.Unlock()
 	case "READ":
@@ -98,15 +96,13 @@ func (db *DB) Apply(name string, args [][]byte) error {
 			sh := db.shardFor(key)
 			sh.mu.Lock()
 			if e, ok := sh.dict[key]; ok {
-				sh.deleteLocked(key, e)
+				db.deleteLocked(sh, key, e)
 			}
 			sh.mu.Unlock()
 		}
 	case "FLUSHALL":
 		db.lockAll()
-		for _, sh := range db.shards {
-			sh.resetLocked()
-		}
+		db.resetAllLocked()
 		db.unlockAll()
 	default:
 		return fmt.Errorf("store: apply: unknown op %q", name)
@@ -125,19 +121,19 @@ func (db *DB) Apply(name string, args [][]byte) error {
 // keyspace — an AOF rewrite or replica seed taken from it can be replayed
 // against the journal stream without losing or resurrecting keys.
 func (db *DB) Snapshot(emit func(name string, args ...[]byte) error) error {
-	return db.SnapshotRecords(func(key string, value []byte, deadline time.Time) error {
-		if deadline.IsZero() {
-			return emit("SET", []byte(key), value)
+	return db.SnapshotRecords(func(key string, e Entry) error {
+		if e.Deadline.IsZero() {
+			return emit("SET", []byte(key), e.Value)
 		}
-		return emit("SETEX", []byte(key), EncodeDeadline(deadline), value)
+		return emit("SETEX", []byte(key), EncodeDeadline(e.Deadline), e.Value)
 	})
 }
 
-// SnapshotRecords is the cut Snapshot takes, handed out as values instead of
-// commands: fn sees every live key with its stored value and its deadline
-// (zero: none), for a caller that writes its own record per key. The value
-// is lent, not copied; every shard is locked while fn runs.
-func (db *DB) SnapshotRecords(fn func(key string, value []byte, deadline time.Time) error) error {
+// SnapshotRecords is the cut Snapshot takes, handed out as entries instead
+// of commands: fn sees every live key with its stored value, record and
+// deadline, for a caller that writes its own record per key. The entry is
+// lent, as Lookup lends it; every shard is locked while fn runs.
+func (db *DB) SnapshotRecords(fn func(key string, e Entry) error) error {
 	db.lockAll()
 	defer db.unlockAll()
 	now := db.nowNS()
@@ -146,11 +142,7 @@ func (db *DB) SnapshotRecords(fn func(key string, value []byte, deadline time.Ti
 			if e.deadAt(now) {
 				continue // expired: do not resurrect
 			}
-			var deadline time.Time
-			if e.deadline != 0 {
-				deadline = time.Unix(0, e.deadline)
-			}
-			if err := fn(k, e.val, deadline); err != nil {
+			if err := fn(k, e.lend()); err != nil {
 				return err
 			}
 		}

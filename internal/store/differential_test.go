@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 	"time"
@@ -11,17 +12,19 @@ import (
 )
 
 // refModel is the oracle of TestDifferentialShard: the engine's layout
-// before a key's value, deadline and sampling slot moved into one dict
-// entry. It keeps Redis's two tables (dict, expires) and the sampling slice
-// with its index map, unsharded, and implements each operation the way the
-// engine then did: expireIfNeeded's probe of expires, then the probe of
-// dict; three map writes for a key's first SETEX.
+// before a key's value, deadline, sampling slot and record moved into one
+// dict entry. It keeps Redis's two tables (dict, expires), the sampling
+// slice with its index map, and the records beside them the way the
+// compliance layer kept its metadata, unsharded, and implements each
+// operation the way the engine then did: expireIfNeeded's probe of expires,
+// then the probe of dict; three map writes for a key's first SETEX.
 type refModel struct {
 	clk        *clock.Virtual
 	dict       map[string][]byte
 	expires    map[string]time.Time
 	expireKeys []string
 	expireIdx  map[string]int
+	recs       map[string]*Record
 }
 
 func newRefModel(clk *clock.Virtual) *refModel {
@@ -35,6 +38,7 @@ func (m *refModel) flushAll() {
 	m.expires = map[string]time.Time{}
 	m.expireKeys = nil
 	m.expireIdx = map[string]int{}
+	m.recs = map[string]*Record{}
 }
 
 func (m *refModel) setExpire(k string, t time.Time) {
@@ -62,7 +66,17 @@ func (m *refModel) removeExpire(k string) {
 
 func (m *refModel) remove(k string) {
 	delete(m.dict, k)
+	delete(m.recs, k)
 	m.removeExpire(k)
+}
+
+// setRec gives k the record rec, none when nil.
+func (m *refModel) setRec(k string, rec *Record) {
+	if rec == nil {
+		delete(m.recs, k)
+	} else {
+		m.recs[k] = rec
+	}
 }
 
 func (m *refModel) due(k string) bool {
@@ -81,11 +95,13 @@ func (m *refModel) expireIfNeeded(k string) bool {
 
 func (m *refModel) set(k string, v []byte) {
 	m.dict[k] = v
+	delete(m.recs, k)
 	m.removeExpire(k)
 }
 
-func (m *refModel) setAt(k string, v []byte, deadline time.Time) {
+func (m *refModel) setAt(k string, v []byte, rec *Record, deadline time.Time) {
 	m.dict[k] = v
+	m.setRec(k, rec)
 	if deadline.IsZero() {
 		m.removeExpire(k)
 	} else {
@@ -98,6 +114,16 @@ func (m *refModel) setAt(k string, v []byte, deadline time.Time) {
 func (m *refModel) setKeepTTL(k string, v []byte) {
 	m.expireIfNeeded(k)
 	m.dict[k] = v
+	delete(m.recs, k)
+}
+
+// setRecord swaps the record of a key that is present, due or not.
+func (m *refModel) setRecord(k string, rec *Record) bool {
+	if _, ok := m.dict[k]; !ok {
+		return false
+	}
+	m.setRec(k, rec)
+	return true
 }
 
 func (m *refModel) get(k string) ([]byte, bool) {
@@ -106,6 +132,11 @@ func (m *refModel) get(k string) ([]byte, bool) {
 	}
 	v, ok := m.dict[k]
 	return v, ok
+}
+
+func (m *refModel) lookup(k string) (Entry, bool) {
+	v, ok := m.get(k)
+	return Entry{Value: v, Record: m.recs[k], Deadline: m.expires[k]}, ok
 }
 
 func (m *refModel) ttl(k string) (time.Duration, TTLStatus) {
@@ -166,16 +197,21 @@ func (m *refModel) snapshot() map[string]string {
 		if m.due(k) {
 			continue
 		}
-		out[k] = snapshotLine(v, m.expires[k])
+		out[k] = entryLine(Entry{Value: v, Record: m.recs[k], Deadline: m.expires[k]})
 	}
 	return out
 }
 
-func snapshotLine(v []byte, deadline time.Time) string {
-	if deadline.IsZero() {
-		return "SET " + string(v)
+// entryLine renders an entry, its record by the step that made it.
+func entryLine(e Entry) string {
+	rec := "-"
+	if e.Record != nil {
+		rec = fmt.Sprint(e.Record.Epoch)
 	}
-	return "SETEX " + string(EncodeDeadline(deadline)) + " " + string(v)
+	if e.Deadline.IsZero() {
+		return "SET " + string(e.Value) + " rec=" + rec
+	}
+	return "SETEX " + string(EncodeDeadline(e.Deadline)) + " " + string(e.Value) + " rec=" + rec
 }
 
 // checkSlots verifies the shard invariant: every key whose entry carries a
@@ -212,6 +248,13 @@ func checkSlots(db *DB) error {
 // every step, under each strategy and while switching between them. The
 // engine's journal feeds the oracle the one thing it cannot predict (which
 // due keys a probabilistic cycle drew) and is replayed at the end.
+//
+// Every write carries a record token, none for the engine's plain writes,
+// and the records OnRecord reported, replayed in order, must be exactly the
+// oracle's after every step: the one-table promise that no record outlives
+// its key, through lazy reaps, each strategy's cycle, FLUSHALL, Restore,
+// SetKeepTTL and Del. Reaping without telling the observer (the report
+// dropped from reapLocked) fails all twelve runs, each by step 153.
 func TestDifferentialShard(t *testing.T) {
 	strategies := []ExpiryStrategy{ExpiryLazyProbabilistic, ExpiryFastScan, ExpiryHeap}
 	for _, tc := range []struct {
@@ -244,6 +287,18 @@ func runDifferential(t *testing.T, seed int64, strategy ExpiryStrategy, pick fun
 	db := New(Options{Clock: vc, Seed: seed, Strategy: strategy, Shards: 4})
 	ref := newRefModel(vc)
 
+	seen := map[string]*Record{}
+	db.OnRecord(func(k string, old, new *Record) {
+		if seen[k] != old {
+			t.Errorf("record of %s reported replaced from %v, last reported %v", k, old, seen[k])
+		}
+		if new == nil {
+			delete(seen, k)
+		} else {
+			seen[k] = new
+		}
+	})
+
 	var log []journalRec
 	db.SetJournal(JournalFunc(func(name string, args ...[]byte) error {
 		cp := make([][]byte, len(args))
@@ -259,6 +314,7 @@ func runDifferential(t *testing.T, seed int64, strategy ExpiryStrategy, pick fun
 	ttl := func() time.Duration { return time.Duration(1+rnd.Intn(90_000)) * time.Millisecond }
 
 	for step := 0; step < steps; step++ {
+		tok := &Record{Epoch: uint64(step)}
 		op := rnd.Intn(100)
 		// Every other stretch of the history writes few TTLs, so the shards
 		// pass through both regimes of scanTTLLocked.
@@ -276,15 +332,15 @@ func runDifferential(t *testing.T, seed int64, strategy ExpiryStrategy, pick fun
 			k, v, d := key(), val(step), ttl()
 			desc = fmt.Sprintf("SetEX %s %v", k, d)
 			db.SetEX(k, v, d)
-			ref.setAt(k, v, vc.Now().Add(d))
+			ref.setAt(k, v, nil, vc.Now().Add(d))
 		case op < 38:
 			k, v := key(), val(step)
 			desc = "SetKeepTTL " + k
 			db.SetKeepTTL(k, v)
 			ref.setKeepTTL(k, v)
-		case op < 50:
-			// One or two pairs under one deadline (sometimes none), as a
-			// compliant Put and PutBatch journal them.
+		case op < 45:
+			// One or two pairs under one record and one deadline (sometimes
+			// none), as a compliant Put and PutBatch journal them.
 			keys, vals := []string{key()}, [][]byte{val(step)}
 			if k2 := key(); rnd.Intn(3) == 0 && k2 != keys[0] {
 				keys, vals = append(keys, k2), append(vals, val(step))
@@ -294,11 +350,29 @@ func runDifferential(t *testing.T, seed int64, strategy ExpiryStrategy, pick fun
 				deadline = vc.Now().Add(ttl())
 			}
 			desc = fmt.Sprintf("SetRecorded %v %v", keys, deadline)
-			if err := db.SetRecorded(keys, vals, deadline, "REC", EncodeDeadline(deadline)); err != nil {
+			if err := db.SetRecorded(keys, vals, tok, deadline, "REC", EncodeDeadline(deadline)); err != nil {
 				t.Fatal(err)
 			}
 			for i, k := range keys {
-				ref.setAt(k, vals[i], deadline)
+				ref.setAt(k, vals[i], tok, deadline)
+			}
+		case op < 48:
+			// A replayed pair: installed as-is, whatever the key held, and
+			// not journaled, so the log gets the record it replays.
+			k, v := key(), val(step)
+			var deadline time.Time
+			if rnd.Intn(3) > 0 {
+				deadline = vc.Now().Add(ttl() - 10*time.Second)
+			}
+			desc = fmt.Sprintf("Restore %s %v", k, deadline)
+			db.Restore(k, v, tok, deadline)
+			ref.setAt(k, v, tok, deadline)
+			log = append(log, journalRec{name: "REC", args: [][]byte{EncodeDeadline(deadline), []byte(k), v}})
+		case op < 50:
+			k := key()
+			desc = "SetRecord " + k
+			if got, want := db.SetRecord(k, tok), ref.setRecord(k, tok); got != want {
+				t.Fatalf("step %d %s = %v, oracle %v", step, desc, got, want)
 			}
 		case op < 58:
 			// Sometimes already in the past: ExpireAt then deletes.
@@ -373,9 +447,12 @@ func runDifferential(t *testing.T, seed int64, strategy ExpiryStrategy, pick fun
 		if got, want := db.Len(), len(ref.dict)-overdue; got != want {
 			fail("Len", got, want)
 		}
+		if !maps.Equal(seen, ref.recs) {
+			fail("records reported", len(seen), len(ref.recs))
+		}
 		snap := map[string]string{}
-		if err := db.SnapshotRecords(func(k string, v []byte, deadline time.Time) error {
-			snap[k] = snapshotLine(v, deadline)
+		if err := db.SnapshotRecords(func(k string, e Entry) error {
+			snap[k] = entryLine(e)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -393,10 +470,10 @@ func runDifferential(t *testing.T, seed int64, strategy ExpiryStrategy, pick fun
 			if gd != wd || gs != ws {
 				fail("TTL "+k, fmt.Sprint(gd, gs), fmt.Sprint(wd, ws))
 			}
-			gv, gok := db.Get(k)
-			wv, wok := ref.get(k)
-			if gok != wok || !bytes.Equal(gv, wv) {
-				fail("Get "+k, fmt.Sprintf("%q %v", gv, gok), fmt.Sprintf("%q %v", wv, wok))
+			ge, gok := db.Lookup(k)
+			we, wok := ref.lookup(k)
+			if gok != wok || (gok && entryLine(ge) != entryLine(we)) {
+				fail("Lookup "+k, fmt.Sprintf("%q %v", entryLine(ge), gok), fmt.Sprintf("%q %v", entryLine(we), wok))
 			}
 		}
 	}
@@ -417,7 +494,7 @@ func runDifferential(t *testing.T, seed int64, strategy ExpiryStrategy, pick fun
 			t.Fatal(err)
 		}
 		for i := 1; i+1 < len(r.args); i += 2 {
-			fresh.Restore(string(r.args[i]), r.args[i+1], deadline)
+			fresh.Restore(string(r.args[i]), r.args[i+1], nil, deadline)
 		}
 	}
 	liveVals, liveExps := dumpState(db)

@@ -44,7 +44,7 @@ func (db *DB) expireAtLocked(sh *shard, key string, deadline time.Time) bool {
 		db.reapLocked(sh, key, e)
 		return true
 	}
-	db.putLocked(sh, key, e.val, ns)
+	db.putLocked(sh, key, e.val, e.rec, ns)
 	db.jq.enqueue("EXPIREAT", []byte(key), EncodeDeadline(deadline))
 	return true
 }
@@ -55,7 +55,7 @@ func (db *DB) Persist(key string) bool {
 	sh.mu.Lock()
 	e, ok := db.liveLocked(sh, key)
 	if ok = ok && e.deadline != 0; ok {
-		db.putLocked(sh, key, e.val, 0)
+		db.putLocked(sh, key, e.val, e.rec, 0)
 		db.jq.enqueue("PERSIST", []byte(key))
 	}
 	sh.mu.Unlock()

@@ -104,11 +104,7 @@ func (db *DB) RangeKeys(fn func(key string, value []byte) bool) {
 // MatchGlob implements Redis's stringmatchlen glob: '*' matches any
 // sequence, '?' any single byte, '[a-c]' character classes with optional
 // leading '^' negation, and '\' escapes the next byte.
-func MatchGlob(pattern, s string) bool {
-	return matchGlob(pattern, s)
-}
-
-func matchGlob(p, s string) bool {
+func MatchGlob(p, s string) bool {
 	for len(p) > 0 {
 		switch p[0] {
 		case '*':
@@ -120,7 +116,7 @@ func matchGlob(p, s string) bool {
 				return true
 			}
 			for i := 0; i <= len(s); i++ {
-				if matchGlob(p[1:], s[i:]) {
+				if MatchGlob(p[1:], s[i:]) {
 					return true
 				}
 			}

@@ -9,6 +9,8 @@
 //     and what the expires dict is for, a uniform random draw over exactly
 //     the keys that carry a TTL, is served by a slice of those keys
 //     (expireKeys) that each entry points back into;
+//   - beside the value, the caller's record of the key (Record), carried
+//     unread, dropped with the value, each change reported to OnRecord;
 //   - lazy expiration on access, plus Redis's probabilistic active-expire
 //     cycle (every 100 ms sample 20 keys with TTLs, delete the expired ones,
 //     and repeat immediately while ≥5 of the 20 were expired) — the
@@ -111,11 +113,48 @@ const DefaultShards = 16
 // ErrNoKey is returned by operations that require an existing key.
 var ErrNoKey = errors.New("store: no such key")
 
+// Record is the compliance record a caller keeps in a key's entry:
+// installed with the value by SetRecorded or Restore (or swapped by
+// SetRecord), dropped with it by every delete, expiry, flush and plain
+// write. The engine never reads it. Records are immutable.
+type Record struct {
+	// Policy is the terms the record was stored under, shared by every
+	// record written under the same ones.
+	Policy *Policy
+	// Created is when the record was first stored, in Unix nanoseconds.
+	Created int64
+	// Epoch is the key epoch the value was sealed under.
+	Epoch uint64
+}
+
+// Policy is what a record's data subject agreed to, immutable once shared:
+// owner, purposes, objections, origin, recipients, location, automated
+// decision-making. Its meaning is the compliance layer's (internal/core).
+type Policy struct {
+	Owner      string
+	Purposes   []string
+	Objections []string
+	Origin     string
+	SharedWith []string
+	Location   string
+	Automated  bool
+}
+
+// Entry is a key's stored state as a lookup lends it out: the stored value
+// itself (never written in place, so valid after the call; never write to
+// it), the record (nil: none) and the deadline (zero: none).
+type Entry struct {
+	Value    []byte
+	Record   *Record
+	Deadline time.Time
+}
+
 // entry is everything the engine holds for one key.
 type entry struct {
 	// val is immutable once installed: writers replace the slice, never its
-	// bytes. GetNoCopy's callers rely on it.
+	// bytes. Lookup's callers rely on it.
 	val []byte
+	rec *Record
 	// deadline is the key's expiry in Unix nanoseconds; 0 means none.
 	deadline int64
 	// slot is the key's index in its shard's expireKeys while deadline != 0.
@@ -125,6 +164,15 @@ type entry struct {
 // deadAt reports whether the entry's deadline has passed at now (Unix ns):
 // the key is gone for every reader, reclaimed or not.
 func (e entry) deadAt(now int64) bool { return e.deadline != 0 && e.deadline <= now }
+
+// lend is the entry as Lookup hands it out.
+func (e entry) lend() Entry {
+	out := Entry{Value: e.val, Record: e.rec}
+	if e.deadline != 0 {
+		out.Deadline = time.Unix(0, e.deadline)
+	}
+	return out
+}
 
 // shard is one lock stripe of the keyspace: the dict, plus the sampling
 // slice and expiry heap that serve expiry. Every field is guarded by mu.
@@ -153,6 +201,7 @@ type DB struct {
 	clk          clock.Clock
 	jq           journalQueue
 	journalReads bool
+	onRecord     func(key string, old, new *Record)
 
 	// strategy is DB-wide; it is atomic so shard-locked paths
 	// (setExpireLocked) and the cycle dispatcher read it without a
@@ -260,6 +309,21 @@ func (db *DB) unlockAll() {
 // detach.
 func (db *DB) SetJournal(j Journal) { db.jq.set(j) }
 
+// OnRecord makes fn the observer of every key's record: it runs under the
+// key's shard lock each time a record is installed, replaced or dropped
+// (old or new nil for none), so the records fn has seen are exactly the
+// ones the engine holds. fn must not call back into the DB. Set it before
+// the DB is shared.
+func (db *DB) OnRecord(fn func(key string, old, new *Record)) { db.onRecord = fn }
+
+// recordChanged reports a record change of key to the observer. Callers hold
+// key's shard lock.
+func (db *DB) recordChanged(key string, old, new *Record) {
+	if old != new && db.onRecord != nil {
+		db.onRecord(key, old, new)
+	}
+}
+
 // Strategy returns the configured expiry strategy.
 func (db *DB) Strategy() ExpiryStrategy {
 	return ExpiryStrategy(db.strategy.Load())
@@ -290,7 +354,7 @@ func (db *DB) SetStrategy(s ExpiryStrategy) {
 func (db *DB) Set(key string, value []byte) {
 	sh := db.shardFor(key)
 	sh.mu.Lock()
-	db.putLocked(sh, key, cloneBytes(value), 0)
+	db.putLocked(sh, key, cloneBytes(value), nil, 0)
 	db.jq.enqueue("SET", []byte(key), value)
 	sh.mu.Unlock()
 	db.jq.flush()
@@ -301,15 +365,16 @@ func (db *DB) SetEX(key string, value []byte, ttl time.Duration) {
 	deadline := db.clk.Now().Add(ttl)
 	sh := db.shardFor(key)
 	sh.mu.Lock()
-	db.putLocked(sh, key, cloneBytes(value), deadlineNS(deadline))
+	db.putLocked(sh, key, cloneBytes(value), nil, deadlineNS(deadline))
 	db.jq.enqueue("SETEX", []byte(key), EncodeDeadline(deadline), value)
 	sh.mu.Unlock()
 	db.jq.flush()
 }
 
-// SetRecorded stores each value under its key with one absolute deadline
-// (zero: none, clearing any TTL as Set does) and journals the caller's
-// record of the write in place of the engine's own SET/SETEX/MSET:
+// SetRecorded stores each value under its key with one record and one
+// absolute deadline (zero: none, clearing any TTL as Set does) and journals
+// the caller's record of the write in place of the engine's own
+// SET/SETEX/MSET:
 // per touched shard, and under its lock where that record would have been
 // enqueued, `name head... key value [key value ...]` with the shard's pairs.
 // So the record keeps its key's place among the engine's other records
@@ -318,7 +383,7 @@ func (db *DB) SetEX(key string, value []byte, ttl time.Duration) {
 // journal claims it and installs the pairs with Restore. The journal's error
 // for these records is returned; the values are stored either way, as with
 // every engine write.
-func (db *DB) SetRecorded(keys []string, values [][]byte, deadline time.Time, name string, head ...[]byte) error {
+func (db *DB) SetRecorded(keys []string, values [][]byte, rec *Record, deadline time.Time, name string, head ...[]byte) error {
 	if len(keys) == 0 {
 		return nil
 	}
@@ -334,7 +399,7 @@ func (db *DB) SetRecorded(keys []string, values [][]byte, deadline time.Time, na
 		}
 		sh.mu.Lock()
 		for _, i := range idxs {
-			db.installLocked(sh, keys[i], values[i], deadline)
+			db.installLocked(sh, keys[i], values[i], rec, deadline)
 			if journal {
 				args = append(args, []byte(keys[i]), values[i])
 			}
@@ -358,31 +423,50 @@ func (db *DB) SetRecorded(keys []string, values [][]byte, deadline time.Time, na
 	return db.jq.result(ticket)
 }
 
-// Restore installs value under key with an absolute deadline (zero: none)
-// without journaling it: the replay of one pair of a SetRecorded record.
-func (db *DB) Restore(key string, value []byte, deadline time.Time) {
+// Restore installs value under key with a record (nil: none) and an
+// absolute deadline (zero: none) without journaling it: the replay of one
+// pair of a SetRecorded record.
+func (db *DB) Restore(key string, value []byte, rec *Record, deadline time.Time) {
 	sh := db.shardFor(key)
 	sh.mu.Lock()
-	db.installLocked(sh, key, value, deadline)
+	db.installLocked(sh, key, value, rec, deadline)
 	sh.mu.Unlock()
 }
 
-// installLocked stores a copy of value under key and sets or clears its
-// deadline. Callers hold sh.mu.
-func (db *DB) installLocked(sh *shard, key string, value []byte, deadline time.Time) {
+// SetRecord replaces the record of key, if the key is present (due or not),
+// keeping its value and deadline, without journaling. It reports whether
+// the key was present.
+func (db *DB) SetRecord(key string, rec *Record) bool {
+	sh := db.shardFor(key)
+	sh.mu.Lock()
+	e, ok := sh.dict[key]
+	if ok {
+		old := e.rec
+		e.rec = rec
+		sh.dict[key] = e
+		db.recordChanged(key, old, rec)
+	}
+	sh.mu.Unlock()
+	return ok
+}
+
+// installLocked stores a copy of value under key with rec and sets or
+// clears its deadline. Callers hold sh.mu.
+func (db *DB) installLocked(sh *shard, key string, value []byte, rec *Record, deadline time.Time) {
 	var ns int64
 	if !deadline.IsZero() {
 		ns = deadlineNS(deadline)
 	}
-	db.putLocked(sh, key, cloneBytes(value), ns)
+	db.putLocked(sh, key, cloneBytes(value), rec, ns)
 }
 
-// putLocked writes key's entry, val under deadline (0: none), and keeps the
-// sampling slice in step: one probe for what the key had, one map write,
-// and one append when the key gains its first TTL. Callers hold sh.mu.
-func (db *DB) putLocked(sh *shard, key string, val []byte, deadline int64) {
+// putLocked writes key's entry, val with rec under deadline (0: none), and
+// keeps the sampling slice in step: one probe for what the key had, one map
+// write, and one append when the key gains its first TTL. Callers hold
+// sh.mu.
+func (db *DB) putLocked(sh *shard, key string, val []byte, rec *Record, deadline int64) {
 	old, had := sh.dict[key]
-	e := entry{val: val, deadline: deadline}
+	e := entry{val: val, rec: rec, deadline: deadline}
 	switch hadTTL := had && old.deadline != 0; {
 	case deadline == 0:
 		if hadTTL {
@@ -395,6 +479,7 @@ func (db *DB) putLocked(sh *shard, key string, val []byte, deadline int64) {
 		sh.expireKeys = append(sh.expireKeys, key)
 	}
 	sh.dict[key] = e
+	db.recordChanged(key, old.rec, rec)
 	if deadline != 0 && db.Strategy() == ExpiryHeap {
 		// Stale heap entries for the same key are tolerated: pop validates
 		// against the key's entry before deleting.
@@ -419,17 +504,26 @@ func (sh *shard) unslotLocked(i int32) {
 }
 
 // SetKeepTTL stores value under key preserving an existing TTL (Redis SET
-// ... KEEPTTL). A key already past its deadline is expired first, as on any
-// access, so the new value carries no TTL instead of a dead one.
+// ... KEEPTTL) but not its record, as any plain write. A key already past
+// its deadline is expired first, as on any access, so the new value carries
+// no TTL instead of a dead one.
 func (db *DB) SetKeepTTL(key string, value []byte) {
 	sh := db.shardFor(key)
 	sh.mu.Lock()
 	e, _ := db.liveLocked(sh, key)
-	e.val = cloneBytes(value)
-	sh.dict[key] = e
+	db.keepTTLLocked(sh, key, e, value)
 	db.jq.enqueue("SET", []byte(key), value, []byte("KEEPTTL"))
 	sh.mu.Unlock()
 	db.jq.flush()
+}
+
+// keepTTLLocked replaces the value of key's entry e (the zero entry for a
+// new key) with a copy of value and drops its record. Callers hold sh.mu.
+func (db *DB) keepTTLLocked(sh *shard, key string, e entry, value []byte) {
+	old := e.rec
+	e.val, e.rec = cloneBytes(value), nil
+	sh.dict[key] = e
+	db.recordChanged(key, old, nil)
 }
 
 // batchGroup splits batch indices by owning shard, preserving input order
@@ -461,7 +555,7 @@ func (db *DB) SetBatch(keys []string, values [][]byte) {
 			args = make([][]byte, 0, 2*len(idxs))
 		}
 		for _, i := range idxs {
-			db.putLocked(sh, keys[i], cloneBytes(values[i]), 0)
+			db.putLocked(sh, keys[i], cloneBytes(values[i]), nil, 0)
 			if journal {
 				args = append(args, []byte(keys[i]), values[i])
 			}
@@ -500,24 +594,40 @@ func (db *DB) GetBatch(keys []string) (values [][]byte, present []bool) {
 // Get returns the value stored at key. Expired keys are lazily deleted on
 // access and reported as missing, exactly as Redis does.
 func (db *DB) Get(key string) ([]byte, bool) {
+	e, ok := db.Lookup(key)
+	// The copy needs no lock: stored values are never written in place.
+	return cloneBytes(e.Value), ok
+}
+
+// Lookup is Get without the defensive copy: one probe that lends the stored
+// slice, with the key's record and deadline. The engine never writes a
+// stored value in place (every Set/Apply installs a fresh clone), so the
+// slice stays valid and unchanged after the call returns, whatever happens
+// to the key; callers must not write to it or hand it to code that might.
+// Compliant reads decrypt straight from it.
+func (db *DB) Lookup(key string) (Entry, bool) {
 	sh := db.shardFor(key)
 	sh.mu.Lock()
 	e, ok := db.liveLocked(sh, key)
 	db.logReadLocked(key)
 	sh.mu.Unlock()
 	db.jq.flush()
-	// The copy needs no lock: stored values are never written in place.
-	return cloneBytes(e.val), ok
+	return e.lend(), ok
 }
 
-// GetNoCopy is Get without the defensive copy and without the clock read:
-// one shard lookup that lends the stored slice, judging expiry against the
-// caller's now, so a walk over many keys reads the clock once. The engine
-// never writes a stored value in place (every Set/Apply installs a fresh
-// clone), so the slice stays valid and unchanged after the call returns,
-// whatever happens to the key; callers must not write to it or hand it to
-// code that might. Rights reads decrypt straight from it.
-func (db *DB) GetNoCopy(key string, now time.Time) ([]byte, bool) {
+// GetNoCopy is Lookup judging expiry against the caller's now, so a walk
+// over many keys reads the clock once.
+func (db *DB) GetNoCopy(key string, now time.Time) (Entry, bool) {
+	return db.peek(key, now, true)
+}
+
+// Peek is GetNoCopy for a caller that reads the key's record, not its data:
+// it journals no READ record.
+func (db *DB) Peek(key string, now time.Time) (Entry, bool) {
+	return db.peek(key, now, false)
+}
+
+func (db *DB) peek(key string, now time.Time, read bool) (Entry, bool) {
 	sh := db.shardFor(key)
 	sh.mu.Lock()
 	e, ok := sh.dict[key]
@@ -525,10 +635,12 @@ func (db *DB) GetNoCopy(key string, now time.Time) ([]byte, bool) {
 		db.reapLocked(sh, key, e)
 		e, ok = entry{}, false
 	}
-	db.logReadLocked(key)
+	if read {
+		db.logReadLocked(key)
+	}
 	sh.mu.Unlock()
 	db.jq.flush()
-	return e.val, ok
+	return e.lend(), ok
 }
 
 // logReadLocked emits a READ record when read-journaling is on (§4.1's
@@ -558,7 +670,7 @@ func (db *DB) Del(keys ...string) int {
 		sh := db.shardFor(k)
 		sh.mu.Lock()
 		if e, ok := db.liveLocked(sh, k); ok {
-			sh.deleteLocked(k, e)
+			db.deleteLocked(sh, k, e)
 			db.jq.enqueue("DEL", []byte(k))
 			n++
 		}
@@ -572,9 +684,7 @@ func (db *DB) Del(keys ...string) int {
 // flush is a single atomic point in the journal stream.
 func (db *DB) FlushAll() {
 	db.lockAll()
-	for _, sh := range db.shards {
-		sh.resetLocked()
-	}
+	db.resetAllLocked()
 	db.jq.enqueue("FLUSHALL")
 	db.unlockAll()
 	db.jq.flush()
@@ -664,28 +774,34 @@ func (db *DB) randIntn(n int) int {
 	return v
 }
 
-// resetLocked empties the shard. Callers hold sh.mu.
-func (sh *shard) resetLocked() {
-	sh.dict = make(map[string]entry)
-	clear(sh.expireKeys)
-	sh.expireKeys = sh.expireKeys[:0]
-	sh.heap = sh.heap[:0]
+// resetAllLocked empties every shard. Callers hold every shard lock.
+func (db *DB) resetAllLocked() {
+	for _, sh := range db.shards {
+		for k, e := range sh.dict {
+			db.recordChanged(k, e.rec, nil)
+		}
+		sh.dict = make(map[string]entry)
+		clear(sh.expireKeys)
+		sh.expireKeys = sh.expireKeys[:0]
+		sh.heap = sh.heap[:0]
+	}
 }
 
 // deleteLocked removes key, whose entry is e, from every structure of its
 // shard. Callers hold sh.mu.
-func (sh *shard) deleteLocked(key string, e entry) {
+func (db *DB) deleteLocked(sh *shard, key string, e entry) {
 	delete(sh.dict, key)
 	if e.deadline != 0 {
 		sh.unslotLocked(e.slot)
 	}
+	db.recordChanged(key, e.rec, nil)
 }
 
 // reapLocked deletes key, whose entry e is past its deadline, as an expiry:
 // counted, and journaled as the DEL it amounts to. Callers hold sh.mu and
 // must flush the journal queue after releasing it.
 func (db *DB) reapLocked(sh *shard, key string, e entry) {
-	sh.deleteLocked(key, e)
+	db.deleteLocked(sh, key, e)
 	sh.expired++
 	db.jq.enqueue("DEL", []byte(key))
 }

@@ -57,9 +57,9 @@ func TestGetNoCopyLendsImmutableSlice(t *testing.T) {
 		"SetKeepTTL": func(k string) { db.SetKeepTTL(k, []byte("new")) },
 		"SetBatch":   func(k string) { db.SetBatch([]string{k}, [][]byte{[]byte("new")}) },
 		"SetRecorded": func(k string) {
-			_ = db.SetRecorded([]string{k}, [][]byte{[]byte("new")}, vc.Now().Add(time.Hour), "REC")
+			_ = db.SetRecorded([]string{k}, [][]byte{[]byte("new")}, nil, vc.Now().Add(time.Hour), "REC")
 		},
-		"Restore":  func(k string) { db.Restore(k, []byte("new"), time.Time{}) },
+		"Restore":  func(k string) { db.Restore(k, []byte("new"), nil, time.Time{}) },
 		"Apply":    func(k string) { _ = db.Apply("SET", [][]byte{[]byte(k), []byte("new")}) },
 		"Del":      func(k string) { db.Del(k) },
 		"expiry":   func(k string) { vc.Advance(2 * time.Minute) },
@@ -75,8 +75,8 @@ func TestGetNoCopyLendsImmutableSlice(t *testing.T) {
 		if _, still := db.GetNoCopy(name, vc.Now()); name == "expiry" && still {
 			t.Fatal("expired key still served")
 		}
-		if string(lent) != "old" {
-			t.Errorf("%s rewrote a lent slice: %q", name, lent)
+		if string(lent.Value) != "old" {
+			t.Errorf("%s rewrote a lent slice: %q", name, lent.Value)
 		}
 	}
 }
@@ -365,11 +365,11 @@ func TestSetRecordedJournalsCallersRecord(t *testing.T) {
 		return nil
 	}))
 	deadline := vc.Now().Add(time.Hour)
-	if err := db.SetRecorded([]string{"k"}, [][]byte{[]byte("v1")}, deadline, "REC", []byte("head")); err != nil {
+	if err := db.SetRecorded([]string{"k"}, [][]byte{[]byte("v1")}, nil, deadline, "REC", []byte("head")); err != nil {
 		t.Fatal(err)
 	}
 	db.Del("k")
-	if err := db.SetRecorded([]string{"k"}, [][]byte{[]byte("v2")}, time.Time{}, "REC", []byte("h1"), []byte("h2")); err != nil {
+	if err := db.SetRecorded([]string{"k"}, [][]byte{[]byte("v2")}, nil, time.Time{}, "REC", []byte("h1"), []byte("h2")); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"REC head k v1", "DEL k", "REC h1 h2 k v2"}
@@ -386,7 +386,7 @@ func TestSetRecordedJournalsCallersRecord(t *testing.T) {
 	for i := range keys {
 		keys[i], vals[i] = fmt.Sprintf("batch%02d", i), []byte(fmt.Sprintf("val%02d", i))
 	}
-	if err := db.SetRecorded(keys, vals, deadline, "REC", []byte("head")); err != nil {
+	if err := db.SetRecorded(keys, vals, nil, deadline, "REC", []byte("head")); err != nil {
 		t.Fatal(err)
 	}
 	if len(log) < 2 || len(log) > db.ShardCount() {
@@ -419,7 +419,7 @@ func TestSetRecordedJournalsCallersRecord(t *testing.T) {
 	}
 
 	log = nil
-	db.Restore("restored", []byte("v"), deadline)
+	db.Restore("restored", []byte("v"), nil, deadline)
 	if dl, has := db.Deadline("restored"); !has || !dl.Equal(deadline) || len(log) != 0 {
 		t.Fatalf("Restore: deadline %v (%v), journaled %q", dl, has, log)
 	}
@@ -447,7 +447,7 @@ func TestSetRecordedReturnsJournalError(t *testing.T) {
 					val, want = "bad", boom
 				}
 				k := fmt.Sprintf("k%d-%d", g, i)
-				if err := db.SetRecorded([]string{k}, [][]byte{[]byte(val)}, time.Time{}, "REC"); err != want {
+				if err := db.SetRecorded([]string{k}, [][]byte{[]byte(val)}, nil, time.Time{}, "REC"); err != want {
 					t.Errorf("%s (%s): err %v, want %v", k, val, err, want)
 				}
 				db.Set(k+"x", []byte("v")) // untracked records pass through
