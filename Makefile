@@ -3,9 +3,8 @@ STATICCHECK_VERSION ?= 2023.1.7
 GOVULNCHECK_VERSION ?= v1.1.3
 COVER_THRESHOLD ?= 75.0
 FUZZTIME ?= 30s
-BENCH_THRESHOLD ?= 30
 
-.PHONY: all build test race bench bench-ci bench-check bench-baseline bench-harness cover fuzz vet fmt lint vulncheck apicheck api ci
+.PHONY: all build test race bench bench-harness loc cover fuzz vet fmt lint vulncheck apicheck api ci
 
 all: build
 
@@ -26,37 +25,6 @@ race:
 bench:
 	$(GO) test -run NONE -bench . -benchmem ./...
 
-# bench-ci mirrors the CI `bench-smoke` job: the quick microbenchmarks with
-# machine-readable output in BENCH_ci.json. Output goes straight to the
-# file (not through tee) so a failing `go test` fails the target.
-# 1000x iterations, best of 5 counts: the regression gate compares each
-# side's best run, and single short runs swing well past the 30% gate on
-# a shared box while minima are stable.
-bench-ci:
-	$(GO) test -run '^$$' \
-		-bench 'Engine_|Core_G|RESPRoundTrip|Resp_|FsyncSpectrum|ComplianceSpectrum|Audit_' \
-		-benchtime 1000x -count 5 -benchmem -json . > BENCH_ci.json
-	$(GO) test -run '^$$' -bench 'Forget_KeysPerOwner/keys=(16|256)/' \
-		-benchtime 1000x -count 5 -benchmem -json . >> BENCH_ci.json
-	$(GO) test -run '^$$' -bench . -benchtime 1000x -count 5 -benchmem -json \
-		./internal/server >> BENCH_ci.json
-	$(GO) test -run '^$$' -bench . -benchtime 1000x -count 5 -benchmem -json \
-		./internal/ops >> BENCH_ci.json
-
-# bench-check mirrors the CI `bench regression gate` step: fresh smoke
-# numbers diffed against the committed baseline, failing on any matching
-# benchmark whose throughput dropped more than BENCH_THRESHOLD percent.
-bench-check: bench-ci
-	$(GO) run ./tools/benchdiff -baseline BENCH_baseline.json -current BENCH_ci.json \
-		-threshold $(BENCH_THRESHOLD) -skip 'Parallel$$'
-
-# bench-baseline refreshes the committed baseline after an INTENDED perf
-# change (or a benchmark-set change). Commit the result with the change
-# that explains it.
-bench-baseline: bench-ci
-	cp BENCH_ci.json BENCH_baseline.json
-	@echo "BENCH_baseline.json refreshed; commit it with the change that moved the numbers"
-
 # bench-harness mirrors the CI `bench-harness` job: bench/ is its own
 # module, invisible to `go build ./...` and `go test ./...`, so this is the
 # only target that compiles it, runs its tests and smoke-runs every
@@ -64,6 +32,22 @@ bench-baseline: bench-ci
 bench-harness:
 	$(GO) test -C bench ./...
 	bash bench/run.sh -smoke
+
+# loc prints the Go lines of the root module per package directory, non-test
+# and test, then the module's totals. bench/ is a module of its own and is
+# left out, as are dot-directories (the benchmark's build cache).
+loc:
+	@find . \( -path ./bench -o -name '.?*' \) -prune -o -name '*.go' -print0 | xargs -0 wc -l | \
+	awk '$$2 != "total" { \
+		d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\//, "", d); dirs[d] = 1; \
+		if ($$2 ~ /_test\.go$$/) { test[d] += $$1; T += $$1 } else { src[d] += $$1; S += $$1 } \
+	} \
+	END { \
+		printf "%-28s %9s %6s\n", "package", "non-test", "test"; \
+		for (d in dirs) printf "%-28s %9d %6d\n", d, src[d], test[d] | "sort"; \
+		close("sort"); \
+		printf "%-28s %9d %6d\n", "root module", S, T \
+	}'
 
 # cover mirrors the CI `cover` job: coverage profile + ratchet threshold.
 cover:

@@ -44,16 +44,13 @@ func main() {
 		auditBP  = flag.String("audit-backpressure", "", `embedded mode: "block" (default) or "drop" when the audit queue is full`)
 		auditM   = flag.Bool("audit-mask", false, "embedded mode: pseudonymize PII in audit records")
 		autoB    = flag.Int("auto-batch", 0, "network mode: dial sessions with WithAutoBatch coalescing, maxOps N and the default window")
-		scenario = flag.String("scenario", "personas", "personas|erasure|retention-storm|dsar-burst|multi-regulation|breach-replay")
+		scenario = flag.String("scenario", "personas", "personas|erasure|retention-storm|multi-regulation|breach-replay")
 		eraseKey = flag.String("erasure-keys", "16,256,4096", "erasure scenario: comma-separated keys-per-owner points")
 		eraseOwn = flag.Int("erasure-owners", 8, "erasure scenario: owners erased per point")
 		opsAddr  = flag.String("ops-addr", "", "sample a live server's ops surface (host:port of -ops-addr) mid-run and report observed compliance-lag maxima")
 
 		stormKeys    = flag.Int("storm-keys", 20000, "retention-storm: records expiring simultaneously")
 		stormHorizon = flag.Duration("storm-horizon", time.Second, "retention-storm: lead time before the shared expiry deadline")
-		dsarReq      = flag.Int("dsar-requests", 2000, "dsar-burst: total GETUSER/EXPORTUSER requests")
-		dsarConc     = flag.Int("dsar-concurrency", 32, "dsar-burst: concurrent DSAR requesters")
-		dsarWriters  = flag.Int("dsar-writers", 4, "dsar-burst: background controller write loops")
 		mrOps        = flag.Int("multireg-ops", 20000, "multi-regulation: reads per policy regime")
 		mrOptOut     = flag.Float64("multireg-optout", 0.30, "multi-regulation: fraction of subjects filing the CCPA do-not-sell opt-out")
 		brRecords    = flag.Int("breach-records", 2_000_000, "breach-replay: synthetic audit-trail size")
@@ -75,19 +72,6 @@ func main() {
 				log.Fatal(err)
 			}
 			fmt.Println(gdprbench.FormatStorm(res))
-		})
-		return
-	case "dsar-burst":
-		sampleOps(*opsAddr, func() {
-			res, err := gdprbench.RunDSAR(gdprbench.DSARConfig{
-				Subjects: *subjects, RecordsPerSubject: *records,
-				Requests: *dsarReq, Concurrency: *dsarConc,
-				Writers: *dsarWriters, Seed: *seed,
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Println(gdprbench.FormatDSAR(res))
 		})
 		return
 	case "multi-regulation":

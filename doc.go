@@ -29,19 +29,16 @@
 // (gdprkv_retention_lag_seconds, gdprkv_erasure_lag_seconds,
 // gdprkv_audit_queue_depth), /events streams SSE stats deltas, and / is
 // an embedded auto-refreshing dashboard — see DESIGN.md §14. The
-// gdprbench scenarios retention-storm, dsar-burst and multi-regulation
-// drive those gauges to their extremes and report BENCH.md-able
-// compliance-overhead numbers.
+// gdprbench scenarios retention-storm and multi-regulation drive those
+// gauges to their extremes and report compliance-overhead numbers.
 //
 // Client applications import pkg/gdprkv, the public SDK: a
 // context-first, connection-pooled, replica-aware client whose server
 // rejections decode to typed sentinels (errors.Is) — see DESIGN.md §9
 // for the architecture and api/gdprkv.golden for the frozen surface.
 //
-// The root package carries the repository-level benchmarks (bench_test.go,
-// one per table/figure, plus the multi-goroutine contention pair
-// BenchmarkEngine_SetParallel/BenchmarkCore_GPutParallel); the
-// implementation lives under internal/ — see DESIGN.md for the system
-// inventory (command table, middleware order, batch API, sharding) and
-// EXPERIMENTS.md for paper-vs-measured results.
+// The implementation lives under internal/ — see DESIGN.md for the system
+// inventory (command table, middleware order, batch API, sharding). The
+// repository benchmark is the bench/ module; bench/README.md says how to
+// run it.
 package gdprstore

@@ -11,61 +11,16 @@ import (
 )
 
 // rechainJournal rebuilds the engine's journal chain from the attached
-// legs: the AOF, the in-process replica fan-out, and the network
-// replication hub, in that order. Callers hold gmu.
+// legs: the AOF, then the network replication hub. Callers hold gmu.
 func (s *Store) rechainJournal() {
 	var legs []store.Journal
 	if s.log != nil {
 		legs = append(legs, store.JournalFunc(s.log.Append))
 	}
-	if s.primary != nil {
-		legs = append(legs, engineLeg{s.primary})
-	}
 	if s.hub != nil {
 		legs = append(legs, s.hub)
 	}
 	s.db.SetJournal(store.NewMultiJournal(legs...))
-}
-
-// engineLeg feeds the in-process fan-out, whose replicas are bare engines
-// that know no compliance record: a GREC reaches them as the SET/SETEX per
-// pair it stands for.
-type engineLeg struct{ p *replica.Primary }
-
-// AppendOp implements store.Journal.
-func (l engineLeg) AppendOp(name string, args ...[]byte) error {
-	if name != opRecord {
-		return l.p.AppendOp(name, args...)
-	}
-	m, err := decodeMetadata(args[0])
-	if err != nil {
-		return err
-	}
-	for i := 1; i+1 < len(args) && err == nil; i += 2 {
-		if m.Expiry.IsZero() {
-			err = l.p.AppendOp("SET", args[i], args[i+1])
-		} else {
-			err = l.p.AppendOp("SETEX", args[i], store.EncodeDeadline(m.Expiry), args[i+1])
-		}
-	}
-	return err
-}
-
-// EnableReplication creates a journal fan-out in the given mode and chains
-// it after the AOF, so every engine mutation — including expiry-generated
-// deletions — streams to replicas. Call before attaching replicas.
-func (s *Store) EnableReplication(mode replica.Mode) (*replica.Primary, error) {
-	s.gmu.Lock()
-	defer s.gmu.Unlock()
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	if s.primary != nil {
-		return nil, errors.New("core: replication already enabled")
-	}
-	s.primary = replica.NewPrimary(mode, 0)
-	s.rechainJournal()
-	return s.primary, nil
 }
 
 // EnableStreamReplication attaches (or returns the already attached)
@@ -122,33 +77,6 @@ func (s *Store) StreamSnapshot(emit func(name string, args ...[]byte) error, cut
 	return s.snapshotAll(emit)
 }
 
-// AddReplica seeds a fresh replica from the current dataset and attaches
-// it to the stream. Writes concurrent with attachment may be applied
-// twice, which the replica tolerates (ops are idempotent).
-func (s *Store) AddReplica() (*replica.Replica, error) {
-	s.gmu.Lock()
-	defer s.gmu.Unlock()
-	if s.primary == nil {
-		return nil, errors.New("core: replication not enabled")
-	}
-	rdb := store.New(store.Options{Clock: s.cfg.Config.Clock, Seed: s.cfg.Seed + 1})
-	r, err := s.primary.Attach(s.db, rdb)
-	if err != nil {
-		return nil, err
-	}
-	s.auditOp(audit.Record{
-		Actor: "system:replication", Op: "ADDREPLICA", Outcome: audit.OutcomeOK,
-	})
-	return r, nil
-}
-
-// Primary returns the replication fan-out, or nil if replication is off.
-func (s *Store) Primary() *replica.Primary {
-	s.gmu.Lock()
-	defer s.gmu.Unlock()
-	return s.primary
-}
-
 // SetBackupManager registers a backup manager whose generations the store
 // keeps consistent with erasure: real-time Forget refreshes the backups
 // synchronously; eventual timing defers the refresh to Maintain.
@@ -177,8 +105,10 @@ func (s *Store) Backup() (string, error) {
 }
 
 // propagateErasure completes an Article 17 erasure across the subsystems
-// beyond the main engine: the AOF (compaction), the replicas (drain the
-// stream), and the backups (refresh generations). It is whole-store work:
+// beyond the main engine: the AOF (compaction) and the backups (refresh
+// generations). Networked replicas need nothing here: the erasure's records
+// are already in the hub's stream, and each replica applies them as it
+// catches up. It is whole-store work:
 // the caller must hold no stripe locks, because it acquires them all. In
 // eventual timing the work is deferred to Maintain via pendingRewrite.
 func (s *Store) propagateErasure(ctx Ctx) error {
@@ -197,9 +127,6 @@ func (s *Store) propagateErasure(ctx Ctx) error {
 func (s *Store) propagateErasureLocked(ctx Ctx) error {
 	if err := s.rewriteLocked(ctx); err != nil {
 		return err
-	}
-	if s.primary != nil {
-		s.primary.Flush()
 	}
 	if s.backups != nil {
 		if _, removed, err := s.backups.Refresh(s.db); err != nil {

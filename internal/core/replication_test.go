@@ -3,100 +3,184 @@ package core
 import (
 	"bytes"
 	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"gdprstore/internal/aof"
 	"gdprstore/internal/backup"
 	"gdprstore/internal/clock"
 	"gdprstore/internal/replica"
+	"gdprstore/internal/testutil"
 )
 
+// recorder is a replica's Applier: the replica store, plus the name of
+// every record its node applied, in order.
+type recorder struct {
+	*Store
+	mu    sync.Mutex
+	names []string
+}
+
+func (r *recorder) ApplyReplicated(name string, args [][]byte) error {
+	r.mu.Lock()
+	r.names = append(r.names, name)
+	r.mu.Unlock()
+	return r.Store.ApplyReplicated(name, args)
+}
+
+// attachReplica opens a store from cfg that replicates s through a
+// replica.Node dialled into s's replication hub, and returns once the hub
+// streams to it: every later write reaches it through the stream.
+func attachReplica(t *testing.T, s *Store, cfg Config) *recorder {
+	t.Helper()
+	hub, err := s.EnableStreamReplication(replica.HubOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := hub.ListenAndServe("127.0.0.1:0", s.StreamSnapshot, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	rs, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rs.Close() })
+	r := &recorder{Store: rs}
+	linked := len(hub.Links()) + 1
+	n := replica.DialPrimary(r, l.Addr(), replica.NodeOptions{ReconnectMin: 5 * time.Millisecond})
+	t.Cleanup(n.Close)
+	testutil.Eventually(t, 5*time.Second, 0, func() bool { return len(hub.Links()) == linked }, "replica never linked")
+	return r
+}
+
+// caughtUp waits until every replica link has acknowledged the whole stream.
+func caughtUp(t *testing.T, s *Store) {
+	t.Helper()
+	hub := s.Hub()
+	testutil.Eventually(t, 5*time.Second, 0, func() bool {
+		for _, l := range hub.Links() {
+			if l.AckOffset != hub.Offset() {
+				return false
+			}
+		}
+		return true
+	}, "replicas did not acknowledge offset %d", hub.Offset())
+}
+
+// TestForgetPropagatesToReplicas: Forget's erasure reaches every networked
+// replica. "sync" waits until every link has acknowledged the hub's offset
+// and then checks each replica at once (a node acks only what it applied);
+// "async" waits on no acknowledgement and polls each replica until it
+// converges.
 func TestForgetPropagatesToReplicas(t *testing.T) {
-	for _, mode := range []replica.Mode{replica.Sync, replica.Async} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, mode := range []string{"sync", "async"} {
+		t.Run(mode, func(t *testing.T) {
 			s := newFullStore(t, nil)
-			if _, err := s.EnableReplication(mode); err != nil {
-				t.Fatal(err)
-			}
-			r1, err := s.AddReplica()
-			if err != nil {
-				t.Fatal(err)
-			}
-			r2, err := s.AddReplica()
-			if err != nil {
-				t.Fatal(err)
+			cfg := s.Config()
+			reps := []*recorder{attachReplica(t, s, cfg), attachReplica(t, s, cfg)}
+			// expect fails unless cond holds: at once after the
+			// acknowledgements in sync mode, eventually in async mode.
+			expect := func(cond func() bool, format string, args ...any) {
+				t.Helper()
+				if mode == "async" {
+					testutil.Eventually(t, 5*time.Second, 0, cond, format, args...)
+				} else if !cond() {
+					t.Fatalf(format, args...)
+				}
 			}
 			s.Put(ctlCtx, "pd:alice:1", []byte("secret"), PutOptions{Owner: "alice"})
 			s.Put(ctlCtx, "pd:bob:1", []byte("other"), PutOptions{Owner: "bob"})
-			if mode == replica.Async {
-				s.Primary().Flush()
+			if mode == "sync" {
+				caughtUp(t, s)
 			}
-			if !r1.DB.Exists("pd:alice:1") {
-				t.Fatal("replication did not deliver the write")
-			}
+			expect(func() bool { return reps[0].Engine().Exists("pd:alice:1") }, "replication did not deliver the write")
 			if _, err := s.Forget(Ctx{Actor: "alice"}, "alice"); err != nil {
 				t.Fatal(err)
 			}
-			// Real-time timing flushes replicas inside Forget; verify the
-			// Article 17 guarantee on every replica.
-			for i, r := range []*replica.Replica{r1, r2} {
-				if r.DB.Exists("pd:alice:1") {
-					t.Fatalf("replica %d still holds erased data (%s mode)", i, mode)
-				}
-				if !r.DB.Exists("pd:bob:1") {
-					t.Fatalf("replica %d lost unrelated data", i)
-				}
+			if mode == "sync" {
+				caughtUp(t, s)
+			}
+			for i, r := range reps {
+				expect(func() bool { return !r.Engine().Exists("pd:alice:1") }, "replica %d still holds erased data (%s)", i, mode)
+				expect(func() bool { return r.Engine().Exists("pd:bob:1") }, "replica %d lost unrelated data (%s)", i, mode)
 			}
 		})
 	}
 }
 
-func TestReplicationRequiresEnable(t *testing.T) {
-	s := newFullStore(t, nil)
-	if _, err := s.AddReplica(); err == nil {
-		t.Fatal("AddReplica without EnableReplication accepted")
-	}
-	if s.Primary() != nil {
-		t.Fatal("phantom primary")
-	}
-}
-
-func TestEnableReplicationTwiceFails(t *testing.T) {
-	s := newFullStore(t, nil)
-	if _, err := s.EnableReplication(replica.Sync); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.EnableReplication(replica.Sync); err == nil {
-		t.Fatal("double enable accepted")
-	}
-}
-
+// TestReplicationChainsWithAOF: the AOF and the replication hub are the two
+// legs of one journal chain. A Put and a crypto-shredding Forget reach both
+// legs record for record in the same order, and replaying the AOF ends in
+// the state the replica reached by applying the stream.
 func TestReplicationChainsWithAOF(t *testing.T) {
-	// Both the AOF and the replicas must observe every mutation when
-	// chained.
 	path := tempAOF(t)
 	vc := clock.NewVirtual(time.Unix(0, 0))
-	s, err := Open(persistentCfg(path, vc, nil))
+	cfg := persistentCfg(path, vc, func(c *Config) {
+		c.Timing = TimingEventual // keeps the log as written: no compaction inside Forget
+		c.Envelope, c.MasterKey = true, bytes.Repeat([]byte{5}, 32)
+	})
+	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	addPrincipals(s)
-	if _, err := s.EnableReplication(replica.Sync); err != nil {
+	rcfg := cfg
+	rcfg.AOFPath = ""
+	r := attachReplica(t, s, rcfg)
+	addPrincipals(r.Store)
+
+	s.Put(ctlCtx, "pd:alice", []byte("alice-secret"), PutOptions{Owner: "alice"})
+	s.Put(ctlCtx, "pd:bob", []byte("bob-data"), PutOptions{Owner: "bob"})
+	if _, err := s.Forget(Ctx{Actor: "alice"}, "alice"); err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.AddReplica()
+	caughtUp(t, s)
+	if err := s.Log().Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	var logged []string
+	if _, err := aof.Load(path, nil, func(name string, _ [][]byte) error {
+		logged = append(logged, name)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{opKey, opRecord, opKey, opRecord, opShred, opForget}; !reflect.DeepEqual(logged, want) {
+		t.Fatalf("AOF leg got %v, want %v", logged, want)
+	}
+	// The store was empty when the replica attached: its full sync is the
+	// FLUSHALL alone, and the stream follows it.
+	r.mu.Lock()
+	streamed := r.names
+	r.mu.Unlock()
+	if !reflect.DeepEqual(streamed, append([]string{"FLUSHALL"}, logged...)) {
+		t.Fatalf("replication leg got %v, AOF leg %v", streamed, logged)
+	}
+
+	replayedPath := filepath.Join(t.TempDir(), "replayed.aof")
+	copyFile(t, path, replayedPath)
+	pcfg := cfg
+	pcfg.AOFPath = replayedPath
+	replayed, err := Open(pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Put(ctlCtx, "k", []byte("v"), PutOptions{Owner: "alice"})
-	if !r.DB.Exists("k") {
-		t.Fatal("replica missed the write")
+	defer replayed.Close()
+	addPrincipals(replayed)
+	want := legacyDump(t, r.Store)
+	if !strings.Contains(want, "user bob pd:bob=bob-data") || strings.Contains(want, "user alice") {
+		t.Fatalf("the replica did not end with bob's record and none of alice's:\n%s", want)
 	}
-	s.Log().Sync()
-	raw, _ := os.ReadFile(path)
-	if !bytes.Contains(raw, []byte("k")) {
-		t.Fatal("AOF missed the write")
+	if got := legacyDump(t, replayed); got != want {
+		t.Fatalf("AOF replay and replica differ\n--- replay ---\n%s--- replica ---\n%s", got, want)
 	}
 }
 

@@ -105,10 +105,9 @@ type Store struct {
 	keyring *cryptoutil.Keyring
 	expirer *store.Expirer
 
-	// primary, hub and backups are guarded by gmu. streamJ mirrors hub
-	// behind an atomic pointer so the hot appendLog path can reach the
-	// replication stream without taking gmu.
-	primary *replica.Primary
+	// hub and backups are guarded by gmu. streamJ mirrors hub behind an
+	// atomic pointer so the hot appendLog path can reach the replication
+	// stream without taking gmu.
 	hub     *replica.Hub
 	streamJ atomic.Pointer[replica.Hub]
 	backups *backup.Manager
@@ -691,14 +690,10 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.lockAll()
-	primary := s.primary
 	hub := s.hub
 	s.unlockAll()
 	s.expirer.Stop()
 	s.StopSweeper()
-	if primary != nil {
-		primary.Close()
-	}
 	if hub != nil {
 		hub.Close()
 	}

@@ -10,15 +10,14 @@ import (
 	"gdprstore/internal/backup"
 	"gdprstore/internal/core"
 	"gdprstore/internal/metrics"
-	"gdprstore/internal/replica"
 )
 
 // ErasureRow is one configuration's Article 17 cost profile.
 type ErasureRow struct {
 	// Timing is the compliance timing mode.
 	Timing string
-	// WithFleet marks whether replicas and backups were attached.
-	WithFleet bool
+	// WithBackups marks whether a backup manager was attached.
+	WithBackups bool
 	// ForgetLatency summarises the latency of the Forget call itself.
 	ForgetLatency metrics.Snapshot
 	// MaintainLatency is the deferred-work cost (eventual mode pays the
@@ -28,10 +27,12 @@ type ErasureRow struct {
 
 // ErasureLatency quantifies what §4.3 and §3.2 together imply but the
 // paper does not measure: the latency cost of the right to be forgotten
-// under real-time vs eventual timing, with and without the fleet
-// (replicas + backups) attached. Real-time Forget pays AOF compaction,
-// replica flush and backup refresh synchronously; eventual Forget returns
-// after the index/engine erasure and defers the rest to Maintain.
+// under real-time vs eventual timing, with and without backups attached.
+// Real-time Forget pays AOF compaction and backup refresh synchronously;
+// eventual Forget returns after the index/engine erasure and defers the
+// rest to Maintain. Networked replicas are left out: they apply an erasure
+// from the replication stream on every timing, so Forget never waits on
+// them.
 func ErasureLatency(dir string, subjects, recordsPerSubject int) ([]ErasureRow, error) {
 	if subjects <= 0 {
 		subjects = 50
@@ -41,8 +42,8 @@ func ErasureLatency(dir string, subjects, recordsPerSubject int) ([]ErasureRow, 
 	}
 	var rows []ErasureRow
 	for _, timing := range []core.Timing{core.TimingEventual, core.TimingRealTime} {
-		for _, fleet := range []bool{false, true} {
-			row, err := erasurePoint(dir, timing, fleet, subjects, recordsPerSubject)
+		for _, backups := range []bool{false, true} {
+			row, err := erasurePoint(dir, timing, backups, subjects, recordsPerSubject)
 			if err != nil {
 				return nil, err
 			}
@@ -52,8 +53,8 @@ func ErasureLatency(dir string, subjects, recordsPerSubject int) ([]ErasureRow, 
 	return rows, nil
 }
 
-func erasurePoint(dir string, timing core.Timing, fleet bool, subjects, records int) (ErasureRow, error) {
-	sub := fmt.Sprintf("erasure-%s-%v", timing, fleet)
+func erasurePoint(dir string, timing core.Timing, backups bool, subjects, records int) (ErasureRow, error) {
+	sub := fmt.Sprintf("erasure-%s-%v", timing, backups)
 	cfg := core.Config{
 		Compliant:    true,
 		Timing:       timing,
@@ -70,16 +71,7 @@ func erasurePoint(dir string, timing core.Timing, fleet bool, subjects, records 
 	st.ACL().AddPrincipal(acl.Principal{ID: "ctl", Role: acl.RoleController})
 	ctx := core.Ctx{Actor: "ctl", Purpose: "account"}
 
-	if fleet {
-		if _, err := st.EnableReplication(replica.Sync); err != nil {
-			return ErasureRow{}, err
-		}
-		if _, err := st.AddReplica(); err != nil {
-			return ErasureRow{}, err
-		}
-		if _, err := st.AddReplica(); err != nil {
-			return ErasureRow{}, err
-		}
+	if backups {
 		m, err := backup.NewManager(filepath.Join(dir, sub+"-backups"), nil, nil)
 		if err != nil {
 			return ErasureRow{}, err
@@ -98,7 +90,7 @@ func erasurePoint(dir string, timing core.Timing, fleet bool, subjects, records 
 			}
 		}
 	}
-	if fleet {
+	if backups {
 		if _, err := st.Backup(); err != nil {
 			return ErasureRow{}, err
 		}
@@ -124,7 +116,7 @@ func erasurePoint(dir string, timing core.Timing, fleet bool, subjects, records 
 
 	return ErasureRow{
 		Timing:          timing.String(),
-		WithFleet:       fleet,
+		WithBackups:     backups,
 		ForgetLatency:   hist.Snapshot(),
 		MaintainLatency: maint,
 	}, nil
@@ -133,21 +125,21 @@ func erasurePoint(dir string, timing core.Timing, fleet bool, subjects, records 
 // FormatErasure renders the erasure-latency table.
 func FormatErasure(rows []ErasureRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %-6s %12s %12s %12s %14s\n",
-		"Timing", "Fleet", "Forget p50", "Forget p99", "Forget max", "Maintain")
+	fmt.Fprintf(&b, "%-10s %-7s %12s %12s %12s %14s\n",
+		"Timing", "Backups", "Forget p50", "Forget p99", "Forget max", "Maintain")
 	for _, r := range rows {
-		fleet := "no"
-		if r.WithFleet {
-			fleet = "yes"
+		backups := "no"
+		if r.WithBackups {
+			backups = "yes"
 		}
-		fmt.Fprintf(&b, "%-10s %-6s %12v %12v %12v %14v\n",
-			r.Timing, fleet,
+		fmt.Fprintf(&b, "%-10s %-7s %12v %12v %12v %14v\n",
+			r.Timing, backups,
 			r.ForgetLatency.P50.Round(time.Microsecond),
 			r.ForgetLatency.P99.Round(time.Microsecond),
 			r.ForgetLatency.Max.Round(time.Microsecond),
 			r.MaintainLatency.Round(time.Microsecond))
 	}
-	b.WriteString("real-time pays compaction + replica flush + backup refresh inside Forget;\n")
+	b.WriteString("real-time pays compaction + backup refresh inside Forget;\n")
 	b.WriteString("eventual defers that work to Maintain, keeping Forget latency flat.\n")
 	return b.String()
 }

@@ -204,7 +204,7 @@ func TestErasureLatencyShape(t *testing.T) {
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	// Rows: eventual/no, eventual/fleet, realtime/no, realtime/fleet.
+	// Rows: eventual/no, eventual/backups, realtime/no, realtime/backups.
 	evNo, rtNo := rows[0], rows[2]
 	if evNo.Timing != "eventual" || rtNo.Timing != "real-time" {
 		t.Fatalf("row order changed: %+v", rows)

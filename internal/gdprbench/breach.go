@@ -247,8 +247,7 @@ func RunBreach(cfg BreachConfig) (BreachResult, error) {
 	return res, nil
 }
 
-// FormatBreach renders the run in the one-scenario-per-block style
-// BENCH.md tabulates.
+// FormatBreach renders the run as one block per scenario.
 func FormatBreach(r BreachResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "[gdprbench/breach-replay] records=%d subjects=%d masked=%v\n",

@@ -185,9 +185,8 @@ func runMultiRegPoint(cfg MultiRegConfig, regime string) (MultiRegPoint, error) 
 	return pt, nil
 }
 
-// FormatMultiReg renders the regime comparison BENCH.md tabulates. The
-// final column is the headline: throughput relative to the
-// no-objections baseline.
+// FormatMultiReg renders the regime comparison table. The final column is
+// the headline: throughput relative to the no-objections baseline.
 func FormatMultiReg(points []MultiRegPoint) string {
 	var b strings.Builder
 	b.WriteString("[gdprbench/multi-regulation] processor reads under layered policy regimes\n")

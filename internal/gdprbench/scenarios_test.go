@@ -51,35 +51,6 @@ func TestRunStormPopulateOverrun(t *testing.T) {
 	}
 }
 
-func TestRunDSAR(t *testing.T) {
-	res, err := RunDSAR(DSARConfig{
-		Subjects:          40,
-		RecordsPerSubject: 8,
-		Requests:          200,
-		Concurrency:       8,
-		Writers:           2,
-		BaselineWindow:    100 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Errors != 0 {
-		t.Errorf("dsar errors = %d", res.Errors)
-	}
-	if got := res.Access.Count + res.Export.Count; got != 200 {
-		t.Errorf("access+export observations = %d, want 200", got)
-	}
-	if res.Throughput <= 0 || res.WriteBaseline <= 0 || res.WriteDuring <= 0 {
-		t.Errorf("implausible rates: %+v", res)
-	}
-	out := FormatDSAR(res)
-	for _, want := range []string{"dsar-burst", "GETUSER", "EXPORTUSER", "penalty="} {
-		if !strings.Contains(out, want) {
-			t.Errorf("FormatDSAR missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestRunMultiReg(t *testing.T) {
 	points, err := RunMultiReg(MultiRegConfig{
 		Subjects:          60,

@@ -173,8 +173,7 @@ func RunStorm(cfg StormConfig) (StormResult, error) {
 	return res, nil
 }
 
-// FormatStorm renders the run as the rise-then-drain summary BENCH.md
-// tabulates.
+// FormatStorm renders the run as a rise-then-drain summary.
 func FormatStorm(r StormResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "[gdprbench/retention-storm] keys=%d timing=%s populate=%v\n",

@@ -4,6 +4,7 @@
 // resync (backlog tail), then tails the live record stream, applying every
 // record to its Applier and acknowledging applied offsets. A dropped link
 // reconnects with bounded backoff and resumes via PSYNC <replid> <offset>.
+
 package replica
 
 import (

@@ -1,10 +1,16 @@
-// Networked replication, primary side. The Hub is a store.Journal sink fed
-// from the engine's group-commit queue (and from the compliance layer's
-// control records): every journal record is RESP-encoded once, appended to a
-// bounded backlog, and fanned out to the connected replica links. Replicas
-// attach with the REPLCONF/PSYNC handshake — either through the main RESP
-// server (which delegates to Hub.Serve) or through a dedicated replication
-// listener (ListenAndServe).
+// Package replica is the replication the paper's Article 17 analysis
+// demands: "the requested data be erased in a timely manner including all
+// its replicas and backups". A primary streams its journal, data records and
+// compliance control records alike, to replicas that apply each one exactly
+// as AOF replay would, so an erasure reaches every copy.
+//
+// This file is the primary side. The Hub is a store.Journal sink fed from
+// the engine's group-commit queue (and from the compliance layer's control
+// records): every journal record is RESP-encoded once, appended to a bounded
+// backlog, and fanned out to the connected replica links. Replicas attach
+// with the REPLCONF/PSYNC handshake — either through the main RESP server
+// (which delegates to Hub.Serve) or through a dedicated replication listener
+// (ListenAndServe). node.go is the replica side.
 //
 // Offsets are byte offsets into the encoded record stream, exactly Redis's
 // master_repl_offset model: a replica that reconnects presents its offset,
@@ -147,8 +153,7 @@ func (h *Hub) Links() []LinkStat {
 // AppendOp implements store.Journal: encode once, append to the backlog,
 // fan out to every live link. A link whose queue is full is killed (it
 // reconnects and partial-resyncs) so a slow replica can never block the
-// primary's data path — the opposite trade from the in-process Primary,
-// which favours blocking over any window of divergence.
+// primary's data path.
 func (h *Hub) AppendOp(name string, args ...[]byte) error {
 	frame := EncodeRecord(name, args...)
 	var dead []*link

@@ -92,7 +92,7 @@ func (p *testPrimary) listen(t *testing.T, auth func(string) bool) *Listener {
 	return l
 }
 
-func dialNode(t *testing.T, f *fakeApplier, addr string, opts NodeOptions) *Node {
+func dialNode(t *testing.T, f Applier, addr string, opts NodeOptions) *Node {
 	t.Helper()
 	if opts.ReconnectMin == 0 {
 		opts.ReconnectMin = 5 * time.Millisecond
@@ -235,6 +235,192 @@ func TestSlowReplicaIsDisconnectedNotBlocking(t *testing.T) {
 		v, ok := f.get("burst499")
 		return ok && v == "v"
 	}, "replica never converged after overflow kill")
+}
+
+// An erasure reaches every replica linked to the hub, and only the erased
+// key goes. "sync" confirms the erasure the way a primary waiting on its
+// replicas would: every link acknowledges the hub's offset, and a node acks
+// only what it has applied, so each replica must already be clean. "async"
+// confirms nothing and waits for each replica to converge on its own.
+func TestErasurePropagatesToAllReplicas(t *testing.T) {
+	for _, mode := range []string{"sync", "async"} {
+		t.Run(mode, func(t *testing.T) {
+			p := newTestPrimary(t, HubOptions{})
+			l := p.listen(t, nil)
+			var reps []*fakeApplier
+			for i := 0; i < 3; i++ {
+				reps = append(reps, newFakeApplier())
+				dialNode(t, reps[i], l.Addr(), NodeOptions{})
+			}
+			testutil.Eventually(t, 5*time.Second, 0, func() bool {
+				return len(p.hub.Links()) == 3
+			}, "replicas not linked")
+			p.db.Set("pd:alice", []byte("personal"))
+			p.db.Set("pd:bob", []byte("other"))
+			p.db.Del("pd:alice")
+			clean := func(f *fakeApplier) bool {
+				_, alice := f.get("pd:alice")
+				_, bob := f.get("pd:bob")
+				return !alice && bob
+			}
+			if mode == "sync" {
+				testutil.Eventually(t, 5*time.Second, 0, func() bool {
+					for _, l := range p.hub.Links() {
+						if l.AckOffset != p.hub.Offset() {
+							return false
+						}
+					}
+					return true
+				}, "replicas did not acknowledge offset %d", p.hub.Offset())
+				for i, f := range reps {
+					if !clean(f) {
+						t.Fatalf("replica %d acknowledged the erasure but kept the erased key or lost the other", i)
+					}
+				}
+				return
+			}
+			for i, f := range reps {
+				testutil.Eventually(t, 5*time.Second, 0, func() bool { return clean(f) },
+					"replica %d kept the erased key or lost the other", i)
+			}
+		})
+	}
+}
+
+// The hub is one leg of a journal chain: a single engine mutation reaches
+// both the AOF leg and the replicas streaming from the hub.
+func TestChainFansOutToAOFAndReplicas(t *testing.T) {
+	p := newTestPrimary(t, HubOptions{})
+	l := p.listen(t, nil)
+	f := newFakeApplier()
+	dialNode(t, f, l.Addr(), NodeOptions{})
+	testutil.Eventually(t, 5*time.Second, 0, func() bool {
+		return len(p.hub.Links()) == 1
+	}, "initial attach")
+	var logged []string
+	fakeAOF := store.JournalFunc(func(name string, args ...[]byte) error {
+		logged = append(logged, name)
+		return nil
+	})
+	p.db.SetJournal(store.NewMultiJournal(fakeAOF, p.hub))
+	p.db.Set("k", []byte("v"))
+	if len(logged) != 1 || logged[0] != "SET" {
+		t.Fatalf("AOF leg got %v", logged)
+	}
+	testutil.Eventually(t, 5*time.Second, 0, func() bool {
+		v, ok := f.get("k")
+		return ok && v == "v"
+	}, "replica leg missed the op")
+}
+
+// Active expiry deletes through the journal, so a replica loses an expired
+// key without running expiry of its own.
+func TestExpiryDeletionsReplicate(t *testing.T) {
+	vc := clock.NewVirtual(time.Unix(0, 0))
+	p := &testPrimary{
+		db:  store.New(store.Options{Clock: vc, Seed: 1, Strategy: store.ExpiryFastScan}),
+		hub: NewHub(HubOptions{}),
+	}
+	p.db.SetJournal(p.hub)
+	t.Cleanup(p.hub.Close)
+	l := p.listen(t, nil)
+	f := newFakeApplier()
+	dialNode(t, f, l.Addr(), NodeOptions{})
+	testutil.Eventually(t, 5*time.Second, 0, func() bool {
+		return len(p.hub.Links()) == 1
+	}, "initial attach")
+	p.db.SetEX("short", []byte("v"), time.Minute)
+	testutil.Eventually(t, 5*time.Second, 0, func() bool {
+		_, ok := f.get("short")
+		return ok
+	}, "write never arrived")
+	vc.Advance(2 * time.Minute)
+	p.db.ActiveExpireCycle() // journals the DEL
+	testutil.Eventually(t, 5*time.Second, 0, func() bool {
+		_, ok := f.get("short")
+		return !ok
+	}, "expiry deletion did not reach the replica")
+}
+
+// The hub encodes a record before AppendOp returns, so the journal caller
+// may reuse its argument buffers at once although links send asynchronously.
+func TestAsyncArgBuffersCopied(t *testing.T) {
+	p := newTestPrimary(t, HubOptions{})
+	l := p.listen(t, nil)
+	f := newFakeApplier()
+	dialNode(t, f, l.Addr(), NodeOptions{})
+	testutil.Eventually(t, 5*time.Second, 0, func() bool {
+		return len(p.hub.Links()) == 1
+	}, "initial attach")
+	buf := []byte("original")
+	p.hub.AppendOp("SET", []byte("k"), buf)
+	copy(buf, "CLOBBER!")
+	testutil.Eventually(t, 5*time.Second, 0, func() bool {
+		_, ok := f.get("k")
+		return ok
+	}, "write never arrived")
+	if v, _ := f.get("k"); v != "original" {
+		t.Fatalf("replica saw the reused buffer: %q", v)
+	}
+}
+
+// Closing a node stops the stream into its replica, which keeps what it had
+// applied (ready for promotion), and the hub drops the link.
+func TestDetachStopsStreaming(t *testing.T) {
+	p := newTestPrimary(t, HubOptions{})
+	l := p.listen(t, nil)
+	f := newFakeApplier()
+	n := dialNode(t, f, l.Addr(), NodeOptions{})
+	testutil.Eventually(t, 5*time.Second, 0, func() bool {
+		return len(p.hub.Links()) == 1
+	}, "initial attach")
+	p.db.Set("a", []byte("1"))
+	testutil.Eventually(t, 5*time.Second, 0, func() bool {
+		_, ok := f.get("a")
+		return ok
+	}, "write never arrived")
+	n.Close()
+	testutil.Eventually(t, 5*time.Second, 0, func() bool {
+		return len(p.hub.Links()) == 0
+	}, "the hub kept the closed link")
+	p.db.Set("b", []byte("2"))
+	if _, ok := f.get("b"); ok {
+		t.Fatal("closed node still receiving")
+	}
+	if _, ok := f.get("a"); !ok || n.Status().Link != LinkDown {
+		t.Fatalf("closed node lost its data or is not down: %v", n.Status().Link)
+	}
+}
+
+// rejecting is a replica that cannot apply GARBAGE-OP.
+type rejecting struct{ *fakeApplier }
+
+func (r rejecting) ApplyReplicated(name string, args [][]byte) error {
+	if name == "GARBAGE-OP" {
+		return fmt.Errorf("unknown record %s", name)
+	}
+	return r.fakeApplier.ApplyReplicated(name, args)
+}
+
+// A record the replica cannot apply is surfaced in LastErr and does not
+// sever the link: the records after it still arrive on the same link.
+func TestReplicaLastErrSurfacesBadOps(t *testing.T) {
+	p := newTestPrimary(t, HubOptions{})
+	l := p.listen(t, nil)
+	f := newFakeApplier()
+	n := dialNode(t, rejecting{f}, l.Addr(), NodeOptions{})
+	testutil.Eventually(t, 5*time.Second, 0, func() bool {
+		return len(p.hub.Links()) == 1
+	}, "initial attach")
+	p.hub.AppendOp("GARBAGE-OP")
+	p.db.Set("after", []byte("v"))
+	testutil.Eventually(t, 5*time.Second, 0, func() bool {
+		_, ok := f.get("after")
+		return ok
+	}, "the record after the bad one never arrived")
+	if st := n.Status(); st.LastErr == nil || st.Reconnects != 0 {
+		t.Fatalf("bad record: LastErr %v, reconnects %d; want the error and the same link", st.LastErr, st.Reconnects)
+	}
 }
 
 func TestListenerAuthGatesPSYNC(t *testing.T) {

@@ -149,9 +149,8 @@ func (q *journalQueue) flush() {
 }
 
 // multiJournal fans one record out to several sinks in order. It is the
-// composition point that lets the engine's group-commit queue feed the AOF,
-// an in-process replica fan-out, and a network replication stream at once:
-// the queue drains each record to the multiJournal exactly once, and the
+// composition point that lets the engine's group-commit queue feed the AOF
+// and the network replication stream at once: the queue drains each record to the multiJournal exactly once, and the
 // multiJournal hands it to every leg before returning, so all legs observe
 // the same record order.
 type multiJournal struct {

@@ -104,6 +104,31 @@ func TestSetKeepTTL(t *testing.T) {
 	}
 }
 
+// TestMultiJournal: all-nil legs compose to no journal, so the engine keeps
+// its no-journal fast path; otherwise every leg gets every record in leg
+// order, and a failing leg neither starves the next nor hides its error.
+func TestMultiJournal(t *testing.T) {
+	if NewMultiJournal(nil, nil) != nil {
+		t.Fatal("all-nil legs composed to a journal")
+	}
+	var got []string
+	leg := func(name string, err error) Journal {
+		return JournalFunc(func(op string, _ ...[]byte) error {
+			got = append(got, name+":"+op)
+			return err
+		})
+	}
+	failed := errors.New("aof failed")
+	j := NewMultiJournal(leg("aof", failed), nil, leg("hub", nil))
+	if err := j.AppendOp("SET"); err != failed {
+		t.Fatalf("AppendOp = %v, want the failing leg's error", err)
+	}
+	j.AppendOp("DEL")
+	if fmt.Sprint(got) != "[aof:SET hub:SET aof:DEL hub:DEL]" {
+		t.Fatalf("legs saw %v", got)
+	}
+}
+
 // TestSetKeepTTLOnDeadKey: a KEEPTTL write that finds the key past its
 // deadline but not yet reclaimed expires it first, as Redis does, so the
 // acknowledged value has no TTL instead of a dead one that deletes it on the
