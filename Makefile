@@ -19,7 +19,7 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/audit -run 'Pipeline|Strict|Backpressure|Drop|Close|Order'
-	$(GO) test -race -count=5 ./internal/store ./internal/cryptoutil -run 'Differential|CipherCache'
+	$(GO) test -race -count=5 ./internal/store ./internal/cryptoutil -run 'Differential|Expiry|Heap|CipherCache'
 	$(GO) test -race -count=10 ./internal/core -run 'CipherCache|ForgetCountsOnlyUnexpiredRecords|ResidentBytesPerRecord'
 
 bench:

@@ -1,8 +1,8 @@
 // Retention: the §4.3 storage-limitation story in miniature. The same
-// expiring dataset is run under the three expiry strategies — Redis's lazy
-// probabilistic sampling, the paper's fast full scan, and this
-// repository's expiry-heap extension — on a virtual clock, showing how
-// long expired personal data lingers under each. Run with:
+// expiring dataset is run under the two expiry strategies — Redis's lazy
+// probabilistic sampling and the compliant store's deadline heap — on a
+// virtual clock, showing how long expired personal data lingers under
+// each. Run with:
 //
 //	go run ./examples/retention
 package main
@@ -26,11 +26,7 @@ func main() {
 		totalKeys, shortTTL, longTTL)
 	fmt.Printf("%-22s %14s %16s %12s\n", "strategy", "cycles to clear", "simulated delay", "work (keys)")
 
-	for _, strat := range []store.ExpiryStrategy{
-		store.ExpiryLazyProbabilistic,
-		store.ExpiryFastScan,
-		store.ExpiryHeap,
-	} {
+	for _, strat := range []store.ExpiryStrategy{store.ExpiryLazyProbabilistic, store.ExpiryHeap} {
 		cycles, sampled := runStrategy(strat, totalKeys, shortTTL, longTTL)
 		fmt.Printf("%-22s %15d %16v %12d\n",
 			strat, cycles, time.Duration(cycles)*store.ActiveExpireCyclePeriod, sampled)
@@ -40,7 +36,7 @@ func main() {
 	fmt.Println("keys from the expire set and only repeats immediately if ≥5 were dead.")
 	fmt.Println("With 20% of a large keyspace expired, dead keys survive for hours —")
 	fmt.Println("the paper measured ~3h at 128k keys (Figure 2). The paper's fix scans")
-	fmt.Println("the whole expire set each cycle; our heap variant gets the same")
+	fmt.Println("the whole expire set each cycle; the deadline heap gets the same")
 	fmt.Println("timeliness touching only the keys that are actually due.")
 }
 

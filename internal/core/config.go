@@ -27,12 +27,12 @@ type Timing int
 // Timing values.
 const (
 	// TimingEventual batches GDPR work: audit records flush once per
-	// second, expiry stays probabilistic or heap-based on a cycle, AOF
-	// compaction after erasure is deferred.
+	// second, AOF compaction after erasure is deferred.
 	TimingEventual Timing = iota
 	// TimingRealTime completes GDPR tasks synchronously: audit records are
-	// fsynced per operation, expiry scans run eagerly, erasure compacts the
-	// AOF before returning.
+	// fsynced per operation, erasure compacts the AOF before returning.
+	// Expiry is the same on both timings: a compliant store's expirer reaps
+	// every due record each cycle.
 	TimingRealTime
 )
 
@@ -145,9 +145,6 @@ type Config struct {
 	// bounding the latency impact of each cycle; 0 derives 4096.
 	ErasureSweepBudget int
 
-	// ExpiryStrategy overrides the active-expiry algorithm; nil derives
-	// from Timing (real-time → fast-scan, eventual → lazy-probabilistic).
-	ExpiryStrategy *store.ExpiryStrategy
 	// DefaultTTL applies to records written without an explicit TTL.
 	DefaultTTL time.Duration
 	// RequireTTL rejects writes with no retention bound (Art. 5 storage
@@ -219,12 +216,11 @@ func (c Config) normalize() normalized {
 		// never implied, only requested.
 		n.auditBP = audit.BackpressureBlock
 	}
-	if c.ExpiryStrategy != nil {
-		n.strategy = *c.ExpiryStrategy
-	} else if c.Timing == TimingRealTime {
-		n.strategy = store.ExpiryFastScan
-	} else {
-		n.strategy = store.ExpiryLazyProbabilistic
+	// Storage limitation binds whatever the timing: a compliant store pops
+	// every due key off the engine's deadline heap each cycle. Unmodified
+	// Redis keeps its sampler.
+	if c.Compliant {
+		n.strategy = store.ExpiryHeap
 	}
 	if c.RequireTTL != nil {
 		n.requireTTL = *c.RequireTTL

@@ -406,7 +406,7 @@ func TestExpiryDropsRecord(t *testing.T) {
 		t.Fatalf("meta count after the write = %d", s.MetaCount())
 	}
 	vclock(s).Advance(2 * time.Minute)
-	s.Engine().ActiveExpireCycle() // strict strategy: reclaims in engine
+	s.Engine().ActiveExpireCycle() // compliant: reaps every due key
 	if n := s.MetaCount(); n != 0 {
 		t.Fatalf("meta count after expiry = %d", n)
 	}
@@ -442,19 +442,19 @@ func TestTable1Mapping(t *testing.T) {
 
 func TestComplianceSpectrumDefaults(t *testing.T) {
 	strict := Strict("").normalize()
-	if strict.auditMode.String() != "every-op" || strict.strategy != store.ExpiryFastScan || !strict.requireTTL || !strict.enforceACL || !strict.auditReads {
+	if strict.auditMode.String() != "every-op" || strict.strategy != store.ExpiryHeap || !strict.requireTTL || !strict.enforceACL || !strict.auditReads {
 		t.Fatalf("strict defaults wrong: %+v", strict)
 	}
 	ev := EventualFull("").normalize()
 	if ev.auditMode.String() != "batched-1s" {
 		t.Fatalf("eventual audit mode = %v", ev.auditMode)
 	}
-	if ev.strategy != store.ExpiryLazyProbabilistic {
+	if ev.strategy != store.ExpiryHeap {
 		t.Fatalf("eventual strategy = %v", ev.strategy)
 	}
 	base := Baseline().normalize()
-	if base.Compliant {
-		t.Fatal("baseline is compliant")
+	if base.Compliant || base.strategy != store.ExpiryLazyProbabilistic {
+		t.Fatalf("baseline is compliant or not Redis's sampler: %+v", base)
 	}
 	if Strict("").Timing.String() != "real-time" || EventualFull("").Timing.String() != "eventual" {
 		t.Fatal("timing labels wrong")

@@ -16,7 +16,6 @@ import (
 	"gdprstore/internal/aof"
 	"gdprstore/internal/clock"
 	"gdprstore/internal/cryptoutil"
-	"gdprstore/internal/store"
 )
 
 // Tests for O(1) erasure via crypto-shredding: the FORGETUSER fast path
@@ -141,7 +140,6 @@ func TestForgetCountsOnlyUnexpiredRecords(t *testing.T) {
 			vc := clock.NewVirtual(time.Date(2026, 10, 1, 0, 0, 0, 0, time.UTC))
 			s, err := Open(erasureCfg(func(c *Config) {
 				c.Envelope, c.Clock, c.AuditEnabled = envelope, vc, true
-				c.ExpiryStrategy = Ptr(store.ExpiryFastScan)
 			}))
 			if err != nil {
 				t.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -130,6 +131,33 @@ func TestPolicyCapsAbsoluteDeadline(t *testing.T) {
 	d, _ := s.TTL("k")
 	if d > time.Hour {
 		t.Fatalf("cap did not bind ExpireAt: TTL = %v", d)
+	}
+}
+
+// A compliant store's retention bound holds on both timings: one expiry
+// cycle after the short-lived fifth of Figure 2's mix falls due, nothing is
+// overdue. Redis's sampler would leave most of them for hours.
+func TestCompliantExpiryBound(t *testing.T) {
+	for _, timing := range []Timing{TimingEventual, TimingRealTime} { // EventualFull, Strict
+		t.Run(timing.String(), func(t *testing.T) {
+			s := newFullStore(t, func(c *Config) { c.Timing = timing })
+			const n = 1000
+			for i := 0; i < n; i++ {
+				ttl := 5 * 24 * time.Hour
+				if i%5 == 0 {
+					ttl = 5 * time.Minute
+				}
+				if err := s.Put(ctlCtx, fmt.Sprintf("user%04d", i), []byte("payload"), PutOptions{Owner: "alice", TTL: ttl}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			vclock(s).Advance(5*time.Minute + time.Second)
+			s.ExpiryCycle()
+			rt := s.RetentionStats()
+			if rt.OverdueRecords != 0 || rt.Lag != 0 || rt.ExpiredTotal != n/5 || rt.TrackedDeadlines != n-n/5 {
+				t.Fatalf("after one cycle: %+v, want nothing overdue and %d reaped", rt, n/5)
+			}
+		})
 	}
 }
 

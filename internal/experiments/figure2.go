@@ -57,21 +57,20 @@ type Figure2Row struct {
 	LazyEraseDelay time.Duration
 	// LazyCycles is the number of 100 ms cycles that took.
 	LazyCycles int
-	// FastEraseWall is the measured wall-clock time of the paper's
-	// modified full-scan erasure (expected sub-second at every size).
-	FastEraseWall time.Duration
-	// HeapEraseWall is our expiry-heap extension's wall-clock time.
-	HeapEraseWall time.Duration
+	// IndexEraseWall is the measured wall-clock time of one compliant
+	// cycle over the deadline index, which erases every expired key
+	// (the paper's fast active expiry claims sub-second at every size).
+	IndexEraseWall time.Duration
 }
 
 // Figure2 reproduces Figure 2: how long expired keys linger under Redis's
-// lazy probabilistic expiry versus the paper's fast active expiry. The
-// probabilistic cycle runs against a virtual clock — its erasure delay is
-// cycle-count × 100 ms, a deterministic function of the sampling process,
-// so simulated time reproduces the paper's hours-long delays in
-// milliseconds of wall time. The fast-scan and heap strategies are
-// measured in real wall time since their claim ("sub-second") is about
-// actual work done.
+// lazy probabilistic expiry versus fast active expiry, here the compliant
+// store's deadline-heap cycle. The probabilistic cycle runs against a
+// virtual clock — its erasure delay is cycle-count × 100 ms, a
+// deterministic function of the sampling process, so simulated time
+// reproduces the paper's hours-long delays in milliseconds of wall time.
+// The heap cycle is measured in real wall time since its claim
+// ("sub-second") is about actual work done.
 func Figure2(cfg Figure2Config) ([]Figure2Row, error) {
 	cfg.defaults()
 	rows := make([]Figure2Row, 0, len(cfg.Sizes))
@@ -111,35 +110,26 @@ func figure2Point(n int, cfg Figure2Config) (Figure2Row, error) {
 		row.LazyEraseDelay = time.Duration(cycles) * store.ActiveExpireCyclePeriod
 	}
 
-	// --- fast scan (the paper's modification), wall time ---
-	{
-		vc := clock.NewVirtual(time.Unix(0, 0))
-		db := store.New(store.Options{Clock: vc, Seed: cfg.Seed, Strategy: store.ExpiryFastScan})
-		populateFig2(db, n, cfg)
-		vc.Advance(cfg.ShortTTL)
-		t0 := time.Now()
-		st := db.ActiveExpireCycle()
-		row.FastEraseWall = time.Since(t0)
-		if left := db.ExpiredUnreclaimed(); left != 0 {
-			return row, fmt.Errorf("experiments: fast scan left %d expired keys at n=%d", left, n)
-		}
-		_ = st
-	}
+	// --- deadline heap (the compliant cycle), wall time ---
+	took, err := indexErase(n, cfg)
+	row.IndexEraseWall = took
+	return row, err
+}
 
-	// --- expiry heap (our ablation), wall time ---
-	{
-		vc := clock.NewVirtual(time.Unix(0, 0))
-		db := store.New(store.Options{Clock: vc, Seed: cfg.Seed, Strategy: store.ExpiryHeap})
-		populateFig2(db, n, cfg)
-		vc.Advance(cfg.ShortTTL)
-		t0 := time.Now()
-		db.ActiveExpireCycle()
-		row.HeapEraseWall = time.Since(t0)
-		if left := db.ExpiredUnreclaimed(); left != 0 {
-			return row, fmt.Errorf("experiments: heap left %d expired keys at n=%d", left, n)
-		}
+// indexErase populates n keys of the Figure 2 mix, lets the short-lived
+// ones fall due, and times the one heap cycle that must erase them all.
+func indexErase(n int, cfg Figure2Config) (time.Duration, error) {
+	vc := clock.NewVirtual(time.Unix(0, 0))
+	db := store.New(store.Options{Clock: vc, Seed: cfg.Seed, Strategy: store.ExpiryHeap})
+	populateFig2(db, n, cfg)
+	vc.Advance(cfg.ShortTTL)
+	t0 := time.Now()
+	db.ActiveExpireCycle()
+	took := time.Since(t0)
+	if left := db.ExpiredUnreclaimed(); left != 0 {
+		return took, fmt.Errorf("experiments: heap cycle left %d expired keys at n=%d", left, n)
 	}
-	return row, nil
+	return took, nil
 }
 
 func populateFig2(db *store.DB, n int, cfg Figure2Config) (short int) {
@@ -167,28 +157,27 @@ func FormatFigure2(rows []Figure2Row) string {
 		16000: 1090, 32000: 2228, 64000: 4830, 128000: 10728,
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %-9s %-16s %-12s %-12s %-12s %s\n",
-		"TotalKeys", "Expired", "Lazydelay(sim)", "LazyCycles", "FastScan", "ExpiryHeap", "Paper(s)")
+	fmt.Fprintf(&b, "%-10s %-9s %-16s %-12s %-12s %s\n",
+		"TotalKeys", "Expired", "Lazydelay(sim)", "LazyCycles", "ExpiryHeap", "Paper(s)")
 	for _, r := range rows {
 		paperStr := "-"
 		if s, ok := paper[r.TotalKeys]; ok {
 			paperStr = fmt.Sprintf("%d", s)
 		}
-		fmt.Fprintf(&b, "%-10d %-9d %-16s %-12d %-12s %-12s %s\n",
+		fmt.Fprintf(&b, "%-10d %-9d %-16s %-12d %-12s %s\n",
 			r.TotalKeys, r.ExpiredKeys,
 			r.LazyEraseDelay.Round(100*time.Millisecond),
 			r.LazyCycles,
-			r.FastEraseWall.Round(time.Microsecond),
-			r.HeapEraseWall.Round(time.Microsecond),
+			r.IndexEraseWall.Round(time.Microsecond),
 			paperStr)
 	}
 	return b.String()
 }
 
-// FastExpirySweep verifies the paper's §4.3 claim that the modified
-// (fast-scan) expiry erases all expired keys with sub-second latency for
-// datastores of up to maxKeys (paper: 1M) keys. It returns the wall time
-// per size.
+// FastExpirySweep verifies the paper's §4.3 claim that fast active expiry,
+// here the compliant heap cycle, erases all expired keys with sub-second
+// latency for datastores of up to 1M keys. It returns the wall time per
+// size.
 func FastExpirySweep(sizes []int, seed int64) (map[int]time.Duration, error) {
 	if len(sizes) == 0 {
 		sizes = []int{100_000, 250_000, 500_000, 1_000_000}
@@ -197,15 +186,9 @@ func FastExpirySweep(sizes []int, seed int64) (map[int]time.Duration, error) {
 	cfg.defaults()
 	out := make(map[int]time.Duration, len(sizes))
 	for _, n := range sizes {
-		vc := clock.NewVirtual(time.Unix(0, 0))
-		db := store.New(store.Options{Clock: vc, Seed: cfg.Seed, Strategy: store.ExpiryFastScan})
-		populateFig2(db, n, cfg)
-		vc.Advance(cfg.ShortTTL)
-		t0 := time.Now()
-		db.ActiveExpireCycle()
-		took := time.Since(t0)
-		if left := db.ExpiredUnreclaimed(); left != 0 {
-			return nil, fmt.Errorf("experiments: sweep left %d expired at n=%d", left, n)
+		took, err := indexErase(n, cfg)
+		if err != nil {
+			return nil, err
 		}
 		out[n] = took
 	}

@@ -8,39 +8,45 @@ import (
 	"gdprstore/internal/core"
 )
 
+// Both timings drain: a compliant store's expirer reaps the whole backlog
+// in one cycle whatever its timing.
 func TestRunStormDrains(t *testing.T) {
-	res, err := RunStorm(StormConfig{
-		Keys:        2000,
-		Horizon:     400 * time.Millisecond,
-		Timing:      core.TimingRealTime, // fast-scan: drains in a few cycles
-		SampleEvery: 10 * time.Millisecond,
-		Timeout:     30 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Drained {
-		t.Fatalf("storm did not drain: %+v", res)
-	}
-	if res.PeakOverdue == 0 {
-		t.Error("no overdue backlog observed — storm never happened")
-	}
-	if res.PeakLag == 0 {
-		t.Error("retention lag never rose above zero")
-	}
-	if res.ExpiredTotal < uint64(res.PeakOverdue) {
-		t.Errorf("expired_total=%d < peak backlog %d", res.ExpiredTotal, res.PeakOverdue)
-	}
-	// The last sample must show the drained state the gauge converges to.
-	last := res.Samples[len(res.Samples)-1]
-	if last.Overdue != 0 || last.Lag != 0 {
-		t.Errorf("final sample not drained: %+v", last)
-	}
-	out := FormatStorm(res)
-	for _, want := range []string{"retention-storm", "peak_overdue=", "drain=", "drained=true"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("FormatStorm missing %q:\n%s", want, out)
-		}
+	for _, timing := range []core.Timing{core.TimingEventual, core.TimingRealTime} {
+		t.Run(timing.String(), func(t *testing.T) {
+			res, err := RunStorm(StormConfig{
+				Keys:        2000,
+				Horizon:     400 * time.Millisecond,
+				Timing:      timing,
+				SampleEvery: 10 * time.Millisecond,
+				Timeout:     30 * time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Drained {
+				t.Fatalf("storm did not drain: %+v", res)
+			}
+			if res.PeakOverdue == 0 {
+				t.Error("no overdue backlog observed — storm never happened")
+			}
+			if res.PeakLag == 0 {
+				t.Error("retention lag never rose above zero")
+			}
+			if res.ExpiredTotal < uint64(res.PeakOverdue) {
+				t.Errorf("expired_total=%d < peak backlog %d", res.ExpiredTotal, res.PeakOverdue)
+			}
+			// The last sample must show the drained state the gauge converges to.
+			last := res.Samples[len(res.Samples)-1]
+			if last.Overdue != 0 || last.Lag != 0 {
+				t.Errorf("final sample not drained: %+v", last)
+			}
+			out := FormatStorm(res)
+			for _, want := range []string{"retention-storm", "peak_overdue=", "drain=", "drained=true"} {
+				if !strings.Contains(out, want) {
+					t.Errorf("FormatStorm missing %q:\n%s", want, out)
+				}
+			}
+		})
 	}
 }
 

@@ -28,8 +28,8 @@ type StormConfig struct {
 	// population must finish inside it (default 1s).
 	Horizon time.Duration
 	// Timing selects the embedded store's point on the compliance
-	// spectrum, which drives the expiry strategy (eventual →
-	// lazy-probabilistic, the decaying curve; realtime → fast-scan).
+	// spectrum. Expiry is the same on both: the compliant store's deadline
+	// heap drains the backlog in the first expirer cycle past the deadline.
 	Timing core.Timing
 	// SampleEvery is the lag-sampling period during the drain
 	// (default 25ms).

@@ -318,7 +318,7 @@ func TestChainFansOutToAOFAndReplicas(t *testing.T) {
 func TestExpiryDeletionsReplicate(t *testing.T) {
 	vc := clock.NewVirtual(time.Unix(0, 0))
 	p := &testPrimary{
-		db:  store.New(store.Options{Clock: vc, Seed: 1, Strategy: store.ExpiryFastScan}),
+		db:  store.New(store.Options{Clock: vc, Seed: 1, Strategy: store.ExpiryHeap}),
 		hub: NewHub(HubOptions{}),
 	}
 	p.db.SetJournal(p.hub)

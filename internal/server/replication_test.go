@@ -13,7 +13,6 @@ import (
 	"gdprstore/internal/clock"
 	"gdprstore/internal/core"
 	"gdprstore/internal/replica"
-	"gdprstore/internal/store"
 	"gdprstore/internal/testutil"
 	"gdprstore/pkg/gdprkv"
 )
@@ -36,11 +35,10 @@ func startReplPair(t *testing.T) *replPair {
 	t.Helper()
 	clk := clock.NewVirtual(time.Unix(1_700_000_000, 0))
 	cfg := core.Config{
-		Compliant:      true,
-		Capability:     core.CapabilityPartial,
-		AuditEnabled:   true,
-		Clock:          clk,
-		ExpiryStrategy: core.Ptr(store.ExpiryFastScan),
+		Compliant:    true,
+		Capability:   core.CapabilityPartial,
+		AuditEnabled: true,
+		Clock:        clk,
 	}
 	pst, err := core.Open(cfg)
 	if err != nil {

@@ -12,19 +12,16 @@ import (
 )
 
 // refModel is the oracle of TestDifferentialShard: the engine's layout
-// before a key's value, deadline, sampling slot and record moved into one
-// dict entry. It keeps Redis's two tables (dict, expires), the sampling
-// slice with its index map, and the records beside them the way the
-// compliance layer kept its metadata, unsharded, and implements each
-// operation the way the engine then did: expireIfNeeded's probe of expires,
-// then the probe of dict; three map writes for a key's first SETEX.
+// before a key's value, deadline and record moved into one dict entry. It
+// keeps Redis's two tables (dict, expires) and the records beside them the
+// way the compliance layer kept its metadata, unsharded, with no expiry
+// index, and implements each operation the way the engine then did:
+// expireIfNeeded's probe of expires, then the probe of dict.
 type refModel struct {
-	clk        *clock.Virtual
-	dict       map[string][]byte
-	expires    map[string]time.Time
-	expireKeys []string
-	expireIdx  map[string]int
-	recs       map[string]*Record
+	clk     *clock.Virtual
+	dict    map[string][]byte
+	expires map[string]time.Time
+	recs    map[string]*Record
 }
 
 func newRefModel(clk *clock.Virtual) *refModel {
@@ -36,38 +33,13 @@ func newRefModel(clk *clock.Virtual) *refModel {
 func (m *refModel) flushAll() {
 	m.dict = map[string][]byte{}
 	m.expires = map[string]time.Time{}
-	m.expireKeys = nil
-	m.expireIdx = map[string]int{}
 	m.recs = map[string]*Record{}
-}
-
-func (m *refModel) setExpire(k string, t time.Time) {
-	if _, ok := m.expires[k]; !ok {
-		m.expireIdx[k] = len(m.expireKeys)
-		m.expireKeys = append(m.expireKeys, k)
-	}
-	m.expires[k] = t
-}
-
-func (m *refModel) removeExpire(k string) {
-	if _, ok := m.expires[k]; !ok {
-		return
-	}
-	delete(m.expires, k)
-	i, last := m.expireIdx[k], len(m.expireKeys)-1
-	if i != last {
-		moved := m.expireKeys[last]
-		m.expireKeys[i] = moved
-		m.expireIdx[moved] = i
-	}
-	m.expireKeys = m.expireKeys[:last]
-	delete(m.expireIdx, k)
 }
 
 func (m *refModel) remove(k string) {
 	delete(m.dict, k)
 	delete(m.recs, k)
-	m.removeExpire(k)
+	delete(m.expires, k)
 }
 
 // setRec gives k the record rec, none when nil.
@@ -96,16 +68,16 @@ func (m *refModel) expireIfNeeded(k string) bool {
 func (m *refModel) set(k string, v []byte) {
 	m.dict[k] = v
 	delete(m.recs, k)
-	m.removeExpire(k)
+	delete(m.expires, k)
 }
 
 func (m *refModel) setAt(k string, v []byte, rec *Record, deadline time.Time) {
 	m.dict[k] = v
 	m.setRec(k, rec)
 	if deadline.IsZero() {
-		m.removeExpire(k)
+		delete(m.expires, k)
 	} else {
-		m.setExpire(k, deadline)
+		m.expires[k] = deadline
 	}
 }
 
@@ -165,7 +137,7 @@ func (m *refModel) expireAt(k string, deadline time.Time) bool {
 	if !deadline.After(m.clk.Now()) {
 		m.remove(k)
 	} else {
-		m.setExpire(k, deadline)
+		m.expires[k] = deadline
 	}
 	return true
 }
@@ -175,7 +147,7 @@ func (m *refModel) persist(k string) bool {
 		return false
 	}
 	_, had := m.expires[k]
-	m.removeExpire(k)
+	delete(m.expires, k)
 	return had
 }
 
@@ -215,28 +187,41 @@ func entryLine(e Entry) string {
 }
 
 // checkSlots verifies the shard invariant: every key whose entry carries a
-// deadline sits in its shard's expireKeys exactly once, at entry.slot, and
-// nothing else sits there.
+// deadline sits in its shard's deadline heap exactly once, at entry.slot,
+// with that deadline; nothing else sits there; and no node is due before
+// its parent.
 func checkSlots(db *DB) error {
 	for i, sh := range db.shards {
 		sh.mu.Lock()
-		withTTL := 0
-		for k, e := range sh.dict {
-			if e.deadline == 0 {
-				continue
-			}
-			withTTL++
-			if int(e.slot) >= len(sh.expireKeys) || sh.expireKeys[e.slot] != k {
-				sh.mu.Unlock()
-				return fmt.Errorf("shard %d: %q has deadline %d and slot %d, which does not hold it", i, k, e.deadline, e.slot)
-			}
-		}
-		n := len(sh.expireKeys)
+		err := checkShard(sh)
 		sh.mu.Unlock()
-		// Each TTL'd key names a distinct slot that holds it, so equal
-		// counts mean the slice holds those keys and nothing more.
-		if withTTL != n {
-			return fmt.Errorf("shard %d: %d keys carry a deadline, expireKeys holds %d", i, withTTL, n)
+		if err != nil {
+			return fmt.Errorf("shard %d: %v", i, err)
+		}
+	}
+	return nil
+}
+
+// checkShard is checkSlots for one shard. Callers hold sh.mu.
+func checkShard(sh *shard) error {
+	h, withTTL := sh.expires, 0
+	for k, e := range sh.dict {
+		if e.deadline == 0 {
+			continue
+		}
+		withTTL++
+		if int(e.slot) >= len(h) || h[e.slot] != (expiryNode{e.deadline, k}) {
+			return fmt.Errorf("%q has deadline %d and slot %d, which does not hold it", k, e.deadline, e.slot)
+		}
+	}
+	// Each TTL'd key names a distinct slot that holds it, so equal counts
+	// mean the heap holds those keys and nothing more.
+	if withTTL != len(h) {
+		return fmt.Errorf("%d keys carry a deadline, the heap holds %d", withTTL, len(h))
+	}
+	for j := 1; j < len(h); j++ {
+		if p := (j - 1) / 2; h[j].deadline < h[p].deadline {
+			return fmt.Errorf("slot %d (%q, %d) is due before its parent %d (%q, %d)", j, h[j].key, h[j].deadline, p, h[p].key, h[p].deadline)
 		}
 	}
 	return nil
@@ -245,41 +230,27 @@ func checkSlots(db *DB) error {
 // TestDifferentialShard drives the engine and the two-table oracle with one
 // seeded random history (writes of every kind, TTL edits, deletes, flushes,
 // clock advances, expiry cycles) and compares everything observable after
-// every step, under each strategy and while switching between them. The
-// engine's journal feeds the oracle the one thing it cannot predict (which
-// due keys a probabilistic cycle drew) and is replayed at the end.
+// every step, under each strategy. The engine's journal feeds the oracle
+// the one thing it cannot predict (which due keys a probabilistic cycle
+// drew) and is replayed at the end.
 //
 // Every write carries a record token, none for the engine's plain writes,
 // and the records OnRecord reported, replayed in order, must be exactly the
 // oracle's after every step: the one-table promise that no record outlives
 // its key, through lazy reaps, each strategy's cycle, FLUSHALL, Restore,
 // SetKeepTTL and Del. Reaping without telling the observer (the report
-// dropped from reapLocked) fails all twelve runs, each by step 153.
+// dropped from reapLocked) fails all six runs, each by step 153.
 func TestDifferentialShard(t *testing.T) {
-	strategies := []ExpiryStrategy{ExpiryLazyProbabilistic, ExpiryFastScan, ExpiryHeap}
-	for _, tc := range []struct {
-		name      string
-		start     ExpiryStrategy
-		switching bool
-	}{
-		{"lazy-probabilistic", ExpiryLazyProbabilistic, false},
-		{"fast-scan", ExpiryFastScan, false},
-		{"expiry-heap", ExpiryHeap, false},
-		{"switching", ExpiryLazyProbabilistic, true},
-	} {
+	for _, strategy := range []ExpiryStrategy{ExpiryLazyProbabilistic, ExpiryHeap} {
 		for seed := int64(1); seed <= 3; seed++ {
-			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {
-				var pick func(*rand.Rand) ExpiryStrategy
-				if tc.switching {
-					pick = func(r *rand.Rand) ExpiryStrategy { return strategies[r.Intn(len(strategies))] }
-				}
-				runDifferential(t, seed, tc.start, pick)
+			t.Run(fmt.Sprintf("%s/seed%d", strategy, seed), func(t *testing.T) {
+				runDifferential(t, seed, strategy)
 			})
 		}
 	}
 }
 
-func runDifferential(t *testing.T, seed int64, strategy ExpiryStrategy, pick func(*rand.Rand) ExpiryStrategy) {
+func runDifferential(t *testing.T, seed int64, strategy ExpiryStrategy) {
 	const steps, universe = 1500, 48
 	rnd := rand.New(rand.NewSource(seed))
 	start := time.Unix(1_600_000_000, 0)
@@ -316,11 +287,6 @@ func runDifferential(t *testing.T, seed int64, strategy ExpiryStrategy, pick fun
 	for step := 0; step < steps; step++ {
 		tok := &Record{Epoch: uint64(step)}
 		op := rnd.Intn(100)
-		// Every other stretch of the history writes few TTLs, so the shards
-		// pass through both regimes of scanTTLLocked.
-		if sparse := (step/250)%2 == 1; sparse && op >= 12 && op < 50 && rnd.Intn(8) != 0 {
-			op = 0
-		}
 		desc := ""
 		switch {
 		case op < 12:
@@ -401,8 +367,8 @@ func runDifferential(t *testing.T, seed int64, strategy ExpiryStrategy, pick fun
 			d := time.Duration(rnd.Intn(20_000)) * time.Millisecond
 			desc = fmt.Sprintf("Advance %v", d)
 			vc.Advance(d)
-		case op < 98 || pick == nil:
-			desc = "ActiveExpireCycle under " + db.Strategy().String()
+		default:
+			desc = "ActiveExpireCycle under " + strategy.String()
 			before := len(log)
 			st := db.ActiveExpireCycle()
 			for _, r := range log[before:] {
@@ -415,13 +381,9 @@ func runDifferential(t *testing.T, seed int64, strategy ExpiryStrategy, pick fun
 			if st.Expired != len(log)-before {
 				t.Fatalf("step %d %s reports %d expired, journaled %d", step, desc, st.Expired, len(log)-before)
 			}
-			if n, _ := ref.retentionLag(); n != 0 && db.Strategy() != ExpiryLazyProbabilistic {
+			if n, _ := ref.retentionLag(); n != 0 && strategy == ExpiryHeap {
 				t.Fatalf("step %d %s left %d overdue keys", step, desc, n)
 			}
-		default:
-			s := pick(rnd)
-			desc = "SetStrategy " + s.String()
-			db.SetStrategy(s)
 		}
 
 		fail := func(what string, got, want any) {

@@ -93,7 +93,9 @@ func (db *DB) Deadline(key string) (time.Time, bool) {
 
 // CycleStats reports what one active-expire cycle did.
 type CycleStats struct {
-	// Sampled is the number of keys examined.
+	// Sampled is the number of keys examined: drawn by the probabilistic
+	// cycle, or peeked at on top of a shard's deadline heap by the heap
+	// cycle.
 	Sampled int
 	// Expired is the number of keys deleted.
 	Expired int
@@ -102,41 +104,31 @@ type CycleStats struct {
 	Loops int
 }
 
-// ActiveExpireCycle runs one invocation of the configured expiry strategy.
+// ActiveExpireCycle runs one invocation of the DB's expiry strategy.
 // Callers are expected to invoke it once per ActiveExpireCyclePeriod, which
-// is what Expirer does. The fast-scan and heap strategies visit shards one
-// at a time, so writers on other shards are never blocked by the cycle; the
-// probabilistic strategy keeps Redis's global 20-keys-per-loop sampling
-// budget (see probabilisticCycle).
+// is what Expirer does. The heap cycle visits shards one at a time, so
+// writers on other shards are never blocked by it; the probabilistic cycle
+// keeps Redis's global 20-keys-per-loop sampling budget (see
+// probabilisticCycle).
 func (db *DB) ActiveExpireCycle() CycleStats {
-	var st CycleStats
-	switch db.Strategy() {
-	case ExpiryFastScan:
-		st.Loops = 1
-		for _, sh := range db.shards {
-			db.fastScanShard(sh, &st)
-			// Flush per shard: a Figure-2-scale backlog would otherwise
-			// buffer the whole cycle's DEL records (O(backlog) memory)
-			// before a single giant drain.
-			db.jq.flush()
-		}
-	case ExpiryHeap:
-		st.Loops = 1
-		for _, sh := range db.shards {
-			db.heapCycleShard(sh, &st)
-			db.jq.flush()
-		}
-	default:
-		st = db.probabilisticCycle()
+	if db.strategy != ExpiryHeap {
+		return db.probabilisticCycle()
 	}
-	db.jq.flush()
+	st := CycleStats{Loops: 1}
+	for _, sh := range db.shards {
+		db.heapCycleShard(sh, &st)
+		// Flush per shard: a Figure-2-scale backlog would otherwise buffer
+		// the whole cycle's DEL records (O(backlog) memory) before a single
+		// giant drain.
+		db.jq.flush()
+	}
 	return st
 }
 
 // probabilisticCycle is Redis 4.0's activeExpireCycle as described in the
 // paper: sample 20 random keys from those that carry a TTL (Redis's expires
-// dict; here the shards' sampling slices), delete the expired ones, and
-// repeat immediately while at least 5 of the 20 sampled keys were expired.
+// dict; here the shards' heap slices), delete the expired ones, and repeat
+// immediately while at least 5 of the 20 sampled keys were expired.
 //
 // The 20-key budget is deliberately global rather than per shard: each
 // lookup picks a shard weighted by how many TTL'd keys it holds, then a
@@ -152,7 +144,7 @@ func (db *DB) probabilisticCycle() CycleStats {
 		total := 0
 		for i, sh := range db.shards {
 			sh.mu.Lock()
-			sizes[i] = len(sh.expireKeys)
+			sizes[i] = len(sh.expires)
 			sh.mu.Unlock()
 			total += sizes[i]
 		}
@@ -167,8 +159,8 @@ func (db *DB) probabilisticCycle() CycleStats {
 		now := db.nowNS()
 		for i := 0; i < lookups; i++ {
 			// Weighted shard pick: index r into the concatenation of the
-			// shards' sampling slices (sizes are a per-loop snapshot; the
-			// slight staleness only perturbs the sampling distribution).
+			// shards' heap slices (sizes are a per-loop snapshot; the slight
+			// staleness only perturbs the sampling distribution).
 			r := db.randIntn(total)
 			shIdx := 0
 			for r >= sizes[shIdx] {
@@ -177,11 +169,11 @@ func (db *DB) probabilisticCycle() CycleStats {
 			}
 			sh := db.shards[shIdx]
 			sh.mu.Lock()
-			if len(sh.expireKeys) == 0 {
+			if len(sh.expires) == 0 {
 				sh.mu.Unlock()
 				continue
 			}
-			k := sh.expireKeys[db.randIntn(len(sh.expireKeys))]
+			k := sh.expires[db.randIntn(len(sh.expires))].key
 			st.Sampled++
 			if e := sh.dict[k]; e.deadline <= now {
 				db.reapLocked(sh, k, e)
@@ -200,64 +192,19 @@ func (db *DB) probabilisticCycle() CycleStats {
 	}
 }
 
-// fastScanShard is the paper's modification (§4.3) applied to one shard:
-// visit every key of the shard that carries a TTL and erase each one that
-// is due. One pass over every shard guarantees that no expired key survives
-// the cycle.
-func (db *DB) fastScanShard(sh *shard, st *CycleStats) {
-	sh.mu.Lock()
-	now := db.nowNS()
-	st.Sampled += len(sh.expireKeys)
-	sh.scanTTLLocked(func(k string, e entry) {
-		if e.deadline <= now {
-			db.reapLocked(sh, k, e)
-			st.Expired++
-		}
-	})
-	sh.mu.Unlock()
-}
-
-// scanTTLLocked calls fn with every key of the shard that carries a TTL,
-// and its entry; fn may delete the key it is given. Where most keys carry
-// one it ranges the dict, which is sequential memory, and where few do it
-// probes the dict for each key of the sampling slice: at 50 000 keys, all
-// with a TTL, a pass is 0.6 ms the first way and 2.3 ms the second, and
-// the second is the one that does not grow with the keys that have none.
-// Callers hold sh.mu.
-func (sh *shard) scanTTLLocked(fn func(key string, e entry)) {
-	if 4*len(sh.expireKeys) >= len(sh.dict) {
-		for k, e := range sh.dict {
-			if e.deadline != 0 {
-				fn(k, e)
-			}
-		}
-		return
-	}
-	// Backwards, so the key a deletion swaps into slot i has been visited.
-	for i := len(sh.expireKeys) - 1; i >= 0; i-- {
-		k := sh.expireKeys[i]
-		fn(k, sh.dict[k])
-	}
-}
-
-// heapCycleShard pops due entries off one shard's deadline-ordered
-// min-heap. Heap entries may be stale (the key was deleted or its TTL
-// changed); they are validated against the key's entry before deletion.
+// heapCycleShard reaps every due key of one shard by popping its deadline
+// heap: one peek per key reaped, and one more at the first key not yet due,
+// whatever the number of keys that carry a TTL.
 func (db *DB) heapCycleShard(sh *shard, st *CycleStats) {
 	sh.mu.Lock()
-	now := db.clk.Now()
-	for len(sh.heap) > 0 {
-		top := sh.heap[0]
-		if top.deadline.After(now) {
+	now := db.nowNS()
+	for len(sh.expires) > 0 {
+		st.Sampled++
+		top := sh.expires[0]
+		if top.deadline > now {
 			break
 		}
-		sh.heap.pop()
-		st.Sampled++
-		e, ok := sh.dict[top.key]
-		if !ok || e.deadline != top.deadline.UnixNano() {
-			continue // stale entry
-		}
-		db.reapLocked(sh, top.key, e)
+		db.reapLocked(sh, top.key, sh.dict[top.key])
 		st.Expired++
 	}
 	sh.mu.Unlock()
@@ -270,11 +217,11 @@ func (db *DB) ExpiredUnreclaimed() int {
 	return n
 }
 
-// RetentionLag visits every key that carries a TTL and returns how many
-// are past their deadline but still physically present, plus the age of the
-// oldest overdue deadline — the retention analogue of replication lag: how
-// far reclamation trails the storage-limitation deadlines the controller
-// promised.
+// RetentionLag returns how many keys are past their deadline but still
+// physically present, plus the age of the oldest overdue deadline — the
+// retention analogue of replication lag: how far reclamation trails the
+// storage-limitation deadlines the controller promised. It visits only the
+// overdue keys.
 func (db *DB) RetentionLag() (overdue int, oldest time.Duration) {
 	now := db.nowNS()
 	earliest := now
@@ -292,60 +239,82 @@ func (db *DB) RetentionLag() (overdue int, oldest time.Duration) {
 // and returns the earliest such deadline (now when there is none). Callers
 // hold sh.mu.
 func (sh *shard) overdueLocked(now int64) (n int, earliest int64) {
-	earliest = now
-	sh.scanTTLLocked(func(_ string, e entry) {
-		if e.deadline <= now {
-			n++
-			earliest = min(earliest, e.deadline)
-		}
-	})
-	return n, earliest
+	if n = sh.expires.dueFrom(0, now); n == 0 {
+		return 0, now
+	}
+	return n, sh.expires[0].deadline
 }
 
-// heapEntry is one (deadline, key) pair in the expiry min-heap.
-type heapEntry struct {
-	deadline time.Time
+// expiryNode is one key that carries a TTL, as its shard's deadline heap
+// holds it: the deadline beside the key, so ordering never probes the dict.
+type expiryNode struct {
+	deadline int64
 	key      string
 }
 
-// expiryHeap is a binary min-heap ordered by deadline. It is maintained
-// inline (container/heap would force interface boxing on the hot path).
-type expiryHeap []heapEntry
+// expiryHeap is a binary min-heap of nodes ordered by deadline, indexed:
+// each key's entry.slot is its node's position. It is maintained inline
+// (container/heap would box every node on the write path).
+type expiryHeap []expiryNode
 
-func (h *expiryHeap) push(e heapEntry) {
-	*h = append(*h, e)
-	i := len(*h) - 1
+// dueFrom counts the nodes at or below slot i whose deadline is at or
+// before now. Heap order ends each path at its first node that is not due.
+func (h expiryHeap) dueFrom(i int, now int64) int {
+	if i >= len(h) || h[i].deadline > now {
+		return 0
+	}
+	return 1 + h.dueFrom(2*i+1, now) + h.dueFrom(2*i+2, now)
+}
+
+// siftLocked places node n, which takes slot i, where heap order puts it:
+// up past every later parent, else down past every earlier child. It
+// rewrites the entry slot of each key it moves past and returns n's slot,
+// which is the caller's to store in n's entry. Callers hold sh.mu.
+func (sh *shard) siftLocked(i int, n expiryNode) int32 {
+	h := sh.expires
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !(*h)[i].deadline.Before((*h)[parent].deadline) {
+		p := (i - 1) / 2
+		if h[p].deadline <= n.deadline {
 			break
 		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
+		h[i] = h[p]
+		sh.slotLocked(h[i].key, i)
+		i = p
+	}
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].deadline < h[c].deadline {
+			c++
+		}
+		if h[c].deadline >= n.deadline {
+			break
+		}
+		h[i] = h[c]
+		sh.slotLocked(h[i].key, i)
+		i = c
+	}
+	h[i] = n
+	return int32(i)
+}
+
+// unheapLocked removes the node at slot i: the last node takes its place
+// and sifts. Callers hold sh.mu.
+func (sh *shard) unheapLocked(i int32) {
+	last := len(sh.expires) - 1
+	n := sh.expires[last]
+	sh.expires[last] = expiryNode{}
+	sh.expires = sh.expires[:last]
+	if int(i) < last {
+		sh.slotLocked(n.key, int(sh.siftLocked(int(i), n)))
 	}
 }
 
-func (h *expiryHeap) pop() heapEntry {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && (*h)[l].deadline.Before((*h)[smallest].deadline) {
-			smallest = l
-		}
-		if r < n && (*h)[r].deadline.Before((*h)[smallest].deadline) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		(*h)[i], (*h)[smallest] = (*h)[smallest], (*h)[i]
-		i = smallest
-	}
-	return top
+// slotLocked points key's entry at heap slot i. Callers hold sh.mu.
+func (sh *shard) slotLocked(key string, i int) {
+	e := sh.dict[key]
+	e.slot = int32(i)
+	sh.dict[key] = e
 }

@@ -2,7 +2,7 @@ package store
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -83,31 +83,17 @@ func TestProbabilisticLagGrowsWithDBSize(t *testing.T) {
 	}
 }
 
-func TestFastScanReclaimsAllInOneCycle(t *testing.T) {
-	vc := clock.NewVirtual(time.Unix(0, 0))
-	db := New(Options{Clock: vc, Seed: 7, Strategy: ExpiryFastScan})
-	short := populate(db, 5000, 0.2, 5*time.Minute, 5*24*time.Hour)
-	vc.Advance(5*time.Minute + time.Second)
-	st := db.ActiveExpireCycle()
-	if st.Expired != short {
-		t.Fatalf("fast scan reclaimed %d, want %d", st.Expired, short)
-	}
-	if db.ExpiredUnreclaimed() != 0 {
-		t.Fatal("fast scan left expired keys")
-	}
-	if st.Loops != 1 {
-		t.Fatalf("fast scan loops = %d", st.Loops)
-	}
-}
-
 func TestHeapStrategyReclaimsAllInOneCycle(t *testing.T) {
 	vc := clock.NewVirtual(time.Unix(0, 0))
 	db := New(Options{Clock: vc, Seed: 7, Strategy: ExpiryHeap})
 	short := populate(db, 5000, 0.2, 5*time.Minute, 5*24*time.Hour)
 	vc.Advance(5*time.Minute + time.Second)
 	st := db.ActiveExpireCycle()
-	if st.Expired != short {
-		t.Fatalf("heap reclaimed %d, want %d", st.Expired, short)
+	if st.Expired != short || st.Loops != 1 {
+		t.Fatalf("heap cycle reclaimed %d in %d loops, want %d in 1", st.Expired, st.Loops, short)
+	}
+	if n := db.ExpiredUnreclaimed(); n != 0 {
+		t.Fatalf("heap cycle left %d expired keys", n)
 	}
 	// The heap must not have touched the long-term keys.
 	if db.RawLen() != 5000-short {
@@ -115,15 +101,18 @@ func TestHeapStrategyReclaimsAllInOneCycle(t *testing.T) {
 	}
 }
 
+// A key whose deadline moves later is not reaped at its old deadline, and is
+// reaped at its new one: the index follows the change instead of keeping the
+// outdated deadline around.
 func TestHeapStaleEntriesSkipped(t *testing.T) {
 	vc := clock.NewVirtual(time.Unix(0, 0))
 	db := New(Options{Clock: vc, Seed: 7, Strategy: ExpiryHeap})
 	db.SetEX("k", []byte("v"), time.Minute)
-	db.Expire("k", time.Hour) // heap now has a stale 1-minute entry
+	db.Expire("k", time.Hour) // the key's heap node takes the later deadline
 	vc.Advance(2 * time.Minute)
 	st := db.ActiveExpireCycle()
 	if st.Expired != 0 {
-		t.Fatal("stale heap entry deleted a live key")
+		t.Fatal("the old deadline deleted a live key")
 	}
 	if !db.Exists("k") {
 		t.Fatal("key with extended TTL vanished")
@@ -135,41 +124,70 @@ func TestHeapStaleEntriesSkipped(t *testing.T) {
 	}
 }
 
-func TestSetStrategyRebuildsHeap(t *testing.T) {
-	vc := clock.NewVirtual(time.Unix(0, 0))
-	db := New(Options{Clock: vc, Seed: 7, Strategy: ExpiryLazyProbabilistic})
-	populate(db, 100, 1.0, time.Minute, time.Minute)
-	db.SetStrategy(ExpiryHeap)
-	vc.Advance(2 * time.Minute)
-	st := db.ActiveExpireCycle()
-	if st.Expired != 100 {
-		t.Fatalf("rebuilt heap reclaimed %d, want 100", st.Expired)
+// The heap cycle's work is counted, not timed: with nothing due it peeks at
+// most once per shard however many keys carry a TTL, and with k keys due it
+// looks at no more than k keys plus one per shard.
+func TestExpiryCycleCountedWork(t *testing.T) {
+	sampled := func(n int) (idle, due CycleStats, short int) {
+		vc := clock.NewVirtual(time.Unix(0, 0))
+		db := New(Options{Clock: vc, Strategy: ExpiryHeap})
+		short = populate(db, n, 0.2, 5*time.Minute, 5*24*time.Hour)
+		idle = db.ActiveExpireCycle()
+		vc.Advance(5 * time.Minute)
+		return idle, db.ActiveExpireCycle(), short
+	}
+	for _, n := range []int{5_000, 200_000} {
+		idle, due, short := sampled(n)
+		if idle.Sampled != DefaultShards || idle.Expired != 0 {
+			t.Errorf("%d keys, none due: cycle sampled %d and expired %d, want %d and 0", n, idle.Sampled, idle.Expired, DefaultShards)
+		}
+		if due.Expired != short || due.Sampled > short+DefaultShards {
+			t.Errorf("%d keys, %d due: cycle expired %d and sampled %d, want all and at most %d", n, short, due.Expired, due.Sampled, short+DefaultShards)
+		}
 	}
 }
 
+// Property: under any history of pushes, deadline changes (earlier, later,
+// none) and removals, every key with a deadline sits at its slot in heap
+// order, and popping the root until the heap is empty yields the deadlines
+// in non-decreasing order.
 func TestHeapOrderProperty(t *testing.T) {
-	// Property: popping the expiry heap yields deadlines in nondecreasing
-	// order regardless of push order.
-	f := func(offsets []int16) bool {
-		var h expiryHeap
-		base := time.Unix(10000, 0)
-		for i, off := range offsets {
-			h.push(heapEntry{deadline: base.Add(time.Duration(off) * time.Second), key: fmt.Sprint(i)})
+	f := func(ops [][3]uint8) bool {
+		db := New(Options{Shards: 1})
+		sh := db.shards[0]
+		for _, op := range ops {
+			k, deadline := fmt.Sprint(op[1]%24), int64(op[2]%40)
+			if e, ok := sh.dict[k]; ok && op[0]%4 == 0 {
+				db.deleteLocked(sh, k, e)
+			} else {
+				db.putLocked(sh, k, nil, nil, deadline) // 0: none
+			}
+			if checkShard(sh) != nil {
+				return false
+			}
 		}
-		var got []time.Time
-		for len(h) > 0 {
-			got = append(got, h.pop().deadline)
+		last := int64(math.MinInt64)
+		for len(sh.expires) > 0 {
+			top := sh.expires[0]
+			if top.deadline < last {
+				return false
+			}
+			last = top.deadline
+			db.deleteLocked(sh, top.key, sh.dict[top.key])
+			if checkShard(sh) != nil {
+				return false
+			}
 		}
-		return sort.SliceIsSorted(got, func(i, j int) bool { return got[i].Before(got[j]) })
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestExpirerStep(t *testing.T) {
 	vc := clock.NewVirtual(time.Unix(0, 0))
-	db := New(Options{Clock: vc, Seed: 7, Strategy: ExpiryFastScan})
+	db := New(Options{Clock: vc, Seed: 7, Strategy: ExpiryHeap})
 	db.SetEX("k", []byte("v"), 150*time.Millisecond)
 	e := NewExpirer(db)
 	e.Step() // advances to 100ms: not yet due
@@ -178,7 +196,7 @@ func TestExpirerStep(t *testing.T) {
 	}
 	e.Step() // 200ms: due
 	if db.RawLen() != 0 {
-		t.Fatal("fast scan step missed the key")
+		t.Fatal("heap step missed the key")
 	}
 	if e.Cycles() != 2 || e.Expired() != 1 {
 		t.Fatalf("cycles=%d expired=%d", e.Cycles(), e.Expired())
@@ -197,7 +215,7 @@ func TestExpirerStepPanicsOnWallClock(t *testing.T) {
 }
 
 func TestExpirerRunStop(t *testing.T) {
-	db := New(Options{Strategy: ExpiryFastScan})
+	db := New(Options{Strategy: ExpiryHeap})
 	db.SetEX("k", []byte("v"), 50*time.Millisecond)
 	e := NewExpirerPeriod(db, 10*time.Millisecond)
 	e.Run()

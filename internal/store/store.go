@@ -5,25 +5,27 @@
 //   - a hash-table keyspace (dict), split across N lock-striped shards so
 //     operations on independent keys proceed in parallel. Redis keeps a
 //     key's deadline in a second table, the expires dict; here it is a field
-//     of the key's one dict entry, so every keyed operation is one probe,
-//     and what the expires dict is for, a uniform random draw over exactly
-//     the keys that carry a TTL, is served by a slice of those keys
-//     (expireKeys) that each entry points back into;
+//     of the key's one dict entry, so every keyed operation is one probe.
+//     The keys that carry a TTL are also held, once each, in a binary
+//     min-heap ordered by deadline (expires) that each entry points back
+//     into: the one expiry index;
 //   - beside the value, the caller's record of the key (Record), carried
 //     unread, dropped with the value, each change reported to OnRecord;
-//   - lazy expiration on access, plus Redis's probabilistic active-expire
-//     cycle (every 100 ms sample 20 keys with TTLs, delete the expired ones,
-//     and repeat immediately while ≥5 of the 20 were expired) — the
-//     algorithm whose erasure lag Figure 2 measures, sampling law unchanged;
-//   - the paper's modification: a full-scan "fast active expiry" that erases
-//     every expired key in one pass, giving sub-second erasure up to 1M keys;
-//   - an expiry-heap strategy (our ablation) that achieves timely deletion
-//     without full scans;
+//   - lazy expiration on access, plus one of two active-expire cycles, fixed
+//     when the DB is made. ExpiryHeap, the compliant one, pops every due key
+//     off each shard's heap in O(due log n), so with the Expirer running an
+//     expired key leaves memory within one ActiveExpireCyclePeriod of its
+//     deadline, where the paper's fix scanned every TTL'd key for the same
+//     bound. ExpiryLazyProbabilistic is Redis's cycle (every 100 ms sample 20
+//     keys with TTLs, delete the expired ones, and repeat immediately while
+//     ≥5 of the 20 were expired), drawing uniformly from the heap's slice:
+//     the algorithm whose erasure lag Figure 2 measures, sampling law
+//     unchanged;
 //   - deletion primitives DEL/UNLINK/FLUSHALL and TTL primitives
 //     EXPIRE/EXPIREAT/PERSIST/TTL.
 //
 // Concurrency model: keys are routed to shards by FNV-1a hash; each shard
-// owns its own dict, sampling slice, and expiry heap, guarded by one mutex.
+// owns its own dict and deadline heap, guarded by one mutex.
 // Journal records are enqueued under the owning shard's lock (fixing
 // per-key order) but written to the Journal outside any shard lock via a
 // group-commit queue (see journalQueue). Cross-shard operations
@@ -41,7 +43,6 @@ import (
 	"math"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gdprstore/internal/clock"
@@ -67,13 +68,12 @@ type ExpiryStrategy int
 // Available expiry strategies.
 const (
 	// ExpiryLazyProbabilistic is Redis's algorithm: periodic random
-	// sampling; expired keys may linger for hours (Figure 2).
+	// sampling; expired keys may linger for hours (Figure 2). Unmodified
+	// Redis, and the Figure 2 reproduction, run it.
 	ExpiryLazyProbabilistic ExpiryStrategy = iota
-	// ExpiryFastScan is the paper's modification: scan every key that
-	// carries a TTL each cycle and erase everything due.
-	ExpiryFastScan
-	// ExpiryHeap is this repository's extension: a min-heap ordered by
-	// deadline pops exactly the due keys in O(k log n).
+	// ExpiryHeap pops exactly the due keys off each shard's deadline heap
+	// in O(k log n): every expired key is gone after one cycle. Compliant
+	// stores run it.
 	ExpiryHeap
 )
 
@@ -82,8 +82,6 @@ func (s ExpiryStrategy) String() string {
 	switch s {
 	case ExpiryLazyProbabilistic:
 		return "lazy-probabilistic"
-	case ExpiryFastScan:
-		return "fast-scan"
 	case ExpiryHeap:
 		return "expiry-heap"
 	default:
@@ -157,7 +155,8 @@ type entry struct {
 	rec *Record
 	// deadline is the key's expiry in Unix nanoseconds; 0 means none.
 	deadline int64
-	// slot is the key's index in its shard's expireKeys while deadline != 0.
+	// slot is the key's position in its shard's deadline heap while
+	// deadline != 0.
 	slot int32
 }
 
@@ -174,19 +173,19 @@ func (e entry) lend() Entry {
 	return out
 }
 
-// shard is one lock stripe of the keyspace: the dict, plus the sampling
-// slice and expiry heap that serve expiry. Every field is guarded by mu.
+// shard is one lock stripe of the keyspace: the dict, plus the deadline heap
+// that serves expiry. Every field is guarded by mu.
 type shard struct {
 	mu   sync.Mutex
 	dict map[string]entry
 
-	// expireKeys holds each key that carries a TTL exactly once, at its
-	// entry's slot, so the probabilistic cycle can draw one uniformly at
-	// random in O(1), the way dictGetRandomKey over the expires dict does
-	// in Redis, and the full scans can visit TTL'd keys only.
-	expireKeys []string
-
-	heap expiryHeap // used only by ExpiryHeap strategy
+	// expires holds each key that carries a TTL exactly once, at its
+	// entry's slot, ordered as a min-heap on the deadline. The due keys are
+	// the subtree that heap order cuts off below the root, so the heap cycle
+	// and the overdue count visit only them; and a uniform draw from the
+	// slice is the one dictGetRandomKey over the expires dict makes in
+	// Redis, the probabilistic cycle's sample.
+	expires expiryHeap
 
 	expired uint64 // keys removed by expiry (lazy or active)
 }
@@ -202,11 +201,7 @@ type DB struct {
 	jq           journalQueue
 	journalReads bool
 	onRecord     func(key string, old, new *Record)
-
-	// strategy is DB-wide; it is atomic so shard-locked paths
-	// (setExpireLocked) and the cycle dispatcher read it without a
-	// DB-level lock.
-	strategy atomic.Int32
+	strategy     ExpiryStrategy
 
 	// rnd drives the probabilistic cycle's shard-weighted sampling; it has
 	// its own lock because cycles may run concurrently with everything.
@@ -222,7 +217,7 @@ type Options struct {
 	// fixed default seed (the engine is deterministic by default so that
 	// Figure 2 runs are repeatable).
 	Seed int64
-	// Strategy selects the active-expiry algorithm.
+	// Strategy selects the active-expiry algorithm for the DB's life.
 	Strategy ExpiryStrategy
 	// JournalReads reproduces the paper's §4.1 modification: the AOF
 	// normally records only mutations, so the retrofit extends it to log
@@ -252,9 +247,9 @@ func New(opts Options) *DB {
 		mask:         uint32(n - 1),
 		clk:          opts.Clock,
 		journalReads: opts.JournalReads,
+		strategy:     opts.Strategy,
 		rnd:          rand.New(rand.NewSource(seed)),
 	}
-	db.strategy.Store(int32(opts.Strategy))
 	for i := range db.shards {
 		db.shards[i] = &shard{dict: make(map[string]entry)}
 	}
@@ -321,32 +316,6 @@ func (db *DB) OnRecord(fn func(key string, old, new *Record)) { db.onRecord = fn
 func (db *DB) recordChanged(key string, old, new *Record) {
 	if old != new && db.onRecord != nil {
 		db.onRecord(key, old, new)
-	}
-}
-
-// Strategy returns the configured expiry strategy.
-func (db *DB) Strategy() ExpiryStrategy {
-	return ExpiryStrategy(db.strategy.Load())
-}
-
-// SetStrategy switches the expiry strategy. Switching to ExpiryHeap
-// rebuilds each shard's heap from its TTL'd keys; the strategy flips
-// first so TTL writes concurrent with the rebuild push their heap entries
-// (a duplicate entry is harmless — pops validate against the key's
-// entry), and a cycle racing the switch may miss not-yet-rebuilt shards
-// for that one cycle.
-func (db *DB) SetStrategy(s ExpiryStrategy) {
-	db.strategy.Store(int32(s))
-	if s != ExpiryHeap {
-		return
-	}
-	for _, sh := range db.shards {
-		sh.mu.Lock()
-		sh.heap = sh.heap[:0]
-		for _, k := range sh.expireKeys {
-			sh.heap.push(heapEntry{deadline: time.Unix(0, sh.dict[k].deadline), key: k})
-		}
-		sh.mu.Unlock()
 	}
 }
 
@@ -461,46 +430,25 @@ func (db *DB) installLocked(sh *shard, key string, value []byte, rec *Record, de
 }
 
 // putLocked writes key's entry, val with rec under deadline (0: none), and
-// keeps the sampling slice in step: one probe for what the key had, one map
-// write, and one append when the key gains its first TTL. Callers hold
-// sh.mu.
+// keeps the deadline heap in step: one probe for what the key had, one map
+// write, and a sift of the key's heap node, which rewrites the slot of each
+// key it moves past. Callers hold sh.mu.
 func (db *DB) putLocked(sh *shard, key string, val []byte, rec *Record, deadline int64) {
 	old, had := sh.dict[key]
 	e := entry{val: val, rec: rec, deadline: deadline}
 	switch hadTTL := had && old.deadline != 0; {
 	case deadline == 0:
 		if hadTTL {
-			sh.unslotLocked(old.slot)
+			sh.unheapLocked(old.slot)
 		}
 	case hadTTL:
-		e.slot = old.slot
+		e.slot = sh.siftLocked(int(old.slot), expiryNode{deadline, key})
 	default:
-		e.slot = int32(len(sh.expireKeys))
-		sh.expireKeys = append(sh.expireKeys, key)
+		sh.expires = append(sh.expires, expiryNode{})
+		e.slot = sh.siftLocked(len(sh.expires)-1, expiryNode{deadline, key})
 	}
 	sh.dict[key] = e
 	db.recordChanged(key, old.rec, rec)
-	if deadline != 0 && db.Strategy() == ExpiryHeap {
-		// Stale heap entries for the same key are tolerated: pop validates
-		// against the key's entry before deleting.
-		sh.heap.push(heapEntry{deadline: time.Unix(0, deadline), key: key})
-	}
-}
-
-// unslotLocked swap-removes slot i from the sampling slice and points the
-// key moved into it, if any, at its new slot. Heap entries are invalidated
-// lazily.
-func (sh *shard) unslotLocked(i int32) {
-	last := int32(len(sh.expireKeys) - 1)
-	if i != last {
-		moved := sh.expireKeys[last]
-		sh.expireKeys[i] = moved
-		m := sh.dict[moved]
-		m.slot = i
-		sh.dict[moved] = m
-	}
-	sh.expireKeys[last] = ""
-	sh.expireKeys = sh.expireKeys[:last]
 }
 
 // SetKeepTTL stores value under key preserving an existing TTL (Redis SET
@@ -724,7 +672,7 @@ func (db *DB) ExpireLen() int {
 	n := 0
 	for _, sh := range db.shards {
 		sh.mu.Lock()
-		n += len(sh.expireKeys)
+		n += len(sh.expires)
 		sh.mu.Unlock()
 	}
 	return n
@@ -781,9 +729,8 @@ func (db *DB) resetAllLocked() {
 			db.recordChanged(k, e.rec, nil)
 		}
 		sh.dict = make(map[string]entry)
-		clear(sh.expireKeys)
-		sh.expireKeys = sh.expireKeys[:0]
-		sh.heap = sh.heap[:0]
+		clear(sh.expires)
+		sh.expires = sh.expires[:0]
 	}
 }
 
@@ -792,7 +739,7 @@ func (db *DB) resetAllLocked() {
 func (db *DB) deleteLocked(sh *shard, key string, e entry) {
 	delete(sh.dict, key)
 	if e.deadline != 0 {
-		sh.unslotLocked(e.slot)
+		sh.unheapLocked(e.slot)
 	}
 	db.recordChanged(key, e.rec, nil)
 }

@@ -342,7 +342,7 @@ func TestConcurrentAccess(t *testing.T) {
 
 func TestExpireSampleSliceConsistency(t *testing.T) {
 	// Property: after an arbitrary interleaving of SetEX/Del/Persist, the
-	// sampling slice holds exactly the keys whose entry carries a deadline.
+	// deadline heap holds exactly the keys whose entry carries a deadline.
 	f := func(ops []uint8) bool {
 		db, _ := newTestDB()
 		for i, op := range ops {
@@ -368,7 +368,6 @@ func TestExpireSampleSliceConsistency(t *testing.T) {
 func TestStrategyString(t *testing.T) {
 	for s, want := range map[ExpiryStrategy]string{
 		ExpiryLazyProbabilistic: "lazy-probabilistic",
-		ExpiryFastScan:          "fast-scan",
 		ExpiryHeap:              "expiry-heap",
 		ExpiryStrategy(99):      "unknown",
 	} {
