@@ -232,6 +232,9 @@ func TestClusterClientRouting(t *testing.T) {
 	if st := c.Stats(); st.Redirects != 0 {
 		t.Fatalf("bootstrapped client followed %d redirects, want 0", st.Redirects)
 	}
+	if st, want := c.Stats(), (gdprkv.Stats{PrimaryReads: 18, Writes: 14}); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
+	}
 }
 
 // TestClusterClientRedirectRefresh re-points the fleet's slot map under a
@@ -284,6 +287,9 @@ func TestClusterClientRedirectRefresh(t *testing.T) {
 	}
 	if st := c.Stats(); st.Redirects != 1 {
 		t.Fatalf("refreshed client still redirected: %d", st.Redirects)
+	}
+	if st, want := c.Stats(), (gdprkv.Stats{PrimaryReads: 2, Writes: 1, Redirects: 1, SlotRefreshes: 1}); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
 	}
 }
 
@@ -516,6 +522,9 @@ func TestClusterPipelineSplitsAndReassembles(t *testing.T) {
 			t.Errorf("node %d served no pipelined SETs", i+1)
 		}
 	}
+	if st, want := c.Stats(), (gdprkv.Stats{PipelineExecs: 1, PipelineOps: 19}); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
+	}
 }
 
 // TestClusterPipelineFollowsMovedMidPipeline re-points a slot between
@@ -564,5 +573,8 @@ func TestClusterPipelineFollowsMovedMidPipeline(t *testing.T) {
 	st := c.Stats()
 	if st.Redirects == 0 {
 		t.Fatal("pipeline followed no redirect despite a stale slot map")
+	}
+	if want := (gdprkv.Stats{Writes: 2, Redirects: 1, SlotRefreshes: 1, PipelineExecs: 1, PipelineOps: 3}); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
 	}
 }

@@ -307,6 +307,12 @@ func TestReplicaRoutingServesReadsFromReplicas(t *testing.T) {
 	if st.ReplicaReads != reads || st.PrimaryReads != 0 {
 		t.Fatalf("stats = %+v, want %d replica reads and 0 primary reads", st, reads)
 	}
+	// The whole counter set is pinned: Dial's PING, 4 GPUTs and 1
+	// FORGETUSER on the primary path, every read on a replica, nothing
+	// retried or redialed.
+	if want := (gdprkv.Stats{ReplicaReads: reads, Writes: 6}); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
+	}
 }
 
 // TestScanPinsToOneNode asserts a client's whole Scan iteration runs on
@@ -351,6 +357,9 @@ func TestScanPinsToOneNode(t *testing.T) {
 	}
 	if n := cmdCalls(t, cl.psrv.Addr(), "scan"); n != 0 {
 		t.Fatalf("primary served %d SCANs, want 0", n)
+	}
+	if st, want := c.Stats(), (gdprkv.Stats{ReplicaReads: 3, Writes: 9}); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
 	}
 }
 
