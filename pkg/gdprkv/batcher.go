@@ -1,8 +1,8 @@
 package gdprkv
 
 import (
-	"bytes"
 	"context"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -90,7 +90,9 @@ func newBatcher(c *Client, window time.Duration, maxOps int) *batcher {
 }
 
 // groupKey buckets ops so only same-command (and, for GPut, same-option)
-// calls coalesce: a GMPUT carries exactly one metadata set.
+// calls coalesce: a GMPUT carries exactly one metadata set. Each option
+// token is length-prefixed, so the key is injective: option values are
+// arbitrary bytes and no separator can be kept out of them.
 func groupKey(kind batchKind, opts PutOptions) string {
 	switch kind {
 	case kindGet:
@@ -100,7 +102,12 @@ func groupKey(kind batchKind, opts PutOptions) string {
 	case kindSet:
 		return "s"
 	default:
-		return "P" + string(bytes.Join(opts.optionArgs(), []byte{0x1f}))
+		k := []byte("P")
+		for _, tok := range opts.optionArgs() {
+			k = strconv.AppendInt(k, int64(len(tok)), 10)
+			k = append(append(k, ':'), tok...)
+		}
+		return string(k)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -226,43 +227,44 @@ func TestAutoBatchGDPRPathAndOptionIsolation(t *testing.T) {
 		gdprkv.WithActor("controller"), gdprkv.WithPurpose("service"),
 		gdprkv.WithAutoBatch(2*time.Millisecond, 16))
 
-	// Two distinct option sets written concurrently: coalescing must not
-	// leak one group's metadata onto the other's records.
-	optsA := gdprkv.PutOptions{Owner: "alice", Purposes: []string{"service"}}
-	optsB := gdprkv.PutOptions{Owner: "bob", Purposes: []string{"service"}}
+	// Distinct option sets written concurrently: coalescing must not leak
+	// one group's metadata onto another's records. The third owner spells
+	// out the first set's remaining tokens, so option sets joined with a
+	// separator byte would share one group and one GMPUT's metadata.
+	groups := map[string]gdprkv.PutOptions{
+		"a": {Owner: "alice", Purposes: []string{"service"}},
+		"b": {Owner: "bob", Purposes: []string{"service"}},
+		"c": {Owner: "alice\x1fPURPOSES\x1fservice"},
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
-		i := i
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			if err := c.GPut(ctxb(), fmt.Sprintf("a%d", i), []byte("A"), optsA); err != nil {
-				t.Errorf("GPut a%d: %v", i, err)
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			if err := c.GPut(ctxb(), fmt.Sprintf("b%d", i), []byte("B"), optsB); err != nil {
-				t.Errorf("GPut b%d: %v", i, err)
-			}
-		}()
+		for prefix, opts := range groups {
+			key, opts := fmt.Sprintf("%s%d", prefix, i), opts
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := c.GPut(ctxb(), key, []byte(strings.ToUpper(key[:1])), opts); err != nil {
+					t.Errorf("GPut %s: %v", key, err)
+				}
+			}()
+		}
 	}
 	wg.Wait()
 
-	// Right-of-access per owner proves no record carried the other
-	// group's metadata: a cross-coalesced GPut would file a's record
-	// under bob (or vice versa).
-	for prefix, owner := range map[string]string{"a": "alice", "b": "bob"} {
-		recs, err := c.GetUser(ctxb(), owner)
+	// Right-of-access per owner proves no record carried another group's
+	// metadata: a cross-coalesced GPut would file a's record under bob
+	// (or vice versa).
+	for prefix, opts := range groups {
+		recs, err := c.GetUser(ctxb(), opts.Owner)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(recs) != 8 {
-			t.Fatalf("%s owns %d records, want 8 — option sets cross-coalesced", owner, len(recs))
+			t.Fatalf("%q owns %d records, want 8 — option sets cross-coalesced", opts.Owner, len(recs))
 		}
 		for i := 0; i < 8; i++ {
 			if _, ok := recs[fmt.Sprintf("%s%d", prefix, i)]; !ok {
-				t.Fatalf("%s missing record %s%d", owner, prefix, i)
+				t.Fatalf("%q missing record %s%d", opts.Owner, prefix, i)
 			}
 		}
 	}
