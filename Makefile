@@ -15,12 +15,15 @@ test:
 	$(GO) test ./...
 
 # race mirrors the CI `race` job: the sharded engine and striped compliance
-# layer must stay race-clean.
+# layer must stay race-clean. Its last two lines are the cluster-e2e job's
+# SDK dispatch drill.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/audit -run 'Pipeline|Strict|Backpressure|Drop|Close|Order'
 	$(GO) test -race -count=5 ./internal/store ./internal/cryptoutil -run 'Differential|Expiry|Heap|CipherCache'
 	$(GO) test -race -count=10 ./internal/core -run 'CipherCache|ForgetCountsOnlyUnexpiredRecords|ResidentBytesPerRecord'
+	$(GO) test -race -count=3 ./pkg/gdprkv
+	$(GO) test -race -count=3 -run 'TestClusterClient|TestClusterPipeline|TestClusterFailover' ./internal/server
 
 bench:
 	$(GO) test -run NONE -bench . -benchmem ./...

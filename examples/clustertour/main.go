@@ -1,7 +1,7 @@
 // Clustertour: hash-slot cluster mode end to end. Three primaries run
 // in-process over real TCP, each owning a third of the 1024-slot space.
 // One cluster-aware pkg/gdprkv client bootstraps the slot map via
-// CLUSTER SLOTS and routes every key to its owner; a deliberately
+// CLUSTER TOPOLOGY and routes every key to its owner; a deliberately
 // mis-routed GET is redirected transparently, exactly once. Then the
 // GDPR part: a data subject whose records are spread over all three
 // nodes is erased with a single FORGETUSER — the coordinator fans the

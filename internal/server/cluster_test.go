@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"testing"
 
@@ -289,6 +290,62 @@ func TestClusterClientRedirectRefresh(t *testing.T) {
 		t.Fatalf("refreshed client still redirected: %d", st.Redirects)
 	}
 	if st, want := c.Stats(), (gdprkv.Stats{PrimaryReads: 2, Writes: 1, Redirects: 1, SlotRefreshes: 1}); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
+	}
+}
+
+// TestClusterClientReadRetryBudget: a cluster read takes its retry budget
+// from WithRetry, as a standalone read does. n1 announces a replica that
+// is down. Under WithRetry(1, 0) the read's one attempt goes to that
+// replica and surfaces the transport error; under the default budget, one
+// attempt per candidate, the owner serves it after one retry.
+func TestClusterClientReadRetryBudget(t *testing.T) {
+	srvs, _, m := startCluster(t, 3)
+	ctx := context.Background()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+	nodes := m.Nodes()
+	nodes[0].Replicas = []string{dead}
+	m2, err := cluster.NewMap(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, srv := range srvs {
+		if err := srv.EnableCluster(ClusterConfig{Self: nodes[i].ID, Map: m2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := "pd:{" + ownerOn(t, m, "n1") + "}:k"
+	if err := nodeClient(t, srvs[0].Addr()).Set(ctx, key, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+
+	dialRead := func(opts ...gdprkv.Option) (*gdprkv.Client, []byte, error) {
+		c, err := gdprkv.Dial(ctx, srvs[0].Addr(), append(opts, gdprkv.WithCluster())...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		v, err := c.Get(ctx, key)
+		return c, v, err
+	}
+	strict, _, err := dialRead(gdprkv.WithRetry(1, 0))
+	var se *gdprkv.ServerError
+	if err == nil || errors.As(err, &se) {
+		t.Fatalf("WithRetry(1) read with its replica down = %v, want the transport error", err)
+	}
+	if st, want := strict.Stats(), (gdprkv.Stats{ReplicaReads: 1, Failovers: 1}); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
+	}
+	def, v, err := dialRead()
+	if err != nil || string(v) != "v" {
+		t.Fatalf("default-budget read = %q, %v; want the owner's value", v, err)
+	}
+	if st, want := def.Stats(), (gdprkv.Stats{PrimaryReads: 1, Retries: 1, Failovers: 1}); st != want {
 		t.Fatalf("stats = %+v, want %+v", st, want)
 	}
 }

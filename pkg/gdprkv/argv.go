@@ -14,6 +14,9 @@ var (
 	cmdGPUT   = []byte("GPUT")
 	cmdGGET   = []byte("GGET")
 	cmdGDEL   = []byte("GDEL")
+
+	// askingCmd is the whole one-shot ASKING an ASK hop writes first.
+	askingCmd = [][]byte{[]byte("ASKING")}
 )
 
 // argvBox is a reusable [][]byte argument vector. The hot scalar commands

@@ -111,14 +111,15 @@ func groupKey(kind batchKind, opts PutOptions) string {
 	}
 }
 
-// enqueue adds one op to its coalescing bucket, arming the window timer on
-// the bucket's first op and flushing inline when the bucket reaches
-// maxOps. It returns the group and the caller's slot index.
-func (b *batcher) enqueue(kind batchKind, opts PutOptions, key string, val []byte) (*batchGroup, int, error) {
+// do is the scalar entry point Client routes through under WithAutoBatch:
+// it adds one op to its coalescing bucket, arming the window timer on the
+// bucket's first op and flushing inline when the bucket reaches maxOps,
+// then waits for the op's result.
+func (b *batcher) do(ctx context.Context, kind batchKind, opts PutOptions, key string, val []byte) ([]byte, error) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		return nil, 0, ErrClosed
+		return nil, ErrClosed
 	}
 	gk := groupKey(kind, opts)
 	g := b.groups[gk]
@@ -141,7 +142,7 @@ func (b *batcher) enqueue(kind batchKind, opts PutOptions, key string, val []byt
 		g.timer.Stop()
 		b.flush(g)
 	}
-	return g, i, nil
+	return g.wait(ctx, i)
 }
 
 // take removes g from the pending map (when still there — a maxOps flush
@@ -219,40 +220,4 @@ func (b *batcher) close() {
 		g.timer.Stop()
 		b.flush(g)
 	}
-}
-
-// --- the scalar entry points Client routes through under WithAutoBatch ---
-
-func (b *batcher) get(ctx context.Context, key string) ([]byte, error) {
-	g, i, err := b.enqueue(kindGet, PutOptions{}, key, nil)
-	if err != nil {
-		return nil, err
-	}
-	return g.wait(ctx, i)
-}
-
-func (b *batcher) gget(ctx context.Context, key string) ([]byte, error) {
-	g, i, err := b.enqueue(kindGGet, PutOptions{}, key, nil)
-	if err != nil {
-		return nil, err
-	}
-	return g.wait(ctx, i)
-}
-
-func (b *batcher) set(ctx context.Context, key string, value []byte) error {
-	g, i, err := b.enqueue(kindSet, PutOptions{}, key, value)
-	if err != nil {
-		return err
-	}
-	_, err = g.wait(ctx, i)
-	return err
-}
-
-func (b *batcher) gput(ctx context.Context, key string, value []byte, opts PutOptions) error {
-	g, i, err := b.enqueue(kindGPut, opts, key, value)
-	if err != nil {
-		return err
-	}
-	_, err = g.wait(ctx, i)
-	return err
 }

@@ -3,10 +3,8 @@ package gdprkv
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
-	"time"
-
-	"gdprstore/internal/resp"
 )
 
 // Client is a concurrency-safe, pooled, replica-aware client for a
@@ -20,17 +18,21 @@ import (
 // round-robin across the replica set and fall back to the primary when
 // no replica is reachable; Scan is replica-served but pinned to one
 // node per iteration (cursors are per-node positions). A client with no
-// replicas sends everything to the primary.
+// replicas sends everything to the primary. A cluster client applies the
+// same rules per slot owner (dispatch.go).
 type Client struct {
-	cfg      config
-	primary  *pool
-	replicas []*pool
-	rr       atomic.Uint32
-	closed   atomic.Bool
+	cfg    config
+	rr     atomic.Uint32
+	closed atomic.Bool
 
-	// cl is the cluster router (cluster.go); nil outside cluster mode. In
-	// cluster mode primary aliases the default node's pool (owned by cl).
-	cl *clusterRouter
+	// view is the immutable routing snapshot every call reads; a cluster
+	// refresh swaps it whole.
+	view atomic.Pointer[view]
+
+	// mu guards pools, one per node address, created on first sight and
+	// kept for the client's lifetime.
+	mu    sync.Mutex
+	pools map[string]*pool
 
 	// batcher coalesces concurrent scalar calls (batcher.go); nil unless
 	// WithAutoBatch was given.
@@ -47,48 +49,55 @@ type Client struct {
 // Dial constructs a Client for the primary at addr, applying opts, and
 // verifies the primary is reachable with one pooled PING. Replica
 // addresses (WithReplicas) are dialed lazily — an unreachable replica
-// costs a retry at read time, never a failed construction.
+// costs a retry at read time, never a failed construction. With
+// WithCluster, the slot map is learned from addr (or the extra seeds)
+// instead.
 func Dial(ctx context.Context, addr string, opts ...Option) (*Client, error) {
 	cfg := defaultConfig()
 	for _, o := range opts {
 		o(&cfg)
 	}
-	c := &Client{cfg: cfg}
-	if c.cfg.retryAttempts == 0 {
-		// Default: one attempt per node in the read path.
-		c.cfg.retryAttempts = len(cfg.replicas) + 1
-	}
+	c := &Client{cfg: cfg, pools: make(map[string]*pool)}
 	if c.cfg.autoBatchWindow > 0 {
 		c.batcher = newBatcher(c, c.cfg.autoBatchWindow, c.cfg.autoBatchMaxOps)
 	}
+	var err error
 	if cfg.clusterMode {
 		if len(cfg.replicas) > 0 {
 			return nil, errors.New("gdprkv: WithReplicas cannot be combined with WithCluster (every cluster node is a primary)")
 		}
-		c.cl = newClusterRouter(&c.cfg, &c.stats.redials)
-		if err := c.bootstrapCluster(ctx, append([]string{addr}, cfg.clusterSeeds...)); err != nil {
-			c.Close()
-			return nil, err
+		err = c.bootstrap(ctx, append([]string{addr}, cfg.clusterSeeds...))
+	} else {
+		// One node covers every slot, and no redirect is ever followed.
+		n := &node{primary: c.poolFor(addr)}
+		for _, ra := range cfg.replicas {
+			n.replicas = append(n.replicas, c.poolFor(ra))
 		}
-		// The default node's pool doubles as "primary" so the un-keyed
-		// paths (Do, Ping, Info, Scan) have a stable target.
-		p, err := c.cl.poolFor(c.cl.defaultNode())
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.primary = p
-		return c, nil
+		c.view.Store(&view{slots: []*node{n}, def: n})
+		err = c.Ping(ctx)
 	}
-	c.primary = newPool(addr, &c.cfg, &c.stats.redials)
-	for _, ra := range cfg.replicas {
-		c.replicas = append(c.replicas, newPool(ra, &c.cfg, &c.stats.redials))
-	}
-	if err := c.Ping(ctx); err != nil {
+	if err != nil {
 		c.Close()
 		return nil, err
 	}
 	return c, nil
+}
+
+// poolFor returns the pool for one node address, creating it on first
+// sight. A pool dials lazily, so creating one costs no round trip.
+func (c *Client) poolFor(addr string) *pool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p, ok := c.pools[addr]
+	if !ok {
+		p = newPool(addr, &c.cfg, &c.stats.redials)
+		c.pools[addr] = p
+		if c.closed.Load() {
+			// Close already drained the map: refuse checkouts from here on.
+			p.close()
+		}
+	}
+	return p
 }
 
 // Close releases every pooled connection. In-flight calls fail with
@@ -103,16 +112,9 @@ func (c *Client) Close() error {
 	if c.closed.Swap(true) {
 		return nil
 	}
-	if c.cl != nil {
-		// The router owns every pool in cluster mode (primary aliases one
-		// of them; pool.close is idempotent either way).
-		c.cl.close()
-		return nil
-	}
-	if c.primary != nil {
-		c.primary.close()
-	}
-	for _, p := range c.replicas {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, p := range c.pools {
 		p.close()
 	}
 	return nil
@@ -121,13 +123,14 @@ func (c *Client) Close() error {
 // Stats is a snapshot of the client's routing and pool counters.
 type Stats struct {
 	// PrimaryReads counts read-routed calls served by the primary
-	// (because no replicas are configured, or as fallback).
+	// (because no replicas are configured, or as fallback). A read counts
+	// once, against the node its last attempt went to.
 	PrimaryReads uint64
 	// ReplicaReads counts read-routed calls served by a replica.
 	ReplicaReads uint64
 	// Writes counts primary-routed calls (writes, rights ops, Do).
 	Writes uint64
-	// Retries counts read attempts that moved to another node after a
+	// Retries counts read attempts after the first, each one made after a
 	// connection failure.
 	Retries uint64
 	// Redials counts pooled connections evicted as broken and replaced.
@@ -173,174 +176,4 @@ func (c *Client) Stats() Stats {
 		AutoBatchFlushes: c.stats.autoBatchFlushes.Load(),
 		AutoBatchOps:     c.stats.autoBatchOps.Load(),
 	}
-}
-
-// doNode runs one command on one node's pool: checkout, call, checkin.
-func (c *Client) doNode(ctx context.Context, p *pool, args [][]byte) (resp.Value, error) {
-	cn, err := p.get(ctx)
-	if err != nil {
-		return resp.Value{}, err
-	}
-	v, err := cn.do(ctx, c.cfg.ioTimeout, args)
-	p.put(cn)
-	return v, err
-}
-
-// doPrimary routes writes, rights operations, and generic commands.
-// They are never retried: a connection failure mid-write is ambiguous
-// (the server may have applied it), so the ambiguity is surfaced. In
-// cluster mode the target is the default node, with MOVED follow — the
-// path generic Do commands take, since the client cannot slot them.
-func (c *Client) doPrimary(ctx context.Context, args [][]byte) (resp.Value, error) {
-	if c.closed.Load() {
-		return resp.Value{}, ErrClosed
-	}
-	c.stats.writes.Add(1)
-	if c.cl != nil {
-		return c.doCluster(ctx, c.cl.defaultNode(), args)
-	}
-	return c.doNode(ctx, c.primary, args)
-}
-
-// doWriteKey routes a key-addressed mutating command: slot owner in
-// cluster mode, primary otherwise.
-func (c *Client) doWriteKey(ctx context.Context, key string, args [][]byte) (resp.Value, error) {
-	if c.cl == nil {
-		return c.doPrimary(ctx, args)
-	}
-	if c.closed.Load() {
-		return resp.Value{}, ErrClosed
-	}
-	c.stats.writes.Add(1)
-	return c.doSlot(ctx, key, args)
-}
-
-// doReadKey routes a key-addressed idempotent read: in cluster mode,
-// round-robin over the slot's replicas with the slot owner as backstop
-// (doSlotRead); replica round-robin otherwise.
-func (c *Client) doReadKey(ctx context.Context, key string, args [][]byte) (resp.Value, error) {
-	if c.cl == nil {
-		return c.doRead(ctx, args)
-	}
-	return c.doSlotRead(ctx, key, args)
-}
-
-// doRead routes an idempotent read: round-robin over replicas first,
-// primary last, moving on after connection failures (never after server
-// error replies) until cfg.retryAttempts nodes have been tried.
-func (c *Client) doRead(ctx context.Context, args [][]byte) (resp.Value, error) {
-	if c.closed.Load() {
-		return resp.Value{}, ErrClosed
-	}
-	if c.cl != nil {
-		// Key-addressed reads go through doReadKey; anything else lands on
-		// the default node with MOVED follow.
-		c.stats.primaryReads.Add(1)
-		return c.doCluster(ctx, c.cl.defaultNode(), args)
-	}
-	if len(c.replicas) == 0 {
-		c.stats.primaryReads.Add(1)
-		return c.doNode(ctx, c.primary, args)
-	}
-	// Try order: each replica once starting at the round-robin cursor,
-	// then the primary — bounded by the retry budget. Index arithmetic
-	// stays in uint32 space so the cursor wrapping cannot go negative on
-	// 32-bit platforms.
-	start := c.rr.Add(1) - 1
-	var lastErr error
-	for attempt := 0; attempt < c.cfg.retryAttempts; attempt++ {
-		var p *pool
-		onPrimary := attempt >= len(c.replicas)
-		if onPrimary {
-			p = c.primary
-		} else {
-			p = c.replicas[(start+uint32(attempt))%uint32(len(c.replicas))]
-		}
-		if attempt > 0 {
-			c.stats.retries.Add(1)
-			if c.cfg.retryBackoff > 0 {
-				t := time.NewTimer(c.cfg.retryBackoff)
-				select {
-				case <-t.C:
-				case <-ctx.Done():
-					t.Stop()
-					return resp.Value{}, ctx.Err()
-				}
-			}
-		}
-		v, err := c.doNode(ctx, p, args)
-		if err == nil || isReply(err) {
-			if onPrimary {
-				c.stats.primaryReads.Add(1)
-			} else {
-				c.stats.replicaReads.Add(1)
-			}
-			return v, err
-		}
-		if ctx.Err() != nil {
-			return resp.Value{}, err
-		}
-		lastErr = err
-	}
-	return resp.Value{}, lastErr
-}
-
-// doRights routes a GDPR rights operation keyed by the data subject:
-// the owner's slot node in cluster mode (that node coordinates the
-// cluster-wide fan-out for FORGETUSER/GETUSER), the primary otherwise.
-// Counted under Writes — rights calls are authoritative-path operations.
-func (c *Client) doRights(ctx context.Context, owner string, args [][]byte) (resp.Value, error) {
-	if c.cl == nil {
-		return c.doPrimary(ctx, args)
-	}
-	if c.closed.Load() {
-		return resp.Value{}, ErrClosed
-	}
-	c.stats.writes.Add(1)
-	return c.doSlot(ctx, owner, args)
-}
-
-// doScan routes one SCAN call. Unlike the other reads, a scan is a
-// multi-call iteration whose cursor is a position into one node's sorted
-// keyspace — cursors are not portable between nodes whose datasets
-// differ (replication lag). So every Scan of this client is pinned to a
-// single node: the first replica when replicas are configured, with
-// primary fallback only when that replica is unreachable. A fallback
-// mid-iteration switches nodes and invalidates the cursor sequence;
-// callers observing it (the call still succeeds) should restart from
-// cursor 0 for a complete sweep.
-func (c *Client) doScan(ctx context.Context, args [][]byte) (resp.Value, error) {
-	if c.closed.Load() {
-		return resp.Value{}, ErrClosed
-	}
-	if c.cl != nil {
-		// Cluster scans are node-local by design: the cursor walks the
-		// default node's keyspace only. Sweep each node with a dedicated
-		// client to enumerate the whole cluster.
-		c.stats.primaryReads.Add(1)
-		return c.doCluster(ctx, c.cl.defaultNode(), args)
-	}
-	if len(c.replicas) == 0 {
-		c.stats.primaryReads.Add(1)
-		return c.doNode(ctx, c.primary, args)
-	}
-	v, err := c.doNode(ctx, c.replicas[0], args)
-	if err == nil || isReply(err) {
-		c.stats.replicaReads.Add(1)
-		return v, err
-	}
-	if ctx.Err() != nil {
-		return resp.Value{}, err
-	}
-	c.stats.retries.Add(1)
-	c.stats.primaryReads.Add(1)
-	return c.doNode(ctx, c.primary, args)
-}
-
-// isReply reports whether err is a decoded server reply (as opposed to a
-// dial or transport failure): replies are authoritative answers and must
-// not trigger a retry on another node.
-func isReply(err error) bool {
-	_, ok := err.(*ServerError)
-	return ok
 }

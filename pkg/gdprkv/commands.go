@@ -28,7 +28,7 @@ func (c *Client) Do(ctx context.Context, cmd ...string) (resp.Value, error) {
 	if len(cmd) == 0 {
 		return resp.Value{}, errors.New("gdprkv: Do: empty command")
 	}
-	return c.doPrimary(ctx, args(cmd[0], cmd[1:]...))
+	return c.call(ctx, classWrite, "", args(cmd[0], cmd[1:]...))
 }
 
 // DoArgs sends one command with raw byte arguments to the primary.
@@ -36,12 +36,12 @@ func (c *Client) DoArgs(ctx context.Context, name string, raw ...[]byte) (resp.V
 	a := make([][]byte, 0, len(raw)+1)
 	a = append(a, []byte(name))
 	a = append(a, raw...)
-	return c.doPrimary(ctx, a)
+	return c.call(ctx, classWrite, "", a)
 }
 
 // Ping checks primary liveness.
 func (c *Client) Ping(ctx context.Context) error {
-	v, err := c.doPrimary(ctx, args("PING"))
+	v, err := c.call(ctx, classWrite, "", args("PING"))
 	if err != nil {
 		return err
 	}
@@ -57,12 +57,13 @@ func (c *Client) Ping(ctx context.Context) error {
 // concurrent Sets coalesce into one MSET per flush window.
 func (c *Client) Set(ctx context.Context, key string, value []byte) error {
 	if c.batcher != nil {
-		return c.batcher.set(ctx, key, value)
+		_, err := c.batcher.do(ctx, kindSet, PutOptions{}, key, value)
+		return err
 	}
 	av := argvGet()
 	defer argvPut(av)
 	av.a = append(av.a, cmdSET, []byte(key), value)
-	_, err := c.doWriteKey(ctx, key, av.a)
+	_, err := c.call(ctx, classWrite, key, av.a)
 	return err
 }
 
@@ -71,20 +72,27 @@ func (c *Client) SetEX(ctx context.Context, key string, value []byte, seconds in
 	av := argvGet()
 	defer argvPut(av)
 	av.a = append(av.a, cmdSET, []byte(key), value, cmdEX, []byte(strconv.FormatInt(seconds, 10)))
-	_, err := c.doWriteKey(ctx, key, av.a)
+	_, err := c.call(ctx, classWrite, key, av.a)
 	return err
 }
 
 // Get fetches a raw value; ErrNotFound if missing. Replica-routed. Under
 // WithAutoBatch, concurrent Gets coalesce into one MGET per flush window.
 func (c *Client) Get(ctx context.Context, key string) ([]byte, error) {
+	return c.value(ctx, kindGet, cmdGET, key)
+}
+
+// value reads one value-shaped key (GET, GGET): coalesced under
+// WithAutoBatch, a replica-routed call otherwise, with a null reply
+// mapped to ErrNotFound.
+func (c *Client) value(ctx context.Context, kind batchKind, cmd []byte, key string) ([]byte, error) {
 	if c.batcher != nil {
-		return c.batcher.get(ctx, key)
+		return c.batcher.do(ctx, kind, PutOptions{}, key, nil)
 	}
 	av := argvGet()
 	defer argvPut(av)
-	av.a = append(av.a, cmdGET, []byte(key))
-	v, err := c.doReadKey(ctx, key, av.a)
+	av.a = append(av.a, cmd, []byte(key))
+	v, err := c.call(ctx, classRead, key, av.a)
 	if err != nil {
 		return nil, err
 	}
@@ -104,19 +112,9 @@ func (c *Client) MSet(ctx context.Context, keys []string, values [][]byte) error
 	if len(keys) != len(values) {
 		return fmt.Errorf("gdprkv: MSet: %d keys, %d values", len(keys), len(values))
 	}
-	if len(keys) == 0 {
-		return nil
-	}
-	if c.cl != nil {
-		return c.msetCluster(ctx, keys, values)
-	}
-	a := make([][]byte, 0, 1+2*len(keys))
-	a = append(a, []byte("MSET"))
-	for i, k := range keys {
-		a = append(a, []byte(k), values[i])
-	}
-	_, err := c.doPrimary(ctx, a)
-	return err
+	return c.batch(ctx, classWrite, keys, func(idxs []int) [][]byte {
+		return batchArgs([][]byte{[]byte("MSET")}, keys, values, idxs, nil)
+	}, nil)
 }
 
 // MGet reads every key in one MGET command. The result is positional; a
@@ -125,35 +123,79 @@ func (c *Client) MGet(ctx context.Context, keys ...string) ([][]byte, error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}
-	if c.cl != nil {
-		return c.mgetCluster(ctx, keys)
-	}
-	v, err := c.doRead(ctx, args("MGET", keys...))
+	out := make([][]byte, len(keys))
+	err := c.batch(ctx, classRead, keys, func(idxs []int) [][]byte {
+		return batchArgs([][]byte{[]byte("MGET")}, keys, nil, idxs, nil)
+	}, func(idxs []int, v resp.Value) error {
+		if len(v.Array) != len(idxs) {
+			return fmt.Errorf("gdprkv: malformed MGET reply: %d entries for %d keys", len(v.Array), len(idxs))
+		}
+		for j, e := range v.Array {
+			if !e.Null {
+				out[idxs[j]] = e.Str
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	if len(v.Array) != len(keys) {
-		return nil, fmt.Errorf("gdprkv: malformed MGET reply: %d entries for %d keys", len(v.Array), len(keys))
-	}
-	out := make([][]byte, len(keys))
-	for i, e := range v.Array {
-		if !e.Null {
-			out[i] = e.Str
-		}
 	}
 	return out, nil
 }
 
-// Del removes keys, returning how many existed.
+// Del removes keys, returning how many existed. In cluster mode the keys
+// are deleted per slot group and the counts summed.
 func (c *Client) Del(ctx context.Context, keys ...string) (int64, error) {
-	if c.cl != nil && len(keys) > 0 {
-		return c.delCluster(ctx, keys)
-	}
-	v, err := c.doPrimary(ctx, args("DEL", keys...))
-	if err != nil {
+	if len(keys) == 0 {
+		// Nothing to split: the server judges the bare DEL's arity.
+		_, err := c.call(ctx, classWrite, "", [][]byte{cmdDEL})
 		return 0, err
 	}
-	return v.Int, nil
+	var n int64
+	err := c.batch(ctx, classWrite, keys, func(idxs []int) [][]byte {
+		return batchArgs([][]byte{cmdDEL}, keys, nil, idxs, nil)
+	}, func(_ []int, v resp.Value) error {
+		n += v.Int
+		return nil
+	})
+	return n, err
+}
+
+// batch is the one body of the batch helpers: split keys per slot (one
+// group on a standalone client), send each group's command, built by
+// build, as a call of class, and hand each reply to merge (when non-nil),
+// in first-appearance order. A cross-node batch is therefore not atomic:
+// a failing group stops the batch and is returned, and earlier groups
+// stay applied.
+func (c *Client) batch(ctx context.Context, class callClass, keys []string,
+	build func(idxs []int) [][]byte, merge func(idxs []int, v resp.Value) error) error {
+	for _, idxs := range c.view.Load().split(keys) {
+		v, err := c.call(ctx, class, keys[idxs[0]], build(idxs))
+		if err != nil {
+			return err
+		}
+		if merge != nil {
+			if err := merge(idxs, v); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// batchArgs renders one group of a batch command: head, then each
+// selected key — followed by its value when values is non-nil — then
+// tail.
+func batchArgs(head [][]byte, keys []string, values [][]byte, idxs []int, tail [][]byte) [][]byte {
+	a := make([][]byte, 0, len(head)+2*len(idxs)+len(tail))
+	a = append(a, head...)
+	for _, i := range idxs {
+		a = append(a, []byte(keys[i]))
+		if values != nil {
+			a = append(a, values[i])
+		}
+	}
+	return append(a, tail...)
 }
 
 // Expire sets a TTL in seconds, reporting whether the key existed.
@@ -161,7 +203,7 @@ func (c *Client) Expire(ctx context.Context, key string, seconds int64) (bool, e
 	av := argvGet()
 	defer argvPut(av)
 	av.a = append(av.a, cmdEXPIRE, []byte(key), []byte(strconv.FormatInt(seconds, 10)))
-	v, err := c.doWriteKey(ctx, key, av.a)
+	v, err := c.call(ctx, classWrite, key, av.a)
 	if err != nil {
 		return false, err
 	}
@@ -173,7 +215,7 @@ func (c *Client) TTL(ctx context.Context, key string) (int64, error) {
 	av := argvGet()
 	defer argvPut(av)
 	av.a = append(av.a, cmdTTL, []byte(key))
-	v, err := c.doReadKey(ctx, key, av.a)
+	v, err := c.call(ctx, classRead, key, av.a)
 	if err != nil {
 		return 0, err
 	}
@@ -187,7 +229,7 @@ func (c *Client) TTL(ctx context.Context, key string) (int64, error) {
 // to the primary only when that replica is unreachable — after such a
 // fallback, restart from cursor 0 for a complete sweep.
 func (c *Client) Scan(ctx context.Context, cursor uint64, match string, count int) ([]string, uint64, error) {
-	v, err := c.doScan(ctx, args("SCAN",
+	v, err := c.call(ctx, classScan, "", args("SCAN",
 		strconv.FormatUint(cursor, 10), "MATCH", match, "COUNT", strconv.Itoa(count)))
 	if err != nil {
 		return nil, 0, err
@@ -215,7 +257,7 @@ func (c *Client) Info(ctx context.Context, section string) (string, error) {
 	if section != "" {
 		a = append(a, []byte(section))
 	}
-	v, err := c.doPrimary(ctx, a)
+	v, err := c.call(ctx, classWrite, "", a)
 	if err != nil {
 		return "", err
 	}
@@ -225,14 +267,14 @@ func (c *Client) Info(ctx context.Context, section string) (string, error) {
 // ReplicaOf makes the connected server replicate from the primary at
 // host:port (operator command).
 func (c *Client) ReplicaOf(ctx context.Context, host, port string) error {
-	_, err := c.doPrimary(ctx, args("REPLICAOF", host, port))
+	_, err := c.call(ctx, classWrite, "", args("REPLICAOF", host, port))
 	return err
 }
 
 // PromoteToPrimary stops the connected server's replication and makes
 // it writable (REPLICAOF NO ONE).
 func (c *Client) PromoteToPrimary(ctx context.Context) error {
-	_, err := c.doPrimary(ctx, args("REPLICAOF", "NO", "ONE"))
+	_, err := c.call(ctx, classWrite, "", args("REPLICAOF", "NO", "ONE"))
 	return err
 }
 
@@ -288,13 +330,14 @@ func (o PutOptions) optionArgs() [][]byte {
 // flush window.
 func (c *Client) GPut(ctx context.Context, key string, value []byte, opts PutOptions) error {
 	if c.batcher != nil {
-		return c.batcher.gput(ctx, key, value, opts)
+		_, err := c.batcher.do(ctx, kindGPut, opts, key, value)
+		return err
 	}
 	av := argvGet()
 	defer argvPut(av)
 	av.a = append(av.a, cmdGPUT, []byte(key), value)
 	av.a = append(av.a, opts.optionArgs()...)
-	_, err := c.doWriteKey(ctx, key, av.a)
+	_, err := c.call(ctx, classWrite, key, av.a)
 	return err
 }
 
@@ -307,40 +350,18 @@ func (c *Client) GMPut(ctx context.Context, keys []string, values [][]byte, opts
 	if len(keys) != len(values) {
 		return fmt.Errorf("gdprkv: GMPut: %d keys, %d values", len(keys), len(values))
 	}
-	if len(keys) == 0 {
-		return nil
-	}
-	if c.cl != nil {
-		return c.gmputCluster(ctx, keys, values, opts)
-	}
-	a := make([][]byte, 0, 2+2*len(keys)+14)
-	a = append(a, []byte("GMPUT"), []byte(strconv.Itoa(len(keys))))
-	for i, k := range keys {
-		a = append(a, []byte(k), values[i])
-	}
-	a = append(a, opts.optionArgs()...)
-	_, err := c.doPrimary(ctx, a)
-	return err
+	optArgs := opts.optionArgs()
+	return c.batch(ctx, classWrite, keys, func(idxs []int) [][]byte {
+		head := [][]byte{[]byte("GMPUT"), []byte(strconv.Itoa(len(idxs)))}
+		return batchArgs(head, keys, values, idxs, optArgs)
+	}, nil)
 }
 
 // GGet reads personal data under the client's actor and purpose.
 // ErrNotFound if missing. Replica-routed. Under WithAutoBatch, concurrent
 // GGets coalesce into one GMGET per flush window.
 func (c *Client) GGet(ctx context.Context, key string) ([]byte, error) {
-	if c.batcher != nil {
-		return c.batcher.gget(ctx, key)
-	}
-	av := argvGet()
-	defer argvPut(av)
-	av.a = append(av.a, cmdGGET, []byte(key))
-	v, err := c.doReadKey(ctx, key, av.a)
-	if err != nil {
-		return nil, err
-	}
-	if v.Null {
-		return nil, ErrNotFound
-	}
-	return v.Str, nil
+	return c.value(ctx, kindGGet, cmdGGET, key)
 }
 
 // BatchValue is one positional result of GMGet: the value on success,
@@ -358,26 +379,27 @@ func (c *Client) GMGet(ctx context.Context, keys ...string) ([]BatchValue, error
 	if len(keys) == 0 {
 		return nil, nil
 	}
-	if c.cl != nil {
-		return c.gmgetCluster(ctx, keys)
-	}
-	v, err := c.doRead(ctx, args("GMGET", keys...))
+	out := make([]BatchValue, len(keys))
+	err := c.batch(ctx, classRead, keys, func(idxs []int) [][]byte {
+		return batchArgs([][]byte{[]byte("GMGET")}, keys, nil, idxs, nil)
+	}, func(idxs []int, v resp.Value) error {
+		if len(v.Array) != len(idxs) {
+			return fmt.Errorf("gdprkv: malformed GMGET reply: %d entries for %d keys", len(v.Array), len(idxs))
+		}
+		for j, e := range v.Array {
+			switch i := idxs[j]; {
+			case e.IsError():
+				out[i].Err = wireError(e.Text())
+			case e.Null:
+				out[i].Err = ErrNotFound
+			default:
+				out[i].Value = e.Str
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	if len(v.Array) != len(keys) {
-		return nil, fmt.Errorf("gdprkv: malformed GMGET reply: %d entries for %d keys", len(v.Array), len(keys))
-	}
-	out := make([]BatchValue, len(keys))
-	for i, e := range v.Array {
-		switch {
-		case e.IsError():
-			out[i].Err = wireError(e.Text())
-		case e.Null:
-			out[i].Err = ErrNotFound
-		default:
-			out[i].Value = e.Str
-		}
 	}
 	return out, nil
 }
@@ -387,7 +409,7 @@ func (c *Client) GDel(ctx context.Context, key string) error {
 	av := argvGet()
 	defer argvPut(av)
 	av.a = append(av.a, cmdGDEL, []byte(key))
-	_, err := c.doWriteKey(ctx, key, av.a)
+	_, err := c.call(ctx, classWrite, key, av.a)
 	return err
 }
 
@@ -395,7 +417,7 @@ func (c *Client) GDel(ctx context.Context, key string) error {
 // of access). Rights operations are primary-routed: their answers must
 // reflect the authoritative dataset, not a replica's convergence lag.
 func (c *Client) GetUser(ctx context.Context, owner string) (map[string][]byte, error) {
-	v, err := c.doRights(ctx, owner, args("GETUSER", owner))
+	v, err := c.call(ctx, classWrite, owner, args("GETUSER", owner))
 	if err != nil {
 		return nil, err
 	}
@@ -408,7 +430,7 @@ func (c *Client) GetUser(ctx context.Context, owner string) (map[string][]byte, 
 
 // ExportUser returns the Art. 20 portability payload. Primary-routed.
 func (c *Client) ExportUser(ctx context.Context, owner string) ([]byte, error) {
-	v, err := c.doRights(ctx, owner, args("EXPORTUSER", owner))
+	v, err := c.call(ctx, classWrite, owner, args("EXPORTUSER", owner))
 	if err != nil {
 		return nil, err
 	}
@@ -419,7 +441,7 @@ func (c *Client) ExportUser(ctx context.Context, owner string) ([]byte, error) {
 // records erased on the primary; erasure propagates to replicas through
 // the replication stream.
 func (c *Client) ForgetUser(ctx context.Context, owner string) (int64, error) {
-	v, err := c.doRights(ctx, owner, args("FORGETUSER", owner))
+	v, err := c.call(ctx, classWrite, owner, args("FORGETUSER", owner))
 	if err != nil {
 		return 0, err
 	}
@@ -428,12 +450,12 @@ func (c *Client) ForgetUser(ctx context.Context, owner string) (int64, error) {
 
 // Object records an Art. 21 objection to a processing purpose.
 func (c *Client) Object(ctx context.Context, owner, purpose string) error {
-	_, err := c.doRights(ctx, owner, args("OBJECT", owner, purpose))
+	_, err := c.call(ctx, classWrite, owner, args("OBJECT", owner, purpose))
 	return err
 }
 
 // Unobject withdraws an Art. 21 objection.
 func (c *Client) Unobject(ctx context.Context, owner, purpose string) error {
-	_, err := c.doRights(ctx, owner, args("UNOBJECT", owner, purpose))
+	_, err := c.call(ctx, classWrite, owner, args("UNOBJECT", owner, purpose))
 	return err
 }

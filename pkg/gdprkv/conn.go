@@ -79,70 +79,69 @@ func deadline(ctx context.Context, timeout time.Duration) time.Time {
 	return dl
 }
 
-// do sends one command and reads its reply under the call deadline. I/O
-// failures mark the conn broken (the pool will evict it); error replies
-// decode through wireError and leave the conn healthy.
-func (c *conn) do(ctx context.Context, timeout time.Duration, args [][]byte) (resp.Value, error) {
+// roundTrip writes every command in cmds — behind a one-shot ASKING when
+// asking — flushes once, and reads exactly one reply per command into
+// res, in order, under the call deadline. Error replies decode through
+// wireError into their slot and leave the conn healthy; only transport
+// failures return an error, with the count of replies read before it.
+// Any early exit after the commands were written marks the conn broken:
+// unread replies would desync the next caller, so the pool must discard
+// it.
+func (c *conn) roundTrip(ctx context.Context, timeout time.Duration, asking bool, cmds [][][]byte, res []PipeResult) (int, error) {
 	if err := ctx.Err(); err != nil {
-		return resp.Value{}, err
+		return 0, err
 	}
 	if err := c.nc.SetDeadline(deadline(ctx, timeout)); err != nil {
 		c.broken = true
-		return resp.Value{}, err
+		return 0, err
 	}
-	if err := c.w.WriteCommandBytes(args); err != nil {
-		return resp.Value{}, c.ioError(ctx, err)
-	}
-	if err := c.w.Flush(); err != nil {
-		return resp.Value{}, c.ioError(ctx, err)
-	}
-	v, err := c.r.ReadValue()
-	if err != nil {
-		return resp.Value{}, c.ioError(ctx, err)
-	}
-	if v.IsError() {
-		return v, wireError(v.Text())
-	}
-	return v, nil
-}
-
-// doMulti writes every command in cmds, flushes once, and reads exactly
-// one reply per command, in order — the wire half of Pipeline.Exec. Error
-// replies are ordinary replies here (returned as Values for the caller to
-// decode positionally); only transport failures return an error. The
-// returned slice holds the replies read so far, so a mid-read failure
-// still surfaces the completed prefix. Any early exit after the commands
-// were written marks the conn broken: unread replies would desync the
-// next caller, so the pool must discard it.
-func (c *conn) doMulti(ctx context.Context, timeout time.Duration, cmds [][][]byte) ([]resp.Value, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := c.nc.SetDeadline(deadline(ctx, timeout)); err != nil {
-		c.broken = true
-		return nil, err
+	if asking {
+		if err := c.w.WriteCommandBytes(askingCmd); err != nil {
+			return 0, c.ioError(ctx, err)
+		}
 	}
 	for _, args := range cmds {
 		if err := c.w.WriteCommandBytes(args); err != nil {
-			return nil, c.ioError(ctx, err)
+			return 0, c.ioError(ctx, err)
 		}
 	}
 	if err := c.w.Flush(); err != nil {
-		return nil, c.ioError(ctx, err)
+		return 0, c.ioError(ctx, err)
 	}
-	out := make([]resp.Value, 0, len(cmds))
-	for range cmds {
+	if asking {
+		if _, err := c.r.ReadValue(); err != nil {
+			return 0, c.ioError(ctx, err)
+		}
+	}
+	for i := range cmds {
 		if err := ctx.Err(); err != nil {
 			c.broken = true
-			return out, err
+			return i, err
 		}
 		v, err := c.r.ReadValue()
 		if err != nil {
-			return out, c.ioError(ctx, err)
+			return i, c.ioError(ctx, err)
 		}
-		out = append(out, v)
+		res[i] = PipeResult{Value: v}
+		if v.IsError() {
+			res[i].Err = wireError(v.Text())
+		}
 	}
-	return out, nil
+	return len(cmds), nil
+}
+
+// do runs one command outside the dispatch loop: the dial handshake and
+// the pool's idle check.
+func (c *conn) do(ctx context.Context, timeout time.Duration, args ...string) (resp.Value, error) {
+	raw := make([][]byte, len(args))
+	for i, a := range args {
+		raw[i] = []byte(a)
+	}
+	var res [1]PipeResult
+	if _, err := c.roundTrip(ctx, timeout, false, [][][]byte{raw}, res[:]); err != nil {
+		return resp.Value{}, err
+	}
+	return res[0].Value, res[0].Err
 }
 
 // ioError marks the conn broken and, when the context expired, reports
@@ -163,11 +162,7 @@ func (c *conn) ioError(ctx context.Context, err error) error {
 
 // expectOK runs a command that must reply +OK (the handshake commands).
 func (c *conn) expectOK(ctx context.Context, timeout time.Duration, args ...string) error {
-	raw := make([][]byte, len(args))
-	for i, a := range args {
-		raw[i] = []byte(a)
-	}
-	v, err := c.do(ctx, timeout, raw)
+	v, err := c.do(ctx, timeout, args...)
 	if err != nil {
 		return err
 	}
@@ -180,6 +175,6 @@ func (c *conn) expectOK(ctx context.Context, timeout time.Duration, args ...stri
 // ping verifies liveness with a short-deadline PING, used by the pool's
 // health-checked checkout for conns that sat idle.
 func (c *conn) ping(timeout time.Duration) bool {
-	v, err := c.do(context.Background(), timeout, [][]byte{[]byte("PING")})
+	v, err := c.do(context.Background(), timeout, "PING")
 	return err == nil && v.Text() == "PONG"
 }

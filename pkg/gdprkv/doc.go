@@ -40,14 +40,18 @@
 //
 // # Replica-aware routing
 //
-// Writes, GDPR rights operations, and Do go to the primary. Idempotent
-// reads (Get, MGet, GGet, GMGet, TTL) round-robin across the
-// WithReplicas set, retry on another node after a connection failure
-// (bounded by WithRetry), and fall back to the primary when no replica
-// is reachable. Scan is replica-served too but pinned to one node for
-// the whole iteration — cursors are per-node keyspace positions and do
-// not transfer between nodes. Server error replies are authoritative
-// and never retried.
+// Every call is routed by one rule set, on standalone and cluster
+// clients alike; a standalone client is a cluster of one node. Writes,
+// GDPR rights operations, and Do go to the primary that owns the key (on
+// a standalone client, the primary). Idempotent reads (Get, MGet, GGet,
+// GMGet, TTL) round-robin across the owner's replicas — WithReplicas, or
+// the ones a cluster's topology announces — retry on the next candidate
+// after a connection failure (bounded by WithRetry, default one try per
+// candidate), and fall back to the owner when no replica is reachable.
+// Scan is replica-served too but pinned to the first replica for the
+// whole iteration — cursors are per-node keyspace positions and do not
+// transfer between nodes. Server error replies are authoritative and
+// never retried; writes are never retried at all.
 //
 // # Errors
 //
@@ -90,16 +94,17 @@
 // # Cluster mode
 //
 // WithCluster turns on hash-slot routing against a fleet of primaries:
-// the client bootstraps the slot map with CLUSTER SLOTS, pools
+// the client bootstraps the slot map with CLUSTER TOPOLOGY, pools
 // connections per node, routes each key-addressed call to its slot owner
 // (hash-tag aware: "pd:{alice}:email" routes with "alice"), splits the
-// batch helpers per slot, and follows MOVED redirects within a bounded
-// budget, refreshing the slot map on each one. GDPR rights calls
-// (ForgetUser, GetUser, ...) go to the data subject's slot node, which
-// coordinates the cluster-wide fan-out server-side. Per-primary replica
-// addresses from the cluster map spread idempotent reads exactly as
-// WithReplicas does on a single node; the explicit WithReplicas option
-// and cluster mode remain mutually exclusive.
+// batch helpers per slot, and follows MOVED redirects within
+// WithRedirectBudget, refreshing the slot map on each one. A standalone
+// client has a redirect budget of 0 and surfaces MOVED as ErrMoved. GDPR
+// rights calls (ForgetUser, GetUser, ...) go to the data subject's slot
+// node, which coordinates the cluster-wide fan-out server-side.
+// Per-primary replica addresses from the cluster map spread idempotent
+// reads exactly as WithReplicas does on a single node; the explicit
+// WithReplicas option and cluster mode remain mutually exclusive.
 //
 // During a live slot migration the client also follows ASK redirects:
 // an ASK reply means "this one key has already moved" — the command is

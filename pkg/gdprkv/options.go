@@ -64,7 +64,7 @@ func defaultConfig() config {
 		dialTimeout:    DefaultDialTimeout,
 		ioTimeout:      DefaultIOTimeout,
 		poolSize:       DefaultPoolSize,
-		retryAttempts:  0, // resolved in Dial: one attempt per node
+		retryAttempts:  0, // resolved per read: one attempt per candidate
 		retryBackoff:   DefaultRetryBackoff,
 		healthInterval: defaultHealthInterval,
 		redirectBudget: DefaultRedirectBudget,
@@ -127,24 +127,30 @@ func WithPoolSize(n int) Option {
 	}
 }
 
-// WithReplicas adds read replica addresses. Idempotent reads (Get, MGet,
+// WithReplicas adds read replica addresses to a standalone client: they
+// become the primary's read candidates. Idempotent reads (Get, MGet,
 // GGet, GMGet, TTL) are load-balanced across them and fall back to the
-// primary when none is reachable (Scan pins to one replica per
-// iteration); writes and GDPR rights operations always go to the
-// primary.
+// primary when none is reachable (Scan pins to the first replica);
+// writes and GDPR rights operations always go to the primary. A cluster
+// client takes each primary's candidates from the topology instead, under
+// the same rules, so the two options are mutually exclusive.
 func WithReplicas(addrs ...string) Option {
-	return func(c *config) { c.replicas = append(c.replicas, addrs...) }
+	return func(cfg *config) { cfg.replicas = append(cfg.replicas, addrs...) }
 }
 
 // WithCluster enables cluster-aware routing. The client bootstraps the
-// slot map with CLUSTER SLOTS from Dial's addr (falling back to the given
-// extra seeds), keeps one connection pool per primary, routes every
+// slot map with CLUSTER TOPOLOGY from Dial's addr (falling back to the
+// given extra seeds, and sending calls that carry no key to the seed that
+// answered), keeps one connection pool per node, routes every
 // key-addressed call to the slot owner — hash-tag aware, so
 // "pd:{alice}:email" routes with "alice" — and splits MSet/MGet/
-// GMPut/GMGet batches per slot before reassembling replies in order.
-// MOVED redirects are followed transparently within a bounded budget
-// (DefaultRedirectBudget), each one refreshing the slot map. Cluster mode
-// excludes WithReplicas: every node is a primary for its slots.
+// GMPut/GMGet/Del batches per slot before reassembling replies in order.
+// Reads spread over the owner's announced replicas as WithReplicas
+// spreads them on a standalone client, under the same WithRetry budget.
+// MOVED and ASK redirects are followed transparently within
+// WithRedirectBudget, each MOVED refreshing the slot map. A standalone
+// client is a cluster of one node whose redirect budget is 0. Cluster
+// mode excludes WithReplicas.
 func WithCluster(seeds ...string) Option {
 	return func(c *config) {
 		c.clusterMode = true
@@ -152,8 +158,10 @@ func WithCluster(seeds ...string) Option {
 	}
 }
 
-// WithRedirectBudget overrides how many MOVED redirects one cluster call
-// may follow (minimum 1 redirect; only meaningful with WithCluster).
+// WithRedirectBudget overrides how many MOVED or ASK redirects one call
+// of a cluster client may follow (minimum 1; default
+// DefaultRedirectBudget). A standalone client's budget is always 0: it
+// surfaces a redirect reply as ErrMoved or ErrAsk.
 func WithRedirectBudget(n int) Option {
 	return func(c *config) {
 		if n > 0 {
@@ -195,10 +203,13 @@ func WithAutoBatch(window time.Duration, maxOps int) Option {
 	}
 }
 
-// WithRetry bounds connection-failure retries for idempotent reads:
-// attempts is the total number of nodes tried per read (minimum 1),
-// backoff the pause between tries. Error replies from the server are
-// never retried — only dial and I/O failures are. Writes never retry.
+// WithRetry bounds connection-failure retries for idempotent reads, with
+// one rule on standalone and cluster clients alike: attempts is the total
+// number of tries per read (minimum 1; default one per candidate, the
+// owner's replicas plus the owner, resolved per read), backoff the pause
+// between tries. Tries walk the replicas round-robin, then repeat on the
+// owner. Error replies from the server are never retried — only dial and
+// I/O failures are. Writes never retry.
 func WithRetry(attempts int, backoff time.Duration) Option {
 	return func(c *config) {
 		if attempts > 0 {

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"sync"
 
-	"gdprstore/internal/cluster"
 	"gdprstore/internal/resp"
 )
 
@@ -67,9 +66,9 @@ func (r PipeResult) Int() (int64, error) {
 }
 
 // Pipeline returns an empty pipeline bound to the client. Exec routes
-// each queued command like its scalar twin would in cluster mode (slot
-// owner per key, grouped per node); on a non-cluster client the whole
-// pipeline runs on the primary over a single connection.
+// each queued command to the owner of its key's slot, grouped per node —
+// pipelined reads are not spread over replicas — so on a standalone
+// client the whole pipeline runs on the primary over a single connection.
 func (c *Client) Pipeline() *Pipeline {
 	return &Pipeline{c: c}
 }
@@ -164,10 +163,10 @@ func (p *Pipeline) Do(cmd ...string) *Pipeline {
 //
 // In cluster mode the queue is split per target node (preserving relative
 // order per node; the positional mapping is restored in the result), the
-// node exchanges run concurrently, and any op answered with MOVED is
-// transparently retried against the redirect target after a slot-map
-// refresh — a pipeline spanning a live slot migration completes with
-// correct positional results.
+// node exchanges run concurrently, and any op answered with MOVED or ASK
+// is followed on its own within the redirect budget, a MOVED refreshing
+// the slot map first — a pipeline spanning a live slot migration
+// completes with correct positional results.
 //
 // Exec drains the queue: the pipeline is empty afterwards and can be
 // reused.
@@ -183,135 +182,63 @@ func (p *Pipeline) Exec(ctx context.Context) ([]PipeResult, error) {
 	}
 	c.stats.pipelineExecs.Add(1)
 	c.stats.pipelineOps.Add(uint64(len(ops)))
-	results := make([]PipeResult, len(ops))
 
-	if c.cl == nil {
-		err := c.execOnPool(ctx, c.primary, ops, results, identityIdx(len(ops)))
-		return results, err
+	// Bucket the ops per target node, preserving their relative order.
+	type bucket struct {
+		owner *pool
+		idxs  []int
+		cmds  [][][]byte
+		res   []PipeResult
+		err   error
 	}
-
-	// Cluster: bucket op indices per target node, preserving order.
-	byAddr := make(map[string][]int)
-	var order []string
+	var buckets []*bucket
 	for i, op := range ops {
-		addr := c.cl.defaultNode()
-		if op.key != "" {
-			addr = c.cl.addrForSlot(cluster.Slot(op.key))
-		}
-		if _, ok := byAddr[addr]; !ok {
-			order = append(order, addr)
-		}
-		byAddr[addr] = append(byAddr[addr], i)
-	}
-	errs := make([]error, len(order))
-	if len(order) == 1 {
-		idxs := byAddr[order[0]]
-		p0, err := c.cl.poolFor(order[0])
-		if err == nil {
-			err = c.execOnPool(ctx, p0, ops, results, idxs)
-		} else {
-			for _, i := range idxs {
-				results[i].Err = err
+		owner := c.route(classPipe, op.key).owner
+		var b *bucket
+		for _, x := range buckets {
+			if x.owner == owner {
+				b = x
+				break
 			}
 		}
-		errs[0] = err
+		if b == nil {
+			b = &bucket{owner: owner}
+			buckets = append(buckets, b)
+		}
+		b.idxs = append(b.idxs, i)
+		b.cmds = append(b.cmds, op.args)
+	}
+	run := func(b *bucket) {
+		b.res = make([]PipeResult, len(b.cmds))
+		b.err = c.send(ctx, target{class: classPipe, owner: b.owner}, b.cmds, b.res)
+	}
+	if len(buckets) == 1 {
+		run(buckets[0])
 	} else {
 		var wg sync.WaitGroup
-		for gi, addr := range order {
-			gi, addr := gi, addr
+		for _, b := range buckets {
 			wg.Add(1)
-			go func() {
+			go func(b *bucket) {
 				defer wg.Done()
-				idxs := byAddr[addr]
-				pl, err := c.cl.poolFor(addr)
-				if err == nil {
-					err = c.execOnPool(ctx, pl, ops, results, idxs)
-				} else {
-					for _, i := range idxs {
-						results[i].Err = err
-					}
-				}
-				errs[gi] = err
-			}()
+				run(b)
+			}(b)
 		}
 		wg.Wait()
 	}
 
-	// Follow MOVED and ASK answers individually: the slot map was stale
-	// (or mid-migration) for those keys. doCluster refreshes the map on
-	// MOVED and performs the ASKING handshake on ASK, retrying within the
-	// redirect budget, so one migration costs one extra hop, not a failed
-	// pipeline.
-	for i := range results {
-		if target, moved := parseRedirect(results[i].Err, "MOVED"); moved {
-			c.stats.redirects.Add(1)
-			c.refreshSlots(ctx, target)
-			v, err := c.doCluster(ctx, target, ops[i].args)
-			results[i] = decodeResult(v, err, ops[i].nullIsMiss)
-		} else if target, isAsk := parseRedirect(results[i].Err, "ASK"); isAsk {
-			c.stats.asks.Add(1)
-			v, err := c.doAsk(ctx, target, ops[i].args)
-			results[i] = decodeResult(v, err, ops[i].nullIsMiss)
+	results := make([]PipeResult, len(ops))
+	var err error
+	for _, b := range buckets {
+		for j, i := range b.idxs {
+			r := b.res[j]
+			if ops[i].nullIsMiss && r.Err == nil && r.Value.Null {
+				r.Err = ErrNotFound
+			}
+			results[i] = r
+		}
+		if err == nil {
+			err = b.err
 		}
 	}
-	for _, err := range errs {
-		if err != nil {
-			return results, err
-		}
-	}
-	return results, nil
-}
-
-// execOnPool runs the ops selected by idxs over one connection of pl:
-// checkout, write all, flush once, read in order, decode into results.
-// A transport failure fills every not-yet-decoded slot of this node with
-// the error; the conn is already marked broken by doMulti, so the pool
-// discards it instead of handing desynced replies to the next caller.
-func (c *Client) execOnPool(ctx context.Context, pl *pool, ops []pipeOp, results []PipeResult, idxs []int) error {
-	cn, err := pl.get(ctx)
-	if err != nil {
-		for _, i := range idxs {
-			results[i].Err = err
-		}
-		return err
-	}
-	cmds := make([][][]byte, len(idxs))
-	for j, i := range idxs {
-		cmds[j] = ops[i].args
-	}
-	vs, err := cn.doMulti(ctx, c.cfg.ioTimeout, cmds)
-	pl.put(cn)
-	for j, i := range idxs {
-		if j < len(vs) {
-			results[i] = decodeResult(vs[j], nil, ops[i].nullIsMiss)
-		} else {
-			results[i].Err = err
-		}
-	}
-	return err
-}
-
-// decodeResult turns one raw reply (or transport error) into a PipeResult
-// using the same error taxonomy as the scalar methods.
-func decodeResult(v resp.Value, err error, nullIsMiss bool) PipeResult {
-	switch {
-	case err != nil:
-		return PipeResult{Err: err}
-	case v.IsError():
-		return PipeResult{Value: v, Err: wireError(v.Text())}
-	case nullIsMiss && v.Null:
-		return PipeResult{Value: v, Err: ErrNotFound}
-	default:
-		return PipeResult{Value: v}
-	}
-}
-
-// identityIdx returns [0, 1, ..., n-1] — the standalone case where the
-// whole pipeline is one node group.
-func identityIdx(n int) []int {
-	idxs := make([]int, n)
-	for i := range idxs {
-		idxs[i] = i
-	}
-	return idxs
+	return results, err
 }

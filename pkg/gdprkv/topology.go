@@ -2,11 +2,13 @@ package gdprkv
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"strconv"
 
 	"gdprstore/internal/cluster"
+	"gdprstore/internal/resp"
 )
 
 // Topology is the epoch-stamped cluster slot map as one node sees it,
@@ -42,20 +44,24 @@ type SlotRange struct {
 // cluster mode, but works on clients dialed with or without WithCluster —
 // an operator tool can inspect a node without adopting its routing.
 func (c *Client) Topology(ctx context.Context) (Topology, error) {
-	if c.closed.Load() {
-		return Topology{}, ErrClosed
-	}
-	v, err := c.doPrimary(ctx, args("CLUSTER", "TOPOLOGY"))
+	v, err := c.call(ctx, classWrite, "", args("CLUSTER", "TOPOLOGY"))
 	if err != nil {
 		return Topology{}, err
 	}
+	return parseTopology(v)
+}
+
+// parseTopology decodes a CLUSTER TOPOLOGY reply: [epoch, slots,
+// migrations], where each slots entry is [start, end, [host, port, id],
+// replica address triples...]. Client.Topology and the router share it.
+func parseTopology(v resp.Value) (Topology, error) {
 	if len(v.Array) < 2 {
-		return Topology{}, fmt.Errorf("gdprkv: malformed CLUSTER TOPOLOGY reply")
+		return Topology{}, errors.New("gdprkv: malformed CLUSTER TOPOLOGY reply")
 	}
 	t := Topology{Epoch: uint64(v.Array[0].Int)}
 	for _, e := range v.Array[1].Array {
 		if len(e.Array) < 3 || len(e.Array[2].Array) < 3 {
-			return Topology{}, fmt.Errorf("gdprkv: malformed CLUSTER TOPOLOGY slot entry")
+			return Topology{}, errors.New("gdprkv: malformed CLUSTER TOPOLOGY slot entry")
 		}
 		start, end := e.Array[0].Int, e.Array[1].Int
 		if start < 0 || end < start || end >= cluster.NumSlots {
@@ -65,7 +71,7 @@ func (c *Client) Topology(ctx context.Context) (Topology, error) {
 			Start: uint16(start),
 			End:   uint16(end),
 			ID:    e.Array[2].Array[2].Text(),
-			Addr:  net.JoinHostPort(e.Array[2].Array[0].Text(), strconv.FormatInt(e.Array[2].Array[1].Int, 10)),
+			Addr:  joinAddrValue(e.Array[2]),
 		}
 		for _, rv := range e.Array[3:] {
 			if len(rv.Array) >= 2 {
@@ -75,4 +81,96 @@ func (c *Client) Topology(ctx context.Context) (Topology, error) {
 		t.Slots = append(t.Slots, sr)
 	}
 	return t, nil
+}
+
+// joinAddrValue renders one [host, port, id] triple as host:port.
+func joinAddrValue(v resp.Value) string {
+	return net.JoinHostPort(v.Array[0].Text(), strconv.FormatInt(v.Array[1].Int, 10))
+}
+
+// fetchTopology asks the node behind p for its topology, outside the
+// dispatch loop: no counter, redirect or failover applies.
+func (c *Client) fetchTopology(ctx context.Context, p *pool) (Topology, error) {
+	var res [1]PipeResult
+	if _, err := c.exchange(ctx, p, false, [][][]byte{args("CLUSTER", "TOPOLOGY")}, res[:]); err != nil {
+		return Topology{}, err
+	}
+	if res[0].Err != nil {
+		return Topology{}, res[0].Err
+	}
+	return parseTopology(res[0].Value)
+}
+
+// bootstrap learns the topology from the first seed that answers and
+// installs the first view, with that seed as the default node for calls
+// that carry no key.
+func (c *Client) bootstrap(ctx context.Context, seeds []string) error {
+	var lastErr error
+	for _, addr := range seeds {
+		def := &node{primary: c.poolFor(addr)}
+		t, err := c.fetchTopology(ctx, def.primary)
+		if err == nil {
+			var v *view
+			if v, err = c.clusterView(t, def); err == nil {
+				c.view.Store(v)
+				return nil
+			}
+		}
+		lastErr = err
+	}
+	return fmt.Errorf("gdprkv: cluster bootstrap failed on every seed: %w", lastErr)
+}
+
+// install swaps in a view built from t unless the installed one is newer.
+// Equal epochs re-install (the same logical view, or an operator
+// restarting numbering after re-pointing the map); lower epochs are stale
+// answers from a node the rollout has not reached and are dropped.
+func (c *Client) install(t Topology) bool {
+	old := c.view.Load()
+	nv, err := c.clusterView(t, old.def)
+	if err != nil {
+		return false
+	}
+	for ; nv.epoch >= old.epoch; old = c.view.Load() {
+		if c.view.CompareAndSwap(old, nv) {
+			return true
+		}
+	}
+	return false
+}
+
+// clusterView builds the routing view of a cluster topology. def answers
+// for slots the topology leaves uncovered: it replies MOVED and the
+// redirect corrects the view.
+func (c *Client) clusterView(t Topology, def *node) (*view, error) {
+	if len(t.Slots) == 0 {
+		return nil, errors.New("gdprkv: empty CLUSTER TOPOLOGY reply (is the server in cluster mode?)")
+	}
+	v := &view{
+		epoch:     t.Epoch,
+		slots:     make([]*node, cluster.NumSlots),
+		def:       def,
+		redirects: c.cfg.redirectBudget,
+		peers:     []*pool{def.primary},
+	}
+	seen := map[*pool]bool{def.primary: true}
+	for _, sr := range t.Slots {
+		n := &node{primary: c.poolFor(sr.Addr)}
+		for _, ra := range sr.Replicas {
+			n.replicas = append(n.replicas, c.poolFor(ra))
+		}
+		for s := int(sr.Start); s <= int(sr.End); s++ {
+			v.slots[s] = n
+		}
+		if !seen[n.primary] {
+			seen[n.primary] = true
+			v.peers = append(v.peers, n.primary)
+		}
+	}
+	for s, n := range v.slots {
+		if n == nil {
+			v.slots[s] = def
+		}
+	}
+	return v, nil
 }
