@@ -22,6 +22,7 @@ race:
 	$(GO) test -race -count=10 ./internal/audit -run 'Pipeline|Strict|Backpressure|Drop|Close|Order'
 	$(GO) test -race -count=5 ./internal/store ./internal/cryptoutil -run 'Differential|Expiry|Heap|CipherCache'
 	$(GO) test -race -count=10 ./internal/core -run 'CipherCache|ForgetCountsOnlyUnexpiredRecords|ResidentBytesPerRecord'
+	$(GO) test -race -count=10 ./internal/core -run 'TestGetUserConcurrentWithWrites|TestGetUserRacingForget|TestUnobjectDuringRightsReads|TestReadsReturnAfterJournalHandOff|TestCloseWaitsOutCallsInFlight|TestDeleteRacingCompactStaysDeleted|TestReplayKeepsRecordsWithTheirWriter'
 	$(GO) test -race -count=3 ./pkg/gdprkv
 	$(GO) test -race -count=3 -run 'TestClusterClient|TestClusterPipeline|TestClusterFailover' ./internal/server
 

@@ -50,19 +50,17 @@ func (s *Store) PutBatch(ctx Ctx, entries []BatchEntry, opts PutOptions) error {
 		s.db.SetBatch(keys, vals)
 		return nil
 	}
-	// Owner stripe first, then every distinct key stripe in ascending
-	// order — the multi-key acquisition protocol of locks.go. Holding all
-	// the batch's key stripes keeps the batch atomic with respect to
-	// per-key operations on its keys.
+	// One gate stripe, by the first key, then the owner stripe. The engine
+	// installs each touched shard's keys, values and record under its lock,
+	// so the batch is atomic per shard, as SetRecorded states.
+	g, err := s.enter(keys[0])
+	if err != nil {
+		return err
+	}
+	defer g.RUnlock()
 	os := s.ownerStripeFor(opts.Owner)
 	os.mu.Lock()
 	defer os.mu.Unlock()
-	stripes := s.keyStripesFor(keys)
-	s.lockKeyStripes(stripes)
-	defer s.unlockKeyStripes(stripes)
-	if s.closed.Load() {
-		return ErrClosed
-	}
 	if err := s.check(ctx, acl.OpWrite, opts.Owner, "MPUT", keys[0]); err != nil {
 		return err
 	}
@@ -133,22 +131,20 @@ func (s *Store) GetBatch(ctx Ctx, keys []string) ([]BatchGetResult, error) {
 		}
 		return out, nil
 	}
+	// One gate stripe, by the first key, for the whole batch, which Close's
+	// barrier waits out like every other data-path call. Each key is one
+	// engine probe; the batch as a whole is not an atomic snapshot (per-key
+	// reads never were, either).
+	g, err := s.enter(keys[0])
+	if err != nil {
+		return nil, err
+	}
+	defer g.RUnlock()
 	served, missing := 0, 0
 	// Consecutive keys of one owner share one key schedule.
 	var oc ownerCipher
 	for i, key := range keys {
-		// Each key is read under its own stripe; the batch as a whole is
-		// not an atomic snapshot (per-key reads never were, either). The
-		// closed check happens under the stripe so Close's lockAll
-		// barrier can wait this read out, like every other data-path op.
-		ks := s.keyStripeFor(key)
-		ks.Lock()
-		if s.closed.Load() {
-			ks.Unlock()
-			return nil, ErrClosed
-		}
 		v, _, err := s.getLocked(ctx, key, &oc)
-		ks.Unlock()
 		out[i] = BatchGetResult{Value: v, Err: err}
 		switch {
 		case err == nil:
@@ -176,7 +172,7 @@ func (s *Store) GetBatch(ctx Ctx, keys []string) ([]BatchGetResult, error) {
 
 // getLocked is the shared single-key read body — ACL check, purpose
 // limitation, decryption — used by both Get and GetBatch: one engine probe
-// for the value and its record together. Callers hold key's stripe and
+// for the value and its record together. Callers are through the gate and
 // handle read auditing; denials are audited here (they are evidence
 // regardless of the calling path). The owner is returned for the caller's
 // audit records. oc carries the owner's prepared cipher from one key of a

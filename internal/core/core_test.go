@@ -464,14 +464,53 @@ func TestComplianceSpectrumDefaults(t *testing.T) {
 	}
 }
 
+// Every call that passes the gate of locks.go is refused once Close has
+// begun, and changes nothing.
 func TestClosedStoreRejectsOps(t *testing.T) {
 	s := newFullStore(t, nil)
-	s.Close()
-	if err := s.Put(ctlCtx, "k", []byte("v"), PutOptions{Owner: "alice"}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("err = %v", err)
+	if err := s.Put(ctlCtx, "k", []byte("v"), PutOptions{Owner: "alice"}); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := s.Get(ctlCtx, "k"); !errors.Is(err, ErrClosed) {
-		t.Fatalf("err = %v", err)
+	raw, _ := s.Engine().Get("k")
+	s.Close()
+	opts := PutOptions{Owner: "alice"}
+	meta := &Metadata{Owner: "alice"}
+	for name, call := range map[string]func() error{
+		"Put":      func() error { return s.Put(ctlCtx, "k", []byte("v"), opts) },
+		"PutBatch": func() error { return s.PutBatch(ctlCtx, []BatchEntry{{Key: "k", Value: []byte("v")}}, opts) },
+		"Get":      func() error { _, err := s.Get(ctlCtx, "k"); return err },
+		"GetBatch": func() error { _, err := s.GetBatch(ctlCtx, []string{"k"}); return err },
+		"Delete":   func() error { return s.Delete(ctlCtx, "k") },
+		"Expire":   func() error { return s.Expire(ctlCtx, "k", time.Hour) },
+		"Metadata": func() error { _, err := s.Metadata(ctlCtx, "k"); return err },
+		"GetUser":  func() error { _, err := s.GetUser(ctlCtx, "alice"); return err },
+		"Access":   func() error { _, err := s.Access(ctlCtx, "alice"); return err },
+		"Export":   func() error { _, err := s.Export(ctlCtx, "alice"); return err },
+		"OwnerKeys": func() error {
+			_, err := s.OwnerKeys(ctlCtx, "alice")
+			return err
+		},
+		"Forget":           func() error { _, err := s.Forget(ctlCtx, "alice"); return err },
+		"Reinstate":        func() error { return s.Reinstate(ctlCtx, "alice") },
+		"Object":           func() error { return s.Object(ctlCtx, "alice", "ads") },
+		"Unobject":         func() error { return s.Unobject(ctlCtx, "alice", "ads") },
+		"DumpForMigration": func() error { _, _, _, err := s.DumpForMigration("k"); return err },
+		"RestoreRecord": func() error {
+			return s.RestoreRecord(ctlCtx, MigrationRecord{Key: "k", Value: []byte("v"), Meta: meta})
+		},
+		"RestoreRecord raw": func() error {
+			return s.RestoreRecord(ctlCtx, MigrationRecord{Key: "raw", Value: []byte("v")})
+		},
+	} {
+		if err := call(); !errors.Is(err, ErrClosed) {
+			t.Errorf("%s after Close: %v, want ErrClosed", name, err)
+		}
+	}
+	if removed, changed := s.RemoveMigrated("k", raw); removed || changed {
+		t.Errorf("RemoveMigrated after Close = %v, %v", removed, changed)
+	}
+	if v, ok := s.Engine().Get("k"); !ok || string(v) != string(raw) || s.Engine().Exists("raw") {
+		t.Fatal("a call refused after Close changed the engine")
 	}
 }
 

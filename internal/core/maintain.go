@@ -71,11 +71,11 @@ type SweepStats struct {
 // deletions carry journal appends and replication traffic), so a single
 // cycle never stalls foreground traffic for long.
 //
-// The cycle takes one key stripe at a time and no owner stripe, which
-// respects the locks.go ordering and lets foreground Puts/Gets interleave
-// freely. An owner is drained only when a full walk of its keys found no
-// remaining dead records — owners reinstated mid-sweep (whose new records
-// carry the live epoch) drain naturally once their dead residue is gone.
+// Each owner's walk is one call through the gate and takes no owner
+// stripe, so foreground Puts/Gets interleave freely. An owner is drained
+// only when a full walk of its keys found no remaining dead records —
+// owners reinstated mid-sweep (whose new records carry the live epoch)
+// drain naturally once their dead residue is gone.
 func (s *Store) ErasureSweepCycle() SweepStats {
 	var st SweepStats
 	if s.keyring == nil || s.closed.Load() {
@@ -91,23 +91,26 @@ func (s *Store) ErasureSweepCycle() SweepStats {
 	s.erasure.mu.Unlock()
 	sort.Strings(owners)
 	for _, owner := range owners {
-		if st.Reclaimed >= budget || s.closed.Load() {
+		if st.Reclaimed >= budget {
 			break
 		}
-		// Ownership is re-validated under each stripe (walkOwner): the key
-		// may have been deleted, re-owned, or rewritten under a live epoch
-		// since the walk began.
+		g, err := s.enter(owner)
+		if err != nil {
+			break
+		}
+		// A record is deleted only if its key still holds it: the key may
+		// have been deleted, re-owned, or rewritten under a live epoch.
 		complete := s.walkOwner(owner, func(k string, e store.Entry) bool {
 			if st.Reclaimed >= budget || s.closed.Load() {
 				return false
 			}
-			if s.recordDead(e.Record) {
-				s.db.Del(k)
+			if s.recordDead(e.Record) && s.db.DeleteIf(k, e.Record) {
 				st.Reclaimed++
 			}
 			st.Scanned++
 			return true
 		})
+		g.RUnlock()
 		if complete {
 			s.erasure.mu.Lock()
 			delete(s.erasure.pending, owner)
@@ -379,7 +382,7 @@ type MaintStats struct {
 // work postponed off the critical path lands here).
 func (s *Store) Maintain() MaintStats {
 	start := time.Now()
-	// The sweep's own walk, one key stripe at a time, before the global
+	// The sweep's own walks, each through the gate, before the global
 	// locks; it owes the compaction below for what it reclaims.
 	st := MaintStats{ErasedReclaimed: s.DrainErasure().Reclaimed}
 	s.lockAll()

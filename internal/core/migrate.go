@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"time"
 
 	"gdprstore/internal/acl"
@@ -61,12 +60,11 @@ func (s *Store) AuthorizeMigration(ctx Ctx) error {
 // hands raw back to RemoveMigrated so a write that lands between dump and
 // removal is detected instead of lost.
 func (s *Store) DumpForMigration(key string) (rec MigrationRecord, raw []byte, ok bool, err error) {
-	ks := s.keyStripeFor(key)
-	ks.Lock()
-	defer ks.Unlock()
-	if s.closed.Load() {
-		return rec, nil, false, ErrClosed
+	g, err := s.enter(key)
+	if err != nil {
+		return rec, nil, false, err
 	}
+	defer g.RUnlock()
 	e, exists := s.db.Lookup(key)
 	if !exists {
 		return rec, nil, false, nil
@@ -103,6 +101,11 @@ func (s *Store) DumpForMigration(key string) (rec MigrationRecord, raw []byte, o
 // retention deadline is dropped silently — migrating it would resurrect
 // overdue data.
 func (s *Store) RestoreRecord(ctx Ctx, rec MigrationRecord) error {
+	g, err := s.enter(rec.Key)
+	if err != nil {
+		return err
+	}
+	defer g.RUnlock()
 	if rec.Meta == nil || !s.cfg.Compliant {
 		return s.restoreRaw(rec)
 	}
@@ -110,12 +113,6 @@ func (s *Store) RestoreRecord(ctx Ctx, rec MigrationRecord) error {
 	os := s.ownerStripeFor(meta.Owner)
 	os.mu.Lock()
 	defer os.mu.Unlock()
-	ks := s.keyStripeFor(rec.Key)
-	ks.Lock()
-	defer ks.Unlock()
-	if s.closed.Load() {
-		return ErrClosed
-	}
 	if err := s.check(ctx, acl.OpWrite, meta.Owner, "RESTOREKEY", rec.Key); err != nil {
 		return err
 	}
@@ -149,12 +146,6 @@ func (s *Store) RestoreRecord(ctx Ctx, rec MigrationRecord) error {
 
 // restoreRaw ingests a metadata-less record straight into the engine.
 func (s *Store) restoreRaw(rec MigrationRecord) error {
-	ks := s.keyStripeFor(rec.Key)
-	ks.Lock()
-	defer ks.Unlock()
-	if s.closed.Load() {
-		return ErrClosed
-	}
 	if rec.ExpireAtMs > 0 {
 		ttl := time.UnixMilli(rec.ExpireAtMs).Sub(s.cfg.Config.Clock.Now())
 		if ttl <= 0 {
@@ -176,22 +167,15 @@ func (s *Store) restoreRaw(rec MigrationRecord) error {
 // so the source's replicas and AOF converge; there is no per-key audit
 // record — the slot's aggregate AuditMigration entry is the evidence.
 func (s *Store) RemoveMigrated(key string, expect []byte) (removed, changed bool) {
-	ks := s.keyStripeFor(key)
-	ks.Lock()
-	defer ks.Unlock()
-	if s.closed.Load() {
+	g, err := s.enter(key)
+	if err != nil {
 		return false, false
 	}
-	e, ok := s.db.Lookup(key)
-	if !ok {
-		// Already gone (erased or expired meanwhile): nothing to remove.
-		return false, false
-	}
-	if !bytes.Equal(e.Value, expect) {
-		return false, true
-	}
-	s.db.Del(key)
-	return true, false
+	defer g.RUnlock()
+	// A key already gone (erased or expired meanwhile) has nothing to
+	// remove; the compare and the delete are one step under the shard lock.
+	removed, live := s.db.DeleteIfValue(key, expect)
+	return removed, live && !removed
 }
 
 // AuditMigration writes the aggregate audit record for one slot

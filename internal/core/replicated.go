@@ -34,12 +34,7 @@ func (s *Store) applyRecord(name string, args [][]byte) error {
 		}
 		rec := s.recordOf(&m)
 		for i := 1; i < len(args); i += 2 {
-			// Under the key stripe, as Put installs them.
-			k := string(args[i])
-			ks := s.keyStripeFor(k)
-			ks.Lock()
-			s.db.Restore(k, args[i+1], rec, m.Expiry)
-			ks.Unlock()
+			s.db.Restore(string(args[i]), args[i+1], rec, m.Expiry)
 		}
 		return nil
 	case opMeta:

@@ -30,32 +30,27 @@ type UserRecord struct {
 // owner after it started are not in it, and if an erasure of the owner
 // lands while it is being assembled the report is empty, never partial.
 func (s *Store) GetUser(ctx Ctx, owner string) ([]UserRecord, error) {
-	if !s.cfg.Compliant {
-		return nil, ErrNotCompliant
-	}
-	recs, err := s.collectOwner(ctx, owner)
+	g, err := s.enterRights(owner)
 	if err != nil {
 		return nil, err
 	}
-	s.auditOp(audit.Record{
-		Actor: ctx.Actor, Op: "GETUSER", Owner: owner, Purpose: ctx.Purpose,
-		Outcome: audit.OutcomeOK, Detail: fmt.Sprintf("records=%d", len(recs)),
-	})
-	return recs, nil
+	defer g.RUnlock()
+	return s.collectOwner(ctx, owner)
 }
 
 // valueChunk is how much value space collectOwner allocates at a time, so
 // a report costs one allocation per chunk instead of one per record.
 const valueChunk = 32 << 10
 
-// collectOwner is the one pass behind every owner-scoped read. Under the
-// owner's stripe it decides (closed, ACL) and snapshots what the pass needs
-// once: the owner's key list, and its data key and key epoch as a prepared
-// cipher. It then walks the keys with the stripe released (see locks.go):
-// one engine probe per record for value and record together, judged at one
-// clock reading (a record's retention deadline is judged as of the moment
-// the report was asked for), the value opened straight from the engine's
-// slice into a shared buffer.
+// collectOwner is the one pass behind every owner-scoped read, audited as
+// one GETUSER; callers are through owner's gate stripe. Under the owner's
+// stripe it decides (ACL) and snapshots what the pass needs once: the
+// owner's key list, and its data key and key epoch as a prepared cipher. It
+// then walks the keys with the stripe released (see locks.go): one engine
+// probe per record for value and record together, judged at one clock
+// reading (a record's retention deadline is judged as of the moment the
+// report was asked for), the value opened straight from the engine's slice
+// into a shared buffer.
 func (s *Store) collectOwner(ctx Ctx, owner string) ([]UserRecord, error) {
 	os := s.ownerStripeFor(owner)
 	os.mu.Lock()
@@ -66,12 +61,10 @@ func (s *Store) collectOwner(ctx Ctx, owner string) ([]UserRecord, error) {
 	}
 	var keys []string
 	var oc ownerCipher
-	err := ErrClosed
-	if !s.closed.Load() {
-		if err = s.check(ctx, acl.OpRights, owner, "GETUSER", ""); err == nil {
-			keys = s.ix.ownerKeys(owner)
-			oc = s.ownerCipherFor(owner)
-		}
+	err := s.check(ctx, acl.OpRights, owner, "GETUSER", "")
+	if err == nil {
+		keys = s.ix.ownerKeys(owner)
+		oc = s.ownerCipherFor(owner)
 	}
 	if s.keyring != nil {
 		os.mu.Unlock()
@@ -110,8 +103,12 @@ func (s *Store) collectOwner(ctx Ctx, owner string) ([]UserRecord, error) {
 	if oc.sealed && !s.keyring.RecordLive(owner, oc.epoch) {
 		// A Forget shredded the key during the walk. The erasure is
 		// acknowledged (or about to be): answer as after it.
-		return []UserRecord{}, nil
+		recs = []UserRecord{}
 	}
+	s.auditOp(audit.Record{
+		Actor: ctx.Actor, Op: "GETUSER", Owner: owner, Purpose: ctx.Purpose,
+		Outcome: audit.OutcomeOK, Detail: fmt.Sprintf("records=%d", len(recs)),
+	})
 	return recs, nil
 }
 
@@ -192,7 +189,12 @@ func (s *Store) Access(ctx Ctx, owner string) (AccessReport, error) {
 // of the subject serialised in a commonly used, machine-readable format
 // (JSON), ready for transmission to another controller.
 func (s *Store) Export(ctx Ctx, owner string) ([]byte, error) {
-	recs, err := s.GetUser(ctx, owner)
+	g, err := s.enterRights(owner)
+	if err != nil {
+		return nil, err
+	}
+	defer g.RUnlock()
+	recs, err := s.collectOwner(ctx, owner)
 	if err != nil {
 		return nil, err
 	}
@@ -267,76 +269,80 @@ func (s *Store) ImportExport(ctx Ctx, payload []byte) (int, error) {
 // and real-time timing compacts the AOF before returning. It returns the
 // number of records erased.
 func (s *Store) Forget(ctx Ctx, owner string) (int, error) {
-	if !s.cfg.Compliant {
-		return 0, ErrNotCompliant
+	n, err := s.forget(ctx, owner)
+	if err != nil || s.keyring != nil {
+		return n, err
 	}
+	s.pendingRewrite.Store(true)
+	if s.cfg.Timing == TimingRealTime {
+		// Whole-store work, after the call has left its gate stripe.
+		err = s.propagateErasure(ctx)
+	}
+	return n, err
+}
+
+// forget is Forget's gated half: the erasure itself, under the owner's gate
+// stripe and owner stripe.
+func (s *Store) forget(ctx Ctx, owner string) (int, error) {
+	g, err := s.enterRights(owner)
+	if err != nil {
+		return 0, err
+	}
+	defer g.RUnlock()
 	os := s.ownerStripeFor(owner)
 	os.mu.Lock()
-	if s.closed.Load() {
-		os.mu.Unlock()
-		return 0, ErrClosed
-	}
+	defer os.mu.Unlock()
 	if err := s.check(ctx, acl.OpRights, owner, "FORGETUSER", ""); err != nil {
-		os.mu.Unlock()
 		return 0, err
 	}
 	if s.keyring != nil {
-		return s.forgetShredLocked(ctx, owner, os)
+		return s.forgetShredLocked(ctx, owner)
 	}
 	// The owner stripe freezes the owner's key set (no new Puts for this
-	// owner can land); each key is erased under its key stripe, with
-	// ownership re-validated there: another subject may have re-Put one of
-	// these keys since the index snapshot, and erasing it here would
-	// destroy *their* record.
+	// owner can land); each key is erased only if it still holds the record
+	// the walk found: another subject may have re-Put one of these keys
+	// since the index snapshot, and erasing it here would destroy *their*
+	// record.
 	n := 0
-	s.walkOwner(owner, func(k string, _ store.Entry) bool {
-		n += s.db.Del(k)
+	s.walkOwner(owner, func(k string, e store.Entry) bool {
+		if s.db.DeleteIf(k, e.Record) {
+			n++
+		}
 		return true
 	})
 	// The erasure marker follows the per-key DELs in the journal stream:
 	// replicas replay it after the deletions and audit that the Article 17
 	// erasure reached their copy.
 	if err := s.appendLog(opForget, []byte(owner)); err != nil {
-		os.mu.Unlock()
 		return n, err
 	}
 	s.auditOp(audit.Record{
 		Actor: ctx.Actor, Op: "FORGETUSER", Owner: owner, Purpose: ctx.Purpose,
 		Outcome: audit.OutcomeOK, Detail: fmt.Sprintf("erased=%d", n),
 	})
-	os.mu.Unlock()
-	s.pendingRewrite.Store(true)
-	if s.cfg.Timing == TimingRealTime {
-		if err := s.propagateErasure(ctx); err != nil {
-			return n, err
-		}
-	}
 	return n, nil
 }
 
-// forgetShredLocked is the crypto-shred fast path of Forget. The caller
-// holds the owner stripe os; this function releases it. The work is
-// constant-time in the owner's key count: one keyring mutation, two journal
-// appends, one audit record. The owner's records and engine ciphertext are
-// left in place for the sweep; every read path treats them as already
-// erased via the record's key epoch. The erased count is the owner's
-// records the engine holds: none that expiry has already reaped.
-func (s *Store) forgetShredLocked(ctx Ctx, owner string, os *ownerStripe) (int, error) {
+// forgetShredLocked is the crypto-shred fast path of Forget; the caller
+// holds the owner stripe. The work is constant-time in the owner's key
+// count: one keyring mutation, two journal appends, one audit record. The
+// owner's records and engine ciphertext are left in place for the sweep;
+// every read path treats them as already erased via the record's key epoch.
+// The erased count is the owner's records the engine holds: none that
+// expiry has already reaped.
+func (s *Store) forgetShredLocked(ctx Ctx, owner string) (int, error) {
 	n := s.ix.ownerKeyCount(owner)
 	epoch := s.keyring.Shred(owner)
 	if err := s.appendLog(opShred, []byte(owner), epochArg(epoch)); err != nil {
-		os.mu.Unlock()
 		return n, err
 	}
 	if err := s.appendLog(opForget, []byte(owner), []byte(forgetModeShred)); err != nil {
-		os.mu.Unlock()
 		return n, err
 	}
 	s.auditOp(audit.Record{
 		Actor: ctx.Actor, Op: "FORGETUSER", Owner: owner, Purpose: ctx.Purpose,
 		Outcome: audit.OutcomeOK, Detail: fmt.Sprintf("erased=%d mode=shred", n),
 	})
-	os.mu.Unlock()
 	if n > 0 {
 		s.markErasurePending(owner)
 	}
@@ -346,9 +352,11 @@ func (s *Store) forgetShredLocked(ctx Ctx, owner string, os *ownerStripe) (int, 
 // Reinstate clears an erased subject's crypto-shred mark so the subject can
 // return with fresh data under a new key (old ciphertexts stay dead).
 func (s *Store) Reinstate(ctx Ctx, owner string) error {
-	if !s.cfg.Compliant {
-		return ErrNotCompliant
+	g, err := s.enterRights(owner)
+	if err != nil {
+		return err
 	}
+	defer g.RUnlock()
 	os := s.ownerStripeFor(owner)
 	os.mu.Lock()
 	defer os.mu.Unlock()
@@ -382,15 +390,14 @@ func (s *Store) Unobject(ctx Ctx, owner, purpose string) error {
 }
 
 func (s *Store) setObjection(ctx Ctx, owner, purpose string, add bool) error {
-	if !s.cfg.Compliant {
-		return ErrNotCompliant
+	g, err := s.enterRights(owner)
+	if err != nil {
+		return err
 	}
+	defer g.RUnlock()
 	os := s.ownerStripeFor(owner)
 	os.mu.Lock()
 	defer os.mu.Unlock()
-	if s.closed.Load() {
-		return ErrClosed
-	}
 	opName := "OBJECT"
 	logOp := opObject
 	if !add {
@@ -400,19 +407,14 @@ func (s *Store) setObjection(ctx Ctx, owner, purpose string, add bool) error {
 	if err := s.check(ctx, acl.OpRights, owner, opName, ""); err != nil {
 		return err
 	}
-	s.applyObjectionLocked(os, owner, purpose, add)
-	if err := s.appendLog(logOp, []byte(owner), []byte(purpose)); err != nil {
-		return err
+	// The standing objection is journaled ahead of the records it restamps,
+	// so that a log cut between them replays it, and replay restamps them.
+	err = s.appendLog(logOp, []byte(owner), []byte(purpose))
+	if jerr := s.applyObjectionLocked(os, owner, purpose, add, encodeMetadata); err == nil {
+		err = jerr
 	}
-	// Re-journal the affected records' metadata so replay converges even
-	// if the GOBJ record were compacted away.
-	var jerr error
-	s.walkOwner(owner, func(k string, e store.Entry) bool {
-		jerr = s.appendLog(opMeta, []byte(k), encodeMetadata(e.Record, e.Deadline))
-		return jerr == nil
-	})
-	if jerr != nil {
-		return jerr
+	if err != nil {
+		return err
 	}
 	s.auditOp(audit.Record{
 		Actor: ctx.Actor, Op: opName, Owner: owner, Purpose: purpose,
@@ -429,15 +431,17 @@ func (s *Store) applyObjection(owner, purpose string, add bool) {
 	os := s.ownerStripeFor(owner)
 	os.mu.Lock()
 	defer os.mu.Unlock()
-	s.applyObjectionLocked(os, owner, purpose, add)
+	s.applyObjectionLocked(os, owner, purpose, add, nil)
 }
 
 // applyObjectionLocked records an objection to purpose (add) or its
 // withdrawal in owner's standing objections and restamps the owner's
-// existing records. Callers hold the owner's stripe; each record is
-// replaced under its key stripe, through the owner's shared policy (a
-// record re-Put by another subject since the index snapshot is untouched).
-func (s *Store) applyObjectionLocked(os *ownerStripe, owner, purpose string, add bool) {
+// existing records, each through the owner's shared policy and only if it
+// still holds the record the walk found (a record re-Put by another subject
+// since the index snapshot is untouched). With a note, the engine journals
+// each restamped record as GMETA under its key's shard lock, and the first
+// journal error is returned. Callers hold the owner's stripe.
+func (s *Store) applyObjectionLocked(os *ownerStripe, owner, purpose string, add bool, note func(*store.Record, time.Time) []byte) error {
 	set := os.objections[owner]
 	if add {
 		if set == nil {
@@ -448,6 +452,7 @@ func (s *Store) applyObjectionLocked(os *ownerStripe, owner, purpose string, add
 	} else if delete(set, purpose); len(set) == 0 {
 		delete(os.objections, owner)
 	}
+	var jerr error
 	s.walkOwner(owner, func(k string, e store.Entry) bool {
 		r := e.Record
 		if slices.Contains(r.Policy.Objections, purpose) == add {
@@ -460,9 +465,13 @@ func (s *Store) applyObjectionLocked(os *ownerStripe, owner, purpose string, add
 		} else {
 			cand.Objections = slices.DeleteFunc(slices.Clone(cand.Objections), func(o string) bool { return o == purpose })
 		}
-		s.db.SetRecord(k, &store.Record{Policy: s.ix.policy(&cand), Created: r.Created, Epoch: r.Epoch})
+		next := &store.Record{Policy: s.ix.policy(&cand), Created: r.Created, Epoch: r.Epoch}
+		if _, err := s.db.SetRecordIf(k, r, next, opMeta, note); jerr == nil {
+			jerr = err
+		}
 		return true
 	})
+	return jerr
 }
 
 // Objections returns the subject's standing objections, sorted.
@@ -484,24 +493,25 @@ func (s *Store) KeysByPurpose(ctx Ctx, purpose string) ([]string, error) {
 	}
 	keys := s.ix.purposeKeys(purpose)
 	out := make([]string, 0, len(keys))
+	now := s.cfg.Config.Clock.Now()
 	for _, k := range keys {
-		ks := s.keyStripeFor(k)
-		ks.Lock()
-		e, _ := s.entryOf(k)
-		ks.Unlock()
+		e, _ := s.db.Peek(k, now)
 		if r := e.Record; r != nil && !s.recordDead(r) && permits(r.Policy, purpose) {
 			out = append(out, k)
 		}
 	}
+	s.db.Flush()
 	sort.Strings(out)
 	return out, nil
 }
 
 // OwnerKeys returns the keys owned by a data subject.
 func (s *Store) OwnerKeys(ctx Ctx, owner string) ([]string, error) {
-	if !s.cfg.Compliant {
-		return nil, ErrNotCompliant
+	g, err := s.enterRights(owner)
+	if err != nil {
+		return nil, err
 	}
+	defer g.RUnlock()
 	os := s.ownerStripeFor(owner)
 	os.mu.Lock()
 	defer os.mu.Unlock()

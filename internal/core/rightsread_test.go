@@ -27,7 +27,8 @@ import (
 // (commit 08471e7), kept as the oracle: owner stripe held throughout, a
 // record probe and a Get per record, one keyring round trip for liveness
 // and one for the key, one key schedule per Open, a deep copy of the
-// metadata.
+// metadata. The tests run it with no writer beside it, so it needs no lock
+// per key.
 func parentCollectOwner(s *Store, owner string) ([]UserRecord, error) {
 	os := s.ownerStripeFor(owner)
 	os.mu.Lock()
@@ -36,15 +37,11 @@ func parentCollectOwner(s *Store, owner string) ([]UserRecord, error) {
 	sort.Strings(keys)
 	recs := make([]UserRecord, 0, len(keys))
 	for _, k := range keys {
-		ks := s.keyStripeFor(k)
-		ks.Lock()
 		e, ok := s.entryOf(k)
 		if !ok || ownerOf(e.Record) != owner || s.recordDead(e.Record) {
-			ks.Unlock()
 			continue
 		}
 		v, ok := s.db.Get(k)
-		ks.Unlock()
 		if !ok {
 			continue
 		}
@@ -71,11 +68,7 @@ func parentOwnerKeys(s *Store, owner string) []string {
 	defer os.mu.Unlock()
 	out := []string{}
 	for _, k := range s.ix.ownerKeys(owner) {
-		ks := s.keyStripeFor(k)
-		ks.Lock()
-		e, ok := s.entryOf(k)
-		ks.Unlock()
-		if ok && ownerOf(e.Record) == owner && !s.recordDead(e.Record) {
+		if e, ok := s.entryOf(k); ok && ownerOf(e.Record) == owner && !s.recordDead(e.Record) {
 			out = append(out, k)
 		}
 	}

@@ -84,9 +84,9 @@ type PutOptions struct {
 // policy, configured to a point on the compliance spectrum.
 //
 // Concurrency: the store uses striped locking (see locks.go) so operations
-// for different data subjects, and key operations in different stripes,
-// proceed in parallel; whole-store operations (compaction, maintenance,
-// close) quiesce every stripe in deterministic order.
+// for different data subjects proceed in parallel and reads share their
+// stripe; whole-store operations (compaction, maintenance, close) quiesce
+// every stripe in deterministic order.
 type Store struct {
 	cfg normalized
 
@@ -94,8 +94,8 @@ type Store struct {
 	// topology, backup manager, close) ahead of the stripes; see locks.go
 	// for the full lock-ordering protocol.
 	gmu    sync.Mutex
+	gate   [stripeCount]gateStripe
 	owners []*ownerStripe
-	keys   [stripeCount]sync.Mutex
 
 	db      *store.DB
 	ix      *metaIndex
@@ -118,8 +118,8 @@ type Store struct {
 
 	// erasure tracks crypto-shredded owners whose dead ciphertext awaits
 	// the lazy-delete sweep, plus sweep statistics (see maintain.go). Its
-	// mutex is a leaf lock in the ordering protocol: it is only ever taken
-	// with no stripe held, or after a single key stripe.
+	// mutex is a leaf lock in the ordering protocol: nothing is called
+	// under it.
 	erasure erasureState
 }
 
@@ -278,11 +278,13 @@ func (s *Store) replay(path string, key []byte) error {
 	return nil
 }
 
-// appendLog journals a compliance-layer record to the AOF and mirrors it
-// to the replication stream, so control-plane records (metadata, shreds,
-// erasure markers) reach replicas in the same per-key order as the engine
-// records they follow — both are emitted while the caller still holds the
-// key/owner stripe. A nil log with no stream attached is a no-op.
+// appendLog journals an owner-scoped compliance-layer record (a key, an
+// objection, a shred, an erasure marker) to the AOF and mirrors it to the
+// replication stream, while the caller holds the owner's stripe, so it keeps
+// its place among the owner's other records. A record about one key goes
+// through the engine instead (SetRecorded, the conditional operations),
+// enqueued under the key's shard lock, where its place among the key's
+// records is fixed. A nil log with no stream attached is a no-op.
 func (s *Store) appendLog(name string, args ...[]byte) error {
 	if h := s.streamJ.Load(); h != nil {
 		_ = h.AppendOp(name, args...)
@@ -380,15 +382,14 @@ func (s *Store) Put(ctx Ctx, key string, value []byte, opts PutOptions) error {
 		s.db.Set(key, value)
 		return nil
 	}
+	g, err := s.enter(key)
+	if err != nil {
+		return err
+	}
+	defer g.RUnlock()
 	os := s.ownerStripeFor(opts.Owner)
 	os.mu.Lock()
 	defer os.mu.Unlock()
-	ks := s.keyStripeFor(key)
-	ks.Lock()
-	defer ks.Unlock()
-	if s.closed.Load() {
-		return ErrClosed
-	}
 	if err := s.check(ctx, acl.OpWrite, opts.Owner, "PUT", key); err != nil {
 		return err
 	}
@@ -487,12 +488,11 @@ func (s *Store) Get(ctx Ctx, key string) ([]byte, error) {
 		}
 		return v, nil
 	}
-	ks := s.keyStripeFor(key)
-	ks.Lock()
-	defer ks.Unlock()
-	if s.closed.Load() {
-		return nil, ErrClosed
+	g, err := s.enter(key)
+	if err != nil {
+		return nil, err
 	}
+	defer g.RUnlock()
 	var oc ownerCipher
 	v, owner, err := s.getLocked(ctx, key, &oc)
 	if err != nil {
@@ -522,35 +522,13 @@ func (s *Store) Delete(ctx Ctx, key string) error {
 		}
 		return nil
 	}
-	ks := s.keyStripeFor(key)
-	ks.Lock()
-	if s.closed.Load() {
-		ks.Unlock()
-		return ErrClosed
-	}
-	e, _ := s.entryOf(key)
-	owner := ownerOf(e.Record)
-	if err := s.check(ctx, acl.OpWrite, owner, "DEL", key); err != nil {
-		ks.Unlock()
+	if err := s.deleteKey(ctx, key); err != nil {
 		return err
-	}
-	n := s.db.Del(key)
-	outcome := audit.OutcomeOK
-	if n == 0 {
-		outcome = audit.OutcomeMissing
-	}
-	s.auditOp(audit.Record{
-		Actor: ctx.Actor, Op: "DEL", Key: key, Owner: owner,
-		Purpose: ctx.Purpose, Outcome: outcome,
-	})
-	ks.Unlock()
-	if n == 0 {
-		return ErrNotFound
 	}
 	s.pendingRewrite.Store(true)
 	if s.cfg.Timing == TimingRealTime {
-		// The compaction is whole-store work: it re-acquires the global
-		// locks itself, after the key stripe is released. Unlike Forget,
+		// The compaction is whole-store work: it takes the global locks
+		// itself, after the call has left its gate stripe. Unlike Forget,
 		// a single-key delete compacts only the AOF (the pre-stripe
 		// behavior); backup refresh and replica drains stay with the
 		// owner-wide erasure path and Maintain.
@@ -566,11 +544,39 @@ func (s *Store) Delete(ctx Ctx, key string) error {
 	return nil
 }
 
+// deleteKey is Delete's gated half: the key is deleted only if it still
+// holds the record whose owner was checked, else checked afresh.
+func (s *Store) deleteKey(ctx Ctx, key string) error {
+	g, err := s.enter(key)
+	if err != nil {
+		return err
+	}
+	defer g.RUnlock()
+	for {
+		e, ok := s.entryOf(key)
+		owner := ownerOf(e.Record)
+		if err := s.check(ctx, acl.OpWrite, owner, "DEL", key); err != nil {
+			return err
+		}
+		if ok && !s.db.DeleteIf(key, e.Record) {
+			continue
+		}
+		rec := audit.Record{Actor: ctx.Actor, Op: "DEL", Key: key, Owner: owner, Purpose: ctx.Purpose, Outcome: audit.OutcomeOK}
+		if !ok {
+			rec.Outcome, err = audit.OutcomeMissing, ErrNotFound
+		}
+		s.auditOp(rec)
+		return err
+	}
+}
+
 // entryOf is key's entry as the compliance checks of an operation on key
-// read it: judged at the clock's now, without a READ record. Callers hold
-// key's stripe.
+// read it: judged at the clock's now, without a READ record, and handed to
+// the journal (a lazy reap) before it is returned.
 func (s *Store) entryOf(key string) (store.Entry, bool) {
-	return s.db.Peek(key, s.cfg.Config.Clock.Now())
+	e, ok := s.db.Peek(key, s.cfg.Config.Clock.Now())
+	s.db.Flush()
+	return e, ok
 }
 
 // Metadata returns the GDPR metadata for key.
@@ -578,9 +584,11 @@ func (s *Store) Metadata(ctx Ctx, key string) (Metadata, error) {
 	if !s.cfg.Compliant {
 		return Metadata{}, ErrNotCompliant
 	}
-	ks := s.keyStripeFor(key)
-	ks.Lock()
-	defer ks.Unlock()
+	g, err := s.enter(key)
+	if err != nil {
+		return Metadata{}, err
+	}
+	defer g.RUnlock()
 	e, _ := s.entryOf(key)
 	if e.Record == nil || s.recordDead(e.Record) {
 		return Metadata{}, ErrNotFound
@@ -604,30 +612,34 @@ func (s *Store) Expire(ctx Ctx, key string, ttl time.Duration) error {
 		}
 		return nil
 	}
-	ks := s.keyStripeFor(key)
-	ks.Lock()
-	defer ks.Unlock()
-	e, _ := s.entryOf(key)
-	owner := ownerOf(e.Record)
-	if err := s.check(ctx, acl.OpWrite, owner, "EXPIRE", key); err != nil {
+	g, err := s.enter(key)
+	if err != nil {
 		return err
 	}
-	deadline := canonicalTime(s.cfg.Config.Clock.Now().Add(ttl))
-	if !s.db.ExpireAt(key, deadline) {
-		return ErrNotFound
-	}
-	// The record is unchanged: the deadline lives only in the engine entry.
-	// The journal's GMETA still carries it, for replay and older readers.
-	if e.Record != nil {
-		if err := s.appendLog(opMeta, []byte(key), encodeMetadata(e.Record, deadline)); err != nil {
+	defer g.RUnlock()
+	for {
+		e, ok := s.entryOf(key)
+		owner := ownerOf(e.Record)
+		if err := s.check(ctx, acl.OpWrite, owner, "EXPIRE", key); err != nil {
 			return err
 		}
+		if !ok {
+			return ErrNotFound
+		}
+		// The record is unchanged: the deadline lives only in the engine
+		// entry. The GMETA the engine journals beside its EXPIREAT still
+		// carries it, for replay and older readers.
+		deadline := canonicalTime(s.cfg.Config.Clock.Now().Add(ttl))
+		if done, err := s.db.ExpireAtIf(key, e.Record, deadline, opMeta, encodeMetadata); err != nil {
+			return err
+		} else if done {
+			s.auditOp(audit.Record{
+				Actor: ctx.Actor, Op: "EXPIRE", Key: key, Owner: owner,
+				Purpose: ctx.Purpose, Outcome: audit.OutcomeOK,
+			})
+			return nil
+		}
 	}
-	s.auditOp(audit.Record{
-		Actor: ctx.Actor, Op: "EXPIRE", Key: key, Owner: owner,
-		Purpose: ctx.Purpose, Outcome: audit.OutcomeOK,
-	})
-	return nil
 }
 
 // FlushAll removes every key and its compliance record as one atomic cut:
@@ -682,9 +694,8 @@ func (s *Store) ExpiryCycle() store.CycleStats {
 }
 
 // Close flushes and releases every subsystem. closed is flipped first so
-// new operations bounce; the lockAll barrier then waits out the operations
-// already holding stripes, after which no goroutine can reach the log or
-// trail.
+// new calls bounce at the gate; the lockAll barrier then waits out the calls
+// already through it, after which no call can reach the log or trail.
 func (s *Store) Close() error {
 	if s.closed.Swap(true) {
 		return nil

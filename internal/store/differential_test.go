@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 
@@ -142,6 +143,41 @@ func (m *refModel) expireAt(k string, deadline time.Time) bool {
 	return true
 }
 
+// holds reports whether k is live with record rec, lazily expiring it first.
+func (m *refModel) holds(k string, rec *Record) bool {
+	_, ok := m.get(k)
+	return ok && m.recs[k] == rec
+}
+
+func (m *refModel) deleteIf(k string, rec *Record) bool {
+	if !m.holds(k, rec) {
+		return false
+	}
+	m.remove(k)
+	return true
+}
+
+func (m *refModel) deleteIfValue(k string, val []byte) (deleted, live bool) {
+	v, ok := m.get(k)
+	if ok && bytes.Equal(v, val) {
+		m.remove(k)
+		return true, true
+	}
+	return false, ok
+}
+
+func (m *refModel) setRecordIf(k string, old, new *Record) bool {
+	if !m.holds(k, old) {
+		return false
+	}
+	m.setRec(k, new)
+	return true
+}
+
+func (m *refModel) expireAtIf(k string, rec *Record, deadline time.Time) bool {
+	return m.holds(k, rec) && m.expireAt(k, deadline)
+}
+
 func (m *refModel) persist(k string) bool {
 	if _, ok := m.get(k); !ok {
 		return false
@@ -228,18 +264,22 @@ func checkShard(sh *shard) error {
 }
 
 // TestDifferentialShard drives the engine and the two-table oracle with one
-// seeded random history (writes of every kind, TTL edits, deletes, flushes,
-// clock advances, expiry cycles) and compares everything observable after
-// every step, under each strategy. The engine's journal feeds the oracle
-// the one thing it cannot predict (which due keys a probabilistic cycle
-// drew) and is replayed at the end.
+// seeded random history (writes of every kind, TTL edits, deletes, the
+// conditional operations on a record or bytes that are sometimes stale,
+// flushes, clock advances, expiry cycles) and compares everything observable
+// after every step, under each strategy. The engine's journal feeds the
+// oracle the one thing it cannot predict (which due keys a probabilistic
+// cycle drew) and is replayed at the end, records and notes included.
 //
 // Every write carries a record token, none for the engine's plain writes,
 // and the records OnRecord reported, replayed in order, must be exactly the
 // oracle's after every step: the one-table promise that no record outlives
 // its key, through lazy reaps, each strategy's cycle, FLUSHALL, Restore,
-// SetKeepTTL and Del. Reaping without telling the observer (the report
-// dropped from reapLocked) fails all six runs, each by step 153.
+// SetKeepTTL, Del and the conditional operations. Reaping without telling
+// the observer (the report dropped from reapLocked) fails all six runs,
+// each by step 81; a conditional operation that skips its compare fails at
+// its first stale one, and a note of the deadline before the change fails
+// the replay.
 func TestDifferentialShard(t *testing.T) {
 	for _, strategy := range []ExpiryStrategy{ExpiryLazyProbabilistic, ExpiryHeap} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -283,10 +323,25 @@ func runDifferential(t *testing.T, seed int64, strategy ExpiryStrategy) {
 	key := func() string { return fmt.Sprintf("key:%d", rnd.Intn(universe)) }
 	val := func(step int) []byte { return []byte(fmt.Sprintf("v%d", step)) }
 	ttl := func() time.Duration { return time.Duration(1+rnd.Intn(90_000)) * time.Millisecond }
+	// checked is what a conditional operation's caller read of k: mostly
+	// what k holds, sometimes a record or bytes it no longer does.
+	checked := func(k string, stale *Record) *Record {
+		if rnd.Intn(3) > 0 {
+			return ref.recs[k]
+		}
+		return stale
+	}
+	// noted renders a conditional operation's journal note, and a replayed
+	// SetRecord's, as its replay checks it: the record and the deadline the
+	// key holds after the change.
+	noted := func(rec *Record, deadline time.Time) []byte {
+		return []byte(fmt.Sprint(rec.Epoch) + " " + string(EncodeDeadline(deadline)))
+	}
 
 	for step := 0; step < steps; step++ {
 		tok := &Record{Epoch: uint64(step)}
-		op := rnd.Intn(100)
+		epoch := []byte(fmt.Sprint(step))
+		op := rnd.Intn(112)
 		desc := ""
 		switch {
 		case op < 12:
@@ -316,7 +371,7 @@ func runDifferential(t *testing.T, seed int64, strategy ExpiryStrategy) {
 				deadline = vc.Now().Add(ttl())
 			}
 			desc = fmt.Sprintf("SetRecorded %v %v", keys, deadline)
-			if err := db.SetRecorded(keys, vals, tok, deadline, "REC", EncodeDeadline(deadline)); err != nil {
+			if err := db.SetRecorded(keys, vals, tok, deadline, "REC", EncodeDeadline(deadline), epoch); err != nil {
 				t.Fatal(err)
 			}
 			for i, k := range keys {
@@ -333,12 +388,15 @@ func runDifferential(t *testing.T, seed int64, strategy ExpiryStrategy) {
 			desc = fmt.Sprintf("Restore %s %v", k, deadline)
 			db.Restore(k, v, tok, deadline)
 			ref.setAt(k, v, tok, deadline)
-			log = append(log, journalRec{name: "REC", args: [][]byte{EncodeDeadline(deadline), []byte(k), v}})
+			log = append(log, journalRec{name: "REC", args: [][]byte{EncodeDeadline(deadline), epoch, []byte(k), v}})
 		case op < 50:
+			// Not journaled by the engine: its caller journals the note.
 			k := key()
 			desc = "SetRecord " + k
 			if got, want := db.SetRecord(k, tok), ref.setRecord(k, tok); got != want {
 				t.Fatalf("step %d %s = %v, oracle %v", step, desc, got, want)
+			} else if got {
+				log = append(log, journalRec{name: "NOTE", args: [][]byte{[]byte(k), noted(tok, ref.expires[k])}})
 			}
 		case op < 58:
 			// Sometimes already in the past: ExpireAt then deletes.
@@ -363,7 +421,43 @@ func runDifferential(t *testing.T, seed int64, strategy ExpiryStrategy) {
 			desc = "FlushAll"
 			db.FlushAll()
 			ref.flushAll()
-		case op < 88:
+		case op < 78:
+			k := key()
+			rec := checked(k, tok)
+			desc = fmt.Sprintf("DeleteIf %s %v", k, rec)
+			if got, want := db.DeleteIf(k, rec), ref.deleteIf(k, rec); got != want {
+				t.Fatalf("step %d %s = %v, oracle %v", step, desc, got, want)
+			}
+		case op < 80:
+			k := key()
+			v := ref.dict[k]
+			if rnd.Intn(3) == 0 {
+				v = val(step)
+			}
+			desc = fmt.Sprintf("DeleteIfValue %s %s", k, v)
+			deleted, live := db.DeleteIfValue(k, v)
+			if wd, wl := ref.deleteIfValue(k, v); deleted != wd || live != wl {
+				t.Fatalf("step %d %s = %v %v, oracle %v %v", step, desc, deleted, live, wd, wl)
+			}
+		case op < 84:
+			k := key()
+			old := checked(k, &Record{})
+			desc = fmt.Sprintf("SetRecordIf %s %v", k, old)
+			got, err := db.SetRecordIf(k, old, tok, "NOTE", noted)
+			if want := ref.setRecordIf(k, old, tok); err != nil || got != want {
+				t.Fatalf("step %d %s = %v %v, oracle %v", step, desc, got, err, want)
+			}
+		case op < 87:
+			// Sometimes already in the past: ExpireAtIf then deletes, and
+			// notes nothing.
+			k, deadline := key(), vc.Now().Add(ttl()-20*time.Second)
+			rec := checked(k, tok)
+			desc = fmt.Sprintf("ExpireAtIf %s %v %v", k, rec, deadline)
+			got, err := db.ExpireAtIf(k, rec, deadline, "NOTE", noted)
+			if want := ref.expireAtIf(k, rec, deadline); err != nil || got != want {
+				t.Fatalf("step %d %s = %v %v, oracle %v", step, desc, got, err, want)
+			}
+		case op < 100:
 			d := time.Duration(rnd.Intn(20_000)) * time.Millisecond
 			desc = fmt.Sprintf("Advance %v", d)
 			vc.Advance(d)
@@ -440,31 +534,63 @@ func runDifferential(t *testing.T, seed int64, strategy ExpiryStrategy) {
 		}
 	}
 
-	// The journal, replayed, rebuilds the same physical keyspace: every
-	// lazy or active expiry is in it as the DEL it amounted to, ahead of
-	// whatever write found the key dead.
+	// The journal, replayed, rebuilds the same physical keyspace, records
+	// included: every lazy or active expiry is in it as the DEL it amounted
+	// to, ahead of whatever write found the key dead, and every note follows
+	// the change it records, naming the record and deadline the key then
+	// had.
 	fresh := New(Options{Clock: vc, Shards: 2})
-	for _, r := range log {
-		if r.name != "REC" {
+	for i, r := range log {
+		switch r.name {
+		case "REC":
+			deadline, err := DecodeDeadline(r.args[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := &Record{Epoch: parseEpoch(t, r.args[1])}
+			for i := 2; i+1 < len(r.args); i += 2 {
+				fresh.Restore(string(r.args[i]), r.args[i+1], rec, deadline)
+			}
+		case "NOTE":
+			// The record, and the deadline the replay has already given k.
+			k, note := string(r.args[0]), bytes.Fields(r.args[1])
+			dl, _ := fresh.Deadline(k)
+			if !fresh.SetRecord(k, &Record{Epoch: parseEpoch(t, note[0])}) || string(note[1]) != string(EncodeDeadline(dl)) {
+				t.Fatalf("journal record %d notes %s %s; the replay holds it with deadline %v", i, k, r.args[1], dl)
+			}
+		default:
 			if err := fresh.Apply(r.name, r.args); err != nil {
 				t.Fatal(err)
 			}
-			continue
-		}
-		deadline, err := DecodeDeadline(r.args[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 1; i+1 < len(r.args); i += 2 {
-			fresh.Restore(string(r.args[i]), r.args[i+1], nil, deadline)
 		}
 	}
-	liveVals, liveExps := dumpState(db)
-	gotVals, gotExps := dumpState(fresh)
-	if fmt.Sprint(gotVals) != fmt.Sprint(liveVals) || fmt.Sprint(gotExps) != fmt.Sprint(liveExps) {
-		t.Fatalf("replayed journal diverges from the live engine:\nlive   %v %v\nreplay %v %v", liveVals, liveExps, gotVals, gotExps)
+	if live, got := dumpEntries(db), dumpEntries(fresh); got != live {
+		t.Fatalf("replayed journal diverges from the live engine:\nlive   %s\nreplay %s", live, got)
 	}
 	if err := checkSlots(fresh); err != nil {
 		t.Fatalf("replayed engine: %v", err)
 	}
+}
+
+func parseEpoch(t *testing.T, b []byte) uint64 {
+	t.Helper()
+	n, err := strconv.ParseUint(string(b), 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// dumpEntries renders every key the shards physically hold, overdue ones
+// included, with its record's token, in key order.
+func dumpEntries(db *DB) string {
+	m := map[string]string{}
+	for _, sh := range db.shards {
+		sh.mu.Lock()
+		for k, e := range sh.dict {
+			m[k] = entryLine(e.lend())
+		}
+		sh.mu.Unlock()
+	}
+	return fmt.Sprint(m)
 }

@@ -28,21 +28,23 @@ func (db *DB) Expire(key string, ttl time.Duration) bool {
 func (db *DB) ExpireAt(key string, deadline time.Time) bool {
 	sh := db.shardFor(key)
 	sh.mu.Lock()
-	ok := db.expireAtLocked(sh, key, deadline)
+	e, ok := db.liveLocked(sh, key)
+	if ok {
+		db.setDeadlineLocked(sh, key, e, deadline)
+	}
 	sh.mu.Unlock()
 	db.jq.flush()
 	return ok
 }
 
-func (db *DB) expireAtLocked(sh *shard, key string, deadline time.Time) bool {
-	e, ok := db.liveLocked(sh, key)
-	if !ok {
-		return false
-	}
+// setDeadlineLocked gives key, whose live entry is e, the deadline, journaled
+// as EXPIREAT, or reaps it if the deadline has passed; it reports whether the
+// key is still there. Callers hold sh.mu and flush after releasing it.
+func (db *DB) setDeadlineLocked(sh *shard, key string, e entry, deadline time.Time) bool {
 	ns := deadlineNS(deadline)
 	if ns <= db.nowNS() {
 		db.reapLocked(sh, key, e)
-		return true
+		return false
 	}
 	db.putLocked(sh, key, e.val, e.rec, ns)
 	db.jq.enqueue("EXPIREAT", []byte(key), EncodeDeadline(deadline))
@@ -85,10 +87,7 @@ func (db *DB) Deadline(key string) (time.Time, bool) {
 	sh.mu.Lock()
 	e := sh.dict[key]
 	sh.mu.Unlock()
-	if e.deadline == 0 {
-		return time.Time{}, false
-	}
-	return time.Unix(0, e.deadline), true
+	return deadlineTime(e.deadline), e.deadline != 0
 }
 
 // CycleStats reports what one active-expire cycle did.

@@ -81,6 +81,22 @@ func (q *journalQueue) enqueueTicket(ticket uint64, name string, args [][]byte) 
 	q.mu.Unlock()
 }
 
+// ticket returns a fresh ticket for records the caller will enqueue if want,
+// and 0 (no ticket, nothing to enqueue) if not or if no journal is attached.
+func (q *journalQueue) ticket(want bool) uint64 {
+	if !want || !q.active() {
+		return 0
+	}
+	return q.tickets.Add(1)
+}
+
+// done flushes and returns the sink's error for the records enqueued under
+// ticket (none for ticket 0).
+func (q *journalQueue) done(ticket uint64) error {
+	q.flush()
+	return q.result(ticket)
+}
+
 // result returns, once, the first error the sink reported for a record
 // enqueued under ticket. Call it after flush.
 func (q *journalQueue) result(ticket uint64) error {

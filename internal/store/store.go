@@ -28,7 +28,9 @@
 // owns its own dict and deadline heap, guarded by one mutex.
 // Journal records are enqueued under the owning shard's lock (fixing
 // per-key order) but written to the Journal outside any shard lock via a
-// group-commit queue (see journalQueue). Cross-shard operations
+// group-commit queue (see journalQueue). The conditional operations
+// (conditional.go) finish a caller's read-check-write of one key under its
+// shard lock, so the caller needs no lock of its own. Cross-shard operations
 // (FLUSHALL, Snapshot) lock every shard in index order — the one
 // deterministic multi-shard protocol — and Scan/Keys/Len lock one shard at
 // a time, giving per-shard-consistent (not globally atomic) views, as
@@ -166,11 +168,15 @@ func (e entry) deadAt(now int64) bool { return e.deadline != 0 && e.deadline <= 
 
 // lend is the entry as Lookup hands it out.
 func (e entry) lend() Entry {
-	out := Entry{Value: e.val, Record: e.rec}
-	if e.deadline != 0 {
-		out.Deadline = time.Unix(0, e.deadline)
+	return Entry{Value: e.val, Record: e.rec, Deadline: deadlineTime(e.deadline)}
+}
+
+// deadlineTime is an entry's deadline as a time (zero: none).
+func deadlineTime(ns int64) time.Time {
+	if ns == 0 {
+		return time.Time{}
 	}
-	return out
+	return time.Unix(0, ns)
 }
 
 // shard is one lock stripe of the keyspace: the dict, plus the deadline heap
@@ -356,11 +362,8 @@ func (db *DB) SetRecorded(keys []string, values [][]byte, rec *Record, deadline 
 	if len(keys) == 0 {
 		return nil
 	}
-	journal := db.jq.active()
-	var ticket uint64
-	if journal {
-		ticket = db.jq.tickets.Add(1)
-	}
+	ticket := db.jq.ticket(true)
+	journal := ticket != 0
 	put := func(sh *shard, idxs []int) {
 		var args [][]byte
 		if journal {
@@ -385,11 +388,7 @@ func (db *DB) SetRecorded(keys []string, values [][]byte, rec *Record, deadline 
 			put(sh, idxs)
 		}
 	}
-	if !journal {
-		return nil
-	}
-	db.jq.flush()
-	return db.jq.result(ticket)
+	return db.jq.done(ticket)
 }
 
 // Restore installs value under key with a record (nil: none) and an
@@ -563,14 +562,17 @@ func (db *DB) Lookup(key string) (Entry, bool) {
 	return e.lend(), ok
 }
 
-// GetNoCopy is Lookup judging expiry against the caller's now, so a walk
-// over many keys reads the clock once.
+// GetNoCopy is Lookup for a walk over many keys: it judges expiry against the
+// caller's now, so the walk reads the clock once, and it leaves what it
+// journals (a lazy reap's DEL, a READ) in the queue. The caller must Flush
+// before it acts on, or returns, anything it read: one hand-off per walk
+// instead of one per key.
 func (db *DB) GetNoCopy(key string, now time.Time) (Entry, bool) {
 	return db.peek(key, now, true)
 }
 
 // Peek is GetNoCopy for a caller that reads the key's record, not its data:
-// it journals no READ record.
+// it journals no READ record. The caller must Flush, as after GetNoCopy.
 func (db *DB) Peek(key string, now time.Time) (Entry, bool) {
 	return db.peek(key, now, false)
 }
@@ -587,9 +589,13 @@ func (db *DB) peek(key string, now time.Time, read bool) (Entry, bool) {
 		db.logReadLocked(key)
 	}
 	sh.mu.Unlock()
-	db.jq.flush()
 	return e.lend(), ok
 }
+
+// Flush returns once every record the engine has enqueued so far, by any
+// caller, has been handed to the journal: after it, whatever a GetNoCopy or
+// Peek observed is as durable as the journal makes it.
+func (db *DB) Flush() { db.jq.flush() }
 
 // logReadLocked emits a READ record when read-journaling is on (§4.1's
 // "every read operation now has to be followed by a logging-write").
