@@ -16,8 +16,9 @@
 // routing), each owning its own dict (one entry per key: value, deadline,
 // sampling slot) and expiry machinery,
 // with journal records group-committed outside the shard locks; the
-// compliance layer mirrors the design with per-owner and per-key lock
-// stripes, so operations on independent keys and data subjects scale with
+// compliance layer adds per-owner lock stripes and makes each
+// read-check-write of one key a conditional operation on its engine
+// shard, so operations on independent keys and data subjects scale with
 // GOMAXPROCS instead of serialising on a global mutex. Cross-shard
 // operations (FLUSHALL, snapshot, batch writes) follow a deterministic
 // lock order — see DESIGN.md §5.
@@ -28,9 +29,10 @@
 // gauges are the paper's compliance promises as live lag numbers
 // (gdprkv_retention_lag_seconds, gdprkv_erasure_lag_seconds,
 // gdprkv_audit_queue_depth), /events streams SSE stats deltas, and / is
-// an embedded auto-refreshing dashboard — see DESIGN.md §14. The
-// gdprbench scenarios retention-storm and multi-regulation drive those
-// gauges to their extremes and report compliance-overhead numbers.
+// an embedded auto-refreshing dashboard — see DESIGN.md §14. The harness
+// scenarios retention-storm and multi-regulation (cmd/experiments -run)
+// drive those gauges to their extremes and report compliance-overhead
+// numbers.
 //
 // Client applications import pkg/gdprkv, the public SDK: a
 // context-first, connection-pooled, replica-aware client whose server

@@ -109,7 +109,7 @@ func main() {
 		time.Sleep(50 * time.Millisecond)
 	}
 
-	// The same facts, as the JSON the dashboard and gdprbench -ops-addr
+	// The same facts, as the JSON the dashboard and experiments -ops-addr
 	// consume.
 	fmt.Println("\n/info/erasure after the shred:")
 	resp, err := http.Get(base + "/info/erasure")

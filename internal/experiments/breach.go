@@ -1,9 +1,9 @@
-package gdprbench
+package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -41,31 +41,16 @@ type BreachConfig struct {
 	// Writers is how many live controller write loops run during the
 	// replay (default 1).
 	Writers int
-	// ValueSize is the live writers' payload size in bytes (default 100).
-	ValueSize int
 	// Seed fixes the randomness (0 → 1).
 	Seed int64
 }
 
 func (c *BreachConfig) defaults() {
-	if c.Records <= 0 {
-		c.Records = 2_000_000
-	}
-	if c.Subjects <= 0 {
-		c.Subjects = 10_000
-	}
-	if c.Actors <= 0 {
-		c.Actors = 8
-	}
-	if c.Writers <= 0 {
-		c.Writers = 1
-	}
-	if c.ValueSize <= 0 {
-		c.ValueSize = 100
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
+	c.Records = cmp.Or(c.Records, 2_000_000)
+	c.Subjects = cmp.Or(c.Subjects, 10_000)
+	c.Actors = cmp.Or(c.Actors, 8)
+	c.Writers = cmp.Or(c.Writers, 1)
+	c.Seed = cmp.Or(c.Seed, 1)
 }
 
 // BreachResult is one breach-replay run's measurements.
@@ -99,11 +84,11 @@ type BreachResult struct {
 // replay the full trail and build the breach report for the window.
 func RunBreach(cfg BreachConfig) (BreachResult, error) {
 	cfg.defaults()
-	dir, err := os.MkdirTemp("", "gdprbench-breach-*")
+	dir, cleanup, err := WorkDir("", "gdprbench-breach-*")
 	if err != nil {
 		return BreachResult{}, err
 	}
-	defer os.RemoveAll(dir)
+	defer cleanup()
 
 	st, err := core.Open(core.Config{
 		Compliant:    true,
@@ -125,7 +110,7 @@ func RunBreach(cfg BreachConfig) (BreachResult, error) {
 			Owner: SubjectName(i), Purposes: []string{"service"},
 		})
 		if err != nil {
-			return BreachResult{}, fmt.Errorf("gdprbench: breach seed: %w", err)
+			return BreachResult{}, fmt.Errorf("experiments: breach seed: %w", err)
 		}
 	}
 
@@ -164,7 +149,7 @@ func RunBreach(cfg BreachConfig) (BreachResult, error) {
 			rec.Outcome = audit.OutcomeDenied
 		}
 		if _, err := trail.Append(rec); err != nil {
-			return res, fmt.Errorf("gdprbench: breach trail append: %w", err)
+			return res, fmt.Errorf("experiments: breach trail append: %w", err)
 		}
 	}
 	if err := trail.Sync(); err != nil {
@@ -180,17 +165,22 @@ func RunBreach(cfg BreachConfig) (BreachResult, error) {
 	// traffic rather than saturating the host and starving the replay —
 	// on a single-core box an unpaced spin loop would do exactly that.
 	var writes atomic.Uint64
-	stop := make(chan struct{})
+	stopCh := make(chan struct{})
 	var wg sync.WaitGroup
+	stop := sync.OnceFunc(func() {
+		close(stopCh)
+		wg.Wait()
+	})
+	defer stop()
 	for w := 0; w < cfg.Writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			wr := rand.New(rand.NewSource(cfg.Seed + int64(w) + 1))
-			val := make([]byte, cfg.ValueSize)
+			val := make([]byte, recordSize)
 			for i := 0; ; i++ {
 				select {
-				case <-stop:
+				case <-stopCh:
 					return
 				case <-time.After(200 * time.Microsecond):
 				}
@@ -215,9 +205,7 @@ func RunBreach(cfg BreachConfig) (BreachResult, error) {
 		return nil
 	})
 	if err != nil {
-		close(stop)
-		wg.Wait()
-		return res, fmt.Errorf("gdprbench: breach scan: %w", err)
+		return res, fmt.Errorf("experiments: breach scan: %w", err)
 	}
 	res.Scan = time.Since(t0)
 	res.ScanRecords = n
@@ -228,17 +216,14 @@ func RunBreach(cfg BreachConfig) (BreachResult, error) {
 	t0 = time.Now()
 	rep, err := st.Breach(core.Ctx{Actor: "regulator", Purpose: "audit"}, wFrom, wTo)
 	if err != nil {
-		close(stop)
-		wg.Wait()
-		return res, fmt.Errorf("gdprbench: breach report: %w", err)
+		return res, fmt.Errorf("experiments: breach report: %w", err)
 	}
 	res.Breach = time.Since(t0)
 	res.WindowRecords = rep.Records
 	res.AffectedOwners = len(rep.AffectedOwners)
 	res.Denied = rep.Denied
 
-	close(stop)
-	wg.Wait()
+	stop()
 	res.LiveWrites = writes.Load()
 	elapsed := res.Scan + res.Breach
 	if elapsed > 0 {

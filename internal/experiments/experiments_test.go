@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"os"
 	"strings"
 	"testing"
 	"time"
+
+	"gdprstore/internal/core"
 )
 
 // TestFigure2Shape asserts the load-bearing claims of Figure 2 at reduced
@@ -209,17 +212,66 @@ func TestErasureLatencyShape(t *testing.T) {
 	}
 	// Rows: eventual/no, eventual/backups, realtime/no, realtime/backups.
 	evNo, rtNo := rows[0], rows[2]
-	if evNo.Timing != "eventual" || rtNo.Timing != "real-time" {
+	if evNo.Timing != core.TimingEventual || rtNo.Timing != core.TimingRealTime {
 		t.Fatalf("row order changed: %+v", rows)
 	}
 	// Real-time Forget pays synchronous compaction: it must be at least
 	// 10x slower at the median than eventual Forget.
-	if rtNo.ForgetLatency.P50 < 10*evNo.ForgetLatency.P50 {
+	if rtNo.Forget.P50 < 10*evNo.Forget.P50 {
 		t.Errorf("real-time Forget p50 %v not >> eventual %v",
-			rtNo.ForgetLatency.P50, evNo.ForgetLatency.P50)
+			rtNo.Forget.P50, evNo.Forget.P50)
 	}
 	out := FormatErasure(rows)
 	if !strings.Contains(out, "real-time") {
 		t.Fatal("format output broken")
+	}
+}
+
+// TestErasureByOwnerSizeShape runs the keys-per-owner cells: every owner's
+// records are erased in both modes, and only the shred cells leave dead
+// ciphertext for the sweep, which reclaims all of it.
+func TestErasureByOwnerSizeShape(t *testing.T) {
+	rows, err := ErasureByOwnerSize([]int{4, 32}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 4 {
+		t.Fatalf("rows = %d", len(rows))
+	}
+	for _, r := range rows {
+		if r.Forget.Count != 3 {
+			t.Errorf("%d keys shred=%v: %d forgets timed, want 3", r.KeysPerOwner, r.Shred, r.Forget.Count)
+		}
+		want := 0
+		if r.Shred {
+			want = 3 * r.KeysPerOwner
+		}
+		if r.Reclaimed != want {
+			t.Errorf("%d keys shred=%v: sweep reclaimed %d, want %d", r.KeysPerOwner, r.Shred, r.Reclaimed, want)
+		}
+	}
+	out := FormatErasureByOwnerSize(rows)
+	for _, want := range []string{"keys-per-owner", "eager", "shred", "sweep"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("FormatErasureByOwnerSize missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestRunsRemoveTheirTempDirs points TMPDIR at an empty directory and
+// checks a run given no working directory leaves nothing behind: its
+// AOF files go to a temporary directory the run removes.
+func TestRunsRemoveTheirTempDirs(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	if _, err := FsyncSpectrum("", 100, 300, 1); err != nil {
+		t.Fatal(err)
+	}
+	left, err := os.ReadDir(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		t.Errorf("left behind in $TMPDIR: %s", e.Name())
 	}
 }

@@ -1,13 +1,17 @@
 // Package experiments contains the reproduction harness: one function per
-// table/figure of the paper, shared between cmd/experiments and the
-// top-level benchmarks. Each function returns structured rows so callers
-// can print paper-shaped output or assert on shapes in tests.
+// table, figure and scenario of the paper — Figure 1's YCSB bars, §4.1's
+// fsync spectrum, Figure 2, the GDPRbench-style personas and scenarios —
+// all run by cmd/experiments. Every per-operation latency comes from one
+// timed loop (loop.go) driving one of two targets: an embedded core.Store
+// or a server through the pkg/gdprkv SDK. Each function returns structured
+// rows so callers can print paper-shaped output or assert on shapes in
+// tests.
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 
@@ -15,7 +19,6 @@ import (
 	"gdprstore/internal/core"
 	"gdprstore/internal/server"
 	"gdprstore/internal/tlsproxy"
-	"gdprstore/internal/ycsb"
 	"gdprstore/pkg/gdprkv"
 )
 
@@ -31,38 +34,20 @@ type Figure1Config struct {
 	Workers int
 	// ValueSize is bytes per record.
 	ValueSize int
-	// Dir holds AOF files; empty uses a temp dir.
+	// Dir holds AOF files; empty uses a temporary directory removed after
+	// the run.
 	Dir string
-	// ThrottleBytesPerSec throttles the TLS tunnel to model the paper's
-	// 44→4.9 Gbps proxy bandwidth collapse; 0 leaves it unthrottled.
-	ThrottleBytesPerSec int64
 	// PoolSize > 0 shares one pooled pkg/gdprkv client of that many
 	// connections across all workers instead of the classic one
 	// connection per worker.
 	PoolSize int
 }
 
-func (c *Figure1Config) defaults() error {
-	if c.RecordCount <= 0 {
-		c.RecordCount = 2000
-	}
-	if c.OperationCount <= 0 {
-		c.OperationCount = 10000
-	}
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
-	if c.ValueSize <= 0 {
-		c.ValueSize = 1000
-	}
-	if c.Dir == "" {
-		dir, err := os.MkdirTemp("", "gdpr-fig1")
-		if err != nil {
-			return err
-		}
-		c.Dir = dir
-	}
-	return nil
+func (c *Figure1Config) defaults() {
+	c.RecordCount = cmp.Or(c.RecordCount, 2000)
+	c.OperationCount = cmp.Or(c.OperationCount, 10000)
+	c.Workers = cmp.Or(c.Workers, 4)
+	c.ValueSize = cmp.Or(c.ValueSize, 1000)
 }
 
 // Figure1Setups are the three bar groups of Figure 1.
@@ -86,60 +71,36 @@ var Figure1Workloads = []string{"Load-A", "A", "B", "C", "D", "Load-E", "E", "F"
 // stunnel-style TLS tunnel (§4.2). All three setups are exercised over the
 // network path, as the paper's deployment was.
 func Figure1(cfg Figure1Config) ([]Figure1Row, error) {
-	if err := cfg.defaults(); err != nil {
+	cfg.defaults()
+	dir, cleanup, err := WorkDir(cfg.Dir, "gdpr-fig1")
+	if err != nil {
 		return nil, err
 	}
+	defer cleanup()
+	cfg.Dir = dir
 	rows := make([]Figure1Row, len(Figure1Workloads))
 	for i, w := range Figure1Workloads {
 		rows[i] = Figure1Row{Workload: w, Throughput: make(map[string]float64)}
 	}
 
 	for _, setup := range Figure1Setups {
-		env, err := newFig1Env(setup, cfg)
-		if err != nil {
+		if err := figure1Setup(setup, cfg, rows); err != nil {
 			return nil, err
 		}
-		if err := runFig1Workloads(env, cfg, rows, setup); err != nil {
-			env.Close()
-			return nil, err
-		}
-		env.Close()
 	}
 	return rows, nil
 }
 
-// fig1Env is one running setup: a store, its server, and the address
-// clients should dial (directly or through the tunnel).
-type fig1Env struct {
-	store  *core.Store
-	server *server.Server
-	tunnel *tlsproxy.Tunnel
-	addr   string
-}
-
-func (e *fig1Env) Close() {
-	if e.tunnel != nil {
-		e.tunnel.Close()
-	}
-	if e.server != nil {
-		e.server.Close()
-	}
-	if e.store != nil {
-		e.store.Close()
-	}
-}
-
-func newFig1Env(setup string, cfg Figure1Config) (*fig1Env, error) {
-	var storeCfg core.Config
-	var tunneled bool
+// figure1Setup stands one setup up — a store, its server and, behind LUKS
+// + TLS, the tunnel clients dial instead — and runs Figure 1's x axis
+// against it.
+func figure1Setup(setup string, cfg Figure1Config, rows []Figure1Row) error {
+	storeCfg := core.Baseline()
 	switch setup {
-	case "Unmodified":
-		storeCfg = core.Baseline()
 	case "AOF w/ sync":
 		// The paper's §4.1 retrofit: AOF extended to record reads, fsynced
 		// on every operation. No other GDPR machinery is enabled, isolating
 		// the monitoring cost.
-		storeCfg = core.Baseline()
 		storeCfg.AOFPath = filepath.Join(cfg.Dir, "aof-sync.aof")
 		storeCfg.AOFSync = core.Ptr(aof.SyncAlways)
 		storeCfg.JournalReads = true
@@ -147,7 +108,6 @@ func newFig1Env(setup string, cfg Figure1Config) (*fig1Env, error) {
 		// §4.2: unmodified store whose persistence passes through the
 		// block cipher (LUKS stand-in) and whose traffic passes through the
 		// TLS tunnel pair (stunnel stand-in).
-		storeCfg = core.Baseline()
 		storeCfg.AOFPath = filepath.Join(cfg.Dir, "aof-luks.aof")
 		storeCfg.AOFSync = core.Ptr(aof.SyncEverySec)
 		key := make([]byte, 32)
@@ -155,97 +115,54 @@ func newFig1Env(setup string, cfg Figure1Config) (*fig1Env, error) {
 			key[i] = byte(i * 7)
 		}
 		storeCfg.AtRestKey = key
-		tunneled = true
-	default:
-		return nil, fmt.Errorf("experiments: unknown setup %q", setup)
 	}
-
 	st, err := core.Open(storeCfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	defer st.Close()
 	srv, err := server.Listen("127.0.0.1:0", st)
 	if err != nil {
-		st.Close()
-		return nil, err
+		return err
 	}
-	env := &fig1Env{store: st, server: srv, addr: srv.Addr()}
-	if tunneled {
-		tun, err := tlsproxy.NewTunnel(srv.Addr(), tlsproxy.Throttle{BytesPerSec: cfg.ThrottleBytesPerSec})
+	defer srv.Close()
+	addr := srv.Addr()
+	if setup == "LUKS + TLS" {
+		tun, err := tlsproxy.NewTunnel(addr, tlsproxy.Throttle{})
 		if err != nil {
-			env.Close()
-			return nil, err
+			return err
 		}
-		env.tunnel = tun
-		env.addr = tun.Addr()
+		defer tun.Close()
+		addr = tun.Addr()
 	}
-	return env, nil
-}
 
-func runFig1Workloads(env *fig1Env, cfg Figure1Config, rows []Figure1Row, setup string) error {
-	factory := func(int) (ycsb.DB, error) { return ycsb.DialNetworkDB(env.addr) }
+	var shared *gdprkv.Client
 	if cfg.PoolSize > 0 {
-		shared, err := gdprkv.Dial(context.Background(), env.addr,
-			gdprkv.WithPoolSize(cfg.PoolSize))
+		shared, err = gdprkv.Dial(context.Background(), addr, gdprkv.WithPoolSize(cfg.PoolSize))
 		if err != nil {
 			return err
 		}
 		defer shared.Close()
-		factory = func(int) (ycsb.DB, error) { return ycsb.NewNetworkDB(shared), nil }
 	}
-	record := func(label string, thr float64) {
-		for i := range rows {
-			if rows[i].Workload == label {
-				rows[i].Throughput[setup] = thr
-			}
+	phase := YCSBConfig{RecordCount: cfg.RecordCount, OperationCount: cfg.OperationCount,
+		ValueSize: cfg.ValueSize, Workers: cfg.Workers, Target: SDKTarget(addr, shared)}
+
+	// Figure 1's sequence, its x axis, mirrors the YCSB core recipe:
+	// Load-A, then run A, B, C, D on that dataset; reload for E (Load-E),
+	// run E, then F. Each load starts from an empty engine: the paper
+	// reports Load-E separately because D's inserts perturb the dataset.
+	for i, label := range Figure1Workloads {
+		phase.Workload = CoreWorkloads[strings.TrimPrefix(label, "Load-")]
+		run := Run
+		if label != phase.Workload.Name {
+			run = Load
+			st.Engine().FlushAll()
 		}
-	}
-
-	// Figure 1's sequence mirrors the YCSB core recipe: Load-A, then run
-	// A, B, C, D on that dataset; reload for E (Load-E), run E, then F.
-	loadA, err := ycsb.Load(ycsb.Config{
-		Workload: ycsb.WorkloadA, RecordCount: cfg.RecordCount,
-		ValueSize: cfg.ValueSize, Workers: cfg.Workers, Factory: factory,
-	})
-	if err != nil {
-		return fmt.Errorf("load-a: %w", err)
-	}
-	record("Load-A", loadA.Throughput)
-
-	for _, w := range []string{"A", "B", "C", "D"} {
-		res, err := ycsb.Run(ycsb.Config{
-			Workload: ycsb.CoreWorkloads[w], RecordCount: cfg.RecordCount,
-			OperationCount: cfg.OperationCount, ValueSize: cfg.ValueSize,
-			Workers: cfg.Workers, Factory: factory,
-		})
+		res, err := run(phase)
 		if err != nil {
-			return fmt.Errorf("workload %s: %w", w, err)
+			return fmt.Errorf("%s: %w", label, err)
 		}
-		record(w, res.Throughput)
-	}
-
-	// Reload for E (the paper reports Load-E separately because D's
-	// inserts perturb the dataset).
-	env.store.Engine().FlushAll()
-	loadE, err := ycsb.Load(ycsb.Config{
-		Workload: ycsb.WorkloadE, RecordCount: cfg.RecordCount,
-		ValueSize: cfg.ValueSize, Workers: cfg.Workers, Factory: factory,
-	})
-	if err != nil {
-		return fmt.Errorf("load-e: %w", err)
-	}
-	record("Load-E", loadE.Throughput)
-
-	for _, w := range []string{"E", "F"} {
-		res, err := ycsb.Run(ycsb.Config{
-			Workload: ycsb.CoreWorkloads[w], RecordCount: cfg.RecordCount,
-			OperationCount: cfg.OperationCount, ValueSize: cfg.ValueSize,
-			Workers: cfg.Workers, Factory: factory,
-		})
-		if err != nil {
-			return fmt.Errorf("workload %s: %w", w, err)
-		}
-		record(w, res.Throughput)
+		rows[i].Throughput[setup] = res.Throughput
 	}
 	return nil
 }

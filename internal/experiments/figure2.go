@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 	"time"
@@ -28,21 +29,11 @@ func (c *Figure2Config) defaults() {
 	if len(c.Sizes) == 0 {
 		c.Sizes = []int{1000, 2000, 4000, 8000, 16000, 32000, 64000, 128000}
 	}
-	if c.ShortFraction == 0 {
-		c.ShortFraction = 0.2
-	}
-	if c.ShortTTL == 0 {
-		c.ShortTTL = 5 * time.Minute
-	}
-	if c.LongTTL == 0 {
-		c.LongTTL = 5 * 24 * time.Hour
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.MaxCycles == 0 {
-		c.MaxCycles = 50_000_000
-	}
+	c.ShortFraction = cmp.Or(c.ShortFraction, 0.2)
+	c.ShortTTL = cmp.Or(c.ShortTTL, 5*time.Minute)
+	c.LongTTL = cmp.Or(c.LongTTL, 5*24*time.Hour)
+	c.Seed = cmp.Or(c.Seed, 1)
+	c.MaxCycles = cmp.Or(c.MaxCycles, 50_000_000)
 }
 
 // Figure2Row is one x position of Figure 2.

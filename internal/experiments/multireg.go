@@ -1,11 +1,11 @@
-package gdprbench
+package experiments
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
-	"time"
 
 	"gdprstore/internal/core"
 	"gdprstore/internal/metrics"
@@ -38,34 +38,17 @@ type MultiRegConfig struct {
 	// (default 0.30 — CCPA opt-out rates run far above GDPR objection
 	// rates because no justification is required).
 	CCPAOptOutPct float64
-	// ValueSize is the payload size in bytes (default 100).
-	ValueSize int
 	// Seed fixes the randomness (0 → 1).
 	Seed int64
 }
 
 func (c *MultiRegConfig) defaults() {
-	if c.Subjects <= 0 {
-		c.Subjects = 300
-	}
-	if c.RecordsPerSubject <= 0 {
-		c.RecordsPerSubject = 10
-	}
-	if c.Operations <= 0 {
-		c.Operations = 20000
-	}
-	if c.GDPRObjectPct <= 0 {
-		c.GDPRObjectPct = 0.10
-	}
-	if c.CCPAOptOutPct <= 0 {
-		c.CCPAOptOutPct = 0.30
-	}
-	if c.ValueSize <= 0 {
-		c.ValueSize = 100
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
+	c.Subjects = cmp.Or(c.Subjects, 300)
+	c.RecordsPerSubject = cmp.Or(c.RecordsPerSubject, 10)
+	c.Operations = cmp.Or(c.Operations, 20000)
+	c.GDPRObjectPct = cmp.Or(c.GDPRObjectPct, 0.10)
+	c.CCPAOptOutPct = cmp.Or(c.CCPAOptOutPct, 0.30)
+	c.Seed = cmp.Or(c.Seed, 1)
 }
 
 // multiRegPurposes is the purpose vocabulary: "sale" is the CCPA
@@ -118,36 +101,30 @@ func runMultiRegPoint(cfg MultiRegConfig, regime string) (MultiRegPoint, error) 
 	}
 	defer st.Close()
 
-	ctl := core.Ctx{Actor: "controller", Purpose: "populate"}
-	pcfg := Config{
-		Subjects: cfg.Subjects, RecordsPerSubject: cfg.RecordsPerSubject,
-		ValueSize: cfg.ValueSize, Seed: cfg.Seed,
-		Purposes: multiRegPurposes, TTL: 24 * time.Hour,
-	}
-	if err := Populate(st, ctl, pcfg); err != nil {
+	pcfg := PersonaConfig{Subjects: cfg.Subjects, RecordsPerSubject: cfg.RecordsPerSubject,
+		Seed: cfg.Seed, Purposes: multiRegPurposes}
+	if err := Populate(StorePersonas(st), pcfg); err != nil {
 		return MultiRegPoint{}, err
 	}
 
 	// Install the regime's standing objections. Subjects are chosen
 	// deterministically from the front of the population; CCPA opt-outs
 	// overlap the GDPR objectors the way real populations do.
+	// The GDPR layer objects to "marketing", the CCPA do-not-sell opt-out
+	// to "sale".
 	pt := MultiRegPoint{Regime: regime}
-	if regime != "baseline" {
-		n := int(float64(cfg.Subjects) * cfg.GDPRObjectPct)
-		for i := 0; i < n; i++ {
+	for _, layer := range []struct {
+		on      bool
+		purpose string
+		share   float64
+	}{
+		{regime != "baseline", "marketing", cfg.GDPRObjectPct},
+		{regime == "gdpr+ccpa", "sale", cfg.CCPAOptOutPct},
+	} {
+		for i := 0; layer.on && i < int(float64(cfg.Subjects)*layer.share); i++ {
 			owner := SubjectName(i)
-			if err := st.Object(core.Ctx{Actor: owner}, owner, "marketing"); err != nil {
-				return pt, fmt.Errorf("gdprbench: multireg object %s: %w", owner, err)
-			}
-			pt.Objections++
-		}
-	}
-	if regime == "gdpr+ccpa" {
-		n := int(float64(cfg.Subjects) * cfg.CCPAOptOutPct)
-		for i := 0; i < n; i++ {
-			owner := SubjectName(i)
-			if err := st.Object(core.Ctx{Actor: owner}, owner, "sale"); err != nil {
-				return pt, fmt.Errorf("gdprbench: multireg do-not-sell %s: %w", owner, err)
+			if err := st.Object(core.Ctx{Actor: owner}, owner, layer.purpose); err != nil {
+				return pt, fmt.Errorf("experiments: multireg object %s to %s: %w", owner, layer.purpose, err)
 			}
 			pt.Objections++
 		}
@@ -157,32 +134,46 @@ func runMultiRegPoint(cfg MultiRegConfig, regime string) (MultiRegPoint, error) 
 	// each record was written with — except that a quarter of reads come
 	// from the ad-tech path and state "sale" regardless, which is exactly
 	// the traffic do-not-sell must block.
-	rng := rand.New(rand.NewSource(cfg.Seed * 17))
-	h := metrics.NewHistogram()
-	start := time.Now()
-	for n := 0; n < cfg.Operations; n++ {
-		subj := rng.Intn(cfg.Subjects)
-		j := rng.Intn(cfg.RecordsPerSubject)
-		rec := RecordKey(subj, j)
-		purpose := multiRegPurposes[j%len(multiRegPurposes)]
-		if rng.Float64() < 0.25 {
-			purpose = "sale"
-		}
-		t0 := time.Now()
-		_, err := st.Get(core.Ctx{Actor: "processor", Purpose: purpose}, rec)
-		h.Record(time.Since(t0))
-		switch {
-		case err == nil:
-		case errors.Is(err, core.ErrPurposeDenied):
-			pt.Denied++
-		case !isBenign(err):
-			pt.Errors++
-		}
+	r := &multiRegReader{st: st, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed * 17))}
+	res, err := timedLoop("multi-regulation/"+regime, int64(cfg.Operations), 1,
+		func(int) (worker, error) { return r, nil })
+	if err != nil {
+		return pt, err
 	}
-	elapsed := time.Since(start)
-	pt.Throughput = float64(cfg.Operations) / elapsed.Seconds()
-	pt.Read = h.Snapshot()
+	pt.Throughput, pt.Read, pt.Denied, pt.Errors = res.Throughput, res.PerOp["READ"], r.denied, int(res.Errors)
 	return pt, nil
+}
+
+// multiRegReader is the scenario's processor: it counts denials itself,
+// so the loop's errors are the non-benign remainder.
+type multiRegReader struct {
+	st     *core.Store
+	cfg    MultiRegConfig
+	rng    *rand.Rand
+	denied int
+
+	rec     string
+	purpose string
+}
+
+func (m *multiRegReader) next(int64) (string, bool) {
+	subj := m.rng.Intn(m.cfg.Subjects)
+	j := m.rng.Intn(m.cfg.RecordsPerSubject)
+	m.rec = RecordKey(subj, j)
+	m.purpose = multiRegPurposes[j%len(multiRegPurposes)]
+	if m.rng.Float64() < 0.25 {
+		m.purpose = "sale"
+	}
+	return "READ", true
+}
+
+func (m *multiRegReader) issue() error {
+	_, err := m.st.Get(core.Ctx{Actor: "processor", Purpose: m.purpose}, m.rec)
+	if errors.Is(err, core.ErrPurposeDenied) {
+		m.denied++
+		return nil
+	}
+	return ignoreBenign(err)
 }
 
 // FormatMultiReg renders the regime comparison table. The final column is

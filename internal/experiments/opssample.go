@@ -1,4 +1,4 @@
-package gdprbench
+package experiments
 
 import (
 	"encoding/json"
@@ -151,11 +151,11 @@ func (o *OpsSampler) section(name string) (map[string]string, error) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("gdprbench: ops /info/%s: status %d", name, resp.StatusCode)
+		return nil, fmt.Errorf("experiments: ops /info/%s: status %d", name, resp.StatusCode)
 	}
 	var out map[string]string
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("gdprbench: ops /info/%s: %w", name, err)
+		return nil, fmt.Errorf("experiments: ops /info/%s: %w", name, err)
 	}
 	return out, nil
 }

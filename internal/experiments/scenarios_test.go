@@ -1,4 +1,4 @@
-package gdprbench
+package experiments
 
 import (
 	"strings"

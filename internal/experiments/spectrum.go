@@ -1,16 +1,14 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
-	"gdprstore/internal/acl"
 	"gdprstore/internal/aof"
 	"gdprstore/internal/core"
-	"gdprstore/internal/ycsb"
 )
 
 // FsyncRow is one point of the §4.1 fsync spectrum: how throughput changes
@@ -30,66 +28,34 @@ type FsyncRow struct {
 // logging cost, not the network, is under test) against three AOF modes:
 // no logging, fsync every second, fsync always — all with reads journaled.
 func FsyncSpectrum(dir string, recordCount, opCount int64, workers int) ([]FsyncRow, error) {
-	if dir == "" {
-		d, err := os.MkdirTemp("", "gdpr-fsync")
-		if err != nil {
-			return nil, err
-		}
-		dir = d
+	dir, cleanup, err := WorkDir(dir, "gdpr-fsync")
+	if err != nil {
+		return nil, err
 	}
-	if recordCount <= 0 {
-		recordCount = 2000
-	}
-	if opCount <= 0 {
-		opCount = 10000
-	}
-	if workers <= 0 {
-		workers = 4
-	}
+	defer cleanup()
+	recordCount = cmp.Or(recordCount, 2000)
+	opCount = cmp.Or(opCount, 10000)
+	workers = cmp.Or(workers, 4)
 
 	modes := []struct {
-		name string
-		cfg  func() core.Config
+		name, aof string
+		sync      aof.SyncPolicy
 	}{
-		{"no logging", func() core.Config { return core.Baseline() }},
-		{"AOF everysec (eventual)", func() core.Config {
-			c := core.Baseline()
-			c.AOFPath = filepath.Join(dir, "everysec.aof")
-			c.AOFSync = core.Ptr(aof.SyncEverySec)
-			c.JournalReads = true
-			return c
-		}},
-		{"AOF sync-every-op (real-time)", func() core.Config {
-			c := core.Baseline()
-			c.AOFPath = filepath.Join(dir, "always.aof")
-			c.AOFSync = core.Ptr(aof.SyncAlways)
-			c.JournalReads = true
-			return c
-		}},
+		{"no logging", "", 0},
+		{"AOF everysec (eventual)", "everysec.aof", aof.SyncEverySec},
+		{"AOF sync-every-op (real-time)", "always.aof", aof.SyncAlways},
 	}
-
 	rows := make([]FsyncRow, 0, len(modes))
 	for _, m := range modes {
-		st, err := core.Open(m.cfg())
+		cfg := core.Baseline()
+		if m.aof != "" {
+			cfg.AOFPath, cfg.AOFSync, cfg.JournalReads = filepath.Join(dir, m.aof), core.Ptr(m.sync), true
+		}
+		thr, err := ycsbA(cfg, false, recordCount, opCount, workers)
 		if err != nil {
 			return nil, err
 		}
-		factory := func(int) (ycsb.DB, error) { return ycsb.NewEmbeddedDB(st), nil }
-		if _, err := ycsb.Load(ycsb.Config{
-			Workload: ycsb.WorkloadA, RecordCount: recordCount, Workers: workers, Factory: factory,
-		}); err != nil {
-			st.Close()
-			return nil, err
-		}
-		res, err := ycsb.Run(ycsb.Config{
-			Workload: ycsb.WorkloadA, RecordCount: recordCount,
-			OperationCount: opCount, Workers: workers, Factory: factory,
-		})
-		st.Close()
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, FsyncRow{Mode: m.name, Throughput: res.Throughput})
+		rows = append(rows, FsyncRow{Mode: m.name, Throughput: thr})
 	}
 	base := rows[0].Throughput
 	for i := range rows {
@@ -127,65 +93,33 @@ type SpectrumRow struct {
 // It demonstrates §3.2's claim that compliance is a continuum with strict
 // compliance the most expensive corner.
 func ComplianceSpectrum(dir string, recordCount, opCount int64, workers int) ([]SpectrumRow, error) {
-	if dir == "" {
-		d, err := os.MkdirTemp("", "gdpr-spectrum")
-		if err != nil {
-			return nil, err
-		}
-		dir = d
-	}
-	if recordCount <= 0 {
-		recordCount = 1000
-	}
-	if opCount <= 0 {
-		opCount = 5000
-	}
-	if workers <= 0 {
-		workers = 4
-	}
-
-	type corner struct {
-		timing     core.Timing
-		capability core.Capability
-	}
-	corners := []corner{
-		{core.TimingEventual, core.CapabilityPartial},
-		{core.TimingEventual, core.CapabilityFull},
-		{core.TimingRealTime, core.CapabilityPartial},
-		{core.TimingRealTime, core.CapabilityFull},
-	}
-
-	var rows []SpectrumRow
-
-	// Baseline first.
-	baseThr, err := spectrumRun(core.Baseline(), core.Ctx{}, core.PutOptions{}, recordCount, opCount, workers)
+	dir, cleanup, err := WorkDir(dir, "gdpr-spectrum")
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, SpectrumRow{Timing: "none", Capability: "baseline", Throughput: baseThr})
+	defer cleanup()
+	recordCount = cmp.Or(recordCount, 1000)
+	opCount = cmp.Or(opCount, 5000)
+	workers = cmp.Or(workers, 4)
 
-	for i, c := range corners {
-		cfg := core.Config{
-			Compliant:    true,
-			Timing:       c.timing,
-			Capability:   c.capability,
-			AuditEnabled: true,
-			AuditPath:    filepath.Join(dir, fmt.Sprintf("audit-%d.log", i)),
-			DefaultTTL:   24 * time.Hour,
+	// Baseline first: the same YCSB-A run on the baseline path.
+	baseThr, err := ycsbA(core.Baseline(), false, recordCount, opCount, workers)
+	if err != nil {
+		return nil, err
+	}
+	rows := []SpectrumRow{{Timing: "none", Capability: "baseline", Throughput: baseThr}}
+
+	for _, timing := range []core.Timing{core.TimingEventual, core.TimingRealTime} {
+		for _, capability := range []core.Capability{core.CapabilityPartial, core.CapabilityFull} {
+			thr, err := ycsbA(core.Config{
+				Compliant: true, Timing: timing, Capability: capability, DefaultTTL: 24 * time.Hour,
+				AuditEnabled: true, AuditPath: filepath.Join(dir, fmt.Sprintf("audit-%s-%s.log", timing, capability)),
+			}, true, recordCount, opCount, workers)
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, SpectrumRow{Timing: timing.String(), Capability: capability.String(), Throughput: thr})
 		}
-		// Partial capability on its own disables read auditing; keep the
-		// corners comparable on the features they do share.
-		ctx := core.Ctx{Actor: "bench", Purpose: "benchmark"}
-		opts := core.PutOptions{Owner: "subject", Purposes: []string{"benchmark"}}
-		thr, err := spectrumCompliantRun(cfg, ctx, opts, recordCount, opCount, workers)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, SpectrumRow{
-			Timing:     c.timing.String(),
-			Capability: c.capability.String(),
-			Throughput: thr,
-		})
 	}
 	for i := range rows {
 		rows[i].RelativeToBaseline = rows[i].Throughput / baseThr
@@ -193,43 +127,29 @@ func ComplianceSpectrum(dir string, recordCount, opCount int64, workers int) ([]
 	return rows, nil
 }
 
-func spectrumRun(cfg core.Config, ctx core.Ctx, opts core.PutOptions, recordCount, opCount int64, workers int) (float64, error) {
+// ycsbA loads and runs YCSB workload A against a fresh embedded store
+// opened with cfg, on its baseline or compliant path, and returns the run
+// phase's throughput. Any failed operation fails the run.
+func ycsbA(cfg core.Config, compliant bool, recordCount, opCount int64, workers int) (float64, error) {
 	st, err := core.Open(cfg)
 	if err != nil {
 		return 0, err
 	}
 	defer st.Close()
-	factory := func(int) (ycsb.DB, error) { return ycsb.NewEmbeddedDB(st), nil }
-	if _, err := ycsb.Load(ycsb.Config{Workload: ycsb.WorkloadA, RecordCount: recordCount, Workers: workers, Factory: factory}); err != nil {
-		return 0, err
+	phase := YCSBConfig{Workload: WorkloadA, RecordCount: recordCount, OperationCount: opCount,
+		Workers: workers, Target: EmbeddedTarget(st, core.Ctx{}, core.PutOptions{})}
+	if compliant {
+		phase.Target = CompliantTarget(st)
 	}
-	res, err := ycsb.Run(ycsb.Config{Workload: ycsb.WorkloadA, RecordCount: recordCount, OperationCount: opCount, Workers: workers, Factory: factory})
-	if err != nil {
-		return 0, err
+	res, err := Load(phase)
+	if err == nil && res.Errors == 0 {
+		res, err = Run(phase)
 	}
-	return res.Throughput, nil
-}
-
-func spectrumCompliantRun(cfg core.Config, ctx core.Ctx, opts core.PutOptions, recordCount, opCount int64, workers int) (float64, error) {
-	st, err := core.Open(cfg)
-	if err != nil {
-		return 0, err
+	if err == nil && res.Errors > 0 {
+		err = fmt.Errorf("experiments: YCSB-A %s on %s/%s: %d errors, first: %w",
+			res.Name, cfg.Timing, cfg.Capability, res.Errors, res.Err)
 	}
-	defer st.Close()
-	st.ACL().AddPrincipal(acl.Principal{ID: "bench", Role: acl.RoleController})
-	factory := func(int) (ycsb.DB, error) { return ycsb.NewGDPRDB(st, ctx, opts), nil }
-	if _, err := ycsb.Load(ycsb.Config{Workload: ycsb.WorkloadA, RecordCount: recordCount, Workers: workers, Factory: factory}); err != nil {
-		return 0, err
-	}
-	res, err := ycsb.Run(ycsb.Config{Workload: ycsb.WorkloadA, RecordCount: recordCount, OperationCount: opCount, Workers: workers, Factory: factory})
-	if err != nil {
-		return 0, err
-	}
-	if res.Errors > 0 {
-		return 0, fmt.Errorf("experiments: spectrum corner %s/%s had %d errors",
-			cfg.Timing, cfg.Capability, res.Errors)
-	}
-	return res.Throughput, nil
+	return res.Throughput, err
 }
 
 // FormatSpectrum renders the compliance-spectrum table.

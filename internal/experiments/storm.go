@@ -1,6 +1,7 @@
-package gdprbench
+package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -36,31 +37,16 @@ type StormConfig struct {
 	SampleEvery time.Duration
 	// Timeout bounds the drain wait (default 60s).
 	Timeout time.Duration
-	// ValueSize is the payload size in bytes (default 100).
-	ValueSize int
 	// Seed fixes the randomness (0 → 1).
 	Seed int64
 }
 
 func (c *StormConfig) defaults() {
-	if c.Keys <= 0 {
-		c.Keys = 20000
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = time.Second
-	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 25 * time.Millisecond
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 60 * time.Second
-	}
-	if c.ValueSize <= 0 {
-		c.ValueSize = 100
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
+	c.Keys = cmp.Or(c.Keys, 20000)
+	c.Horizon = cmp.Or(c.Horizon, time.Second)
+	c.SampleEvery = cmp.Or(c.SampleEvery, 25*time.Millisecond)
+	c.Timeout = cmp.Or(c.Timeout, 60*time.Second)
+	c.Seed = cmp.Or(c.Seed, 1)
 }
 
 // StormSample is one point on the drain curve.
@@ -112,7 +98,7 @@ func RunStorm(cfg StormConfig) (StormResult, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	ctl := core.Ctx{Actor: "controller", Purpose: "populate"}
 	deadline := time.Now().Add(cfg.Horizon)
-	val := make([]byte, cfg.ValueSize)
+	val := make([]byte, recordSize)
 
 	t0 := time.Now()
 	const chunk = 512
@@ -133,12 +119,12 @@ func RunStorm(cfg StormConfig) (StormResult, error) {
 			Origin:   "gdprbench-storm",
 		})
 		if err != nil {
-			return StormResult{}, fmt.Errorf("gdprbench: storm populate: %w", err)
+			return StormResult{}, fmt.Errorf("experiments: storm populate: %w", err)
 		}
 	}
 	res := StormResult{Keys: cfg.Keys, Timing: cfg.Timing, Populate: time.Since(t0)}
 	if remaining := time.Until(deadline); remaining < 0 {
-		return res, fmt.Errorf("gdprbench: storm populate overran the %v horizon by %v — raise -storm-horizon",
+		return res, fmt.Errorf("experiments: storm populate overran the %v horizon by %v — raise -storm-horizon",
 			cfg.Horizon, -remaining)
 	}
 

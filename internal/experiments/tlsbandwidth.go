@@ -31,18 +31,38 @@ func TLSBandwidth(totalBytes int64) ([]TLSBandwidthRow, error) {
 		totalBytes = 64 << 20 // 64 MiB
 	}
 
-	sink, err := newByteSink()
+	// The sink discards everything it receives. Closing it stops the
+	// accept loop; each connection's copy ends when its sender closes.
+	sink, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
+	var wg sync.WaitGroup
+	defer wg.Wait()
 	defer sink.Close()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			c, err := sink.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer c.Close()
+				io.Copy(io.Discard, c)
+			}()
+		}
+	}()
 
-	direct, err := measureStream(sink.Addr(), totalBytes)
+	direct, err := measureStream(sink.Addr().String(), totalBytes)
 	if err != nil {
 		return nil, fmt.Errorf("direct: %w", err)
 	}
 
-	tun, err := tlsproxy.NewTunnel(sink.Addr(), tlsproxy.Throttle{})
+	tun, err := tlsproxy.NewTunnel(sink.Addr().String(), tlsproxy.Throttle{})
 	if err != nil {
 		return nil, err
 	}
@@ -56,44 +76,6 @@ func TLSBandwidth(totalBytes int64) ([]TLSBandwidthRow, error) {
 		{Path: "direct TCP", BytesPerSec: direct},
 		{Path: "TLS tunnel (stunnel stand-in)", BytesPerSec: tunneled},
 	}, nil
-}
-
-// byteSink is a TCP server that discards everything it receives.
-type byteSink struct {
-	ln net.Listener
-	wg sync.WaitGroup
-}
-
-func newByteSink() (*byteSink, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	s := &byteSink{ln: ln}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			s.wg.Add(1)
-			go func(c net.Conn) {
-				defer s.wg.Done()
-				defer c.Close()
-				io.Copy(io.Discard, c)
-			}(c)
-		}
-	}()
-	return s, nil
-}
-
-func (s *byteSink) Addr() string { return s.ln.Addr().String() }
-
-func (s *byteSink) Close() {
-	s.ln.Close()
-	s.wg.Wait()
 }
 
 func measureStream(addr string, total int64) (float64, error) {

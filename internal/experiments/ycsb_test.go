@@ -1,13 +1,16 @@
-package ycsb
+package experiments
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
 	"gdprstore/internal/acl"
 	"gdprstore/internal/core"
+	"gdprstore/internal/server"
 )
 
 func TestZipfianRange(t *testing.T) {
@@ -164,20 +167,20 @@ func TestKeyNameSortsByIndex(t *testing.T) {
 	}
 }
 
-func baselineFactory(t *testing.T) (func(int) (DB, error), *core.Store) {
+func baselineFactory(t *testing.T) (func(int) (Target, error), *core.Store) {
 	t.Helper()
 	st, err := core.Open(core.Baseline())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	return func(int) (DB, error) { return NewEmbeddedDB(st), nil }, st
+	return EmbeddedTarget(st, core.Ctx{}, core.PutOptions{}), st
 }
 
 func TestLoadPhase(t *testing.T) {
 	factory, st := baselineFactory(t)
-	res, err := Load(Config{
-		Workload: WorkloadA, RecordCount: 1000, Workers: 4, Factory: factory,
+	res, err := Load(YCSBConfig{
+		Workload: WorkloadA, RecordCount: 1000, Workers: 4, Target: factory,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -202,12 +205,12 @@ func TestRunPhaseAllWorkloads(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			factory, _ := baselineFactory(t)
 			w := CoreWorkloads[name]
-			if _, err := Load(Config{Workload: w, RecordCount: 500, Workers: 2, Factory: factory}); err != nil {
+			if _, err := Load(YCSBConfig{Workload: w, RecordCount: 500, Workers: 2, Target: factory}); err != nil {
 				t.Fatal(err)
 			}
-			res, err := Run(Config{
+			res, err := Run(YCSBConfig{
 				Workload: w, RecordCount: 500, OperationCount: 2000,
-				Workers: 2, Factory: factory,
+				Workers: 2, Target: factory,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -236,13 +239,13 @@ func TestRunGDPRAdapter(t *testing.T) {
 	st.ACL().AddPrincipal(acl.Principal{ID: "bench", Role: acl.RoleController})
 	ctx := core.Ctx{Actor: "bench", Purpose: "benchmark"}
 	opts := core.PutOptions{Owner: "subject", Purposes: []string{"benchmark"}, TTL: 3600e9}
-	factory := func(int) (DB, error) { return NewGDPRDB(st, ctx, opts), nil }
+	factory := EmbeddedTarget(st, ctx, opts)
 
-	if _, err := Load(Config{Workload: WorkloadA, RecordCount: 200, Factory: factory}); err != nil {
+	if _, err := Load(YCSBConfig{Workload: WorkloadA, RecordCount: 200, Target: factory}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{
-		Workload: WorkloadA, RecordCount: 200, OperationCount: 1000, Factory: factory,
+	res, err := Run(YCSBConfig{
+		Workload: WorkloadA, RecordCount: 200, OperationCount: 1000, Target: factory,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -260,10 +263,10 @@ func TestRunGDPRAdapter(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	run := func() Result {
 		factory, _ := baselineFactory(t)
-		Load(Config{Workload: WorkloadA, RecordCount: 100, Factory: factory, Seed: 99})
-		res, err := Run(Config{
+		Load(YCSBConfig{Workload: WorkloadA, RecordCount: 100, Target: factory, Seed: 99})
+		res, err := Run(YCSBConfig{
 			Workload: WorkloadA, RecordCount: 100, OperationCount: 500,
-			Factory: factory, Seed: 99,
+			Target: factory, Seed: 99,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -278,10 +281,10 @@ func TestDeterministicRuns(t *testing.T) {
 }
 
 func TestRunRequiresFactory(t *testing.T) {
-	if _, err := Run(Config{Workload: WorkloadA, OperationCount: 1}); err == nil {
+	if _, err := Run(YCSBConfig{Workload: WorkloadA, OperationCount: 1}); err == nil {
 		t.Fatal("missing factory accepted")
 	}
-	if _, err := Load(Config{Workload: WorkloadA, RecordCount: 1}); err == nil {
+	if _, err := Load(YCSBConfig{Workload: WorkloadA, RecordCount: 1}); err == nil {
 		t.Fatal("missing factory accepted")
 	}
 }
@@ -296,4 +299,69 @@ func TestOpTypeStrings(t *testing.T) {
 			t.Errorf("%v = %q", op, op.String())
 		}
 	}
+}
+
+// TestYCSBTargets runs YCSB-A on both targets — the embedded store on its
+// baseline and compliant paths, and the SDK against a live server — one
+// operation per call and in batches of 8: no operation fails, and every
+// loaded record is there afterwards.
+func TestYCSBTargets(t *testing.T) {
+	const records = 200
+	targets := []struct {
+		name string
+		open func(t *testing.T) (*core.Store, func(int) (Target, error))
+	}{
+		{"embedded-baseline", func(t *testing.T) (*core.Store, func(int) (Target, error)) {
+			st := openStore(t, core.Baseline())
+			return st, EmbeddedTarget(st, core.Ctx{}, core.PutOptions{})
+		}},
+		{"embedded-compliant", func(t *testing.T) (*core.Store, func(int) (Target, error)) {
+			st := openStore(t, core.EventualFull(""))
+			st.ACL().AddPrincipal(acl.Principal{ID: "bench", Role: acl.RoleController})
+			return st, EmbeddedTarget(st, core.Ctx{Actor: "bench", Purpose: "benchmark"},
+				core.PutOptions{Owner: "subject", Purposes: []string{"benchmark"}, TTL: time.Hour})
+		}},
+		{"sdk", func(t *testing.T) (*core.Store, func(int) (Target, error)) {
+			st := openStore(t, core.Baseline())
+			srv, err := server.Listen("127.0.0.1:0", st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close() })
+			return st, SDKTarget(srv.Addr(), nil)
+		}},
+	}
+	for _, tg := range targets {
+		for _, batch := range []int{1, 8} {
+			t.Run(fmt.Sprintf("%s/batch=%d", tg.name, batch), func(t *testing.T) {
+				st, target := tg.open(t)
+				cfg := YCSBConfig{Workload: WorkloadA, RecordCount: records, OperationCount: 400,
+					ValueSize: 100, Workers: 2, Batch: batch, Target: target}
+				for _, phase := range []func(YCSBConfig) (Result, error){Load, Run} {
+					res, err := phase(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Errors != 0 {
+						t.Fatalf("%s: %d errors, first: %v", res.Name, res.Errors, res.Err)
+					}
+				}
+				for i := int64(0); i < records; i++ {
+					if !st.Engine().Exists(KeyName(i)) {
+						t.Fatalf("loaded key %s missing", KeyName(i))
+					}
+				}
+			})
+		}
+	}
+}
+
+func openStore(t *testing.T, cfg core.Config) *core.Store {
+	t.Helper()
+	st, err := core.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
 }
