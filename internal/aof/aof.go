@@ -64,8 +64,6 @@ type Options struct {
 	// Key, if non-nil, encrypts the file at rest with AES-256-CTR keyed by
 	// byte offset (the LUKS/dm-crypt stand-in). Must be 32 bytes.
 	Key []byte
-	// BufSize is the in-memory write buffer size; default 64 KiB.
-	BufSize int
 }
 
 // Log is an append-only command log. All methods are safe for concurrent
@@ -109,11 +107,7 @@ func Open(path string, opts Options) (*Log, error) {
 			return nil, err
 		}
 	}
-	bufSize := opts.BufSize
-	if bufSize <= 0 {
-		bufSize = 64 * 1024
-	}
-	l.initWriters(bufSize)
+	l.initWriters()
 	if opts.Policy == SyncEverySec {
 		l.stopFlusher = make(chan struct{})
 		l.flusherDone = make(chan struct{})
@@ -122,12 +116,12 @@ func Open(path string, opts Options) (*Log, error) {
 	return l, nil
 }
 
-func (l *Log) initWriters(bufSize int) {
+func (l *Log) initWriters() {
 	var sink io.Writer = l.f
 	if l.cipher != nil {
 		sink = cryptoutil.NewWriter(l.f, l.cipher, l.size)
 	}
-	l.w = bufio.NewWriterSize(sink, bufSize)
+	l.w = bufio.NewWriterSize(sink, 64*1024)
 	l.enc = resp.NewWriter(countingWriter{l})
 }
 
@@ -149,12 +143,7 @@ func (l *Log) Append(name string, args ...[]byte) error {
 	if l.closed {
 		return errors.New("aof: closed")
 	}
-	vs := make([]resp.Value, 0, len(args)+1)
-	vs = append(vs, resp.BulkStringValue(name))
-	for _, a := range args {
-		vs = append(vs, resp.BulkValue(a))
-	}
-	if err := l.enc.WriteValue(resp.ArrayValue(vs...)); err != nil {
+	if err := l.enc.WriteRecord(name, args); err != nil {
 		l.lastErr = err
 		return err
 	}
@@ -238,9 +227,6 @@ func (l *Log) LastErr() error {
 	return l.lastErr
 }
 
-// Path returns the file path backing the log.
-func (l *Log) Path() string { return l.path }
-
 // Close flushes, fsyncs, stops the background flusher, and closes the file.
 func (l *Log) Close() error {
 	l.mu.Lock()
@@ -267,7 +253,7 @@ func (l *Log) Close() error {
 }
 
 // ReplayFunc receives each command during Load. Returning an error aborts
-// the replay.
+// the replay. Every command is read into fresh buffers, so fn may keep args.
 type ReplayFunc func(name string, args [][]byte) error
 
 // Load replays every command in the file at path. A truncated final record
@@ -310,14 +296,72 @@ func Load(path string, key []byte, fn ReplayFunc) (replayed int, err error) {
 }
 
 // SnapshotFunc walks the current dataset, emitting one command per record
-// through emit. It is supplied by the storage engine during Rewrite.
+// through emit, for Rewrite and WriteSnapshot.
 type SnapshotFunc func(emit func(name string, args ...[]byte) error) error
 
+// WriteSnapshot writes the commands snapshot emits to path as a log Load
+// reads: into a temporary file beside it, encrypted at rest under key when
+// it is non-nil, fsynced, renamed over path, and the directory fsynced.
+func WriteSnapshot(path string, key []byte, snapshot SnapshotFunc) error {
+	var c *cryptoutil.OffsetCipher
+	if key != nil {
+		var err error
+		if c, err = cryptoutil.NewOffsetCipher(key); err != nil {
+			return err
+		}
+	}
+	tmp, err := writeTemp(filepath.Dir(path), c, snapshot)
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return SyncDir(filepath.Dir(path))
+}
+
+// writeTemp writes the commands snapshot emits to a new temporary file in
+// dir, encrypted under c when it is non-nil, fsyncs it and returns its
+// path, for the caller to rename into place.
+func writeTemp(dir string, c *cryptoutil.OffsetCipher, snapshot SnapshotFunc) (string, error) {
+	f, err := os.CreateTemp(dir, ".snapshot-*")
+	if err != nil {
+		return "", err
+	}
+	var sink io.Writer = f
+	if c != nil {
+		sink = cryptoutil.NewWriter(f, c, 0)
+	}
+	bw := bufio.NewWriterSize(sink, 256*1024)
+	enc := resp.NewWriter(bw)
+	err = snapshot(func(name string, args ...[]byte) error { return enc.WriteRecord(name, args) })
+	if err == nil {
+		err = errors.Join(enc.Flush(), bw.Flush(), f.Sync())
+	}
+	if err = errors.Join(err, f.Close()); err != nil {
+		os.Remove(f.Name())
+		return "", err
+	}
+	return f.Name(), nil
+}
+
+// SyncDir fsyncs the directory dir, so that a rename into it or a removal
+// from it survives a power loss.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	return errors.Join(d.Sync(), d.Close())
+}
+
 // Rewrite compacts the log: it writes a fresh file containing only the
-// commands needed to reconstruct the current dataset (via snapshot),
-// fsyncs it, and atomically renames it over the old file. After Rewrite
+// commands needed to reconstruct the current dataset (via snapshot), fsyncs
+// it, renames it over the old file and fsyncs the directory. After Rewrite
 // returns, previously deleted data no longer persists anywhere in the log —
-// the guarantee §4.3 calls out as required for GDPR deletion.
+// the guarantee §4.3 calls out as required for GDPR deletion — and a power
+// loss cannot bring the old log back.
 //
 // Locking: the snapshot is generated and written to a temporary file
 // *without* holding the log lock (so snapshot may freely read the engine,
@@ -333,86 +377,38 @@ func (l *Log) Rewrite(snapshot SnapshotFunc) error {
 	defer l.rewriteMu.Unlock()
 
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
+	closed := l.closed
+	l.mu.Unlock()
+	if closed {
 		return errors.New("aof: closed")
 	}
-	l.mu.Unlock()
 
 	dir := filepath.Dir(l.path)
-	tmp, err := os.CreateTemp(dir, ".aof-rewrite-*")
+	tmp, err := writeTemp(dir, l.cipher, snapshot)
 	if err != nil {
-		return fmt.Errorf("aof: rewrite temp: %w", err)
+		return fmt.Errorf("aof: rewrite: %w", err)
 	}
-	tmpPath := tmp.Name()
-	defer os.Remove(tmpPath) // no-op after successful rename
+	defer os.Remove(tmp) // no-op after the rename
 
-	var sink io.Writer = tmp
-	if l.cipher != nil {
-		sink = cryptoutil.NewWriter(tmp, l.cipher, 0)
-	}
-	bw := bufio.NewWriterSize(sink, 256*1024)
-	var written int64
-	enc := resp.NewWriter(writerFunc(func(p []byte) (int, error) {
-		n, err := bw.Write(p)
-		written += int64(n)
-		return n, err
-	}))
-	emit := func(name string, args ...[]byte) error {
-		vs := make([]resp.Value, 0, len(args)+1)
-		vs = append(vs, resp.BulkStringValue(name))
-		for _, a := range args {
-			vs = append(vs, resp.BulkValue(a))
-		}
-		return enc.WriteValue(resp.ArrayValue(vs...))
-	}
-	if err := snapshot(emit); err != nil {
-		tmp.Close()
-		return fmt.Errorf("aof: rewrite snapshot: %w", err)
-	}
-	if err := enc.Flush(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-
-	// Swap: flush old, rename new over it, reopen for append.
+	// Swap: rename the new file over the old, drop the old one with what was
+	// appended to it since the snapshot, and reopen for append.
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return errors.New("aof: closed")
 	}
-	if err := l.w.Flush(); err != nil {
-		l.lastErr = err
-		return err
-	}
-	if err := l.f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmpPath, l.path); err != nil {
+	if err := os.Rename(tmp, l.path); err != nil {
 		return fmt.Errorf("aof: rewrite rename: %w", err)
 	}
+	l.f.Close()
 	f, err := os.OpenFile(l.path, os.O_RDWR|os.O_APPEND, 0o600)
 	if err != nil {
 		return fmt.Errorf("aof: rewrite reopen: %w", err)
 	}
-	l.f = f
-	l.size = written
-	l.dirty = false
-	l.initWriters(64 * 1024)
-	return nil
+	l.f, l.dirty = f, false
+	if l.size, err = f.Seek(0, io.SeekEnd); err != nil {
+		return fmt.Errorf("aof: rewrite reopen: %w", err)
+	}
+	l.initWriters()
+	return SyncDir(dir)
 }
-
-type writerFunc func(p []byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }

@@ -1,24 +1,24 @@
-// Package backup provides the backup half of the paper's Article 17
-// requirement: erased personal data must not survive in backups. A backup
-// is a point-in-time snapshot of the engine in the same RESP command
-// format the AOF uses, optionally block-encrypted at rest (the LUKS
-// stand-in). The Manager tracks a backup directory and supports the two
-// compliant erasure strategies:
+// Package backup keeps point-in-time backup generations in a directory,
+// for the backup half of the paper's Article 17 requirement: erased
+// personal data must not survive in backups. A generation is one snapshot
+// stream, written as an AOF rewrite writes the log (aof.WriteSnapshot,
+// optionally encrypted at rest: the LUKS stand-in) and read back with
+// aof.Load. The package does not interpret it: the store supplies what a
+// generation holds and what a restore does. The compliance layer's stream
+// is each record with its GDPR metadata plus the standing objections, and
+// never a key, so two erasure strategies keep generations compliant:
 //
 //   - Refresh: re-snapshot after erasure and delete older generations, so
 //     no backup older than the erasure survives (what Google Cloud's
 //     ~180-day deletion guarantee amounts to, done eagerly);
-//   - crypto-shredding (when the store uses envelope encryption): backups
-//     contain only per-owner ciphertext, so destroying the owner's key in
-//     the keyring renders every backup generation unreadable without
-//     touching the files.
+//   - crypto-shredding (envelope encryption): a generation holds per-owner
+//     ciphertext and no data key, so destroying the owner's key in the live
+//     keyring renders every generation's copy unreadable.
 package backup
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -26,72 +26,17 @@ import (
 	"sync"
 	"time"
 
+	"gdprstore/internal/aof"
 	"gdprstore/internal/clock"
-	"gdprstore/internal/cryptoutil"
-	"gdprstore/internal/resp"
-	"gdprstore/internal/store"
 )
 
-// Write streams a snapshot of db to w, optionally encrypted with key.
-func Write(db *store.DB, w io.Writer, key []byte) error {
-	var sink io.Writer = w
-	if key != nil {
-		c, err := cryptoutil.NewOffsetCipher(key)
-		if err != nil {
-			return err
-		}
-		sink = cryptoutil.NewWriter(w, c, 0)
-	}
-	bw := bufio.NewWriterSize(sink, 256*1024)
-	enc := resp.NewWriter(bw)
-	err := db.Snapshot(func(name string, args ...[]byte) error {
-		vs := make([]resp.Value, 0, len(args)+1)
-		vs = append(vs, resp.BulkStringValue(name))
-		for _, a := range args {
-			vs = append(vs, resp.BulkValue(a))
-		}
-		return enc.WriteValue(resp.ArrayValue(vs...))
-	})
-	if err != nil {
-		return fmt.Errorf("backup: snapshot: %w", err)
-	}
-	if err := enc.Flush(); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// Restore replays a backup stream into db.
-func Restore(db *store.DB, r io.Reader, key []byte) (int, error) {
-	var src io.Reader = r
-	if key != nil {
-		c, err := cryptoutil.NewOffsetCipher(key)
-		if err != nil {
-			return 0, err
-		}
-		src = cryptoutil.NewReader(r, c)
-	}
-	dec := resp.NewReader(bufio.NewReaderSize(src, 256*1024))
-	n := 0
-	for {
-		args, err := dec.ReadCommand()
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return n, nil
-			}
-			return n, fmt.Errorf("backup: restore after %d records: %w", n, err)
-		}
-		if err := db.Apply(string(args[0]), args[1:]); err != nil {
-			return n, err
-		}
-		n++
-	}
-}
+// stampLayout is a generation name's timestamp.
+const stampLayout = "20060102T150405.000000000"
 
 // Manager keeps timestamped backup generations in a directory. All
 // methods are safe for concurrent use: a mutex serialises generation
 // numbering and the directory-level operations (create, purge, restore),
-// so concurrent Creates cannot race on seq and a Restore cannot read a
+// so concurrent Creates cannot race on seq and a restore cannot read a
 // generation Refresh is about to purge.
 type Manager struct {
 	mu  sync.Mutex
@@ -113,41 +58,21 @@ func NewManager(dir string, key []byte, clk clock.Clock) (*Manager, error) {
 	return &Manager{dir: dir, key: key, clk: clk}, nil
 }
 
-// Create writes a new backup generation and returns its path.
-func (m *Manager) Create(db *store.DB) (string, error) {
+// Create writes the commands snapshot emits as a new generation and
+// returns its path.
+func (m *Manager) Create(snapshot aof.SnapshotFunc) (string, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.createLocked(db)
+	return m.createLocked(snapshot)
 }
 
 // createLocked is Create's body; callers hold m.mu.
-func (m *Manager) createLocked(db *store.DB) (string, error) {
+func (m *Manager) createLocked(snapshot aof.SnapshotFunc) (string, error) {
 	m.seq++
-	name := fmt.Sprintf("backup-%s-%04d.snap",
-		m.clk.Now().UTC().Format("20060102T150405.000000000"), m.seq)
-	path := filepath.Join(m.dir, name)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o600)
-	if err != nil {
-		return "", err
-	}
-	if err := Write(db, f, m.key); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return "", err
+	path := filepath.Join(m.dir, fmt.Sprintf("backup-%s-%04d.snap",
+		m.clk.Now().UTC().Format(stampLayout), m.seq))
+	if err := aof.WriteSnapshot(path, m.key, snapshot); err != nil {
+		return "", fmt.Errorf("backup: %w", err)
 	}
 	return path, nil
 }
@@ -168,56 +93,41 @@ func (m *Manager) List() ([]string, error) {
 	return out, nil
 }
 
-// RestoreLatest replays the newest generation into db, replacing its
-// contents: the keyspace is flushed first so keys written after the backup
-// was taken do not survive the restore. A restore that merged into the
-// live dataset would resurrect exactly the kind of state Article 17
-// erasure is supposed to destroy.
-func (m *Manager) RestoreLatest(db *store.DB) (int, error) {
+// RestoreLatest hands the newest generation's commands to fn, in the order
+// they were written, and returns the generation's path. fn decides what a
+// restore does; an error from it stops the read and is returned.
+func (m *Manager) RestoreLatest(fn aof.ReplayFunc) (string, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	gens, err := m.List()
 	if err != nil {
-		return 0, err
+		return "", err
 	}
 	if len(gens) == 0 {
-		return 0, fmt.Errorf("backup: no generations in %s", m.dir)
+		return "", fmt.Errorf("backup: no generations in %s", m.dir)
 	}
-	f, err := os.Open(gens[len(gens)-1])
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	db.FlushAll()
-	return Restore(db, f, m.key)
+	latest := gens[len(gens)-1]
+	_, err = aof.Load(latest, m.key, fn)
+	return latest, err
 }
 
 // Refresh implements post-erasure backup hygiene: snapshot the current
 // (already-erased) dataset as a new generation and remove every older
 // generation, so no backup predating the erasure survives. It returns the
 // new generation's path and how many old generations were removed.
-func (m *Manager) Refresh(db *store.DB) (string, int, error) {
+func (m *Manager) Refresh(snapshot aof.SnapshotFunc) (string, int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	old, err := m.List()
 	if err != nil {
 		return "", 0, err
 	}
-	path, err := m.createLocked(db)
+	path, err := m.createLocked(snapshot)
 	if err != nil {
 		return "", 0, err
 	}
-	removed := 0
-	for _, g := range old {
-		if g == path {
-			continue
-		}
-		if err := os.Remove(g); err != nil {
-			return path, removed, fmt.Errorf("backup: purge %s: %w", g, err)
-		}
-		removed++
-	}
-	return path, removed, nil
+	removed, err := m.remove(old)
+	return path, removed, err
 }
 
 // PruneOlderThan removes generations whose encoded timestamp is before
@@ -230,20 +140,28 @@ func (m *Manager) PruneOlderThan(cutoff time.Time) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	removed := 0
+	var due []string
 	for _, g := range gens {
-		ts, ok := parseBackupTime(filepath.Base(g))
-		if !ok {
-			continue
-		}
-		if ts.Before(cutoff) {
-			if err := os.Remove(g); err != nil {
-				return removed, err
-			}
-			removed++
+		if ts, ok := parseBackupTime(filepath.Base(g)); ok && ts.Before(cutoff) {
+			due = append(due, g)
 		}
 	}
-	return removed, nil
+	return m.remove(due)
+}
+
+// remove deletes gens and then fsyncs the directory, so that no removed
+// generation comes back after a power loss. It returns how many it
+// removed; callers hold m.mu.
+func (m *Manager) remove(gens []string) (int, error) {
+	for i, g := range gens {
+		if err := os.Remove(g); err != nil {
+			return i, errors.Join(fmt.Errorf("backup: purge %s: %w", g, err), aof.SyncDir(m.dir))
+		}
+	}
+	if len(gens) == 0 {
+		return 0, nil
+	}
+	return len(gens), aof.SyncDir(m.dir)
 }
 
 func parseBackupTime(name string) (time.Time, bool) {
@@ -252,7 +170,7 @@ func parseBackupTime(name string) (time.Time, bool) {
 	if i := strings.LastIndexByte(name, '-'); i >= 0 {
 		name = name[:i]
 	}
-	ts, err := time.Parse("20060102T150405.000000000", name)
+	ts, err := time.Parse(stampLayout, name)
 	if err != nil {
 		return time.Time{}, false
 	}

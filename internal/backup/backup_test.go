@@ -2,101 +2,113 @@ package backup
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"gdprstore/internal/clock"
-	"gdprstore/internal/store"
 )
 
-func newDB() (*store.DB, *clock.Virtual) {
+// dataset is what a backup sees of a store: the commands its snapshot
+// emits, each a name and its arguments.
+type dataset [][]string
+
+func (d dataset) snapshot(emit func(name string, args ...[]byte) error) error {
+	for _, c := range d {
+		args := make([][]byte, 0, len(c)-1)
+		for _, a := range c[1:] {
+			args = append(args, []byte(a))
+		}
+		if err := emit(c[0], args...); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// restoreLatest reads m's newest generation back as a dataset.
+func restoreLatest(m *Manager) (string, dataset, error) {
+	var got dataset
+	path, err := m.RestoreLatest(func(name string, args [][]byte) error {
+		c := []string{name}
+		for _, a := range args {
+			c = append(c, string(a))
+		}
+		got = append(got, c)
+		return nil
+	})
+	return path, got, err
+}
+
+func newManager(t *testing.T, key []byte) (*Manager, *clock.Virtual) {
+	t.Helper()
 	vc := clock.NewVirtual(time.Date(2019, 5, 16, 0, 0, 0, 0, time.UTC))
-	return store.New(store.Options{Clock: vc, Seed: 1}), vc
+	m, err := NewManager(t.TempDir(), key, vc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, vc
 }
 
 func TestWriteRestoreRoundTrip(t *testing.T) {
-	src, vc := newDB()
-	src.Set("plain", []byte("1"))
-	src.SetEX("ttl", []byte("2"), time.Hour)
-	var buf bytes.Buffer
-	if err := Write(src, &buf, nil); err != nil {
+	m, _ := newManager(t, nil)
+	in := dataset{
+		{"SET", "plain", "1"},
+		{"SETEX", "ttl", "\x00\x01deadline", "2"},
+		{"GREC", "\xffbinary\r\nmetadata", "pd:alice", ""},
+		{"GOBJ", "alice", "marketing"},
+	}
+	if _, err := m.Create(in.snapshot); err != nil {
 		t.Fatal(err)
 	}
-	dst := store.New(store.Options{Clock: vc, Seed: 2})
-	n, err := Restore(dst, &buf, nil)
-	if err != nil || n != 2 {
-		t.Fatalf("restored %d, %v", n, err)
-	}
-	if v, ok := dst.Get("plain"); !ok || string(v) != "1" {
-		t.Fatalf("plain = %q, %v", v, ok)
-	}
-	d, st := dst.TTL("ttl")
-	if st != store.TTLSet || d != time.Hour {
-		t.Fatalf("ttl = %v, %v", d, st)
+	if _, got, err := restoreLatest(m); err != nil || !reflect.DeepEqual(got, in) {
+		t.Fatalf("restored %q, %v; want %q", got, err, in)
 	}
 }
 
 func TestEncryptedBackupUnreadableWithoutKey(t *testing.T) {
-	src, vc := newDB()
-	secret := []byte("super-secret-personal-data")
-	src.Set("pd", secret)
 	key := bytes.Repeat([]byte{9}, 32)
-	var buf bytes.Buffer
-	if err := Write(src, &buf, key); err != nil {
+	m, vc := newManager(t, key)
+	secret := "super-secret-personal-data"
+	in := dataset{{"SET", "pd", secret}}
+	path, err := m.Create(in.snapshot)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(buf.Bytes(), secret) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(raw, []byte(secret)) {
 		t.Fatal("plaintext visible in encrypted backup")
 	}
-	// Wrong key fails.
-	dst := store.New(store.Options{Clock: vc})
-	if _, err := Restore(dst, bytes.NewReader(buf.Bytes()), bytes.Repeat([]byte{8}, 32)); err == nil {
+	// A manager over the same directory with the wrong key reads noise: the
+	// read fails, or what it reads is not the generation.
+	wrong, err := NewManager(m.dir, bytes.Repeat([]byte{8}, 32), vc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, got, err := restoreLatest(wrong); err == nil && reflect.DeepEqual(got, in) {
 		t.Fatal("wrong key restored successfully")
 	}
-	// Right key round-trips.
-	dst2 := store.New(store.Options{Clock: vc})
-	n, err := Restore(dst2, bytes.NewReader(buf.Bytes()), key)
-	if err != nil || n != 1 {
-		t.Fatalf("restore: %d, %v", n, err)
-	}
-	if v, _ := dst2.Get("pd"); !bytes.Equal(v, secret) {
-		t.Fatalf("restored %q", v)
-	}
-}
-
-func TestBackupSkipsExpired(t *testing.T) {
-	src, vc := newDB()
-	src.Set("live", []byte("1"))
-	src.SetEX("dead", []byte("2"), time.Second)
-	vc.Advance(time.Minute)
-	var buf bytes.Buffer
-	Write(src, &buf, nil)
-	dst := store.New(store.Options{Clock: vc})
-	Restore(dst, &buf, nil)
-	if dst.Exists("dead") {
-		t.Fatal("expired data resurrected through a backup")
-	}
-	if !dst.Exists("live") {
-		t.Fatal("live data missing")
+	if _, got, err := restoreLatest(m); err != nil || !reflect.DeepEqual(got, in) {
+		t.Fatalf("restored %q, %v", got, err)
 	}
 }
 
 func TestManagerGenerations(t *testing.T) {
-	db, vc := newDB()
-	db.Set("k", []byte("v1"))
-	m, err := NewManager(t.TempDir(), nil, vc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1, err := m.Create(db)
+	m, vc := newManager(t, nil)
+	p1, err := m.Create(dataset{{"SET", "k", "v1"}}.snapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
 	vc.Advance(time.Hour)
-	db.Set("k", []byte("v2"))
-	p2, err := m.Create(db)
+	v2 := dataset{{"SET", "k", "v2"}}
+	p2, err := m.Create(v2.snapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,40 +119,70 @@ func TestManagerGenerations(t *testing.T) {
 	if len(gens) != 2 || gens[0] != p1 || gens[1] != p2 {
 		t.Fatalf("list = %v", gens)
 	}
-	dst := store.New(store.Options{Clock: vc})
-	if _, err := m.RestoreLatest(dst); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := dst.Get("k"); string(v) != "v2" {
-		t.Fatalf("latest restore = %q", v)
+	path, got, err := restoreLatest(m)
+	if err != nil || path != p2 || !reflect.DeepEqual(got, v2) {
+		t.Fatalf("latest restore = %s %q, %v", path, got, err)
 	}
 }
 
 func TestRestoreLatestEmpty(t *testing.T) {
-	m, _ := NewManager(t.TempDir(), nil, nil)
-	db, _ := newDB()
-	if _, err := m.RestoreLatest(db); err == nil {
+	m, _ := newManager(t, nil)
+	if _, _, err := restoreLatest(m); err == nil {
 		t.Fatal("restore from empty dir accepted")
+	}
+}
+
+// TestRestoreLatestStopsAtRefusal: a record the replay function refuses
+// stops the read, and the refusal is what RestoreLatest returns.
+func TestRestoreLatestStopsAtRefusal(t *testing.T) {
+	m, _ := newManager(t, nil)
+	if _, err := m.Create(dataset{{"SET", "a", "1"}, {"GKEY", "alice", "k"}, {"SET", "b", "2"}}.snapshot); err != nil {
+		t.Fatal(err)
+	}
+	refused := errors.New("refused")
+	var seen []string
+	_, err := m.RestoreLatest(func(name string, _ [][]byte) error {
+		seen = append(seen, name)
+		if name == "GKEY" {
+			return refused
+		}
+		return nil
+	})
+	if !errors.Is(err, refused) || !reflect.DeepEqual(seen, []string{"SET", "GKEY"}) {
+		t.Fatalf("err = %v after %v", err, seen)
+	}
+}
+
+// TestCreateFailureLeavesNothing: a snapshot that fails leaves neither a
+// generation nor its temporary file behind.
+func TestCreateFailureLeavesNothing(t *testing.T) {
+	m, _ := newManager(t, nil)
+	failing := func(emit func(string, ...[]byte) error) error {
+		if err := emit("SET", []byte("k"), []byte("v")); err != nil {
+			return err
+		}
+		return errors.New("engine gone")
+	}
+	if _, err := m.Create(failing); err == nil {
+		t.Fatal("failed snapshot accepted")
+	}
+	if ents, _ := os.ReadDir(m.dir); len(ents) != 0 {
+		t.Fatalf("left %d files behind", len(ents))
 	}
 }
 
 func TestRefreshPurgesErasedData(t *testing.T) {
 	// The Article 17 backup property: after erasure + Refresh, no backup
 	// generation contains the erased data.
-	db, vc := newDB()
-	secret := []byte("alice-erased-payload")
-	db.Set("pd:alice", secret)
-	db.Set("pd:bob", []byte("bob-data"))
-	m, err := NewManager(t.TempDir(), nil, vc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Create(db)
+	m, vc := newManager(t, nil)
+	secret := "alice-erased-payload"
+	before := dataset{{"SET", "pd:alice", secret}, {"SET", "pd:bob", "bob-data"}}
+	m.Create(before.snapshot)
 	vc.Advance(time.Hour)
-	m.Create(db)
+	m.Create(before.snapshot)
 
-	db.Del("pd:alice") // the erasure
-	_, removed, err := m.Refresh(db)
+	after := before[1:] // the erasure
+	_, removed, err := m.Refresh(after.snapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +197,7 @@ func TestRefreshPurgesErasedData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(raw, secret) {
+	if bytes.Contains(raw, []byte(secret)) {
 		t.Fatal("erased data persists in the refreshed backup")
 	}
 	if !bytes.Contains(raw, []byte("bob-data")) {
@@ -164,12 +206,11 @@ func TestRefreshPurgesErasedData(t *testing.T) {
 }
 
 func TestPruneOlderThan(t *testing.T) {
-	db, vc := newDB()
-	db.Set("k", []byte("v"))
-	m, _ := NewManager(t.TempDir(), nil, vc)
-	m.Create(db)
+	m, vc := newManager(t, nil)
+	d := dataset{{"SET", "k", "v"}}
+	m.Create(d.snapshot)
 	vc.Advance(48 * time.Hour)
-	m.Create(db)
+	m.Create(d.snapshot)
 	cutoff := vc.Now().Add(-24 * time.Hour)
 	n, err := m.PruneOlderThan(cutoff)
 	if err != nil || n != 1 {
@@ -197,15 +238,10 @@ func TestParseBackupTime(t *testing.T) {
 
 // TestParallelCreateNoCollision is the regression test for the unguarded
 // seq counter: concurrent Creates used to race on m.seq (a data race, and
-// colliding sequence numbers within one clock tick meant O_EXCL failures
+// colliding sequence numbers within one clock tick meant failed Creates
 // or silently fewer generations than requested). Run under -race.
 func TestParallelCreateNoCollision(t *testing.T) {
-	db, vc := newDB()
-	db.Set("k", []byte("v"))
-	m, err := NewManager(t.TempDir(), nil, vc) // virtual clock: every Create shares one tick
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, _ := newManager(t, nil) // virtual clock: every Create shares one tick
 	const writers = 8
 	paths := make([]string, writers)
 	errs := make([]error, writers)
@@ -214,7 +250,7 @@ func TestParallelCreateNoCollision(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			paths[i], errs[i] = m.Create(db)
+			paths[i], errs[i] = m.Create(dataset{{"SET", "k", fmt.Sprint(i)}}.snapshot)
 		}(i)
 	}
 	wg.Wait()
@@ -231,41 +267,5 @@ func TestParallelCreateNoCollision(t *testing.T) {
 	gens, err := m.List()
 	if err != nil || len(gens) != writers {
 		t.Fatalf("generations = %d, %v; want %d", len(gens), err, writers)
-	}
-}
-
-// TestRestoreReplacesLiveState is the regression test for RestoreLatest
-// merging into the live keyspace: keys written after the backup was taken
-// must not survive the restore. Before the fix, restoring an old backup
-// over a database that had since erased a subject resurrected nothing —
-// but restoring over a database that had *written* new keys kept them,
-// and a restore performed to roll back an unwanted write (the classic
-// restore-after-erasure flow) silently merged states.
-func TestRestoreReplacesLiveState(t *testing.T) {
-	db, vc := newDB()
-	m, err := NewManager(t.TempDir(), nil, vc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.Set("kept", []byte("original"))
-	if _, err := m.Create(db); err != nil {
-		t.Fatal(err)
-	}
-	// Post-backup state: a new key appears and the kept key is overwritten.
-	db.Set("post-backup", []byte("should-not-survive"))
-	db.Set("kept", []byte("clobbered"))
-
-	n, err := m.RestoreLatest(db)
-	if err != nil || n != 1 {
-		t.Fatalf("restore = %d, %v", n, err)
-	}
-	if _, ok := db.Get("post-backup"); ok {
-		t.Fatal("restore merged: post-backup key survived")
-	}
-	if v, ok := db.Get("kept"); !ok || string(v) != "original" {
-		t.Fatalf("kept = %q, %v; want the backup's value", v, ok)
-	}
-	if db.Len() != 1 {
-		t.Fatalf("restored keyspace has %d keys, want exactly the backup's 1", db.Len())
 	}
 }

@@ -276,18 +276,42 @@ func (s *Store) ErasureStats() ErasureStats {
 	return st
 }
 
-// snapshotAll emits the commands that reconstruct the full compliance
-// state: one record per live key (GREC with its metadata; SET/SETEX for a
-// key that has none), standing objections (GOBJ), and the envelope keyring
-// (GKEY/GSHRED, with key epochs). Callers hold the whole-store lock
-// (lockAll), so the cut is globally consistent. Whatever format the records
-// were journaled in, a snapshot holds the current one only, and each record
-// carries one deadline: the engine's, which is the one enforced.
+// snapshotAll emits the full compliance state for AOF rewrite and replica
+// full sync: snapshotRecords, then the envelope keyring (GKEY/GSHRED, with
+// key epochs). Callers hold the whole-store lock (lockAll).
+func (s *Store) snapshotAll(emit func(name string, args ...[]byte) error) error {
+	if err := s.snapshotRecords(emit); err != nil || s.keyring == nil {
+		return err
+	}
+	wrapped, err := s.keyring.ExportAll()
+	if err != nil {
+		return err
+	}
+	epochs := s.keyring.Epochs()
+	for owner, w := range wrapped {
+		if err := emit(opKey, []byte(owner), w, epochArg(epochs[owner])); err != nil {
+			return err
+		}
+	}
+	for _, owner := range s.keyring.ShreddedOwners() {
+		if err := emit(opShred, []byte(owner), epochArg(epochs[owner])); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// snapshotRecords emits snapshotAll's data half, the whole of a backup
+// generation and no key: one record per live key (GREC with its metadata;
+// SET/SETEX for a key that has none), then the standing objections (GOBJ).
+// Callers hold lockAll, so the cut is globally consistent. A snapshot holds
+// the current record format only, and each record one deadline: the
+// engine's, which is the one enforced.
 //
 // Crypto-erased records the sweep has not reclaimed yet are omitted, so a
 // compaction purges dead ciphertext from the AOF even while the in-memory
 // sweep is still running. emit must not keep its arguments.
-func (s *Store) snapshotAll(emit func(name string, args ...[]byte) error) error {
+func (s *Store) snapshotRecords(emit func(name string, args ...[]byte) error) error {
 	var mb []byte
 	err := s.db.SnapshotRecords(func(k string, e store.Entry) error {
 		switch {
@@ -311,23 +335,6 @@ func (s *Store) snapshotAll(emit func(name string, args ...[]byte) error) error 
 				if err := emit(opObject, []byte(owner), []byte(p)); err != nil {
 					return err
 				}
-			}
-		}
-	}
-	if s.keyring != nil {
-		wrapped, err := s.keyring.ExportAll()
-		if err != nil {
-			return err
-		}
-		epochs := s.keyring.Epochs()
-		for owner, w := range wrapped {
-			if err := emit(opKey, []byte(owner), w, epochArg(epochs[owner])); err != nil {
-				return err
-			}
-		}
-		for _, owner := range s.keyring.ShreddedOwners() {
-			if err := emit(opShred, []byte(owner), epochArg(epochs[owner])); err != nil {
-				return err
 			}
 		}
 	}

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
+	"slices"
 
 	"gdprstore/internal/audit"
 	"gdprstore/internal/backup"
@@ -86,15 +88,17 @@ func (s *Store) SetBackupManager(m *backup.Manager) {
 	s.gmu.Unlock()
 }
 
-// Backup writes a new backup generation now.
+var errNoBackups = errors.New("core: no backup manager registered")
+
+// Backup writes a new backup generation now: snapshotRecords under the
+// whole-store lock, every record with its metadata and no key.
 func (s *Store) Backup() (string, error) {
-	s.gmu.Lock()
-	m := s.backups
-	s.gmu.Unlock()
-	if m == nil {
-		return "", errors.New("core: no backup manager registered")
+	s.lockAll()
+	defer s.unlockAll()
+	if s.backups == nil {
+		return "", errNoBackups
 	}
-	path, err := m.Create(s.db)
+	path, err := s.backups.Create(s.snapshotRecords)
 	if err != nil {
 		return "", err
 	}
@@ -102,6 +106,88 @@ func (s *Store) Backup() (string, error) {
 		Actor: "system:backup", Op: "BACKUP", Outcome: audit.OutcomeOK, Detail: path,
 	})
 	return path, nil
+}
+
+// RestoreBackup replaces the keyspace with the newest backup generation,
+// under the whole-store lock, and returns how many of its records it applied
+// and how many it skipped as crypto-erased. DESIGN.md §13 states its seven
+// rules; the steps below carry their numbers.
+func (s *Store) RestoreBackup(ctx Ctx) (applied, skipped int, err error) {
+	s.lockAll()
+	defer s.unlockAll()
+	if s.backups == nil {
+		return 0, 0, errNoBackups
+	}
+	if s.closed.Load() {
+		return 0, 0, ErrClosed
+	}
+	// 1. Paying owed erasure propagation refreshes the generations, so none
+	// taken before a Forget comes back.
+	if s.pendingRewrite.Load() {
+		if err := s.propagateErasureLocked(ctx); err != nil {
+			return 0, 0, err
+		}
+	}
+	// 2. The whole generation is vetted before the keyspace is touched: it
+	// holds what snapshotRecords writes, well formed, and never a key.
+	var recs [][][]byte // each record's name, then its arguments
+	gen, err := s.backups.RestoreLatest(func(name string, args [][]byte) error {
+		var err error
+		switch {
+		case (name == "SET" || name == opObject) && len(args) == 2:
+		case name == "SETEX" && len(args) == 3:
+			_, err = store.DecodeDeadline(args[1])
+		case name == opRecord && len(args) >= 3 && len(args)%2 == 1:
+			_, err = decodeMetadata(args[0])
+		default:
+			err = fmt.Errorf("core: restore: a backup generation may not hold %s with %d args", name, len(args))
+		}
+		recs = append(recs, append([][]byte{[]byte(name)}, args...))
+		return err
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	s.FlushAll() // 3. hands its FLUSHALL to the journal before it returns
+	for _, rec := range recs {
+		name, args := string(rec[0]), rec[1:]
+		if name == opRecord {
+			m, _ := decodeMetadata(args[0]) // vetted above
+			// 5. Dead under the live keyring: shredded since the backup.
+			if s.keyring != nil && m.Owner != "" && !s.keyring.RecordLive(m.Owner, m.KeyEpoch) {
+				skipped++
+				continue
+			}
+			// 6. Restamped with the owner's standing objections.
+			for _, p := range s.objectionsOfLocked(s.ownerStripeFor(m.Owner), m.Owner) {
+				if !slices.Contains(m.Objections, p) {
+					m.Objections = append(m.Objections, p)
+				}
+			}
+			args[0] = appendMetadata(nil, &m)
+		}
+		// 4. Applied as replay applies it and journaled, so the AOF, a restart
+		// and an attached replica converge. A GOBJ is journaled ahead of the
+		// records it restamps, under the owner stripe lockAll holds.
+		if name == opObject {
+			owner := string(args[0])
+			err = s.appendLog(name, args...)
+			if jerr := s.applyObjectionLocked(s.ownerStripeFor(owner), owner, string(args[1]), true, encodeMetadata); err == nil {
+				err = jerr
+			}
+		} else if err = s.applyRecord(name, args); err == nil {
+			err = s.appendLog(name, args...)
+		}
+		if err != nil {
+			return applied, skipped, err
+		}
+		applied++
+	}
+	s.auditOp(audit.Record{ // 7.
+		Actor: ctx.Actor, Op: "RESTORE", Outcome: audit.OutcomeOK,
+		Detail: fmt.Sprintf("generation=%s applied=%d skipped=%d", filepath.Base(gen), applied, skipped),
+	})
+	return applied, skipped, nil
 }
 
 // propagateErasure completes an Article 17 erasure across the subsystems
@@ -129,7 +215,7 @@ func (s *Store) propagateErasureLocked(ctx Ctx) error {
 		return err
 	}
 	if s.backups != nil {
-		if _, removed, err := s.backups.Refresh(s.db); err != nil {
+		if _, removed, err := s.backups.Refresh(s.snapshotRecords); err != nil {
 			return fmt.Errorf("core: backup refresh: %w", err)
 		} else if removed > 0 {
 			s.auditOp(audit.Record{

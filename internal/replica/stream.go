@@ -50,12 +50,7 @@ const DefaultLinkQueue = 4096
 func EncodeRecord(name string, args ...[]byte) []byte {
 	var buf bytes.Buffer
 	w := resp.NewWriter(&buf)
-	vs := make([]resp.Value, 0, len(args)+1)
-	vs = append(vs, resp.BulkStringValue(name))
-	for _, a := range args {
-		vs = append(vs, resp.BulkValue(a))
-	}
-	_ = w.WriteValue(resp.ArrayValue(vs...))
+	_ = w.WriteRecord(name, args)
 	_ = w.Flush()
 	return buf.Bytes()
 }

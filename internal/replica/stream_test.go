@@ -72,14 +72,20 @@ func newTestPrimary(t *testing.T, opts HubOptions) *testPrimary {
 	return &testPrimary{db: db, hub: hub}
 }
 
-// snap is the test SnapshotProvider: FLUSHALL + engine snapshot, with the
-// cut taken first (tests do not write concurrently with attachment).
+// snap is the test SnapshotProvider: FLUSHALL + one SET or SETEX per live
+// key, with the cut taken first (tests do not write concurrently with
+// attachment).
 func (p *testPrimary) snap(emit func(name string, args ...[]byte) error, cut func()) error {
 	cut()
 	if err := emit("FLUSHALL"); err != nil {
 		return err
 	}
-	return p.db.Snapshot(emit)
+	return p.db.SnapshotRecords(func(k string, e store.Entry) error {
+		if e.Deadline.IsZero() {
+			return emit("SET", []byte(k), e.Value)
+		}
+		return emit("SETEX", []byte(k), store.EncodeDeadline(e.Deadline), e.Value)
+	})
 }
 
 func (p *testPrimary) listen(t *testing.T, auth func(string) bool) *Listener {

@@ -95,16 +95,6 @@ func NullArrayValue() Value { return Value{Type: Array, Null: true} }
 // ArrayValue constructs an array value.
 func ArrayValue(vs ...Value) Value { return Value{Type: Array, Array: vs} }
 
-// CommandValue builds the client-side representation of a command: an array
-// of bulk strings, exactly as redis-cli would send it.
-func CommandValue(args ...string) Value {
-	vs := make([]Value, len(args))
-	for i, a := range args {
-		vs[i] = BulkStringValue(a)
-	}
-	return ArrayValue(vs...)
-}
-
 // IsError reports whether v is a protocol-level error reply.
 func (v Value) IsError() bool { return v.Type == Error }
 
@@ -456,17 +446,22 @@ func (w *Writer) WriteCommand(args ...string) error {
 		return err
 	}
 	for _, a := range args {
-		if err := w.writeHeader('$', int64(len(a))); err != nil {
-			return err
-		}
-		if _, err := w.bw.WriteString(a); err != nil {
-			return err
-		}
-		if err := w.crlf(); err != nil {
+		if err := w.writeBulkString(a); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// writeBulkString is writeBulk for a string payload.
+func (w *Writer) writeBulkString(s string) error {
+	if err := w.writeHeader('$', int64(len(s))); err != nil {
+		return err
+	}
+	if _, err := w.bw.WriteString(s); err != nil {
+		return err
+	}
+	return w.crlf()
 }
 
 // WriteCommandBytes encodes a command from raw byte arguments: the
@@ -475,6 +470,24 @@ func (w *Writer) WriteCommand(args ...string) error {
 // the per-argument Value boxing WriteValue(ArrayValue(...)) would pay.
 func (w *Writer) WriteCommandBytes(args [][]byte) error {
 	if err := w.writeHeader('*', int64(len(args))); err != nil {
+		return err
+	}
+	for _, a := range args {
+		if err := w.writeBulk(a); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// WriteRecord encodes a journal record, its name then its arguments, as
+// one array of bulk strings: the format of the AOF, of backup generations
+// and of the replication stream. Like WriteCommandBytes it boxes nothing.
+func (w *Writer) WriteRecord(name string, args [][]byte) error {
+	if err := w.writeHeader('*', int64(len(args)+1)); err != nil {
+		return err
+	}
+	if err := w.writeBulkString(name); err != nil {
 		return err
 	}
 	for _, a := range args {

@@ -257,6 +257,29 @@ func TestIntegerPropertyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteRecordMatchesValueEncoding: the journal's encoder writes the
+// bytes the Value encoder it replaced wrote, so logs, generations and
+// replication offsets stay byte-compatible.
+func TestWriteRecordMatchesValueEncoding(t *testing.T) {
+	args := [][]byte{[]byte("pd:alice"), {}, []byte("\x00\r\nbin")}
+	var got, want bytes.Buffer
+	w := NewWriter(&got)
+	if err := w.WriteRecord("GREC", args); err != nil || w.Flush() != nil {
+		t.Fatal(err)
+	}
+	vs := []Value{BulkStringValue("GREC")}
+	for _, a := range args {
+		vs = append(vs, BulkValue(a))
+	}
+	w = NewWriter(&want)
+	if err := w.WriteValue(ArrayValue(vs...)); err != nil || w.Flush() != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("WriteRecord wrote %q, the Value encoder %q", got.Bytes(), want.Bytes())
+	}
+}
+
 // --- allocation budgets for the client hot path ---
 
 // TestWriteCommandBytesAllocFree pins the encode fast path at zero
@@ -272,6 +295,16 @@ func TestWriteCommandBytesAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("WriteCommandBytes allocates %.1f objects/op, want 0", allocs)
+	}
+	// WriteRecord, the journal's encoder, is the same path with the name
+	// given apart.
+	allocs = testing.AllocsPerRun(1000, func() {
+		if err := w.WriteRecord("GREC", args[1:]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("WriteRecord allocates %.1f objects/op, want 0", allocs)
 	}
 }
 

@@ -110,29 +110,14 @@ func (db *DB) Apply(name string, args [][]byte) error {
 	return nil
 }
 
-// Snapshot emits the minimal command sequence that reconstructs the current
-// dataset, for AOF rewrite: one SET or SETEX per live key. Expired
-// unreclaimed keys are dropped — after a rewrite, deleted and expired data
-// no longer persists in the log (§4.3's requirement).
-//
-// Snapshot is the engine's one stop-the-world operation: it locks every
-// shard (in index order, like all cross-shard operations) for the duration
-// of the emit loop, so the snapshot is a globally consistent cut of the
-// keyspace — an AOF rewrite or replica seed taken from it can be replayed
-// against the journal stream without losing or resurrecting keys.
-func (db *DB) Snapshot(emit func(name string, args ...[]byte) error) error {
-	return db.SnapshotRecords(func(key string, e Entry) error {
-		if e.Deadline.IsZero() {
-			return emit("SET", []byte(key), e.Value)
-		}
-		return emit("SETEX", []byte(key), EncodeDeadline(e.Deadline), e.Value)
-	})
-}
-
-// SnapshotRecords is the cut Snapshot takes, handed out as entries instead
-// of commands: fn sees every live key with its stored value, record and
-// deadline, for a caller that writes its own record per key. The entry is
-// lent, as Lookup lends it; every shard is locked while fn runs.
+// SnapshotRecords hands fn every live key with its stored value, record
+// and deadline, for a caller that writes its own record per key (AOF
+// rewrite, replica seeding, backups). Expired unreclaimed keys are dropped:
+// after a rewrite, deleted and expired data no longer persists in the log
+// (§4.3's requirement). It is the engine's one stop-the-world operation:
+// every shard is locked (in index order, like all cross-shard operations)
+// while fn runs, so the cut is globally consistent and replays cleanly
+// against the journal stream. The entry is lent, as Lookup lends it.
 func (db *DB) SnapshotRecords(fn func(key string, e Entry) error) error {
 	db.lockAll()
 	defer db.unlockAll()

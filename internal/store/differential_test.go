@@ -198,7 +198,7 @@ func (m *refModel) retentionLag() (overdue int, oldest time.Duration) {
 	return overdue, oldest
 }
 
-// snapshot renders the live keys the way DB.Snapshot's records do.
+// snapshot renders the live keys the way SnapshotRecords hands them out.
 func (m *refModel) snapshot() map[string]string {
 	out := map[string]string{}
 	for k, v := range m.dict {

@@ -117,6 +117,3 @@ func (e *Expirer) Running() bool {
 	defer e.mu.Unlock()
 	return e.stopped != nil
 }
-
-// Period returns the configured cycle period.
-func (e *Expirer) Period() time.Duration { return e.period }

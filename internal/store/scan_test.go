@@ -239,8 +239,12 @@ func TestSnapshotSkipsExpired(t *testing.T) {
 	db.SetEX("dead", []byte("3"), time.Second)
 	vc.Advance(2 * time.Second)
 	var ops []string
-	err := db.Snapshot(func(name string, args ...[]byte) error {
-		ops = append(ops, name+":"+string(args[0]))
+	err := db.SnapshotRecords(func(k string, e Entry) error {
+		op := "SETEX:"
+		if e.Deadline.IsZero() {
+			op = "SET:"
+		}
+		ops = append(ops, op+k)
 		return nil
 	})
 	if err != nil {

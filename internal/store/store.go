@@ -31,7 +31,7 @@
 // group-commit queue (see journalQueue). The conditional operations
 // (conditional.go) finish a caller's read-check-write of one key under its
 // shard lock, so the caller needs no lock of its own. Cross-shard operations
-// (FLUSHALL, Snapshot) lock every shard in index order — the one
+// (FLUSHALL, SnapshotRecords) lock every shard in index order — the one
 // deterministic multi-shard protocol — and Scan/Keys/Len lock one shard at
 // a time, giving per-shard-consistent (not globally atomic) views, as
 // Redis's SCAN guarantees do.
