@@ -79,7 +79,6 @@ type Log struct {
 	policy    SyncPolicy
 	size      int64 // logical bytes appended (plaintext == ciphertext length)
 	dirty     bool
-	lastErr   error
 	appends   uint64
 	syncs     uint64
 
@@ -144,11 +143,9 @@ func (l *Log) Append(name string, args ...[]byte) error {
 		return errors.New("aof: closed")
 	}
 	if err := l.enc.WriteRecord(name, args); err != nil {
-		l.lastErr = err
 		return err
 	}
 	if err := l.enc.Flush(); err != nil { // resp buffer -> bufio buffer
-		l.lastErr = err
 		return err
 	}
 	l.appends++
@@ -171,11 +168,9 @@ func (l *Log) syncLocked() error {
 		return nil
 	}
 	if err := l.w.Flush(); err != nil {
-		l.lastErr = err
 		return err
 	}
 	if err := l.f.Sync(); err != nil {
-		l.lastErr = err
 		return err
 	}
 	l.dirty = false
@@ -218,13 +213,6 @@ func (l *Log) Syncs() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.syncs
-}
-
-// LastErr returns the most recent persistent error, if any.
-func (l *Log) LastErr() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lastErr
 }
 
 // Close flushes, fsyncs, stops the background flusher, and closes the file.

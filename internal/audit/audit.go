@@ -501,10 +501,6 @@ func (t *Trail) Mode() SyncMode { return t.mode }
 // Policy returns the back-pressure policy.
 func (t *Trail) Policy() Backpressure { return t.policy }
 
-// Counters exposes the pipeline's event counters (enqueued, dropped,
-// processed, sink_errors, masked).
-func (t *Trail) Counters() *metrics.CounterSet { return t.counters }
-
 // Masker returns the PII masker, or nil when masking is disabled.
 func (t *Trail) Masker() *Masker { return t.masker }
 

@@ -2,8 +2,9 @@
 // for the backup half of the paper's Article 17 requirement: erased
 // personal data must not survive in backups. A generation is one snapshot
 // stream, written as an AOF rewrite writes the log (aof.WriteSnapshot,
-// optionally encrypted at rest: the LUKS stand-in) and read back with
-// aof.Load. The package does not interpret it: the store supplies what a
+// optionally encrypted at rest: the LUKS stand-in), closed by a trailer,
+// and read back with aof.Load; a generation that reads short is refused.
+// The package does not interpret it: the store supplies what a
 // generation holds and what a restore does. The compliance layer's stream
 // is each record with its GDPR metadata plus the standing objections, and
 // never a key, so two erasure strategies keep generations compliant:
@@ -66,12 +67,23 @@ func (m *Manager) Create(snapshot aof.SnapshotFunc) (string, error) {
 	return m.createLocked(snapshot)
 }
 
+// trailer closes every generation. aof.Load takes a short read for a torn
+// tail, which a log may have; a generation read without its trailer is
+// truncated, damaged or read under the wrong key, and is refused.
+const trailer = "BACKUPEND"
+
 // createLocked is Create's body; callers hold m.mu.
 func (m *Manager) createLocked(snapshot aof.SnapshotFunc) (string, error) {
 	m.seq++
 	path := filepath.Join(m.dir, fmt.Sprintf("backup-%s-%04d.snap",
 		m.clk.Now().UTC().Format(stampLayout), m.seq))
-	if err := aof.WriteSnapshot(path, m.key, snapshot); err != nil {
+	err := aof.WriteSnapshot(path, m.key, func(emit func(string, ...[]byte) error) error {
+		if err := snapshot(emit); err != nil {
+			return err
+		}
+		return emit(trailer)
+	})
+	if err != nil {
 		return "", fmt.Errorf("backup: %w", err)
 	}
 	return path, nil
@@ -95,7 +107,9 @@ func (m *Manager) List() ([]string, error) {
 
 // RestoreLatest hands the newest generation's commands to fn, in the order
 // they were written, and returns the generation's path. fn decides what a
-// restore does; an error from it stops the read and is returned.
+// restore does; an error from it stops the read and is returned. A short
+// read is an error only after fn has seen what could be read, so a caller
+// that must not act on part of a generation reads it twice.
 func (m *Manager) RestoreLatest(fn aof.ReplayFunc) (string, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -107,7 +121,16 @@ func (m *Manager) RestoreLatest(fn aof.ReplayFunc) (string, error) {
 		return "", fmt.Errorf("backup: no generations in %s", m.dir)
 	}
 	latest := gens[len(gens)-1]
-	_, err = aof.Load(latest, m.key, fn)
+	ended := false // the last command read was the trailer
+	_, err = aof.Load(latest, m.key, func(name string, args [][]byte) error {
+		if ended = name == trailer && len(args) == 0; ended {
+			return nil
+		}
+		return fn(name, args)
+	})
+	if err == nil && !ended {
+		err = fmt.Errorf("backup: %s reads short: no trailer", latest)
+	}
 	return latest, err
 }
 

@@ -86,13 +86,13 @@ func TestEncryptedBackupUnreadableWithoutKey(t *testing.T) {
 	if bytes.Contains(raw, []byte(secret)) {
 		t.Fatal("plaintext visible in encrypted backup")
 	}
-	// A manager over the same directory with the wrong key reads noise: the
-	// read fails, or what it reads is not the generation.
+	// A manager over the same directory with the wrong key reads noise, and
+	// the read fails.
 	wrong, err := NewManager(m.dir, bytes.Repeat([]byte{8}, 32), vc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, got, err := restoreLatest(wrong); err == nil && reflect.DeepEqual(got, in) {
+	if _, _, err := restoreLatest(wrong); err == nil {
 		t.Fatal("wrong key restored successfully")
 	}
 	if _, got, err := restoreLatest(m); err != nil || !reflect.DeepEqual(got, in) {
@@ -129,6 +129,28 @@ func TestRestoreLatestEmpty(t *testing.T) {
 	m, _ := newManager(t, nil)
 	if _, _, err := restoreLatest(m); err == nil {
 		t.Fatal("restore from empty dir accepted")
+	}
+}
+
+// TestRestoreLatestRefusesShortGeneration: a generation cut anywhere, at a
+// record boundary or inside a record, is an error, not a shorter dataset.
+func TestRestoreLatestRefusesShortGeneration(t *testing.T) {
+	m, _ := newManager(t, nil)
+	path, err := m.Create(dataset{{"SET", "a", "1"}, {"GOBJ", "alice", "marketing"}}.snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < len(raw); cut++ {
+		if err := os.WriteFile(path, raw[:cut], 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if _, got, err := restoreLatest(m); err == nil {
+			t.Fatalf("generation cut at byte %d of %d restored as %q", cut, len(raw), got)
+		}
 	}
 }
 

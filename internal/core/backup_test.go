@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"gdprstore/internal/aof"
 	"gdprstore/internal/backup"
 )
 
@@ -25,11 +24,13 @@ func withBackups(t *testing.T, s *Store) *backup.Manager {
 	return m
 }
 
-// genNames lists the record names a backup generation holds, in order.
-func genNames(t *testing.T, gen string) []string {
+// backupNames takes a backup of s and lists the record names its generation
+// holds, in order.
+func backupNames(t *testing.T, s *Store) []string {
 	t.Helper()
+	mustBackup(t, s)
 	var names []string
-	if _, err := aof.Load(gen, nil, func(name string, _ [][]byte) error {
+	if _, err := s.backups.RestoreLatest(func(name string, _ [][]byte) error {
 		names = append(names, name)
 		return nil
 	}); err != nil {
@@ -70,7 +71,7 @@ func TestBackupIsCompliantSnapshot(t *testing.T) {
 	if err := s.Object(Ctx{Actor: "bob"}, "bob", "marketing"); err != nil {
 		t.Fatal(err)
 	}
-	names := genNames(t, mustBackup(t, s))
+	names := backupNames(t, s)
 	if !slices.Contains(names, opRecord) || !slices.Contains(names, opObject) ||
 		slices.Contains(names, opKey) || slices.Contains(names, opShred) {
 		t.Fatalf("generation holds %v: want GREC and GOBJ, no GKEY or GSHRED", names)
@@ -198,6 +199,31 @@ func TestRestoreRefusesKeyMaterial(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesShortGeneration: a generation that reads short, here
+// one cut by its last byte, is refused whole, and the live keyspace is left
+// as it was.
+func TestRestoreRefusesShortGeneration(t *testing.T) {
+	s := newFullStore(t, nil)
+	withBackups(t, s)
+	s.Put(ctlCtx, "pd:bob", []byte("bob-data"), PutOptions{Owner: "bob"})
+	gen := mustBackup(t, s)
+	s.Put(ctlCtx, "post-backup", []byte("kept"), PutOptions{Owner: "bob"})
+	raw, err := os.ReadFile(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(gen, raw[:len(raw)-1], 0o600); err != nil {
+		t.Fatal(err)
+	}
+	before := legacyDump(t, s)
+	if _, _, err := s.RestoreBackup(ctlCtx); err == nil {
+		t.Fatal("a generation that reads short was restored")
+	}
+	if got := legacyDump(t, s); got != before {
+		t.Fatalf("refused restore changed the keyspace\n--- after ---\n%s--- before ---\n%s", got, before)
+	}
+}
+
 // TestRestoreReplacesLiveState: keys written after the backup was taken do
 // not survive the restore, and overwritten keys get the backup's value
 // back: a restore replaces the live keyspace, it does not merge into it.
@@ -231,7 +257,7 @@ func TestBackupSkipsExpired(t *testing.T) {
 	s.Put(ctlCtx, "live", []byte("1"), PutOptions{Owner: "bob", TTL: time.Hour})
 	s.Put(ctlCtx, "dead", []byte("2"), PutOptions{Owner: "bob", TTL: time.Second})
 	vclock(s).Advance(time.Minute)
-	if names := genNames(t, mustBackup(t, s)); !reflect.DeepEqual(names, []string{opRecord}) {
+	if names := backupNames(t, s); !reflect.DeepEqual(names, []string{opRecord}) {
 		t.Fatalf("generation holds %v, want the live record alone", names)
 	}
 	if _, _, err := s.RestoreBackup(ctlCtx); err != nil {

@@ -128,35 +128,21 @@ func (s *Store) RestoreBackup(ctx Ctx) (applied, skipped int, err error) {
 			return 0, 0, err
 		}
 	}
-	// 2. The whole generation is vetted before the keyspace is touched: it
-	// holds what snapshotRecords writes, well formed, and never a key.
-	var recs [][][]byte // each record's name, then its arguments
-	gen, err := s.backups.RestoreLatest(func(name string, args [][]byte) error {
-		var err error
-		switch {
-		case (name == "SET" || name == opObject) && len(args) == 2:
-		case name == "SETEX" && len(args) == 3:
-			_, err = store.DecodeDeadline(args[1])
-		case name == opRecord && len(args) >= 3 && len(args)%2 == 1:
-			_, err = decodeMetadata(args[0])
-		default:
-			err = fmt.Errorf("core: restore: a backup generation may not hold %s with %d args", name, len(args))
-		}
-		recs = append(recs, append([][]byte{[]byte(name)}, args...))
-		return err
-	})
+	// 2. The whole generation is read and vetted before the keyspace is
+	// touched. A second read then fills it one record at a time; lockAll
+	// keeps Backup and Refresh from writing a newer generation in between.
+	gen, err := s.backups.RestoreLatest(vetBackupRecord)
 	if err != nil {
 		return 0, 0, err
 	}
 	s.FlushAll() // 3. hands its FLUSHALL to the journal before it returns
-	for _, rec := range recs {
-		name, args := string(rec[0]), rec[1:]
+	_, err = s.backups.RestoreLatest(func(name string, args [][]byte) error {
 		if name == opRecord {
-			m, _ := decodeMetadata(args[0]) // vetted above
+			m, _ := decodeMetadata(args[0]) // vetted on the first read
 			// 5. Dead under the live keyring: shredded since the backup.
 			if s.keyring != nil && m.Owner != "" && !s.keyring.RecordLive(m.Owner, m.KeyEpoch) {
 				skipped++
-				continue
+				return nil
 			}
 			// 6. Restamped with the owner's standing objections.
 			for _, p := range s.objectionsOfLocked(s.ownerStripeFor(m.Owner), m.Owner) {
@@ -169,6 +155,7 @@ func (s *Store) RestoreBackup(ctx Ctx) (applied, skipped int, err error) {
 		// 4. Applied as replay applies it and journaled, so the AOF, a restart
 		// and an attached replica converge. A GOBJ is journaled ahead of the
 		// records it restamps, under the owner stripe lockAll holds.
+		var err error
 		if name == opObject {
 			owner := string(args[0])
 			err = s.appendLog(name, args...)
@@ -178,16 +165,34 @@ func (s *Store) RestoreBackup(ctx Ctx) (applied, skipped int, err error) {
 		} else if err = s.applyRecord(name, args); err == nil {
 			err = s.appendLog(name, args...)
 		}
-		if err != nil {
-			return applied, skipped, err
+		if err == nil {
+			applied++
 		}
-		applied++
+		return err
+	})
+	if err != nil {
+		return applied, skipped, err
 	}
 	s.auditOp(audit.Record{ // 7.
 		Actor: ctx.Actor, Op: "RESTORE", Outcome: audit.OutcomeOK,
 		Detail: fmt.Sprintf("generation=%s applied=%d skipped=%d", filepath.Base(gen), applied, skipped),
 	})
 	return applied, skipped, nil
+}
+
+// vetBackupRecord admits to a restore only what snapshotRecords writes, well
+// formed: anything else, key material above all, refuses the generation.
+func vetBackupRecord(name string, args [][]byte) (err error) {
+	switch {
+	case (name == "SET" || name == opObject) && len(args) == 2:
+	case name == "SETEX" && len(args) == 3:
+		_, err = store.DecodeDeadline(args[1])
+	case name == opRecord && len(args) >= 3 && len(args)%2 == 1:
+		_, err = decodeMetadata(args[0])
+	default:
+		err = fmt.Errorf("core: restore: a backup generation may not hold %s with %d args", name, len(args))
+	}
+	return err
 }
 
 // propagateErasure completes an Article 17 erasure across the subsystems

@@ -75,16 +75,3 @@ func (s *CounterSet) Snapshot() map[string]uint64 {
 	}
 	return out
 }
-
-// Counters returns the counter set attached to this OpSet, creating it on
-// first use. It lets a subsystem that already reports latency through an
-// OpSet surface its event totals (queue drops, sink errors, ...) alongside
-// without a second registry.
-func (s *OpSet) Counters() *CounterSet {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.counters == nil {
-		s.counters = NewCounterSet()
-	}
-	return s.counters
-}

@@ -53,9 +53,8 @@ func (s *OpStats) Record(d time.Duration) { s.Hist.Record(d) }
 // workload phase. Get is cheap after first use (read-locked map hit), and
 // recording on the returned OpStats is lock-free.
 type OpSet struct {
-	mu       sync.RWMutex
-	m        map[string]*OpStats
-	counters *CounterSet
+	mu sync.RWMutex
+	m  map[string]*OpStats
 }
 
 // NewOpSet returns an empty set.
