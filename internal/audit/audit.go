@@ -361,6 +361,7 @@ func (t *Trail) drain() {
 	}
 	recs := make([]Record, 0, workerBatch)
 	var enc []byte
+	var ce claimEncoder
 	var dones []chan error
 	for {
 		due := false
@@ -380,7 +381,7 @@ func (t *Trail) drain() {
 		var err error
 		for left > 0 {
 			claim := t.ring[at:min(at+workerBatch, at+left, len(t.ring))]
-			recs, enc = recs[:0], enc[:0]
+			recs = recs[:0]
 			for _, q := range claim {
 				r := q.rec
 				if t.masker != nil {
@@ -388,11 +389,11 @@ func (t *Trail) drain() {
 					t.masked.Inc()
 				}
 				recs = append(recs, r)
-				enc = appendRecord(enc, r)
 				if q.done != nil {
 					dones = append(dones, q.done)
 				}
 			}
+			enc = ce.appendClaim(enc[:0], recs)
 			err = errors.Join(err, t.sinkFailed(t.sink.Write(recs, enc)))
 			clear(claim) // the records' strings are the sinks' now, not the queue's
 			at, left = (at+len(claim))%len(t.ring), left-len(claim)
@@ -518,6 +519,7 @@ type Stats struct {
 	SinkErrors  uint64
 	Masked      uint64
 	Syncs       uint64
+	Size        int64 // trail file bytes, 0 without a file
 	MaskEnabled bool
 	LastErr     string
 }
@@ -538,6 +540,7 @@ func (t *Trail) Stats() Stats {
 		SinkErrors:  t.sinkErrors.Load(),
 		Masked:      t.masked.Load(),
 		Syncs:       t.Syncs(),
+		Size:        t.Size(),
 		MaskEnabled: t.masker != nil,
 	}
 	if err := t.LastErr(); err != nil {

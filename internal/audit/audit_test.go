@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -151,6 +153,76 @@ func TestEncryptedTrail(t *testing.T) {
 	}
 }
 
+// scriptClock returns its times in turn, then the last one for good.
+type scriptClock struct {
+	mu    sync.Mutex
+	times []time.Time
+}
+
+func (c *scriptClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	t := c.times[0]
+	if len(c.times) > 1 {
+		c.times = c.times[1:]
+	}
+	return t
+}
+
+func (c *scriptClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
+
+// TestTrailReadsBackEveryField: every record a trail acknowledged reads
+// back through Query, Breach and RecoverLastSeq as it was appended, number,
+// time to the nanosecond (a zero one and a wall clock that steps back
+// included), outcome and six strings, on plain and encrypted files, masked
+// and not.
+func TestTrailReadsBackEveryField(t *testing.T) {
+	at := time.Date(2026, 10, 16, 8, 0, 0, 999, time.UTC)
+	in := []Record{
+		{Actor: "svc", Op: "GET", Key: "pd:alice:1", Owner: "alice", Purpose: "billing", Outcome: OutcomeOK},
+		{Actor: "svc", Op: "GET", Key: "pd:alice:1", Owner: "alice", Purpose: "billing", Outcome: OutcomeMissing},
+		{Actor: "mallory", Op: "DEL", Key: "pd:bob:7", Owner: "bob", Outcome: OutcomeDenied, Detail: "no grant"},
+		{Actor: "svc", Op: "PUT", Key: "pd:bob:8", Owner: "bob", Purpose: "billing", Outcome: "partial", Detail: "bytes=12"},
+		{Op: "COMPACT", Outcome: OutcomeError, Detail: "disk full"},
+		{Actor: "svc", Op: "GET", Key: "k", Owner: "carol", Purpose: "svc", Outcome: OutcomeOK, Detail: "billing"},
+	}
+	times := []time.Time{at, at.Add(time.Microsecond), {}, at.Add(-time.Hour), at.Add(-time.Hour + 3), at.Add(2 * time.Second)}
+	for _, key := range [][]byte{nil, bytes.Repeat([]byte{4}, 32)} {
+		for _, mask := range [][]byte{nil, []byte("trail-mask-key")} {
+			path := filepath.Join(t.TempDir(), "audit.log")
+			tr, err := Open(Options{Path: path, Key: key, MaskKey: mask, Clock: &scriptClock{times: slices.Clone(times)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []Record
+			for _, r := range in {
+				r, err := tr.Append(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, r)
+			}
+			got, err := tr.Query(Filter{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("key %v mask %v: query returned\n%+v\nwant\n%+v", key != nil, mask != nil, got, want)
+			}
+			rep, err := tr.Breach(time.Time{}, at.Add(time.Hour))
+			if err != nil || rep.Records != len(in) || rep.Denied != 1 || rep.AffectedOwners["bob"] != 2 || rep.Ops["GET"] != 3 {
+				t.Fatalf("key %v mask %v: breach report %+v, %v", key != nil, mask != nil, rep, err)
+			}
+			if err := tr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if last, err := RecoverLastSeq(path, key); err != nil || last != uint64(len(in)) {
+				t.Fatalf("key %v mask %v: last seq %d, %v; want %d", key != nil, mask != nil, last, err, len(in))
+			}
+		}
+	}
+}
+
 func TestSyncEveryOpCounts(t *testing.T) {
 	tr := tempTrail(t, Options{Mode: SyncEveryOp})
 	tr.Append(Record{Op: "A", Outcome: OutcomeOK})
@@ -253,10 +325,11 @@ func TestTornTailTolerated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "audit.log")
 	tr, _ := Open(Options{Path: path})
 	tr.Append(Record{Op: "A", Outcome: OutcomeOK})
+	tr.Sync() // A's claim is written before B's
 	tr.Append(Record{Op: "B", Outcome: OutcomeOK})
 	tr.Close()
 	b, _ := os.ReadFile(path)
-	os.WriteFile(path, b[:len(b)-5], 0o600) // torn final record
+	os.WriteFile(path, b[:len(b)-5], 0o600) // torn final claim
 	tr2, err := Open(Options{Path: path})
 	if err != nil {
 		t.Fatalf("reopen with torn tail: %v", err)

@@ -1,41 +1,47 @@
 package audit
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"strconv"
 	"time"
 	"unicode/utf8"
 )
 
-// The trail file is a sequence of entries of two kinds, told apart by their
-// first byte (DESIGN.md §17):
+// The trail file is a sequence of entries (DESIGN.md §17). This version
+// writes one kind, a claim frame: the records of one drainer claim, which
+// Sink.Write already takes all or none.
 //
-//	frame  = frameMarker uvarint(len(body)) body crc32c(body)
-//	body   = uvarint(seq) int64be(UnixNano) outcome str(actor) str(op)
-//	         str(key) str(owner) str(purpose) str(detail)
+//	frame  = claimMarker uvarint(len(body)) body crc32c(body)
+//	body   = uvarint(count) uvarint(seq) int64be(UnixNano) first rest*
+//	first  = outcome same str*
+//	rest   = uvarint(seq-prev-1) varint(UnixNano-prev) outcome same str*
 //	str    = uvarint(len) bytes
-//	legacy = one JSON object and '\n', as written before frames existed
 //
-// Writers emit frames only. A node upgraded in place appends frames to the
-// JSONL file it finds, so every reader accepts both. The marker, the length
-// and the checksum are what lets a reader that starts at an arbitrary
-// offset (RecoverLastSeq) find the next whole record, and what tells a torn
-// or damaged record from a good one.
+// The six fields are actor, op, key, owner, purpose and detail. Bit i of
+// the byte same is set when field i equals the previous record's (the
+// first record's is compared with the empty string), and only the fields
+// whose bit is clear follow, in order: the strings consecutive records
+// repeat cost a bit each. A frame carries nothing over from earlier
+// frames, so a reader that starts anywhere resyncs on marker, length and
+// checksum. Older trails hold per-record frames and JSONL lines, which
+// stay readable through legacy.go; a node upgraded in place appends claim
+// frames after them.
 const (
-	// frameMarker is never '{' nor '\n', and doubles as the format version.
-	frameMarker = 0xA1
+	// claimMarker is never '{' nor '\n', nor the per-record frame's marker,
+	// and doubles as the format version.
+	claimMarker = 0xA2
 	// maxFrame bounds a frame's body, as the line scanner bounded a JSONL
-	// line: a longer claim is damage, not a record to buffer.
+	// line: a longer claim is damage, not a record to buffer. The encoder
+	// splits a claim that would pass it.
 	maxFrame = 1 << 22
 	// zeroTime encodes time.Time{}, which has no UnixNano.
 	zeroTime = math.MinInt64
 	// outcomeOther precedes an Outcome outside the four the store emits,
-	// spelled out as a str.
+	// spelled out as uvarint(len) bytes.
 	outcomeOther = 0xFF
 )
 
@@ -53,49 +59,93 @@ func appendStr(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// appendRecord appends r as one frame. It allocates only to grow dst.
-func appendRecord(dst []byte, r Record) []byte {
-	// The body's length goes before it and is not known until it is
-	// written: write the body after a one-byte hole, which fits any body
-	// under 128 bytes, and move it when it turns out longer.
-	start := len(dst)
-	dst = append(dst, frameMarker, 0)
-	dst = binary.AppendUvarint(dst, r.Seq)
-	ns := int64(zeroTime)
-	if !r.Time.IsZero() {
-		ns = r.Time.UnixNano()
+func unixNano(t time.Time) int64 {
+	if t.IsZero() {
+		return zeroTime
 	}
-	dst = binary.BigEndian.AppendUint64(dst, uint64(ns))
-	code := byte(outcomeOther)
-	for i, o := range outcomes {
-		if r.Outcome == o {
-			code = byte(i)
+	return t.UnixNano()
+}
+
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// appendOutcome appends o's one-byte code, spelled out after outcomeOther
+// when it is none of the four.
+func appendOutcome(dst []byte, o Outcome) []byte {
+	for i, known := range outcomes {
+		if o == known {
+			return append(dst, byte(i))
 		}
 	}
-	dst = append(dst, code)
-	if code == outcomeOther {
-		dst = appendStr(dst, string(r.Outcome))
-	}
-	dst = appendStr(dst, r.Actor)
-	dst = appendStr(dst, r.Op)
-	dst = appendStr(dst, r.Key)
-	dst = appendStr(dst, r.Owner)
-	dst = appendStr(dst, r.Purpose)
-	dst = appendStr(dst, r.Detail)
+	return appendStr(append(dst, outcomeOther), string(o))
+}
 
-	body := start + 2
-	n := len(dst) - body
-	if n < 0x80 {
-		dst[start+1] = byte(n)
-	} else {
-		var hdr [binary.MaxVarintLen64]byte
-		h := binary.PutUvarint(hdr[:], uint64(n))
-		dst = append(dst, hdr[:h-1]...)
-		copy(dst[body+h-1:], dst[body:body+n])
-		copy(dst[start+1:], hdr[:h])
-		body += h - 1
+// claimEncoder writes claims as frames. Its body buffer is reused from
+// claim to claim, so the drainer encodes without allocating once it has
+// grown.
+type claimEncoder struct {
+	body []byte // one frame's records, after its header
+}
+
+// fields lists r's six strings in the order a record stores them.
+func fields(r *Record) [6]string {
+	return [6]string{r.Actor, r.Op, r.Key, r.Owner, r.Purpose, r.Detail}
+}
+
+// appendClaim appends recs to dst as one claim frame, or as several when
+// one body would pass maxFrame.
+func (e *claimEncoder) appendClaim(dst []byte, recs []Record) []byte {
+	for len(recs) > 0 {
+		var n int
+		dst, n = e.appendFrame(dst, recs)
+		recs = recs[n:]
 	}
-	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[body:body+n], castagnoli))
+	return dst
+}
+
+// appendFrame appends the longest prefix of recs, at least one record,
+// whose body stays within maxFrame as one frame, and returns its length.
+func (e *claimEncoder) appendFrame(dst []byte, recs []Record) ([]byte, int) {
+	e.body = e.body[:0]
+	seq0, ns0 := recs[0].Seq, unixNano(recs[0].Time)
+	n, prevSeq, prevNs := 0, seq0, ns0
+	var prev [6]string // what the first record's fields are compared with
+	for i := range recs {
+		r := &recs[i]
+		mark := len(e.body)
+		ns := unixNano(r.Time)
+		if i > 0 {
+			// Wrapping arithmetic: any sequence and any times round-trip.
+			e.body = binary.AppendUvarint(e.body, r.Seq-prevSeq-1)
+			e.body = binary.AppendVarint(e.body, ns-prevNs)
+		}
+		e.body = appendOutcome(e.body, r.Outcome)
+		cur := fields(r)
+		var same byte
+		for f := range cur {
+			if cur[f] == prev[f] {
+				same |= 1 << f
+			}
+		}
+		e.body = append(e.body, same)
+		for f := range cur {
+			if same&(1<<f) == 0 {
+				e.body = appendStr(e.body, cur[f])
+			}
+		}
+		if i > 0 && uvarintLen(uint64(i+1))+uvarintLen(seq0)+8+len(e.body) > maxFrame {
+			e.body = e.body[:mark]
+			break
+		}
+		n, prevSeq, prevNs, prev = i+1, r.Seq, ns, cur
+	}
+	h := uvarintLen(uint64(n)) + uvarintLen(seq0) + 8
+	dst = binary.AppendUvarint(append(dst, claimMarker), uint64(h+len(e.body)))
+	body := len(dst)
+	dst = binary.AppendUvarint(dst, uint64(n))
+	dst = binary.AppendUvarint(dst, seq0)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(ns0))
+	dst = append(dst, e.body...)
+	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[body:], castagnoli)), n
 }
 
 // uvarint reads a minimally encoded uvarint: the encoder writes no other,
@@ -113,11 +163,11 @@ func uvarint(b []byte) (v uint64, n int, err error) {
 
 // splitFrame checks the frame at the start of b (marker, length, checksum)
 // and returns its body and its size. errShort means b ends inside it.
-func splitFrame(b []byte) (body []byte, size int, err error) {
+func splitFrame(b []byte, marker byte) (body []byte, size int, err error) {
 	if len(b) == 0 {
 		return nil, 0, errShort
 	}
-	if b[0] != frameMarker {
+	if b[0] != marker {
 		return nil, 0, errCorrupt
 	}
 	n, h, err := uvarint(b[1:])
@@ -138,134 +188,164 @@ func splitFrame(b []byte) (body []byte, size int, err error) {
 	return body, size, nil
 }
 
-// decodeBody is the inverse of appendRecord's body. It accepts exactly the
-// bytes the encoder would write for the record it returns.
-func decodeBody(b []byte) (Record, error) {
-	var r Record
-	seq, n, err := uvarint(b)
+// bodyReader takes a frame body apart. The first error sticks, and every
+// read after it returns a zero value.
+type bodyReader struct {
+	b   []byte
+	err error
+}
+
+func (d *bodyReader) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n, err := uvarint(d.b)
 	if err != nil {
-		return r, errCorrupt
+		d.err = errCorrupt
+		return 0
 	}
-	r.Seq, b = seq, b[n:]
-	if len(b) < 9 {
-		return r, errCorrupt
+	d.b = d.b[n:]
+	return v
+}
+
+// bytes returns the next n bytes.
+func (d *bodyReader) bytes(n uint64) []byte {
+	if d.err == nil && n > uint64(len(d.b)) {
+		d.err = errCorrupt
 	}
-	if ns := int64(binary.BigEndian.Uint64(b)); ns != zeroTime {
-		r.Time = time.Unix(0, ns).UTC()
+	if d.err != nil {
+		return nil
 	}
-	code := b[8]
-	b = b[9:]
-	str := func() string {
-		if err != nil {
-			return ""
-		}
-		var l uint64
-		if l, n, err = uvarint(b); err != nil || l > uint64(len(b)-n) {
-			err = errCorrupt
-			return ""
-		}
-		s := string(b[n : n+int(l)])
-		b = b[n+int(l):]
-		return s
-	}
+	s := d.b[:n]
+	d.b = d.b[n:]
+	return s
+}
+
+func (d *bodyReader) str() string { return string(d.bytes(d.uvarint())) }
+
+// outcome is the inverse of appendOutcome.
+func (d *bodyReader) outcome() Outcome {
+	code := d.bytes(1)
 	switch {
-	case int(code) < len(outcomes):
-		r.Outcome = outcomes[code]
-	case code == outcomeOther:
-		r.Outcome = Outcome(str())
-		for _, o := range outcomes {
-			if r.Outcome == o {
-				err = errCorrupt // has a one-byte spelling
+	case code == nil:
+		return ""
+	case int(code[0]) < len(outcomes):
+		return outcomes[code[0]]
+	case code[0] != outcomeOther:
+		d.err = errCorrupt
+		return ""
+	}
+	o := Outcome(d.str())
+	for _, known := range outcomes {
+		if o == known {
+			d.err = errCorrupt // has a one-byte spelling
+		}
+	}
+	return o
+}
+
+// decodeClaim appends the records of the claim frame body b to recs. It
+// accepts exactly the bytes appendFrame writes for the records it returns,
+// and returns recs unchanged with any error: a claim reads whole or not at
+// all.
+func decodeClaim(recs []Record, b []byte) ([]Record, error) {
+	d := bodyReader{b: b}
+	count := d.uvarint()
+	seq := d.uvarint()
+	var ns int64
+	if t := d.bytes(8); d.err == nil {
+		ns = int64(binary.BigEndian.Uint64(t))
+	}
+	if count == 0 {
+		d.err = errCorrupt
+	}
+	start := len(recs)
+	var prev [6]string
+	for i := uint64(0); i < count && d.err == nil; i++ {
+		if i > 0 {
+			seq += d.uvarint() + 1
+			z := d.uvarint()
+			ns += int64(z>>1) ^ -int64(z&1)
+		}
+		r := Record{Seq: seq, Outcome: d.outcome()}
+		if ns != zeroTime {
+			r.Time = time.Unix(0, ns).UTC()
+		}
+		var same byte
+		if m := d.bytes(1); m != nil {
+			same = m[0]
+		}
+		if same >= 1<<len(prev) {
+			d.err = errCorrupt
+		}
+		for f := range prev {
+			if same&(1<<f) == 0 {
+				s := d.bytes(d.uvarint())
+				if d.err == nil && string(s) == prev[f] {
+					d.err = errCorrupt // the encoder would have set its bit
+				}
+				prev[f] = string(s)
 			}
 		}
-	default:
-		return r, errCorrupt
+		r.Actor, r.Op, r.Key = prev[0], prev[1], prev[2]
+		r.Owner, r.Purpose, r.Detail = prev[3], prev[4], prev[5]
+		recs = append(recs, r)
 	}
-	r.Actor, r.Op, r.Key = str(), str(), str()
-	r.Owner, r.Purpose, r.Detail = str(), str(), str()
-	if err != nil || len(b) != 0 {
-		return r, errCorrupt
+	if d.err != nil || len(d.b) != 0 {
+		return recs[:start], errCorrupt
 	}
-	return r, nil
+	return recs, nil
 }
 
-// decodeRecord decodes the frame at the start of b and returns its size.
-func decodeRecord(b []byte) (Record, int, error) {
-	body, size, err := splitFrame(b)
-	if err != nil {
-		return Record{}, size, err
+// decodeEntry decodes the entry at the start of b, a claim frame or a
+// legacy entry, appends its records to recs (none for an empty line) and
+// returns its size. With errCorrupt the size is how far the damaged entry
+// reaches; with any error recs comes back unchanged.
+func decodeEntry(recs []Record, b []byte, eof bool) ([]Record, int, error) {
+	if len(b) == 0 || b[0] != claimMarker {
+		r, size, ok, err := decodeLegacy(b, eof)
+		if ok {
+			recs = append(recs, r)
+		}
+		return recs, size, err
 	}
-	r, err := decodeBody(body)
-	return r, size, err
-}
-
-// splitLine returns the legacy line at the start of b and its size with the
-// newline. At the end of the file (eof) a last line needs no newline.
-func splitLine(b []byte, eof bool) (line []byte, size int, err error) {
-	if i := bytes.IndexByte(b, '\n'); i >= 0 {
-		return b[:i], i + 1, nil
+	body, size, err := splitFrame(b, claimMarker)
+	if err == nil {
+		recs, err = decodeClaim(recs, body)
 	}
-	if !eof || len(b) == 0 {
-		return nil, 0, errShort
-	}
-	return b, len(b), nil
-}
-
-// decodeEntry decodes the entry at the start of b, frame or legacy line,
-// and returns its size; ok is false for an empty line. With errCorrupt the
-// size is how far the damaged entry reaches.
-func decodeEntry(b []byte, eof bool) (r Record, size int, ok bool, err error) {
-	if len(b) > 0 && b[0] == frameMarker {
-		r, size, err = decodeRecord(b)
-		return r, size, err == nil, err
-	}
-	line, size, err := splitLine(b, eof)
-	if err != nil || len(line) == 0 {
-		return r, size, false, err
-	}
-	if json.Unmarshal(line, &r) != nil {
-		return r, size, false, errCorrupt
-	}
-	return r, size, true, nil
+	return recs, size, err
 }
 
 // lastSeq returns the highest sequence number among the whole entries of b,
 // which holds the end of a trail file and starts at an entry boundary only
-// if aligned. The order of the file promises nothing about which entry that
-// is (DESIGN.md §17), so every entry is looked at. Bytes that belong to no
-// whole entry — the cut record at the start of the window, a torn tail,
+// if aligned. The order of an older file promises nothing about which entry
+// that is (DESIGN.md §17), so every entry is looked at. Bytes that belong to
+// no whole entry — the cut entry at the start of the window, a torn tail,
 // damage — are stepped over one at a time until a frame's marker, length
 // and checksum agree or a legacy line starts.
 func lastSeq(b []byte, aligned bool) uint64 {
 	var last uint64
+	var recs []Record
 	boundary := -1
 	if aligned {
 		boundary = 0
 	}
 	for p := 0; p < len(b); {
-		var seq uint64
 		size := 0
-		switch {
-		case b[p] == frameMarker:
-			if body, n, err := splitFrame(b[p:]); err == nil {
-				if seq, _, err = uvarint(body); err == nil {
-					size = n
-				}
-			}
-		case p == boundary || (p > 0 && b[p-1] == '\n'):
-			// Only here can a legacy line start.
-			if r, n, ok, err := decodeEntry(b[p:], true); err == nil {
-				size = n
-				if ok {
-					seq = r.Seq
-				}
+		// A legacy line can start only at a boundary; a frame anywhere.
+		if b[p] == claimMarker || b[p] == recordMarker || p == boundary || (p > 0 && b[p-1] == '\n') {
+			var err error
+			if recs, size, err = decodeEntry(recs[:0], b[p:], true); err != nil {
+				size = 0
 			}
 		}
 		if size == 0 {
 			p++
 			continue
 		}
-		last = max(last, seq)
+		for _, r := range recs {
+			last = max(last, r.Seq)
+		}
 		p += size
 		boundary = p
 	}

@@ -2,12 +2,15 @@ package audit
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -25,24 +28,59 @@ func sampleRecords() []Record {
 		{Seq: 1, Time: at, Actor: "controller", Op: "PUT", Key: "pd:alice:1", Owner: "alice", Purpose: "billing", Outcome: OutcomeOK},
 		{Seq: 1 << 40, Time: time.Unix(0, 0).UTC(), Op: "GET", Outcome: OutcomeMissing},
 		{Seq: ^uint64(0), Time: at, Actor: "a", Op: "X", Outcome: "partial", Detail: "custom outcome"},
-		{Seq: 7, Time: at, Op: "GET", Key: "\n{\"seq\":99}\n", Owner: "{", Purpose: "\n", Outcome: OutcomeDenied, Detail: string([]byte{frameMarker, 0, frameMarker})},
+		{Seq: 7, Time: at, Op: "GET", Key: "\n{\"seq\":99}\n", Owner: "{", Purpose: "\n", Outcome: OutcomeDenied, Detail: string([]byte{recordMarker, 0, claimMarker})},
 		{Seq: 8, Time: at, Op: "PUT", Key: strings.Repeat("k", 127), Owner: strings.Repeat("o", 128), Detail: strings.Repeat("d", 70_000), Outcome: OutcomeError},
 		{Seq: 9, Time: at, Op: "PUT", Key: "<&>\u2028\u2029\x00\b\f\t\r\\\"\x7f\xff\xc3é", Outcome: OutcomeOK},
 	}
 }
 
+// appendRecord appends r as a per-record frame, the form trails were written
+// in before claim frames: a fixture for the readers of old trails.
+func appendRecord(dst []byte, r Record) []byte {
+	body := binary.AppendUvarint(nil, r.Seq)
+	body = binary.BigEndian.AppendUint64(body, uint64(unixNano(r.Time)))
+	body = appendOutcome(body, r.Outcome)
+	for _, s := range []string{r.Actor, r.Op, r.Key, r.Owner, r.Purpose, r.Detail} {
+		body = appendStr(body, s)
+	}
+	dst = binary.AppendUvarint(append(dst, recordMarker), uint64(len(body)))
+	return binary.BigEndian.AppendUint32(append(dst, body...), crc32.Checksum(body, castagnoli))
+}
+
+// appendClaim appends recs as the drainer writes one claim.
+func appendClaim(dst []byte, recs ...Record) []byte {
+	return new(claimEncoder).appendClaim(dst, recs)
+}
+
+// decodeAll decodes every entry of b, which must be whole.
+func decodeAll(b []byte) ([]Record, error) {
+	var recs []Record
+	for p := 0; p < len(b); {
+		var size int
+		var err error
+		if recs, size, err = decodeEntry(recs, b[p:], true); err != nil {
+			return recs, fmt.Errorf("entry at %d: %w", p, err)
+		}
+		p += size
+	}
+	return recs, nil
+}
+
+// TestAuditRecordRoundTrip: one record, in a claim frame of its own and in
+// a per-record frame, decodes to itself.
 func TestAuditRecordRoundTrip(t *testing.T) {
 	check := func(r Record) error {
-		enc := appendRecord([]byte("prefix"), r)[len("prefix"):]
-		got, size, err := decodeRecord(enc)
-		if err != nil || size != len(enc) {
-			return fmt.Errorf("decode: size %d of %d, %v", size, len(enc), err)
-		}
-		if !reflect.DeepEqual(got, r) {
-			return fmt.Errorf("got %+v, want %+v", got, r)
-		}
-		if enc[0] == '{' || enc[0] == '\n' {
-			return fmt.Errorf("frame starts like a legacy line: %#x", enc[0])
+		for _, enc := range [][]byte{appendClaim(nil, r), appendRecord(nil, r)} {
+			got, err := decodeAll(enc)
+			if err != nil || len(got) != 1 {
+				return fmt.Errorf("decode %#x frame: %d records, %v", enc[0], len(got), err)
+			}
+			if !reflect.DeepEqual(got[0], r) {
+				return fmt.Errorf("%#x frame: got %+v, want %+v", enc[0], got[0], r)
+			}
+			if enc[0] == '{' || enc[0] == '\n' {
+				return fmt.Errorf("frame starts like a legacy line: %#x", enc[0])
+			}
 		}
 		return nil
 	}
@@ -61,6 +99,104 @@ func TestAuditRecordRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClaimRoundTrip: a claim decodes to its records field for field,
+// whatever the drainer hands the encoder: the gaps Drop leaves, a zero
+// time, a wall clock that steps back, an outcome outside the four, fields
+// that change from record to record and come back, numbers out of order,
+// and a claim whose body passes maxFrame, which goes out as several frames.
+func TestClaimRoundTrip(t *testing.T) {
+	at := time.Date(2026, 10, 16, 8, 0, 0, 123, time.UTC)
+	get := func(seq uint64, ts time.Time) Record {
+		return Record{Seq: seq, Time: ts, Actor: "bench-controller", Op: "GET", Key: fmt.Sprintf("k%07d", seq),
+			Owner: "u00017", Purpose: "service", Outcome: OutcomeOK}
+	}
+	var varied, huge []Record
+	for i := 0; i < 100; i++ {
+		r := get(uint64(i+1), at)
+		r.Actor, r.Owner = fmt.Sprintf("a%d", i%2), fmt.Sprintf("u%d", i/3)
+		r.Purpose, r.Detail = fmt.Sprintf("p%d", i%3), fmt.Sprintf("d%d", i%80/7)
+		if i%5 == 0 {
+			r.Owner, r.Purpose = "", ""
+		}
+		varied = append(varied, r)
+	}
+	for i := 0; i < workerBatch; i++ {
+		r := get(uint64(i+1), at.Add(time.Duration(i)))
+		r.Detail = strings.Repeat(string(rune('a'+i%26)), 100_000) + fmt.Sprint(i)
+		huge = append(huge, r)
+	}
+	cases := []struct {
+		name   string
+		recs   []Record
+		frames int
+	}{
+		{"samples", sampleRecords(), 1},
+		{"drop gap", []Record{get(10, at), get(11, at.Add(time.Microsecond)), get(15, at.Add(2*time.Microsecond)), get(16, at.Add(3*time.Microsecond))}, 1},
+		{"zero time", []Record{get(1, at), get(2, time.Time{}), get(3, at), {Seq: 4}}, 1},
+		{"clock steps back", []Record{get(1, at), get(2, at.Add(-time.Hour)), get(3, at.Add(-time.Hour+1)), get(4, at.Add(-2))}, 1},
+		{"outcome other", []Record{get(1, at), {Seq: 2, Time: at, Op: "X", Outcome: "partial"}, {Seq: 3, Time: at, Op: "partial", Outcome: "partial", Detail: "ok"}}, 1},
+		{"numbers out of order", []Record{get(9, at), get(9, at), get(3, at), get(^uint64(0), at), get(0, at)}, 1},
+		{"fields vary", varied, 1},
+		{"past maxFrame", huge, 2},
+	}
+	for _, c := range cases {
+		enc := appendClaim(nil, c.recs...)
+		got, err := decodeAll(enc)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(got, c.recs) {
+			t.Fatalf("%s: records differ after the round trip", c.name)
+		}
+		frames := 0
+		for p := 0; p < len(enc); frames++ {
+			_, size, err := splitFrame(enc[p:], claimMarker)
+			if err != nil {
+				t.Fatalf("%s: frame %d: %v", c.name, frames, err)
+			}
+			p += size
+		}
+		if frames != c.frames {
+			t.Fatalf("%s: %d frames, want %d", c.name, frames, c.frames)
+		}
+	}
+}
+
+// TestClaimCutAnywhere is a crash at every byte of a trail of two claims:
+// the file scans as its whole claims plus, at most, a torn tail, and a
+// claim is never read as a prefix of its records.
+func TestClaimCutAnywhere(t *testing.T) {
+	at := time.Date(2026, 10, 16, 8, 0, 0, 0, time.UTC)
+	var recs []Record
+	for seq := uint64(1); seq <= 20; seq++ {
+		recs = append(recs, Record{Seq: seq, Time: at.Add(time.Duration(seq) * time.Microsecond), Actor: "svc",
+			Op: "GET", Key: fmt.Sprintf("pd:%d", seq), Owner: "alice", Outcome: OutcomeOK})
+	}
+	first := appendClaim(nil, recs[:10]...)
+	file := appendClaim(bytes.Clone(first), recs[10:]...)
+	path := filepath.Join(t.TempDir(), "audit.log")
+	for cut := 0; cut <= len(file); cut++ {
+		if err := os.WriteFile(path, file[:cut], 0o600); err != nil {
+			t.Fatal(err)
+		}
+		var got []Record
+		err := scanFile(path, nil, func(r Record) error { got = append(got, r); return nil })
+		want := 0
+		switch {
+		case cut == len(file):
+			want = 20
+		case cut >= len(first):
+			want = 10
+		}
+		if err != nil || !reflect.DeepEqual(append([]Record{}, got...), recs[:want]) {
+			t.Fatalf("cut at %d of %d: %d records, %v; want the first %d", cut, len(file), len(got), err, want)
+		}
+		if last, err := RecoverLastSeq(path, nil); err != nil || last != uint64(want) {
+			t.Fatalf("cut at %d: last seq %d, %v; want %d", cut, last, err, want)
+		}
 	}
 }
 
@@ -125,13 +261,21 @@ func TestAppendJSONEqualsParentLines(t *testing.T) {
 	}
 }
 
-// TestLegacyTrailContinuesInFrames is the in-place upgrade: the trail finds
-// a JSONL file, recovers its numbering, appends frames after the lines, and
-// every reader sees one trail.
+// TestLegacyTrailContinuesInFrames is the in-place upgrade, twice over: a
+// JSONL trail that an intermediate version continued in per-record frames
+// is found by this one, which recovers its numbering and appends claim
+// frames after them, and every reader sees one trail.
 func TestLegacyTrailContinuesInFrames(t *testing.T) {
 	raw, err := os.ReadFile(legacyTrail)
 	if err != nil {
 		t.Fatal(err)
+	}
+	alice := Record{Actor: "controller", Op: "GET", Key: "pd:alice:1\n{", Owner: "alice", Outcome: OutcomeOK}
+	framed := bytes.Clone(raw)
+	for seq := uint64(41); seq <= 45; seq++ {
+		r := alice
+		r.Seq, r.Time = seq, time.Date(2026, 9, 26, 0, 0, int(seq), 0, time.UTC)
+		framed = appendRecord(framed, r)
 	}
 	path := filepath.Join(t.TempDir(), "audit.log")
 	if err := os.WriteFile(path, raw, 0o600); err != nil {
@@ -140,13 +284,16 @@ func TestLegacyTrailContinuesInFrames(t *testing.T) {
 	if last, err := RecoverLastSeq(path, nil); err != nil || last != 40 {
 		t.Fatalf("legacy last seq = %d, %v; want 40 (the last line holds 35)", last, err)
 	}
+	if err := os.WriteFile(path, framed, 0o600); err != nil {
+		t.Fatal(err)
+	}
 	tr, err := Open(Options{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		r, err := tr.Append(Record{Actor: "controller", Op: "GET", Key: "pd:alice:1\n{", Owner: "alice", Outcome: OutcomeOK})
-		if err != nil || r.Seq != uint64(41+i) {
+		r, err := tr.Append(alice)
+		if err != nil || r.Seq != uint64(46+i) {
 			t.Fatalf("append %d: seq %d, %v", i, r.Seq, err)
 		}
 	}
@@ -154,120 +301,191 @@ func TestLegacyTrailContinuesInFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 45 {
-		t.Fatalf("query returned %d records, want 45", len(got))
+	if len(got) != 50 {
+		t.Fatalf("query returned %d records, want 50", len(got))
 	}
 	for i, r := range got {
 		if r.Seq != uint64(i+1) {
 			t.Fatalf("query out of order at %d: seq %d", i, r.Seq)
 		}
 	}
-	if alice, _ := tr.Query(Filter{Owner: "alice", Op: "GET"}); len(alice) != 25+5 {
-		t.Fatalf("filtered query over both formats = %d records, want 30", len(alice))
+	if got, _ := tr.Query(Filter{Owner: "alice", Op: "GET"}); len(got) != 25+5+5 {
+		t.Fatalf("filtered query over the three formats = %d records, want 35", len(got))
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
 	mixed, _ := os.ReadFile(path)
-	if !bytes.HasPrefix(mixed, raw) || mixed[len(raw)] != frameMarker {
-		t.Fatal("frames were not appended after the legacy lines")
+	if !bytes.HasPrefix(mixed, framed) || mixed[len(raw)] != recordMarker || mixed[len(framed)] != claimMarker {
+		t.Fatal("claim frames were not appended after the per-record frames")
 	}
 	if bytes.Contains(mixed[len(raw):], []byte(`"seq"`)) {
 		t.Fatal("the writer still emits JSON")
 	}
-	if last, err := RecoverLastSeq(path, nil); err != nil || last != 45 {
-		t.Fatalf("mixed last seq = %d, %v; want 45", last, err)
+	var seqs []uint64
+	if err := scanFile(path, nil, func(r Record) error { seqs = append(seqs, r.Seq); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(seqs) != 50 || !slices.Equal(seqs[40:], []uint64{41, 42, 43, 44, 45, 46, 47, 48, 49, 50}) {
+		t.Fatalf("scan after the lines = %v, want 41..50 in order", seqs[min(40, len(seqs)):])
+	}
+	if last, err := RecoverLastSeq(path, nil); err != nil || last != 50 {
+		t.Fatalf("mixed last seq = %d, %v; want 50", last, err)
 	}
 }
 
 // TestRecoverLastSeqLargeTornTrail reads only the last megabyte of a larger
-// frame trail: the window starts inside a record and ends in a torn one,
-// and the highest number is not in the last whole record.
+// trail, in the per-record frames an older writer left, with one record
+// written late so the highest number is not in the last whole record, and
+// in the claim frames this version writes: the window starts inside an
+// entry and ends in a torn one.
 func TestRecoverLastSeqLargeTornTrail(t *testing.T) {
 	at := time.Date(2026, 9, 25, 12, 0, 0, 0, time.UTC)
-	var enc []byte
 	rec := func(seq uint64) Record {
 		return Record{Seq: seq, Time: at, Actor: "controller", Op: "GET",
 			Key: fmt.Sprintf("pd:owner%05d:\n{%d", seq%977, seq), Owner: "owner", Purpose: "billing", Outcome: OutcomeOK}
 	}
-	const n = 20_000
-	for seq := uint64(1); seq <= n; seq++ {
-		if seq == n-70 {
-			continue // written late, below
+	perRecord := func(n uint64) (enc []byte, whole int) {
+		for seq := uint64(1); seq <= n; seq++ {
+			if seq == n-70 {
+				continue // written late, below
+			}
+			enc = appendRecord(enc, rec(seq))
 		}
-		enc = appendRecord(enc, rec(seq))
+		enc = appendRecord(enc, rec(n-70))
+		return appendRecord(enc, rec(n+1)), len(enc)
 	}
-	enc = appendRecord(enc, rec(n-70))
-	whole := len(enc)
-	if whole <= recoverTailWindow+recoverTailWindow/4 {
-		t.Fatalf("trail is %d bytes, want well over the %d-byte window", whole, recoverTailWindow)
+	claims := func(n uint64) (enc []byte, whole int) {
+		var e claimEncoder
+		var recs []Record
+		for seq := uint64(1); seq <= n+workerBatch; seq++ {
+			recs = append(recs, rec(seq))
+			if len(recs) == workerBatch || seq == n {
+				whole = len(enc)
+				enc, recs = e.appendClaim(enc, recs), recs[:0]
+			}
+		}
+		return enc, whole
 	}
-	enc = appendRecord(enc, rec(n+1))
-	for _, key := range [][]byte{nil, bytes.Repeat([]byte{9}, 32)} {
-		for _, cut := range []int{len(enc) - 1, len(enc) - 4, whole + 2, whole + 1, whole} {
+	for _, format := range []struct {
+		name   string
+		n      uint64
+		encode func(uint64) ([]byte, int)
+	}{{"per-record", 20_000, perRecord}, {"claims", 50_000, claims}} {
+		n := format.n
+		enc, whole := format.encode(n)
+		if whole <= recoverTailWindow+recoverTailWindow/4 {
+			t.Fatalf("%s: trail is %d bytes, want well over the %d-byte window", format.name, whole, recoverTailWindow)
+		}
+		for _, key := range [][]byte{nil, bytes.Repeat([]byte{9}, 32)} {
+			for _, cut := range []int{len(enc) - 1, len(enc) - 4, whole + 2, whole + 1, whole} {
+				path := filepath.Join(t.TempDir(), "audit.log")
+				fs, err := NewFileSink(path, key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := fs.Write(nil, enc[:cut]); err != nil {
+					t.Fatal(err)
+				}
+				if err := fs.Close(); err != nil {
+					t.Fatal(err)
+				}
+				last, err := RecoverLastSeq(path, key)
+				if err != nil || last != n {
+					t.Fatalf("%s: cut %d of %d (key %v): last seq %d, %v; want %d", format.name, cut, len(enc), key != nil, last, err, n)
+				}
+				count := 0
+				if err := scanFile(path, key, func(Record) error { count++; return nil }); err != nil || count != int(n) {
+					t.Fatalf("%s: cut %d: scan saw %d records, %v; want %d and a tolerated torn tail", format.name, cut, count, err, n)
+				}
+			}
+		}
+	}
+}
+
+// TestRecoverLastSeqWidensPastAHugeClaim: a claim of megabytes leaves the
+// last megabyte without a whole entry, whole or torn; the recovery widens
+// its window rather than restart the numbering.
+func TestRecoverLastSeqWidensPastAHugeClaim(t *testing.T) {
+	at := time.Date(2026, 10, 16, 8, 0, 0, 0, time.UTC)
+	var huge []Record
+	for i := 0; i < workerBatch; i++ {
+		huge = append(huge, Record{Seq: uint64(11 + i), Time: at, Op: "PUT", Key: strings.Repeat("k", 40_000) + fmt.Sprint(i), Outcome: OutcomeOK})
+	}
+	small := appendClaim(nil, Record{Seq: 10, Time: at, Op: "GET", Outcome: OutcomeOK})
+	file := appendClaim(bytes.Clone(small), huge...)
+	if len(file) < 2*recoverTailWindow {
+		t.Fatalf("the huge claim is %d bytes, want over twice the window", len(file))
+	}
+	for _, key := range [][]byte{nil, bytes.Repeat([]byte{3}, 32)} {
+		for _, c := range []struct {
+			cut  int
+			want uint64
+		}{{len(file), 10 + workerBatch}, {len(file) - 1, 10}} {
 			path := filepath.Join(t.TempDir(), "audit.log")
 			fs, err := NewFileSink(path, key)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := fs.Write(nil, enc[:cut]); err != nil {
+			if err := fs.Write(nil, file[:c.cut]); err != nil {
 				t.Fatal(err)
 			}
 			if err := fs.Close(); err != nil {
 				t.Fatal(err)
 			}
-			last, err := RecoverLastSeq(path, key)
-			if err != nil || last != n {
-				t.Fatalf("cut %d of %d (key %v): last seq %d, %v; want %d", cut, len(enc), key != nil, last, err, n)
-			}
-			count := 0
-			if err := scanFile(path, key, func(Record) error { count++; return nil }); err != nil || count != n {
-				t.Fatalf("cut %d: scan saw %d records, %v; want %d and a tolerated torn tail", cut, count, err, n)
+			if last, err := RecoverLastSeq(path, key); err != nil || last != c.want {
+				t.Fatalf("cut %d of %d (key %v): last seq %d, %v; want %d", c.cut, len(file), key != nil, last, err, c.want)
 			}
 		}
 	}
 }
 
 // TestScanRejectsDamageBeforeTheTail pins the other half of the torn-tail
-// rule: a record that fails its checksum with records after it is damage.
+// rule, for per-record and claim frames: an entry that fails its checksum
+// with entries after it is damage.
 func TestScanRejectsDamageBeforeTheTail(t *testing.T) {
-	var enc []byte
-	for seq := uint64(1); seq <= 3; seq++ {
-		enc = appendRecord(enc, Record{Seq: seq, Op: "GET", Key: "k", Outcome: OutcomeOK})
-	}
-	first := len(appendRecord(nil, Record{Seq: 1, Op: "GET", Key: "k", Outcome: OutcomeOK}))
-	enc[first+5] ^= 0x40 // inside the second record
-	path := filepath.Join(t.TempDir(), "audit.log")
-	if err := os.WriteFile(path, enc, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	err := scanFile(path, nil, func(Record) error { count++; return nil })
-	if err == nil || count != 1 {
-		t.Fatalf("scan over a damaged middle record: %d records, err %v", count, err)
-	}
-	// The recovery of the numbering steps over it.
-	if last, _ := RecoverLastSeq(path, nil); last != 3 {
-		t.Fatalf("last seq past damage = %d, want 3", last)
-	}
-	// The same damage in the last record is a torn tail.
-	if err := os.WriteFile(path, enc[:first], 0o600); err != nil {
-		t.Fatal(err)
-	}
-	tail := appendRecord(nil, Record{Seq: 2, Op: "GET", Key: "k", Outcome: OutcomeOK})
-	tail[5] ^= 0x40
-	f, _ := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o600)
-	f.Write(tail)
-	f.Close()
-	count = 0
-	if err := scanFile(path, nil, func(Record) error { count++; return nil }); err != nil || count != 1 {
-		t.Fatalf("scan over a damaged last record: %d records, err %v", count, err)
+	rec := func(seq uint64) Record { return Record{Seq: seq, Op: "GET", Key: "k", Outcome: OutcomeOK} }
+	for _, entry := range []func(i uint64) []byte{
+		func(i uint64) []byte { return appendRecord(nil, rec(i)) },
+		func(i uint64) []byte { return appendClaim(nil, rec(2*i-1), rec(2*i)) },
+	} {
+		var enc []byte
+		for i := uint64(1); i <= 3; i++ {
+			enc = append(enc, entry(i)...)
+		}
+		first := len(entry(1))
+		perEntry, _ := decodeAll(entry(1))
+		highest, _ := decodeAll(entry(3))
+		enc[first+5] ^= 0x40 // inside the second entry
+		path := filepath.Join(t.TempDir(), "audit.log")
+		if err := os.WriteFile(path, enc, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		count := 0
+		err := scanFile(path, nil, func(Record) error { count++; return nil })
+		if err == nil || count != len(perEntry) {
+			t.Fatalf("%#x: scan over a damaged middle entry: %d records, err %v", enc[0], count, err)
+		}
+		// The recovery of the numbering steps over it.
+		if last, _ := RecoverLastSeq(path, nil); last != highest[len(highest)-1].Seq {
+			t.Fatalf("%#x: last seq past damage = %d, want %d", enc[0], last, highest[len(highest)-1].Seq)
+		}
+		// The same damage in the last entry is a torn tail.
+		tail := entry(2)
+		tail[5] ^= 0x40
+		if err := os.WriteFile(path, append(enc[:first:first], tail...), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		count = 0
+		if err := scanFile(path, nil, func(Record) error { count++; return nil }); err != nil || count != len(perEntry) {
+			t.Fatalf("%#x: scan over a damaged last entry: %d records, err %v", enc[0], count, err)
+		}
 	}
 }
 
 // TestEncodeBatchAllocs is the allocation budget of the drainer's encode
-// step: a full claim into the buffer the drainer owns, nothing once the
-// buffer has grown.
+// step: a full claim into the buffer the drainer owns, through the encoder
+// whose body buffer it keeps, nothing once both have grown.
 func TestEncodeBatchAllocs(t *testing.T) {
 	recs := make([]Record, workerBatch)
 	for i := range recs {
@@ -275,15 +493,36 @@ func TestEncodeBatchAllocs(t *testing.T) {
 			Op: "PUT", Key: fmt.Sprintf("pd:owner%04d:%d", i, i), Owner: fmt.Sprintf("owner%04d", i),
 			Purpose: "billing", Outcome: OutcomeOK, Detail: strings.Repeat("x", i*3)}
 	}
+	var e claimEncoder
 	var enc []byte
 	allocs := testing.AllocsPerRun(100, func() {
-		enc = enc[:0]
-		for _, r := range recs {
-			enc = appendRecord(enc, r)
-		}
+		enc = e.appendClaim(enc[:0], recs)
 	})
 	if allocs != 0 {
-		t.Fatalf("encoding a %d-record batch allocates %.0f times in steady state, want 0", workerBatch, allocs)
+		t.Fatalf("encoding a %d-record claim allocates %.0f times in steady state, want 0", workerBatch, allocs)
+	}
+}
+
+// TestClaimBytesPerRecord is the size budget below the benchmark: a claim
+// shaped like wire-read's audited GGETs (one actor, op and purpose, zipfian
+// 8-byte keys of 6-byte owners, a few microseconds apart) costs at most 28
+// bytes a record, where the per-record frame cost 63.
+func TestClaimBytesPerRecord(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	zipf := rand.NewZipf(rng, 1.1, 1, 49_999)
+	at := time.Date(2026, 10, 16, 8, 0, 0, 0, time.UTC)
+	recs := make([]Record, workerBatch)
+	for i := range recs {
+		at = at.Add(time.Duration(5_000 + rng.Intn(10_000)))
+		k := zipf.Uint64()
+		recs[i] = Record{Seq: uint64(1_000_000 + i), Time: at, Actor: "bench-controller", Op: "GET",
+			Key: fmt.Sprintf("k%07d", k), Owner: fmt.Sprintf("u%05d", k%5_000), Purpose: "service", Outcome: OutcomeOK}
+	}
+	claim := float64(len(appendClaim(nil, recs...))) / workerBatch
+	perRecord := float64(len(appendRecord(nil, recs[0])))
+	t.Logf("%.1f B per record in a claim frame, %.0f B in a per-record frame", claim, perRecord)
+	if claim > 28 {
+		t.Fatalf("a %d-record claim costs %.1f B per record, want <= 28", workerBatch, claim)
 	}
 }
 
@@ -291,11 +530,11 @@ func FuzzDecodeAuditRecord(f *testing.F) {
 	for _, r := range sampleRecords()[:5] {
 		f.Add(appendRecord(nil, r))
 	}
-	f.Add([]byte{frameMarker, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	f.Add([]byte{recordMarker, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Add([]byte(`{"seq":1,"time":"2026-09-25T12:00:00Z","actor":"a","op":"GET","outcome":"ok"}` + "\n"))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		r, size, err := decodeRecord(b)
-		if err == nil {
+		r, size, ok, _ := decodeLegacy(b, true)
+		if ok && b[0] == recordMarker {
 			if size > len(b) {
 				t.Fatalf("decoded %d bytes of %d", size, len(b))
 			}
@@ -303,22 +542,53 @@ func FuzzDecodeAuditRecord(f *testing.F) {
 				t.Fatalf("accepted %x, re-encodes to %x", b[:size], again)
 			}
 		}
-		// The readers built on it take anything too.
-		lastSeq(b, true)
-		lastSeq(b, false)
-		for p := 0; p < len(b); {
-			_, n, _, err := decodeEntry(b[p:], true)
-			if err != nil || n == 0 {
-				break
-			}
-			p += n
-		}
+		fuzzReaders(b)
 	})
 }
 
-// TestLastSeqAnywhere starts the recovery window at every offset of a mixed
-// trail: whatever it cuts, the answer is the highest number of the records
-// that are whole inside it.
+// FuzzDecodeAuditFrame: a claim frame the decoder accepts re-encodes to the
+// same bytes, so a claim has one spelling, and the readers built on the
+// decoder take any input.
+func FuzzDecodeAuditFrame(f *testing.F) {
+	at := time.Date(2026, 10, 16, 8, 0, 0, 1, time.UTC)
+	f.Add(appendClaim(nil, sampleRecords()[:5]...))
+	f.Add(appendClaim(nil,
+		Record{Seq: 7, Time: at, Actor: "svc", Op: "GET", Key: "k1", Owner: "alice", Purpose: "billing", Outcome: OutcomeOK},
+		Record{Seq: 9, Time: at.Add(-time.Second), Actor: "svc", Op: "GET", Key: "k1", Owner: "alice", Purpose: "svc", Outcome: OutcomeDenied, Detail: "billing"},
+		Record{Seq: 10, Op: "PUT", Outcome: "partial"}))
+	f.Add(append(appendClaim(nil, sampleRecords()[1]), appendRecord(nil, sampleRecords()[2])...))
+	f.Add([]byte{claimMarker, 0x0c, 0x02, 0x01, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		recs, size, err := decodeEntry(nil, b, true)
+		if err == nil && b[0] == claimMarker {
+			if size > len(b) || len(recs) == 0 {
+				t.Fatalf("decoded %d records from %d bytes of %d", len(recs), size, len(b))
+			}
+			if again := appendClaim(nil, recs...); !bytes.Equal(again, b[:size]) {
+				t.Fatalf("accepted %x, re-encodes to %x", b[:size], again)
+			}
+		}
+		fuzzReaders(b)
+	})
+}
+
+// fuzzReaders runs the readers built on the decoders over b, which must
+// take anything.
+func fuzzReaders(b []byte) {
+	lastSeq(b, true)
+	lastSeq(b, false)
+	for p := 0; p < len(b); {
+		_, n, err := decodeEntry(nil, b[p:], true)
+		if err != nil || n == 0 {
+			break
+		}
+		p += n
+	}
+}
+
+// TestLastSeqAnywhere starts the recovery window at every offset of a trail
+// of all three formats: whatever it cuts, the answer is the highest number
+// of the entries that are whole inside it.
 func TestLastSeqAnywhere(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	var file []byte
@@ -337,8 +607,18 @@ func TestLastSeqAnywhere(t *testing.T) {
 	}
 	for i := 0; i < 40; i++ {
 		r := Record{Seq: uint64(200 + rng.Intn(1000)), Time: time.Unix(int64(i), 10), Op: "PUT",
-			Key: string([]byte{frameMarker, '\n', '{', byte(i)}), Owner: strings.Repeat("o", rng.Intn(200)), Outcome: OutcomeOK}
+			Key: string([]byte{recordMarker, '\n', '{', byte(i)}), Owner: strings.Repeat("o", rng.Intn(200)), Outcome: OutcomeOK}
 		add(appendRecord(nil, r), r.Seq)
+	}
+	for i := 0; i < 12; i++ {
+		var recs []Record
+		var highest uint64
+		for j := 0; j < 1+rng.Intn(5); j++ {
+			r := Record{Seq: uint64(2000 + rng.Intn(1000)), Time: time.Unix(int64(i), int64(j)), Actor: "svc", Op: "GET",
+				Key: string([]byte{claimMarker, '\n', '{', byte(j)}), Owner: strings.Repeat("o", rng.Intn(200)), Outcome: OutcomeOK}
+			recs, highest = append(recs, r), max(highest, r.Seq)
+		}
+		add(appendClaim(nil, recs...), highest)
 	}
 	for off := 0; off <= len(file); off++ {
 		var want uint64

@@ -113,10 +113,11 @@ func (t *Trail) Scan(fn func(Record) error) error {
 	return scanFile(t.file.Path(), t.file.key, emit)
 }
 
-// scanFile streams the entries of the trail file at path, frames and legacy
-// lines alike, through fn in file order. An entry the file ends in the
-// middle of (crash mid-append) or whose damage reaches the end of the file
-// is a torn tail and tolerated; damage with anything after it is not.
+// scanFile streams the records of the trail file at path, claim frames and
+// legacy entries alike, through fn in file order. An entry the file ends in
+// the middle of (crash mid-append) or whose damage reaches the end of the
+// file is a torn tail and tolerated, with all of its records; damage with
+// anything after it is not.
 func scanFile(path string, key []byte, fn func(Record) error) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -139,10 +140,13 @@ func scanFile(path string, key []byte, fn func(Record) error) error {
 	// bytes the file really has).
 	buf := make([]byte, 0, 1<<16)
 	p, eof := 0, false
+	var recs []Record // one entry's
 	for {
 	entries:
 		for p < len(buf) {
-			r, size, ok, err := decodeEntry(buf[p:], eof)
+			var size int
+			var err error
+			recs, size, err = decodeEntry(recs[:0], buf[p:], eof)
 			switch {
 			case err == nil:
 			case errors.Is(err, errCorrupt) && p+size < len(buf):
@@ -153,7 +157,7 @@ func scanFile(path string, key []byte, fn func(Record) error) error {
 				break entries // the rest of the entry, or what follows the damage, is still to be read
 			}
 			p += size
-			if ok {
+			for _, r := range recs {
 				if err := fn(r); err != nil {
 					return err
 				}

@@ -13,8 +13,9 @@ import (
 
 // Sink consumes audit records. The pipeline's drainer calls Write once per
 // claim (up to 64 records) with both the records and their trail-file
-// encoding (codec.go: the frames, back to back), so in-engine sinks keep
-// the structs, the file sink appends the bytes in one write, and an export
+// encoding (codec.go: one claim frame, several only past maxFrame), so
+// in-engine sinks keep the structs, the file sink appends the bytes in one
+// write, and an export
 // sink renders whatever its consumer was promised (Record.AppendJSON). Both
 // slices belong to the drainer and are reused after Write returns.
 // Implementations must be safe for concurrent use: Write comes from the one
@@ -29,9 +30,10 @@ type Sink interface {
 	Close() error
 }
 
-// FileSink persists records as (optionally encrypted) frames (codec.go),
-// appended to whatever the file already holds: a trail begun as JSONL by an
-// earlier version continues in frames and stays readable by scanFile.
+// FileSink persists records as (optionally encrypted) claim frames
+// (codec.go), appended to whatever the file already holds: a trail begun by
+// an earlier version, as JSONL or per-record frames, continues in claim
+// frames and stays readable by scanFile.
 type FileSink struct {
 	mu    sync.Mutex
 	f     *os.File
@@ -150,19 +152,22 @@ func (s *FileSink) Syncs() uint64 {
 // Path returns the trail file path.
 func (s *FileSink) Path() string { return s.path }
 
-// recoverTailWindow bounds how far back RecoverLastSeq reads. What this
+// recoverTailWindow is how far back RecoverLastSeq reads first. What this
 // version writes is in sequence order, but a file begun by an earlier one
 // is not (DESIGN.md §17): there a record can be followed by a few dozen
-// records with lower numbers. Records are around a hundred bytes, so the
-// highest number sits well inside the final megabyte.
+// records with lower numbers. Those records are around a hundred bytes and
+// a claim frame a few kilobytes, so the highest number sits well inside the
+// final megabyte.
 const recoverTailWindow = 1 << 20
 
 // RecoverLastSeq returns the highest sequence number persisted in the
 // trail file at path, reading only the final recoverTailWindow bytes
 // instead of scanning the whole file (O(1) startup on large trails). A
 // missing file returns 0. The window starts wherever it starts and may end
-// in a torn record (crash mid-append); lastSeq finds the whole records in
-// between and returns the maximum, not the last one's.
+// in a torn entry (crash mid-append); lastSeq finds the whole entries in
+// between and returns the maximum, not the last one's. A window with no
+// whole entry in it, the inside of a claim frame of megabytes, is widened
+// until it holds one or the whole file.
 func RecoverLastSeq(path string, key []byte) (uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -176,20 +181,28 @@ func RecoverLastSeq(path string, key []byte) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("audit: recover: %w", err)
 	}
-	size := st.Size()
-	off := max(size-recoverTailWindow, 0)
-	buf := make([]byte, size-off)
-	if _, err := f.ReadAt(buf, off); err != nil && !errors.Is(err, io.EOF) {
-		return 0, fmt.Errorf("audit: recover: %w", err)
-	}
+	var c *cryptoutil.OffsetCipher
 	if key != nil {
-		c, err := cryptoutil.NewOffsetCipher(key)
-		if err != nil {
+		if c, err = cryptoutil.NewOffsetCipher(key); err != nil {
 			return 0, err
 		}
-		c.Apply(buf, off)
 	}
-	return lastSeq(buf, off == 0), nil
+	size := st.Size()
+	for window := int64(recoverTailWindow); ; window *= 4 {
+		off := max(size-window, 0)
+		buf := make([]byte, size-off)
+		if _, err := f.ReadAt(buf, off); err != nil && !errors.Is(err, io.EOF) {
+			return 0, fmt.Errorf("audit: recover: %w", err)
+		}
+		if c != nil {
+			c.Apply(buf, off)
+		}
+		// A window of 4·maxFrame holds a whole frame before any torn one;
+		// finding none there means damage (or a wrong key), not a big claim.
+		if last := lastSeq(buf, off == 0); last > 0 || off == 0 || window >= 4*maxFrame {
+			return last, nil
+		}
+	}
 }
 
 // MemSink keeps a bounded ring of the most recent records in memory — the

@@ -64,12 +64,13 @@ func (o *Server) renderMetrics() string {
 		"prepared-cipher lookups that built a cipher", float64(er.CipherMisses))
 
 	// Audit pipeline (Art. 30) pressure.
-	var depth, capQ, enq, proc, drop, sinkErrs float64
+	var depth, capQ, enq, proc, drop, sinkErrs, auditBytes float64
 	if t := st.Trail(); t != nil {
 		as := t.Stats()
 		depth, capQ = float64(as.QueueDepth), float64(as.QueueCap)
 		enq, proc = float64(as.Enqueued), float64(as.Processed)
 		drop, sinkErrs = float64(as.Dropped), float64(as.SinkErrors)
+		auditBytes = float64(as.Size)
 	}
 	e.Gauge("gdprkv_audit_queue_depth", "audit records waiting in the pipeline queue", depth)
 	e.Gauge("gdprkv_audit_queue_capacity", "audit pipeline queue capacity", capQ)
@@ -77,6 +78,15 @@ func (o *Server) renderMetrics() string {
 	e.Counter("gdprkv_audit_processed_total", "audit records durably written", proc)
 	e.Counter("gdprkv_audit_dropped_total", "audit records shed under backpressure", drop)
 	e.Counter("gdprkv_audit_sink_errors_total", "audit sink write failures", sinkErrs)
+
+	// What the two logs hold on disk: the AOF (Art. 17's residue until a
+	// rewrite) and the trail (Art. 30's cost, growing with every read).
+	var aofBytes float64
+	if l := st.Log(); l != nil {
+		aofBytes = float64(l.Size())
+	}
+	e.Gauge("gdprkv_audit_bytes", "audit trail file size in bytes", auditBytes)
+	e.Gauge("gdprkv_aof_bytes", "append-only file size in bytes", aofBytes)
 
 	// Replication.
 	rp := o.rs.ReplStatus()

@@ -242,6 +242,42 @@ func TestAuditQueueGauges(t *testing.T) {
 	}
 }
 
+// TestLogSizeGauges: /metrics reports what the trail and the AOF hold on
+// disk, the numbers INFO prints as audit_size and aof_size, so an operator
+// can watch the cost of logging every read grow.
+func TestLogSizeGauges(t *testing.T) {
+	dir := t.TempDir()
+	cfg := fullConfig()
+	cfg.AuditPath, cfg.AOFPath = dir+"/audit.log", dir+"/a.aof"
+	o, c := startOps(t, cfg)
+	ctx := context.Background()
+	if err := c.GPut(ctx, "pd:1", []byte("v"), gdprkv.PutOptions{Owner: "alice", TTL: time.Hour}); err != nil {
+		t.Fatal(err)
+	}
+	st := o.rs.Store()
+	if err := st.Trail().Sync(); err != nil {
+		t.Fatal(err)
+	}
+	trail, log := st.Trail().Size(), st.Log().Size()
+	if trail == 0 || log == 0 {
+		t.Fatalf("trail %d B, AOF %d B after a GPut; want both written", trail, log)
+	}
+	_, body := opsGET(t, o, "/metrics")
+	for _, line := range []string{fmt.Sprintf("\ngdprkv_audit_bytes %d\n", trail), fmt.Sprintf("\ngdprkv_aof_bytes %d\n", log)} {
+		if !strings.Contains(string(body), line) {
+			t.Errorf("/metrics lacks %q:\n%s", strings.TrimSpace(line), body)
+		}
+	}
+	_, body = opsGET(t, o, "/info/audit")
+	var sec map[string]string
+	if err := json.Unmarshal(body, &sec); err != nil {
+		t.Fatalf("/info/audit not JSON: %v\n%s", err, body)
+	}
+	if sec["audit_size"] != fmt.Sprint(trail) {
+		t.Errorf("audit_size = %q, want %d", sec["audit_size"], trail)
+	}
+}
+
 // TestKeyringCipherCounters: the hit rate of the keyring's prepared-cipher
 // cache is a number the server prints, in INFO erasure and in /metrics: one
 // owner's writes build its cipher once and find it cached afterwards.

@@ -140,8 +140,9 @@ func (s *Server) gdprstoreFields() []InfoField {
 }
 
 // auditFields renders the audit-pipeline section: queue pressure, drop
-// and sink-error counters, and the last sink error, so operators can see
-// a failing or shedding trail without grepping logs.
+// and sink-error counters, the trail file's size beside the gdprstore
+// section's aof_size, and the last sink error, so operators can see a
+// failing, shedding or growing trail without grepping logs.
 func (s *Server) auditFields() []InfoField {
 	t := s.store.Trail()
 	if t == nil {
@@ -160,6 +161,7 @@ func (s *Server) auditFields() []InfoField {
 		fuint("audit_dropped", st.Dropped),
 		fuint("audit_sink_errors", st.SinkErrors),
 		fuint("audit_syncs", st.Syncs),
+		fint64("audit_size", st.Size),
 		fbool("audit_mask", st.MaskEnabled),
 		fuint("audit_masked", st.Masked),
 		fstr("audit_last_error", st.LastErr),

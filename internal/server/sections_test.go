@@ -1,6 +1,8 @@
 package server
 
 import (
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -50,5 +52,48 @@ func TestInfoSnapshotExplicitSectionAlwaysRenders(t *testing.T) {
 		if len(snaps) != 1 || snaps[0].Name != name {
 			t.Fatalf("InfoSnapshot(%q) = %+v", name, snaps)
 		}
+	}
+}
+
+// TestInfoReportsLogSizes: what the trail and the AOF hold on disk is
+// readable from the running server, audit_size in INFO audit beside
+// aof_size in INFO gdprstore, and both are the files' own counts.
+func TestInfoReportsLogSizes(t *testing.T) {
+	dir := t.TempDir()
+	cfg := core.EventualFull(filepath.Join(dir, "audit.log"))
+	cfg.AOFPath = filepath.Join(dir, "a.aof")
+	srv, c := startServer(t, cfg)
+	setupPrincipals(t, c)
+	for _, cmd := range [][]string{{"AUTH", "controller"}, {"PURPOSE", "billing"},
+		{"GPUT", "pd:1", "v", "OWNER", "alice", "TTL", "60"}, {"GGET", "pd:1"}} {
+		if _, err := c.Do(cmd...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.store.Trail().Sync(); err != nil {
+		t.Fatal(err)
+	}
+	field := func(section, key string) string {
+		snaps, err := srv.InfoSnapshot(section)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range snaps[0].Fields {
+			if f.Key == key {
+				return f.Value
+			}
+		}
+		t.Fatalf("INFO %s has no %s", section, key)
+		return ""
+	}
+	trail, log := srv.store.Trail().Size(), srv.store.Log().Size()
+	if trail == 0 || log == 0 {
+		t.Fatalf("trail %d B, AOF %d B after a GPUT and a GGET; want both written", trail, log)
+	}
+	if got := field("audit", "audit_size"); got != strconv.FormatInt(trail, 10) {
+		t.Errorf("audit_size = %s, want %d", got, trail)
+	}
+	if got := field("gdprstore", "aof_size"); got != strconv.FormatInt(log, 10) {
+		t.Errorf("aof_size = %s, want %d", got, log)
 	}
 }
