@@ -7,6 +7,9 @@
 // milliseconds: the lazy probabilistic expiry algorithm's erasure delay is a
 // function of the number of 100 ms cycles executed, not of real time, so
 // advancing a simulated clock preserves the measured delay exactly.
+//
+// Product code reads the time only through a Clock; guard_test.go fails on
+// a direct time.Now, time.Since or time.Until outside its exception list.
 package clock
 
 import (
@@ -23,12 +26,6 @@ type Clock interface {
 	Since(t time.Time) time.Duration
 }
 
-// Sleeper is implemented by clocks that can block a caller. The wall clock
-// sleeps for real; the virtual clock advances itself instead.
-type Sleeper interface {
-	Sleep(d time.Duration)
-}
-
 // Wall is the real time source backed by time.Now.
 type Wall struct{}
 
@@ -40,9 +37,6 @@ func (*Wall) Now() time.Time { return time.Now() }
 
 // Since implements Clock.
 func (*Wall) Since(t time.Time) time.Duration { return time.Since(t) }
-
-// Sleep implements Sleeper by blocking for d.
-func (*Wall) Sleep(d time.Duration) { time.Sleep(d) }
 
 // Virtual is a manually advanced clock. The zero value is not usable; use
 // NewVirtual. Virtual is safe for concurrent use.
@@ -79,20 +73,5 @@ func (v *Virtual) Advance(d time.Duration) {
 	v.mu.Unlock()
 }
 
-// Sleep implements Sleeper by advancing the clock — a virtual sleeper never
-// blocks, which is what makes simulated experiments fast.
-func (v *Virtual) Sleep(d time.Duration) { v.Advance(d) }
-
-// Set jumps the clock to t if t is not before the current time.
-func (v *Virtual) Set(t time.Time) {
-	v.mu.Lock()
-	if t.After(v.now) {
-		v.now = t
-	}
-	v.mu.Unlock()
-}
-
 var _ Clock = (*Wall)(nil)
 var _ Clock = (*Virtual)(nil)
-var _ Sleeper = (*Wall)(nil)
-var _ Sleeper = (*Virtual)(nil)

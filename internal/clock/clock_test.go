@@ -46,35 +46,6 @@ func TestVirtualNegativeAdvanceIgnored(t *testing.T) {
 	}
 }
 
-func TestVirtualSleepAdvances(t *testing.T) {
-	v := NewVirtual(time.Unix(0, 0))
-	done := make(chan struct{})
-	go func() {
-		v.Sleep(time.Hour) // must not block
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("virtual Sleep blocked")
-	}
-	if got := v.Now(); !got.Equal(time.Unix(3600, 0)) {
-		t.Fatalf("Sleep advanced to %v, want %v", got, time.Unix(3600, 0))
-	}
-}
-
-func TestVirtualSetMonotonic(t *testing.T) {
-	v := NewVirtual(time.Unix(100, 0))
-	v.Set(time.Unix(50, 0)) // backwards: ignored
-	if !v.Now().Equal(time.Unix(100, 0)) {
-		t.Fatalf("Set moved clock backwards to %v", v.Now())
-	}
-	v.Set(time.Unix(200, 0))
-	if !v.Now().Equal(time.Unix(200, 0)) {
-		t.Fatalf("Set failed to move clock forward, now %v", v.Now())
-	}
-}
-
 func TestVirtualSince(t *testing.T) {
 	v := NewVirtual(time.Unix(0, 0))
 	mark := v.Now()

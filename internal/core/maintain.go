@@ -81,7 +81,7 @@ func (s *Store) ErasureSweepCycle() SweepStats {
 	if s.keyring == nil || s.closed.Load() {
 		return st
 	}
-	start := time.Now()
+	start := s.cfg.Config.Clock.Now()
 	budget := s.cfg.sweepBudget
 	s.erasure.mu.Lock()
 	owners := make([]string, 0, len(s.erasure.pending))
@@ -128,7 +128,7 @@ func (s *Store) ErasureSweepCycle() SweepStats {
 	s.erasure.cycles++
 	s.erasure.reclaimed += uint64(st.Reclaimed)
 	s.erasure.drained += uint64(st.OwnersDrained)
-	s.erasure.lastCycle = time.Since(start)
+	s.erasure.lastCycle = s.cfg.Config.Clock.Since(start)
 	s.erasure.mu.Unlock()
 	return st
 }
@@ -228,7 +228,8 @@ type ErasureStats struct {
 	// SweepLag is the age of the oldest still-pending shred — how far the
 	// physical reclamation trails the logical erasure.
 	SweepLag time.Duration
-	// LastCycle is the duration of the most recent sweep cycle.
+	// LastCycle is the duration of the most recent sweep cycle, measured
+	// on the store's clock.
 	LastCycle time.Duration
 	// SweeperRunning reports whether the background sweeper goroutine is
 	// active.
@@ -379,7 +380,7 @@ type MaintStats struct {
 	ErasedReclaimed int
 	// Rewrote reports whether a deferred AOF compaction ran.
 	Rewrote bool
-	// Took is the wall duration of the pass.
+	// Took is the duration of the pass, measured on the store's clock.
 	Took time.Duration
 }
 
@@ -388,7 +389,7 @@ type MaintStats struct {
 // AOF compaction (the "eventual" half of the compliance spectrum — erasure
 // work postponed off the critical path lands here).
 func (s *Store) Maintain() MaintStats {
-	start := time.Now()
+	start := s.cfg.Config.Clock.Now()
 	// The sweep's own walks, each through the gate, before the global
 	// locks; it owes the compaction below for what it reclaims.
 	st := MaintStats{ErasedReclaimed: s.DrainErasure().Reclaimed}
@@ -400,7 +401,7 @@ func (s *Store) Maintain() MaintStats {
 		}
 	}
 	s.unlockAll()
-	st.Took = time.Since(start)
+	st.Took = s.cfg.Config.Clock.Since(start)
 	return st
 }
 

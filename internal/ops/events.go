@@ -58,12 +58,15 @@ func (o *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 	t := time.NewTicker(interval)
 	defer t.Stop()
+	// The rate is measured on the store's clock, like every duration the
+	// server reports.
+	clk := o.rs.Store().Config().Clock
 	var seq uint64
 	prevCommands := o.rs.Commands()
-	prevAt := time.Now()
+	prevAt := clk.Now()
 	send := func() bool {
 		seq++
-		now := time.Now()
+		now := clk.Now()
 		cmds := o.rs.Commands()
 		ev := o.snapshotEvent()
 		ev.Seq = seq

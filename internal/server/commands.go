@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -88,11 +89,11 @@ func init() {
 	register(Command{Name: "EXPIRE", MinArgs: 2, MaxArgs: 2, Flags: FlagWrite | FlagNoCompliance, Keys: keysFirst,
 		Summary: "set a TTL in seconds",
 		Handler: func(ctx *Ctx) (resp.Value, error) {
-			secs, err := strconv.ParseInt(string(ctx.Args[1]), 10, 64)
-			if err != nil {
+			ttl, ok := parseSeconds(ctx.Args[1])
+			if !ok {
 				return resp.Value{}, errors.New("value is not an integer")
 			}
-			if ctx.Srv.store.Engine().Expire(string(ctx.Args[0]), time.Duration(secs)*time.Second) {
+			if ctx.Srv.store.Engine().Expire(string(ctx.Args[0]), ttl) {
 				return resp.IntegerValue(1), nil
 			}
 			return resp.IntegerValue(0), nil
@@ -298,11 +299,11 @@ func cmdSet(ctx *Ctx) (resp.Value, error) {
 			if i+1 >= len(a) {
 				return resp.Value{}, errSyntax
 			}
-			secs, err := strconv.ParseInt(string(a[i+1]), 10, 64)
-			if err != nil || secs <= 0 {
+			d, ok := parseSeconds(a[i+1])
+			if !ok || d <= 0 {
 				return resp.Value{}, errors.New("invalid expire time")
 			}
-			ex = time.Duration(secs) * time.Second
+			ex = d
 			i++
 		case "KEEPTTL":
 			keepTTL = true
@@ -442,11 +443,11 @@ func parsePutOptions(a [][]byte) (core.PutOptions, error) {
 			if !need() {
 				return opts, errSyntax
 			}
-			secs, err := strconv.ParseInt(string(a[i+1]), 10, 64)
-			if err != nil || secs <= 0 {
+			d, ok := parseSeconds(a[i+1])
+			if !ok || d <= 0 {
 				return opts, errors.New("invalid ttl")
 			}
-			opts.TTL = time.Duration(secs) * time.Second
+			opts.TTL = d
 			i++
 		case "ORIGIN":
 			if !need() {
@@ -549,6 +550,21 @@ func wrongArityErr(cmd string) error {
 	return fmt.Errorf("wrong number of arguments for '%s'", strings.ToLower(cmd))
 }
 
+// maxSeconds is the largest whole-seconds count a time.Duration holds.
+const maxSeconds = math.MaxInt64 / int64(time.Second)
+
+// parseSeconds parses a seconds argument (EXPIRE, SET EX, TTL options) as
+// a duration. It reports false for a non-integer and for a count beyond
+// ±maxSeconds, which would wrap to a duration of the wrong sign; the sign
+// rule is the caller's.
+func parseSeconds(b []byte) (time.Duration, bool) {
+	secs, err := strconv.ParseInt(string(b), 10, 64)
+	if err != nil || secs > maxSeconds || secs < -maxSeconds {
+		return 0, false
+	}
+	return time.Duration(secs) * time.Second, true
+}
+
 func splitNonEmpty(s string) []string {
 	parts := strings.Split(s, ",")
 	out := parts[:0]
@@ -605,11 +621,11 @@ func cmdACL(ctx *Ctx) (resp.Value, error) {
 				if i+1 >= len(rest) {
 					return resp.Value{}, errSyntax
 				}
-				secs, err := strconv.ParseInt(string(rest[i+1]), 10, 64)
-				if err != nil || secs <= 0 {
+				d, ok := parseSeconds(rest[i+1])
+				if !ok || d <= 0 {
 					return resp.Value{}, errors.New("invalid ttl")
 				}
-				g.Expires = time.Now().Add(time.Duration(secs) * time.Second)
+				g.Expires = s.clock.Now().Add(d)
 				i++
 			default:
 				return resp.Value{}, errSyntax

@@ -184,8 +184,8 @@ func wrongArity(cmd string) resp.Value {
 }
 
 // CommandHook observes every executed command after its middleware ran:
-// name, arguments, the reply (post-errReply), and the handler latency.
-// Deployments attach audit/tracing sinks here.
+// name, arguments, the reply (post-errReply), and the latency measured on
+// the store's clock. Deployments attach audit/tracing sinks here.
 type CommandHook func(name string, args [][]byte, reply resp.Value, d time.Duration)
 
 // --- middleware pipeline ---
@@ -193,24 +193,23 @@ type CommandHook func(name string, args [][]byte, reply resp.Value, d time.Durat
 // Order (outermost first):
 //  1. recover      — a panicking handler becomes an ERR reply, not a dead
 //     connection
-//  2. metrics      — per-command call count + latency histogram
-//  3. hook         — the pluggable audit/tracing observation point; sits
+//  2. observe      — one latency on the store's clock feeds the
+//     per-command histogram and the pluggable audit/tracing hook; sits
 //     outside compliance so enforcement rejections are observed too
-//  4. read-only    — rejects writes while the server is a replica (the
+//  3. read-only    — rejects writes while the server is a replica (the
 //     replication link applies records directly, below the registry)
-//  5. compliance   — FlagGDPR enforcement (BASELINE on non-compliant
+//  4. compliance   — FlagGDPR enforcement (BASELINE on non-compliant
 //     stores, DENIED before AUTH under ACL enforcement)
-//  6. cluster      — slot ownership (MOVED), cross-slot batch rejection
+//  5. cluster      — slot ownership (MOVED), cross-slot batch rejection
 //     (CROSSSLOT), and the rights fan-out coordinator; inert unless
 //     EnableCluster was called
-//  7. the handler itself; its error return is mapped by errReply
+//  6. the handler itself; its error return is mapped by errReply
 func (s *Server) buildPipeline() Handler {
 	h := func(ctx *Ctx) (resp.Value, error) { return ctx.Cmd.Handler(ctx) }
 	h = s.clusterMiddleware(h)
 	h = complianceMiddleware(h)
 	h = s.readOnlyMiddleware(h)
-	h = s.hookMiddleware(h)
-	h = s.metricsMiddleware(h)
+	h = s.observe(h)
 	h = recoverMiddleware(h)
 	return h
 }
@@ -229,13 +228,23 @@ func recoverMiddleware(next Handler) Handler {
 	}
 }
 
-// metricsMiddleware records per-command latency and call counts into the
-// server's OpSet (INFO's commandstats section reports them).
-func (s *Server) metricsMiddleware(next Handler) Handler {
+// observe reads the store's clock once before the rest of the pipeline and
+// once after, and hands the one latency to the server's OpSet (INFO's
+// commandstats section) and to the CommandHook, if set, with the final
+// reply (errors already mapped).
+func (s *Server) observe(next Handler) Handler {
 	return func(ctx *Ctx) (resp.Value, error) {
-		t0 := time.Now()
+		t0 := s.clock.Now()
 		v, err := next(ctx)
-		s.cmdStats.Get(ctx.Cmd.Name).Record(time.Since(t0))
+		d := s.clock.Since(t0)
+		s.cmdStats.Get(ctx.Cmd.Name).Record(d)
+		if hook := s.hook.Load(); hook != nil {
+			reply := v
+			if err != nil {
+				reply = errReply(err)
+			}
+			(*hook)(ctx.Cmd.Name, ctx.Args, reply, d)
+		}
 		return v, err
 	}
 }
@@ -253,25 +262,6 @@ func complianceMiddleware(next Handler) Handler {
 			}
 		}
 		return next(ctx)
-	}
-}
-
-// hookMiddleware invokes the server's CommandHook, if set, with the final
-// reply (errors already mapped) and the handler latency.
-func (s *Server) hookMiddleware(next Handler) Handler {
-	return func(ctx *Ctx) (resp.Value, error) {
-		hook := s.hook.Load()
-		if hook == nil {
-			return next(ctx)
-		}
-		t0 := time.Now()
-		v, err := next(ctx)
-		reply := v
-		if err != nil {
-			reply = errReply(err)
-		}
-		(*hook)(ctx.Cmd.Name, ctx.Args, reply, time.Since(t0))
-		return v, err
 	}
 }
 

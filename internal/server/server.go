@@ -7,9 +7,9 @@
 // established by AUTH and PURPOSE.
 //
 // Every command is served from a declarative registry (registry.go) through
-// a middleware pipeline — panic recovery, per-command metrics, GDPR flag
-// enforcement, a pluggable command hook, and a single error-to-reply
-// mapping. See DESIGN.md for the architecture.
+// a middleware pipeline — panic recovery, one observation stage feeding
+// per-command metrics and a pluggable command hook, GDPR flag enforcement,
+// and a single error-to-reply mapping. See DESIGN.md for the architecture.
 package server
 
 import (
@@ -19,6 +19,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"gdprstore/internal/clock"
 	"gdprstore/internal/core"
 	"gdprstore/internal/metrics"
 	"gdprstore/internal/replica"
@@ -29,6 +30,9 @@ import (
 type Server struct {
 	store *core.Store
 	ln    net.Listener
+	// clock is the store's time source: command latencies are measured on
+	// it, as are grant expiries.
+	clock clock.Clock
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -73,6 +77,7 @@ func Listen(addr string, st *core.Store) (*Server, error) {
 	s := &Server{
 		store:    st,
 		ln:       ln,
+		clock:    st.Config().Clock,
 		conns:    make(map[net.Conn]struct{}),
 		cmdStats: metrics.NewOpSet(),
 	}
