@@ -18,7 +18,9 @@ import (
 //  1. every key in an owner's index set holds a record of that owner;
 //  2. every record the engine holds is in its owner's index set, and
 //     MetaCount counts exactly those records;
-//  3. forgotten owners have no surviving records.
+//  3. forgotten owners have no surviving records;
+//  4. KeysByPurpose lists, ascending, exactly the keys whose live record
+//     permits the purpose.
 func TestConcurrentMixedOperations(t *testing.T) {
 	s := newFullStore(t, nil)
 	const owners = 8
@@ -69,11 +71,15 @@ func TestConcurrentMixedOperations(t *testing.T) {
 	}
 	// Invariant 2: every record is indexed under its owner, and counted.
 	records := 0
+	var permitted []string
 	if err := s.db.SnapshotRecords(func(k string, e store.Entry) error {
 		if e.Record != nil {
 			records++
 			if !slices.Contains(s.ix.ownerKeys(e.Record.Policy.Owner), k) {
 				t.Errorf("key %q (owner %q) missing from owner index", k, e.Record.Policy.Owner)
+			}
+			if !s.recordDead(e.Record) && permits(e.Record.Policy, "p") {
+				permitted = append(permitted, k)
 			}
 		}
 		return nil
@@ -82,6 +88,11 @@ func TestConcurrentMixedOperations(t *testing.T) {
 	}
 	if n := s.MetaCount(); n != records {
 		t.Fatalf("MetaCount = %d, the engine holds %d records", n, records)
+	}
+	// Invariant 4: the purpose index agrees with the engine, in key order.
+	slices.Sort(permitted)
+	if got, err := s.KeysByPurpose(ctlCtx, "p"); err != nil || !slices.Equal(got, permitted) {
+		t.Fatalf("KeysByPurpose(p) = %v, %v; the engine's records permitting p are %v", got, err, permitted)
 	}
 
 	// Invariant 3: forgetting an owner leaves nothing behind.

@@ -490,6 +490,10 @@ func TestClosedStoreRejectsOps(t *testing.T) {
 			_, err := s.OwnerKeys(ctlCtx, "alice")
 			return err
 		},
+		"KeysByPurpose": func() error {
+			_, err := s.KeysByPurpose(ctlCtx, "admin")
+			return err
+		},
 		"Forget":           func() error { _, err := s.Forget(ctlCtx, "alice"); return err },
 		"Reinstate":        func() error { return s.Reinstate(ctlCtx, "alice") },
 		"Object":           func() error { return s.Object(ctlCtx, "alice", "ads") },

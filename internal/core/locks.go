@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"sync"
 	"time"
 	"unsafe"
@@ -109,16 +108,15 @@ func (s *Store) walkOwner(owner string, fn func(key string, e store.Entry) bool)
 }
 
 // walkKeys visits, in key order, those of keys (a snapshot of owner's key
-// set, which it sorts) that still hold a record of owner. fn runs, holding
-// no lock, with the key's entry as one probe finds it, judged at one clock
-// reading for the whole walk: a key deleted or expired since the snapshot,
-// or re-Put by another subject, is skipped, and fn writes only through a
-// conditional operation on the record it was shown. fn returns false to
+// set, which the index hands out ascending) that still hold a record of
+// owner. fn runs, holding no lock, with the key's entry as one probe finds
+// it, judged at one clock reading for the whole walk: a key deleted or
+// expired since the snapshot, or re-Put by another subject, is skipped, and
+// fn writes only through a conditional operation on the record it was shown. fn returns false to
 // stop; walkKeys reports whether it reached the end, once one flush has
 // handed the journal everything the walk observed or enqueued.
 func (s *Store) walkKeys(owner string, keys []string, probe func(string, time.Time) (store.Entry, bool), fn func(key string, e store.Entry) bool) bool {
 	defer s.db.Flush()
-	slices.Sort(keys)
 	now := s.cfg.Config.Clock.Now()
 	for _, k := range keys {
 		if e, ok := probe(k, now); ok && ownerOf(e.Record) == owner && !fn(k, e) {

@@ -420,7 +420,7 @@ func (s *Store) MetaCount() int {
 		sh := &s.ix.byOwner[i]
 		sh.mu.Lock()
 		for _, set := range sh.m {
-			n += len(set.keys)
+			n += set.keys.n
 		}
 		sh.mu.Unlock()
 	}

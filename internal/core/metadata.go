@@ -140,8 +140,9 @@ func ownerOf(rec *store.Record) string {
 // and FLUSHALL included: no index entry outlives its record. A key leaves
 // its owner's set only when its record goes or names another owner, so
 // re-recording it under the same owner (Expire, an objection, a re-Put)
-// never hides it from a reader of that set. The sets are striped by name;
-// a stripe lock is a leaf, held for one map operation.
+// never hides it from a reader of that set. Each set is an orderedKeys, so
+// a reader gets its keys in ascending order without sorting them. The sets
+// are striped by name; a stripe lock is a leaf, held for one set operation.
 type metaIndex struct {
 	byOwner, byPurpose []setShard
 }
@@ -150,7 +151,7 @@ type metaIndex struct {
 // policy of the owner's latest write, which the owner's next write reuses
 // when its terms are equal; it goes with the owner's last record.
 type keySet struct {
-	keys   map[string]struct{}
+	keys   orderedKeys
 	policy *store.Policy
 }
 
@@ -218,34 +219,31 @@ func (sh *setShard) add(name, key string, p *store.Policy) {
 	sh.mu.Lock()
 	set, ok := sh.m[name]
 	if !ok {
-		set = &keySet{keys: make(map[string]struct{}), policy: p}
+		set = &keySet{policy: p}
 		sh.m[name] = set
 	}
-	set.keys[key] = struct{}{}
+	set.keys.add(key)
 	sh.mu.Unlock()
 }
 
 func (sh *setShard) remove(name, key string) {
 	sh.mu.Lock()
 	if set, ok := sh.m[name]; ok {
-		delete(set.keys, key)
-		if len(set.keys) == 0 {
+		set.keys.remove(key)
+		if set.keys.n == 0 {
 			delete(sh.m, name)
 		}
 	}
 	sh.mu.Unlock()
 }
 
-// keys returns the members of name's set, in unspecified order.
+// keys returns the members of name's set in ascending order.
 func (sh *setShard) keys(name string) []string {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	var out []string
 	if set := sh.m[name]; set != nil {
-		out = make([]string, 0, len(set.keys))
-		for k := range set.keys {
-			out = append(out, k)
-		}
+		out = set.keys.appendTo(make([]string, 0, set.keys.n))
 	}
 	return out
 }
@@ -268,7 +266,7 @@ func (ix *metaIndex) ownerKeyCount(owner string) int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if set := sh.m[owner]; set != nil {
-		return len(set.keys)
+		return set.keys.n
 	}
 	return 0
 }

@@ -488,6 +488,11 @@ func (s *Store) KeysByPurpose(ctx Ctx, purpose string) ([]string, error) {
 	if !s.cfg.Compliant {
 		return nil, ErrNotCompliant
 	}
+	g, err := s.enter(purpose)
+	if err != nil {
+		return nil, err
+	}
+	defer g.RUnlock()
 	if err := s.check(ctx, acl.OpRead, "", "KEYSBYPURPOSE", ""); err != nil {
 		return nil, err
 	}
@@ -501,7 +506,6 @@ func (s *Store) KeysByPurpose(ctx Ctx, purpose string) ([]string, error) {
 		}
 	}
 	s.db.Flush()
-	sort.Strings(out)
 	return out, nil
 }
 
