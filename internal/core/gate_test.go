@@ -209,6 +209,10 @@ func TestCloseWaitsOutCallsInFlight(t *testing.T) {
 			_, err := s.GetUser(ctlCtx, "alice")
 			return ack{op: "GETUSER", owner: "alice"}, err
 		}},
+		{"Access", func(s *Store) (ack, error) {
+			_, err := s.Access(ctlCtx, "alice")
+			return ack{op: "GETUSER", owner: "alice"}, err
+		}},
 		{"Put", func(s *Store) (ack, error) {
 			err := s.Put(ctlCtx, "new", []byte("v"), PutOptions{Owner: "alice"})
 			return ack{op: "PUT", key: "new", wrote: "new"}, err
@@ -284,7 +288,8 @@ func TestCloseWaitsOutCallsInFlight(t *testing.T) {
 						after := closeReturned.Load()
 						var a ack
 						var err error
-						switch op := rng.Intn(5); {
+						// op 2 to 5 is one of the reads, calls[0:4].
+						switch op := rng.Intn(6); {
 						case op == 0 || len(mine) == 0:
 							k := fmt.Sprintf("g%d:%d", g, i)
 							err = s.Put(ctlCtx, k, []byte("v"), PutOptions{Owner: "alice"})

@@ -42,9 +42,10 @@ import (
 // stripe only to decide and to snapshot: ACL check, the owner's key list,
 // its data key and key epoch. The walk (walkKeys) then takes no lock of this
 // layer: one engine probe per record, re-validating owner and epoch, one
-// journal hand-off at the end, and the epoch read again, so a Forget that got
-// in between makes the whole answer the erased one. Without a keyring there
-// is no epoch to re-read, so there the stripe stays held across the walk.
+// journal hand-off at the end, the values opened in the report's own buffer,
+// and the epoch read again, so a Forget that got in between makes the whole
+// answer the erased one. Without a keyring there is no epoch to re-read, so
+// there the stripe stays held across the walk.
 const stripeCount = 64 // power of two
 
 // gateStripe is one stripe of the whole-store barrier, padded to two cache
@@ -107,21 +108,41 @@ func (s *Store) walkOwner(owner string, fn func(key string, e store.Entry) bool)
 	return s.walkKeys(owner, s.ix.ownerKeys(owner), s.db.Peek, fn)
 }
 
+// walkBatch is how many keys walkKeys probes before it visits any of them:
+// a constant, not an option. A batch of entries is 3.5 KB of stack.
+const walkBatch = 64
+
 // walkKeys visits, in key order, those of keys (a snapshot of owner's key
 // set, which the index hands out ascending) that still hold a record of
 // owner. fn runs, holding no lock, with the key's entry as one probe finds
 // it, judged at one clock reading for the whole walk: a key deleted or
 // expired since the snapshot, or re-Put by another subject, is skipped, and
-// fn writes only through a conditional operation on the record it was shown. fn returns false to
-// stop; walkKeys reports whether it reached the end, once one flush has
-// handed the journal everything the walk observed or enqueued.
+// fn writes only through a conditional operation on the record it was shown.
+//
+// The walk probes a batch of walkBatch keys, then visits them. The probes
+// depend neither on each other nor on the visits, and the visits take no
+// lock, so the cache misses of a batch's records and values are served
+// together rather than one record at a time between two probes' lock round
+// trips. An entry may be up to one batch older than its visit, which the
+// conditional operations already allow for. fn returns false to stop; walkKeys reports whether it
+// reached the end, once one flush has handed the journal everything the walk
+// observed or enqueued, the probes of a stopped batch included.
 func (s *Store) walkKeys(owner string, keys []string, probe func(string, time.Time) (store.Entry, bool), fn func(key string, e store.Entry) bool) bool {
 	defer s.db.Flush()
 	now := s.cfg.Config.Clock.Now()
-	for _, k := range keys {
-		if e, ok := probe(k, now); ok && ownerOf(e.Record) == owner && !fn(k, e) {
-			return false
+	var batch [walkBatch]store.Entry
+	var found [walkBatch]bool
+	for len(keys) > 0 {
+		n := min(len(keys), walkBatch)
+		for i, k := range keys[:n] {
+			batch[i], found[i] = probe(k, now)
 		}
+		for i, k := range keys[:n] {
+			if found[i] && ownerOf(batch[i].Record) == owner && !fn(k, batch[i]) {
+				return false
+			}
+		}
+		keys = keys[n:]
 	}
 	return true
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"time"
 
 	"gdprstore/internal/acl"
@@ -14,8 +15,9 @@ import (
 
 // UserRecord pairs one key the subject owns with its value and metadata.
 // The records of one report share memory: a Value is a slice of a buffer
-// holding its neighbours too, and the Metadata's slices are the store's own
-// (immutable) ones. Read them; copy before changing anything.
+// that also holds its neighbours' values and the nonces and tags they were
+// sealed with, and the Metadata's slices are the store's own (immutable)
+// ones. Read them; copy before changing anything.
 type UserRecord struct {
 	Key      string   `json:"key"`
 	Value    []byte   `json:"value"`
@@ -35,23 +37,67 @@ func (s *Store) GetUser(ctx Ctx, owner string) ([]UserRecord, error) {
 		return nil, err
 	}
 	defer g.RUnlock()
-	return s.collectOwner(ctx, owner)
+	rep, err := s.collectOwner(ctx, owner, reportRecords)
+	return rep.recs, err
+}
+
+// UserValues is GetUser for a caller that sends keys and values only (the
+// wire's GETUSER): the same pass and the same audit record, with no
+// Metadata built. values[i] is the value of keys[i]; the values share
+// memory as GetUser's do.
+func (s *Store) UserValues(ctx Ctx, owner string) (keys []string, values [][]byte, err error) {
+	g, err := s.enterRights(owner)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer g.RUnlock()
+	rep, err := s.collectOwner(ctx, owner, reportValues)
+	return rep.keys, rep.values, err
 }
 
 // valueChunk is how much value space collectOwner allocates at a time, so
-// a report costs one allocation per chunk instead of one per record.
+// a report costs one allocation per chunk instead of one per record. The
+// walk copies each record's stored bytes, nonce and tag included, into the
+// chunk; the value is then opened in place there.
 const valueChunk = 32 << 10
+
+// reportKind is what an owner-scoped pass gathers for its caller.
+type reportKind uint8
+
+const (
+	reportValues  reportKind = iota // keys and values (UserValues)
+	reportRecords                   // UserRecords with Metadata (GetUser, Export)
+	reportAccess                    // reportRecords plus the standing objections (Access)
+)
+
+// ownerReport is one owner-scoped pass's answer, in key order: keys and
+// values for reportValues, records otherwise.
+type ownerReport struct {
+	keys       []string
+	values     [][]byte
+	recs       []UserRecord
+	objections []string
+}
 
 // collectOwner is the one pass behind every owner-scoped read, audited as
 // one GETUSER; callers are through owner's gate stripe. Under the owner's
 // stripe it decides (ACL) and snapshots what the pass needs once: the
-// owner's key list, and its data key and key epoch as a prepared cipher. It
-// then walks the keys with the stripe released (see locks.go): one engine
-// probe per record for value and record together, judged at one clock
-// reading (a record's retention deadline is judged as of the moment the
-// report was asked for), the value opened straight from the engine's slice
-// into a shared buffer.
-func (s *Store) collectOwner(ctx Ctx, owner string) ([]UserRecord, error) {
+// owner's key list, its data key and key epoch as a prepared cipher, and for
+// Access the standing objections. It then runs in three stages with the
+// stripe released (see locks.go):
+//
+//  1. probe: walkKeys looks up a batch of keys at a time, value and record
+//     together, judged at one clock reading (a record's retention deadline
+//     is judged as of the moment the report was asked for);
+//  2. gather: the visit checks owner and epoch and copies each live
+//     record's stored bytes, still sealed, into the report's own chunks,
+//     building Metadata only for the kinds that return it;
+//  3. open: after the walk, each value is opened in place in those chunks.
+//     The engine's lent slices are only ever read.
+//
+// The key epoch is read again at the end: a Forget that got in between makes
+// the whole answer the erased one.
+func (s *Store) collectOwner(ctx Ctx, owner string, kind reportKind) (ownerReport, error) {
 	os := s.ownerStripeFor(owner)
 	os.mu.Lock()
 	if s.keyring == nil {
@@ -59,22 +105,34 @@ func (s *Store) collectOwner(ctx Ctx, owner string) ([]UserRecord, error) {
 		// an eager Forget from deleting half of what the walk reports.
 		defer os.mu.Unlock()
 	}
+	var rep ownerReport
 	var keys []string
 	var oc ownerCipher
 	err := s.check(ctx, acl.OpRights, owner, "GETUSER", "")
 	if err == nil {
 		keys = s.ix.ownerKeys(owner)
 		oc = s.ownerCipherFor(owner)
+		if kind == reportAccess {
+			rep.objections = s.objectionsOfLocked(os, owner)
+		}
 	}
 	if s.keyring != nil {
 		os.mu.Unlock()
 	}
 	if err != nil {
-		return nil, err
+		return rep, err
 	}
 
-	recs := make([]UserRecord, 0, len(keys))
-	var buf, ad []byte
+	if kind == reportValues {
+		// The snapshot is this call's own copy and the walk visits it in
+		// order, so the reported keys compact into its front.
+		rep.keys = keys[:0]
+		rep.values = make([][]byte, 0, len(keys))
+	} else {
+		rep.recs = make([]UserRecord, 0, len(keys))
+	}
+	var buf []byte
+	n := 0
 	s.walkKeys(owner, keys, s.db.GetNoCopy, func(k string, e store.Entry) bool {
 		if !oc.live(e.Record) {
 			// Crypto-erased, awaiting the sweep: the subject's report must
@@ -85,31 +143,50 @@ func (s *Store) collectOwner(ctx Ctx, owner string) ([]UserRecord, error) {
 		if cap(buf)-len(buf) < len(v) {
 			// Room for the records still to come if they are this size,
 			// a chunk at most, this record at least.
-			buf = make([]byte, 0, max(len(v), min(len(v)*(len(keys)-len(recs)), valueChunk)))
+			buf = make([]byte, 0, max(len(v), min(len(v)*(len(keys)-n), valueChunk)))
 		}
 		start := len(buf)
-		if oc.sealed {
-			ad = append(ad[:0], k...)
-			buf, err = oc.c.Open(buf, v, ad)
+		buf = append(buf, v...)
+		v = buf[start:len(buf):len(buf)]
+		if kind == reportValues {
+			rep.keys = append(rep.keys, k)
+			rep.values = append(rep.values, v)
 		} else {
-			buf = append(buf, v...)
+			rep.recs = append(rep.recs, UserRecord{Key: k, Value: v, Metadata: metadataOf(e.Record, e.Deadline)})
 		}
-		recs = append(recs, UserRecord{Key: k, Value: buf[start:len(buf):len(buf)], Metadata: metadataOf(e.Record, e.Deadline)})
-		return err == nil
+		n++
+		return true
 	})
-	if err != nil {
-		return nil, err
+	if oc.sealed {
+		var ad []byte
+		open := func(k string, sealed []byte) ([]byte, error) {
+			ad = append(ad[:0], k...)
+			return oc.c.OpenInPlace(sealed, ad)
+		}
+		for i, k := range rep.keys {
+			if rep.values[i], err = open(k, rep.values[i]); err != nil {
+				return ownerReport{}, err
+			}
+		}
+		for i := range rep.recs {
+			if rep.recs[i].Value, err = open(rep.recs[i].Key, rep.recs[i].Value); err != nil {
+				return ownerReport{}, err
+			}
+		}
+		if !s.keyring.RecordLive(owner, oc.epoch) {
+			// A Forget shredded the key during the walk. The erasure is
+			// acknowledged (or about to be): answer as after it.
+			rep.keys, rep.values, rep.recs, n = rep.keys[:0], rep.values[:0], rep.recs[:0], 0
+		}
 	}
-	if oc.sealed && !s.keyring.RecordLive(owner, oc.epoch) {
-		// A Forget shredded the key during the walk. The erasure is
-		// acknowledged (or about to be): answer as after it.
-		recs = []UserRecord{}
-	}
+	// Formatted into a stack buffer: one allocation whatever n (fmt would
+	// box an n of 256 or more).
+	var detail [32]byte
 	s.auditOp(audit.Record{
 		Actor: ctx.Actor, Op: "GETUSER", Owner: owner, Purpose: ctx.Purpose,
-		Outcome: audit.OutcomeOK, Detail: fmt.Sprintf("records=%d", len(recs)),
+		Outcome: audit.OutcomeOK, Detail: string(strconv.AppendInt(append(detail[:0], "records="...), int64(n), 10)),
 	})
-	return recs, nil
+	return rep, nil
 }
 
 // AccessReport is the Article 15 disclosure: purposes of processing,
@@ -137,20 +214,21 @@ type AccessReport struct {
 
 // Access builds the Article 15 report for owner.
 func (s *Store) Access(ctx Ctx, owner string) (AccessReport, error) {
-	recs, err := s.GetUser(ctx, owner)
+	g, err := s.enterRights(owner)
 	if err != nil {
 		return AccessReport{}, err
 	}
-	os := s.ownerStripeFor(owner)
-	os.mu.Lock()
-	objections := s.objectionsOfLocked(os, owner)
-	os.mu.Unlock()
-
+	defer g.RUnlock()
+	pass, err := s.collectOwner(ctx, owner, reportAccess)
+	if err != nil {
+		return AccessReport{}, err
+	}
+	recs := pass.recs
 	rep := AccessReport{
 		Owner:       owner,
 		GeneratedAt: s.cfg.Config.Clock.Now(),
 		RecordCount: len(recs),
-		Objections:  objections,
+		Objections:  pass.objections,
 		Records:     recs,
 	}
 	pset, rset := map[string]struct{}{}, map[string]struct{}{}
@@ -194,7 +272,7 @@ func (s *Store) Export(ctx Ctx, owner string) ([]byte, error) {
 		return nil, err
 	}
 	defer g.RUnlock()
-	recs, err := s.collectOwner(ctx, owner)
+	pass, err := s.collectOwner(ctx, owner, reportRecords)
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +280,7 @@ func (s *Store) Export(ctx Ctx, owner string) ([]byte, error) {
 		Format  string       `json:"format"`
 		Owner   string       `json:"owner"`
 		Records []UserRecord `json:"records"`
-	}{Format: "gdprstore-export/v1", Owner: owner, Records: recs}
+	}{Format: "gdprstore-export/v1", Owner: owner, Records: pass.recs}
 	b, err := json.MarshalIndent(payload, "", "  ")
 	if err != nil {
 		return nil, err

@@ -16,6 +16,7 @@ import (
 
 	"gdprstore/internal/clock"
 	"gdprstore/internal/cryptoutil"
+	"gdprstore/internal/store"
 )
 
 // Tests for the one-pass owner-scoped read (collectOwner/walkKeys): it must
@@ -200,6 +201,40 @@ func TestGetUserAllocBudget(t *testing.T) {
 	}
 	if perRecord := (large - small) / 240; perRecord > 0.1 {
 		t.Errorf("%.2f allocations per record (%.0f → %.0f), budget 0.1", perRecord, small, large)
+	}
+}
+
+// The wire's view of an Art. 15 read (keys and values, no Metadata) costs a
+// fixed number of allocations, whatever the owner's record count, as long as
+// the values fit one chunk: 64 and 256 records of 100 B (128 B sealed, 32 KB
+// in all) pay the same.
+func TestUserValuesAllocBudget(t *testing.T) {
+	allocs := func(recs int) float64 {
+		s, err := Open(erasureCfg(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		ctx := Ctx{Actor: "app", Purpose: "service"}
+		val := bytes.Repeat([]byte("x"), 100)
+		for i := 0; i < recs; i++ {
+			if err := s.Put(ctx, fmt.Sprintf("alice:%04d", i), val, PutOptions{Owner: "alice", Purposes: []string{"service"}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(50, func() {
+			if keys, values, err := s.UserValues(ctx, "alice"); err != nil || len(keys) != recs || len(values) != recs {
+				t.Fatalf("UserValues: %d keys, %d values, %v", len(keys), len(values), err)
+			}
+		})
+	}
+	small, large := allocs(64), allocs(256)
+	t.Logf("UserValues allocations: %.0f for 64 records, %.0f for 256", small, large)
+	if small != large {
+		t.Errorf("UserValues: %.0f allocations for 64 records, %.0f for 256; want the same", small, large)
+	}
+	if large > 8 {
+		t.Errorf("UserValues: %.0f allocations, budget 8", large)
 	}
 }
 
@@ -442,4 +477,182 @@ func TestUnobjectDuringRightsReads(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// The staged walk at and around its batch size (walkBatch = 64): owners of
+// 1, 63, 64, 65, 128 and 129 keys, some of them deleted, expired or re-Put
+// under another owner, the last key of a batch and the first of the next
+// among them. Every owner-scoped read reports exactly the owner's live
+// keys, ascending, with their values.
+func TestWalkAtBatchBoundaries(t *testing.T) {
+	for _, envelope := range []bool{true, false} {
+		vc := clock.NewVirtual(time.Date(2019, 5, 16, 0, 0, 0, 0, time.UTC))
+		s, err := Open(erasureCfg(func(c *Config) { c.Envelope = envelope; c.Clock = vc }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := Ctx{Actor: "app", Purpose: "service"}
+		sizes := []int{1, 63, 64, 65, 128, 129}
+		key := func(owner string, i int) string { return fmt.Sprintf("%s:%03d", owner, i) }
+		put := func(k, owner string, ttl time.Duration) {
+			if err := s.Put(ctx, k, recordValue(k, owner, 0), PutOptions{Owner: owner, Purposes: []string{"service"}, TTL: ttl}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		live := map[string][]string{}
+		for _, n := range sizes {
+			owner := fmt.Sprintf("o%d", n)
+			// Written in reverse: the index, not the write order, sorts.
+			for i := n - 1; i >= 0; i-- {
+				ttl := time.Hour
+				if n > 1 && i%5 == 1 {
+					ttl = time.Minute
+				}
+				put(key(owner, i), owner, ttl)
+			}
+			for i := 0; i < n; i++ {
+				k := key(owner, i)
+				switch {
+				case n == 1: // the lone key stays
+					live[owner] = append(live[owner], k)
+				case i%5 == 1: // expires below
+				case i%7 == 3 || i == 64:
+					if err := s.Delete(ctx, k); err != nil {
+						t.Fatal(err)
+					}
+				case i%11 == 10 || i == 63:
+					put(k, "other", time.Hour)
+				default:
+					live[owner] = append(live[owner], k)
+				}
+			}
+		}
+		vc.Advance(2 * time.Minute)
+		for _, n := range sizes {
+			owner := fmt.Sprintf("o%d", n)
+			name := fmt.Sprintf("envelope=%v owner=%s", envelope, owner)
+			want := live[owner]
+			recs, err := s.GetUser(ctx, owner)
+			if err != nil {
+				t.Fatalf("%s: GetUser: %v", name, err)
+			}
+			keys, values, err := s.UserValues(ctx, owner)
+			if err != nil {
+				t.Fatalf("%s: UserValues: %v", name, err)
+			}
+			owned, err := s.OwnerKeys(ctx, owner)
+			if err != nil {
+				t.Fatalf("%s: OwnerKeys: %v", name, err)
+			}
+			got := make([]string, len(recs))
+			for i, r := range recs {
+				got[i] = r.Key
+				if !bytes.Equal(r.Value, recordValue(r.Key, owner, 0)) {
+					t.Fatalf("%s: GetUser %s = %q", name, r.Key, r.Value)
+				}
+			}
+			for i, k := range keys {
+				if !bytes.Equal(values[i], recordValue(k, owner, 0)) {
+					t.Fatalf("%s: UserValues %s = %q", name, k, values[i])
+				}
+			}
+			for what, g := range map[string][]string{"GetUser": got, "UserValues": keys, "OwnerKeys": owned} {
+				if !reflect.DeepEqual(g, want) {
+					t.Fatalf("%s: %s reports %v, want %v", name, what, g, want)
+				}
+			}
+		}
+		s.Close()
+	}
+}
+
+// A walk whose fn stops at the k-th record visits no record after it, and
+// hands the journal what it enqueued exactly once, at its end: with the
+// journal held, the walk reaches its k-th record without waiting (no probe
+// or batch flushes on the way) and then waits for the journal before it
+// returns.
+func TestWalkKeysStopsAndFlushesOnce(t *testing.T) {
+	const owner, n = "carol", 129
+	for _, k := range []int{1, 63, 64, 65, 128, 129, 130} {
+		s, err := Open(erasureCfg(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		putOwnerKeys(t, s, owner, n)
+		leg := holdJournal(t, s)
+		go s.db.Set("parked", []byte("x"))
+		<-leg.entered
+		var visited []string
+		reached := make(chan struct{})
+		done := make(chan bool, 1)
+		go func() {
+			done <- s.walkKeys(owner, s.ix.ownerKeys(owner), s.db.GetNoCopy, func(key string, _ store.Entry) bool {
+				visited = append(visited, key)
+				if len(visited) == min(k, n) {
+					close(reached)
+				}
+				return len(visited) < k
+			})
+		}()
+		select {
+		case <-reached:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("k=%d: the walk waited for the journal before its end (%d records visited)", k, len(visited))
+		}
+		select {
+		case <-done:
+			t.Fatalf("k=%d: the walk returned without handing off to the journal", k)
+		case <-time.After(20 * time.Millisecond):
+		}
+		leg.release()
+		if complete := <-done; complete != (k > n) {
+			t.Fatalf("k=%d: walkKeys reported complete=%v", k, complete)
+		}
+		if want := s.ix.ownerKeys(owner)[:min(k, n)]; !reflect.DeepEqual(visited, want) {
+			t.Fatalf("k=%d: visited %d records, want the first %d", k, len(visited), len(want))
+		}
+		s.Close()
+	}
+}
+
+// BenchmarkGetUser times one Art. 15 read of a 256-record owner among 200
+// (100 B values, envelope encryption on), the shape of the repo
+// benchmark's rights-under-write reads, round-robin over the owners so each
+// read finds its owner's records cold in cache. GetUser builds the records
+// with Metadata, as Access and Export use them; UserValues is the keys and
+// values the wire's GETUSER sends.
+func BenchmarkGetUser(b *testing.B) {
+	const owners, perOwner = 200, 256
+	s, err := Open(erasureCfg(nil))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	ctx := Ctx{Actor: "app", Purpose: "service"}
+	val := bytes.Repeat([]byte("v"), 100)
+	names := make([]string, owners)
+	for o := range names {
+		names[o] = fmt.Sprintf("user%03d", o)
+		for i := 0; i < perOwner; i++ {
+			if err := s.Put(ctx, fmt.Sprintf("%s:rec%03d", names[o], i), val, PutOptions{Owner: names[o], Purposes: []string{"service"}}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("GetUser", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if recs, err := s.GetUser(ctx, names[i%owners]); err != nil || len(recs) != perOwner {
+				b.Fatalf("GetUser: %d records, %v", len(recs), err)
+			}
+		}
+	})
+	b.Run("UserValues", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if keys, _, err := s.UserValues(ctx, names[i%owners]); err != nil || len(keys) != perOwner {
+				b.Fatalf("UserValues: %d keys, %v", len(keys), err)
+			}
+		}
+	})
 }

@@ -339,6 +339,45 @@ func TestCipherInterchangeableWithSealOpen(t *testing.T) {
 	}
 }
 
+// OpenInPlace answers as Open does, writes only inside the sealed slice it
+// is given, and hands back a plaintext that cannot be appended to over the
+// tag behind it.
+func TestOpenInPlaceMatchesOpen(t *testing.T) {
+	key, ad := testKey(4), []byte("user:bob:phone")
+	c, err := NewCipher(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pt := range [][]byte{nil, []byte("x"), bytes.Repeat([]byte("personal data "), 40)} {
+		sealed, err := c.Seal(nil, pt, ad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The record sits between two neighbours in a shared buffer.
+		buf := append(append([]byte("before|"), sealed...), "|after"...)
+		rec := buf[len("before|") : len(buf)-len("|after")]
+		got, err := c.OpenInPlace(rec, ad)
+		if err != nil || !bytes.Equal(got, pt) {
+			t.Fatalf("OpenInPlace: %q, %v", got, err)
+		}
+		if len(pt) > 0 && &got[0] != &rec[12] {
+			t.Fatal("plaintext is not opened in place behind the nonce")
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("plaintext capacity %d, length %d", cap(got), len(got))
+		}
+		if !bytes.HasPrefix(buf, []byte("before|")) || !bytes.HasSuffix(buf, []byte("|after")) {
+			t.Fatalf("OpenInPlace wrote outside its record: %q", buf)
+		}
+		if _, err := c.OpenInPlace(append([]byte(nil), sealed...), []byte("another key")); err != ErrCorrupt {
+			t.Fatalf("OpenInPlace with the wrong AD: %v", err)
+		}
+	}
+	if _, err := c.OpenInPlace([]byte("short"), ad); err != ErrCorrupt {
+		t.Fatalf("OpenInPlace of a truncated record: %v", err)
+	}
+}
+
 // The record format did not move: ciphertext written by the commit before
 // the prepared cipher existed (its Seal, key 0x42…, AD as below) still opens.
 func TestOpenCiphertextSealedByParentCommit(t *testing.T) {

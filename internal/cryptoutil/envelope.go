@@ -82,6 +82,24 @@ func (c Cipher) Open(dst, sealed, additionalData []byte) ([]byte, error) {
 	return out, nil
 }
 
+// OpenInPlace opens a sealed record in its own memory: the plaintext
+// overwrites the ciphertext right behind the nonce and is returned as a slice
+// of sealed with no spare capacity; the nonce and the tag stay where they
+// were, around it. sealed must be the caller's own copy, never a slice lent
+// by the engine; after a failure its contents are undefined.
+func (c Cipher) OpenInPlace(sealed, additionalData []byte) ([]byte, error) {
+	ns := c.aead.NonceSize()
+	if len(sealed) < ns {
+		return nil, ErrCorrupt
+	}
+	ct := sealed[ns:]
+	out, err := c.aead.Open(ct[:0], sealed[:ns], ct, additionalData)
+	if err != nil {
+		return nil, ErrCorrupt
+	}
+	return out[:len(out):len(out)], nil
+}
+
 // Seal encrypts plaintext with AES-256-GCM under key, prepending the nonce.
 func Seal(key, plaintext, additionalData []byte) ([]byte, error) {
 	c, err := NewCipher(key)

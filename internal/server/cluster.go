@@ -334,13 +334,13 @@ func handleForgetLocal(ctx *Ctx) (resp.Value, error) {
 }
 
 func handleGetUserLocal(ctx *Ctx) (resp.Value, error) {
-	recs, err := ctx.Srv.store.GetUser(ctx.Core, string(ctx.Args[0]))
+	keys, values, err := ctx.Srv.store.UserValues(ctx.Core, string(ctx.Args[0]))
 	if err != nil {
 		return resp.Value{}, err
 	}
-	vs := make([]resp.Value, 0, 2*len(recs))
-	for _, r := range recs {
-		vs = append(vs, resp.BulkStringValue(r.Key), resp.BulkValue(r.Value))
+	vs := make([]resp.Value, 2*len(keys))
+	for i, k := range keys {
+		vs[2*i], vs[2*i+1] = resp.BulkStringValue(k), resp.BulkValue(values[i])
 	}
 	return resp.ArrayValue(vs...), nil
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"gdprstore/internal/clock"
 	"gdprstore/internal/core"
 	"gdprstore/internal/resp"
 	"gdprstore/pkg/gdprkv"
@@ -348,4 +349,129 @@ func TestBaselineRejectsGDPRCommands(t *testing.T) {
 	if !errors.Is(err, gdprkv.ErrBaseline) {
 		t.Fatalf("err = %v, want ErrBaseline (BASELINE)", err)
 	}
+}
+
+// GETUSER over the wire answers exactly what the store's GetUser does, with
+// envelope encryption on and off, beside records crypto-erased and awaiting
+// the sweep and an expired key. Opening the values for a report never
+// touches the engine's stored bytes: they are the same afterwards, every Get
+// answers the report's value, and a second report of each kind matches the
+// first.
+func TestGetUserWireMatchesCore(t *testing.T) {
+	for _, envelope := range []bool{true, false} {
+		t.Run(fmt.Sprintf("envelope=%v", envelope), func(t *testing.T) {
+			vc := clock.NewVirtual(time.Date(2019, 5, 16, 0, 0, 0, 0, time.UTC))
+			srv, c := startServer(t, core.Config{
+				Compliant: true, Capability: core.CapabilityPartial,
+				Envelope: envelope, MasterKey: bytes.Repeat([]byte{0x5a}, 32), Clock: vc,
+			})
+			setupPrincipals(t, c)
+			if err := c.Auth("controller"); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Purpose("service"); err != nil {
+				t.Fatal(err)
+			}
+			st := srv.store
+			ctx := core.Ctx{Actor: "controller", Purpose: "service"}
+			put := func(k, owner string, v []byte, ttl time.Duration) {
+				t.Helper()
+				if err := st.Put(ctx, k, v, core.PutOptions{Owner: owner, Purposes: []string{"service"}, TTL: ttl}); err != nil {
+					t.Fatalf("put %s: %v", k, err)
+				}
+			}
+			// Values from empty to 6 KB: alice's report spans several chunks.
+			var keys []string
+			for i := 0; i < 40; i++ {
+				k := fmt.Sprintf("alice:%02d", i)
+				put(k, "alice", bytes.Repeat([]byte{byte('a' + i%26)}, i*i*4), time.Hour)
+				keys = append(keys, k)
+			}
+			put("alice:short", "alice", []byte("expires"), time.Minute)
+			// bob is erased with his records left for the sweep (eagerly
+			// deleted without envelope), then returns with one new record.
+			put("bob:old1", "bob", []byte("erased one"), time.Hour)
+			put("bob:old2", "bob", []byte("erased two"), time.Hour)
+			if _, err := st.Forget(ctx, "bob"); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Reinstate(ctx, "bob"); err != nil {
+				t.Fatal(err)
+			}
+			put("bob:new", "bob", []byte("back again"), time.Hour)
+			keys = append(keys, "bob:new")
+			vc.Advance(2 * time.Minute)
+
+			stored := func() map[string][]byte {
+				out := map[string][]byte{}
+				for _, k := range append(keys, "alice:short", "bob:old1", "bob:old2") {
+					if v, ok := st.Engine().Get(k); ok {
+						out[k] = v
+					}
+				}
+				return out
+			}
+			before := stored()
+			report := func(owner string) (wire, recs, vals map[string][]byte) {
+				t.Helper()
+				wire, err := c.GetUser(owner)
+				if err != nil {
+					t.Fatalf("wire GETUSER %s: %v", owner, err)
+				}
+				got, err := st.GetUser(ctx, owner)
+				if err != nil {
+					t.Fatalf("GetUser %s: %v", owner, err)
+				}
+				recs = map[string][]byte{}
+				for _, r := range got {
+					recs[r.Key] = r.Value
+				}
+				ks, vs, err := st.UserValues(ctx, owner)
+				if err != nil {
+					t.Fatalf("UserValues %s: %v", owner, err)
+				}
+				vals = map[string][]byte{}
+				for i, k := range ks {
+					vals[k] = vs[i]
+				}
+				return wire, recs, vals
+			}
+			for _, owner := range []string{"alice", "bob"} {
+				wire, recs, vals := report(owner)
+				if want := map[string]int{"alice": 40, "bob": 1}[owner]; len(recs) != want {
+					t.Fatalf("%s: GetUser reports %d records, want %d", owner, len(recs), want)
+				}
+				if !sameReport(wire, recs) || !sameReport(vals, recs) {
+					t.Fatalf("%s: wire GETUSER (%d records), GetUser (%d) and UserValues (%d) disagree", owner, len(wire), len(recs), len(vals))
+				}
+				for k, v := range recs {
+					got, err := st.Get(ctx, k)
+					if err != nil || !bytes.Equal(got, v) {
+						t.Fatalf("%s: Get(%s) = %q, %v; the report said %q", owner, k, got, err, v)
+					}
+				}
+				wire2, recs2, vals2 := report(owner)
+				if !sameReport(wire2, wire) || !sameReport(recs2, recs) || !sameReport(vals2, vals) {
+					t.Fatalf("%s: the second report differs from the first", owner)
+				}
+			}
+			if after := stored(); !sameReport(after, before) {
+				t.Fatal("reading reports changed the engine's stored values")
+			}
+		})
+	}
+}
+
+// sameReport compares two key → value answers; an empty value and a nil one
+// are the same answer.
+func sameReport(a, b map[string][]byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, v := range a {
+		if w, ok := b[k]; !ok || !bytes.Equal(v, w) {
+			return false
+		}
+	}
+	return true
 }
