@@ -15,8 +15,8 @@ test:
 	$(GO) test ./...
 
 # race mirrors the CI `race` job: the sharded engine and striped compliance
-# layer must stay race-clean. Its last two lines are the cluster-e2e job's
-# SDK dispatch drill.
+# layer must stay race-clean. Its last four lines are the cluster-e2e job's
+# SDK dispatch drill and its peer-link and replica-resync drills.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/audit -run 'Pipeline|Strict|Backpressure|Drop|Close|Order'
@@ -25,6 +25,8 @@ race:
 	$(GO) test -race -count=10 ./internal/core -run 'TestGetUserConcurrentWithWrites|TestGetUserRacingForget|TestUnobjectDuringRightsReads|TestReadsReturnAfterJournalHandOff|TestCloseWaitsOutCallsInFlight|TestDeleteRacingCompactStaysDeleted|TestReplayKeepsRecordsWithTheirWriter|TestBackupIsCompliantSnapshot|TestRestoreKeepsLaterObjection|TestEventualForgetThenRestoreStaysErased|TestRestoreRefusesKeyMaterial|TestRestoreRefusesShortGeneration|TestRestoreReplacesLiveState'
 	$(GO) test -race -count=3 ./pkg/gdprkv
 	$(GO) test -race -count=3 -run 'TestClusterClient|TestClusterPipeline|TestClusterFailover' ./internal/server
+	$(GO) test -race -run 'TestClusterSlotMigrationWithAsk|TestClusterForgetMidMigration|TestClusterForgetDuringMigrationRace|TestClusterFailoverPromoteReplica|TestClusterPeer|TestClusterRightsFanout|TestClusterForgetWithNodeDown' ./internal/server
+	$(GO) test -race -count=5 -run 'LastErr|PartialResync|FullSync' ./internal/replica
 
 bench:
 	$(GO) test -run NONE -bench . -benchmem ./...

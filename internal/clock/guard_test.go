@@ -16,9 +16,8 @@ import (
 // wallExceptions are the only places product code may read the wall clock
 // directly; everything else reads the store's Clock, so that under a
 // virtual clock every time-bound decision and every reported duration
-// follow that one clock. A path ending in "/" covers a directory, and
-// "file.go:fn" covers one function of a file. Tickers and timers are not
-// reads: they pace loops.
+// follow that one clock. A path ending in "/" covers a directory, any
+// other path one file. Tickers and timers are not reads: they pace loops.
 var wallExceptions = []struct{ path, why string }{
 	{"internal/clock/", "the time source itself"},
 	{"cmd/", "entry points: they time their own runs"},
@@ -30,7 +29,6 @@ var wallExceptions = []struct{ path, why string }{
 	{"pkg/gdprkv/conn.go", "socket deadlines, which the kernel keeps on the wall clock"},
 	{"pkg/gdprkv/pool.go", "the idle age of a pooled connection, which the network ages on the wall clock"},
 	{"internal/audit/socket.go", "the collector's dial backoff and write deadline"},
-	{"internal/server/cluster.go:clusterCall", "the fan-out's socket deadline, until a peer link owns it"},
 }
 
 // timeReads are the package time functions that read the clock.
@@ -67,8 +65,6 @@ func TestWallReadGuardFindsPlantedCalls(t *testing.T) {
 			"package p\n\nimport . \"time\"\n\nfunc F(x Time) Duration { return Until(x) }\n", 1},
 		{"excepted directory", "cmd/planted/main.go", now, 0},
 		{"excepted file", "pkg/gdprkv/conn.go", now, 0},
-		{"outside the excepted function", "internal/server/cluster.go",
-			"package p\n\nimport \"time\"\n\nfunc clusterCall() { _ = time.Now() }\n\nfunc F() { _ = time.Now() }\n", 1},
 		{"method of another value", "internal/core/planted.go",
 			"package p\n\nimport \"time\"\n\ntype c struct{}\n\nfunc (c) Now() time.Time { return time.Time{} }\n\nfunc F() { _ = c{}.Now() }\n", 0},
 		{"test file", "internal/core/planted_test.go", now, 0},
@@ -127,6 +123,9 @@ func wallReads(root string) ([]string, error) {
 			return err
 		}
 		rel = filepath.ToSlash(rel)
+		if excepted(rel) {
+			return nil
+		}
 		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
 			return err
@@ -135,32 +134,23 @@ func wallReads(root string) ([]string, error) {
 		if name == "" {
 			return nil
 		}
-		for _, decl := range f.Decls {
-			fn := ""
-			if fd, ok := decl.(*ast.FuncDecl); ok {
-				fn = fd.Name.Name
-			}
-			if excepted(rel, fn) {
-				continue
-			}
-			ast.Inspect(decl, func(n ast.Node) bool {
-				var read *ast.Ident
-				switch n := n.(type) {
-				case *ast.SelectorExpr:
-					if x, ok := n.X.(*ast.Ident); ok && x.Name == name {
-						read = n.Sel
-					}
-				case *ast.CallExpr:
-					if id, ok := n.Fun.(*ast.Ident); ok && name == "." {
-						read = id
-					}
+		ast.Inspect(f, func(n ast.Node) bool {
+			var read *ast.Ident
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && x.Name == name {
+					read = n.Sel
 				}
-				if read != nil && timeReads[read.Name] {
-					out = append(out, fmt.Sprintf("%s:%d: %s.%s", rel, fset.Position(read.Pos()).Line, name, read.Name))
+			case *ast.CallExpr:
+				if id, ok := n.Fun.(*ast.Ident); ok && name == "." {
+					read = id
 				}
-				return true
-			})
-		}
+			}
+			if read != nil && timeReads[read.Name] {
+				out = append(out, fmt.Sprintf("%s:%d: %s.%s", rel, fset.Position(read.Pos()).Line, name, read.Name))
+			}
+			return true
+		})
 		return nil
 	})
 	return out, err
@@ -181,12 +171,10 @@ func timeImportName(f *ast.File) string {
 	return ""
 }
 
-// excepted reports whether wallExceptions covers function fn of file rel.
-func excepted(rel, fn string) bool {
+// excepted reports whether wallExceptions covers file rel.
+func excepted(rel string) bool {
 	for _, e := range wallExceptions {
-		path, only, _ := strings.Cut(e.path, ":")
-		covers := rel == path || strings.HasSuffix(path, "/") && strings.HasPrefix(rel, path)
-		if covers && (only == "" || only == fn) {
+		if rel == e.path || strings.HasSuffix(e.path, "/") && strings.HasPrefix(rel, e.path) {
 			return true
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,6 +15,7 @@ import (
 	"gdprstore/internal/backup"
 	"gdprstore/internal/clock"
 	"gdprstore/internal/replica"
+	"gdprstore/internal/resp"
 	"gdprstore/internal/testutil"
 )
 
@@ -41,11 +43,7 @@ func attachReplica(t *testing.T, s *Store, cfg Config) *recorder {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := hub.ListenAndServe("127.0.0.1:0", s.StreamSnapshot, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
+	addr := servePSYNC(t, hub, s.StreamSnapshot)
 	rs, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -53,10 +51,56 @@ func attachReplica(t *testing.T, s *Store, cfg Config) *recorder {
 	t.Cleanup(func() { rs.Close() })
 	r := &recorder{Store: rs}
 	linked := len(hub.Links()) + 1
-	n := replica.DialPrimary(r, l.Addr(), replica.NodeOptions{ReconnectMin: 5 * time.Millisecond})
+	n := replica.DialPrimary(r, addr, replica.NodeOptions{ReconnectMin: 5 * time.Millisecond})
 	t.Cleanup(n.Close)
 	testutil.Eventually(t, 5*time.Second, 0, func() bool { return len(hub.Links()) == linked }, "replica never linked")
 	return r
+}
+
+// servePSYNC serves the primary's half of the replication handshake, as
+// the server's PSYNC command does: it answers PING, AUTH and REPLCONF, then
+// hands PSYNC to hub.Serve. It returns the address replicas dial.
+func servePSYNC(t *testing.T, hub *replica.Hub, snap replica.SnapshotProvider) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	handshake := func(c net.Conn) {
+		defer c.Close()
+		r, w := resp.NewReader(c), resp.NewWriter(c)
+		for {
+			args, err := r.ReadCommand()
+			if err != nil {
+				return
+			}
+			switch strings.ToUpper(string(args[0])) {
+			case "PSYNC":
+				if replid, offset, err := replica.ParsePSYNCArgs(args[1:]); err == nil {
+					hub.Serve(c, replid, offset, snap)
+				}
+				return
+			case "PING":
+				w.WriteValue(resp.SimpleStringValue("PONG"))
+			default:
+				w.WriteValue(resp.SimpleStringValue("OK"))
+			}
+			if w.Flush() != nil {
+				return
+			}
+		}
+	}
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go handshake(c)
+		}
+	}()
+	return ln.Addr().String()
 }
 
 // caughtUp waits until every replica link has acknowledged the whole stream.

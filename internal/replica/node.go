@@ -370,11 +370,15 @@ func (n *Node) streamLoop(r *resp.Reader, w *resp.Writer, cr *countingReader, ba
 		}
 		name := string(args[0])
 		if aerr := n.applier.ApplyReplicated(name, args[1:]); aerr != nil {
-			// Apply errors are recorded but do not sever the link: a
-			// record the replica cannot apply would fail again after
-			// reconnect (the stream would just resend it), so surfacing
-			// via LastErr and continuing preserves availability.
-			n.setErr(aerr)
+			// A record that did not apply is never acknowledged, so an ack
+			// offset always means "applied here". The link drops, and
+			// forgetting the replication ID makes the reconnect a full
+			// resync from a snapshot cut after the record, not a replay
+			// of the same record from the backlog.
+			n.mu.Lock()
+			n.status.ReplID = ""
+			n.mu.Unlock()
+			return fmt.Errorf("replica: apply %s: %w", name, aerr)
 		}
 		off := base + cr.n - int64(r.Buffered())
 		n.mu.Lock()

@@ -8,9 +8,9 @@
 // the engine's group-commit queue (and from the compliance layer's control
 // records): every journal record is RESP-encoded once, appended to a bounded
 // backlog, and fanned out to the connected replica links. Replicas attach
-// with the REPLCONF/PSYNC handshake — either through the main RESP server
-// (which delegates to Hub.Serve) or through a dedicated replication listener
-// (ListenAndServe). node.go is the replica side.
+// with the REPLCONF/PSYNC handshake through the main RESP server, whose
+// PSYNC command hands the connection to Hub.Serve. node.go is the replica
+// side.
 //
 // Offsets are byte offsets into the encoded record stream, exactly Redis's
 // master_repl_offset model: a replica that reconnects presents its offset,
@@ -368,142 +368,6 @@ func (h *Hub) Serve(conn net.Conn, replid string, offset int64, snap SnapshotPro
 			}
 		case <-l.closed:
 			return nil
-		}
-	}
-}
-
-// Listener is a dedicated replication endpoint serving the
-// REPLCONF/PSYNC handshake outside the main RESP server (for deployments
-// that keep replication traffic on its own port, and for tests).
-type Listener struct {
-	ln   net.Listener
-	hub  *Hub
-	snap SnapshotProvider
-	auth func(actor string) bool
-	wg   sync.WaitGroup
-
-	// mu guards conns/closed: connections still in the handshake phase are
-	// not yet hub links, so Close must be able to reach and close them.
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-}
-
-// ListenAndServe starts a replication-only listener on addr. auth, when
-// non-nil, gates PSYNC on the actor presented via AUTH (actor auth of the
-// handshake); nil accepts any.
-func (h *Hub) ListenAndServe(addr string, snap SnapshotProvider, auth func(actor string) bool) (*Listener, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("replica: listen: %w", err)
-	}
-	l := &Listener{ln: ln, hub: h, snap: snap, auth: auth, conns: make(map[net.Conn]struct{})}
-	l.wg.Add(1)
-	go l.acceptLoop()
-	return l, nil
-}
-
-// Addr returns the listener's address.
-func (l *Listener) Addr() string { return l.ln.Addr().String() }
-
-// Close stops accepting, severs every connection — including ones still
-// mid-handshake, which are not yet hub links — and waits for the serving
-// goroutines to finish.
-func (l *Listener) Close() error {
-	err := l.ln.Close()
-	l.mu.Lock()
-	l.closed = true
-	for c := range l.conns {
-		c.Close()
-	}
-	l.mu.Unlock()
-	l.hub.DisconnectReplicas()
-	l.wg.Wait()
-	return err
-}
-
-func (l *Listener) acceptLoop() {
-	defer l.wg.Done()
-	for {
-		c, err := l.ln.Accept()
-		if err != nil {
-			return
-		}
-		l.mu.Lock()
-		if l.closed {
-			l.mu.Unlock()
-			c.Close()
-			return
-		}
-		l.conns[c] = struct{}{}
-		l.mu.Unlock()
-		l.wg.Add(1)
-		go func() {
-			defer l.wg.Done()
-			defer func() {
-				l.mu.Lock()
-				delete(l.conns, c)
-				l.mu.Unlock()
-			}()
-			l.serveConn(c)
-		}()
-	}
-}
-
-// serveConn speaks the minimal handshake command set: PING, AUTH,
-// REPLCONF, PSYNC. Anything else is an error reply.
-func (l *Listener) serveConn(c net.Conn) {
-	defer c.Close()
-	r := resp.NewReader(c)
-	w := resp.NewWriter(c)
-	actor := ""
-	reply := func(v resp.Value) bool {
-		if err := w.WriteValue(v); err != nil {
-			return false
-		}
-		return w.Flush() == nil
-	}
-	for {
-		args, err := r.ReadCommand()
-		if err != nil {
-			return
-		}
-		switch strings.ToUpper(string(args[0])) {
-		case "PING":
-			if !reply(resp.SimpleStringValue("PONG")) {
-				return
-			}
-		case "AUTH":
-			if len(args) != 2 {
-				if !reply(resp.ErrorValue("ERR wrong number of arguments for 'auth'")) {
-					return
-				}
-				continue
-			}
-			actor = string(args[1])
-			if !reply(resp.SimpleStringValue("OK")) {
-				return
-			}
-		case "REPLCONF":
-			if !reply(resp.SimpleStringValue("OK")) {
-				return
-			}
-		case "PSYNC":
-			if l.auth != nil && !l.auth(actor) {
-				reply(resp.ErrorValue("DENIED replication requires an authorised actor"))
-				return
-			}
-			replid, offset, perr := ParsePSYNCArgs(args[1:])
-			if perr != nil {
-				reply(resp.ErrorValue("ERR " + perr.Error()))
-				return
-			}
-			_ = l.hub.Serve(c, replid, offset, l.snap)
-			return
-		default:
-			if !reply(resp.ErrorValue("ERR unknown command '" + string(args[0]) + "'")) {
-				return
-			}
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"gdprstore/internal/clock"
+	"gdprstore/internal/resp"
 	"gdprstore/internal/store"
 	"gdprstore/internal/testutil"
 )
@@ -88,14 +89,51 @@ func (p *testPrimary) snap(emit func(name string, args ...[]byte) error, cut fun
 	})
 }
 
-func (p *testPrimary) listen(t *testing.T, auth func(string) bool) *Listener {
+// listen serves the primary's half of the replication handshake, as the
+// server's PSYNC command does: it answers PING, AUTH and REPLCONF, then
+// hands PSYNC to Hub.Serve. It returns the address replicas dial.
+func (p *testPrimary) listen(t *testing.T) string {
 	t.Helper()
-	l, err := p.hub.ListenAndServe("127.0.0.1:0", p.snap, auth)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { l.Close() })
-	return l
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go p.handshake(c)
+		}
+	}()
+	return ln.Addr().String()
+}
+
+func (p *testPrimary) handshake(c net.Conn) {
+	defer c.Close()
+	r, w := resp.NewReader(c), resp.NewWriter(c)
+	for {
+		args, err := r.ReadCommand()
+		if err != nil {
+			return
+		}
+		switch strings.ToUpper(string(args[0])) {
+		case "PSYNC":
+			if replid, offset, err := ParsePSYNCArgs(args[1:]); err == nil {
+				p.hub.Serve(c, replid, offset, p.snap)
+			}
+			return
+		case "PING":
+			w.WriteValue(resp.SimpleStringValue("PONG"))
+		default:
+			w.WriteValue(resp.SimpleStringValue("OK"))
+		}
+		if w.Flush() != nil {
+			return
+		}
+	}
 }
 
 func dialNode(t *testing.T, f Applier, addr string, opts NodeOptions) *Node {
@@ -114,9 +152,9 @@ func dialNode(t *testing.T, f Applier, addr string, opts NodeOptions) *Node {
 func TestFullSyncThenLiveStream(t *testing.T) {
 	p := newTestPrimary(t, HubOptions{})
 	p.db.Set("seed", []byte("v0"))
-	l := p.listen(t, nil)
+	addr := p.listen(t)
 	f := newFakeApplier()
-	n := dialNode(t, f, l.Addr(), NodeOptions{})
+	n := dialNode(t, f, addr, NodeOptions{})
 
 	testutil.Eventually(t, 5*time.Second, 0, func() bool {
 		_, ok := f.get("seed")
@@ -146,9 +184,9 @@ func TestFullSyncThenLiveStream(t *testing.T) {
 
 func TestAcksConvergeToMasterOffset(t *testing.T) {
 	p := newTestPrimary(t, HubOptions{})
-	l := p.listen(t, nil)
+	addr := p.listen(t)
 	f := newFakeApplier()
-	dialNode(t, f, l.Addr(), NodeOptions{})
+	dialNode(t, f, addr, NodeOptions{})
 
 	testutil.Eventually(t, 5*time.Second, 0, func() bool {
 		return len(p.hub.Links()) == 1
@@ -164,9 +202,9 @@ func TestAcksConvergeToMasterOffset(t *testing.T) {
 
 func TestPartialResyncAfterLinkDrop(t *testing.T) {
 	p := newTestPrimary(t, HubOptions{})
-	l := p.listen(t, nil)
+	addr := p.listen(t)
 	f := newFakeApplier()
-	n := dialNode(t, f, l.Addr(), NodeOptions{})
+	n := dialNode(t, f, addr, NodeOptions{})
 	testutil.Eventually(t, 5*time.Second, 0, func() bool {
 		return len(p.hub.Links()) == 1
 	}, "initial attach")
@@ -194,9 +232,9 @@ func TestPartialResyncAfterLinkDrop(t *testing.T) {
 
 func TestBacklogOverflowFallsBackToFullResync(t *testing.T) {
 	p := newTestPrimary(t, HubOptions{BacklogSize: 128})
-	l := p.listen(t, nil)
+	addr := p.listen(t)
 	f := newFakeApplier()
-	n := dialNode(t, f, l.Addr(), NodeOptions{})
+	n := dialNode(t, f, addr, NodeOptions{})
 	testutil.Eventually(t, 5*time.Second, 0, func() bool {
 		return len(p.hub.Links()) == 1
 	}, "initial attach")
@@ -216,9 +254,9 @@ func TestBacklogOverflowFallsBackToFullResync(t *testing.T) {
 
 func TestSlowReplicaIsDisconnectedNotBlocking(t *testing.T) {
 	p := newTestPrimary(t, HubOptions{LinkQueue: 4})
-	l := p.listen(t, nil)
+	addr := p.listen(t)
 	f := newFakeApplier()
-	dialNode(t, f, l.Addr(), NodeOptions{})
+	dialNode(t, f, addr, NodeOptions{})
 	testutil.Eventually(t, 5*time.Second, 0, func() bool {
 		return len(p.hub.Links()) == 1
 	}, "initial attach")
@@ -252,11 +290,11 @@ func TestErasurePropagatesToAllReplicas(t *testing.T) {
 	for _, mode := range []string{"sync", "async"} {
 		t.Run(mode, func(t *testing.T) {
 			p := newTestPrimary(t, HubOptions{})
-			l := p.listen(t, nil)
+			addr := p.listen(t)
 			var reps []*fakeApplier
 			for i := 0; i < 3; i++ {
 				reps = append(reps, newFakeApplier())
-				dialNode(t, reps[i], l.Addr(), NodeOptions{})
+				dialNode(t, reps[i], addr, NodeOptions{})
 			}
 			testutil.Eventually(t, 5*time.Second, 0, func() bool {
 				return len(p.hub.Links()) == 3
@@ -297,9 +335,9 @@ func TestErasurePropagatesToAllReplicas(t *testing.T) {
 // both the AOF leg and the replicas streaming from the hub.
 func TestChainFansOutToAOFAndReplicas(t *testing.T) {
 	p := newTestPrimary(t, HubOptions{})
-	l := p.listen(t, nil)
+	addr := p.listen(t)
 	f := newFakeApplier()
-	dialNode(t, f, l.Addr(), NodeOptions{})
+	dialNode(t, f, addr, NodeOptions{})
 	testutil.Eventually(t, 5*time.Second, 0, func() bool {
 		return len(p.hub.Links()) == 1
 	}, "initial attach")
@@ -329,9 +367,9 @@ func TestExpiryDeletionsReplicate(t *testing.T) {
 	}
 	p.db.SetJournal(p.hub)
 	t.Cleanup(p.hub.Close)
-	l := p.listen(t, nil)
+	addr := p.listen(t)
 	f := newFakeApplier()
-	dialNode(t, f, l.Addr(), NodeOptions{})
+	dialNode(t, f, addr, NodeOptions{})
 	testutil.Eventually(t, 5*time.Second, 0, func() bool {
 		return len(p.hub.Links()) == 1
 	}, "initial attach")
@@ -352,9 +390,9 @@ func TestExpiryDeletionsReplicate(t *testing.T) {
 // may reuse its argument buffers at once although links send asynchronously.
 func TestAsyncArgBuffersCopied(t *testing.T) {
 	p := newTestPrimary(t, HubOptions{})
-	l := p.listen(t, nil)
+	addr := p.listen(t)
 	f := newFakeApplier()
-	dialNode(t, f, l.Addr(), NodeOptions{})
+	dialNode(t, f, addr, NodeOptions{})
 	testutil.Eventually(t, 5*time.Second, 0, func() bool {
 		return len(p.hub.Links()) == 1
 	}, "initial attach")
@@ -374,9 +412,9 @@ func TestAsyncArgBuffersCopied(t *testing.T) {
 // applied (ready for promotion), and the hub drops the link.
 func TestDetachStopsStreaming(t *testing.T) {
 	p := newTestPrimary(t, HubOptions{})
-	l := p.listen(t, nil)
+	addr := p.listen(t)
 	f := newFakeApplier()
-	n := dialNode(t, f, l.Addr(), NodeOptions{})
+	n := dialNode(t, f, addr, NodeOptions{})
 	testutil.Eventually(t, 5*time.Second, 0, func() bool {
 		return len(p.hub.Links()) == 1
 	}, "initial attach")
@@ -408,13 +446,15 @@ func (r rejecting) ApplyReplicated(name string, args [][]byte) error {
 	return r.fakeApplier.ApplyReplicated(name, args)
 }
 
-// A record the replica cannot apply is surfaced in LastErr and does not
-// sever the link: the records after it still arrive on the same link.
+// A record the replica cannot apply is never acknowledged: the link drops
+// with the error in LastErr, and the reconnect full-resyncs from a snapshot
+// instead of replaying the record from the backlog, so the records after it
+// still arrive.
 func TestReplicaLastErrSurfacesBadOps(t *testing.T) {
 	p := newTestPrimary(t, HubOptions{})
-	l := p.listen(t, nil)
+	addr := p.listen(t)
 	f := newFakeApplier()
-	n := dialNode(t, rejecting{f}, l.Addr(), NodeOptions{})
+	n := dialNode(t, rejecting{f}, addr, NodeOptions{})
 	testutil.Eventually(t, 5*time.Second, 0, func() bool {
 		return len(p.hub.Links()) == 1
 	}, "initial attach")
@@ -422,60 +462,10 @@ func TestReplicaLastErrSurfacesBadOps(t *testing.T) {
 	p.db.Set("after", []byte("v"))
 	testutil.Eventually(t, 5*time.Second, 0, func() bool {
 		_, ok := f.get("after")
-		return ok
-	}, "the record after the bad one never arrived")
-	if st := n.Status(); st.LastErr == nil || st.Reconnects != 0 {
-		t.Fatalf("bad record: LastErr %v, reconnects %d; want the error and the same link", st.LastErr, st.Reconnects)
-	}
-}
-
-func TestListenerAuthGatesPSYNC(t *testing.T) {
-	p := newTestPrimary(t, HubOptions{})
-	l := p.listen(t, func(actor string) bool { return actor == "dpo" })
-	p.db.Set("k", []byte("v"))
-
-	// Wrong actor: PSYNC refused; the node keeps retrying but never syncs.
-	f1 := newFakeApplier()
-	n1 := dialNode(t, f1, l.Addr(), NodeOptions{Actor: "intruder"})
-	testutil.Eventually(t, 5*time.Second, 0, func() bool {
-		err := n1.Status().LastErr
-		return err != nil && strings.Contains(err.Error(), "DENIED")
-	}, "unauthorised PSYNC not refused")
-	if f1.size() != 0 {
-		t.Fatal("unauthorised replica received data")
-	}
-
-	// Authorised actor converges.
-	f2 := newFakeApplier()
-	dialNode(t, f2, l.Addr(), NodeOptions{Actor: "dpo"})
-	testutil.Eventually(t, 5*time.Second, 0, func() bool {
-		_, ok := f2.get("k")
-		return ok
-	}, "authorised replica did not sync")
-}
-
-func TestListenerCloseWithStalledHandshake(t *testing.T) {
-	p := newTestPrimary(t, HubOptions{})
-	l, err := p.hub.ListenAndServe("127.0.0.1:0", p.snap, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A connection that completes no handshake is not a hub link; Close
-	// must still reach it instead of waiting on its serve goroutine.
-	conn, err := net.Dial("tcp", l.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	done := make(chan struct{})
-	go func() {
-		l.Close()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Listener.Close deadlocked on a stalled handshake connection")
+		return ok && n.Status().FullSyncs == 2
+	}, "no full resync delivered the record after the bad one")
+	if st := n.Status(); st.LastErr == nil || st.Reconnects < 1 {
+		t.Fatalf("bad record: LastErr %v, reconnects %d; want the error and a new link", st.LastErr, st.Reconnects)
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,6 +17,7 @@ import (
 	"gdprstore/internal/cluster"
 	"gdprstore/internal/resp"
 	"gdprstore/internal/wirecode"
+	"gdprstore/pkg/gdprkv"
 )
 
 // This file is the cluster-mode surface of the server: slot-ownership
@@ -487,14 +489,14 @@ func (s *Server) clusterFanout(ctx *Ctx, cs *clusterState) (resp.Value, error) {
 		wg.Add(1)
 		go func(i int, p cluster.Node) {
 			defer wg.Done()
-			v, err := clusterCall(p.Addr, ctx.Core.Actor, ctx.Core.Purpose, cs.timeout, peerArgs...)
+			v, err := s.peerCall(p.Addr, ctx.Core.Actor, ctx.Core.Purpose, cs.timeout, peerArgs...)
 			if err != nil && spec.readonly {
 				// Access-path rights prefer the surviving majority: a dead
 				// primary's replicas hold the same records (and audit their
 				// own serving of them), so try each before reporting the
 				// node failed.
 				for _, rep := range p.Replicas {
-					if rv, rerr := clusterCall(rep, ctx.Core.Actor, ctx.Core.Purpose, cs.timeout, peerArgs...); rerr == nil {
+					if rv, rerr := s.peerCall(rep, ctx.Core.Actor, ctx.Core.Purpose, cs.timeout, peerArgs...); rerr == nil {
 						v, err = rv, nil
 						break
 					}
@@ -549,46 +551,74 @@ func (s *Server) auditCluster(r audit.Record) {
 	}
 }
 
-// clusterCall runs one command against a peer node over a short-lived
-// connection, presenting the coordinator session's actor and purpose so
-// the peer's ACL and audit trail see the real principal. Rights
-// operations are rare enough that a per-call dial keeps the peer path
-// free of pooled-connection identity problems.
-func clusterCall(addr, actor, purpose string, timeout time.Duration, args ...string) (resp.Value, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return resp.Value{}, err
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-	r, w := resp.NewReader(conn), resp.NewWriter(conn)
-	run := func(cmd ...string) (resp.Value, error) {
-		if err := w.WriteCommand(cmd...); err != nil {
-			return resp.Value{}, err
-		}
-		if err := w.Flush(); err != nil {
-			return resp.Value{}, err
-		}
-		v, err := r.ReadValue()
+// peerCall runs one command on the peer at addr as the coordinator
+// session's actor and purpose, so the peer's ACL and audit trail see the
+// real principal. It rides addr's pooled client as one pipeline of AUTH,
+// PURPOSE and the command, sent in one round trip. AUTH and PURPOSE go out
+// on every call, empty or not, so a pooled connection never carries an
+// earlier caller's identity. An error reply in any slot fails the call
+// with that reply's text. A transport failure on a client that was
+// already pooled (the peer restarted since) drops the client and retries
+// once on a fresh dial, inside the same timeout.
+func (s *Server) peerCall(addr, actor, purpose string, timeout time.Duration, args ...string) (resp.Value, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	for attempt := 0; ; attempt++ {
+		c, pooled, err := s.peer(ctx, addr, timeout)
 		if err != nil {
 			return resp.Value{}, err
 		}
-		if v.IsError() {
-			return resp.Value{}, errors.New(v.Text())
+		res, err := c.Pipeline().Do("AUTH", actor).Do("PURPOSE", purpose).Do(args...).Exec(ctx)
+		if err != nil {
+			if pooled && attempt == 0 && ctx.Err() == nil {
+				// Forget the stale client; calls already on it finish on
+				// their checked-out connections.
+				s.mu.Lock()
+				if s.peers[addr] == c {
+					delete(s.peers, addr)
+				}
+				s.mu.Unlock()
+				c.Close()
+				continue
+			}
+			return resp.Value{}, err
 		}
-		return v, nil
-	}
-	if actor != "" {
-		if _, err := run("AUTH", actor); err != nil {
-			return resp.Value{}, fmt.Errorf("auth: %w", err)
+		for _, r := range res {
+			if r.Err != nil {
+				return resp.Value{}, errors.New(r.Value.Text())
+			}
 		}
+		return res[2].Value, nil
 	}
-	if purpose != "" {
-		if _, err := run("PURPOSE", purpose); err != nil {
-			return resp.Value{}, fmt.Errorf("purpose: %w", err)
-		}
+}
+
+// peer returns addr's pooled client, and whether it was pooled before
+// this call, dialing it on first use. The dial runs outside s.mu, so a
+// dead peer's dial never holds up calls to the others; of two racing
+// dials the later one closes its client and takes the pooled one.
+func (s *Server) peer(ctx context.Context, addr string, timeout time.Duration) (*gdprkv.Client, bool, error) {
+	s.mu.Lock()
+	c := s.peers[addr]
+	s.mu.Unlock()
+	if c != nil {
+		return c, true, nil
 	}
-	return run(args...)
+	c, err := gdprkv.Dial(ctx, addr, gdprkv.WithDialTimeout(timeout), gdprkv.WithIOTimeout(timeout))
+	if err != nil {
+		return nil, false, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		c.Close()
+		return nil, false, gdprkv.ErrClosed
+	}
+	if won := s.peers[addr]; won != nil {
+		c.Close()
+		return won, true, nil
+	}
+	s.peers[addr] = c
+	return c, false, nil
 }
 
 // clusterStatePtr is the atomic holder type (declared here to keep the

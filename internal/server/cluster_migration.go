@@ -86,7 +86,7 @@ func (s *Server) migrateSlot(cctx core.Ctx, slot uint16, dest cluster.Node, time
 			if eerr != nil {
 				return moved, skipped, eerr
 			}
-			if _, cerr := clusterCall(dest.Addr, cctx.Actor, cctx.Purpose, timeout, "RESTOREKEY", string(b)); cerr != nil {
+			if _, cerr := s.peerCall(dest.Addr, cctx.Actor, cctx.Purpose, timeout, "RESTOREKEY", string(b)); cerr != nil {
 				if strings.HasPrefix(cerr.Error(), wirecode.Erased) {
 					// An erasure raced ahead of the migration and already
 					// reached the destination: the record is dead. Leave

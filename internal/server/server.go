@@ -24,6 +24,7 @@ import (
 	"gdprstore/internal/metrics"
 	"gdprstore/internal/replica"
 	"gdprstore/internal/resp"
+	"gdprstore/pkg/gdprkv"
 )
 
 // Server serves RESP connections backed by a core.Store.
@@ -38,6 +39,9 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 	closed bool
 	wg     sync.WaitGroup
+	// peers holds one pooled client per peer address, dialed on first use
+	// by peerCall (cluster.go) and closed by Close; guarded by mu.
+	peers map[string]*gdprkv.Client
 
 	// pipeline is the composed middleware chain every command runs
 	// through; built once at Listen.
@@ -79,6 +83,7 @@ func Listen(addr string, st *core.Store) (*Server, error) {
 		ln:       ln,
 		clock:    st.Config().Clock,
 		conns:    make(map[net.Conn]struct{}),
+		peers:    make(map[string]*gdprkv.Client),
 		cmdStats: metrics.NewOpSet(),
 	}
 	s.pipeline = s.buildPipeline()
@@ -130,8 +135,9 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// Close stops the listener, closes active connections, and waits for
-// handlers to finish. The store itself is not closed.
+// Close stops the listener, closes active connections and the pooled peer
+// clients, and waits for handlers to finish. The store itself is not
+// closed.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -142,6 +148,9 @@ func (s *Server) Close() error {
 	conns := make([]net.Conn, 0, len(s.conns))
 	for c := range s.conns {
 		conns = append(conns, c)
+	}
+	for _, p := range s.peers {
+		p.Close()
 	}
 	s.mu.Unlock()
 	s.replMu.Lock()
