@@ -68,7 +68,6 @@ fuzz:
 	$(GO) test ./internal/resp -run '^$$' -fuzz '^FuzzReadValue$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/resp -run '^$$' -fuzz '^FuzzReadCommand$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/audit -run '^$$' -fuzz '^FuzzDecodeAuditRecord$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/audit -run '^$$' -fuzz '^FuzzDecodeAuditFrame$$' -fuzztime $(FUZZTIME)
 
 vet:

@@ -81,6 +81,7 @@ type Log struct {
 	dirty     bool
 	appends   uint64
 	syncs     uint64
+	err       error // first write or fsync error, sticky (LastErr)
 
 	stopFlusher chan struct{}
 	flusherDone chan struct{}
@@ -134,19 +135,22 @@ func (cw countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Append encodes one command and applies the fsync policy. It returns the
-// first persistent error encountered, which is also retained for LastErr.
+// Append encodes one command and applies the fsync policy. After a write
+// or fsync error it appends nothing and returns that error (LastErr).
 func (l *Log) Append(name string, args ...[]byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return errors.New("aof: closed")
 	}
+	if l.err != nil {
+		return l.err
+	}
 	if err := l.enc.WriteRecord(name, args); err != nil {
-		return err
+		return l.fail(err)
 	}
 	if err := l.enc.Flush(); err != nil { // resp buffer -> bufio buffer
-		return err
+		return l.fail(err)
 	}
 	l.appends++
 	l.dirty = true
@@ -156,7 +160,8 @@ func (l *Log) Append(name string, args ...[]byte) error {
 	return nil
 }
 
-// Sync forces buffered data to stable storage regardless of policy.
+// Sync forces buffered data to stable storage regardless of policy. After
+// a write or fsync error it returns that error (LastErr).
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -164,18 +169,37 @@ func (l *Log) Sync() error {
 }
 
 func (l *Log) syncLocked() error {
-	if !l.dirty {
-		return nil
+	if l.err != nil || !l.dirty {
+		return l.err
 	}
 	if err := l.w.Flush(); err != nil {
-		return err
+		return l.fail(err)
 	}
 	if err := l.f.Sync(); err != nil {
-		return err
+		return l.fail(err)
 	}
 	l.dirty = false
 	l.syncs++
 	return nil
+}
+
+// fail records err as the log's first error, if it is, and returns the
+// first. Callers hold l.mu.
+func (l *Log) fail(err error) error {
+	if l.err == nil {
+		l.err = fmt.Errorf("aof: %w", err)
+	}
+	return l.err
+}
+
+// LastErr returns the first write or fsync error since Open, or nil. Every
+// Append and Sync after it returns it too: a retried fsync can report
+// success for pages the kernel already dropped, so nothing after the first
+// failure counts as durable.
+func (l *Log) LastErr() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.err
 }
 
 func (l *Log) flushLoop() {
@@ -188,7 +212,7 @@ func (l *Log) flushLoop() {
 			return
 		case <-t.C:
 			l.mu.Lock()
-			_ = l.syncLocked()
+			_ = l.syncLocked() // sticks, for LastErr
 			l.mu.Unlock()
 		}
 	}

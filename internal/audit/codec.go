@@ -27,16 +27,14 @@ import (
 // whose bit is clear follow, in order: the strings consecutive records
 // repeat cost a bit each. A frame carries nothing over from earlier
 // frames, so a reader that starts anywhere resyncs on marker, length and
-// checksum. Older trails hold per-record frames and JSONL lines, which
-// stay readable through legacy.go; a node upgraded in place appends claim
-// frames after them.
+// checksum. A trail an earlier release began, in JSONL lines or
+// per-record frames, is refused at open (ErrRetiredFormat).
 const (
-	// claimMarker is never '{' nor '\n', nor the per-record frame's marker,
+	// claimMarker is never '{' nor '\n', nor the per-record frame's 0xA1,
 	// and doubles as the format version.
 	claimMarker = 0xA2
-	// maxFrame bounds a frame's body, as the line scanner bounded a JSONL
-	// line: a longer claim is damage, not a record to buffer. The encoder
-	// splits a claim that would pass it.
+	// maxFrame bounds a frame's body: a longer claim is damage, not a
+	// record to buffer. The encoder splits a claim that would pass it.
 	maxFrame = 1 << 22
 	// zeroTime encodes time.Time{}, which has no UnixNano.
 	zeroTime = math.MinInt64
@@ -52,6 +50,12 @@ var (
 	// errShort reports an entry that runs past the end of the bytes given.
 	errShort   = errors.New("audit: incomplete record")
 	errCorrupt = errors.New("audit: corrupt record")
+
+	// ErrRetiredFormat reports a trail file an earlier release began, in
+	// JSONL lines or per-record frames, which this one no longer reads
+	// (DESIGN.md §17). The error wrapping it names the file and the
+	// upgrade step.
+	ErrRetiredFormat = errors.New("audit: retired trail format")
 )
 
 func appendStr(dst []byte, s string) []byte {
@@ -161,13 +165,14 @@ func uvarint(b []byte) (v uint64, n int, err error) {
 	return v, n, nil
 }
 
-// splitFrame checks the frame at the start of b (marker, length, checksum)
-// and returns its body and its size. errShort means b ends inside it.
-func splitFrame(b []byte, marker byte) (body []byte, size int, err error) {
+// splitFrame checks the claim frame at the start of b (marker, length,
+// checksum) and returns its body and its size. errShort means b ends
+// inside it.
+func splitFrame(b []byte) (body []byte, size int, err error) {
 	if len(b) == 0 {
 		return nil, 0, errShort
 	}
-	if b[0] != marker {
+	if b[0] != claimMarker {
 		return nil, 0, errCorrupt
 	}
 	n, h, err := uvarint(b[1:])
@@ -297,64 +302,42 @@ func decodeClaim(recs []Record, b []byte) ([]Record, error) {
 	return recs, nil
 }
 
-// decodeEntry decodes the entry at the start of b, a claim frame or a
-// legacy entry, appends its records to recs (none for an empty line) and
-// returns its size. With errCorrupt the size is how far the damaged entry
-// reaches; with any error recs comes back unchanged.
-func decodeEntry(recs []Record, b []byte, eof bool) ([]Record, int, error) {
-	if len(b) == 0 || b[0] != claimMarker {
-		r, size, ok, err := decodeLegacy(b, eof)
-		if ok {
-			recs = append(recs, r)
-		}
-		return recs, size, err
-	}
-	body, size, err := splitFrame(b, claimMarker)
+// decodeEntry decodes the claim frame at the start of b, appends its
+// records to recs and returns its size. With errCorrupt the size is how far
+// the damaged frame reaches; with any error recs comes back unchanged.
+func decodeEntry(recs []Record, b []byte) ([]Record, int, error) {
+	body, size, err := splitFrame(b)
 	if err == nil {
 		recs, err = decodeClaim(recs, body)
 	}
 	return recs, size, err
 }
 
-// lastSeq returns the highest sequence number among the whole entries of b,
-// which holds the end of a trail file and starts at an entry boundary only
-// if aligned. The order of an older file promises nothing about which entry
-// that is (DESIGN.md §17), so every entry is looked at. Bytes that belong to
-// no whole entry — the cut entry at the start of the window, a torn tail,
-// damage — are stepped over one at a time until a frame's marker, length
-// and checksum agree or a legacy line starts.
-func lastSeq(b []byte, aligned bool) uint64 {
+// lastSeq returns the highest sequence number among the whole frames of b,
+// which holds the end of a trail file and may start inside a frame. Bytes
+// that belong to no whole frame — the cut frame at the start of the window,
+// a torn tail, damage — are stepped over one at a time until a frame's
+// marker, length and checksum agree.
+func lastSeq(b []byte) uint64 {
 	var last uint64
 	var recs []Record
-	boundary := -1
-	if aligned {
-		boundary = 0
-	}
-	for p := 0; p < len(b); {
-		size := 0
-		// A legacy line can start only at a boundary; a frame anywhere.
-		if b[p] == claimMarker || b[p] == recordMarker || p == boundary || (p > 0 && b[p-1] == '\n') {
-			var err error
-			if recs, size, err = decodeEntry(recs[:0], b[p:], true); err != nil {
-				size = 0
-			}
-		}
-		if size == 0 {
-			p++
+	for p := 0; p < len(b); p++ {
+		var size int
+		var err error
+		if recs, size, err = decodeEntry(recs[:0], b[p:]); err != nil {
 			continue
 		}
 		for _, r := range recs {
 			last = max(last, r.Seq)
 		}
-		p += size
-		boundary = p
+		p += size - 1
 	}
 	return last
 }
 
 // AppendJSON appends r as the JSON object encoding/json.Marshal writes for
-// it, byte for byte: the form legacy trail files hold and the socket
-// export's collector was promised.
+// it, byte for byte: the form the socket export's collector was promised
+// (and the lines of the earliest trail files).
 func (r Record) AppendJSON(dst []byte) []byte {
 	dst = append(dst, `{"seq":`...)
 	dst = strconv.AppendUint(dst, r.Seq, 10)

@@ -2,15 +2,13 @@ package audit
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -19,7 +17,7 @@ import (
 
 // sampleRecords covers what the quick generator rarely hits: every field
 // empty, a zero time, an outcome outside the four constants, '\n' and '{'
-// where a line reader or a format sniffer would trip, the marker byte,
+// where a line reader or a format sniffer would trip, the marker bytes,
 // strings long enough for two- and three-byte lengths.
 func sampleRecords() []Record {
 	at := time.Date(2026, 9, 25, 15, 30, 13, 547276659, time.UTC)
@@ -28,23 +26,10 @@ func sampleRecords() []Record {
 		{Seq: 1, Time: at, Actor: "controller", Op: "PUT", Key: "pd:alice:1", Owner: "alice", Purpose: "billing", Outcome: OutcomeOK},
 		{Seq: 1 << 40, Time: time.Unix(0, 0).UTC(), Op: "GET", Outcome: OutcomeMissing},
 		{Seq: ^uint64(0), Time: at, Actor: "a", Op: "X", Outcome: "partial", Detail: "custom outcome"},
-		{Seq: 7, Time: at, Op: "GET", Key: "\n{\"seq\":99}\n", Owner: "{", Purpose: "\n", Outcome: OutcomeDenied, Detail: string([]byte{recordMarker, 0, claimMarker})},
+		{Seq: 7, Time: at, Op: "GET", Key: "\n{\"seq\":99}\n", Owner: "{", Purpose: "\n", Outcome: OutcomeDenied, Detail: string([]byte{0xA1, 0, claimMarker})},
 		{Seq: 8, Time: at, Op: "PUT", Key: strings.Repeat("k", 127), Owner: strings.Repeat("o", 128), Detail: strings.Repeat("d", 70_000), Outcome: OutcomeError},
 		{Seq: 9, Time: at, Op: "PUT", Key: "<&>\u2028\u2029\x00\b\f\t\r\\\"\x7f\xff\xc3é", Outcome: OutcomeOK},
 	}
-}
-
-// appendRecord appends r as a per-record frame, the form trails were written
-// in before claim frames: a fixture for the readers of old trails.
-func appendRecord(dst []byte, r Record) []byte {
-	body := binary.AppendUvarint(nil, r.Seq)
-	body = binary.BigEndian.AppendUint64(body, uint64(unixNano(r.Time)))
-	body = appendOutcome(body, r.Outcome)
-	for _, s := range []string{r.Actor, r.Op, r.Key, r.Owner, r.Purpose, r.Detail} {
-		body = appendStr(body, s)
-	}
-	dst = binary.AppendUvarint(append(dst, recordMarker), uint64(len(body)))
-	return binary.BigEndian.AppendUint32(append(dst, body...), crc32.Checksum(body, castagnoli))
 }
 
 // appendClaim appends recs as the drainer writes one claim.
@@ -58,7 +43,7 @@ func decodeAll(b []byte) ([]Record, error) {
 	for p := 0; p < len(b); {
 		var size int
 		var err error
-		if recs, size, err = decodeEntry(recs, b[p:], true); err != nil {
+		if recs, size, err = decodeEntry(recs, b[p:]); err != nil {
 			return recs, fmt.Errorf("entry at %d: %w", p, err)
 		}
 		p += size
@@ -66,21 +51,16 @@ func decodeAll(b []byte) ([]Record, error) {
 	return recs, nil
 }
 
-// TestAuditRecordRoundTrip: one record, in a claim frame of its own and in
-// a per-record frame, decodes to itself.
+// TestAuditRecordRoundTrip: one record, in a claim frame of its own,
+// decodes to itself.
 func TestAuditRecordRoundTrip(t *testing.T) {
 	check := func(r Record) error {
-		for _, enc := range [][]byte{appendClaim(nil, r), appendRecord(nil, r)} {
-			got, err := decodeAll(enc)
-			if err != nil || len(got) != 1 {
-				return fmt.Errorf("decode %#x frame: %d records, %v", enc[0], len(got), err)
-			}
-			if !reflect.DeepEqual(got[0], r) {
-				return fmt.Errorf("%#x frame: got %+v, want %+v", enc[0], got[0], r)
-			}
-			if enc[0] == '{' || enc[0] == '\n' {
-				return fmt.Errorf("frame starts like a legacy line: %#x", enc[0])
-			}
+		got, err := decodeAll(appendClaim(nil, r))
+		if err != nil || len(got) != 1 {
+			return fmt.Errorf("decode: %d records, %v", len(got), err)
+		}
+		if !reflect.DeepEqual(got[0], r) {
+			return fmt.Errorf("got %+v, want %+v", got[0], r)
 		}
 		return nil
 	}
@@ -153,7 +133,7 @@ func TestClaimRoundTrip(t *testing.T) {
 		}
 		frames := 0
 		for p := 0; p < len(enc); frames++ {
-			_, size, err := splitFrame(enc[p:], claimMarker)
+			_, size, err := splitFrame(enc[p:])
 			if err != nil {
 				t.Fatalf("%s: frame %d: %v", c.name, frames, err)
 			}
@@ -234,10 +214,8 @@ func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// legacyTrail is a JSONL trail written by the parent commit's two audit
-// workers (testdata of internal/core has the generator): 40 records whose
-// last stretch is out of sequence order, and whose last line is not the
-// highest number.
+// legacyTrail is a JSONL trail written by an earlier release's two audit
+// workers: 40 records, the lines the socket export still promises.
 const legacyTrail = "testdata/legacy-trail.jsonl"
 
 func TestAppendJSONEqualsParentLines(t *testing.T) {
@@ -246,158 +224,116 @@ func TestAppendJSONEqualsParentLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n"))
-	i := 0
-	if err := scanFile(legacyTrail, nil, func(r Record) error {
-		if got := r.AppendJSON(nil); !bytes.Equal(got, lines[i]) {
-			t.Errorf("line %d:\ngot  %s\nwant %s", i, got, lines[i])
-		}
-		i++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	if len(lines) != 40 {
+		t.Fatalf("fixture holds %d lines, want 40", len(lines))
 	}
-	if i != len(lines) || i != 40 {
-		t.Fatalf("scanned %d records of %d lines", i, len(lines))
+	for i, line := range lines {
+		var r Record
+		if err := json.Unmarshal(line, &r); err != nil {
+			t.Fatalf("line %d: %v", i, err)
+		}
+		if got := r.AppendJSON(nil); !bytes.Equal(got, line) {
+			t.Errorf("line %d:\ngot  %s\nwant %s", i, got, line)
+		}
 	}
 }
 
-// TestLegacyTrailContinuesInFrames is the in-place upgrade, twice over: a
-// JSONL trail that an intermediate version continued in per-record frames
-// is found by this one, which recovers its numbering and appends claim
-// frames after them, and every reader sees one trail.
-func TestLegacyTrailContinuesInFrames(t *testing.T) {
-	raw, err := os.ReadFile(legacyTrail)
+// TestRetiredTrailRefused: a trail an earlier release began, in JSONL lines
+// or in per-record frames (marker 0xA1), is refused at open with
+// ErrRetiredFormat, the file left byte for byte as it was, plain or
+// encrypted; one that starts with a claim frame opens.
+func TestRetiredTrailRefused(t *testing.T) {
+	lines, err := os.ReadFile(legacyTrail)
 	if err != nil {
 		t.Fatal(err)
 	}
-	alice := Record{Actor: "controller", Op: "GET", Key: "pd:alice:1\n{", Owner: "alice", Outcome: OutcomeOK}
-	framed := bytes.Clone(raw)
-	for seq := uint64(41); seq <= 45; seq++ {
-		r := alice
-		r.Seq, r.Time = seq, time.Date(2026, 9, 26, 0, 0, int(seq), 0, time.UTC)
-		framed = appendRecord(framed, r)
-	}
-	path := filepath.Join(t.TempDir(), "audit.log")
-	if err := os.WriteFile(path, raw, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if last, err := RecoverLastSeq(path, nil); err != nil || last != 40 {
-		t.Fatalf("legacy last seq = %d, %v; want 40 (the last line holds 35)", last, err)
-	}
-	if err := os.WriteFile(path, framed, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := Open(Options{Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		r, err := tr.Append(alice)
-		if err != nil || r.Seq != uint64(46+i) {
-			t.Fatalf("append %d: seq %d, %v", i, r.Seq, err)
+	claim := appendClaim(nil, sampleRecords()[1])
+	perRecord := append([]byte{0xA1}, claim[1:]...) // what a per-record frame starts with
+	for _, key := range [][]byte{nil, bytes.Repeat([]byte{4}, 32)} {
+		for name, raw := range map[string][]byte{"jsonl": lines, "per-record": perRecord} {
+			path := filepath.Join(t.TempDir(), "audit.log")
+			fs, err := NewFileSink(path, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := errors.Join(fs.Write(nil, raw), fs.Close()); err != nil {
+				t.Fatal(err)
+			}
+			before, _ := os.ReadFile(path)
+			tr, err := Open(Options{Path: path, Key: key})
+			if !errors.Is(err, ErrRetiredFormat) || tr != nil {
+				t.Fatalf("%s (key %v): Open = %v, %v; want ErrRetiredFormat", name, key != nil, tr, err)
+			}
+			if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "move the file aside") {
+				t.Fatalf("%s: the refusal names neither the file nor the step: %v", name, err)
+			}
+			if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+				t.Fatalf("%s: the refused trail changed", name)
+			}
 		}
-	}
-	got, err := tr.Query(Filter{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 50 {
-		t.Fatalf("query returned %d records, want 50", len(got))
-	}
-	for i, r := range got {
-		if r.Seq != uint64(i+1) {
-			t.Fatalf("query out of order at %d: seq %d", i, r.Seq)
+		path := filepath.Join(t.TempDir(), "audit.log")
+		fs, err := NewFileSink(path, key)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if got, _ := tr.Query(Filter{Owner: "alice", Op: "GET"}); len(got) != 25+5+5 {
-		t.Fatalf("filtered query over the three formats = %d records, want 35", len(got))
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	mixed, _ := os.ReadFile(path)
-	if !bytes.HasPrefix(mixed, framed) || mixed[len(raw)] != recordMarker || mixed[len(framed)] != claimMarker {
-		t.Fatal("claim frames were not appended after the per-record frames")
-	}
-	if bytes.Contains(mixed[len(raw):], []byte(`"seq"`)) {
-		t.Fatal("the writer still emits JSON")
-	}
-	var seqs []uint64
-	if err := scanFile(path, nil, func(r Record) error { seqs = append(seqs, r.Seq); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(seqs) != 50 || !slices.Equal(seqs[40:], []uint64{41, 42, 43, 44, 45, 46, 47, 48, 49, 50}) {
-		t.Fatalf("scan after the lines = %v, want 41..50 in order", seqs[min(40, len(seqs)):])
-	}
-	if last, err := RecoverLastSeq(path, nil); err != nil || last != 50 {
-		t.Fatalf("mixed last seq = %d, %v; want 50", last, err)
+		if err := errors.Join(fs.Write(nil, claim), fs.Close()); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := Open(Options{Path: path, Key: key})
+		if err != nil {
+			t.Fatalf("a trail of claim frames is refused: %v", err)
+		}
+		if tr.Seq() != 1 {
+			t.Fatalf("recovered seq %d, want 1", tr.Seq())
+		}
+		tr.Close()
 	}
 }
 
 // TestRecoverLastSeqLargeTornTrail reads only the last megabyte of a larger
-// trail, in the per-record frames an older writer left, with one record
-// written late so the highest number is not in the last whole record, and
-// in the claim frames this version writes: the window starts inside an
-// entry and ends in a torn one.
+// trail of claim frames: the window starts inside a frame and ends in a
+// torn one.
 func TestRecoverLastSeqLargeTornTrail(t *testing.T) {
 	at := time.Date(2026, 9, 25, 12, 0, 0, 0, time.UTC)
 	rec := func(seq uint64) Record {
 		return Record{Seq: seq, Time: at, Actor: "controller", Op: "GET",
 			Key: fmt.Sprintf("pd:owner%05d:\n{%d", seq%977, seq), Owner: "owner", Purpose: "billing", Outcome: OutcomeOK}
 	}
-	perRecord := func(n uint64) (enc []byte, whole int) {
-		for seq := uint64(1); seq <= n; seq++ {
-			if seq == n-70 {
-				continue // written late, below
-			}
-			enc = appendRecord(enc, rec(seq))
+	const n = 50_000
+	var enc []byte
+	var whole int
+	var e claimEncoder
+	var recs []Record
+	for seq := uint64(1); seq <= n+workerBatch; seq++ {
+		recs = append(recs, rec(seq))
+		if len(recs) == workerBatch || seq == n {
+			whole = len(enc)
+			enc, recs = e.appendClaim(enc, recs), recs[:0]
 		}
-		enc = appendRecord(enc, rec(n-70))
-		return appendRecord(enc, rec(n+1)), len(enc)
 	}
-	claims := func(n uint64) (enc []byte, whole int) {
-		var e claimEncoder
-		var recs []Record
-		for seq := uint64(1); seq <= n+workerBatch; seq++ {
-			recs = append(recs, rec(seq))
-			if len(recs) == workerBatch || seq == n {
-				whole = len(enc)
-				enc, recs = e.appendClaim(enc, recs), recs[:0]
-			}
-		}
-		return enc, whole
+	if whole <= recoverTailWindow+recoverTailWindow/4 {
+		t.Fatalf("trail is %d bytes, want well over the %d-byte window", whole, recoverTailWindow)
 	}
-	for _, format := range []struct {
-		name   string
-		n      uint64
-		encode func(uint64) ([]byte, int)
-	}{{"per-record", 20_000, perRecord}, {"claims", 50_000, claims}} {
-		n := format.n
-		enc, whole := format.encode(n)
-		if whole <= recoverTailWindow+recoverTailWindow/4 {
-			t.Fatalf("%s: trail is %d bytes, want well over the %d-byte window", format.name, whole, recoverTailWindow)
-		}
-		for _, key := range [][]byte{nil, bytes.Repeat([]byte{9}, 32)} {
-			for _, cut := range []int{len(enc) - 1, len(enc) - 4, whole + 2, whole + 1, whole} {
-				path := filepath.Join(t.TempDir(), "audit.log")
-				fs, err := NewFileSink(path, key)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := fs.Write(nil, enc[:cut]); err != nil {
-					t.Fatal(err)
-				}
-				if err := fs.Close(); err != nil {
-					t.Fatal(err)
-				}
-				last, err := RecoverLastSeq(path, key)
-				if err != nil || last != n {
-					t.Fatalf("%s: cut %d of %d (key %v): last seq %d, %v; want %d", format.name, cut, len(enc), key != nil, last, err, n)
-				}
-				count := 0
-				if err := scanFile(path, key, func(Record) error { count++; return nil }); err != nil || count != int(n) {
-					t.Fatalf("%s: cut %d: scan saw %d records, %v; want %d and a tolerated torn tail", format.name, cut, count, err, n)
-				}
+	for _, key := range [][]byte{nil, bytes.Repeat([]byte{9}, 32)} {
+		for _, cut := range []int{len(enc) - 1, len(enc) - 4, whole + 2, whole + 1, whole} {
+			path := filepath.Join(t.TempDir(), "audit.log")
+			fs, err := NewFileSink(path, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Write(nil, enc[:cut]); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Close(); err != nil {
+				t.Fatal(err)
+			}
+			last, err := RecoverLastSeq(path, key)
+			if err != nil || last != n {
+				t.Fatalf("cut %d of %d (key %v): last seq %d, %v; want %d", cut, len(enc), key != nil, last, err, n)
+			}
+			count := 0
+			if err := scanFile(path, key, func(Record) error { count++; return nil }); err != nil || count != int(n) {
+				t.Fatalf("cut %d: scan saw %d records, %v; want %d and a tolerated torn tail", cut, count, err, n)
 			}
 		}
 	}
@@ -441,45 +377,40 @@ func TestRecoverLastSeqWidensPastAHugeClaim(t *testing.T) {
 }
 
 // TestScanRejectsDamageBeforeTheTail pins the other half of the torn-tail
-// rule, for per-record and claim frames: an entry that fails its checksum
-// with entries after it is damage.
+// rule: a frame that fails its checksum with frames after it is damage.
 func TestScanRejectsDamageBeforeTheTail(t *testing.T) {
 	rec := func(seq uint64) Record { return Record{Seq: seq, Op: "GET", Key: "k", Outcome: OutcomeOK} }
-	for _, entry := range []func(i uint64) []byte{
-		func(i uint64) []byte { return appendRecord(nil, rec(i)) },
-		func(i uint64) []byte { return appendClaim(nil, rec(2*i-1), rec(2*i)) },
-	} {
-		var enc []byte
-		for i := uint64(1); i <= 3; i++ {
-			enc = append(enc, entry(i)...)
-		}
-		first := len(entry(1))
-		perEntry, _ := decodeAll(entry(1))
-		highest, _ := decodeAll(entry(3))
-		enc[first+5] ^= 0x40 // inside the second entry
-		path := filepath.Join(t.TempDir(), "audit.log")
-		if err := os.WriteFile(path, enc, 0o600); err != nil {
-			t.Fatal(err)
-		}
-		count := 0
-		err := scanFile(path, nil, func(Record) error { count++; return nil })
-		if err == nil || count != len(perEntry) {
-			t.Fatalf("%#x: scan over a damaged middle entry: %d records, err %v", enc[0], count, err)
-		}
-		// The recovery of the numbering steps over it.
-		if last, _ := RecoverLastSeq(path, nil); last != highest[len(highest)-1].Seq {
-			t.Fatalf("%#x: last seq past damage = %d, want %d", enc[0], last, highest[len(highest)-1].Seq)
-		}
-		// The same damage in the last entry is a torn tail.
-		tail := entry(2)
-		tail[5] ^= 0x40
-		if err := os.WriteFile(path, append(enc[:first:first], tail...), 0o600); err != nil {
-			t.Fatal(err)
-		}
-		count = 0
-		if err := scanFile(path, nil, func(Record) error { count++; return nil }); err != nil || count != len(perEntry) {
-			t.Fatalf("%#x: scan over a damaged last entry: %d records, err %v", enc[0], count, err)
-		}
+	entry := func(i uint64) []byte { return appendClaim(nil, rec(2*i-1), rec(2*i)) }
+	var enc []byte
+	for i := uint64(1); i <= 3; i++ {
+		enc = append(enc, entry(i)...)
+	}
+	first := len(entry(1))
+	perEntry, _ := decodeAll(entry(1))
+	highest, _ := decodeAll(entry(3))
+	enc[first+5] ^= 0x40 // inside the second entry
+	path := filepath.Join(t.TempDir(), "audit.log")
+	if err := os.WriteFile(path, enc, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	count := 0
+	err := scanFile(path, nil, func(Record) error { count++; return nil })
+	if err == nil || count != len(perEntry) {
+		t.Fatalf("scan over a damaged middle entry: %d records, err %v", count, err)
+	}
+	// The recovery of the numbering steps over it.
+	if last, _ := RecoverLastSeq(path, nil); last != highest[len(highest)-1].Seq {
+		t.Fatalf("last seq past damage = %d, want %d", last, highest[len(highest)-1].Seq)
+	}
+	// The same damage in the last entry is a torn tail.
+	tail := entry(2)
+	tail[5] ^= 0x40
+	if err := os.WriteFile(path, append(enc[:first:first], tail...), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	count = 0
+	if err := scanFile(path, nil, func(Record) error { count++; return nil }); err != nil || count != len(perEntry) {
+		t.Fatalf("scan over a damaged last entry: %d records, err %v", count, err)
 	}
 }
 
@@ -506,7 +437,7 @@ func TestEncodeBatchAllocs(t *testing.T) {
 // TestClaimBytesPerRecord is the size budget below the benchmark: a claim
 // shaped like wire-read's audited GGETs (one actor, op and purpose, zipfian
 // 8-byte keys of 6-byte owners, a few microseconds apart) costs at most 28
-// bytes a record, where the per-record frame cost 63.
+// bytes a record, where the retired per-record frame cost 63.
 func TestClaimBytesPerRecord(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	zipf := rand.NewZipf(rng, 1.1, 1, 49_999)
@@ -519,36 +450,16 @@ func TestClaimBytesPerRecord(t *testing.T) {
 			Key: fmt.Sprintf("k%07d", k), Owner: fmt.Sprintf("u%05d", k%5_000), Purpose: "service", Outcome: OutcomeOK}
 	}
 	claim := float64(len(appendClaim(nil, recs...))) / workerBatch
-	perRecord := float64(len(appendRecord(nil, recs[0])))
-	t.Logf("%.1f B per record in a claim frame, %.0f B in a per-record frame", claim, perRecord)
+	t.Logf("%.1f B per record in a claim frame", claim)
 	if claim > 28 {
 		t.Fatalf("a %d-record claim costs %.1f B per record, want <= 28", workerBatch, claim)
 	}
 }
 
-func FuzzDecodeAuditRecord(f *testing.F) {
-	for _, r := range sampleRecords()[:5] {
-		f.Add(appendRecord(nil, r))
-	}
-	f.Add([]byte{recordMarker, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
-	f.Add([]byte(`{"seq":1,"time":"2026-09-25T12:00:00Z","actor":"a","op":"GET","outcome":"ok"}` + "\n"))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		r, size, ok, _ := decodeLegacy(b, true)
-		if ok && b[0] == recordMarker {
-			if size > len(b) {
-				t.Fatalf("decoded %d bytes of %d", size, len(b))
-			}
-			if again := appendRecord(nil, r); !bytes.Equal(again, b[:size]) {
-				t.Fatalf("accepted %x, re-encodes to %x", b[:size], again)
-			}
-		}
-		fuzzReaders(b)
-	})
-}
-
-// FuzzDecodeAuditFrame: a claim frame the decoder accepts re-encodes to the
-// same bytes, so a claim has one spelling, and the readers built on the
-// decoder take any input.
+// FuzzDecodeAuditFrame: every input the decoder accepts is a claim frame
+// that re-encodes to the same bytes, so a claim has one spelling; a trail
+// that starts like a JSONL line is refused as retired; and the readers
+// built on the decoder take any input.
 func FuzzDecodeAuditFrame(f *testing.F) {
 	at := time.Date(2026, 10, 16, 8, 0, 0, 1, time.UTC)
 	f.Add(appendClaim(nil, sampleRecords()[:5]...))
@@ -556,17 +467,20 @@ func FuzzDecodeAuditFrame(f *testing.F) {
 		Record{Seq: 7, Time: at, Actor: "svc", Op: "GET", Key: "k1", Owner: "alice", Purpose: "billing", Outcome: OutcomeOK},
 		Record{Seq: 9, Time: at.Add(-time.Second), Actor: "svc", Op: "GET", Key: "k1", Owner: "alice", Purpose: "svc", Outcome: OutcomeDenied, Detail: "billing"},
 		Record{Seq: 10, Op: "PUT", Outcome: "partial"}))
-	f.Add(append(appendClaim(nil, sampleRecords()[1]), appendRecord(nil, sampleRecords()[2])...))
+	f.Add([]byte(`{"seq":1,"time":"2026-09-25T12:00:00Z","actor":"a","op":"GET","outcome":"ok"}` + "\n"))
 	f.Add([]byte{claimMarker, 0x0c, 0x02, 0x01, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		recs, size, err := decodeEntry(nil, b, true)
-		if err == nil && b[0] == claimMarker {
+		recs, size, err := decodeEntry(nil, b)
+		if err == nil {
 			if size > len(b) || len(recs) == 0 {
 				t.Fatalf("decoded %d records from %d bytes of %d", len(recs), size, len(b))
 			}
 			if again := appendClaim(nil, recs...); !bytes.Equal(again, b[:size]) {
 				t.Fatalf("accepted %x, re-encodes to %x", b[:size], again)
 			}
+		}
+		if len(b) > 0 && b[0] == '{' && !errors.Is(checkHead("fuzz", b[0]), ErrRetiredFormat) {
+			t.Fatalf("a trail starting %q is not refused as retired", b[:1])
 		}
 		fuzzReaders(b)
 	})
@@ -575,10 +489,9 @@ func FuzzDecodeAuditFrame(f *testing.F) {
 // fuzzReaders runs the readers built on the decoders over b, which must
 // take anything.
 func fuzzReaders(b []byte) {
-	lastSeq(b, true)
-	lastSeq(b, false)
+	lastSeq(b)
 	for p := 0; p < len(b); {
-		_, n, err := decodeEntry(nil, b[p:], true)
+		_, n, err := decodeEntry(nil, b[p:])
 		if err != nil || n == 0 {
 			break
 		}
@@ -587,8 +500,8 @@ func fuzzReaders(b []byte) {
 }
 
 // TestLastSeqAnywhere starts the recovery window at every offset of a trail
-// of all three formats: whatever it cuts, the answer is the highest number
-// of the entries that are whole inside it.
+// whose keys hold marker bytes, newlines and braces: whatever it cuts, the
+// answer is the highest number of the frames that are whole inside it.
 func TestLastSeqAnywhere(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	var file []byte
@@ -601,20 +514,11 @@ func TestLastSeqAnywhere(t *testing.T) {
 		spans = append(spans, span{len(file), len(file) + len(b), seq})
 		file = append(file, b...)
 	}
-	for i := 0; i < 12; i++ {
-		r := Record{Seq: uint64(100 - i), Op: "GET", Key: "caf\xc2\xa1\n{", Outcome: OutcomeOK}
-		add(append(r.AppendJSON(nil), '\n'), r.Seq)
-	}
 	for i := 0; i < 40; i++ {
-		r := Record{Seq: uint64(200 + rng.Intn(1000)), Time: time.Unix(int64(i), 10), Op: "PUT",
-			Key: string([]byte{recordMarker, '\n', '{', byte(i)}), Owner: strings.Repeat("o", rng.Intn(200)), Outcome: OutcomeOK}
-		add(appendRecord(nil, r), r.Seq)
-	}
-	for i := 0; i < 12; i++ {
 		var recs []Record
 		var highest uint64
 		for j := 0; j < 1+rng.Intn(5); j++ {
-			r := Record{Seq: uint64(2000 + rng.Intn(1000)), Time: time.Unix(int64(i), int64(j)), Actor: "svc", Op: "GET",
+			r := Record{Seq: uint64(2000 + 100*i + rng.Intn(100)), Time: time.Unix(int64(i), int64(j)), Actor: "svc", Op: "GET",
 				Key: string([]byte{claimMarker, '\n', '{', byte(j)}), Owner: strings.Repeat("o", rng.Intn(200)), Outcome: OutcomeOK}
 			recs, highest = append(recs, r), max(highest, r.Seq)
 		}
@@ -627,7 +531,7 @@ func TestLastSeqAnywhere(t *testing.T) {
 				want = max(want, s.seq)
 			}
 		}
-		if got := lastSeq(file[off:], off == 0); got != want {
+		if got := lastSeq(file[off:]); got != want {
 			t.Fatalf("window at %d: last seq %d, want %d", off, got, want)
 		}
 	}

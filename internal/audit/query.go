@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"slices"
-	"sort"
 	"time"
 
 	"gdprstore/internal/cryptoutil"
@@ -55,8 +54,8 @@ func (f Filter) Match(r Record) bool {
 	return true
 }
 
-// Query returns matching records in sequence order, which the file does not
-// promise (DESIGN.md §17): it sorts whatever it collected. It serves from the
+// Query returns matching records in sequence order, the order the file and
+// the ring hold them in (DESIGN.md §17). It serves from the
 // durable file when the trail is file-backed (so results are complete),
 // and from the in-memory ring, the only copy, when it is not. The pipeline
 // is drained first so a query observes every record appended before the
@@ -75,7 +74,6 @@ func (t *Trail) Query(f Filter) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	if out == nil {
 		out = make([]Record, 0)
 	}
@@ -113,11 +111,10 @@ func (t *Trail) Scan(fn func(Record) error) error {
 	return scanFile(t.file.Path(), t.file.key, emit)
 }
 
-// scanFile streams the records of the trail file at path, claim frames and
-// legacy entries alike, through fn in file order. An entry the file ends in
-// the middle of (crash mid-append) or whose damage reaches the end of the
-// file is a torn tail and tolerated, with all of its records; damage with
-// anything after it is not.
+// scanFile streams the records of the trail file at path through fn in file
+// order. A frame the file ends in the middle of (crash mid-append) or whose
+// damage reaches the end of the file is a torn tail and tolerated, with all
+// of its records; damage with anything after it is not.
 func scanFile(path string, key []byte, fn func(Record) error) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -136,17 +133,16 @@ func scanFile(path string, key []byte, fn func(Record) error) error {
 		src = cryptoutil.NewReader(f, c)
 	}
 	// buf[p:] is what has been read and not yet consumed. It grows only to
-	// hold one entry, and an entry is bounded (maxFrame; a line, by the
-	// bytes the file really has).
+	// hold one frame, and a frame is bounded by maxFrame.
 	buf := make([]byte, 0, 1<<16)
 	p, eof := 0, false
-	var recs []Record // one entry's
+	var recs []Record // one frame's
 	for {
 	entries:
 		for p < len(buf) {
 			var size int
 			var err error
-			recs, size, err = decodeEntry(recs[:0], buf[p:], eof)
+			recs, size, err = decodeEntry(recs[:0], buf[p:])
 			switch {
 			case err == nil:
 			case errors.Is(err, errCorrupt) && p+size < len(buf):

@@ -31,9 +31,8 @@ type Sink interface {
 }
 
 // FileSink persists records as (optionally encrypted) claim frames
-// (codec.go), appended to whatever the file already holds: a trail begun by
-// an earlier version, as JSONL or per-record frames, continues in claim
-// frames and stays readable by scanFile.
+// (codec.go), appended to what the file already holds. A file that does not
+// start with a claim frame is refused at open (checkHead).
 type FileSink struct {
 	mu    sync.Mutex
 	f     *os.File
@@ -46,7 +45,8 @@ type FileSink struct {
 }
 
 // NewFileSink opens or appends to the trail file at path. A non-nil key
-// encrypts the file at rest (32 bytes, AES-CTR keyed by byte offset).
+// encrypts the file at rest (32 bytes, AES-CTR keyed by byte offset). A
+// trail an earlier release began is refused before anything is written.
 func NewFileSink(path string, key []byte) (*FileSink, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o600)
 	if err != nil {
@@ -59,16 +59,41 @@ func NewFileSink(path string, key []byte) (*FileSink, error) {
 	}
 	s := &FileSink{f: f, size: st.Size(), path: path, key: key}
 	var w io.Writer = f
+	var c *cryptoutil.OffsetCipher
 	if key != nil {
-		c, err := cryptoutil.NewOffsetCipher(key)
-		if err != nil {
+		if c, err = cryptoutil.NewOffsetCipher(key); err != nil {
 			f.Close()
 			return nil, err
 		}
 		w = cryptoutil.NewWriter(f, c, st.Size())
 	}
+	if st.Size() > 0 {
+		first := make([]byte, 1)
+		if _, err = f.ReadAt(first, 0); err == nil {
+			if c != nil {
+				c.Apply(first, 0)
+			}
+			err = checkHead(path, first[0])
+		}
+		if err != nil {
+			f.Close()
+			return nil, err
+		}
+	}
 	s.w = bufio.NewWriterSize(w, 64*1024)
 	return s, nil
+}
+
+// checkHead refuses a trail whose first byte does not open a claim frame:
+// one an earlier release began in JSONL lines or per-record frames.
+// Retired entries only ever preceded claim frames, so the first decides.
+// A file encrypted under another key fails here too, before this process
+// appends frames it could not read back.
+func checkHead(path string, first byte) error {
+	if first == claimMarker {
+		return nil
+	}
+	return fmt.Errorf("audit: trail %s starts with %#x, not a claim frame (an earlier release's trail, or another at-rest key): %w; move the file aside (the previous release reads it)", path, first, ErrRetiredFormat)
 }
 
 // Write appends one encoded batch.
@@ -152,22 +177,18 @@ func (s *FileSink) Syncs() uint64 {
 // Path returns the trail file path.
 func (s *FileSink) Path() string { return s.path }
 
-// recoverTailWindow is how far back RecoverLastSeq reads first. What this
-// version writes is in sequence order, but a file begun by an earlier one
-// is not (DESIGN.md §17): there a record can be followed by a few dozen
-// records with lower numbers. Those records are around a hundred bytes and
-// a claim frame a few kilobytes, so the highest number sits well inside the
-// final megabyte.
+// recoverTailWindow is how far back RecoverLastSeq reads first. A claim
+// frame is a few kilobytes and frames are in sequence order, so the highest
+// number sits well inside the final megabyte.
 const recoverTailWindow = 1 << 20
 
 // RecoverLastSeq returns the highest sequence number persisted in the
 // trail file at path, reading only the final recoverTailWindow bytes
 // instead of scanning the whole file (O(1) startup on large trails). A
 // missing file returns 0. The window starts wherever it starts and may end
-// in a torn entry (crash mid-append); lastSeq finds the whole entries in
-// between and returns the maximum, not the last one's. A window with no
-// whole entry in it, the inside of a claim frame of megabytes, is widened
-// until it holds one or the whole file.
+// in a torn frame (crash mid-append); lastSeq finds the whole frames in
+// between. A window with no whole frame in it, the inside of a claim frame
+// of megabytes, is widened until it holds one or the whole file.
 func RecoverLastSeq(path string, key []byte) (uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -199,7 +220,7 @@ func RecoverLastSeq(path string, key []byte) (uint64, error) {
 		}
 		// A window of 4·maxFrame holds a whole frame before any torn one;
 		// finding none there means damage (or a wrong key), not a big claim.
-		if last := lastSeq(buf, off == 0); last > 0 || off == 0 || window >= 4*maxFrame {
+		if last := lastSeq(buf); last > 0 || off == 0 || window >= 4*maxFrame {
 			return last, nil
 		}
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -14,7 +13,8 @@ import (
 // The record codec (DESIGN.md §17): one append-style binary form for the
 // compliance layer's journal records and for slot migration, behind a
 // version byte that is never '{', the first byte of the JSON it replaced.
-// Writers emit only this form; the decoders still take the JSON.
+// It is the only form written and the only one read: a '{'-led payload is
+// refused with ErrRetiredFormat.
 //
 //	metadata = metaV1 flags str(owner) list(purposes) list(objections)
 //	           str(origin) list(sharedWith) [time(expiry)] str(location)
@@ -214,15 +214,10 @@ func (d *decoder) metadata() Metadata {
 	return m
 }
 
-// decodeMetadata decodes a journal record's metadata payload: the binary
-// form, or the JSON object the previous format wrote.
+// decodeMetadata decodes a journal record's binary metadata payload.
 func decodeMetadata(b []byte) (Metadata, error) {
 	if len(b) > 0 && b[0] == '{' {
-		var m Metadata
-		if err := json.Unmarshal(b, &m); err != nil {
-			return Metadata{}, fmt.Errorf("core: decode metadata: %w", err)
-		}
-		return m, nil
+		return Metadata{}, fmt.Errorf("%w: JSON metadata", ErrRetiredFormat)
 	}
 	d := decoder{b: b}
 	m := d.metadata()
@@ -255,39 +250,36 @@ func EncodeMigrationRecord(rec MigrationRecord) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeMigrationRecord parses a wire-form migration record, binary or the
-// JSON an older source node sends.
+// DecodeMigrationRecord parses a wire-form migration record. The JSON an
+// earlier release's source node sends is refused with ErrRetiredFormat.
 func DecodeMigrationRecord(b []byte) (MigrationRecord, error) {
-	var rec MigrationRecord
 	if len(b) > 0 && b[0] == '{' {
-		if err := json.Unmarshal(b, &rec); err != nil {
-			return MigrationRecord{}, fmt.Errorf("core: decode migration record: %w", err)
+		return MigrationRecord{}, fmt.Errorf("core: migration record: %w: JSON; upgrade the source node first", ErrRetiredFormat)
+	}
+	var rec MigrationRecord
+	d := decoder{b: b}
+	if d.u8() != recordV1 {
+		d.fail()
+	}
+	flags := d.u8()
+	if flags&^(recordHasMeta|recordHasExpireAt) != 0 {
+		d.fail()
+	}
+	rec.Key = string(d.bytes())
+	if v := d.bytes(); len(v) > 0 {
+		rec.Value = append([]byte(nil), v...)
+	}
+	if flags&recordHasMeta != 0 {
+		m := d.metadata()
+		rec.Meta = &m
+	}
+	if flags&recordHasExpireAt != 0 {
+		if rec.ExpireAtMs = d.i64(); rec.ExpireAtMs == 0 {
+			d.fail() // zero is spelled as a cleared flag
 		}
-	} else {
-		d := decoder{b: b}
-		if d.u8() != recordV1 {
-			d.fail()
-		}
-		flags := d.u8()
-		if flags&^(recordHasMeta|recordHasExpireAt) != 0 {
-			d.fail()
-		}
-		rec.Key = string(d.bytes())
-		if v := d.bytes(); len(v) > 0 {
-			rec.Value = append([]byte(nil), v...)
-		}
-		if flags&recordHasMeta != 0 {
-			m := d.metadata()
-			rec.Meta = &m
-		}
-		if flags&recordHasExpireAt != 0 {
-			if rec.ExpireAtMs = d.i64(); rec.ExpireAtMs == 0 {
-				d.fail() // zero is spelled as a cleared flag
-			}
-		}
-		if d.err != nil || len(d.b) != 0 {
-			return MigrationRecord{}, fmt.Errorf("core: decode migration record: %w", errCodec)
-		}
+	}
+	if d.err != nil || len(d.b) != 0 {
+		return MigrationRecord{}, fmt.Errorf("core: decode migration record: %w", errCodec)
 	}
 	if rec.Key == "" {
 		return MigrationRecord{}, fmt.Errorf("core: migration record without key")

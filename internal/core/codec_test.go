@@ -109,24 +109,9 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodersAcceptParentJSON pins the old -> new direction of a
-// mixed-version migration and of a journal replay: what the parent's
-// json.Marshal wrote still decodes.
-func TestDecodersAcceptParentJSON(t *testing.T) {
-	m, err := decodeMetadata([]byte(`{"owner":"alice","purposes":["billing","support"],"origin":"signup-form","shared_with":["processor-a"],"expiry":"2026-12-24T12:00:00Z","location":"eu-west","automated_decisions":true,"created":"2026-09-25T12:00:00Z","key_epoch":3}`))
-	if err != nil || m.Owner != "alice" || len(m.Purposes) != 2 || !m.AutomatedDecisions || m.KeyEpoch != 3 ||
-		!m.Expiry.Equal(time.Date(2026, 12, 24, 12, 0, 0, 0, time.UTC)) {
-		t.Fatalf("legacy metadata = %+v, %v", m, err)
-	}
-	rec, err := DecodeMigrationRecord([]byte(`{"key":"pd:alice:1","value":"YWxpY2Utb25l","meta":{"owner":"alice","created":"2026-09-25T12:00:00Z"}}`))
-	if err != nil || rec.Key != "pd:alice:1" || string(rec.Value) != "alice-one" || rec.Meta == nil || rec.Meta.Owner != "alice" {
-		t.Fatalf("legacy migration record = %+v, %v", rec, err)
-	}
-	if _, err := DecodeMigrationRecord([]byte(`{"value":"eA=="}`)); err == nil {
-		t.Fatal("migration record without key accepted")
-	}
-}
-
+// FuzzDecodeRecord: every input a decoder accepts re-encodes to the same
+// bytes, so a record has one spelling, and a '{'-led input, the JSON an
+// earlier release wrote, is refused as retired.
 func FuzzDecodeRecord(f *testing.F) {
 	for _, m := range sampleMetadata()[:3] {
 		m := m
@@ -138,16 +123,24 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte{metaV1, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Add([]byte(`{"owner":"alice","created":"2026-09-25T12:00:00Z"}`))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		binary := len(b) > 0 && b[0] != '{'
-		if m, err := decodeMetadata(b); err == nil && binary {
+		json := len(b) > 0 && b[0] == '{'
+		m, err := decodeMetadata(b)
+		if err == nil {
 			if again := appendMetadata(nil, &m); !bytes.Equal(again, b) {
 				t.Fatalf("metadata %x re-encodes to %x", b, again)
 			}
 		}
-		if rec, err := DecodeMigrationRecord(b); err == nil && binary {
+		if json != errors.Is(err, ErrRetiredFormat) {
+			t.Fatalf("metadata %q: %v", b, err)
+		}
+		rec, err := DecodeMigrationRecord(b)
+		if err == nil {
 			if again, _ := EncodeMigrationRecord(rec); !bytes.Equal(again, b) {
 				t.Fatalf("record %x re-encodes to %x", b, again)
 			}
+		}
+		if json != errors.Is(err, ErrRetiredFormat) {
+			t.Fatalf("record %q: %v", b, err)
 		}
 	})
 }
@@ -226,149 +219,6 @@ func TestOneDeadlinePerRecord(t *testing.T) {
 	if replayed := check(s2, "replayed"); !reflect.DeepEqual(replayed, live) {
 		t.Fatalf("deadlines after replay %v, live %v", replayed, live)
 	}
-}
-
-const (
-	legacyAOF       = "testdata/legacy.aof"
-	legacyMasterKey = "legacy-fixture-master-key-32byte"
-)
-
-// legacyCfg is the configuration testdata/gen_legacy.go ran the parent
-// commit under; the clock stands where the fixture's last operation left it.
-func legacyCfg(path string) Config {
-	cfg := EventualFull("")
-	cfg.AOFPath = path
-	cfg.AOFSync = Ptr(aof.SyncNo)
-	cfg.Envelope = true
-	cfg.MasterKey = []byte(legacyMasterKey)
-	cfg.Clock = clock.NewVirtual(time.Date(2026, 9, 25, 12, 1, 0, 0, time.UTC))
-	cfg.DefaultLocation = "eu-west"
-	return cfg
-}
-
-func openLegacy(t *testing.T, raw []byte) (*Store, string) {
-	t.Helper()
-	path := tempAOF(t)
-	if err := os.WriteFile(path, raw, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(legacyCfg(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	s.ACL().AddPrincipal(acl.Principal{ID: "controller", Role: acl.RoleController})
-	s.ACL().AddPrincipal(acl.Principal{ID: "auditor", Role: acl.RoleController})
-	return s, path
-}
-
-// TestLegacyTornPairOrphan shows the hole in the format the parent wrote:
-// a log cut between a write's SETEX and its GMETA replays an owned
-// ciphertext with no metadata, which a read serves raw and no rights
-// operation can see. GREC closes it (TestRecordIsAllOrNothing).
-func TestLegacyTornPairOrphan(t *testing.T) {
-	raw, err := os.ReadFile(legacyAOF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut := bytes.Index(raw, []byte("*3\r\n$5\r\nGMETA\r\n$10\r\npd:alice:1\r\n"))
-	if cut < 0 || !bytes.Contains(raw[:cut], []byte("SETEX\r\n$10\r\npd:alice:1\r\n")) {
-		t.Fatal("fixture does not hold the SETEX/GMETA pair of pd:alice:1")
-	}
-	s, _ := openLegacy(t, raw[:cut])
-	ctx := Ctx{Actor: "controller", Purpose: "billing"}
-	v, err := s.Get(ctx, "pd:alice:1")
-	if err != nil || len(v) == 0 || bytes.Equal(v, []byte("alice-one")) {
-		t.Fatalf("orphan read = %q, %v; want the raw ciphertext served", v, err)
-	}
-	if _, err := s.Metadata(ctx, "pd:alice:1"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("orphan has metadata: %v", err)
-	}
-	if keys, err := s.OwnerKeys(ctx, "alice"); err != nil || len(keys) != 0 {
-		t.Fatalf("orphan visible to its owner's rights: %v, %v", keys, err)
-	}
-	if recs, err := s.GetUser(ctx, "alice"); err != nil || len(recs) != 0 {
-		t.Fatalf("GETUSER sees the orphan: %v, %v", recs, err)
-	}
-}
-
-// TestLegacyAOFRewritesToRecords replays the parent-written log, compacts
-// it, and replays the result: the same state from a file that holds the new
-// record form only.
-func TestLegacyAOFRewritesToRecords(t *testing.T) {
-	raw, err := os.ReadFile(legacyAOF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, path := openLegacy(t, raw)
-	ctx := Ctx{Actor: "controller", Purpose: "billing"}
-	for key, want := range map[string]string{
-		"pd:alice:1": "alice-one", "pd:alice:2": "alice-two", "pd:alice:3": "alice-three",
-		"pd:carol:1": "carol-one", "pd:carol:3": "carol-three", "pd:dave:2": "dave-new",
-	} {
-		if v, err := s.Get(ctx, key); err != nil || string(v) != want {
-			t.Fatalf("legacy replay: %s = %q, %v", key, v, err)
-		}
-	}
-	for _, key := range []string{"pd:bob:1", "pd:bob:2", "pd:dave:1", "pd:carol:2"} {
-		if _, err := s.Get(ctx, key); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("legacy replay: erased or deleted %s reads %v", key, err)
-		}
-	}
-	if m, err := s.Metadata(ctx, "pd:alice:3"); err != nil || !reflect.DeepEqual(m.Objections, []string{"support"}) {
-		t.Fatalf("legacy replay: standing objection not on pd:alice:3: %+v, %v", m, err)
-	}
-	// The sweep reclaims bob's and dave's dead ciphertext, as it would have
-	// on the node that wrote the log; a snapshot leaves it out either way.
-	s.DrainErasure()
-	want := legacyDump(t, s)
-	if err := s.Compact(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rewritten, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, old := range []string{"SETEX", "MSETEX", "GMETA", "GMETAB"} {
-		if bytes.Contains(rewritten, []byte("\r\n"+old+"\r\n")) {
-			t.Fatalf("rewritten log still holds a %s record", old)
-		}
-	}
-	if n := bytes.Count(rewritten, []byte("\r\n"+opRecord+"\r\n")); n != 6 {
-		t.Fatalf("rewritten log holds %d %s records, want one per live key (6)", n, opRecord)
-	}
-	if bytes.Contains(rewritten, []byte(`"owner"`)) {
-		t.Fatal("rewritten log still holds JSON metadata")
-	}
-	s2, _ := openLegacy(t, rewritten)
-	if got := legacyDump(t, s2); got != want {
-		t.Fatalf("rewrite changed the state\n--- legacy replay ---\n%s--- rewrite replay ---\n%s", want, got)
-	}
-}
-
-// legacyDump is crashDump plus what the fixture exercises beyond it.
-func legacyDump(t *testing.T, s *Store) string {
-	t.Helper()
-	var b strings.Builder
-	b.WriteString(crashDump(t, s))
-	ctx := Ctx{Actor: "controller", Purpose: "billing"}
-	for _, owner := range []string{"alice", "bob", "carol", "dave"} {
-		recs, err := s.GetUser(ctx, owner)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range recs {
-			m := r.Metadata
-			fmt.Fprintf(&b, "user %s %s=%s expiry=%s created=%s origin=%s shared=%v loc=%s auto=%v epoch=%d\n", owner, r.Key, r.Value,
-				m.Expiry.UTC().Format(time.RFC3339Nano), m.Created.UTC().Format(time.RFC3339Nano),
-				m.Origin, m.SharedWith, m.Location, m.AutomatedDecisions, m.KeyEpoch)
-		}
-	}
-	fmt.Fprintf(&b, "erasure %+v\n", s.ErasureStats().ShreddedOwners)
-	return b.String()
 }
 
 // TestRecordIsAllOrNothing truncates the log at every byte of its last

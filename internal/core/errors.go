@@ -27,4 +27,8 @@ var (
 	// ErrNotCompliant reports a GDPR operation against a store running in
 	// baseline (non-compliant) mode.
 	ErrNotCompliant = errors.New("core: store is running in baseline mode")
+	// ErrRetiredFormat reports a journal or migration record in a form an
+	// earlier release wrote and no writer of this one emits (DESIGN.md
+	// §17). The error wrapping it names the form and the upgrade step.
+	ErrRetiredFormat = errors.New("core: retired record format")
 )

@@ -35,12 +35,12 @@ import (
 // nil for records written without compliance metadata (baseline stores or
 // raw SETs); those carry their absolute retention deadline, if any, in
 // ExpireAtMs instead. On the wire it is the record codec's binary form
-// (codec.go); the JSON tags are what an older source node sends.
+// (codec.go).
 type MigrationRecord struct {
-	Key        string    `json:"key"`
-	Value      []byte    `json:"value"`
-	Meta       *Metadata `json:"meta,omitempty"`
-	ExpireAtMs int64     `json:"expire_at_ms,omitempty"`
+	Key        string
+	Value      []byte
+	Meta       *Metadata
+	ExpireAtMs int64
 }
 
 // AuthorizeMigration checks that the acting principal may drive slot

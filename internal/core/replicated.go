@@ -14,7 +14,8 @@ import (
 // primary can emit — the engine's data-plane records (SET/SETEX/DEL/...)
 // and the compliance layer's own (GREC/GMETA/GOBJ/GSHRED/GFORGET/...)
 // — identically, or a replica's state would drift from what a primary
-// restart reconstructs.
+// restart reconstructs. They take only what today's writers emit: a form
+// an earlier release wrote is refused with ErrRetiredFormat (DESIGN.md §17).
 
 // applyRecord applies one journal record without re-journaling it. It is
 // safe for a single applier goroutine running concurrently with readers:
@@ -30,7 +31,7 @@ func (s *Store) applyRecord(name string, args [][]byte) error {
 		}
 		m, err := decodeMetadata(args[0])
 		if err != nil {
-			return err
+			return fmt.Errorf("core: replay GREC: %w", err)
 		}
 		rec := s.recordOf(&m)
 		for i := 1; i < len(args); i += 2 {
@@ -43,25 +44,14 @@ func (s *Store) applyRecord(name string, args [][]byte) error {
 		}
 		m, err := decodeMetadata(args[1])
 		if err != nil {
-			return err
+			return fmt.Errorf("core: replay GMETA: %w", err)
 		}
 		// The metadata of a key the engine holds; its deadline is the
 		// engine's, set by the record this one follows.
 		s.db.SetRecord(string(args[0]), s.recordOf(&m))
 		return nil
-	case opMetaBatch:
-		if len(args) < 2 {
-			return errors.New("core: replay GMETAB: need 2+ args")
-		}
-		m, err := decodeMetadata(args[0])
-		if err != nil {
-			return err
-		}
-		rec := s.recordOf(&m)
-		for _, k := range args[1:] {
-			s.db.SetRecord(string(k), rec)
-		}
-		return nil
+	case "GMETAB":
+		return fmt.Errorf("%w: GMETAB (batch metadata)", ErrRetiredFormat)
 	case opObject, opUnobj:
 		if len(args) != 2 {
 			return fmt.Errorf("core: replay %s: need 2 args", name)
@@ -69,42 +59,41 @@ func (s *Store) applyRecord(name string, args [][]byte) error {
 		s.applyObjection(string(args[0]), string(args[1]), name == opObject)
 		return nil
 	case opKey:
-		if len(args) != 2 && len(args) != 3 {
-			return errors.New("core: replay GKEY: need 2 or 3 args")
+		if len(args) == 2 {
+			return fmt.Errorf("%w: GKEY without an epoch", ErrRetiredFormat)
+		}
+		if len(args) != 3 {
+			return errors.New("core: replay GKEY: need 3 args")
 		}
 		if s.keyring == nil {
 			return nil // envelope disabled this run; ignore
 		}
-		if len(args) == 3 {
-			// Epoch-carrying form: pin the keyring epoch exactly so replayed
-			// records' KeyEpoch stamps still match their sealing key.
-			epoch, err := parseEpoch(args[2])
-			if err != nil {
-				return fmt.Errorf("core: replay GKEY: %w", err)
-			}
-			return s.keyring.ImportAt(string(args[0]), args[1], epoch)
+		// Pin the keyring epoch exactly, so replayed records' KeyEpoch
+		// stamps still match their sealing key.
+		epoch, err := parseEpoch(args[2])
+		if err != nil {
+			return fmt.Errorf("core: replay GKEY: %w", err)
 		}
-		return s.keyring.Import(string(args[0]), args[1])
+		return s.keyring.ImportAt(string(args[0]), args[1], epoch)
 	case opShred:
-		if len(args) != 1 && len(args) != 2 {
-			return errors.New("core: replay GSHRED: need 1 or 2 args")
+		if len(args) == 1 {
+			return fmt.Errorf("%w: GSHRED without an epoch", ErrRetiredFormat)
+		}
+		if len(args) != 2 {
+			return errors.New("core: replay GSHRED: need 2 args")
 		}
 		if s.keyring == nil {
 			return nil
 		}
-		owner := string(args[0])
-		if len(args) == 2 {
-			// Epoch-carrying form: idempotent — re-applying the same shred
-			// (live link after replay, or a compacted snapshot) cannot
-			// advance the epoch past what the primary recorded.
-			epoch, err := parseEpoch(args[1])
-			if err != nil {
-				return fmt.Errorf("core: replay GSHRED: %w", err)
-			}
-			s.keyring.ShredAt(owner, epoch)
-		} else {
-			s.keyring.Shred(owner)
+		// Idempotent: re-applying the same shred (live link after replay,
+		// or a compacted snapshot) cannot advance the epoch past what the
+		// primary recorded.
+		epoch, err := parseEpoch(args[1])
+		if err != nil {
+			return fmt.Errorf("core: replay GSHRED: %w", err)
 		}
+		owner := string(args[0])
+		s.keyring.ShredAt(owner, epoch)
 		// Any of the owner's records already applied are now dead; queue
 		// them for this copy's own lazy-delete sweep (on replicas the
 		// primary's sweep DELs will also arrive and make this a no-op).

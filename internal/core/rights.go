@@ -334,11 +334,15 @@ func (s *Store) ImportExport(ctx Ctx, payload []byte) (int, error) {
 // With envelope encryption on, erasure is O(1) in the subject's data
 // footprint: the owner's data key is destroyed (crypto-shredding), the
 // GSHRED+GFORGET markers are journaled, and the call returns — without
-// walking the owner's keys, deleting records, or compacting the AOF. Every
-// copy of the ciphertext (engine, AOF history, replicas, backups) is
-// unreadable the moment the key is gone, which is what Article 17 requires;
-// the background lazy-delete sweep (maintain.go) reclaims the dead
-// ciphertext and triggers compaction off the ack path. Real-time timing
+// walking the owner's keys, deleting records, or compacting the AOF. Once
+// the key is gone from the keyring, no copy of the ciphertext (engine, AOF
+// history, replicas, backups) opens in this store; the background
+// lazy-delete sweep (maintain.go) reclaims the dead ciphertext and triggers
+// compaction off the ack path. The key is not yet gone everywhere: its
+// wrapped form (GKEY) stays in the AOF, in each replica's AOF and in the
+// hub's backlog until the next compaction, so the master key and the log
+// still open the erased ciphertext until then (DESIGN.md §13; ROADMAP.md
+// item 21 keeps wrapped keys out of the log). Real-time timing
 // needs no synchronous propagation here either: the shred is the erasure,
 // and the markers reach replicas through the ordinary journal stream.
 //

@@ -29,16 +29,13 @@ const (
 	// PutBatch.
 	opRecord = "GREC"
 	// GMETA key metadata: a metadata-only update (Expire, an objection).
-	opMeta = "GMETA"
-	// GMETAB metadata key1 key2 ...: with SETEX/MSETEX + GMETA, how writes
-	// were journaled before GREC; replayed, no longer written.
-	opMetaBatch = "GMETAB"
-	opObject    = "GOBJ"    // GOBJ owner purpose
-	opUnobj     = "GUNOBJ"  // GUNOBJ owner purpose
-	opKey       = "GKEY"    // GKEY owner wrappedDataKey [epoch]
-	opShred     = "GSHRED"  // GSHRED owner [epoch] (key destroyed, epoch advanced)
-	opReinst    = "GREINST" // GREINST owner
-	opForget    = "GFORGET" // GFORGET owner [mode] (Article 17 erasure marker)
+	opMeta   = "GMETA"
+	opObject = "GOBJ"    // GOBJ owner purpose
+	opUnobj  = "GUNOBJ"  // GUNOBJ owner purpose
+	opKey    = "GKEY"    // GKEY owner wrappedDataKey epoch
+	opShred  = "GSHRED"  // GSHRED owner epoch (key destroyed, epoch advanced)
+	opReinst = "GREINST" // GREINST owner
+	opForget = "GFORGET" // GFORGET owner [mode] (Article 17 erasure marker)
 )
 
 // forgetModeShred is the GFORGET mode argument emitted by the crypto-shred
@@ -172,18 +169,13 @@ func Open(cfg Config) (*Store, error) {
 		s.keyring = kr
 	}
 
+	// Every refusal (a retired record form, a retired trail) comes before
+	// anything is created or written: replay only reads, and the trail
+	// opens before the AOF does.
 	if n.AOFPath != "" {
 		if err := s.replay(n.AOFPath, n.AtRestKey); err != nil {
 			return nil, err
 		}
-		log, err := aof.Open(n.AOFPath, aof.Options{Policy: n.aofSync, Key: n.AtRestKey})
-		if err != nil {
-			return nil, err
-		}
-		s.log = log
-		// The engine journals every mutation — including expiry-generated
-		// deletions — straight into the AOF.
-		s.db.SetJournal(store.JournalFunc(log.Append))
 	}
 
 	if n.Config.Compliant && n.AuditEnabled {
@@ -199,9 +191,6 @@ func Open(cfg Config) (*Store, error) {
 		if n.AuditMask {
 			mk, err := auditMaskKey(n)
 			if err != nil {
-				if s.log != nil {
-					s.log.Close()
-				}
 				return nil, err
 			}
 			opts.MaskKey = mk
@@ -209,21 +198,29 @@ func Open(cfg Config) (*Store, error) {
 		if n.AuditSocket != "" {
 			sock, err := audit.NewSocketSink(n.AuditSocket)
 			if err != nil {
-				if s.log != nil {
-					s.log.Close()
-				}
 				return nil, err
 			}
 			opts.ExtraSinks = append(opts.ExtraSinks, sock)
 		}
 		t, err := audit.Open(opts)
 		if err != nil {
-			if s.log != nil {
-				s.log.Close()
-			}
 			return nil, err
 		}
 		s.trail = t
+	}
+
+	if n.AOFPath != "" {
+		log, err := aof.Open(n.AOFPath, aof.Options{Policy: n.aofSync, Key: n.AtRestKey})
+		if err != nil {
+			if s.trail != nil {
+				s.trail.Close()
+			}
+			return nil, err
+		}
+		s.log = log
+		// The engine journals every mutation — including expiry-generated
+		// deletions — straight into the AOF.
+		s.db.SetJournal(store.JournalFunc(log.Append))
 	}
 
 	s.expirer = store.NewExpirer(s.db)
@@ -251,9 +248,12 @@ func auditMaskKey(n normalized) ([]byte, error) {
 // replay runs before the store is shared, so it needs no stripe locks; the
 // index and objection stripes are still internally consistent because
 // replay is single-threaded. The record interpretation is applyRecord
-// (replicated.go), shared with the live replication link.
+// (replicated.go), shared with the live replication link. It stops at the
+// first record in a retired form and names the upgrade step.
 func (s *Store) replay(path string, key []byte) error {
-	if _, err := aof.Load(path, key, s.applyRecord); err != nil {
+	if n, err := aof.Load(path, key, s.applyRecord); errors.Is(err, ErrRetiredFormat) {
+		return fmt.Errorf("core: %s, record %d: %w; start the previous release on this data dir and run COMPACT", path, n, err)
+	} else if err != nil {
 		return err
 	}
 	if s.keyring == nil {

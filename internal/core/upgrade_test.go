@@ -1,0 +1,389 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"gdprstore/internal/acl"
+	"gdprstore/internal/aof"
+	"gdprstore/internal/audit"
+	"gdprstore/internal/clock"
+)
+
+// The upgrade fixtures. legacy.aof is a log an earlier release wrote
+// (SETEX/MSETEX with JSON GMETA/GMETAB); upgraded.aof is what the previous
+// release's COMPACT made of it, and upgraded.golden the state both stand
+// for, rendered by legacyDump.
+const (
+	legacyAOF       = "testdata/legacy.aof"
+	upgradedAOF     = "testdata/upgraded.aof"
+	upgradedDump    = "testdata/upgraded.golden"
+	legacyMasterKey = "legacy-fixture-master-key-32byte"
+)
+
+// legacyCfg is the configuration the fixtures were written under; the clock
+// stands where the fixture's last operation left it.
+func legacyCfg(path string) Config {
+	cfg := EventualFull("")
+	cfg.AOFPath = path
+	cfg.AOFSync = Ptr(aof.SyncNo)
+	cfg.Envelope = true
+	cfg.MasterKey = []byte(legacyMasterKey)
+	cfg.Clock = clock.NewVirtual(time.Date(2026, 9, 25, 12, 1, 0, 0, time.UTC))
+	cfg.DefaultLocation = "eu-west"
+	return cfg
+}
+
+// legacyDump is crashDump plus what the fixture exercises beyond it.
+func legacyDump(t *testing.T, s *Store) string {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString(crashDump(t, s))
+	ctx := Ctx{Actor: "controller", Purpose: "billing"}
+	for _, owner := range []string{"alice", "bob", "carol", "dave"} {
+		recs, err := s.GetUser(ctx, owner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			m := r.Metadata
+			fmt.Fprintf(&b, "user %s %s=%s expiry=%s created=%s origin=%s shared=%v loc=%s auto=%v epoch=%d\n", owner, r.Key, r.Value,
+				m.Expiry.UTC().Format(time.RFC3339Nano), m.Created.UTC().Format(time.RFC3339Nano),
+				m.Origin, m.SharedWith, m.Location, m.AutomatedDecisions, m.KeyEpoch)
+		}
+	}
+	fmt.Fprintf(&b, "erasure %+v\n", s.ErasureStats().ShreddedOwners)
+	return b.String()
+}
+
+// TestUpgradedAOFOpens is the upgrade proof: the log the previous release's
+// COMPACT wrote from legacy.aof opens on this one to the same state, values
+// and metadata, and holds only forms this release's writers emit.
+func TestUpgradedAOFOpens(t *testing.T) {
+	raw, err := os.ReadFile(upgradedAOF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(upgradedDump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := tempAOF(t)
+	if err := os.WriteFile(path, raw, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	if _, err := aof.Load(path, nil, func(name string, args [][]byte) error {
+		names = append(names, name)
+		return checkKept(name, len(args))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(names) == 0 {
+		t.Fatal("the upgraded log is empty")
+	}
+	s, err := Open(legacyCfg(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.ACL().AddPrincipal(acl.Principal{ID: "controller", Role: acl.RoleController})
+	s.ACL().AddPrincipal(acl.Principal{ID: "auditor", Role: acl.RoleController})
+	if got := legacyDump(t, s); got != string(golden) {
+		t.Fatalf("the upgraded log opens to another state\n--- got ---\n%s--- golden ---\n%s", got, golden)
+	}
+	ctx := Ctx{Actor: "controller", Purpose: "billing"}
+	for key, want := range map[string]string{
+		"pd:alice:1": "alice-one", "pd:alice:2": "alice-two", "pd:alice:3": "alice-three",
+		"pd:carol:1": "carol-one", "pd:carol:3": "carol-three", "pd:dave:2": "dave-new",
+	} {
+		if v, err := s.Get(ctx, key); err != nil || string(v) != want {
+			t.Fatalf("%s = %q, %v; want %q", key, v, err, want)
+		}
+	}
+	for _, key := range []string{"pd:bob:1", "pd:bob:2", "pd:dave:1", "pd:carol:2"} {
+		if _, err := s.Get(ctx, key); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("erased or deleted %s reads %v", key, err)
+		}
+	}
+	if m, err := s.Metadata(ctx, "pd:alice:3"); err != nil || !reflect.DeepEqual(m.Objections, []string{"support"}) {
+		t.Fatalf("standing objection not on pd:alice:3: %+v, %v", m, err)
+	}
+}
+
+// dirBytes returns every file of dir by name, for a byte-for-byte
+// comparison before and after a refused Open.
+func dirBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(b)
+	}
+	return out
+}
+
+// TestRetiredAOFFormsRefused: replay stops at the first record in a form an
+// earlier release wrote, with ErrRetiredFormat and an error that names the
+// file, the record, the form and the upgrade step; the data dir is left
+// byte for byte as it was.
+func TestRetiredAOFFormsRefused(t *testing.T) {
+	meta := appendMetadata(nil, &Metadata{Owner: "alice"})
+	cases := []struct {
+		name string
+		args [][]byte
+		form string
+	}{
+		{"GMETAB", [][]byte{meta, []byte("k")}, "GMETAB"},
+		{opMeta, [][]byte{[]byte("k"), []byte(`{"owner":"alice","created":"2026-09-25T12:00:00Z"}`)}, "JSON metadata"},
+		{opKey, [][]byte{[]byte("alice"), []byte("wrapped")}, "GKEY without an epoch"},
+		{opShred, [][]byte{[]byte("alice")}, "GSHRED without an epoch"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := EventualFull(filepath.Join(dir, "audit.log"))
+			cfg.AOFPath = filepath.Join(dir, "store.aof")
+			cfg.Envelope, cfg.MasterKey = true, bytes.Repeat([]byte{6}, 32)
+			s, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			addPrincipals(s)
+			if err := s.Put(ctlCtx, "k", []byte("v"), PutOptions{Owner: "alice", TTL: time.Hour}); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var written int
+			if written, err = aof.Load(cfg.AOFPath, nil, func(string, [][]byte) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+			l, err := aof.Open(cfg.AOFPath, aof.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := errors.Join(l.Append(c.name, c.args...), l.Append("SET", []byte("after"), []byte("v")), l.Close()); err != nil {
+				t.Fatal(err)
+			}
+			before := dirBytes(t, dir)
+			s, err = Open(cfg)
+			if !errors.Is(err, ErrRetiredFormat) || s != nil {
+				t.Fatalf("Open = %v, %v; want ErrRetiredFormat", s, err)
+			}
+			for _, want := range []string{cfg.AOFPath, fmt.Sprintf("record %d", written), c.form, "previous release", "COMPACT"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("the refusal does not name %q: %v", want, err)
+				}
+			}
+			if after := dirBytes(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatal("a refused Open changed the data dir")
+			}
+		})
+	}
+	// The earlier release's own log is refused at its first JSON GMETA,
+	// which follows a GKEY and the SETEX it describes.
+	raw, err := os.ReadFile(legacyAOF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := tempAOF(t)
+	if err := os.WriteFile(path, raw, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(legacyCfg(path)); !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), "record 2: core: replay GMETA") {
+		t.Fatalf("legacy.aof opens with %v; want its record 2 (GMETA) refused", err)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, raw) {
+		t.Fatal("a refused Open changed legacy.aof")
+	}
+}
+
+// TestRetiredTrailRefusedAtOpen: a trail an earlier release began is refused
+// before the store creates or writes anything, with or without an AOF
+// beside it.
+func TestRetiredTrailRefusedAtOpen(t *testing.T) {
+	lines, err := os.ReadFile("../audit/testdata/legacy-trail.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, withAOF := range []bool{false, true} {
+		dir := t.TempDir()
+		cfg := EventualFull(filepath.Join(dir, "audit.log"))
+		cfg.AOFPath = filepath.Join(dir, "store.aof")
+		if withAOF {
+			s, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			addPrincipals(s)
+			if err := s.Put(ctlCtx, "k", []byte("v"), PutOptions{Owner: "alice", TTL: time.Hour}); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(cfg.AuditPath, lines, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		before := dirBytes(t, dir)
+		if s, err := Open(cfg); !errors.Is(err, audit.ErrRetiredFormat) || s != nil {
+			t.Fatalf("AOF %v: Open = %v, %v; want audit.ErrRetiredFormat", withAOF, s, err)
+		}
+		if after := dirBytes(t, dir); !reflect.DeepEqual(after, before) {
+			t.Fatalf("AOF %v: a refused Open changed the data dir: %d files, had %d", withAOF, len(after), len(before))
+		}
+	}
+}
+
+// TestDecodersRefuseParentJSON: the JSON an earlier release wrote, as a
+// journal record's metadata or as a migration record, is refused as
+// retired; the migration error tells the operator to upgrade the source.
+func TestDecodersRefuseParentJSON(t *testing.T) {
+	if _, err := decodeMetadata([]byte(`{"owner":"alice","purposes":["billing"],"created":"2026-09-25T12:00:00Z"}`)); !errors.Is(err, ErrRetiredFormat) {
+		t.Fatalf("JSON metadata: %v", err)
+	}
+	_, err := DecodeMigrationRecord([]byte(`{"key":"pd:alice:1","value":"YWxpY2Utb25l","meta":{"owner":"alice"}}`))
+	if !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), "upgrade the source node") {
+		t.Fatalf("JSON migration record: %v", err)
+	}
+}
+
+// keptForms is every journal record this release's writers emit, by name,
+// with the argument counts each takes: the one format generation replay,
+// the replication link and a restore accept.
+var keptForms = map[string]func(argc int) bool{
+	opRecord: func(n int) bool { return n >= 3 && n%2 == 1 },
+	opMeta:   argc(2),
+	opKey:    argc(3),
+	opShred:  argc(2),
+	opObject: argc(2),
+	opUnobj:  argc(2),
+	opReinst: argc(1),
+	opForget: func(n int) bool { return n == 1 || n == 2 },
+	// The engine's own records, as store.DB.Apply takes them.
+	"SET":      argc(2),
+	"SETEX":    argc(3),
+	"DEL":      func(n int) bool { return n >= 1 },
+	"EXPIREAT": argc(2),
+	"PERSIST":  argc(1),
+	"FLUSHALL": argc(0),
+}
+
+func argc(want int) func(int) bool { return func(n int) bool { return n == want } }
+
+func checkKept(name string, n int) error {
+	if ok := keptForms[name]; ok == nil || !ok(n) {
+		return fmt.Errorf("%s with %d args is not a kept form", name, n)
+	}
+	return nil
+}
+
+// TestReplayAcceptsEveryWrittenForm runs every writer, envelope on and
+// off, and scans the AOF after each step: every record written is a kept
+// form, and the log replays without error. It pins the one-generation rule
+// against the next writer change.
+func TestReplayAcceptsEveryWrittenForm(t *testing.T) {
+	for _, envelope := range []bool{false, true} {
+		t.Run(fmt.Sprintf("envelope=%v", envelope), func(t *testing.T) {
+			vc := clock.NewVirtual(time.Date(2026, 10, 1, 0, 0, 0, 0, time.UTC))
+			cfg := EventualFull("")
+			cfg.AOFPath = tempAOF(t)
+			cfg.AOFSync = Ptr(aof.SyncNo)
+			cfg.Clock = vc
+			if envelope {
+				cfg.Envelope, cfg.MasterKey = true, bytes.Repeat([]byte{8}, 32)
+			}
+			s, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			addPrincipals(s)
+			alice := PutOptions{Owner: "alice", Purposes: []string{"billing"}, TTL: time.Hour}
+			bob := PutOptions{Owner: "bob", Purposes: []string{"billing"}, TTL: time.Hour}
+			seen := map[string]bool{}
+			steps := []struct {
+				name string
+				run  func() error
+			}{
+				{"Put", func() error {
+					return errors.Join(s.Put(ctlCtx, "k1", []byte("v"), alice), s.Put(ctlCtx, "kb", []byte("v"), bob))
+				}},
+				{"PutBatch", func() error {
+					return s.PutBatch(ctlCtx, []BatchEntry{{Key: "b1", Value: []byte("v")}, {Key: "b2", Value: []byte("v")}}, alice)
+				}},
+				{"Expire", func() error { return s.Expire(ctlCtx, "k1", 30*time.Minute) }},
+				{"Object/Unobject", func() error {
+					return errors.Join(s.Object(ctlCtx, "alice", "ads"), s.Unobject(ctlCtx, "alice", "ads"))
+				}},
+				{"Delete", func() error { return s.Delete(ctlCtx, "b2") }},
+				{"Forget", func() error { _, err := s.Forget(ctlCtx, "bob"); return err }},
+				{"Reinstate", func() error {
+					return errors.Join(s.Reinstate(ctlCtx, "bob"), s.Put(ctlCtx, "kb2", []byte("v"), bob))
+				}},
+				{"expiry", func() error {
+					short := alice
+					short.TTL = time.Second
+					err := s.Put(ctlCtx, "short", []byte("v"), short)
+					vc.Advance(2 * time.Second)
+					s.ExpiryCycle()
+					return err
+				}},
+				{"sweep", func() error { s.DrainErasure(); return nil }},
+				{"FLUSHALL", func() error {
+					s.FlushAll()
+					return s.Put(ctlCtx, "k2", []byte("v"), alice)
+				}},
+				{"Compact", func() error { return s.Compact(ctlCtx) }},
+			}
+			for _, step := range steps {
+				if err := step.run(); err != nil {
+					t.Fatalf("%s: %v", step.name, err)
+				}
+				if err := s.Log().Sync(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := aof.Load(cfg.AOFPath, nil, func(name string, args [][]byte) error {
+					seen[name] = true
+					return checkKept(name, len(args))
+				}); err != nil {
+					t.Fatalf("after %s: %v", step.name, err)
+				}
+				rcfg := cfg
+				rcfg.AOFPath = filepath.Join(t.TempDir(), "replay.aof")
+				copyFile(t, cfg.AOFPath, rcfg.AOFPath)
+				r, err := Open(rcfg)
+				if err != nil {
+					t.Fatalf("after %s: replay: %v", step.name, err)
+				}
+				r.Close()
+			}
+			want := []string{opRecord, opMeta, opObject, opUnobj, opForget, "DEL", "FLUSHALL"}
+			if envelope {
+				want = append(want, opKey, opShred, opReinst)
+			}
+			for _, name := range want {
+				if !seen[name] {
+					t.Errorf("no step wrote a %s record", name)
+				}
+			}
+		})
+	}
+}

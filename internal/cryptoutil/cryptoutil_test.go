@@ -236,16 +236,16 @@ func TestKeyringEnsureWrapImport(t *testing.T) {
 	// A fresh keyring (restart) imports the wrapped key and can decrypt.
 	sealed, _ := kr.SealFor("alice", []byte("data"))
 	kr2, _ := NewKeyring(master)
-	if err := kr2.Import("alice", wrapped); err != nil {
+	if err := kr2.ImportAt("alice", wrapped, 0); err != nil {
 		t.Fatal(err)
 	}
 	got, err := kr2.OpenFor("alice", sealed)
 	if err != nil || string(got) != "data" {
 		t.Fatalf("after import: %q, %v", got, err)
 	}
-	// Import with the wrong master must fail.
+	// ImportAt with the wrong master must fail.
 	kr3, _ := NewKeyring(testKey(13))
-	if err := kr3.Import("alice", wrapped); err == nil {
+	if err := kr3.ImportAt("alice", wrapped, 0); err == nil {
 		t.Fatal("import under wrong master succeeded")
 	}
 }

@@ -151,7 +151,7 @@ type Keyring struct {
 
 	// ciphers caches prepared ciphers, direct-mapped by owner hash. A slot
 	// is filled only while mu is read-held and emptied by whoever changes
-	// the owner's key while holding mu for writing (Shred, ShredAt, Import,
+	// the owner's key while holding mu for writing (Shred, ShredAt,
 	// ImportAt), so: when Shred returns, no slot and no map of the ring
 	// references the owner's key in any form.
 	ciphers      [cipherSlots]cipherSlot
@@ -275,7 +275,7 @@ func (kr *Keyring) SealerFor(owner string) (Cipher, uint64, []byte, error) {
 // KeyFor returns the data key for owner, generating a fresh random key on
 // first use. It returns ErrUnknownKey if the owner's key was shredded.
 // Keys are random (not derived) so that shredding is irreversible; persist
-// them across restarts with Ensure/Import.
+// them across restarts with Ensure/ImportAt.
 func (kr *Keyring) KeyFor(owner string) ([]byte, error) {
 	k, _, _, err := kr.Ensure(owner)
 	return k, err
@@ -346,48 +346,24 @@ func (kr *Keyring) ensureLocked(owner string) (key []byte, epoch uint64, wrapped
 	return k, epoch, w, nil
 }
 
-// Import installs a previously wrapped data key for owner (journal replay).
-// Importing clears any shred mark recorded before the import, so replay
-// order (GKEY then GSHRED) decides the final state. The owner's epoch is
-// left untouched (legacy journals carry no epoch); epoch-carrying records
-// use ImportAt.
-func (kr *Keyring) Import(owner string, wrapped []byte) error {
-	k, err := kr.unwrap(owner, wrapped)
-	if err != nil {
-		return err
-	}
-	kr.mu.Lock()
-	defer kr.mu.Unlock()
-	kr.installLocked(owner, k)
-	return nil
-}
-
-func (kr *Keyring) unwrap(owner string, wrapped []byte) ([]byte, error) {
+// ImportAt installs a previously wrapped data key for owner (journal
+// replay) and pins the owner's epoch to the journaled value, so replay
+// reconstructs exactly the epoch each surviving record was sealed under.
+// It clears any shred mark recorded before it, so replay order (GKEY then
+// GSHRED) decides the final state.
+func (kr *Keyring) ImportAt(owner string, wrapped []byte, epoch uint64) error {
 	k, err := Open(kr.master, wrapped, []byte("wrap:"+owner))
 	if err == nil && len(k) != BlockCipherKeySize {
 		err = ErrBadKeySize
 	}
-	return k, err
-}
-
-// installLocked makes k owner's key, live. Callers hold kr.mu for writing.
-func (kr *Keyring) installLocked(owner string, k []byte) {
-	kr.keys[owner] = k
-	delete(kr.shred, owner)
-	kr.evictLocked(owner) // the slot may hold the key this one replaces
-}
-
-// ImportAt is Import for journal records that carry the owner's key epoch:
-// it installs the key and pins the epoch to the journaled value, so replay
-// reconstructs exactly the epoch each surviving record was sealed under.
-func (kr *Keyring) ImportAt(owner string, wrapped []byte, epoch uint64) error {
-	k, err := kr.unwrap(owner, wrapped)
 	if err != nil {
 		return err
 	}
 	kr.mu.Lock()
 	defer kr.mu.Unlock()
-	kr.installLocked(owner, k)
+	kr.keys[owner] = k
+	delete(kr.shred, owner)
+	kr.evictLocked(owner) // the slot may hold the key this one replaces
 	kr.epoch[owner] = epoch
 	return nil
 }

@@ -107,7 +107,7 @@ func TestEnsureReturnsDefensiveCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := kr2.Import("alice", wrapped["alice"]); err != nil {
+	if err := kr2.ImportAt("alice", wrapped["alice"], 0); err != nil {
 		t.Fatalf("exported wrapped key corrupted: %v", err)
 	}
 	if got, err := kr2.OpenFor("alice", sealed); err != nil || string(got) != "intact" {

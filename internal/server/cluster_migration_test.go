@@ -591,3 +591,20 @@ func TestClusterFailoverPromoteReplica(t *testing.T) {
 		t.Fatal("post-failover write did not land on the promoted replica")
 	}
 }
+
+// TestRestoreKeyRefusesJSONRecord: a migration record in the JSON an
+// earlier release's source node sends is refused, with a reply that says to
+// upgrade the source first, and nothing is stored.
+func TestRestoreKeyRefusesJSONRecord(t *testing.T) {
+	srvs, stores, m := startCluster(t, 2)
+	ctx := context.Background()
+	c := nodeClient(t, srvs[0].Addr())
+	key := ownerOn(t, m, "n1")
+	_, err := c.Do(ctx, "RESTOREKEY", `{"key":"`+key+`","value":"dg=="}`)
+	if err == nil || !strings.Contains(err.Error(), "upgrade the source node first") {
+		t.Fatalf("RESTOREKEY with a JSON record = %v; want a refusal naming the upgrade", err)
+	}
+	if stores[0].Exists(key) {
+		t.Fatal("the refused record was stored")
+	}
+}

@@ -310,8 +310,8 @@ func TestCommandStatsRecorded(t *testing.T) {
 	}
 }
 
-// TestBatchSurvivesRestart checks the batched AOF records (MSETEX +
-// GMETAB) replay into identical state.
+// TestBatchSurvivesRestart checks the batched AOF records (one GREC per
+// touched engine shard) replay into identical state.
 func TestBatchSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := core.Strict("")

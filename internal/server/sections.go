@@ -124,10 +124,15 @@ func (s *Server) gdprstoreFields() []InfoField {
 		fuint("expired_total", s.store.Engine().ExpiredCount()),
 	}
 	if l := s.store.Log(); l != nil {
+		lastErr := ""
+		if err := l.LastErr(); err != nil {
+			lastErr = err.Error()
+		}
 		fs = append(fs,
 			fint64("aof_size", l.Size()),
 			fuint("aof_appends", l.Appends()),
 			fuint("aof_syncs", l.Syncs()),
+			fstr("aof_last_error", lastErr),
 		)
 	}
 	if t := s.store.Trail(); t != nil {

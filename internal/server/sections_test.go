@@ -57,7 +57,8 @@ func TestInfoSnapshotExplicitSectionAlwaysRenders(t *testing.T) {
 
 // TestInfoReportsLogSizes: what the trail and the AOF hold on disk is
 // readable from the running server, audit_size in INFO audit beside
-// aof_size in INFO gdprstore, and both are the files' own counts.
+// aof_size in INFO gdprstore, and both are the files' own counts; a healthy
+// AOF reports no aof_last_error.
 func TestInfoReportsLogSizes(t *testing.T) {
 	dir := t.TempDir()
 	cfg := core.EventualFull(filepath.Join(dir, "audit.log"))
@@ -95,5 +96,8 @@ func TestInfoReportsLogSizes(t *testing.T) {
 	}
 	if got := field("gdprstore", "aof_size"); got != strconv.FormatInt(log, 10) {
 		t.Errorf("aof_size = %s, want %d", got, log)
+	}
+	if got := field("gdprstore", "aof_last_error"); got != "" {
+		t.Errorf("aof_last_error = %q on a healthy log, want empty", got)
 	}
 }

@@ -143,8 +143,8 @@ func (q *journalQueue) active() bool { return q.attached.Load() }
 
 // flush drains every pending record to the sink, in enqueue order. Callers
 // must not hold any shard lock. Journal errors are dropped unless the record
-// carries a ticket: the journal's own health API (e.g. the AOF's
-// last-error) reports them, and the engine keeps serving, as Redis does
+// carries a ticket: the journal's own health API (the AOF's LastErr, INFO
+// aof_last_error) reports them, and the engine keeps serving, as Redis does
 // with appendfsync errors.
 func (q *journalQueue) flush() {
 	if !q.attached.Load() || q.pendingN.Load() == 0 {
