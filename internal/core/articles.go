@@ -164,22 +164,6 @@ var Articles = []Article{
 	},
 }
 
-// FeaturesOf returns the distinct features across all articles, in
-// declaration order.
-func FeaturesOf(articles []Article) []Feature {
-	seen := make(map[Feature]bool)
-	var out []Feature
-	for _, a := range articles {
-		for _, f := range a.Features {
-			if !seen[f] {
-				seen[f] = true
-				out = append(out, f)
-			}
-		}
-	}
-	return out
-}
-
 // FormatTable1 renders the article/feature mapping in the shape of the
 // paper's Table 1.
 func FormatTable1() string {

@@ -10,16 +10,15 @@ import (
 	"gdprstore/internal/store"
 )
 
-// The record codec (DESIGN.md §17): one append-style binary form for the
-// compliance layer's journal records and for slot migration, behind a
-// version byte that is never '{', the first byte of the JSON it replaced.
-// It is the only form written and the only one read: a '{'-led payload is
-// refused with ErrRetiredFormat.
+// The metadata codec (DESIGN.md §17): one append-style binary form for the
+// metadata the compliance layer's journal records carry (GREC, GMETA),
+// behind a version byte that is never '{', the first byte of the JSON it
+// replaced. It is the only form written and the only one read: a '{'-led
+// payload is refused with ErrRetiredFormat.
 //
 //	metadata = metaV1 flags str(owner) list(purposes) list(objections)
 //	           str(origin) list(sharedWith) [time(expiry)] str(location)
 //	           [time(created)] uvarint(keyEpoch)
-//	record   = recordV1 flags str(key) str(value) [metadata] [int64be(expireAtMs)]
 //	str      = uvarint(len) bytes
 //	list     = uvarint(count) str...
 //	time     = int64be(UnixNano)
@@ -27,20 +26,16 @@ import (
 // A zero time is a cleared flag bit, not eight bytes; an empty list is one
 // byte.
 const (
-	metaV1   = 0x01
-	recordV1 = 0x01
+	metaV1 = 0x01
 
 	metaAutomated  = 1 << 0
 	metaHasExpiry  = 1 << 1
 	metaHasCreated = 1 << 2
-
-	recordHasMeta     = 1 << 0
-	recordHasExpireAt = 1 << 1
 )
 
-var errCodec = errors.New("malformed binary record")
+var errCodec = errors.New("malformed binary metadata")
 
-func appendStr[S string | []byte](dst []byte, s S) []byte {
+func appendStr(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
 }
@@ -188,8 +183,13 @@ func (d *decoder) list() []string {
 	return l
 }
 
-func (d *decoder) metadata() Metadata {
+// decodeMetadata decodes a journal record's binary metadata payload.
+func decodeMetadata(b []byte) (Metadata, error) {
+	if len(b) > 0 && b[0] == '{' {
+		return Metadata{}, fmt.Errorf("%w: JSON metadata", ErrRetiredFormat)
+	}
 	var m Metadata
+	d := decoder{b: b}
 	if d.u8() != metaV1 {
 		d.fail()
 	}
@@ -211,78 +211,8 @@ func (d *decoder) metadata() Metadata {
 		m.Created = time.Unix(0, d.i64()).UTC()
 	}
 	m.KeyEpoch = d.uvarint()
-	return m
-}
-
-// decodeMetadata decodes a journal record's binary metadata payload.
-func decodeMetadata(b []byte) (Metadata, error) {
-	if len(b) > 0 && b[0] == '{' {
-		return Metadata{}, fmt.Errorf("%w: JSON metadata", ErrRetiredFormat)
-	}
-	d := decoder{b: b}
-	m := d.metadata()
 	if d.err != nil || len(d.b) != 0 {
 		return Metadata{}, fmt.Errorf("core: decode metadata: %w", errCodec)
 	}
 	return m, nil
-}
-
-// EncodeMigrationRecord serializes a record for the wire. It cannot fail;
-// the error result is kept for its callers.
-func EncodeMigrationRecord(rec MigrationRecord) ([]byte, error) {
-	flags := byte(0)
-	if rec.Meta != nil {
-		flags |= recordHasMeta
-	}
-	if rec.ExpireAtMs != 0 {
-		flags |= recordHasExpireAt
-	}
-	dst := make([]byte, 0, 64+len(rec.Key)+len(rec.Value))
-	dst = append(dst, recordV1, flags)
-	dst = appendStr(dst, rec.Key)
-	dst = appendStr(dst, rec.Value)
-	if rec.Meta != nil {
-		dst = appendMetadata(dst, rec.Meta)
-	}
-	if rec.ExpireAtMs != 0 {
-		dst = binary.BigEndian.AppendUint64(dst, uint64(rec.ExpireAtMs))
-	}
-	return dst, nil
-}
-
-// DecodeMigrationRecord parses a wire-form migration record. The JSON an
-// earlier release's source node sends is refused with ErrRetiredFormat.
-func DecodeMigrationRecord(b []byte) (MigrationRecord, error) {
-	if len(b) > 0 && b[0] == '{' {
-		return MigrationRecord{}, fmt.Errorf("core: migration record: %w: JSON; upgrade the source node first", ErrRetiredFormat)
-	}
-	var rec MigrationRecord
-	d := decoder{b: b}
-	if d.u8() != recordV1 {
-		d.fail()
-	}
-	flags := d.u8()
-	if flags&^(recordHasMeta|recordHasExpireAt) != 0 {
-		d.fail()
-	}
-	rec.Key = string(d.bytes())
-	if v := d.bytes(); len(v) > 0 {
-		rec.Value = append([]byte(nil), v...)
-	}
-	if flags&recordHasMeta != 0 {
-		m := d.metadata()
-		rec.Meta = &m
-	}
-	if flags&recordHasExpireAt != 0 {
-		if rec.ExpireAtMs = d.i64(); rec.ExpireAtMs == 0 {
-			d.fail() // zero is spelled as a cleared flag
-		}
-	}
-	if d.err != nil || len(d.b) != 0 {
-		return MigrationRecord{}, fmt.Errorf("core: decode migration record: %w", errCodec)
-	}
-	if rec.Key == "" {
-		return MigrationRecord{}, fmt.Errorf("core: migration record without key")
-	}
-	return rec, nil
 }

@@ -47,55 +47,29 @@ func normMetadata(m Metadata) Metadata {
 }
 
 func TestRecordCodecRoundTrip(t *testing.T) {
-	check := func(rec MigrationRecord) error {
-		b, err := EncodeMigrationRecord(rec)
-		if err != nil {
-			return err
-		}
+	check := func(m Metadata) error {
+		b := appendMetadata([]byte("prefix"), &m)[len("prefix"):]
 		if b[0] == '{' {
-			return errors.New("binary record starts like JSON")
+			return errors.New("binary metadata starts like JSON")
 		}
-		got, err := DecodeMigrationRecord(b)
+		got, err := decodeMetadata(b)
 		if err != nil {
 			return err
 		}
-		if rec.Meta != nil {
-			m := normMetadata(*rec.Meta)
-			rec.Meta = &m
-		}
-		if len(rec.Value) == 0 {
-			rec.Value = nil
-		}
-		if !reflect.DeepEqual(got, rec) {
-			return fmt.Errorf("got %+v (meta %+v), want %+v (meta %+v)", got, got.Meta, rec, rec.Meta)
+		if want := normMetadata(m); !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("got %+v, want %+v", got, want)
 		}
 		return nil
 	}
 	for i, m := range sampleMetadata() {
-		m := m
-		got, err := decodeMetadata(appendMetadata([]byte("prefix"), &m)[len("prefix"):])
-		if err != nil || !reflect.DeepEqual(got, normMetadata(m)) {
-			t.Fatalf("metadata sample %d: got %+v, %v", i, got, err)
-		}
-		for _, rec := range []MigrationRecord{
-			{Key: "k\n{", Value: []byte("v"), Meta: &m},
-			{Key: "k", Value: bytes.Repeat([]byte{0, '{', '\n'}, 50_000), Meta: &m, ExpireAtMs: -5},
-			{Key: strings.Repeat("k", 200), ExpireAtMs: 1_900_000_000_000},
-		} {
-			if err := check(rec); err != nil {
-				t.Fatalf("record with metadata sample %d: %v", i, err)
-			}
+		if err := check(m); err != nil {
+			t.Fatalf("metadata sample %d: %v", i, err)
 		}
 	}
-	f := func(key string, value []byte, hasMeta bool, expireAtMs int64, owner, origin, loc string,
-		purposes, objections, shared []string, auto bool, expNs, creNs int64, epoch uint64) bool {
-		rec := MigrationRecord{Key: "k" + key, Value: value, ExpireAtMs: expireAtMs}
-		if hasMeta {
-			rec.Meta = &Metadata{Owner: owner, Origin: origin, Location: loc, Purposes: purposes,
-				Objections: objections, SharedWith: shared, AutomatedDecisions: auto,
-				Expiry: time.Unix(0, expNs).UTC(), Created: time.Unix(0, creNs).UTC(), KeyEpoch: epoch}
-		}
-		return check(rec) == nil
+	f := func(owner, origin, loc string, purposes, objections, shared []string, auto bool, expNs, creNs int64, epoch uint64) bool {
+		return check(Metadata{Owner: owner, Origin: origin, Location: loc, Purposes: purposes,
+			Objections: objections, SharedWith: shared, AutomatedDecisions: auto,
+			Expiry: time.Unix(0, expNs).UTC(), Created: time.Unix(0, creNs).UTC(), KeyEpoch: epoch}) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -109,38 +83,28 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzDecodeRecord: every input a decoder accepts re-encodes to the same
-// bytes, so a record has one spelling, and a '{'-led input, the JSON an
-// earlier release wrote, is refused as retired.
+// FuzzDecodeRecord: every metadata payload the decoder accepts re-encodes
+// to the same bytes, so a record's metadata has one spelling, and a
+// '{'-led input, the JSON an earlier release wrote, is refused as retired.
 func FuzzDecodeRecord(f *testing.F) {
-	for _, m := range sampleMetadata()[:3] {
+	for _, m := range sampleMetadata() {
 		m := m
 		f.Add(appendMetadata(nil, &m))
-		b, _ := EncodeMigrationRecord(MigrationRecord{Key: "k", Value: []byte("value"), Meta: &m, ExpireAtMs: 7})
-		f.Add(b)
 	}
-	f.Add([]byte{recordV1, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
-	f.Add([]byte{metaV1, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add([]byte{metaV1, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})          // a count past the end
+	f.Add([]byte{metaV1, 0x08, 0, 0, 0, 0, 0, 0, 0})                   // an unknown flag bit
+	f.Add([]byte{metaV1, 0, 0x80, 0x00, 0, 0, 0, 0, 0, 0})             // a non-minimal varint
+	f.Add([]byte{metaV1, metaHasExpiry, 0, 0, 0, 0, 0xff, 0xff, 0xff}) // a truncated time
 	f.Add([]byte(`{"owner":"alice","created":"2026-09-25T12:00:00Z"}`))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		json := len(b) > 0 && b[0] == '{'
 		m, err := decodeMetadata(b)
 		if err == nil {
 			if again := appendMetadata(nil, &m); !bytes.Equal(again, b) {
 				t.Fatalf("metadata %x re-encodes to %x", b, again)
 			}
 		}
-		if json != errors.Is(err, ErrRetiredFormat) {
+		if json := len(b) > 0 && b[0] == '{'; json != errors.Is(err, ErrRetiredFormat) {
 			t.Fatalf("metadata %q: %v", b, err)
-		}
-		rec, err := DecodeMigrationRecord(b)
-		if err == nil {
-			if again, _ := EncodeMigrationRecord(rec); !bytes.Equal(again, b) {
-				t.Fatalf("record %x re-encodes to %x", b, again)
-			}
-		}
-		if json != errors.Is(err, ErrRetiredFormat) {
-			t.Fatalf("record %q: %v", b, err)
 		}
 	})
 }

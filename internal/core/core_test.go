@@ -422,7 +422,12 @@ func TestTable1Mapping(t *testing.T) {
 	if len(Articles) != 13 {
 		t.Fatalf("Table 1 has %d rows, want 13", len(Articles))
 	}
-	feats := FeaturesOf(Articles)
+	feats := map[Feature]bool{}
+	for _, a := range Articles {
+		for _, f := range a.Features {
+			feats[f] = true
+		}
+	}
 	// All six features plus the "All" marker must be exercised.
 	if len(feats) != 7 {
 		t.Fatalf("features covered = %d (%v), want 7", len(feats), feats)
@@ -500,10 +505,10 @@ func TestClosedStoreRejectsOps(t *testing.T) {
 		"Unobject":         func() error { return s.Unobject(ctlCtx, "alice", "ads") },
 		"DumpForMigration": func() error { _, _, _, err := s.DumpForMigration("k"); return err },
 		"RestoreRecord": func() error {
-			return s.RestoreRecord(ctlCtx, MigrationRecord{Key: "k", Value: []byte("v"), Meta: meta})
+			return s.RestoreRecord(ctlCtx, [][]byte{[]byte(opRecord), appendMetadata(nil, meta), []byte("k"), []byte("v")}, nil)
 		},
 		"RestoreRecord raw": func() error {
-			return s.RestoreRecord(ctlCtx, MigrationRecord{Key: "raw", Value: []byte("v")})
+			return s.RestoreRecord(ctlCtx, [][]byte{[]byte("SET"), []byte("raw"), []byte("v")}, nil)
 		},
 	} {
 		if err := call(); !errors.Is(err, ErrClosed) {

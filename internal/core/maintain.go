@@ -302,6 +302,23 @@ func (s *Store) snapshotAll(emit func(name string, args ...[]byte) error) error 
 	return nil
 }
 
+// emitRecord emits the one journal record that stands for key k holding
+// e, with v as its value: GREC with e's metadata under e's deadline, or
+// the engine's SET/SETEX for a key without metadata. The metadata is
+// encoded into *mb, reused from call to call. Snapshots (v is the stored
+// value) and slot migration (v is the plaintext) build their records here.
+func emitRecord(emit func(name string, args ...[]byte) error, k string, e store.Entry, v []byte, mb *[]byte) error {
+	switch {
+	case e.Record == nil && e.Deadline.IsZero():
+		return emit("SET", []byte(k), v)
+	case e.Record == nil:
+		return emit("SETEX", []byte(k), store.EncodeDeadline(e.Deadline), v)
+	}
+	m := metadataOf(e.Record, e.Deadline)
+	*mb = appendMetadata((*mb)[:0], &m)
+	return emit(opRecord, *mb, []byte(k), v)
+}
+
 // snapshotRecords emits snapshotAll's data half, the whole of a backup
 // generation and no key: one record per live key (GREC with its metadata;
 // SET/SETEX for a key that has none), then the standing objections (GOBJ).
@@ -315,17 +332,10 @@ func (s *Store) snapshotAll(emit func(name string, args ...[]byte) error) error 
 func (s *Store) snapshotRecords(emit func(name string, args ...[]byte) error) error {
 	var mb []byte
 	err := s.db.SnapshotRecords(func(k string, e store.Entry) error {
-		switch {
-		case e.Record == nil && e.Deadline.IsZero():
-			return emit("SET", []byte(k), e.Value)
-		case e.Record == nil:
-			return emit("SETEX", []byte(k), store.EncodeDeadline(e.Deadline), e.Value)
-		case s.recordDead(e.Record):
+		if e.Record != nil && s.recordDead(e.Record) {
 			return nil
 		}
-		m := metadataOf(e.Record, e.Deadline)
-		mb = appendMetadata(mb[:0], &m)
-		return emit(opRecord, mb, []byte(k), e.Value)
+		return emitRecord(emit, k, e, e.Value, &mb)
 	})
 	if err != nil {
 		return err

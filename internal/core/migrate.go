@@ -1,21 +1,25 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"time"
 
 	"gdprstore/internal/acl"
 	"gdprstore/internal/audit"
+	"gdprstore/internal/store"
 )
 
 // Slot migration moves keys between cluster nodes while both stay live.
 // The compliance layer's half of the protocol is three primitives:
 //
-//   - DumpForMigration extracts one key as a portable record: the value
-//     decrypted (each node seals under its own keyring, so ciphertext
-//     cannot travel), the metadata verbatim, the retention deadline
-//     absolute. Records that are crypto-erased but unswept are NOT
-//     dumped — migration must never resurrect data a subject asked to be
-//     forgotten.
+//   - DumpForMigration extracts one key as the journal record an
+//     envelope-off store writes for it: GREC with the metadata verbatim and
+//     the value decrypted (each node seals under its own keyring, so
+//     ciphertext cannot travel), or the engine's SET/SETEX for a key
+//     without metadata, its retention deadline absolute. Records that are
+//     crypto-erased but unswept are NOT dumped — migration must never
+//     resurrect data a subject asked to be forgotten.
 //   - RestoreRecord ingests such a record on the destination through the
 //     full compliance path: re-sealed under the destination's keyring (at
 //     the destination's current key epoch for the owner, so a FORGETUSER
@@ -31,18 +35,6 @@ import (
 // destination audits each RESTOREKEY — arrival of personal data on a new
 // node is a processing event in its own right.
 
-// MigrationRecord is one key's portable form for slot migration. Meta is
-// nil for records written without compliance metadata (baseline stores or
-// raw SETs); those carry their absolute retention deadline, if any, in
-// ExpireAtMs instead. On the wire it is the record codec's binary form
-// (codec.go).
-type MigrationRecord struct {
-	Key        string
-	Value      []byte
-	Meta       *Metadata
-	ExpireAtMs int64
-}
-
 // AuthorizeMigration checks that the acting principal may drive slot
 // migration (an admin operation), auditing a denial.
 func (s *Store) AuthorizeMigration(ctx Ctx) error {
@@ -52,71 +44,112 @@ func (s *Store) AuthorizeMigration(ctx Ctx) error {
 	return s.check(ctx, acl.OpAdmin, "", "MIGRATESLOT", "")
 }
 
-// DumpForMigration extracts key as a portable migration record. ok is
+// DumpForMigration extracts key as a migration record: the argv, name
+// first, that an envelope-off store journals for it (emitRecord). ok is
 // false when the key does not exist, is crypto-erased awaiting the sweep,
 // or belongs to an owner shredded since — none of which migrate. raw is
-// the engine's stored bytes at dump time, lent, and so is the Value of a
+// the engine's stored bytes at dump time, lent, and so is the value of a
 // record stored in the clear: read them, never write to them. The caller
 // hands raw back to RemoveMigrated so a write that lands between dump and
 // removal is detected instead of lost.
-func (s *Store) DumpForMigration(key string) (rec MigrationRecord, raw []byte, ok bool, err error) {
+func (s *Store) DumpForMigration(key string) (argv [][]byte, raw []byte, ok bool, err error) {
 	g, err := s.enter(key)
 	if err != nil {
-		return rec, nil, false, err
+		return nil, nil, false, err
 	}
 	defer g.RUnlock()
 	e, exists := s.db.Lookup(key)
 	if !exists {
-		return rec, nil, false, nil
+		return nil, nil, false, nil
 	}
-	raw = e.Value
+	v := e.Value
 	if r := e.Record; r != nil {
 		oc := s.ownerCipherFor(r.Policy.Owner)
 		if !oc.live(r) {
-			return rec, nil, false, nil
+			return nil, nil, false, nil
 		}
-		v := e.Value
 		if oc.sealed {
 			if v, err = oc.c.Open(nil, v, []byte(key)); err != nil {
-				return rec, nil, false, err
+				return nil, nil, false, err
 			}
 		}
-		m := metadataOf(r, e.Deadline).clone()
-		return MigrationRecord{Key: key, Value: v, Meta: &m}, raw, true, nil
 	}
-	rec = MigrationRecord{Key: key, Value: e.Value}
-	if !e.Deadline.IsZero() {
-		rec.ExpireAtMs = e.Deadline.UnixMilli()
-	}
-	return rec, raw, true, nil
+	var mb []byte
+	err = emitRecord(func(name string, args ...[]byte) error {
+		argv = append([][]byte{[]byte(name)}, args...)
+		return nil
+	}, key, e, v, &mb)
+	return argv, e.Value, err == nil, err
 }
 
-// RestoreRecord ingests a migration record: the destination half of a slot
-// transfer. Metadata-bearing records go through the full compliance path —
-// sealed under this node's keyring at the owner's current epoch,
-// re-indexed, journaled as one GREC record, audited — with the source's metadata
-// (Created, Origin, Objections, Expiry, ...) preserved verbatim. A record
-// whose owner is crypto-shredded here fails with ErrErased: an erasure
-// that raced ahead of the migration wins. A record already past its
-// retention deadline is dropped silently — migrating it would resurrect
-// overdue data.
-func (s *Store) RestoreRecord(ctx Ctx, rec MigrationRecord) error {
-	g, err := s.enter(rec.Key)
+// RestoreRecord ingests a migration record, argv as DumpForMigration
+// returns it: the destination half of a slot transfer. admit, when not
+// nil, is asked about the record's key after the record parses and before
+// anything is written; its error refuses the record. A record in an
+// earlier release's one-argument form is refused with ErrRetiredFormat.
+//
+// A GREC goes through the full compliance path — sealed under this node's
+// keyring at the owner's current epoch, re-indexed, journaled as one GREC
+// record, audited — with the source's metadata (Created, Origin,
+// Objections, Expiry, ...) preserved verbatim. A record whose owner is
+// crypto-shredded here fails with ErrErased: an erasure that raced ahead
+// of the migration wins. A record already past its retention deadline is
+// dropped silently — migrating it would resurrect overdue data.
+func (s *Store) RestoreRecord(ctx Ctx, argv [][]byte, admit func(key string) error) error {
+	var (
+		meta       *Metadata
+		key, value []byte
+		deadline   time.Time
+	)
+	name := ""
+	if len(argv) > 0 {
+		name = string(argv[0])
+	}
+	switch {
+	case len(argv) == 1:
+		return fmt.Errorf("core: migration record: %w: one-argument form; upgrade the source node first", ErrRetiredFormat)
+	case name == opRecord && len(argv) == 4:
+		m, err := decodeMetadata(argv[1])
+		if err != nil {
+			return fmt.Errorf("core: migration record: %w", err)
+		}
+		meta, key, value, deadline = &m, argv[2], argv[3], canonicalTime(m.Expiry)
+	case name == "SET" && len(argv) == 3:
+		key, value = argv[1], argv[2]
+	case name == "SETEX" && len(argv) == 4:
+		d, err := store.DecodeDeadline(argv[2])
+		if err != nil {
+			return fmt.Errorf("core: migration record: %w", err)
+		}
+		key, deadline, value = argv[1], d, argv[3]
+	default:
+		return fmt.Errorf("core: not a migration record: %q with %d arguments", name, len(argv)-1)
+	}
+	k := string(key)
+	if k == "" {
+		return errors.New("core: migration record without key")
+	}
+	if admit != nil {
+		if err := admit(k); err != nil {
+			return err
+		}
+	}
+	g, err := s.enter(k)
 	if err != nil {
 		return err
 	}
 	defer g.RUnlock()
-	if rec.Meta == nil || !s.cfg.Compliant {
-		return s.restoreRaw(rec)
+	if meta == nil || !s.cfg.Compliant {
+		s.restoreRaw(k, value, deadline)
+		return nil
 	}
-	meta := rec.Meta
 	os := s.ownerStripeFor(meta.Owner)
 	os.mu.Lock()
 	defer os.mu.Unlock()
-	if err := s.check(ctx, acl.OpWrite, meta.Owner, "RESTOREKEY", rec.Key); err != nil {
+	if err := s.check(ctx, acl.OpWrite, meta.Owner, "RESTOREKEY", k); err != nil {
 		return err
 	}
-	stored := rec.Value
+	stored := value
 	var epoch uint64
 	if s.keyring != nil && meta.Owner != "" {
 		c, e, err := s.sealerFor(meta.Owner)
@@ -124,38 +157,34 @@ func (s *Store) RestoreRecord(ctx Ctx, rec MigrationRecord) error {
 			return err
 		}
 		epoch = e
-		if stored, err = c.Seal(nil, rec.Value, []byte(rec.Key)); err != nil {
+		if stored, err = c.Seal(nil, value, key); err != nil {
 			return err
 		}
 	}
-	expiry := canonicalTime(meta.Expiry)
-	if !expiry.IsZero() && !expiry.After(s.cfg.Config.Clock.Now()) {
+	if !deadline.IsZero() && !deadline.After(s.cfg.Config.Clock.Now()) {
 		return nil
 	}
 	r := s.recordOf(meta)
 	r.Epoch = epoch
-	if err := s.db.SetRecorded([]string{rec.Key}, [][]byte{stored}, r, expiry, opRecord, encodeMetadata(r, expiry)); err != nil {
+	if err := s.db.SetRecorded([]string{k}, [][]byte{stored}, r, deadline, opRecord, encodeMetadata(r, deadline)); err != nil {
 		return err
 	}
 	s.auditOp(audit.Record{
-		Actor: ctx.Actor, Op: "RESTOREKEY", Key: rec.Key, Owner: meta.Owner,
+		Actor: ctx.Actor, Op: "RESTOREKEY", Key: k, Owner: meta.Owner,
 		Purpose: ctx.Purpose, Outcome: audit.OutcomeOK, Detail: "migrated-in",
 	})
 	return nil
 }
 
-// restoreRaw ingests a metadata-less record straight into the engine.
-func (s *Store) restoreRaw(rec MigrationRecord) error {
-	if rec.ExpireAtMs > 0 {
-		ttl := time.UnixMilli(rec.ExpireAtMs).Sub(s.cfg.Config.Clock.Now())
-		if ttl <= 0 {
-			return nil
-		}
-		s.db.SetEX(rec.Key, rec.Value, ttl)
-	} else {
-		s.db.Set(rec.Key, rec.Value)
+// restoreRaw ingests a record without metadata straight into the engine,
+// under its absolute deadline (zero: none).
+func (s *Store) restoreRaw(key string, value []byte, deadline time.Time) {
+	switch {
+	case deadline.IsZero():
+		s.db.Set(key, value)
+	case deadline.After(s.cfg.Config.Clock.Now()):
+		s.db.SetAt(key, value, deadline)
 	}
-	return nil
 }
 
 // RemoveMigrated deletes the source copy of a key the destination has

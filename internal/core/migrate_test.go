@@ -45,6 +45,16 @@ func openMigratePair(t *testing.T) (src, dst *Store, clk *clock.Virtual) {
 	return src, dst, clk
 }
 
+// overWire copies a migration record into fresh buffers, as the
+// destination's RESP parser hands it over.
+func overWire(rec [][]byte) [][]byte {
+	out := make([][]byte, len(rec))
+	for i, a := range rec {
+		out[i] = bytes.Clone(a)
+	}
+	return out
+}
+
 func TestMigrationRoundTripPreservesMetadata(t *testing.T) {
 	src, dst, clk := openMigratePair(t)
 	ctx := Ctx{Actor: "app", Purpose: "service"}
@@ -68,24 +78,17 @@ func TestMigrationRoundTripPreservesMetadata(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("dump = ok=%v, %v; want ok", ok, err)
 	}
-	if string(rec.Value) != "carol-data" {
-		t.Fatalf("dumped value = %q, want the plaintext", rec.Value)
+	if len(rec) != 4 || string(rec[0]) != opRecord || string(rec[2]) != key || string(rec[3]) != "carol-data" {
+		t.Fatalf("dumped record = %q, want GREC <metadata> %s <the plaintext>", rec, key)
 	}
-	if len(raw) == 0 || bytes.Equal(raw, rec.Value) {
+	if len(raw) == 0 || bytes.Equal(raw, rec[3]) {
 		t.Fatal("raw engine bytes should be the sealed form, not the plaintext")
 	}
 
-	// Wire round-trip, then restore on the destination an hour later.
-	b, err := EncodeMigrationRecord(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec2, err := DecodeMigrationRecord(b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Over the wire (fresh buffers), then restore on the destination an
+	// hour later.
 	clk.Advance(time.Hour)
-	if err := dst.RestoreRecord(ctx, rec2); err != nil {
+	if err := dst.RestoreRecord(ctx, overWire(rec), nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -166,7 +169,7 @@ func TestMigrationRestoreRefusedAfterErasure(t *testing.T) {
 	if _, err := dst.Forget(Ctx{Actor: "erin"}, "erin"); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.RestoreRecord(ctx, rec); !errors.Is(err, ErrErased) {
+	if err := dst.RestoreRecord(ctx, rec, nil); !errors.Is(err, ErrErased) {
 		t.Fatalf("restore after erasure = %v, want ErrErased", err)
 	}
 	if v, err := dst.Get(ctx, key); !errors.Is(err, ErrNotFound) {
@@ -189,7 +192,7 @@ func TestMigrationRestoreDropsOverdueRecord(t *testing.T) {
 	// The record's retention deadline passes in transit: restoring it
 	// would resurrect overdue data, so it is dropped silently.
 	clk.Advance(2 * time.Minute)
-	if err := dst.RestoreRecord(ctx, rec); err != nil {
+	if err := dst.RestoreRecord(ctx, rec, nil); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Engine().Exists(key) {
@@ -211,17 +214,17 @@ func TestMigrationRawRecordKeepsTTL(t *testing.T) {
 	defer dst.Close()
 
 	// Baseline stores carry no metadata; the absolute deadline rides in
-	// ExpireAtMs instead.
+	// the engine's own SETEX record instead.
 	src.Engine().SetEX("session:42", []byte("blob"), time.Hour)
 	rec, raw, ok, err := src.DumpForMigration("session:42")
 	if err != nil || !ok || len(raw) == 0 {
 		t.Fatalf("dump = ok=%v raw=%d, %v", ok, len(raw), err)
 	}
-	if rec.Meta != nil || rec.ExpireAtMs == 0 {
-		t.Fatalf("raw record = %+v, want no meta and an absolute deadline", rec)
+	if len(rec) != 4 || string(rec[0]) != "SETEX" {
+		t.Fatalf("raw record = %q, want no meta and an absolute deadline", rec)
 	}
 	clk.Advance(30 * time.Minute)
-	if err := dst.RestoreRecord(Ctx{}, rec); err != nil {
+	if err := dst.RestoreRecord(Ctx{}, overWire(rec), nil); err != nil {
 		t.Fatal(err)
 	}
 	if ttl, status := dst.TTL("session:42"); status != store.TTLSet || ttl > 30*time.Minute {
@@ -235,7 +238,7 @@ func TestMigrationRawRecordKeepsTTL(t *testing.T) {
 		t.Fatalf("dump = ok=%v, %v", ok, err)
 	}
 	clk.Advance(2 * time.Minute)
-	if err := dst.RestoreRecord(Ctx{}, rec); err != nil {
+	if err := dst.RestoreRecord(Ctx{}, rec, nil); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Engine().Exists("session:43") {

@@ -253,15 +253,24 @@ func TestRetiredTrailRefusedAtOpen(t *testing.T) {
 }
 
 // TestDecodersRefuseParentJSON: the JSON an earlier release wrote, as a
-// journal record's metadata or as a migration record, is refused as
-// retired; the migration error tells the operator to upgrade the source.
+// journal record's metadata or as a one-argument migration record, is
+// refused as retired; the migration error tells the operator to upgrade
+// the source.
 func TestDecodersRefuseParentJSON(t *testing.T) {
 	if _, err := decodeMetadata([]byte(`{"owner":"alice","purposes":["billing"],"created":"2026-09-25T12:00:00Z"}`)); !errors.Is(err, ErrRetiredFormat) {
 		t.Fatalf("JSON metadata: %v", err)
 	}
-	_, err := DecodeMigrationRecord([]byte(`{"key":"pd:alice:1","value":"YWxpY2Utb25l","meta":{"owner":"alice"}}`))
+	s, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	err = s.RestoreRecord(Ctx{}, [][]byte{[]byte(`{"key":"pd:alice:1","value":"YWxpY2Utb25l","meta":{"owner":"alice"}}`)}, nil)
 	if !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), "upgrade the source node") {
 		t.Fatalf("JSON migration record: %v", err)
+	}
+	if n := s.Engine().RawLen(); n != 0 {
+		t.Fatalf("the refused record was stored: %d keys", n)
 	}
 }
 

@@ -4,11 +4,38 @@ import (
 	"bytes"
 	"encoding/hex"
 	"io"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
 func testKey(b byte) []byte { return bytes.Repeat([]byte{b}, BlockCipherKeySize) }
+
+// sealFor and openFor seal and open under owner's data key through the
+// ring's prepared ciphers, as the compliance layer does, with the owner as
+// associated data. openFor never creates a key: an owner with none, or a
+// shredded one, is ErrUnknownKey.
+func sealFor(kr *Keyring, owner string, plaintext []byte) ([]byte, error) {
+	c, _, _, err := kr.SealerFor(owner)
+	if err != nil {
+		return nil, err
+	}
+	return c.Seal(nil, plaintext, []byte(owner))
+}
+
+func openFor(kr *Keyring, owner string, sealed []byte) ([]byte, error) {
+	c, _, ok := kr.CipherFor(owner)
+	if !ok {
+		return nil, ErrUnknownKey
+	}
+	return c.Open(nil, sealed, []byte(owner))
+}
+
+// shredded reports whether owner's key is destroyed, from the list a
+// compaction journals.
+func shredded(kr *Keyring, owner string) bool {
+	return slices.Contains(kr.ShreddedOwners(), owner)
+}
 
 func TestOffsetCipherRoundTrip(t *testing.T) {
 	c, err := NewOffsetCipher(testKey(1))
@@ -90,20 +117,6 @@ func TestWriterDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestReaderAtOffset(t *testing.T) {
-	c, _ := NewOffsetCipher(testKey(5))
-	plain := []byte("0123456789abcdef0123456789abcdef tail")
-	ct := append([]byte(nil), plain...)
-	c.Apply(ct, 0)
-	// Decrypt only the tail, as a reader positioned mid-stream.
-	tail := ct[20:]
-	r := NewReaderAt(bytes.NewReader(tail), c, 20)
-	got, _ := io.ReadAll(r)
-	if !bytes.Equal(got, plain[20:]) {
-		t.Fatalf("got %q want %q", got, plain[20:])
-	}
-}
-
 func TestSealOpenRoundTrip(t *testing.T) {
 	key := testKey(6)
 	pt := []byte("personal data")
@@ -153,71 +166,55 @@ func TestSealUniqueNonces(t *testing.T) {
 	}
 }
 
-func TestDeriveKeyDeterministicAndDistinct(t *testing.T) {
-	master := testKey(8)
-	k1 := DeriveKey(master, "ctx1")
-	k2 := DeriveKey(master, "ctx1")
-	k3 := DeriveKey(master, "ctx2")
-	if !bytes.Equal(k1, k2) {
-		t.Fatal("derivation not deterministic")
-	}
-	if bytes.Equal(k1, k3) {
-		t.Fatal("contexts collide")
-	}
-	if len(k1) != BlockCipherKeySize {
-		t.Fatalf("derived key length %d", len(k1))
-	}
-}
-
 func TestKeyringSealOpen(t *testing.T) {
 	kr, err := NewKeyring(testKey(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealed, err := kr.SealFor("alice", []byte("alice's data"))
+	sealed, err := sealFor(kr, "alice", []byte("alice's data"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := kr.OpenFor("alice", sealed)
+	got, err := openFor(kr, "alice", sealed)
 	if err != nil || string(got) != "alice's data" {
 		t.Fatalf("got %q err %v", got, err)
 	}
 	// Bob's key must not open Alice's record.
-	if _, err := kr.OpenFor("bob", sealed); err == nil {
+	if _, err := openFor(kr, "bob", sealed); err == nil {
 		t.Fatal("cross-owner decryption succeeded")
 	}
 }
 
 func TestKeyringShred(t *testing.T) {
 	kr, _ := NewKeyring(testKey(10))
-	sealed, _ := kr.SealFor("alice", []byte("secret"))
+	sealed, _ := sealFor(kr, "alice", []byte("secret"))
 	kr.Shred("alice")
-	if !kr.Shredded("alice") {
+	if !shredded(kr, "alice") {
 		t.Fatal("shred flag missing")
 	}
-	if _, err := kr.OpenFor("alice", sealed); err != ErrUnknownKey {
+	if _, err := openFor(kr, "alice", sealed); err != ErrUnknownKey {
 		t.Fatalf("open after shred err = %v", err)
 	}
-	if _, err := kr.SealFor("alice", []byte("new")); err != ErrUnknownKey {
+	if _, err := sealFor(kr, "alice", []byte("new")); err != ErrUnknownKey {
 		t.Fatalf("seal after shred err = %v", err)
 	}
 }
 
 func TestKeyringShredIrreversibleAfterReinstate(t *testing.T) {
 	kr, _ := NewKeyring(testKey(11))
-	sealed, _ := kr.SealFor("alice", []byte("old life"))
+	sealed, _ := sealFor(kr, "alice", []byte("old life"))
 	kr.Shred("alice")
 	kr.Reinstate("alice")
 	// New key is random: old ciphertext must stay dead.
-	if _, err := kr.OpenFor("alice", sealed); err == nil {
+	if _, err := openFor(kr, "alice", sealed); err == nil {
 		t.Fatal("old ciphertext readable after reinstate — shred was reversible")
 	}
 	// But new data flows fine.
-	s2, err := kr.SealFor("alice", []byte("new life"))
+	s2, err := sealFor(kr, "alice", []byte("new life"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := kr.OpenFor("alice", s2); err != nil || string(got) != "new life" {
+	if got, err := openFor(kr, "alice", s2); err != nil || string(got) != "new life" {
 		t.Fatalf("got %q err %v", got, err)
 	}
 }
@@ -234,12 +231,12 @@ func TestKeyringEnsureWrapImport(t *testing.T) {
 		t.Fatal("second Ensure must return the same key, not create")
 	}
 	// A fresh keyring (restart) imports the wrapped key and can decrypt.
-	sealed, _ := kr.SealFor("alice", []byte("data"))
+	sealed, _ := sealFor(kr, "alice", []byte("data"))
 	kr2, _ := NewKeyring(master)
 	if err := kr2.ImportAt("alice", wrapped, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, err := kr2.OpenFor("alice", sealed)
+	got, err := openFor(kr2, "alice", sealed)
 	if err != nil || string(got) != "data" {
 		t.Fatalf("after import: %q, %v", got, err)
 	}
@@ -398,46 +395,50 @@ func TestOpenCiphertextSealedByParentCommit(t *testing.T) {
 	}
 }
 
-// Current is the read side of the ring (never creates a key, reports the
-// epoch even for an erased owner); EnsureAt is Current plus creation.
-func TestKeyringCurrentAndEnsureAt(t *testing.T) {
+// CipherFor is the read side of the ring (never creates a key, reports the
+// epoch even for an erased owner); SealerFor is CipherFor plus creation.
+func TestKeyringCipherForAndSealerFor(t *testing.T) {
 	kr, err := NewKeyring(testKey(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := kr.Current("alice"); ok {
-		t.Fatal("Current invented a key")
+	if _, _, ok := kr.CipherFor("alice"); ok {
+		t.Fatal("CipherFor invented a key")
 	}
-	k1, e1, wrapped, err := kr.EnsureAt("alice")
+	c1, e1, wrapped, err := kr.SealerFor("alice")
 	if err != nil || wrapped == nil || e1 != 0 {
-		t.Fatalf("first EnsureAt: epoch %d wrapped %v err %v", e1, wrapped != nil, err)
+		t.Fatalf("first SealerFor: epoch %d wrapped %v err %v", e1, wrapped != nil, err)
 	}
-	k2, e2, wrapped, err := kr.EnsureAt("alice")
-	if err != nil || wrapped != nil || e2 != 0 || !bytes.Equal(k1, k2) {
-		t.Fatalf("second EnsureAt: epoch %d wrapped %v err %v", e2, wrapped != nil, err)
+	sealed, err := c1.Seal(nil, []byte("v"), []byte("k"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	k3, e3, ok := kr.Current("alice")
-	if !ok || e3 != 0 || !bytes.Equal(k1, k3) {
-		t.Fatalf("Current: epoch %d ok %v", e3, ok)
+	opens := func(c Cipher) bool {
+		got, err := c.Open(nil, sealed, []byte("k"))
+		return err == nil && string(got) == "v"
 	}
-	k3[0] ^= 0xff // a copy: the ring's key is untouched
-	if k4, _, _ := kr.Current("alice"); !bytes.Equal(k1, k4) {
-		t.Fatal("Current handed out the ring's own slice")
+	c2, e2, wrapped, err := kr.SealerFor("alice")
+	if err != nil || wrapped != nil || e2 != 0 || !opens(c2) {
+		t.Fatalf("second SealerFor: epoch %d wrapped %v err %v", e2, wrapped != nil, err)
+	}
+	c3, e3, ok := kr.CipherFor("alice")
+	if !ok || e3 != 0 || !opens(c3) {
+		t.Fatalf("CipherFor: epoch %d ok %v", e3, ok)
 	}
 
 	kr.Shred("alice")
-	if _, e, ok := kr.Current("alice"); ok || e != 1 {
-		t.Fatalf("Current after Shred: epoch %d ok %v", e, ok)
+	if _, e, ok := kr.CipherFor("alice"); ok || e != 1 {
+		t.Fatalf("CipherFor after Shred: epoch %d ok %v", e, ok)
 	}
-	if _, _, _, err := kr.EnsureAt("alice"); err != ErrUnknownKey {
-		t.Fatalf("EnsureAt after Shred: %v", err)
+	if _, _, _, err := kr.SealerFor("alice"); err != ErrUnknownKey {
+		t.Fatalf("SealerFor after Shred: %v", err)
 	}
 	kr.Reinstate("alice")
-	if _, e, ok := kr.Current("alice"); ok || e != 1 {
-		t.Fatalf("Current after Reinstate, before any write: epoch %d ok %v", e, ok)
+	if _, e, ok := kr.CipherFor("alice"); ok || e != 1 {
+		t.Fatalf("CipherFor after Reinstate, before any write: epoch %d ok %v", e, ok)
 	}
-	k5, e5, wrapped, err := kr.EnsureAt("alice")
-	if err != nil || wrapped == nil || e5 != 1 || bytes.Equal(k1, k5) {
-		t.Fatalf("EnsureAt after Reinstate: epoch %d wrapped %v err %v", e5, wrapped != nil, err)
+	c5, e5, wrapped, err := kr.SealerFor("alice")
+	if err != nil || wrapped == nil || e5 != 1 || opens(c5) {
+		t.Fatalf("SealerFor after Reinstate: epoch %d wrapped %v err %v", e5, wrapped != nil, err)
 	}
 }

@@ -110,7 +110,7 @@ func (ew *Writer) Write(p []byte) (int, error) {
 func (ew *Writer) Offset() int64 { return ew.offset }
 
 // Reader decrypts from an underlying io.Reader starting at offset 0 of the
-// keystream (use NewReaderAt for other positions).
+// keystream.
 type Reader struct {
 	r      io.Reader
 	c      *OffsetCipher
@@ -120,12 +120,6 @@ type Reader struct {
 // NewReader creates a decrypting reader positioned at stream offset 0.
 func NewReader(r io.Reader, c *OffsetCipher) *Reader {
 	return &Reader{r: r, c: c}
-}
-
-// NewReaderAt creates a decrypting reader positioned at the given keystream
-// offset.
-func NewReaderAt(r io.Reader, c *OffsetCipher, offset int64) *Reader {
-	return &Reader{r: r, c: c, offset: offset}
 }
 
 // Read implements io.Reader.

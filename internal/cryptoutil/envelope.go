@@ -3,9 +3,7 @@ package cryptoutil
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
 	"crypto/rand"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"hash/maphash"
@@ -118,21 +116,6 @@ func Open(key, sealed, additionalData []byte) ([]byte, error) {
 	return c.Open(nil, sealed, additionalData)
 }
 
-// DeriveKey derives a 32-byte subkey from master for the given context
-// label using HKDF-style HMAC-SHA256 expansion (RFC 5869 with a fixed
-// zero salt, single-block output).
-func DeriveKey(master []byte, context string) []byte {
-	// extract
-	ext := hmac.New(sha256.New, make([]byte, sha256.Size))
-	ext.Write(master)
-	prk := ext.Sum(nil)
-	// expand (one block is exactly 32 bytes)
-	exp := hmac.New(sha256.New, prk)
-	exp.Write([]byte(context))
-	exp.Write([]byte{1})
-	return exp.Sum(nil)
-}
-
 // Keyring manages per-owner data keys wrapped under a master key. Shredding
 // a key makes every record sealed under it permanently unreadable — the
 // crypto-erasure fast path for GDPR Article 17.
@@ -243,7 +226,7 @@ func (kr *Keyring) CipherStats() (hits, misses uint64) {
 // and the epoch it belongs to, from one locked read. ok is false when the
 // owner is shredded or has no key, i.e. when nothing sealed for the owner
 // can be opened; the epoch is reported either way. The Cipher is the
-// caller's for the call it is making, as a key copy from Current would be:
+// caller's for the call it is making, as a key copy from Ensure would be:
 // a Shred that lands meanwhile is seen by RecordLive(owner, epoch).
 func (kr *Keyring) CipherFor(owner string) (c Cipher, epoch uint64, ok bool) {
 	kr.mu.RLock()
@@ -257,8 +240,10 @@ func (kr *Keyring) CipherFor(owner string) (c Cipher, epoch uint64, ok bool) {
 }
 
 // SealerFor is the write-side lookup: CipherFor, generating the key on
-// first use. It returns the cipher, its epoch, and EnsureAt's wrapped key
-// (non-nil exactly when this call created the key) and error.
+// first use. It returns the cipher, its epoch, the wrapped key (non-nil
+// exactly when this call created the key; callers journal it with the
+// epoch so the keyring survives restarts) and ErrUnknownKey if the owner's
+// key was shredded.
 func (kr *Keyring) SealerFor(owner string) (Cipher, uint64, []byte, error) {
 	if c, epoch, ok := kr.CipherFor(owner); ok {
 		return c, epoch, nil, nil
@@ -284,48 +269,31 @@ func (kr *Keyring) KeyFor(owner string) ([]byte, error) {
 // Ensure returns owner's data key, generating one if needed. It also
 // returns the key wrapped (sealed) under the master key — callers journal
 // the wrapped form when created is true so the keyring survives restarts —
-// and whether this call created the key. The returned key is a defensive
-// copy: a concurrent Shred zeroes only the ring's own slice, never one a
-// reader is still sealing with.
+// and whether this call created the key. It returns ErrUnknownKey if the
+// owner's key was shredded. The returned key is a defensive copy: a
+// concurrent Shred zeroes only the ring's own slice, never one a reader is
+// still sealing with.
 func (kr *Keyring) Ensure(owner string) (key, wrapped []byte, created bool, err error) {
-	key, _, wrapped, err = kr.EnsureAt(owner)
-	return key, wrapped, wrapped != nil, err
-}
-
-// Current is the read-side lookup: owner's data key (a defensive copy) and
-// the epoch it belongs to, from one locked read. ok is false when the owner
-// is shredded or has no key, i.e. when nothing sealed for the owner can be
-// opened; the epoch is reported either way.
-func (kr *Keyring) Current(owner string) (key []byte, epoch uint64, ok bool) {
 	kr.mu.RLock()
-	defer kr.mu.RUnlock()
-	epoch = kr.epoch[owner]
-	k, has := kr.keys[owner]
-	if !has || kr.shred[owner] {
-		return nil, epoch, false
+	if k, ok := kr.keys[owner]; ok && !kr.shred[owner] {
+		key = append([]byte(nil), k...)
 	}
-	return append([]byte(nil), k...), epoch, true
-}
-
-// EnsureAt is the write-side lookup: Current, generating the key on first
-// use. wrapped is non-nil exactly when this call created the key; callers
-// journal it with the epoch so the keyring survives restarts. It returns
-// ErrUnknownKey if the owner's key was shredded.
-func (kr *Keyring) EnsureAt(owner string) (key []byte, epoch uint64, wrapped []byte, err error) {
-	if k, e, ok := kr.Current(owner); ok {
-		return k, e, nil, nil
+	kr.mu.RUnlock()
+	if key != nil {
+		return key, nil, false, nil
 	}
 	kr.mu.Lock()
 	defer kr.mu.Unlock()
-	k, epoch, wrapped, err := kr.ensureLocked(owner)
+	k, _, wrapped, err := kr.ensureLocked(owner)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, nil, false, err
 	}
-	return append([]byte(nil), k...), epoch, wrapped, nil
+	return append([]byte(nil), k...), wrapped, wrapped != nil, nil
 }
 
-// ensureLocked is EnsureAt under kr.mu held for writing; the key returned is
-// the ring's own slice.
+// ensureLocked returns owner's key and epoch, generating the key on first
+// use; wrapped is non-nil exactly when it did. Callers hold kr.mu for
+// writing; the key returned is the ring's own slice.
 func (kr *Keyring) ensureLocked(owner string) (key []byte, epoch uint64, wrapped []byte, err error) {
 	if kr.shred[owner] {
 		return nil, 0, nil, ErrUnknownKey
@@ -445,13 +413,6 @@ func (kr *Keyring) ShredAt(owner string, epoch uint64) {
 	}
 }
 
-// Epoch returns owner's current key epoch (0 until the first shred).
-func (kr *Keyring) Epoch(owner string) uint64 {
-	kr.mu.RLock()
-	defer kr.mu.RUnlock()
-	return kr.epoch[owner]
-}
-
 // Epochs returns a snapshot of every owner's epoch, for journaling during
 // compaction.
 func (kr *Keyring) Epochs() map[string]uint64 {
@@ -479,31 +440,6 @@ func (kr *Keyring) ShredCount() int {
 	kr.mu.RLock()
 	defer kr.mu.RUnlock()
 	return len(kr.shred)
-}
-
-// Shredded reports whether owner's key has been destroyed.
-func (kr *Keyring) Shredded(owner string) bool {
-	kr.mu.RLock()
-	defer kr.mu.RUnlock()
-	return kr.shred[owner]
-}
-
-// SealFor seals plaintext under owner's data key.
-func (kr *Keyring) SealFor(owner string, plaintext []byte) ([]byte, error) {
-	k, err := kr.KeyFor(owner)
-	if err != nil {
-		return nil, err
-	}
-	return Seal(k, plaintext, []byte(owner))
-}
-
-// OpenFor opens a record sealed with SealFor.
-func (kr *Keyring) OpenFor(owner string, sealed []byte) ([]byte, error) {
-	k, err := kr.KeyFor(owner)
-	if err != nil {
-		return nil, err
-	}
-	return Open(k, sealed, []byte(owner))
 }
 
 // RandomKey generates a fresh random 32-byte key.

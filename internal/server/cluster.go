@@ -28,8 +28,9 @@ import (
 // partitioned keyspace. The slot math and topology map live in
 // internal/cluster; this file wires them to the command pipeline.
 
-// DefaultClusterFanoutTimeout bounds each peer call of a rights fan-out.
-const DefaultClusterFanoutTimeout = 5 * time.Second
+// peerTimeout bounds each server-to-server call: one peer's half of a
+// rights fan-out, or one RESTOREKEY of a slot migration.
+const peerTimeout = 5 * time.Second
 
 // ClusterConfig enables cluster mode on a server.
 type ClusterConfig struct {
@@ -37,9 +38,6 @@ type ClusterConfig struct {
 	Self string
 	// Map is the static slot topology shared by every node.
 	Map *cluster.Map
-	// FanoutTimeout bounds each peer call of a rights fan-out
-	// (DefaultClusterFanoutTimeout when zero).
-	FanoutTimeout time.Duration
 }
 
 // clusterState is the resolved cluster configuration, swapped atomically
@@ -49,10 +47,9 @@ type ClusterConfig struct {
 // mutations — the node's address in the map may change (failover), its
 // identity does not.
 type clusterState struct {
-	selfID  string
-	topo    *cluster.Topology
-	m       *cluster.Map
-	timeout time.Duration
+	selfID string
+	topo   *cluster.Topology
+	m      *cluster.Map
 }
 
 // self returns this node's current entry in the map.
@@ -72,13 +69,9 @@ func (s *Server) EnableCluster(cfg ClusterConfig) error {
 	if _, ok := cfg.Map.NodeByID(cfg.Self); !ok {
 		return fmt.Errorf("server: cluster: self id %q is not in the map", cfg.Self)
 	}
-	timeout := cfg.FanoutTimeout
-	if timeout <= 0 {
-		timeout = DefaultClusterFanoutTimeout
-	}
 	topo := cluster.NewTopology(cfg.Map)
 	s.clusterMu.Lock()
-	s.clusterSt.Store(&clusterState{selfID: cfg.Self, topo: topo, m: topo.Map(), timeout: timeout})
+	s.clusterSt.Store(&clusterState{selfID: cfg.Self, topo: topo, m: topo.Map()})
 	s.clusterMu.Unlock()
 	return nil
 }
@@ -101,7 +94,7 @@ func (s *Server) swapTopology(mutate func(*cluster.Topology) (*cluster.Topology,
 	if err != nil {
 		return err
 	}
-	s.clusterSt.Store(&clusterState{selfID: cs.selfID, topo: next, m: next.Map(), timeout: cs.timeout})
+	s.clusterSt.Store(&clusterState{selfID: cs.selfID, topo: next, m: next.Map()})
 	return nil
 }
 
@@ -245,12 +238,14 @@ func init() {
 		},
 	})
 	// RESTOREKEY is the destination half of slot migration: it ingests one
-	// portable record streamed by the source's CLUSTER MIGRATESLOT. Keys is
+	// record streamed by the source's CLUSTER MIGRATESLOT, in the form the
+	// journal carries it (GREC, SET or SETEX with its arguments). Keys is
 	// nil on purpose — the record's key belongs to a slot this node does
 	// not own yet, so the handler does its own owns-or-imports check
-	// instead of the middleware's MOVED logic.
+	// instead of the middleware's MOVED logic. One argument is an earlier
+	// release's encoded record, which the handler refuses.
 	register(Command{
-		Name: "RESTOREKEY", MinArgs: 1, MaxArgs: 1, Flags: FlagWrite | FlagAdmin,
+		Name: "RESTOREKEY", MinArgs: 1, MaxArgs: -1, Flags: FlagWrite | FlagAdmin,
 		Summary: "ingest one migrated record (cluster-internal; driven by CLUSTER MIGRATESLOT)",
 		Handler: handleRestoreKey,
 	})
@@ -379,20 +374,13 @@ type fanoutSpec struct {
 	// audited writes an aggregate coordinator record on success (erasure
 	// only; read-path rights are audited per node by the store itself).
 	audited bool
-	// readonly marks the access-path rights (Art. 15/20): when a primary
-	// is unreachable the coordinator retries its replicas, preferring the
-	// surviving majority over a CLUSTERDOWN. Mutating rights (erasure,
-	// objections) never fall back — a replica cannot accept the write, and
-	// claiming success without every primary would be a lie in the audit
-	// trail.
-	readonly bool
 }
 
 var fanoutSpecs = map[string]fanoutSpec{
 	"FORGETUSER":  {localCmd: "FORGETUSERLOCAL", merge: mergeSum, audited: true},
-	"GETUSER":     {localCmd: "GETUSERLOCAL", merge: mergeConcat, readonly: true},
-	"GETUSERDATA": {localCmd: "GETUSERLOCAL", merge: mergeConcat, readonly: true},
-	"EXPORTUSER":  {localCmd: "EXPORTUSERLOCAL", merge: mergeExport, readonly: true},
+	"GETUSER":     {localCmd: "GETUSERLOCAL", merge: mergeConcat},
+	"GETUSERDATA": {localCmd: "GETUSERLOCAL", merge: mergeConcat},
+	"EXPORTUSER":  {localCmd: "EXPORTUSERLOCAL", merge: mergeExport},
 	"OBJECT":      {localCmd: "OBJECTLOCAL", merge: mergeOK},
 	"UNOBJECT":    {localCmd: "UNOBJECTLOCAL", merge: mergeOK},
 }
@@ -458,6 +446,8 @@ func mergeExport(local resp.Value, peers []resp.Value) (resp.Value, error) {
 // all-or-reported: any unreachable or refusing peer turns the reply into
 // a CLUSTERDOWN error naming the nodes that did not confirm, and the
 // partial outcome is written to the audit trail — never silently dropped.
+// Every right, reads included, asks primaries only: a replica may not yet
+// have applied an erasure the cluster already acknowledged.
 func (s *Server) clusterFanout(ctx *Ctx, cs *clusterState) (resp.Value, error) {
 	owner := string(ctx.Args[0])
 	spec := fanoutSpecs[ctx.Cmd.Name]
@@ -489,19 +479,7 @@ func (s *Server) clusterFanout(ctx *Ctx, cs *clusterState) (resp.Value, error) {
 		wg.Add(1)
 		go func(i int, p cluster.Node) {
 			defer wg.Done()
-			v, err := s.peerCall(p.Addr, ctx.Core.Actor, ctx.Core.Purpose, cs.timeout, peerArgs...)
-			if err != nil && spec.readonly {
-				// Access-path rights prefer the surviving majority: a dead
-				// primary's replicas hold the same records (and audit their
-				// own serving of them), so try each before reporting the
-				// node failed.
-				for _, rep := range p.Replicas {
-					if rv, rerr := s.peerCall(rep, ctx.Core.Actor, ctx.Core.Purpose, cs.timeout, peerArgs...); rerr == nil {
-						v, err = rv, nil
-						break
-					}
-				}
-			}
+			v, err := s.peerCall(p.Addr, ctx.Core.Actor, ctx.Core.Purpose, peerArgs...)
 			replies[i] = peerReply{node: p, v: v, err: err}
 		}(i, p)
 	}
@@ -559,12 +537,12 @@ func (s *Server) auditCluster(r audit.Record) {
 // earlier caller's identity. An error reply in any slot fails the call
 // with that reply's text. A transport failure on a client that was
 // already pooled (the peer restarted since) drops the client and retries
-// once on a fresh dial, inside the same timeout.
-func (s *Server) peerCall(addr, actor, purpose string, timeout time.Duration, args ...string) (resp.Value, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+// once on a fresh dial, inside the same peerTimeout.
+func (s *Server) peerCall(addr, actor, purpose string, args ...string) (resp.Value, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), peerTimeout)
 	defer cancel()
 	for attempt := 0; ; attempt++ {
-		c, pooled, err := s.peer(ctx, addr, timeout)
+		c, pooled, err := s.peer(ctx, addr)
 		if err != nil {
 			return resp.Value{}, err
 		}
@@ -596,14 +574,14 @@ func (s *Server) peerCall(addr, actor, purpose string, timeout time.Duration, ar
 // this call, dialing it on first use. The dial runs outside s.mu, so a
 // dead peer's dial never holds up calls to the others; of two racing
 // dials the later one closes its client and takes the pooled one.
-func (s *Server) peer(ctx context.Context, addr string, timeout time.Duration) (*gdprkv.Client, bool, error) {
+func (s *Server) peer(ctx context.Context, addr string) (*gdprkv.Client, bool, error) {
 	s.mu.Lock()
 	c := s.peers[addr]
 	s.mu.Unlock()
 	if c != nil {
 		return c, true, nil
 	}
-	c, err := gdprkv.Dial(ctx, addr, gdprkv.WithDialTimeout(timeout), gdprkv.WithIOTimeout(timeout))
+	c, err := gdprkv.Dial(ctx, addr, gdprkv.WithDialTimeout(peerTimeout), gdprkv.WithIOTimeout(peerTimeout))
 	if err != nil {
 		return nil, false, err
 	}

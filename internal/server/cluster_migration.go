@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"gdprstore/internal/cluster"
 	"gdprstore/internal/core"
@@ -14,14 +13,14 @@ import (
 // This file is the key-streaming half of live slot migration. The
 // operator marks the slot IMPORTING on the destination and MIGRATING on
 // the source (cluster_admin.go); CLUSTER MIGRATESLOT on the source then
-// drives, per key: DumpForMigration (decrypt under the source keyring,
-// metadata verbatim) → RESTOREKEY on the destination (re-seal, re-index,
-// journal, audit) → RemoveMigrated on the source, guarded so a write that
-// raced in between re-dumps instead of being lost. Erasures win over
-// migration in both directions: a key shredded on the source is never
-// dumped, and a record whose owner is shredded on the destination is
-// refused with ERASED — the source skips it and lets the sweep reclaim
-// the dead ciphertext.
+// drives, per key: DumpForMigration (the key's journal record, decrypted
+// under the source keyring, metadata verbatim) → RESTOREKEY <record…> on
+// the destination (re-seal, re-index, journal, audit) → RemoveMigrated on
+// the source, guarded so a write that raced in between re-dumps instead of
+// being lost. Erasures win over migration in both directions: a key
+// shredded on the source is never dumped, and a record whose owner is
+// shredded on the destination is refused with ERASED — the source skips it
+// and lets the sweep reclaim the dead ciphertext.
 
 // migrateRetries bounds re-dumps of a key that keeps being written while
 // it is being moved before the slot migration reports failure.
@@ -51,7 +50,7 @@ func cmdClusterMigrateSlot(ctx *Ctx, cs *clusterState, args [][]byte) (resp.Valu
 	if err := ctx.Srv.store.AuthorizeMigration(ctx.Core); err != nil {
 		return resp.Value{}, err
 	}
-	moved, skipped, err := ctx.Srv.migrateSlot(ctx.Core, slot, dest, cs.timeout)
+	moved, skipped, err := ctx.Srv.migrateSlot(ctx.Core, slot, dest)
 	detail := fmt.Sprintf("slot=%d dest=%s moved=%d skipped=%d", slot, dest.ID, moved, skipped)
 	if err != nil {
 		detail += " error=" + err.Error()
@@ -67,7 +66,7 @@ func cmdClusterMigrateSlot(ctx *Ctx, cs *clusterState, args [][]byte) (resp.Valu
 // that did not need to move: erased ghosts, keys deleted or expired
 // mid-stream, and records the destination refused with ERASED because the
 // owner was already shredded there.
-func (s *Server) migrateSlot(cctx core.Ctx, slot uint16, dest cluster.Node, timeout time.Duration) (moved, skipped int, err error) {
+func (s *Server) migrateSlot(cctx core.Ctx, slot uint16, dest cluster.Node) (moved, skipped int, err error) {
 	for _, key := range s.keysInSlot(slot, -1) {
 	attempts:
 		for attempt := 0; ; attempt++ {
@@ -82,11 +81,12 @@ func (s *Server) migrateSlot(cctx core.Ctx, slot uint16, dest cluster.Node, time
 				skipped++
 				break attempts
 			}
-			b, eerr := core.EncodeMigrationRecord(rec)
-			if eerr != nil {
-				return moved, skipped, eerr
+			args := make([]string, 0, 1+len(rec))
+			args = append(args, "RESTOREKEY")
+			for _, a := range rec {
+				args = append(args, string(a))
 			}
-			if _, cerr := s.peerCall(dest.Addr, cctx.Actor, cctx.Purpose, timeout, "RESTOREKEY", string(b)); cerr != nil {
+			if _, cerr := s.peerCall(dest.Addr, cctx.Actor, cctx.Purpose, args...); cerr != nil {
 				if strings.HasPrefix(cerr.Error(), wirecode.Erased) {
 					// An erasure raced ahead of the migration and already
 					// reached the destination: the record is dead. Leave
@@ -116,25 +116,26 @@ func (s *Server) migrateSlot(cctx core.Ctx, slot uint16, dest cluster.Node, time
 	return moved, skipped, nil
 }
 
-// handleRestoreKey is the destination half: ingest one migration record.
-// The record's slot must be one this node owns or is importing — the
-// internal streaming path does not use ASKING, so the check lives here
-// rather than in the cluster middleware (Keys is nil for RESTOREKEY).
+// handleRestoreKey is the destination half: ingest one migration record,
+// the journal record DumpForMigration built. The record's slot must be one
+// this node owns or is importing — the internal streaming path does not
+// use ASKING, so the check lives here rather than in the cluster
+// middleware (Keys is nil for RESTOREKEY).
 func handleRestoreKey(ctx *Ctx) (resp.Value, error) {
-	rec, err := core.DecodeMigrationRecord(ctx.Args[0])
-	if err != nil {
-		return resp.Value{}, err
-	}
+	var admit func(key string) error
 	if cs := ctx.Srv.clusterInfo(); cs != nil {
-		slot := cluster.Slot(rec.Key)
-		if owner := cs.m.NodeForSlot(slot); owner.ID != cs.selfID {
-			mg, ok := cs.topo.Migration(slot)
-			if !ok || mg.State != cluster.StateImporting {
-				return resp.Value{}, fmt.Errorf("slot %d is neither owned nor importing here", slot)
+		admit = func(key string) error {
+			slot := cluster.Slot(key)
+			if owner := cs.m.NodeForSlot(slot); owner.ID != cs.selfID {
+				mg, ok := cs.topo.Migration(slot)
+				if !ok || mg.State != cluster.StateImporting {
+					return fmt.Errorf("slot %d is neither owned nor importing here", slot)
+				}
 			}
+			return nil
 		}
 	}
-	if err := ctx.Srv.store.RestoreRecord(ctx.Core, rec); err != nil {
+	if err := ctx.Srv.store.RestoreRecord(ctx.Core, ctx.Args, admit); err != nil {
 		return resp.Value{}, err
 	}
 	return resp.SimpleStringValue("OK"), nil

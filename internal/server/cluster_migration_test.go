@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"net"
@@ -592,19 +593,91 @@ func TestClusterFailoverPromoteReplica(t *testing.T) {
 	}
 }
 
-// TestRestoreKeyRefusesJSONRecord: a migration record in the JSON an
-// earlier release's source node sends is refused, with a reply that says to
-// upgrade the source first, and nothing is stored.
+// TestRestoreKeyRefusesJSONRecord: RESTOREKEY takes one journal record
+// (GREC, SET or SETEX with its arguments) and nothing else. An earlier
+// release's one-argument record, in JSON or in the binary form that
+// followed it, is refused with a reply that says to upgrade the source
+// first; so are unknown records, wrong arities, malformed metadata and a
+// key in a slot this node neither owns nor imports. Each refusal stores
+// nothing and writes no OK audit record.
 func TestRestoreKeyRefusesJSONRecord(t *testing.T) {
 	srvs, stores, m := startCluster(t, 2)
 	ctx := context.Background()
 	c := nodeClient(t, srvs[0].Addr())
 	key := ownerOn(t, m, "n1")
-	_, err := c.Do(ctx, "RESTOREKEY", `{"key":"`+key+`","value":"dg=="}`)
-	if err == nil || !strings.Contains(err.Error(), "upgrade the source node first") {
-		t.Fatalf("RESTOREKEY with a JSON record = %v; want a refusal naming the upgrade", err)
+	foreign := ownerOn(t, m, "n2")
+	meta := string([]byte{0x01, 0, 0, 0, 0, 0, 0, 0, 0}) // metadata of nobody
+	// The previous release's binary record for KEY (owner alice, purpose
+	// billing, value "alice-one"), as its migration encoder wrote it.
+	binary, err := hex.DecodeString("0101034b455909616c6963652d6f6e65010405616c696365010762696c6c696e670000000018da660b2be0800000")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if stores[0].Exists(key) {
-		t.Fatal("the refused record was stored")
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"JSON record", []string{`{"key":"` + key + `","value":"dg=="}`}, "upgrade the source node first"},
+		{"binary record", []string{string(binary)}, "upgrade the source node first"},
+		{"unknown record", []string{"GMETA", key, meta}, "not a migration record"},
+		{"GREC without value", []string{"GREC", meta, key}, "not a migration record"},
+		{"GREC with two pairs", []string{"GREC", meta, key, "v", key + "2", "v"}, "not a migration record"},
+		{"SET with KEEPTTL", []string{"SET", key, "v", "KEEPTTL"}, "not a migration record"},
+		{"SETEX without deadline", []string{"SETEX", key, "v"}, "not a migration record"},
+		{"malformed metadata", []string{"GREC", "\x01", key, "v"}, "decode metadata"},
+		{"JSON metadata", []string{"GREC", `{"owner":"alice"}`, key, "v"}, "retired"},
+		{"malformed deadline", []string{"SETEX", key, "soon", "v"}, "cannot parse"},
+		{"slot neither owned nor importing", []string{"SET", foreign, "v"}, "neither owned nor importing"},
+	} {
+		_, err := c.Do(ctx, append([]string{"RESTOREKEY"}, tc.args...)...)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: RESTOREKEY = %v; want a refusal containing %q", tc.name, err, tc.want)
+		}
+	}
+	if n := stores[0].Engine().RawLen(); n != 0 {
+		t.Fatalf("refused records were stored: %d keys", n)
+	}
+	if recs, err := stores[0].Trail().Query(audit.Filter{Op: "RESTOREKEY", Outcome: audit.OutcomeOK}); err != nil || len(recs) != 0 {
+		t.Fatalf("refused records were audited as restored: %+v, %v", recs, err)
+	}
+}
+
+// TestClusterGetUserSkipsLaggingReplica: after an acknowledged erasure, a
+// rights read coordinated while the subject's primary is down must not be
+// served by that primary's replica, which may not have applied the
+// erasure. It answers CLUSTERDOWN instead, as FORGETUSER does.
+func TestClusterGetUserSkipsLaggingReplica(t *testing.T) {
+	srvs, _, rsrv, rst, m := startClusterWithReplica(t)
+	ctx := context.Background()
+	owner := ownerOn(t, m, "n1")
+	key := fmt.Sprintf("pd:{%s}:rec", owner)
+	if err := nodeClient(t, srvs[0].Addr()).GPut(ctx, key, []byte("erased-later"), gdprkv.PutOptions{
+		Owner: owner, Purposes: []string{"service"}}); err != nil {
+		t.Fatal(err)
+	}
+	testutil.Eventually(t, replWait, 0, func() bool { return rst.Engine().Exists(key) },
+		"replication never delivered the record")
+
+	// The replica falls behind: its primary is now an address nobody
+	// answers, so the erasure below never reaches it.
+	rsrv.ReplicaOf("127.0.0.1:1", replica.NodeOptions{})
+	n2 := nodeClient(t, srvs[1].Addr())
+	if n, err := n2.ForgetUser(ctx, owner); err != nil || n != 1 {
+		t.Fatalf("FORGETUSER = %d, %v; want 1", n, err)
+	}
+	srvs[0].Close()
+	if !rst.Engine().Exists(key) {
+		t.Fatal("test premise broken: the lagging replica already dropped the record")
+	}
+
+	recs, err := n2.GetUser(ctx, owner)
+	if !errors.Is(err, gdprkv.ErrClusterDown) || len(recs) != 0 {
+		t.Fatalf("GETUSER after an acknowledged erasure = %d records, %v; want ErrClusterDown", len(recs), err)
+	}
+	for _, cmd := range []string{"GETUSERDATA", "EXPORTUSER"} {
+		if v, err := n2.Do(ctx, cmd, owner); !errors.Is(err, gdprkv.ErrClusterDown) {
+			t.Fatalf("%s after an acknowledged erasure = %v, %v; want ErrClusterDown", cmd, v, err)
+		}
 	}
 }

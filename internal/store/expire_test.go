@@ -217,7 +217,7 @@ func TestExpirerStepPanicsOnWallClock(t *testing.T) {
 func TestExpirerRunStop(t *testing.T) {
 	db := New(Options{Strategy: ExpiryHeap})
 	db.SetEX("k", []byte("v"), 50*time.Millisecond)
-	e := NewExpirerPeriod(db, 10*time.Millisecond)
+	e := NewExpirer(db)
 	e.Run()
 	e.Run() // idempotent
 	testutil.Eventually(t, 10*time.Second, 0, func() bool {

@@ -28,14 +28,6 @@ func NewExpirer(db *DB) *Expirer {
 	return &Expirer{db: db, period: ActiveExpireCyclePeriod}
 }
 
-// NewExpirerPeriod creates an expirer with a custom cycle period.
-func NewExpirerPeriod(db *DB, period time.Duration) *Expirer {
-	if period <= 0 {
-		period = ActiveExpireCyclePeriod
-	}
-	return &Expirer{db: db, period: period}
-}
-
 // Run starts the background cycle against real time. It is a no-op if
 // already running.
 func (e *Expirer) Run() {

@@ -337,7 +337,12 @@ func (db *DB) Set(key string, value []byte) {
 
 // SetEX stores value under key with a relative TTL.
 func (db *DB) SetEX(key string, value []byte, ttl time.Duration) {
-	deadline := db.clk.Now().Add(ttl)
+	db.SetAt(key, value, db.clk.Now().Add(ttl))
+}
+
+// SetAt stores value under key with an absolute deadline, journaled as the
+// SETEX that SetEX writes.
+func (db *DB) SetAt(key string, value []byte, deadline time.Time) {
 	sh := db.shardFor(key)
 	sh.mu.Lock()
 	db.putLocked(sh, key, cloneBytes(value), nil, deadlineNS(deadline))
