@@ -11,10 +11,11 @@
 //     "eventual compliance" point, 6× faster, risking ≤1 s of log loss;
 //   - SyncNo:       leave flushing to the OS.
 //
-// The file can be transparently encrypted at rest through an
-// cryptoutil.OffsetCipher (the LUKS stand-in), and compacted with Rewrite
-// so that deleted personal data does not persist in the log (§4.3's second
-// concern).
+// The log writes through a File (file.go), the append-only file the audit
+// trail writes through too: transparently encrypted at rest through a
+// cryptoutil.OffsetCipher (the LUKS stand-in), with a sticky first error.
+// Rewrite compacts it so that deleted personal data does not persist in the
+// log (§4.3's second concern).
 package aof
 
 import (
@@ -66,48 +67,26 @@ type Options struct {
 	Key []byte
 }
 
-// Log is an append-only command log. All methods are safe for concurrent
-// use.
+// Log is an append-only command log: the RESP encoder, the fsync policy
+// and the everysec flusher over one File. All methods are safe for
+// concurrent use.
 type Log struct {
-	mu        sync.Mutex
-	rewriteMu sync.Mutex // serialises Rewrite invocations
-	path      string
-	f         *os.File
-	w         *bufio.Writer // wraps the (possibly encrypting) writer
-	enc       *resp.Writer  // encodes commands into w
-	cipher    *cryptoutil.OffsetCipher
-	policy    SyncPolicy
-	size      int64 // logical bytes appended (plaintext == ciphertext length)
-	dirty     bool
-	appends   uint64
-	syncs     uint64
-	err       error // first write or fsync error, sticky (LastErr)
-
+	file        *File
+	enc         *resp.Writer // encodes commands into file, under its lock
+	policy      SyncPolicy
+	rewriteMu   sync.Mutex // serialises Rewrite invocations
 	stopFlusher chan struct{}
+	stopOnce    sync.Once
 	flusherDone chan struct{}
-	closed      bool
 }
 
 // Open opens (creating if necessary) the append-only file at path.
 func Open(path string, opts Options) (*Log, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o600)
+	f, err := OpenFile(path, opts.Key)
 	if err != nil {
-		return nil, fmt.Errorf("aof: open: %w", err)
+		return nil, err
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("aof: stat: %w", err)
-	}
-	l := &Log{path: path, f: f, policy: opts.Policy, size: st.Size()}
-	if opts.Key != nil {
-		l.cipher, err = cryptoutil.NewOffsetCipher(opts.Key)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	l.initWriters()
+	l := &Log{file: f, enc: resp.NewWriter(held{f}), policy: opts.Policy}
 	if opts.Policy == SyncEverySec {
 		l.stopFlusher = make(chan struct{})
 		l.flusherDone = make(chan struct{})
@@ -116,91 +95,23 @@ func Open(path string, opts Options) (*Log, error) {
 	return l, nil
 }
 
-func (l *Log) initWriters() {
-	var sink io.Writer = l.f
-	if l.cipher != nil {
-		sink = cryptoutil.NewWriter(l.f, l.cipher, l.size)
-	}
-	l.w = bufio.NewWriterSize(sink, 64*1024)
-	l.enc = resp.NewWriter(countingWriter{l})
-}
-
-// countingWriter routes the RESP encoder's output into the buffered
-// (possibly encrypted) sink while tracking the logical size.
-type countingWriter struct{ l *Log }
-
-func (cw countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.l.w.Write(p)
-	cw.l.size += int64(n)
-	return n, err
-}
-
 // Append encodes one command and applies the fsync policy. After a write
 // or fsync error it appends nothing and returns that error (LastErr).
 func (l *Log) Append(name string, args ...[]byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return errors.New("aof: closed")
-	}
-	if l.err != nil {
-		return l.err
-	}
-	if err := l.enc.WriteRecord(name, args); err != nil {
-		return l.fail(err)
-	}
-	if err := l.enc.Flush(); err != nil { // resp buffer -> bufio buffer
-		return l.fail(err)
-	}
-	l.appends++
-	l.dirty = true
-	if l.policy == SyncAlways {
-		return l.syncLocked()
-	}
-	return nil
+	return l.file.append(func() error {
+		if err := l.enc.WriteRecord(name, args); err != nil {
+			return err
+		}
+		return l.enc.Flush() // resp buffer -> the file's buffer
+	}, l.policy == SyncAlways)
 }
 
 // Sync forces buffered data to stable storage regardless of policy. After
 // a write or fsync error it returns that error (LastErr).
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.syncLocked()
-}
+func (l *Log) Sync() error { return l.file.Sync() }
 
-func (l *Log) syncLocked() error {
-	if l.err != nil || !l.dirty {
-		return l.err
-	}
-	if err := l.w.Flush(); err != nil {
-		return l.fail(err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return l.fail(err)
-	}
-	l.dirty = false
-	l.syncs++
-	return nil
-}
-
-// fail records err as the log's first error, if it is, and returns the
-// first. Callers hold l.mu.
-func (l *Log) fail(err error) error {
-	if l.err == nil {
-		l.err = fmt.Errorf("aof: %w", err)
-	}
-	return l.err
-}
-
-// LastErr returns the first write or fsync error since Open, or nil. Every
-// Append and Sync after it returns it too: a retried fsync can report
-// success for pages the kernel already dropped, so nothing after the first
-// failure counts as durable.
-func (l *Log) LastErr() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.err
-}
+// LastErr returns the first write or fsync error since Open (File), or nil.
+func (l *Log) LastErr() error { return l.file.LastErr() }
 
 func (l *Log) flushLoop() {
 	defer close(l.flusherDone)
@@ -211,57 +122,27 @@ func (l *Log) flushLoop() {
 		case <-l.stopFlusher:
 			return
 		case <-t.C:
-			l.mu.Lock()
-			_ = l.syncLocked() // sticks, for LastErr
-			l.mu.Unlock()
+			_ = l.file.Sync() // sticks, for LastErr
 		}
 	}
 }
 
 // Size returns the logical size of the log in bytes.
-func (l *Log) Size() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.size
-}
+func (l *Log) Size() int64 { return l.file.Size() }
 
 // Appends returns the number of commands appended since Open.
-func (l *Log) Appends() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appends
-}
+func (l *Log) Appends() uint64 { return l.file.Appends() }
 
 // Syncs returns the number of fsync calls issued since Open.
-func (l *Log) Syncs() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.syncs
-}
+func (l *Log) Syncs() uint64 { return l.file.Syncs() }
 
-// Close flushes, fsyncs, stops the background flusher, and closes the file.
+// Close stops the flusher, then flushes, fsyncs and closes the file.
 func (l *Log) Close() error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return nil
+	if l.stopFlusher != nil {
+		l.stopOnce.Do(func() { close(l.stopFlusher) })
+		<-l.flusherDone
 	}
-	l.closed = true
-	stop := l.stopFlusher
-	done := l.flusherDone
-	l.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	errSync := l.syncLocked()
-	errClose := l.f.Close()
-	if errSync != nil {
-		return errSync
-	}
-	return errClose
+	return l.file.Close()
 }
 
 // ReplayFunc receives each command during Load. Returning an error aborts
@@ -272,23 +153,11 @@ type ReplayFunc func(name string, args [][]byte) error
 // (torn write at crash) stops the replay without error, matching Redis's
 // aof-load-truncated behaviour; corruption before the tail is reported.
 func Load(path string, key []byte, fn ReplayFunc) (replayed int, err error) {
-	f, err := os.Open(path)
+	src, err := OpenReader(path, key)
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return 0, nil
-		}
 		return 0, fmt.Errorf("aof: load: %w", err)
 	}
-	defer f.Close()
-
-	var src io.Reader = f
-	if key != nil {
-		c, cerr := cryptoutil.NewOffsetCipher(key)
-		if cerr != nil {
-			return 0, cerr
-		}
-		src = cryptoutil.NewReader(f, c)
-	}
+	defer src.Close()
 	r := resp.NewReader(bufio.NewReaderSize(src, 64*1024))
 	for {
 		args, rerr := r.ReadCommand()
@@ -315,12 +184,9 @@ type SnapshotFunc func(emit func(name string, args ...[]byte) error) error
 // reads: into a temporary file beside it, encrypted at rest under key when
 // it is non-nil, fsynced, renamed over path, and the directory fsynced.
 func WriteSnapshot(path string, key []byte, snapshot SnapshotFunc) error {
-	var c *cryptoutil.OffsetCipher
-	if key != nil {
-		var err error
-		if c, err = cryptoutil.NewOffsetCipher(key); err != nil {
-			return err
-		}
+	c, err := newCipher(key)
+	if err != nil {
+		return err
 	}
 	tmp, err := writeTemp(filepath.Dir(path), c, snapshot)
 	if err != nil {
@@ -341,11 +207,7 @@ func writeTemp(dir string, c *cryptoutil.OffsetCipher, snapshot SnapshotFunc) (s
 	if err != nil {
 		return "", err
 	}
-	var sink io.Writer = f
-	if c != nil {
-		sink = cryptoutil.NewWriter(f, c, 0)
-	}
-	bw := bufio.NewWriterSize(sink, 256*1024)
+	bw := bufio.NewWriterSize(encrypting(f, c, 0), 256*1024)
 	enc := resp.NewWriter(bw)
 	err = snapshot(func(name string, args ...[]byte) error { return enc.WriteRecord(name, args) })
 	if err == nil {
@@ -387,40 +249,10 @@ func SyncDir(dir string) error {
 func (l *Log) Rewrite(snapshot SnapshotFunc) error {
 	l.rewriteMu.Lock()
 	defer l.rewriteMu.Unlock()
-
-	l.mu.Lock()
-	closed := l.closed
-	l.mu.Unlock()
-	if closed {
-		return errors.New("aof: closed")
-	}
-
-	dir := filepath.Dir(l.path)
-	tmp, err := writeTemp(dir, l.cipher, snapshot)
+	tmp, err := writeTemp(filepath.Dir(l.file.path), l.file.cipher, snapshot)
 	if err != nil {
 		return fmt.Errorf("aof: rewrite: %w", err)
 	}
 	defer os.Remove(tmp) // no-op after the rename
-
-	// Swap: rename the new file over the old, drop the old one with what was
-	// appended to it since the snapshot, and reopen for append.
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return errors.New("aof: closed")
-	}
-	if err := os.Rename(tmp, l.path); err != nil {
-		return fmt.Errorf("aof: rewrite rename: %w", err)
-	}
-	l.f.Close()
-	f, err := os.OpenFile(l.path, os.O_RDWR|os.O_APPEND, 0o600)
-	if err != nil {
-		return fmt.Errorf("aof: rewrite reopen: %w", err)
-	}
-	l.f, l.dirty = f, false
-	if l.size, err = f.Seek(0, io.SeekEnd); err != nil {
-		return fmt.Errorf("aof: rewrite reopen: %w", err)
-	}
-	l.initWriters()
-	return SyncDir(dir)
+	return l.file.swap(tmp)
 }

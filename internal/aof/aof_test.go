@@ -340,67 +340,3 @@ func TestPolicyString(t *testing.T) {
 		t.Fatal("policy names wrong")
 	}
 }
-
-// TestFsyncErrorSticks swaps the log's file for the write end of a pipe
-// that a goroutine drains: writes succeed and fsync fails (EINVAL). After
-// a flusher tick, or a Sync, LastErr holds the error and every later
-// Append and Sync returns it, since a retried fsync can report success
-// for pages the kernel already dropped.
-func TestFsyncErrorSticks(t *testing.T) {
-	for _, policy := range []SyncPolicy{SyncEverySec, SyncNo} {
-		t.Run(policy.String(), func(t *testing.T) {
-			l, err := Open(tempPath(t), Options{Policy: policy})
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, w, err := os.Pipe()
-			if err != nil {
-				t.Fatal(err)
-			}
-			drained := make(chan struct{})
-			go func() {
-				defer close(drained)
-				buf := make([]byte, 4096)
-				for {
-					if _, err := r.Read(buf); err != nil {
-						return
-					}
-				}
-			}()
-			l.mu.Lock()
-			file := l.f
-			l.f = w
-			l.initWriters()
-			l.mu.Unlock()
-			defer func() {
-				l.Close() // closes the pipe's write end
-				file.Close()
-				<-drained
-				r.Close()
-			}()
-
-			if err := l.Append("SET", []byte("k"), []byte("v")); err != nil {
-				t.Fatalf("append before the failure: %v", err)
-			}
-			if policy == SyncNo {
-				if err := l.Sync(); err == nil {
-					t.Fatal("Sync of a pipe reported success")
-				}
-			}
-			deadline := time.Now().Add(5 * time.Second)
-			for l.LastErr() == nil && time.Now().Before(deadline) {
-				time.Sleep(10 * time.Millisecond)
-			}
-			first := l.LastErr()
-			if first == nil {
-				t.Fatal("the failed fsync left no LastErr")
-			}
-			if err := l.Append("SET", []byte("k2"), []byte("v")); err == nil || err.Error() != first.Error() {
-				t.Fatalf("Append after the failure = %v, want %v", err, first)
-			}
-			if err := l.Sync(); err == nil || err.Error() != first.Error() {
-				t.Fatalf("Sync after the failure = %v, want %v", err, first)
-			}
-		})
-	}
-}

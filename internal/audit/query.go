@@ -4,11 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"slices"
 	"time"
 
-	"gdprstore/internal/cryptoutil"
+	"gdprstore/internal/aof"
 )
 
 // Filter selects audit records. Zero-valued fields match everything.
@@ -116,22 +115,11 @@ func (t *Trail) Scan(fn func(Record) error) error {
 // damage reaches the end of the file is a torn tail and tolerated, with all
 // of its records; damage with anything after it is not.
 func scanFile(path string, key []byte, fn func(Record) error) error {
-	f, err := os.Open(path)
+	src, err := aof.OpenReader(path, key)
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil
-		}
 		return fmt.Errorf("audit: scan: %w", err)
 	}
-	defer f.Close()
-	var src io.Reader = f
-	if key != nil {
-		c, cerr := cryptoutil.NewOffsetCipher(key)
-		if cerr != nil {
-			return cerr
-		}
-		src = cryptoutil.NewReader(f, c)
-	}
+	defer src.Close()
 	// buf[p:] is what has been read and not yet consumed. It grows only to
 	// hold one frame, and a frame is bounded by maxFrame.
 	buf := make([]byte, 0, 1<<16)

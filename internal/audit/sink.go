@@ -1,14 +1,12 @@
 package audit
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 
-	"gdprstore/internal/cryptoutil"
+	"gdprstore/internal/aof"
 )
 
 // Sink consumes audit records. The pipeline's drainer calls Write once per
@@ -31,57 +29,37 @@ type Sink interface {
 }
 
 // FileSink persists records as (optionally encrypted) claim frames
-// (codec.go), appended to what the file already holds. A file that does not
-// start with a claim frame is refused at open (checkHead).
+// (codec.go), appended to what the file already holds through an aof.File:
+// its first write or fsync error sticks (DESIGN.md §11). A file that does
+// not start with a claim frame is refused at open (checkHead).
 type FileSink struct {
-	mu    sync.Mutex
-	f     *os.File
-	w     *bufio.Writer
-	dirty bool
-	size  int64
-	syncs uint64
-	path  string
-	key   []byte
+	*aof.File
+	key []byte
 }
 
 // NewFileSink opens or appends to the trail file at path. A non-nil key
 // encrypts the file at rest (32 bytes, AES-CTR keyed by byte offset). A
 // trail an earlier release began is refused before anything is written.
 func NewFileSink(path string, key []byte) (*FileSink, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o600)
+	r, err := aof.OpenReader(path, key)
 	if err != nil {
 		return nil, fmt.Errorf("audit: open: %w", err)
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("audit: stat: %w", err)
-	}
-	s := &FileSink{f: f, size: st.Size(), path: path, key: key}
-	var w io.Writer = f
-	var c *cryptoutil.OffsetCipher
-	if key != nil {
-		if c, err = cryptoutil.NewOffsetCipher(key); err != nil {
-			f.Close()
-			return nil, err
-		}
-		w = cryptoutil.NewWriter(f, c, st.Size())
-	}
-	if st.Size() > 0 {
+	if r.Size() > 0 {
 		first := make([]byte, 1)
-		if _, err = f.ReadAt(first, 0); err == nil {
-			if c != nil {
-				c.Apply(first, 0)
-			}
+		if _, err = r.ReadAt(first, 0); err == nil {
 			err = checkHead(path, first[0])
 		}
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
 	}
-	s.w = bufio.NewWriterSize(w, 64*1024)
-	return s, nil
+	r.Close()
+	if err != nil {
+		return nil, err
+	}
+	f, err := aof.OpenFile(path, key)
+	if err != nil {
+		return nil, fmt.Errorf("audit: %w", err)
+	}
+	return &FileSink{File: f, key: key}, nil
 }
 
 // checkHead refuses a trail whose first byte does not open a claim frame:
@@ -97,85 +75,7 @@ func checkHead(path string, first byte) error {
 }
 
 // Write appends one encoded batch.
-func (s *FileSink) Write(_ []Record, enc []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return errors.New("audit: file sink closed")
-	}
-	n, err := s.w.Write(enc)
-	s.size += int64(n)
-	if n > 0 {
-		s.dirty = true
-	}
-	return err
-}
-
-// Flush pushes buffered bytes to the OS without forcing an fsync — enough
-// for a reader of the file to observe them.
-func (s *FileSink) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil || !s.dirty {
-		return nil
-	}
-	return s.w.Flush()
-}
-
-// Sync flushes and fsyncs.
-func (s *FileSink) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.syncLocked()
-}
-
-func (s *FileSink) syncLocked() error {
-	if s.f == nil || !s.dirty {
-		return nil
-	}
-	if err := s.w.Flush(); err != nil {
-		return err
-	}
-	if err := s.f.Sync(); err != nil {
-		return err
-	}
-	s.dirty = false
-	s.syncs++
-	return nil
-}
-
-// Close flushes, fsyncs and closes the file.
-func (s *FileSink) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return nil
-	}
-	errSync := s.syncLocked()
-	errClose := s.f.Close()
-	s.f = nil
-	if errSync != nil {
-		return errSync
-	}
-	return errClose
-}
-
-// Size returns the logical file size in bytes.
-func (s *FileSink) Size() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.size
-}
-
-// Syncs returns the number of fsyncs issued.
-func (s *FileSink) Syncs() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.syncs
-}
-
-// Path returns the trail file path.
-func (s *FileSink) Path() string { return s.path }
+func (s *FileSink) Write(_ []Record, enc []byte) error { return s.Append(enc) }
 
 // recoverTailWindow is how far back RecoverLastSeq reads first. A claim
 // frame is a few kilobytes and frames are in sequence order, so the highest
@@ -190,33 +90,17 @@ const recoverTailWindow = 1 << 20
 // between. A window with no whole frame in it, the inside of a claim frame
 // of megabytes, is widened until it holds one or the whole file.
 func RecoverLastSeq(path string, key []byte) (uint64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return 0, nil
-		}
-		return 0, fmt.Errorf("audit: recover: %w", err)
-	}
-	defer f.Close()
-	st, err := f.Stat()
+	r, err := aof.OpenReader(path, key)
 	if err != nil {
 		return 0, fmt.Errorf("audit: recover: %w", err)
 	}
-	var c *cryptoutil.OffsetCipher
-	if key != nil {
-		if c, err = cryptoutil.NewOffsetCipher(key); err != nil {
-			return 0, err
-		}
-	}
-	size := st.Size()
+	defer r.Close()
+	size := r.Size()
 	for window := int64(recoverTailWindow); ; window *= 4 {
 		off := max(size-window, 0)
 		buf := make([]byte, size-off)
-		if _, err := f.ReadAt(buf, off); err != nil && !errors.Is(err, io.EOF) {
+		if _, err := r.ReadAt(buf, off); err != nil && !errors.Is(err, io.EOF) {
 			return 0, fmt.Errorf("audit: recover: %w", err)
-		}
-		if c != nil {
-			c.Apply(buf, off)
 		}
 		// A window of 4·maxFrame holds a whole frame before any torn one;
 		// finding none there means damage (or a wrong key), not a big claim.

@@ -19,7 +19,6 @@ func TestMaskedAuditRoundTrip(t *testing.T) {
 	s := newFullStore(t, func(c *Config) {
 		c.AuditPath = path
 		c.AuditMask = true
-		c.AuditMaskKey = []byte("mask-key-for-test")
 	})
 
 	const key = "user:alice:email"

@@ -98,14 +98,6 @@ type Config struct {
 	// AuditPath stores the trail durably when non-empty; empty keeps it in
 	// memory (no durability — partial compliance).
 	AuditPath string
-	// AuditMode overrides durability; nil derives from Timing
-	// (real-time → every-op, eventual → batched).
-	AuditMode *audit.SyncMode
-	// AuditReads controls whether the data read path is audited too. The
-	// paper's strict reading of Art. 30 demands it ("every read operation
-	// now has to be followed by a logging-write operation"); nil derives
-	// from Capability (full → true).
-	AuditReads *bool
 	// AuditQueueDepth bounds the records the audit pipeline holds
 	// accepted and not yet written (0 = pipeline default).
 	AuditQueueDepth int
@@ -119,15 +111,9 @@ type Config struct {
 	// (Breach, Query) still resolve real names through the in-memory
 	// reverse table.
 	AuditMask bool
-	// AuditMaskKey keys the pseudonymization; nil derives AtRestKey, or
-	// a random per-process key when that is unset too.
-	AuditMaskKey []byte
 	// AuditSocket, when non-empty ("tcp://host:port" or "unix:///path"),
 	// exports the (masked) trail line-delimited to an external collector.
 	AuditSocket string
-	// AuditDrainTimeout bounds how long Close waits for queued audit
-	// records to reach the sinks (0 = pipeline default).
-	AuditDrainTimeout time.Duration
 
 	// AtRestKey encrypts AOF and audit files (32 bytes) — the LUKS
 	// stand-in of §4.2.
@@ -197,18 +183,14 @@ func (c Config) normalize() normalized {
 	} else {
 		n.aofSync = aof.SyncEverySec
 	}
-	if c.AuditMode != nil {
-		n.auditMode = *c.AuditMode
-	} else if c.Timing == TimingRealTime {
+	if c.Timing == TimingRealTime {
 		n.auditMode = audit.SyncEveryOp
 	} else {
 		n.auditMode = audit.SyncBatched
 	}
-	if c.AuditReads != nil {
-		n.auditReads = *c.AuditReads
-	} else {
-		n.auditReads = c.Capability == CapabilityFull
-	}
+	// Full capability takes the paper's strict reading of Art. 30: "every
+	// read operation now has to be followed by a logging-write operation".
+	n.auditReads = c.Capability == CapabilityFull
 	if c.AuditBackpressure != nil {
 		n.auditBP = *c.AuditBackpressure
 	} else {

@@ -186,7 +186,6 @@ func Open(cfg Config) (*Store, error) {
 			Clock:        n.Config.Clock,
 			QueueDepth:   n.AuditQueueDepth,
 			Backpressure: n.auditBP,
-			DrainTimeout: n.AuditDrainTimeout,
 		}
 		if n.AuditMask {
 			mk, err := auditMaskKey(n)
@@ -227,14 +226,11 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// auditMaskKey resolves the pseudonymization key: explicit key, else the
-// at-rest key, else a fresh random per-process key (pseudonyms then do not
-// survive a restart, which is still a valid — if stricter — posture: old
-// trail lines become permanently unresolvable).
+// auditMaskKey resolves the pseudonymization key: the at-rest key, else a
+// fresh random per-process key (pseudonyms then do not survive a restart,
+// which is still a valid — if stricter — posture: old trail lines become
+// permanently unresolvable).
 func auditMaskKey(n normalized) ([]byte, error) {
-	if len(n.AuditMaskKey) > 0 {
-		return n.AuditMaskKey, nil
-	}
 	if len(n.AtRestKey) > 0 {
 		return n.AtRestKey, nil
 	}

@@ -105,29 +105,3 @@ func (ew *Writer) Write(p []byte) (int, error) {
 	}
 	return n, nil
 }
-
-// Offset returns the current absolute write offset.
-func (ew *Writer) Offset() int64 { return ew.offset }
-
-// Reader decrypts from an underlying io.Reader starting at offset 0 of the
-// keystream.
-type Reader struct {
-	r      io.Reader
-	c      *OffsetCipher
-	offset int64
-}
-
-// NewReader creates a decrypting reader positioned at stream offset 0.
-func NewReader(r io.Reader, c *OffsetCipher) *Reader {
-	return &Reader{r: r, c: c}
-}
-
-// Read implements io.Reader.
-func (er *Reader) Read(p []byte) (int, error) {
-	n, err := er.r.Read(p)
-	if n > 0 {
-		er.c.Apply(p[:n], er.offset)
-		er.offset += int64(n)
-	}
-	return n, err
-}
