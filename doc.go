@@ -24,12 +24,13 @@
 // lock order — see DESIGN.md §5.
 //
 // An HTTP ops surface (internal/ops, enabled with -ops-addr) exposes the
-// same facts operationally: /info renders the shared INFO section
-// registry as JSON, /metrics is a Prometheus text exposition whose core
+// same facts operationally, all rendered from the shared INFO section
+// registry, where each exported number is declared once: /info serves the
+// sections as JSON, /metrics is a Prometheus text exposition whose core
 // gauges are the paper's compliance promises as live lag numbers
 // (gdprkv_retention_lag_seconds, gdprkv_erasure_lag_seconds,
-// gdprkv_audit_queue_depth), /events streams SSE stats deltas, and / is
-// an embedded auto-refreshing dashboard — see DESIGN.md §14. The harness
+// gdprkv_audit_queue_depth), /events streams every section over SSE, and
+// / is an embedded auto-refreshing dashboard — see DESIGN.md §14. The harness
 // scenarios retention-storm and multi-regulation (cmd/experiments -run)
 // drive those gauges to their extremes and report compliance-overhead
 // numbers.

@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"gdprstore/internal/clock"
-	"gdprstore/internal/metrics"
 )
 
 // Outcome classifies how an audited operation ended.
@@ -202,12 +201,11 @@ type Trail struct {
 	sink   Sink
 	masker *Masker
 
-	counters     *metrics.CounterSet
-	enqueued     *metrics.Counter
-	dropped      *metrics.Counter
-	processed    *metrics.Counter
-	sinkErrors   *metrics.Counter
-	masked       *metrics.Counter
+	enqueued     atomic.Uint64
+	dropped      atomic.Uint64
+	processed    atomic.Uint64
+	sinkErrors   atomic.Uint64
+	masked       atomic.Uint64
 	errMu        sync.Mutex
 	lastErr      error
 	drainTimeout time.Duration
@@ -222,7 +220,6 @@ func Open(opts Options) (*Trail, error) {
 		clk:          opts.Clock,
 		wake:         make(chan struct{}, 1),
 		drained:      make(chan struct{}),
-		counters:     metrics.NewCounterSet(),
 		drainTimeout: opts.DrainTimeout,
 	}
 	t.cond = sync.NewCond(&t.mu)
@@ -239,11 +236,6 @@ func Open(opts Options) (*Trail, error) {
 	t.ring = make([]pending, depth)
 	t.window = time.AfterFunc(drainWindow, t.kick)
 	t.window.Stop()
-	t.enqueued = t.counters.Get("enqueued")
-	t.dropped = t.counters.Get("dropped")
-	t.processed = t.counters.Get("processed")
-	t.sinkErrors = t.counters.Get("sink_errors")
-	t.masked = t.counters.Get("masked")
 
 	if opts.Path == "" {
 		memCap := opts.MemoryCap
@@ -315,14 +307,14 @@ func (t *Trail) Append(r Record) (Record, error) {
 	}
 	r.Seq, r.Time = t.seq.Add(1), t.clk.Now()
 	if t.n == len(t.ring) {
-		t.dropped.Inc()
+		t.dropped.Add(1)
 		t.mu.Unlock()
 		return r, ErrDropped
 	}
 	t.ring[(t.head+t.n)%len(t.ring)] = pending{rec: r, done: done}
 	t.n++
 	t.backlog++
-	t.enqueued.Inc()
+	t.enqueued.Add(1)
 	switch {
 	case done != nil || t.backlog == len(t.ring)/4:
 		t.kick()
@@ -386,7 +378,7 @@ func (t *Trail) drain() {
 				r := q.rec
 				if t.masker != nil {
 					r = t.masker.Mask(r)
-					t.masked.Inc()
+					t.masked.Add(1)
 				}
 				recs = append(recs, r)
 				if q.done != nil {
@@ -422,7 +414,7 @@ func (t *Trail) drain() {
 // sinkFailed records a sink error, if err is one, and returns it.
 func (t *Trail) sinkFailed(err error) error {
 	if err != nil {
-		t.sinkErrors.Inc()
+		t.sinkErrors.Add(1)
 		t.setErr(err)
 	}
 	return err

@@ -179,23 +179,6 @@ func TestSnapshotString(t *testing.T) {
 	}
 }
 
-func TestMeter(t *testing.T) {
-	start := time.Now()
-	m := NewMeter(start)
-	m.Add(500)
-	m.Add(500)
-	if m.Ops() != 1000 {
-		t.Fatalf("ops = %d", m.Ops())
-	}
-	thr := m.Throughput(start.Add(2 * time.Second))
-	if thr != 500 {
-		t.Fatalf("throughput = %v, want 500", thr)
-	}
-	if m.Throughput(start) != 0 {
-		t.Fatal("zero-elapsed throughput must be 0")
-	}
-}
-
 func TestPercentilesSorted(t *testing.T) {
 	h := NewHistogram()
 	for i := 1; i <= 100; i++ {

@@ -3,35 +3,8 @@ package metrics
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
-
-// Meter counts operations and derives throughput over an explicit window.
-type Meter struct {
-	ops   atomic.Uint64
-	start time.Time
-}
-
-// NewMeter returns a meter whose window starts now.
-func NewMeter(start time.Time) *Meter {
-	return &Meter{start: start}
-}
-
-// Add records n completed operations.
-func (m *Meter) Add(n uint64) { m.ops.Add(n) }
-
-// Ops returns the total operation count.
-func (m *Meter) Ops() uint64 { return m.ops.Load() }
-
-// Throughput returns operations per second over [start, now].
-func (m *Meter) Throughput(now time.Time) float64 {
-	elapsed := now.Sub(m.start).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(m.ops.Load()) / elapsed
-}
 
 // OpStats couples a histogram with an op counter for one operation type
 // (READ, UPDATE, INSERT, SCAN, ...), matching YCSB's per-op reporting.

@@ -9,25 +9,16 @@ import (
 	"gdprstore/internal/metrics"
 )
 
-// statsEvent is the JSON payload of one SSE tick: the live numbers the
-// dashboard renders, with rates derived from the delta since the previous
-// tick on this stream.
+// statsEvent is the JSON payload of one SSE tick: every INFO section,
+// each as GET /info/{section} serves it, plus the command rate since the
+// previous tick on this stream and the latency quantiles over every
+// command.
 type statsEvent struct {
-	Seq             uint64  `json:"seq"`
-	Commands        uint64  `json:"commands"`
-	OpsPerSec       float64 `json:"ops_per_sec"`
-	P50Micros       int64   `json:"p50_us"`
-	P99Micros       int64   `json:"p99_us"`
-	DBSize          int     `json:"dbsize"`
-	RetentionLagMs  int64   `json:"retention_lag_ms"`
-	RetentionQueue  int     `json:"retention_overdue"`
-	ErasureLagMs    int64   `json:"erasure_lag_ms"`
-	ErasurePending  int     `json:"erasure_pending_owners"`
-	AuditQueueDepth int     `json:"audit_queue_depth"`
-	AuditDropped    uint64  `json:"audit_dropped"`
-	ReplRole        string  `json:"repl_role"`
-	ReplOffset      int64   `json:"repl_offset"`
-	Replicas        int     `json:"replicas"`
+	Seq       uint64                       `json:"seq"`
+	OpsPerSec float64                      `json:"ops_per_sec"`
+	P50Micros int64                        `json:"p50_us"`
+	P99Micros int64                        `json:"p99_us"`
+	Info      map[string]map[string]string `json:"info"`
 }
 
 // handleEvents streams periodic stats deltas as Server-Sent Events. The
@@ -100,26 +91,7 @@ func (o *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 // snapshotEvent gathers everything but the stream-local sequence and rate.
 func (o *Server) snapshotEvent() statsEvent {
-	st := o.rs.Store()
-	rt := st.RetentionStats()
-	er := st.ErasureStats()
-	rp := o.rs.ReplStatus()
-	ev := statsEvent{
-		Commands:       o.rs.Commands(),
-		DBSize:         st.Engine().Len(),
-		RetentionLagMs: rt.Lag.Milliseconds(),
-		RetentionQueue: rt.OverdueRecords,
-		ErasureLagMs:   er.SweepLag.Milliseconds(),
-		ErasurePending: er.PendingOwners,
-		ReplRole:       rp.Role,
-		ReplOffset:     rp.Offset,
-		Replicas:       rp.ConnectedReplicas,
-	}
-	if t := st.Trail(); t != nil {
-		as := t.Stats()
-		ev.AuditQueueDepth = as.QueueDepth
-		ev.AuditDropped = as.Dropped
-	}
+	ev := statsEvent{Info: infoObject(o.sections())}
 	// Aggregate latency across every command by merging the per-op
 	// histograms into a scratch one — cheap (fixed 1280 buckets per op)
 	// and lock-free against the hot path.

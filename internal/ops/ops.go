@@ -11,12 +11,13 @@
 //	GET /info      every INFO section as JSON
 //	GET /info/{s}  one INFO section as a flat JSON object
 //	GET /metrics   Prometheus text exposition (format 0.0.4)
-//	GET /events    SSE stream of periodic stats deltas
+//	GET /events    SSE stream of every INFO section, with the command rate
 //
-// The /info endpoints render from the same section registry as the RESP
-// INFO command (internal/server/sections.go), so the two protocols cannot
-// drift; the ops tests assert parity in both directions. Everything is
-// stdlib net/http — the project takes no external dependencies.
+// Every endpoint renders the section registry of the RESP INFO command
+// (internal/server/sections.go), where a field with a metric declares its
+// family, so the surfaces cannot drift; ops reads no other stats but the
+// per-command histograms. Everything is stdlib net/http — the project
+// takes no external dependencies.
 package ops
 
 import (
@@ -102,11 +103,26 @@ func (o *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, fieldsObject(snaps[0]))
 		return
 	}
+	writeJSON(w, http.StatusOK, infoObject(snaps))
+}
+
+// sections renders every registered INFO section, applicable or not:
+// the numbers /metrics and /events publish.
+func (o *Server) sections() (out []server.InfoSnapshot) {
+	for _, name := range server.InfoSectionNames() {
+		snaps, _ := o.rs.InfoSnapshot(name) // a registered name always renders
+		out = append(out, snaps...)
+	}
+	return out
+}
+
+// infoObject keys each section's fields object by the section's name.
+func infoObject(snaps []server.InfoSnapshot) map[string]map[string]string {
 	out := make(map[string]map[string]string, len(snaps))
 	for _, snap := range snaps {
 		out[snap.Name] = fieldsObject(snap)
 	}
-	writeJSON(w, http.StatusOK, out)
+	return out
 }
 
 func fieldsObject(snap server.InfoSnapshot) map[string]string {

@@ -5,17 +5,23 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"gdprstore/internal/core"
+	"gdprstore/internal/replica"
 	"gdprstore/internal/server"
 	"gdprstore/internal/testutil"
 	"gdprstore/pkg/gdprkv"
@@ -305,6 +311,59 @@ func TestKeyringCipherCounters(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/families.golden from this build")
+
+// TestMetricsFamiliesGolden: /metrics cannot lose or rename a family, or
+// change one's TYPE or HELP, and no family appears or vanishes with
+// configuration. testdata/families.golden holds the sorted HELP and TYPE
+// lines for five configurations: no compliance, compliance alone, audit
+// and envelope, the same with an AOF, and a replica. One recorded PING
+// makes the per-command summary family deterministic.
+func TestMetricsFamiliesGolden(t *testing.T) {
+	withAOF := fullConfig()
+	withAOF.AOFPath = filepath.Join(t.TempDir(), "a.aof")
+	configs := []struct {
+		name    string
+		cfg     core.Config
+		replica bool
+	}{
+		{"baseline", core.Baseline(), false},
+		{"compliant", core.Config{Compliant: true}, false},
+		{"full", fullConfig(), false},
+		{"full+aof", withAOF, false},
+		{"replica", core.Baseline(), true},
+	}
+	var b strings.Builder
+	for _, c := range configs {
+		o, _ := startOps(t, c.cfg)
+		if c.replica {
+			o.rs.ReplicaOf("127.0.0.1:1", replica.NodeOptions{})
+		}
+		o.rs.CommandStats().Get("PING").Record(time.Microsecond)
+		var heads []string
+		for _, line := range strings.Split(o.renderMetrics(), "\n") {
+			if strings.HasPrefix(line, "# ") {
+				heads = append(heads, line)
+			}
+		}
+		sort.Strings(heads)
+		fmt.Fprintf(&b, "== %s\n%s\n", c.name, strings.Join(heads, "\n"))
+	}
+	golden := filepath.Join("testdata", "families.golden")
+	if *update {
+		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("/metrics families differ from %s (rerun with -update only for an intended change):\ngot:\n%s\nwant:\n%s", golden, got, want)
+	}
+}
+
 func TestMetricsUnderConcurrentTraffic(t *testing.T) {
 	o, c := startOps(t, fullConfig())
 	ctx := context.Background()
@@ -406,8 +465,26 @@ func TestEventsStream(t *testing.T) {
 	if first.Seq != 1 || last.Seq <= first.Seq {
 		t.Errorf("seq did not advance: first=%d last=%d", first.Seq, last.Seq)
 	}
-	if first.Commands == 0 || first.ReplRole != "master" {
+	if first.Info["gdprstore"]["commands"] == "0" || first.Info["replication"]["role"] != "master" {
 		t.Errorf("implausible first tick: %+v", first)
+	}
+	// A tick carries every INFO section, applicable or not, with the keys
+	// GET /info/{section} serves.
+	for _, name := range server.InfoSectionNames() {
+		_, body := opsGET(t, o, "/info/"+name)
+		var want map[string]string
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatalf("/info/%s not JSON: %v", name, err)
+		}
+		got, ok := last.Info[name]
+		if !ok {
+			t.Errorf("tick lacks section %q", name)
+		}
+		for k := range want {
+			if _, ok := got[k]; !ok {
+				t.Errorf("tick lacks %s.%s", name, k)
+			}
+		}
 	}
 
 	// Client disconnect must end the stream promptly and leave the server
@@ -471,12 +548,48 @@ func TestCloseNoGoroutineLeak(t *testing.T) {
 	}, "goroutines leaked: baseline %d, now %d", baseline, runtime.NumGoroutine())
 }
 
+// TestDashboardServed: the dashboard is served, and every INFO key its
+// script reads as info.<section>.<key> exists in that section, so renaming
+// a key cannot blank a cell silently. A replica-only key is checked on a
+// replica; every other key on a node without compliance and on one with
+// audit, envelope and an AOF.
 func TestDashboardServed(t *testing.T) {
 	o, _ := startOps(t, fullConfig())
 	status, body := opsGET(t, o, "/")
 	if status != http.StatusOK || !strings.Contains(string(body), "EventSource(\"/events") {
 		t.Fatalf("dashboard = %d, EventSource present: %v", status,
 			strings.Contains(string(body), "EventSource"))
+	}
+	reads := regexp.MustCompile(`info\.([a-z]+)\.([a-z0-9_]+)`).FindAllStringSubmatch(string(body), -1)
+	if len(reads) < 10 {
+		t.Fatalf("dashboard reads %d INFO keys, want every cell's: %v", len(reads), reads)
+	}
+	replicaOnly := map[string]bool{"replica_repl_offset": true}
+	withAOF := fullConfig()
+	withAOF.AOFPath = filepath.Join(t.TempDir(), "a.aof")
+	replicaNode, _ := startOps(t, core.Baseline())
+	replicaNode.rs.ReplicaOf("127.0.0.1:1", replica.NodeOptions{})
+	baseline, _ := startOps(t, core.Baseline())
+	full, _ := startOps(t, withAOF)
+	for _, r := range reads {
+		section, key := r[1], r[2]
+		nodes := map[string]*Server{"baseline": baseline, "full": full}
+		if replicaOnly[key] {
+			nodes = map[string]*Server{"replica": replicaNode}
+		}
+		for name, node := range nodes {
+			snaps, err := node.rs.InfoSnapshot(section)
+			if err != nil {
+				t.Fatalf("dashboard reads section %q: %v", section, err)
+			}
+			found := false
+			for _, f := range snaps[0].Fields {
+				found = found || f.Key == key
+			}
+			if !found {
+				t.Errorf("dashboard reads info.%s.%s, absent on the %s node", section, key, name)
+			}
+		}
 	}
 }
 

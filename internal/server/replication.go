@@ -179,26 +179,3 @@ func cmdReplicaOf(ctx *Ctx) (resp.Value, error) {
 	ctx.Srv.ReplicaOf(net.JoinHostPort(host, port), replica.NodeOptions{Actor: ctx.Core.Actor})
 	return resp.SimpleStringValue("OK"), nil
 }
-
-// ReplStatus is a compact replication summary for the ops surface's
-// gauges, sparing it from parsing the INFO replication text back apart.
-type ReplStatus struct {
-	Role              string
-	Offset            int64
-	ConnectedReplicas int
-}
-
-// ReplStatus reports this node's replication role, journal offset, and
-// replica fan-out.
-func (s *Server) ReplStatus() ReplStatus {
-	s.replMu.Lock()
-	node := s.replNode
-	s.replMu.Unlock()
-	if node != nil {
-		return ReplStatus{Role: "replica", Offset: node.Status().Offset}
-	}
-	if hub := s.store.Hub(); hub != nil {
-		return ReplStatus{Role: "master", Offset: hub.Offset(), ConnectedReplicas: len(hub.Links())}
-	}
-	return ReplStatus{Role: "master"}
-}

@@ -8,21 +8,46 @@ import (
 	"strings"
 	"time"
 
+	"gdprstore/internal/audit"
 	"gdprstore/internal/cluster"
 )
 
 // This file is the shared INFO section registry: every section (name,
 // applicability, ordered key/value fields) is declared exactly once, and
-// both renderings — the RESP `INFO` text reply and the ops server's
-// `GET /info` JSON — are generated from it. Adding a section here is the
-// whole job: the INFO summary line, the `INFO <section>` argument
-// validation, the full-INFO composition and the HTTP surface all follow,
-// so the two protocols cannot drift (ops asserts parity in its tests).
+// every rendering — the RESP `INFO` text reply, the ops server's
+// `GET /info` JSON, its `/metrics` exposition and its `/events` stream —
+// is generated from it. Adding a section or a field here is the whole
+// job: the INFO summary line, the `INFO <section>` argument validation,
+// the full-INFO composition and the HTTP surface all follow, so the
+// protocols cannot drift (ops asserts parity in its tests). A field that
+// carries a metric declares its Prometheus family on the same line.
 
-// InfoField is one key:value line of an INFO section.
+// InfoField is one key:value line of an INFO section. A field with a
+// Metric is also a /metrics sample of that family, valued Num.
 type InfoField struct {
 	Key   string
 	Value string
+	// Metric names the field's Prometheus family, "" for none; Help is
+	// the family's HELP text and Counter selects counter over gauge.
+	Metric  string
+	Help    string
+	Counter bool
+	// Num is the field's number: the sample value, in seconds for a
+	// duration whose INFO text is in milliseconds.
+	Num float64
+}
+
+// gauge exports f on /metrics as a gauge family.
+func (f InfoField) gauge(name, help string) InfoField {
+	f.Metric, f.Help = name, help
+	return f
+}
+
+// counter exports f on /metrics as a counter family.
+func (f InfoField) counter(name, help string) InfoField {
+	f = f.gauge(name, help)
+	f.Counter = true
+	return f
 }
 
 // InfoSnapshot is one rendered section: its name and its fields in
@@ -34,8 +59,9 @@ type InfoSnapshot struct {
 
 // infoSection declares one section of the registry. present gates
 // inclusion in the argument-less full INFO report; an explicitly
-// requested section always renders (typically to a one-line "disabled"
-// stub), matching Redis's behaviour for inapplicable sections.
+// requested section always renders, and lists every field whatever the
+// state of its feature (zero when the feature is off), so no key and no
+// /metrics family appears or vanishes with configuration.
 type infoSection struct {
 	name    string
 	present func(s *Server) bool
@@ -102,114 +128,141 @@ func fbool(k string, v bool) InfoField {
 	return InfoField{Key: k, Value: strconv.FormatBool(v)}
 }
 func fint(k string, v int) InfoField {
-	return InfoField{Key: k, Value: strconv.Itoa(v)}
+	return InfoField{Key: k, Value: strconv.Itoa(v), Num: float64(v)}
 }
 func fint64(k string, v int64) InfoField {
-	return InfoField{Key: k, Value: strconv.FormatInt(v, 10)}
+	return InfoField{Key: k, Value: strconv.FormatInt(v, 10), Num: float64(v)}
 }
 func fuint(k string, v uint64) InfoField {
-	return InfoField{Key: k, Value: strconv.FormatUint(v, 10)}
+	return InfoField{Key: k, Value: strconv.FormatUint(v, 10), Num: float64(v)}
+}
+
+// fms renders a duration in whole milliseconds; its Num is the exact
+// seconds, the unit of a Prometheus family.
+func fms(k string, d time.Duration) InfoField {
+	return InfoField{Key: k, Value: strconv.FormatInt(d.Milliseconds(), 10), Num: d.Seconds()}
 }
 
 // gdprstoreFields renders the store-health section.
 func (s *Server) gdprstoreFields() []InfoField {
 	cfg := s.store.Config()
-	fs := []InfoField{
+	eng := s.store.Engine()
+	var (
+		aofSize             int64
+		aofAppends, aofSync uint64
+		aofErr              string
+		auditSeq, auditSync uint64
+	)
+	if l := s.store.Log(); l != nil {
+		aofSize, aofAppends, aofSync = l.Size(), l.Appends(), l.Syncs()
+		if err := l.LastErr(); err != nil {
+			aofErr = err.Error()
+		}
+	}
+	if t := s.store.Trail(); t != nil {
+		auditSeq, auditSync = t.Seq(), t.Syncs()
+	}
+	return []InfoField{
 		fbool("compliant", cfg.Compliant),
 		fstr("timing", cfg.Timing.String()),
 		fstr("capability", cfg.Capability.String()),
-		fuint("commands", s.Commands()),
-		fint("dbsize", s.store.Engine().Len()),
-		fint("expires", s.store.Engine().ExpireLen()),
-		fuint("expired_total", s.store.Engine().ExpiredCount()),
+		fuint("commands", s.Commands()).counter("gdprkv_commands_total", "RESP commands served"),
+		fint("dbsize", eng.Len()).gauge("gdprkv_dbsize", "keys currently stored"),
+		fint("expires", eng.ExpireLen()),
+		fuint("expired_total", eng.ExpiredCount()),
+		fint64("aof_size", aofSize).gauge("gdprkv_aof_bytes", "append-only file size in bytes"),
+		fuint("aof_appends", aofAppends),
+		fuint("aof_syncs", aofSync),
+		fstr("aof_last_error", aofErr),
+		fuint("audit_seq", auditSeq),
+		fuint("audit_syncs", auditSync),
 	}
-	if l := s.store.Log(); l != nil {
-		lastErr := ""
-		if err := l.LastErr(); err != nil {
-			lastErr = err.Error()
-		}
-		fs = append(fs,
-			fint64("aof_size", l.Size()),
-			fuint("aof_appends", l.Appends()),
-			fuint("aof_syncs", l.Syncs()),
-			fstr("aof_last_error", lastErr),
-		)
-	}
-	if t := s.store.Trail(); t != nil {
-		fs = append(fs,
-			fuint("audit_seq", t.Seq()),
-			fuint("audit_syncs", t.Syncs()),
-		)
-	}
-	return fs
 }
 
-// auditFields renders the audit-pipeline section: queue pressure, drop
-// and sink-error counters, the trail file's size beside the gdprstore
-// section's aof_size, and the last sink error, so operators can see a
-// failing, shedding or growing trail without grepping logs.
+// auditFields renders the audit-pipeline section (Art. 30): queue
+// pressure, drop and sink-error counters, the trail file's size beside
+// the gdprstore section's aof_size, and the last sink error, so operators
+// can see a failing, shedding or growing trail without grepping logs.
 func (s *Server) auditFields() []InfoField {
+	var st audit.Stats
 	t := s.store.Trail()
-	if t == nil {
-		return []InfoField{fbool("audit_enabled", false)}
+	if t != nil {
+		st = t.Stats()
 	}
-	st := t.Stats()
 	return []InfoField{
-		fbool("audit_enabled", true),
+		fbool("audit_enabled", t != nil),
 		fstr("audit_mode", st.Mode.String()),
 		fstr("audit_backpressure", st.Policy.String()),
-		fint("audit_queue_depth", st.QueueDepth),
-		fint("audit_queue_cap", st.QueueCap),
+		fint("audit_queue_depth", st.QueueDepth).gauge("gdprkv_audit_queue_depth", "audit records waiting in the pipeline queue"),
+		fint("audit_queue_cap", st.QueueCap).gauge("gdprkv_audit_queue_capacity", "audit pipeline queue capacity"),
 		fuint("audit_seq", st.Seq),
-		fuint("audit_enqueued", st.Enqueued),
-		fuint("audit_processed", st.Processed),
-		fuint("audit_dropped", st.Dropped),
-		fuint("audit_sink_errors", st.SinkErrors),
+		fuint("audit_enqueued", st.Enqueued).counter("gdprkv_audit_enqueued_total", "audit records accepted into the pipeline"),
+		fuint("audit_processed", st.Processed).counter("gdprkv_audit_processed_total", "audit records durably written"),
+		fuint("audit_dropped", st.Dropped).counter("gdprkv_audit_dropped_total", "audit records shed under backpressure"),
+		fuint("audit_sink_errors", st.SinkErrors).counter("gdprkv_audit_sink_errors_total", "audit sink write failures"),
 		fuint("audit_syncs", st.Syncs),
-		fint64("audit_size", st.Size),
+		fint64("audit_size", st.Size).gauge("gdprkv_audit_bytes", "audit trail file size in bytes"),
 		fbool("audit_mask", st.MaskEnabled),
 		fuint("audit_masked", st.Masked),
 		fstr("audit_last_error", st.LastErr),
 	}
 }
 
-// erasureFields renders the crypto-shredding/lazy-delete sweep section:
-// how many owners are logically erased, how much dead ciphertext still
-// awaits physical reclamation, and how far the sweep trails the shreds.
+// erasureFields renders the crypto-shredding/lazy-delete sweep section
+// (Art. 17): how many owners are logically erased, how much dead
+// ciphertext still awaits physical reclamation, and how far the sweep
+// trails the shreds.
 func (s *Server) erasureFields() []InfoField {
 	st := s.store.ErasureStats()
-	if !st.Enabled {
-		return []InfoField{fbool("erasure_envelope", false)}
-	}
 	return []InfoField{
-		fbool("erasure_envelope", true),
-		fint("erasure_shredded_owners", st.ShreddedOwners),
-		fint("erasure_pending_owners", st.PendingOwners),
-		fint("erasure_pending_records", st.PendingRecords),
-		fuint("erasure_reclaimed_total", st.Reclaimed),
-		fuint("erasure_sweep_cycles", st.SweepCycles),
+		fbool("erasure_envelope", st.Enabled),
+		fint("erasure_shredded_owners", st.ShreddedOwners).gauge("gdprkv_erasure_shredded_owners", "owners whose data key is destroyed"),
+		fint("erasure_pending_owners", st.PendingOwners).gauge("gdprkv_erasure_pending_owners", "shredded owners with unreclaimed ciphertext"),
+		fint("erasure_pending_records", st.PendingRecords).gauge("gdprkv_erasure_pending_records", "records still attributed to pending owners"),
+		fuint("erasure_reclaimed_total", st.Reclaimed).counter("gdprkv_erasure_reclaimed_total", "dead records physically deleted by sweeps"),
+		fuint("erasure_sweep_cycles", st.SweepCycles).counter("gdprkv_erasure_sweep_cycles_total", "lazy-delete sweep cycles run"),
 		fuint("erasure_owners_drained", st.OwnersDrained),
-		fint64("erasure_sweep_lag_ms", st.SweepLag.Milliseconds()),
+		fms("erasure_sweep_lag_ms", st.SweepLag).gauge("gdprkv_erasure_lag_seconds", "age of the oldest crypto-shredded owner whose ciphertext the sweep has not reclaimed"),
 		fint64("erasure_last_cycle_us", st.LastCycle.Microseconds()),
 		fbool("erasure_sweeper_running", st.SweeperRunning),
-		fuint("keyring_cipher_hits", st.CipherHits),
-		fuint("keyring_cipher_misses", st.CipherMisses),
+		fuint("keyring_cipher_hits", st.CipherHits).counter("gdprkv_keyring_cipher_hits_total", "prepared-cipher lookups served from the keyring's cache"),
+		fuint("keyring_cipher_misses", st.CipherMisses).counter("gdprkv_keyring_cipher_misses_total", "prepared-cipher lookups that built a cipher"),
 	}
 }
 
 // retentionFields renders the retention-enforcement section — the
-// compliance analogue of replication lag: how many records are past
-// their storage-limitation deadline but still physically present, and
-// how old the oldest overdue deadline is.
+// compliance analogue of replication lag (§3.1: "data cannot be stored
+// indefinitely"): how many records are past their storage-limitation
+// deadline but still physically present, and how old the oldest overdue
+// deadline is.
 func (s *Server) retentionFields() []InfoField {
 	st := s.store.RetentionStats()
 	return []InfoField{
-		fint("retention_tracked_deadlines", st.TrackedDeadlines),
-		fint("retention_overdue_records", st.OverdueRecords),
-		fint64("retention_lag_ms", st.Lag.Milliseconds()),
-		fuint("retention_expired_total", st.ExpiredTotal),
+		fint("retention_tracked_deadlines", st.TrackedDeadlines).gauge("gdprkv_retention_tracked_deadlines", "keys carrying a retention deadline"),
+		fint("retention_overdue_records", st.OverdueRecords).gauge("gdprkv_retention_overdue_records", "records past their retention deadline awaiting reclamation"),
+		fms("retention_lag_ms", st.Lag).gauge("gdprkv_retention_lag_seconds", "age of the oldest record past its retention deadline but not yet reclaimed"),
+		fuint("retention_expired_total", st.ExpiredTotal).counter("gdprkv_retention_expired_total", "keys reclaimed by retention enforcement"),
 		fbool("retention_expirer_running", st.ExpirerRunning),
 	}
+}
+
+// The three replication families, shared by a replica's section and a
+// primary's.
+
+func replRole(role string) InfoField {
+	f := fstr("role", role).gauge("gdprkv_replication_role", "0 when primary, 1 when replica")
+	if role == "replica" {
+		f.Num = 1
+	}
+	return f
+}
+
+func replOffset(k string, offset int64) InfoField {
+	return fint64(k, offset).gauge("gdprkv_replication_offset_bytes", "replication journal offset")
+}
+
+func connectedReplicas(n int) InfoField {
+	return fint("connected_replicas", n).gauge("gdprkv_connected_replicas", "replicas attached to this primary")
 }
 
 // replicationFields renders the replication topology as seen from this
@@ -223,32 +276,33 @@ func (s *Server) replicationFields() []InfoField {
 		st := node.Status()
 		host, port, _ := net.SplitHostPort(st.PrimaryAddr)
 		return []InfoField{
-			fstr("role", "replica"),
+			replRole("replica"),
 			fstr("master_host", host),
 			fstr("master_port", port),
 			fstr("master_link_status", st.Link.String()),
 			fstr("master_replid", st.ReplID),
-			fint64("replica_repl_offset", st.Offset),
+			replOffset("replica_repl_offset", st.Offset),
 			fuint("replica_applied", st.Applied),
 			fuint("full_syncs", st.FullSyncs),
 			fuint("reconnects", st.Reconnects),
+			connectedReplicas(0),
 		}
 	}
 	hub := s.store.Hub()
 	if hub == nil {
 		return []InfoField{
-			fstr("role", "master"),
-			fint("connected_replicas", 0),
-			fint64("master_repl_offset", 0),
+			replRole("master"),
+			connectedReplicas(0),
+			replOffset("master_repl_offset", 0),
 		}
 	}
 	links := hub.Links()
 	offset := hub.Offset()
 	fs := []InfoField{
-		fstr("role", "master"),
+		replRole("master"),
 		fstr("master_replid", hub.ID()),
-		fint64("master_repl_offset", offset),
-		fint("connected_replicas", len(links)),
+		replOffset("master_repl_offset", offset),
+		connectedReplicas(len(links)),
 	}
 	for i, l := range links {
 		fs = append(fs, fstr(fmt.Sprintf("replica%d", i),

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -40,17 +42,40 @@ func TestRenderInfoText(t *testing.T) {
 	}
 }
 
-// Every registered section must render through an explicit request even
-// when its feature is disabled (the one-line stub behaviour).
+// Every registered section renders through an explicit request, and the
+// sections whose numbers /metrics exports list the same keys whether
+// their feature is off (Baseline) or on (audit, envelope and an AOF): a
+// one-line "disabled" stub would make keys and metric families vanish
+// with configuration.
 func TestInfoSnapshotExplicitSectionAlwaysRenders(t *testing.T) {
-	srv, _ := startServer(t, core.Baseline())
-	for _, name := range InfoSectionNames() {
+	dir := t.TempDir()
+	full := core.EventualFull(filepath.Join(dir, "audit.log"))
+	full.AOFPath = filepath.Join(dir, "a.aof")
+	full.Envelope = true
+	full.MasterKey = bytes.Repeat([]byte{7}, 32)
+	keys := func(srv *Server, name string) []string {
 		snaps, err := srv.InfoSnapshot(name)
 		if err != nil {
 			t.Fatalf("InfoSnapshot(%q): %v", name, err)
 		}
 		if len(snaps) != 1 || snaps[0].Name != name {
 			t.Fatalf("InfoSnapshot(%q) = %+v", name, snaps)
+		}
+		var ks []string
+		for _, f := range snaps[0].Fields {
+			ks = append(ks, f.Key)
+		}
+		return ks
+	}
+	off, _ := startServer(t, core.Baseline())
+	on, _ := startServer(t, full)
+	for _, name := range InfoSectionNames() {
+		offKeys, onKeys := keys(off, name), keys(on, name)
+		switch name {
+		case "gdprstore", "audit", "erasure", "retention":
+			if !slices.Equal(offKeys, onKeys) {
+				t.Errorf("INFO %s keys differ with the feature off and on:\noff %v\non  %v", name, offKeys, onKeys)
+			}
 		}
 	}
 }
