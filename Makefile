@@ -25,7 +25,7 @@ race:
 	$(GO) test -race -count=10 ./internal/core -run 'TestGetUserConcurrentWithWrites|TestGetUserRacingForget|TestUnobjectDuringRightsReads|TestReadsReturnAfterJournalHandOff|TestCloseWaitsOutCallsInFlight|TestDeleteRacingCompactStaysDeleted|TestReplayKeepsRecordsWithTheirWriter|TestBackupIsCompliantSnapshot|TestRestoreKeepsLaterObjection|TestEventualForgetThenRestoreStaysErased|TestRestoreRefusesKeyMaterial|TestRestoreRefusesShortGeneration|TestRestoreReplacesLiveState'
 	$(GO) test -race -count=3 ./pkg/gdprkv
 	$(GO) test -race -count=3 -run 'TestClusterClient|TestClusterPipeline|TestClusterFailover' ./internal/server
-	$(GO) test -race -run 'TestClusterSlotMigrationWithAsk|TestClusterForgetMidMigration|TestClusterForgetDuringMigrationRace|TestClusterFailoverPromoteReplica|TestClusterPeer|TestClusterRightsFanout|TestClusterForgetWithNodeDown|TestClusterGetUserSkipsLaggingReplica' ./internal/server
+	$(GO) test -race -run 'TestClusterSlotMigrationWithAsk|TestClusterForgetMidMigration|TestClusterForgetDuringMigrationRace|TestClusterFailoverPromoteReplica|TestClusterPeer|TestClusterRightsFanout|TestClusterForgetWithNodeDown|TestClusterGetUserSkipsLaggingReplica|TestClusterReplicaRedirects' ./internal/server
 	$(GO) test -race -count=5 -run 'LastErr|PartialResync|FullSync' ./internal/replica
 
 bench:

@@ -59,7 +59,6 @@ var (
 	valueSize = flag.Int("valuesize", 1000, "ycsb: record payload bytes")
 	loadOnly  = flag.Bool("load-only", false, "ycsb: run only the load phase")
 	skipLoad  = flag.Bool("skip-load", false, "ycsb: skip the load phase")
-	replicas  = flag.String("replicas", "", "ycsb: comma-separated replica addresses for read routing (requires -pool)")
 
 	// personas and scenarios.
 	subjects     = flag.Int("subjects", 200, "personas, multi-regulation, breach-replay: number of data subjects")
@@ -203,19 +202,17 @@ func runYCSB() {
 }
 
 // ycsbClient returns the SDK target for nodes: one connection per worker,
-// or with -pool one shared pooled, replica- or cluster-aware client — the
+// or with -pool one shared pooled, optionally cluster-aware client — the
 // pkg/gdprkv deployment shape — whose counters print at cleanup.
 func ycsbClient(nodes []string) (func(int) (experiments.Target, error), func()) {
 	switch {
 	case len(nodes) == 0:
 		log.Fatal("-mode network needs -addr or -cluster")
-	case *pool == 0 && (*replicas != "" || *clusterF != "" || *autoBatch > 0):
+	case *pool == 0 && (*clusterF != "" || *autoBatch > 0):
 		// Refuse rather than silently benchmark a setup the operator
-		// believes is replica-routed, slot-routed or coalesced: those are
+		// believes is slot-routed or coalesced: those are
 		// shared-pooled-client features.
-		log.Fatal("-replicas, -cluster and -auto-batch require -pool N")
-	case *clusterF != "" && *replicas != "":
-		log.Fatal("-cluster and -replicas are mutually exclusive (every cluster node is a primary)")
+		log.Fatal("-cluster and -auto-batch require -pool N")
 	case *autoBatch > 0 && *batch > 1:
 		log.Fatal("-auto-batch and -batch are mutually exclusive (both amortise round trips; pick one)")
 	}
@@ -223,9 +220,6 @@ func ycsbClient(nodes []string) (func(int) (experiments.Target, error), func()) 
 		return experiments.SDKTarget(nodes[0], nil), func() {}
 	}
 	opts := []gdprkv.Option{gdprkv.WithPoolSize(*pool)}
-	if *replicas != "" {
-		opts = append(opts, gdprkv.WithReplicas(splitList(*replicas)...))
-	}
 	if *clusterF != "" {
 		opts = append(opts, gdprkv.WithCluster(nodes[1:]...))
 	}
@@ -236,8 +230,8 @@ func ycsbClient(nodes []string) (func(int) (experiments.Target, error), func()) 
 	check(err)
 	return experiments.SDKTarget("", shared), func() {
 		st := shared.Stats()
-		fmt.Printf("[client] pool=%d primary_reads=%d replica_reads=%d writes=%d retries=%d redials=%d redirects=%d\n",
-			*pool, st.PrimaryReads, st.ReplicaReads, st.Writes, st.Retries, st.Redials, st.Redirects)
+		fmt.Printf("[client] pool=%d primary_reads=%d writes=%d retries=%d redials=%d redirects=%d\n",
+			*pool, st.PrimaryReads, st.Writes, st.Retries, st.Redials, st.Redirects)
 		if st.AutoBatchFlushes > 0 {
 			fmt.Printf("[client] auto_batch_flushes=%d auto_batch_ops=%d (%.1f ops/flush)\n",
 				st.AutoBatchFlushes, st.AutoBatchOps,

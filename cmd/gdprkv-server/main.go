@@ -34,8 +34,9 @@
 //	                    primary's replica addresses)
 //	-cluster-self id    this server's node id in the topology (enables cluster
 //	                    mode; combined with -replicaof the server runs as a
-//	                    cluster replica of that node, serving reads for its
-//	                    slots and standing by for promotion)
+//	                    cluster replica of that node: it holds a copy of its
+//	                    slots, redirects reads to the primary and stands by
+//	                    for promotion)
 //	-ops-addr string    serve the HTTP ops surface (dashboard, /info JSON,
 //	                    /metrics Prometheus exposition, /events SSE) here
 package main
@@ -102,10 +103,11 @@ func main() {
 		log.Fatal("-cluster-self and -cluster-node must be given together")
 	}
 	// -cluster-self plus -replicaof together run a *cluster replica*: the
-	// server announces its primary's node id and slots (serving reads for
-	// them) while replicating from the primary, and is the promotion
-	// candidate when the primary dies (REPLICAOF NO ONE + CLUSTER SETNODE
-	// on the fleet re-point the id at this server's address).
+	// server announces its primary's node id and slots while replicating
+	// from it, redirects reads for them to the primary, and is the
+	// promotion candidate when the primary dies (REPLICAOF NO ONE +
+	// CLUSTER SETNODE on the fleet re-point the id at this server's
+	// address).
 
 	cfg := core.Config{
 		Compliant:       *compliant,

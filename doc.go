@@ -36,7 +36,7 @@
 // numbers.
 //
 // Client applications import pkg/gdprkv, the public SDK: a
-// context-first, connection-pooled, replica-aware client whose server
+// context-first, connection-pooled, cluster-aware client whose server
 // rejections decode to typed sentinels (errors.Is) — see DESIGN.md §9
 // for the architecture and api/gdprkv.golden for the frozen surface.
 //

@@ -30,9 +30,9 @@ type Node struct {
 	// Ranges are the slot intervals the node owns.
 	Ranges []Range
 	// Replicas are the client-facing addresses of the replicas attached to
-	// this primary (possibly empty). Replicas serve reads and are the
-	// promotion candidates when the primary dies; they own no slots of
-	// their own.
+	// this primary (possibly empty). Replicas are the promotion
+	// candidates when the primary dies; they serve no data reads and own
+	// no slots of their own.
 	Replicas []string
 }
 

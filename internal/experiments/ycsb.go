@@ -199,7 +199,7 @@ func (embeddedTarget) Close() error { return nil }
 // SDKTarget drives a gdprstore server over TCP (optionally through the TLS
 // tunnel), the topology the paper's YCSB deployment used against Redis.
 // With a shared client every worker saturates it — one pooled,
-// replica-aware client — and Close leaves it open; with shared nil each
+// optionally cluster-aware client — and Close leaves it open; with shared nil each
 // worker dials its own single-connection client to addr, the classic YCSB
 // thread model.
 func SDKTarget(addr string, shared *gdprkv.Client) func(int) (Target, error) {

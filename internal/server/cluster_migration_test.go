@@ -496,7 +496,8 @@ func startClusterWithReplica(t *testing.T) (srvs []*Server, stores []*core.Store
 		}
 	}
 	// The replica announces its primary's identity: same node id, same
-	// slots. It serves reads for them and is the promotion candidate.
+	// slots. It redirects reads for them to n1 and is the promotion
+	// candidate.
 	if err := rsrv.EnableCluster(ClusterConfig{Self: "n1", Map: m}); err != nil {
 		t.Fatal(err)
 	}
@@ -528,17 +529,16 @@ func TestClusterFailoverPromoteReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wait until the record reaches the replica, then read through the
-	// cluster client: the slot has a replica, so the read is served there.
+	// cluster client: the slot has a replica, but the read is served by
+	// the primary.
 	rc := nodeClient(t, rsrv.Addr())
-	testutil.Eventually(t, replWait, 0, func() bool {
-		v, err := rc.GGet(ctx, key)
-		return err == nil && string(v) == "precious"
-	}, "replication never delivered the record")
+	testutil.Eventually(t, replWait, 0, func() bool { return rst.Engine().Exists(key) },
+		"replication never delivered the record")
 	if v, err := c.GGet(ctx, key); err != nil || string(v) != "precious" {
 		t.Fatalf("cluster GGet = %q, %v", v, err)
 	}
-	if c.Stats().ReplicaReads == 0 {
-		t.Fatal("read was not served by the announced cluster replica")
+	if n := rsrv.CommandStats().Snapshots()["GGET"].Count; n != 0 {
+		t.Fatalf("the announced cluster replica served %d GGETs, want 0", n)
 	}
 	// Writes against the replica bounce: it is read-only until promoted.
 	if err := rc.GPut(ctx, key, []byte("nope"), gdprkv.PutOptions{
@@ -679,5 +679,92 @@ func TestClusterGetUserSkipsLaggingReplica(t *testing.T) {
 		if v, err := n2.Do(ctx, cmd, owner); !errors.Is(err, gdprkv.ErrClusterDown) {
 			t.Fatalf("%s after an acknowledged erasure = %v, %v; want ErrClusterDown", cmd, v, err)
 		}
+	}
+}
+
+// TestClusterReplicaRedirectsErasedRead: a replica cut off from its
+// primary still holds a subject whose erasure the primary has
+// acknowledged. A client that dials the replica directly must not read
+// it: GGET answers MOVED naming the primary, and no byte of the value
+// crosses the wire.
+func TestClusterReplicaRedirectsErasedRead(t *testing.T) {
+	srvs, _, rsrv, rst, m := startClusterWithReplica(t)
+	ctx := context.Background()
+	owner := ownerOn(t, m, "n1")
+	key := fmt.Sprintf("pd:{%s}:rec", owner)
+	if err := nodeClient(t, srvs[0].Addr()).GPut(ctx, key, []byte("erased-later"), gdprkv.PutOptions{
+		Owner: owner, Purposes: []string{"service"}}); err != nil {
+		t.Fatal(err)
+	}
+	testutil.Eventually(t, replWait, 0, func() bool { return rst.Engine().Exists(key) },
+		"replication never delivered the record")
+
+	// The replica's link goes down; it stays a replica of n1.
+	rsrv.ReplNode().Close()
+	if n, err := nodeClient(t, srvs[0].Addr()).ForgetUser(ctx, owner); err != nil || n != 1 {
+		t.Fatalf("FORGETUSER = %d, %v; want 1", n, err)
+	}
+	if !rst.Engine().Exists(key) {
+		t.Fatal("test premise broken: the lagging replica already dropped the record")
+	}
+
+	v, err := nodeClient(t, rsrv.Addr()).Do(ctx, "GGET", key)
+	want := fmt.Sprintf("%d %s", cluster.Slot(key), srvs[0].Addr())
+	var se *gdprkv.ServerError
+	if !errors.Is(err, gdprkv.ErrMoved) || !errors.As(err, &se) || se.Message != want {
+		t.Fatalf("GGET on the lagging replica = %q, %v; want MOVED %s", v.Str, err, want)
+	}
+	if strings.Contains(string(v.Str), "erased-later") {
+		t.Fatalf("the erased value crossed the wire: %q", v.Str)
+	}
+}
+
+// TestClusterReplicaRedirectsEveryDataRead walks the registry: on a
+// replica, every command that is not a write but reads the keyspace, the
+// owner index or the trail (FlagGDPR or FlagNoCompliance) answers MOVED
+// to the primary, on its first key's slot or slot 0. Introspection still
+// answers.
+func TestClusterReplicaRedirectsEveryDataRead(t *testing.T) {
+	srvs, _, rsrv, _, m := startClusterWithReplica(t)
+	ctx := context.Background()
+	rc := nodeClient(t, rsrv.Addr())
+	// A key in n1's slots, so no cluster redirect can stand in for the
+	// replica's own.
+	key := fmt.Sprintf("pd:{%s}:k", ownerOn(t, m, "n1"))
+	checked := map[string]bool{}
+	for _, name := range commandNames() {
+		cmd := commandTable[name]
+		if cmd.Flags&FlagWrite != 0 || cmd.Flags&(FlagGDPR|FlagNoCompliance) == 0 {
+			continue
+		}
+		args := make([]string, cmd.MinArgs)
+		for i := range args {
+			args[i] = key
+		}
+		var slot uint16
+		if cmd.Keys != nil {
+			slot = cluster.Slot(key)
+		}
+		want := fmt.Sprintf("%d %s", slot, srvs[0].Addr())
+		_, err := rc.Do(ctx, append([]string{name}, args...)...)
+		var se *gdprkv.ServerError
+		if !errors.Is(err, gdprkv.ErrMoved) || !errors.As(err, &se) || se.Message != want {
+			t.Errorf("%s on a replica = %v; want MOVED %s", name, err, want)
+		}
+		checked[name] = true
+	}
+	for _, name := range []string{"GET", "SCAN", "GGET", "GETUSER", "BREACH"} {
+		if !checked[name] {
+			t.Errorf("%s was not checked: the registry filter lost it", name)
+		}
+	}
+	if err := rc.Ping(ctx); err != nil {
+		t.Errorf("PING on a replica: %v", err)
+	}
+	if _, err := rc.Info(ctx, "replication"); err != nil {
+		t.Errorf("INFO on a replica: %v", err)
+	}
+	if _, err := rc.Topology(ctx); err != nil {
+		t.Errorf("CLUSTER TOPOLOGY on a replica: %v", err)
 	}
 }

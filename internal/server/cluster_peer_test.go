@@ -88,11 +88,14 @@ func TestClusterPeerIdentityPerCall(t *testing.T) {
 }
 
 // forwarder is a counting TCP proxy: it relays every connection to target
-// and counts the connections it accepted and those still open.
+// and counts the connections it accepted and those still open. cut closes
+// every relayed connection, as a network fault would.
 type forwarder struct {
 	ln             net.Listener
 	target         string
 	accepted, open atomic.Int64
+	mu             sync.Mutex
+	live           map[net.Conn]struct{}
 }
 
 func newForwarder(t *testing.T, target string) *forwarder {
@@ -101,7 +104,7 @@ func newForwarder(t *testing.T, target string) *forwarder {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &forwarder{ln: ln, target: target}
+	f := &forwarder{ln: ln, target: target, live: map[net.Conn]struct{}{}}
 	t.Cleanup(func() { ln.Close() })
 	go func() {
 		for {
@@ -119,11 +122,27 @@ func newForwarder(t *testing.T, target string) *forwarder {
 
 func (f *forwarder) addr() string { return f.ln.Addr().String() }
 
+func (f *forwarder) cut() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for c := range f.live {
+		c.Close()
+	}
+}
+
 // relay pipes c to a fresh upstream connection until either side closes,
 // then closes both.
 func (f *forwarder) relay(c net.Conn) {
 	defer f.open.Add(-1)
 	defer c.Close()
+	f.mu.Lock()
+	f.live[c] = struct{}{}
+	f.mu.Unlock()
+	defer func() {
+		f.mu.Lock()
+		delete(f.live, c)
+		f.mu.Unlock()
+	}()
 	up, err := net.Dial("tcp", f.target)
 	if err != nil {
 		return

@@ -5,9 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"gdprstore/internal/acl"
 	"gdprstore/internal/audit"
@@ -295,27 +295,22 @@ func TestClusterClientRedirectRefresh(t *testing.T) {
 }
 
 // TestClusterClientReadRetryBudget: a cluster read takes its retry budget
-// from WithRetry, as a standalone read does. n1 announces a replica that
-// is down. Under WithRetry(1, 0) the read's one attempt goes to that
-// replica and surfaces the transport error; under the default budget, one
-// attempt per candidate, the owner serves it after one retry.
+// from WithRetry, as a standalone read does. n1 is announced behind a
+// forwarder whose connections are cut between calls. Under WithRetry(2)
+// the read is retried on its owner; under the default single attempt it
+// surfaces the transport error.
 func TestClusterClientReadRetryBudget(t *testing.T) {
 	srvs, _, m := startCluster(t, 3)
 	ctx := context.Background()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead := ln.Addr().String()
-	ln.Close()
+	fwd := newForwarder(t, srvs[0].Addr())
 	nodes := m.Nodes()
-	nodes[0].Replicas = []string{dead}
-	m2, err := cluster.NewMap(nodes)
+	nodes[0].Addr = fwd.addr()
+	viaFwd, err := cluster.NewMap(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, srv := range srvs {
-		if err := srv.EnableCluster(ClusterConfig{Self: nodes[i].ID, Map: m2}); err != nil {
+		if err := srv.EnableCluster(ClusterConfig{Self: nodes[i].ID, Map: viaFwd}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -324,28 +319,35 @@ func TestClusterClientReadRetryBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// dialRead dials a cluster client bootstrapped from n2, reads key once
+	// to open its connection to n1, then cuts that connection and reads
+	// again.
 	dialRead := func(opts ...gdprkv.Option) (*gdprkv.Client, []byte, error) {
-		c, err := gdprkv.Dial(ctx, srvs[0].Addr(), append(opts, gdprkv.WithCluster())...)
+		c, err := gdprkv.Dial(ctx, srvs[1].Addr(), append(opts, gdprkv.WithCluster(), gdprkv.WithPoolSize(1))...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { c.Close() })
+		if v, err := c.Get(ctx, key); err != nil || string(v) != "v" {
+			t.Fatalf("first read = %q, %v", v, err)
+		}
+		fwd.cut()
 		v, err := c.Get(ctx, key)
 		return c, v, err
 	}
-	strict, _, err := dialRead(gdprkv.WithRetry(1, 0))
-	var se *gdprkv.ServerError
-	if err == nil || errors.As(err, &se) {
-		t.Fatalf("WithRetry(1) read with its replica down = %v, want the transport error", err)
+	retry, v, err := dialRead(gdprkv.WithRetry(2, time.Millisecond))
+	if err != nil || string(v) != "v" {
+		t.Fatalf("WithRetry(2) read after a cut = %q, %v; want the owner's value", v, err)
 	}
-	if st, want := strict.Stats(), (gdprkv.Stats{ReplicaReads: 1, Failovers: 1}); st != want {
+	if st, want := retry.Stats(), (gdprkv.Stats{PrimaryReads: 2, Retries: 1, Redials: 1, Failovers: 1}); st != want {
 		t.Fatalf("stats = %+v, want %+v", st, want)
 	}
-	def, v, err := dialRead()
-	if err != nil || string(v) != "v" {
-		t.Fatalf("default-budget read = %q, %v; want the owner's value", v, err)
+	def, _, err := dialRead()
+	var se *gdprkv.ServerError
+	if err == nil || errors.As(err, &se) {
+		t.Fatalf("default-budget read after a cut = %v, want the transport error", err)
 	}
-	if st, want := def.Stats(), (gdprkv.Stats{PrimaryReads: 1, Retries: 1, Failovers: 1}); st != want {
+	if st, want := def.Stats(), (gdprkv.Stats{PrimaryReads: 2, Redials: 1, Failovers: 1}); st != want {
 		t.Fatalf("stats = %+v, want %+v", st, want)
 	}
 }

@@ -196,8 +196,9 @@ type CommandHook func(name string, args [][]byte, reply resp.Value, d time.Durat
 //  2. observe      — one latency on the store's clock feeds the
 //     per-command histogram and the pluggable audit/tracing hook; sits
 //     outside compliance so enforcement rejections are observed too
-//  3. read-only    — rejects writes while the server is a replica (the
-//     replication link applies records directly, below the registry)
+//  3. read-only    — while the server is a replica, rejects writes with
+//     READONLY (the replication link applies records directly, below the
+//     registry) and redirects data reads to the primary with MOVED
 //  4. compliance   — FlagGDPR enforcement (BASELINE on non-compliant
 //     stores, DENIED before AUTH under ACL enforcement)
 //  5. cluster      — slot ownership (MOVED), cross-slot batch rejection

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"gdprstore/internal/cluster"
 	"gdprstore/internal/core"
 	"gdprstore/internal/replica"
 	"gdprstore/internal/resp"
@@ -15,10 +16,10 @@ import (
 // This file is the replication surface of the RESP server: the handshake
 // commands a replica speaks against a primary (REPLCONF, PSYNC), the
 // operator command that turns a running server into a replica or back
-// (REPLICAOF), the replica-side read-only enforcement, and the INFO
-// replication section. The protocol mechanics live in internal/replica
-// (Hub on the primary, Node on the replica); this file wires them to
-// connections and to the command registry.
+// (REPLICAOF), the replica-side read-only stage, and the INFO replication
+// section. The protocol mechanics live in internal/replica (Hub on the
+// primary, Node on the replica); this file wires them to connections and
+// to the command registry.
 
 // readOnlyError rejects writes on a replica; errReply passes its text
 // through verbatim (it carries its own READONLY code prefix, Redis's exact
@@ -31,24 +32,53 @@ func (readOnlyError) Error() string {
 
 var errReadOnly error = readOnlyError{}
 
-// readOnlyMiddleware rejects mutating commands while the server is a
-// replica: the only writer of a replica's dataset is its replication link,
-// which applies records directly to the store, not through the command
-// surface. REPLICAOF itself is exempt (it is how the operator promotes).
+// readOnlyMiddleware makes a replica a copy, not a server of data. It
+// refuses mutating commands with READONLY: the only writer of a replica's
+// dataset is its replication link, which applies records directly to the
+// store, not through the command surface. It redirects every command that
+// reads the keyspace, the owner index or the trail (FlagGDPR or
+// FlagNoCompliance) to the primary with MOVED: a replica lags, so it may
+// still hold a subject whose erasure the primary has acknowledged.
+// REPLICAOF itself is exempt (it is how the operator promotes), and so is
+// introspection (PING, INFO, CLUSTER, ...).
 func (s *Server) readOnlyMiddleware(next Handler) Handler {
 	return func(ctx *Ctx) (resp.Value, error) {
-		if ctx.Cmd.Flags&FlagWrite != 0 && s.isReplica.Load() {
+		if !s.isReplica.Load() {
+			return next(ctx)
+		}
+		switch f := ctx.Cmd.Flags; {
+		case f&FlagWrite != 0:
 			return resp.Value{}, errReadOnly
+		case f&(FlagGDPR|FlagNoCompliance) != 0:
+			return resp.Value{}, s.primaryRedirect(ctx)
 		}
 		return next(ctx)
 	}
 }
 
+// primaryRedirect is a replica's answer to a data read: MOVED to the
+// address its replication link dials, on the first key's slot (0 for a
+// command without keys), so a cluster client follows it and a standalone
+// client surfaces it as ErrMoved naming the primary.
+func (s *Server) primaryRedirect(ctx *Ctx) error {
+	var slot uint16
+	if ctx.Cmd.Keys != nil {
+		if keys := ctx.Cmd.Keys(ctx.Args); len(keys) > 0 {
+			slot = cluster.Slot(string(keys[0]))
+		}
+	}
+	var primary string
+	if n := s.ReplNode(); n != nil {
+		primary = n.PrimaryAddr()
+	}
+	return movedError(slot, primary)
+}
+
 // ReplicaOf makes this server replicate from the primary at addr: the
 // current link (if any) is torn down and a new Node dials, handshakes, and
-// syncs into the server's store. The server becomes read-only for clients
-// until PromoteToPrimary. opts.Actor is presented during the handshake
-// when the primary enforces access control.
+// syncs into the server's store. Until PromoteToPrimary, the server
+// refuses client writes and redirects client reads to addr. opts.Actor is
+// presented during the handshake when the primary enforces access control.
 func (s *Server) ReplicaOf(addr string, opts replica.NodeOptions) {
 	s.replMu.Lock()
 	defer s.replMu.Unlock()

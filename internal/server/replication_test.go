@@ -94,7 +94,7 @@ func TestReplicationEndToEnd(t *testing.T) {
 	}
 	p.waitLinkUp(t)
 	testutil.Eventually(t, replWait, 0, func() bool {
-		v, err := p.rcl.GGet("user:alice:profile")
+		v, err := p.rst.Get(core.Ctx{}, "user:alice:profile")
 		return err == nil && string(v) == "alice-data"
 	}, "full sync did not deliver pre-attach write")
 
@@ -105,7 +105,7 @@ func TestReplicationEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	testutil.Eventually(t, replWait, 0, func() bool {
-		v, err := p.rcl.GGet("user:bob:profile")
+		v, err := p.rst.Get(core.Ctx{}, "user:bob:profile")
 		return err == nil && string(v) == "bob-data"
 	}, "live stream did not deliver post-attach write")
 	testutil.Eventually(t, replWait, 0, func() bool {
@@ -131,7 +131,7 @@ func TestReplicationEndToEnd(t *testing.T) {
 	}, "replica audit trail does not evidence the erasure")
 
 	// Unrelated data is untouched.
-	if v, err := p.rcl.GGet("user:bob:profile"); err != nil || string(v) != "bob-data" {
+	if v, err := p.rst.Get(core.Ctx{}, "user:bob:profile"); err != nil || string(v) != "bob-data" {
 		t.Fatalf("unrelated record damaged: %q %v", v, err)
 	}
 }
@@ -199,7 +199,7 @@ func TestReplicaRejectsWritesUntilPromoted(t *testing.T) {
 	if err := p.rcl.Set("raw", []byte("x")); err == nil || !strings.Contains(err.Error(), "READONLY") {
 		t.Fatalf("raw write on replica: err = %v, want READONLY", err)
 	}
-	// Reads are served.
+	// Introspection is served.
 	if err := p.rcl.Ping(); err != nil {
 		t.Fatal(err)
 	}

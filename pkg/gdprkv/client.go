@@ -2,27 +2,23 @@ package gdprkv
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 )
 
-// Client is a concurrency-safe, pooled, replica-aware client for a
-// gdprkv deployment. It is safe for use from any number of goroutines:
-// every call checks a connection out of a per-node pool for exactly the
-// call's duration, so replies can never interleave.
+// Client is a concurrency-safe, pooled client for a gdprkv deployment.
+// It is safe for use from any number of goroutines: every call checks a
+// connection out of a per-node pool for exactly the call's duration, so
+// replies can never interleave.
 //
-// Routing: writes, GDPR rights operations (GETUSER, EXPORTUSER,
-// FORGETUSER, OBJECT, ...), and generic Do calls go to the primary.
-// Idempotent reads (Get, MGet, GGet, GMGet, TTL) are load-balanced
-// round-robin across the replica set and fall back to the primary when
-// no replica is reachable; Scan is replica-served but pinned to one
-// node per iteration (cursors are per-node positions). A client with no
-// replicas sends everything to the primary. A cluster client applies the
-// same rules per slot owner (dispatch.go).
+// Routing: every call goes to the primary, or in cluster mode to the
+// owner of its key's slot (dispatch.go). Replicas hold copies but serve
+// no data: a replica lags, and may still hold a subject whose erasure the
+// primary has acknowledged. Idempotent reads (Get, MGet, GGet, GMGet,
+// TTL, Scan) retry on their owner after a transport failure under
+// WithRetry; writes, GDPR rights operations and Do calls never retry.
 type Client struct {
 	cfg    config
-	rr     atomic.Uint32
 	closed atomic.Bool
 
 	// view is the immutable routing snapshot every call reads; a cluster
@@ -39,17 +35,15 @@ type Client struct {
 	batcher *batcher
 
 	stats struct {
-		primaryReads, replicaReads, writes, retries, redials atomic.Uint64
-		redirects, slotRefreshes, asks, failovers            atomic.Uint64
-		pipelineExecs, pipelineOps                           atomic.Uint64
-		autoBatchFlushes, autoBatchOps                       atomic.Uint64
+		primaryReads, writes, retries, redials    atomic.Uint64
+		redirects, slotRefreshes, asks, failovers atomic.Uint64
+		pipelineExecs, pipelineOps                atomic.Uint64
+		autoBatchFlushes, autoBatchOps            atomic.Uint64
 	}
 }
 
 // Dial constructs a Client for the primary at addr, applying opts, and
-// verifies the primary is reachable with one pooled PING. Replica
-// addresses (WithReplicas) are dialed lazily — an unreachable replica
-// costs a retry at read time, never a failed construction. With
+// verifies the primary is reachable with one pooled PING. With
 // WithCluster, the slot map is learned from addr (or the extra seeds)
 // instead.
 func Dial(ctx context.Context, addr string, opts ...Option) (*Client, error) {
@@ -63,17 +57,11 @@ func Dial(ctx context.Context, addr string, opts ...Option) (*Client, error) {
 	}
 	var err error
 	if cfg.clusterMode {
-		if len(cfg.replicas) > 0 {
-			return nil, errors.New("gdprkv: WithReplicas cannot be combined with WithCluster (every cluster node is a primary)")
-		}
 		err = c.bootstrap(ctx, append([]string{addr}, cfg.clusterSeeds...))
 	} else {
 		// One node covers every slot, and no redirect is ever followed.
-		n := &node{primary: c.poolFor(addr)}
-		for _, ra := range cfg.replicas {
-			n.replicas = append(n.replicas, c.poolFor(ra))
-		}
-		c.view.Store(&view{slots: []*node{n}, def: n})
+		p := c.poolFor(addr)
+		c.view.Store(&view{slots: []*pool{p}, def: p})
 		err = c.Ping(ctx)
 	}
 	if err != nil {
@@ -122,16 +110,14 @@ func (c *Client) Close() error {
 
 // Stats is a snapshot of the client's routing and pool counters.
 type Stats struct {
-	// PrimaryReads counts read-routed calls served by the primary
-	// (because no replicas are configured, or as fallback). A read counts
-	// once, against the node its last attempt went to.
+	// PrimaryReads counts read calls (Get, MGet per slot group, GGet,
+	// GMGet per slot group, TTL, Scan); each counts once, whatever its
+	// retries.
 	PrimaryReads uint64
-	// ReplicaReads counts read-routed calls served by a replica.
-	ReplicaReads uint64
 	// Writes counts primary-routed calls (writes, rights ops, Do).
 	Writes uint64
-	// Retries counts read attempts after the first, each one made after a
-	// connection failure.
+	// Retries counts read attempts after the first, each one made on the
+	// owner after a connection failure.
 	Retries uint64
 	// Redials counts pooled connections evicted as broken and replaced.
 	Redials uint64
@@ -163,7 +149,6 @@ type Stats struct {
 func (c *Client) Stats() Stats {
 	return Stats{
 		PrimaryReads:     c.stats.primaryReads.Load(),
-		ReplicaReads:     c.stats.replicaReads.Load(),
 		Writes:           c.stats.writes.Load(),
 		Retries:          c.stats.retries.Load(),
 		Redials:          c.stats.redials.Load(),

@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -40,43 +40,19 @@ func startServer(t *testing.T, cfg core.Config) (*server.Server, *core.Store) {
 	return srv, st
 }
 
-// cluster is a primary with two attached read replicas.
-type cluster struct {
-	psrv   *server.Server
-	pst    *core.Store
-	rsrvs  []*server.Server
-	rstors []*core.Store
-}
-
-func (c *cluster) replicaAddrs() []string {
-	out := make([]string, len(c.rsrvs))
-	for i, s := range c.rsrvs {
-		out[i] = s.Addr()
-	}
-	return out
-}
-
-// startCluster boots a compliant primary and n replicas attached over
+// startReplicated boots a compliant primary and one replica attached over
 // real TCP (REPLCONF/PSYNC handshake, full sync, live stream).
-func startCluster(t *testing.T, n int) *cluster {
+func startReplicated(t *testing.T) (psrv, rsrv *server.Server) {
 	t.Helper()
 	cfg := core.Config{Compliant: true, Capability: core.CapabilityPartial, AuditEnabled: true}
-	psrv, pst := startServer(t, cfg)
-	c := &cluster{psrv: psrv, pst: pst}
-	for i := 0; i < n; i++ {
-		rsrv, rst := startServer(t, cfg)
-		rsrv.ReplicaOf(psrv.Addr(), replica.NodeOptions{})
-		c.rsrvs = append(c.rsrvs, rsrv)
-		c.rstors = append(c.rstors, rst)
-	}
-	for _, rsrv := range c.rsrvs {
-		rsrv := rsrv
-		testutil.Eventually(t, wait, 0, func() bool {
-			nd := rsrv.ReplNode()
-			return nd != nil && nd.Status().Link == replica.LinkUp
-		}, "replica link never came up")
-	}
-	return c
+	psrv, _ = startServer(t, cfg)
+	rsrv, _ = startServer(t, cfg)
+	rsrv.ReplicaOf(psrv.Addr(), replica.NodeOptions{})
+	testutil.Eventually(t, wait, 0, func() bool {
+		nd := rsrv.ReplNode()
+		return nd != nil && nd.Status().Link == replica.LinkUp
+	}, "replica link never came up")
+	return psrv, rsrv
 }
 
 // dial wraps gdprkv.Dial with test cleanup.
@@ -159,10 +135,16 @@ func TestBaselineAndReadOnlyErrors(t *testing.T) {
 		t.Fatalf("GPUT on baseline store = %v, want ErrBaseline", err)
 	}
 
-	c := startCluster(t, 1)
-	rc := dial(t, c.rsrvs[0].Addr())
+	psrv, rsrv := startReplicated(t)
+	rc := dial(t, rsrv.Addr())
 	if err := rc.Set(ctxb(), "k", []byte("v")); !errors.Is(err, gdprkv.ErrReadOnly) {
 		t.Fatalf("write on replica = %v, want ErrReadOnly", err)
+	}
+	// A replica serves no data reads: it names its primary instead.
+	var se *gdprkv.ServerError
+	if _, err := rc.Get(ctxb(), "k"); !errors.Is(err, gdprkv.ErrMoved) ||
+		!errors.As(err, &se) || !strings.HasSuffix(se.Message, " "+psrv.Addr()) {
+		t.Fatalf("read on replica = %v, want ErrMoved naming %s", err, psrv.Addr())
 	}
 }
 
@@ -213,185 +195,92 @@ func TestDeadServerDoesNotHang(t *testing.T) {
 	}
 }
 
-// --- replica-aware routing ---
+// --- read retries ---
 
-// ggetCalls parses cmdstat_<name>:calls=N from a node's INFO commandstats.
-func cmdCalls(t *testing.T, addr, cmd string) int {
+// cutProxy forwards TCP connections to a backend; cut closes every
+// connection forwarded so far, as a network fault would.
+type cutProxy struct {
+	ln    net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func startCutProxy(t *testing.T, backend string) *cutProxy {
 	t.Helper()
-	c := dial(t, addr)
-	info, err := c.Info(ctxb(), "commandstats")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range strings.Split(info, "\r\n") {
-		if rest, ok := strings.CutPrefix(line, "cmdstat_"+cmd+":calls="); ok {
-			n, err := strconv.Atoi(strings.SplitN(rest, ",", 2)[0])
+	p := &cutProxy{ln: ln}
+	t.Cleanup(func() { ln.Close(); p.cut() })
+	go func() {
+		for {
+			in, err := ln.Accept()
 			if err != nil {
-				t.Fatalf("bad commandstats line %q: %v", line, err)
+				return
 			}
-			return n
+			out, err := net.Dial("tcp", backend)
+			if err != nil {
+				in.Close()
+				continue
+			}
+			p.mu.Lock()
+			p.conns = append(p.conns, in, out)
+			p.mu.Unlock()
+			go func() { io.Copy(out, in); out.Close() }()
+			go func() { io.Copy(in, out); in.Close() }()
 		}
-	}
-	return 0
+	}()
+	return p
 }
 
-func TestReplicaRoutingServesReadsFromReplicas(t *testing.T) {
-	cl := startCluster(t, 2)
-	c := dial(t, cl.psrv.Addr(),
-		gdprkv.WithPoolSize(2), gdprkv.WithReplicas(cl.replicaAddrs()...))
-
-	// Writes and rights operations go to the primary.
-	for i := 0; i < 4; i++ {
-		key := fmt.Sprintf("user:alice:doc%d", i)
-		if err := c.GPut(ctxb(), key, []byte("v"+strconv.Itoa(i)),
-			gdprkv.PutOptions{Owner: "alice", Purposes: []string{"svc"}}); err != nil {
-			t.Fatal(err)
-		}
+func (p *cutProxy) cut() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, c := range p.conns {
+		c.Close()
 	}
-	for _, rst := range cl.rstors {
-		rst := rst
-		testutil.Eventually(t, wait, 0, func() bool {
-			return rst.Engine().Exists("user:alice:doc3")
-		}, "write did not replicate")
-	}
-
-	// Reads load-balance across the replicas, never touching the primary.
-	const reads = 10
-	for i := 0; i < reads; i++ {
-		v, err := c.GGet(ctxb(), fmt.Sprintf("user:alice:doc%d", i%4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := "v" + strconv.Itoa(i%4); string(v) != want {
-			t.Fatalf("GGet = %q, want %q", v, want)
-		}
-	}
-
-	// Per-node INFO counters prove where each command ran.
-	if n := cmdCalls(t, cl.psrv.Addr(), "gget"); n != 0 {
-		t.Fatalf("primary served %d GGETs, want 0", n)
-	}
-	r0 := cmdCalls(t, cl.rsrvs[0].Addr(), "gget")
-	r1 := cmdCalls(t, cl.rsrvs[1].Addr(), "gget")
-	if r0+r1 != reads {
-		t.Fatalf("replicas served %d+%d GGETs, want %d", r0, r1, reads)
-	}
-	if r0 == 0 || r1 == 0 {
-		t.Fatalf("round robin skipped a replica: %d / %d", r0, r1)
-	}
-	if n := cmdCalls(t, cl.psrv.Addr(), "gput"); n != 4 {
-		t.Fatalf("primary served %d GPUTs, want 4", n)
-	}
-	for i, rsrv := range cl.rsrvs {
-		if n := cmdCalls(t, rsrv.Addr(), "gput"); n != 0 {
-			t.Fatalf("replica %d served %d GPUTs, want 0", i, n)
-		}
-	}
-
-	// FORGETUSER is a rights operation: primary only, and the erasure
-	// still reaches every replica through the stream.
-	if n, err := c.ForgetUser(ctxb(), "alice"); err != nil || n != 4 {
-		t.Fatalf("ForgetUser = %d, %v", n, err)
-	}
-	if n := cmdCalls(t, cl.psrv.Addr(), "forgetuser"); n != 1 {
-		t.Fatalf("primary served %d FORGETUSERs, want 1", n)
-	}
-	for _, rst := range cl.rstors {
-		rst := rst
-		testutil.Eventually(t, wait, 0, func() bool {
-			return !rst.Engine().Exists("user:alice:doc0")
-		}, "erasure did not reach a replica")
-	}
-
-	st := c.Stats()
-	if st.ReplicaReads != reads || st.PrimaryReads != 0 {
-		t.Fatalf("stats = %+v, want %d replica reads and 0 primary reads", st, reads)
-	}
-	// The whole counter set is pinned: Dial's PING, 4 GPUTs and 1
-	// FORGETUSER on the primary path, every read on a replica, nothing
-	// retried or redialed.
-	if want := (gdprkv.Stats{ReplicaReads: reads, Writes: 6}); st != want {
-		t.Fatalf("stats = %+v, want %+v", st, want)
-	}
+	p.conns = nil
 }
 
-// TestScanPinsToOneNode asserts a client's whole Scan iteration runs on
-// a single node: cursors are positions into one node's sorted keyspace
-// and are not portable between nodes under replication lag.
-func TestScanPinsToOneNode(t *testing.T) {
-	cl := startCluster(t, 2)
-	c := dial(t, cl.psrv.Addr(), gdprkv.WithReplicas(cl.replicaAddrs()...))
-	for i := 0; i < 8; i++ {
-		if err := c.Set(ctxb(), fmt.Sprintf("k%d", i), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, rst := range cl.rstors {
-		rst := rst
-		testutil.Eventually(t, wait, 0, func() bool { return rst.Engine().Exists("k7") }, "replication")
-	}
+// TestReadRetryOnOwner: a read whose connection to its owner breaks is
+// retried on the owner under WithRetry, and surfaces the transport error
+// under the default single attempt. A write is never retried. The cluster
+// client shares the rule (TestClusterClientReadRetryBudget in
+// internal/server).
+func TestReadRetryOnOwner(t *testing.T) {
+	srv, _ := startServer(t, core.Baseline())
+	px := startCutProxy(t, srv.Addr())
+	addr := px.ln.Addr().String()
 
-	var keys []string
-	cursor := uint64(0)
-	for {
-		page, next, err := c.Scan(ctxb(), cursor, "k*", 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys = append(keys, page...)
-		if next == 0 {
-			break
-		}
-		cursor = next
-	}
-	if len(keys) < 8 {
-		t.Fatalf("scan returned %d keys, want >= 8", len(keys))
-	}
-	// Every SCAN call landed on the pinned replica; none leaked to the
-	// other replica or the primary mid-iteration.
-	if n := cmdCalls(t, cl.rsrvs[0].Addr(), "scan"); n < 3 {
-		t.Fatalf("pinned replica served %d SCANs, want the whole iteration (>= 3)", n)
-	}
-	if n := cmdCalls(t, cl.rsrvs[1].Addr(), "scan"); n != 0 {
-		t.Fatalf("second replica served %d SCANs, want 0", n)
-	}
-	if n := cmdCalls(t, cl.psrv.Addr(), "scan"); n != 0 {
-		t.Fatalf("primary served %d SCANs, want 0", n)
-	}
-	if st, want := c.Stats(), (gdprkv.Stats{ReplicaReads: 3, Writes: 9}); st != want {
-		t.Fatalf("stats = %+v, want %+v", st, want)
-	}
-}
-
-func TestReplicaRoutingFallsBackToPrimary(t *testing.T) {
-	srv, _ := startServer(t, core.Config{Compliant: true, Capability: core.CapabilityPartial, AuditEnabled: true})
-
-	// Two dead replica addresses: ports that were live once and closed.
-	dead := make([]string, 2)
-	for i := range dead {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		dead[i] = ln.Addr().String()
-		ln.Close()
-	}
-
-	c := dial(t, srv.Addr(), gdprkv.WithReplicas(dead...),
-		gdprkv.WithRetry(3, time.Millisecond))
+	c := dial(t, addr, gdprkv.WithPoolSize(1), gdprkv.WithRetry(2, time.Millisecond))
 	if err := c.Set(ctxb(), "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.Get(ctxb(), "k")
-	if err != nil || string(v) != "v" {
-		t.Fatalf("Get through fallback = %q, %v", v, err)
+	px.cut()
+	if v, err := c.Get(ctxb(), "k"); err != nil || string(v) != "v" {
+		t.Fatalf("Get after a broken connection under WithRetry(2) = %q, %v", v, err)
 	}
-	st := c.Stats()
-	if st.PrimaryReads == 0 {
-		t.Fatalf("stats = %+v, want primary fallback reads", st)
+	// Writes include Dial's PING.
+	if st, want := c.Stats(), (gdprkv.Stats{PrimaryReads: 1, Writes: 2, Retries: 1, Redials: 1}); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
 	}
-	if st.Retries == 0 {
-		t.Fatalf("stats = %+v, want recorded retries", st)
+	px.cut()
+	var se *gdprkv.ServerError
+	if err := c.Set(ctxb(), "k", []byte("w")); err == nil || errors.As(err, &se) {
+		t.Fatalf("Set on a broken connection = %v, want the transport error", err)
+	}
+	if st, want := c.Stats(), (gdprkv.Stats{PrimaryReads: 1, Writes: 3, Retries: 1, Redials: 2}); st != want {
+		t.Fatalf("stats after a failed write = %+v, want %+v (no retry)", st, want)
+	}
+
+	def := dial(t, addr, gdprkv.WithPoolSize(1))
+	px.cut()
+	if _, err := def.Get(ctxb(), "k"); err == nil || errors.As(err, &se) {
+		t.Fatalf("default-budget Get on a broken connection = %v, want the transport error", err)
+	}
+	if st, want := def.Stats(), (gdprkv.Stats{PrimaryReads: 1, Writes: 1, Redials: 1}); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
 	}
 }
 
@@ -489,13 +378,11 @@ func TestBrokenConnectionsAreEvictedAndRedialed(t *testing.T) {
 // from many goroutines and asserts every reply matches its request — the
 // guarantee the unpooled internal/client could not make. Run with -race.
 func TestConcurrentClientsDoNotInterleave(t *testing.T) {
-	cl := startCluster(t, 2)
-	c := dial(t, cl.psrv.Addr(),
-		gdprkv.WithPoolSize(4), gdprkv.WithReplicas(cl.replicaAddrs()...))
+	srv, _ := startServer(t, core.Baseline())
+	c := dial(t, srv.Addr(), gdprkv.WithPoolSize(4))
 
 	const goroutines = 8
 	const opsEach = 40
-	// Seed the dataset and let it replicate so replica-routed reads hit.
 	for g := 0; g < goroutines; g++ {
 		for i := 0; i < 4; i++ {
 			key := fmt.Sprintf("g%d:k%d", g, i)
@@ -503,12 +390,6 @@ func TestConcurrentClientsDoNotInterleave(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-	}
-	for _, rst := range cl.rstors {
-		rst := rst
-		testutil.Eventually(t, wait, 0, func() bool {
-			return rst.Engine().Exists(fmt.Sprintf("g%d:k%d", goroutines-1, 3))
-		}, "seed data did not replicate")
 	}
 
 	var wg sync.WaitGroup

@@ -76,15 +76,15 @@ func (c *Client) SetEX(ctx context.Context, key string, value []byte, seconds in
 	return err
 }
 
-// Get fetches a raw value; ErrNotFound if missing. Replica-routed. Under
-// WithAutoBatch, concurrent Gets coalesce into one MGET per flush window.
+// Get fetches a raw value; ErrNotFound if missing. Under WithAutoBatch,
+// concurrent Gets coalesce into one MGET per flush window.
 func (c *Client) Get(ctx context.Context, key string) ([]byte, error) {
 	return c.value(ctx, kindGet, cmdGET, key)
 }
 
 // value reads one value-shaped key (GET, GGET): coalesced under
-// WithAutoBatch, a replica-routed call otherwise, with a null reply
-// mapped to ErrNotFound.
+// WithAutoBatch, a read call otherwise, with a null reply mapped to
+// ErrNotFound.
 func (c *Client) value(ctx context.Context, kind batchKind, cmd []byte, key string) ([]byte, error) {
 	if c.batcher != nil {
 		return c.batcher.do(ctx, kind, PutOptions{}, key, nil)
@@ -118,7 +118,7 @@ func (c *Client) MSet(ctx context.Context, keys []string, values [][]byte) error
 }
 
 // MGet reads every key in one MGET command. The result is positional; a
-// missing key yields a nil entry. Replica-routed.
+// missing key yields a nil entry.
 func (c *Client) MGet(ctx context.Context, keys ...string) ([][]byte, error) {
 	if len(keys) == 0 {
 		return nil, nil
@@ -210,7 +210,7 @@ func (c *Client) Expire(ctx context.Context, key string, seconds int64) (bool, e
 	return v.Int == 1, nil
 }
 
-// TTL returns the TTL in seconds (-1 no TTL, -2 missing). Replica-routed.
+// TTL returns the TTL in seconds (-1 no TTL, -2 missing).
 func (c *Client) TTL(ctx context.Context, key string) (int64, error) {
 	av := argvGet()
 	defer argvPut(av)
@@ -223,13 +223,11 @@ func (c *Client) TTL(ctx context.Context, key string) (int64, error) {
 }
 
 // Scan iterates the keyspace; returns keys and the next cursor (0 =
-// done). Cursors are positions into one node's sorted keyspace, so the
-// whole iteration must run against one node: a client pins every Scan
-// to its first replica (primary when none are configured), falling back
-// to the primary only when that replica is unreachable — after such a
-// fallback, restart from cursor 0 for a complete sweep.
+// done). Cursors are positions into one node's sorted keyspace; every
+// Scan runs on the client's default node, the primary (a cluster
+// client's bootstrap seed).
 func (c *Client) Scan(ctx context.Context, cursor uint64, match string, count int) ([]string, uint64, error) {
-	v, err := c.call(ctx, classScan, "", args("SCAN",
+	v, err := c.call(ctx, classRead, "", args("SCAN",
 		strconv.FormatUint(cursor, 10), "MATCH", match, "COUNT", strconv.Itoa(count)))
 	if err != nil {
 		return nil, 0, err
@@ -250,8 +248,8 @@ func (c *Client) Scan(ctx context.Context, cursor uint64, match string, count in
 
 // Info returns the primary's INFO report; section may be empty for the
 // full report, or one of "gdprstore", "replication", "commandstats".
-// Primary-routed because the report is node-local state; dial a
-// dedicated client per node to inspect replicas.
+// The report is node-local state; dial a dedicated client per node to
+// inspect replicas.
 func (c *Client) Info(ctx context.Context, section string) (string, error) {
 	a := args("INFO")
 	if section != "" {
@@ -358,8 +356,8 @@ func (c *Client) GMPut(ctx context.Context, keys []string, values [][]byte, opts
 }
 
 // GGet reads personal data under the client's actor and purpose.
-// ErrNotFound if missing. Replica-routed. Under WithAutoBatch, concurrent
-// GGets coalesce into one GMGET per flush window.
+// ErrNotFound if missing. Under WithAutoBatch, concurrent GGets coalesce
+// into one GMGET per flush window.
 func (c *Client) GGet(ctx context.Context, key string) ([]byte, error) {
 	return c.value(ctx, kindGGet, cmdGGET, key)
 }
@@ -374,7 +372,7 @@ type BatchValue struct {
 
 // GMGet reads a batch of personal-data records in one GMGET command. A
 // refused or missing key is reported in its slot without failing the
-// rest of the batch. Replica-routed.
+// rest of the batch.
 func (c *Client) GMGet(ctx context.Context, keys ...string) ([]BatchValue, error) {
 	if len(keys) == 0 {
 		return nil, nil
@@ -414,8 +412,7 @@ func (c *Client) GDel(ctx context.Context, key string) error {
 }
 
 // GetUser returns all key/value pairs of a data subject (Art. 15 right
-// of access). Rights operations are primary-routed: their answers must
-// reflect the authoritative dataset, not a replica's convergence lag.
+// of access).
 func (c *Client) GetUser(ctx context.Context, owner string) (map[string][]byte, error) {
 	v, err := c.call(ctx, classWrite, owner, args("GETUSER", owner))
 	if err != nil {
@@ -428,7 +425,7 @@ func (c *Client) GetUser(ctx context.Context, owner string) (map[string][]byte, 
 	return out, nil
 }
 
-// ExportUser returns the Art. 20 portability payload. Primary-routed.
+// ExportUser returns the Art. 20 portability payload.
 func (c *Client) ExportUser(ctx context.Context, owner string) ([]byte, error) {
 	v, err := c.call(ctx, classWrite, owner, args("EXPORTUSER", owner))
 	if err != nil {

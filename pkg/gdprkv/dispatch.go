@@ -13,29 +13,25 @@ import (
 // This file is the client's one dispatch path. Every call — scalar
 // methods, the batch helpers, Pipeline.Exec and the auto-batcher's
 // flush — is routed by route against the installed view and run by send,
-// which owns checkout, transport-vs-reply classification, read retries
-// over candidates, MOVED/ASK following with slot refresh, failover
-// refresh and the routing counters. A standalone client is a cluster of
-// one: its view is one node covering every slot with a redirect budget of
-// 0, so the same loop serves both modes. See DESIGN.md §9.
-
-// node is one routing target: a primary's pool plus the pools of the
-// replicas that serve its reads.
-type node struct {
-	primary  *pool
-	replicas []*pool
-}
+// which owns checkout, transport-vs-reply classification, read retries on
+// the owner, MOVED/ASK following with slot refresh, failover refresh and
+// the routing counters. A standalone client is a cluster of one: its view
+// is one node covering every slot with a redirect budget of 0, so the
+// same loop serves both modes. Every call goes to its slot's owner, never
+// to a replica: a replica lags, and may still hold a subject whose
+// erasure the owner has acknowledged. See DESIGN.md §9.
 
 // view is an immutable routing snapshot. slots maps each slot to its
-// node; a one-entry table covers every slot (a standalone client). def
-// takes the calls that carry no key: the primary, or a cluster client's
-// bootstrap seed. redirects is how many MOVED/ASK hops one call may take
-// (0 surfaces them). peers are the primaries a failover refresh may ask
-// for the topology, def first; a standalone view has none.
+// owner's pool; a one-entry table covers every slot (a standalone
+// client). def takes the calls that carry no key: the primary, or a
+// cluster client's bootstrap seed. redirects is how many MOVED/ASK hops
+// one call may take (0 surfaces them). peers are the primaries a failover
+// refresh may ask for the topology, def first; a standalone view has
+// none.
 type view struct {
 	epoch     uint64
-	slots     []*node
-	def       *node
+	slots     []*pool
+	def       *pool
 	redirects int
 	peers     []*pool
 }
@@ -69,65 +65,38 @@ func (v *view) split(keys []string) [][]int {
 	return groups
 }
 
-// callClass decides how route picks a call's candidates and how send
-// retries and counts it.
+// callClass decides how send retries and counts a call.
 type callClass uint8
 
 const (
-	// classPipe is a pipeline bucket or a redirect hop: one node, no
-	// retry, counted by whoever issued it.
+	// classPipe is a pipeline bucket or a redirect hop: no retry, counted
+	// by whoever issued it.
 	classPipe callClass = iota
-	// classWrite goes to the owner only, is never retried (a transport
-	// failure mid-write is ambiguous) and counts in Writes.
+	// classWrite is never retried (a transport failure mid-write is
+	// ambiguous) and counts in Writes.
 	classWrite
-	// classRead tries the owner's replicas round-robin, then the owner,
-	// and counts where it was served.
+	// classRead is idempotent: it retries on the owner after a transport
+	// failure, under WithRetry, and counts in PrimaryReads.
 	classRead
-	// classScan is a read pinned to the owner's first replica: a SCAN
-	// cursor is a position in one node's keyspace.
-	classScan
 )
 
-// target is where one call goes: the owner, the replicas a read tries
-// first, and whether the call is an ASK one-shot.
+// target is where one call goes: the owner, and whether the call is an
+// ASK one-shot.
 type target struct {
-	class    callClass
-	owner    *pool
-	replicas []*pool
-	start    uint32 // round-robin offset into replicas
-	asking   bool
-	hops     int // redirects already followed on the way here
+	class  callClass
+	owner  *pool
+	asking bool
+	hops   int // redirects already followed on the way here
 }
 
-// candidate is the node of a call's attempt'th try: the replicas
-// round-robin from start, then the owner for every try after them.
-func (t *target) candidate(attempt int) *pool {
-	if attempt < len(t.replicas) {
-		return t.replicas[(t.start+uint32(attempt))%uint32(len(t.replicas))]
-	}
-	return t.owner
-}
-
-// route resolves a call against the installed view: the owner of key's
-// slot (the default node when key is empty), plus the read candidates
-// its class allows.
-func (c *Client) route(class callClass, key string) target {
+// route resolves key against the installed view: the owner of key's slot,
+// or the default node when key is empty.
+func (c *Client) route(key string) *pool {
 	v := c.view.Load()
-	n := v.def
-	if key != "" {
-		n = v.slots[v.slotOf(key)]
+	if key == "" {
+		return v.def
 	}
-	t := target{class: class, owner: n.primary}
-	if len(n.replicas) == 0 {
-		return t
-	}
-	switch class {
-	case classRead:
-		t.replicas, t.start = n.replicas, c.rr.Add(1)-1
-	case classScan:
-		t.replicas = n.replicas[:1]
-	}
-	return t
+	return v.slots[v.slotOf(key)]
 }
 
 // call routes and sends one command, returning its reply with error
@@ -135,30 +104,30 @@ func (c *Client) route(class callClass, key string) target {
 func (c *Client) call(ctx context.Context, class callClass, key string, cmd [][]byte) (resp.Value, error) {
 	cmds := [1][][]byte{cmd}
 	var res [1]PipeResult
-	c.send(ctx, c.route(class, key), cmds[:], res[:])
+	c.send(ctx, target{class: class, owner: c.route(key)}, cmds[:], res[:])
 	return res[0].Value, res[0].Err
 }
 
 // send runs cmds against t and leaves one outcome per command in res:
 // the reply, its decoded error reply, or the transport error that kept
 // it from being read. Only transport failures are retried, and only for
-// reads: WithRetry's attempts (default one per candidate) with its
-// backoff between them. A failed node prompts a failover refresh before
-// the next try. A MOVED or ASK reply is followed per command while the
-// view's redirect budget lasts. The call counts once, against the node
-// its last attempt went to. The returned error is the transport failure
-// that ended the exchange, if any.
+// reads: WithRetry's attempts on the owner, with its backoff between
+// them. A failed node prompts a failover refresh before the next try. A
+// MOVED or ASK reply is followed per command while the view's redirect
+// budget lasts. The returned error is the transport failure that ended
+// the exchange, if any.
 func (c *Client) send(ctx context.Context, t target, cmds [][][]byte, res []PipeResult) error {
 	if c.closed.Load() {
 		return fail(res, ErrClosed)
 	}
 	attempts := 1
-	if t.class == classRead || t.class == classScan {
-		if attempts = c.cfg.retryAttempts; attempts == 0 {
-			attempts = len(t.replicas) + 1
-		}
+	switch t.class {
+	case classWrite:
+		c.stats.writes.Add(1)
+	case classRead:
+		c.stats.primaryReads.Add(1)
+		attempts = c.cfg.retryAttempts
 	}
-	var p *pool
 	var err error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
@@ -168,23 +137,13 @@ func (c *Client) send(ctx context.Context, t target, cmds [][][]byte, res []Pipe
 				break
 			}
 		}
-		p = t.candidate(i)
 		var n int
-		n, err = c.exchange(ctx, p, t.asking, cmds, res)
+		n, err = c.exchange(ctx, t.owner, t.asking, cmds, res)
 		fail(res[n:], err)
 		if err == nil || ctx.Err() != nil {
 			break
 		}
-		c.failover(ctx, p)
-	}
-	switch {
-	case t.class == classWrite:
-		c.stats.writes.Add(1)
-	case t.class == classPipe:
-	case p == t.owner:
-		c.stats.primaryReads.Add(1)
-	default:
-		c.stats.replicaReads.Add(1)
+		c.failover(ctx, t.owner)
 	}
 	for j := range res {
 		if next, asking, ok := c.redirect(ctx, res[j].Err, t.hops); ok {

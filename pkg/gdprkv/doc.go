@@ -1,5 +1,5 @@
 // Package gdprkv is the public Go SDK for the gdprkv server: a
-// context-first, connection-pooled, replica- and cluster-aware client
+// context-first, connection-pooled, cluster-aware client
 // over the RESP wire protocol, covering the vanilla Redis-style surface
 // (Set/Get/Del/Expire/Scan/...), the GDPR command family (GPut/GGet/
 // GetUser/ForgetUser/Object/...), and the amortising batch family
@@ -14,7 +14,6 @@
 //		gdprkv.WithActor("shop-backend"),
 //		gdprkv.WithPurpose("order-fulfilment"),
 //		gdprkv.WithPoolSize(8),
-//		gdprkv.WithReplicas("db1:6380", "db2:6380"),
 //	)
 //
 // WithActor and WithPurpose run the AUTH/PURPOSE handshake on every
@@ -38,20 +37,18 @@
 // call's duration; checkout health-checks idle connections and redials
 // broken ones transparently.
 //
-// # Replica-aware routing
+// # Routing
 //
-// Every call is routed by one rule set, on standalone and cluster
-// clients alike; a standalone client is a cluster of one node. Writes,
-// GDPR rights operations, and Do go to the primary that owns the key (on
-// a standalone client, the primary). Idempotent reads (Get, MGet, GGet,
-// GMGet, TTL) round-robin across the owner's replicas — WithReplicas, or
-// the ones a cluster's topology announces — retry on the next candidate
-// after a connection failure (bounded by WithRetry, default one try per
-// candidate), and fall back to the owner when no replica is reachable.
-// Scan is replica-served too but pinned to the first replica for the
-// whole iteration — cursors are per-node keyspace positions and do not
-// transfer between nodes. Server error replies are authoritative and
-// never retried; writes are never retried at all.
+// Every call is routed by one rule, on standalone and cluster clients
+// alike; a standalone client is a cluster of one node. Every call goes to
+// the primary that owns the key (on a standalone client, the primary),
+// never to a replica. A replica holds a copy and lags, so it may still
+// hold a subject whose erasure the primary has acknowledged; the server
+// answers a data read sent to a replica with MOVED naming its primary.
+// Idempotent reads (Get, MGet, GGet, GMGet, TTL, Scan) retry on their
+// owner after a connection failure, bounded by WithRetry (default one
+// try). Server error replies are authoritative and never retried; writes
+// are never retried at all.
 //
 // # Errors
 //
@@ -101,10 +98,9 @@
 // WithRedirectBudget, refreshing the slot map on each one. A standalone
 // client has a redirect budget of 0 and surfaces MOVED as ErrMoved. GDPR
 // rights calls (ForgetUser, GetUser, ...) go to the data subject's slot
-// node, which coordinates the cluster-wide fan-out server-side.
-// Per-primary replica addresses from the cluster map spread idempotent
-// reads exactly as WithReplicas does on a single node; the explicit
-// WithReplicas option and cluster mode remain mutually exclusive.
+// node, which coordinates the cluster-wide fan-out server-side. The
+// replica addresses in the cluster map are promotion candidates, not
+// read targets.
 //
 // During a live slot migration the client also follows ASK redirects:
 // an ASK reply means "this one key has already moved" — the command is

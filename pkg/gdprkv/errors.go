@@ -32,9 +32,9 @@ var (
 	// ErrBaseline reports a GDPR command against a store running in
 	// baseline (non-compliant) mode.
 	ErrBaseline = errors.New("gdprkv: store is running in baseline mode")
-	// ErrReadOnly reports a write sent to a read-only replica. A
-	// replica-aware client only sees it when the primary address itself
-	// points at a replica (e.g. after a failover swapped roles).
+	// ErrReadOnly reports a write sent to a read-only replica. A client
+	// only sees it when its address points at a replica (e.g. after a
+	// failover swapped roles).
 	ErrReadOnly = errors.New("gdprkv: write against a read-only replica")
 	// ErrClosed reports use of a closed client.
 	ErrClosed = errors.New("gdprkv: client is closed")
@@ -48,7 +48,8 @@ var (
 	ErrClusterDown = errors.New("gdprkv: cluster rights operation incomplete")
 	// ErrMoved reports a MOVED redirect the client did not (or could no
 	// longer, budget exhausted) follow. Seeing it usually means the slot
-	// map is flapping or the client is not in cluster mode.
+	// map is flapping or the client is not in cluster mode. A replica
+	// answers every data read with it, naming its primary.
 	ErrMoved = errors.New("gdprkv: key moved to another cluster node")
 	// ErrAsk reports an ASK redirect the client did not (or could no
 	// longer, budget exhausted) follow: the key's slot is mid-migration

@@ -186,8 +186,10 @@ func ExampleWithAutoBatch() {
 	// k2 = 2
 }
 
-// ExampleWithRetry bounds how many nodes an idempotent read tries after
-// connection failures; server error replies are never retried.
+// ExampleWithRetry bounds how many times an idempotent read tries its
+// owner after connection failures; server error replies are never
+// retried, and neither are writes. On a healthy connection the first try
+// answers.
 func ExampleWithRetry() {
 	st, _ := core.Open(core.Baseline())
 	defer st.Close()
@@ -195,7 +197,6 @@ func ExampleWithRetry() {
 	defer srv.Close()
 
 	c, err := gdprkv.Dial(context.Background(), srv.Addr(),
-		gdprkv.WithReplicas("127.0.0.1:1"), // unreachable: reads fall back
 		gdprkv.WithRetry(2, 10*time.Millisecond),
 	)
 	if err != nil {
@@ -205,8 +206,8 @@ func ExampleWithRetry() {
 
 	_ = c.Set(context.Background(), "k", []byte("v"))
 	v, _ := c.Get(context.Background(), "k")
-	fmt.Printf("%s via fallback (retries=%d)\n", v, c.Stats().Retries)
+	fmt.Printf("%s (retries=%d)\n", v, c.Stats().Retries)
 
 	// Output:
-	// v via fallback (retries=1)
+	// v (retries=0)
 }

@@ -47,7 +47,6 @@ type config struct {
 	actor          string
 	purpose        string
 	poolSize       int
-	replicas       []string
 	retryAttempts  int
 	retryBackoff   time.Duration
 	healthInterval time.Duration
@@ -64,7 +63,7 @@ func defaultConfig() config {
 		dialTimeout:    DefaultDialTimeout,
 		ioTimeout:      DefaultIOTimeout,
 		poolSize:       DefaultPoolSize,
-		retryAttempts:  0, // resolved per read: one attempt per candidate
+		retryAttempts:  1,
 		retryBackoff:   DefaultRetryBackoff,
 		healthInterval: defaultHealthInterval,
 		redirectBudget: DefaultRedirectBudget,
@@ -117,25 +116,14 @@ func WithPurpose(purpose string) Option {
 	return func(c *config) { c.purpose = purpose }
 }
 
-// WithPoolSize sets how many connections the client keeps per node
-// (primary and each replica). Checkout blocks when all are busy.
+// WithPoolSize sets how many connections the client keeps per node.
+// Checkout blocks when all are busy.
 func WithPoolSize(n int) Option {
 	return func(c *config) {
 		if n > 0 {
 			c.poolSize = n
 		}
 	}
-}
-
-// WithReplicas adds read replica addresses to a standalone client: they
-// become the primary's read candidates. Idempotent reads (Get, MGet,
-// GGet, GMGet, TTL) are load-balanced across them and fall back to the
-// primary when none is reachable (Scan pins to the first replica);
-// writes and GDPR rights operations always go to the primary. A cluster
-// client takes each primary's candidates from the topology instead, under
-// the same rules, so the two options are mutually exclusive.
-func WithReplicas(addrs ...string) Option {
-	return func(cfg *config) { cfg.replicas = append(cfg.replicas, addrs...) }
 }
 
 // WithCluster enables cluster-aware routing. The client bootstraps the
@@ -145,12 +133,11 @@ func WithReplicas(addrs ...string) Option {
 // key-addressed call to the slot owner — hash-tag aware, so
 // "pd:{alice}:email" routes with "alice" — and splits MSet/MGet/
 // GMPut/GMGet/Del batches per slot before reassembling replies in order.
-// Reads spread over the owner's announced replicas as WithReplicas
-// spreads them on a standalone client, under the same WithRetry budget.
-// MOVED and ASK redirects are followed transparently within
+// Reads go to the owner like writes, never to its announced replicas,
+// and retry there under the same WithRetry budget as a standalone
+// client's. MOVED and ASK redirects are followed transparently within
 // WithRedirectBudget, each MOVED refreshing the slot map. A standalone
-// client is a cluster of one node whose redirect budget is 0. Cluster
-// mode excludes WithReplicas.
+// client is a cluster of one node whose redirect budget is 0.
 func WithCluster(seeds ...string) Option {
 	return func(c *config) {
 		c.clusterMode = true
@@ -205,11 +192,9 @@ func WithAutoBatch(window time.Duration, maxOps int) Option {
 
 // WithRetry bounds connection-failure retries for idempotent reads, with
 // one rule on standalone and cluster clients alike: attempts is the total
-// number of tries per read (minimum 1; default one per candidate, the
-// owner's replicas plus the owner, resolved per read), backoff the pause
-// between tries. Tries walk the replicas round-robin, then repeat on the
-// owner. Error replies from the server are never retried — only dial and
-// I/O failures are. Writes never retry.
+// number of tries per read on its owner (minimum 1, the default), backoff
+// the pause between tries. Error replies from the server are never
+// retried — only dial and I/O failures are. Writes never retry.
 func WithRetry(attempts int, backoff time.Duration) Option {
 	return func(c *config) {
 		if attempts > 0 {

@@ -66,9 +66,9 @@ func (r PipeResult) Int() (int64, error) {
 }
 
 // Pipeline returns an empty pipeline bound to the client. Exec routes
-// each queued command to the owner of its key's slot, grouped per node —
-// pipelined reads are not spread over replicas — so on a standalone
-// client the whole pipeline runs on the primary over a single connection.
+// each queued command to the owner of its key's slot, grouped per node,
+// so on a standalone client the whole pipeline runs on the primary over a
+// single connection.
 func (c *Client) Pipeline() *Pipeline {
 	return &Pipeline{c: c}
 }
@@ -193,7 +193,7 @@ func (p *Pipeline) Exec(ctx context.Context) ([]PipeResult, error) {
 	}
 	var buckets []*bucket
 	for i, op := range ops {
-		owner := c.route(classPipe, op.key).owner
+		owner := c.route(op.key)
 		var b *bucket
 		for _, x := range buckets {
 			if x.owner == owner {

@@ -33,8 +33,8 @@ type SlotRange struct {
 	ID string
 	// Addr is the owning node's current client-facing address.
 	Addr string
-	// Replicas are the addresses of the read-serving replicas attached to
-	// the owner, the promotion candidates when it dies.
+	// Replicas are the addresses of the replicas attached to the owner,
+	// the promotion candidates when it dies. They serve no data reads.
 	Replicas []string
 }
 
@@ -107,8 +107,8 @@ func (c *Client) fetchTopology(ctx context.Context, p *pool) (Topology, error) {
 func (c *Client) bootstrap(ctx context.Context, seeds []string) error {
 	var lastErr error
 	for _, addr := range seeds {
-		def := &node{primary: c.poolFor(addr)}
-		t, err := c.fetchTopology(ctx, def.primary)
+		def := c.poolFor(addr)
+		t, err := c.fetchTopology(ctx, def)
 		if err == nil {
 			var v *view
 			if v, err = c.clusterView(t, def); err == nil {
@@ -142,33 +142,30 @@ func (c *Client) install(t Topology) bool {
 // clusterView builds the routing view of a cluster topology. def answers
 // for slots the topology leaves uncovered: it replies MOVED and the
 // redirect corrects the view.
-func (c *Client) clusterView(t Topology, def *node) (*view, error) {
+func (c *Client) clusterView(t Topology, def *pool) (*view, error) {
 	if len(t.Slots) == 0 {
 		return nil, errors.New("gdprkv: empty CLUSTER TOPOLOGY reply (is the server in cluster mode?)")
 	}
 	v := &view{
 		epoch:     t.Epoch,
-		slots:     make([]*node, cluster.NumSlots),
+		slots:     make([]*pool, cluster.NumSlots),
 		def:       def,
 		redirects: c.cfg.redirectBudget,
-		peers:     []*pool{def.primary},
+		peers:     []*pool{def},
 	}
-	seen := map[*pool]bool{def.primary: true}
+	seen := map[*pool]bool{def: true}
 	for _, sr := range t.Slots {
-		n := &node{primary: c.poolFor(sr.Addr)}
-		for _, ra := range sr.Replicas {
-			n.replicas = append(n.replicas, c.poolFor(ra))
-		}
+		p := c.poolFor(sr.Addr)
 		for s := int(sr.Start); s <= int(sr.End); s++ {
-			v.slots[s] = n
+			v.slots[s] = p
 		}
-		if !seen[n.primary] {
-			seen[n.primary] = true
-			v.peers = append(v.peers, n.primary)
+		if !seen[p] {
+			seen[p] = true
+			v.peers = append(v.peers, p)
 		}
 	}
-	for s, n := range v.slots {
-		if n == nil {
+	for s, p := range v.slots {
+		if p == nil {
 			v.slots[s] = def
 		}
 	}
