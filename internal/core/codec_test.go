@@ -283,6 +283,53 @@ func ownerDump(t *testing.T, s *Store) string {
 	return b.String()
 }
 
+// The same multi-shard PutBatch journals its per-shard GREC records in one
+// order every time, ascending by engine shard, so identical batches reach
+// the AOF and the replication stream alike. An order taken from a Go map
+// would differ from run to run.
+func TestPutBatchJournalsShardsInOrder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.aof")
+	s, err := Open(Config{Compliant: true, Capability: CapabilityPartial, AOFPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := Ctx{Actor: "app", Purpose: "service"}
+	entries := make([]BatchEntry, 8)
+	for i := range entries {
+		entries[i] = BatchEntry{Key: fmt.Sprintf("batch:%02d", i), Value: []byte("v")}
+	}
+	const runs = 20
+	for i := 0; i < runs; i++ {
+		if err := s.PutBatch(ctx, entries, PutOptions{Owner: "alice", Purposes: []string{"service"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var shards []uint32 // the engine shard of each GREC, in journal order
+	if _, err := aof.Load(path, nil, func(name string, args [][]byte) error {
+		if name == opRecord {
+			shards = append(shards, engineShard(t, s, string(args[1])))
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	per := len(shards) / runs
+	if per < 2 || len(shards) != per*runs {
+		t.Fatalf("%d GREC records for %d batches", len(shards), runs)
+	}
+	for r := 0; r < runs; r++ {
+		batch := shards[r*per : (r+1)*per]
+		for i := 1; i < per; i++ {
+			if batch[i] <= batch[i-1] {
+				t.Fatalf("batch %d journaled its shards in the order %v", r, batch)
+			}
+		}
+	}
+}
+
 // TestWriteAllocBudgets bounds the allocations of the compliant hot path
 // with everything on (envelope encryption, journal, audit trail on disk):
 // a Put, and a Get that is audited, of an owner whose cipher is cached.

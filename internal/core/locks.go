@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"time"
 	"unsafe"
 
 	"gdprstore/internal/store"
@@ -105,7 +104,7 @@ func (s *Store) enterRights(owner string) (*gateStripe, error) {
 // walkKeys. It reads records, not data: the probe journals no READ.
 // Callers that need the key set frozen hold owner's stripe.
 func (s *Store) walkOwner(owner string, fn func(key string, e store.Entry) bool) bool {
-	return s.walkKeys(owner, s.ix.ownerKeys(owner), s.db.Peek, fn)
+	return s.walkKeys(owner, s.ix.ownerKeys(owner), false, fn)
 }
 
 // walkBatch is how many keys walkKeys probes before it visits any of them:
@@ -118,25 +117,26 @@ const walkBatch = 64
 // it, judged at one clock reading for the whole walk: a key deleted or
 // expired since the snapshot, or re-Put by another subject, is skipped, and
 // fn writes only through a conditional operation on the record it was shown.
+// read journals each probe as a read of the key's data (store.DB.Probe).
 //
-// The walk probes a batch of walkBatch keys, then visits them. The probes
-// depend neither on each other nor on the visits, and the visits take no
-// lock, so the cache misses of a batch's records and values are served
-// together rather than one record at a time between two probes' lock round
+// The walk probes a batch of walkBatch keys with one store.DB.Probe, which
+// locks each engine shard the batch touches once, then visits them. The
+// probes depend neither on each other nor on the visits, and the visits
+// take no lock, so the cache misses of a batch's records and values are
+// served together rather than one record at a time between two lock round
 // trips. An entry may be up to one batch older than its visit, which the
-// conditional operations already allow for. fn returns false to stop; walkKeys reports whether it
-// reached the end, once one flush has handed the journal everything the walk
-// observed or enqueued, the probes of a stopped batch included.
-func (s *Store) walkKeys(owner string, keys []string, probe func(string, time.Time) (store.Entry, bool), fn func(key string, e store.Entry) bool) bool {
+// conditional operations already allow for. fn returns false to stop;
+// walkKeys reports whether it reached the end, once one flush has handed the
+// journal everything the walk observed or enqueued, the probes of a stopped
+// batch included.
+func (s *Store) walkKeys(owner string, keys []string, read bool, fn func(key string, e store.Entry) bool) bool {
 	defer s.db.Flush()
 	now := s.cfg.Config.Clock.Now()
 	var batch [walkBatch]store.Entry
 	var found [walkBatch]bool
 	for len(keys) > 0 {
 		n := min(len(keys), walkBatch)
-		for i, k := range keys[:n] {
-			batch[i], found[i] = probe(k, now)
-		}
+		s.db.Probe(keys[:n], now, read, batch[:n], found[:n])
 		for i, k := range keys[:n] {
 			if found[i] && ownerOf(batch[i].Record) == owner && !fn(k, batch[i]) {
 				return false

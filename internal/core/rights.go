@@ -86,9 +86,10 @@ type ownerReport struct {
 // Access the standing objections. It then runs in three stages with the
 // stripe released (see locks.go):
 //
-//  1. probe: walkKeys looks up a batch of keys at a time, value and record
-//     together, judged at one clock reading (a record's retention deadline
-//     is judged as of the moment the report was asked for);
+//  1. probe: walkKeys looks up a batch of keys at a time, one lock per
+//     engine shard, value and record together, judged at one clock
+//     reading (a record's retention deadline is judged as of the moment
+//     the report was asked for);
 //  2. gather: the visit checks owner and epoch and copies each live
 //     record's stored bytes, still sealed, into the report's own chunks,
 //     building Metadata only for the kinds that return it;
@@ -133,7 +134,7 @@ func (s *Store) collectOwner(ctx Ctx, owner string, kind reportKind) (ownerRepor
 	}
 	var buf []byte
 	n := 0
-	s.walkKeys(owner, keys, s.db.GetNoCopy, func(k string, e store.Entry) bool {
+	s.walkKeys(owner, keys, true, func(k string, e store.Entry) bool {
 		if !oc.live(e.Record) {
 			// Crypto-erased, awaiting the sweep: the subject's report must
 			// not resurrect data they asked to be forgotten.

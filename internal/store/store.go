@@ -354,9 +354,9 @@ func (db *DB) SetAt(key string, value []byte, deadline time.Time) {
 // SetRecorded stores each value under its key with one record and one
 // absolute deadline (zero: none, clearing any TTL as Set does) and journals
 // the caller's record of the write in place of the engine's own
-// SET/SETEX/MSET:
-// per touched shard, and under its lock where that record would have been
-// enqueued, `name head... key value [key value ...]` with the shard's pairs.
+// SET/SETEX/MSET: per touched shard, in ascending shard order (byShard),
+// and under its lock where that record would have been enqueued,
+// `name head... key value [key value ...]` with the shard's pairs.
 // So the record keeps its key's place among the engine's other records
 // (an expiry DEL, a later SET) on every leg of the journal. The engine does
 // not read the record and Apply does not know its name: whoever replays the
@@ -368,31 +368,26 @@ func (db *DB) SetRecorded(keys []string, values [][]byte, rec *Record, deadline 
 		return nil
 	}
 	ticket := db.jq.ticket(true)
-	journal := ticket != 0
-	put := func(sh *shard, idxs []int) {
-		var args [][]byte
-		if journal {
-			args = append(make([][]byte, 0, len(head)+2*len(idxs)), head...)
-		}
-		sh.mu.Lock()
-		for _, i := range idxs {
-			db.installLocked(sh, keys[i], values[i], rec, deadline)
-			if journal {
-				args = append(args, []byte(keys[i]), values[i])
-			}
-		}
-		if journal {
-			db.jq.enqueueTicket(ticket, name, args)
-		}
-		sh.mu.Unlock()
+	// Every touched shard's record is carved from one array.
+	var recs [][]byte
+	if ticket != 0 {
+		recs = make([][]byte, 0, min(len(keys), len(db.shards))*len(head)+2*len(keys))
 	}
-	if len(keys) == 1 {
-		put(db.shardFor(keys[0]), []int{0})
-	} else {
-		for sh, idxs := range db.batchGroup(keys) {
-			put(sh, idxs)
+	start := 0
+	db.byShard(keys, func(sh *shard, i int, last bool) {
+		db.installLocked(sh, keys[i], values[i], rec, deadline)
+		if ticket == 0 {
+			return
 		}
-	}
+		if len(recs) == start {
+			recs = append(recs, head...)
+		}
+		recs = append(recs, []byte(keys[i]), values[i])
+		if last {
+			db.jq.enqueueTicket(ticket, name, recs[start:len(recs):len(recs)])
+			start = len(recs)
+		}
+	})
 	return db.jq.done(ticket)
 }
 
@@ -478,67 +473,90 @@ func (db *DB) keepTTLLocked(sh *shard, key string, e entry, value []byte) {
 	db.recordChanged(key, old, nil)
 }
 
-// batchGroup splits batch indices by owning shard, preserving input order
-// within each shard.
-func (db *DB) batchGroup(keys []string) map[*shard][]int {
-	groups := make(map[*shard][]int, len(db.shards))
-	for i, k := range keys {
-		sh := db.shardFor(k)
-		groups[sh] = append(groups[sh], i)
-	}
-	return groups
-}
+// groupMax is the largest batch byShard groups on the stack: a walk's batch
+// of probes (internal/core's walkBatch). groupShards is the largest shard
+// count it counts there.
+const (
+	groupMax    = 64
+	groupShards = 256
+)
 
-// SetBatch stores every key/value pair, grouping work by shard: one lock
-// acquisition and one MSET journal record per touched shard — the
-// amortisation the batch command family (MSET, GMPUT) is built on. Any TTLs
-// on the keys are cleared, matching Set. keys and values must have equal
-// length. The batch is atomic per shard, not globally: a concurrent reader
-// may observe a cross-shard batch partially applied.
-func (db *DB) SetBatch(keys []string, values [][]byte) {
-	if len(keys) == 0 {
+// byShard is the one way a multi-key operation takes shard locks. It runs
+// body(sh, i, last) for each position i of keys under the lock of keys[i]'s
+// shard sh, where last reports whether keys[i] is the last of that shard's
+// keys. Each touched shard is locked once, the shards in ascending index
+// order, and one shard's keys run in input order. So a batch's records
+// reach the journal in one order, the same for the same batch, and a key's
+// records keep their order against its other ones. The grouping is a
+// counting sort of the positions by shard index; for up to groupMax keys it
+// allocates nothing. body must not call back into the DB.
+func (db *DB) byShard(keys []string, body func(sh *shard, i int, last bool)) {
+	if len(keys) == 1 {
+		sh := db.shardFor(keys[0])
+		sh.mu.Lock()
+		body(sh, 0, true)
+		sh.mu.Unlock()
 		return
 	}
-	journal := db.jq.active()
-	for sh, idxs := range db.batchGroup(keys) {
+	var idxBuf [groupMax]uint32
+	var posBuf [groupMax]int32
+	var endBuf [groupShards + 1]int32
+	idx, pos, end := idxBuf[:], posBuf[:], endBuf[:]
+	if len(keys) > groupMax {
+		idx, pos = make([]uint32, len(keys)), make([]int32, len(keys))
+	}
+	if len(db.shards) > groupShards {
+		end = make([]int32, len(db.shards)+1)
+	}
+	// end[s+1] counts shard s's keys; summed, end[s] is where shard s's
+	// positions start, and placing them moves it to where they end.
+	for i, k := range keys {
+		idx[i] = fnv32a(k) & db.mask
+		end[idx[i]+1]++
+	}
+	for s := 1; s <= len(db.shards); s++ {
+		end[s] += end[s-1]
+	}
+	for i := range keys {
+		pos[end[idx[i]]] = int32(i)
+		end[idx[i]]++
+	}
+	for lo := 0; lo < len(keys); {
+		s := idx[pos[lo]]
+		hi := int(end[s])
+		sh := db.shards[s]
 		sh.mu.Lock()
-		var args [][]byte
-		if journal {
-			args = make([][]byte, 0, 2*len(idxs))
-		}
-		for _, i := range idxs {
-			db.putLocked(sh, keys[i], cloneBytes(values[i]), nil, 0)
-			if journal {
-				args = append(args, []byte(keys[i]), values[i])
-			}
-		}
-		if journal {
-			db.jq.enqueue("MSET", args...)
+		for j := lo; j < hi; j++ {
+			body(sh, int(pos[j]), j == hi-1)
 		}
 		sh.mu.Unlock()
+		lo = hi
 	}
-	db.jq.flush()
 }
 
-// GetBatch reads every key, grouping work by shard (one lock acquisition
-// per touched shard). The returned slices are positional: present[i]
-// reports whether keys[i] existed (lazy expiry applies per key, as in Get).
+// SetBatch stores every key/value pair, clearing any TTLs as Set does, with
+// one lock acquisition and one MSET journal record per touched shard (see
+// byShard): the amortisation the batch command family (MSET, GMPUT) is
+// built on. keys and values must have equal length. The batch is atomic per
+// shard, not globally: a concurrent reader may observe a cross-shard batch
+// partially applied.
+func (db *DB) SetBatch(keys []string, values [][]byte) {
+	_ = db.SetRecorded(keys, values, nil, time.Time{}, "MSET")
+}
+
+// GetBatch reads every key with one lock acquisition per touched shard. The
+// returned slices are positional: present[i] reports whether keys[i]
+// existed (lazy expiry applies per key, as in Get).
 func (db *DB) GetBatch(keys []string) (values [][]byte, present []bool) {
 	values = make([][]byte, len(keys))
 	present = make([]bool, len(keys))
-	for sh, idxs := range db.batchGroup(keys) {
-		sh.mu.Lock()
-		for _, i := range idxs {
-			k := keys[i]
-			e, ok := db.liveLocked(sh, k)
-			db.logReadLocked(k)
-			if ok {
-				values[i] = cloneBytes(e.val)
-				present[i] = true
-			}
+	db.byShard(keys, func(sh *shard, i int, _ bool) {
+		e, ok := db.liveLocked(sh, keys[i])
+		db.logReadLocked(keys[i])
+		if ok {
+			values[i], present[i] = cloneBytes(e.val), true
 		}
-		sh.mu.Unlock()
-	}
+	})
 	db.jq.flush()
 	return values, present
 }
@@ -567,38 +585,48 @@ func (db *DB) Lookup(key string) (Entry, bool) {
 	return e.lend(), ok
 }
 
-// GetNoCopy is Lookup for a walk over many keys: it judges expiry against the
-// caller's now, so the walk reads the clock once, and it leaves what it
-// journals (a lazy reap's DEL, a READ) in the queue. The caller must Flush
-// before it acts on, or returns, anything it read: one hand-off per walk
-// instead of one per key.
-func (db *DB) GetNoCopy(key string, now time.Time) (Entry, bool) {
-	return db.peek(key, now, true)
+// Probe is Lookup for a walk over a batch of keys: found[i] and out[i] are
+// keys[i]'s entry, judged against the caller's now, so the walk reads the
+// clock once, and each touched shard is locked once (byShard). With read,
+// each key journals a READ as Lookup's does; without, the walk reads
+// records, not data, and journals none. What it journals (a lazy reap's
+// DEL, a READ) stays in the queue: the caller must Flush before it acts on,
+// or returns, anything it read, one hand-off per walk instead of one per
+// key. out and found must be as long as keys.
+func (db *DB) Probe(keys []string, now time.Time, read bool, out []Entry, found []bool) {
+	ns := now.UnixNano()
+	db.byShard(keys, func(sh *shard, i int, _ bool) {
+		out[i], found[i] = db.peekLocked(sh, keys[i], ns, read)
+	})
 }
 
-// Peek is GetNoCopy for a caller that reads the key's record, not its data:
-// it journals no READ record. The caller must Flush, as after GetNoCopy.
+// Peek is Probe of one key without its READ record, for a caller that reads
+// the key's record, not its data. The caller must Flush, as after Probe.
 func (db *DB) Peek(key string, now time.Time) (Entry, bool) {
-	return db.peek(key, now, false)
-}
-
-func (db *DB) peek(key string, now time.Time, read bool) (Entry, bool) {
 	sh := db.shardFor(key)
 	sh.mu.Lock()
+	e, ok := db.peekLocked(sh, key, now.UnixNano(), false)
+	sh.mu.Unlock()
+	return e, ok
+}
+
+// peekLocked is one key of a Probe: its entry judged at now (Unix ns), a
+// lazy reap if it is past its deadline, and its READ record if read.
+// Callers hold sh.mu and must flush the journal queue after releasing it.
+func (db *DB) peekLocked(sh *shard, key string, now int64, read bool) (Entry, bool) {
 	e, ok := sh.dict[key]
-	if ok && e.deadAt(now.UnixNano()) {
+	if ok && e.deadAt(now) {
 		db.reapLocked(sh, key, e)
 		e, ok = entry{}, false
 	}
 	if read {
 		db.logReadLocked(key)
 	}
-	sh.mu.Unlock()
 	return e.lend(), ok
 }
 
 // Flush returns once every record the engine has enqueued so far, by any
-// caller, has been handed to the journal: after it, whatever a GetNoCopy or
+// caller, has been handed to the journal: after it, whatever a Probe or
 // Peek observed is as durable as the journal makes it.
 func (db *DB) Flush() { db.jq.flush() }
 
@@ -620,21 +648,19 @@ func (db *DB) Exists(key string) bool {
 	return ok
 }
 
-// Del removes the given keys and returns how many existed. It matches both
-// DEL and UNLINK (the engine frees memory synchronously either way; the
-// distinction matters only for real Redis's background reclamation).
+// Del removes the given keys and returns how many existed, one lock per
+// touched shard (byShard). It matches both DEL and UNLINK (the engine frees
+// memory synchronously either way; the distinction matters only for real
+// Redis's background reclamation).
 func (db *DB) Del(keys ...string) int {
 	n := 0
-	for _, k := range keys {
-		sh := db.shardFor(k)
-		sh.mu.Lock()
-		if e, ok := db.liveLocked(sh, k); ok {
-			db.deleteLocked(sh, k, e)
-			db.jq.enqueue("DEL", []byte(k))
+	db.byShard(keys, func(sh *shard, i int, _ bool) {
+		if e, ok := db.liveLocked(sh, keys[i]); ok {
+			db.deleteLocked(sh, keys[i], e)
+			db.jq.enqueue("DEL", []byte(keys[i]))
 			n++
 		}
-		sh.mu.Unlock()
-	}
+	})
 	db.jq.flush()
 	return n
 }

@@ -46,10 +46,10 @@ func TestGetReturnsCopy(t *testing.T) {
 	}
 }
 
-// A slice lent by GetNoCopy keeps its bytes whatever later happens to the
-// key: writers install fresh slices, they never write into a stored one.
-// Rights reads decrypt from lent slices after the shard lock is released.
-func TestGetNoCopyLendsImmutableSlice(t *testing.T) {
+// A slice lent by Probe keeps its bytes whatever later happens to the key:
+// writers install fresh slices, they never write into a stored one. Rights
+// reads copy from lent slices after the shard lock is released.
+func TestProbeLendsImmutableSlice(t *testing.T) {
 	db, vc := newTestDB()
 	mutations := map[string]func(k string){
 		"Set":        func(k string) { db.Set(k, []byte("new")) },
@@ -65,14 +65,21 @@ func TestGetNoCopyLendsImmutableSlice(t *testing.T) {
 		"expiry":   func(k string) { vc.Advance(2 * time.Minute) },
 		"FlushAll": func(k string) { db.FlushAll() },
 	}
+	probe := func(k string) (Entry, bool) {
+		var e [1]Entry
+		var found [1]bool
+		db.Probe([]string{k}, vc.Now(), true, e[:], found[:])
+		db.Flush()
+		return e[0], found[0]
+	}
 	for name, mutate := range mutations {
 		db.SetEX(name, []byte("old"), time.Minute)
-		lent, ok := db.GetNoCopy(name, vc.Now())
+		lent, ok := probe(name)
 		if !ok {
 			t.Fatalf("%s: key missing", name)
 		}
 		mutate(name)
-		if _, still := db.GetNoCopy(name, vc.Now()); name == "expiry" && still {
+		if _, still := probe(name); name == "expiry" && still {
 			t.Fatal("expired key still served")
 		}
 		if string(lent.Value) != "old" {
@@ -378,8 +385,9 @@ func TestStrategyString(t *testing.T) {
 }
 
 // SetRecorded journals the caller's record where the engine's own would
-// have gone: once per touched shard, with that shard's pairs, in the key's
-// order against the engine's other records for it. Restore replays a pair
+// have gone: once per touched shard, in ascending shard order, with that
+// shard's pairs, in the key's order against the engine's other records for
+// it. Restore replays a pair
 // without journaling.
 func TestSetRecordedJournalsCallersRecord(t *testing.T) {
 	db, vc := newTestDB()
@@ -417,10 +425,16 @@ func TestSetRecordedJournalsCallersRecord(t *testing.T) {
 		t.Fatalf("%d records for a batch over %d shards", len(log), db.ShardCount())
 	}
 	seen := map[string]string{}
+	prev := -1
 	for _, rec := range log {
 		f := strings.Fields(rec)
 		if f[0] != "REC" || f[1] != "head" || len(f)%2 != 0 {
 			t.Fatalf("record %q", rec)
+		}
+		if s := int(fnv32a(f[2]) & db.mask); s <= prev {
+			t.Fatalf("shard %d's record %q after shard %d's", s, rec, prev)
+		} else {
+			prev = s
 		}
 		first := db.shardFor(f[2])
 		for i := 2; i < len(f); i += 2 {
