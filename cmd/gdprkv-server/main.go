@@ -19,12 +19,10 @@
 //	-atrest-hex string  64-hex-char at-rest encryption key (LUKS stand-in)
 //	-envelope-hex string 64-hex-char master key for per-owner envelope
 //	                    encryption (enables O(1) crypto-shredding erasure)
-//	-erasure-sweep-interval dur  lazy-delete sweep cadence (default 100ms)
 //	-erasure-sweep-budget int    max records one sweep cycle deletes (default 4096)
 //	-tls                front the server with a TLS tunnel (stunnel stand-in)
 //	-default-ttl dur    default retention bound for writes (e.g. 720h)
 //	-locations string   comma-separated allowed storage regions
-//	-expirer            run the background active-expiry loop (default true)
 //	-shards int         engine lock-stripe count, power of two (0 = default; 1 = single mutex)
 //	-replicaof string   replicate from the primary at host:port (server starts read-only)
 //	-repl-actor string  actor presented during the replication handshake (AUTH)
@@ -50,7 +48,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"gdprstore/internal/aof"
 	"gdprstore/internal/audit"
@@ -84,12 +81,10 @@ func main() {
 		auditSink    = flag.String("audit-sink", "", "export the trail to tcp://host:port or unix:///path")
 		atRestHex    = flag.String("atrest-hex", "", "64-hex-char at-rest encryption key (LUKS stand-in)")
 		envelopeHex  = flag.String("envelope-hex", "", "64-hex-char envelope master key (per-owner encryption, O(1) crypto-shred erasure)")
-		sweepEvery   = flag.Duration("erasure-sweep-interval", 0, "lazy-delete sweep cadence (0 = 100ms default)")
 		sweepBudget  = flag.Int("erasure-sweep-budget", 0, "max records one sweep cycle deletes (0 = 4096 default)")
 		withTLS      = flag.Bool("tls", false, "front the server with a TLS tunnel (stunnel stand-in)")
 		defaultTTL   = flag.Duration("default-ttl", 0, "default retention bound for writes")
 		locations    = flag.String("locations", "", "comma-separated allowed storage regions")
-		expirer      = flag.Bool("expirer", true, "run the background active-expiry loop")
 		shards       = flag.Int("shards", 0, "engine lock-stripe count, rounded up to a power of two (0 = default; 1 = single mutex)")
 		replicaof    = flag.String("replicaof", "", "replicate from the primary at host:port (server starts read-only)")
 		replActor    = flag.String("repl-actor", "", "actor presented during the replication handshake (AUTH)")
@@ -171,7 +166,6 @@ func main() {
 		}
 		cfg.Envelope = true
 		cfg.MasterKey = key
-		cfg.ErasureSweepInterval = *sweepEvery
 		cfg.ErasureSweepBudget = *sweepBudget
 	}
 	if *locations != "" {
@@ -184,20 +178,6 @@ func main() {
 		log.Fatalf("open store: %v", err)
 	}
 	defer st.Close()
-	// A replica receives its deletions (including retention expiry) from
-	// the primary's journal stream; running a local active expirer too
-	// would only race it, so replicas keep lazy expiry only.
-	if *expirer && *replicaof == "" {
-		st.StartExpirer()
-		defer st.StopExpirer()
-	}
-	// Same reasoning for the lazy-delete sweeper: a replica receives the
-	// primary sweep's DELs over the journal stream, so only primaries
-	// physically reclaim crypto-shredded ciphertext themselves.
-	if *envelopeHex != "" && *replicaof == "" {
-		st.StartSweeper()
-		defer st.StopSweeper()
-	}
 
 	srv, err := server.Listen(*addr, st)
 	if err != nil {
@@ -232,22 +212,12 @@ func main() {
 	}
 	if *replicaof != "" {
 		srv.ReplicaOf(*replicaof, replica.NodeOptions{Actor: *replActor})
-		if *expirer || *envelopeHex != "" {
-			// The expirer and sweeper were withheld above while replicating;
-			// a promotion (REPLICAOF NO ONE) resumes the primary's retention
-			// and reclamation duties.
-			runExpirer, runSweeper := *expirer, *envelopeHex != ""
-			srv.SetPromoteHook(func() {
-				if runExpirer {
-					st.StartExpirer()
-				}
-				if runSweeper {
-					st.StartSweeper()
-				}
-			})
-		}
 		fmt.Printf("replicating from %s (read-only until REPLICAOF NO ONE)\n", *replicaof)
 	}
+	// The store's one maintenance loop (expiry, the erasure sweep and
+	// Maintain) starts once the role is set: it idles on a replica and
+	// resumes on promotion; st.Close stops it.
+	st.StartExpirer()
 
 	var tun *tlsproxy.Tunnel
 	if *withTLS {
@@ -259,24 +229,8 @@ func main() {
 		fmt.Printf("TLS tunnel entry point: %s\n", tun.Addr())
 	}
 
-	// Periodic maintenance: expired grants, deferred compaction.
-	stop := make(chan struct{})
-	go func() {
-		t := time.NewTicker(30 * time.Second)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				st.Maintain()
-			}
-		}
-	}()
-
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	close(stop)
 	fmt.Println("shutting down")
 }

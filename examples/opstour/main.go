@@ -89,8 +89,6 @@ func main() {
 	fmt.Printf("seeded %d records expiring at once and crypto-shredded alice's 100\n\n", expiringKeys)
 	st.StartExpirer()
 	defer st.StopExpirer()
-	st.StartSweeper()
-	defer st.StopSweeper()
 
 	// Scrape loop: wait for the shared deadline, then watch the
 	// retention-lag gauge spike and drain. This is exactly what a

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gdprstore/internal/acl"
+	"gdprstore/internal/audit"
 	"gdprstore/internal/store"
 	"gdprstore/internal/testutil"
 )
@@ -178,4 +179,45 @@ func TestConcurrentExpiryAndAccess(t *testing.T) {
 			t.Fatalf("long-TTL key k%d vanished", i)
 		}
 	}
+}
+
+// TestBackgroundExpiryIsAudited pins that the maintenance loop expires
+// through ExpiryCycle: every key it reaps is on the trail, in EXPIRECYCLE
+// records whose reclaimed= counts sum to the keys reaped.
+func TestBackgroundExpiryIsAudited(t *testing.T) {
+	s, err := Open(Strict(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.ACL().AddPrincipal(acl.Principal{ID: "controller", Role: acl.RoleController})
+	const keys = 20
+	for i := 0; i < keys; i++ {
+		if err := s.Put(ctlCtx, fmt.Sprintf("k%d", i), []byte("v"),
+			PutOptions{Owner: "alice", TTL: 50 * time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.StartExpirer()
+	if !s.RetentionStats().ExpirerRunning {
+		t.Fatal("expirer not reported running")
+	}
+	testutil.Eventually(t, 10*time.Second, 0, func() bool {
+		return s.RetentionStats().ExpiredTotal == keys
+	}, "the loop never reaped the keys")
+	testutil.Eventually(t, 10*time.Second, 0, func() bool {
+		recs, err := s.Trail().Query(audit.Filter{Op: "EXPIRECYCLE"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := 0
+		for _, r := range recs {
+			var n int
+			if _, err := fmt.Sscanf(r.Detail, "reclaimed=%d", &n); err != nil {
+				t.Fatalf("EXPIRECYCLE detail %q: %v", r.Detail, err)
+			}
+			sum += n
+		}
+		return sum == keys
+	}, "background expiry is not on the trail")
 }

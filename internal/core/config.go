@@ -123,10 +123,6 @@ type Config struct {
 	Envelope bool
 	// MasterKey roots the envelope keyring; required when Envelope is set.
 	MasterKey []byte
-	// ErasureSweepInterval is how often the background sweeper (StartSweeper)
-	// runs a lazy-delete cycle reclaiming crypto-shredded ciphertext;
-	// 0 derives 100ms. Only meaningful with Envelope set.
-	ErasureSweepInterval time.Duration
 	// ErasureSweepBudget caps how many records one sweep cycle may examine,
 	// bounding the latency impact of each cycle; 0 derives 4096.
 	ErasureSweepBudget int
@@ -167,8 +163,7 @@ type normalized struct {
 	requireTTL bool
 	enforceACL bool
 
-	sweepInterval time.Duration
-	sweepBudget   int
+	sweepBudget int
 }
 
 func (c Config) normalize() normalized {
@@ -213,10 +208,6 @@ func (c Config) normalize() normalized {
 		n.enforceACL = *c.EnforceACL
 	} else {
 		n.enforceACL = c.Capability == CapabilityFull
-	}
-	n.sweepInterval = c.ErasureSweepInterval
-	if n.sweepInterval <= 0 {
-		n.sweepInterval = 100 * time.Millisecond
 	}
 	n.sweepBudget = c.ErasureSweepBudget
 	if n.sweepBudget <= 0 {

@@ -354,11 +354,11 @@ func TestCompactionPurgesDeadCiphertext(t *testing.T) {
 	}
 }
 
-// TestBackgroundSweeper exercises the StartSweeper/StopSweeper loop: the
-// goroutine drains a shredded owner on its own, and start/stop are
+// TestBackgroundSweeper exercises the sweep duty of the maintenance loop:
+// the goroutine drains a shredded owner on its own, and start/stop are
 // idempotent.
 func TestBackgroundSweeper(t *testing.T) {
-	s, err := Open(erasureCfg(func(c *Config) { c.ErasureSweepInterval = time.Millisecond }))
+	s, err := Open(erasureCfg(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,8 +367,8 @@ func TestBackgroundSweeper(t *testing.T) {
 	if _, err := s.Forget(Ctx{Actor: "alice"}, "alice"); err != nil {
 		t.Fatal(err)
 	}
-	s.StartSweeper()
-	s.StartSweeper() // idempotent
+	s.StartExpirer()
+	s.StartExpirer() // idempotent
 	if !s.ErasureStats().SweeperRunning {
 		t.Fatal("sweeper not reported running")
 	}
@@ -382,10 +382,49 @@ func TestBackgroundSweeper(t *testing.T) {
 	if got := s.Engine().Len(); got != 0 {
 		t.Fatalf("engine len after background sweep = %d", got)
 	}
-	s.StopSweeper()
-	s.StopSweeper() // idempotent
+	s.StopExpirer()
+	s.StopExpirer() // idempotent
 	if s.ErasureStats().SweeperRunning {
 		t.Fatal("sweeper still reported running after stop")
+	}
+}
+
+// TestReplicaKeepsNoErasureBacklog: a replica does not sweep, so it keeps
+// no pending set; the shredded owner's dead records wait for the primary's
+// DELs, and promotion re-derives the set from what the replica still holds.
+func TestReplicaKeepsNoErasureBacklog(t *testing.T) {
+	s, err := Open(erasureCfg(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	r := attachReplica(t, s, s.Config())
+	r.SetReplica(true)
+	putOwnerKeys(t, s, "alice", 8)
+	putOwnerKeys(t, s, "bob", 2)
+	if _, err := s.Forget(Ctx{Actor: "alice"}, "alice"); err != nil {
+		t.Fatal(err)
+	}
+	caughtUp(t, s)
+	if st := r.ErasureStats(); st.ShreddedOwners != 1 || st.PendingOwners != 0 || r.Engine().Len() != 10 {
+		t.Fatalf("replica after shred = %+v, %d keys; want 1 shredded, 0 pending, 10 keys", st, r.Engine().Len())
+	}
+	r.SetReplica(false)
+	if st := r.ErasureStats(); st.PendingOwners != 1 || st.PendingRecords != 8 {
+		t.Fatalf("promoted = %+v; want alice's 8 dead records pending", st)
+	}
+	r.SetReplica(true)
+	if st := r.ErasureStats(); st.PendingOwners != 0 {
+		t.Fatalf("demoted again = %+v; want nothing pending", st)
+	}
+	s.DrainErasure()
+	caughtUp(t, s)
+	if n := r.Engine().Len(); n != 2 {
+		t.Fatalf("replica holds %d keys after the primary's sweep, want bob's 2", n)
+	}
+	r.SetReplica(false)
+	if st := r.ErasureStats(); st.PendingOwners != 0 {
+		t.Fatalf("promoted after the DELs = %+v; want nothing pending", st)
 	}
 }
 
@@ -393,16 +432,13 @@ func TestBackgroundSweeper(t *testing.T) {
 // concurrently; run under -race it pins the locking protocol (owner
 // stripe → key stripe → erasureState leaf).
 func TestErasureConcurrentStress(t *testing.T) {
-	s, err := Open(erasureCfg(func(c *Config) {
-		c.ErasureSweepInterval = time.Millisecond
-		c.ErasureSweepBudget = 8
-	}))
+	s, err := Open(erasureCfg(func(c *Config) { c.ErasureSweepBudget = 8 }))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.StartSweeper()
-	defer s.StopSweeper()
+	s.StartExpirer()
+	defer s.StopExpirer()
 
 	const iters = 300
 	var wg sync.WaitGroup
@@ -430,14 +466,32 @@ func TestErasureConcurrentStress(t *testing.T) {
 		}
 	}()
 	wg.Add(1)
-	go func() { // explicit sweeps racing the background sweeper
+	go func() { // explicit sweeps racing the background loop's
 		defer wg.Done()
 		for i := 0; i < iters/4; i++ {
 			s.ErasureSweepCycle()
 			_ = s.ErasureStats()
 		}
 	}()
+	// A second sweeper for the whole churn, as the loop's own duties, so
+	// two sweeps always overlap whatever the loop's period.
+	churned := make(chan struct{})
+	swept := make(chan struct{})
+	go func() {
+		defer close(swept)
+		for {
+			select {
+			case <-churned:
+				return
+			default:
+			}
+			s.ExpiryCycle()
+			s.ErasureSweepCycle()
+		}
+	}()
 	wg.Wait()
+	close(churned)
+	<-swept
 	// Everything still converges once the churn stops.
 	for i := 0; i < 4; i++ {
 		_ = s.Reinstate(Ctx{Actor: "admin"}, fmt.Sprintf("subj%d", i))

@@ -43,14 +43,42 @@ func (s *Store) KeyVisible(key string) bool {
 }
 
 // markErasurePending registers owner with the lazy-delete sweep: the owner
-// was crypto-shredded and dead ciphertext may remain in the engine.
+// was crypto-shredded and dead ciphertext may remain in the engine. A
+// replica keeps no pending set: it does not sweep, the primary's DELs take
+// its dead records, and promotion re-derives the set (SetReplica).
 func (s *Store) markErasurePending(owner string) {
 	now := s.cfg.Config.Clock.Now()
 	s.erasure.mu.Lock()
-	if _, ok := s.erasure.pending[owner]; !ok {
+	if _, ok := s.erasure.pending[owner]; !ok && !s.replica.Load() {
 		s.erasure.pending[owner] = now
 	}
 	s.erasure.mu.Unlock()
+}
+
+// rediscoverErasure re-marks every owner whose epoch ever advanced and who
+// still holds a record sealed under a destroyed epoch: the pending set is
+// derived state, rebuilt after replay and on promotion.
+func (s *Store) rediscoverErasure() {
+	if s.keyring == nil {
+		return
+	}
+	for owner, epoch := range s.keyring.Epochs() {
+		if epoch == 0 {
+			continue
+		}
+		g, err := s.enter(owner)
+		if err != nil {
+			return
+		}
+		s.walkOwner(owner, func(_ string, e store.Entry) bool {
+			if s.recordDead(e.Record) {
+				s.markErasurePending(owner)
+				return false
+			}
+			return true
+		})
+		g.RUnlock()
+	}
 }
 
 // SweepStats reports what one lazy-delete sweep cycle did.
@@ -133,9 +161,8 @@ func (s *Store) ErasureSweepCycle() SweepStats {
 	return st
 }
 
-// DrainErasure runs sweep cycles until no shredded owner remains pending;
-// the synchronous backstop Maintain runs, for deployments without a
-// background sweeper. Returns the accumulated stats.
+// DrainErasure runs sweep cycles until no shredded owner remains pending,
+// as Maintain does before a compaction. Returns the accumulated stats.
 func (s *Store) DrainErasure() SweepStats {
 	var total SweepStats
 	for {
@@ -152,57 +179,93 @@ func (s *Store) DrainErasure() SweepStats {
 	}
 }
 
-// StartSweeper launches the background lazy-delete sweeper, which runs
-// ErasureSweepCycle every ErasureSweepInterval. It is a no-op without a
-// keyring (no envelope encryption → nothing to shred) or when already
-// running. Replicas must not start a sweeper: the primary's sweep deletes
-// replicate through the journal stream.
-func (s *Store) StartSweeper() {
-	if s.keyring == nil {
+// maintainEvery is how many loop ticks pass between Maintain passes:
+// 300 × ActiveExpireCyclePeriod, 30 s.
+const maintainEvery = 300
+
+// StartExpirer starts the store's one maintenance loop unless it runs
+// already or the store is closed. Every store.ActiveExpireCyclePeriod it runs ExpiryCycle, then
+// ErasureSweepCycle, and every maintainEvery-th tick Maintain. While the
+// store is a replica (SetReplica) every duty is skipped: its deletions
+// arrive as the primary's journaled DELs, as a Redis replica waits for
+// its master's. StopExpirer and Close stop the loop.
+func (s *Store) StartExpirer() {
+	s.loop.mu.Lock()
+	defer s.loop.mu.Unlock()
+	if s.loop.stop != nil || s.closed.Load() {
 		return
 	}
-	e := &s.erasure
-	e.loopMu.Lock()
-	defer e.loopMu.Unlock()
-	if e.stopped != nil {
-		return
-	}
-	e.stopped = make(chan struct{})
-	e.done = make(chan struct{})
-	stop, done := e.stopped, e.done
-	interval := s.cfg.sweepInterval
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				if s.closed.Load() {
-					return
-				}
-				s.ErasureSweepCycle()
-			}
-		}
-	}()
+	stop, done := make(chan struct{}), make(chan struct{})
+	s.loop.stop, s.loop.done = stop, done
+	go s.maintainLoop(stop, done)
 }
 
-// StopSweeper stops the background sweeper and waits for it to exit.
-// Safe to call when the sweeper never ran.
-func (s *Store) StopSweeper() {
-	e := &s.erasure
-	e.loopMu.Lock()
-	stop, done := e.stopped, e.done
-	e.stopped, e.done = nil, nil
-	e.loopMu.Unlock()
+// StartSweeper is StartExpirer: the sweep is one duty of that loop.
+func (s *Store) StartSweeper() { s.StartExpirer() }
+
+func (s *Store) maintainLoop(stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	t := time.NewTicker(store.ActiveExpireCyclePeriod)
+	defer t.Stop()
+	for tick := 1; ; tick++ {
+		select {
+		case <-stop:
+			return
+		case <-t.C:
+		}
+		if s.replica.Load() || s.closed.Load() {
+			continue
+		}
+		s.ExpiryCycle()
+		s.ErasureSweepCycle()
+		if tick%maintainEvery == 0 {
+			// No DrainErasure: the budgeted sweep above runs every tick,
+			// and an unbudgeted one would hold up the next expiry cycle.
+			s.maintain(false)
+		}
+	}
+}
+
+// StopExpirer stops the maintenance loop and waits for it to exit. Safe
+// to call when the loop never ran.
+func (s *Store) StopExpirer() {
+	s.loop.mu.Lock()
+	stop, done := s.loop.stop, s.loop.done
+	s.loop.stop, s.loop.done = nil, nil
+	s.loop.mu.Unlock()
 	if stop == nil {
 		return
 	}
 	close(stop)
 	<-done
 }
+
+// dutiesRunning reports whether the maintenance loop runs and, the store
+// being a primary, does its duties.
+func (s *Store) dutiesRunning() bool {
+	s.loop.mu.Lock()
+	defer s.loop.mu.Unlock()
+	return s.loop.stop != nil && !s.replica.Load()
+}
+
+// SetReplica sets the store's replication role: a replica's maintenance
+// loop idles, and a promoted one resumes every duty on its next tick.
+// Demotion empties the erasure sweep's pending set and promotion
+// re-derives it from the records the replica holds.
+func (s *Store) SetReplica(replica bool) {
+	s.erasure.mu.Lock()
+	was := s.replica.Swap(replica)
+	if replica {
+		clear(s.erasure.pending)
+	}
+	s.erasure.mu.Unlock()
+	if was && !replica {
+		s.rediscoverErasure()
+	}
+}
+
+// IsReplica reports whether the store is a replica (SetReplica).
+func (s *Store) IsReplica() bool { return s.replica.Load() }
 
 // ErasureStats is a point-in-time view of crypto-shredding and the
 // lazy-delete sweep, surfaced through INFO erasure.
@@ -231,8 +294,8 @@ type ErasureStats struct {
 	// LastCycle is the duration of the most recent sweep cycle, measured
 	// on the store's clock.
 	LastCycle time.Duration
-	// SweeperRunning reports whether the background sweeper goroutine is
-	// active.
+	// SweeperRunning reports whether the maintenance loop sweeps: it runs
+	// and the store is a primary.
 	SweeperRunning bool
 	// CipherHits and CipherMisses count the keyring's prepared-cipher
 	// lookups served from its cache and those that built a cipher: the hit
@@ -271,9 +334,7 @@ func (s *Store) ErasureStats() ErasureStats {
 	if !oldest.IsZero() && now.After(oldest) {
 		st.SweepLag = now.Sub(oldest)
 	}
-	s.erasure.loopMu.Lock()
-	st.SweeperRunning = s.erasure.stopped != nil
-	s.erasure.loopMu.Unlock()
+	st.SweeperRunning = s.dutiesRunning()
 	return st
 }
 
@@ -386,7 +447,7 @@ type MaintStats struct {
 	// GrantsPurged counts expired ACL grants removed.
 	GrantsPurged int
 	// ErasedReclaimed counts crypto-shredded records physically deleted by
-	// this pass (the backstop for deployments without a background sweeper).
+	// this pass.
 	ErasedReclaimed int
 	// Rewrote reports whether a deferred AOF compaction ran.
 	Rewrote bool
@@ -394,15 +455,23 @@ type MaintStats struct {
 	Took time.Duration
 }
 
-// Maintain runs one background maintenance pass: it purges expired grants,
-// reclaims crypto-erased records no sweeper has, and performs any deferred
+// Maintain runs one maintenance pass: it purges expired grants, reclaims
+// every crypto-erased record the sweep has not yet, and performs any deferred
 // AOF compaction (the "eventual" half of the compliance spectrum — erasure
 // work postponed off the critical path lands here).
-func (s *Store) Maintain() MaintStats {
+func (s *Store) Maintain() MaintStats { return s.maintain(true) }
+
+// maintain is Maintain; drain runs the sweep to completion first. The
+// compaction drops dead records whether or not they were swept
+// (snapshotAll).
+func (s *Store) maintain(drain bool) MaintStats {
 	start := s.cfg.Config.Clock.Now()
-	// The sweep's own walks, each through the gate, before the global
-	// locks; it owes the compaction below for what it reclaims.
-	st := MaintStats{ErasedReclaimed: s.DrainErasure().Reclaimed}
+	var st MaintStats
+	if drain {
+		// The sweep's own walks, each through the gate, before the global
+		// locks; it owes the compaction below for what it reclaims.
+		st.ErasedReclaimed = s.DrainErasure().Reclaimed
+	}
 	s.lockAll()
 	st.GrantsPurged = s.acl.PurgeExpired()
 	if s.pendingRewrite.Load() {

@@ -95,8 +95,8 @@ func (s *Store) applyRecord(name string, args [][]byte) error {
 		owner := string(args[0])
 		s.keyring.ShredAt(owner, epoch)
 		// Any of the owner's records already applied are now dead; queue
-		// them for this copy's own lazy-delete sweep (on replicas the
-		// primary's sweep DELs will also arrive and make this a no-op).
+		// them for this copy's own lazy-delete sweep (a replica queues
+		// nothing: the primary's sweep DELs take them).
 		if s.ix.ownerKeyCount(owner) > 0 {
 			s.markErasurePending(owner)
 		}

@@ -121,8 +121,8 @@ type RetentionStats struct {
 	Lag time.Duration
 	// ExpiredTotal is the cumulative count of keys reclaimed by expiry.
 	ExpiredTotal uint64
-	// ExpirerRunning reports whether the background active-expire loop is
-	// active.
+	// ExpirerRunning reports whether the maintenance loop expires keys: it
+	// runs and the store is a primary.
 	ExpirerRunning bool
 }
 
@@ -134,6 +134,6 @@ func (s *Store) RetentionStats() RetentionStats {
 		OverdueRecords:   overdue,
 		Lag:              oldest,
 		ExpiredTotal:     s.db.ExpiredCount(),
-		ExpirerRunning:   s.expirer.Running(),
+		ExpirerRunning:   s.dutiesRunning(),
 	}
 }

@@ -100,7 +100,6 @@ type Store struct {
 	log     *aof.Log
 	acl     *acl.List
 	keyring *cryptoutil.Keyring
-	expirer *store.Expirer
 
 	// hub and backups are guarded by gmu. streamJ mirrors hub behind an
 	// atomic pointer so the hot appendLog path can reach the replication
@@ -112,6 +111,14 @@ type Store struct {
 	retention      atomic.Pointer[RetentionPolicy]
 	pendingRewrite atomic.Bool
 	closed         atomic.Bool
+	// replica is the store's replication role (SetReplica): while it is
+	// set the maintenance loop runs no duty.
+	replica atomic.Bool
+	// loop is the one maintenance goroutine (StartExpirer, maintain.go).
+	loop struct {
+		mu         sync.Mutex
+		stop, done chan struct{}
+	}
 
 	// erasure tracks crypto-shredded owners whose dead ciphertext awaits
 	// the lazy-delete sweep, plus sweep statistics (see maintain.go). Its
@@ -131,11 +138,6 @@ type erasureState struct {
 	drained   uint64 // owners whose dead ciphertext is fully reclaimed
 	cycles    uint64 // sweep cycles run
 	lastCycle time.Duration
-
-	// loop state for the background sweeper goroutine (StartSweeper).
-	loopMu  sync.Mutex
-	stopped chan struct{}
-	done    chan struct{}
 }
 
 // Open builds a Store from the configuration, replaying any existing AOF.
@@ -222,7 +224,6 @@ func Open(cfg Config) (*Store, error) {
 		s.db.SetJournal(store.JournalFunc(log.Append))
 	}
 
-	s.expirer = store.NewExpirer(s.db)
 	return s, nil
 }
 
@@ -252,25 +253,9 @@ func (s *Store) replay(path string, key []byte) error {
 	} else if err != nil {
 		return err
 	}
-	if s.keyring == nil {
-		return nil
-	}
-	// Rediscover crypto-shredded ciphertext that replayed back in: records
-	// sealed under an epoch their owner's key has since left re-enter the
-	// sweep's pending set, so reclamation resumes where the previous process
-	// left off. Only an owner whose epoch ever advanced can have one.
-	for owner, epoch := range s.keyring.Epochs() {
-		if epoch == 0 {
-			continue
-		}
-		s.walkOwner(owner, func(_ string, e store.Entry) bool {
-			if s.recordDead(e.Record) {
-				s.markErasurePending(owner)
-				return false
-			}
-			return true
-		})
-	}
+	// Rediscover crypto-shredded ciphertext that replayed back in, so
+	// reclamation resumes where the previous process left off.
+	s.rediscoverErasure()
 	return nil
 }
 
@@ -656,8 +641,8 @@ func (s *Store) ACL() *acl.List { return s.acl }
 // Trail exposes the audit trail (nil when auditing is disabled).
 func (s *Store) Trail() *audit.Trail { return s.trail }
 
-// Engine exposes the underlying storage engine. Benchmarks and the Figure 2
-// experiment use it to drive expiry cycles directly.
+// Engine exposes the underlying storage engine to the raw Redis commands
+// and to tests; active expiry goes through ExpiryCycle, which audits it.
 func (s *Store) Engine() *store.DB { return s.db }
 
 // Log exposes the AOF (nil when persistence is disabled).
@@ -665,15 +650,6 @@ func (s *Store) Log() *aof.Log { return s.log }
 
 // Config returns the store's (normalized-inputs) configuration.
 func (s *Store) Config() Config { return s.cfg.Config }
-
-// StartExpirer launches the background active-expiry loop (wall clock).
-func (s *Store) StartExpirer() { s.expirer.Run() }
-
-// StopExpirer halts the background active-expiry loop.
-func (s *Store) StopExpirer() { s.expirer.Stop() }
-
-// Expirer returns the expiry driver, for step-wise (virtual time) control.
-func (s *Store) Expirer() *store.Expirer { return s.expirer }
 
 // ExpiryCycle runs one active-expiry cycle and audits a summary record.
 // GDPR deletion work is itself a processing activity worth evidencing.
@@ -699,8 +675,7 @@ func (s *Store) Close() error {
 	s.lockAll()
 	hub := s.hub
 	s.unlockAll()
-	s.expirer.Stop()
-	s.StopSweeper()
+	s.StopExpirer()
 	if hub != nil {
 		hub.Close()
 	}

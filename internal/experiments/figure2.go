@@ -84,14 +84,14 @@ func figure2Point(n int, cfg Figure2Config) (Figure2Row, error) {
 		db := store.New(store.Options{Clock: vc, Seed: cfg.Seed, Strategy: store.ExpiryLazyProbabilistic})
 		row.ExpiredKeys = populateFig2(db, n, cfg)
 		vc.Advance(cfg.ShortTTL) // all short-term keys are now due
-		exp := store.NewExpirer(db)
 		cycles := 0
 		// ExpiredCount is O(1); every due key can only be reclaimed by the
 		// cycle itself here (no client accesses), so the run is complete
 		// when the counter reaches the due population.
 		due := uint64(row.ExpiredKeys)
 		for db.ExpiredCount() < due {
-			exp.Step()
+			vc.Advance(store.ActiveExpireCyclePeriod)
+			db.ActiveExpireCycle()
 			cycles++
 			if cycles > cfg.MaxCycles {
 				return row, fmt.Errorf("experiments: fig2 n=%d exceeded %d cycles", n, cfg.MaxCycles)

@@ -128,23 +128,26 @@ func RunStorm(cfg StormConfig) (StormResult, error) {
 			cfg.Horizon, -remaining)
 	}
 
-	st.StartExpirer()
-	defer st.StopExpirer()
-	time.Sleep(time.Until(deadline))
-
-	// Sample the decay until the backlog drains or the timeout lapses.
-	stop := time.Now().Add(cfg.Timeout)
-	for {
+	sample := func() StormSample {
 		rt := st.RetentionStats()
 		s := StormSample{At: time.Since(deadline), Overdue: rt.OverdueRecords, Lag: rt.Lag}
 		res.Samples = append(res.Samples, s)
-		if s.Overdue > res.PeakOverdue {
-			res.PeakOverdue = s.Overdue
-		}
-		if s.Lag > res.PeakLag {
-			res.PeakLag = s.Lag
-		}
-		if s.Overdue == 0 && s.At > 0 {
+		res.PeakOverdue = max(res.PeakOverdue, s.Overdue)
+		res.PeakLag = max(res.PeakLag, s.Lag)
+		return s
+	}
+	// The first sample is taken at the deadline, before the loop starts,
+	// so the backlog's rise is on the curve however soon the loop clears
+	// it. Then sample the decay until the backlog drains or the timeout
+	// lapses.
+	time.Sleep(time.Until(deadline))
+	sample()
+	st.StartExpirer()
+	defer st.StopExpirer()
+	stop := time.Now().Add(cfg.Timeout)
+	for {
+		time.Sleep(cfg.SampleEvery)
+		if s := sample(); s.Overdue == 0 {
 			res.Drained = true
 			res.Drain = s.At
 			break
@@ -153,7 +156,6 @@ func RunStorm(cfg StormConfig) (StormResult, error) {
 			res.Drain = time.Since(deadline)
 			break
 		}
-		time.Sleep(cfg.SampleEvery)
 	}
 	res.ExpiredTotal = st.RetentionStats().ExpiredTotal
 	return res, nil

@@ -43,7 +43,7 @@ var errReadOnly error = readOnlyError{}
 // introspection (PING, INFO, CLUSTER, ...).
 func (s *Server) readOnlyMiddleware(next Handler) Handler {
 	return func(ctx *Ctx) (resp.Value, error) {
-		if !s.isReplica.Load() {
+		if !s.store.IsReplica() {
 			return next(ctx)
 		}
 		switch f := ctx.Cmd.Flags; {
@@ -75,49 +75,33 @@ func (s *Server) primaryRedirect(ctx *Ctx) error {
 }
 
 // ReplicaOf makes this server replicate from the primary at addr: the
-// current link (if any) is torn down and a new Node dials, handshakes, and
-// syncs into the server's store. Until PromoteToPrimary, the server
-// refuses client writes and redirects client reads to addr. opts.Actor is
-// presented during the handshake when the primary enforces access control.
+// store becomes a replica (its maintenance loop idles), the current link
+// (if any) is torn down and a new Node dials, handshakes, and syncs into
+// the store. Until PromoteToPrimary, the server refuses client writes and
+// redirects client reads to addr. opts.Actor is presented during the
+// handshake when the primary enforces access control.
 func (s *Server) ReplicaOf(addr string, opts replica.NodeOptions) {
 	s.replMu.Lock()
 	defer s.replMu.Unlock()
+	s.store.SetReplica(true)
 	if s.replNode != nil {
 		s.replNode.Close()
 	}
 	s.replNode = replica.DialPrimary(s.store, addr, opts)
-	s.isReplica.Store(true)
 }
 
 // PromoteToPrimary stops replicating and makes the server writable again.
 // The dataset stays as last synced — the promotion path after a primary
-// failure. The promote hook (SetPromoteHook) runs after the role flips, so
-// the operator can resume primary-only duties such as the active expirer.
+// failure — and the store's maintenance loop, if started, resumes every
+// primary duty on its next tick.
 func (s *Server) PromoteToPrimary() {
 	s.replMu.Lock()
-	wasReplica := s.replNode != nil
+	defer s.replMu.Unlock()
 	if s.replNode != nil {
 		s.replNode.Close()
 		s.replNode = nil
 	}
-	s.isReplica.Store(false)
-	hook := s.onPromote
-	s.replMu.Unlock()
-	if wasReplica && hook != nil {
-		hook()
-	}
-}
-
-// SetPromoteHook registers a callback invoked when a replica is promoted
-// to primary (REPLICAOF NO ONE). Replicas receive retention deletions from
-// the primary's stream and therefore run without an active expirer; a
-// deployment that wants expiry to resume on promotion registers
-// store.StartExpirer here — the server itself stays policy-free about
-// background loops.
-func (s *Server) SetPromoteHook(fn func()) {
-	s.replMu.Lock()
-	s.onPromote = fn
-	s.replMu.Unlock()
+	s.store.SetReplica(false)
 }
 
 // ReplNode returns the replica-side link state, or nil when the server is
@@ -173,7 +157,7 @@ func cmdReplConf(ctx *Ctx) (resp.Value, error) {
 // would be a bulk exfiltration channel.
 func cmdPSync(ctx *Ctx) (resp.Value, error) {
 	s := ctx.Srv
-	if s.isReplica.Load() {
+	if s.store.IsReplica() {
 		// A replica applies records below the journal, so it has no stream
 		// to serve; accepting PSYNC here would hand out a silent, frozen
 		// feed. Chain replicas off the primary instead.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"gdprstore/internal/clock"
 	"gdprstore/internal/core"
 	"gdprstore/internal/replica"
+	"gdprstore/internal/store"
 	"gdprstore/internal/testutil"
 	"gdprstore/pkg/gdprkv"
 )
@@ -271,24 +273,101 @@ func TestPSYNCRequiresAuthUnderACL(t *testing.T) {
 	}
 }
 
-func TestPromoteHookFires(t *testing.T) {
+// TestPromotionResumesDuties pins that the role alone gates the store's
+// maintenance loop: a started loop idles while the store is a replica,
+// promotion resumes it with no hook, and a second promotion changes
+// nothing.
+func TestPromotionResumesDuties(t *testing.T) {
 	p := startReplPair(t)
 	p.waitLinkUp(t)
-	var fired atomic.Bool
-	p.rsrv.SetPromoteHook(func() { fired.Store(true) })
+	p.rst.StartExpirer()
+	if err := p.pcl.GPut("ttl:key", []byte("v"),
+		gdprkv.PutOptions{Owner: "carol", Purposes: []string{"ads"}, TTL: time.Minute}); err != nil {
+		t.Fatal(err)
+	}
+	testutil.Eventually(t, replWait, 0, func() bool {
+		return p.rst.Engine().Exists("ttl:key")
+	}, "TTL'd key did not replicate")
+
+	// Past the deadline, the replica's loop leaves the key to the primary.
+	p.clk.Advance(2 * time.Minute)
+	time.Sleep(3 * store.ActiveExpireCyclePeriod)
+	if rt := p.rst.RetentionStats(); rt.ExpiredTotal != 0 || rt.OverdueRecords != 1 || rt.ExpirerRunning {
+		t.Fatalf("replica expired on its own: %+v", rt)
+	}
+
 	if err := p.rcl.PromoteToPrimary(); err != nil {
 		t.Fatal(err)
 	}
-	if !fired.Load() {
-		t.Fatal("promote hook did not fire")
-	}
-	// Promoting a server that is already primary must not re-fire it.
-	fired.Store(false)
+	testutil.Eventually(t, replWait, 0, func() bool {
+		return p.rst.RetentionStats().ExpiredTotal == 1
+	}, "the promoted node never reaped the overdue key")
+
+	// A no-op promotion keeps the node a primary that expires.
 	if err := p.rcl.PromoteToPrimary(); err != nil {
 		t.Fatal(err)
 	}
-	if fired.Load() {
-		t.Fatal("promote hook fired on a no-op promotion")
+	if p.rst.IsReplica() || !p.rst.RetentionStats().ExpirerRunning {
+		t.Fatalf("no-op promotion changed the role: replica=%v %+v", p.rst.IsReplica(), p.rst.RetentionStats())
+	}
+	if err := p.rcl.SetEX("own", []byte("v"), 60); err != nil {
+		t.Fatal(err)
+	}
+	p.clk.Advance(2 * time.Minute)
+	testutil.Eventually(t, replWait, 0, func() bool {
+		return p.rst.RetentionStats().ExpiredTotal == 2
+	}, "the promoted node stopped expiring after a second promotion")
+}
+
+// TestDemotedPrimaryStopsExpiring pins that a store made a replica stops
+// expiring on its own clock: the primary extends a key's retention while
+// the link is down and the replica's copy passes its old deadline, and
+// after the partial resync the replica still holds the key.
+func TestDemotedPrimaryStopsExpiring(t *testing.T) {
+	p := startReplPair(t)
+	p.rst.StartExpirer()
+	var open atomic.Bool
+	open.Store(true)
+	gated := func(addr string) (net.Conn, error) {
+		if !open.Load() {
+			return nil, errors.New("gate closed")
+		}
+		return net.Dial("tcp", addr)
+	}
+	p.rsrv.ReplicaOf(p.psrv.Addr(), replica.NodeOptions{
+		Dial: gated, ReconnectMin: 10 * time.Millisecond, ReconnectMax: 50 * time.Millisecond,
+	})
+	p.waitLinkUp(t)
+	if err := p.pcl.GPut("ttl:key", []byte("v"),
+		gdprkv.PutOptions{Owner: "carol", Purposes: []string{"ads"}, TTL: time.Minute}); err != nil {
+		t.Fatal(err)
+	}
+	testutil.Eventually(t, replWait, 0, func() bool {
+		return p.rst.Engine().Exists("ttl:key")
+	}, "TTL'd key did not replicate")
+
+	open.Store(false)
+	p.pst.Hub().DisconnectReplicas()
+	testutil.Eventually(t, replWait, 0, func() bool {
+		return p.rsrv.ReplNode().Status().Link != replica.LinkUp
+	}, "link stayed up")
+	if _, err := p.pcl.Do("EXPIRE", "ttl:key", "3600"); err != nil {
+		t.Fatal(err)
+	}
+	p.clk.Advance(2 * time.Minute)
+	// Give a replica that did expire on its own clock the ticks to do it.
+	time.Sleep(3 * store.ActiveExpireCyclePeriod)
+
+	open.Store(true)
+	testutil.Eventually(t, replWait, 0, func() bool {
+		st := p.rsrv.ReplNode().Status()
+		return st.Link == replica.LinkUp && st.Offset == p.pst.Hub().Offset()
+	}, "replica never resynced")
+	if st := p.rsrv.ReplNode().Status(); st.FullSyncs != 1 || st.Reconnects == 0 {
+		t.Fatalf("resync was not partial: %+v", st)
+	}
+	if !p.rst.Engine().Exists("ttl:key") {
+		t.Fatal("the replica reaped a key whose retention the primary extended")
 	}
 }
 

@@ -52,13 +52,11 @@ type Server struct {
 	// hook is the pluggable command observation point (audit/tracing).
 	hook atomic.Pointer[CommandHook]
 
-	// replication role state (replication.go): replNode is non-nil while
-	// this server replicates from a primary; isReplica mirrors that for
-	// the read-only middleware's lock-free check.
-	replMu    sync.Mutex
-	replNode  *replica.Node
-	onPromote func()
-	isReplica atomic.Bool
+	// replication link (replication.go): replNode is non-nil while this
+	// server replicates from a primary. The role itself is the store's
+	// (core.Store.SetReplica), which the read-only middleware reads.
+	replMu   sync.Mutex
+	replNode *replica.Node
 
 	// clusterSt holds the cluster-mode topology (cluster.go); nil while
 	// the server runs standalone. Swapped atomically so slot checks on the

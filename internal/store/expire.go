@@ -105,7 +105,7 @@ type CycleStats struct {
 
 // ActiveExpireCycle runs one invocation of the DB's expiry strategy.
 // Callers are expected to invoke it once per ActiveExpireCyclePeriod, which
-// is what Expirer does. The heap cycle visits shards one at a time, so
+// is what core.Store's maintenance loop does. The heap cycle visits shards one at a time, so
 // writers on other shards are never blocked by it; the probabilistic cycle
 // keeps Redis's global 20-keys-per-loop sampling budget (see
 // probabilisticCycle).

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"gdprstore/internal/clock"
-	"gdprstore/internal/testutil"
 )
 
 // populate loads n keys; fraction shortFrac get shortTTL, the rest longTTL.
@@ -65,10 +64,10 @@ func TestProbabilisticLagGrowsWithDBSize(t *testing.T) {
 		db := New(Options{Clock: vc, Seed: 7, Strategy: ExpiryLazyProbabilistic})
 		populate(db, n, 0.2, 5*time.Minute, 5*24*time.Hour)
 		vc.Advance(5*time.Minute + time.Second)
-		e := NewExpirer(db)
 		cycles := 0
 		for db.ExpiredUnreclaimed() > 0 {
-			e.Step()
+			vc.Advance(ActiveExpireCyclePeriod)
+			db.ActiveExpireCycle()
 			cycles++
 			if cycles > 2_000_000 {
 				t.Fatal("expiry never completed")
@@ -189,42 +188,19 @@ func TestExpirerStep(t *testing.T) {
 	vc := clock.NewVirtual(time.Unix(0, 0))
 	db := New(Options{Clock: vc, Seed: 7, Strategy: ExpiryHeap})
 	db.SetEX("k", []byte("v"), 150*time.Millisecond)
-	e := NewExpirer(db)
-	e.Step() // advances to 100ms: not yet due
-	if db.RawLen() != 1 {
+	step := func() CycleStats {
+		vc.Advance(ActiveExpireCyclePeriod)
+		return db.ActiveExpireCycle()
+	}
+	if st := step(); st.Expired != 0 || db.RawLen() != 1 { // 100ms: not yet due
 		t.Fatal("expired too early")
 	}
-	e.Step() // 200ms: due
-	if db.RawLen() != 0 {
+	if st := step(); st.Expired != 1 || db.RawLen() != 0 { // 200ms: due
 		t.Fatal("heap step missed the key")
 	}
-	if e.Cycles() != 2 || e.Expired() != 1 {
-		t.Fatalf("cycles=%d expired=%d", e.Cycles(), e.Expired())
+	if n := db.ExpiredCount(); n != 1 {
+		t.Fatalf("expired count = %d", n)
 	}
-}
-
-func TestExpirerStepPanicsOnWallClock(t *testing.T) {
-	db := New(Options{})
-	e := NewExpirer(db)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Step on wall clock did not panic")
-		}
-	}()
-	e.Step()
-}
-
-func TestExpirerRunStop(t *testing.T) {
-	db := New(Options{Strategy: ExpiryHeap})
-	db.SetEX("k", []byte("v"), 50*time.Millisecond)
-	e := NewExpirer(db)
-	e.Run()
-	e.Run() // idempotent
-	testutil.Eventually(t, 10*time.Second, 0, func() bool {
-		return db.RawLen() == 0
-	}, "background expirer never reclaimed the key")
-	e.Stop()
-	e.Stop() // idempotent
 }
 
 func TestDeadlineAccessor(t *testing.T) {

@@ -13,7 +13,7 @@
 //     unread, dropped with the value, each change reported to OnRecord;
 //   - lazy expiration on access, plus one of two active-expire cycles, fixed
 //     when the DB is made. ExpiryHeap, the compliant one, pops every due key
-//     off each shard's heap in O(due log n), so with the Expirer running an
+//     off each shard's heap in O(due log n), so with a cycle every period an
 //     expired key leaves memory within one ActiveExpireCyclePeriod of its
 //     deadline, where the paper's fix scanned every TTL'd key for the same
 //     bound. ExpiryLazyProbabilistic is Redis's cycle (every 100 ms sample 20
