@@ -15,7 +15,9 @@
 // trail writes through too: transparently encrypted at rest through a
 // cryptoutil.OffsetCipher (the LUKS stand-in), with a sticky first error.
 // Rewrite compacts it so that deleted personal data does not persist in the
-// log (§4.3's second concern).
+// log (§4.3's second concern). Beside it, Keys (keys.go) holds the
+// envelope keyring's wrapped data keys in slots an erasure zeroes in place;
+// no wrapped key enters the log, and the log fsyncs Keys before itself.
 package aof
 
 import (
@@ -109,6 +111,14 @@ func (l *Log) Append(name string, args ...[]byte) error {
 // Sync forces buffered data to stable storage regardless of policy. After
 // a write or fsync error it returns that error (LastErr).
 func (l *Log) Sync() error { return l.file.Sync() }
+
+// SyncFirst makes every fsync of the log, and every Rewrite, fsync k
+// first: a record that names a data key is never durable before the key.
+func (l *Log) SyncFirst(k *Keys) {
+	l.file.mu.Lock()
+	l.file.first = k
+	l.file.mu.Unlock()
+}
 
 // LastErr returns the first write or fsync error since Open (File), or nil.
 func (l *Log) LastErr() error { return l.file.LastErr() }

@@ -33,6 +33,7 @@ type File struct {
 	syncs   uint64
 	err     error // first write or fsync error, sticky
 	closed  bool
+	first   *Keys // fsynced before this file is, and before a swap (Log.SyncFirst)
 }
 
 // OpenFile opens (creating if necessary) the file at path for appending.
@@ -146,6 +147,9 @@ func (f *File) syncLocked() error {
 	if f.err != nil || !f.dirty {
 		return f.err
 	}
+	if f.first != nil && f.fail(f.first.Sync()) != nil {
+		return f.err
+	}
 	if err := f.w.Flush(); err != nil {
 		return f.fail(err)
 	}
@@ -157,8 +161,8 @@ func (f *File) syncLocked() error {
 	return nil
 }
 
-// fail records err as the file's first error, if it is, and returns the
-// first. Callers hold f.mu.
+// fail records err (nil: none) as the file's first error, if it is, and
+// returns the first. Callers hold f.mu.
 func (f *File) fail(err error) error {
 	if f.err == nil {
 		f.err = err
@@ -221,6 +225,9 @@ func (f *File) swap(tmp string) error {
 	defer f.mu.Unlock()
 	if f.closed {
 		return errClosed
+	}
+	if f.first != nil && f.fail(f.first.Sync()) != nil {
+		return f.err
 	}
 	if err := os.Rename(tmp, f.path); err != nil {
 		return fmt.Errorf("aof: rewrite rename: %w", err)

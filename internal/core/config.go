@@ -123,8 +123,9 @@ type Config struct {
 	Envelope bool
 	// MasterKey roots the envelope keyring; required when Envelope is set.
 	MasterKey []byte
-	// ErasureSweepBudget caps how many records one sweep cycle may examine,
-	// bounding the latency impact of each cycle; 0 derives 4096.
+	// ErasureSweepBudget caps how many crypto-erased records one sweep
+	// cycle deletes, bounding the latency impact of each cycle; records it
+	// examines and keeps do not count. 0 derives 4096.
 	ErasureSweepBudget int
 
 	// DefaultTTL applies to records written without an explicit TTL.

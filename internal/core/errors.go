@@ -22,6 +22,9 @@ var (
 	// ErrErased reports an operation against an owner whose data was
 	// erased and whose key was crypto-shredded (Art. 17).
 	ErrErased = errors.New("core: owner data erased (key shredded)")
+	// ErrOwnerTooLong reports a write, under envelope encryption, for an
+	// owner whose name does not fit a key-file slot (aof.MaxKeyOwner).
+	ErrOwnerTooLong = errors.New("core: owner name too long for a key slot")
 	// ErrClosed reports use after Close.
 	ErrClosed = errors.New("core: store closed")
 	// ErrNotCompliant reports a GDPR operation against a store running in

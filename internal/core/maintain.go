@@ -148,7 +148,7 @@ func (s *Store) ErasureSweepCycle() SweepStats {
 	}
 	if st.Reclaimed > 0 {
 		// The reclaimed ciphertext still sits in AOF history; owe a
-		// compaction so it stops persisting (snapshotAll filters dead
+		// compaction so it stops persisting (snapshotRecords filters dead
 		// records, so the rewrite drops it even if more sweeping remains).
 		s.pendingRewrite.Store(true)
 	}
@@ -338,23 +338,15 @@ func (s *Store) ErasureStats() ErasureStats {
 	return st
 }
 
-// snapshotAll emits the full compliance state for AOF rewrite and replica
-// full sync: snapshotRecords, then the envelope keyring (GKEY/GSHRED, with
-// key epochs). Callers hold the whole-store lock (lockAll).
-func (s *Store) snapshotAll(emit func(name string, args ...[]byte) error) error {
+// snapshotLog is what an AOF compaction writes: snapshotRecords, then one
+// GSHRED mark (owner and epoch) per shredded owner, so that replay marks
+// the owner erased again and zeroes a slot an interrupted shred left. It
+// holds no key: the key file does. Callers hold lockAll.
+func (s *Store) snapshotLog(emit func(name string, args ...[]byte) error) error {
 	if err := s.snapshotRecords(emit); err != nil || s.keyring == nil {
 		return err
 	}
-	wrapped, err := s.keyring.ExportAll()
-	if err != nil {
-		return err
-	}
 	epochs := s.keyring.Epochs()
-	for owner, w := range wrapped {
-		if err := emit(opKey, []byte(owner), w, epochArg(epochs[owner])); err != nil {
-			return err
-		}
-	}
 	for _, owner := range s.keyring.ShreddedOwners() {
 		if err := emit(opShred, []byte(owner), epochArg(epochs[owner])); err != nil {
 			return err
@@ -380,9 +372,10 @@ func emitRecord(emit func(name string, args ...[]byte) error, k string, e store.
 	return emit(opRecord, *mb, []byte(k), v)
 }
 
-// snapshotRecords emits snapshotAll's data half, the whole of a backup
-// generation and no key: one record per live key (GREC with its metadata;
-// SET/SETEX for a key that has none), then the standing objections (GOBJ).
+// snapshotRecords emits the records of a compaction, a backup generation
+// and a replica's full sync, and no key: one record per live key (GREC
+// with its metadata; SET/SETEX for a key that has none), then the standing
+// objections (GOBJ).
 // Callers hold lockAll, so the cut is globally consistent. A snapshot holds
 // the current record format only, and each record one deadline: the
 // engine's, which is the one enforced.
@@ -421,7 +414,7 @@ func (s *Store) rewriteLocked(ctx Ctx) error {
 		return nil
 	}
 	before := s.log.Size()
-	if err := s.log.Rewrite(s.snapshotAll); err != nil {
+	if err := s.log.Rewrite(s.snapshotLog); err != nil {
 		return fmt.Errorf("core: aof compaction: %w", err)
 	}
 	s.pendingRewrite.Store(false)
@@ -463,7 +456,7 @@ func (s *Store) Maintain() MaintStats { return s.maintain(true) }
 
 // maintain is Maintain; drain runs the sweep to completion first. The
 // compaction drops dead records whether or not they were swept
-// (snapshotAll).
+// (snapshotRecords).
 func (s *Store) maintain(drain bool) MaintStats {
 	start := s.cfg.Config.Clock.Now()
 	var st MaintStats

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -112,10 +113,7 @@ func TestForgetRealTimeCompactsAOF(t *testing.T) {
 	}
 	// Real-time timing: the AOF must already be compacted — no copy of the
 	// erased data persists anywhere (§4.3).
-	raw, _ = os.ReadFile(path)
-	if bytes.Contains(raw, secret) {
-		t.Fatal("erased personal data persists in AOF after real-time Forget")
-	}
+	erasedOnDisk(t, filepath.Dir(path), nil, nil, []string{"alice"}, [][]byte{secret})
 	s.Close()
 
 	s2, _ := Open(persistentCfg(path, vc, nil))
@@ -146,10 +144,7 @@ func TestForgetEventualDefersCompaction(t *testing.T) {
 	if !st.Rewrote {
 		t.Fatal("Maintain did not run the deferred compaction")
 	}
-	raw, _ = os.ReadFile(path)
-	if bytes.Contains(raw, secret) {
-		t.Fatal("erased data persists after Maintain compaction")
-	}
+	erasedOnDisk(t, filepath.Dir(path), nil, nil, []string{"alice"}, [][]byte{secret})
 	s.Close()
 }
 
@@ -178,13 +173,10 @@ func TestEnvelopeEncryptionEndToEnd(t *testing.T) {
 		t.Fatal("engine holds plaintext despite envelope encryption")
 	}
 	s.Log().Sync()
-	rawFile, _ := os.ReadFile(path)
-	if bytes.Contains(rawFile, secret) {
-		t.Fatal("AOF holds plaintext despite envelope encryption")
-	}
+	erasedOnDisk(t, filepath.Dir(path), nil, master, nil, [][]byte{secret})
 	s.Close()
 
-	// Restart: wrapped key replays, data decrypts.
+	// Restart: the key loads from the key file, data decrypts.
 	s2, err := Open(persistentCfg(path, vc, mk))
 	if err != nil {
 		t.Fatal(err)

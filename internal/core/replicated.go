@@ -69,12 +69,22 @@ func (s *Store) applyRecord(name string, args [][]byte) error {
 			return nil // envelope disabled this run; ignore
 		}
 		// Pin the keyring epoch exactly, so replayed records' KeyEpoch
-		// stamps still match their sealing key.
+		// stamps still match their sealing key, and keep the key in the
+		// key file: a replica's own, or the primary's when replay moves
+		// what an earlier release journaled. A newer key read from the key
+		// file outlives an older record of the owner's key.
 		epoch, err := parseEpoch(args[2])
 		if err != nil {
 			return fmt.Errorf("core: replay GKEY: %w", err)
 		}
-		return s.keyring.ImportAt(string(args[0]), args[1], epoch)
+		owner := string(args[0])
+		if s.keyring.HasKeySince(owner, epoch+1) {
+			return nil
+		}
+		if err := s.keyring.ImportAt(owner, args[1], epoch); err != nil {
+			return err
+		}
+		return s.keepKey(owner, epoch, args[1])
 	case opShred:
 		if len(args) == 1 {
 			return fmt.Errorf("%w: GSHRED without an epoch", ErrRetiredFormat)
@@ -87,13 +97,21 @@ func (s *Store) applyRecord(name string, args [][]byte) error {
 		}
 		// Idempotent: re-applying the same shred (live link after replay,
 		// or a compacted snapshot) cannot advance the epoch past what the
-		// primary recorded.
+		// primary recorded. A key made after the shred (a reinstated
+		// owner's, read from the key file) outlives it; an older one is
+		// destroyed and its slot zeroed, also one an interrupted shred left.
 		epoch, err := parseEpoch(args[1])
 		if err != nil {
 			return fmt.Errorf("core: replay GSHRED: %w", err)
 		}
 		owner := string(args[0])
+		if s.keyring.HasKeySince(owner, epoch) {
+			return nil
+		}
 		s.keyring.ShredAt(owner, epoch)
+		if err := s.dropKey(owner); err != nil {
+			return err
+		}
 		// Any of the owner's records already applied are now dead; queue
 		// them for this copy's own lazy-delete sweep (a replica queues
 		// nothing: the primary's sweep DELs take them).

@@ -59,11 +59,14 @@ func (s *Store) Hub() *replica.Hub {
 // compliance state: it quiesces the whole store, invokes cut() at the
 // consistent point (where the hub registers the new link), then emits a
 // FLUSHALL followed by the complete record sequence — dataset, metadata,
-// objections, keyring — in the AOF record format. A replica that applies
-// the payload and then tails the stream from the cut offset converges on
-// the primary's state, including everything Article 17 has erased (the
+// objections, every live key wrapped (GKEY), the shred marks and
+// reinstatements — in the AOF record format. A replica that applies the
+// payload and then tails the stream from the cut offset converges on the
+// primary's state, including everything Article 17 has erased (the
 // snapshot is generated from post-erasure state, so erased data never
-// crosses the wire).
+// crosses the wire). Its key half is the one place a wrapped key is
+// emitted: a replica has no other way to its keys, and a compaction
+// writes none.
 func (s *Store) StreamSnapshot(emit func(name string, args ...[]byte) error, cut func()) error {
 	s.lockAll()
 	defer s.unlockAll()
@@ -76,7 +79,36 @@ func (s *Store) StreamSnapshot(emit func(name string, args ...[]byte) error, cut
 	if err := emit("FLUSHALL"); err != nil {
 		return err
 	}
-	return s.snapshotAll(emit)
+	if err := s.snapshotRecords(emit); err != nil || s.keyring == nil {
+		return err
+	}
+	wrapped, err := s.keyring.ExportAll()
+	if err != nil {
+		return err
+	}
+	epochs := s.keyring.Epochs()
+	for owner, w := range wrapped {
+		if err := emit(opKey, []byte(owner), w, epochArg(epochs[owner])); err != nil {
+			return err
+		}
+	}
+	// Every other owner whose epoch advanced gets a shred mark, so that a
+	// replica zeroes a key it kept from before the shred; a reinstated one
+	// is reinstated after it.
+	for owner, e := range epochs {
+		if _, live := wrapped[owner]; live || e == 0 {
+			continue
+		}
+		if err := emit(opShred, []byte(owner), epochArg(e)); err != nil {
+			return err
+		}
+		if s.keyring.RecordLive(owner, e) {
+			if err := emit(opReinst, []byte(owner)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // SetBackupManager registers a backup manager whose generations the store

@@ -160,8 +160,10 @@ func TestForgetPropagatesToReplicas(t *testing.T) {
 
 // TestReplicationChainsWithAOF: the AOF and the replication hub are the two
 // legs of one journal chain. A Put and a crypto-shredding Forget reach both
-// legs record for record in the same order, and replaying the AOF ends in
-// the state the replica reached by applying the stream.
+// legs record for record in the same order, except each new data key
+// (GKEY), which the stream alone carries: the AOF's keys are in the key
+// file beside it. Replaying the AOF with its key file ends in the state the
+// replica reached by applying the stream.
 func TestReplicationChainsWithAOF(t *testing.T) {
 	path := tempAOF(t)
 	vc := clock.NewVirtual(time.Unix(0, 0))
@@ -197,7 +199,7 @@ func TestReplicationChainsWithAOF(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{opKey, opRecord, opKey, opRecord, opShred, opForget}; !reflect.DeepEqual(logged, want) {
+	if want := []string{opRecord, opRecord, opShred, opForget}; !reflect.DeepEqual(logged, want) {
 		t.Fatalf("AOF leg got %v, want %v", logged, want)
 	}
 	// The store was empty when the replica attached: its full sync is the
@@ -205,12 +207,13 @@ func TestReplicationChainsWithAOF(t *testing.T) {
 	r.mu.Lock()
 	streamed := r.names
 	r.mu.Unlock()
-	if !reflect.DeepEqual(streamed, append([]string{"FLUSHALL"}, logged...)) {
-		t.Fatalf("replication leg got %v, AOF leg %v", streamed, logged)
+	if want := []string{"FLUSHALL", opKey, opRecord, opKey, opRecord, opShred, opForget}; !reflect.DeepEqual(streamed, want) {
+		t.Fatalf("replication leg got %v, want %v (AOF leg %v)", streamed, want, logged)
 	}
 
 	replayedPath := filepath.Join(t.TempDir(), "replayed.aof")
 	copyFile(t, path, replayedPath)
+	copyFile(t, path+".keys", replayedPath+".keys")
 	pcfg := cfg
 	pcfg.AOFPath = replayedPath
 	replayed, err := Open(pcfg)
@@ -230,7 +233,8 @@ func TestReplicationChainsWithAOF(t *testing.T) {
 
 func TestForgetRefreshesBackups(t *testing.T) {
 	s := newFullStore(t, nil)
-	m, err := backup.NewManager(t.TempDir(), nil, s.Config().Clock)
+	dir := t.TempDir()
+	m, err := backup.NewManager(dir, nil, s.Config().Clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,10 +259,8 @@ func TestForgetRefreshesBackups(t *testing.T) {
 	if len(gens) != 1 {
 		t.Fatalf("generations after Forget = %d, want 1", len(gens))
 	}
+	erasedOnDisk(t, dir, nil, nil, []string{"alice"}, [][]byte{secret})
 	raw, _ := os.ReadFile(gens[0])
-	if bytes.Contains(raw, secret) {
-		t.Fatal("erased data persists in backups after real-time Forget")
-	}
 	if !bytes.Contains(raw, []byte("bob-data")) {
 		t.Fatal("unrelated data lost from refreshed backup")
 	}
@@ -266,7 +268,8 @@ func TestForgetRefreshesBackups(t *testing.T) {
 
 func TestEventualForgetDefersBackupRefresh(t *testing.T) {
 	s := newFullStore(t, func(c *Config) { c.Timing = TimingEventual })
-	m, err := backup.NewManager(t.TempDir(), nil, s.Config().Clock)
+	dir := t.TempDir()
+	m, err := backup.NewManager(dir, nil, s.Config().Clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,10 +292,7 @@ func TestEventualForgetDefersBackupRefresh(t *testing.T) {
 	if len(gens) != 1 {
 		t.Fatalf("generations after Maintain = %d", len(gens))
 	}
-	raw, _ = os.ReadFile(gens[0])
-	if bytes.Contains(raw, secret) {
-		t.Fatal("erased data persists in backups after Maintain")
-	}
+	erasedOnDisk(t, dir, nil, nil, []string{"alice"}, [][]byte{secret})
 }
 
 func TestBackupWithoutManagerFails(t *testing.T) {

@@ -334,18 +334,17 @@ func (s *Store) ImportExport(ctx Ctx, payload []byte) (int, error) {
 //
 // With envelope encryption on, erasure is O(1) in the subject's data
 // footprint: the owner's data key is destroyed (crypto-shredding), the
-// GSHRED+GFORGET markers are journaled, and the call returns — without
-// walking the owner's keys, deleting records, or compacting the AOF. Once
-// the key is gone from the keyring, no copy of the ciphertext (engine, AOF
-// history, replicas, backups) opens in this store; the background
-// lazy-delete sweep (maintain.go) reclaims the dead ciphertext and triggers
-// compaction off the ack path. The key is not yet gone everywhere: its
-// wrapped form (GKEY) stays in the AOF, in each replica's AOF and in the
-// hub's backlog until the next compaction, so the master key and the log
-// still open the erased ciphertext until then (DESIGN.md §13; ROADMAP.md
-// item 21 keeps wrapped keys out of the log). Real-time timing
-// needs no synchronous propagation here either: the shred is the erasure,
-// and the markers reach replicas through the ordinary journal stream.
+// GSHRED marker is journaled, the key's slot in the key file is zeroed in
+// place, GFORGET is journaled, and the call returns — without walking the
+// owner's keys, deleting records, or compacting the AOF. The wrapped key
+// was never in the AOF, so once the slot is zeroed no copy of the
+// ciphertext (engine, AOF history, replicas, backups) opens with the
+// master key and the store's own files; under real-time timing the zeroed
+// slot is durable before the call returns. The background lazy-delete
+// sweep (maintain.go) reclaims the dead ciphertext and triggers compaction
+// off the ack path. The markers reach replicas through the ordinary
+// journal stream, and each zeroes its own slot; the hub's in-memory
+// backlog keeps the owner's GKEY frame until it wraps (DESIGN.md §13).
 //
 // Without a keyring, erasure falls back to the eager path: every record of
 // the subject is deleted from the engine and indexes under stripe locks,
@@ -408,15 +407,18 @@ func (s *Store) forget(ctx Ctx, owner string) (int, error) {
 
 // forgetShredLocked is the crypto-shred fast path of Forget; the caller
 // holds the owner stripe. The work is constant-time in the owner's key
-// count: one keyring mutation, two journal appends, one audit record. The
-// owner's records and engine ciphertext are left in place for the sweep;
-// every read path treats them as already erased via the record's key epoch.
-// The erased count is the owner's records the engine holds: none that
-// expiry has already reaped.
+// count: one keyring mutation, two journal appends, one slot zeroed, one
+// audit record. The owner's records and engine ciphertext are left in place
+// for the sweep; every read path treats them as already erased via the
+// record's key epoch. The erased count is the owner's records the engine
+// holds: none that expiry has already reaped.
 func (s *Store) forgetShredLocked(ctx Ctx, owner string) (int, error) {
 	n := s.ix.ownerKeyCount(owner)
 	epoch := s.keyring.Shred(owner)
 	if err := s.appendLog(opShred, []byte(owner), epochArg(epoch)); err != nil {
+		return n, err
+	}
+	if err := s.dropKey(owner); err != nil {
 		return n, err
 	}
 	if err := s.appendLog(opForget, []byte(owner), []byte(forgetModeShred)); err != nil {

@@ -30,9 +30,11 @@ const (
 	opRecord = "GREC"
 	// GMETA key metadata: a metadata-only update (Expire, an objection).
 	opMeta   = "GMETA"
-	opObject = "GOBJ"    // GOBJ owner purpose
-	opUnobj  = "GUNOBJ"  // GUNOBJ owner purpose
-	opKey    = "GKEY"    // GKEY owner wrappedDataKey epoch
+	opObject = "GOBJ"   // GOBJ owner purpose
+	opUnobj  = "GUNOBJ" // GUNOBJ owner purpose
+	// GKEY owner wrappedDataKey epoch: on the replication stream only; the
+	// AOF's keys are in the key file (aof.Keys).
+	opKey    = "GKEY"
 	opShred  = "GSHRED"  // GSHRED owner epoch (key destroyed, epoch advanced)
 	opReinst = "GREINST" // GREINST owner
 	opForget = "GFORGET" // GFORGET owner [mode] (Article 17 erasure marker)
@@ -100,6 +102,7 @@ type Store struct {
 	log     *aof.Log
 	acl     *acl.List
 	keyring *cryptoutil.Keyring
+	keys    *aof.Keys // the keyring's durable home (nil: no AOF or no envelope)
 
 	// hub and backups are guarded by gmu. streamJ mirrors hub behind an
 	// atomic pointer so the hot appendLog path can reach the replication
@@ -172,9 +175,17 @@ func Open(cfg Config) (*Store, error) {
 	}
 
 	// Every refusal (a retired record form, a retired trail) comes before
-	// anything is created or written: replay only reads, and the trail
-	// opens before the AOF does.
+	// anything is created or written: replay only reads, the key file
+	// holds what replay writes to it until Start, and the trail opens
+	// before the AOF does.
 	if n.AOFPath != "" {
+		if s.keyring != nil {
+			keys, err := aof.OpenKeys(n.AOFPath+".keys", n.AtRestKey, s.keyring.ImportAt)
+			if err != nil {
+				return nil, fmt.Errorf("core: %w", err)
+			}
+			s.keys = keys
+		}
 		if err := s.replay(n.AOFPath, n.AtRestKey); err != nil {
 			return nil, err
 		}
@@ -212,6 +223,15 @@ func Open(cfg Config) (*Store, error) {
 
 	if n.AOFPath != "" {
 		log, err := aof.Open(n.AOFPath, aof.Options{Policy: n.aofSync, Key: n.AtRestKey})
+		if err == nil && s.keys != nil {
+			// Every fsync of the AOF fsyncs the key file first, which now
+			// takes what replay moved into it or zeroed.
+			log.SyncFirst(s.keys)
+			if err = s.keys.Start(); err != nil {
+				log.Close()
+				s.keys.Close()
+			}
+		}
 		if err != nil {
 			if s.trail != nil {
 				s.trail.Close()
@@ -259,7 +279,7 @@ func (s *Store) replay(path string, key []byte) error {
 	return nil
 }
 
-// appendLog journals an owner-scoped compliance-layer record (a key, an
+// appendLog journals an owner-scoped compliance-layer record (an
 // objection, a shred, an erasure marker) to the AOF and mirrors it to the
 // replication stream, while the caller holds the owner's stripe, so it keeps
 // its place among the owner's other records. A record about one key goes
@@ -407,10 +427,14 @@ func (s *Store) Put(ctx Ctx, key string, value []byte, opts PutOptions) error {
 
 // sealerFor returns the prepared cipher for a write to owner's records and
 // the key epoch to stamp them with, from one keyring read (the keyring keeps
-// a hot owner's cipher prepared); a key created by this call is journaled
-// first. Callers hold owner's stripe, so no Forget can advance the epoch
+// a hot owner's cipher prepared). A key created by this call is written to
+// its slot in the key file and sent to replicas on the stream, never to the
+// AOF. Callers hold owner's stripe, so no Forget can advance the epoch
 // between this read and the seal.
 func (s *Store) sealerFor(owner string) (cryptoutil.Cipher, uint64, error) {
+	if len(owner) > aof.MaxKeyOwner {
+		return cryptoutil.Cipher{}, 0, fmt.Errorf("%w: %d bytes, a key slot holds %d", ErrOwnerTooLong, len(owner), aof.MaxKeyOwner)
+	}
 	c, epoch, wrapped, err := s.keyring.SealerFor(owner)
 	if err != nil {
 		if err == cryptoutil.ErrUnknownKey {
@@ -419,11 +443,36 @@ func (s *Store) sealerFor(owner string) (cryptoutil.Cipher, uint64, error) {
 		return cryptoutil.Cipher{}, 0, err
 	}
 	if wrapped != nil {
-		if err := s.appendLog(opKey, []byte(owner), wrapped, epochArg(epoch)); err != nil {
+		if err := s.keepKey(owner, epoch, wrapped); err != nil {
 			return cryptoutil.Cipher{}, 0, err
+		}
+		if h := s.streamJ.Load(); h != nil {
+			_ = h.AppendOp(opKey, []byte(owner), wrapped, epochArg(epoch))
 		}
 	}
 	return c, epoch, nil
+}
+
+// keepKey writes owner's key to its slot in the key file, if there is one.
+func (s *Store) keepKey(owner string, epoch uint64, wrapped []byte) error {
+	if s.keys == nil {
+		return nil
+	}
+	return s.keys.Put(owner, epoch, wrapped)
+}
+
+// dropKey zeroes owner's slot in the key file once the GSHRED is journaled
+// (replay zeroes a slot a crash left between the two): durable before the
+// erasure is acknowledged under real-time timing, with the AOF's next fsync
+// (and the GSHRED) under eventual timing.
+func (s *Store) dropKey(owner string) error {
+	if s.keys == nil {
+		return nil
+	}
+	if err := s.keys.Zero(owner); err != nil || s.cfg.Timing != TimingRealTime {
+		return err
+	}
+	return s.keys.Sync()
 }
 
 // ownerCipher is what a read needs from the keyring to serve one owner's
@@ -682,6 +731,11 @@ func (s *Store) Close() error {
 	var first error
 	if s.log != nil {
 		if err := s.log.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	if s.keys != nil {
+		if err := s.keys.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

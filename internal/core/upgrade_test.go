@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -20,11 +21,18 @@ import (
 // The upgrade fixtures. legacy.aof is a log an earlier release wrote
 // (SETEX/MSETEX with JSON GMETA/GMETAB); upgraded.aof is what the previous
 // release's COMPACT made of it, and upgraded.golden the state both stand
-// for, rendered by legacyDump.
+// for, rendered by legacyDump. envelopeGKEYAOF is a log the release before
+// the key file wrote under legacyCfg, each data key journaled as a GKEY:
+// Puts of pd:alice:1 "alice-one", pd:bob:1 "bob-one", pd:carol:1
+// "carol-one" and pd:alice:2 "alice-two" (purpose billing, TTL 365 days),
+// Forget of bob and of carol, Reinstate of carol, a Put of pd:carol:2
+// "carol-two", Close. Its generator was a throwaway test in that release's
+// internal/core that ran exactly those calls on Open(legacyCfg(path)).
 const (
 	legacyAOF       = "testdata/legacy.aof"
 	upgradedAOF     = "testdata/upgraded.aof"
 	upgradedDump    = "testdata/upgraded.golden"
+	envelopeGKEYAOF = "testdata/envelope-gkey.aof"
 	legacyMasterKey = "legacy-fixture-master-key-32byte"
 )
 
@@ -116,6 +124,80 @@ func TestUpgradedAOFOpens(t *testing.T) {
 	if m, err := s.Metadata(ctx, "pd:alice:3"); err != nil || !reflect.DeepEqual(m.Objections, []string{"support"}) {
 		t.Fatalf("standing objection not on pd:alice:3: %+v, %v", m, err)
 	}
+}
+
+// TestEnvelopeGKEYMovesToKeyFile: an AOF that journaled its data keys as
+// GKEY opens on this release with every value readable; the keys move into
+// the key file, so the next Compact leaves no GKEY in the AOF, only the
+// erased owner's shred mark, and the store reopens from the key file alone,
+// with the erased owner still erased.
+func TestEnvelopeGKEYMovesToKeyFile(t *testing.T) {
+	raw, err := os.ReadFile(envelopeGKEYAOF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := tempAOF(t)
+	if err := os.WriteFile(path, raw, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	ctx := Ctx{Actor: "controller", Purpose: "billing"}
+	check := func(s *Store) {
+		t.Helper()
+		s.ACL().AddPrincipal(acl.Principal{ID: "controller", Role: acl.RoleController})
+		for key, want := range map[string]string{"pd:alice:1": "alice-one", "pd:alice:2": "alice-two", "pd:carol:2": "carol-two"} {
+			if v, err := s.Get(ctx, key); err != nil || string(v) != want {
+				t.Fatalf("%s = %q, %v; want %q", key, v, err, want)
+			}
+		}
+		for _, key := range []string{"pd:bob:1", "pd:carol:1"} {
+			if _, err := s.Get(ctx, key); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("erased %s reads %v", key, err)
+			}
+		}
+		if err := s.Put(ctx, "pd:bob:2", []byte("v"), PutOptions{Owner: "bob", TTL: time.Hour}); !errors.Is(err, ErrErased) {
+			t.Fatalf("a Put for erased bob: %v, want ErrErased", err)
+		}
+	}
+	s, err := Open(legacyCfg(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(s)
+	if err := s.Compact(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	if _, err := aof.Load(path, nil, func(name string, args [][]byte) error {
+		names = append(names, name)
+		return checkKept(name, len(args))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if slices.Contains(names, opKey) {
+		t.Fatalf("the compacted AOF still journals a key: %v", names)
+	}
+	slots := map[string]uint64{}
+	k, err := aof.OpenKeys(path+".keys", nil, func(owner string, _ []byte, epoch uint64) error {
+		slots[owner] = epoch
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.Close()
+	if want := map[string]uint64{"alice": 0, "carol": 1}; !reflect.DeepEqual(slots, want) {
+		t.Fatalf("key file holds %v, want %v", slots, want)
+	}
+	s, err = Open(legacyCfg(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	check(s)
+	erasedOnDisk(t, filepath.Dir(path), nil, []byte(legacyMasterKey), []string{"bob"}, [][]byte{[]byte("bob-one")})
 }
 
 // dirBytes returns every file of dir by name, for a byte-for-byte
@@ -306,8 +388,9 @@ func checkKept(name string, n int) error {
 
 // TestReplayAcceptsEveryWrittenForm runs every writer, envelope on and
 // off, and scans the AOF after each step: every record written is a kept
-// form, and the log replays without error. It pins the one-generation rule
-// against the next writer change.
+// form, no record is a wrapped key (GKEY: replay still reads one, but no
+// writer journals it), and the log replays without error. It pins the
+// one-generation rule against the next writer change.
 func TestReplayAcceptsEveryWrittenForm(t *testing.T) {
 	for _, envelope := range []bool{false, true} {
 		t.Run(fmt.Sprintf("envelope=%v", envelope), func(t *testing.T) {
@@ -371,6 +454,9 @@ func TestReplayAcceptsEveryWrittenForm(t *testing.T) {
 				}
 				if _, err := aof.Load(cfg.AOFPath, nil, func(name string, args [][]byte) error {
 					seen[name] = true
+					if name == opKey {
+						return errors.New("a wrapped key was journaled")
+					}
 					return checkKept(name, len(args))
 				}); err != nil {
 					t.Fatalf("after %s: %v", step.name, err)
@@ -386,7 +472,7 @@ func TestReplayAcceptsEveryWrittenForm(t *testing.T) {
 			}
 			want := []string{opRecord, opMeta, opObject, opUnobj, opForget, "DEL", "FLUSHALL"}
 			if envelope {
-				want = append(want, opKey, opShred, opReinst)
+				want = append(want, opShred, opReinst)
 			}
 			for _, name := range want {
 				if !seen[name] {

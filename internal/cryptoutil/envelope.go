@@ -336,6 +336,15 @@ func (kr *Keyring) ImportAt(owner string, wrapped []byte, epoch uint64) error {
 	return nil
 }
 
+// HasKeySince reports whether the ring holds a live key for owner made at
+// epoch or later: a journaled key or shred older than it is stale.
+func (kr *Keyring) HasKeySince(owner string, epoch uint64) bool {
+	kr.mu.RLock()
+	defer kr.mu.RUnlock()
+	_, ok := kr.keys[owner]
+	return ok && kr.epoch[owner] >= epoch
+}
+
 // Reinstate clears owner's shred mark so a *new* key can be generated for
 // fresh data (e.g. the subject returns as a customer after erasure). Old
 // ciphertexts remain unreadable because the old key was random.
@@ -345,8 +354,8 @@ func (kr *Keyring) Reinstate(owner string) {
 	kr.mu.Unlock()
 }
 
-// ShreddedOwners returns the owners whose keys were destroyed, for
-// journaling during compaction.
+// ShreddedOwners returns the owners whose keys were destroyed, for the
+// shred marks a compaction writes.
 func (kr *Keyring) ShreddedOwners() []string {
 	kr.mu.RLock()
 	defer kr.mu.RUnlock()
@@ -358,7 +367,7 @@ func (kr *Keyring) ShreddedOwners() []string {
 }
 
 // ExportAll returns every live owner key wrapped under the master key, for
-// journaling during compaction.
+// a replica's full sync.
 func (kr *Keyring) ExportAll() (map[string][]byte, error) {
 	kr.mu.RLock()
 	defer kr.mu.RUnlock()

@@ -76,6 +76,7 @@ var Table = []Entry{
 	{core.ErrNoOwner, Policy},
 	{core.ErrNoTTL, Policy},
 	{core.ErrLocationDenied, Policy},
+	{core.ErrOwnerTooLong, Policy},
 	{core.ErrErased, Erased},
 	{core.ErrNotCompliant, Baseline},
 }

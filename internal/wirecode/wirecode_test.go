@@ -17,6 +17,7 @@ func TestCodeMapsEveryTableEntry(t *testing.T) {
 		{core.ErrNoOwner, Policy},
 		{core.ErrNoTTL, Policy},
 		{core.ErrLocationDenied, Policy},
+		{core.ErrOwnerTooLong, Policy},
 		{core.ErrErased, Erased},
 		{core.ErrNotCompliant, Baseline},
 		{fmt.Errorf("anything else"), Err},
