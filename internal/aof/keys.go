@@ -104,9 +104,9 @@ func OpenKeys(path string, key []byte, load func(owner string, wrapped []byte, e
 }
 
 // release frees slot i and zeroes it. Callers hold k.mu or own k.
-func (k *Keys) release(i int64) {
+func (k *Keys) release(i int64) error {
 	k.free = append(k.free, i)
-	k.write(i, nil)
+	return k.write(i, nil)
 }
 
 // Start opens the file for writing, creating it, and writes and fsyncs
@@ -158,8 +158,7 @@ func (k *Keys) Zero(owner string) error {
 		return k.err
 	}
 	delete(k.slot, owner)
-	k.free = append(k.free, i)
-	return k.write(i, nil)
+	return k.release(i)
 }
 
 // write writes the plaintext slot image img (nil: a free slot) at index i,

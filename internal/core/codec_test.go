@@ -243,10 +243,18 @@ func TestRecordIsAllOrNothing(t *testing.T) {
 				if n := bytes.Count(last, []byte("\r\n$4\r\n"+opRecord+"\r\n")); n != 1 || last[0] != '*' {
 					t.Fatalf("the write journaled %d entries in %q, want one %s", n, last, opRecord)
 				}
+				// The key file (envelope) is copied whole: it holds the
+				// key of every record in any prefix of the log.
+				keys, keysErr := os.ReadFile(path + ".keys")
 				for cut := start; cut <= end; cut++ {
 					killPath := filepath.Join(t.TempDir(), "kill.aof")
 					if err := os.WriteFile(killPath, full[:cut], 0o600); err != nil {
 						t.Fatal(err)
+					}
+					if keysErr == nil {
+						if err := os.WriteFile(killPath+".keys", keys, 0o600); err != nil {
+							t.Fatal(err)
+						}
 					}
 					kcfg := cfg
 					kcfg.AOFPath = killPath

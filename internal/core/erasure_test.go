@@ -287,6 +287,7 @@ func TestCrashMidSweepReplay(t *testing.T) {
 	if err := os.WriteFile(killPath, b, 0o600); err != nil {
 		t.Fatal(err)
 	}
+	copyFile(t, path+".keys", killPath+".keys")
 
 	re, err := Open(erasureAOFCfg(killPath, vc, 2))
 	if err != nil {

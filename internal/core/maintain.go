@@ -81,6 +81,29 @@ func (s *Store) rediscoverErasure() {
 	}
 }
 
+// keylessOwners returns, with its epoch, every owner whose records are
+// sealed under its current epoch while the ring holds no key for it and no
+// shred mark. Its slot was zeroed, or reused, before the GSHRED reached the
+// AOF (the two files reach the disk in either order), or failed its
+// checksum; or the key file is missing. Replay calls it once the AOF has
+// replayed.
+func (s *Store) keylessOwners() map[string]uint64 {
+	keyless := map[string]uint64{}
+	for _, owner := range s.ix.owners() {
+		if owner == "" || s.keyring.HasKeySince(owner, 0) {
+			continue
+		}
+		s.walkOwner(owner, func(_ string, e store.Entry) bool {
+			if s.keyring.RecordLive(owner, e.Record.Epoch) {
+				keyless[owner] = e.Record.Epoch
+				return false
+			}
+			return true
+		})
+	}
+	return keyless
+}
+
 // SweepStats reports what one lazy-delete sweep cycle did.
 type SweepStats struct {
 	// Scanned counts records examined for deadness.
@@ -338,18 +361,35 @@ func (s *Store) ErasureStats() ErasureStats {
 	return st
 }
 
-// snapshotLog is what an AOF compaction writes: snapshotRecords, then one
-// GSHRED mark (owner and epoch) per shredded owner, so that replay marks
-// the owner erased again and zeroes a slot an interrupted shred left. It
-// holds no key: the key file does. Callers hold lockAll.
+// snapshotLog is what an AOF compaction writes: snapshotRecords, then the
+// shred marks. It holds no key: the key file does. Callers hold lockAll.
 func (s *Store) snapshotLog(emit func(name string, args ...[]byte) error) error {
-	if err := s.snapshotRecords(emit); err != nil || s.keyring == nil {
+	if err := s.snapshotRecords(emit); err != nil {
 		return err
 	}
-	epochs := s.keyring.Epochs()
-	for _, owner := range s.keyring.ShreddedOwners() {
-		if err := emit(opShred, []byte(owner), epochArg(epochs[owner])); err != nil {
+	return s.shredMarks(emit)
+}
+
+// shredMarks emits a GSHRED (owner and epoch) for every owner whose key was
+// destroyed and who holds no key made since, then GREINST for each such
+// owner who was reinstated. Replaying them, after a compaction or in a
+// replica's full sync, restores the owner's epoch and standing, and zeroes
+// a slot the key file kept from before the shred. Callers hold lockAll.
+func (s *Store) shredMarks(emit func(name string, args ...[]byte) error) error {
+	if s.keyring == nil {
+		return nil
+	}
+	for owner, e := range s.keyring.Epochs() {
+		if e == 0 || s.keyring.HasKeySince(owner, e) {
+			continue
+		}
+		if err := emit(opShred, []byte(owner), epochArg(e)); err != nil {
 			return err
+		}
+		if s.keyring.RecordLive(owner, e) {
+			if err := emit(opReinst, []byte(owner)); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -253,6 +253,20 @@ func (ix *metaIndex) ownerKeys(owner string) []string {
 	return stripeOf(ix.byOwner, owner).keys(owner)
 }
 
+// owners returns every owner the index holds a record of.
+func (ix *metaIndex) owners() []string {
+	var out []string
+	for i := range ix.byOwner {
+		sh := &ix.byOwner[i]
+		sh.mu.Lock()
+		for o := range sh.m {
+			out = append(out, o)
+		}
+		sh.mu.Unlock()
+	}
+	return out
+}
+
 // purposeKeys returns the keys whitelisted for purpose.
 func (ix *metaIndex) purposeKeys(purpose string) []string {
 	return stripeOf(ix.byPurpose, purpose).keys(purpose)

@@ -300,8 +300,130 @@ func TestInterruptedShredZeroesSlot(t *testing.T) {
 	erasedOnDisk(t, filepath.Dir(path), nil, keyFileMaster, []string{"alice"}, [][]byte{secret})
 }
 
+// TestZeroedSlotWithoutShred: a crash can leave an owner's slot zeroed, or
+// holding another owner's key, while the GSHRED journaled before it never
+// reached the AOF. Open finds the owner's records sealed under a key that
+// is nowhere and shreds the owner at the next epoch: the records stay
+// unreadable, a Put is refused until Reinstate, which outlives a restart,
+// and the key made after it is never tried on them.
+func TestZeroedSlotWithoutShred(t *testing.T) {
+	path := tempAOF(t)
+	vc := clock.NewVirtual(time.Unix(0, 0))
+	reopen := func() *Store {
+		s, err := Open(keyFileCfg(path, vc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		addPrincipals(s)
+		return s
+	}
+	s := reopen()
+	if err := s.Put(ctlCtx, "a1", []byte("first"), PutOptions{Owner: "alice"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	beforeShred, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s = reopen()
+	if _, err := s.Forget(ctlCtx, "alice"); err != nil {
+		t.Fatal(err)
+	}
+	// carol's new key takes the slot alice's zeroing freed.
+	if err := s.Put(ctlCtx, "c1", []byte("carol"), PutOptions{Owner: "carol"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if raw, _ := os.ReadFile(path + ".keys"); len(raw) != aof.KeySlotSize {
+		t.Fatalf("the key file is %d bytes, want carol's key in alice's old slot", len(raw))
+	}
+	if err := os.WriteFile(path, beforeShred, 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	s = reopen()
+	if _, err := s.Get(ctlCtx, "a1"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("the keyless value reads %v", err)
+	}
+	if err := s.Put(ctlCtx, "a2", []byte("v"), PutOptions{Owner: "alice"}); !errors.Is(err, ErrErased) {
+		t.Fatalf("a Put for the keyless owner: %v, want ErrErased", err)
+	}
+	if err := s.Reinstate(ctlCtx, "alice"); err != nil {
+		t.Fatal(err)
+	}
+	for _, put := range []bool{false, true} {
+		if put {
+			if err := s.Put(ctlCtx, "a2", []byte("second"), PutOptions{Owner: "alice"}); err != nil {
+				t.Fatalf("a Put for the reinstated owner after a restart: %v", err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s = reopen()
+	}
+	defer s.Close()
+	if v, err := s.Get(ctlCtx, "a2"); err != nil || string(v) != "second" {
+		t.Fatalf("the reinstated owner's value reads %q, %v", v, err)
+	}
+	if _, err := s.Get(ctlCtx, "a1"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("the keyless value reads %v after the reinstated owner's Put", err)
+	}
+}
+
+// TestMissingKeyFileRefused: an AOF whose sealed records have no key
+// because the key file is not there is refused, and the data dir is left
+// as it was, so that restoring the file brings the values back instead of
+// every owner being shredded.
+func TestMissingKeyFileRefused(t *testing.T) {
+	path := tempAOF(t)
+	vc := clock.NewVirtual(time.Unix(0, 0))
+	s, err := Open(keyFileCfg(path, vc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addPrincipals(s)
+	if err := s.Put(ctlCtx, "a1", []byte("v"), PutOptions{Owner: "alice"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := os.ReadFile(path)
+	if err := os.Rename(path+".keys", path+".keys.away"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(keyFileCfg(path, vc)); err == nil || !strings.Contains(err.Error(), "key file") {
+		t.Fatalf("Open without the key file: %v, want a refusal naming it", err)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(before, after) {
+		t.Fatal("the refused Open changed the AOF")
+	}
+	if _, err := os.Stat(path + ".keys"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the refused Open left a key file: %v", err)
+	}
+	if err := os.Rename(path+".keys.away", path+".keys"); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(keyFileCfg(path, vc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	addPrincipals(s)
+	if v, err := s.Get(ctlCtx, "a1"); err != nil || string(v) != "v" {
+		t.Fatalf("after the key file is back the value reads %q, %v", v, err)
+	}
+}
+
 // TestTornKeySlotZeroed: a slot that fails its checksum (a torn write) is
-// zeroed on open and its key is not imported; the other slots are.
+// zeroed on open and its key is not imported, so its owner is shredded;
+// the other slots are imported.
 func TestTornKeySlotZeroed(t *testing.T) {
 	path := tempAOF(t)
 	vc := clock.NewVirtual(time.Unix(0, 0))
@@ -338,6 +460,9 @@ func TestTornKeySlotZeroed(t *testing.T) {
 	}
 	if v, err := s.Get(ctlCtx, "k:bob"); err != nil || string(v) != "v:bob" {
 		t.Fatalf("the intact slot's value reads %q, %v", v, err)
+	}
+	if err := s.Put(ctlCtx, "k:alice", []byte("v"), PutOptions{Owner: "alice"}); !errors.Is(err, ErrErased) {
+		t.Fatalf("a Put for the torn slot's owner: %v, want ErrErased (its key is gone)", err)
 	}
 	raw, _ = os.ReadFile(path + ".keys")
 	if !bytes.Equal(raw[:aof.KeySlotSize], make([]byte, aof.KeySlotSize)) {
@@ -380,35 +505,46 @@ func TestOwnerTooLongForKeySlot(t *testing.T) {
 // TestFullSyncZeroesReplicaStaleKey: a replica that was down while the
 // primary erased and reinstated an owner (who wrote nothing since) keeps
 // the owner's old key in its key file until it resyncs; the full sync's
-// shred mark zeroes it.
+// shred mark zeroes it, also after the primary compacted its AOF and
+// restarted in between.
 func TestFullSyncZeroesReplicaStaleKey(t *testing.T) {
-	s := newFullStore(t, func(c *Config) { c.Envelope, c.MasterKey = true, keyFileMaster })
-	hub, err := s.EnableStreamReplication(replica.HubOptions{})
-	if err != nil {
-		t.Fatal(err)
+	dir, vc := t.TempDir(), clock.NewVirtual(time.Unix(0, 0))
+	primaryPath := filepath.Join(t.TempDir(), "primary.aof")
+	primary := func() (*Store, *replica.Hub, string) {
+		s, err := Open(keyFileCfg(primaryPath, vc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		addPrincipals(s)
+		hub, err := s.EnableStreamReplication(replica.HubOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, hub, servePSYNC(t, hub, s.StreamSnapshot)
 	}
-	addr := servePSYNC(t, hub, s.StreamSnapshot)
-	dir := t.TempDir()
-	cfg := keyFileCfg(filepath.Join(dir, "replica.aof"), vclock(s))
-	follow := func() (*Store, *replica.Node) {
-		rs, err := Open(cfg)
+	// follow runs a replica on dir until it has caught up with s.
+	follow := func(s *Store, hub *replica.Hub, addr string, then func()) {
+		rs, err := Open(keyFileCfg(filepath.Join(dir, "replica.aof"), vc))
 		if err != nil {
 			t.Fatal(err)
 		}
 		n := replica.DialPrimary(rs, addr, replica.NodeOptions{ReconnectMin: 5 * time.Millisecond})
 		testutil.Eventually(t, 5*time.Second, 0, func() bool { return len(hub.Links()) == 1 }, "replica never linked")
-		return rs, n
+		then()
+		caughtUp(t, s)
+		n.Close()
+		if err := rs.Close(); err != nil {
+			t.Fatal(err)
+		}
+		testutil.Eventually(t, 5*time.Second, 0, func() bool { return len(hub.Links()) == 0 }, "the link outlived its node")
 	}
-	rs, n := follow()
-	if err := s.Put(ctlCtx, "pd:alice", []byte("v"), PutOptions{Owner: "alice"}); err != nil {
-		t.Fatal(err)
-	}
-	caughtUp(t, s)
-	n.Close()
-	if err := rs.Close(); err != nil {
-		t.Fatal(err)
-	}
-	testutil.Eventually(t, 5*time.Second, 0, func() bool { return len(hub.Links()) == 0 }, "the link outlived its node")
+	s, hub, addr := primary()
+	follow(s, hub, addr, func() {
+		if err := s.Put(ctlCtx, "pd:alice", []byte("v"), PutOptions{Owner: "alice"}); err != nil {
+			t.Fatal(err)
+		}
+	})
 	if len(diskResidue(t, dir, nil, keyFileMaster, []string{"alice"}, nil)) == 0 {
 		t.Fatal("the stopped replica's key file does not hold alice's key")
 	}
@@ -418,11 +554,16 @@ func TestFullSyncZeroesReplicaStaleKey(t *testing.T) {
 	if err := s.Reinstate(ctlCtx, "alice"); err != nil {
 		t.Fatal(err)
 	}
-	rs, n = follow()
-	caughtUp(t, s)
-	n.Close()
-	if err := rs.Close(); err != nil {
+	if err := s.Compact(ctlCtx); err != nil {
 		t.Fatal(err)
 	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, hub, addr = primary()
+	follow(s, hub, addr, func() {})
 	erasedOnDisk(t, dir, nil, keyFileMaster, []string{"alice"}, nil)
+	if err := s.Put(ctlCtx, "pd:alice", []byte("again"), PutOptions{Owner: "alice"}); err != nil {
+		t.Fatalf("the reinstated owner's Put after the restart: %v", err)
+	}
 }

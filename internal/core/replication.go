@@ -92,23 +92,7 @@ func (s *Store) StreamSnapshot(emit func(name string, args ...[]byte) error, cut
 			return err
 		}
 	}
-	// Every other owner whose epoch advanced gets a shred mark, so that a
-	// replica zeroes a key it kept from before the shred; a reinstated one
-	// is reinstated after it.
-	for owner, e := range epochs {
-		if _, live := wrapped[owner]; live || e == 0 {
-			continue
-		}
-		if err := emit(opShred, []byte(owner), epochArg(e)); err != nil {
-			return err
-		}
-		if s.keyring.RecordLive(owner, e) {
-			if err := emit(opReinst, []byte(owner)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return s.shredMarks(emit)
 }
 
 // SetBackupManager registers a backup manager whose generations the store

@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -178,9 +179,11 @@ func Open(cfg Config) (*Store, error) {
 	// anything is created or written: replay only reads, the key file
 	// holds what replay writes to it until Start, and the trail opens
 	// before the AOF does.
+	var keyless map[string]uint64
 	if n.AOFPath != "" {
+		keysPath := n.AOFPath + ".keys"
 		if s.keyring != nil {
-			keys, err := aof.OpenKeys(n.AOFPath+".keys", n.AtRestKey, s.keyring.ImportAt)
+			keys, err := aof.OpenKeys(keysPath, n.AtRestKey, s.keyring.ImportAt)
 			if err != nil {
 				return nil, fmt.Errorf("core: %w", err)
 			}
@@ -188,6 +191,14 @@ func Open(cfg Config) (*Store, error) {
 		}
 		if err := s.replay(n.AOFPath, n.AtRestKey); err != nil {
 			return nil, err
+		}
+		if s.keys != nil {
+			keyless = s.keylessOwners()
+			// Shredding every owner because the file is not there would
+			// erase what restoring the file would bring back.
+			if _, err := os.Stat(keysPath); len(keyless) > 0 && errors.Is(err, os.ErrNotExist) {
+				return nil, fmt.Errorf("core: %s holds records of %d owners and the key file %s is missing: restore it", n.AOFPath, len(keyless), keysPath)
+			}
 		}
 	}
 
@@ -243,7 +254,18 @@ func Open(cfg Config) (*Store, error) {
 		// deletions — straight into the AOF.
 		s.db.SetJournal(store.JournalFunc(log.Append))
 	}
-
+	// The key of a keyless owner is gone, so the owner is shredded at the
+	// next epoch, and the mark journaled: left unmarked, its next Put would
+	// make a key at the same epoch, under which the old records would count
+	// as live and fail to open.
+	for owner, epoch := range keyless {
+		s.keyring.ShredAt(owner, epoch+1)
+		s.markErasurePending(owner)
+		if err := s.appendLog(opShred, []byte(owner), epochArg(epoch+1)); err != nil {
+			s.Close()
+			return nil, err
+		}
+	}
 	return s, nil
 }
 
@@ -461,10 +483,12 @@ func (s *Store) keepKey(owner string, epoch uint64, wrapped []byte) error {
 	return s.keys.Put(owner, epoch, wrapped)
 }
 
-// dropKey zeroes owner's slot in the key file once the GSHRED is journaled
-// (replay zeroes a slot a crash left between the two): durable before the
-// erasure is acknowledged under real-time timing, with the AOF's next fsync
-// (and the GSHRED) under eventual timing.
+// dropKey zeroes owner's slot in the key file once the GSHRED is journaled:
+// durable before the erasure is acknowledged under real-time timing, with
+// the AOF's next fsync (and the GSHRED) under eventual timing. Whichever of
+// the two reaches the disk first, Open mends what a crash leaves: a
+// replayed GSHRED zeroes a slot, and an owner whose slot is zeroed with no
+// GSHRED is shredded (keylessOwners).
 func (s *Store) dropKey(owner string) error {
 	if s.keys == nil {
 		return nil

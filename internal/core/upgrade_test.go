@@ -464,6 +464,9 @@ func TestReplayAcceptsEveryWrittenForm(t *testing.T) {
 				rcfg := cfg
 				rcfg.AOFPath = filepath.Join(t.TempDir(), "replay.aof")
 				copyFile(t, cfg.AOFPath, rcfg.AOFPath)
+				if envelope {
+					copyFile(t, cfg.AOFPath+".keys", rcfg.AOFPath+".keys")
+				}
 				r, err := Open(rcfg)
 				if err != nil {
 					t.Fatalf("after %s: replay: %v", step.name, err)

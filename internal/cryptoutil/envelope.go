@@ -354,18 +354,6 @@ func (kr *Keyring) Reinstate(owner string) {
 	kr.mu.Unlock()
 }
 
-// ShreddedOwners returns the owners whose keys were destroyed, for the
-// shred marks a compaction writes.
-func (kr *Keyring) ShreddedOwners() []string {
-	kr.mu.RLock()
-	defer kr.mu.RUnlock()
-	out := make([]string, 0, len(kr.shred))
-	for o := range kr.shred {
-		out = append(out, o)
-	}
-	return out
-}
-
 // ExportAll returns every live owner key wrapped under the master key, for
 // a replica's full sync.
 func (kr *Keyring) ExportAll() (map[string][]byte, error) {
@@ -422,8 +410,8 @@ func (kr *Keyring) ShredAt(owner string, epoch uint64) {
 	}
 }
 
-// Epochs returns a snapshot of every owner's epoch, for journaling during
-// compaction.
+// Epochs returns a snapshot of every owner's epoch, for the shred marks a
+// compaction or a full sync writes.
 func (kr *Keyring) Epochs() map[string]uint64 {
 	kr.mu.RLock()
 	defer kr.mu.RUnlock()

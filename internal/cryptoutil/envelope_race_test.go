@@ -56,7 +56,6 @@ func TestKeyringShredRace(t *testing.T) {
 		for i := 0; i < iters; i++ {
 			owner := owners[i%len(owners)]
 			kr.Shred(owner)
-			_ = kr.ShreddedOwners()
 			_ = kr.Epochs()
 			kr.Reinstate(owner)
 		}
