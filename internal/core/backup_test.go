@@ -51,8 +51,9 @@ func mustBackup(t *testing.T, s *Store) string {
 // TestBackupIsCompliantSnapshot: a generation is the compliance layer's
 // snapshot without the keyring, and a restore brings it back through the
 // compliance layer: bob's records return with their purposes and his
-// objection, alice's, shredded after the backup, stay erased, and the AOF
-// and an attached replica converge on the restored state.
+// objection, held in his owner record; alice's, shredded after the backup,
+// stay erased; and the AOF and an attached replica converge on the
+// restored state.
 func TestBackupIsCompliantSnapshot(t *testing.T) {
 	path := tempAOF(t)
 	s := newFullStore(t, func(c *Config) {
@@ -72,9 +73,8 @@ func TestBackupIsCompliantSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	names := backupNames(t, s)
-	if !slices.Contains(names, opRecord) || !slices.Contains(names, opObject) ||
-		slices.Contains(names, opKey) || slices.Contains(names, opShred) {
-		t.Fatalf("generation holds %v: want GREC and GOBJ, no GKEY or GSHRED", names)
+	if !slices.Equal(names, []string{opRecord, opRecord, opRecord, opRecord}) {
+		t.Fatalf("generation holds %v: want 4 GREC (3 records and bob's owner record), no GOBJ, GKEY or GSHRED", names)
 	}
 
 	if _, err := s.Forget(Ctx{Actor: "alice"}, "alice"); err != nil {

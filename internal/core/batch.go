@@ -58,13 +58,11 @@ func (s *Store) PutBatch(ctx Ctx, entries []BatchEntry, opts PutOptions) error {
 		return err
 	}
 	defer g.RUnlock()
-	os := s.ownerStripeFor(opts.Owner)
-	os.mu.Lock()
-	defer os.mu.Unlock()
+	defer s.lockOwner(opts.Owner).Unlock()
 	if err := s.check(ctx, acl.OpWrite, opts.Owner, "MPUT", keys[0]); err != nil {
 		return err
 	}
-	p, now, deadline, err := s.writeTerms(ctx, os, "MPUT", keys[0], opts)
+	p, now, deadline, err := s.writeTerms(ctx, "MPUT", keys[0], opts)
 	if err != nil {
 		return err
 	}

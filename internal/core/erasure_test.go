@@ -125,7 +125,7 @@ func TestShredInvisibleBeforeSweep(t *testing.T) {
 	if st.PendingOwners != 0 || st.PendingRecords != 0 || st.Reclaimed != 8 || st.OwnersDrained != 1 {
 		t.Fatalf("ErasureStats after sweep = %+v", st)
 	}
-	if !s.PendingRewrite() {
+	if !s.pendingRewrite.Load() {
 		t.Fatal("sweep reclamation did not owe an AOF compaction")
 	}
 }

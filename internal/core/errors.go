@@ -25,6 +25,8 @@ var (
 	// ErrOwnerTooLong reports a write, under envelope encryption, for an
 	// owner whose name does not fit a key-file slot (aof.MaxKeyOwner).
 	ErrOwnerTooLong = errors.New("core: owner name too long for a key slot")
+	// ErrReservedKey reports a key only the store writes, an owner record's.
+	ErrReservedKey = errors.New("core: key is reserved")
 	// ErrClosed reports use after Close.
 	ErrClosed = errors.New("core: store closed")
 	// ErrNotCompliant reports a GDPR operation against a store running in

@@ -15,7 +15,8 @@ import (
 // the sweep and an eager Forget delete them, a migration removes the bytes
 // it sent) ends in one of the engine's conditional operations
 // (store/conditional.go), which act and journal under the shard lock only if
-// the key still holds what the caller checked. Two stripe arrays remain:
+// the key still holds what the caller checked. Two stripe arrays remain, and
+// neither guards a map:
 //
 //   - gate stripes are the whole-store barrier. Every data-path call
 //     read-locks exactly one, by its key, its owner or its batch's first
@@ -23,9 +24,9 @@ import (
 //     audited is handed off, and never takes a second. Only lockAll
 //     write-locks them, so an AOF rewrite, a replica snapshot, Maintain and
 //     Close wait out every call in flight.
-//   - ownerStripes serialise owner-scoped state: the standing objections
-//     map, the keyring entry, the owner's shared policy and key set
-//     (Put/PutBatch, Forget, Object, ...).
+//   - owner stripes serialise an owner's read-check-writes of owner-scoped
+//     state: its owner record (standing objections, rights.go), keyring
+//     entry, shared policy and key set (Put/PutBatch, Forget, Object, ...).
 //
 // Below them come the engine's shard locks, and below those the owner and
 // purpose index stripes (metaIndex), leaves the engine's record observer
@@ -55,14 +56,11 @@ type gateStripe struct {
 	_ [128 - unsafe.Sizeof(sync.RWMutex{})]byte
 }
 
-// ownerStripe guards one stripe of owner-scoped compliance state. The
-// standing objections of owners hashing to this stripe live here, so
-// different stripes never share a map.
+// ownerStripe is one stripe of the owner locks, padded as gateStripe is:
+// every write locks its owner's.
 type ownerStripe struct {
-	mu sync.Mutex
-	// objections holds standing per-owner objections applied to future
-	// records (Art. 21 "object at any time"), for owners in this stripe.
-	objections map[string]map[string]struct{}
+	sync.Mutex
+	_ [128 - unsafe.Sizeof(sync.Mutex{})]byte
 }
 
 func stripeIndex(s string) uint32 {
@@ -74,14 +72,20 @@ func stripeIndex(s string) uint32 {
 	return h & (stripeCount - 1)
 }
 
-func (s *Store) ownerStripeFor(owner string) *ownerStripe {
-	return s.owners[stripeIndex(owner)]
+// lockOwner locks owner's stripe and returns it, for the caller to unlock.
+func (s *Store) lockOwner(owner string) *ownerStripe {
+	os := &s.owners[stripeIndex(owner)]
+	os.Lock()
+	return os
 }
 
 // enter admits one data-path call through the gate stripe of name, which
 // stays read-locked until the call releases it; once Close has begun, it
-// refuses.
+// refuses. No call may name an owner record's key.
 func (s *Store) enter(name string) (*gateStripe, error) {
+	if ReservedKey(name) {
+		return nil, ErrReservedKey
+	}
 	g := &s.gate[stripeIndex(name)]
 	g.RLock()
 	if s.closed.Load() {
@@ -155,25 +159,17 @@ func (s *Store) lockAll() {
 	for i := range s.gate {
 		s.gate[i].Lock()
 	}
-	for _, os := range s.owners {
-		os.mu.Lock()
+	for i := range s.owners {
+		s.owners[i].Lock()
 	}
 }
 
 func (s *Store) unlockAll() {
 	for i := len(s.owners) - 1; i >= 0; i-- {
-		s.owners[i].mu.Unlock()
+		s.owners[i].Unlock()
 	}
 	for i := len(s.gate) - 1; i >= 0; i-- {
 		s.gate[i].Unlock()
 	}
 	s.gmu.Unlock()
-}
-
-func newOwnerStripes() []*ownerStripe {
-	out := make([]*ownerStripe, stripeCount)
-	for i := range out {
-		out[i] = &ownerStripe{objections: make(map[string]map[string]struct{})}
-	}
-	return out
 }

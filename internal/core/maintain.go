@@ -30,11 +30,13 @@ func (s *Store) recordDead(rec *store.Record) bool {
 	return !s.keyring.RecordLive(rec.Policy.Owner, rec.Epoch)
 }
 
-// KeyVisible reports whether key is currently visible to clients: a key
-// whose record was crypto-erased but not yet swept is not. Keyspace-level
-// commands (SCAN, KEYS) filter through this so the sweep's laziness never
-// shows.
+// KeyVisible reports whether key is currently visible to clients: an owner
+// record's is not, nor is one crypto-erased but not yet swept. SCAN, KEYS
+// and a slot's key list (so a migration) filter through this.
 func (s *Store) KeyVisible(key string) bool {
+	if ReservedKey(key) {
+		return false
+	}
 	if s.keyring == nil {
 		return true
 	}
@@ -414,36 +416,22 @@ func emitRecord(emit func(name string, args ...[]byte) error, k string, e store.
 
 // snapshotRecords emits the records of a compaction, a backup generation
 // and a replica's full sync, and no key: one record per live key (GREC
-// with its metadata; SET/SETEX for a key that has none), then the standing
-// objections (GOBJ).
-// Callers hold lockAll, so the cut is globally consistent. A snapshot holds
-// the current record format only, and each record one deadline: the
-// engine's, which is the one enforced.
+// with its metadata, an owner record's too; SET/SETEX for a key that has
+// none). Callers hold lockAll, so the cut is globally consistent. A
+// snapshot holds the current record format only, and each record one
+// deadline: the engine's, which is the one enforced.
 //
 // Crypto-erased records the sweep has not reclaimed yet are omitted, so a
 // compaction purges dead ciphertext from the AOF even while the in-memory
 // sweep is still running. emit must not keep its arguments.
 func (s *Store) snapshotRecords(emit func(name string, args ...[]byte) error) error {
 	var mb []byte
-	err := s.db.SnapshotRecords(func(k string, e store.Entry) error {
+	return s.db.SnapshotRecords(func(k string, e store.Entry) error {
 		if e.Record != nil && s.recordDead(e.Record) {
 			return nil
 		}
 		return emitRecord(emit, k, e, e.Value, &mb)
 	})
-	if err != nil {
-		return err
-	}
-	for _, os := range s.owners {
-		for owner, set := range os.objections {
-			for p := range set {
-				if err := emit(opObject, []byte(owner), []byte(p)); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // rewriteLocked compacts the AOF so deleted/erased personal data stops
@@ -515,12 +503,6 @@ func (s *Store) maintain(drain bool) MaintStats {
 	s.unlockAll()
 	st.Took = s.cfg.Config.Clock.Since(start)
 	return st
-}
-
-// PendingRewrite reports whether an AOF compaction is owed (eventual
-// timing defers it to Maintain).
-func (s *Store) PendingRewrite() bool {
-	return s.pendingRewrite.Load()
 }
 
 // MetaCount returns the number of records the owner index holds: every

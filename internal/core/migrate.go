@@ -143,9 +143,7 @@ func (s *Store) RestoreRecord(ctx Ctx, argv [][]byte, admit func(key string) err
 		s.restoreRaw(k, value, deadline)
 		return nil
 	}
-	os := s.ownerStripeFor(meta.Owner)
-	os.mu.Lock()
-	defer os.mu.Unlock()
+	defer s.lockOwner(meta.Owner).Unlock()
 	if err := s.check(ctx, acl.OpWrite, meta.Owner, "RESTOREKEY", k); err != nil {
 		return err
 	}

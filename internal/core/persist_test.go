@@ -132,7 +132,7 @@ func TestForgetEventualDefersCompaction(t *testing.T) {
 	secret := []byte("bob-payload-to-erase")
 	s.Put(ctlCtx, "b1", secret, PutOptions{Owner: "alice"})
 	s.Forget(Ctx{Actor: "alice"}, "alice")
-	if !s.PendingRewrite() {
+	if !s.pendingRewrite.Load() {
 		t.Fatal("eventual Forget did not schedule compaction")
 	}
 	s.Log().Sync()

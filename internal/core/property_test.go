@@ -50,9 +50,11 @@ func TestMetadataEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 // TestReplayEquivalenceProperty is the central durability invariant: for
-// any random sequence of compliance-layer operations, closing the store
-// and replaying its AOF reconstructs an equivalent store — same live
-// keys, values, metadata owners, TTL presence, and objections.
+// any random sequence of compliance-layer operations, with a compaction
+// halfway, closing the store and replaying its AOF reconstructs an
+// equivalent store — same live keys, values, metadata owners, TTL presence,
+// and objections — and so does a fresh store fed the live one's full-sync
+// snapshot.
 func TestReplayEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(20190516))
 	for trial := 0; trial < 15; trial++ {
@@ -103,8 +105,28 @@ func TestReplayEquivalenceProperty(t *testing.T) {
 				case 9:
 					vc.Advance(time.Duration(rng.Intn(120)) * time.Minute)
 				}
+				if i == nOps/2 {
+					if err := s.Compact(ctlCtx); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
 			before := snapshotState(t, s, owners)
+			// A replica's full sync is the same state.
+			fcfg := cfg
+			fcfg.AOFPath = ""
+			fresh, err := Open(fcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fresh.Close()
+			addPrincipals(fresh)
+			if err := s.StreamSnapshot(func(name string, args ...[]byte) error { return fresh.applyRecord(name, args) }, nil); err != nil {
+				t.Fatal(err)
+			}
+			if synced := snapshotState(t, fresh, owners); !reflect.DeepEqual(before, synced) {
+				t.Fatalf("full sync diverged:\nlive:   %#v\nsynced: %#v", before, synced)
+			}
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}

@@ -12,17 +12,18 @@ import (
 // shared) and the live network replication link (one applier goroutine,
 // concurrent with local reads). Both must interpret every record type the
 // primary can emit — the engine's data-plane records (SET/SETEX/DEL/...)
-// and the compliance layer's own (GREC/GMETA/GOBJ/GSHRED/GFORGET/...)
-// — identically, or a replica's state would drift from what a primary
-// restart reconstructs. They take only what today's writers emit: a form
-// an earlier release wrote is refused with ErrRetiredFormat (DESIGN.md §17).
+// and the compliance layer's own (GREC/GMETA/GSHRED/GFORGET/...) —
+// identically, or a replica's state would drift from what a primary restart
+// reconstructs. They take what today's writers emit and the previous
+// release's GOBJ/GUNOBJ; an earlier form is refused (ErrRetiredFormat).
 
 // applyRecord applies one journal record without re-journaling it. It is
 // safe for a single applier goroutine running concurrently with readers:
-// a record is installed with its value under the engine's shard lock,
-// objection state takes the owner stripe, and the indexes follow the
-// engine. A written record goes through the owner's shared policy, as a
-// live write does, so a replayed store shares policies as the live one did.
+// a record is installed with its value under the engine's shard lock, an
+// owner record restamps through the conditional operations, and the indexes
+// follow the engine; it takes no stripe (a restore holds them all). A written
+// record goes through the owner's shared policy, as a live write does, so a
+// replayed store shares policies as the live one did.
 func (s *Store) applyRecord(name string, args [][]byte) error {
 	switch name {
 	case opRecord:
@@ -32,6 +33,9 @@ func (s *Store) applyRecord(name string, args [][]byte) error {
 		m, err := decodeMetadata(args[0])
 		if err != nil {
 			return fmt.Errorf("core: replay GREC: %w", err)
+		}
+		if owner, ok := ownerOfKey(string(args[1])); ok { // written alone
+			return s.setObjections(owner, m.Objections, nil)
 		}
 		rec := s.recordOf(&m)
 		for i := 1; i < len(args); i += 2 {
@@ -56,23 +60,20 @@ func (s *Store) applyRecord(name string, args [][]byte) error {
 		if len(args) != 2 {
 			return fmt.Errorf("core: replay %s: need 2 args", name)
 		}
-		s.applyObjection(string(args[0]), string(args[1]), name == opObject)
-		return nil
+		owner := string(args[0]) // read this release only: folded into the owner record
+		return s.setObjections(owner, objected(s.Objections(owner), string(args[1]), name == opObject), nil)
 	case opKey:
-		if len(args) == 2 {
-			return fmt.Errorf("%w: GKEY without an epoch", ErrRetiredFormat)
-		}
 		if len(args) != 3 {
 			return errors.New("core: replay GKEY: need 3 args")
 		}
 		if s.keyring == nil {
 			return nil // envelope disabled this run; ignore
 		}
-		// Pin the keyring epoch exactly, so replayed records' KeyEpoch
-		// stamps still match their sealing key, and keep the key in the
-		// key file: a replica's own, or the primary's when replay moves
-		// what an earlier release journaled. A newer key read from the key
-		// file outlives an older record of the owner's key.
+		// A key arrives on the stream only (replay refuses one). Pin the
+		// keyring epoch exactly, so the records' KeyEpoch stamps still
+		// match their sealing key, and keep the key in the replica's own
+		// key file. A newer key read from the key file outlives an older
+		// record of the owner's key.
 		epoch, err := parseEpoch(args[2])
 		if err != nil {
 			return fmt.Errorf("core: replay GKEY: %w", err)

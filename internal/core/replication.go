@@ -147,12 +147,27 @@ func (s *Store) RestoreBackup(ctx Ctx) (applied, skipped int, err error) {
 	// 2. The whole generation is read and vetted before the keyspace is
 	// touched. A second read then fills it one record at a time; lockAll
 	// keeps Backup and Refresh from writing a newer generation in between.
-	gen, err := s.backups.RestoreLatest(vetBackupRecord)
+	gen, err := s.backups.RestoreLatest(func(name string, args [][]byte) error {
+		_, err := vetBackupRecord(name, args)
+		return err
+	})
 	if err != nil {
 		return 0, 0, err
 	}
+	// 6. The live standing objections, merged into the generation's below.
+	merge := map[string][]string{}
+	for _, k := range s.db.Keys(ownerKeyPrefix + "*") {
+		owner, _ := ownerOfKey(k)
+		merge[owner] = slices.Clip(s.Objections(owner))
+	}
 	s.FlushAll() // 3. hands its FLUSHALL to the journal before it returns
 	_, err = s.backups.RestoreLatest(func(name string, args [][]byte) error {
+		if delta, _ := vetBackupRecord(name, args); delta {
+			// 6. The previous release's GOBJ joins the merge, unjournaled.
+			merge[string(args[0])] = append(merge[string(args[0])], string(args[1]))
+			applied++
+			return nil
+		}
 		if name == opRecord {
 			m, _ := decodeMetadata(args[0]) // vetted on the first read
 			// 5. Dead under the live keyring: shredded since the backup.
@@ -160,34 +175,28 @@ func (s *Store) RestoreBackup(ctx Ctx) (applied, skipped int, err error) {
 				skipped++
 				return nil
 			}
-			// 6. Restamped with the owner's standing objections.
-			for _, p := range s.objectionsOfLocked(s.ownerStripeFor(m.Owner), m.Owner) {
-				if !slices.Contains(m.Objections, p) {
-					m.Objections = append(m.Objections, p)
-				}
-			}
-			args[0] = appendMetadata(nil, &m)
 		}
-		// 4. Applied as replay applies it and journaled, so the AOF, a restart
-		// and an attached replica converge. A GOBJ is journaled ahead of the
-		// records it restamps, under the owner stripe lockAll holds.
-		var err error
-		if name == opObject {
-			owner := string(args[0])
-			err = s.appendLog(name, args...)
-			if jerr := s.applyObjectionLocked(s.ownerStripeFor(owner), owner, string(args[1]), true, encodeMetadata); err == nil {
-				err = jerr
-			}
-		} else if err = s.applyRecord(name, args); err == nil {
-			err = s.appendLog(name, args...)
-		}
+		// 4. Applied as replay applies it and journaled, so the AOF, a
+		// restart and an attached replica converge.
+		err := s.applyRecord(name, args)
 		if err == nil {
-			applied++
+			if err = s.appendLog(name, args...); err == nil {
+				applied++
+			}
 		}
 		return err
 	})
 	if err != nil {
 		return applied, skipped, err
+	}
+	// 6. One merge, through OBJECT's own locked half (lockAll holds the
+	// owner stripes): each owner record ahead of the records it restamps.
+	for owner, set := range merge {
+		set = append(set, s.Objections(owner)...)
+		slices.Sort(set)
+		if err := s.setObjections(owner, slices.Compact(set), encodeMetadata); err != nil {
+			return applied, skipped, err
+		}
 	}
 	s.auditOp(audit.Record{ // 7.
 		Actor: ctx.Actor, Op: "RESTORE", Outcome: audit.OutcomeOK,
@@ -197,10 +206,12 @@ func (s *Store) RestoreBackup(ctx Ctx) (applied, skipped int, err error) {
 }
 
 // vetBackupRecord admits to a restore only what snapshotRecords writes, well
-// formed: anything else, key material above all, refuses the generation.
-func vetBackupRecord(name string, args [][]byte) (err error) {
+// formed, and the previous release's GOBJ, which it reports as a delta:
+// anything else, key material above all, refuses the generation.
+func vetBackupRecord(name string, args [][]byte) (delta bool, err error) {
 	switch {
 	case (name == "SET" || name == opObject) && len(args) == 2:
+		delta = name == opObject
 	case name == "SETEX" && len(args) == 3:
 		_, err = store.DecodeDeadline(args[1])
 	case name == opRecord && len(args) >= 3 && len(args)%2 == 1:
@@ -208,7 +219,7 @@ func vetBackupRecord(name string, args [][]byte) (err error) {
 	default:
 		err = fmt.Errorf("core: restore: a backup generation may not hold %s with %d args", name, len(args))
 	}
-	return err
+	return delta, err
 }
 
 // propagateErasure completes an Article 17 erasure across the subsystems

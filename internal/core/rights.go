@@ -6,7 +6,9 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
+	"unsafe"
 
 	"gdprstore/internal/acl"
 	"gdprstore/internal/audit"
@@ -66,25 +68,22 @@ type reportKind uint8
 
 const (
 	reportValues  reportKind = iota // keys and values (UserValues)
-	reportRecords                   // UserRecords with Metadata (GetUser, Export)
-	reportAccess                    // reportRecords plus the standing objections (Access)
+	reportRecords                   // UserRecords with Metadata (GetUser, Access, Export)
 )
 
 // ownerReport is one owner-scoped pass's answer, in key order: keys and
 // values for reportValues, records otherwise.
 type ownerReport struct {
-	keys       []string
-	values     [][]byte
-	recs       []UserRecord
-	objections []string
+	keys   []string
+	values [][]byte
+	recs   []UserRecord
 }
 
 // collectOwner is the one pass behind every owner-scoped read, audited as
 // one GETUSER; callers are through owner's gate stripe. Under the owner's
 // stripe it decides (ACL) and snapshots what the pass needs once: the
-// owner's key list, its data key and key epoch as a prepared cipher, and for
-// Access the standing objections. It then runs in three stages with the
-// stripe released (see locks.go):
+// owner's key list, and its data key and key epoch as a prepared cipher. It
+// then runs in three stages with the stripe released (see locks.go):
 //
 //  1. probe: walkKeys looks up a batch of keys at a time, one lock per
 //     engine shard, value and record together, judged at one clock
@@ -99,12 +98,11 @@ type ownerReport struct {
 // The key epoch is read again at the end: a Forget that got in between makes
 // the whole answer the erased one.
 func (s *Store) collectOwner(ctx Ctx, owner string, kind reportKind) (ownerReport, error) {
-	os := s.ownerStripeFor(owner)
-	os.mu.Lock()
+	os := s.lockOwner(owner)
 	if s.keyring == nil {
 		// No key epoch to re-read after the walk; the stripe is what keeps
 		// an eager Forget from deleting half of what the walk reports.
-		defer os.mu.Unlock()
+		defer os.Unlock()
 	}
 	var rep ownerReport
 	var keys []string
@@ -113,12 +111,9 @@ func (s *Store) collectOwner(ctx Ctx, owner string, kind reportKind) (ownerRepor
 	if err == nil {
 		keys = s.ix.ownerKeys(owner)
 		oc = s.ownerCipherFor(owner)
-		if kind == reportAccess {
-			rep.objections = s.objectionsOfLocked(os, owner)
-		}
 	}
 	if s.keyring != nil {
-		os.mu.Unlock()
+		os.Unlock()
 	}
 	if err != nil {
 		return rep, err
@@ -220,7 +215,7 @@ func (s *Store) Access(ctx Ctx, owner string) (AccessReport, error) {
 		return AccessReport{}, err
 	}
 	defer g.RUnlock()
-	pass, err := s.collectOwner(ctx, owner, reportAccess)
+	pass, err := s.collectOwner(ctx, owner, reportRecords)
 	if err != nil {
 		return AccessReport{}, err
 	}
@@ -229,7 +224,7 @@ func (s *Store) Access(ctx Ctx, owner string) (AccessReport, error) {
 		Owner:       owner,
 		GeneratedAt: s.cfg.Config.Clock.Now(),
 		RecordCount: len(recs),
-		Objections:  pass.objections,
+		Objections:  s.Objections(owner),
 		Records:     recs,
 	}
 	pset, rset := map[string]struct{}{}, map[string]struct{}{}
@@ -371,9 +366,7 @@ func (s *Store) forget(ctx Ctx, owner string) (int, error) {
 		return 0, err
 	}
 	defer g.RUnlock()
-	os := s.ownerStripeFor(owner)
-	os.mu.Lock()
-	defer os.mu.Unlock()
+	defer s.lockOwner(owner).Unlock()
 	if err := s.check(ctx, acl.OpRights, owner, "FORGETUSER", ""); err != nil {
 		return 0, err
 	}
@@ -442,9 +435,7 @@ func (s *Store) Reinstate(ctx Ctx, owner string) error {
 		return err
 	}
 	defer g.RUnlock()
-	os := s.ownerStripeFor(owner)
-	os.mu.Lock()
-	defer os.mu.Unlock()
+	defer s.lockOwner(owner).Unlock()
 	if err := s.check(ctx, acl.OpAdmin, owner, "REINSTATE", ""); err != nil {
 		return err
 	}
@@ -480,25 +471,15 @@ func (s *Store) setObjection(ctx Ctx, owner, purpose string, add bool) error {
 		return err
 	}
 	defer g.RUnlock()
-	os := s.ownerStripeFor(owner)
-	os.mu.Lock()
-	defer os.mu.Unlock()
+	defer s.lockOwner(owner).Unlock()
 	opName := "OBJECT"
-	logOp := opObject
 	if !add {
 		opName = "UNOBJECT"
-		logOp = opUnobj
 	}
 	if err := s.check(ctx, acl.OpRights, owner, opName, ""); err != nil {
 		return err
 	}
-	// The standing objection is journaled ahead of the records it restamps,
-	// so that a log cut between them replays it, and replay restamps them.
-	err = s.appendLog(logOp, []byte(owner), []byte(purpose))
-	if jerr := s.applyObjectionLocked(os, owner, purpose, add, encodeMetadata); err == nil {
-		err = jerr
-	}
-	if err != nil {
+	if err := s.setObjections(owner, objected(s.Objections(owner), purpose, add), encodeMetadata); err != nil {
 		return err
 	}
 	s.auditOp(audit.Record{
@@ -508,63 +489,89 @@ func (s *Store) setObjection(ctx Ctx, owner, purpose string, add bool) error {
 	return nil
 }
 
-// applyObjection locks the owner stripe and applies an objection (add) or
-// its withdrawal; it is the AOF-replay entry point (replay is
-// single-threaded, but the stripes keep the state containers consistent
-// either way).
-func (s *Store) applyObjection(owner, purpose string, add bool) {
-	os := s.ownerStripeFor(owner)
-	os.mu.Lock()
-	defer os.mu.Unlock()
-	s.applyObjectionLocked(os, owner, purpose, add, nil)
+// ownerKeyPrefix begins an owner record's key, "\x00owner:{owner}": the
+// engine entry, with an empty value and no deadline, whose policy holds a
+// subject's standing objections (Art. 21), sorted, and names no owner, so
+// no index, rights read or erasure sees it. No call names its key (enter),
+// and no listing shows it (KeyVisible). DESIGN.md §5.2.
+const ownerKeyPrefix = "\x00owner:"
+
+// ReservedKey reports whether key is an owner record's, which no call names.
+func ReservedKey(key string) bool { return strings.HasPrefix(key, ownerKeyPrefix) }
+
+// ownerOfKey returns the owner whose record key is k.
+func ownerOfKey(k string) (string, bool) {
+	owner, ok := strings.CutPrefix(k, ownerKeyPrefix+"{")
+	return strings.TrimSuffix(owner, "}"), ok
 }
 
-// applyObjectionLocked records an objection to purpose (add) or its
-// withdrawal in owner's standing objections and restamps the owner's
-// existing records, each through the owner's shared policy and only if it
-// still holds the record the walk found (a record re-Put by another subject
-// since the index snapshot is untouched). With a note, the engine journals
-// each restamped record as GMETA under its key's shard lock, and the first
-// journal error is returned. Callers hold the owner's stripe.
-func (s *Store) applyObjectionLocked(os *ownerStripe, owner, purpose string, add bool, note func(*store.Record, time.Time) []byte) error {
-	set := os.objections[owner]
-	if add {
-		if set == nil {
-			set = make(map[string]struct{})
-			os.objections[owner] = set
-		}
-		set[purpose] = struct{}{}
-	} else if delete(set, purpose); len(set) == 0 {
-		delete(os.objections, owner)
+// Objections returns the subject's standing objections, sorted: the owner
+// record's slice, to be read only. Every write reads it, from a stack key.
+func (s *Store) Objections(owner string) []string {
+	var buf [64]byte
+	k := append(append(append(buf[:0], ownerKeyPrefix+"{"...), owner...), '}')
+	if rec := s.db.RecordOf(unsafe.String(unsafe.SliceData(k), len(k))); rec != nil {
+		return rec.Policy.Objections
 	}
-	var jerr error
+	return nil
+}
+
+// objected is set with purpose added (add) or withdrawn, as a new sorted slice.
+func objected(set []string, purpose string, add bool) []string {
+	out := slices.DeleteFunc(slices.Clone(set), func(p string) bool { return p == purpose })
+	if add {
+		out = append(out, purpose)
+		slices.Sort(out)
+	}
+	return out
+}
+
+// setObjections makes the sorted set owner's standing objections and
+// restamps each of the owner's records that still holds what the walk found:
+// it drops what was withdrawn and gains what was added. With a note (callers
+// hold owner's stripe) the owner record, a GREC or its DEL, is journaled
+// ahead of the restamps' GMETAs, and the first journal error returned.
+// Without (replay, the stream) nothing is, so a log cut before the GMETAs
+// replays as the whole log does.
+func (s *Store) setObjections(owner string, set []string, note func(*store.Record, time.Time) []byte) error {
+	prev, key := s.Objections(owner), ownerKeyPrefix+"{"+owner+"}"
+	if slices.Equal(prev, set) {
+		return nil
+	}
+	rec := &store.Record{Policy: &store.Policy{Objections: set}, Created: noCreated}
+	var err error
+	switch {
+	case note == nil && len(set) == 0:
+		_ = s.db.Apply("DEL", [][]byte{[]byte(key)}) // a one-key DEL cannot fail
+	case note == nil:
+		s.db.Restore(key, nil, rec, time.Time{})
+	case len(set) == 0:
+		s.db.Del(key)
+	default:
+		err = s.db.SetRecorded([]string{key}, [][]byte{nil}, rec, time.Time{}, opRecord, note(rec, time.Time{}))
+	}
 	s.walkOwner(owner, func(k string, e store.Entry) bool {
 		r := e.Record
-		if slices.Contains(r.Policy.Objections, purpose) == add {
-			return true
-		}
 		// Edit a copy: the shared slice has readers.
 		cand := *r.Policy
-		if add {
-			cand.Objections = append(slices.Clip(cand.Objections), purpose)
-		} else {
-			cand.Objections = slices.DeleteFunc(slices.Clone(cand.Objections), func(o string) bool { return o == purpose })
+		cand.Objections = slices.DeleteFunc(slices.Clone(cand.Objections), func(o string) bool {
+			return slices.Contains(prev, o) && !slices.Contains(set, o)
+		})
+		for _, p := range set {
+			if !slices.Contains(prev, p) && !slices.Contains(cand.Objections, p) {
+				cand.Objections = append(cand.Objections, p)
+			}
+		}
+		if slices.Equal(cand.Objections, r.Policy.Objections) {
+			return true
 		}
 		next := &store.Record{Policy: s.ix.policy(&cand), Created: r.Created, Epoch: r.Epoch}
-		if _, err := s.db.SetRecordIf(k, r, next, opMeta, note); jerr == nil {
-			jerr = err
+		if _, jerr := s.db.SetRecordIf(k, r, next, opMeta, note); err == nil {
+			err = jerr
 		}
 		return true
 	})
-	return jerr
-}
-
-// Objections returns the subject's standing objections, sorted.
-func (s *Store) Objections(owner string) []string {
-	os := s.ownerStripeFor(owner)
-	os.mu.Lock()
-	defer os.mu.Unlock()
-	return s.objectionsOfLocked(os, owner)
+	return err
 }
 
 // KeysByPurpose returns the keys whitelisted for a processing purpose that
@@ -601,9 +608,7 @@ func (s *Store) OwnerKeys(ctx Ctx, owner string) ([]string, error) {
 		return nil, err
 	}
 	defer g.RUnlock()
-	os := s.ownerStripeFor(owner)
-	os.mu.Lock()
-	defer os.mu.Unlock()
+	defer s.lockOwner(owner).Unlock()
 	if err := s.check(ctx, acl.OpRead, owner, "OWNERKEYS", ""); err != nil {
 		return nil, err
 	}

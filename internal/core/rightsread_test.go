@@ -33,9 +33,7 @@ import (
 // metadata. The tests run it with no writer beside it, so it needs no lock
 // per key.
 func parentCollectOwner(s *Store, owner string) ([]UserRecord, error) {
-	os := s.ownerStripeFor(owner)
-	os.mu.Lock()
-	defer os.mu.Unlock()
+	defer s.lockOwner(owner).Unlock()
 	keys := s.ix.ownerKeys(owner)
 	sort.Strings(keys)
 	recs := make([]UserRecord, 0, len(keys))
@@ -66,9 +64,7 @@ func parentCollectOwner(s *Store, owner string) ([]UserRecord, error) {
 
 // parentOwnerKeys is OwnerKeys as of the same commit.
 func parentOwnerKeys(s *Store, owner string) []string {
-	os := s.ownerStripeFor(owner)
-	os.mu.Lock()
-	defer os.mu.Unlock()
+	defer s.lockOwner(owner).Unlock()
 	out := []string{}
 	for _, k := range s.ix.ownerKeys(owner) {
 		if e, ok := s.entryOf(k); ok && ownerOf(e.Record) == owner && !s.recordDead(e.Record) {

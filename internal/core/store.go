@@ -31,10 +31,10 @@ const (
 	opRecord = "GREC"
 	// GMETA key metadata: a metadata-only update (Expire, an objection).
 	opMeta   = "GMETA"
-	opObject = "GOBJ"   // GOBJ owner purpose
-	opUnobj  = "GUNOBJ" // GUNOBJ owner purpose
+	opObject = "GOBJ"   // GOBJ owner purpose: read this release only
+	opUnobj  = "GUNOBJ" // GUNOBJ owner purpose: read this release only
 	// GKEY owner wrappedDataKey epoch: on the replication stream only; the
-	// AOF's keys are in the key file (aof.Keys).
+	// AOF's keys are in the key file (aof.Keys), and replay refuses one.
 	opKey    = "GKEY"
 	opShred  = "GSHRED"  // GSHRED owner epoch (key destroyed, epoch advanced)
 	opReinst = "GREINST" // GREINST owner
@@ -95,7 +95,7 @@ type Store struct {
 	// for the full lock-ordering protocol.
 	gmu    sync.Mutex
 	gate   [stripeCount]gateStripe
-	owners []*ownerStripe
+	owners [stripeCount]ownerStripe
 
 	db      *store.DB
 	ix      *metaIndex
@@ -147,11 +147,7 @@ type erasureState struct {
 // Open builds a Store from the configuration, replaying any existing AOF.
 func Open(cfg Config) (*Store, error) {
 	n := cfg.normalize()
-	s := &Store{
-		cfg:    n,
-		ix:     newMetaIndex(),
-		owners: newOwnerStripes(),
-	}
+	s := &Store{cfg: n, ix: newMetaIndex()}
 	s.erasure.pending = make(map[string]time.Time)
 	s.db = store.New(store.Options{
 		Clock:        n.Config.Clock,
@@ -284,13 +280,19 @@ func auditMaskKey(n normalized) ([]byte, error) {
 	return k, nil
 }
 
-// replay runs before the store is shared, so it needs no stripe locks; the
-// index and objection stripes are still internally consistent because
-// replay is single-threaded. The record interpretation is applyRecord
-// (replicated.go), shared with the live replication link. It stops at the
-// first record in a retired form and names the upgrade step.
+// replay runs before the store is shared, so it needs no stripe locks. The
+// record interpretation is applyRecord (replicated.go), shared with the live
+// replication link, except that a data key (GKEY) is refused here: the key
+// file holds them since the previous release. It stops at the first record
+// in a retired form and names the upgrade step.
 func (s *Store) replay(path string, key []byte) error {
-	if n, err := aof.Load(path, key, s.applyRecord); errors.Is(err, ErrRetiredFormat) {
+	n, err := aof.Load(path, key, func(name string, args [][]byte) error {
+		if name == opKey {
+			return fmt.Errorf("%w: GKEY (a data key in the AOF)", ErrRetiredFormat)
+		}
+		return s.applyRecord(name, args)
+	})
+	if errors.Is(err, ErrRetiredFormat) {
 		return fmt.Errorf("core: %s, record %d: %w; start the previous release on this data dir and run COMPACT", path, n, err)
 	} else if err != nil {
 		return err
@@ -301,8 +303,8 @@ func (s *Store) replay(path string, key []byte) error {
 	return nil
 }
 
-// appendLog journals an owner-scoped compliance-layer record (an
-// objection, a shred, an erasure marker) to the AOF and mirrors it to the
+// appendLog journals an owner-scoped compliance-layer record (a shred, a
+// reinstatement, an erasure marker) to the AOF and mirrors it to the
 // replication stream, while the caller holds the owner's stripe, so it keeps
 // its place among the owner's other records. A record about one key goes
 // through the engine instead (SetRecorded, the conditional operations),
@@ -341,22 +343,11 @@ func (s *Store) check(ctx Ctx, op acl.OpClass, owner, opName, key string) error 
 	return fmt.Errorf("%w: %s", ErrDenied, d.Reason)
 }
 
-// objectionsOfLocked returns the standing objections of owner, sorted.
-// Callers hold owner's stripe.
-func (s *Store) objectionsOfLocked(os *ownerStripe, owner string) []string {
-	var out []string
-	for p := range os.objections[owner] {
-		out = append(out, p)
-	}
-	slices.Sort(out)
-	return out
-}
-
 // writeTerms resolves what a write for opts stores beside its values, from
 // one clock reading: the shared policy, the creation time and the retention
 // deadline. It enforces the write's owner, retention and location rules,
 // auditing a location denial as op on key. Callers hold owner's stripe.
-func (s *Store) writeTerms(ctx Ctx, os *ownerStripe, op, key string, opts PutOptions) (p *store.Policy, now, deadline time.Time, err error) {
+func (s *Store) writeTerms(ctx Ctx, op, key string, opts PutOptions) (p *store.Policy, now, deadline time.Time, err error) {
 	full := s.cfg.Capability == CapabilityFull
 	if full && opts.Owner == "" {
 		return nil, now, deadline, ErrNoOwner
@@ -393,7 +384,7 @@ func (s *Store) writeTerms(ctx Ctx, os *ownerStripe, op, key string, opts PutOpt
 
 	// Standing objections of this owner apply to new records immediately.
 	p = s.ix.policy(&store.Policy{
-		Owner: opts.Owner, Purposes: purposes, Objections: s.objectionsOfLocked(os, opts.Owner),
+		Owner: opts.Owner, Purposes: purposes, Objections: s.Objections(opts.Owner),
 		Origin: opts.Origin, SharedWith: opts.SharedWith, Location: loc, Automated: opts.AutomatedDecisions,
 	})
 	return p, now, deadline, nil
@@ -410,13 +401,11 @@ func (s *Store) Put(ctx Ctx, key string, value []byte, opts PutOptions) error {
 		return err
 	}
 	defer g.RUnlock()
-	os := s.ownerStripeFor(opts.Owner)
-	os.mu.Lock()
-	defer os.mu.Unlock()
+	defer s.lockOwner(opts.Owner).Unlock()
 	if err := s.check(ctx, acl.OpWrite, opts.Owner, "PUT", key); err != nil {
 		return err
 	}
-	p, now, deadline, err := s.writeTerms(ctx, os, "PUT", key, opts)
+	p, now, deadline, err := s.writeTerms(ctx, "PUT", key, opts)
 	if err != nil {
 		return err
 	}
@@ -696,10 +685,10 @@ func (s *Store) Expire(ctx Ctx, key string, ttl time.Duration) error {
 	}
 }
 
-// FlushAll removes every key and its compliance record as one atomic cut:
-// the engine journals a single FLUSHALL record (replicas and AOF replay
-// observe the same reset via applyRecord), and drops each record, and with
-// it each index entry, with its value.
+// FlushAll removes every key with its compliance record, owner records and
+// their standing objections included, as one atomic cut: the engine journals
+// a single FLUSHALL record (replicas and AOF replay observe the same reset
+// via applyRecord), and drops each record and its index entries.
 func (s *Store) FlushAll() { s.db.FlushAll() }
 
 // Exists reports whether key is present and unexpired.

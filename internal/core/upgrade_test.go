@@ -19,21 +19,37 @@ import (
 )
 
 // The upgrade fixtures. legacy.aof is a log an earlier release wrote
-// (SETEX/MSETEX with JSON GMETA/GMETAB); upgraded.aof is what the previous
-// release's COMPACT made of it, and upgraded.golden the state both stand
-// for, rendered by legacyDump. envelopeGKEYAOF is a log the release before
-// the key file wrote under legacyCfg, each data key journaled as a GKEY:
-// Puts of pd:alice:1 "alice-one", pd:bob:1 "bob-one", pd:carol:1
-// "carol-one" and pd:alice:2 "alice-two" (purpose billing, TTL 365 days),
-// Forget of bob and of carol, Reinstate of carol, a Put of pd:carol:2
-// "carol-two", Close. Its generator was a throwaway test in that release's
-// internal/core that ran exactly those calls on Open(legacyCfg(path)).
+// (SETEX/MSETEX with JSON GMETA/GMETAB); upgraded.aof and its key file
+// upgraded.aof.keys are what the release that moved data keys into the key
+// file made of it: that release's COMPACT of the log an earlier COMPACT had
+// made of legacy.aof (the GKEY records moving into the key file on the way).
+// upgraded.golden is the state all of them stand for, rendered by
+// legacyDump. envelopeGKEYAOF is a log the release before the key file wrote
+// under legacyCfg, each data key journaled as a GKEY: Puts of pd:alice:1
+// "alice-one", pd:bob:1 "bob-one", pd:carol:1 "carol-one" and pd:alice:2
+// "alice-two" (purpose billing, TTL 365 days), Forget of bob and of carol,
+// Reinstate of carol, a Put of pd:carol:2 "carol-two", Close. Its generator
+// was a throwaway test in that release's internal/core that ran exactly
+// those calls on Open(legacyCfg(path)).
+//
+// objectionsGOBJAOF is a log the release before owner records wrote, its
+// standing objections journaled as GOBJ/GUNOBJ deltas, under legacyCfg with
+// envelope encryption off. Its generator was a throwaway test in that
+// release's internal/core that ran, as "controller" with purpose billing:
+// Puts of pd:alice:1 "alice-one" (owner alice, purposes billing and
+// marketing, TTL 365 days) and pd:bob:1 "bob-one" (owner bob, purpose
+// billing, TTL 365 days); Object alice marketing, Object alice ads,
+// Unobject alice ads, Object bob billing, Object carol support, Object dave
+// ads, Unobject dave ads; a Put of pd:alice:2 "alice-two" as pd:alice:1;
+// Close. That release then read Objections alice [marketing], bob
+// [billing], carol [support], dave none.
 const (
-	legacyAOF       = "testdata/legacy.aof"
-	upgradedAOF     = "testdata/upgraded.aof"
-	upgradedDump    = "testdata/upgraded.golden"
-	envelopeGKEYAOF = "testdata/envelope-gkey.aof"
-	legacyMasterKey = "legacy-fixture-master-key-32byte"
+	legacyAOF         = "testdata/legacy.aof"
+	upgradedAOF       = "testdata/upgraded.aof"
+	upgradedDump      = "testdata/upgraded.golden"
+	envelopeGKEYAOF   = "testdata/envelope-gkey.aof"
+	objectionsGOBJAOF = "testdata/objections-gobj.aof"
+	legacyMasterKey   = "legacy-fixture-master-key-32byte"
 )
 
 // legacyCfg is the configuration the fixtures were written under; the clock
@@ -71,25 +87,24 @@ func legacyDump(t *testing.T, s *Store) string {
 	return b.String()
 }
 
-// TestUpgradedAOFOpens is the upgrade proof: the log the previous release's
-// COMPACT wrote from legacy.aof opens on this one to the same state, values
-// and metadata, and holds only forms this release's writers emit.
+// TestUpgradedAOFOpens is the upgrade proof: the data dir the previous
+// release's COMPACT wrote opens on this one to the same state, values and
+// metadata, and its log holds only forms this release's writers emit and
+// the previous release's GOBJ, which this release still reads.
 func TestUpgradedAOFOpens(t *testing.T) {
-	raw, err := os.ReadFile(upgradedAOF)
-	if err != nil {
-		t.Fatal(err)
-	}
 	golden, err := os.ReadFile(upgradedDump)
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := tempAOF(t)
-	if err := os.WriteFile(path, raw, 0o600); err != nil {
-		t.Fatal(err)
-	}
+	copyFile(t, upgradedAOF, path)
+	copyFile(t, upgradedAOF+".keys", path+".keys")
 	var names []string
 	if _, err := aof.Load(path, nil, func(name string, args [][]byte) error {
 		names = append(names, name)
+		if name == opObject {
+			return nil
+		}
 		return checkKept(name, len(args))
 	}); err != nil {
 		t.Fatal(err)
@@ -126,78 +141,98 @@ func TestUpgradedAOFOpens(t *testing.T) {
 	}
 }
 
-// TestEnvelopeGKEYMovesToKeyFile: an AOF that journaled its data keys as
-// GKEY opens on this release with every value readable; the keys move into
-// the key file, so the next Compact leaves no GKEY in the AOF, only the
-// erased owner's shred mark, and the store reopens from the key file alone,
-// with the erased owner still erased.
-func TestEnvelopeGKEYMovesToKeyFile(t *testing.T) {
-	raw, err := os.ReadFile(envelopeGKEYAOF)
-	if err != nil {
-		t.Fatal(err)
+// TestEnvelopeGKEYRefused: an AOF that journaled its data keys as GKEY is
+// refused at its first GKEY, with an error that names the file, the record,
+// the form and the upgrade step (the previous release moves the keys into
+// the key file, and its COMPACT drops them from the log); the data dir is
+// left byte for byte as it was.
+func TestEnvelopeGKEYRefused(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "gdpr.aof")
+	copyFile(t, envelopeGKEYAOF, path)
+	before := dirBytes(t, dir)
+	s, err := Open(legacyCfg(path))
+	if !errors.Is(err, ErrRetiredFormat) || s != nil {
+		t.Fatalf("Open = %v, %v; want ErrRetiredFormat", s, err)
 	}
+	for _, want := range []string{path, "record 0", "GKEY", "previous release", "COMPACT"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("the refusal does not name %q: %v", want, err)
+		}
+	}
+	if after := dirBytes(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("a refused Open changed the data dir")
+	}
+}
+
+// TestLegacyObjectionsFold: the previous release's log, its standing
+// objections journaled as GOBJ/GUNOBJ deltas, opens with the objections that
+// release read, each folded into an owner record; a later Put of an
+// objecting owner is stamped; and after a Compact the log holds the owner
+// records, as GREC, and no delta, and reopens to the same state.
+func TestLegacyObjectionsFold(t *testing.T) {
 	path := tempAOF(t)
-	if err := os.WriteFile(path, raw, 0o600); err != nil {
-		t.Fatal(err)
-	}
+	copyFile(t, objectionsGOBJAOF, path)
+	cfg := legacyCfg(path)
+	cfg.Envelope, cfg.MasterKey = false, nil
 	ctx := Ctx{Actor: "controller", Purpose: "billing"}
+	owners := map[string][]string{"alice": {"marketing"}, "bob": {"billing"}, "carol": {"support"}, "dave": nil}
+	stamps := map[string][]string{"pd:alice:1": {"marketing"}, "pd:alice:2": {"marketing"}, "pd:bob:1": {"billing"}}
 	check := func(s *Store) {
 		t.Helper()
+		for owner, want := range owners {
+			if got := s.Objections(owner); !slices.Equal(got, want) {
+				t.Fatalf("Objections(%s) = %v, want %v", owner, got, want)
+			}
+		}
+		for key, want := range stamps {
+			if m, err := s.Metadata(ctx, key); err != nil || !slices.Equal(m.Objections, want) {
+				t.Fatalf("%s objections = %v, %v; want %v", key, m.Objections, err, want)
+			}
+		}
+		if v, err := s.Get(ctx, "pd:alice:1"); err != nil || string(v) != "alice-one" {
+			t.Fatalf("pd:alice:1 = %q, %v", v, err)
+		}
+		if _, err := s.Get(ctx, "pd:bob:1"); !errors.Is(err, ErrPurposeDenied) {
+			t.Fatalf("billing read of objecting bob = %v, want ErrPurposeDenied", err)
+		}
+	}
+	open := func() *Store {
+		t.Helper()
+		s, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		s.ACL().AddPrincipal(acl.Principal{ID: "controller", Role: acl.RoleController})
-		for key, want := range map[string]string{"pd:alice:1": "alice-one", "pd:alice:2": "alice-two", "pd:carol:2": "carol-two"} {
-			if v, err := s.Get(ctx, key); err != nil || string(v) != want {
-				t.Fatalf("%s = %q, %v; want %q", key, v, err, want)
-			}
-		}
-		for _, key := range []string{"pd:bob:1", "pd:carol:1"} {
-			if _, err := s.Get(ctx, key); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("erased %s reads %v", key, err)
-			}
-		}
-		if err := s.Put(ctx, "pd:bob:2", []byte("v"), PutOptions{Owner: "bob", TTL: time.Hour}); !errors.Is(err, ErrErased) {
-			t.Fatalf("a Put for erased bob: %v, want ErrErased", err)
-		}
+		return s
 	}
-	s, err := Open(legacyCfg(path))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := open()
 	check(s)
-	if err := s.Compact(ctx); err != nil {
+	if err := s.Put(ctx, "pd:carol:1", []byte("carol-one"), PutOptions{Owner: "carol", Purposes: []string{"billing", "support"}, TTL: time.Hour}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Close(); err != nil {
+	stamps["pd:carol:1"] = []string{"support"}
+	check(s)
+	if err := errors.Join(s.Compact(ctx), s.Close()); err != nil {
 		t.Fatal(err)
 	}
-	var names []string
+	var held []string
 	if _, err := aof.Load(path, nil, func(name string, args [][]byte) error {
-		names = append(names, name)
+		if name == opRecord {
+			if owner, ok := ownerOfKey(string(args[1])); ok {
+				held = append(held, owner)
+			}
+		}
 		return checkKept(name, len(args))
 	}); err != nil {
-		t.Fatal(err)
+		t.Fatalf("the compacted log: %v", err)
 	}
-	if slices.Contains(names, opKey) {
-		t.Fatalf("the compacted AOF still journals a key: %v", names)
+	if slices.Sort(held); !slices.Equal(held, []string{"alice", "bob", "carol"}) {
+		t.Fatalf("the compacted log holds owner records of %v", held)
 	}
-	slots := map[string]uint64{}
-	k, err := aof.OpenKeys(path+".keys", nil, func(owner string, _ []byte, epoch uint64) error {
-		slots[owner] = epoch
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k.Close()
-	if want := map[string]uint64{"alice": 0, "carol": 1}; !reflect.DeepEqual(slots, want) {
-		t.Fatalf("key file holds %v, want %v", slots, want)
-	}
-	s, err = Open(legacyCfg(path))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s = open()
 	defer s.Close()
 	check(s)
-	erasedOnDisk(t, filepath.Dir(path), nil, []byte(legacyMasterKey), []string{"bob"}, [][]byte{[]byte("bob-one")})
 }
 
 // dirBytes returns every file of dir by name, for a byte-for-byte
@@ -232,7 +267,8 @@ func TestRetiredAOFFormsRefused(t *testing.T) {
 	}{
 		{"GMETAB", [][]byte{meta, []byte("k")}, "GMETAB"},
 		{opMeta, [][]byte{[]byte("k"), []byte(`{"owner":"alice","created":"2026-09-25T12:00:00Z"}`)}, "JSON metadata"},
-		{opKey, [][]byte{[]byte("alice"), []byte("wrapped")}, "GKEY without an epoch"},
+		{opKey, [][]byte{[]byte("alice"), []byte("wrapped")}, "GKEY (a data key in the AOF)"},
+		{opKey, [][]byte{[]byte("alice"), []byte("wrapped"), []byte("0")}, "GKEY (a data key in the AOF)"},
 		{opShred, [][]byte{[]byte("alice")}, "GSHRED without an epoch"},
 	}
 	for _, c := range cases {
@@ -278,8 +314,7 @@ func TestRetiredAOFFormsRefused(t *testing.T) {
 			}
 		})
 	}
-	// The earlier release's own log is refused at its first JSON GMETA,
-	// which follows a GKEY and the SETEX it describes.
+	// The earlier release's own log is refused at its first record, a GKEY.
 	raw, err := os.ReadFile(legacyAOF)
 	if err != nil {
 		t.Fatal(err)
@@ -288,8 +323,8 @@ func TestRetiredAOFFormsRefused(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(legacyCfg(path)); !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), "record 2: core: replay GMETA") {
-		t.Fatalf("legacy.aof opens with %v; want its record 2 (GMETA) refused", err)
+	if _, err := Open(legacyCfg(path)); !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), "record 0: core: retired record format: GKEY") {
+		t.Fatalf("legacy.aof opens with %v; want its record 0 (GKEY) refused", err)
 	}
 	if after, _ := os.ReadFile(path); !bytes.Equal(after, raw) {
 		t.Fatal("a refused Open changed legacy.aof")
@@ -356,16 +391,15 @@ func TestDecodersRefuseParentJSON(t *testing.T) {
 	}
 }
 
-// keptForms is every journal record this release's writers emit, by name,
-// with the argument counts each takes: the one format generation replay,
-// the replication link and a restore accept.
+// keptForms is every journal record this release's writers emit to the
+// AOF, by name, with the argument counts each takes: the one format
+// generation replay, the replication link and a restore accept. The stream
+// also carries GKEY; replay and a restore also read the previous release's
+// GOBJ and GUNOBJ.
 var keptForms = map[string]func(argc int) bool{
 	opRecord: func(n int) bool { return n >= 3 && n%2 == 1 },
 	opMeta:   argc(2),
-	opKey:    argc(3),
 	opShred:  argc(2),
-	opObject: argc(2),
-	opUnobj:  argc(2),
 	opReinst: argc(1),
 	opForget: func(n int) bool { return n == 1 || n == 2 },
 	// The engine's own records, as store.DB.Apply takes them.
@@ -388,9 +422,9 @@ func checkKept(name string, n int) error {
 
 // TestReplayAcceptsEveryWrittenForm runs every writer, envelope on and
 // off, and scans the AOF after each step: every record written is a kept
-// form, no record is a wrapped key (GKEY: replay still reads one, but no
-// writer journals it), and the log replays without error. It pins the
-// one-generation rule against the next writer change.
+// form, so none is a wrapped key (GKEY) or an objection delta (GOBJ,
+// GUNOBJ), and the log replays without error. It pins the one-generation
+// rule against the next writer change.
 func TestReplayAcceptsEveryWrittenForm(t *testing.T) {
 	for _, envelope := range []bool{false, true} {
 		t.Run(fmt.Sprintf("envelope=%v", envelope), func(t *testing.T) {
@@ -423,7 +457,8 @@ func TestReplayAcceptsEveryWrittenForm(t *testing.T) {
 				}},
 				{"Expire", func() error { return s.Expire(ctlCtx, "k1", 30*time.Minute) }},
 				{"Object/Unobject", func() error {
-					return errors.Join(s.Object(ctlCtx, "alice", "ads"), s.Unobject(ctlCtx, "alice", "ads"))
+					return errors.Join(s.Object(ctlCtx, "alice", "ads"), s.Object(ctlCtx, "alice", "tracking"),
+						s.Unobject(ctlCtx, "alice", "ads"), s.Object(ctlCtx, "carol", "ads"), s.Unobject(ctlCtx, "carol", "ads"))
 				}},
 				{"Delete", func() error { return s.Delete(ctlCtx, "b2") }},
 				{"Forget", func() error { _, err := s.Forget(ctlCtx, "bob"); return err }},
@@ -454,9 +489,6 @@ func TestReplayAcceptsEveryWrittenForm(t *testing.T) {
 				}
 				if _, err := aof.Load(cfg.AOFPath, nil, func(name string, args [][]byte) error {
 					seen[name] = true
-					if name == opKey {
-						return errors.New("a wrapped key was journaled")
-					}
 					return checkKept(name, len(args))
 				}); err != nil {
 					t.Fatalf("after %s: %v", step.name, err)
@@ -473,7 +505,7 @@ func TestReplayAcceptsEveryWrittenForm(t *testing.T) {
 				}
 				r.Close()
 			}
-			want := []string{opRecord, opMeta, opObject, opUnobj, opForget, "DEL", "FLUSHALL"}
+			want := []string{opRecord, opMeta, opForget, "DEL", "FLUSHALL"}
 			if envelope {
 				want = append(want, opShred, opReinst)
 			}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,6 +24,66 @@ import (
 // End-to-end tests for cluster elasticity: the CLUSTER admin surface,
 // live slot migration with ASK redirects, erasure racing a migration,
 // and primary failover with replica promotion.
+
+// TestOwnerRecordOffTheKeyspace: the owner record that holds a subject's
+// standing objections is no key a client can list, name (with a GDPR or a
+// raw command) or read back in a rights report; a slot migration, which
+// lists keys the same way, leaves it where it is.
+func TestOwnerRecordOffTheKeyspace(t *testing.T) {
+	srvs, stores, _ := startCluster(t, 1)
+	ctx := context.Background()
+	c := nodeClient(t, srvs[0].Addr())
+	if err := c.GPut(ctx, "pd:{bob}:1", []byte("v"), gdprkv.PutOptions{Owner: "bob", Purposes: []string{"service"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Object(ctx, "bob", "ads"); err != nil {
+		t.Fatal(err)
+	}
+	const ownerKey = "\x00owner:{bob}"
+	if !stores[0].Engine().Exists(ownerKey) {
+		t.Fatal("OBJECT wrote no owner record")
+	}
+	want := []string{"pd:{bob}:1"}
+	scanned, _, err := c.Scan(ctx, 0, "*", 100)
+	if err != nil || !reflect.DeepEqual(scanned, want) {
+		t.Fatalf("SCAN = %q, %v; want %q", scanned, err, want)
+	}
+	ss := strconv.Itoa(int(cluster.Slot(ownerKey)))
+	for _, cmd := range [][]string{{"KEYS", "*"}, {"CLUSTER", "GETKEYSINSLOT", ss, "10"}} {
+		v, err := c.Do(ctx, cmd...)
+		if err != nil || len(v.Array) != 1 || v.Array[0].Text() != want[0] {
+			t.Fatalf("%v = %v, %v; want %q", cmd, v.Array, err, want)
+		}
+	}
+	if v, err := c.Do(ctx, "CLUSTER", "COUNTKEYSINSLOT", ss); err != nil || v.Int != 1 {
+		t.Fatalf("COUNTKEYSINSLOT = %d, %v; want 1", v.Int, err)
+	}
+	if recs, err := c.GetUser(ctx, "bob"); err != nil || len(recs) != 1 {
+		t.Fatalf("GETUSER bob = %v, %v; want pd:{bob}:1 alone", recs, err)
+	}
+	if out, err := c.ExportUser(ctx, "bob"); err != nil || bytes.Contains(out, []byte("owner:")) || !bytes.Contains(out, []byte(want[0])) {
+		t.Fatalf("EXPORTUSER bob = %s, %v", out, err)
+	}
+	for _, cmd := range [][]string{
+		{"GPUT", ownerKey, "v", "OWNER", "bob", "PURPOSES", "service"},
+		{"GGET", ownerKey},
+		{"GETMETA", ownerKey},
+		{"RESTOREKEY", "SET", ownerKey, "v"},
+		{"GET", ownerKey},
+		{"SET", ownerKey, "v"},
+		{"DEL", "pd:{bob}:1", ownerKey},
+		{"MSET", "k", "v", ownerKey, "v"},
+		{"GMGET", "pd:{bob}:1", ownerKey},
+		{"GMPUT", "2", "pd:{bob}:2", "v", ownerKey, "v", "OWNER", "bob", "PURPOSES", "service"},
+	} {
+		if _, err := c.Do(ctx, cmd...); err == nil || !strings.Contains(err.Error(), "reserved") {
+			t.Errorf("%s of the owner record's key: %v, want a refusal", cmd[0], err)
+		}
+	}
+	if got := stores[0].Objections("bob"); !reflect.DeepEqual(got, []string{"ads"}) || !stores[0].Exists(want[0]) {
+		t.Fatalf("bob objects to %v after the refusals (want [ads]); %s exists %v", got, want[0], stores[0].Exists(want[0]))
+	}
+}
 
 func TestClusterAdminSurface(t *testing.T) {
 	srvs, _, m := startCluster(t, 2)

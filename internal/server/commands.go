@@ -146,7 +146,7 @@ func init() {
 			return resp.IntegerValue(int64(ctx.Srv.store.Engine().Len())), nil
 		}})
 	register(Command{Name: "FLUSHALL", MinArgs: 0, MaxArgs: 0, Flags: FlagWrite | FlagAdmin | FlagNoCompliance,
-		Summary: "remove every key (and all GDPR metadata)",
+		Summary: "remove every key and all GDPR metadata, standing objections included",
 		Handler: func(ctx *Ctx) (resp.Value, error) {
 			// Store-level flush: clears the engine AND the metadata index in
 			// one cut, so the live primary agrees with replicas and with

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -200,7 +201,7 @@ type CommandHook func(name string, args [][]byte, reply resp.Value, d time.Durat
 //     READONLY (the replication link applies records directly, below the
 //     registry) and redirects data reads to the primary with MOVED
 //  4. compliance   — FlagGDPR enforcement (BASELINE on non-compliant
-//     stores, DENIED before AUTH under ACL enforcement)
+//     stores, DENIED before AUTH under ACL enforcement), no owner record key
 //  5. cluster      — slot ownership (MOVED), cross-slot batch rejection
 //     (CROSSSLOT), and the rights fan-out coordinator; inert unless
 //     EnableCluster was called
@@ -250,17 +251,24 @@ func (s *Server) observe(next Handler) Handler {
 	}
 }
 
-// complianceMiddleware enforces FlagGDPR before the handler runs: the
-// whole GDPR family shares one gate instead of each handler re-checking.
+// complianceMiddleware enforces FlagGDPR, and the reserved owner-record keys,
+// before the handler runs: one gate instead of each handler re-checking.
 func complianceMiddleware(next Handler) Handler {
 	return func(ctx *Ctx) (resp.Value, error) {
+		compliant := ctx.Srv.store.Config().Compliant
 		if ctx.Cmd.Flags&FlagGDPR != 0 {
-			if !ctx.Srv.store.Config().Compliant {
+			if !compliant {
 				return resp.Value{}, fmt.Errorf("%w: %s needs the compliance layer", core.ErrNotCompliant, ctx.Cmd.Name)
 			}
 			if ctx.Core.Actor == "" && ctx.Srv.store.ACL().Enforcing() {
 				return resp.Value{}, fmt.Errorf("%w: AUTH required before %s", core.ErrDenied, ctx.Cmd.Name)
 			}
+		}
+		// No command names an owner record: a raw one would reach it in the
+		// engine, and a batch checks only its first key itself.
+		if compliant && ctx.Cmd.Keys != nil &&
+			slices.ContainsFunc(ctx.Cmd.Keys(ctx.Args), func(k []byte) bool { return core.ReservedKey(string(k)) }) {
+			return resp.Value{}, fmt.Errorf("%w: %s", core.ErrReservedKey, ctx.Cmd.Name)
 		}
 		return next(ctx)
 	}

@@ -610,6 +610,15 @@ func (db *DB) Peek(key string, now time.Time) (Entry, bool) {
 	return e, ok
 }
 
+// RecordOf is key's record (nil: none), due or not, with no reap and nothing
+// journaled. key does not outlive the call: a caller may build it on its stack.
+func (db *DB) RecordOf(key string) *Record {
+	sh := db.shardFor(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.dict[key].rec
+}
+
 // peekLocked is one key of a Probe: its entry judged at now (Unix ns), a
 // lazy reap if it is past its deadline, and its READ record if read.
 // Callers hold sh.mu and must flush the journal queue after releasing it.
