@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gdprstore/internal/store"
@@ -145,6 +146,8 @@ func ownerOf(rec *store.Record) string {
 // are striped by name; a stripe lock is a leaf, held for one set operation.
 type metaIndex struct {
 	byOwner, byPurpose []setShard
+	// ownerRecords counts the owner records the engine holds (Store.Len).
+	ownerRecords atomic.Int64
 }
 
 // keySet is the keys of one owner or one purpose. An owner's also holds the
@@ -178,6 +181,11 @@ func stripeOf(shards []setShard, name string) *setShard {
 // went from old to new, either nil for none. An overwrite under the same
 // shared policy, the usual re-Put, touches no stripe.
 func (ix *metaIndex) changed(key string, old, new *store.Record) {
+	if old == nil && ReservedKey(key) {
+		ix.ownerRecords.Add(1)
+	} else if new == nil && ReservedKey(key) {
+		ix.ownerRecords.Add(-1)
+	}
 	var op, np *store.Policy
 	if old != nil {
 		op = old.Policy

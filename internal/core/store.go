@@ -694,8 +694,9 @@ func (s *Store) FlushAll() { s.db.FlushAll() }
 // Exists reports whether key is present and unexpired.
 func (s *Store) Exists(key string) bool { return s.db.Exists(key) }
 
-// Len returns the number of live keys.
-func (s *Store) Len() int { return s.db.Len() }
+// Len returns the number of live keys a client can list: the engine's, less
+// the owner records that hold standing objections (DESIGN.md §5.2).
+func (s *Store) Len() int { return max(s.db.Len()-int(s.ix.ownerRecords.Load()), 0) }
 
 // ACL exposes the access-control list for principal and grant management.
 func (s *Store) ACL() *acl.List { return s.acl }

@@ -2,6 +2,7 @@ package resp
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -87,18 +88,82 @@ func FuzzReadValue(f *testing.F) {
 		if !valuesEqual(v, v2) {
 			t.Fatalf("round trip changed value:\n in: %#v\nout: %#v", v, v2)
 		}
+		// The bulk strings of an array share one buffer: an append to one,
+		// longer than the CRLF that followed it, must leave every other one
+		// as it was.
+		got, want := bulkStrings(&v), bulkStrings(&v2)
+		for i, s := range got {
+			*s = append(*s, "!!!"...)
+			for j, o := range got {
+				if j != i && !bytes.Equal(*o, *want[j]) {
+					t.Fatalf("append to bulk string %d changed bulk string %d to %q", i, j, *o)
+				}
+			}
+			*s = (*s)[:len(*s)-3]
+		}
 	})
 }
 
-// FuzzReadCommand asserts the command-path invariants: no panics, and any
-// accepted command is a non-empty argument vector whose re-encoding parses
-// to the same arguments — the property the server and the replication
-// stream both rely on.
+// bulkStrings returns a pointer to each bulk string payload in v, depth first.
+func bulkStrings(v *Value) []*[]byte {
+	var out []*[]byte
+	if v.Type == BulkString && !v.Null {
+		out = append(out, &v.Str)
+	}
+	for i := range v.Array {
+		out = append(out, bulkStrings(&v.Array[i])...)
+	}
+	return out
+}
+
+// readCommandRef is ReadCommand as it was before it read commands without a
+// Value tree: the reference FuzzReadCommand holds the new parser to.
+func readCommandRef(r *Reader) ([][]byte, error) {
+	v, err := r.ReadValue()
+	if err != nil {
+		return nil, err
+	}
+	if v.Type != Array || v.Null || len(v.Array) == 0 {
+		return nil, fmt.Errorf("%w: expected command array", ErrProtocol)
+	}
+	args := make([][]byte, len(v.Array))
+	for i, e := range v.Array {
+		if e.Type != BulkString || e.Null {
+			return nil, fmt.Errorf("%w: command argument %d is not a bulk string", ErrProtocol, i)
+		}
+		args[i] = e.Str
+	}
+	return args, nil
+}
+
+// FuzzReadCommand asserts the command-path invariants: no panics, each
+// command of the stream accepted or refused as readCommandRef does it, with
+// the same arguments or error text, and any accepted command a non-empty
+// argument vector whose re-encoding parses to the same arguments — the
+// property the server and the replication stream both rely on.
 func FuzzReadCommand(f *testing.F) {
 	for _, s := range seedCorpus {
 		f.Add([]byte(s))
 	}
+	f.Add([]byte("*2\r\n$4\r\nPING\r\n$0\r\n\r\n*1\r\n$4\r\nPING\r\n"))
+	f.Add([]byte("*3\r\n:1\r\n$-1\r\n$2\r\nab"))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		cr, ref := NewReader(bytes.NewReader(data)), NewReader(bytes.NewReader(data))
+		for {
+			args, err := cr.ReadCommand()
+			want, werr := readCommandRef(ref)
+			if fmt.Sprint(err) != fmt.Sprint(werr) || len(args) != len(want) {
+				t.Fatalf("ReadCommand = %q, %v; the reference %q, %v", args, err, want, werr)
+			}
+			for i := range want {
+				if !bytes.Equal(args[i], want[i]) {
+					t.Fatalf("arg %d = %q, the reference %q", i, args[i], want[i])
+				}
+			}
+			if err != nil {
+				break
+			}
+		}
 		r := NewReader(bytes.NewReader(data))
 		args, err := r.ReadCommand()
 		if err != nil {

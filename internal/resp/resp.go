@@ -43,7 +43,8 @@ type Value struct {
 
 // Common protocol errors.
 var (
-	ErrProtocol = errors.New("resp: protocol error")
+	ErrProtocol   = errors.New("resp: protocol error")
+	errNotCommand = fmt.Errorf("%w: expected command array", ErrProtocol)
 	// MaxBulkLen bounds a single bulk string (512 MB, Redis's limit). A
 	// violated bound is a protocol error: the stream is unparseable past
 	// it, and servers reply before disconnecting on ErrProtocol.
@@ -106,6 +107,14 @@ type Reader struct {
 	br *bufio.Reader
 }
 
+// shared is the buffer the bulk strings of one array are cut from. The bytes
+// and strings cut so far, and the elements after this one in the innermost
+// array being read, size its next chunk.
+type shared struct {
+	buf              []byte
+	size, strs, left int64
+}
+
 // parseInt converts a decimal ASCII line to int64 without the string
 // conversion strconv.ParseInt would force (the line aliases the read
 // buffer, so it must be consumed before the next read — which this does).
@@ -161,9 +170,11 @@ func NewReader(r io.Reader) *Reader {
 // rd, letting a Reader (and its 16 KB buffer) be reused across streams.
 func (r *Reader) Reset(rd io.Reader) { r.br.Reset(rd) }
 
-// ReadValue decodes the next value from the stream.
+// ReadValue decodes the next value from the stream. The bulk strings of an
+// array share one buffer, each capped at its own length, so an append to one
+// reallocates rather than overwrite the next; copy one before modifying it.
 func (r *Reader) ReadValue() (Value, error) {
-	return r.readValue(0)
+	return r.readValue(0, nil)
 }
 
 // Buffered returns the number of bytes already read from the connection and
@@ -173,7 +184,8 @@ func (r *Reader) Buffered() int { return r.br.Buffered() }
 
 const maxNestingDepth = 32
 
-func (r *Reader) readValue(depth int) (Value, error) {
+// readValue decodes one value; sh is nil outside an array and for a command.
+func (r *Reader) readValue(depth int, sh *shared) (Value, error) {
 	if depth > maxNestingDepth {
 		return Value{}, fmt.Errorf("%w: nesting too deep", ErrProtocol)
 	}
@@ -205,14 +217,14 @@ func (r *Reader) readValue(depth int) (Value, error) {
 		if n < 0 || n > MaxBulkLen {
 			return Value{}, errBulkTooLong
 		}
-		buf, err := r.readN(n + 2)
+		buf, err := r.readN(n+2, sh)
 		if err != nil {
 			return Value{}, err
 		}
 		if buf[n] != '\r' || buf[n+1] != '\n' {
 			return Value{}, fmt.Errorf("%w: bulk string missing CRLF", ErrProtocol)
 		}
-		return Value{Type: BulkString, Str: buf[:n]}, nil
+		return Value{Type: BulkString, Str: buf[:n:n]}, nil
 	case Array:
 		n, err := r.readInt()
 		if err != nil {
@@ -232,8 +244,12 @@ func (r *Reader) readValue(depth int) (Value, error) {
 			prealloc = arrayPreallocLimit
 		}
 		vs := make([]Value, 0, prealloc)
+		if sh == nil {
+			sh = new(shared)
+		}
 		for i := int64(0); i < n; i++ {
-			v, err := r.readValue(depth + 1)
+			sh.left = n - i - 1
+			v, err := r.readValue(depth+1, sh)
 			if err != nil {
 				return Value{}, err
 			}
@@ -246,32 +262,67 @@ func (r *Reader) readValue(depth int) (Value, error) {
 }
 
 // ReadCommand decodes a client command (array of bulk strings) and returns
-// its arguments. It rejects non-command values; inline commands are not
-// supported.
+// its arguments, read into one slice with no Value tree. It accepts and
+// refuses what ReadValue would, then rejects non-command values; inline
+// commands are not supported.
 func (r *Reader) ReadCommand() ([][]byte, error) {
-	v, err := r.ReadValue()
+	t, err := r.br.Peek(1)
 	if err != nil {
 		return nil, err
 	}
-	if v.Type != Array || v.Null || len(v.Array) == 0 {
-		return nil, fmt.Errorf("%w: expected command array", ErrProtocol)
-	}
-	args := make([][]byte, len(v.Array))
-	for i, e := range v.Array {
-		if e.Type != BulkString || e.Null {
-			return nil, fmt.Errorf("%w: command argument %d is not a bulk string", ErrProtocol, i)
+	if Type(t[0]) != Array {
+		if _, err = r.ReadValue(); err == nil {
+			err = errNotCommand
 		}
-		args[i] = e.Str
+		return nil, err
+	}
+	_, _ = r.br.Discard(1)
+	n, err := r.readInt()
+	switch {
+	case err != nil:
+		return nil, err
+	case n < -1 || n > MaxArrayLen:
+		return nil, fmt.Errorf("%w: invalid array length %d", ErrProtocol, n)
+	case n <= 0:
+		return nil, errNotCommand
+	}
+	args := make([][]byte, 0, min(n, arrayPreallocLimit))
+	bad := int64(-1)
+	for i := int64(0); i < n; i++ {
+		// Every element parses before a wrong one is named, as in ReadValue.
+		v, err := r.readValue(1, nil)
+		if err != nil {
+			return nil, err
+		}
+		if (v.Type != BulkString || v.Null) && bad < 0 {
+			bad = i
+		}
+		args = append(args, v.Str)
+	}
+	if bad >= 0 {
+		return nil, fmt.Errorf("%w: command argument %d is not a bulk string", ErrProtocol, bad)
 	}
 	return args, nil
 }
 
 // readN reads exactly n declared bytes, growing the buffer incrementally
 // (doubling from bulkPreallocLimit) so the allocation tracks bytes actually
-// received, never the declared length alone.
-func (r *Reader) readN(n int64) ([]byte, error) {
+// received, never the declared length alone. Up to that limit, inside an
+// array, the bytes are cut from its shared buffer, whose next chunk holds
+// these n and the elements after them at the mean size cut so far, under
+// the same limit.
+func (r *Reader) readN(n int64, sh *shared) ([]byte, error) {
 	if n <= bulkPreallocLimit {
-		buf := make([]byte, n)
+		if sh == nil {
+			sh = &shared{} // a buffer of its own, n bytes
+		}
+		if int64(cap(sh.buf)-len(sh.buf)) < n {
+			mean := (sh.size + n) / (sh.strs + 1)
+			sh.buf = make([]byte, 0, min(n+mean*sh.left, bulkPreallocLimit))
+		}
+		sh.size, sh.strs = sh.size+n, sh.strs+1
+		buf := sh.buf[len(sh.buf) : len(sh.buf)+int(n)]
+		sh.buf = sh.buf[:len(sh.buf)+int(n)]
 		if _, err := io.ReadFull(r.br, buf); err != nil {
 			return nil, err
 		}
@@ -408,7 +459,7 @@ func (w *Writer) WriteValue(v Value) error {
 			_, err := w.bw.WriteString("$-1\r\n")
 			return err
 		}
-		return w.writeBulk(v.Str)
+		return w.WriteBulk(v.Str)
 	case Array:
 		if v.Null {
 			_, err := w.bw.WriteString("*-1\r\n")
@@ -428,8 +479,11 @@ func (w *Writer) WriteValue(v Value) error {
 	}
 }
 
-// writeBulk emits one bulk string: length header, payload, CRLF.
-func (w *Writer) writeBulk(b []byte) error {
+// WriteArrayHeader emits the header of an array; its n elements follow.
+func (w *Writer) WriteArrayHeader(n int) error { return w.writeHeader('*', int64(n)) }
+
+// WriteBulk emits one bulk string: length header, payload, CRLF.
+func (w *Writer) WriteBulk(b []byte) error {
 	if err := w.writeHeader('$', int64(len(b))); err != nil {
 		return err
 	}
@@ -446,15 +500,15 @@ func (w *Writer) WriteCommand(args ...string) error {
 		return err
 	}
 	for _, a := range args {
-		if err := w.writeBulkString(a); err != nil {
+		if err := w.WriteBulkString(a); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// writeBulkString is writeBulk for a string payload.
-func (w *Writer) writeBulkString(s string) error {
+// WriteBulkString is WriteBulk for a string payload.
+func (w *Writer) WriteBulkString(s string) error {
 	if err := w.writeHeader('$', int64(len(s))); err != nil {
 		return err
 	}
@@ -473,7 +527,7 @@ func (w *Writer) WriteCommandBytes(args [][]byte) error {
 		return err
 	}
 	for _, a := range args {
-		if err := w.writeBulk(a); err != nil {
+		if err := w.WriteBulk(a); err != nil {
 			return err
 		}
 	}
@@ -487,11 +541,11 @@ func (w *Writer) WriteRecord(name string, args [][]byte) error {
 	if err := w.writeHeader('*', int64(len(args)+1)); err != nil {
 		return err
 	}
-	if err := w.writeBulkString(name); err != nil {
+	if err := w.WriteBulkString(name); err != nil {
 		return err
 	}
 	for _, a := range args {
-		if err := w.writeBulk(a); err != nil {
+		if err := w.WriteBulk(a); err != nil {
 			return err
 		}
 	}

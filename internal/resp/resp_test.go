@@ -325,3 +325,18 @@ func TestReadIntegerAllocFree(t *testing.T) {
 		t.Fatalf("integer reply read allocates %.1f objects/op, want 0", allocs)
 	}
 }
+
+// TestReadCommandAllocs pins the command parse at one allocation for the
+// argument slice and one per argument: no Value tree is built on the way.
+func TestReadCommandAllocs(t *testing.T) {
+	wire := bytes.Repeat([]byte("*3\r\n$4\r\nGPUT\r\n$10\r\npd:alice:1\r\n$5\r\nvalue\r\n"), 2000)
+	r := NewReader(bytes.NewReader(wire))
+	allocs := testing.AllocsPerRun(1000, func() {
+		if args, err := r.ReadCommand(); err != nil || len(args) != 3 {
+			t.Fatalf("ReadCommand = %q, %v", args, err)
+		}
+	})
+	if allocs != 4 {
+		t.Fatalf("ReadCommand allocates %.1f objects for 3 arguments, want 4", allocs)
+	}
+}

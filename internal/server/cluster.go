@@ -330,16 +330,21 @@ func handleForgetLocal(ctx *Ctx) (resp.Value, error) {
 	return resp.IntegerValue(int64(n)), nil
 }
 
+// handleGetUserLocal serves GETUSER, GETUSERDATA and GETUSERLOCAL. It reads
+// the whole report first, which is all that can fail, then writes it into
+// ctx.Out as one array of key/value pairs, allocating nothing per record.
 func handleGetUserLocal(ctx *Ctx) (resp.Value, error) {
 	keys, values, err := ctx.Srv.store.UserValues(ctx.Core, string(ctx.Args[0]))
 	if err != nil {
 		return resp.Value{}, err
 	}
-	vs := make([]resp.Value, 2*len(keys))
-	for i, k := range keys {
-		vs[2*i], vs[2*i+1] = resp.BulkStringValue(k), resp.BulkValue(values[i])
+	err = ctx.Out.WriteArrayHeader(2 * len(keys))
+	for i := 0; i < len(keys) && err == nil; i++ {
+		if err = ctx.Out.WriteBulkString(keys[i]); err == nil {
+			err = ctx.Out.WriteBulk(values[i])
+		}
 	}
-	return resp.ArrayValue(vs...), nil
+	return resp.Value{}, err
 }
 
 func handleExportLocal(ctx *Ctx) (resp.Value, error) {
@@ -451,7 +456,8 @@ func mergeExport(local resp.Value, peers []resp.Value) (resp.Value, error) {
 func (s *Server) clusterFanout(ctx *Ctx, cs *clusterState) (resp.Value, error) {
 	owner := string(ctx.Args[0])
 	spec := fanoutSpecs[ctx.Cmd.Name]
-	localV, err := ctx.Cmd.Handler(ctx)
+	back := divert(ctx)
+	localV, err := back(ctx.Cmd.Handler(ctx))
 	if err != nil {
 		return resp.Value{}, err
 	}

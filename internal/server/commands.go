@@ -143,7 +143,7 @@ func init() {
 	register(Command{Name: "DBSIZE", MinArgs: 0, MaxArgs: 0, Flags: FlagReadonly | FlagNoCompliance,
 		Summary: "number of live keys",
 		Handler: func(ctx *Ctx) (resp.Value, error) {
-			return resp.IntegerValue(int64(ctx.Srv.store.Engine().Len())), nil
+			return resp.IntegerValue(int64(ctx.Srv.store.Len())), nil
 		}})
 	register(Command{Name: "FLUSHALL", MinArgs: 0, MaxArgs: 0, Flags: FlagWrite | FlagAdmin | FlagNoCompliance,
 		Summary: "remove every key and all GDPR metadata, standing objections included",

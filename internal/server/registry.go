@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -80,11 +81,16 @@ type Ctx struct {
 	// cluster middleware admits the command for a slot this node is
 	// importing but does not own yet.
 	Asking bool
+	// Out is the connection's reply writer. A handler may write its reply
+	// there, after its last step that can fail, and return the zero Value:
+	// GETUSER's report does, so it builds no Value tree (see divert).
+	Out *resp.Writer
 }
 
 // Handler executes one command. Returning an error routes it through the
 // single errReply mapping, so every command family emits the same
-// ERR/DENIED/POLICY/PURPOSEDENIED/ERASED/BASELINE code prefixes.
+// ERR/DENIED/POLICY/PURPOSEDENIED/ERASED/BASELINE code prefixes. The zero
+// Value means the reply is already written into ctx.Out.
 type Handler func(*Ctx) (resp.Value, error)
 
 // Middleware wraps a Handler with cross-cutting behaviour.
@@ -186,7 +192,10 @@ func wrongArity(cmd string) resp.Value {
 
 // CommandHook observes every executed command after its middleware ran:
 // name, arguments, the reply (post-errReply), and the latency measured on
-// the store's clock. Deployments attach audit/tracing sinks here.
+// the store's clock. A reply its handler wrote into the connection (GETUSER's)
+// reaches the hook read back into a Value, so with a hook installed each
+// command gets a reply buffer of its own. Deployments attach audit/tracing
+// sinks here.
 type CommandHook func(name string, args [][]byte, reply resp.Value, d time.Duration)
 
 // --- middleware pipeline ---
@@ -233,14 +242,21 @@ func recoverMiddleware(next Handler) Handler {
 // observe reads the store's clock once before the rest of the pipeline and
 // once after, and hands the one latency to the server's OpSet (INFO's
 // commandstats section) and to the CommandHook, if set, with the final
-// reply (errors already mapped).
+// reply (errors already mapped). The latency includes rendering a reply the
+// handler writes itself into the connection's buffer.
 func (s *Server) observe(next Handler) Handler {
 	return func(ctx *Ctx) (resp.Value, error) {
+		hook := s.hook.Load()
+		var back func(resp.Value, error) (resp.Value, error)
+		if hook != nil {
+			back = divert(ctx)
+		}
 		t0 := s.clock.Now()
 		v, err := next(ctx)
 		d := s.clock.Since(t0)
 		s.cmdStats.Get(ctx.Cmd.Name).Record(d)
-		if hook := s.hook.Load(); hook != nil {
+		if hook != nil {
+			v, err = back(v, err)
 			reply := v
 			if err != nil {
 				reply = errReply(err)
@@ -248,6 +264,25 @@ func (s *Server) observe(next Handler) Handler {
 			(*hook)(ctx.Cmd.Name, ctx.Args, reply, d)
 		}
 		return v, err
+	}
+}
+
+// divert serves the two callers that need a reply as a Value, the command
+// hook and the rights fan-out's local leg. It points ctx.Out at a buffer of
+// its own and returns the function that points it back and yields the
+// Value: the one the handler returned, or the one it wrote, read back. A
+// handler that wrote nothing (PSYNC took the connection) keeps its zero one.
+func divert(ctx *Ctx) func(resp.Value, error) (resp.Value, error) {
+	out, buf := ctx.Out, new(bytes.Buffer)
+	ctx.Out = resp.NewWriter(buf)
+	return func(v resp.Value, err error) (resp.Value, error) {
+		w := ctx.Out
+		ctx.Out = out
+		// A bytes.Buffer takes every write, so the Flush cannot fail.
+		if err != nil || v.Type != 0 || w.Flush() != nil || buf.Len() == 0 {
+			return v, err
+		}
+		return resp.NewReader(buf).ReadValue()
 	}
 }
 
@@ -298,6 +333,7 @@ func (s *Server) execute(sess *connState, args [][]byte) resp.Value {
 		Args:   a,
 		Core:   core.Ctx{Actor: sess.actor, Purpose: sess.purpose},
 		Asking: asking,
+		Out:    sess.w,
 	}
 	v, err := s.pipeline(ctx)
 	if err != nil {

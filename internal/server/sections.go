@@ -167,7 +167,7 @@ func (s *Server) gdprstoreFields() []InfoField {
 		fstr("timing", cfg.Timing.String()),
 		fstr("capability", cfg.Capability.String()),
 		fuint("commands", s.Commands()).counter("gdprkv_commands_total", "RESP commands served"),
-		fint("dbsize", eng.Len()).gauge("gdprkv_dbsize", "keys currently stored"),
+		fint("dbsize", s.store.Len()).gauge("gdprkv_dbsize", "keys currently stored"),
 		fint("expires", eng.ExpireLen()),
 		fuint("expired_total", eng.ExpiredCount()),
 		fint64("aof_size", aofSize).gauge("gdprkv_aof_bytes", "append-only file size in bytes"),

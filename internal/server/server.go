@@ -224,7 +224,8 @@ func (s *Server) handle(c net.Conn) {
 			// the link is done; close rather than resume command parsing.
 			return
 		}
-		if err := w.WriteValue(reply); err != nil {
+		// The zero Value is a reply its handler already wrote (Ctx.Out).
+		if reply.Type != 0 && w.WriteValue(reply) != nil {
 			return
 		}
 		// Flush only when the pipelined batch has drained, so batched

@@ -2,7 +2,9 @@ package gdprkv_test
 
 import (
 	"bufio"
+	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,10 +15,22 @@ var (
 	cannedPONG = []byte("+PONG\r\n")
 	cannedOK   = []byte("+OK\r\n")
 	cannedVal  = []byte("$5\r\nvalue\r\n")
+	cannedUser = cannedReport(256)
 )
 
+// cannedReport is a GETUSER reply of n records, each a 12-byte key and a
+// 100-byte value.
+func cannedReport(n int) []byte {
+	b := fmt.Appendf(nil, "*%d\r\n", 2*n)
+	for i := 0; i < n; i++ {
+		b = fmt.Appendf(b, "$12\r\npd:alice:%03d\r\n$100\r\n%s\r\n", i, strings.Repeat("v", 100))
+	}
+	return b
+}
+
 // cannedServer answers every command from fixed reply bytes — PING with
-// +PONG, GGET with a 5-byte bulk value, anything else with +OK — and
+// +PONG, GGET with a 5-byte bulk value, GETUSER with cannedUser, anything
+// else with +OK — and
 // allocates nothing per command, so an AllocsPerRun over a client call
 // counts the SDK's allocations alone.
 func cannedServer(t *testing.T) string {
@@ -69,6 +83,8 @@ func serveCanned(nc net.Conn) {
 			reply = cannedPONG
 		case "GGET":
 			reply = cannedVal
+		case "GETU":
+			reply = cannedUser
 		}
 		if _, err := nc.Write(reply); err != nil {
 			return
@@ -96,7 +112,10 @@ func readHeader(r *bufio.Reader) (int, error) {
 // path: one GGet and one GPut round trip on a standalone pool-1 client,
 // the shape the wire-read benchmark drives. Measured 2 and 9: the key's
 // []byte and the reply's bulk string for GGet; for GPut the key plus the
-// rendered OWNER/TTL option tokens.
+// rendered OWNER/TTL option tokens. Beside them, GetUser of a 256-record
+// report, the shape of the rights-under-write reads: a fixed count whatever
+// the record count, where one allocation per bulk string and per map key
+// cost 776.
 func TestScalarCallAllocs(t *testing.T) {
 	c := dial(t, cannedServer(t), gdprkv.WithPoolSize(1))
 	opts := gdprkv.PutOptions{Owner: "alice", TTL: time.Hour}
@@ -108,6 +127,13 @@ func TestScalarCallAllocs(t *testing.T) {
 	}{
 		{"GGet", 2, func() error { _, err := c.GGet(ctxb(), "pd:alice:1"); return err }},
 		{"GPut", 9, func() error { return c.GPut(ctxb(), "pd:alice:1", val, opts) }},
+		{"GetUser", 11, func() error {
+			recs, err := c.GetUser(ctxb(), "alice")
+			if err == nil && len(recs) != 256 {
+				err = fmt.Errorf("GetUser = %d records, want 256", len(recs))
+			}
+			return err
+		}},
 	} {
 		n := testing.AllocsPerRun(1000, func() {
 			if err := tc.call(); err != nil {

@@ -412,15 +412,28 @@ func (c *Client) GDel(ctx context.Context, key string) error {
 }
 
 // GetUser returns all key/value pairs of a data subject (Art. 15 right
-// of access).
+// of access). The values share one buffer, as the reply's bulk strings do:
+// read them, and copy one before changing it.
 func (c *Client) GetUser(ctx context.Context, owner string) (map[string][]byte, error) {
 	v, err := c.call(ctx, classWrite, owner, args("GETUSER", owner))
 	if err != nil {
 		return nil, err
 	}
+	// The keys are substrings of one string, built in one allocation.
+	var sb strings.Builder
+	size := 0
+	for i := 0; i+1 < len(v.Array); i += 2 {
+		size += len(v.Array[i].Str)
+	}
+	sb.Grow(size)
+	for i := 0; i+1 < len(v.Array); i += 2 {
+		sb.Write(v.Array[i].Str)
+	}
+	keys := sb.String()
 	out := make(map[string][]byte, len(v.Array)/2)
 	for i := 0; i+1 < len(v.Array); i += 2 {
-		out[v.Array[i].Text()] = v.Array[i+1].Str
+		n := len(v.Array[i].Str)
+		out[keys[:n]], keys = v.Array[i+1].Str, keys[n:]
 	}
 	return out, nil
 }
