@@ -22,10 +22,10 @@ race:
 	$(GO) test -race -count=10 ./internal/audit -run 'Pipeline|Strict|Backpressure|Drop|Close|Order'
 	$(GO) test -race -count=5 ./internal/store ./internal/cryptoutil -run 'Differential|Expiry|Heap|CipherCache'
 	$(GO) test -race -count=10 ./internal/core -run 'CipherCache|ForgetCountsOnlyUnexpiredRecords|ResidentBytesPerRecord'
-	$(GO) test -race -count=10 ./internal/core -run 'TestGetUserConcurrentWithWrites|TestGetUserRacingForget|TestUnobjectDuringRightsReads|TestReadsReturnAfterJournalHandOff|TestCloseWaitsOutCallsInFlight|TestDeleteRacingCompactStaysDeleted|TestReplayKeepsRecordsWithTheirWriter|TestBackupIsCompliantSnapshot|TestRestoreKeepsLaterObjection|TestEventualForgetThenRestoreStaysErased|TestRestoreRefusesKeyMaterial|TestRestoreRefusesShortGeneration|TestRestoreReplacesLiveState|TestBackgroundExpiryIsAudited|TestReplicaKeepsNoErasureBacklog|TestForgetLeavesNoKeyOnDisk|TestKeySlotOutlivesOlderShred|TestInterruptedShredZeroesSlot|TestZeroedSlotWithoutShred|TestMissingKeyFileRefused|TestTornKeySlotZeroed|TestOwnerTooLongForKeySlot|TestEnvelopeGKEYRefused|TestFullSyncDropsStaleObjection|TestObjectionWithoutRecords|TestOwnerKeyReserved|TestObjectionSurvivesForget|TestRestoreFoldsLegacyObjection|TestOwnerRecordCutBeforeRestamps|TestLegacyObjectionsFold|TestFullSyncZeroesReplicaStaleKey'
+	$(GO) test -race -count=10 ./internal/core -run 'TestGetUserConcurrentWithWrites|TestGetUserRacingForget|TestUnobjectDuringRightsReads|TestReadsReturnAfterJournalHandOff|TestCloseWaitsOutCallsInFlight|TestDeleteRacingCompactStaysDeleted|TestReplayKeepsRecordsWithTheirWriter|TestBackupIsCompliantSnapshot|TestRestoreKeepsLaterObjection|TestEventualForgetThenRestoreStaysErased|TestRestoreRefusesKeyMaterial|TestRestoreRefusesShortGeneration|TestRestoreReplacesLiveState|TestBackgroundExpiryIsAudited|TestReplicaKeepsNoErasureBacklog|TestForgetLeavesNoKeyOnDisk|TestKeySlotOutlivesOlderShred|TestInterruptedShredZeroesSlot|TestZeroedSlotWithoutShred|TestMissingKeyFileRefused|TestTornKeySlotZeroed|TestOwnerTooLongForKeySlot|TestEnvelopeGKEYRefused|TestFullSyncDropsStaleObjection|TestObjectionWithoutRecords|TestOwnerKeyReserved|TestObjectionSurvivesForget|TestRestoreRefusesLegacyObjection|TestOwnerRecordCutBeforeRestamps|TestLegacyObjectionsRefused|TestFullSyncZeroesReplicaStaleKey'
 	$(GO) test -race -count=3 ./pkg/gdprkv
 	$(GO) test -race -count=3 -run 'TestClusterClient|TestClusterPipeline|TestClusterFailover' ./internal/server
-	$(GO) test -race -run 'TestClusterSlotMigrationWithAsk|TestClusterForgetMidMigration|TestClusterForgetDuringMigrationRace|TestClusterFailoverPromoteReplica|TestClusterPeer|TestClusterRightsFanout|TestClusterForgetWithNodeDown|TestClusterGetUserSkipsLaggingReplica|TestClusterReplicaRedirects|TestDemotedPrimaryStopsExpiring|TestPromotionResumesDuties' ./internal/server
+	$(GO) test -race -run 'TestClusterSlotMigrationWithAsk|TestClusterMigration|TestClusterForgetMidMigration|TestClusterForgetDuringMigrationRace|TestClusterFailoverPromoteReplica|TestClusterPeer|TestClusterRightsFanout|TestClusterForgetWithNodeDown|TestClusterGetUserSkipsLaggingReplica|TestClusterReplicaRedirects|TestDemotedPrimaryStopsExpiring|TestPromotionResumesDuties' ./internal/server
 	$(GO) test -race -count=5 -run 'LastErr|PartialResync|FullSync' ./internal/replica
 
 bench:

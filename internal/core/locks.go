@@ -83,7 +83,7 @@ func (s *Store) lockOwner(owner string) *ownerStripe {
 // stays read-locked until the call releases it; once Close has begun, it
 // refuses. No call may name an owner record's key.
 func (s *Store) enter(name string) (*gateStripe, error) {
-	if ReservedKey(name) {
+	if _, ok := ReservedKey(name); ok {
 		return nil, ErrReservedKey
 	}
 	g := &s.gate[stripeIndex(name)]

@@ -34,7 +34,7 @@ func (s *Store) recordDead(rec *store.Record) bool {
 // record's is not, nor is one crypto-erased but not yet swept. SCAN, KEYS
 // and a slot's key list (so a migration) filter through this.
 func (s *Store) KeyVisible(key string) bool {
-	if ReservedKey(key) {
+	if _, ok := ReservedKey(key); ok {
 		return false
 	}
 	if s.keyring == nil {

@@ -181,9 +181,9 @@ func stripeOf(shards []setShard, name string) *setShard {
 // went from old to new, either nil for none. An overwrite under the same
 // shared policy, the usual re-Put, touches no stripe.
 func (ix *metaIndex) changed(key string, old, new *store.Record) {
-	if old == nil && ReservedKey(key) {
+	if _, owned := ReservedKey(key); owned && old == nil {
 		ix.ownerRecords.Add(1)
-	} else if new == nil && ReservedKey(key) {
+	} else if owned && new == nil {
 		ix.ownerRecords.Add(-1)
 	}
 	var op, np *store.Policy

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"gdprstore/internal/acl"
@@ -90,11 +91,12 @@ func (s *Store) DumpForMigration(key string) (argv [][]byte, raw []byte, ok bool
 //
 // A GREC goes through the full compliance path — sealed under this node's
 // keyring at the owner's current epoch, re-indexed, journaled as one GREC
-// record, audited — with the source's metadata (Created, Origin,
-// Objections, Expiry, ...) preserved verbatim. A record whose owner is
-// crypto-shredded here fails with ErrErased: an erasure that raced ahead
-// of the migration wins. A record already past its retention deadline is
-// dropped silently — migrating it would resurrect overdue data.
+// record, audited — with the source's metadata (Created, Origin, Expiry,
+// ...) preserved verbatim, its Objections united with this node's. A
+// record whose owner is crypto-shredded here fails with ErrErased: an
+// erasure that raced ahead of the migration wins. A record already past its
+// retention deadline is dropped silently — migrating it would resurrect
+// overdue data.
 func (s *Store) RestoreRecord(ctx Ctx, argv [][]byte, admit func(key string) error) error {
 	var (
 		meta       *Metadata
@@ -147,6 +149,11 @@ func (s *Store) RestoreRecord(ctx Ctx, argv [][]byte, admit func(key string) err
 	if err := s.check(ctx, acl.OpWrite, meta.Owner, "RESTOREKEY", k); err != nil {
 		return err
 	}
+	// The record also objects to what this node's owner record holds, as a
+	// write here would: a migration never withdraws an objection.
+	objs := append(meta.Objections, s.Objections(meta.Owner)...)
+	slices.Sort(objs)
+	meta.Objections = slices.Compact(objs)
 	stored := value
 	var epoch uint64
 	if s.keyring != nil && meta.Owner != "" {

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"path/filepath"
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"gdprstore/internal/acl"
 	"gdprstore/internal/aof"
+	"gdprstore/internal/backup"
 	"gdprstore/internal/clock"
 	"gdprstore/internal/replica"
 	"gdprstore/internal/testutil"
@@ -209,46 +213,51 @@ func TestObjectionSurvivesForget(t *testing.T) {
 	}
 }
 
-// TestRestoreFoldsLegacyObjection: a generation the previous release wrote,
-// its objection a GOBJ after the records, restores with that objection
-// merged with the live ones into the owner record, and the restore journals
-// no GOBJ.
-func TestRestoreFoldsLegacyObjection(t *testing.T) {
-	path := tempAOF(t)
-	s := newFullStore(t, func(c *Config) { c.AOFPath = path })
-	m := withBackups(t, s)
+// TestRestoreRefusesLegacyObjection: a generation an earlier release wrote,
+// its objection a GOBJ after the records, is refused before the keyspace is
+// touched, with ErrRetiredFormat and the upgrade step (restore it with the
+// previous release, which folds the delta into the owner record, and take a
+// new generation): the live state stands, and the data dir, the AOF and the
+// generations, is left byte for byte as it was.
+func TestRestoreRefusesLegacyObjection(t *testing.T) {
+	dir, bdir := t.TempDir(), t.TempDir()
+	s := newFullStore(t, func(c *Config) { c.AOFPath = filepath.Join(dir, "gdpr.aof") })
+	m, err := backup.NewManager(bdir, nil, s.Config().Clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetBackupManager(m)
 	now := vclock(s).Now()
 	rec := appendMetadata(nil, &Metadata{
 		Owner: "bob", Purposes: []string{"ads", "billing"}, Objections: []string{"ads"},
 		Expiry: now.Add(time.Hour), Created: now,
 	})
 	if _, err := m.Create(func(emit func(string, ...[]byte) error) error {
-		return errors.Join(emit(opRecord, rec, []byte("pd:bob"), []byte("bob-data")), emit(opObject, []byte("bob"), []byte("ads")))
+		return errors.Join(emit(opRecord, rec, []byte("pd:bob"), []byte("bob-data")), emit("GOBJ", []byte("bob"), []byte("ads")))
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Object(Ctx{Actor: "bob"}, "bob", "billing"); err != nil {
+	if err := errors.Join(s.Object(Ctx{Actor: "bob"}, "bob", "billing"), s.Log().Sync()); err != nil {
 		t.Fatal(err)
 	}
-	if applied, skipped, err := s.RestoreBackup(ctlCtx); err != nil || applied != 2 || skipped != 0 {
-		t.Fatalf("restore applied %d, skipped %d, %v; want 2 (the record and the objection), 0", applied, skipped, err)
+	before := [2]map[string]string{dirBytes(t, dir), dirBytes(t, bdir)}
+	applied, skipped, err := s.RestoreBackup(ctlCtx)
+	if !errors.Is(err, ErrRetiredFormat) || applied != 0 || skipped != 0 {
+		t.Fatalf("restore applied %d, skipped %d, %v; want ErrRetiredFormat and nothing applied", applied, skipped, err)
 	}
-	want := []string{"ads", "billing"}
-	if got := s.Objections("bob"); !slices.Equal(got, want) {
-		t.Fatalf("bob objects to %v, want %v", got, want)
-	}
-	md, err := s.Metadata(ctlCtx, "pd:bob")
-	if slices.Sort(md.Objections); err != nil || !slices.Equal(md.Objections, want) {
-		t.Fatalf("the restored record objects to %v, %v; want %v", md.Objections, err, want)
-	}
-	if _, err := s.Get(svcCtx, "pd:bob"); !errors.Is(err, ErrPurposeDenied) {
-		t.Fatalf("billing read after the restore = %v, want ErrPurposeDenied", err)
+	for _, want := range []string{"GOBJ", "previous release", "new one"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("the refusal does not name %q: %v", want, err)
+		}
 	}
 	if err := s.Log().Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := aof.Load(path, nil, func(name string, args [][]byte) error { return checkKept(name, len(args)) }); err != nil {
-		t.Fatalf("the restore journaled: %v", err)
+	if after := [2]map[string]string{dirBytes(t, dir), dirBytes(t, bdir)}; !reflect.DeepEqual(after, before) {
+		t.Fatal("a refused restore changed the data dir or the generations")
+	}
+	if got := s.Objections("bob"); !slices.Equal(got, []string{"billing"}) || s.Exists("pd:bob") {
+		t.Fatalf("after the refusal bob objects to %v (want [billing]), pd:bob exists %v", got, s.Exists("pd:bob"))
 	}
 }
 
@@ -283,7 +292,7 @@ func TestOwnerRecordCutBeforeRestamps(t *testing.T) {
 			return nil
 		}
 		if name == opRecord {
-			_, done = ownerOfKey(string(args[1]))
+			_, done = ReservedKey(string(args[1]))
 		}
 		return l.Append(name, args...)
 	}); err != nil || !done {

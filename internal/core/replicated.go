@@ -14,8 +14,8 @@ import (
 // primary can emit — the engine's data-plane records (SET/SETEX/DEL/...)
 // and the compliance layer's own (GREC/GMETA/GSHRED/GFORGET/...) —
 // identically, or a replica's state would drift from what a primary restart
-// reconstructs. They take what today's writers emit and the previous
-// release's GOBJ/GUNOBJ; an earlier form is refused (ErrRetiredFormat).
+// reconstructs. They take what today's writers emit; an earlier form, the
+// GOBJ/GUNOBJ objection deltas included, is refused (ErrRetiredFormat).
 
 // applyRecord applies one journal record without re-journaling it. It is
 // safe for a single applier goroutine running concurrently with readers:
@@ -34,7 +34,7 @@ func (s *Store) applyRecord(name string, args [][]byte) error {
 		if err != nil {
 			return fmt.Errorf("core: replay GREC: %w", err)
 		}
-		if owner, ok := ownerOfKey(string(args[1])); ok { // written alone
+		if owner, ok := ReservedKey(string(args[1])); ok { // written alone
 			return s.setObjections(owner, m.Objections, nil)
 		}
 		rec := s.recordOf(&m)
@@ -54,14 +54,8 @@ func (s *Store) applyRecord(name string, args [][]byte) error {
 		// engine's, set by the record this one follows.
 		s.db.SetRecord(string(args[0]), s.recordOf(&m))
 		return nil
-	case "GMETAB":
-		return fmt.Errorf("%w: GMETAB (batch metadata)", ErrRetiredFormat)
-	case opObject, opUnobj:
-		if len(args) != 2 {
-			return fmt.Errorf("core: replay %s: need 2 args", name)
-		}
-		owner := string(args[0]) // read this release only: folded into the owner record
-		return s.setObjections(owner, objected(s.Objections(owner), string(args[1]), name == opObject), nil)
+	case "GMETAB", "GOBJ", "GUNOBJ": // batch metadata; objection deltas
+		return fmt.Errorf("%w: %s", ErrRetiredFormat, name)
 	case opKey:
 		if len(args) != 3 {
 			return errors.New("core: replay GKEY: need 3 args")

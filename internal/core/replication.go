@@ -147,27 +147,18 @@ func (s *Store) RestoreBackup(ctx Ctx) (applied, skipped int, err error) {
 	// 2. The whole generation is read and vetted before the keyspace is
 	// touched. A second read then fills it one record at a time; lockAll
 	// keeps Backup and Refresh from writing a newer generation in between.
-	gen, err := s.backups.RestoreLatest(func(name string, args [][]byte) error {
-		_, err := vetBackupRecord(name, args)
-		return err
-	})
+	gen, err := s.backups.RestoreLatest(vetBackupRecord)
 	if err != nil {
 		return 0, 0, err
 	}
 	// 6. The live standing objections, merged into the generation's below.
 	merge := map[string][]string{}
 	for _, k := range s.db.Keys(ownerKeyPrefix + "*") {
-		owner, _ := ownerOfKey(k)
+		owner, _ := ReservedKey(k)
 		merge[owner] = slices.Clip(s.Objections(owner))
 	}
 	s.FlushAll() // 3. hands its FLUSHALL to the journal before it returns
 	_, err = s.backups.RestoreLatest(func(name string, args [][]byte) error {
-		if delta, _ := vetBackupRecord(name, args); delta {
-			// 6. The previous release's GOBJ joins the merge, unjournaled.
-			merge[string(args[0])] = append(merge[string(args[0])], string(args[1]))
-			applied++
-			return nil
-		}
 		if name == opRecord {
 			m, _ := decodeMetadata(args[0]) // vetted on the first read
 			// 5. Dead under the live keyring: shredded since the backup.
@@ -206,20 +197,21 @@ func (s *Store) RestoreBackup(ctx Ctx) (applied, skipped int, err error) {
 }
 
 // vetBackupRecord admits to a restore only what snapshotRecords writes, well
-// formed, and the previous release's GOBJ, which it reports as a delta:
-// anything else, key material above all, refuses the generation.
-func vetBackupRecord(name string, args [][]byte) (delta bool, err error) {
+// formed: anything else, key material above all, refuses the generation. An
+// objection delta (GOBJ/GUNOBJ) is refused as retired, with its upgrade step.
+func vetBackupRecord(name string, args [][]byte) (err error) {
 	switch {
-	case (name == "SET" || name == opObject) && len(args) == 2:
-		delta = name == opObject
+	case name == "SET" && len(args) == 2:
 	case name == "SETEX" && len(args) == 3:
 		_, err = store.DecodeDeadline(args[1])
 	case name == opRecord && len(args) >= 3 && len(args)%2 == 1:
 		_, err = decodeMetadata(args[0])
+	case name == "GOBJ" || name == "GUNOBJ":
+		err = fmt.Errorf("core: restore: %w: %s; restore the generation with the previous release and take a new one", ErrRetiredFormat, name)
 	default:
 		err = fmt.Errorf("core: restore: a backup generation may not hold %s with %d args", name, len(args))
 	}
-	return delta, err
+	return err
 }
 
 // propagateErasure completes an Article 17 erasure across the subsystems

@@ -479,7 +479,12 @@ func (s *Store) setObjection(ctx Ctx, owner, purpose string, add bool) error {
 	if err := s.check(ctx, acl.OpRights, owner, opName, ""); err != nil {
 		return err
 	}
-	if err := s.setObjections(owner, objected(s.Objections(owner), purpose, add), encodeMetadata); err != nil {
+	set := slices.DeleteFunc(slices.Clone(s.Objections(owner)), func(p string) bool { return p == purpose })
+	if add {
+		set = append(set, purpose)
+		slices.Sort(set)
+	}
+	if err := s.setObjections(owner, set, encodeMetadata); err != nil {
 		return err
 	}
 	s.auditOp(audit.Record{
@@ -496,13 +501,11 @@ func (s *Store) setObjection(ctx Ctx, owner, purpose string, add bool) error {
 // and no listing shows it (KeyVisible). DESIGN.md §5.2.
 const ownerKeyPrefix = "\x00owner:"
 
-// ReservedKey reports whether key is an owner record's, which no call names.
-func ReservedKey(key string) bool { return strings.HasPrefix(key, ownerKeyPrefix) }
-
-// ownerOfKey returns the owner whose record key is k.
-func ownerOfKey(k string) (string, bool) {
-	owner, ok := strings.CutPrefix(k, ownerKeyPrefix+"{")
-	return strings.TrimSuffix(owner, "}"), ok
+// ReservedKey reports whether key is an owner record's, which no call
+// names, and whose record it is.
+func ReservedKey(key string) (owner string, ok bool) {
+	owner, ok = strings.CutPrefix(key, ownerKeyPrefix)
+	return strings.TrimSuffix(strings.TrimPrefix(owner, "{"), "}"), ok
 }
 
 // Objections returns the subject's standing objections, sorted: the owner
@@ -514,16 +517,6 @@ func (s *Store) Objections(owner string) []string {
 		return rec.Policy.Objections
 	}
 	return nil
-}
-
-// objected is set with purpose added (add) or withdrawn, as a new sorted slice.
-func objected(set []string, purpose string, add bool) []string {
-	out := slices.DeleteFunc(slices.Clone(set), func(p string) bool { return p == purpose })
-	if add {
-		out = append(out, purpose)
-		slices.Sort(out)
-	}
-	return out
 }
 
 // setObjections makes the sorted set owner's standing objections and

@@ -30,9 +30,7 @@ const (
 	// PutBatch.
 	opRecord = "GREC"
 	// GMETA key metadata: a metadata-only update (Expire, an objection).
-	opMeta   = "GMETA"
-	opObject = "GOBJ"   // GOBJ owner purpose: read this release only
-	opUnobj  = "GUNOBJ" // GUNOBJ owner purpose: read this release only
+	opMeta = "GMETA"
 	// GKEY owner wrappedDataKey epoch: on the replication stream only; the
 	// AOF's keys are in the key file (aof.Keys), and replay refuses one.
 	opKey    = "GKEY"

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -20,9 +19,11 @@ import (
 
 // The upgrade fixtures. legacy.aof is a log an earlier release wrote
 // (SETEX/MSETEX with JSON GMETA/GMETAB); upgraded.aof and its key file
-// upgraded.aof.keys are what the release that moved data keys into the key
-// file made of it: that release's COMPACT of the log an earlier COMPACT had
-// made of legacy.aof (the GKEY records moving into the key file on the way).
+// upgraded.aof.keys are what the release that moved standing objections into
+// owner records made of it: that release's COMPACT of the log the release
+// that moved data keys into the key file had compacted, in turn, from an
+// earlier COMPACT of legacy.aof (the GKEY records moving into the key file,
+// and then the GOBJ deltas into owner records, on the way).
 // upgraded.golden is the state all of them stand for, rendered by
 // legacyDump. envelopeGKEYAOF is a log the release before the key file wrote
 // under legacyCfg, each data key journaled as a GKEY: Puts of pd:alice:1
@@ -89,8 +90,7 @@ func legacyDump(t *testing.T, s *Store) string {
 
 // TestUpgradedAOFOpens is the upgrade proof: the data dir the previous
 // release's COMPACT wrote opens on this one to the same state, values and
-// metadata, and its log holds only forms this release's writers emit and
-// the previous release's GOBJ, which this release still reads.
+// metadata, and its log holds only forms this release's writers emit.
 func TestUpgradedAOFOpens(t *testing.T) {
 	golden, err := os.ReadFile(upgradedDump)
 	if err != nil {
@@ -102,9 +102,6 @@ func TestUpgradedAOFOpens(t *testing.T) {
 	var names []string
 	if _, err := aof.Load(path, nil, func(name string, args [][]byte) error {
 		names = append(names, name)
-		if name == opObject {
-			return nil
-		}
 		return checkKept(name, len(args))
 	}); err != nil {
 		t.Fatal(err)
@@ -165,74 +162,44 @@ func TestEnvelopeGKEYRefused(t *testing.T) {
 	}
 }
 
-// TestLegacyObjectionsFold: the previous release's log, its standing
-// objections journaled as GOBJ/GUNOBJ deltas, opens with the objections that
-// release read, each folded into an owner record; a later Put of an
-// objecting owner is stamped; and after a Compact the log holds the owner
-// records, as GREC, and no delta, and reopens to the same state.
-func TestLegacyObjectionsFold(t *testing.T) {
-	path := tempAOF(t)
+// TestLegacyObjectionsRefused: a log an earlier release wrote, its standing
+// objections journaled as GOBJ/GUNOBJ deltas, is refused at its first delta
+// with ErrRetiredFormat and an error that names the file, the form and the
+// upgrade step (the previous release folds each delta into an owner record,
+// and its COMPACT leaves the owner records as GREC); the data dir is left
+// byte for byte as it was. The replication stream refuses either delta too.
+func TestLegacyObjectionsRefused(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "gdpr.aof")
 	copyFile(t, objectionsGOBJAOF, path)
 	cfg := legacyCfg(path)
 	cfg.Envelope, cfg.MasterKey = false, nil
-	ctx := Ctx{Actor: "controller", Purpose: "billing"}
-	owners := map[string][]string{"alice": {"marketing"}, "bob": {"billing"}, "carol": {"support"}, "dave": nil}
-	stamps := map[string][]string{"pd:alice:1": {"marketing"}, "pd:alice:2": {"marketing"}, "pd:bob:1": {"billing"}}
-	check := func(s *Store) {
-		t.Helper()
-		for owner, want := range owners {
-			if got := s.Objections(owner); !slices.Equal(got, want) {
-				t.Fatalf("Objections(%s) = %v, want %v", owner, got, want)
-			}
-		}
-		for key, want := range stamps {
-			if m, err := s.Metadata(ctx, key); err != nil || !slices.Equal(m.Objections, want) {
-				t.Fatalf("%s objections = %v, %v; want %v", key, m.Objections, err, want)
-			}
-		}
-		if v, err := s.Get(ctx, "pd:alice:1"); err != nil || string(v) != "alice-one" {
-			t.Fatalf("pd:alice:1 = %q, %v", v, err)
-		}
-		if _, err := s.Get(ctx, "pd:bob:1"); !errors.Is(err, ErrPurposeDenied) {
-			t.Fatalf("billing read of objecting bob = %v, want ErrPurposeDenied", err)
+	before := dirBytes(t, dir)
+	s, err := Open(cfg)
+	if !errors.Is(err, ErrRetiredFormat) || s != nil {
+		t.Fatalf("Open = %v, %v; want ErrRetiredFormat", s, err)
+	}
+	for _, want := range []string{path, "GOBJ", "previous release", "COMPACT"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("the refusal does not name %q: %v", want, err)
 		}
 	}
-	open := func() *Store {
-		t.Helper()
-		s, err := Open(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.ACL().AddPrincipal(acl.Principal{ID: "controller", Role: acl.RoleController})
-		return s
+	if after := dirBytes(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("a refused Open changed the data dir")
 	}
-	s := open()
-	check(s)
-	if err := s.Put(ctx, "pd:carol:1", []byte("carol-one"), PutOptions{Owner: "carol", Purposes: []string{"billing", "support"}, TTL: time.Hour}); err != nil {
+	r, err := Open(EventualFull(""))
+	if err != nil {
 		t.Fatal(err)
 	}
-	stamps["pd:carol:1"] = []string{"support"}
-	check(s)
-	if err := errors.Join(s.Compact(ctx), s.Close()); err != nil {
-		t.Fatal(err)
-	}
-	var held []string
-	if _, err := aof.Load(path, nil, func(name string, args [][]byte) error {
-		if name == opRecord {
-			if owner, ok := ownerOfKey(string(args[1])); ok {
-				held = append(held, owner)
-			}
+	defer r.Close()
+	for _, name := range []string{"GOBJ", "GUNOBJ"} {
+		if err := r.ApplyReplicated(name, [][]byte{[]byte("bob"), []byte("ads")}); !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), name) {
+			t.Fatalf("the stream applies %s: %v; want ErrRetiredFormat", name, err)
 		}
-		return checkKept(name, len(args))
-	}); err != nil {
-		t.Fatalf("the compacted log: %v", err)
 	}
-	if slices.Sort(held); !slices.Equal(held, []string{"alice", "bob", "carol"}) {
-		t.Fatalf("the compacted log holds owner records of %v", held)
+	if got := r.Objections("bob"); got != nil {
+		t.Fatalf("a refused delta left bob objecting to %v", got)
 	}
-	s = open()
-	defer s.Close()
-	check(s)
 }
 
 // dirBytes returns every file of dir by name, for a byte-for-byte
@@ -394,8 +361,7 @@ func TestDecodersRefuseParentJSON(t *testing.T) {
 // keptForms is every journal record this release's writers emit to the
 // AOF, by name, with the argument counts each takes: the one format
 // generation replay, the replication link and a restore accept. The stream
-// also carries GKEY; replay and a restore also read the previous release's
-// GOBJ and GUNOBJ.
+// also carries GKEY.
 var keptForms = map[string]func(argc int) bool{
 	opRecord: func(n int) bool { return n >= 3 && n%2 == 1 },
 	opMeta:   argc(2),

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -84,17 +85,30 @@ func TestFastExpirySweepSubSecondAtMillion(t *testing.T) {
 }
 
 func TestFsyncSpectrumShape(t *testing.T) {
-	rows, err := FsyncSpectrum(t.TempDir(), 500, 3000, 2)
-	if err != nil {
-		t.Fatal(err)
+	// Each mode's throughput is the median of several spectra, which run
+	// the modes in turn: off and everysec do nearly the same work, so one
+	// short run of each is the scheduler's (a lone pair has measured
+	// everysec 26 % above off).
+	const runs = 5
+	var thr [3][]float64
+	var rows []FsyncRow
+	for range runs {
+		var err error
+		if rows, err = FsyncSpectrum(t.TempDir(), 500, 3000, 2); err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 3 {
+			t.Fatalf("rows = %d", len(rows))
+		}
+		for i, r := range rows {
+			thr[i] = append(thr[i], r.Throughput)
+		}
 	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	off, everysec, always := rows[0].Throughput, rows[1].Throughput, rows[2].Throughput
+	median := func(xs []float64) float64 { slices.Sort(xs); return xs[len(xs)/2] }
+	off, everysec, always := median(thr[0]), median(thr[1]), median(thr[2])
 	// §4.1's shape: always << everysec <= off.
 	if !(always < everysec && everysec <= off*1.05) {
-		t.Errorf("fsync ordering broken: off=%.0f everysec=%.0f always=%.0f", off, everysec, always)
+		t.Errorf("fsync ordering broken: median off=%.0f everysec=%.0f always=%.0f", off, everysec, always)
 	}
 	// The paper reports ~6x between everysec and always; environments
 	// vary, but always must be at least 2x slower.

@@ -13,14 +13,17 @@ import (
 // This file is the key-streaming half of live slot migration. The
 // operator marks the slot IMPORTING on the destination and MIGRATING on
 // the source (cluster_admin.go); CLUSTER MIGRATESLOT on the source then
-// drives, per key: DumpForMigration (the key's journal record, decrypted
-// under the source keyring, metadata verbatim) → RESTOREKEY <record…> on
-// the destination (re-seal, re-index, journal, audit) → RemoveMigrated on
-// the source, guarded so a write that raced in between re-dumps instead of
-// being lost. Erasures win over migration in both directions: a key
-// shredded on the source is never dumped, and a record whose owner is
-// shredded on the destination is refused with ERASED — the source skips it
-// and lets the sweep reclaim the dead ciphertext.
+// sends one OBJECTLOCAL per standing objection of each owner record in the
+// slot (a union there; the source keeps its copy), so no key lands before
+// its subject's objections. Then, per key: DumpForMigration (the key's
+// journal record, decrypted under the source keyring, metadata verbatim) →
+// RESTOREKEY <record…> on the destination (re-seal, re-index, journal,
+// audit) → RemoveMigrated on the source, guarded so a write that raced in
+// between re-dumps instead of being lost. Erasures win over migration in
+// both directions: a key shredded on the source is never dumped, and a
+// record whose owner is shredded on the destination is refused with
+// ERASED — the source skips it and lets the sweep reclaim the dead
+// ciphertext.
 
 // migrateRetries bounds re-dumps of a key that keeps being written while
 // it is being moved before the slot migration reports failure.
@@ -30,7 +33,7 @@ const migrateRetries = 5
 // source). The slot must already be MIGRATING; the reply is the number of
 // records that landed on the destination. One aggregate audit record
 // captures the outcome on the source; the destination audits each
-// arriving record itself.
+// objection and arriving record itself.
 func cmdClusterMigrateSlot(ctx *Ctx, cs *clusterState, args [][]byte) (resp.Value, error) {
 	slot, err := parseSlot(args[0])
 	if err != nil {
@@ -50,8 +53,8 @@ func cmdClusterMigrateSlot(ctx *Ctx, cs *clusterState, args [][]byte) (resp.Valu
 	if err := ctx.Srv.store.AuthorizeMigration(ctx.Core); err != nil {
 		return resp.Value{}, err
 	}
-	moved, skipped, err := ctx.Srv.migrateSlot(ctx.Core, slot, dest)
-	detail := fmt.Sprintf("slot=%d dest=%s moved=%d skipped=%d", slot, dest.ID, moved, skipped)
+	owners, moved, skipped, err := ctx.Srv.migrateSlot(ctx.Core, slot, dest)
+	detail := fmt.Sprintf("slot=%d dest=%s owners=%d moved=%d skipped=%d", slot, dest.ID, owners, moved, skipped)
 	if err != nil {
 		detail += " error=" + err.Error()
 	}
@@ -62,20 +65,32 @@ func cmdClusterMigrateSlot(ctx *Ctx, cs *clusterState, args [][]byte) (resp.Valu
 	return resp.IntegerValue(int64(moved)), nil
 }
 
-// migrateSlot streams every live key of slot to dest. skipped counts keys
-// that did not need to move: erased ghosts, keys deleted or expired
-// mid-stream, and records the destination refused with ERASED because the
-// owner was already shredded there.
-func (s *Server) migrateSlot(cctx core.Ctx, slot uint16, dest cluster.Node) (moved, skipped int, err error) {
+// migrateSlot carries slot's owner records to dest, then streams every
+// live key of slot. skipped counts keys that did not need to move: erased
+// ghosts, keys deleted or expired mid-stream, and records the destination
+// refused with ERASED because the owner was already shredded there.
+func (s *Server) migrateSlot(cctx core.Ctx, slot uint16, dest cluster.Node) (owners, moved, skipped int, err error) {
+	for _, k := range s.store.Engine().Keys("*") {
+		owner, ok := core.ReservedKey(k)
+		if !ok || cluster.Slot(k) != slot {
+			continue
+		}
+		for _, p := range s.store.Objections(owner) {
+			if _, cerr := s.peerCall(dest.Addr, cctx.Actor, cctx.Purpose, "OBJECTLOCAL", owner, p); cerr != nil {
+				return owners, 0, 0, fmt.Errorf("carry %s's objection on %s: %w", owner, dest.ID, cerr)
+			}
+		}
+		owners++
+	}
 	for _, key := range s.keysInSlot(slot, -1) {
 	attempts:
 		for attempt := 0; ; attempt++ {
 			if attempt >= migrateRetries {
-				return moved, skipped, fmt.Errorf("key %q kept changing while migrating", key)
+				return owners, moved, skipped, fmt.Errorf("key %q kept changing while migrating", key)
 			}
 			rec, raw, ok, derr := s.store.DumpForMigration(key)
 			if derr != nil {
-				return moved, skipped, fmt.Errorf("dump %q: %w", key, derr)
+				return owners, moved, skipped, fmt.Errorf("dump %q: %w", key, derr)
 			}
 			if !ok {
 				skipped++
@@ -94,7 +109,7 @@ func (s *Server) migrateSlot(cctx core.Ctx, slot uint16, dest cluster.Node) (mov
 					skipped++
 					break attempts
 				}
-				return moved, skipped, fmt.Errorf("restore %q on %s: %w", key, dest.ID, cerr)
+				return owners, moved, skipped, fmt.Errorf("restore %q on %s: %w", key, dest.ID, cerr)
 			}
 			removed, changed := s.store.RemoveMigrated(key, raw)
 			if changed {
@@ -113,7 +128,7 @@ func (s *Server) migrateSlot(cctx core.Ctx, slot uint16, dest cluster.Node) (mov
 			break attempts
 		}
 	}
-	return moved, skipped, nil
+	return owners, moved, skipped, nil
 }
 
 // handleRestoreKey is the destination half: ingest one migration record,

@@ -12,7 +12,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"gdprstore/internal/acl"
 	"gdprstore/internal/audit"
 	"gdprstore/internal/cluster"
 	"gdprstore/internal/core"
@@ -27,8 +29,9 @@ import (
 
 // TestOwnerRecordOffTheKeyspace: the owner record that holds a subject's
 // standing objections is no key a client can list, name (with a GDPR or a
-// raw command) or read back in a rights report; a slot migration, which
-// lists keys the same way, leaves it where it is.
+// raw command, RESTOREKEY included) or read back in a rights report. A
+// slot's key list leaves it out too, so a slot migration carries it on its
+// own, as OBJECTLOCALs ahead of the keys (TestClusterMigrationCarriesObjection).
 func TestOwnerRecordOffTheKeyspace(t *testing.T) {
 	srvs, stores, _ := startCluster(t, 1)
 	ctx := context.Background()
@@ -407,38 +410,10 @@ func TestClusterForgetMidMigration(t *testing.T) {
 // migration protocol are exercised for real.
 func startEnvelopeCluster(t *testing.T, n int) ([]*Server, []*core.Store, *cluster.Map) {
 	t.Helper()
-	cfg := core.Config{
+	return startClusterWith(t, n, core.Config{
 		Compliant: true, Capability: core.CapabilityPartial, AuditEnabled: true,
 		Envelope: true, MasterKey: bytes.Repeat([]byte{0x5a}, 32),
-	}
-	srvs := make([]*Server, n)
-	stores := make([]*core.Store, n)
-	nodes := make([]cluster.Node, n)
-	splits := cluster.EvenSplit(n)
-	for i := 0; i < n; i++ {
-		st, err := core.Open(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { st.Close() })
-		srv, err := Listen("127.0.0.1:0", st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		srvs[i], stores[i] = srv, st
-		nodes[i] = cluster.Node{ID: fmt.Sprintf("n%d", i+1), Addr: srv.Addr(), Ranges: splits[i]}
-	}
-	m, err := cluster.NewMap(nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, srv := range srvs {
-		if err := srv.EnableCluster(ClusterConfig{Self: nodes[i].ID, Map: m}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return srvs, stores, m
+	})
 }
 
 func TestClusterForgetDuringMigrationRace(t *testing.T) {
@@ -827,5 +802,162 @@ func TestClusterReplicaRedirectsEveryDataRead(t *testing.T) {
 	}
 	if _, err := rc.Topology(ctx); err != nil {
 		t.Errorf("CLUSTER TOPOLOGY on a replica: %v", err)
+	}
+}
+
+// startOwnerMigration starts two nodes that enforce purposes (full
+// capability, ACL enforcement off) and writes two of a subject's records,
+// tagged with its slot, on n1; n1 alone then takes OBJECT owner billing, as
+// when n2 was down during the fan-out or joined after it. The subject's slot
+// is left IMPORTING on n2 and MIGRATING on n1.
+func startOwnerMigration(t *testing.T) (srvs []*Server, stores []*core.Store, owner, ss string, keys []string) {
+	t.Helper()
+	srvs, stores, m := startClusterWith(t, 2, core.Config{
+		Compliant: true, Capability: core.CapabilityFull, AuditEnabled: true, EnforceACL: core.Ptr(false),
+	})
+	ctx := context.Background()
+	owner = ownerOn(t, m, "n1")
+	ss = strconv.Itoa(int(cluster.Slot(owner)))
+	src, dst := nodeClient(t, srvs[0].Addr()), nodeClient(t, srvs[1].Addr())
+	keys = []string{fmt.Sprintf("pd:{%s}:1", owner), fmt.Sprintf("pd:{%s}:2", owner)}
+	for _, k := range keys {
+		if err := src.GPut(ctx, k, []byte("v"), gdprkv.PutOptions{Owner: owner, Purposes: []string{"billing", "service"}, TTL: time.Hour}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, step := range []struct {
+		c   *gdprkv.Client
+		cmd []string
+	}{
+		{src, []string{"OBJECTLOCAL", owner, "billing"}},
+		{dst, []string{"CLUSTER", "SETSLOT", ss, "IMPORTING", "n1"}},
+		{src, []string{"CLUSTER", "SETSLOT", ss, "MIGRATING", "n2"}},
+	} {
+		if _, err := step.c.Do(ctx, step.cmd...); err != nil {
+			t.Fatalf("%v: %v", step.cmd, err)
+		}
+	}
+	return srvs, stores, owner, ss, keys
+}
+
+// TestClusterMigrationCarriesObjection: a slot migration carries the
+// subject's owner record ahead of its keys, so on a destination that never
+// saw the OBJECT a new record and an overwrite of a migrated one, both sent
+// there with ASK mid-migration, still object, and a read under the objected
+// purpose is refused there. The source keeps its copy, and its MIGRATESLOT
+// audit record counts the owner record carried.
+func TestClusterMigrationCarriesObjection(t *testing.T) {
+	srvs, stores, owner, ss, keys := startOwnerMigration(t)
+	ctx := context.Background()
+	if mv, err := nodeClient(t, srvs[0].Addr()).Do(ctx, "CLUSTER", "MIGRATESLOT", ss); err != nil || mv.Int != 2 {
+		t.Fatalf("MIGRATESLOT = %d, %v; want 2 moved", mv.Int, err)
+	}
+	for i, st := range stores {
+		if got := st.Objections(owner); !reflect.DeepEqual(got, []string{"billing"}) {
+			t.Errorf("node %d: %s objects to %v, want [billing]", i+1, owner, got)
+		}
+	}
+	c := clusterClient(t, srvs)
+	written := []string{fmt.Sprintf("pd:{%s}:new", owner), keys[0]}
+	for _, k := range written {
+		if err := c.GPut(ctx, k, []byte("w"), gdprkv.PutOptions{Owner: owner, Purposes: []string{"billing", "service"}, TTL: time.Hour}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if asks := c.Stats().Asks; asks != 2 {
+		t.Fatalf("Stats.Asks = %d, want 2 (both writes sent to n2)", asks)
+	}
+	for _, srv := range srvs {
+		if _, err := nodeClient(t, srv.Addr()).Do(ctx, "CLUSTER", "SETSLOT", ss, "NODE", "n2"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := nodeClient(t, srvs[1].Addr())
+	if _, err := dst.Do(ctx, "PURPOSE", "billing"); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range append(written, keys[1]) {
+		if v, err := dst.GGet(ctx, k); !errors.Is(err, gdprkv.ErrBadPurpose) {
+			t.Errorf("GGET %s under the objected purpose on n2 = %q, %v; want ErrBadPurpose", k, v, err)
+		}
+	}
+	if _, err := dst.Do(ctx, "PURPOSE", "service"); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := dst.GGet(ctx, written[0]); err != nil || string(v) != "w" {
+		t.Fatalf("GGET %s under service on n2 = %q, %v", written[0], v, err)
+	}
+	aggr, err := stores[0].Trail().Query(audit.Filter{Op: "MIGRATESLOT"})
+	if err != nil || len(aggr) != 1 || !strings.Contains(aggr[0].Detail, "owners=1 moved=2") {
+		t.Fatalf("source MIGRATESLOT audit = %+v, %v; want owners=1 moved=2", aggr, err)
+	}
+}
+
+// TestClusterMigrationUnitesObjections: migrating to a node that already
+// holds another objection of the subject leaves it with both, on its owner
+// record and on every migrated record; the source keeps its own.
+func TestClusterMigrationUnitesObjections(t *testing.T) {
+	srvs, stores, owner, ss, keys := startOwnerMigration(t)
+	ctx := context.Background()
+	if _, err := nodeClient(t, srvs[1].Addr()).Do(ctx, "OBJECTLOCAL", owner, "ads"); err != nil {
+		t.Fatal(err)
+	}
+	if mv, err := nodeClient(t, srvs[0].Addr()).Do(ctx, "CLUSTER", "MIGRATESLOT", ss); err != nil || mv.Int != 2 {
+		t.Fatalf("MIGRATESLOT = %d, %v; want 2 moved", mv.Int, err)
+	}
+	both := []string{"ads", "billing"}
+	if got := stores[1].Objections(owner); !reflect.DeepEqual(got, both) {
+		t.Fatalf("n2: %s objects to %v, want %v", owner, got, both)
+	}
+	if got := stores[0].Objections(owner); !reflect.DeepEqual(got, []string{"billing"}) {
+		t.Fatalf("n1: %s objects to %v, want [billing]", owner, got)
+	}
+	for _, k := range keys {
+		meta, err := stores[1].Metadata(core.Ctx{Actor: "app", Purpose: "service"}, k)
+		if err != nil || !reflect.DeepEqual(meta.Objections, both) {
+			t.Fatalf("migrated %s objects to %v, %v; want %v", k, meta.Objections, err, both)
+		}
+	}
+}
+
+// TestClusterMigrationRefusedWithoutRights: carrying an objection is a
+// rights operation on the destination. A principal that may restore
+// records there but not exercise rights has its migration refused before
+// any key moves, and both ends audit the refusal.
+func TestClusterMigrationRefusedWithoutRights(t *testing.T) {
+	srvs, stores, owner, ss, keys := startOwnerMigration(t)
+	ctx := context.Background()
+	stores[0].ACL().AddPrincipal(acl.Principal{ID: "ops", Role: acl.RoleController})
+	stores[1].ACL().AddPrincipal(acl.Principal{ID: "ops", Role: acl.RoleProcessor})
+	if err := stores[1].ACL().AddGrant(acl.Grant{Principal: "ops", Purpose: "*"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range stores {
+		st.ACL().SetEnforce(true)
+	}
+	src := nodeClient(t, srvs[0].Addr())
+	if _, err := src.Do(ctx, "AUTH", "ops"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Do(ctx, "PURPOSE", "service"); err != nil {
+		t.Fatal(err)
+	}
+	if mv, err := src.Do(ctx, "CLUSTER", "MIGRATESLOT", ss); err == nil {
+		t.Fatalf("MIGRATESLOT by a principal without rights = %d, want a refusal", mv.Int)
+	}
+	for _, k := range keys {
+		if !stores[0].Engine().Exists(k) || stores[1].Engine().Exists(k) {
+			t.Fatalf("%s moved by a refused migration", k)
+		}
+	}
+	if got := stores[1].Objections(owner); got != nil {
+		t.Fatalf("n2: %s objects to %v after the refusal, want none", owner, got)
+	}
+	if recs, err := stores[1].Trail().Query(audit.Filter{Op: "OBJECT", Owner: owner, Outcome: audit.OutcomeDenied}); err != nil || len(recs) != 1 {
+		t.Fatalf("n2 denied OBJECT audit records = %d, %v; want 1", len(recs), err)
+	}
+	aggr, err := stores[0].Trail().Query(audit.Filter{Op: "MIGRATESLOT", Outcome: audit.OutcomeError})
+	if err != nil || len(aggr) != 1 || !strings.Contains(aggr[0].Detail, "owners=0 moved=0") {
+		t.Fatalf("n1 MIGRATESLOT error audit = %+v, %v; want owners=0 moved=0", aggr, err)
 	}
 }

@@ -21,7 +21,12 @@ import (
 // every node. Node i is named "n<i+1>".
 func startCluster(t *testing.T, n int) ([]*Server, []*core.Store, *cluster.Map) {
 	t.Helper()
-	cfg := core.Config{Compliant: true, Capability: core.CapabilityPartial, AuditEnabled: true}
+	return startClusterWith(t, n, core.Config{Compliant: true, Capability: core.CapabilityPartial, AuditEnabled: true})
+}
+
+// startClusterWith is startCluster with every node's store opened under cfg.
+func startClusterWith(t *testing.T, n int, cfg core.Config) ([]*Server, []*core.Store, *cluster.Map) {
+	t.Helper()
 	srvs := make([]*Server, n)
 	stores := make([]*core.Store, n)
 	nodes := make([]cluster.Node, n)

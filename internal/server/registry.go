@@ -302,7 +302,7 @@ func complianceMiddleware(next Handler) Handler {
 		// No command names an owner record: a raw one would reach it in the
 		// engine, and a batch checks only its first key itself.
 		if compliant && ctx.Cmd.Keys != nil &&
-			slices.ContainsFunc(ctx.Cmd.Keys(ctx.Args), func(k []byte) bool { return core.ReservedKey(string(k)) }) {
+			slices.ContainsFunc(ctx.Cmd.Keys(ctx.Args), func(k []byte) bool { _, ok := core.ReservedKey(string(k)); return ok }) {
 			return resp.Value{}, fmt.Errorf("%w: %s", core.ErrReservedKey, ctx.Cmd.Name)
 		}
 		return next(ctx)
