@@ -259,7 +259,7 @@ func runPersonas() {
 	where := ""
 	if nodes := splitList(*addr + "," + *clusterF); len(nodes) > 0 {
 		// ACL state is node-local: install the principal population on
-		// every node (the rights fan-out peers enforce it too).
+		// every node, since each answers for the subjects of its slots.
 		for _, n := range nodes {
 			if err := experiments.InstallPrincipalsNet(context.Background(), n, pcfg.Subjects); err != nil {
 				log.Fatalf("install principals on %s: %v", n, err)

@@ -3,11 +3,12 @@
 // One cluster-aware pkg/gdprkv client bootstraps the slot map via
 // CLUSTER TOPOLOGY and routes every key to its owner; a deliberately
 // mis-routed GET is redirected transparently, exactly once. Then the
-// GDPR part: a data subject whose records are spread over all three
-// nodes is erased with a single FORGETUSER — the coordinator fans the
-// erasure out to every primary, each node's audit trail independently
-// evidences it, and per-node GETUSERDATA plus INFO commandstats prove
-// nothing was left behind. The finale is elasticity: a slot is migrated
+// GDPR part: a subject lives in one slot. An untagged compliant write is
+// refused with CROSSSLOT; the subject's tagged records land on one node,
+// which alone answers GETUSER and FORGETUSER, alone audits the erasure,
+// and proves with GETUSERDATA and INFO commandstats that nothing was left
+// behind, while every other node redirects the right to it. The finale is
+// elasticity: a slot is migrated
 // live from n1 to n2 through the CLUSTER SETSLOT/MIGRATESLOT admin
 // surface while the client keeps reading — in-flight requests hop via
 // one-shot ASK redirects, the finalized map converges with exactly one
@@ -110,13 +111,19 @@ func main() {
 		log.Fatalf("expected exactly one redirect, saw %d", st.Redirects)
 	}
 
-	// --- cluster-wide erasure of a subject spread over every node ---
-	// These keys are untagged, so they hash individually and land on
-	// different nodes: the worst case for the right to be forgotten, and
-	// exactly what the fan-out exists for.
+	// --- a subject lives in one slot: tagged keys, one node answers ---
+	// In cluster mode a compliant key must hash to its owner's slot. An
+	// untagged key hashes on its own, so the write is refused before
+	// anything is stored or audited as done.
+	untagged := keyOn(m, "n1", "dave-doc-%d")
+	err = c.GPut(ctx, untagged, []byte("dave-data"), gdprkv.PutOptions{Owner: "dave", Purposes: []string{"service"}})
+	if !errors.Is(err, gdprkv.ErrCrossSlot) {
+		log.Fatalf("untagged GPUT for dave = %v, want ErrCrossSlot", err)
+	}
+	fmt.Printf("\nuntagged GPUT %s for dave refused: %v\n", untagged, err)
 	var daveKeys []string
-	for _, nid := range []string{"n1", "n2", "n3"} {
-		k := keyOn(m, nid, "dave-doc-%d")
+	for i := 0; i < 3; i++ {
+		k := fmt.Sprintf("pd:{dave}:doc-%d", i)
 		daveKeys = append(daveKeys, k)
 		if err := c.GPut(ctx, k, []byte("dave-data"), gdprkv.PutOptions{
 			Owner: "dave", Purposes: []string{"service"},
@@ -124,47 +131,45 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	fmt.Printf("\nwrote %d records for dave, one per node: %v\n", len(daveKeys), daveKeys)
+	home := m.NodeForKey("dave")
+	fmt.Printf("wrote %d tagged records for dave, all in slot %d on %s: %v\n",
+		len(daveKeys), cluster.Slot("dave"), home.ID, daveKeys)
 
 	recs, err := c.GetUser(ctx, "dave")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("GETUSER dave aggregates %d records across the cluster\n", len(recs))
+	fmt.Printf("GETUSER dave returns %d records from %s\n", len(recs), home.ID)
 
 	erased, err := c.ForgetUser(ctx, "dave")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("FORGETUSER dave erased %d records cluster-wide\n\n", erased)
+	fmt.Printf("FORGETUSER dave erased %d records on %s\n\n", erased, home.ID)
 
-	// Proof, node by node: GETUSERDATA empty, the local erasure counted
-	// in commandstats, and an audit record on every node's trail.
+	// Proof, node by node: dave's node answers GETUSERDATA with no records
+	// and alone holds the audit record of the erasure; every other node
+	// redirects the right to it.
 	for i, srv := range srvs {
 		nc, err := gdprkv.Dial(ctx, srv.Addr(), gdprkv.WithPoolSize(1))
 		if err != nil {
 			log.Fatal(err)
 		}
 		gv, err := nc.Do(ctx, "GETUSERDATA", "dave")
-		if err != nil || len(gv.Array) != 0 {
-			log.Fatalf("node %s still reports %d records (%v)", nodes[i].ID, len(gv.Array), err)
+		audits, _ := stores[i].Trail().Query(audit.Filter{Op: "FORGETUSER", Owner: "dave"})
+		info, _ := nc.Info(ctx, "commandstats")
+		isHome := nodes[i].ID == home.ID
+		if isHome && (err != nil || len(gv.Array) != 0 || len(audits) != 1) || !isHome && (!errors.Is(err, gdprkv.ErrMoved) || len(audits) != 0) {
+			log.Fatalf("%s: GETUSERDATA dave = %d records, %v; %d audit records", nodes[i].ID, len(gv.Array), err, len(audits))
 		}
-		info, err := nc.Info(ctx, "commandstats")
-		if err != nil {
-			log.Fatal(err)
-		}
-		audits, err := stores[i].Trail().Query(audit.Filter{Op: "FORGETUSER", Owner: "dave"})
-		if err != nil || len(audits) == 0 {
-			log.Fatalf("node %s has no audit evidence of the erasure (%v)", nodes[i].ID, err)
-		}
-		fmt.Printf("  %s: GETUSERDATA dave -> 0 records, audit records=%d, %s\n",
-			nodes[i].ID, len(audits), forgetStats(info))
+		fmt.Printf("  %s: GETUSERDATA dave -> %d records, err=%v, audit records=%d, %s\n",
+			nodes[i].ID, len(gv.Array), err, len(audits), forgetStats(info))
 		nc.Close()
 	}
 	if _, err := c.GGet(ctx, daveKeys[0]); !errors.Is(err, gdprkv.ErrNotFound) {
 		log.Fatalf("post-erasure read = %v, want ErrNotFound", err)
 	}
-	fmt.Println("\npost-erasure reads are errors.Is(err, gdprkv.ErrNotFound) on every node")
+	fmt.Println("\npost-erasure reads are errors.Is(err, gdprkv.ErrNotFound)")
 
 	// --- live slot migration under traffic ---
 	// Move the first owner's slot from n1 to n2 while the same cluster

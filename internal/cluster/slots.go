@@ -8,9 +8,10 @@
 // every record of one data subject lands in one slot — and the rights
 // operations keyed by the bare owner name (FORGETUSER alice) hash to that
 // same slot, because Slot("alice") == Slot("pd:{alice}:rec1"). Erasure
-// and access therefore stay node-local for tagged data; untagged keys
-// spread for throughput and are covered by the server's cluster-wide
-// rights fan-out instead. See DESIGN.md §10.
+// and access therefore stay node-local. In cluster mode the server
+// enforces it: a compliant write whose key does not hash to its owner's
+// slot is refused with CROSSSLOT. Keys without an owner (raw SET) spread
+// freely. See DESIGN.md §10.
 package cluster
 
 import "strings"

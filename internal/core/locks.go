@@ -86,6 +86,12 @@ func (s *Store) enter(name string) (*gateStripe, error) {
 	if _, ok := ReservedKey(name); ok {
 		return nil, ErrReservedKey
 	}
+	return s.gateOf(name)
+}
+
+// gateOf is enter without the reserved-key refusal, for the slot migration
+// primitives, which move an owner record as one more key of its subject.
+func (s *Store) gateOf(name string) (*gateStripe, error) {
 	g := &s.gate[stripeIndex(name)]
 	g.RLock()
 	if s.closed.Load() {

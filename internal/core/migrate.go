@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"gdprstore/internal/acl"
@@ -11,28 +10,32 @@ import (
 	"gdprstore/internal/store"
 )
 
-// Slot migration moves keys between cluster nodes while both stay live.
-// The compliance layer's half of the protocol is three primitives:
+// Slot migration moves keys between cluster nodes while both stay live, a
+// whole subject at a time (DESIGN.md §15). The compliance layer's half of
+// the protocol is four primitives:
 //
+//   - SubjectKeys lists what this node holds of one subject.
 //   - DumpForMigration extracts one key as the journal record an
 //     envelope-off store writes for it: GREC with the metadata verbatim and
 //     the value decrypted (each node seals under its own keyring, so
 //     ciphertext cannot travel), or the engine's SET/SETEX for a key
-//     without metadata, its retention deadline absolute. Records that are
-//     crypto-erased but unswept are NOT dumped — migration must never
-//     resurrect data a subject asked to be forgotten.
+//     without metadata, its retention deadline absolute. An owner record
+//     dumps as the GREC that journals it. Records that are crypto-erased
+//     but unswept are NOT dumped — migration must never resurrect data a
+//     subject asked to be forgotten.
 //   - RestoreRecord ingests such a record on the destination through the
 //     full compliance path: re-sealed under the destination's keyring (at
-//     the destination's current key epoch for the owner, so a FORGETUSER
-//     that already reached the destination wins — restore then fails with
-//     ERASED instead of resurrecting), re-indexed, journaled, and audited,
-//     with metadata (Created, Origin, Objections, Expiry) preserved.
+//     the destination's current key epoch for the owner, so an owner
+//     shredded there refuses it with ERASED instead of resurrecting),
+//     re-indexed, journaled, and audited, with metadata (Created, Origin,
+//     Objections, Expiry) preserved. An owner record replaces the
+//     destination's.
 //   - RemoveMigrated deletes the source copy after the destination has
 //     acknowledged it, journaling the engine DEL so the source's replicas
 //     follow.
 //
-// The server drives these per key under CLUSTER MIGRATESLOT and writes one
-// aggregate audit record per slot on the source (AuditMigration); the
+// The server drives these per subject under CLUSTER MIGRATESLOT and writes
+// one aggregate audit record per slot on the source (AuditMigration); the
 // destination audits each RESTOREKEY — arrival of personal data on a new
 // node is a processing event in its own right.
 
@@ -54,7 +57,7 @@ func (s *Store) AuthorizeMigration(ctx Ctx) error {
 // hands raw back to RemoveMigrated so a write that lands between dump and
 // removal is detected instead of lost.
 func (s *Store) DumpForMigration(key string) (argv [][]byte, raw []byte, ok bool, err error) {
-	g, err := s.enter(key)
+	g, err := s.gateOf(key)
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -85,19 +88,22 @@ func (s *Store) DumpForMigration(key string) (argv [][]byte, raw []byte, ok bool
 
 // RestoreRecord ingests a migration record, argv as DumpForMigration
 // returns it: the destination half of a slot transfer. admit, when not
-// nil, is asked about the record's key after the record parses and before
-// anything is written; its error refuses the record. A record in an
-// earlier release's one-argument form is refused with ErrRetiredFormat.
+// nil, is asked about the record's key and owner ("" for none) after the
+// record parses and before anything is written; its error refuses the
+// record. A record in an earlier release's one-argument form is refused
+// with ErrRetiredFormat.
 //
 // A GREC goes through the full compliance path — sealed under this node's
 // keyring at the owner's current epoch, re-indexed, journaled as one GREC
 // record, audited — with the source's metadata (Created, Origin, Expiry,
-// ...) preserved verbatim, its Objections united with this node's. A
-// record whose owner is crypto-shredded here fails with ErrErased: an
-// erasure that raced ahead of the migration wins. A record already past its
-// retention deadline is dropped silently — migrating it would resurrect
-// overdue data.
-func (s *Store) RestoreRecord(ctx Ctx, argv [][]byte, admit func(key string) error) error {
+// Objections, ...) preserved verbatim. A record that carries an objection
+// applies it here, so restoring it is a rights operation. An owner
+// record's GREC (no owner, only objections) replaces this node's owner
+// record for the subject its key names; no other record may name that key.
+// A record whose owner is crypto-shredded here fails with ErrErased: an
+// erasure wins over a migration. A record already past its retention
+// deadline is dropped silently — migrating it would resurrect overdue data.
+func (s *Store) RestoreRecord(ctx Ctx, argv [][]byte, admit func(key, owner string) error) error {
 	var (
 		meta       *Metadata
 		key, value []byte
@@ -131,12 +137,19 @@ func (s *Store) RestoreRecord(ctx Ctx, argv [][]byte, admit func(key string) err
 	if k == "" {
 		return errors.New("core: migration record without key")
 	}
+	owner, reserved := ReservedKey(k)
+	switch {
+	case reserved && (meta == nil || meta.Owner != "" || !s.cfg.Compliant):
+		return ErrReservedKey
+	case !reserved && meta != nil:
+		owner = meta.Owner
+	}
 	if admit != nil {
-		if err := admit(k); err != nil {
+		if err := admit(k, owner); err != nil {
 			return err
 		}
 	}
-	g, err := s.enter(k)
+	g, err := s.gateOf(k)
 	if err != nil {
 		return err
 	}
@@ -145,15 +158,24 @@ func (s *Store) RestoreRecord(ctx Ctx, argv [][]byte, admit func(key string) err
 		s.restoreRaw(k, value, deadline)
 		return nil
 	}
-	defer s.lockOwner(meta.Owner).Unlock()
-	if err := s.check(ctx, acl.OpWrite, meta.Owner, "RESTOREKEY", k); err != nil {
+	defer s.lockOwner(owner).Unlock()
+	op := acl.OpWrite
+	if len(meta.Objections) > 0 {
+		op = acl.OpRights
+	}
+	if err := s.check(ctx, op, owner, "RESTOREKEY", k); err != nil {
 		return err
 	}
-	// The record also objects to what this node's owner record holds, as a
-	// write here would: a migration never withdraws an objection.
-	objs := append(meta.Objections, s.Objections(meta.Owner)...)
-	slices.Sort(objs)
-	meta.Objections = slices.Compact(objs)
+	if reserved {
+		if err := s.setObjections(owner, meta.Objections, encodeMetadata); err != nil {
+			return err
+		}
+		s.auditOp(audit.Record{
+			Actor: ctx.Actor, Op: "RESTOREKEY", Owner: owner, Purpose: ctx.Purpose,
+			Outcome: audit.OutcomeOK, Detail: "migrated-in owner record",
+		})
+		return nil
+	}
 	stored := value
 	var epoch uint64
 	if s.keyring != nil && meta.Owner != "" {
@@ -201,7 +223,7 @@ func (s *Store) restoreRaw(key string, value []byte, deadline time.Time) {
 // so the source's replicas and AOF converge; there is no per-key audit
 // record — the slot's aggregate AuditMigration entry is the evidence.
 func (s *Store) RemoveMigrated(key string, expect []byte) (removed, changed bool) {
-	g, err := s.enter(key)
+	g, err := s.gateOf(key)
 	if err != nil {
 		return false, false
 	}
@@ -210,6 +232,28 @@ func (s *Store) RemoveMigrated(key string, expect []byte) (removed, changed bool
 	// remove; the compare and the delete are one step under the shard lock.
 	removed, live := s.db.DeleteIfValue(key, expect)
 	return removed, live && !removed
+}
+
+// SubjectKeys lists what this node holds of owner's subject, which a slot
+// migration moves as one: the owner record's key, if there is one, then the
+// keys of the owner's live records, at most max of them all (negative: no
+// bound). Crypto-erased records awaiting the sweep are not held: they never
+// migrate.
+func (s *Store) SubjectKeys(owner string, max int) []string {
+	var keys []string
+	if k := ownerKey(owner); s.db.RecordOf(k) != nil {
+		keys = append(keys, k)
+	}
+	if max >= 0 && len(keys) >= max {
+		return keys
+	}
+	s.walkOwner(owner, func(k string, e store.Entry) bool {
+		if !s.recordDead(e.Record) {
+			keys = append(keys, k)
+		}
+		return max < 0 || len(keys) < max
+	})
+	return keys
 }
 
 // AuditMigration writes the aggregate audit record for one slot

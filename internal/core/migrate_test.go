@@ -292,3 +292,60 @@ func TestRemoveMigratedDetectsConcurrentWrite(t *testing.T) {
 		t.Fatalf("RemoveMigrated on missing key = removed=%v changed=%v, want neither", removed, changed)
 	}
 }
+
+// TestMigrationMovesOwnerRecord: a subject's owner record migrates as one
+// more of its keys. SubjectKeys lists it first; its dump is the owner
+// record's own GREC; restored, it replaces the destination's objections
+// (no union: the source's set is the subject's) and restamps the records
+// already there; removed, the source no longer holds the subject.
+func TestMigrationMovesOwnerRecord(t *testing.T) {
+	src, dst, _ := openMigratePair(t)
+	ctx := Ctx{Actor: "app", Purpose: "service"}
+	const key = "pd:{dora}:1"
+	opts := PutOptions{Owner: "dora", Purposes: []string{"service", "ads", "billing"}}
+	for _, st := range []*Store{src, dst} {
+		if err := st.Put(ctx, key, []byte("v"), opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := src.Object(ctx, "dora", "ads"); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Object(ctx, "dora", "billing"); err != nil {
+		t.Fatal(err)
+	}
+	keys := src.SubjectKeys("dora", -1)
+	if len(keys) != 2 || keys[0] != ownerKey("dora") || keys[1] != key {
+		t.Fatalf("SubjectKeys = %q, want the owner record then %s", keys, key)
+	}
+	rec, raw, ok, err := src.DumpForMigration(keys[0])
+	if err != nil || !ok || string(rec[0]) != opRecord || string(rec[2]) != keys[0] {
+		t.Fatalf("owner record dump = %q, %v, %v", rec, ok, err)
+	}
+	if err := dst.RestoreRecord(ctx, overWire(rec), nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := dst.Objections("dora"); len(got) != 1 || got[0] != "ads" {
+		t.Fatalf("destination objections = %v, want [ads]", got)
+	}
+	if m, err := dst.Metadata(ctx, key); err != nil || len(m.Objections) != 1 || m.Objections[0] != "ads" {
+		t.Fatalf("destination record objects to %v, %v; want [ads]", m.Objections, err)
+	}
+	if removed, changed := src.RemoveMigrated(keys[0], raw); !removed || changed {
+		t.Fatalf("RemoveMigrated of the owner record = %v, %v", removed, changed)
+	}
+	if src.Objections("dora") != nil {
+		t.Fatal("the source kept the owner record")
+	}
+	// A record may not name an owner record's key with an owner of its own,
+	// nor without metadata.
+	meta := appendMetadata(nil, &Metadata{Owner: "dora", Purposes: []string{"service"}})
+	for _, argv := range [][][]byte{
+		{[]byte(opRecord), meta, []byte(ownerKey("dora")), nil},
+		{[]byte("SET"), []byte(ownerKey("dora")), []byte("v")},
+	} {
+		if err := dst.RestoreRecord(ctx, argv, nil); !errors.Is(err, ErrReservedKey) {
+			t.Errorf("RestoreRecord %q = %v, want ErrReservedKey", argv[0], err)
+		}
+	}
+}

@@ -508,6 +508,9 @@ func ReservedKey(key string) (owner string, ok bool) {
 	return strings.TrimSuffix(strings.TrimPrefix(owner, "{"), "}"), ok
 }
 
+// ownerKey returns owner's owner record key.
+func ownerKey(owner string) string { return ownerKeyPrefix + "{" + owner + "}" }
+
 // Objections returns the subject's standing objections, sorted: the owner
 // record's slice, to be read only. Every write reads it, from a stack key.
 func (s *Store) Objections(owner string) []string {
@@ -527,7 +530,7 @@ func (s *Store) Objections(owner string) []string {
 // Without (replay, the stream) nothing is, so a log cut before the GMETAs
 // replays as the whole log does.
 func (s *Store) setObjections(owner string, set []string, note func(*store.Record, time.Time) []byte) error {
-	prev, key := s.Objections(owner), ownerKeyPrefix+"{"+owner+"}"
+	prev, key := s.Objections(owner), ownerKey(owner)
 	if slices.Equal(prev, set) {
 		return nil
 	}

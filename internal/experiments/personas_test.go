@@ -191,8 +191,8 @@ func TestNetPersonasSingleNode(t *testing.T) {
 
 // TestNetPersonasCluster runs the personas against three primaries in
 // cluster mode: owner-tagged record keys co-locate each subject, and the
-// rights operations (GETUSER/FORGETUSER in the customer mix) exercise the
-// coordinated fan-out.
+// rights operations (GETUSER/FORGETUSER in the customer mix) go to the
+// subject's slot node.
 func TestNetPersonasCluster(t *testing.T) {
 	const nodes = 3
 	srvs := make([]*server.Server, nodes)
@@ -217,8 +217,8 @@ func TestNetPersonasCluster(t *testing.T) {
 		if err := srv.EnableCluster(server.ClusterConfig{Self: cnodes[i].ID, Map: m}); err != nil {
 			t.Fatal(err)
 		}
-		// ACL state is node-local: every node needs the principals, both
-		// for slot-local data ops and for the rights fan-out peers.
+		// ACL state is node-local: every node needs the principals for
+		// the subjects of its slots.
 		if err := InstallPrincipalsNet(ctx, addrs[i], cfg.Subjects); err != nil {
 			t.Fatal(err)
 		}

@@ -2,18 +2,14 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"gdprstore/internal/audit"
 	"gdprstore/internal/cluster"
 	"gdprstore/internal/resp"
 	"gdprstore/internal/wirecode"
@@ -21,15 +17,14 @@ import (
 )
 
 // This file is the cluster-mode surface of the server: slot-ownership
-// enforcement (MOVED redirects and CROSSSLOT batch rejection) as a
-// middleware stage, the CLUSTER introspection command, and the
-// cluster-wide rights coordinator that fans FORGETUSER/GETUSER out to
-// every primary so Article 15/17 guarantees hold across the whole
-// partitioned keyspace. The slot math and topology map live in
-// internal/cluster; this file wires them to the command pipeline.
+// enforcement as a middleware stage (MOVED, ASK, CROSSSLOT), each slot's
+// migration lock, and the peer link slot migration rides. A subject lives
+// in its owner's slot, so a rights command routes on its owner like any
+// keyed command and one node answers it (DESIGN.md §10). The slot math
+// and topology map live in internal/cluster.
 
-// peerTimeout bounds each server-to-server call: one peer's half of a
-// rights fan-out, or one RESTOREKEY of a slot migration.
+// peerTimeout bounds each server-to-server call: one subject's (or one
+// key's) pipeline of RESTOREKEYs during a slot migration.
 const peerTimeout = 5 * time.Second
 
 // ClusterConfig enables cluster mode on a server.
@@ -45,12 +40,22 @@ type ClusterConfig struct {
 // (epoch, slot map, in-flight migrations); m caches topo.Map() so the
 // slot check dereferences one pointer. selfID is stable across topology
 // mutations — the node's address in the map may change (failover), its
-// identity does not.
+// identity does not. locks is every slot's migration lock, the same array
+// across every topology of this server.
 type clusterState struct {
 	selfID string
 	topo   *cluster.Topology
 	m      *cluster.Map
+	locks  *slotLocks
 }
+
+// slotLocks holds one migration lock per slot. Every keyed command holds
+// its slot's shared while it decides where it runs and while it runs; CLUSTER
+// SETSLOT holds it exclusively while it changes the slot's state, and
+// CLUSTER MIGRATESLOT while it moves one subject. So a command that runs on
+// a migrating slot sees its subject whole on this node, or is redirected to
+// where it is whole.
+type slotLocks [cluster.NumSlots]sync.RWMutex
 
 // self returns this node's current entry in the map.
 func (cs *clusterState) self() cluster.Node {
@@ -71,7 +76,11 @@ func (s *Server) EnableCluster(cfg ClusterConfig) error {
 	}
 	topo := cluster.NewTopology(cfg.Map)
 	s.clusterMu.Lock()
-	s.clusterSt.Store(&clusterState{selfID: cfg.Self, topo: topo, m: topo.Map()})
+	locks := new(slotLocks)
+	if cs := s.clusterSt.Load(); cs != nil {
+		locks = cs.locks
+	}
+	s.clusterSt.Store(&clusterState{selfID: cfg.Self, topo: topo, m: topo.Map(), locks: locks})
 	s.clusterMu.Unlock()
 	return nil
 }
@@ -94,12 +103,12 @@ func (s *Server) swapTopology(mutate func(*cluster.Topology) (*cluster.Topology,
 	if err != nil {
 		return err
 	}
-	s.clusterSt.Store(&clusterState{selfID: cs.selfID, topo: next, m: next.Map()})
+	s.clusterSt.Store(&clusterState{selfID: cs.selfID, topo: next, m: next.Map(), locks: cs.locks})
 	return nil
 }
 
 // codedError is an error whose text is the complete RESP error reply,
-// wire-code prefix included (MOVED/CROSSSLOT/CLUSTERDOWN). errReply
+// wire-code prefix included (MOVED/ASK/CROSSSLOT). errReply
 // passes it through verbatim.
 type codedError struct{ text string }
 
@@ -117,27 +126,23 @@ func askError(slot uint16, addr string) error {
 
 var errCrossSlot = codedError{text: wirecode.CrossSlot + " Keys in request don't hash to the same slot"}
 
-// clusterMiddleware enforces slot ownership once cluster mode is on:
-//
-//   - commands with a Keys extractor must have every key in one slot
-//     (CROSSSLOT otherwise) and that slot must be owned by this node
-//     (MOVED otherwise);
-//   - Fanout commands (FORGETUSER/GETUSER) are accepted on any node and
-//     coordinated cluster-wide;
-//   - commands without Keys are node-local and pass through.
-//
-// It sits inside the compliance stage, so AUTH/BASELINE rejections keep
-// precedence over redirects.
+// errOffSlot refuses a compliant write whose key is outside its owner's
+// slot, the placement rule of cluster mode (DESIGN.md §10).
+var errOffSlot = codedError{text: wirecode.CrossSlot + " Key does not hash to its owner's slot (tag it pd:{owner}:...)"}
+
+// clusterMiddleware enforces slot ownership once cluster mode is on, for
+// commands with Keys (the others are node-local). Every key must hash to
+// one slot, and to the owner's slot for a command that names one
+// (CROSSSLOT). Holding the slot's migration lock shared until the handler
+// returns, it answers MOVED for a slot owned elsewhere (unless this node
+// imports it and the client follows an ASK), and ASK on a slot migrating
+// away once this node no longer holds the command's subject or keys
+// (holds). It sits inside the compliance stage, so AUTH/BASELINE
+// rejections keep precedence over redirects.
 func (s *Server) clusterMiddleware(next Handler) Handler {
 	return func(ctx *Ctx) (resp.Value, error) {
 		cs := s.clusterInfo()
-		if cs == nil {
-			return next(ctx)
-		}
-		if ctx.Cmd.Fanout {
-			return s.clusterFanout(ctx, cs)
-		}
-		if ctx.Cmd.Keys == nil {
+		if cs == nil || ctx.Cmd.Keys == nil {
 			return next(ctx)
 		}
 		keys := ctx.Cmd.Keys(ctx.Args)
@@ -150,35 +155,43 @@ func (s *Server) clusterMiddleware(next Handler) Handler {
 				return resp.Value{}, errCrossSlot
 			}
 		}
-		owner := cs.m.NodeForSlot(slot)
-		if owner.ID == cs.selfID {
-			// We own the slot. While it is MIGRATING away, keys that have
-			// already moved (or were never here — new writes must land at
-			// the destination) earn a one-shot ASK redirect; keys still
-			// present are served locally until their turn to move.
-			if mg, ok := cs.topo.Migration(slot); ok && mg.State == cluster.StateMigrating {
-				if !s.anyKeyPresent(keys) {
-					if dest, ok := cs.m.NodeByID(mg.PeerID); ok {
-						return resp.Value{}, askError(slot, dest.Addr)
-					}
-				}
+		var owner string
+		if ctx.Cmd.Owner != nil {
+			if owner = ctx.Cmd.Owner(ctx.Args); owner != "" && cluster.Slot(owner) != slot {
+				return resp.Value{}, errOffSlot
 			}
+		}
+		lock := &cs.locks[slot]
+		lock.RLock()
+		defer lock.RUnlock()
+		// Re-read under the lock: a SETSLOT that finished before it counts.
+		cs = s.clusterInfo()
+		node := cs.m.NodeForSlot(slot)
+		mg, migrating := cs.topo.Migration(slot)
+		switch {
+		case node.ID != cs.selfID && migrating && mg.State == cluster.StateImporting && ctx.Asking:
+			return next(ctx)
+		case node.ID != cs.selfID:
+			return resp.Value{}, movedError(slot, node.Addr)
+		case !migrating || mg.State != cluster.StateMigrating || s.holds(owner, keys):
 			return next(ctx)
 		}
-		// Not the owner: admit only ASK-following clients for a slot this
-		// node is importing; everything else is redirected to the owner.
-		if mg, ok := cs.topo.Migration(slot); ok && mg.State == cluster.StateImporting && ctx.Asking {
+		dest, ok := cs.m.NodeByID(mg.PeerID)
+		if !ok {
 			return next(ctx)
 		}
-		return resp.Value{}, movedError(slot, owner.Addr)
+		return resp.Value{}, askError(slot, dest.Addr)
 	}
 }
 
-// anyKeyPresent reports whether at least one of the requested keys is
-// live locally — the MIGRATING-state test for serving locally vs ASK.
-// Crypto-erased ghosts awaiting the sweep do not count: they will never
-// migrate, so commands on them belong at the destination.
-func (s *Server) anyKeyPresent(keys [][]byte) bool {
+// holds reports whether a command on a migrating slot runs here: this node
+// holds owner's subject (its owner record or a live record), or, for a
+// command that names no owner, one of its keys is live here. Crypto-erased
+// ghosts awaiting the sweep do not count: they never migrate.
+func (s *Server) holds(owner string, keys [][]byte) bool {
+	if owner != "" {
+		return len(s.store.SubjectKeys(owner, 1)) > 0
+	}
 	for _, k := range keys {
 		key := string(k)
 		if s.store.Exists(key) && s.store.KeyVisible(key) {
@@ -194,6 +207,20 @@ func (s *Server) anyKeyPresent(keys [][]byte) bool {
 // and the owner-scoped GDPR commands, whose owner argument hashes to the
 // same slot as the owner's tagged keys).
 func keysFirst(a [][]byte) [][]byte { return a[:1] }
+
+// --- owner extractors (Command.Owner) ---
+
+// ownerFirst names the first argument (GETUSER owner, OBJECT owner p, ...).
+func ownerFirst(a [][]byte) string { return string(a[0]) }
+
+// ownerGPut names the OWNER option of GPUT key value [put options].
+func ownerGPut(a [][]byte) string { o, _ := parsePutOptions(a[2:]); return o.Owner }
+
+// ownerGMPut names the OWNER option of GMPUT npairs k1 v1 ... [put options].
+func ownerGMPut(a [][]byte) string {
+	o, _ := parsePutOptions(a[min(1+2*len(keysGMPut(a)), len(a)):])
+	return o.Owner
+}
 
 // keysAll routes on every argument (MGET, GMGET, DEL, EXISTS).
 func keysAll(a [][]byte) [][]byte { return a }
@@ -249,37 +276,6 @@ func init() {
 		Summary: "ingest one migrated record (cluster-internal; driven by CLUSTER MIGRATESLOT)",
 		Handler: handleRestoreKey,
 	})
-	// Cluster-internal rights primitives: the node-local halves of the
-	// coordinated rights commands. The coordinator invokes them on every
-	// peer; they never fan out themselves, which is what makes the
-	// fan-out terminate. They are registered unconditionally (harmless
-	// aliases of local execution off-cluster) so operators can also use
-	// them to inspect a single node.
-	register(Command{
-		Name: "FORGETUSERLOCAL", MinArgs: 1, MaxArgs: 1, Flags: FlagWrite | FlagGDPR,
-		Summary: "node-local Art. 17 erasure (cluster-internal; use FORGETUSER)",
-		Handler: handleForgetLocal,
-	})
-	register(Command{
-		Name: "GETUSERLOCAL", MinArgs: 1, MaxArgs: 1, Flags: FlagReadonly | FlagGDPR,
-		Summary: "node-local Art. 15 access (cluster-internal; use GETUSER)",
-		Handler: handleGetUserLocal,
-	})
-	register(Command{
-		Name: "EXPORTUSERLOCAL", MinArgs: 1, MaxArgs: 1, Flags: FlagReadonly | FlagGDPR,
-		Summary: "node-local Art. 20 export (cluster-internal; use EXPORTUSER)",
-		Handler: handleExportLocal,
-	})
-	register(Command{
-		Name: "OBJECTLOCAL", MinArgs: 2, MaxArgs: 2, Flags: FlagWrite | FlagGDPR,
-		Summary: "node-local Art. 21 objection (cluster-internal; use OBJECT)",
-		Handler: handleObjectLocal,
-	})
-	register(Command{
-		Name: "UNOBJECTLOCAL", MinArgs: 2, MaxArgs: 2, Flags: FlagWrite | FlagGDPR,
-		Summary: "node-local objection withdrawal (cluster-internal; use UNOBJECT)",
-		Handler: handleUnobjectLocal,
-	})
 }
 
 // clusterSlotsValue renders the topology in Redis CLUSTER SLOTS shape:
@@ -320,239 +316,29 @@ func clusterAddrValue(addr, id string) resp.Value {
 	)
 }
 
-// --- node-local rights primitives ---
-
-func handleForgetLocal(ctx *Ctx) (resp.Value, error) {
-	n, err := ctx.Srv.store.Forget(ctx.Core, string(ctx.Args[0]))
-	if err != nil {
-		return resp.Value{}, err
-	}
-	return resp.IntegerValue(int64(n)), nil
-}
-
-// handleGetUserLocal serves GETUSER, GETUSERDATA and GETUSERLOCAL. It reads
-// the whole report first, which is all that can fail, then writes it into
-// ctx.Out as one array of key/value pairs, allocating nothing per record.
-func handleGetUserLocal(ctx *Ctx) (resp.Value, error) {
-	keys, values, err := ctx.Srv.store.UserValues(ctx.Core, string(ctx.Args[0]))
-	if err != nil {
-		return resp.Value{}, err
-	}
-	err = ctx.Out.WriteArrayHeader(2 * len(keys))
-	for i := 0; i < len(keys) && err == nil; i++ {
-		if err = ctx.Out.WriteBulkString(keys[i]); err == nil {
-			err = ctx.Out.WriteBulk(values[i])
-		}
-	}
-	return resp.Value{}, err
-}
-
-func handleExportLocal(ctx *Ctx) (resp.Value, error) {
-	b, err := ctx.Srv.store.Export(ctx.Core, string(ctx.Args[0]))
-	if err != nil {
-		return resp.Value{}, err
-	}
-	return resp.BulkValue(b), nil
-}
-
-func handleObjectLocal(ctx *Ctx) (resp.Value, error) {
-	if err := ctx.Srv.store.Object(ctx.Core, string(ctx.Args[0]), string(ctx.Args[1])); err != nil {
-		return resp.Value{}, err
-	}
-	return resp.SimpleStringValue("OK"), nil
-}
-
-func handleUnobjectLocal(ctx *Ctx) (resp.Value, error) {
-	if err := ctx.Srv.store.Unobject(ctx.Core, string(ctx.Args[0]), string(ctx.Args[1])); err != nil {
-		return resp.Value{}, err
-	}
-	return resp.SimpleStringValue("OK"), nil
-}
-
-// --- the rights fan-out coordinator ---
-
-// fanoutSpec describes how one rights command distributes: the node-local
-// primitive its peers run, and how the per-node replies merge.
-type fanoutSpec struct {
-	localCmd string
-	merge    func(local resp.Value, peers []resp.Value) (resp.Value, error)
-	// audited writes an aggregate coordinator record on success (erasure
-	// only; read-path rights are audited per node by the store itself).
-	audited bool
-}
-
-var fanoutSpecs = map[string]fanoutSpec{
-	"FORGETUSER":  {localCmd: "FORGETUSERLOCAL", merge: mergeSum, audited: true},
-	"GETUSER":     {localCmd: "GETUSERLOCAL", merge: mergeConcat},
-	"GETUSERDATA": {localCmd: "GETUSERLOCAL", merge: mergeConcat},
-	"EXPORTUSER":  {localCmd: "EXPORTUSERLOCAL", merge: mergeExport},
-	"OBJECT":      {localCmd: "OBJECTLOCAL", merge: mergeOK},
-	"UNOBJECT":    {localCmd: "UNOBJECTLOCAL", merge: mergeOK},
-}
-
-// mergeSum adds integer replies (erasure counts).
-func mergeSum(local resp.Value, peers []resp.Value) (resp.Value, error) {
-	total := local.Int
-	for _, v := range peers {
-		total += v.Int
-	}
-	return resp.IntegerValue(total), nil
-}
-
-// mergeConcat appends array replies (key/value record lists).
-func mergeConcat(local resp.Value, peers []resp.Value) (resp.Value, error) {
-	merged := append([]resp.Value(nil), local.Array...)
-	for _, v := range peers {
-		merged = append(merged, v.Array...)
-	}
-	return resp.ArrayValue(merged...), nil
-}
-
-// mergeOK collapses unanimous OK replies (objections).
-func mergeOK(resp.Value, []resp.Value) (resp.Value, error) {
-	return resp.SimpleStringValue("OK"), nil
-}
-
-// exportPayload is the Article 20 portability envelope core.Export emits
-// (format gdprstore-export/v1); the coordinator merges the per-node
-// record lists into one payload so a cluster export is as complete as a
-// single-node one.
-type exportPayload struct {
-	Format  string            `json:"format"`
-	Owner   string            `json:"owner"`
-	Records []json.RawMessage `json:"records"`
-}
-
-func mergeExport(local resp.Value, peers []resp.Value) (resp.Value, error) {
-	var out exportPayload
-	if err := json.Unmarshal(local.Str, &out); err != nil {
-		return resp.Value{}, fmt.Errorf("cluster export merge: %w", err)
-	}
-	for _, v := range peers {
-		var p exportPayload
-		if err := json.Unmarshal(v.Str, &p); err != nil {
-			return resp.Value{}, fmt.Errorf("cluster export merge: %w", err)
-		}
-		out.Records = append(out.Records, p.Records...)
-	}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return resp.Value{}, err
-	}
-	return resp.BulkValue(b), nil
-}
-
-// clusterFanout coordinates a rights command across every primary: the
-// local half runs through the command's own handler, the remote halves
-// through the *LOCAL primitives on each peer, and the replies merge per
-// the command's fanoutSpec. A local refusal (DENIED, ERASED, ...) is
-// returned verbatim — its wire code is the authoritative answer and the
-// peers are not consulted. After a successful local half the operation is
-// all-or-reported: any unreachable or refusing peer turns the reply into
-// a CLUSTERDOWN error naming the nodes that did not confirm, and the
-// partial outcome is written to the audit trail — never silently dropped.
-// Every right, reads included, asks primaries only: a replica may not yet
-// have applied an erasure the cluster already acknowledged.
-func (s *Server) clusterFanout(ctx *Ctx, cs *clusterState) (resp.Value, error) {
-	owner := string(ctx.Args[0])
-	spec := fanoutSpecs[ctx.Cmd.Name]
-	back := divert(ctx)
-	localV, err := back(ctx.Cmd.Handler(ctx))
-	if err != nil {
-		return resp.Value{}, err
-	}
-
-	peers := make([]cluster.Node, 0, len(cs.m.Nodes())-1)
-	for _, n := range cs.m.Nodes() {
-		if n.ID != cs.selfID {
-			peers = append(peers, n)
-		}
-	}
-	peerArgs := make([]string, 0, 1+len(ctx.Args))
-	peerArgs = append(peerArgs, spec.localCmd)
-	for _, a := range ctx.Args {
-		peerArgs = append(peerArgs, string(a))
-	}
-
-	type peerReply struct {
-		node cluster.Node
-		v    resp.Value
-		err  error
-	}
-	replies := make([]peerReply, len(peers))
-	var wg sync.WaitGroup
-	for i, p := range peers {
-		wg.Add(1)
-		go func(i int, p cluster.Node) {
-			defer wg.Done()
-			v, err := s.peerCall(p.Addr, ctx.Core.Actor, ctx.Core.Purpose, peerArgs...)
-			replies[i] = peerReply{node: p, v: v, err: err}
-		}(i, p)
-	}
-	wg.Wait()
-
-	var failed []string
-	peerVals := make([]resp.Value, 0, len(replies))
-	for _, r := range replies {
-		if r.err != nil {
-			failed = append(failed, fmt.Sprintf("%s (%s): %v", r.node.ID, r.node.Addr, r.err))
-			continue
-		}
-		peerVals = append(peerVals, r.v)
-	}
-
-	if len(failed) > 0 {
-		sort.Strings(failed)
-		detail := fmt.Sprintf("cluster fan-out incomplete (%d/%d nodes failed): %s",
-			len(failed), len(peers)+1, strings.Join(failed, "; "))
-		s.auditCluster(audit.Record{
-			Actor: ctx.Core.Actor, Op: ctx.Cmd.Name, Owner: owner, Purpose: ctx.Core.Purpose,
-			Outcome: audit.OutcomeError, Detail: detail,
-		})
-		return resp.Value{}, codedError{text: wirecode.ClusterDown + " " + detail}
-	}
-
-	merged, err := spec.merge(localV, peerVals)
-	if err != nil {
-		return resp.Value{}, err
-	}
-	if spec.audited {
-		s.auditCluster(audit.Record{
-			Actor: ctx.Core.Actor, Op: ctx.Cmd.Name, Owner: owner, Purpose: ctx.Core.Purpose,
-			Outcome: audit.OutcomeOK,
-			Detail:  fmt.Sprintf("cluster fan-out: nodes=%d erased=%d", len(peers)+1, merged.Int),
-		})
-	}
-	return merged, nil
-}
-
-// auditCluster writes a coordinator-side audit record when the store has
-// a trail (fan-out outcomes are part of the Article 30 evidence; each
-// node additionally audits its own local half).
-func (s *Server) auditCluster(r audit.Record) {
-	if t := s.store.Trail(); t != nil {
-		_, _ = t.Append(r)
-	}
-}
-
-// peerCall runs one command on the peer at addr as the coordinator
-// session's actor and purpose, so the peer's ACL and audit trail see the
-// real principal. It rides addr's pooled client as one pipeline of AUTH,
-// PURPOSE and the command, sent in one round trip. AUTH and PURPOSE go out
-// on every call, empty or not, so a pooled connection never carries an
-// earlier caller's identity. An error reply in any slot fails the call
-// with that reply's text. A transport failure on a client that was
-// already pooled (the peer restarted since) drops the client and retries
-// once on a fresh dial, inside the same peerTimeout.
-func (s *Server) peerCall(addr, actor, purpose string, args ...string) (resp.Value, error) {
+// peerCall runs cmds on the peer at addr as the calling session's actor and
+// purpose, so the peer's ACL and audit trail see the real principal. It
+// rides addr's pooled client as one pipeline of AUTH, PURPOSE and the
+// commands, sent in one round trip. AUTH and PURPOSE go out on every call,
+// empty or not, so a pooled connection never carries an earlier caller's
+// identity. The peer runs every command; replies holds each one's error
+// reply, nil for success, and err a failure of the call itself (transport,
+// AUTH or PURPOSE). A transport failure on a client that was already
+// pooled (the peer restarted since) drops the client and retries once on
+// a fresh dial, inside the same peerTimeout.
+func (s *Server) peerCall(addr, actor, purpose string, cmds ...[]string) (replies []error, err error) {
 	ctx, cancel := context.WithTimeout(context.Background(), peerTimeout)
 	defer cancel()
 	for attempt := 0; ; attempt++ {
 		c, pooled, err := s.peer(ctx, addr)
 		if err != nil {
-			return resp.Value{}, err
+			return nil, err
 		}
-		res, err := c.Pipeline().Do("AUTH", actor).Do("PURPOSE", purpose).Do(args...).Exec(ctx)
+		p := c.Pipeline().Do("AUTH", actor).Do("PURPOSE", purpose)
+		for _, cmd := range cmds {
+			p.Do(cmd...)
+		}
+		res, err := p.Exec(ctx)
 		if err != nil {
 			if pooled && attempt == 0 && ctx.Err() == nil {
 				// Forget the stale client; calls already on it finish on
@@ -565,14 +351,20 @@ func (s *Server) peerCall(addr, actor, purpose string, args ...string) (resp.Val
 				c.Close()
 				continue
 			}
-			return resp.Value{}, err
+			return nil, err
 		}
-		for _, r := range res {
+		for _, r := range res[:2] {
 			if r.Err != nil {
-				return resp.Value{}, errors.New(r.Value.Text())
+				return nil, errors.New(r.Value.Text())
 			}
 		}
-		return res[2].Value, nil
+		replies = make([]error, len(cmds))
+		for i, r := range res[2:] {
+			if r.Err != nil {
+				replies[i] = errors.New(r.Value.Text())
+			}
+		}
+		return replies, nil
 	}
 }
 

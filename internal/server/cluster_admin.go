@@ -237,11 +237,17 @@ func clusterTopologyValue(t *cluster.Topology) resp.Value {
 //	source: CLUSTER SETSLOT <slot> MIGRATING <dest-id>
 //	source: CLUSTER MIGRATESLOT <slot>
 //	all:    CLUSTER SETSLOT <slot> NODE <dest-id>
-func cmdClusterSetSlot(ctx *Ctx, _ *clusterState, args [][]byte) (resp.Value, error) {
+//
+// It holds the slot's migration lock exclusively, so every command that
+// decided where to run under the old state has finished first.
+func cmdClusterSetSlot(ctx *Ctx, cs *clusterState, args [][]byte) (resp.Value, error) {
 	slot, err := parseSlot(args[0])
 	if err != nil {
 		return resp.Value{}, err
 	}
+	lock := &cs.locks[slot]
+	lock.Lock()
+	defer lock.Unlock()
 	verb := strings.ToUpper(string(args[1]))
 	needsID := verb == "MIGRATING" || verb == "IMPORTING" || verb == "NODE"
 	if needsID != (len(args) == 3) {

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"gdprstore/internal/cluster"
@@ -13,17 +15,17 @@ import (
 // This file is the key-streaming half of live slot migration. The
 // operator marks the slot IMPORTING on the destination and MIGRATING on
 // the source (cluster_admin.go); CLUSTER MIGRATESLOT on the source then
-// sends one OBJECTLOCAL per standing objection of each owner record in the
-// slot (a union there; the source keeps its copy), so no key lands before
-// its subject's objections. Then, per key: DumpForMigration (the key's
-// journal record, decrypted under the source keyring, metadata verbatim) →
-// RESTOREKEY <record…> on the destination (re-seal, re-index, journal,
-// audit) → RemoveMigrated on the source, guarded so a write that raced in
-// between re-dumps instead of being lost. Erasures win over migration in
-// both directions: a key shredded on the source is never dumped, and a
-// record whose owner is shredded on the destination is refused with
-// ERASED — the source skips it and lets the sweep reclaim the dead
-// ciphertext.
+// moves the slot one subject at a time (its owner record and live
+// records), holding the slot's migration lock exclusively so no command
+// sees the subject on both nodes: DumpForMigration per key (the key's
+// journal record, decrypted, metadata verbatim) → one pipeline of
+// RESTOREKEY <record…> to the destination (re-seal, re-index, journal,
+// audit) → RemoveMigrated per acknowledged key, guarded so a write that
+// raced in between re-dumps instead of being lost. Keys of no owner move
+// the same way, one at a time. Erasures win over migration in both
+// directions: a key shredded on the source is never dumped, and a record
+// whose owner is shredded on the destination is refused with ERASED — the
+// source skips it. DESIGN.md §15.
 
 // migrateRetries bounds re-dumps of a key that keeps being written while
 // it is being moved before the slot migration reports failure.
@@ -32,8 +34,8 @@ const migrateRetries = 5
 // cmdClusterMigrateSlot is the CLUSTER MIGRATESLOT handler (run on the
 // source). The slot must already be MIGRATING; the reply is the number of
 // records that landed on the destination. One aggregate audit record
-// captures the outcome on the source; the destination audits each
-// objection and arriving record itself.
+// captures the outcome on the source; the destination audits each arriving
+// record, owner records included, itself.
 func cmdClusterMigrateSlot(ctx *Ctx, cs *clusterState, args [][]byte) (resp.Value, error) {
 	slot, err := parseSlot(args[0])
 	if err != nil {
@@ -53,7 +55,7 @@ func cmdClusterMigrateSlot(ctx *Ctx, cs *clusterState, args [][]byte) (resp.Valu
 	if err := ctx.Srv.store.AuthorizeMigration(ctx.Core); err != nil {
 		return resp.Value{}, err
 	}
-	owners, moved, skipped, err := ctx.Srv.migrateSlot(ctx.Core, slot, dest)
+	owners, moved, skipped, err := ctx.Srv.migrateSlot(ctx.Core, cs, slot, dest)
 	detail := fmt.Sprintf("slot=%d dest=%s owners=%d moved=%d skipped=%d", slot, dest.ID, owners, moved, skipped)
 	if err != nil {
 		detail += " error=" + err.Error()
@@ -65,82 +67,119 @@ func cmdClusterMigrateSlot(ctx *Ctx, cs *clusterState, args [][]byte) (resp.Valu
 	return resp.IntegerValue(int64(moved)), nil
 }
 
-// migrateSlot carries slot's owner records to dest, then streams every
-// live key of slot. skipped counts keys that did not need to move: erased
-// ghosts, keys deleted or expired mid-stream, and records the destination
-// refused with ERASED because the owner was already shredded there.
-func (s *Server) migrateSlot(cctx core.Ctx, slot uint16, dest cluster.Node) (owners, moved, skipped int, err error) {
+// migrateSlot moves every subject of slot to dest, each under the slot's
+// migration lock, then the slot's keys of no owner one by one. owners
+// counts the owner records carried, moved the records that landed on dest,
+// and skipped the keys that did not need to move: keys deleted or expired
+// mid-stream, and records dest refused with ERASED because the owner was
+// already shredded there.
+func (s *Server) migrateSlot(cctx core.Ctx, cs *clusterState, slot uint16, dest cluster.Node) (owners, moved, skipped int, err error) {
+	// move sends keys to dest as one pipeline of RESTOREKEYs, then removes
+	// each source copy dest acknowledged. A key written between its dump and
+	// its removal is dumped and sent again, up to migrateRetries times.
+	move := func(keys []string) error {
+		for attempt := 0; len(keys) > 0; attempt++ {
+			if attempt == migrateRetries {
+				return fmt.Errorf("key %q kept changing while migrating", keys[0])
+			}
+			var sent, cmd []string
+			var raws [][]byte
+			var cmds [][]string
+			for _, key := range keys {
+				rec, raw, ok, err := s.store.DumpForMigration(key)
+				if err != nil {
+					return fmt.Errorf("dump %q: %w", key, err)
+				}
+				if !ok {
+					skipped++
+					continue
+				}
+				cmd = []string{"RESTOREKEY"}
+				for _, a := range rec {
+					cmd = append(cmd, string(a))
+				}
+				sent, raws, cmds = append(sent, key), append(raws, raw), append(cmds, cmd)
+			}
+			if len(cmds) == 0 {
+				return nil
+			}
+			replies, err := s.peerCall(dest.Addr, cctx.Actor, cctx.Purpose, cmds...)
+			if err != nil {
+				return fmt.Errorf("restore on %s: %w", dest.ID, err)
+			}
+			var refused error
+			keys = nil
+			for i, key := range sent {
+				if rerr := replies[i]; rerr != nil {
+					if !strings.HasPrefix(rerr.Error(), wirecode.Erased) {
+						refused = cmp.Or(refused, fmt.Errorf("restore %q on %s: %w", key, dest.ID, rerr))
+						continue
+					}
+					// The owner is shredded on the destination, so the record
+					// is dead there: the erasure wins, nothing is resurrected.
+					skipped++
+					continue
+				}
+				removed, changed := s.store.RemoveMigrated(key, raws[i])
+				_, ownerRecord := core.ReservedKey(key)
+				switch {
+				case changed:
+					// A write landed between dump and removal; the
+					// destination holds a stale copy. Re-dump so the newer
+					// value wins.
+					keys = append(keys, key)
+				case !removed:
+					skipped++ // deleted or expired between dump and removal
+				case ownerRecord:
+					owners++
+				default:
+					moved++
+				}
+			}
+			if refused != nil {
+				return refused
+			}
+		}
+		return nil
+	}
+	lock, seen := &cs.locks[slot], make(map[string]bool)
 	for _, k := range s.store.Engine().Keys("*") {
-		owner, ok := core.ReservedKey(k)
-		if !ok || cluster.Slot(k) != slot {
+		owner, reserved := core.ReservedKey(k)
+		if rec := s.store.Engine().RecordOf(k); rec != nil && !reserved {
+			owner = rec.Policy.Owner
+		}
+		if cluster.Slot(k) != slot || seen[owner] {
 			continue
 		}
-		for _, p := range s.store.Objections(owner) {
-			if _, cerr := s.peerCall(dest.Addr, cctx.Actor, cctx.Purpose, "OBJECTLOCAL", owner, p); cerr != nil {
-				return owners, 0, 0, fmt.Errorf("carry %s's objection on %s: %w", owner, dest.ID, cerr)
-			}
+		lock.Lock()
+		keys := []string{k}
+		if owner != "" && cluster.Slot(owner) == slot {
+			seen[owner] = true
+			keys = slices.DeleteFunc(s.store.SubjectKeys(owner, -1), func(k string) bool { return cluster.Slot(k) != slot })
 		}
-		owners++
-	}
-	for _, key := range s.keysInSlot(slot, -1) {
-	attempts:
-		for attempt := 0; ; attempt++ {
-			if attempt >= migrateRetries {
-				return owners, moved, skipped, fmt.Errorf("key %q kept changing while migrating", key)
-			}
-			rec, raw, ok, derr := s.store.DumpForMigration(key)
-			if derr != nil {
-				return owners, moved, skipped, fmt.Errorf("dump %q: %w", key, derr)
-			}
-			if !ok {
-				skipped++
-				break attempts
-			}
-			args := make([]string, 0, 1+len(rec))
-			args = append(args, "RESTOREKEY")
-			for _, a := range rec {
-				args = append(args, string(a))
-			}
-			if _, cerr := s.peerCall(dest.Addr, cctx.Actor, cctx.Purpose, args...); cerr != nil {
-				if strings.HasPrefix(cerr.Error(), wirecode.Erased) {
-					// An erasure raced ahead of the migration and already
-					// reached the destination: the record is dead. Leave
-					// the source copy for the sweep; do not resurrect.
-					skipped++
-					break attempts
-				}
-				return owners, moved, skipped, fmt.Errorf("restore %q on %s: %w", key, dest.ID, cerr)
-			}
-			removed, changed := s.store.RemoveMigrated(key, raw)
-			if changed {
-				// A write landed between dump and removal; the destination
-				// holds a stale copy. Re-dump so the newer value wins.
-				continue
-			}
-			if removed {
-				moved++
-			} else {
-				// Deleted or erased between dump and removal; the restored
-				// copy on the destination is dead or will be erased by the
-				// same fan-out that removed it here.
-				skipped++
-			}
-			break attempts
+		err = move(keys)
+		lock.Unlock()
+		if err != nil {
+			break
 		}
 	}
-	return owners, moved, skipped, nil
+	return owners, moved, skipped, err
 }
 
 // handleRestoreKey is the destination half: ingest one migration record,
-// the journal record DumpForMigration built. The record's slot must be one
-// this node owns or is importing — the internal streaming path does not
-// use ASKING, so the check lives here rather than in the cluster
+// the journal record DumpForMigration built. In cluster mode the record's
+// key must hash to its owner's slot (CROSSSLOT otherwise), and that slot
+// must be one this node owns or is importing — the internal streaming path
+// does not use ASKING, so the check lives here rather than in the cluster
 // middleware (Keys is nil for RESTOREKEY).
 func handleRestoreKey(ctx *Ctx) (resp.Value, error) {
-	var admit func(key string) error
+	var admit func(key, owner string) error
 	if cs := ctx.Srv.clusterInfo(); cs != nil {
-		admit = func(key string) error {
+		admit = func(key, owner string) error {
 			slot := cluster.Slot(key)
+			if owner != "" && cluster.Slot(owner) != slot {
+				return errOffSlot
+			}
 			if owner := cs.m.NodeForSlot(slot); owner.ID != cs.selfID {
 				mg, ok := cs.topo.Migration(slot)
 				if !ok || mg.State != cluster.StateImporting {

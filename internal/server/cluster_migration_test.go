@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -29,9 +30,9 @@ import (
 
 // TestOwnerRecordOffTheKeyspace: the owner record that holds a subject's
 // standing objections is no key a client can list, name (with a GDPR or a
-// raw command, RESTOREKEY included) or read back in a rights report. A
-// slot's key list leaves it out too, so a slot migration carries it on its
-// own, as OBJECTLOCALs ahead of the keys (TestClusterMigrationCarriesObjection).
+// raw command, RESTOREKEY of anything but an owner record included) or read
+// back in a rights report. A slot's key list leaves it out too; a slot
+// migration moves it with its subject (TestClusterMigrationCarriesObjection).
 func TestOwnerRecordOffTheKeyspace(t *testing.T) {
 	srvs, stores, _ := startCluster(t, 1)
 	ctx := context.Background()
@@ -376,8 +377,8 @@ func TestClusterForgetMidMigration(t *testing.T) {
 	}
 
 	// The subject invokes erasure in the middle of the migration. The
-	// fan-out reaches every node regardless of slot state, so all three
-	// records die and BOTH ends of the migration evidence the erasure.
+	// source no longer holds the subject, so the erasure follows ASK to the
+	// destination, which holds all three records and alone records it.
 	n, err := c.ForgetUser(ctx, owner)
 	if err != nil || n != 3 {
 		t.Fatalf("FORGETUSER mid-migration = %d, %v; want 3", n, err)
@@ -388,14 +389,9 @@ func TestClusterForgetMidMigration(t *testing.T) {
 				t.Errorf("node %d still holds %s after mid-migration erasure", i+1, k)
 			}
 		}
-	}
-	for _, end := range []struct {
-		name string
-		st   *core.Store
-	}{{"source", stores[0]}, {"destination", stores[1]}} {
-		recs, err := end.st.Trail().Query(audit.Filter{Op: "FORGETUSER", Owner: owner})
-		if err != nil || len(recs) == 0 {
-			t.Errorf("%s has no FORGETUSER audit record (%v)", end.name, err)
+		recs, err := st.Trail().Query(audit.Filter{Op: "FORGETUSER", Owner: owner})
+		if wantN := map[bool]int{true: 1}[i == 1]; err != nil || len(recs) != wantN {
+			t.Errorf("node %d FORGETUSER records = %d, %v; want %d", i+1, len(recs), err, wantN)
 		}
 	}
 	// Reads through the still-open migration window agree the subject is
@@ -442,27 +438,30 @@ func TestClusterForgetDuringMigrationRace(t *testing.T) {
 	}
 
 	// Race the slot stream against the subject's erasure, issued through a
-	// second connection. Whatever the interleaving, no record of the
-	// subject may survive visibly on either node: a record the erasure
-	// beat to the destination is refused with ERASED (the destination's
-	// keyring is shredded), one it trailed is erased by the fan-out.
+	// second connection. Whatever the interleaving, the erasure runs on the
+	// one node that holds the whole subject at that moment: on the source
+	// before the subject moves (its records are then dead and never
+	// migrate), or on the destination after (via ASK). No record of the
+	// subject may survive visibly on either node.
 	var wg sync.WaitGroup
 	wg.Add(2)
 	var migErr, forgetErr error
+	var erased int64
 	go func() {
 		defer wg.Done()
 		_, migErr = src.Do(ctx, "CLUSTER", "MIGRATESLOT", ss)
 	}()
 	go func() {
 		defer wg.Done()
-		_, forgetErr = c.ForgetUser(ctx, owner)
+		erased, forgetErr = c.ForgetUser(ctx, owner)
 	}()
 	wg.Wait()
 	if migErr != nil {
 		t.Fatalf("MIGRATESLOT racing erasure: %v", migErr)
 	}
-	if forgetErr != nil {
-		t.Fatalf("FORGETUSER racing migration: %v", forgetErr)
+	// The erasure saw the whole subject on one node.
+	if forgetErr != nil || erased != int64(len(keys)) {
+		t.Fatalf("FORGETUSER racing migration = %d, %v; want %d", erased, forgetErr, len(keys))
 	}
 
 	for i, st := range stores {
@@ -474,12 +473,17 @@ func TestClusterForgetDuringMigrationRace(t *testing.T) {
 			}
 		}
 	}
-	// Both ends evidence the erasure independently.
-	for i, st := range stores {
+	// The node that held the subject records the erasure, and only it.
+	recorded := 0
+	for _, st := range stores {
 		recs, err := st.Trail().Query(audit.Filter{Op: "FORGETUSER", Owner: owner})
-		if err != nil || len(recs) == 0 {
-			t.Errorf("node %d has no FORGETUSER audit record (%v)", i+1, err)
+		if err != nil {
+			t.Fatal(err)
 		}
+		recorded += len(recs)
+	}
+	if recorded != 1 {
+		t.Errorf("the nodes hold %d FORGETUSER records between them, want 1", recorded)
 	}
 	// And the client, wherever it is routed, agrees the subject is gone.
 	for _, k := range keys {
@@ -680,9 +684,10 @@ func TestRestoreKeyRefusesJSONRecord(t *testing.T) {
 }
 
 // TestClusterGetUserSkipsLaggingReplica: after an acknowledged erasure, a
-// rights read coordinated while the subject's primary is down must not be
-// served by that primary's replica, which may not have applied the
-// erasure. It answers CLUSTERDOWN instead, as FORGETUSER does.
+// rights read while the subject's primary is down must not be served by
+// that primary's replica, which may not have applied the erasure. Every
+// other primary redirects it to the dead primary, and the replica redirects
+// it too.
 func TestClusterGetUserSkipsLaggingReplica(t *testing.T) {
 	srvs, _, rsrv, rst, m := startClusterWithReplica(t)
 	ctx := context.Background()
@@ -698,8 +703,7 @@ func TestClusterGetUserSkipsLaggingReplica(t *testing.T) {
 	// The replica falls behind: its primary is now an address nobody
 	// answers, so the erasure below never reaches it.
 	rsrv.ReplicaOf("127.0.0.1:1", replica.NodeOptions{})
-	n2 := nodeClient(t, srvs[1].Addr())
-	if n, err := n2.ForgetUser(ctx, owner); err != nil || n != 1 {
+	if n, err := nodeClient(t, srvs[0].Addr()).ForgetUser(ctx, owner); err != nil || n != 1 {
 		t.Fatalf("FORGETUSER = %d, %v; want 1", n, err)
 	}
 	srvs[0].Close()
@@ -707,13 +711,14 @@ func TestClusterGetUserSkipsLaggingReplica(t *testing.T) {
 		t.Fatal("test premise broken: the lagging replica already dropped the record")
 	}
 
-	recs, err := n2.GetUser(ctx, owner)
-	if !errors.Is(err, gdprkv.ErrClusterDown) || len(recs) != 0 {
-		t.Fatalf("GETUSER after an acknowledged erasure = %d records, %v; want ErrClusterDown", len(recs), err)
-	}
-	for _, cmd := range []string{"GETUSERDATA", "EXPORTUSER"} {
-		if v, err := n2.Do(ctx, cmd, owner); !errors.Is(err, gdprkv.ErrClusterDown) {
-			t.Fatalf("%s after an acknowledged erasure = %v, %v; want ErrClusterDown", cmd, v, err)
+	// The replica names the primary it was last told of.
+	primary := fmt.Sprintf("MOVED %d %s", cluster.Slot(owner), srvs[0].Addr())
+	for addr, want := range map[string]string{srvs[1].Addr(): primary, srvs[2].Addr(): primary, rsrv.Addr(): "MOVED"} {
+		c := nodeClient(t, addr)
+		for _, cmd := range []string{"GETUSER", "GETUSERDATA", "EXPORTUSER"} {
+			if v, err := c.Do(ctx, cmd, owner); !errors.Is(err, gdprkv.ErrMoved) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s at %s after an acknowledged erasure = %v, %v; want %q", cmd, addr, v, err, want)
+			}
 		}
 	}
 }
@@ -807,9 +812,8 @@ func TestClusterReplicaRedirectsEveryDataRead(t *testing.T) {
 
 // startOwnerMigration starts two nodes that enforce purposes (full
 // capability, ACL enforcement off) and writes two of a subject's records,
-// tagged with its slot, on n1; n1 alone then takes OBJECT owner billing, as
-// when n2 was down during the fan-out or joined after it. The subject's slot
-// is left IMPORTING on n2 and MIGRATING on n1.
+// tagged with its slot, on n1, which then takes OBJECT owner billing. The
+// subject's slot is left IMPORTING on n2 and MIGRATING on n1.
 func startOwnerMigration(t *testing.T) (srvs []*Server, stores []*core.Store, owner, ss string, keys []string) {
 	t.Helper()
 	srvs, stores, m := startClusterWith(t, 2, core.Config{
@@ -829,7 +833,7 @@ func startOwnerMigration(t *testing.T) (srvs []*Server, stores []*core.Store, ow
 		c   *gdprkv.Client
 		cmd []string
 	}{
-		{src, []string{"OBJECTLOCAL", owner, "billing"}},
+		{src, []string{"OBJECT", owner, "billing"}},
 		{dst, []string{"CLUSTER", "SETSLOT", ss, "IMPORTING", "n1"}},
 		{src, []string{"CLUSTER", "SETSLOT", ss, "MIGRATING", "n2"}},
 	} {
@@ -840,11 +844,11 @@ func startOwnerMigration(t *testing.T) (srvs []*Server, stores []*core.Store, ow
 	return srvs, stores, owner, ss, keys
 }
 
-// TestClusterMigrationCarriesObjection: a slot migration carries the
-// subject's owner record ahead of its keys, so on a destination that never
-// saw the OBJECT a new record and an overwrite of a migrated one, both sent
+// TestClusterMigrationCarriesObjection: a slot migration moves the
+// subject's owner record with its keys, so on a destination that never saw
+// the OBJECT a new record and an overwrite of a migrated one, both sent
 // there with ASK mid-migration, still object, and a read under the objected
-// purpose is refused there. The source keeps its copy, and its MIGRATESLOT
+// purpose is refused there. The source keeps no copy, and its MIGRATESLOT
 // audit record counts the owner record carried.
 func TestClusterMigrationCarriesObjection(t *testing.T) {
 	srvs, stores, owner, ss, keys := startOwnerMigration(t)
@@ -852,10 +856,11 @@ func TestClusterMigrationCarriesObjection(t *testing.T) {
 	if mv, err := nodeClient(t, srvs[0].Addr()).Do(ctx, "CLUSTER", "MIGRATESLOT", ss); err != nil || mv.Int != 2 {
 		t.Fatalf("MIGRATESLOT = %d, %v; want 2 moved", mv.Int, err)
 	}
-	for i, st := range stores {
-		if got := st.Objections(owner); !reflect.DeepEqual(got, []string{"billing"}) {
-			t.Errorf("node %d: %s objects to %v, want [billing]", i+1, owner, got)
-		}
+	if got := stores[1].Objections(owner); !reflect.DeepEqual(got, []string{"billing"}) {
+		t.Errorf("n2: %s objects to %v, want [billing]", owner, got)
+	}
+	if got := stores[0].Objections(owner); got != nil || len(stores[0].SubjectKeys(owner, 1)) != 0 {
+		t.Errorf("n1 still holds %s (objections %v) after the migration", owner, got)
 	}
 	c := clusterClient(t, srvs)
 	written := []string{fmt.Sprintf("pd:{%s}:new", owner), keys[0]}
@@ -893,37 +898,11 @@ func TestClusterMigrationCarriesObjection(t *testing.T) {
 	}
 }
 
-// TestClusterMigrationUnitesObjections: migrating to a node that already
-// holds another objection of the subject leaves it with both, on its owner
-// record and on every migrated record; the source keeps its own.
-func TestClusterMigrationUnitesObjections(t *testing.T) {
-	srvs, stores, owner, ss, keys := startOwnerMigration(t)
-	ctx := context.Background()
-	if _, err := nodeClient(t, srvs[1].Addr()).Do(ctx, "OBJECTLOCAL", owner, "ads"); err != nil {
-		t.Fatal(err)
-	}
-	if mv, err := nodeClient(t, srvs[0].Addr()).Do(ctx, "CLUSTER", "MIGRATESLOT", ss); err != nil || mv.Int != 2 {
-		t.Fatalf("MIGRATESLOT = %d, %v; want 2 moved", mv.Int, err)
-	}
-	both := []string{"ads", "billing"}
-	if got := stores[1].Objections(owner); !reflect.DeepEqual(got, both) {
-		t.Fatalf("n2: %s objects to %v, want %v", owner, got, both)
-	}
-	if got := stores[0].Objections(owner); !reflect.DeepEqual(got, []string{"billing"}) {
-		t.Fatalf("n1: %s objects to %v, want [billing]", owner, got)
-	}
-	for _, k := range keys {
-		meta, err := stores[1].Metadata(core.Ctx{Actor: "app", Purpose: "service"}, k)
-		if err != nil || !reflect.DeepEqual(meta.Objections, both) {
-			t.Fatalf("migrated %s objects to %v, %v; want %v", k, meta.Objections, err, both)
-		}
-	}
-}
-
 // TestClusterMigrationRefusedWithoutRights: carrying an objection is a
-// rights operation on the destination. A principal that may restore
-// records there but not exercise rights has its migration refused before
-// any key moves, and both ends audit the refusal.
+// rights operation on the destination, for the owner record and for each
+// record that carries it. A principal that may restore records there but
+// not exercise rights has its migration refused with no key moved, and
+// both ends audit the refusal.
 func TestClusterMigrationRefusedWithoutRights(t *testing.T) {
 	srvs, stores, owner, ss, keys := startOwnerMigration(t)
 	ctx := context.Background()
@@ -953,11 +932,158 @@ func TestClusterMigrationRefusedWithoutRights(t *testing.T) {
 	if got := stores[1].Objections(owner); got != nil {
 		t.Fatalf("n2: %s objects to %v after the refusal, want none", owner, got)
 	}
-	if recs, err := stores[1].Trail().Query(audit.Filter{Op: "OBJECT", Owner: owner, Outcome: audit.OutcomeDenied}); err != nil || len(recs) != 1 {
-		t.Fatalf("n2 denied OBJECT audit records = %d, %v; want 1", len(recs), err)
+	if recs, err := stores[1].Trail().Query(audit.Filter{Op: "RESTOREKEY", Owner: owner, Outcome: audit.OutcomeDenied}); err != nil || len(recs) != 3 {
+		t.Fatalf("n2 denied RESTOREKEY audit records = %d, %v; want 3 (owner record and two keys)", len(recs), err)
 	}
 	aggr, err := stores[0].Trail().Query(audit.Filter{Op: "MIGRATESLOT", Outcome: audit.OutcomeError})
 	if err != nil || len(aggr) != 1 || !strings.Contains(aggr[0].Detail, "owners=0 moved=0") {
 		t.Fatalf("n1 MIGRATESLOT error audit = %+v, %v; want owners=0 moved=0", aggr, err)
+	}
+}
+
+// ownersInSlot returns n owner names that hash to slot.
+func ownersInSlot(t *testing.T, slot uint16, n int) []string {
+	t.Helper()
+	var out []string
+	for i := 0; len(out) < n && i < 1000000; i++ {
+		if o := fmt.Sprintf("owner%06d", i); cluster.Slot(o) == slot {
+			out = append(out, o)
+		}
+	}
+	if len(out) < n {
+		t.Fatalf("found %d owners in slot %d, want %d", len(out), slot, n)
+	}
+	return out
+}
+
+// startSubjectsMigration writes records tagged records for each of
+// subjects owners sharing one of n1's slots, and leaves that slot
+// IMPORTING on n2 and MIGRATING on n1. It returns the owners, the slot as
+// a CLUSTER argument and a client of n1.
+func startSubjectsMigration(t *testing.T, srvs []*Server, m *cluster.Map, subjects, records int) ([]string, string, *gdprkv.Client) {
+	t.Helper()
+	ctx := context.Background()
+	slot := cluster.Slot(ownerOn(t, m, "n1"))
+	owners := ownersInSlot(t, slot, subjects)
+	src, dst := nodeClient(t, srvs[0].Addr()), nodeClient(t, srvs[1].Addr())
+	for _, o := range owners {
+		p := src.Pipeline()
+		for i := 0; i < records; i++ {
+			p.GPut(fmt.Sprintf("pd:{%s}:%03d", o, i), []byte("v"), gdprkv.PutOptions{Owner: o, Purposes: []string{"service"}})
+		}
+		res, err := p.Exec(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range res {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+	}
+	ss := strconv.Itoa(int(slot))
+	if _, err := dst.Do(ctx, "CLUSTER", "SETSLOT", ss, "IMPORTING", "n1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Do(ctx, "CLUSTER", "SETSLOT", ss, "MIGRATING", "n2"); err != nil {
+		t.Fatal(err)
+	}
+	return owners, ss, src
+}
+
+// TestClusterGetUserRacingMigration: GETUSERs issued while MIGRATESLOT
+// moves their subjects each see the whole subject, on the one node that
+// holds it at that moment, never a part of it on either node.
+func TestClusterGetUserRacingMigration(t *testing.T) {
+	srvs, _, m := startCluster(t, 2)
+	ctx := context.Background()
+	const subjects, records = 8, 40
+	owners, ss, src := startSubjectsMigration(t, srvs, m, subjects, records)
+	c := clusterClient(t, srvs)
+
+	const readers = 4
+	done := make(chan struct{})
+	started := make(chan struct{})
+	var once sync.Once
+	var wg sync.WaitGroup
+	var reads atomic.Int64
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i++ {
+				o := owners[i%len(owners)]
+				recs, err := c.GetUser(ctx, o)
+				if err != nil || len(recs) != records {
+					t.Errorf("GETUSER %s during the migration = %d records, %v; want %d", o, len(recs), err, records)
+					once.Do(func() { close(started) })
+					return
+				}
+				if reads.Add(1) >= readers {
+					once.Do(func() { close(started) })
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}(r)
+	}
+	<-started
+	mv, err := src.Do(ctx, "CLUSTER", "MIGRATESLOT", ss)
+	close(done)
+	wg.Wait()
+	if err != nil || mv.Int != subjects*records {
+		t.Fatalf("MIGRATESLOT = %d, %v; want %d", mv.Int, err, subjects*records)
+	}
+	for _, o := range owners {
+		if recs, err := c.GetUser(ctx, o); err != nil || len(recs) != records {
+			t.Fatalf("GETUSER %s after the migration = %d records, %v; want %d", o, len(recs), err, records)
+		}
+	}
+	t.Logf("%d GETUSERs raced the migration; %d followed ASK", reads.Load(), c.Stats().Asks)
+}
+
+// TestClusterUnobjectDuringMigration: an UNOBJECT issued while MIGRATESLOT
+// moves its subject is never undone. It runs on the one node that holds
+// the subject, and the owner record moves whole, so no stale copy of the
+// objection comes back on either node or on any migrated record.
+func TestClusterUnobjectDuringMigration(t *testing.T) {
+	srvs, stores, m := startCluster(t, 2)
+	ctx := context.Background()
+	const subjects, records = 8, 20
+	owners, ss, src := startSubjectsMigration(t, srvs, m, subjects, records)
+	c := clusterClient(t, srvs)
+	for _, o := range owners {
+		if err := c.Object(ctx, o, "billing"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, o := range owners {
+			if err := c.Unobject(ctx, o, "billing"); err != nil {
+				t.Errorf("UNOBJECT %s during the migration: %v", o, err)
+			}
+		}
+	}()
+	mv, err := src.Do(ctx, "CLUSTER", "MIGRATESLOT", ss)
+	wg.Wait()
+	if err != nil || mv.Int != subjects*records {
+		t.Fatalf("MIGRATESLOT = %d, %v; want %d", mv.Int, err, subjects*records)
+	}
+	for _, o := range owners {
+		for i, st := range stores {
+			if got := st.Objections(o); got != nil {
+				t.Errorf("node %d: %s objects to %v after the withdrawal", i+1, o, got)
+			}
+		}
+		meta, err := stores[1].Metadata(core.Ctx{Actor: "app", Purpose: "service"}, fmt.Sprintf("pd:{%s}:000", o))
+		if err != nil || len(meta.Objections) != 0 {
+			t.Errorf("migrated record of %s objects to %v, %v; want none", o, meta.Objections, err)
+		}
 	}
 }

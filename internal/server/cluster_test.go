@@ -357,179 +357,188 @@ func TestClusterClientReadRetryBudget(t *testing.T) {
 	}
 }
 
-// TestClusterRightsFanout spreads one subject's records over every node
-// (untagged keys), then exercises the cluster-wide right of access and
-// erasure through a single node.
-func TestClusterRightsFanout(t *testing.T) {
-	srvs, stores, m := startCluster(t, 3)
+// TestClusterPlacementRefusesOffSlotWrite: in cluster mode a compliant
+// write whose key does not hash to its owner's slot gets CROSSSLOT before
+// anything runs: no engine key, no OK trail record. A standalone server
+// takes the same GPUT.
+func TestClusterPlacementRefusesOffSlotWrite(t *testing.T) {
+	srvs, stores, m := startCluster(t, 2)
 	ctx := context.Background()
-	c := clusterClient(t, srvs)
-
-	// Find untagged keys landing on each of the three nodes.
-	keyOn := func(nodeID string) string {
-		for i := 0; ; i++ {
-			k := fmt.Sprintf("dave-doc-%d", i)
-			if m.NodeForKey(k).ID == nodeID {
-				return k
-			}
+	owner := ownerOn(t, m, "n1")
+	// An untagged key on n1's own slots, so the refusal is not a MOVED.
+	key := ""
+	for i := 0; key == ""; i++ {
+		k := fmt.Sprintf("doc-%d", i)
+		if m.NodeForKey(k).ID == "n1" && cluster.Slot(k) != cluster.Slot(owner) {
+			key = k
 		}
 	}
-	keys := []string{keyOn("n1"), keyOn("n2"), keyOn("n3")}
-	for _, k := range keys {
-		if err := c.GPut(ctx, k, []byte("dave-"+k), gdprkv.PutOptions{
-			Owner: "dave", Purposes: []string{"service"},
-		}); err != nil {
+	tagged := fmt.Sprintf("pd:{%s}:1", owner)
+	opts := gdprkv.PutOptions{Owner: owner, Purposes: []string{"service"}}
+	n1 := nodeClient(t, srvs[0].Addr())
+	if err := n1.GPut(ctx, key, []byte("v"), opts); !errors.Is(err, gdprkv.ErrCrossSlot) {
+		t.Fatalf("GPUT of an off-slot key = %v, want ErrCrossSlot", err)
+	}
+	if _, err := n1.Do(ctx, "GMPUT", "2", tagged, "v", key, "v", "OWNER", owner, "PURPOSES", "service"); !errors.Is(err, gdprkv.ErrCrossSlot) {
+		t.Fatalf("GMPUT with an off-slot key = %v, want ErrCrossSlot", err)
+	}
+	if _, err := n1.Do(ctx, "GMPUT", "1", key, "v", "OWNER", owner, "PURPOSES", "service"); !errors.Is(err, gdprkv.ErrCrossSlot) {
+		t.Fatalf("GMPUT of one off-slot key = %v, want ErrCrossSlot", err)
+	}
+	for i, st := range stores {
+		if n := st.Engine().RawLen(); n != 0 {
+			t.Errorf("node %d stored %d keys of refused writes", i+1, n)
+		}
+		if recs, err := st.Trail().Query(audit.Filter{Outcome: audit.OutcomeOK}); err != nil || len(recs) != 0 {
+			t.Errorf("node %d trail holds OK records of refused writes: %+v, %v", i+1, recs, err)
+		}
+	}
+	// A migration record of the same key is refused the same way.
+	st, err := core.Open(core.Config{Compliant: true, Capability: core.CapabilityPartial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Put(core.Ctx{}, key, []byte("v"), core.PutOptions{Owner: owner, Purposes: []string{"service"}}); err != nil {
+		t.Fatal(err)
+	}
+	rec, _, _, err := st.DumpForMigration(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n1.DoArgs(ctx, "RESTOREKEY", rec...); !errors.Is(err, gdprkv.ErrCrossSlot) {
+		t.Fatalf("RESTOREKEY of an off-slot record = %v, want ErrCrossSlot", err)
+	}
+	for i, st := range stores {
+		if n := st.Engine().RawLen(); n != 0 {
+			t.Errorf("node %d stored %d keys of refused writes", i+1, n)
+		}
+		if recs, err := st.Trail().Query(audit.Filter{Outcome: audit.OutcomeOK}); err != nil || len(recs) != 0 {
+			t.Errorf("node %d trail holds OK records of refused writes: %+v, %v", i+1, recs, err)
+		}
+	}
+	// The tagged key is the owner's slot, so it lands.
+	if err := n1.GPut(ctx, tagged, []byte("v"), opts); err != nil {
+		t.Fatalf("GPUT of a tagged key: %v", err)
+	}
+
+	_, c := startServer(t, core.Config{Compliant: true, Capability: core.CapabilityPartial})
+	if err := c.GPut(key, []byte("v"), opts); err != nil {
+		t.Fatalf("standalone GPUT of the same key: %v", err)
+	}
+}
+
+// TestClusterRightsRouteToOwnerSlot: every rights command sent to a node
+// that does not own the subject's slot answers MOVED to the owner. Through
+// the cluster client the owner node alone answers each right: the whole
+// report and export, the objection, a refusal with its own code, and the
+// erasure, which only its trail records.
+func TestClusterRightsRouteToOwnerSlot(t *testing.T) {
+	srvs, stores, m := startCluster(t, 3)
+	ctx := context.Background()
+	owner := ownerOn(t, m, "n2")
+	c := clusterClient(t, srvs)
+	for i := 0; i < 3; i++ {
+		if err := c.GPut(ctx, fmt.Sprintf("pd:{%s}:%d", owner, i), []byte("v"), gdprkv.PutOptions{
+			Owner: owner, Purposes: []string{"service"}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	// GETUSER through any single node aggregates all three nodes.
-	recs, err := nodeClient(t, srvs[0].Addr()).GetUser(ctx, "dave")
-	if err != nil {
-		t.Fatal(err)
+	n1 := nodeClient(t, srvs[0].Addr())
+	want := fmt.Sprintf("MOVED %d %s", cluster.Slot(owner), srvs[1].Addr())
+	for _, cmd := range [][]string{
+		{"GETUSER", owner}, {"GETUSERDATA", owner}, {"EXPORTUSER", owner}, {"ACCESS", owner},
+		{"OWNERKEYS", owner}, {"OBJECT", owner, "ads"}, {"UNOBJECT", owner, "ads"}, {"FORGETUSER", owner},
+	} {
+		if _, err := n1.Do(ctx, cmd...); !errors.Is(err, gdprkv.ErrMoved) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s on n1 = %v, want %q", cmd[0], err, want)
+		}
 	}
-	if len(recs) != 3 {
-		t.Fatalf("cluster GETUSER returned %d records, want 3", len(recs))
+	if recs, err := c.GetUser(ctx, owner); err != nil || len(recs) != 3 {
+		t.Fatalf("GETUSER = %d records, %v; want 3", len(recs), err)
 	}
-	// EXPORTUSER merges every node's records into one Art. 20 payload.
-	exp, err := c.ExportUser(ctx, "dave")
-	if err != nil {
-		t.Fatal(err)
-	}
+	exp, err := c.ExportUser(ctx, owner)
 	var payload struct {
 		Format  string            `json:"format"`
 		Records []json.RawMessage `json:"records"`
 	}
-	if err := json.Unmarshal(exp, &payload); err != nil {
-		t.Fatalf("export payload: %v", err)
+	if err != nil || json.Unmarshal(exp, &payload) != nil || payload.Format != "gdprstore-export/v1" || len(payload.Records) != 3 {
+		t.Fatalf("EXPORTUSER = %s, %v; want a gdprstore-export/v1 payload of 3 records", exp, err)
 	}
-	if payload.Format != "gdprstore-export/v1" || len(payload.Records) != 3 {
-		t.Fatalf("cluster export = format %q with %d records, want 3", payload.Format, len(payload.Records))
-	}
-	// OBJECT applies the Art. 21 objection on every node, so untagged
-	// records elsewhere are covered too.
-	if err := c.Object(ctx, "dave", "service"); err != nil {
+	if err := c.Object(ctx, owner, "ads"); err != nil {
 		t.Fatal(err)
 	}
 	for i, st := range stores {
-		objs := st.Objections("dave")
-		if len(objs) != 1 || objs[0] != "service" {
-			t.Errorf("node %d objections = %v, want [service]", i+1, objs)
+		if got := st.Objections(owner); (i == 1) != (len(got) == 1) {
+			t.Errorf("node %d: %s objects to %v; only n2 holds the subject", i+1, owner, got)
 		}
 	}
-	if err := c.Unobject(ctx, "dave", "service"); err != nil {
+	if err := c.Unobject(ctx, owner, "ads"); err != nil || stores[1].Objections(owner) != nil {
+		t.Fatalf("UNOBJECT = %v; n2 objections %v", err, stores[1].Objections(owner))
+	}
+	// A refusal on the owner node keeps its own wire code.
+	stores[1].ACL().AddPrincipal(acl.Principal{ID: "mallory", Role: acl.RoleSubject})
+	stores[1].ACL().SetEnforce(true)
+	n2 := nodeClient(t, srvs[1].Addr())
+	if _, err := n2.Do(ctx, "AUTH", "mallory"); err != nil {
 		t.Fatal(err)
 	}
-	for i, st := range stores {
-		if objs := st.Objections("dave"); len(objs) != 0 {
-			t.Errorf("node %d objections after withdrawal = %v", i+1, objs)
-		}
+	if _, err := n2.Do(ctx, "FORGETUSER", owner); !errors.Is(err, gdprkv.ErrDenied) {
+		t.Fatalf("FORGETUSER of another subject = %v, want ErrDenied", err)
 	}
-
-	// FORGETUSER through the cluster client erases everywhere and reports
-	// the cluster-wide count.
-	n, err := c.ForgetUser(ctx, "dave")
-	if err != nil || n != 3 {
-		t.Fatalf("cluster FORGETUSER = %d, %v; want 3", n, err)
+	stores[1].ACL().SetEnforce(false)
+	if n, err := c.ForgetUser(ctx, owner); err != nil || n != 3 {
+		t.Fatalf("FORGETUSER = %d, %v; want 3", n, err)
 	}
 	for i, st := range stores {
-		for _, k := range keys {
-			if st.Engine().Exists(k) {
-				t.Errorf("node %d still holds %s after cluster erasure", i+1, k)
-			}
-		}
-		// Every node independently evidences the erasure (Art. 30).
-		recs, err := st.Trail().Query(audit.Filter{Op: "FORGETUSER", Owner: "dave"})
-		if err != nil || len(recs) == 0 {
-			t.Errorf("node %d has no FORGETUSER audit record (%v)", i+1, err)
+		recs, err := st.Trail().Query(audit.Filter{Op: "FORGETUSER", Owner: owner, Outcome: audit.OutcomeOK})
+		if wantN := map[bool]int{true: 1}[i == 1]; err != nil || len(recs) != wantN {
+			t.Errorf("node %d FORGETUSER records = %d, %v; want %d", i+1, len(recs), err, wantN)
 		}
 	}
-	// Per-node GETUSERDATA (the GDPRbench alias) reports the subject gone.
-	for _, srv := range srvs {
-		v, err := nodeClient(t, srv.Addr()).Do(ctx, "GETUSERDATA", "dave")
-		if err != nil || len(v.Array) != 0 {
-			t.Fatalf("post-erasure GETUSERDATA on %s = %d records, %v", srv.Addr(), len(v.Array), err)
-		}
+	if v, err := c.Do(ctx, "GETUSERDATA", owner); err != nil || len(v.Array) != 0 {
+		t.Fatalf("GETUSERDATA after the erasure = %d records, %v; want none", len(v.Array), err)
 	}
 }
 
-// TestClusterForgetWithNodeDown kills one primary and checks erasure is
-// all-or-reported: the coordinator returns CLUSTERDOWN naming the dead
-// node and audits the partial outcome instead of claiming success.
+// TestClusterForgetWithNodeDown: with another primary down, FORGETUSER for
+// a subject on a live node succeeds there, since no other node holds any of
+// the subject. A rights command for a subject on the dead node names it
+// in its redirect.
 func TestClusterForgetWithNodeDown(t *testing.T) {
 	srvs, stores, m := startCluster(t, 3)
 	ctx := context.Background()
 	c := clusterClient(t, srvs)
-
-	keyOn := func(nodeID string) string {
-		for i := 0; ; i++ {
-			k := fmt.Sprintf("erin-doc-%d", i)
-			if m.NodeForKey(k).ID == nodeID {
-				return k
-			}
-		}
-	}
-	for _, nid := range []string{"n1", "n2", "n3"} {
-		if err := c.GPut(ctx, keyOn(nid), []byte("erin-data"), gdprkv.PutOptions{
-			Owner: "erin", Purposes: []string{"service"},
+	owner := ownerOn(t, m, "n1")
+	keys := []string{fmt.Sprintf("pd:{%s}:a", owner), fmt.Sprintf("pd:{%s}:b", owner)}
+	for _, k := range keys {
+		if err := c.GPut(ctx, k, []byte("erin-data"), gdprkv.PutOptions{
+			Owner: owner, Purposes: []string{"service"},
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// Kill n3, then ask n1 directly for cluster-wide erasure.
 	srvs[2].Close()
-	n1 := nodeClient(t, srvs[0].Addr())
-	_, err := n1.Do(ctx, "FORGETUSER", "erin")
-	if !errors.Is(err, gdprkv.ErrClusterDown) {
-		t.Fatalf("fan-out with node down: err = %v, want ErrClusterDown", err)
+	if n, err := c.ForgetUser(ctx, owner); err != nil || n != 2 {
+		t.Fatalf("FORGETUSER with n3 down = %d, %v; want 2", n, err)
 	}
-	if !strings.Contains(err.Error(), "n3") {
-		t.Fatalf("error does not name the failed node: %v", err)
-	}
-	// The coordinator audited the partial outcome.
-	recs, qerr := stores[0].Trail().Query(audit.Filter{Op: "FORGETUSER", Owner: "erin"})
-	if qerr != nil {
-		t.Fatal(qerr)
-	}
-	audited := false
-	for _, r := range recs {
-		if r.Outcome == audit.OutcomeError && strings.Contains(r.Detail, "n3") {
-			audited = true
+	for _, k := range keys {
+		if stores[0].Engine().Exists(k) {
+			t.Errorf("n1 still holds %s after the erasure", k)
 		}
 	}
-	if !audited {
-		t.Fatalf("no audit record of the partial fan-out; trail: %+v", recs)
+	recs, err := stores[0].Trail().Query(audit.Filter{Op: "FORGETUSER", Owner: owner, Outcome: audit.OutcomeOK})
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("n1 FORGETUSER OK records = %d, %v; want 1", len(recs), err)
 	}
-	// GETUSER is equally honest about the gap.
-	if _, err := n1.GetUser(ctx, "erin"); !errors.Is(err, gdprkv.ErrClusterDown) {
-		t.Fatalf("GETUSER with node down: err = %v, want ErrClusterDown", err)
+	if recs, err := c.GetUser(ctx, owner); err != nil || len(recs) != 0 {
+		t.Fatalf("GETUSER after the erasure = %v, %v; want none", recs, err)
 	}
-}
-
-// TestClusterFanoutLocalRefusalKeepsWireCode: a refusal by the
-// coordinator's own store must surface with its true code (DENIED), not
-// be masked as CLUSTERDOWN — callers branch on the error class and the
-// class must not depend on the deployment topology.
-func TestClusterFanoutLocalRefusalKeepsWireCode(t *testing.T) {
-	srvs, stores, _ := startCluster(t, 3)
-	ctx := context.Background()
-	// Enforce ACLs on the coordinator: a subject may not erase another
-	// subject's data.
-	stores[0].ACL().SetEnforce(true)
-	stores[0].ACL().AddPrincipal(acl.Principal{ID: "mallory", Role: acl.RoleSubject})
-	stores[0].ACL().AddPrincipal(acl.Principal{ID: "victim", Role: acl.RoleSubject})
-
-	c := nodeClient(t, srvs[0].Addr())
-	if _, err := c.Do(ctx, "AUTH", "mallory"); err != nil {
-		t.Fatal(err)
-	}
-	_, err := c.Do(ctx, "FORGETUSER", "victim")
-	if !errors.Is(err, gdprkv.ErrDenied) {
-		t.Fatalf("local refusal surfaced as %v, want ErrDenied", err)
-	}
-	if errors.Is(err, gdprkv.ErrClusterDown) {
-		t.Fatalf("local refusal masked as CLUSTERDOWN: %v", err)
+	gone := ownerOn(t, m, "n3")
+	if _, err := nodeClient(t, srvs[0].Addr()).Do(ctx, "FORGETUSER", gone); !errors.Is(err, gdprkv.ErrMoved) ||
+		!strings.Contains(err.Error(), srvs[2].Addr()) {
+		t.Fatalf("FORGETUSER for a subject on the dead node = %v, want MOVED to it", err)
 	}
 }
 

@@ -162,7 +162,7 @@ func init() {
 		Handler: cmdInfo})
 
 	// --- GDPR command family (compliance path) ---
-	register(Command{Name: "GPUT", MinArgs: 2, MaxArgs: -1, Flags: FlagWrite | FlagGDPR, Keys: keysFirst,
+	register(Command{Name: "GPUT", MinArgs: 2, MaxArgs: -1, Flags: FlagWrite | FlagGDPR, Keys: keysFirst, Owner: ownerGPut,
 		Summary: "GPUT key value OWNER o [PURPOSES p,..] [TTL s] [ORIGIN x] [LOCATION l] [SHAREDWITH a,..] [AUTODECIDE]",
 		Handler: cmdGPut})
 	register(Command{Name: "GGET", MinArgs: 1, MaxArgs: 1, Flags: FlagReadonly | FlagGDPR, Keys: keysFirst,
@@ -182,7 +182,7 @@ func init() {
 			}
 			return resp.IntegerValue(1), nil
 		}})
-	register(Command{Name: "GMPUT", MinArgs: 3, MaxArgs: -1, Flags: FlagWrite | FlagGDPR, Keys: keysGMPut,
+	register(Command{Name: "GMPUT", MinArgs: 3, MaxArgs: -1, Flags: FlagWrite | FlagGDPR, Keys: keysGMPut, Owner: ownerGMPut,
 		Summary: "GMPUT npairs k1 v1 ... kN vN [put options]: batch write with shared metadata, one AOF append + one audit record",
 		Handler: cmdGMPut})
 	register(Command{Name: "GMGET", MinArgs: 1, MaxArgs: -1, Flags: FlagReadonly | FlagGDPR, Keys: keysAll,
@@ -197,13 +197,13 @@ func init() {
 			}
 			return jsonValue(m)
 		}})
-	register(Command{Name: "GETUSER", MinArgs: 1, MaxArgs: 1, Flags: FlagReadonly | FlagGDPR, Fanout: true,
-		Summary: "Art. 15 right of access: every record of a data subject (cluster-wide in cluster mode)",
-		Handler: handleGetUserLocal})
-	register(Command{Name: "GETUSERDATA", MinArgs: 1, MaxArgs: 1, Flags: FlagReadonly | FlagGDPR, Fanout: true,
+	register(Command{Name: "GETUSER", MinArgs: 1, MaxArgs: 1, Flags: FlagReadonly | FlagGDPR, Keys: keysFirst, Owner: ownerFirst,
+		Summary: "Art. 15 right of access: every record of a data subject",
+		Handler: cmdGetUser})
+	register(Command{Name: "GETUSERDATA", MinArgs: 1, MaxArgs: 1, Flags: FlagReadonly | FlagGDPR, Keys: keysFirst, Owner: ownerFirst,
 		Summary: "alias of GETUSER (GDPRbench's name for the right of access)",
-		Handler: handleGetUserLocal})
-	register(Command{Name: "ACCESS", MinArgs: 1, MaxArgs: 1, Flags: FlagReadonly | FlagGDPR, Keys: keysFirst,
+		Handler: cmdGetUser})
+	register(Command{Name: "ACCESS", MinArgs: 1, MaxArgs: 1, Flags: FlagReadonly | FlagGDPR, Keys: keysFirst, Owner: ownerFirst,
 		Summary: "Art. 15 disclosure report (purposes, recipients, storage periods)",
 		Handler: func(ctx *Ctx) (resp.Value, error) {
 			rep, err := ctx.Srv.store.Access(ctx.Core, string(ctx.Args[0]))
@@ -212,19 +212,35 @@ func init() {
 			}
 			return jsonValue(rep)
 		}})
-	register(Command{Name: "EXPORTUSER", MinArgs: 1, MaxArgs: 1, Flags: FlagReadonly | FlagGDPR, Fanout: true,
-		Summary: "Art. 20 portability payload (JSON; merged cluster-wide in cluster mode)",
-		Handler: handleExportLocal})
-	register(Command{Name: "FORGETUSER", MinArgs: 1, MaxArgs: 1, Flags: FlagWrite | FlagGDPR, Fanout: true,
-		Summary: "Art. 17 erasure of a data subject; returns records erased (cluster-wide in cluster mode)",
-		Handler: handleForgetLocal})
-	register(Command{Name: "OBJECT", MinArgs: 2, MaxArgs: 2, Flags: FlagWrite | FlagGDPR, Fanout: true,
-		Summary: "Art. 21 objection: OBJECT owner purpose (applied on every node in cluster mode)",
-		Handler: handleObjectLocal})
-	register(Command{Name: "UNOBJECT", MinArgs: 2, MaxArgs: 2, Flags: FlagWrite | FlagGDPR, Fanout: true,
-		Summary: "withdraw an Art. 21 objection (applied on every node in cluster mode)",
-		Handler: handleUnobjectLocal})
-	register(Command{Name: "OWNERKEYS", MinArgs: 1, MaxArgs: 1, Flags: FlagReadonly | FlagGDPR, Keys: keysFirst,
+	register(Command{Name: "EXPORTUSER", MinArgs: 1, MaxArgs: 1, Flags: FlagReadonly | FlagGDPR, Keys: keysFirst, Owner: ownerFirst,
+		Summary: "Art. 20 portability payload (JSON)",
+		Handler: func(ctx *Ctx) (resp.Value, error) {
+			b, err := ctx.Srv.store.Export(ctx.Core, string(ctx.Args[0]))
+			if err != nil {
+				return resp.Value{}, err
+			}
+			return resp.BulkValue(b), nil
+		}})
+	register(Command{Name: "FORGETUSER", MinArgs: 1, MaxArgs: 1, Flags: FlagWrite | FlagGDPR, Keys: keysFirst, Owner: ownerFirst,
+		Summary: "Art. 17 erasure of a data subject; returns records erased",
+		Handler: func(ctx *Ctx) (resp.Value, error) {
+			n, err := ctx.Srv.store.Forget(ctx.Core, string(ctx.Args[0]))
+			if err != nil {
+				return resp.Value{}, err
+			}
+			return resp.IntegerValue(int64(n)), nil
+		}})
+	register(Command{Name: "OBJECT", MinArgs: 2, MaxArgs: 2, Flags: FlagWrite | FlagGDPR, Keys: keysFirst, Owner: ownerFirst,
+		Summary: "Art. 21 objection: OBJECT owner purpose",
+		Handler: func(ctx *Ctx) (resp.Value, error) {
+			return okOr(ctx.Srv.store.Object(ctx.Core, string(ctx.Args[0]), string(ctx.Args[1])))
+		}})
+	register(Command{Name: "UNOBJECT", MinArgs: 2, MaxArgs: 2, Flags: FlagWrite | FlagGDPR, Keys: keysFirst, Owner: ownerFirst,
+		Summary: "withdraw an Art. 21 objection: UNOBJECT owner purpose",
+		Handler: func(ctx *Ctx) (resp.Value, error) {
+			return okOr(ctx.Srv.store.Unobject(ctx.Core, string(ctx.Args[0]), string(ctx.Args[1])))
+		}})
+	register(Command{Name: "OWNERKEYS", MinArgs: 1, MaxArgs: 1, Flags: FlagReadonly | FlagGDPR, Keys: keysFirst, Owner: ownerFirst,
 		Summary: "keys owned by a data subject (metadata index lookup)",
 		Handler: func(ctx *Ctx) (resp.Value, error) {
 			keys, err := ctx.Srv.store.OwnerKeys(ctx.Core, string(ctx.Args[0]))
@@ -276,6 +292,32 @@ func init() {
 	register(Command{Name: "ACL", MinArgs: 1, MaxArgs: -1, Flags: FlagWrite | FlagAdmin,
 		Summary: "ACL ADDPRINCIPAL|DELPRINCIPAL|GRANT|REVOKE: principal and grant management",
 		Handler: cmdACL})
+}
+
+// okOr replies OK, or err when there is one.
+func okOr(err error) (resp.Value, error) {
+	if err != nil {
+		return resp.Value{}, err
+	}
+	return resp.SimpleStringValue("OK"), nil
+}
+
+// cmdGetUser serves GETUSER and GETUSERDATA. It reads the whole report
+// first, which is all that can fail, then writes it through ctx.Writer as
+// one array of key/value pairs, allocating nothing per record.
+func cmdGetUser(ctx *Ctx) (resp.Value, error) {
+	keys, values, err := ctx.Srv.store.UserValues(ctx.Core, string(ctx.Args[0]))
+	if err != nil {
+		return resp.Value{}, err
+	}
+	w := ctx.Writer()
+	err = w.WriteArrayHeader(2 * len(keys))
+	for i := 0; i < len(keys) && err == nil; i++ {
+		if err = w.WriteBulkString(keys[i]); err == nil {
+			err = w.WriteBulk(values[i])
+		}
+	}
+	return resp.Value{}, err
 }
 
 func jsonValue(v any) (resp.Value, error) {

@@ -41,7 +41,7 @@ func TestGetUserRenderAllocs(t *testing.T) {
 		}
 	})
 	handler := testing.AllocsPerRun(100, func() {
-		if v, err := handleGetUserLocal(ctx); err != nil || v.Type != 0 {
+		if v, err := cmdGetUser(ctx); err != nil || v.Type != 0 {
 			t.Fatalf("handler = %v, %v; want the reply written", v, err)
 		}
 	})

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -82,9 +81,25 @@ type Ctx struct {
 	// importing but does not own yet.
 	Asking bool
 	// Out is the connection's reply writer. A handler may write its reply
-	// there, after its last step that can fail, and return the zero Value:
-	// GETUSER's report does, so it builds no Value tree (see divert).
+	// there, through Writer, after its last step that can fail, and return
+	// the zero Value: GETUSER's report does, so it builds no Value tree.
 	Out *resp.Writer
+}
+
+// Writer returns where the handler writes a reply it renders itself: Out,
+// or, while a command hook is installed, the connection's hold buffer, so
+// that observe can read the reply back as a Value for the hook. A command
+// that writes nothing costs the hook nothing.
+func (c *Ctx) Writer() *resp.Writer {
+	if c.Srv.hook.Load() == nil || c.Out != c.Sess.w {
+		return c.Out
+	}
+	if c.Sess.heldW == nil {
+		c.Sess.heldW = resp.NewWriter(&c.Sess.held)
+	}
+	c.Sess.held.Reset()
+	c.Out = c.Sess.heldW
+	return c.Out
 }
 
 // Handler executes one command. Returning an error routes it through the
@@ -114,11 +129,11 @@ type Command struct {
 	// (PING, INFO, SCAN, CLUSTER, ...). Arity is already validated when it
 	// runs. See cluster.go.
 	Keys func(args [][]byte) [][]byte
-	// Fanout marks the cluster-coordinated rights commands (FORGETUSER,
-	// GETUSER): any node accepts them and fans out to the whole fleet
-	// instead of slot-checking, because a data subject's records may span
-	// slots when keys are not owner-tagged. See clusterFanout.
-	Fanout bool
+	// Owner extracts the data subject the command names (nil or empty for
+	// none): the owner argument of a rights command, the OWNER option of a
+	// compliant write. In cluster mode the command's keys must hash to the
+	// owner's slot, and on a migrating slot it runs where the subject is.
+	Owner func(args [][]byte) string
 	// Handler is the command body.
 	Handler Handler
 }
@@ -175,7 +190,7 @@ func errReply(err error) resp.Value {
 		// Carries its own READONLY code prefix (Redis's exact text).
 		return resp.ErrorValue(err.Error())
 	case errors.As(err, &coded):
-		// Cluster errors (MOVED/CROSSSLOT/CLUSTERDOWN) carry their own
+		// Cluster errors (MOVED/ASK/CROSSSLOT) carry their own
 		// complete reply text, Redis's exact shapes.
 		return resp.ErrorValue(coded.text)
 	case errors.Is(err, core.ErrNotFound):
@@ -193,9 +208,9 @@ func wrongArity(cmd string) resp.Value {
 // CommandHook observes every executed command after its middleware ran:
 // name, arguments, the reply (post-errReply), and the latency measured on
 // the store's clock. A reply its handler wrote into the connection (GETUSER's)
-// reaches the hook read back into a Value, so with a hook installed each
-// command gets a reply buffer of its own. Deployments attach audit/tracing
-// sinks here.
+// reaches the hook read back into a Value, so with a hook installed such a
+// command gets a reply buffer of its own (Ctx.Writer). Deployments attach
+// audit/tracing sinks here.
 type CommandHook func(name string, args [][]byte, reply resp.Value, d time.Duration)
 
 // --- middleware pipeline ---
@@ -211,8 +226,8 @@ type CommandHook func(name string, args [][]byte, reply resp.Value, d time.Durat
 //     registry) and redirects data reads to the primary with MOVED
 //  4. compliance   — FlagGDPR enforcement (BASELINE on non-compliant
 //     stores, DENIED before AUTH under ACL enforcement), no owner record key
-//  5. cluster      — slot ownership (MOVED), cross-slot batch rejection
-//     (CROSSSLOT), and the rights fan-out coordinator; inert unless
+//  5. cluster      — slot ownership (MOVED/ASK), cross-slot rejection
+//     (CROSSSLOT) and the slot's migration lock; inert unless
 //     EnableCluster was called
 //  6. the handler itself; its error return is mapped by errReply
 func (s *Server) buildPipeline() Handler {
@@ -247,16 +262,15 @@ func recoverMiddleware(next Handler) Handler {
 func (s *Server) observe(next Handler) Handler {
 	return func(ctx *Ctx) (resp.Value, error) {
 		hook := s.hook.Load()
-		var back func(resp.Value, error) (resp.Value, error)
-		if hook != nil {
-			back = divert(ctx)
-		}
+		out := ctx.Out
 		t0 := s.clock.Now()
 		v, err := next(ctx)
 		d := s.clock.Since(t0)
 		s.cmdStats.Get(ctx.Cmd.Name).Record(d)
+		if ctx.Out != out {
+			v, err = ctx.readBack(out, v, err)
+		}
 		if hook != nil {
-			v, err = back(v, err)
 			reply := v
 			if err != nil {
 				reply = errReply(err)
@@ -267,23 +281,16 @@ func (s *Server) observe(next Handler) Handler {
 	}
 }
 
-// divert serves the two callers that need a reply as a Value, the command
-// hook and the rights fan-out's local leg. It points ctx.Out at a buffer of
-// its own and returns the function that points it back and yields the
-// Value: the one the handler returned, or the one it wrote, read back. A
-// handler that wrote nothing (PSYNC took the connection) keeps its zero one.
-func divert(ctx *Ctx) func(resp.Value, error) (resp.Value, error) {
-	out, buf := ctx.Out, new(bytes.Buffer)
-	ctx.Out = resp.NewWriter(buf)
-	return func(v resp.Value, err error) (resp.Value, error) {
-		w := ctx.Out
-		ctx.Out = out
-		// A bytes.Buffer takes every write, so the Flush cannot fail.
-		if err != nil || v.Type != 0 || w.Flush() != nil || buf.Len() == 0 {
-			return v, err
-		}
-		return resp.NewReader(buf).ReadValue()
+// readBack points ctx.Out back at the connection's writer, out, and yields
+// the command's Value: the one the handler returned, or the one it wrote
+// into the hold buffer (Ctx.Writer), read back.
+func (c *Ctx) readBack(out *resp.Writer, v resp.Value, err error) (resp.Value, error) {
+	c.Out = out
+	// A bytes.Buffer takes every write, so the Flush cannot fail.
+	if err != nil || v.Type != 0 || c.Sess.heldW.Flush() != nil || c.Sess.held.Len() == 0 {
+		return v, err
 	}
+	return resp.NewReader(&c.Sess.held).ReadValue()
 }
 
 // complianceMiddleware enforces FlagGDPR, and the reserved owner-record keys,

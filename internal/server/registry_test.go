@@ -3,8 +3,10 @@ package server
 import (
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -60,8 +62,7 @@ func TestGDPRFlagEnforcement(t *testing.T) {
 		{"FORGETUSER", "alice"}, {"OBJECT", "alice", "ads"}, {"UNOBJECT", "alice", "ads"},
 		{"OWNERKEYS", "alice"}, {"KEYSBYPURPOSE", "billing"},
 		{"GMPUT", "1", "k", "v"}, {"GMGET", "k"},
-		{"GETUSERDATA", "alice"}, {"FORGETUSERLOCAL", "alice"}, {"GETUSERLOCAL", "alice"},
-		{"EXPORTUSERLOCAL", "alice"}, {"OBJECTLOCAL", "alice", "ads"}, {"UNOBJECTLOCAL", "alice", "ads"},
+		{"GETUSERDATA", "alice"},
 	}
 
 	t.Run("denied before AUTH on strict store", func(t *testing.T) {
@@ -467,5 +468,73 @@ func seedBenchKeys(b *testing.B, c *tclient) {
 	}
 	if err := c.GMPut(keys, vals, meta); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// startHookServer starts a compliant server holding one record, "k", and a
+// session of the server's own that may read it.
+func startHookServer(tb testing.TB) (*Server, *connState) {
+	tb.Helper()
+	st, err := core.Open(core.Config{Compliant: true, Capability: core.CapabilityPartial})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv, err := Listen("127.0.0.1:0", st)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { srv.Close(); st.Close() })
+	if err := st.Put(core.Ctx{}, "k", []byte("0123456789abcdef"), core.PutOptions{Owner: "alice", Purposes: []string{"billing"}}); err != nil {
+		tb.Fatal(err)
+	}
+	return srv, &connState{purpose: "billing", w: resp.NewWriter(io.Discard)}
+}
+
+// TestHookedGGetAllocBudget: a command hook costs a GGET at most one
+// allocation more than no hook. The reply buffer a hook needs is made only
+// for a handler that writes its reply itself (GETUSER), never for one that
+// returns a Value.
+func TestHookedGGetAllocBudget(t *testing.T) {
+	srv, sess := startHookServer(t)
+	args := [][]byte{[]byte("GGET"), []byte("k")}
+	run := func() {
+		if v := srv.execute(sess, args); string(v.Str) != "0123456789abcdef" {
+			t.Fatalf("GGET k = %v", v)
+		}
+	}
+	plain := testing.AllocsPerRun(200, run)
+	var seen atomic.Int64
+	srv.SetCommandHook(func(string, [][]byte, resp.Value, time.Duration) { seen.Add(1) })
+	hooked := testing.AllocsPerRun(200, run)
+	t.Logf("GGET allocates %.0f times, %.0f with a hook", plain, hooked)
+	if seen.Load() == 0 {
+		t.Fatal("the hook saw no command")
+	}
+	if hooked > plain+1 {
+		t.Errorf("a hooked GGET allocates %.0f times, more than one beyond the %.0f without", hooked, plain)
+	}
+}
+
+// BenchmarkHookedGGet is one GGET round trip over loopback, without and
+// with a command hook installed: the hook's own cost per command.
+func BenchmarkHookedGGet(b *testing.B) {
+	for _, hooked := range []bool{false, true} {
+		b.Run(fmt.Sprintf("hook=%v", hooked), func(b *testing.B) {
+			srv, _ := startHookServer(b)
+			if hooked {
+				srv.SetCommandHook(func(string, [][]byte, resp.Value, time.Duration) {})
+			}
+			c := tdial(b, srv.Addr())
+			if _, err := c.Do("PURPOSE", "billing"); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.GGet("k"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -13,6 +13,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -181,6 +182,11 @@ type connState struct {
 	conn     net.Conn
 	w        *resp.Writer
 	hijacked bool
+
+	// held, through heldW (made on first use), takes a handler's own reply
+	// while a command hook is installed (Ctx.Writer).
+	held  bytes.Buffer
+	heldW *resp.Writer
 }
 
 // hijack marks the connection as taken over by the current handler: the

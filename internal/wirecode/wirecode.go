@@ -46,17 +46,13 @@ const (
 	// that one command at the target after an ASKING handshake, without
 	// updating its slot map (ownership has not changed yet).
 	Ask = "ASK"
-	// ClusterDown reports a cluster-wide operation (rights fan-out) that
-	// could not reach every node. The operation is deliberately
-	// all-or-reported: partial completion is surfaced, never hidden.
-	ClusterDown = "CLUSTERDOWN"
 )
 
 // known is the set of prefixes Split recognises as codes.
 var known = map[string]bool{
 	Err: true, Denied: true, PurposeDenied: true, Policy: true,
 	Erased: true, Baseline: true, ReadOnly: true,
-	Moved: true, CrossSlot: true, ClusterDown: true, Ask: true,
+	Moved: true, CrossSlot: true, Ask: true,
 }
 
 // Entry maps one compliance-layer sentinel to its wire code.

@@ -412,8 +412,9 @@ func (c *Client) GDel(ctx context.Context, key string) error {
 }
 
 // GetUser returns all key/value pairs of a data subject (Art. 15 right
-// of access). The values share one buffer, as the reply's bulk strings do:
-// read them, and copy one before changing it.
+// of access), as the one node that holds the subject (the owner's slot
+// node, in cluster mode) answers. The values share one buffer, as the
+// reply's bulk strings do: read them, and copy one before changing it.
 func (c *Client) GetUser(ctx context.Context, owner string) (map[string][]byte, error) {
 	v, err := c.call(ctx, classWrite, owner, args("GETUSER", owner))
 	if err != nil {
@@ -448,8 +449,9 @@ func (c *Client) ExportUser(ctx context.Context, owner string) ([]byte, error) {
 }
 
 // ForgetUser erases a data subject (Art. 17), returning the number of
-// records erased on the primary; erasure propagates to replicas through
-// the replication stream.
+// records erased on the primary that holds the subject (the owner's slot
+// node, in cluster mode); erasure propagates to replicas through the
+// replication stream.
 func (c *Client) ForgetUser(ctx context.Context, owner string) (int64, error) {
 	v, err := c.call(ctx, classWrite, owner, args("FORGETUSER", owner))
 	if err != nil {

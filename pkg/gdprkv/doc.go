@@ -98,7 +98,9 @@
 // WithRedirectBudget, refreshing the slot map on each one. A standalone
 // client has a redirect budget of 0 and surfaces MOVED as ErrMoved. GDPR
 // rights calls (ForgetUser, GetUser, ...) go to the data subject's slot
-// node, which coordinates the cluster-wide fan-out server-side. The
+// node, the one node that holds the subject: in cluster mode a compliant
+// write must tag its key with its owner ("pd:{alice}:email" for owner
+// "alice"), or the server refuses it with ErrCrossSlot. The
 // replica addresses in the cluster map are promotion candidates, not
 // read targets.
 //

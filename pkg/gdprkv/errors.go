@@ -39,13 +39,11 @@ var (
 	// ErrClosed reports use of a closed client.
 	ErrClosed = errors.New("gdprkv: client is closed")
 	// ErrCrossSlot reports a batch whose keys hash to different cluster
-	// slots. The client splits its own batch helpers per slot, so this
-	// surfaces only from hand-built Do/DoArgs batches.
+	// slots, or, in cluster mode, a GPut/GMPut whose key does not hash to
+	// its owner's slot (tag personal keys "pd:{owner}:..."). The client
+	// splits its own batch helpers per slot, so the first surfaces only
+	// from hand-built Do/DoArgs batches.
 	ErrCrossSlot = errors.New("gdprkv: keys hash to different cluster slots")
-	// ErrClusterDown reports a cluster-wide rights operation (FORGETUSER,
-	// GETUSER) that could not reach every node: the outcome is partial and
-	// reported, never silently incomplete.
-	ErrClusterDown = errors.New("gdprkv: cluster rights operation incomplete")
 	// ErrMoved reports a MOVED redirect the client did not (or could no
 	// longer, budget exhausted) follow. Seeing it usually means the slot
 	// map is flapping or the client is not in cluster mode. A replica
@@ -69,7 +67,6 @@ var sentinelByCode = map[string]error{
 	wirecode.Baseline:      ErrBaseline,
 	wirecode.ReadOnly:      ErrReadOnly,
 	wirecode.CrossSlot:     ErrCrossSlot,
-	wirecode.ClusterDown:   ErrClusterDown,
 	wirecode.Moved:         ErrMoved,
 	wirecode.Ask:           ErrAsk,
 }
