@@ -25,7 +25,7 @@ race:
 	$(GO) test -race -count=10 ./internal/core -run 'TestGetUserConcurrentWithWrites|TestGetUserRacingForget|TestUnobjectDuringRightsReads|TestReadsReturnAfterJournalHandOff|TestCloseWaitsOutCallsInFlight|TestDeleteRacingCompactStaysDeleted|TestReplayKeepsRecordsWithTheirWriter|TestBackupIsCompliantSnapshot|TestRestoreKeepsLaterObjection|TestEventualForgetThenRestoreStaysErased|TestRestoreRefusesKeyMaterial|TestRestoreRefusesShortGeneration|TestRestoreReplacesLiveState|TestBackgroundExpiryIsAudited|TestReplicaKeepsNoErasureBacklog|TestForgetLeavesNoKeyOnDisk|TestKeySlotOutlivesOlderShred|TestInterruptedShredZeroesSlot|TestZeroedSlotWithoutShred|TestMissingKeyFileRefused|TestTornKeySlotZeroed|TestOwnerTooLongForKeySlot|TestEnvelopeGKEYRefused|TestFullSyncDropsStaleObjection|TestObjectionWithoutRecords|TestOwnerKeyReserved|TestObjectionSurvivesForget|TestRestoreRefusesLegacyObjection|TestOwnerRecordCutBeforeRestamps|TestLegacyObjectionsRefused|TestFullSyncZeroesReplicaStaleKey'
 	$(GO) test -race -count=3 ./pkg/gdprkv
 	$(GO) test -race -count=3 -run 'TestClusterClient|TestClusterPipeline|TestClusterFailover' ./internal/server
-	$(GO) test -race -run 'TestClusterSlotMigrationWithAsk|TestClusterMigration|TestClusterForgetMidMigration|TestClusterForgetDuringMigrationRace|TestClusterGetUserRacingMigration|TestClusterUnobjectDuringMigration|TestClusterFailoverPromoteReplica|TestClusterPeer|TestClusterPlacementRefusesOffSlotWrite|TestClusterRightsRouteToOwnerSlot|TestClusterForgetWithNodeDown|TestClusterGetUserSkipsLaggingReplica|TestClusterReplicaRedirects|TestDemotedPrimaryStopsExpiring|TestPromotionResumesDuties' ./internal/server
+	$(GO) test -race -run 'TestClusterSlotMigrationWithAsk|TestClusterMigration|TestClusterForgetMidMigration|TestClusterForgetDuringMigrationRace|TestClusterGetUserRacingMigration|TestClusterUnobjectDuringMigration|TestClusterFailoverPromoteReplica|TestClusterPeer|TestClusterPlacementRefusesOffSlotWrite|TestClusterRightsRouteToOwnerSlot|TestClusterRefusesMisplacedData|TestClusterUnreadReplyDoesNotBlockMigration|TestRestoreKeyWithdrawalNeedsRights|TestClusterForgetWithNodeDown|TestClusterGetUserSkipsLaggingReplica|TestClusterReplicaRedirects|TestDemotedPrimaryStopsExpiring|TestPromotionResumesDuties' ./internal/server
 	$(GO) test -race -count=5 -run 'LastErr|PartialResync|FullSync' ./internal/replica
 
 bench:

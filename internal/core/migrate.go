@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"gdprstore/internal/acl"
@@ -28,8 +29,8 @@ import (
 //     the destination's current key epoch for the owner, so an owner
 //     shredded there refuses it with ERASED instead of resurrecting),
 //     re-indexed, journaled, and audited, with metadata (Created, Origin,
-//     Objections, Expiry) preserved. An owner record replaces the
-//     destination's.
+//     Objections, Expiry) preserved and the destination's standing
+//     objections added. An owner record replaces the destination's.
 //   - RemoveMigrated deletes the source copy after the destination has
 //     acknowledged it, journaling the engine DEL so the source's replicas
 //     follow.
@@ -96,12 +97,14 @@ func (s *Store) DumpForMigration(key string) (argv [][]byte, raw []byte, ok bool
 // A GREC goes through the full compliance path — sealed under this node's
 // keyring at the owner's current epoch, re-indexed, journaled as one GREC
 // record, audited — with the source's metadata (Created, Origin, Expiry,
-// Objections, ...) preserved verbatim. A record that carries an objection
-// applies it here, so restoring it is a rights operation. An owner
-// record's GREC (no owner, only objections) replaces this node's owner
-// record for the subject its key names; no other record may name that key.
-// A record whose owner is crypto-shredded here fails with ErrErased: an
-// erasure wins over a migration. A record already past its retention
+// ...) preserved verbatim, its Objections united with this node's standing
+// objections for the owner. A record that carries an objection applies it
+// here, so restoring it is a rights operation. An owner record's GREC (no
+// owner, only objections) replaces this node's owner record for the subject
+// its key names, withdrawals included, so restoring it is always a rights
+// operation; no other record may name that key. A record whose owner is
+// crypto-shredded here, owner record included, fails with ErrErased:
+// nothing erased here is resurrected. A record already past its retention
 // deadline is dropped silently — migrating it would resurrect overdue data.
 func (s *Store) RestoreRecord(ctx Ctx, argv [][]byte, admit func(key, owner string) error) error {
 	var (
@@ -159,14 +162,32 @@ func (s *Store) RestoreRecord(ctx Ctx, argv [][]byte, admit func(key, owner stri
 		return nil
 	}
 	defer s.lockOwner(owner).Unlock()
+	// An owner record sets the subject's standing objections, withdrawals
+	// included, as UNOBJECT does; a record that carries an objection applies
+	// it here, as OBJECT does.
 	op := acl.OpWrite
-	if len(meta.Objections) > 0 {
+	if reserved || len(meta.Objections) > 0 {
 		op = acl.OpRights
 	}
 	if err := s.check(ctx, op, owner, "RESTOREKEY", k); err != nil {
 		return err
 	}
+	objs := slices.Clone(meta.Objections)
+	if !reserved {
+		// The record also objects to what this node's owner record holds, as
+		// a write here would: a restore never serves a purpose the subject
+		// objected to. In a migration the owner record arrives first, so this
+		// adds nothing there.
+		objs = append(objs, s.Objections(owner)...)
+	}
+	slices.Sort(objs)
+	meta.Objections = slices.Compact(objs)
 	if reserved {
+		// An owner shredded here takes no objections either, so a subject
+		// whose records are refused with ErrErased stays whole on the source.
+		if s.keyring != nil && s.keyring.Shredded(owner) {
+			return fmt.Errorf("%w: %s", ErrErased, owner)
+		}
 		if err := s.setObjections(owner, meta.Objections, encodeMetadata); err != nil {
 			return err
 		}

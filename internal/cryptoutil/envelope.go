@@ -432,6 +432,14 @@ func (kr *Keyring) RecordLive(owner string, epoch uint64) bool {
 	return !kr.shred[owner] && kr.epoch[owner] == epoch
 }
 
+// Shredded reports whether owner is marked shredded: its key was destroyed
+// and no Reinstate has cleared the mark since.
+func (kr *Keyring) Shredded(owner string) bool {
+	kr.mu.RLock()
+	defer kr.mu.RUnlock()
+	return kr.shred[owner]
+}
+
 // ShredCount returns how many owners are currently marked shredded.
 func (kr *Keyring) ShredCount() int {
 	kr.mu.RLock()

@@ -557,5 +557,11 @@ func (w *Writer) crlf() error {
 	return err
 }
 
+// WriteRaw copies b, RESP already encoded, into the stream.
+func (w *Writer) WriteRaw(b []byte) error {
+	_, err := w.bw.Write(b)
+	return err
+}
+
 // Flush writes all buffered data to the underlying stream.
 func (w *Writer) Flush() error { return w.bw.Flush() }

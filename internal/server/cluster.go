@@ -7,7 +7,6 @@ import (
 	"net"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gdprstore/internal/cluster"
@@ -63,16 +62,31 @@ func (cs *clusterState) self() cluster.Node {
 	return n
 }
 
+// ErrMisplacedData refuses cluster mode over a store that holds a compliant
+// record whose key does not hash to its owner's slot, as standalone mode
+// and earlier releases allowed. Rights commands reach only the owner's slot
+// node, so such a record would outlive an acknowledged FORGETUSER.
+var ErrMisplacedData = errors.New("server: cluster: a compliant key does not hash to its owner's slot")
+
 // EnableCluster puts the server in cluster mode (or re-points the slot
 // map when already enabled — the new map starts a fresh epoch-1
 // topology). Self must name a node of the map, and that node's Addr
-// should be how *other* nodes and clients reach this server.
+// should be how *other* nodes and clients reach this server. It refuses
+// with ErrMisplacedData, naming a key, while the store holds a compliant
+// record outside its owner's slot.
 func (s *Server) EnableCluster(cfg ClusterConfig) error {
 	if cfg.Map == nil {
 		return errors.New("server: cluster: nil slot map")
 	}
 	if _, ok := cfg.Map.NodeByID(cfg.Self); !ok {
 		return fmt.Errorf("server: cluster: self id %q is not in the map", cfg.Self)
+	}
+	for _, k := range s.store.Engine().Keys("*") {
+		rec := s.store.Engine().RecordOf(k)
+		if rec != nil && rec.Policy.Owner != "" && cluster.Slot(k) != cluster.Slot(rec.Policy.Owner) && s.store.KeyVisible(k) {
+			return fmt.Errorf("%w: %q of owner %q; re-tag the subject's keys as pd:{%s}:..., or erase it with FORGETUSER, on a standalone server first",
+				ErrMisplacedData, k, rec.Policy.Owner, rec.Policy.Owner)
+		}
 	}
 	topo := cluster.NewTopology(cfg.Map)
 	s.clusterMu.Lock()
@@ -396,7 +410,3 @@ func (s *Server) peer(ctx context.Context, addr string) (*gdprkv.Client, bool, e
 	s.peers[addr] = c
 	return c, false, nil
 }
-
-// clusterStatePtr is the atomic holder type (declared here to keep the
-// cluster surface in one file; the field lives on Server).
-type clusterStatePtr = atomic.Pointer[clusterState]

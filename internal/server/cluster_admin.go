@@ -191,10 +191,9 @@ func parseSlot(arg []byte) (uint16, error) {
 func (s *Server) keysInSlot(slot uint16, max int) []string {
 	var out []string
 	for _, k := range s.store.Engine().Keys("*") {
-		if cluster.Slot(k) != slot || !s.store.KeyVisible(k) {
-			continue
+		if cluster.Slot(k) == slot && s.store.KeyVisible(k) {
+			out = append(out, k)
 		}
-		out = append(out, k)
 	}
 	sort.Strings(out)
 	if max >= 0 && len(out) > max {
@@ -253,7 +252,7 @@ func cmdClusterSetSlot(ctx *Ctx, cs *clusterState, args [][]byte) (resp.Value, e
 	if needsID != (len(args) == 3) {
 		return resp.Value{}, errSyntax
 	}
-	err = ctx.Srv.swapTopology(func(t *cluster.Topology) (*cluster.Topology, error) {
+	return okOr(ctx.Srv.swapTopology(func(t *cluster.Topology) (*cluster.Topology, error) {
 		switch verb {
 		case "MIGRATING":
 			return t.WithMigrating(slot, string(args[2]))
@@ -266,11 +265,7 @@ func cmdClusterSetSlot(ctx *Ctx, cs *clusterState, args [][]byte) (resp.Value, e
 		default:
 			return nil, fmt.Errorf("unknown SETSLOT verb '%s'", string(args[1]))
 		}
-	})
-	if err != nil {
-		return resp.Value{}, err
-	}
-	return resp.SimpleStringValue("OK"), nil
+	}))
 }
 
 // cmdClusterSetNode re-points a node id at a new address: the failover
@@ -281,11 +276,7 @@ func cmdClusterSetNode(ctx *Ctx, _ *clusterState, args [][]byte) (resp.Value, er
 	if !strings.Contains(addr, ":") {
 		return resp.Value{}, fmt.Errorf("address %q is not host:port", addr)
 	}
-	err := ctx.Srv.swapTopology(func(t *cluster.Topology) (*cluster.Topology, error) {
+	return okOr(ctx.Srv.swapTopology(func(t *cluster.Topology) (*cluster.Topology, error) {
 		return t.WithNodeAddr(string(args[0]), addr)
-	})
-	if err != nil {
-		return resp.Value{}, err
-	}
-	return resp.SimpleStringValue("OK"), nil
+	}))
 }

@@ -4,12 +4,10 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"strings"
 
 	"gdprstore/internal/cluster"
 	"gdprstore/internal/core"
 	"gdprstore/internal/resp"
-	"gdprstore/internal/wirecode"
 )
 
 // This file is the key-streaming half of live slot migration. The
@@ -22,10 +20,11 @@ import (
 // RESTOREKEY <record…> to the destination (re-seal, re-index, journal,
 // audit) → RemoveMigrated per acknowledged key, guarded so a write that
 // raced in between re-dumps instead of being lost. Keys of no owner move
-// the same way, one at a time. Erasures win over migration in both
-// directions: a key shredded on the source is never dumped, and a record
-// whose owner is shredded on the destination is refused with ERASED — the
-// source skips it. DESIGN.md §15.
+// the same way, one at a time. A key shredded on the source is never
+// dumped, so a migration cannot resurrect an erasure. A record the
+// destination refuses (ERASED for an owner shredded there earlier, DENIED,
+// ...) stops the migration with the record still on the source, for the
+// operator to resolve. DESIGN.md §15.
 
 // migrateRetries bounds re-dumps of a key that keeps being written while
 // it is being moved before the slot migration reports failure.
@@ -70,9 +69,10 @@ func cmdClusterMigrateSlot(ctx *Ctx, cs *clusterState, args [][]byte) (resp.Valu
 // migrateSlot moves every subject of slot to dest, each under the slot's
 // migration lock, then the slot's keys of no owner one by one. owners
 // counts the owner records carried, moved the records that landed on dest,
-// and skipped the keys that did not need to move: keys deleted or expired
-// mid-stream, and records dest refused with ERASED because the owner was
-// already shredded there.
+// and skipped the keys deleted or expired mid-stream. Any record dest
+// refuses stops the migration with the source's copy kept, ERASED included:
+// an owner shredded on dest while its subject lived here has live records
+// here that no rights command could reach once the slot moved.
 func (s *Server) migrateSlot(cctx core.Ctx, cs *clusterState, slot uint16, dest cluster.Node) (owners, moved, skipped int, err error) {
 	// move sends keys to dest as one pipeline of RESTOREKEYs, then removes
 	// each source copy dest acknowledged. A key written between its dump and
@@ -111,13 +111,7 @@ func (s *Server) migrateSlot(cctx core.Ctx, cs *clusterState, slot uint16, dest 
 			keys = nil
 			for i, key := range sent {
 				if rerr := replies[i]; rerr != nil {
-					if !strings.HasPrefix(rerr.Error(), wirecode.Erased) {
-						refused = cmp.Or(refused, fmt.Errorf("restore %q on %s: %w", key, dest.ID, rerr))
-						continue
-					}
-					// The owner is shredded on the destination, so the record
-					// is dead there: the erasure wins, nothing is resurrected.
-					skipped++
+					refused = cmp.Or(refused, fmt.Errorf("restore %q on %s: %w", key, dest.ID, rerr))
 					continue
 				}
 				removed, changed := s.store.RemoveMigrated(key, raws[i])
@@ -189,8 +183,5 @@ func handleRestoreKey(ctx *Ctx) (resp.Value, error) {
 			return nil
 		}
 	}
-	if err := ctx.Srv.store.RestoreRecord(ctx.Core, ctx.Args, admit); err != nil {
-		return resp.Value{}, err
-	}
-	return resp.SimpleStringValue("OK"), nil
+	return okOr(ctx.Srv.store.RestoreRecord(ctx.Core, ctx.Args, admit))
 }

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -1085,5 +1086,214 @@ func TestClusterUnobjectDuringMigration(t *testing.T) {
 		if err != nil || len(meta.Objections) != 0 {
 			t.Errorf("migrated record of %s objects to %v, %v; want none", o, meta.Objections, err)
 		}
+	}
+}
+
+// TestRestoreKeyWithdrawalNeedsRights: RESTOREKEY cannot withdraw an
+// objection for a principal that may only write. An owner record replaces
+// the subject's standing objections, so restoring one is a rights operation
+// whatever it holds; an ordinary record is stored objecting to what the
+// subject objects to here, as a GPUT would be. Both hold on a standalone
+// server, where no slot check runs.
+func TestRestoreKeyWithdrawalNeedsRights(t *testing.T) {
+	cfg := core.Config{Compliant: true, Capability: core.CapabilityFull, AuditEnabled: true}
+	srv, ctl := startServer(t, cfg)
+	st := srv.store
+	const owner = "eve"
+	for _, cmd := range [][]string{
+		{"ACL", "ADDPRINCIPAL", "ctl", "controller"},
+		{"ACL", "ADDPRINCIPAL", "svc", "processor"},
+		{"ACL", "GRANT", "svc", "service"},
+		{"AUTH", "ctl"},
+		{"PURPOSE", "service"},
+		{"GPUT", "pd:{eve}:1", "v", "OWNER", owner, "PURPOSES", "service,ads", "TTL", "3600"},
+		{"OBJECT", owner, "ads"},
+	} {
+		if _, err := ctl.Do(cmd...); err != nil {
+			t.Fatalf("%v: %v", cmd, err)
+		}
+	}
+	// The records a source node would send: eve's record with no objection,
+	// and her owner record, which stands on another objection than ads.
+	aux, err := core.Open(core.Config{Compliant: true, Capability: core.CapabilityFull, EnforceACL: core.Ptr(false)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer aux.Close()
+	actx := core.Ctx{Actor: "app", Purpose: "service"}
+	if err := aux.Put(actx, "pd:{eve}:2", []byte("w"), core.PutOptions{Owner: owner, Purposes: []string{"service", "ads"}, TTL: time.Hour}); err != nil {
+		t.Fatal(err)
+	}
+	dump := func(key string) []string {
+		rec, _, ok, err := aux.DumpForMigration(key)
+		if err != nil || !ok {
+			t.Fatalf("dump %q = %v, %v", key, ok, err)
+		}
+		args := []string{"RESTOREKEY"}
+		for _, a := range rec {
+			args = append(args, string(a))
+		}
+		return args
+	}
+	record := dump("pd:{eve}:2")
+	if err := aux.Object(actx, owner, "marketing"); err != nil {
+		t.Fatal(err)
+	}
+	ownerKey := aux.SubjectKeys(owner, 1)[0]
+	ownerRecords := [][]string{
+		dump(ownerKey),
+		{"RESTOREKEY", "GREC", string([]byte{0x01, 0, 0, 0, 0, 0, 0, 0, 0}), ownerKey, ""}, // no objection at all
+	}
+
+	svc := tdial(t, srv.Addr())
+	if err := svc.Auth("svc"); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Purpose("service"); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range ownerRecords {
+		if _, err := svc.Do(args...); !errors.Is(err, gdprkv.ErrDenied) {
+			t.Fatalf("RESTOREKEY of an owner record by a writer = %v, want ErrDenied", err)
+		}
+		if got := st.Objections(owner); !reflect.DeepEqual(got, []string{"ads"}) {
+			t.Fatalf("%s objects to %v after the refused restore, want [ads]", owner, got)
+		}
+	}
+	if _, err := svc.Do(record...); err != nil {
+		t.Fatalf("RESTOREKEY of a record by a writer: %v", err)
+	}
+	if err := ctl.Purpose("ads"); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"pd:{eve}:1", "pd:{eve}:2"} {
+		if v, err := ctl.SDK().GGet(ctxb(), k); !errors.Is(err, gdprkv.ErrBadPurpose) {
+			t.Errorf("GGET %s under the objected purpose = %q, %v; want ErrBadPurpose", k, v, err)
+		}
+	}
+}
+
+// TestClusterMigrationStopsOnErasedDestination: a destination that keeps a
+// shred mark for a subject of the slot (it erased the subject before the
+// slot last left it) refuses the subject's owner record and records with
+// ERASED, and the migration fails with the subject whole on the source,
+// where rights commands still reach it. Skipping the records would leave
+// live personal data on a node no rights command routes to after the
+// finalize.
+func TestClusterMigrationStopsOnErasedDestination(t *testing.T) {
+	srvs, stores, m := startEnvelopeCluster(t, 2)
+	ctx := context.Background()
+	owner := ownerOn(t, m, "n1")
+	ss := strconv.Itoa(int(cluster.Slot(owner)))
+	if _, err := stores[1].Forget(core.Ctx{Actor: "app", Purpose: "service"}, owner); err != nil {
+		t.Fatal(err)
+	}
+	src, dst := nodeClient(t, srvs[0].Addr()), nodeClient(t, srvs[1].Addr())
+	keys := []string{fmt.Sprintf("pd:{%s}:1", owner), fmt.Sprintf("pd:{%s}:2", owner)}
+	for _, k := range keys {
+		if err := src.GPut(ctx, k, []byte("v"), gdprkv.PutOptions{Owner: owner, Purposes: []string{"service"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, step := range []struct {
+		c   *gdprkv.Client
+		cmd []string
+	}{
+		{src, []string{"OBJECT", owner, "billing"}},
+		{dst, []string{"CLUSTER", "SETSLOT", ss, "IMPORTING", "n1"}},
+		{src, []string{"CLUSTER", "SETSLOT", ss, "MIGRATING", "n2"}},
+	} {
+		if _, err := step.c.Do(ctx, step.cmd...); err != nil {
+			t.Fatalf("%v: %v", step.cmd, err)
+		}
+	}
+	if mv, err := src.Do(ctx, "CLUSTER", "MIGRATESLOT", ss); err == nil || !strings.Contains(err.Error(), "ERASED") {
+		t.Fatalf("MIGRATESLOT onto a destination that shredded the owner = %d, %v; want an ERASED failure", mv.Int, err)
+	}
+	if got := len(stores[0].SubjectKeys(owner, -1)); got != 1+len(keys) {
+		t.Fatalf("n1 holds %d of the subject's keys after the refused migration, want %d", got, 1+len(keys))
+	}
+	if got := stores[1].SubjectKeys(owner, -1); len(got) != 0 {
+		t.Fatalf("n2 holds %q of the refused subject", got)
+	}
+	if recs, err := src.GetUser(ctx, owner); err != nil || len(recs) != len(keys) {
+		t.Fatalf("GETUSER on n1 after the refused migration = %d records, %v; want %d", len(recs), err, len(keys))
+	}
+	aggr, err := stores[0].Trail().Query(audit.Filter{Op: "MIGRATESLOT", Outcome: audit.OutcomeError})
+	if err != nil || len(aggr) != 1 || !strings.Contains(aggr[0].Detail, "owners=0 moved=0") {
+		t.Fatalf("n1 MIGRATESLOT error audit = %+v, %v; want owners=0 moved=0", aggr, err)
+	}
+}
+
+// TestClusterUnreadReplyDoesNotBlockMigration: a GETUSER whose client stops
+// reading a reply larger than the socket buffers holds up no migration of
+// its slot. The reply meets the socket only after the cluster stage has
+// released the slot's migration lock, so MIGRATESLOT takes the lock and
+// moves the subject while the reply is still unread.
+func TestClusterUnreadReplyDoesNotBlockMigration(t *testing.T) {
+	srvs, _, m := startCluster(t, 2)
+	ctx := context.Background()
+	owner := ownerOn(t, m, "n1")
+	ss := strconv.Itoa(int(cluster.Slot(owner)))
+	src, dst := nodeClient(t, srvs[0].Addr()), nodeClient(t, srvs[1].Addr())
+	const records = 128
+	value := bytes.Repeat([]byte("x"), 64<<10)
+	p := src.Pipeline()
+	for i := 0; i < records; i++ {
+		p.GPut(fmt.Sprintf("pd:{%s}:%03d", owner, i), value, gdprkv.PutOptions{Owner: owner, Purposes: []string{"service"}})
+	}
+	res, err := p.Exec(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	if _, err := dst.Do(ctx, "CLUSTER", "SETSLOT", ss, "IMPORTING", "n1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Do(ctx, "CLUSTER", "SETSLOT", ss, "MIGRATING", "n2"); err != nil {
+		t.Fatal(err)
+	}
+	// A reader with a small receive buffer that takes the reply's first
+	// bytes, so the GETUSER has run, and then stops reading.
+	d := net.Dialer{Control: func(_, _ string, rc syscall.RawConn) error {
+		var serr error
+		if err := rc.Control(func(fd uintptr) {
+			serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF, 4096)
+		}); err != nil {
+			return err
+		}
+		return serr
+	}}
+	conn, err := d.Dial("tcp", srvs[0].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := fmt.Fprintf(conn, "*2\r\n$7\r\nGETUSER\r\n$%d\r\n%s\r\n", len(owner), owner); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Read(make([]byte, 1)); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		mv, err := src.Do(ctx, "CLUSTER", "MIGRATESLOT", ss)
+		if err == nil && mv.Int != records {
+			err = fmt.Errorf("moved %d, want %d", mv.Int, records)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("MIGRATESLOT beside an unread GETUSER reply: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		conn.Close() // releases a handler blocked on the socket
+		t.Fatal("MIGRATESLOT still waits on the slot lock behind an unread GETUSER reply")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -425,6 +426,54 @@ func TestClusterPlacementRefusesOffSlotWrite(t *testing.T) {
 	_, c := startServer(t, core.Config{Compliant: true, Capability: core.CapabilityPartial})
 	if err := c.GPut(key, []byte("v"), opts); err != nil {
 		t.Fatalf("standalone GPUT of the same key: %v", err)
+	}
+}
+
+// TestClusterRefusesMisplacedData: a store that holds a compliant record
+// whose key does not hash to its owner's slot, written by a standalone
+// server and read back from its AOF, cannot enter cluster mode: the error
+// names the key and the upgrade step. Once the subject is erased there,
+// the same store can; tagged keys never stand in the way.
+func TestClusterRefusesMisplacedData(t *testing.T) {
+	cfg := core.Config{Compliant: true, Capability: core.CapabilityPartial, AOFPath: filepath.Join(t.TempDir(), "a.aof")}
+	const owner, key = "bob", "demo2"
+	if cluster.Slot(key) == cluster.Slot(owner) {
+		t.Fatal("the fixture key hashes to its owner's slot")
+	}
+	st, err := core.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.PutOptions{Owner: owner, Purposes: []string{"service"}}
+	for _, k := range []string{key, "pd:{bob}:1", "pd:{carol}:1"} {
+		o := opts
+		if k == "pd:{carol}:1" {
+			o.Owner = "carol"
+		}
+		if err := st.Put(core.Ctx{}, k, []byte("v"), o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv, c := startServer(t, cfg)
+	m, err := cluster.NewMap([]cluster.Node{{ID: "n1", Addr: srv.Addr(), Ranges: cluster.EvenSplit(1)[0]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = srv.EnableCluster(ClusterConfig{Self: "n1", Map: m})
+	if !errors.Is(err, ErrMisplacedData) || !strings.Contains(err.Error(), `"demo2"`) || !strings.Contains(err.Error(), "FORGETUSER") {
+		t.Fatalf("EnableCluster over a misplaced record = %v, want ErrMisplacedData naming %q and the upgrade step", err, key)
+	}
+	if srv.clusterInfo() != nil {
+		t.Fatal("the refused EnableCluster put the server in cluster mode")
+	}
+	if n, err := c.SDK().ForgetUser(ctxb(), owner); err != nil || n != 2 {
+		t.Fatalf("FORGETUSER %s = %d, %v; want 2", owner, n, err)
+	}
+	if err := srv.EnableCluster(ClusterConfig{Self: "n1", Map: m}); err != nil {
+		t.Fatalf("EnableCluster after the erasure: %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -87,11 +88,13 @@ type Ctx struct {
 }
 
 // Writer returns where the handler writes a reply it renders itself: Out,
-// or, while a command hook is installed, the connection's hold buffer, so
-// that observe can read the reply back as a Value for the hook. A command
-// that writes nothing costs the hook nothing.
+// or the connection's hold buffer while a command hook is installed or
+// cluster mode is on. observe then reads the reply back as a Value for the
+// hook, or copies it to Out once the cluster stage has released the slot's
+// migration lock, so that a client that stops reading holds up no
+// migration. A command that writes nothing costs either nothing.
 func (c *Ctx) Writer() *resp.Writer {
-	if c.Srv.hook.Load() == nil || c.Out != c.Sess.w {
+	if (c.Srv.hook.Load() == nil && c.Srv.clusterInfo() == nil) || c.Out != c.Sess.w {
 		return c.Out
 	}
 	if c.Sess.heldW == nil {
@@ -268,7 +271,7 @@ func (s *Server) observe(next Handler) Handler {
 		d := s.clock.Since(t0)
 		s.cmdStats.Get(ctx.Cmd.Name).Record(d)
 		if ctx.Out != out {
-			v, err = ctx.readBack(out, v, err)
+			v, err = ctx.readBack(out, v, err, hook != nil)
 		}
 		if hook != nil {
 			reply := v
@@ -283,15 +286,26 @@ func (s *Server) observe(next Handler) Handler {
 
 // readBack points ctx.Out back at the connection's writer, out, and yields
 // the command's Value: the one the handler returned, or the one it wrote
-// into the hold buffer (Ctx.Writer), read back.
-func (c *Ctx) readBack(out *resp.Writer, v resp.Value, err error) (resp.Value, error) {
+// into the hold buffer (Ctx.Writer), read back for a hook or else copied
+// to out as it is.
+func (c *Ctx) readBack(out *resp.Writer, v resp.Value, err error, hooked bool) (resp.Value, error) {
 	c.Out = out
 	// A bytes.Buffer takes every write, so the Flush cannot fail.
 	if err != nil || v.Type != 0 || c.Sess.heldW.Flush() != nil || c.Sess.held.Len() == 0 {
 		return v, err
 	}
-	return resp.NewReader(&c.Sess.held).ReadValue()
+	if hooked {
+		return resp.NewReader(&c.Sess.held).ReadValue()
+	}
+	err = out.WriteRaw(c.Sess.held.Bytes())
+	if c.Sess.held.Cap() > maxHeld {
+		c.Sess.held = bytes.Buffer{} // a connection keeps no large report
+	}
+	return v, err
 }
+
+// maxHeld is the largest hold buffer a connection keeps between commands.
+const maxHeld = 64 << 10
 
 // complianceMiddleware enforces FlagGDPR, and the reserved owner-record keys,
 // before the handler runs: one gate instead of each handler re-checking.

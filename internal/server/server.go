@@ -64,7 +64,7 @@ type Server struct {
 	// command hot path are lock-free. clusterMu serializes the
 	// derive-and-swap of admin mutations (CLUSTER SETSLOT/SETNODE) so two
 	// concurrent topology changes cannot lose each other's epoch bump.
-	clusterSt clusterStatePtr
+	clusterSt atomic.Pointer[clusterState]
 	clusterMu sync.Mutex
 
 	// stats
@@ -184,7 +184,7 @@ type connState struct {
 	hijacked bool
 
 	// held, through heldW (made on first use), takes a handler's own reply
-	// while a command hook is installed (Ctx.Writer).
+	// while a command hook is installed or cluster mode is on (Ctx.Writer).
 	held  bytes.Buffer
 	heldW *resp.Writer
 }
