@@ -500,7 +500,6 @@ func TestClosedStoreRejectsOps(t *testing.T) {
 			return err
 		},
 		"Forget":           func() error { _, err := s.Forget(ctlCtx, "alice"); return err },
-		"Reinstate":        func() error { return s.Reinstate(ctlCtx, "alice") },
 		"Object":           func() error { return s.Object(ctlCtx, "alice", "ads") },
 		"Unobject":         func() error { return s.Unobject(ctlCtx, "alice", "ads") },
 		"DumpForMigration": func() error { _, _, _, err := s.DumpForMigration("k"); return err },

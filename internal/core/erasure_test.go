@@ -72,8 +72,8 @@ func TestShredInvisibleBeforeSweep(t *testing.T) {
 		t.Fatalf("Forget = %d, %v; want 8, nil", n, err)
 	}
 	// No sweep has run: the ciphertext is still physically present.
-	if got := s.Engine().Len(); got != 12 {
-		t.Fatalf("engine len after shred = %d, want 12 (lazy delete)", got)
+	if got := s.Len(); got != 12 {
+		t.Fatalf("store len after shred = %d, want 12 (lazy delete)", got)
 	}
 
 	for _, k := range aliceKeys {
@@ -115,8 +115,8 @@ func TestShredInvisibleBeforeSweep(t *testing.T) {
 	if sw.Reclaimed != 8 || sw.OwnersDrained != 1 {
 		t.Fatalf("DrainErasure = %+v; want 8 reclaimed, 1 drained", sw)
 	}
-	if got := s.Engine().Len(); got != 4 {
-		t.Fatalf("engine len after sweep = %d, want 4", got)
+	if got := s.Len(); got != 4 {
+		t.Fatalf("store len after sweep = %d, want 4", got)
 	}
 	if got := s.MetaCount(); got != 4 {
 		t.Fatalf("meta count after sweep = %d, want 4", got)
@@ -200,52 +200,8 @@ func TestErasureSweepBudget(t *testing.T) {
 		}
 		total += st.Reclaimed
 	}
-	if total != 10 || s.Engine().Len() != 0 {
-		t.Fatalf("converged at reclaimed=%d len=%d; want 10, 0", total, s.Engine().Len())
-	}
-}
-
-// TestReinstateMidSweep pins that a subject who returns mid-sweep gets a
-// fresh key epoch: their new records live while the pre-shred residue
-// stays dead and is still reclaimed.
-func TestReinstateMidSweep(t *testing.T) {
-	s, err := Open(erasureCfg(func(c *Config) { c.ErasureSweepBudget = 2 }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ctx := Ctx{Actor: "app", Purpose: "service"}
-	oldKeys := putOwnerKeys(t, s, "alice", 6)
-	if _, err := s.Forget(Ctx{Actor: "alice"}, "alice"); err != nil {
-		t.Fatal(err)
-	}
-	s.ErasureSweepCycle() // partial: reclaims 2 of 6
-
-	if err := s.Reinstate(ctx, "alice"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(ctx, "alice:fresh", []byte("new life"), PutOptions{
-		Owner: "alice", Purposes: []string{"service"},
-	}); err != nil {
-		t.Fatalf("put after reinstate: %v", err)
-	}
-	if v, err := s.Get(ctx, "alice:fresh"); err != nil || string(v) != "new life" {
-		t.Fatalf("fresh record = %q, %v", v, err)
-	}
-	for _, k := range oldKeys {
-		if _, err := s.Get(ctx, k); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("pre-shred record %s resurrected by reinstate: %v", k, err)
-		}
-	}
-	s.DrainErasure()
-	if v, err := s.Get(ctx, "alice:fresh"); err != nil || string(v) != "new life" {
-		t.Fatalf("fresh record after sweep = %q, %v", v, err)
-	}
-	if got := s.Engine().Len(); got != 1 {
-		t.Fatalf("engine len after sweep = %d, want only the fresh record", got)
-	}
-	if st := s.ErasureStats(); st.PendingOwners != 0 {
-		t.Fatalf("reinstated owner never drained: %+v", st)
+	if total != 10 || s.Len() != 0 {
+		t.Fatalf("converged at reclaimed=%d len=%d; want 10, 0", total, s.Len())
 	}
 }
 
@@ -310,8 +266,8 @@ func TestCrashMidSweepReplay(t *testing.T) {
 	if got != want {
 		t.Fatalf("post-sweep states diverged\n--- live ---\n%s--- replayed ---\n%s", want, got)
 	}
-	if l, r := live.Engine().Len(), re.Engine().Len(); l != 3 || r != 3 {
-		t.Fatalf("post-sweep engine lens = %d, %d; want 3, 3", l, r)
+	if l, r := live.Len(), re.Len(); l != 3 || r != 3 {
+		t.Fatalf("post-sweep store lens = %d, %d; want 3, 3", l, r)
 	}
 }
 
@@ -343,7 +299,7 @@ func TestCompactionPurgesDeadCiphertext(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got := re.Engine().Len(); got != 2 {
+	if got := re.Len(); got != 2 {
 		t.Fatalf("replay after compaction holds %d keys, want bob's 2", got)
 	}
 	if st := re.ErasureStats(); st.PendingOwners != 0 || st.ShreddedOwners != 1 {
@@ -380,8 +336,8 @@ func TestBackgroundSweeper(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if got := s.Engine().Len(); got != 0 {
-		t.Fatalf("engine len after background sweep = %d", got)
+	if got := s.Len(); got != 0 {
+		t.Fatalf("store len after background sweep = %d", got)
 	}
 	s.StopExpirer()
 	s.StopExpirer() // idempotent
@@ -407,8 +363,8 @@ func TestReplicaKeepsNoErasureBacklog(t *testing.T) {
 		t.Fatal(err)
 	}
 	caughtUp(t, s)
-	if st := r.ErasureStats(); st.ShreddedOwners != 1 || st.PendingOwners != 0 || r.Engine().Len() != 10 {
-		t.Fatalf("replica after shred = %+v, %d keys; want 1 shredded, 0 pending, 10 keys", st, r.Engine().Len())
+	if st := r.ErasureStats(); st.ShreddedOwners != 1 || st.PendingOwners != 0 || r.Len() != 10 {
+		t.Fatalf("replica after shred = %+v, %d keys; want 1 shredded, 0 pending, 10 keys", st, r.Len())
 	}
 	r.SetReplica(false)
 	if st := r.ErasureStats(); st.PendingOwners != 1 || st.PendingRecords != 8 {
@@ -420,7 +376,7 @@ func TestReplicaKeepsNoErasureBacklog(t *testing.T) {
 	}
 	s.DrainErasure()
 	caughtUp(t, s)
-	if n := r.Engine().Len(); n != 2 {
+	if n := r.Len(); n != 2 {
 		t.Fatalf("replica holds %d keys after the primary's sweep, want bob's 2", n)
 	}
 	r.SetReplica(false)
@@ -441,7 +397,10 @@ func TestErasureConcurrentStress(t *testing.T) {
 	s.StartExpirer()
 	defer s.StopExpirer()
 
-	const iters = 300
+	// Each subject takes a few writes from every writer; the forgetter
+	// erases the subjects in the same order, so writes and erasures of one
+	// subject overlap.
+	const iters, perSubject = 300, 4
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
 		wg.Add(1)
@@ -449,21 +408,20 @@ func TestErasureConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			ctx := Ctx{Actor: "app", Purpose: "service"}
 			for i := 0; i < iters; i++ {
-				owner := fmt.Sprintf("subj%d", i%4)
+				owner := fmt.Sprintf("subj%d", i/perSubject)
 				k := fmt.Sprintf("w%d:%d", g, i%32)
-				// ErrErased while the owner is shredded is expected.
+				// ErrErased once the owner is erased is expected.
 				_ = s.Put(ctx, k, []byte("v"), PutOptions{Owner: owner, Purposes: []string{"service"}})
 				_, _ = s.Get(ctx, k)
 			}
 		}(g)
 	}
 	wg.Add(1)
-	go func() { // forgetter/reinstater
+	go func() { // forgetter
 		defer wg.Done()
-		for i := 0; i < iters; i++ {
-			owner := fmt.Sprintf("subj%d", i%4)
+		for i := 0; i < iters/perSubject; i++ {
+			owner := fmt.Sprintf("subj%d", i)
 			_, _ = s.Forget(Ctx{Actor: owner}, owner)
-			_ = s.Reinstate(Ctx{Actor: "admin"}, owner)
 		}
 	}()
 	wg.Add(1)
@@ -494,9 +452,6 @@ func TestErasureConcurrentStress(t *testing.T) {
 	close(churned)
 	<-swept
 	// Everything still converges once the churn stops.
-	for i := 0; i < 4; i++ {
-		_ = s.Reinstate(Ctx{Actor: "admin"}, fmt.Sprintf("subj%d", i))
-	}
 	s.DrainErasure()
 	if st := s.ErasureStats(); st.PendingOwners != 0 {
 		t.Fatalf("stress left pending owners: %+v", st)
@@ -505,9 +460,8 @@ func TestErasureConcurrentStress(t *testing.T) {
 
 // TestCipherCacheForget: the keyring serves a hot owner's prepared cipher
 // from its cache, and an acknowledged Forget ends that: the owner's records
-// read as gone, no read builds or finds a cipher for them, and the data
-// written after reinstatement is sealed under a new key that the old
-// ciphertext does not open.
+// read as gone, no read or write builds or finds a cipher for them, and the
+// owner gets no new key.
 func TestCipherCacheForget(t *testing.T) {
 	s, err := Open(erasureCfg(nil))
 	if err != nil {
@@ -541,27 +495,18 @@ func TestCipherCacheForget(t *testing.T) {
 	if hits, misses := s.keyring.CipherStats(); misses != 1 || hits != 15 {
 		t.Fatalf("reads and a write of an erased owner touched the cipher cache: built %d, cached %d", misses, hits)
 	}
-	if err := s.Reinstate(Ctx{Actor: "admin"}, "alice"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(ctx, "alice:new", []byte("fresh"), PutOptions{Owner: "alice", Purposes: []string{"service"}}); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := s.Get(ctx, "alice:new"); err != nil || string(v) != "fresh" {
-		t.Fatalf("Get after reinstatement = %q, %v", v, err)
-	}
-	if _, misses := s.keyring.CipherStats(); misses != 2 {
-		t.Fatalf("the reinstated owner's new key was prepared %d times in all, want 2", misses)
+	if _, ok := s.keyring.KeyEpoch("alice"); ok {
+		t.Fatal("the refused Put made the erased owner a key")
 	}
 }
 
-// TestCipherCacheForgetDrill: four goroutines Put, Get and GetUser one
-// owner's records through the cached cipher while a fifth erases and
-// reinstates the owner, each time rewriting a marker record with the number
-// of the erasure it follows. A read that began after erasure n was
-// acknowledged never returns a marker older than n, and nothing ever fails
-// to open: a record is sealed by the key of the epoch it is stamped with.
-// Run under -race.
+// TestCipherCacheForgetDrill: four goroutines Put, Get and GetUser the
+// current owner's records through the cached cipher while a fifth erases
+// the owner, each time making the next owner current and rewriting a
+// marker record under it with the number of the erasure it follows. A read
+// that began after erasure n was acknowledged never returns a marker older
+// than n, and nothing ever fails to open: a record is sealed by the key of
+// the epoch it is stamped with. Run under -race.
 func TestCipherCacheForgetDrill(t *testing.T) {
 	s, err := Open(erasureCfg(nil))
 	if err != nil {
@@ -569,9 +514,9 @@ func TestCipherCacheForgetDrill(t *testing.T) {
 	}
 	defer s.Close()
 	ctx := Ctx{Actor: "app", Purpose: "service"}
-	opts := PutOptions{Owner: "alice", Purposes: []string{"service"}}
+	owner := func(n int64) string { return fmt.Sprintf("alice%d", n) }
 	const marker, rounds, reads = "alice:marker", 150, 1000
-	var acked atomic.Int64  // erasures acknowledged so far
+	var acked atomic.Int64  // erasures acknowledged so far; owner(acked) is current
 	var looped atomic.Int64 // passes the readers have made
 	var stop atomic.Bool
 
@@ -594,8 +539,9 @@ func TestCipherCacheForgetDrill(t *testing.T) {
 			defer wg.Done()
 			mine := fmt.Sprintf("alice:w%d", g)
 			for ; !stop.Load(); looped.Add(1) {
-				// ErrErased between a Forget and its Reinstate is expected.
-				if err := s.Put(ctx, mine, []byte("0"), opts); err != nil && !errors.Is(err, ErrErased) {
+				cur := owner(acked.Load())
+				// ErrErased once cur is erased is expected.
+				if err := s.Put(ctx, mine, []byte("0"), PutOptions{Owner: cur, Purposes: []string{"service"}}); err != nil && !errors.Is(err, ErrErased) {
 					t.Error(err)
 					return
 				}
@@ -607,7 +553,7 @@ func TestCipherCacheForgetDrill(t *testing.T) {
 				check("Get", floor, v, err)
 
 				floor = acked.Load()
-				recs, err := s.GetUser(Ctx{Actor: "alice"}, "alice")
+				recs, err := s.GetUser(Ctx{Actor: cur}, cur)
 				if err != nil {
 					check("GetUser", floor, nil, err)
 				}
@@ -623,20 +569,17 @@ func TestCipherCacheForgetDrill(t *testing.T) {
 	// readers to have raced them.
 	n := int64(1)
 	for ; n <= rounds || looped.Load() < reads; n++ {
-		if _, err := s.Forget(Ctx{Actor: "alice"}, "alice"); err != nil {
+		if _, err := s.Forget(Ctx{Actor: owner(n - 1)}, owner(n-1)); err != nil {
 			t.Fatal(err)
 		}
 		acked.Store(n)
-		if err := s.Reinstate(Ctx{Actor: "admin"}, "alice"); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Put(ctx, marker, []byte(strconv.FormatInt(n, 10)), opts); err != nil {
+		if err := s.Put(ctx, marker, []byte(strconv.FormatInt(n, 10)), PutOptions{Owner: owner(n), Purposes: []string{"service"}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	stop.Store(true)
 	wg.Wait()
 	if hits, misses := s.keyring.CipherStats(); int64(misses) < n-1 || hits == 0 {
-		t.Errorf("cipher built %d times over %d key generations, cached %d", misses, n-1, hits)
+		t.Errorf("cipher built %d times over %d owners' keys, cached %d", misses, n-1, hits)
 	}
 }

@@ -57,15 +57,16 @@ func (s *Store) markErasurePending(owner string) {
 	s.erasure.mu.Unlock()
 }
 
-// rediscoverErasure re-marks every owner whose epoch ever advanced and who
-// still holds a record sealed under a destroyed epoch: the pending set is
-// derived state, rebuilt after replay and on promotion.
+// rediscoverErasure re-marks every erased owner who still holds a record
+// sealed under a destroyed key: the pending set is derived state, rebuilt
+// after replay and on promotion.
 func (s *Store) rediscoverErasure() {
 	if s.keyring == nil {
 		return
 	}
-	for owner, epoch := range s.keyring.Epochs() {
-		if epoch == 0 {
+	for _, k := range s.db.Keys(ownerKeyPrefix + "*") {
+		owner, _ := ReservedKey(k)
+		if s.erasedAt(owner) == 0 {
 			continue
 		}
 		g, err := s.enter(owner)
@@ -83,22 +84,22 @@ func (s *Store) rediscoverErasure() {
 	}
 }
 
-// keylessOwners returns, with its epoch, every owner whose records are
-// sealed under its current epoch while the ring holds no key for it and no
-// shred mark. Its slot was zeroed, or reused, before the GSHRED reached the
-// AOF (the two files reach the disk in either order), or failed its
-// checksum; or the key file is missing. Replay calls it once the AOF has
-// replayed.
+// keylessOwners returns, with the latest epoch among them, every owner
+// holding records that no erasure covers while the ring holds no key for
+// it. Its slot was zeroed, or reused, before the erased owner record
+// reached the AOF (the two files reach the disk in either order), or failed
+// its checksum; or the key file is missing. Replay calls it once the AOF
+// has replayed.
 func (s *Store) keylessOwners() map[string]uint64 {
 	keyless := map[string]uint64{}
 	for _, owner := range s.ix.owners() {
-		if owner == "" || s.keyring.HasKeySince(owner, 0) {
+		if _, keyed := s.keyring.KeyEpoch(owner); owner == "" || keyed {
 			continue
 		}
+		erased := s.erasedAt(owner)
 		s.walkOwner(owner, func(_ string, e store.Entry) bool {
-			if s.keyring.RecordLive(owner, e.Record.Epoch) {
-				keyless[owner] = e.Record.Epoch
-				return false
+			if e.Record.Epoch >= erased {
+				keyless[owner] = max(keyless[owner], e.Record.Epoch)
 			}
 			return true
 		})
@@ -126,9 +127,7 @@ type SweepStats struct {
 //
 // Each owner's walk is one call through the gate and takes no owner
 // stripe, so foreground Puts/Gets interleave freely. An owner is drained
-// only when a full walk of its keys found no remaining dead records —
-// owners reinstated mid-sweep (whose new records carry the live epoch)
-// drain naturally once their dead residue is gone.
+// only when a full walk of its keys found no remaining dead records.
 func (s *Store) ErasureSweepCycle() SweepStats {
 	var st SweepStats
 	if s.keyring == nil || s.closed.Load() {
@@ -298,14 +297,14 @@ type ErasureStats struct {
 	// Enabled reports whether envelope encryption (and therefore O(1)
 	// crypto-shredding) is active.
 	Enabled bool
-	// ShreddedOwners counts owners whose data key is currently destroyed.
+	// ShreddedOwners counts erased owners: owner records that hold an
+	// erasure.
 	ShreddedOwners int
 	// PendingOwners counts shredded owners whose dead ciphertext the sweep
 	// has not fully reclaimed yet.
 	PendingOwners int
-	// PendingRecords counts the records pending owners still hold (an upper
-	// bound on dead records: a reinstated owner's live records are included
-	// until the owner drains; records expiry has reaped are not).
+	// PendingRecords counts the records pending owners still hold (records
+	// expiry has reaped are not).
 	PendingRecords int
 	// Reclaimed is the total records physically deleted by sweeps.
 	Reclaimed uint64
@@ -335,7 +334,7 @@ func (s *Store) ErasureStats() ErasureStats {
 		return st
 	}
 	st.Enabled = true
-	st.ShreddedOwners = s.keyring.ShredCount()
+	st.ShreddedOwners = int(s.ix.erasedOwners.Load())
 	st.CipherHits, st.CipherMisses = s.keyring.CipherStats()
 	now := s.cfg.Config.Clock.Now()
 	s.erasure.mu.Lock()
@@ -361,40 +360,6 @@ func (s *Store) ErasureStats() ErasureStats {
 	}
 	st.SweeperRunning = s.dutiesRunning()
 	return st
-}
-
-// snapshotLog is what an AOF compaction writes: snapshotRecords, then the
-// shred marks. It holds no key: the key file does. Callers hold lockAll.
-func (s *Store) snapshotLog(emit func(name string, args ...[]byte) error) error {
-	if err := s.snapshotRecords(emit); err != nil {
-		return err
-	}
-	return s.shredMarks(emit)
-}
-
-// shredMarks emits a GSHRED (owner and epoch) for every owner whose key was
-// destroyed and who holds no key made since, then GREINST for each such
-// owner who was reinstated. Replaying them, after a compaction or in a
-// replica's full sync, restores the owner's epoch and standing, and zeroes
-// a slot the key file kept from before the shred. Callers hold lockAll.
-func (s *Store) shredMarks(emit func(name string, args ...[]byte) error) error {
-	if s.keyring == nil {
-		return nil
-	}
-	for owner, e := range s.keyring.Epochs() {
-		if e == 0 || s.keyring.HasKeySince(owner, e) {
-			continue
-		}
-		if err := emit(opShred, []byte(owner), epochArg(e)); err != nil {
-			return err
-		}
-		if s.keyring.RecordLive(owner, e) {
-			if err := emit(opReinst, []byte(owner)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // emitRecord emits the one journal record that stands for key k holding
@@ -442,7 +407,7 @@ func (s *Store) rewriteLocked(ctx Ctx) error {
 		return nil
 	}
 	before := s.log.Size()
-	if err := s.log.Rewrite(s.snapshotLog); err != nil {
+	if err := s.log.Rewrite(s.snapshotRecords); err != nil {
 		return fmt.Errorf("core: aof compaction: %w", err)
 	}
 	s.pendingRewrite.Store(false)

@@ -41,10 +41,11 @@ type Metadata struct {
 	AutomatedDecisions bool `json:"automated_decisions,omitempty"`
 	// Created is when the record was first stored.
 	Created time.Time `json:"created"`
-	// KeyEpoch is the owner's keyring epoch the value was sealed under
-	// (envelope mode). A record whose epoch is older than the keyring's
-	// current epoch was crypto-shredded: its key is destroyed and the
-	// ciphertext merely awaits the lazy-delete sweep.
+	// KeyEpoch is the epoch of the owner's key the value was sealed under
+	// (envelope mode). A record whose owner holds no key made at that epoch
+	// was crypto-shredded: its key is destroyed and the ciphertext merely
+	// awaits the lazy-delete sweep. An owner record's is the epoch its
+	// subject was erased at (0: not erased).
 	KeyEpoch uint64 `json:"key_epoch,omitempty"`
 }
 
@@ -146,8 +147,9 @@ func ownerOf(rec *store.Record) string {
 // are striped by name; a stripe lock is a leaf, held for one set operation.
 type metaIndex struct {
 	byOwner, byPurpose []setShard
-	// ownerRecords counts the owner records the engine holds (Store.Len).
-	ownerRecords atomic.Int64
+	// ownerRecords counts the owner records the engine holds (Store.Len),
+	// and erasedOwners those that hold an erasure (ErasureStats).
+	ownerRecords, erasedOwners atomic.Int64
 }
 
 // keySet is the keys of one owner or one purpose. An owner's also holds the
@@ -181,10 +183,9 @@ func stripeOf(shards []setShard, name string) *setShard {
 // went from old to new, either nil for none. An overwrite under the same
 // shared policy, the usual re-Put, touches no stripe.
 func (ix *metaIndex) changed(key string, old, new *store.Record) {
-	if _, owned := ReservedKey(key); owned && old == nil {
-		ix.ownerRecords.Add(1)
-	} else if owned && new == nil {
-		ix.ownerRecords.Add(-1)
+	if _, owned := ReservedKey(key); owned {
+		ix.ownerRecords.Add(one(new != nil) - one(old != nil))
+		ix.erasedOwners.Add(one(new != nil && new.Epoch > 0) - one(old != nil && old.Epoch > 0))
 	}
 	var op, np *store.Policy
 	if old != nil {
@@ -217,6 +218,14 @@ func (ix *metaIndex) changed(key string, old, new *store.Record) {
 			stripeOf(ix.byPurpose, p).add(p, key, nil)
 		}
 	}
+}
+
+// one is 1 for true and 0 for false.
+func one(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // add puts key in name's set, created with policy p if name had none.

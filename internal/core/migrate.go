@@ -15,7 +15,8 @@ import (
 // whole subject at a time (DESIGN.md §15). The compliance layer's half of
 // the protocol is four primitives:
 //
-//   - SubjectKeys lists what this node holds of one subject.
+//   - SubjectKeys lists the data this node holds of one subject, and Erased
+//     whether it holds the subject's erasure instead.
 //   - DumpForMigration extracts one key as the journal record an
 //     envelope-off store writes for it: GREC with the metadata verbatim and
 //     the value decrypted (each node seals under its own keyring, so
@@ -26,11 +27,11 @@ import (
 //     subject asked to be forgotten.
 //   - RestoreRecord ingests such a record on the destination through the
 //     full compliance path: re-sealed under the destination's keyring (at
-//     the destination's current key epoch for the owner, so an owner
-//     shredded there refuses it with ERASED instead of resurrecting),
-//     re-indexed, journaled, and audited, with metadata (Created, Origin,
-//     Objections, Expiry) preserved and the destination's standing
-//     objections added. An owner record replaces the destination's.
+//     the epoch of the destination's key for the owner; an owner erased
+//     there refuses it with ERASED instead of resurrecting), re-indexed,
+//     journaled, and audited, with metadata (Created, Origin, Objections,
+//     Expiry) preserved and the destination's standing objections added. An
+//     owner record replaces the destination's, keeping a later erasure.
 //   - RemoveMigrated deletes the source copy after the destination has
 //     acknowledged it, journaling the engine DEL so the source's replicas
 //     follow.
@@ -95,17 +96,19 @@ func (s *Store) DumpForMigration(key string) (argv [][]byte, raw []byte, ok bool
 // with ErrRetiredFormat.
 //
 // A GREC goes through the full compliance path — sealed under this node's
-// keyring at the owner's current epoch, re-indexed, journaled as one GREC
+// keyring at the epoch of the owner's key, re-indexed, journaled as one GREC
 // record, audited — with the source's metadata (Created, Origin, Expiry,
 // ...) preserved verbatim, its Objections united with this node's standing
 // objections for the owner. A record that carries an objection applies it
 // here, so restoring it is a rights operation. An owner record's GREC (no
-// owner, only objections) replaces this node's owner record for the subject
-// its key names, withdrawals included, so restoring it is always a rights
-// operation; no other record may name that key. A record whose owner is
-// crypto-shredded here, owner record included, fails with ErrErased:
-// nothing erased here is resurrected. A record already past its retention
-// deadline is dropped silently — migrating it would resurrect overdue data.
+// owner, only objections and an erasure) replaces this node's owner record
+// for the subject its key names, withdrawals included, so restoring it is
+// always a rights operation; no other record may name that key. The erasure
+// it carries is kept as setOwner keeps one. A record whose owner is erased
+// here, owner record included, fails with ErrErased, unless it is itself an
+// erased owner record: nothing erased here is resurrected. A record already
+// past its retention deadline is dropped silently — migrating it would
+// resurrect overdue data.
 func (s *Store) RestoreRecord(ctx Ctx, argv [][]byte, admit func(key, owner string) error) error {
 	var (
 		meta       *Metadata
@@ -182,13 +185,14 @@ func (s *Store) RestoreRecord(ctx Ctx, argv [][]byte, admit func(key, owner stri
 	}
 	slices.Sort(objs)
 	meta.Objections = slices.Compact(objs)
+	// An owner erased here takes nothing of its subject but another
+	// erasure, so a subject whose records are refused with ErrErased stays
+	// whole on the source.
+	if s.Erased(owner) && (!reserved || meta.KeyEpoch == 0) {
+		return fmt.Errorf("%w: %s", ErrErased, owner)
+	}
 	if reserved {
-		// An owner shredded here takes no objections either, so a subject
-		// whose records are refused with ErrErased stays whole on the source.
-		if s.keyring != nil && s.keyring.Shredded(owner) {
-			return fmt.Errorf("%w: %s", ErrErased, owner)
-		}
-		if err := s.setObjections(owner, meta.Objections, encodeMetadata); err != nil {
+		if err := s.setOwner(owner, meta.Objections, meta.KeyEpoch, encodeMetadata); err != nil {
 			return err
 		}
 		s.auditOp(audit.Record{
@@ -255,15 +259,16 @@ func (s *Store) RemoveMigrated(key string, expect []byte) (removed, changed bool
 	return removed, live && !removed
 }
 
-// SubjectKeys lists what this node holds of owner's subject, which a slot
-// migration moves as one: the owner record's key, if there is one, then the
-// keys of the owner's live records, at most max of them all (negative: no
-// bound). Crypto-erased records awaiting the sweep are not held: they never
-// migrate.
+// SubjectKeys lists the data this node holds of owner's subject, which a
+// slot migration moves as one: the owner record's key, if there is one and
+// it holds no erasure, then the keys of the owner's live records, at most max
+// of them all (negative: no bound). Crypto-erased records awaiting the sweep
+// are not held: they never migrate. An erased subject holds no data here:
+// Erased reports its owner record, which a migration carries alone.
 func (s *Store) SubjectKeys(owner string, max int) []string {
 	var keys []string
-	if k := ownerKey(owner); s.db.RecordOf(k) != nil {
-		keys = append(keys, k)
+	if rec := s.ownerRecord(owner); rec != nil && rec.Epoch == 0 {
+		keys = append(keys, OwnerKey(owner))
 	}
 	if max >= 0 && len(keys) >= max {
 		return keys

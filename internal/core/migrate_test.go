@@ -315,7 +315,7 @@ func TestMigrationMovesOwnerRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := src.SubjectKeys("dora", -1)
-	if len(keys) != 2 || keys[0] != ownerKey("dora") || keys[1] != key {
+	if len(keys) != 2 || keys[0] != OwnerKey("dora") || keys[1] != key {
 		t.Fatalf("SubjectKeys = %q, want the owner record then %s", keys, key)
 	}
 	rec, raw, ok, err := src.DumpForMigration(keys[0])
@@ -341,8 +341,8 @@ func TestMigrationMovesOwnerRecord(t *testing.T) {
 	// nor without metadata.
 	meta := appendMetadata(nil, &Metadata{Owner: "dora", Purposes: []string{"service"}})
 	for _, argv := range [][][]byte{
-		{[]byte(opRecord), meta, []byte(ownerKey("dora")), nil},
-		{[]byte("SET"), []byte(ownerKey("dora")), []byte("v")},
+		{[]byte(opRecord), meta, []byte(OwnerKey("dora")), nil},
+		{[]byte("SET"), []byte(OwnerKey("dora")), []byte("v")},
 	} {
 		if err := dst.RestoreRecord(ctx, argv, nil); !errors.Is(err, ErrReservedKey) {
 			t.Errorf("RestoreRecord %q = %v, want ErrReservedKey", argv[0], err)

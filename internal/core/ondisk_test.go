@@ -203,9 +203,10 @@ func keyFileCfg(path string, vc *clock.Virtual) Config {
 	return persistentCfg(path, vc, func(c *Config) { c.Envelope, c.MasterKey = true, keyFileMaster })
 }
 
-// TestKeySlotOutlivesOlderShred: a reinstated owner's new key, in the key
-// file at the new epoch, survives the replay of the GSHRED that destroyed
-// the owner's earlier key.
+// TestKeySlotOutlivesOlderShred: an owner the previous release reinstated
+// holds a key in the key file made at a later epoch than the GSHRED that
+// destroyed its earlier key. Replay's fold of that stale GSHRED leaves the
+// newer key, and the owner, as they were.
 func TestKeySlotOutlivesOlderShred(t *testing.T) {
 	path := tempAOF(t)
 	vc := clock.NewVirtual(time.Unix(0, 0))
@@ -217,11 +218,10 @@ func TestKeySlotOutlivesOlderShred(t *testing.T) {
 	if err := s.Put(ctlCtx, "a1", []byte("first"), PutOptions{Owner: "alice"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Forget(ctlCtx, "alice"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Reinstate(ctlCtx, "alice"); err != nil {
-		t.Fatal(err)
+	// The key the previous release made at epoch 1 for the reinstated owner.
+	s.keyring.Shred("alice")
+	if _, _, w, err := s.keyring.SealerFor("alice"); err != nil || errors.Join(s.keyring.ImportAt("alice", w, 1), s.keepKey("alice", 1, w)) != nil {
+		t.Fatal("installing alice's epoch-1 key:", err)
 	}
 	if err := s.Put(ctlCtx, "a2", []byte("second"), PutOptions{Owner: "alice"}); err != nil {
 		t.Fatal(err)
@@ -229,6 +229,7 @@ func TestKeySlotOutlivesOlderShred(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	appendRecords(t, path, [][]byte{[]byte("GSHRED"), []byte("alice"), []byte("1")})
 	s2, err := Open(keyFileCfg(path, vc))
 	if err != nil {
 		t.Fatal(err)
@@ -241,11 +242,101 @@ func TestKeySlotOutlivesOlderShred(t *testing.T) {
 	if _, err := s2.Get(ctlCtx, "a1"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("the erased value reads %v", err)
 	}
+	if s2.Erased("alice") {
+		t.Fatal("the stale GSHRED erased the owner its newer key serves")
+	}
 }
 
-// TestInterruptedShredZeroesSlot: a crash after the GSHRED was durable but
-// before the slot's zeros were leaves the slot intact. Open zeroes it and
-// never imports the key, and the subject stays erased.
+// TestPreviousReleaseShredFolds: the previous release journaled an erasure
+// as GSHRED owner epoch and wrote it again at each COMPACT. Replay folds it
+// into the owner record, erased at that epoch: the key it outlived in the
+// key file is zeroed, the owner's writes are refused, INFO erasure counts
+// the owner, and this release's COMPACT keeps the erasure as the owner
+// record's GREC and writes no GSHRED.
+func TestPreviousReleaseShredFolds(t *testing.T) {
+	path := tempAOF(t)
+	vc := clock.NewVirtual(time.Unix(0, 0))
+	secret := []byte("bob-before-the-upgrade")
+	reopen := func() *Store {
+		s, err := Open(keyFileCfg(path, vc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		addPrincipals(s)
+		return s
+	}
+	s := reopen()
+	if err := s.Put(ctlCtx, "b1", secret, PutOptions{Owner: "bob"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	appendRecords(t, path,
+		[][]byte{[]byte("GSHRED"), []byte("bob"), []byte("1")},
+		[][]byte{[]byte(opForget), []byte("bob"), []byte(forgetModeShred)})
+
+	s = reopen()
+	erased := func(s *Store) {
+		t.Helper()
+		if _, err := s.Get(ctlCtx, "b1"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("the erased value reads %v", err)
+		}
+		if err := s.Put(ctlCtx, "b2", []byte("v"), PutOptions{Owner: "bob"}); !errors.Is(err, ErrErased) {
+			t.Fatalf("a Put for the erased owner: %v, want ErrErased", err)
+		}
+		if st := s.ErasureStats(); st.ShreddedOwners != 1 {
+			t.Fatalf("INFO erasure counts %d erased owners, want bob", st.ShreddedOwners)
+		}
+	}
+	erased(s)
+	if err := s.Compact(ctlCtx); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var epochs []uint64
+	if _, err := aof.Load(path, nil, func(name string, args [][]byte) error {
+		if name == "GSHRED" {
+			return errors.New("the compaction wrote a GSHRED")
+		}
+		if owner, ok := ReservedKey(string(args[1])); name == opRecord && ok && owner == "bob" {
+			m, err := decodeMetadata(args[0])
+			epochs = append(epochs, m.KeyEpoch)
+			return err
+		}
+		return nil
+	}); err != nil || len(epochs) != 1 || epochs[0] != 1 {
+		t.Fatalf("the compacted log holds bob's owner record at epochs %v, %v; want one, erased at 1", epochs, err)
+	}
+	s = reopen()
+	defer s.Close()
+	erased(s)
+	erasedOnDisk(t, filepath.Dir(path), nil, keyFileMaster, []string{"bob"}, [][]byte{secret})
+}
+
+// appendRecords appends records, each a name and its arguments, to the AOF
+// at path, as the previous release wrote them.
+func appendRecords(t *testing.T, path string, recs ...[][]byte) {
+	t.Helper()
+	l, err := aof.Open(path, aof.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := l.Append(string(r[0]), r[1:]...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInterruptedShredZeroesSlot: a crash after the erased owner record was
+// durable but before the slot's zeros were leaves the slot intact. Open
+// zeroes it and never imports the key, and the subject stays erased.
 func TestInterruptedShredZeroesSlot(t *testing.T) {
 	path := tempAOF(t)
 	vc := clock.NewVirtual(time.Unix(0, 0))
@@ -301,11 +392,10 @@ func TestInterruptedShredZeroesSlot(t *testing.T) {
 }
 
 // TestZeroedSlotWithoutShred: a crash can leave an owner's slot zeroed, or
-// holding another owner's key, while the GSHRED journaled before it never
-// reached the AOF. Open finds the owner's records sealed under a key that
-// is nowhere and shreds the owner at the next epoch: the records stay
-// unreadable, a Put is refused until Reinstate, which outlives a restart,
-// and the key made after it is never tried on them.
+// holding another owner's key, while the erased owner record journaled
+// before it never reached the AOF. Open finds the owner's records sealed
+// under a key that is nowhere and erases the owner at the next epoch: the
+// records stay unreadable, and a Put is refused, also after a restart.
 func TestZeroedSlotWithoutShred(t *testing.T) {
 	path := tempAOF(t)
 	vc := clock.NewVirtual(time.Unix(0, 0))
@@ -353,26 +443,16 @@ func TestZeroedSlotWithoutShred(t *testing.T) {
 	if err := s.Put(ctlCtx, "a2", []byte("v"), PutOptions{Owner: "alice"}); !errors.Is(err, ErrErased) {
 		t.Fatalf("a Put for the keyless owner: %v, want ErrErased", err)
 	}
-	if err := s.Reinstate(ctlCtx, "alice"); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, put := range []bool{false, true} {
-		if put {
-			if err := s.Put(ctlCtx, "a2", []byte("second"), PutOptions{Owner: "alice"}); err != nil {
-				t.Fatalf("a Put for the reinstated owner after a restart: %v", err)
-			}
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		s = reopen()
-	}
+	s = reopen()
 	defer s.Close()
-	if v, err := s.Get(ctlCtx, "a2"); err != nil || string(v) != "second" {
-		t.Fatalf("the reinstated owner's value reads %q, %v", v, err)
+	if err := s.Put(ctlCtx, "a2", []byte("v"), PutOptions{Owner: "alice"}); !errors.Is(err, ErrErased) {
+		t.Fatalf("a Put for the keyless owner after a restart: %v, want ErrErased", err)
 	}
 	if _, err := s.Get(ctlCtx, "a1"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("the keyless value reads %v after the reinstated owner's Put", err)
+		t.Fatalf("the keyless value reads %v after a restart", err)
 	}
 }
 
@@ -503,10 +583,9 @@ func TestOwnerTooLongForKeySlot(t *testing.T) {
 }
 
 // TestFullSyncZeroesReplicaStaleKey: a replica that was down while the
-// primary erased and reinstated an owner (who wrote nothing since) keeps
-// the owner's old key in its key file until it resyncs; the full sync's
-// shred mark zeroes it, also after the primary compacted its AOF and
-// restarted in between.
+// primary erased an owner keeps the owner's old key in its key file until
+// it resyncs; the full sync's erased owner record zeroes it, also after the
+// primary compacted its AOF and restarted in between.
 func TestFullSyncZeroesReplicaStaleKey(t *testing.T) {
 	dir, vc := t.TempDir(), clock.NewVirtual(time.Unix(0, 0))
 	primaryPath := filepath.Join(t.TempDir(), "primary.aof")
@@ -551,9 +630,6 @@ func TestFullSyncZeroesReplicaStaleKey(t *testing.T) {
 	if _, err := s.Forget(ctlCtx, "alice"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Reinstate(ctlCtx, "alice"); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Compact(ctlCtx); err != nil {
 		t.Fatal(err)
 	}
@@ -563,7 +639,56 @@ func TestFullSyncZeroesReplicaStaleKey(t *testing.T) {
 	s, hub, addr = primary()
 	follow(s, hub, addr, func() {})
 	erasedOnDisk(t, dir, nil, keyFileMaster, []string{"alice"}, nil)
-	if err := s.Put(ctlCtx, "pd:alice", []byte("again"), PutOptions{Owner: "alice"}); err != nil {
-		t.Fatalf("the reinstated owner's Put after the restart: %v", err)
+	if err := s.Put(ctlCtx, "pd:alice", []byte("again"), PutOptions{Owner: "alice"}); !errors.Is(err, ErrErased) {
+		t.Fatalf("the erased owner's Put after the restart: %v, want ErrErased", err)
+	}
+}
+
+// TestErasureSurvivesFlushAll: FLUSHALL keeps an erased subject's owner
+// record, so the erasure still refuses the subject's writes: live, after a
+// reopen replays the FLUSHALL, and on a replica that received it.
+func TestErasureSurvivesFlushAll(t *testing.T) {
+	path := tempAOF(t)
+	vc := clock.NewVirtual(time.Unix(0, 0))
+	s, err := Open(keyFileCfg(path, vc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	addPrincipals(s)
+	r := attachReplica(t, s, keyFileCfg(filepath.Join(t.TempDir(), "replica.aof"), vc))
+	addPrincipals(r.Store)
+	for _, owner := range []string{"alice", "bob"} {
+		if err := s.Put(ctlCtx, owner+":1", []byte("v"), PutOptions{Owner: owner}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Forget(ctlCtx, "alice"); err != nil {
+		t.Fatal(err)
+	}
+	s.FlushAll()
+	caughtUp(t, s)
+	erased := func(what string, st *Store) {
+		t.Helper()
+		if err := st.Put(ctlCtx, "alice:2", []byte("v"), PutOptions{Owner: "alice"}); !errors.Is(err, ErrErased) {
+			t.Fatalf("%s: a Put for alice after Forget and FLUSHALL: %v, want ErrErased", what, err)
+		}
+		if n, erased := st.Len(), st.ErasureStats().ShreddedOwners; n != 0 || erased != 1 {
+			t.Fatalf("%s: %d keys and %d erased owners after FLUSHALL, want 0 and alice", what, n, erased)
+		}
+	}
+	erased("live", s)
+	erased("replica", r.Store)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(keyFileCfg(path, vc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addPrincipals(s)
+	erased("reopened", s)
+	if err := s.Put(ctlCtx, "bob:2", []byte("v"), PutOptions{Owner: "bob"}); err != nil {
+		t.Fatalf("FLUSHALL took bob's records, not his standing: %v", err)
 	}
 }

@@ -174,8 +174,9 @@ func TestOwnerKeyReserved(t *testing.T) {
 }
 
 // TestObjectionSurvivesForget: an erasure takes the subject's records, not
-// the objection, with or without envelope encryption, and the subject's
-// next record is stamped with it.
+// the objection, with or without envelope encryption. The subject's next
+// record is stamped with it; with envelope encryption the erasure is final
+// and refuses that record.
 func TestObjectionSurvivesForget(t *testing.T) {
 	for _, envelope := range []bool{false, true} {
 		t.Run(fmt.Sprintf("envelope=%v", envelope), func(t *testing.T) {
@@ -198,12 +199,14 @@ func TestObjectionSurvivesForget(t *testing.T) {
 			if got := s.Objections("bob"); !slices.Equal(got, []string{"ads"}) {
 				t.Fatalf("after the erasure bob objects to %v, want [ads]", got)
 			}
+			err := s.Put(ctlCtx, "pd:bob:2", []byte("v"), opts)
 			if envelope {
-				if err := s.Reinstate(ctlCtx, "bob"); err != nil {
-					t.Fatal(err)
+				if !errors.Is(err, ErrErased) {
+					t.Fatalf("a Put for the erased owner: %v, want ErrErased", err)
 				}
+				return
 			}
-			if err := s.Put(ctlCtx, "pd:bob:2", []byte("v"), opts); err != nil {
+			if err != nil {
 				t.Fatal(err)
 			}
 			if m, err := s.Metadata(ctlCtx, "pd:bob:2"); err != nil || !slices.Equal(m.Objections, []string{"ads"}) {

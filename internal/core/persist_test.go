@@ -188,30 +188,22 @@ func TestEnvelopeEncryptionEndToEnd(t *testing.T) {
 	}
 
 	// Crypto-shredding: Forget destroys the key; even if ciphertext
-	// lingered somewhere, it is unreadable; and new writes for alice fail
-	// until reinstated.
+	// lingered somewhere, it is unreadable; and new writes for alice fail.
 	s2.Forget(Ctx{Actor: "alice"}, "alice")
 	if err := s2.Put(ctlCtx, "a2", []byte("new"), PutOptions{Owner: "alice"}); !errors.Is(err, ErrErased) {
 		t.Fatalf("put after shred err = %v", err)
 	}
-	if err := s2.Reinstate(ctlCtx, "alice"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Put(ctlCtx, "a2", []byte("new life"), PutOptions{Owner: "alice"}); err != nil {
-		t.Fatalf("put after reinstate: %v", err)
-	}
 	s2.Close()
 
-	// Restart again: shred+reinstate state replays correctly.
+	// Restart again: the erasure replays, and still refuses alice's writes.
 	s3, err := Open(persistentCfg(path, vc, mk))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s3.Close()
 	addPrincipals(s3)
-	v, err = s3.Get(ctlCtx, "a2")
-	if err != nil || string(v) != "new life" {
-		t.Fatalf("post-reinstate replay = %q, %v", v, err)
+	if err := s3.Put(ctlCtx, "a2", []byte("new"), PutOptions{Owner: "alice"}); !errors.Is(err, ErrErased) {
+		t.Fatalf("put after the erasure replayed: %v, want ErrErased", err)
 	}
 	if _, err := s3.Get(ctlCtx, "a1"); !errors.Is(err, ErrNotFound) {
 		t.Fatal("forgotten record replayed")

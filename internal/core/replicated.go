@@ -12,10 +12,16 @@ import (
 // shared) and the live network replication link (one applier goroutine,
 // concurrent with local reads). Both must interpret every record type the
 // primary can emit — the engine's data-plane records (SET/SETEX/DEL/...)
-// and the compliance layer's own (GREC/GMETA/GSHRED/GFORGET/...) —
-// identically, or a replica's state would drift from what a primary restart
-// reconstructs. They take what today's writers emit; an earlier form, the
-// GOBJ/GUNOBJ objection deltas included, is refused (ErrRetiredFormat).
+// and the compliance layer's own (GREC/GMETA/GFORGET/...) — identically, or
+// a replica's state would drift from what a primary restart reconstructs.
+// They take what today's writers emit, and the previous release's erasure
+// mark (GSHRED), which they fold into the owner record; an earlier form,
+// the GOBJ/GUNOBJ objection deltas included, is refused (ErrRetiredFormat).
+
+// opShred is the previous release's erasure mark, GSHRED owner epoch: the
+// owner's key destroyed and its epoch advanced to epoch. No writer emits it;
+// replay, the stream and a restore fold it into the owner record.
+const opShred = "GSHRED"
 
 // applyRecord applies one journal record without re-journaling it. It is
 // safe for a single applier goroutine running concurrently with readers:
@@ -35,7 +41,7 @@ func (s *Store) applyRecord(name string, args [][]byte) error {
 			return fmt.Errorf("core: replay GREC: %w", err)
 		}
 		if owner, ok := ReservedKey(string(args[1])); ok { // written alone
-			return s.setObjections(owner, m.Objections, nil)
+			return s.setOwner(owner, m.Objections, m.KeyEpoch, nil)
 		}
 		rec := s.recordOf(&m)
 		for i := 1; i < len(args); i += 2 {
@@ -54,7 +60,7 @@ func (s *Store) applyRecord(name string, args [][]byte) error {
 		// engine's, set by the record this one follows.
 		s.db.SetRecord(string(args[0]), s.recordOf(&m))
 		return nil
-	case "GMETAB", "GOBJ", "GUNOBJ": // batch metadata; objection deltas
+	case "GMETAB", "GOBJ", "GUNOBJ", "GREINST": // batch metadata; objection deltas; a reinstatement
 		return fmt.Errorf("%w: %s", ErrRetiredFormat, name)
 	case opKey:
 		if len(args) != 3 {
@@ -64,16 +70,16 @@ func (s *Store) applyRecord(name string, args [][]byte) error {
 			return nil // envelope disabled this run; ignore
 		}
 		// A key arrives on the stream only (replay refuses one). Pin the
-		// keyring epoch exactly, so the records' KeyEpoch stamps still
-		// match their sealing key, and keep the key in the replica's own
-		// key file. A newer key read from the key file outlives an older
-		// record of the owner's key.
+		// key's epoch exactly, so the records' KeyEpoch stamps still match
+		// their sealing key, and keep the key in the replica's own key file.
+		// A newer key read from the key file outlives an older record of the
+		// owner's key, and so does an erasure past it.
 		epoch, err := parseEpoch(args[2])
 		if err != nil {
 			return fmt.Errorf("core: replay GKEY: %w", err)
 		}
 		owner := string(args[0])
-		if s.keyring.HasKeySince(owner, epoch+1) {
+		if e, ok := s.keyring.KeyEpoch(owner); (ok && e > epoch) || s.erasedAt(owner) > epoch {
 			return nil
 		}
 		if err := s.keyring.ImportAt(owner, args[1], epoch); err != nil {
@@ -90,46 +96,27 @@ func (s *Store) applyRecord(name string, args [][]byte) error {
 		if s.keyring == nil {
 			return nil
 		}
-		// Idempotent: re-applying the same shred (live link after replay,
-		// or a compacted snapshot) cannot advance the epoch past what the
-		// primary recorded. A key made after the shred (a reinstated
-		// owner's, read from the key file) outlives it; an older one is
-		// destroyed and its slot zeroed, also one an interrupted shred left.
 		epoch, err := parseEpoch(args[1])
 		if err != nil {
 			return fmt.Errorf("core: replay GSHRED: %w", err)
 		}
+		// Folded into the owner record, erased at epoch, as the erasure this
+		// release writes. A key made at epoch or later (a reinstated owner's,
+		// read from the key file) outlives the mark, which is then stale.
 		owner := string(args[0])
-		if s.keyring.HasKeySince(owner, epoch) {
+		if e, ok := s.keyring.KeyEpoch(owner); ok && e >= epoch {
 			return nil
 		}
-		s.keyring.ShredAt(owner, epoch)
-		if err := s.dropKey(owner); err != nil {
-			return err
-		}
-		// Any of the owner's records already applied are now dead; queue
-		// them for this copy's own lazy-delete sweep (a replica queues
-		// nothing: the primary's sweep DELs take them).
-		if s.ix.ownerKeyCount(owner) > 0 {
-			s.markErasurePending(owner)
-		}
-		return nil
-	case opReinst:
-		if len(args) != 1 {
-			return errors.New("core: replay GREINST: need 1 arg")
-		}
-		if s.keyring != nil {
-			s.keyring.Reinstate(string(args[0]))
-		}
-		return nil
+		return s.setOwner(owner, s.Objections(owner), epoch, nil)
 	case opForget:
 		if len(args) != 1 && len(args) != 2 {
 			return errors.New("core: replay GFORGET: need 1 or 2 args")
 		}
 		// An eager-mode marker follows the erasure's DELs in the stream,
 		// which took the owner's records with them. A crypto-shred one had
-		// no DELs before it: the paired GSHRED made the owner's records
-		// dead, and the sweep reclaims them, found by their epoch stamps.
+		// no DELs before it: the erased owner record before it made the
+		// owner's records dead, and the sweep reclaims them, found by their
+		// epoch stamps.
 		owner := string(args[0])
 		if len(args) == 2 && string(args[1]) == forgetModeShred && s.keyring != nil && s.ix.ownerKeyCount(owner) > 0 {
 			s.markErasurePending(owner)
@@ -157,11 +144,6 @@ func (s *Store) ApplyReplicated(name string, args [][]byte) error {
 		s.auditOp(audit.Record{
 			Actor: "system:replication", Op: "FORGETUSER", Owner: string(args[0]),
 			Outcome: audit.OutcomeOK, Detail: "erasure replicated from primary",
-		})
-	case opShred:
-		s.auditOp(audit.Record{
-			Actor: "system:replication", Op: "SHRED", Owner: string(args[0]),
-			Outcome: audit.OutcomeOK, Detail: "crypto-shred replicated from primary",
 		})
 	case "FLUSHALL":
 		s.auditOp(audit.Record{

@@ -59,12 +59,13 @@ func (s *Store) Hub() *replica.Hub {
 // compliance state: it quiesces the whole store, invokes cut() at the
 // consistent point (where the hub registers the new link), then emits a
 // FLUSHALL followed by the complete record sequence — dataset, metadata,
-// objections, every live key wrapped (GKEY), the shred marks and
-// reinstatements — in the AOF record format. A replica that applies the
+// owner records with their objections and erasures, then every live key
+// wrapped (GKEY) — in the AOF record format. A replica that applies the
 // payload and then tails the stream from the cut offset converges on the
 // primary's state, including everything Article 17 has erased (the
 // snapshot is generated from post-erasure state, so erased data never
-// crosses the wire). Its key half is the one place a wrapped key is
+// crosses the wire, and an erased owner record destroys a key the replica
+// kept from before). Its key half is the one place a wrapped key is
 // emitted: a replica has no other way to its keys, and a compaction
 // writes none.
 func (s *Store) StreamSnapshot(emit func(name string, args ...[]byte) error, cut func()) error {
@@ -86,13 +87,13 @@ func (s *Store) StreamSnapshot(emit func(name string, args ...[]byte) error, cut
 	if err != nil {
 		return err
 	}
-	epochs := s.keyring.Epochs()
 	for owner, w := range wrapped {
-		if err := emit(opKey, []byte(owner), w, epochArg(epochs[owner])); err != nil {
+		epoch, _ := s.keyring.KeyEpoch(owner)
+		if err := emit(opKey, []byte(owner), w, epochArg(epoch)); err != nil {
 			return err
 		}
 	}
-	return s.shredMarks(emit)
+	return nil
 }
 
 // SetBackupManager registers a backup manager whose generations the store
@@ -152,6 +153,7 @@ func (s *Store) RestoreBackup(ctx Ctx) (applied, skipped int, err error) {
 		return 0, 0, err
 	}
 	// 6. The live standing objections, merged into the generation's below.
+	// An erased owner record outlives the FLUSHALL itself.
 	merge := map[string][]string{}
 	for _, k := range s.db.Keys(ownerKeyPrefix + "*") {
 		owner, _ := ReservedKey(k)
@@ -161,7 +163,7 @@ func (s *Store) RestoreBackup(ctx Ctx) (applied, skipped int, err error) {
 	_, err = s.backups.RestoreLatest(func(name string, args [][]byte) error {
 		if name == opRecord {
 			m, _ := decodeMetadata(args[0]) // vetted on the first read
-			// 5. Dead under the live keyring: shredded since the backup.
+			// 5. Dead under the live keyring: erased since the backup.
 			if s.keyring != nil && m.Owner != "" && !s.keyring.RecordLive(m.Owner, m.KeyEpoch) {
 				skipped++
 				return nil
@@ -185,7 +187,7 @@ func (s *Store) RestoreBackup(ctx Ctx) (applied, skipped int, err error) {
 	for owner, set := range merge {
 		set = append(set, s.Objections(owner)...)
 		slices.Sort(set)
-		if err := s.setObjections(owner, slices.Compact(set), encodeMetadata); err != nil {
+		if err := s.setOwner(owner, slices.Compact(set), 0, encodeMetadata); err != nil {
 			return applied, skipped, err
 		}
 	}

@@ -199,7 +199,7 @@ func TestReplicationChainsWithAOF(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{opRecord, opRecord, opShred, opForget}; !reflect.DeepEqual(logged, want) {
+	if want := []string{opRecord, opRecord, opRecord, opForget}; !reflect.DeepEqual(logged, want) {
 		t.Fatalf("AOF leg got %v, want %v", logged, want)
 	}
 	// The store was empty when the replica attached: its full sync is the
@@ -207,7 +207,7 @@ func TestReplicationChainsWithAOF(t *testing.T) {
 	r.mu.Lock()
 	streamed := r.names
 	r.mu.Unlock()
-	if want := []string{"FLUSHALL", opKey, opRecord, opKey, opRecord, opShred, opForget}; !reflect.DeepEqual(streamed, want) {
+	if want := []string{"FLUSHALL", opKey, opRecord, opKey, opRecord, opRecord, opForget}; !reflect.DeepEqual(streamed, want) {
 		t.Fatalf("replication leg got %v, want %v (AOF leg %v)", streamed, want, logged)
 	}
 

@@ -328,18 +328,21 @@ func (s *Store) ImportExport(ctx Ctx, payload []byte) (int, error) {
 // Forget implements Article 17's right to be forgotten.
 //
 // With envelope encryption on, erasure is O(1) in the subject's data
-// footprint: the owner's data key is destroyed (crypto-shredding), the
-// GSHRED marker is journaled, the key's slot in the key file is zeroed in
-// place, GFORGET is journaled, and the call returns — without walking the
-// owner's keys, deleting records, or compacting the AOF. The wrapped key
-// was never in the AOF, so once the slot is zeroed no copy of the
-// ciphertext (engine, AOF history, replicas, backups) opens with the
+// footprint: the owner record is journaled erased at the epoch after the
+// owner's key, the key is destroyed (crypto-shredding), its slot in the key
+// file zeroed in place, GFORGET is journaled, and the call returns — without
+// walking the owner's keys, deleting records, or compacting the AOF. The
+// wrapped key was never in the AOF, so once the slot is zeroed no copy of
+// the ciphertext (engine, AOF history, replicas, backups) opens with the
 // master key and the store's own files; under real-time timing the zeroed
-// slot is durable before the call returns. The background lazy-delete
-// sweep (maintain.go) reclaims the dead ciphertext and triggers compaction
-// off the ack path. The markers reach replicas through the ordinary
-// journal stream, and each zeroes its own slot; the hub's in-memory
-// backlog keeps the owner's GKEY frame until it wraps (DESIGN.md §13).
+// slot is durable before the call returns. The erasure is final: the owner
+// record refuses every later write for the owner, and it travels as any
+// record does, to the AOF, replicas, backups and a migrated slot's new node.
+// The background lazy-delete sweep (maintain.go) reclaims the dead
+// ciphertext and triggers compaction off the ack path. The records reach
+// replicas through the ordinary journal stream, and each zeroes its own
+// slot; the hub's in-memory backlog keeps the owner's GKEY frame until it
+// wraps (DESIGN.md §13).
 //
 // Without a keyring, erasure falls back to the eager path: every record of
 // the subject is deleted from the engine and indexes under stripe locks,
@@ -400,18 +403,16 @@ func (s *Store) forget(ctx Ctx, owner string) (int, error) {
 
 // forgetShredLocked is the crypto-shred fast path of Forget; the caller
 // holds the owner stripe. The work is constant-time in the owner's key
-// count: one keyring mutation, two journal appends, one slot zeroed, one
-// audit record. The owner's records and engine ciphertext are left in place
-// for the sweep; every read path treats them as already erased via the
-// record's key epoch. The erased count is the owner's records the engine
-// holds: none that expiry has already reaped.
+// count: one owner record written, one key destroyed and its slot zeroed
+// (setOwner), one more journal append, one audit record. The owner's
+// records and engine ciphertext are left in place for the sweep; every read
+// path treats them as already erased via the record's key epoch. The erased
+// count is the owner's records the engine holds: none that expiry has
+// already reaped.
 func (s *Store) forgetShredLocked(ctx Ctx, owner string) (int, error) {
 	n := s.ix.ownerKeyCount(owner)
-	epoch := s.keyring.Shred(owner)
-	if err := s.appendLog(opShred, []byte(owner), epochArg(epoch)); err != nil {
-		return n, err
-	}
-	if err := s.dropKey(owner); err != nil {
+	epoch, _ := s.keyring.KeyEpoch(owner)
+	if err := s.setOwner(owner, s.Objections(owner), epoch+1, encodeMetadata); err != nil {
 		return n, err
 	}
 	if err := s.appendLog(opForget, []byte(owner), []byte(forgetModeShred)); err != nil {
@@ -421,35 +422,7 @@ func (s *Store) forgetShredLocked(ctx Ctx, owner string) (int, error) {
 		Actor: ctx.Actor, Op: "FORGETUSER", Owner: owner, Purpose: ctx.Purpose,
 		Outcome: audit.OutcomeOK, Detail: fmt.Sprintf("erased=%d mode=shred", n),
 	})
-	if n > 0 {
-		s.markErasurePending(owner)
-	}
 	return n, nil
-}
-
-// Reinstate clears an erased subject's crypto-shred mark so the subject can
-// return with fresh data under a new key (old ciphertexts stay dead).
-func (s *Store) Reinstate(ctx Ctx, owner string) error {
-	g, err := s.enterRights(owner)
-	if err != nil {
-		return err
-	}
-	defer g.RUnlock()
-	defer s.lockOwner(owner).Unlock()
-	if err := s.check(ctx, acl.OpAdmin, owner, "REINSTATE", ""); err != nil {
-		return err
-	}
-	if s.keyring != nil {
-		s.keyring.Reinstate(owner)
-		if err := s.appendLog(opReinst, []byte(owner)); err != nil {
-			return err
-		}
-	}
-	s.auditOp(audit.Record{
-		Actor: ctx.Actor, Op: "REINSTATE", Owner: owner,
-		Outcome: audit.OutcomeOK,
-	})
-	return nil
 }
 
 // Object implements Article 21: the subject objects to processing of their
@@ -484,7 +457,7 @@ func (s *Store) setObjection(ctx Ctx, owner, purpose string, add bool) error {
 		set = append(set, purpose)
 		slices.Sort(set)
 	}
-	if err := s.setObjections(owner, set, encodeMetadata); err != nil {
+	if err := s.setOwner(owner, set, 0, encodeMetadata); err != nil {
 		return err
 	}
 	s.auditOp(audit.Record{
@@ -496,9 +469,10 @@ func (s *Store) setObjection(ctx Ctx, owner, purpose string, add bool) error {
 
 // ownerKeyPrefix begins an owner record's key, "\x00owner:{owner}": the
 // engine entry, with an empty value and no deadline, whose policy holds a
-// subject's standing objections (Art. 21), sorted, and names no owner, so
-// no index, rights read or erasure sees it. No call names its key (enter),
-// and no listing shows it (KeyVisible). DESIGN.md §5.2.
+// subject's standing objections (Art. 21), sorted, and whose epoch is the
+// key epoch the subject was erased at (Art. 17; 0: not erased). Its policy
+// names no owner, so no index, rights read or erasure sees it. No call names
+// its key (enter), and no listing shows it (KeyVisible). DESIGN.md §5.2.
 const ownerKeyPrefix = "\x00owner:"
 
 // ReservedKey reports whether key is an owner record's, which no call
@@ -508,43 +482,94 @@ func ReservedKey(key string) (owner string, ok bool) {
 	return strings.TrimSuffix(strings.TrimPrefix(owner, "{"), "}"), ok
 }
 
-// ownerKey returns owner's owner record key.
-func ownerKey(owner string) string { return ownerKeyPrefix + "{" + owner + "}" }
+// OwnerKey returns owner's owner record key.
+func OwnerKey(owner string) string { return ownerKeyPrefix + "{" + owner + "}" }
 
-// Objections returns the subject's standing objections, sorted: the owner
-// record's slice, to be read only. Every write reads it, from a stack key.
-func (s *Store) Objections(owner string) []string {
+// ownerRecord returns owner's owner record, nil for none, read from a stack
+// key: every write reads it.
+func (s *Store) ownerRecord(owner string) *store.Record {
 	var buf [64]byte
 	k := append(append(append(buf[:0], ownerKeyPrefix+"{"...), owner...), '}')
-	if rec := s.db.RecordOf(unsafe.String(unsafe.SliceData(k), len(k))); rec != nil {
+	return s.db.RecordOf(unsafe.String(unsafe.SliceData(k), len(k)))
+}
+
+// Objections returns the subject's standing objections, sorted: the owner
+// record's slice, to be read only.
+func (s *Store) Objections(owner string) []string {
+	if rec := s.ownerRecord(owner); rec != nil {
 		return rec.Policy.Objections
 	}
 	return nil
 }
 
-// setObjections makes the sorted set owner's standing objections and
-// restamps each of the owner's records that still holds what the walk found:
-// it drops what was withdrawn and gains what was added. With a note (callers
-// hold owner's stripe) the owner record, a GREC or its DEL, is journaled
-// ahead of the restamps' GMETAs, and the first journal error returned.
-// Without (replay, the stream) nothing is, so a log cut before the GMETAs
-// replays as the whole log does.
-func (s *Store) setObjections(owner string, set []string, note func(*store.Record, time.Time) []byte) error {
-	prev, key := s.Objections(owner), ownerKey(owner)
-	if slices.Equal(prev, set) {
+// Erased reports whether owner's subject is erased here: its owner record
+// holds an erasure.
+func (s *Store) Erased(owner string) bool { return s.erasedAt(owner) > 0 }
+
+// erasedAt is the key epoch owner's subject was erased at here, 0 for none.
+func (s *Store) erasedAt(owner string) uint64 {
+	if rec := s.ownerRecord(owner); rec != nil {
+		return rec.Epoch
+	}
+	return 0
+}
+
+// erasedOwnerRecord reports whether key holds an erased subject's owner
+// record: what a FLUSHALL keeps (store.DB.KeepOnFlush).
+func erasedOwnerRecord(key string, rec *store.Record) bool {
+	_, owned := ReservedKey(key)
+	return owned && rec.Epoch > 0
+}
+
+// noObjections is the policy of an owner record that holds an erasure and
+// no objection, shared by all of them.
+var noObjections = &store.Policy{}
+
+// setOwner makes the sorted set owner's standing objections and erased the
+// key epoch owner's subject was erased at, keeping a later erasure the owner
+// record already holds: an erasure is never undone. An erasure it adds
+// destroys owner's key if it was made before that epoch, zeroes the key's
+// slot in the key file and queues the owner's records for the sweep. A
+// change of objections restamps each of the owner's records that still
+// holds what the walk found: it drops what was withdrawn and gains what was
+// added. With a note (callers hold owner's stripe) the owner record, a GREC
+// or its DEL, is journaled ahead of the slot's zeroing and the restamps'
+// GMETAs, and the first journal error returned. Without (replay, the
+// stream) nothing is, so a log cut before the GMETAs replays as the whole
+// log does.
+func (s *Store) setOwner(owner string, set []string, erased uint64, note func(*store.Record, time.Time) []byte) error {
+	var prev []string
+	var was uint64
+	if rec := s.ownerRecord(owner); rec != nil {
+		prev, was = rec.Policy.Objections, rec.Epoch
+	}
+	erased = max(erased, was)
+	if slices.Equal(prev, set) && erased == was {
 		return nil
 	}
-	rec := &store.Record{Policy: &store.Policy{Objections: set}, Created: noCreated}
+	key, p := OwnerKey(owner), noObjections
+	if len(set) > 0 {
+		p = &store.Policy{Objections: set}
+	}
+	rec := &store.Record{Policy: p, Created: noCreated, Epoch: erased}
 	var err error
-	switch {
-	case note == nil && len(set) == 0:
+	switch empty := len(set) == 0 && erased == 0; {
+	case note == nil && empty:
 		_ = s.db.Apply("DEL", [][]byte{[]byte(key)}) // a one-key DEL cannot fail
 	case note == nil:
 		s.db.Restore(key, nil, rec, time.Time{})
-	case len(set) == 0:
+	case empty:
 		s.db.Del(key)
 	default:
 		err = s.db.SetRecorded([]string{key}, [][]byte{nil}, rec, time.Time{}, opRecord, note(rec, time.Time{}))
+	}
+	if erased > was {
+		if kerr := s.eraseKey(owner, erased); err == nil {
+			err = kerr
+		}
+	}
+	if slices.Equal(prev, set) {
+		return err
 	}
 	s.walkOwner(owner, func(k string, e store.Entry) bool {
 		r := e.Record
@@ -568,6 +593,24 @@ func (s *Store) setObjections(owner string, set []string, note func(*store.Recor
 		return true
 	})
 	return err
+}
+
+// eraseKey applies an erasure at epoch to owner's key: a key made before it
+// is destroyed and its slot in the key file zeroed, and the owner's records
+// the engine holds are queued for the sweep. A key made at epoch or later
+// is not the one erased, and stays.
+func (s *Store) eraseKey(owner string, epoch uint64) error {
+	if s.keyring == nil {
+		return nil
+	}
+	if e, ok := s.keyring.KeyEpoch(owner); ok && e >= epoch {
+		return nil
+	}
+	s.keyring.Shred(owner)
+	if s.ix.ownerKeyCount(owner) > 0 {
+		s.markErasurePending(owner)
+	}
+	return s.dropKey(owner)
 }
 
 // KeysByPurpose returns the keys whitelisted for a processing purpose that

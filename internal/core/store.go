@@ -34,8 +34,6 @@ const (
 	// GKEY owner wrappedDataKey epoch: on the replication stream only; the
 	// AOF's keys are in the key file (aof.Keys), and replay refuses one.
 	opKey    = "GKEY"
-	opShred  = "GSHRED"  // GSHRED owner epoch (key destroyed, epoch advanced)
-	opReinst = "GREINST" // GREINST owner
 	opForget = "GFORGET" // GFORGET owner [mode] (Article 17 erasure marker)
 )
 
@@ -155,6 +153,7 @@ func Open(cfg Config) (*Store, error) {
 		Shards:       n.Shards,
 	})
 	s.db.OnRecord(s.ix.changed)
+	s.db.KeepOnFlush(erasedOwnerRecord)
 	s.acl = acl.New(n.Config.Clock)
 	s.acl.SetEnforce(n.Config.Compliant && n.enforceACL)
 
@@ -248,14 +247,12 @@ func Open(cfg Config) (*Store, error) {
 		// deletions — straight into the AOF.
 		s.db.SetJournal(store.JournalFunc(log.Append))
 	}
-	// The key of a keyless owner is gone, so the owner is shredded at the
-	// next epoch, and the mark journaled: left unmarked, its next Put would
-	// make a key at the same epoch, under which the old records would count
-	// as live and fail to open.
+	// The key of a keyless owner is gone, so the owner is erased past its
+	// records' epoch, and the owner record journaled: left unmarked, its
+	// next Put would make a key at the same epoch, under which the old
+	// records would count as live and fail to open.
 	for owner, epoch := range keyless {
-		s.keyring.ShredAt(owner, epoch+1)
-		s.markErasurePending(owner)
-		if err := s.appendLog(opShred, []byte(owner), epochArg(epoch+1)); err != nil {
+		if err := s.setOwner(owner, s.Objections(owner), epoch+1, encodeMetadata); err != nil {
 			s.Close()
 			return nil, err
 		}
@@ -301,13 +298,13 @@ func (s *Store) replay(path string, key []byte) error {
 	return nil
 }
 
-// appendLog journals an owner-scoped compliance-layer record (a shred, a
-// reinstatement, an erasure marker) to the AOF and mirrors it to the
-// replication stream, while the caller holds the owner's stripe, so it keeps
-// its place among the owner's other records. A record about one key goes
-// through the engine instead (SetRecorded, the conditional operations),
-// enqueued under the key's shard lock, where its place among the key's
-// records is fixed. A nil log with no stream attached is a no-op.
+// appendLog journals an owner-scoped compliance-layer record (an erasure
+// marker) to the AOF and mirrors it to the replication stream, while the
+// caller holds the owner's stripe, so it keeps its place among the owner's
+// other records. A record about one key goes through the engine instead
+// (SetRecorded, the conditional operations), enqueued under the key's shard
+// lock, where its place among the key's records is fixed. A nil log with no
+// stream attached is a no-op.
 func (s *Store) appendLog(name string, args ...[]byte) error {
 	if h := s.streamJ.Load(); h != nil {
 		_ = h.AppendOp(name, args...)
@@ -344,7 +341,9 @@ func (s *Store) check(ctx Ctx, op acl.OpClass, owner, opName, key string) error 
 // writeTerms resolves what a write for opts stores beside its values, from
 // one clock reading: the shared policy, the creation time and the retention
 // deadline. It enforces the write's owner, retention and location rules,
-// auditing a location denial as op on key. Callers hold owner's stripe.
+// auditing a location denial as op on key, and refuses an erased owner's
+// write with ErrErased, read from the owner record that holds the owner's
+// objections. Callers hold owner's stripe.
 func (s *Store) writeTerms(ctx Ctx, op, key string, opts PutOptions) (p *store.Policy, now, deadline time.Time, err error) {
 	full := s.cfg.Capability == CapabilityFull
 	if full && opts.Owner == "" {
@@ -381,8 +380,15 @@ func (s *Store) writeTerms(ctx Ctx, op, key string, opts PutOptions) (p *store.P
 	}
 
 	// Standing objections of this owner apply to new records immediately.
+	var objections []string
+	if own := s.ownerRecord(opts.Owner); own != nil {
+		if own.Epoch > 0 {
+			return nil, now, deadline, fmt.Errorf("%w: %s", ErrErased, opts.Owner)
+		}
+		objections = own.Policy.Objections
+	}
 	p = s.ix.policy(&store.Policy{
-		Owner: opts.Owner, Purposes: purposes, Objections: s.Objections(opts.Owner),
+		Owner: opts.Owner, Purposes: purposes, Objections: objections,
 		Origin: opts.Origin, SharedWith: opts.SharedWith, Location: loc, Automated: opts.AutomatedDecisions,
 	})
 	return p, now, deadline, nil
@@ -438,17 +444,15 @@ func (s *Store) Put(ctx Ctx, key string, value []byte, opts PutOptions) error {
 // the key epoch to stamp them with, from one keyring read (the keyring keeps
 // a hot owner's cipher prepared). A key created by this call is written to
 // its slot in the key file and sent to replicas on the stream, never to the
-// AOF. Callers hold owner's stripe, so no Forget can advance the epoch
-// between this read and the seal.
+// AOF. Callers hold owner's stripe and have refused an erased owner, so no
+// Forget can destroy the key between this read and the seal, and no key is
+// made for an erased owner.
 func (s *Store) sealerFor(owner string) (cryptoutil.Cipher, uint64, error) {
 	if len(owner) > aof.MaxKeyOwner {
 		return cryptoutil.Cipher{}, 0, fmt.Errorf("%w: %d bytes, a key slot holds %d", ErrOwnerTooLong, len(owner), aof.MaxKeyOwner)
 	}
 	c, epoch, wrapped, err := s.keyring.SealerFor(owner)
 	if err != nil {
-		if err == cryptoutil.ErrUnknownKey {
-			err = fmt.Errorf("%w: %s", ErrErased, owner)
-		}
 		return cryptoutil.Cipher{}, 0, err
 	}
 	if wrapped != nil {
@@ -470,12 +474,12 @@ func (s *Store) keepKey(owner string, epoch uint64, wrapped []byte) error {
 	return s.keys.Put(owner, epoch, wrapped)
 }
 
-// dropKey zeroes owner's slot in the key file once the GSHRED is journaled:
-// durable before the erasure is acknowledged under real-time timing, with
-// the AOF's next fsync (and the GSHRED) under eventual timing. Whichever of
-// the two reaches the disk first, Open mends what a crash leaves: a
-// replayed GSHRED zeroes a slot, and an owner whose slot is zeroed with no
-// GSHRED is shredded (keylessOwners).
+// dropKey zeroes owner's slot in the key file once the erased owner record
+// is journaled: durable before the erasure is acknowledged under real-time
+// timing, with the AOF's next fsync (and the owner record) under eventual
+// timing. Whichever of the two reaches the disk first, Open mends what a
+// crash leaves: a replayed erased owner record zeroes a slot, and an owner
+// whose slot is zeroed with no erasure journaled is erased (keylessOwners).
 func (s *Store) dropKey(owner string) error {
 	if s.keys == nil {
 		return nil
@@ -686,14 +690,17 @@ func (s *Store) Expire(ctx Ctx, key string, ttl time.Duration) error {
 // FlushAll removes every key with its compliance record, owner records and
 // their standing objections included, as one atomic cut: the engine journals
 // a single FLUSHALL record (replicas and AOF replay observe the same reset
-// via applyRecord), and drops each record and its index entries.
+// via applyRecord), and drops each record and its index entries. An erased
+// subject's owner record stays (erasedOwnerRecord): an erasure is never
+// undone.
 func (s *Store) FlushAll() { s.db.FlushAll() }
 
 // Exists reports whether key is present and unexpired.
 func (s *Store) Exists(key string) bool { return s.db.Exists(key) }
 
 // Len returns the number of live keys a client can list: the engine's, less
-// the owner records that hold standing objections (DESIGN.md §5.2).
+// the owner records that hold standing objections or an erasure (DESIGN.md
+// §5.2).
 func (s *Store) Len() int { return max(s.db.Len()-int(s.ix.ownerRecords.Load()), 0) }
 
 // ACL exposes the access-control list for principal and grant management.

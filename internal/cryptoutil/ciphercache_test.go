@@ -34,7 +34,7 @@ func (kr *Keyring) cachedEpoch(owner string) (uint64, bool) {
 
 // checkCipherCache verifies what the cache promises at every instant: a
 // slot that holds an owner holds the cipher of the key the ring has for it
-// now, at the ring's epoch, and the owner is not shredded.
+// now, at that key's epoch.
 func (kr *Keyring) checkCipherCache() error {
 	kr.mu.RLock()
 	defer kr.mu.RUnlock()
@@ -46,17 +46,17 @@ func (kr *Keyring) checkCipherCache() error {
 		if owner == "" {
 			continue
 		}
-		if _, has := kr.keys[owner]; !has || kr.shred[owner] || kr.epoch[owner] != epoch {
-			return fmt.Errorf("slot %d holds %q at epoch %d; ring: key %v, shredded %v, epoch %d",
-				i, owner, epoch, has, kr.shred[owner], kr.epoch[owner])
+		if dk, has := kr.keys[owner]; !has || dk.epoch != epoch {
+			return fmt.Errorf("slot %d holds %q at epoch %d; ring: key %v at epoch %d",
+				i, owner, epoch, has, dk.epoch)
 		}
 	}
 	return nil
 }
 
 // TestCipherCacheShredEvicts: a hot owner's cipher is built once; when
-// Shred returns no slot holds the owner, lookups fail, and the key the
-// owner gets after reinstatement is cached under the new epoch only.
+// Shred returns no slot holds the owner, lookups fail, and a key made for
+// the owner afterwards opens nothing the shredded one sealed.
 func TestCipherCacheShredEvicts(t *testing.T) {
 	kr := newTestKeyring(t)
 	c, epoch, wrapped, err := kr.SealerFor("alice")
@@ -83,24 +83,20 @@ func TestCipherCacheShredEvicts(t *testing.T) {
 		t.Fatalf("slot holds alice: %v at epoch %d, want true at %d", held, e, epoch)
 	}
 
-	next := kr.Shred("alice")
+	kr.Shred("alice")
 	if _, held := kr.cachedEpoch("alice"); held {
 		t.Fatal("a slot still holds alice's cipher after Shred returned")
 	}
-	if _, e, ok := kr.CipherFor("alice"); ok || e != next {
-		t.Fatalf("CipherFor after Shred: ok %v epoch %d, want false %d", ok, e, next)
-	}
-	if _, _, _, err := kr.SealerFor("alice"); err != ErrUnknownKey {
-		t.Fatalf("SealerFor after Shred: %v, want ErrUnknownKey", err)
+	if _, _, ok := kr.CipherFor("alice"); ok {
+		t.Fatal("CipherFor found a key after Shred")
 	}
 	if _, held := kr.cachedEpoch("alice"); held {
 		t.Fatal("a failed lookup installed a cipher for a shredded owner")
 	}
 
-	kr.Reinstate("alice")
-	c2, e2, wrapped, err := kr.SealerFor("alice")
-	if err != nil || wrapped == nil || e2 != next {
-		t.Fatalf("SealerFor after Reinstate: epoch %d wrapped %v err %v", e2, wrapped != nil, err)
+	c2, _, wrapped, err := kr.SealerFor("alice")
+	if err != nil || wrapped == nil {
+		t.Fatalf("SealerFor after Shred: wrapped %v err %v", wrapped != nil, err)
 	}
 	if _, err := c2.Open(nil, sealed, []byte("k")); err != ErrCorrupt {
 		t.Fatalf("the new key's cipher opened the shredded record: %v", err)
@@ -156,10 +152,10 @@ func TestCipherCacheCollision(t *testing.T) {
 	}
 }
 
-// TestCipherCacheReplay: ImportAt and ShredAt, the journal's replay of a
-// key's creation and destruction, evict as the live Ensure/Shred do: a key
+// TestCipherCacheReplay: ImportAt and Shred, a replica's apply of a key's
+// arrival and destruction, evict as the live Ensure/Shred do: a key
 // imported over another at the same epoch is the one the next lookup
-// prepares, and a replayed shred leaves no slot behind.
+// prepares, and a shred leaves no slot behind.
 func TestCipherCacheReplay(t *testing.T) {
 	live := newTestKeyring(t)
 	_, w1, _, err := live.Ensure("alice")
@@ -169,12 +165,11 @@ func TestCipherCacheReplay(t *testing.T) {
 	c1, _, _ := live.CipherFor("alice")
 	under1, _ := c1.Seal(nil, []byte("one"), nil)
 	live.Shred("alice")
-	live.Reinstate("alice")
 	_, w2, _, err := live.Ensure("alice")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, e2, _ := live.CipherFor("alice")
+	c2, _, _ := live.CipherFor("alice")
 	under2, _ := c2.Seal(nil, []byte("two"), nil)
 
 	kr := newTestKeyring(t)
@@ -192,26 +187,26 @@ func TestCipherCacheReplay(t *testing.T) {
 	if !opens(under1) || opens(under2) {
 		t.Fatal("after GKEY(key 1) the cached cipher is not key 1's")
 	}
-	// A resync that replays the second GKEY without the GSHRED between:
-	// same owner, and made the same epoch here, different key.
+	// A resync that replays the second GKEY without the shred between:
+	// same owner and epoch, different key.
 	if err := kr.ImportAt("alice", w2, 0); err != nil {
 		t.Fatal(err)
 	}
 	if opens(under1) || !opens(under2) {
 		t.Fatal("ImportAt over a cached key left the old key's cipher in the slot")
 	}
-	kr.ShredAt("alice", e2)
+	kr.Shred("alice")
 	if _, held := kr.cachedEpoch("alice"); held || opens(under2) {
-		t.Fatal("ShredAt left the owner's cipher cached")
+		t.Fatal("Shred left the owner's cipher cached")
 	}
-	if err := kr.ImportAt("alice", w2, e2); err != nil {
+	if err := kr.ImportAt("alice", w2, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !opens(under2) {
-		t.Fatal("ImportAt after ShredAt did not restore the key")
+		t.Fatal("ImportAt after Shred did not restore the key")
 	}
-	if got, _ := kr.cachedEpoch("alice"); got != e2 {
-		t.Fatalf("replayed slot epoch %d, live %d", got, e2)
+	if got, _ := kr.cachedEpoch("alice"); got != 1 {
+		t.Fatalf("replayed slot epoch %d, imported at 1", got)
 	}
 	if live.checkCipherCache() != nil || kr.checkCipherCache() != nil {
 		t.Fatal(live.checkCipherCache(), kr.checkCipherCache())
@@ -221,19 +216,39 @@ func TestCipherCacheReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := kr.ImportAt("alice", short, e2); err != ErrBadKeySize || !opens(under2) {
+	if err := kr.ImportAt("alice", short, 1); err != ErrBadKeySize || !opens(under2) {
 		t.Fatalf("importing a 16-byte key: %v, want ErrBadKeySize and the ring untouched", err)
 	}
 }
 
-// TestCipherCacheShredRace: lookups for a few owners race Shred/Reinstate
-// cycles of the same owners. A lookup that succeeds returns the cipher of
-// the epoch it reports (it opens what the same epoch sealed), and at no
+// TestCipherCacheShredRace: lookups for a few owners race the owners' key
+// changes, each owner's key imported at one epoch after another and shredded
+// in between, as a replica applies the stream. A lookup that succeeds
+// returns the cipher of the epoch it reports (it opens what that epoch's key
+// sealed), no slot holds an owner once Shred has returned, and at no
 // instant does a slot hold an epoch other than the ring's. Run under -race.
 func TestCipherCacheShredRace(t *testing.T) {
 	kr := newTestKeyring(t)
 	owners := []string{"alice", "bob", "carol"}
-	const iters = 400
+	const epochs, iters = 8, 400
+	// wrapped[o][e] is owner o's key made at epoch e, and sealed[o][e] a
+	// record sealed under it; the source ring has kr's master.
+	src := newTestKeyring(t)
+	wrapped, sealed := map[string][][]byte{}, map[string][][]byte{}
+	for _, o := range owners {
+		for e := 0; e < epochs; e++ {
+			src.Shred(o)
+			c, _, w, err := src.SealerFor(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := c.Seal(nil, []byte(o), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wrapped[o], sealed[o] = append(wrapped[o], w), append(sealed[o], v)
+		}
+	}
 	var stop atomic.Bool
 	var wg, checker sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -242,39 +257,35 @@ func TestCipherCacheShredRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				owner := owners[(g+i)%len(owners)]
-				c, epoch, _, err := kr.SealerFor(owner)
-				if err != nil {
+				c, epoch, ok := kr.CipherFor(owner)
+				if !ok {
 					continue // shredded just now
 				}
-				sealed, err := c.Seal(nil, []byte(owner), nil)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				rc, repoch, ok := kr.CipherFor(owner)
-				if !ok || repoch != epoch {
-					continue // shredded between the two lookups
-				}
-				if pt, err := rc.Open(nil, sealed, nil); err != nil || string(pt) != owner {
-					t.Errorf("%s epoch %d: the read cipher does not open what the write cipher sealed: %q, %v", owner, epoch, pt, err)
+				if pt, err := c.Open(nil, sealed[owner][epoch], nil); err != nil || string(pt) != owner {
+					t.Errorf("%s epoch %d: the cipher does not open what that epoch's key sealed: %q, %v", owner, epoch, pt, err)
 					return
 				}
 			}
 		}(g)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < iters; i++ {
-			owner := owners[i%len(owners)]
-			kr.Shred(owner)
-			if _, held := kr.cachedEpoch(owner); held {
-				t.Errorf("a slot holds %s after Shred returned and before Reinstate", owner)
-				return
+	for _, owner := range owners {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				e := uint64(i % epochs)
+				if err := kr.ImportAt(owner, wrapped[owner][e], e); err != nil {
+					t.Error(err)
+					return
+				}
+				kr.Shred(owner)
+				if _, held := kr.cachedEpoch(owner); held {
+					t.Errorf("a slot holds %s after Shred returned", owner)
+					return
+				}
 			}
-			kr.Reinstate(owner)
-		}
-	}()
+		}()
+	}
 	checker.Add(1)
 	go func() {
 		defer checker.Done()

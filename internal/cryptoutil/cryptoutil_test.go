@@ -3,6 +3,7 @@ package cryptoutil
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"io"
 	"testing"
 	"testing/quick"
@@ -10,10 +11,13 @@ import (
 
 func testKey(b byte) []byte { return bytes.Repeat([]byte{b}, BlockCipherKeySize) }
 
+// errNoKey is openFor's answer for an owner the ring holds no key for.
+var errNoKey = errors.New("no key")
+
 // sealFor and openFor seal and open under owner's data key through the
 // ring's prepared ciphers, as the compliance layer does, with the owner as
 // associated data. openFor never creates a key: an owner with none, or a
-// shredded one, is ErrUnknownKey.
+// shredded one, is errNoKey.
 func sealFor(kr *Keyring, owner string, plaintext []byte) ([]byte, error) {
 	c, _, _, err := kr.SealerFor(owner)
 	if err != nil {
@@ -25,15 +29,15 @@ func sealFor(kr *Keyring, owner string, plaintext []byte) ([]byte, error) {
 func openFor(kr *Keyring, owner string, sealed []byte) ([]byte, error) {
 	c, _, ok := kr.CipherFor(owner)
 	if !ok {
-		return nil, ErrUnknownKey
+		return nil, errNoKey
 	}
 	return c.Open(nil, sealed, []byte(owner))
 }
 
-// shredded reports whether owner's key is destroyed: nothing sealed at the
-// owner's current epoch is live.
+// shredded reports whether the ring holds no key for owner.
 func shredded(kr *Keyring, owner string) bool {
-	return !kr.RecordLive(owner, kr.Epochs()[owner])
+	_, ok := kr.KeyEpoch(owner)
+	return !ok
 }
 
 func TestOffsetCipherRoundTrip(t *testing.T) {
@@ -178,36 +182,27 @@ func TestKeyringSealOpen(t *testing.T) {
 	}
 }
 
+// TestKeyringShred: a shredded owner's ciphertext stays dead. The ring
+// keeps no mark of the shred (the store's owner record does): a key asked
+// for afterwards is a fresh random one, which opens nothing sealed before.
 func TestKeyringShred(t *testing.T) {
 	kr, _ := NewKeyring(testKey(10))
 	sealed, _ := sealFor(kr, "alice", []byte("secret"))
 	kr.Shred("alice")
 	if !shredded(kr, "alice") {
-		t.Fatal("shred flag missing")
+		t.Fatal("the ring still holds alice's key")
 	}
-	if _, err := openFor(kr, "alice", sealed); err != ErrUnknownKey {
+	if _, err := openFor(kr, "alice", sealed); err != errNoKey {
 		t.Fatalf("open after shred err = %v", err)
 	}
-	if _, err := sealFor(kr, "alice", []byte("new")); err != ErrUnknownKey {
-		t.Fatalf("seal after shred err = %v", err)
-	}
-}
-
-func TestKeyringShredIrreversibleAfterReinstate(t *testing.T) {
-	kr, _ := NewKeyring(testKey(11))
-	sealed, _ := sealFor(kr, "alice", []byte("old life"))
-	kr.Shred("alice")
-	kr.Reinstate("alice")
-	// New key is random: old ciphertext must stay dead.
-	if _, err := openFor(kr, "alice", sealed); err == nil {
-		t.Fatal("old ciphertext readable after reinstate — shred was reversible")
-	}
-	// But new data flows fine.
-	s2, err := sealFor(kr, "alice", []byte("new life"))
+	s2, err := sealFor(kr, "alice", []byte("new"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := openFor(kr, "alice", s2); err != nil || string(got) != "new life" {
+	if _, err := openFor(kr, "alice", sealed); err == nil {
+		t.Fatal("the key made after the shred opened the shredded record")
+	}
+	if got, err := openFor(kr, "alice", s2); err != nil || string(got) != "new" {
 		t.Fatalf("got %q err %v", got, err)
 	}
 }
@@ -256,8 +251,8 @@ func TestKeyringExportAll(t *testing.T) {
 	if _, ok := wrapped["bob"]; ok {
 		t.Fatal("shredded owner exported")
 	}
-	if n := kr.ShredCount(); n != 1 || !shredded(kr, "bob") || shredded(kr, "alice") {
-		t.Fatalf("shredded owners = %d, want bob alone", n)
+	if len(wrapped) != 1 || !shredded(kr, "bob") || shredded(kr, "alice") {
+		t.Fatalf("exported %d keys, want alice's alone", len(wrapped))
 	}
 }
 
@@ -389,7 +384,8 @@ func TestOpenCiphertextSealedByParentCommit(t *testing.T) {
 }
 
 // CipherFor is the read side of the ring (never creates a key, reports the
-// epoch even for an erased owner); SealerFor is CipherFor plus creation.
+// key's epoch); SealerFor is CipherFor plus creation, at epoch 0; ImportAt
+// installs a key at the epoch it was made at.
 func TestKeyringCipherForAndSealerFor(t *testing.T) {
 	kr, err := NewKeyring(testKey(9))
 	if err != nil {
@@ -410,9 +406,9 @@ func TestKeyringCipherForAndSealerFor(t *testing.T) {
 		got, err := c.Open(nil, sealed, []byte("k"))
 		return err == nil && string(got) == "v"
 	}
-	c2, e2, wrapped, err := kr.SealerFor("alice")
-	if err != nil || wrapped != nil || e2 != 0 || !opens(c2) {
-		t.Fatalf("second SealerFor: epoch %d wrapped %v err %v", e2, wrapped != nil, err)
+	c2, e2, again, err := kr.SealerFor("alice")
+	if err != nil || again != nil || e2 != 0 || !opens(c2) {
+		t.Fatalf("second SealerFor: epoch %d wrapped %v err %v", e2, again != nil, err)
 	}
 	c3, e3, ok := kr.CipherFor("alice")
 	if !ok || e3 != 0 || !opens(c3) {
@@ -420,18 +416,17 @@ func TestKeyringCipherForAndSealerFor(t *testing.T) {
 	}
 
 	kr.Shred("alice")
-	if _, e, ok := kr.CipherFor("alice"); ok || e != 1 {
+	if _, e, ok := kr.CipherFor("alice"); ok || e != 0 {
 		t.Fatalf("CipherFor after Shred: epoch %d ok %v", e, ok)
 	}
-	if _, _, _, err := kr.SealerFor("alice"); err != ErrUnknownKey {
-		t.Fatalf("SealerFor after Shred: %v", err)
+	if err := kr.ImportAt("alice", wrapped, 3); err != nil {
+		t.Fatal(err)
 	}
-	kr.Reinstate("alice")
-	if _, e, ok := kr.CipherFor("alice"); ok || e != 1 {
-		t.Fatalf("CipherFor after Reinstate, before any write: epoch %d ok %v", e, ok)
+	c4, e4, ok := kr.CipherFor("alice")
+	if !ok || e4 != 3 || !opens(c4) || !kr.RecordLive("alice", 3) || kr.RecordLive("alice", 0) {
+		t.Fatalf("CipherFor after ImportAt at 3: epoch %d ok %v", e4, ok)
 	}
-	c5, e5, wrapped, err := kr.SealerFor("alice")
-	if err != nil || wrapped == nil || e5 != 1 || opens(c5) {
-		t.Fatalf("SealerFor after Reinstate: epoch %d wrapped %v err %v", e5, wrapped != nil, err)
+	if e, ok := kr.KeyEpoch("alice"); !ok || e != 3 {
+		t.Fatalf("KeyEpoch after ImportAt at 3: %d, %v", e, ok)
 	}
 }

@@ -17,10 +17,6 @@ import (
 // key. This mirrors the Themis-style per-record encryption the paper
 // mentions as the alternative to LUKS+TLS.
 
-// ErrUnknownKey is returned when sealing/opening references a key that is
-// not in the ring (possibly because it was shredded).
-var ErrUnknownKey = errors.New("cryptoutil: unknown or shredded key")
-
 // ErrCorrupt is returned when an authenticated record fails to open.
 var ErrCorrupt = errors.New("cryptoutil: ciphertext corrupt or wrong key")
 
@@ -120,26 +116,31 @@ func Open(key, sealed, additionalData []byte) ([]byte, error) {
 // a key makes every record sealed under it permanently unreadable — the
 // crypto-erasure fast path for GDPR Article 17.
 //
-// Each owner also carries a key epoch, incremented whenever the owner's key
-// is shredded. Records remember the epoch they were sealed under, so after
-// a shred-then-reinstate cycle the store can tell dead ciphertext (old
-// epoch, key destroyed) from the subject's fresh data (current epoch)
-// without attempting a decryption.
+// Each key carries the epoch it was made at. Records remember the epoch they
+// were sealed under, so the store can tell a record its owner's key opens
+// (same epoch) from dead ciphertext without attempting a decryption. The
+// ring keeps keys only: whether an owner without a key is erased is the
+// store's to know (its owner record), and the ring makes a key for whoever
+// asks.
 type Keyring struct {
 	mu     sync.RWMutex
 	master []byte
-	keys   map[string][]byte // owner -> data key (unwrapped, in memory)
-	shred  map[string]bool   // owners whose keys were destroyed
-	epoch  map[string]uint64 // owner -> current key epoch (bumped per shred)
+	keys   map[string]dataKey // owner -> data key (unwrapped, in memory)
 
 	// ciphers caches prepared ciphers, direct-mapped by owner hash. A slot
 	// is filled only while mu is read-held and emptied by whoever changes
-	// the owner's key while holding mu for writing (Shred, ShredAt,
-	// ImportAt), so: when Shred returns, no slot and no map of the ring
-	// references the owner's key in any form.
+	// the owner's key while holding mu for writing (Shred, ImportAt), so:
+	// when Shred returns, no slot and no map of the ring references the
+	// owner's key in any form.
 	ciphers      [cipherSlots]cipherSlot
 	seed         maphash.Seed
 	hits, misses atomic.Uint64
+}
+
+// dataKey is one owner's data key and the epoch it was made at.
+type dataKey struct {
+	k     []byte
+	epoch uint64
 }
 
 // cipherSlots is how many prepared ciphers a keyring keeps: a constant, not
@@ -171,9 +172,7 @@ func NewKeyring(master []byte) (*Keyring, error) {
 	copy(m, master)
 	return &Keyring{
 		master: m,
-		keys:   make(map[string][]byte),
-		shred:  make(map[string]bool),
-		epoch:  make(map[string]uint64),
+		keys:   make(map[string]dataKey),
 		seed:   maphash.MakeSeed(),
 	}, nil
 }
@@ -182,26 +181,26 @@ func (kr *Keyring) slotFor(owner string) *cipherSlot {
 	return &kr.ciphers[maphash.String(kr.seed, owner)%cipherSlots]
 }
 
-// cipherLocked returns the prepared cipher of key, owner's data key at
-// epoch, from the cache or built and installed there. Callers hold kr.mu
-// (reading suffices) from the read of key and epoch until this returns, so
-// nothing that changes the owner's key, all of which evict under the write
-// lock, can be followed by the install of a cipher it has destroyed.
-func (kr *Keyring) cipherLocked(owner string, epoch uint64, key []byte) Cipher {
+// cipherLocked returns the prepared cipher of dk, owner's data key, from the
+// cache or built and installed there. Callers hold kr.mu (reading suffices)
+// from the read of dk until this returns, so nothing that changes the
+// owner's key, all of which evict under the write lock, can be followed by
+// the install of a cipher it has destroyed.
+func (kr *Keyring) cipherLocked(owner string, dk dataKey) Cipher {
 	sl := kr.slotFor(owner)
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	if sl.owner == owner && sl.epoch == epoch && sl.c.aead != nil { // an empty slot has neither
+	if sl.owner == owner && sl.epoch == dk.epoch && sl.c.aead != nil { // an empty slot has neither
 		kr.hits.Add(1)
 		return sl.c
 	}
 	kr.misses.Add(1)
-	c, err := NewCipher(key)
+	c, err := NewCipher(dk.k)
 	if err != nil {
 		// Every key in the ring was generated here or checked on import.
 		panic("cryptoutil: keyring holds an unusable key: " + err.Error())
 	}
-	sl.owner, sl.epoch, sl.c = owner, epoch, c
+	sl.owner, sl.epoch, sl.c = owner, dk.epoch, c
 	return c
 }
 
@@ -223,44 +222,42 @@ func (kr *Keyring) CipherStats() (hits, misses uint64) {
 }
 
 // CipherFor is the read-side lookup: the prepared cipher of owner's data key
-// and the epoch it belongs to, from one locked read. ok is false when the
-// owner is shredded or has no key, i.e. when nothing sealed for the owner
-// can be opened; the epoch is reported either way. The Cipher is the
-// caller's for the call it is making, as a key copy from Ensure would be:
-// a Shred that lands meanwhile is seen by RecordLive(owner, epoch).
+// and the epoch it was made at, from one locked read. ok is false when the
+// owner has no key (never had one, or it was shredded), i.e. when nothing
+// sealed for the owner can be opened. The Cipher is the caller's for the
+// call it is making, as a key copy from Ensure would be: a Shred that lands
+// meanwhile is seen by RecordLive(owner, epoch).
 func (kr *Keyring) CipherFor(owner string) (c Cipher, epoch uint64, ok bool) {
 	kr.mu.RLock()
 	defer kr.mu.RUnlock()
-	epoch = kr.epoch[owner]
-	k, has := kr.keys[owner]
-	if !has || kr.shred[owner] {
-		return Cipher{}, epoch, false
+	dk, ok := kr.keys[owner]
+	if !ok {
+		return Cipher{}, 0, false
 	}
-	return kr.cipherLocked(owner, epoch, k), epoch, true
+	return kr.cipherLocked(owner, dk), dk.epoch, true
 }
 
 // SealerFor is the write-side lookup: CipherFor, generating the key on
-// first use. It returns the cipher, its epoch, the wrapped key (non-nil
-// exactly when this call created the key; callers journal it with the
-// epoch so the keyring survives restarts) and ErrUnknownKey if the owner's
-// key was shredded.
+// first use, at epoch 0. It returns the cipher, its epoch and the wrapped
+// key (non-nil exactly when this call created the key; callers journal it
+// with the epoch so the keyring survives restarts). Callers refuse an
+// erased owner before they ask: the ring would make it a key.
 func (kr *Keyring) SealerFor(owner string) (Cipher, uint64, []byte, error) {
 	if c, epoch, ok := kr.CipherFor(owner); ok {
 		return c, epoch, nil, nil
 	}
 	kr.mu.Lock()
 	defer kr.mu.Unlock()
-	k, epoch, wrapped, err := kr.ensureLocked(owner)
+	dk, wrapped, err := kr.ensureLocked(owner)
 	if err != nil {
 		return Cipher{}, 0, nil, err
 	}
-	return kr.cipherLocked(owner, epoch, k), epoch, wrapped, nil
+	return kr.cipherLocked(owner, dk), dk.epoch, wrapped, nil
 }
 
 // KeyFor returns the data key for owner, generating a fresh random key on
-// first use. It returns ErrUnknownKey if the owner's key was shredded.
-// Keys are random (not derived) so that shredding is irreversible; persist
-// them across restarts with Ensure/ImportAt.
+// first use. Keys are random (not derived) so that shredding is
+// irreversible; persist them across restarts with Ensure/ImportAt.
 func (kr *Keyring) KeyFor(owner string) ([]byte, error) {
 	k, _, _, err := kr.Ensure(owner)
 	return k, err
@@ -269,14 +266,13 @@ func (kr *Keyring) KeyFor(owner string) ([]byte, error) {
 // Ensure returns owner's data key, generating one if needed. It also
 // returns the key wrapped (sealed) under the master key — callers journal
 // the wrapped form when created is true so the keyring survives restarts —
-// and whether this call created the key. It returns ErrUnknownKey if the
-// owner's key was shredded. The returned key is a defensive copy: a
-// concurrent Shred zeroes only the ring's own slice, never one a reader is
-// still sealing with.
+// and whether this call created the key. The returned key is a defensive
+// copy: a concurrent Shred zeroes only the ring's own slice, never one a
+// reader is still sealing with.
 func (kr *Keyring) Ensure(owner string) (key, wrapped []byte, created bool, err error) {
 	kr.mu.RLock()
-	if k, ok := kr.keys[owner]; ok && !kr.shred[owner] {
-		key = append([]byte(nil), k...)
+	if dk, ok := kr.keys[owner]; ok {
+		key = append([]byte(nil), dk.k...)
 	}
 	kr.mu.RUnlock()
 	if key != nil {
@@ -284,41 +280,37 @@ func (kr *Keyring) Ensure(owner string) (key, wrapped []byte, created bool, err 
 	}
 	kr.mu.Lock()
 	defer kr.mu.Unlock()
-	k, _, wrapped, err := kr.ensureLocked(owner)
+	dk, wrapped, err := kr.ensureLocked(owner)
 	if err != nil {
 		return nil, nil, false, err
 	}
-	return append([]byte(nil), k...), wrapped, wrapped != nil, nil
+	return append([]byte(nil), dk.k...), wrapped, wrapped != nil, nil
 }
 
-// ensureLocked returns owner's key and epoch, generating the key on first
-// use; wrapped is non-nil exactly when it did. Callers hold kr.mu for
-// writing; the key returned is the ring's own slice.
-func (kr *Keyring) ensureLocked(owner string) (key []byte, epoch uint64, wrapped []byte, err error) {
-	if kr.shred[owner] {
-		return nil, 0, nil, ErrUnknownKey
-	}
-	epoch = kr.epoch[owner]
-	if k, ok := kr.keys[owner]; ok {
-		return k, epoch, nil, nil
+// ensureLocked returns owner's key, generating it at epoch 0 on first use;
+// wrapped is non-nil exactly when it did. Callers hold kr.mu for writing;
+// the key returned is the ring's own.
+func (kr *Keyring) ensureLocked(owner string) (dk dataKey, wrapped []byte, err error) {
+	if dk, ok := kr.keys[owner]; ok {
+		return dk, nil, nil
 	}
 	k := make([]byte, BlockCipherKeySize)
 	if _, err := io.ReadFull(rand.Reader, k); err != nil {
-		return nil, 0, nil, fmt.Errorf("cryptoutil: keygen: %w", err)
+		return dataKey{}, nil, fmt.Errorf("cryptoutil: keygen: %w", err)
 	}
 	w, err := Seal(kr.master, k, []byte("wrap:"+owner))
 	if err != nil {
-		return nil, 0, nil, err
+		return dataKey{}, nil, err
 	}
-	kr.keys[owner] = k
-	return k, epoch, w, nil
+	dk = dataKey{k: k}
+	kr.keys[owner] = dk
+	return dk, w, nil
 }
 
-// ImportAt installs a previously wrapped data key for owner (journal
-// replay) and pins the owner's epoch to the journaled value, so replay
-// reconstructs exactly the epoch each surviving record was sealed under.
-// It clears any shred mark recorded before it, so replay order (GKEY then
-// GSHRED) decides the final state.
+// ImportAt installs a previously wrapped data key for owner, made at epoch
+// (the key file at Open, a key on the replication stream), replacing the
+// key the ring held, so every surviving record is judged against the key it
+// was sealed under.
 func (kr *Keyring) ImportAt(owner string, wrapped []byte, epoch uint64) error {
 	k, err := Open(kr.master, wrapped, []byte("wrap:"+owner))
 	if err == nil && len(k) != BlockCipherKeySize {
@@ -329,39 +321,28 @@ func (kr *Keyring) ImportAt(owner string, wrapped []byte, epoch uint64) error {
 	}
 	kr.mu.Lock()
 	defer kr.mu.Unlock()
-	kr.keys[owner] = k
-	delete(kr.shred, owner)
-	kr.evictLocked(owner) // the slot may hold the key this one replaces
-	kr.epoch[owner] = epoch
+	kr.destroyLocked(owner) // the slot may hold the key this one replaces
+	kr.keys[owner] = dataKey{k: k, epoch: epoch}
 	return nil
 }
 
-// HasKeySince reports whether the ring holds a live key for owner made at
-// epoch or later: a journaled key or shred older than it is stale.
-func (kr *Keyring) HasKeySince(owner string, epoch uint64) bool {
+// KeyEpoch reports the epoch owner's key was made at, and whether the ring
+// holds a key for owner at all.
+func (kr *Keyring) KeyEpoch(owner string) (epoch uint64, ok bool) {
 	kr.mu.RLock()
 	defer kr.mu.RUnlock()
-	_, ok := kr.keys[owner]
-	return ok && kr.epoch[owner] >= epoch
+	dk, ok := kr.keys[owner]
+	return dk.epoch, ok
 }
 
-// Reinstate clears owner's shred mark so a *new* key can be generated for
-// fresh data (e.g. the subject returns as a customer after erasure). Old
-// ciphertexts remain unreadable because the old key was random.
-func (kr *Keyring) Reinstate(owner string) {
-	kr.mu.Lock()
-	delete(kr.shred, owner)
-	kr.mu.Unlock()
-}
-
-// ExportAll returns every live owner key wrapped under the master key, for
+// ExportAll returns every owner key wrapped under the master key, for
 // a replica's full sync.
 func (kr *Keyring) ExportAll() (map[string][]byte, error) {
 	kr.mu.RLock()
 	defer kr.mu.RUnlock()
 	out := make(map[string][]byte, len(kr.keys))
-	for o, k := range kr.keys {
-		w, err := Seal(kr.master, k, []byte("wrap:"+o))
+	for o, dk := range kr.keys {
+		w, err := Seal(kr.master, dk.k, []byte("wrap:"+o))
 		if err != nil {
 			return nil, err
 		}
@@ -370,81 +351,39 @@ func (kr *Keyring) ExportAll() (map[string][]byte, error) {
 	return out, nil
 }
 
-// Shred destroys owner's data key and advances the owner's epoch. Records
-// sealed under it become unrecoverable, which constitutes erasure for
-// Article 17 purposes even before the ciphertext itself is reclaimed. The
-// key is removed from the ring and its prepared cipher from the cache, under
-// the write lock, before it is zeroed: when Shred returns, nothing the ring
-// holds references the key in any form, and nothing can install it again
-// (cipherLocked). What remains is what callers took before: a key copy or
-// a Cipher held for the call in flight. The new epoch is returned for
-// journaling.
-func (kr *Keyring) Shred(owner string) uint64 {
+// Shred destroys owner's data key. Records sealed under it become
+// unrecoverable, which constitutes erasure for Article 17 purposes even
+// before the ciphertext itself is reclaimed. The key is removed from the
+// ring and its prepared cipher from the cache, under the write lock, before
+// it is zeroed: when Shred returns, nothing the ring holds references the
+// key in any form, and nothing can install it again (cipherLocked). What
+// remains is what callers took before: a key copy or a Cipher held for the
+// call in flight.
+func (kr *Keyring) Shred(owner string) {
 	kr.mu.Lock()
 	defer kr.mu.Unlock()
 	kr.destroyLocked(owner)
-	kr.epoch[owner]++
-	return kr.epoch[owner]
 }
 
-// destroyLocked removes owner's key from the ring and the cache, zeroes it
-// and marks the owner shredded. Callers hold kr.mu for writing.
+// destroyLocked removes owner's key from the ring and the cache and zeroes
+// it. Callers hold kr.mu for writing.
 func (kr *Keyring) destroyLocked(owner string) {
-	if k, ok := kr.keys[owner]; ok {
+	if dk, ok := kr.keys[owner]; ok {
 		delete(kr.keys, owner)
-		clear(k)
+		clear(dk.k)
 	}
 	kr.evictLocked(owner)
-	kr.shred[owner] = true
-}
-
-// ShredAt applies a journaled shred marker: the key is destroyed and the
-// epoch advanced to at least the journaled value. Re-applying the same
-// record (replay, replication resync overlap) is idempotent.
-func (kr *Keyring) ShredAt(owner string, epoch uint64) {
-	kr.mu.Lock()
-	defer kr.mu.Unlock()
-	kr.destroyLocked(owner)
-	if kr.epoch[owner] < epoch {
-		kr.epoch[owner] = epoch
-	}
-}
-
-// Epochs returns a snapshot of every owner's epoch, for the shred marks a
-// compaction or a full sync writes.
-func (kr *Keyring) Epochs() map[string]uint64 {
-	kr.mu.RLock()
-	defer kr.mu.RUnlock()
-	out := make(map[string]uint64, len(kr.epoch))
-	for o, e := range kr.epoch {
-		out[o] = e
-	}
-	return out
 }
 
 // RecordLive reports whether a record sealed under the given epoch for
-// owner is still readable: the owner is not shredded and the epoch is
-// current. A false result means the ciphertext is dead — its key was
-// destroyed — even if the owner has since been reinstated with a new key.
+// owner is still readable: the ring holds owner's key and it was made at
+// that epoch. A false result means the ciphertext is dead — its key was
+// destroyed.
 func (kr *Keyring) RecordLive(owner string, epoch uint64) bool {
 	kr.mu.RLock()
 	defer kr.mu.RUnlock()
-	return !kr.shred[owner] && kr.epoch[owner] == epoch
-}
-
-// Shredded reports whether owner is marked shredded: its key was destroyed
-// and no Reinstate has cleared the mark since.
-func (kr *Keyring) Shredded(owner string) bool {
-	kr.mu.RLock()
-	defer kr.mu.RUnlock()
-	return kr.shred[owner]
-}
-
-// ShredCount returns how many owners are currently marked shredded.
-func (kr *Keyring) ShredCount() int {
-	kr.mu.RLock()
-	defer kr.mu.RUnlock()
-	return len(kr.shred)
+	dk, ok := kr.keys[owner]
+	return ok && dk.epoch == epoch
 }
 
 // RandomKey generates a fresh random 32-byte key.

@@ -303,6 +303,14 @@ func (n *Node) connectAndStream() error {
 		n.status.Offset = startOff
 		n.status.FullSyncs++
 		n.mu.Unlock()
+		// The snapshot is applied: acknowledge its offset, which the
+		// primary holds unacknowledged until now.
+		if err := w.WriteCommand("REPLCONF", "ACK", strconv.FormatInt(startOff, 10)); err != nil {
+			return err
+		}
+		if err := w.Flush(); err != nil {
+			return err
+		}
 	case v.Type == resp.SimpleString && v.Text() == "CONTINUE":
 		// Partial resync: state is already consistent through our offset;
 		// the stream resumes right after it.

@@ -79,7 +79,8 @@ type LinkStat struct {
 	Addr string
 	// StartOffset is the stream offset the link was registered at.
 	StartOffset int64
-	// AckOffset is the last offset the replica acknowledged.
+	// AckOffset is the last offset the replica acknowledged: -1 until a
+	// full-sync replica has applied its snapshot.
 	AckOffset int64
 }
 
@@ -204,12 +205,14 @@ func (h *Hub) tryPartialLocked(l *link, replid string, offset int64) ([]byte, bo
 
 // register adds l to the fan-out at the current offset and returns that
 // offset. Called from the snapshot cut point, while the store is quiesced.
+// The link acknowledges nothing until the replica has applied the snapshot
+// and sent its first ACK: an ack offset always means "applied there".
 func (h *Hub) register(l *link) int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.links[l] = struct{}{}
 	l.startOffset = h.offset
-	l.ack.Store(h.offset)
+	l.ack.Store(-1)
 	return h.offset
 }
 

@@ -62,6 +62,9 @@ func (f *fakeApplier) size() int {
 type testPrimary struct {
 	db  *store.DB
 	hub *Hub
+	// hold, when set before listen, keeps every snapshot from being
+	// emitted after its cut until it is closed.
+	hold chan struct{}
 }
 
 func newTestPrimary(t *testing.T, opts HubOptions) *testPrimary {
@@ -78,6 +81,9 @@ func newTestPrimary(t *testing.T, opts HubOptions) *testPrimary {
 // attachment).
 func (p *testPrimary) snap(emit func(name string, args ...[]byte) error, cut func()) error {
 	cut()
+	if p.hold != nil {
+		<-p.hold
+	}
 	if err := emit("FLUSHALL"); err != nil {
 		return err
 	}
@@ -198,6 +204,33 @@ func TestAcksConvergeToMasterOffset(t *testing.T) {
 		links := p.hub.Links()
 		return len(links) == 1 && links[0].AckOffset == p.hub.Offset()
 	}, "ack offset never caught up to master offset")
+}
+
+// TestFullSyncAckWaitsForApply: a full-sync link acknowledges nothing until
+// the replica has applied the snapshot. While the payload is still being
+// built after the cut, the link's ack offset is below the snapshot's; once
+// it reaches it, the replica holds what the snapshot carried.
+func TestFullSyncAckWaitsForApply(t *testing.T) {
+	p := newTestPrimary(t, HubOptions{})
+	p.db.Set("seed", []byte("v0"))
+	p.hold = make(chan struct{})
+	addr := p.listen(t)
+	f := newFakeApplier()
+	dialNode(t, f, addr, NodeOptions{})
+	testutil.Eventually(t, 5*time.Second, 0, func() bool {
+		return len(p.hub.Links()) == 1
+	}, "replica link not registered")
+	if l := p.hub.Links()[0]; l.AckOffset >= l.StartOffset {
+		t.Fatalf("the link acknowledges offset %d before the snapshot at %d was sent", l.AckOffset, l.StartOffset)
+	}
+	close(p.hold)
+	testutil.Eventually(t, 5*time.Second, 0, func() bool {
+		links := p.hub.Links()
+		return len(links) == 1 && links[0].AckOffset == p.hub.Offset()
+	}, "ack offset never reached the snapshot's")
+	if v, ok := f.get("seed"); !ok || v != "v0" {
+		t.Fatalf("the replica acknowledged the snapshot without holding its key: %q, %v", v, ok)
+	}
 }
 
 func TestPartialResyncAfterLinkDrop(t *testing.T) {

@@ -199,12 +199,13 @@ func (s *Server) clusterMiddleware(next Handler) Handler {
 }
 
 // holds reports whether a command on a migrating slot runs here: this node
-// holds owner's subject (its owner record or a live record), or, for a
-// command that names no owner, one of its keys is live here. Crypto-erased
-// ghosts awaiting the sweep do not count: they never migrate.
+// holds owner's subject (its owner record, with an erasure or not, or a live
+// record), or, for a command that names no owner, one of its keys is live
+// here. Crypto-erased ghosts awaiting the sweep do not count: they never
+// migrate.
 func (s *Server) holds(owner string, keys [][]byte) bool {
 	if owner != "" {
-		return len(s.store.SubjectKeys(owner, 1)) > 0
+		return s.store.Erased(owner) || len(s.store.SubjectKeys(owner, 1)) > 0
 	}
 	for _, k := range keys {
 		key := string(k)

@@ -21,10 +21,12 @@ import (
 // audit) → RemoveMigrated per acknowledged key, guarded so a write that
 // raced in between re-dumps instead of being lost. Keys of no owner move
 // the same way, one at a time. A key shredded on the source is never
-// dumped, so a migration cannot resurrect an erasure. A record the
-// destination refuses (ERASED for an owner shredded there earlier, DENIED,
-// ...) stops the migration with the record still on the source, for the
-// operator to resolve. DESIGN.md §15.
+// dumped, so a migration cannot resurrect an erasure, and an erased
+// subject's owner record moves with the slot, so the destination refuses
+// the subject's writes as the source did. A record the destination refuses
+// (ERASED for an owner erased there earlier, DENIED, ...) stops the
+// migration with the record still on the source, for the operator to
+// resolve. DESIGN.md §15.
 
 // migrateRetries bounds re-dumps of a key that keeps being written while
 // it is being moved before the slot migration reports failure.
@@ -71,7 +73,7 @@ func cmdClusterMigrateSlot(ctx *Ctx, cs *clusterState, args [][]byte) (resp.Valu
 // counts the owner records carried, moved the records that landed on dest,
 // and skipped the keys deleted or expired mid-stream. Any record dest
 // refuses stops the migration with the source's copy kept, ERASED included:
-// an owner shredded on dest while its subject lived here has live records
+// an owner erased on dest while its subject lived here has live records
 // here that no rights command could reach once the slot moved.
 func (s *Server) migrateSlot(cctx core.Ctx, cs *clusterState, slot uint16, dest cluster.Node) (owners, moved, skipped int, err error) {
 	// move sends keys to dest as one pipeline of RESTOREKEYs, then removes
@@ -150,6 +152,9 @@ func (s *Server) migrateSlot(cctx core.Ctx, cs *clusterState, slot uint16, dest 
 		if owner != "" && cluster.Slot(owner) == slot {
 			seen[owner] = true
 			keys = slices.DeleteFunc(s.store.SubjectKeys(owner, -1), func(k string) bool { return cluster.Slot(k) != slot })
+			if s.store.Erased(owner) {
+				keys = append(keys, core.OwnerKey(owner))
+			}
 		}
 		err = move(keys)
 		lock.Unlock()

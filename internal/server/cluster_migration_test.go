@@ -1225,6 +1225,47 @@ func TestClusterMigrationStopsOnErasedDestination(t *testing.T) {
 	}
 }
 
+// TestClusterMigrationCarriesErasure: an erased subject's owner record
+// moves with its slot, so the node that owns the slot after the migration
+// refuses the subject's writes with ERASED, as the source did before it.
+func TestClusterMigrationCarriesErasure(t *testing.T) {
+	srvs, stores, m := startEnvelopeCluster(t, 2)
+	ctx := context.Background()
+	owner := ownerOn(t, m, "n1")
+	ss := strconv.Itoa(int(cluster.Slot(owner)))
+	src, dst := nodeClient(t, srvs[0].Addr()), nodeClient(t, srvs[1].Addr())
+	put := func(c *gdprkv.Client) error {
+		return c.GPut(ctx, fmt.Sprintf("pd:{%s}:1", owner), []byte("v"), gdprkv.PutOptions{Owner: owner, Purposes: []string{"service"}})
+	}
+	if err := put(src); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.ForgetUser(ctx, owner); err != nil {
+		t.Fatal(err)
+	}
+	stores[0].DrainErasure()
+	if err := put(src); !errors.Is(err, gdprkv.ErrErased) {
+		t.Fatalf("GPUT on n1 after FORGETUSER: %v, want ERASED", err)
+	}
+	for _, step := range []struct {
+		c   *gdprkv.Client
+		cmd []string
+	}{
+		{dst, []string{"CLUSTER", "SETSLOT", ss, "IMPORTING", "n1"}},
+		{src, []string{"CLUSTER", "SETSLOT", ss, "MIGRATING", "n2"}},
+		{src, []string{"CLUSTER", "MIGRATESLOT", ss}},
+		{src, []string{"CLUSTER", "SETSLOT", ss, "NODE", "n2"}},
+		{dst, []string{"CLUSTER", "SETSLOT", ss, "NODE", "n2"}},
+	} {
+		if _, err := step.c.Do(ctx, step.cmd...); err != nil {
+			t.Fatalf("%v: %v", step.cmd, err)
+		}
+	}
+	if err := put(dst); !errors.Is(err, gdprkv.ErrErased) {
+		t.Fatalf("GPUT on n2 after the migration: %v, want ERASED", err)
+	}
+}
+
 // TestClusterUnreadReplyDoesNotBlockMigration: a GETUSER whose client stops
 // reading a reply larger than the socket buffers holds up no migration of
 // its slot. The reply meets the socket only after the cluster stage has

@@ -389,17 +389,14 @@ func TestGetUserWireMatchesCore(t *testing.T) {
 			}
 			put("alice:short", "alice", []byte("expires"), time.Minute)
 			// bob is erased with his records left for the sweep (eagerly
-			// deleted without envelope), then returns with one new record.
+			// deleted without envelope); carol writes one record after.
 			put("bob:old1", "bob", []byte("erased one"), time.Hour)
 			put("bob:old2", "bob", []byte("erased two"), time.Hour)
 			if _, err := st.Forget(ctx, "bob"); err != nil {
 				t.Fatal(err)
 			}
-			if err := st.Reinstate(ctx, "bob"); err != nil {
-				t.Fatal(err)
-			}
-			put("bob:new", "bob", []byte("back again"), time.Hour)
-			keys = append(keys, "bob:new")
+			put("carol:new", "carol", []byte("after the erasure"), time.Hour)
+			keys = append(keys, "carol:new")
 			vc.Advance(2 * time.Minute)
 
 			stored := func() map[string][]byte {
@@ -436,9 +433,9 @@ func TestGetUserWireMatchesCore(t *testing.T) {
 				}
 				return wire, recs, vals
 			}
-			for _, owner := range []string{"alice", "bob"} {
+			for _, owner := range []string{"alice", "bob", "carol"} {
 				wire, recs, vals := report(owner)
-				if want := map[string]int{"alice": 40, "bob": 1}[owner]; len(recs) != want {
+				if want := map[string]int{"alice": 40, "bob": 0, "carol": 1}[owner]; len(recs) != want {
 					t.Fatalf("%s: GetUser reports %d records, want %d", owner, len(recs), want)
 				}
 				if !sameReport(wire, recs) || !sameReport(vals, recs) {

@@ -207,6 +207,7 @@ type DB struct {
 	jq           journalQueue
 	journalReads bool
 	onRecord     func(key string, old, new *Record)
+	keep         func(key string, rec *Record) bool
 	strategy     ExpiryStrategy
 
 	// rnd drives the probabilistic cycle's shard-weighted sampling; it has
@@ -316,6 +317,12 @@ func (db *DB) SetJournal(j Journal) { db.jq.set(j) }
 // ones the engine holds. fn must not call back into the DB. Set it before
 // the DB is shared.
 func (db *DB) OnRecord(fn func(key string, old, new *Record)) { db.onRecord = fn }
+
+// KeepOnFlush makes fn the judge of what a FLUSHALL keeps: a key with a
+// record and no deadline for which fn returns true outlives it, live or
+// replayed (Apply), with its record. fn runs under every shard lock and must
+// not call back into the DB. Set it before the DB is shared.
+func (db *DB) KeepOnFlush(fn func(key string, rec *Record) bool) { db.keep = fn }
 
 // recordChanged reports a record change of key to the observer. Callers hold
 // key's shard lock.
@@ -674,8 +681,9 @@ func (db *DB) Del(keys ...string) int {
 	return n
 }
 
-// FlushAll removes every key. It locks all shards (in index order) so the
-// flush is a single atomic point in the journal stream.
+// FlushAll removes every key but what KeepOnFlush keeps. It locks all
+// shards (in index order) so the flush is a single atomic point in the
+// journal stream.
 func (db *DB) FlushAll() {
 	db.lockAll()
 	db.resetAllLocked()
@@ -768,13 +776,19 @@ func (db *DB) randIntn(n int) int {
 	return v
 }
 
-// resetAllLocked empties every shard. Callers hold every shard lock.
+// resetAllLocked empties every shard of all but what KeepOnFlush keeps.
+// Callers hold every shard lock.
 func (db *DB) resetAllLocked() {
 	for _, sh := range db.shards {
+		dict := make(map[string]entry)
 		for k, e := range sh.dict {
+			if e.rec != nil && e.deadline == 0 && db.keep != nil && db.keep(k, e.rec) {
+				dict[k] = e
+				continue
+			}
 			db.recordChanged(k, e.rec, nil)
 		}
-		sh.dict = make(map[string]entry)
+		sh.dict = dict
 		clear(sh.expires)
 		sh.expires = sh.expires[:0]
 	}
