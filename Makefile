@@ -22,7 +22,7 @@ race:
 	$(GO) test -race -count=10 ./internal/audit -run 'Pipeline|Strict|Backpressure|Drop|Close|Order'
 	$(GO) test -race -count=5 ./internal/store ./internal/cryptoutil -run 'Differential|Expiry|Heap|CipherCache'
 	$(GO) test -race -count=10 ./internal/core -run 'CipherCache|ForgetCountsOnlyUnexpiredRecords|ResidentBytesPerRecord'
-	$(GO) test -race -count=10 ./internal/core -run 'TestGetUserConcurrentWithWrites|TestGetUserRacingForget|TestUnobjectDuringRightsReads|TestReadsReturnAfterJournalHandOff|TestCloseWaitsOutCallsInFlight|TestDeleteRacingCompactStaysDeleted|TestReplayKeepsRecordsWithTheirWriter|TestBackupIsCompliantSnapshot|TestRestoreKeepsLaterObjection|TestEventualForgetThenRestoreStaysErased|TestRestoreRefusesKeyMaterial|TestRestoreRefusesShortGeneration|TestRestoreReplacesLiveState|TestBackgroundExpiryIsAudited|TestReplicaKeepsNoErasureBacklog|TestForgetLeavesNoKeyOnDisk|TestKeySlotOutlivesOlderShred|TestInterruptedShredZeroesSlot|TestZeroedSlotWithoutShred|TestMissingKeyFileRefused|TestTornKeySlotZeroed|TestOwnerTooLongForKeySlot|TestEnvelopeGKEYRefused|TestFullSyncDropsStaleObjection|TestObjectionWithoutRecords|TestOwnerKeyReserved|TestObjectionSurvivesForget|TestRestoreRefusesLegacyObjection|TestOwnerRecordCutBeforeRestamps|TestLegacyObjectionsRefused|TestFullSyncZeroesReplicaStaleKey|TestPreviousReleaseShredFolds|TestErasureSurvivesFlushAll'
+	$(GO) test -race -count=10 ./internal/core -run 'TestGetUserConcurrentWithWrites|TestGetUserRacingForget|TestUnobjectDuringRightsReads|TestReadsReturnAfterJournalHandOff|TestCloseWaitsOutCallsInFlight|TestDeleteRacingCompactStaysDeleted|TestReplayKeepsRecordsWithTheirWriter|TestBackupIsCompliantSnapshot|TestRestoreKeepsLaterObjection|TestEventualForgetThenRestoreStaysErased|TestRestoreRefusesKeyMaterial|TestRestoreRefusesShortGeneration|TestRestoreReplacesLiveState|TestBackgroundExpiryIsAudited|TestReplicaKeepsNoErasureBacklog|TestForgetLeavesNoKeyOnDisk|TestInterruptedShredZeroesSlot|TestZeroedSlotWithoutShred|TestMissingKeyFileRefused|TestTornKeySlotZeroed|TestOwnerTooLongForKeySlot|TestEnvelopeGKEYRefused|TestFullSyncDropsStaleObjection|TestObjectionWithoutRecords|TestOwnerKeyReserved|TestObjectionSurvivesForget|TestRestoreRefusesLegacyObjection|TestOwnerRecordCutBeforeRestamps|TestLegacyObjectionsRefused|TestFullSyncZeroesReplicaStaleKey|TestRetiredAOFFormsRefused|TestObjectionJournalsOneRecord|TestPreviousReleaseObjectionsFold|TestErasureSurvivesFlushAll'
 	$(GO) test -race -count=3 ./pkg/gdprkv
 	$(GO) test -race -count=3 -run 'TestClusterClient|TestClusterPipeline|TestClusterFailover' ./internal/server
 	$(GO) test -race -run 'TestClusterSlotMigrationWithAsk|TestClusterMigration|TestClusterForgetMidMigration|TestClusterForgetDuringMigrationRace|TestClusterGetUserRacingMigration|TestClusterUnobjectDuringMigration|TestClusterFailoverPromoteReplica|TestClusterPeer|TestClusterPlacementRefusesOffSlotWrite|TestClusterRightsRouteToOwnerSlot|TestClusterRefusesMisplacedData|TestClusterUnreadReplyDoesNotBlockMigration|TestRestoreKeyWithdrawalNeedsRights|TestClusterForgetWithNodeDown|TestClusterGetUserSkipsLaggingReplica|TestClusterReplicaRedirects|TestDemotedPrimaryStopsExpiring|TestPromotionResumesDuties' ./internal/server

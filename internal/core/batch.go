@@ -173,9 +173,9 @@ func (s *Store) GetBatch(ctx Ctx, keys []string) ([]BatchGetResult, error) {
 // for the value and its record together. Callers are through the gate and
 // handle read auditing; denials are audited here (they are evidence
 // regardless of the calling path). The owner is returned for the caller's
-// audit records. oc carries the owner's prepared cipher from one key of a
-// call to the next; it is re-read from the keyring when the owner changes or
-// the key it was built from has been shredded since.
+// audit records. oc carries the owner's prepared cipher and standing
+// objections from one key of a call to the next; it is re-read when the
+// owner changes or the key it was built from has been shredded since.
 func (s *Store) getLocked(ctx Ctx, key string, oc *ownerCipher) (value []byte, owner string, err error) {
 	e, ok := s.db.Lookup(key)
 	rec := e.Record
@@ -183,6 +183,9 @@ func (s *Store) getLocked(ctx Ctx, key string, oc *ownerCipher) (value []byte, o
 	if rec != nil {
 		if oc.owner != owner || (oc.sealed && !s.keyring.RecordLive(owner, oc.epoch)) {
 			*oc = s.ownerCipherFor(owner)
+			if s.cfg.Capability == CapabilityFull {
+				oc.objections = s.Objections(owner)
+			}
 		}
 		if !oc.live(rec) {
 			// Crypto-erased but not yet reclaimed by the sweep: the record
@@ -195,7 +198,7 @@ func (s *Store) getLocked(ctx Ctx, key string, oc *ownerCipher) (value []byte, o
 		return nil, owner, err
 	}
 	if rec != nil && s.cfg.Capability == CapabilityFull {
-		if !permits(rec.Policy, ctx.Purpose) {
+		if !permits(rec.Policy, oc.objections, ctx.Purpose) {
 			s.auditOp(audit.Record{
 				Actor: ctx.Actor, Op: "GET", Key: key, Owner: owner,
 				Purpose: ctx.Purpose, Outcome: audit.OutcomeDenied,

@@ -11,10 +11,10 @@ import (
 )
 
 // The metadata codec (DESIGN.md §17): one append-style binary form for the
-// metadata the compliance layer's journal records carry (GREC, GMETA),
-// behind a version byte that is never '{', the first byte of the JSON it
-// replaced. It is the only form written and the only one read: a '{'-led
-// payload is refused with ErrRetiredFormat.
+// metadata the compliance layer's journal records carry (GREC; the previous
+// release's GMETA too), behind a version byte that is never '{', the first
+// byte of the JSON it replaced. It is the only form written and the only one
+// read: a '{'-led payload is refused with ErrRetiredFormat.
 //
 //	metadata = metaV1 flags str(owner) list(purposes) list(objections)
 //	           str(origin) list(sharedWith) [time(expiry)] str(location)
@@ -24,7 +24,8 @@ import (
 //	time     = int64be(UnixNano)
 //
 // A zero time is a cleared flag bit, not eight bytes; an empty list is one
-// byte.
+// byte. Only an owner record fills objections; every other record writes
+// the list empty.
 const (
 	metaV1 = 0x01
 

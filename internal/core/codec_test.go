@@ -354,6 +354,10 @@ func TestWriteAllocBudgets(t *testing.T) {
 	s.ACL().AddPrincipal(acl.Principal{ID: "app", Role: acl.RoleController})
 	ctx := Ctx{Actor: "app", Purpose: "service"}
 	opts := PutOptions{Owner: "alice", TTL: time.Hour}
+	// Every Get reads alice's objections from her owner record.
+	if err := s.Object(ctx, "alice", "ads"); err != nil {
+		t.Fatal(err)
+	}
 	val := bytes.Repeat([]byte("x"), 100)
 	keys := make([]string, 64)
 	for i := range keys {
@@ -377,7 +381,8 @@ func TestWriteAllocBudgets(t *testing.T) {
 	})
 	t.Logf("allocations: Put %.1f, audited Get %.1f", puts, gets)
 	// Measured 8 and 2: the Put's record and its policy-sharing lookup, and
-	// the Get opening straight from the engine's slice. With a Metadata per
+	// the Get opening straight from the engine's slice (the owner record it
+	// reads is looked up under a stack key). With a Metadata per
 	// record, a default-purpose slice per Put and a copying engine read they
 	// were 9 and 3; building the owner's cipher per call (aes.NewCipher,
 	// cipher.NewGCM, the key copy) made them 12 and 6.

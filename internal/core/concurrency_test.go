@@ -72,20 +72,26 @@ func TestConcurrentMixedOperations(t *testing.T) {
 	}
 	// Invariant 2: every record is indexed under its owner, and counted.
 	records := 0
-	var permitted []string
+	live := map[string]*store.Policy{}
 	if err := s.db.SnapshotRecords(func(k string, e store.Entry) error {
 		if e.Record != nil {
 			records++
 			if !slices.Contains(s.ix.ownerKeys(e.Record.Policy.Owner), k) {
 				t.Errorf("key %q (owner %q) missing from owner index", k, e.Record.Policy.Owner)
 			}
-			if !s.recordDead(e.Record) && permits(e.Record.Policy, "p") {
-				permitted = append(permitted, k)
+			if !s.recordDead(e.Record) {
+				live[k] = e.Record.Policy
 			}
 		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+	var permitted []string
+	for k, p := range live {
+		if permits(p, s.Objections(p.Owner), "p") {
+			permitted = append(permitted, k)
+		}
 	}
 	if n := s.MetaCount(); n != records {
 		t.Fatalf("MetaCount = %d, the engine holds %d records", n, records)

@@ -397,6 +397,27 @@ func TestExpireUpdatesMetadata(t *testing.T) {
 	}
 }
 
+// An Expire journals one record, the engine's EXPIREAT, and returns what
+// the journal said about it: a failing AOF fails the Expire.
+func TestExpireReturnsJournalError(t *testing.T) {
+	s := newFullStore(t, nil)
+	if err := s.Put(ctlCtx, "k", []byte("v"), PutOptions{Owner: "alice", TTL: time.Hour}); err != nil {
+		t.Fatal(err)
+	}
+	full := errors.New("no space left on device")
+	var names []string
+	s.Engine().SetJournal(store.JournalFunc(func(name string, _ ...[]byte) error {
+		names = append(names, name)
+		return full
+	}))
+	if err := s.Expire(ctlCtx, "k", 2*time.Hour); !errors.Is(err, full) {
+		t.Fatalf("Expire with a failing journal = %v, want its error", err)
+	}
+	if len(names) != 1 || names[0] != "EXPIREAT" {
+		t.Fatalf("Expire journaled %v, want one EXPIREAT", names)
+	}
+}
+
 // Expiry drops a key's record with its value, and the indexes with it: no
 // maintenance pass in between, and nothing for one to prune.
 func TestExpiryDropsRecord(t *testing.T) {

@@ -74,8 +74,8 @@ func mustWait(t *testing.T, what string, done <-chan error, d time.Duration) {
 
 // A read returns only after the engine has handed the journal every record
 // it observed: a Get and a GetUser that see a value whose GREC is still
-// pending, and a GetUser whose walk sees a deadline whose EXPIREAT and GMETA
-// are, wait for the journal. The last case is the walk's one hand-off at
+// pending, and a GetUser whose walk sees a deadline whose EXPIREAT is, wait
+// for the journal. The last case is the walk's one hand-off at
 // its end; the probes of the walk no longer flush one by one.
 func TestReadsReturnAfterJournalHandOff(t *testing.T) {
 	s := newFullStore(t, nil)
@@ -387,11 +387,12 @@ func TestDeleteRacingCompactStaysDeleted(t *testing.T) {
 }
 
 // Expire and Object/Unobject run on keys another subject re-Puts beside
-// them. Their records, journaled by the engine under the key's shard lock
-// and only while the key still holds the record they checked, never land
-// behind the other subject's GREC: replayed record by record, every GMETA
-// finds a value its subject wrote, replay rebuilds the live store, and every
-// key's metadata names the subject whose value it holds.
+// them. An Expire's EXPIREAT, journaled by the engine under the key's shard
+// lock and only while the key still holds the record it checked, never
+// lands behind the other subject's GREC, and an objection journals its
+// owner record alone: replayed record by record, every GREC leaves each of
+// its keys with a value its subject wrote, replay rebuilds the live store,
+// and every key's metadata names the subject whose value it holds.
 func TestReplayKeepsRecordsWithTheirWriter(t *testing.T) {
 	dir, vc := t.TempDir(), clock.NewVirtual(time.Date(2019, 5, 16, 0, 0, 0, 0, time.UTC))
 	cfg := crashCfg(filepath.Join(dir, "gdpr.aof"), vc, 16, aof.SyncNo)
@@ -454,8 +455,12 @@ func TestReplayKeepsRecordsWithTheirWriter(t *testing.T) {
 	if _, err := aof.Load(cfg.AOFPath, nil, func(name string, args [][]byte) error {
 		n++
 		err := stepwise.applyRecord(name, args)
-		if err == nil && name == opMeta {
-			checkWriter(t, fmt.Sprintf("journal record %d, %s", n, name), stepwise, string(args[0]))
+		if err == nil && name == opRecord {
+			for i := 1; i < len(args); i += 2 {
+				if _, owned := ReservedKey(string(args[i])); !owned {
+					checkWriter(t, fmt.Sprintf("journal record %d, %s", n, name), stepwise, string(args[i]))
+				}
+			}
 		}
 		return err
 	}); err != nil {

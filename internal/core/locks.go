@@ -11,9 +11,8 @@ import (
 // key's value, retention deadline and compliance record are one engine entry
 // (store.Record, metadata.go), installed and dropped together under the
 // engine's shard lock, so they cannot disagree. A read-check-write of one key
-// (Delete and Expire check the record's owner, objections restamp records,
-// the sweep and an eager Forget delete them, a migration removes the bytes
-// it sent) ends in one of the engine's conditional operations
+// (Delete and Expire check the record's owner, the sweep and an eager
+// Forget delete records, a migration removes the bytes it sent) ends in one of the engine's conditional operations
 // (store/conditional.go), which act and journal under the shard lock only if
 // the key still holds what the caller checked. Two stripe arrays remain, and
 // neither guards a map:

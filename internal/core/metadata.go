@@ -59,11 +59,12 @@ func (m Metadata) clone() Metadata {
 	return c
 }
 
-// permits reports whether processing under purpose is permitted by p: it
-// must be whitelisted and not objected to. The empty purpose is never
-// permitted on records with purpose restrictions.
-func permits(p *store.Policy, purpose string) bool {
-	for _, o := range p.Objections {
+// permits reports whether processing under purpose is permitted by p, the
+// policy of a record whose owner stands by objections: it must be
+// whitelisted and not objected to. The empty purpose is never permitted on
+// records with purpose restrictions.
+func permits(p *store.Policy, objections []string, purpose string) bool {
+	for _, o := range objections {
 		if o == purpose || o == "*" {
 			return false
 		}
@@ -83,7 +84,8 @@ const noCreated = math.MinInt64
 
 // metadataOf is the exported form of rec, the record of a key whose engine
 // deadline is deadline (zero: none). Its slices are the policy's: read them,
-// or clone.
+// or clone. Its Objections are an owner record's set, and none for any
+// other record: a caller that reports a record fills in its owner's.
 func metadataOf(rec *store.Record, deadline time.Time) Metadata {
 	p := rec.Policy
 	m := Metadata{
@@ -116,10 +118,11 @@ func createdNS(t time.Time) int64 {
 
 // recordOf is the record of a write or a replayed write with metadata m,
 // under the owner's shared policy when m's terms are the owner's current
-// ones. The deadline is not in it: the engine holds that.
+// ones. The deadline is not in it: the engine holds that, and m's
+// objections are its owner record's.
 func (s *Store) recordOf(m *Metadata) *store.Record {
 	cand := store.Policy{
-		Owner: m.Owner, Purposes: m.Purposes, Objections: m.Objections, Origin: m.Origin,
+		Owner: m.Owner, Purposes: m.Purposes, Origin: m.Origin,
 		SharedWith: m.SharedWith, Location: m.Location, Automated: m.AutomatedDecisions,
 	}
 	return &store.Record{Policy: s.ix.policy(&cand), Created: createdNS(m.Created), Epoch: m.KeyEpoch}
@@ -141,10 +144,10 @@ func ownerOf(rec *store.Record) string {
 // shard lock on every install, replacement and removal of a record, expiry
 // and FLUSHALL included: no index entry outlives its record. A key leaves
 // its owner's set only when its record goes or names another owner, so
-// re-recording it under the same owner (Expire, an objection, a re-Put)
-// never hides it from a reader of that set. Each set is an orderedKeys, so
-// a reader gets its keys in ascending order without sorting them. The sets
-// are striped by name; a stripe lock is a leaf, held for one set operation.
+// re-recording it under the same owner (a re-Put) never hides it from a
+// reader of that set. Each set is an orderedKeys, so a reader gets its keys
+// in ascending order without sorting them. The sets are striped by name; a
+// stripe lock is a leaf, held for one set operation.
 type metaIndex struct {
 	byOwner, byPurpose []setShard
 	// ownerRecords counts the owner records the engine holds (Store.Len),
@@ -317,7 +320,6 @@ func (ix *metaIndex) policy(cand *store.Policy) *store.Policy {
 	p := &store.Policy{
 		Owner:      cand.Owner,
 		Purposes:   append([]string(nil), cand.Purposes...),
-		Objections: append([]string(nil), cand.Objections...),
 		Origin:     cand.Origin,
 		SharedWith: append([]string(nil), cand.SharedWith...),
 		Location:   cand.Location,
@@ -342,18 +344,8 @@ func (ix *metaIndex) defaultPurposes(owner, purpose string) []string {
 	return []string{purpose}
 }
 
-// samePolicy reports whether p and c are the same terms. Objections are
-// compared as a set: a write lists them in whatever order it found them.
+// samePolicy reports whether p and c are the same terms.
 func samePolicy(p, c *store.Policy) bool {
-	if p.Owner != c.Owner || p.Origin != c.Origin || p.Location != c.Location || p.Automated != c.Automated ||
-		!slices.Equal(p.Purposes, c.Purposes) || !slices.Equal(p.SharedWith, c.SharedWith) ||
-		len(p.Objections) != len(c.Objections) {
-		return false
-	}
-	for _, o := range c.Objections {
-		if !slices.Contains(p.Objections, o) {
-			return false
-		}
-	}
-	return true
+	return p.Owner == c.Owner && p.Origin == c.Origin && p.Location == c.Location && p.Automated == c.Automated &&
+		slices.Equal(p.Purposes, c.Purposes) && slices.Equal(p.SharedWith, c.SharedWith)
 }

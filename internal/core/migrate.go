@@ -29,9 +29,9 @@ import (
 //     full compliance path: re-sealed under the destination's keyring (at
 //     the epoch of the destination's key for the owner; an owner erased
 //     there refuses it with ERASED instead of resurrecting), re-indexed,
-//     journaled, and audited, with metadata (Created, Origin, Objections,
-//     Expiry) preserved and the destination's standing objections added. An
-//     owner record replaces the destination's, keeping a later erasure.
+//     journaled, and audited, with metadata (Created, Origin, Expiry)
+//     preserved, under the destination's standing objections. An owner
+//     record replaces the destination's, keeping a later erasure.
 //   - RemoveMigrated deletes the source copy after the destination has
 //     acknowledged it, journaling the engine DEL so the source's replicas
 //     follow.
@@ -98,9 +98,10 @@ func (s *Store) DumpForMigration(key string) (argv [][]byte, raw []byte, ok bool
 // A GREC goes through the full compliance path — sealed under this node's
 // keyring at the epoch of the owner's key, re-indexed, journaled as one GREC
 // record, audited — with the source's metadata (Created, Origin, Expiry,
-// ...) preserved verbatim, its Objections united with this node's standing
-// objections for the owner. A record that carries an objection applies it
-// here, so restoring it is a rights operation. An owner record's GREC (no
+// ...) preserved verbatim; it reads its owner's objections from this node's
+// owner record, as every record does. A record of the previous release that
+// carries objections unites them into that owner record, as OBJECT does, so
+// restoring it is a rights operation. An owner record's GREC (no
 // owner, only objections and an erasure) replaces this node's owner record
 // for the subject its key names, withdrawals included, so restoring it is
 // always a rights operation; no other record may name that key. The erasure
@@ -167,7 +168,7 @@ func (s *Store) RestoreRecord(ctx Ctx, argv [][]byte, admit func(key, owner stri
 	defer s.lockOwner(owner).Unlock()
 	// An owner record sets the subject's standing objections, withdrawals
 	// included, as UNOBJECT does; a record that carries an objection applies
-	// it here, as OBJECT does.
+	// it to the subject here, as OBJECT does.
 	op := acl.OpWrite
 	if reserved || len(meta.Objections) > 0 {
 		op = acl.OpRights
@@ -175,16 +176,6 @@ func (s *Store) RestoreRecord(ctx Ctx, argv [][]byte, admit func(key, owner stri
 	if err := s.check(ctx, op, owner, "RESTOREKEY", k); err != nil {
 		return err
 	}
-	objs := slices.Clone(meta.Objections)
-	if !reserved {
-		// The record also objects to what this node's owner record holds, as
-		// a write here would: a restore never serves a purpose the subject
-		// objected to. In a migration the owner record arrives first, so this
-		// adds nothing there.
-		objs = append(objs, s.Objections(owner)...)
-	}
-	slices.Sort(objs)
-	meta.Objections = slices.Compact(objs)
 	// An owner erased here takes nothing of its subject but another
 	// erasure, so a subject whose records are refused with ErrErased stays
 	// whole on the source.
@@ -192,13 +183,17 @@ func (s *Store) RestoreRecord(ctx Ctx, argv [][]byte, admit func(key, owner stri
 		return fmt.Errorf("%w: %s", ErrErased, owner)
 	}
 	if reserved {
-		if err := s.setOwner(owner, meta.Objections, meta.KeyEpoch, encodeMetadata); err != nil {
+		slices.Sort(meta.Objections)
+		if err := s.setOwner(owner, slices.Compact(meta.Objections), meta.KeyEpoch, true); err != nil {
 			return err
 		}
 		s.auditOp(audit.Record{
 			Actor: ctx.Actor, Op: "RESTOREKEY", Owner: owner, Purpose: ctx.Purpose,
 			Outcome: audit.OutcomeOK, Detail: "migrated-in owner record",
 		})
+		return nil
+	}
+	if !deadline.IsZero() && !deadline.After(s.cfg.Config.Clock.Now()) {
 		return nil
 	}
 	stored := value
@@ -213,8 +208,9 @@ func (s *Store) RestoreRecord(ctx Ctx, argv [][]byte, admit func(key, owner stri
 			return err
 		}
 	}
-	if !deadline.IsZero() && !deadline.After(s.cfg.Config.Clock.Now()) {
-		return nil
+	// The objections apply before the record is readable.
+	if err := s.objectTo(owner, meta.Objections, true); err != nil {
+		return err
 	}
 	r := s.recordOf(meta)
 	r.Epoch = epoch

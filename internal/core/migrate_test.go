@@ -296,8 +296,8 @@ func TestRemoveMigratedDetectsConcurrentWrite(t *testing.T) {
 // TestMigrationMovesOwnerRecord: a subject's owner record migrates as one
 // more of its keys. SubjectKeys lists it first; its dump is the owner
 // record's own GREC; restored, it replaces the destination's objections
-// (no union: the source's set is the subject's) and restamps the records
-// already there; removed, the source no longer holds the subject.
+// (no union: the source's set is the subject's), which the records already
+// there read; removed, the source no longer holds the subject.
 func TestMigrationMovesOwnerRecord(t *testing.T) {
 	src, dst, _ := openMigratePair(t)
 	ctx := Ctx{Actor: "app", Purpose: "service"}

@@ -203,119 +203,6 @@ func keyFileCfg(path string, vc *clock.Virtual) Config {
 	return persistentCfg(path, vc, func(c *Config) { c.Envelope, c.MasterKey = true, keyFileMaster })
 }
 
-// TestKeySlotOutlivesOlderShred: an owner the previous release reinstated
-// holds a key in the key file made at a later epoch than the GSHRED that
-// destroyed its earlier key. Replay's fold of that stale GSHRED leaves the
-// newer key, and the owner, as they were.
-func TestKeySlotOutlivesOlderShred(t *testing.T) {
-	path := tempAOF(t)
-	vc := clock.NewVirtual(time.Unix(0, 0))
-	s, err := Open(keyFileCfg(path, vc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	addPrincipals(s)
-	if err := s.Put(ctlCtx, "a1", []byte("first"), PutOptions{Owner: "alice"}); err != nil {
-		t.Fatal(err)
-	}
-	// The key the previous release made at epoch 1 for the reinstated owner.
-	s.keyring.Shred("alice")
-	if _, _, w, err := s.keyring.SealerFor("alice"); err != nil || errors.Join(s.keyring.ImportAt("alice", w, 1), s.keepKey("alice", 1, w)) != nil {
-		t.Fatal("installing alice's epoch-1 key:", err)
-	}
-	if err := s.Put(ctlCtx, "a2", []byte("second"), PutOptions{Owner: "alice"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	appendRecords(t, path, [][]byte{[]byte("GSHRED"), []byte("alice"), []byte("1")})
-	s2, err := Open(keyFileCfg(path, vc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	addPrincipals(s2)
-	if v, err := s2.Get(ctlCtx, "a2"); err != nil || string(v) != "second" {
-		t.Fatalf("the reinstated owner's value reads %q, %v", v, err)
-	}
-	if _, err := s2.Get(ctlCtx, "a1"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("the erased value reads %v", err)
-	}
-	if s2.Erased("alice") {
-		t.Fatal("the stale GSHRED erased the owner its newer key serves")
-	}
-}
-
-// TestPreviousReleaseShredFolds: the previous release journaled an erasure
-// as GSHRED owner epoch and wrote it again at each COMPACT. Replay folds it
-// into the owner record, erased at that epoch: the key it outlived in the
-// key file is zeroed, the owner's writes are refused, INFO erasure counts
-// the owner, and this release's COMPACT keeps the erasure as the owner
-// record's GREC and writes no GSHRED.
-func TestPreviousReleaseShredFolds(t *testing.T) {
-	path := tempAOF(t)
-	vc := clock.NewVirtual(time.Unix(0, 0))
-	secret := []byte("bob-before-the-upgrade")
-	reopen := func() *Store {
-		s, err := Open(keyFileCfg(path, vc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		addPrincipals(s)
-		return s
-	}
-	s := reopen()
-	if err := s.Put(ctlCtx, "b1", secret, PutOptions{Owner: "bob"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	appendRecords(t, path,
-		[][]byte{[]byte("GSHRED"), []byte("bob"), []byte("1")},
-		[][]byte{[]byte(opForget), []byte("bob"), []byte(forgetModeShred)})
-
-	s = reopen()
-	erased := func(s *Store) {
-		t.Helper()
-		if _, err := s.Get(ctlCtx, "b1"); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("the erased value reads %v", err)
-		}
-		if err := s.Put(ctlCtx, "b2", []byte("v"), PutOptions{Owner: "bob"}); !errors.Is(err, ErrErased) {
-			t.Fatalf("a Put for the erased owner: %v, want ErrErased", err)
-		}
-		if st := s.ErasureStats(); st.ShreddedOwners != 1 {
-			t.Fatalf("INFO erasure counts %d erased owners, want bob", st.ShreddedOwners)
-		}
-	}
-	erased(s)
-	if err := s.Compact(ctlCtx); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var epochs []uint64
-	if _, err := aof.Load(path, nil, func(name string, args [][]byte) error {
-		if name == "GSHRED" {
-			return errors.New("the compaction wrote a GSHRED")
-		}
-		if owner, ok := ReservedKey(string(args[1])); name == opRecord && ok && owner == "bob" {
-			m, err := decodeMetadata(args[0])
-			epochs = append(epochs, m.KeyEpoch)
-			return err
-		}
-		return nil
-	}); err != nil || len(epochs) != 1 || epochs[0] != 1 {
-		t.Fatalf("the compacted log holds bob's owner record at epochs %v, %v; want one, erased at 1", epochs, err)
-	}
-	s = reopen()
-	defer s.Close()
-	erased(s)
-	erasedOnDisk(t, filepath.Dir(path), nil, keyFileMaster, []string{"bob"}, [][]byte{secret})
-}
-
 // appendRecords appends records, each a name and its arguments, to the AOF
 // at path, as the previous release wrote them.
 func appendRecords(t *testing.T, path string, recs ...[][]byte) {

@@ -16,6 +16,7 @@ import (
 	"gdprstore/internal/backup"
 	"gdprstore/internal/clock"
 	"gdprstore/internal/replica"
+	"gdprstore/internal/store"
 	"gdprstore/internal/testutil"
 )
 
@@ -264,9 +265,9 @@ func TestRestoreRefusesLegacyObjection(t *testing.T) {
 	}
 }
 
-// TestOwnerRecordCutBeforeRestamps: a log cut after an objection's owner
-// record and before the GMETAs that restamp the owner's records replays to
-// records that object, as the full log does.
+// TestOwnerRecordCutBeforeRestamps: a log cut right after an objection's
+// owner record replays to records that object, as the full log does: the
+// owner record is all an objection journals, and every record reads it.
 func TestOwnerRecordCutBeforeRestamps(t *testing.T) {
 	path := tempAOF(t)
 	cfg := persistentCfg(path, clock.NewVirtual(time.Unix(1_000_000, 0)), nil)
@@ -316,4 +317,190 @@ func TestOwnerRecordCutBeforeRestamps(t *testing.T) {
 			t.Fatalf("%s replayed from the cut objects to %v, %v; want [p2]", k, m.Objections, err)
 		}
 	}
+}
+
+// TestObjectionJournalsOneRecord: OBJECT and UNOBJECT of a subject holding
+// 256 records each journal one record, the owner record's GREC or its DEL,
+// and apply to all 256 at once: the records read the owner record.
+func TestObjectionJournalsOneRecord(t *testing.T) {
+	path := tempAOF(t)
+	s, err := Open(persistentCfg(path, clock.NewVirtual(time.Unix(1_000_000, 0)), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	addPrincipals(s)
+	entries := make([]BatchEntry, 256)
+	for i := range entries {
+		entries[i] = BatchEntry{Key: fmt.Sprintf("pd:alice:%03d", i), Value: []byte("v")}
+	}
+	if err := s.PutBatch(ctlCtx, entries, PutOptions{Owner: "alice", Purposes: []string{"billing", "ads"}}); err != nil {
+		t.Fatal(err)
+	}
+	journaled := func() int {
+		t.Helper()
+		if err := s.Log().Sync(); err != nil {
+			t.Fatal(err)
+		}
+		n, err := aof.Load(path, nil, func(string, [][]byte) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	adsRead := Ctx{Actor: "controller", Purpose: "ads"}
+	before := journaled()
+	for _, step := range []struct {
+		name   string
+		run    func() error
+		denied bool
+	}{
+		{"OBJECT", func() error { return s.Object(ctlCtx, "alice", "ads") }, true},
+		{"UNOBJECT", func() error { return s.Unobject(ctlCtx, "alice", "ads") }, false},
+	} {
+		if err := step.run(); err != nil {
+			t.Fatal(err)
+		}
+		if n := journaled(); n != before+1 {
+			t.Fatalf("%s of a subject with 256 records journaled %d records, want 1", step.name, n-before)
+		} else {
+			before = n
+		}
+		for _, e := range entries {
+			if _, err := s.Get(adsRead, e.Key); errors.Is(err, ErrPurposeDenied) != step.denied {
+				t.Fatalf("after %s an ads read of %s: %v", step.name, e.Key, err)
+			}
+		}
+	}
+}
+
+// TestOwnerRecordAppliesAlone: applying an owner record's GREC, as replay
+// and the stream do, changes no key but the owner record's: every other
+// key keeps the very record it held, and the subject's records read the
+// objection from the owner record.
+func TestOwnerRecordAppliesAlone(t *testing.T) {
+	s := newFullStore(t, nil)
+	for _, owner := range []string{"alice", "bob"} {
+		for i := 0; i < 256; i++ {
+			if err := s.Put(ctlCtx, fmt.Sprintf("pd:%s:%03d", owner, i), []byte("v"), PutOptions{Owner: owner, Purposes: []string{"billing"}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	before := map[string]*store.Record{}
+	for _, k := range s.Engine().Keys("*") {
+		before[k] = s.Engine().RecordOf(k)
+	}
+	own := appendMetadata(nil, &Metadata{Objections: []string{"billing"}})
+	if err := s.applyRecord(opRecord, [][]byte{own, []byte(OwnerKey("alice")), nil}); err != nil {
+		t.Fatal(err)
+	}
+	for k, rec := range before {
+		if got := s.Engine().RecordOf(k); got != rec {
+			t.Fatalf("applying alice's owner record replaced the record of %s", k)
+		}
+	}
+	if _, err := s.Get(svcCtx, "pd:alice:000"); !errors.Is(err, ErrPurposeDenied) {
+		t.Fatalf("a billing read of alice's record after her objection: %v", err)
+	}
+	if _, err := s.Get(svcCtx, "pd:bob:000"); err != nil {
+		t.Fatalf("a billing read of bob's record: %v", err)
+	}
+}
+
+// TestPreviousReleaseObjectionsFold: the previous release stamped every
+// record with its owner's objections, in its GREC and in a GMETA for each
+// record an objection restamped. Replay, the stream and RESTOREKEY unite
+// such a record's objections into its owner record, as OBJECT would, and
+// apply nothing else of a GMETA; a RESTOREKEY of one is a rights operation,
+// refused without the rights and then applying nothing. This release's
+// COMPACT keeps the objections in the owner records alone.
+func TestPreviousReleaseObjectionsFold(t *testing.T) {
+	now := time.Date(2019, 5, 16, 0, 0, 0, 0, time.UTC) // newFullStore's clock
+	purposes := []string{"ads", "billing", "marketing"}
+	// A GMETA restamping pd:alice:1 with terms it was never written under,
+	// and bob's record as the previous release wrote it.
+	gmeta := [][]byte{[]byte(opMeta), []byte("pd:alice:1"),
+		appendMetadata(nil, &Metadata{Owner: "alice", Purposes: []string{"other"}, Objections: []string{"ads"}, Created: now})}
+	grec := [][]byte{[]byte(opRecord),
+		appendMetadata(nil, &Metadata{Owner: "bob", Purposes: purposes, Objections: []string{"marketing"}, Expiry: now.Add(time.Hour), Created: now}),
+		[]byte("pd:bob:1"), []byte("bob-one")}
+	folded := func(t *testing.T, s *Store, how string) {
+		t.Helper()
+		if a, b := s.Objections("alice"), s.Objections("bob"); !slices.Equal(a, []string{"ads"}) || !slices.Equal(b, []string{"marketing"}) {
+			t.Fatalf("%s: alice objects to %v, bob to %v; want [ads] and [marketing]", how, a, b)
+		}
+		m, err := s.Metadata(ctlCtx, "pd:alice:1")
+		if err != nil || !slices.Equal(m.Purposes, purposes) || !slices.Equal(m.Objections, []string{"ads"}) {
+			t.Fatalf("%s: pd:alice:1 holds %+v, %v; want its own purposes and alice's objection", how, m, err)
+		}
+		if m, err := s.Metadata(ctlCtx, "pd:bob:1"); err != nil || !slices.Equal(m.Objections, []string{"marketing"}) {
+			t.Fatalf("%s: pd:bob:1 objects to %v, %v", how, m.Objections, err)
+		}
+	}
+	putAlice := func(s *Store) {
+		t.Helper()
+		if err := s.Put(ctlCtx, "pd:alice:1", []byte("alice-one"), PutOptions{Owner: "alice", Purposes: purposes}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("replay", func(t *testing.T) {
+		path := tempAOF(t)
+		cfg := persistentCfg(path, clock.NewVirtual(now), nil)
+		s, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addPrincipals(s)
+		putAlice(s)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		appendRecords(t, path, gmeta, grec)
+		for _, step := range []string{"replayed", "compacted"} {
+			s, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			addPrincipals(s)
+			folded(t, s, step)
+			if err := errors.Join(s.Compact(ctlCtx), s.Close()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := aof.Load(path, nil, func(name string, args [][]byte) error {
+			if m, err := decodeMetadata(args[0]); name == opRecord && (err != nil || (m.Owner != "" && len(m.Objections) > 0)) {
+				return fmt.Errorf("the compacted log holds %q listing objections %v (%v)", args[1], m.Objections, err)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("stream", func(t *testing.T) {
+		s := newFullStore(t, nil)
+		putAlice(s)
+		for _, r := range [][][]byte{gmeta, grec} {
+			if err := s.ApplyReplicated(string(r[0]), r[1:]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		folded(t, s, "streamed")
+	})
+	t.Run("RESTOREKEY", func(t *testing.T) {
+		s := newFullStore(t, nil)
+		if err := s.RestoreRecord(svcCtx, grec, nil); !errors.Is(err, ErrDenied) {
+			t.Fatalf("RESTOREKEY of a record with objections by a writer: %v, want ErrDenied", err)
+		}
+		if got := s.Objections("bob"); got != nil || s.Exists("pd:bob:1") {
+			t.Fatalf("the refused restore left bob objecting to %v, pd:bob:1 exists %v", got, s.Exists("pd:bob:1"))
+		}
+		if err := s.RestoreRecord(ctlCtx, grec, nil); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := s.Metadata(ctlCtx, "pd:bob:1"); err != nil || !slices.Equal(s.Objections("bob"), []string{"marketing"}) || !slices.Equal(m.Objections, []string{"marketing"}) {
+			t.Fatalf("restored: bob objects to %v, pd:bob:1 to %v, %v; want [marketing]", s.Objections("bob"), m.Objections, err)
+		}
+	})
 }

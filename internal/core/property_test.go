@@ -16,7 +16,7 @@ import (
 	"gdprstore/internal/store"
 )
 
-// TestMetadataEncodeDecodeRoundTrip is the property behind GMETA journal
+// TestMetadataEncodeDecodeRoundTrip is the property behind GREC journal
 // records: any metadata survives encode/decode byte-identically in
 // semantics.
 func TestMetadataEncodeDecodeRoundTrip(t *testing.T) {

@@ -12,23 +12,25 @@ import (
 // shared) and the live network replication link (one applier goroutine,
 // concurrent with local reads). Both must interpret every record type the
 // primary can emit — the engine's data-plane records (SET/SETEX/DEL/...)
-// and the compliance layer's own (GREC/GMETA/GFORGET/...) — identically, or
-// a replica's state would drift from what a primary restart reconstructs.
-// They take what today's writers emit, and the previous release's erasure
-// mark (GSHRED), which they fold into the owner record; an earlier form,
-// the GOBJ/GUNOBJ objection deltas included, is refused (ErrRetiredFormat).
+// and the compliance layer's own (GREC/GFORGET) — identically, or a
+// replica's state would drift from what a primary restart reconstructs.
+// They take what today's writers emit, and the previous release's
+// record-level objections, which they fold into the owner record; an
+// earlier form, the GOBJ/GUNOBJ objection deltas and the GSHRED erasure
+// mark included, is refused (ErrRetiredFormat).
 
-// opShred is the previous release's erasure mark, GSHRED owner epoch: the
-// owner's key destroyed and its epoch advanced to epoch. No writer emits it;
-// replay, the stream and a restore fold it into the owner record.
-const opShred = "GSHRED"
+// opMeta is the previous release's metadata-only update, GMETA key metadata,
+// which it wrote for an Expire and for each record an objection restamped.
+// No writer emits it; replay, the stream and a restore fold its objections
+// into the owner record.
+const opMeta = "GMETA"
 
-// applyRecord applies one journal record without re-journaling it. It is
-// safe for a single applier goroutine running concurrently with readers:
-// a record is installed with its value under the engine's shard lock, an
-// owner record restamps through the conditional operations, and the indexes
-// follow the engine; it takes no stripe (a restore holds them all). A written
-// record goes through the owner's shared policy, as a live write does, so a
+// applyRecord applies one journal record without re-journaling it, and
+// changes no key but the record's own. It is safe for a single applier
+// goroutine running concurrently with readers: a record is installed with
+// its value under the engine's shard lock, and the indexes follow the
+// engine; it takes no stripe (a restore holds them all). A written record
+// goes through the owner's shared policy, as a live write does, so a
 // replayed store shares policies as the live one did.
 func (s *Store) applyRecord(name string, args [][]byte) error {
 	switch name {
@@ -41,7 +43,12 @@ func (s *Store) applyRecord(name string, args [][]byte) error {
 			return fmt.Errorf("core: replay GREC: %w", err)
 		}
 		if owner, ok := ReservedKey(string(args[1])); ok { // written alone
-			return s.setOwner(owner, m.Objections, m.KeyEpoch, nil)
+			return s.setOwner(owner, m.Objections, m.KeyEpoch, false)
+		}
+		// The previous release's record carried its owner's objections,
+		// which apply before the record is readable.
+		if err := s.objectTo(m.Owner, m.Objections, false); err != nil {
+			return err
 		}
 		rec := s.recordOf(&m)
 		for i := 1; i < len(args); i += 2 {
@@ -56,11 +63,10 @@ func (s *Store) applyRecord(name string, args [][]byte) error {
 		if err != nil {
 			return fmt.Errorf("core: replay GMETA: %w", err)
 		}
-		// The metadata of a key the engine holds; its deadline is the
-		// engine's, set by the record this one follows.
-		s.db.SetRecord(string(args[0]), s.recordOf(&m))
-		return nil
-	case "GMETAB", "GOBJ", "GUNOBJ", "GREINST": // batch metadata; objection deltas; a reinstatement
+		// Its deadline is the EXPIREAT's before it, and the rest the
+		// record's own: only its objections are news.
+		return s.objectTo(m.Owner, m.Objections, false)
+	case "GMETAB", "GOBJ", "GUNOBJ", "GREINST", "GSHRED": // batch metadata; objection deltas; a reinstatement; an erasure mark
 		return fmt.Errorf("%w: %s", ErrRetiredFormat, name)
 	case opKey:
 		if len(args) != 3 {
@@ -86,28 +92,6 @@ func (s *Store) applyRecord(name string, args [][]byte) error {
 			return err
 		}
 		return s.keepKey(owner, epoch, args[1])
-	case opShred:
-		if len(args) == 1 {
-			return fmt.Errorf("%w: GSHRED without an epoch", ErrRetiredFormat)
-		}
-		if len(args) != 2 {
-			return errors.New("core: replay GSHRED: need 2 args")
-		}
-		if s.keyring == nil {
-			return nil
-		}
-		epoch, err := parseEpoch(args[1])
-		if err != nil {
-			return fmt.Errorf("core: replay GSHRED: %w", err)
-		}
-		// Folded into the owner record, erased at epoch, as the erasure this
-		// release writes. A key made at epoch or later (a reinstated owner's,
-		// read from the key file) outlives the mark, which is then stale.
-		owner := string(args[0])
-		if e, ok := s.keyring.KeyEpoch(owner); ok && e >= epoch {
-			return nil
-		}
-		return s.setOwner(owner, s.Objections(owner), epoch, nil)
 	case opForget:
 		if len(args) != 1 && len(args) != 2 {
 			return errors.New("core: replay GFORGET: need 1 or 2 args")

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"slices"
 
 	"gdprstore/internal/audit"
 	"gdprstore/internal/backup"
@@ -157,7 +156,7 @@ func (s *Store) RestoreBackup(ctx Ctx) (applied, skipped int, err error) {
 	merge := map[string][]string{}
 	for _, k := range s.db.Keys(ownerKeyPrefix + "*") {
 		owner, _ := ReservedKey(k)
-		merge[owner] = slices.Clip(s.Objections(owner))
+		merge[owner] = s.Objections(owner)
 	}
 	s.FlushAll() // 3. hands its FLUSHALL to the journal before it returns
 	_, err = s.backups.RestoreLatest(func(name string, args [][]byte) error {
@@ -183,11 +182,9 @@ func (s *Store) RestoreBackup(ctx Ctx) (applied, skipped int, err error) {
 		return applied, skipped, err
 	}
 	// 6. One merge, through OBJECT's own locked half (lockAll holds the
-	// owner stripes): each owner record ahead of the records it restamps.
+	// owner stripes): one owner record each.
 	for owner, set := range merge {
-		set = append(set, s.Objections(owner)...)
-		slices.Sort(set)
-		if err := s.setOwner(owner, slices.Compact(set), 0, encodeMetadata); err != nil {
+		if err := s.objectTo(owner, set, true); err != nil {
 			return applied, skipped, err
 		}
 	}
@@ -200,7 +197,8 @@ func (s *Store) RestoreBackup(ctx Ctx) (applied, skipped int, err error) {
 
 // vetBackupRecord admits to a restore only what snapshotRecords writes, well
 // formed: anything else, key material above all, refuses the generation. An
-// objection delta (GOBJ/GUNOBJ) is refused as retired, with its upgrade step.
+// objection delta (GOBJ/GUNOBJ) or an erasure mark (GSHRED) is refused as
+// retired, with its upgrade step.
 func vetBackupRecord(name string, args [][]byte) (err error) {
 	switch {
 	case name == "SET" && len(args) == 2:
@@ -208,7 +206,7 @@ func vetBackupRecord(name string, args [][]byte) (err error) {
 		_, err = store.DecodeDeadline(args[1])
 	case name == opRecord && len(args) >= 3 && len(args)%2 == 1:
 		_, err = decodeMetadata(args[0])
-	case name == "GOBJ" || name == "GUNOBJ":
+	case name == "GOBJ" || name == "GUNOBJ" || name == "GSHRED":
 		err = fmt.Errorf("core: restore: %w: %s; restore the generation with the previous release and take a new one", ErrRetiredFormat, name)
 	default:
 		err = fmt.Errorf("core: restore: a backup generation may not hold %s with %d args", name, len(args))

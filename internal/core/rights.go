@@ -82,8 +82,10 @@ type ownerReport struct {
 // collectOwner is the one pass behind every owner-scoped read, audited as
 // one GETUSER; callers are through owner's gate stripe. Under the owner's
 // stripe it decides (ACL) and snapshots what the pass needs once: the
-// owner's key list, and its data key and key epoch as a prepared cipher. It
-// then runs in three stages with the stripe released (see locks.go):
+// owner's key list, its data key and key epoch as a prepared cipher, and
+// for the kinds that build Metadata its standing objections, which every
+// record's Metadata reports. It then runs in three stages with the stripe
+// released (see locks.go):
 //
 //  1. probe: walkKeys looks up a batch of keys at a time, one lock per
 //     engine shard, value and record together, judged at one clock
@@ -105,12 +107,15 @@ func (s *Store) collectOwner(ctx Ctx, owner string, kind reportKind) (ownerRepor
 		defer os.Unlock()
 	}
 	var rep ownerReport
-	var keys []string
+	var keys, objections []string
 	var oc ownerCipher
 	err := s.check(ctx, acl.OpRights, owner, "GETUSER", "")
 	if err == nil {
 		keys = s.ix.ownerKeys(owner)
 		oc = s.ownerCipherFor(owner)
+		if kind == reportRecords {
+			objections = s.Objections(owner)
+		}
 	}
 	if s.keyring != nil {
 		os.Unlock()
@@ -148,7 +153,9 @@ func (s *Store) collectOwner(ctx Ctx, owner string, kind reportKind) (ownerRepor
 			rep.keys = append(rep.keys, k)
 			rep.values = append(rep.values, v)
 		} else {
-			rep.recs = append(rep.recs, UserRecord{Key: k, Value: v, Metadata: metadataOf(e.Record, e.Deadline)})
+			m := metadataOf(e.Record, e.Deadline)
+			m.Objections = objections
+			rep.recs = append(rep.recs, UserRecord{Key: k, Value: v, Metadata: m})
 		}
 		n++
 		return true
@@ -412,7 +419,7 @@ func (s *Store) forget(ctx Ctx, owner string) (int, error) {
 func (s *Store) forgetShredLocked(ctx Ctx, owner string) (int, error) {
 	n := s.ix.ownerKeyCount(owner)
 	epoch, _ := s.keyring.KeyEpoch(owner)
-	if err := s.setOwner(owner, s.Objections(owner), epoch+1, encodeMetadata); err != nil {
+	if err := s.setOwner(owner, s.Objections(owner), epoch+1, true); err != nil {
 		return n, err
 	}
 	if err := s.appendLog(opForget, []byte(owner), []byte(forgetModeShred)); err != nil {
@@ -426,9 +433,10 @@ func (s *Store) forgetShredLocked(ctx Ctx, owner string) (int, error) {
 }
 
 // Object implements Article 21: the subject objects to processing of their
-// data for the given purpose ("*" objects to everything). The objection
-// takes effect immediately on all existing records and automatically
-// applies to future ones.
+// data for the given purpose ("*" objects to everything). The objection is
+// one write of the subject's owner record, which every purpose check of the
+// subject's records reads: it takes effect on all of them, existing and
+// future, at one instant.
 func (s *Store) Object(ctx Ctx, owner, purpose string) error {
 	return s.setObjection(ctx, owner, purpose, true)
 }
@@ -452,12 +460,13 @@ func (s *Store) setObjection(ctx Ctx, owner, purpose string, add bool) error {
 	if err := s.check(ctx, acl.OpRights, owner, opName, ""); err != nil {
 		return err
 	}
-	set := slices.DeleteFunc(slices.Clone(s.Objections(owner)), func(p string) bool { return p == purpose })
 	if add {
-		set = append(set, purpose)
-		slices.Sort(set)
+		err = s.objectTo(owner, []string{purpose}, true)
+	} else {
+		rest := slices.DeleteFunc(slices.Clone(s.Objections(owner)), func(p string) bool { return p == purpose })
+		err = s.setOwner(owner, rest, 0, true)
 	}
-	if err := s.setOwner(owner, set, 0, encodeMetadata); err != nil {
+	if err != nil {
 		return err
 	}
 	s.auditOp(audit.Record{
@@ -469,10 +478,11 @@ func (s *Store) setObjection(ctx Ctx, owner, purpose string, add bool) error {
 
 // ownerKeyPrefix begins an owner record's key, "\x00owner:{owner}": the
 // engine entry, with an empty value and no deadline, whose policy holds a
-// subject's standing objections (Art. 21), sorted, and whose epoch is the
-// key epoch the subject was erased at (Art. 17; 0: not erased). Its policy
-// names no owner, so no index, rights read or erasure sees it. No call names
-// its key (enter), and no listing shows it (KeyVisible). DESIGN.md §5.2.
+// subject's standing objections (Art. 21), sorted, the one place they live,
+// and whose epoch is the key epoch the subject was erased at (Art. 17; 0:
+// not erased). Its policy names no owner, so no index, rights read or
+// erasure sees it. No call names its key (enter), and no listing shows it
+// (KeyVisible). DESIGN.md §5.2.
 const ownerKeyPrefix = "\x00owner:"
 
 // ReservedKey reports whether key is an owner record's, which no call
@@ -486,8 +496,12 @@ func ReservedKey(key string) (owner string, ok bool) {
 func OwnerKey(owner string) string { return ownerKeyPrefix + "{" + owner + "}" }
 
 // ownerRecord returns owner's owner record, nil for none, read from a stack
-// key: every write reads it.
+// key: every write and every purpose check reads it. While the engine holds
+// no owner record at all, it looks nothing up.
 func (s *Store) ownerRecord(owner string) *store.Record {
+	if s.ix.ownerRecords.Load() == 0 {
+		return nil
+	}
 	var buf [64]byte
 	k := append(append(append(buf[:0], ownerKeyPrefix+"{"...), owner...), '}')
 	return s.db.RecordOf(unsafe.String(unsafe.SliceData(k), len(k)))
@@ -527,17 +541,15 @@ var noObjections = &store.Policy{}
 
 // setOwner makes the sorted set owner's standing objections and erased the
 // key epoch owner's subject was erased at, keeping a later erasure the owner
-// record already holds: an erasure is never undone. An erasure it adds
-// destroys owner's key if it was made before that epoch, zeroes the key's
-// slot in the key file and queues the owner's records for the sweep. A
-// change of objections restamps each of the owner's records that still
-// holds what the walk found: it drops what was withdrawn and gains what was
-// added. With a note (callers hold owner's stripe) the owner record, a GREC
-// or its DEL, is journaled ahead of the slot's zeroing and the restamps'
-// GMETAs, and the first journal error returned. Without (replay, the
-// stream) nothing is, so a log cut before the GMETAs replays as the whole
-// log does.
-func (s *Store) setOwner(owner string, set []string, erased uint64, note func(*store.Record, time.Time) []byte) error {
+// record already holds: an erasure is never undone. It writes the owner
+// record and nothing else, since every purpose check of the owner's records
+// reads the objections there. An erasure it adds destroys owner's key if it
+// was made before that epoch, zeroes the key's slot in the key file and
+// queues the owner's records for the sweep. With journal (callers hold
+// owner's stripe) the owner record, a GREC or its DEL, is journaled ahead of
+// the slot's zeroing and the journal's error returned; without (replay, the
+// stream) nothing is.
+func (s *Store) setOwner(owner string, set []string, erased uint64, journal bool) error {
 	var prev []string
 	var was uint64
 	if rec := s.ownerRecord(owner); rec != nil {
@@ -554,45 +566,32 @@ func (s *Store) setOwner(owner string, set []string, erased uint64, note func(*s
 	rec := &store.Record{Policy: p, Created: noCreated, Epoch: erased}
 	var err error
 	switch empty := len(set) == 0 && erased == 0; {
-	case note == nil && empty:
+	case !journal && empty:
 		_ = s.db.Apply("DEL", [][]byte{[]byte(key)}) // a one-key DEL cannot fail
-	case note == nil:
+	case !journal:
 		s.db.Restore(key, nil, rec, time.Time{})
 	case empty:
 		s.db.Del(key)
 	default:
-		err = s.db.SetRecorded([]string{key}, [][]byte{nil}, rec, time.Time{}, opRecord, note(rec, time.Time{}))
+		err = s.db.SetRecorded([]string{key}, [][]byte{nil}, rec, time.Time{}, opRecord, encodeMetadata(rec, time.Time{}))
 	}
 	if erased > was {
 		if kerr := s.eraseKey(owner, erased); err == nil {
 			err = kerr
 		}
 	}
-	if slices.Equal(prev, set) {
-		return err
-	}
-	s.walkOwner(owner, func(k string, e store.Entry) bool {
-		r := e.Record
-		// Edit a copy: the shared slice has readers.
-		cand := *r.Policy
-		cand.Objections = slices.DeleteFunc(slices.Clone(cand.Objections), func(o string) bool {
-			return slices.Contains(prev, o) && !slices.Contains(set, o)
-		})
-		for _, p := range set {
-			if !slices.Contains(prev, p) && !slices.Contains(cand.Objections, p) {
-				cand.Objections = append(cand.Objections, p)
-			}
-		}
-		if slices.Equal(cand.Objections, r.Policy.Objections) {
-			return true
-		}
-		next := &store.Record{Policy: s.ix.policy(&cand), Created: r.Created, Epoch: r.Epoch}
-		if _, jerr := s.db.SetRecordIf(k, r, next, opMeta, note); err == nil {
-			err = jerr
-		}
-		return true
-	})
 	return err
+}
+
+// objectTo unites objections into owner's standing objections, as OBJECT
+// does; journal is setOwner's.
+func (s *Store) objectTo(owner string, objections []string, journal bool) error {
+	if len(objections) == 0 {
+		return nil
+	}
+	set := append(slices.Clone(s.Objections(owner)), objections...)
+	slices.Sort(set)
+	return s.setOwner(owner, slices.Compact(set), 0, journal)
 }
 
 // eraseKey applies an erasure at epoch to owner's key: a key made before it
@@ -614,7 +613,8 @@ func (s *Store) eraseKey(owner string, epoch uint64) error {
 }
 
 // KeysByPurpose returns the keys whitelisted for a processing purpose that
-// are not objected to — the Art. 21-aware purpose query of §5.1.
+// are not objected to — the Art. 21-aware purpose query of §5.1. Each
+// owner's objections are read once.
 func (s *Store) KeysByPurpose(ctx Ctx, purpose string) ([]string, error) {
 	if !s.cfg.Compliant {
 		return nil, ErrNotCompliant
@@ -629,10 +629,20 @@ func (s *Store) KeysByPurpose(ctx Ctx, purpose string) ([]string, error) {
 	}
 	keys := s.ix.purposeKeys(purpose)
 	out := make([]string, 0, len(keys))
+	objections := map[string][]string{}
 	now := s.cfg.Config.Clock.Now()
 	for _, k := range keys {
 		e, _ := s.db.Peek(k, now)
-		if r := e.Record; r != nil && !s.recordDead(r) && permits(r.Policy, purpose) {
+		r := e.Record
+		if r == nil || s.recordDead(r) {
+			continue
+		}
+		o, ok := objections[r.Policy.Owner]
+		if !ok {
+			o = s.Objections(r.Policy.Owner)
+			objections[r.Policy.Owner] = o
+		}
+		if permits(r.Policy, o, purpose) {
 			out = append(out, k)
 		}
 	}

@@ -30,7 +30,8 @@ import (
 // (commit 08471e7), kept as the oracle: owner stripe held throughout, a
 // record probe and a Get per record, one keyring round trip for liveness
 // and one for the key, one key schedule per Open, a deep copy of the
-// metadata. The tests run it with no writer beside it, so it needs no lock
+// metadata, its objections read from the owner record as every record's
+// are now. The tests run it with no writer beside it, so it needs no lock
 // per key.
 func parentCollectOwner(s *Store, owner string) ([]UserRecord, error) {
 	defer s.lockOwner(owner).Unlock()
@@ -57,7 +58,9 @@ func parentCollectOwner(s *Store, owner string) ([]UserRecord, error) {
 			}
 			v = pt
 		}
-		recs = append(recs, UserRecord{Key: k, Value: v, Metadata: metadataOf(e.Record, e.Deadline).clone()})
+		m := metadataOf(e.Record, e.Deadline)
+		m.Objections = s.Objections(owner)
+		recs = append(recs, UserRecord{Key: k, Value: v, Metadata: m.clone()})
 	}
 	return recs, nil
 }

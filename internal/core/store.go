@@ -29,8 +29,6 @@ const (
 	// (store.DB.SetRecorded), one per Put and one per touched shard of a
 	// PutBatch.
 	opRecord = "GREC"
-	// GMETA key metadata: a metadata-only update (Expire, an objection).
-	opMeta = "GMETA"
 	// GKEY owner wrappedDataKey epoch: on the replication stream only; the
 	// AOF's keys are in the key file (aof.Keys), and replay refuses one.
 	opKey    = "GKEY"
@@ -252,7 +250,7 @@ func Open(cfg Config) (*Store, error) {
 	// next Put would make a key at the same epoch, under which the old
 	// records would count as live and fail to open.
 	for owner, epoch := range keyless {
-		if err := s.setOwner(owner, s.Objections(owner), epoch+1, encodeMetadata); err != nil {
+		if err := s.setOwner(owner, s.Objections(owner), epoch+1, true); err != nil {
 			s.Close()
 			return nil, err
 		}
@@ -342,8 +340,8 @@ func (s *Store) check(ctx Ctx, op acl.OpClass, owner, opName, key string) error 
 // one clock reading: the shared policy, the creation time and the retention
 // deadline. It enforces the write's owner, retention and location rules,
 // auditing a location denial as op on key, and refuses an erased owner's
-// write with ErrErased, read from the owner record that holds the owner's
-// objections. Callers hold owner's stripe.
+// write with ErrErased, read from the owner's owner record. Callers hold
+// owner's stripe.
 func (s *Store) writeTerms(ctx Ctx, op, key string, opts PutOptions) (p *store.Policy, now, deadline time.Time, err error) {
 	full := s.cfg.Capability == CapabilityFull
 	if full && opts.Owner == "" {
@@ -379,17 +377,12 @@ func (s *Store) writeTerms(ctx Ctx, op, key string, opts PutOptions) (p *store.P
 		return nil, now, deadline, fmt.Errorf("%w: %q", ErrLocationDenied, loc)
 	}
 
-	// Standing objections of this owner apply to new records immediately.
-	var objections []string
-	if own := s.ownerRecord(opts.Owner); own != nil {
-		if own.Epoch > 0 {
-			return nil, now, deadline, fmt.Errorf("%w: %s", ErrErased, opts.Owner)
-		}
-		objections = own.Policy.Objections
+	if s.Erased(opts.Owner) {
+		return nil, now, deadline, fmt.Errorf("%w: %s", ErrErased, opts.Owner)
 	}
 	p = s.ix.policy(&store.Policy{
-		Owner: opts.Owner, Purposes: purposes, Objections: objections,
-		Origin: opts.Origin, SharedWith: opts.SharedWith, Location: loc, Automated: opts.AutomatedDecisions,
+		Owner: opts.Owner, Purposes: purposes, Origin: opts.Origin,
+		SharedWith: opts.SharedWith, Location: loc, Automated: opts.AutomatedDecisions,
 	})
 	return p, now, deadline, nil
 }
@@ -504,6 +497,9 @@ type ownerCipher struct {
 	// sealed for the owner can be opened, and c is not usable.
 	keyed bool
 	c     cryptoutil.Cipher
+	// objections are the owner's standing objections, read beside the
+	// cipher by a purpose check (getLocked) and nil elsewhere.
+	objections []string
 }
 
 func (s *Store) ownerCipherFor(owner string) ownerCipher {
@@ -624,7 +620,8 @@ func (s *Store) entryOf(key string) (store.Entry, bool) {
 	return e, ok
 }
 
-// Metadata returns the GDPR metadata for key.
+// Metadata returns the GDPR metadata for key, with its owner's standing
+// objections.
 func (s *Store) Metadata(ctx Ctx, key string) (Metadata, error) {
 	if !s.cfg.Compliant {
 		return Metadata{}, ErrNotCompliant
@@ -638,10 +635,13 @@ func (s *Store) Metadata(ctx Ctx, key string) (Metadata, error) {
 	if e.Record == nil || s.recordDead(e.Record) {
 		return Metadata{}, ErrNotFound
 	}
-	if err := s.check(ctx, acl.OpRead, e.Record.Policy.Owner, "GETMETA", key); err != nil {
+	owner := e.Record.Policy.Owner
+	if err := s.check(ctx, acl.OpRead, owner, "GETMETA", key); err != nil {
 		return Metadata{}, err
 	}
-	return metadataOf(e.Record, e.Deadline).clone(), nil
+	m := metadataOf(e.Record, e.Deadline)
+	m.Objections = s.Objections(owner)
+	return m.clone(), nil
 }
 
 // TTL returns the remaining retention time for key.
@@ -672,10 +672,9 @@ func (s *Store) Expire(ctx Ctx, key string, ttl time.Duration) error {
 			return ErrNotFound
 		}
 		// The record is unchanged: the deadline lives only in the engine
-		// entry. The GMETA the engine journals beside its EXPIREAT still
-		// carries it, for replay and older readers.
+		// entry, and the EXPIREAT the engine journals is the whole change.
 		deadline := canonicalTime(s.cfg.Config.Clock.Now().Add(ttl))
-		if done, err := s.db.ExpireAtIf(key, e.Record, deadline, opMeta, encodeMetadata); err != nil {
+		if done, err := s.db.ExpireAtIf(key, e.Record, deadline); err != nil {
 			return err
 		} else if done {
 			s.auditOp(audit.Record{

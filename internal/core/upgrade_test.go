@@ -19,13 +19,16 @@ import (
 
 // The upgrade fixtures. legacy.aof is a log an earlier release wrote
 // (SETEX/MSETEX with JSON GMETA/GMETAB); upgraded.aof and its key file
-// upgraded.aof.keys are what the release that moved standing objections into
-// owner records made of it: that release's COMPACT of the log the release
-// that moved data keys into the key file had compacted, in turn, from an
-// earlier COMPACT of legacy.aof (the GKEY records moving into the key file,
-// and then the GOBJ deltas into owner records, on the way).
-// upgraded.golden is the state all of them stand for, rendered by
-// legacyDump. envelopeGKEYAOF is a log the release before the key file wrote
+// upgraded.aof.keys are the previous release's data dir made of it. Each
+// release in the chain compacted what the one before it had written: the
+// release that moved data keys into the key file compacted an earlier
+// COMPACT of legacy.aof, the one that moved standing objections into owner
+// records compacted that, and the previous release, which moved the
+// erasure into the owner record, compacted that in turn (the GKEY records
+// moving into the key file, the GOBJ deltas into owner records and bob's
+// GSHRED into his owner record, on the way). The previous release stamped every record with its owner's
+// objections, so alice's records carry hers. upgraded.golden is the state
+// all of them stand for, rendered by legacyDump. envelopeGKEYAOF is a log the release before the key file wrote
 // under legacyCfg, each data key journaled as a GKEY: Puts of pd:alice:1
 // "alice-one", pd:bob:1 "bob-one", pd:carol:1 "carol-one" and pd:alice:2
 // "alice-two" (purpose billing, TTL 365 days), Forget of bob and of carol,
@@ -91,7 +94,8 @@ func legacyDump(t *testing.T, s *Store) string {
 // TestUpgradedAOFOpens is the upgrade proof: the data dir the previous
 // release's COMPACT wrote opens on this one to the same state, values and
 // metadata, and its log holds only forms this release's writers emit, but
-// for the erasure mark (GSHRED) replay folds into bob's owner record.
+// for the objections alice's records carry, which replay folds into her
+// owner record.
 func TestUpgradedAOFOpens(t *testing.T) {
 	golden, err := os.ReadFile(upgradedDump)
 	if err != nil {
@@ -103,9 +107,6 @@ func TestUpgradedAOFOpens(t *testing.T) {
 	var names []string
 	if _, err := aof.Load(path, nil, func(name string, args [][]byte) error {
 		names = append(names, name)
-		if name == "GSHRED" && len(args) == 2 {
-			return nil
-		}
 		return checkKept(name, len(args))
 	}); err != nil {
 		t.Fatal(err)
@@ -228,7 +229,10 @@ func dirBytes(t *testing.T, dir string) map[string]string {
 // TestRetiredAOFFormsRefused: replay stops at the first record in a form an
 // earlier release wrote, with ErrRetiredFormat and an error that names the
 // file, the record, the form and the upgrade step; the data dir is left
-// byte for byte as it was.
+// byte for byte as it was. Among them is the erasure mark GSHRED, with or
+// without its epoch: the previous release wrote none, and its COMPACT folded
+// each one it read into the owner record. The replication stream and a
+// restore refuse a GSHRED too.
 func TestRetiredAOFFormsRefused(t *testing.T) {
 	meta := appendMetadata(nil, &Metadata{Owner: "alice"})
 	cases := []struct {
@@ -240,7 +244,8 @@ func TestRetiredAOFFormsRefused(t *testing.T) {
 		{opMeta, [][]byte{[]byte("k"), []byte(`{"owner":"alice","created":"2026-09-25T12:00:00Z"}`)}, "JSON metadata"},
 		{opKey, [][]byte{[]byte("alice"), []byte("wrapped")}, "GKEY (a data key in the AOF)"},
 		{opKey, [][]byte{[]byte("alice"), []byte("wrapped"), []byte("0")}, "GKEY (a data key in the AOF)"},
-		{"GSHRED", [][]byte{[]byte("alice")}, "GSHRED without an epoch"},
+		{"GSHRED", [][]byte{[]byte("alice")}, "GSHRED"},
+		{"GSHRED", [][]byte{[]byte("alice"), []byte("1")}, "GSHRED"},
 		{"GREINST", [][]byte{[]byte("alice")}, "GREINST"},
 	}
 	for _, c := range cases {
@@ -300,6 +305,17 @@ func TestRetiredAOFFormsRefused(t *testing.T) {
 	}
 	if after, _ := os.ReadFile(path); !bytes.Equal(after, raw) {
 		t.Fatal("a refused Open changed legacy.aof")
+	}
+	s := newFullStore(t, func(c *Config) { c.Envelope, c.MasterKey = true, bytes.Repeat([]byte{6}, 32) })
+	shred := [][]byte{[]byte("alice"), []byte("1")}
+	if err := s.ApplyReplicated("GSHRED", shred); !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), "GSHRED") {
+		t.Fatalf("the stream applies GSHRED: %v; want ErrRetiredFormat", err)
+	}
+	if err := vetBackupRecord("GSHRED", shred); !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), "GSHRED") {
+		t.Fatalf("a restore admits GSHRED: %v; want ErrRetiredFormat", err)
+	}
+	if s.Erased("alice") {
+		t.Fatal("a refused GSHRED erased alice")
 	}
 }
 
@@ -366,10 +382,9 @@ func TestDecodersRefuseParentJSON(t *testing.T) {
 // keptForms is every journal record this release's writers emit to the
 // AOF, by name, with the argument counts each takes: the one format
 // generation replay, the replication link and a restore accept. The stream
-// also carries GKEY, and replay still folds the previous release's GSHRED.
+// also carries GKEY, and replay still folds the previous release's GMETA.
 var keptForms = map[string]func(argc int) bool{
 	opRecord: func(n int) bool { return n >= 3 && n%2 == 1 },
-	opMeta:   argc(2),
 	opForget: func(n int) bool { return n == 1 || n == 2 },
 	// The engine's own records, as store.DB.Apply takes them.
 	"SET":      argc(2),
@@ -391,9 +406,10 @@ func checkKept(name string, n int) error {
 
 // TestReplayAcceptsEveryWrittenForm runs every writer, envelope on and
 // off, and scans the AOF after each step: every record written is a kept
-// form, so none is a wrapped key (GKEY) or an objection delta (GOBJ,
-// GUNOBJ), and the log replays without error. It pins the one-generation
-// rule against the next writer change.
+// form, so none is a wrapped key (GKEY), an objection delta (GOBJ, GUNOBJ)
+// or a metadata-only update (GMETA), only an owner record's GREC lists
+// objections, and the log replays without error. It pins the
+// one-generation rule against the next writer change.
 func TestReplayAcceptsEveryWrittenForm(t *testing.T) {
 	for _, envelope := range []bool{false, true} {
 		t.Run(fmt.Sprintf("envelope=%v", envelope), func(t *testing.T) {
@@ -455,6 +471,11 @@ func TestReplayAcceptsEveryWrittenForm(t *testing.T) {
 				}
 				if _, err := aof.Load(cfg.AOFPath, nil, func(name string, args [][]byte) error {
 					seen[name] = true
+					if name == opRecord {
+						if m, err := decodeMetadata(args[0]); err != nil || (m.Owner != "" && len(m.Objections) > 0) {
+							return fmt.Errorf("%s of %q lists objections %v (%v)", name, args[1], m.Objections, err)
+						}
+					}
 					return checkKept(name, len(args))
 				}); err != nil {
 					t.Fatalf("after %s: %v", step.name, err)
@@ -471,7 +492,7 @@ func TestReplayAcceptsEveryWrittenForm(t *testing.T) {
 				}
 				r.Close()
 			}
-			for _, name := range []string{opRecord, opMeta, opForget, "DEL", "FLUSHALL"} {
+			for _, name := range []string{opRecord, opForget, "DEL", "EXPIREAT", "FLUSHALL"} {
 				if !seen[name] {
 					t.Errorf("no step wrote a %s record", name)
 				}

@@ -19,7 +19,8 @@ import (
 // journal record, decrypted, metadata verbatim) → one pipeline of
 // RESTOREKEY <record…> to the destination (re-seal, re-index, journal,
 // audit) → RemoveMigrated per acknowledged key, guarded so a write that
-// raced in between re-dumps instead of being lost. Keys of no owner move
+// raced in between re-dumps instead of being lost. The subject's owner
+// record goes first, alone, and is removed last. Keys of no owner move
 // the same way, one at a time. A key shredded on the source is never
 // dumped, so a migration cannot resurrect an erasure, and an erased
 // subject's owner record moves with the slot, so the destination refuses
@@ -77,9 +78,10 @@ func cmdClusterMigrateSlot(ctx *Ctx, cs *clusterState, args [][]byte) (resp.Valu
 // here that no rights command could reach once the slot moved.
 func (s *Server) migrateSlot(cctx core.Ctx, cs *clusterState, slot uint16, dest cluster.Node) (owners, moved, skipped int, err error) {
 	// move sends keys to dest as one pipeline of RESTOREKEYs, then removes
-	// each source copy dest acknowledged. A key written between its dump and
-	// its removal is dumped and sent again, up to migrateRetries times.
-	move := func(keys []string) error {
+	// each source copy dest acknowledged, unless keep. A key written between
+	// its dump and its removal is dumped and sent again, up to
+	// migrateRetries times.
+	move := func(keys []string, keep bool) error {
 		for attempt := 0; len(keys) > 0; attempt++ {
 			if attempt == migrateRetries {
 				return fmt.Errorf("key %q kept changing while migrating", keys[0])
@@ -114,6 +116,9 @@ func (s *Server) migrateSlot(cctx core.Ctx, cs *clusterState, slot uint16, dest 
 			for i, key := range sent {
 				if rerr := replies[i]; rerr != nil {
 					refused = cmp.Or(refused, fmt.Errorf("restore %q on %s: %w", key, dest.ID, rerr))
+					continue
+				}
+				if keep {
 					continue
 				}
 				removed, changed := s.store.RemoveMigrated(key, raws[i])
@@ -156,7 +161,23 @@ func (s *Server) migrateSlot(cctx core.Ctx, cs *clusterState, slot uint16, dest 
 				keys = append(keys, core.OwnerKey(owner))
 			}
 		}
-		err = move(keys)
+		// Only the owner record holds the subject's objections, so it lands
+		// on dest ahead of the subject's records, in a pipeline of its own,
+		// and leaves here after them: no record of the subject stands on
+		// either node without them.
+		var own []string
+		if len(keys) > 1 && keys[0] == core.OwnerKey(owner) {
+			own, keys = keys[:1], keys[1:]
+			err = move(own, true)
+		}
+		if err == nil {
+			err = move(keys, false)
+		}
+		if err == nil && own != nil {
+			if removed, _ := s.store.RemoveMigrated(own[0], nil); removed {
+				owners++
+			}
+		}
 		lock.Unlock()
 		if err != nil {
 			break

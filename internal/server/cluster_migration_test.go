@@ -900,10 +900,10 @@ func TestClusterMigrationCarriesObjection(t *testing.T) {
 }
 
 // TestClusterMigrationRefusedWithoutRights: carrying an objection is a
-// rights operation on the destination, for the owner record and for each
-// record that carries it. A principal that may restore records there but
-// not exercise rights has its migration refused with no key moved, and
-// both ends audit the refusal.
+// rights operation on the destination, and the owner record that carries
+// it goes ahead of the subject's records. A principal that may restore
+// records there but not exercise rights has its migration refused at the
+// owner record, with no key moved, and both ends audit the refusal.
 func TestClusterMigrationRefusedWithoutRights(t *testing.T) {
 	srvs, stores, owner, ss, keys := startOwnerMigration(t)
 	ctx := context.Background()
@@ -933,12 +933,64 @@ func TestClusterMigrationRefusedWithoutRights(t *testing.T) {
 	if got := stores[1].Objections(owner); got != nil {
 		t.Fatalf("n2: %s objects to %v after the refusal, want none", owner, got)
 	}
-	if recs, err := stores[1].Trail().Query(audit.Filter{Op: "RESTOREKEY", Owner: owner, Outcome: audit.OutcomeDenied}); err != nil || len(recs) != 3 {
-		t.Fatalf("n2 denied RESTOREKEY audit records = %d, %v; want 3 (owner record and two keys)", len(recs), err)
+	if recs, err := stores[1].Trail().Query(audit.Filter{Op: "RESTOREKEY", Owner: owner, Outcome: audit.OutcomeDenied}); err != nil || len(recs) != 1 {
+		t.Fatalf("n2 denied RESTOREKEY audit records = %d, %v; want 1 (the owner record, ahead of the two keys)", len(recs), err)
 	}
 	aggr, err := stores[0].Trail().Query(audit.Filter{Op: "MIGRATESLOT", Outcome: audit.OutcomeError})
 	if err != nil || len(aggr) != 1 || !strings.Contains(aggr[0].Detail, "owners=0 moved=0") {
 		t.Fatalf("n1 MIGRATESLOT error audit = %+v, %v; want owners=0 moved=0", aggr, err)
+	}
+}
+
+// TestClusterMigrationKeepsOwnerRecordUntilRecordsMove: the owner record,
+// the one place a subject's objections live, lands on the destination ahead
+// of the subject's records and leaves the source only after them. A
+// destination that takes the owner record and refuses the records (here an
+// owner name too long for the key file's slots, on the one node with
+// envelope encryption) fails the migration with the records and the
+// objection still together on the source.
+func TestClusterMigrationKeepsOwnerRecordUntilRecordsMove(t *testing.T) {
+	plain := core.Config{Compliant: true, Capability: core.CapabilityFull, AuditEnabled: true, EnforceACL: core.Ptr(false)}
+	sealed := plain
+	sealed.Envelope, sealed.MasterKey = true, bytes.Repeat([]byte{7}, 32)
+	srvs, stores, m := startClusterOf(t, plain, sealed)
+	ctx := context.Background()
+	owner := ""
+	for i := 0; owner == ""; i++ {
+		if o := fmt.Sprintf("%s%d", strings.Repeat("o", 160), i); m.NodeForKey(o).ID == "n1" {
+			owner = o
+		}
+	}
+	ss := strconv.Itoa(int(cluster.Slot(owner)))
+	src, dst := nodeClient(t, srvs[0].Addr()), nodeClient(t, srvs[1].Addr())
+	keys := []string{fmt.Sprintf("pd:{%s}:1", owner), fmt.Sprintf("pd:{%s}:2", owner)}
+	for _, k := range keys {
+		if err := src.GPut(ctx, k, []byte("v"), gdprkv.PutOptions{Owner: owner, Purposes: []string{"billing", "service"}, TTL: time.Hour}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, step := range []struct {
+		c   *gdprkv.Client
+		cmd []string
+	}{
+		{src, []string{"OBJECT", owner, "billing"}},
+		{dst, []string{"CLUSTER", "SETSLOT", ss, "IMPORTING", "n1"}},
+		{src, []string{"CLUSTER", "SETSLOT", ss, "MIGRATING", "n2"}},
+	} {
+		if _, err := step.c.Do(ctx, step.cmd...); err != nil {
+			t.Fatalf("%v: %v", step.cmd, err)
+		}
+	}
+	if _, err := src.Do(ctx, "CLUSTER", "MIGRATESLOT", ss); err == nil {
+		t.Fatal("MIGRATESLOT succeeded with every record refused on the destination")
+	}
+	if got := stores[0].Objections(owner); !reflect.DeepEqual(got, []string{"billing"}) {
+		t.Fatalf("n1 keeps its records but objects to %v, want [billing]", got)
+	}
+	for _, k := range keys {
+		if !stores[0].Engine().Exists(k) || stores[1].Engine().Exists(k) {
+			t.Fatalf("%s moved by a failed migration", k)
+		}
 	}
 }
 

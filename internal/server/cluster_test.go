@@ -28,11 +28,22 @@ func startCluster(t *testing.T, n int) ([]*Server, []*core.Store, *cluster.Map) 
 // startClusterWith is startCluster with every node's store opened under cfg.
 func startClusterWith(t *testing.T, n int, cfg core.Config) ([]*Server, []*core.Store, *cluster.Map) {
 	t.Helper()
+	cfgs := make([]core.Config, n)
+	for i := range cfgs {
+		cfgs[i] = cfg
+	}
+	return startClusterOf(t, cfgs...)
+}
+
+// startClusterOf is startCluster with node i's store opened under cfgs[i].
+func startClusterOf(t *testing.T, cfgs ...core.Config) ([]*Server, []*core.Store, *cluster.Map) {
+	t.Helper()
+	n := len(cfgs)
 	srvs := make([]*Server, n)
 	stores := make([]*core.Store, n)
 	nodes := make([]cluster.Node, n)
 	splits := cluster.EvenSplit(n)
-	for i := 0; i < n; i++ {
+	for i, cfg := range cfgs {
 		st, err := core.Open(cfg)
 		if err != nil {
 			t.Fatal(err)

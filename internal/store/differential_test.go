@@ -90,15 +90,6 @@ func (m *refModel) setKeepTTL(k string, v []byte) {
 	delete(m.recs, k)
 }
 
-// setRecord swaps the record of a key that is present, due or not.
-func (m *refModel) setRecord(k string, rec *Record) bool {
-	if _, ok := m.dict[k]; !ok {
-		return false
-	}
-	m.setRec(k, rec)
-	return true
-}
-
 func (m *refModel) get(k string) ([]byte, bool) {
 	if m.expireIfNeeded(k) {
 		return nil, false
@@ -164,14 +155,6 @@ func (m *refModel) deleteIfValue(k string, val []byte) (deleted, live bool) {
 		return true, true
 	}
 	return false, ok
-}
-
-func (m *refModel) setRecordIf(k string, old, new *Record) bool {
-	if !m.holds(k, old) {
-		return false
-	}
-	m.setRec(k, new)
-	return true
 }
 
 func (m *refModel) expireAtIf(k string, rec *Record, deadline time.Time) bool {
@@ -269,7 +252,7 @@ func checkShard(sh *shard) error {
 // flushes, clock advances, expiry cycles) and compares everything observable
 // after every step, under each strategy. The engine's journal feeds the
 // oracle the one thing it cannot predict (which due keys a probabilistic
-// cycle drew) and is replayed at the end, records and notes included.
+// cycle drew) and is replayed at the end, records included.
 //
 // Every write carries a record token, none for the engine's plain writes,
 // and the records OnRecord reported, replayed in order, must be exactly the
@@ -278,8 +261,7 @@ func checkShard(sh *shard) error {
 // SetKeepTTL, Del and the conditional operations. Reaping without telling
 // the observer (the report dropped from reapLocked) fails all six runs,
 // each by step 81; a conditional operation that skips its compare fails at
-// its first stale one, and a note of the deadline before the change fails
-// the replay.
+// its first stale one.
 func TestDifferentialShard(t *testing.T) {
 	for _, strategy := range []ExpiryStrategy{ExpiryLazyProbabilistic, ExpiryHeap} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -331,13 +313,6 @@ func runDifferential(t *testing.T, seed int64, strategy ExpiryStrategy) {
 		}
 		return stale
 	}
-	// noted renders a conditional operation's journal note, and a replayed
-	// SetRecord's, as its replay checks it: the record and the deadline the
-	// key holds after the change.
-	noted := func(rec *Record, deadline time.Time) []byte {
-		return []byte(fmt.Sprint(rec.Epoch) + " " + string(EncodeDeadline(deadline)))
-	}
-
 	for step := 0; step < steps; step++ {
 		tok := &Record{Epoch: uint64(step)}
 		epoch := []byte(fmt.Sprint(step))
@@ -389,15 +364,6 @@ func runDifferential(t *testing.T, seed int64, strategy ExpiryStrategy) {
 			db.Restore(k, v, tok, deadline)
 			ref.setAt(k, v, tok, deadline)
 			log = append(log, journalRec{name: "REC", args: [][]byte{EncodeDeadline(deadline), epoch, []byte(k), v}})
-		case op < 50:
-			// Not journaled by the engine: its caller journals the note.
-			k := key()
-			desc = "SetRecord " + k
-			if got, want := db.SetRecord(k, tok), ref.setRecord(k, tok); got != want {
-				t.Fatalf("step %d %s = %v, oracle %v", step, desc, got, want)
-			} else if got {
-				log = append(log, journalRec{name: "NOTE", args: [][]byte{[]byte(k), noted(tok, ref.expires[k])}})
-			}
 		case op < 58:
 			// Sometimes already in the past: ExpireAt then deletes.
 			k, deadline := key(), vc.Now().Add(ttl()-20*time.Second)
@@ -439,21 +405,12 @@ func runDifferential(t *testing.T, seed int64, strategy ExpiryStrategy) {
 			if wd, wl := ref.deleteIfValue(k, v); deleted != wd || live != wl {
 				t.Fatalf("step %d %s = %v %v, oracle %v %v", step, desc, deleted, live, wd, wl)
 			}
-		case op < 84:
-			k := key()
-			old := checked(k, &Record{})
-			desc = fmt.Sprintf("SetRecordIf %s %v", k, old)
-			got, err := db.SetRecordIf(k, old, tok, "NOTE", noted)
-			if want := ref.setRecordIf(k, old, tok); err != nil || got != want {
-				t.Fatalf("step %d %s = %v %v, oracle %v", step, desc, got, err, want)
-			}
 		case op < 87:
-			// Sometimes already in the past: ExpireAtIf then deletes, and
-			// notes nothing.
+			// Sometimes already in the past: ExpireAtIf then deletes.
 			k, deadline := key(), vc.Now().Add(ttl()-20*time.Second)
 			rec := checked(k, tok)
 			desc = fmt.Sprintf("ExpireAtIf %s %v %v", k, rec, deadline)
-			got, err := db.ExpireAtIf(k, rec, deadline, "NOTE", noted)
+			got, err := db.ExpireAtIf(k, rec, deadline)
 			if want := ref.expireAtIf(k, rec, deadline); err != nil || got != want {
 				t.Fatalf("step %d %s = %v %v, oracle %v", step, desc, got, err, want)
 			}
@@ -536,11 +493,9 @@ func runDifferential(t *testing.T, seed int64, strategy ExpiryStrategy) {
 
 	// The journal, replayed, rebuilds the same physical keyspace, records
 	// included: every lazy or active expiry is in it as the DEL it amounted
-	// to, ahead of whatever write found the key dead, and every note follows
-	// the change it records, naming the record and deadline the key then
-	// had.
+	// to, ahead of whatever write found the key dead.
 	fresh := New(Options{Clock: vc, Shards: 2})
-	for i, r := range log {
+	for _, r := range log {
 		switch r.name {
 		case "REC":
 			deadline, err := DecodeDeadline(r.args[0])
@@ -550,13 +505,6 @@ func runDifferential(t *testing.T, seed int64, strategy ExpiryStrategy) {
 			rec := &Record{Epoch: parseEpoch(t, r.args[1])}
 			for i := 2; i+1 < len(r.args); i += 2 {
 				fresh.Restore(string(r.args[i]), r.args[i+1], rec, deadline)
-			}
-		case "NOTE":
-			// The record, and the deadline the replay has already given k.
-			k, note := string(r.args[0]), bytes.Fields(r.args[1])
-			dl, _ := fresh.Deadline(k)
-			if !fresh.SetRecord(k, &Record{Epoch: parseEpoch(t, note[0])}) || string(note[1]) != string(EncodeDeadline(dl)) {
-				t.Fatalf("journal record %d notes %s %s; the replay holds it with deadline %v", i, k, r.args[1], dl)
 			}
 		default:
 			if err := fresh.Apply(r.name, r.args); err != nil {

@@ -30,7 +30,7 @@ func (db *DB) ExpireAt(key string, deadline time.Time) bool {
 	sh.mu.Lock()
 	e, ok := db.liveLocked(sh, key)
 	if ok {
-		db.setDeadlineLocked(sh, key, e, deadline)
+		db.setDeadlineLocked(sh, key, e, deadline, 0)
 	}
 	sh.mu.Unlock()
 	db.jq.flush()
@@ -38,17 +38,16 @@ func (db *DB) ExpireAt(key string, deadline time.Time) bool {
 }
 
 // setDeadlineLocked gives key, whose live entry is e, the deadline, journaled
-// as EXPIREAT, or reaps it if the deadline has passed; it reports whether the
-// key is still there. Callers hold sh.mu and flush after releasing it.
-func (db *DB) setDeadlineLocked(sh *shard, key string, e entry, deadline time.Time) bool {
+// as EXPIREAT under ticket (0: none), or reaps it if the deadline has passed.
+// Callers hold sh.mu and flush after releasing it.
+func (db *DB) setDeadlineLocked(sh *shard, key string, e entry, deadline time.Time, ticket uint64) {
 	ns := deadlineNS(deadline)
 	if ns <= db.nowNS() {
 		db.reapLocked(sh, key, e)
-		return false
+		return
 	}
 	db.putLocked(sh, key, e.val, e.rec, ns)
-	db.jq.enqueue("EXPIREAT", []byte(key), EncodeDeadline(deadline))
-	return true
+	db.jq.enqueueTicket(ticket, "EXPIREAT", [][]byte{[]byte(key), EncodeDeadline(deadline)})
 }
 
 // Persist removes the TTL from key, reporting whether a TTL was removed.

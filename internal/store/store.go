@@ -114,9 +114,8 @@ const DefaultShards = 16
 var ErrNoKey = errors.New("store: no such key")
 
 // Record is the compliance record a caller keeps in a key's entry:
-// installed with the value by SetRecorded or Restore (or swapped by
-// SetRecord), dropped with it by every delete, expiry, flush and plain
-// write. The engine never reads it. Records are immutable.
+// installed with the value by SetRecorded or Restore, dropped with it by
+// every delete, expiry, flush and plain write. The engine never reads it. Records are immutable.
 type Record struct {
 	// Policy is the terms the record was stored under, shared by every
 	// record written under the same ones.
@@ -406,23 +405,6 @@ func (db *DB) Restore(key string, value []byte, rec *Record, deadline time.Time)
 	sh.mu.Lock()
 	db.installLocked(sh, key, value, rec, deadline)
 	sh.mu.Unlock()
-}
-
-// SetRecord replaces the record of key, if the key is present (due or not),
-// keeping its value and deadline, without journaling. It reports whether
-// the key was present.
-func (db *DB) SetRecord(key string, rec *Record) bool {
-	sh := db.shardFor(key)
-	sh.mu.Lock()
-	e, ok := sh.dict[key]
-	if ok {
-		old := e.rec
-		e.rec = rec
-		sh.dict[key] = e
-		db.recordChanged(key, old, rec)
-	}
-	sh.mu.Unlock()
-	return ok
 }
 
 // installLocked stores a copy of value under key with rec and sets or
