@@ -25,7 +25,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"gdprstore/internal/aof"
 	"gdprstore/internal/clock"
@@ -153,25 +152,6 @@ func (m *Manager) Refresh(snapshot aof.SnapshotFunc) (string, int, error) {
 	return path, removed, err
 }
 
-// PruneOlderThan removes generations whose encoded timestamp is before
-// cutoff, returning how many were removed — the retention-policy knob for
-// backup data itself (storage limitation applies to backups too).
-func (m *Manager) PruneOlderThan(cutoff time.Time) (int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	gens, err := m.List()
-	if err != nil {
-		return 0, err
-	}
-	var due []string
-	for _, g := range gens {
-		if ts, ok := parseBackupTime(filepath.Base(g)); ok && ts.Before(cutoff) {
-			due = append(due, g)
-		}
-	}
-	return m.remove(due)
-}
-
 // remove deletes gens and then fsyncs the directory, so that no removed
 // generation comes back after a power loss. It returns how many it
 // removed; callers hold m.mu.
@@ -185,17 +165,4 @@ func (m *Manager) remove(gens []string) (int, error) {
 		return 0, nil
 	}
 	return len(gens), aof.SyncDir(m.dir)
-}
-
-func parseBackupTime(name string) (time.Time, bool) {
-	name = strings.TrimPrefix(name, "backup-")
-	name = strings.TrimSuffix(name, ".snap")
-	if i := strings.LastIndexByte(name, '-'); i >= 0 {
-		name = name[:i]
-	}
-	ts, err := time.Parse(stampLayout, name)
-	if err != nil {
-		return time.Time{}, false
-	}
-	return ts, true
 }

@@ -227,37 +227,6 @@ func TestRefreshPurgesErasedData(t *testing.T) {
 	}
 }
 
-func TestPruneOlderThan(t *testing.T) {
-	m, vc := newManager(t, nil)
-	d := dataset{{"SET", "k", "v"}}
-	m.Create(d.snapshot)
-	vc.Advance(48 * time.Hour)
-	m.Create(d.snapshot)
-	cutoff := vc.Now().Add(-24 * time.Hour)
-	n, err := m.PruneOlderThan(cutoff)
-	if err != nil || n != 1 {
-		t.Fatalf("pruned %d, %v", n, err)
-	}
-	gens, _ := m.List()
-	if len(gens) != 1 {
-		t.Fatalf("remaining = %d", len(gens))
-	}
-}
-
-func TestParseBackupTime(t *testing.T) {
-	ts, ok := parseBackupTime("backup-20190516T120000.000000000-0001.snap")
-	if !ok {
-		t.Fatal("failed to parse valid name")
-	}
-	want := time.Date(2019, 5, 16, 12, 0, 0, 0, time.UTC)
-	if !ts.Equal(want) {
-		t.Fatalf("ts = %v", ts)
-	}
-	if _, ok := parseBackupTime("garbage.snap"); ok {
-		t.Fatal("parsed garbage")
-	}
-}
-
 // TestParallelCreateNoCollision is the regression test for the unguarded
 // seq counter: concurrent Creates used to race on m.seq (a data race, and
 // colliding sequence numbers within one clock tick meant failed Creates

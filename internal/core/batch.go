@@ -7,8 +7,6 @@ import (
 
 	"gdprstore/internal/acl"
 	"gdprstore/internal/audit"
-	"gdprstore/internal/cryptoutil"
-	"gdprstore/internal/store"
 )
 
 // The batch operations amortise the per-operation compliance overhead the
@@ -33,9 +31,9 @@ type BatchGetResult struct {
 
 // PutBatch stores every entry under the supplied GDPR metadata (shared by
 // the whole batch, like a bulk import of records for one data subject). It
-// is the amortised form of calling Put once per entry: one lock
-// acquisition, one ACL decision, one retention/location resolution, one
-// journal record per touched engine shard, one audit record.
+// is the amortised form of calling Put once per entry, through the same
+// body (put): one lock acquisition, one ACL decision, one retention/location
+// resolution, one journal record per touched engine shard, one audit record.
 func (s *Store) PutBatch(ctx Ctx, entries []BatchEntry, opts PutOptions) error {
 	if len(entries) == 0 {
 		return nil
@@ -50,62 +48,7 @@ func (s *Store) PutBatch(ctx Ctx, entries []BatchEntry, opts PutOptions) error {
 		s.db.SetBatch(keys, vals)
 		return nil
 	}
-	// One gate stripe, by the first key, then the owner stripe. The engine
-	// installs each touched shard's keys, values and record under its lock,
-	// so the batch is atomic per shard, as SetRecorded states.
-	g, err := s.enter(keys[0])
-	if err != nil {
-		return err
-	}
-	defer g.RUnlock()
-	defer s.lockOwner(opts.Owner).Unlock()
-	if err := s.check(ctx, acl.OpWrite, opts.Owner, "MPUT", keys[0]); err != nil {
-		return err
-	}
-	p, now, deadline, err := s.writeTerms(ctx, "MPUT", keys[0], opts)
-	if err != nil {
-		return err
-	}
-	// The whole batch shares one record, as it shares its metadata.
-	rec := &store.Record{Policy: p, Created: createdNS(now)}
-
-	stored := vals
-	if s.keyring != nil && opts.Owner != "" {
-		c, epoch, err := s.sealerFor(opts.Owner)
-		if err != nil {
-			return err
-		}
-		rec.Epoch = epoch
-		// One key schedule and one buffer for the whole batch; the engine
-		// clones what it stores, so the buffer dies with the call.
-		size := 0
-		for _, v := range vals {
-			size += len(v) + cryptoutil.SealOverhead
-		}
-		buf := make([]byte, 0, size)
-		var ad []byte
-		stored = make([][]byte, len(vals))
-		for i, v := range vals {
-			start := len(buf)
-			ad = append(ad[:0], keys[i]...)
-			if buf, err = c.Seal(buf, v, ad); err != nil {
-				return err
-			}
-			stored[i] = buf[start:]
-		}
-	}
-
-	// Each touched shard's GREC record carries the shared metadata once and
-	// that shard's pairs.
-	if err := s.db.SetRecorded(keys, stored, rec, deadline, opRecord, encodeMetadata(rec, deadline)); err != nil {
-		return err
-	}
-	s.auditOp(audit.Record{
-		Actor: ctx.Actor, Op: "MPUT", Key: keys[0], Owner: opts.Owner,
-		Purpose: ctx.Purpose, Outcome: audit.OutcomeOK,
-		Detail: fmt.Sprintf("batch=%d", len(keys)),
-	})
-	return nil
+	return s.put(ctx, "MPUT", keys, vals, opts)
 }
 
 // GetBatch reads every key under one lock acquisition, enforcing purpose

@@ -11,10 +11,10 @@ import (
 )
 
 // The metadata codec (DESIGN.md §17): one append-style binary form for the
-// metadata the compliance layer's journal records carry (GREC; the previous
-// release's GMETA too), behind a version byte that is never '{', the first
-// byte of the JSON it replaced. It is the only form written and the only one
-// read: a '{'-led payload is refused with ErrRetiredFormat.
+// metadata the compliance layer's journal records carry (GREC), behind a
+// version byte that is never '{', the first byte of the JSON it replaced.
+// It is the only form written and the only one read: a '{'-led payload is
+// refused with ErrRetiredFormat.
 //
 //	metadata = metaV1 flags str(owner) list(purposes) list(objections)
 //	           str(origin) list(sharedWith) [time(expiry)] str(location)

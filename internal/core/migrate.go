@@ -95,21 +95,21 @@ func (s *Store) DumpForMigration(key string) (argv [][]byte, raw []byte, ok bool
 // record. A record in an earlier release's one-argument form is refused
 // with ErrRetiredFormat.
 //
-// A GREC goes through the full compliance path — sealed under this node's
-// keyring at the epoch of the owner's key, re-indexed, journaled as one GREC
-// record, audited — with the source's metadata (Created, Origin, Expiry,
-// ...) preserved verbatim; it reads its owner's objections from this node's
-// owner record, as every record does. A record of the previous release that
-// carries objections unites them into that owner record, as OBJECT does, so
-// restoring it is a rights operation. An owner record's GREC (no
-// owner, only objections and an erasure) replaces this node's owner record
-// for the subject its key names, withdrawals included, so restoring it is
-// always a rights operation; no other record may name that key. The erasure
-// it carries is kept as setOwner keeps one. A record whose owner is erased
-// here, owner record included, fails with ErrErased, unless it is itself an
-// erased owner record: nothing erased here is resurrected. A record already
-// past its retention deadline is dropped silently — migrating it would
-// resurrect overdue data.
+// A GREC goes through the full compliance path — installed as a write is
+// (install): sealed under this node's keyring at the epoch of the owner's
+// key, re-indexed, journaled as one GREC record — and audited, with the
+// source's metadata (Created, Origin, Expiry, ...) preserved verbatim; it
+// reads its owner's objections from this node's owner record, as every
+// record does. A GREC that lists objections for an ordinary key is an
+// earlier release's and is refused with ErrRetiredFormat. An owner record's
+// GREC (no owner, only objections and an erasure) replaces this node's
+// owner record for the subject its key names, withdrawals included, so
+// restoring it is always a rights operation; no other record may name that
+// key. The erasure it carries is kept as setOwner keeps one. A record whose
+// owner is erased here, owner record included, fails with ErrErased, unless
+// it is itself an erased owner record: nothing erased here is resurrected.
+// A record already past its retention deadline is dropped silently —
+// migrating it would resurrect overdue data.
 func (s *Store) RestoreRecord(ctx Ctx, argv [][]byte, admit func(key, owner string) error) error {
 	var (
 		meta       *Metadata
@@ -127,6 +127,9 @@ func (s *Store) RestoreRecord(ctx Ctx, argv [][]byte, admit func(key, owner stri
 		m, err := decodeMetadata(argv[1])
 		if err != nil {
 			return fmt.Errorf("core: migration record: %w", err)
+		}
+		if err := recordObjections(&m, argv[2]); err != nil {
+			return fmt.Errorf("core: migration record: %w; upgrade the source node first", err)
 		}
 		meta, key, value, deadline = &m, argv[2], argv[3], canonicalTime(m.Expiry)
 	case name == "SET" && len(argv) == 3:
@@ -167,10 +170,9 @@ func (s *Store) RestoreRecord(ctx Ctx, argv [][]byte, admit func(key, owner stri
 	}
 	defer s.lockOwner(owner).Unlock()
 	// An owner record sets the subject's standing objections, withdrawals
-	// included, as UNOBJECT does; a record that carries an objection applies
-	// it to the subject here, as OBJECT does.
+	// included, as UNOBJECT does.
 	op := acl.OpWrite
-	if reserved || len(meta.Objections) > 0 {
+	if reserved {
 		op = acl.OpRights
 	}
 	if err := s.check(ctx, op, owner, "RESTOREKEY", k); err != nil {
@@ -196,25 +198,7 @@ func (s *Store) RestoreRecord(ctx Ctx, argv [][]byte, admit func(key, owner stri
 	if !deadline.IsZero() && !deadline.After(s.cfg.Config.Clock.Now()) {
 		return nil
 	}
-	stored := value
-	var epoch uint64
-	if s.keyring != nil && meta.Owner != "" {
-		c, e, err := s.sealerFor(meta.Owner)
-		if err != nil {
-			return err
-		}
-		epoch = e
-		if stored, err = c.Seal(nil, value, key); err != nil {
-			return err
-		}
-	}
-	// The objections apply before the record is readable.
-	if err := s.objectTo(owner, meta.Objections, true); err != nil {
-		return err
-	}
-	r := s.recordOf(meta)
-	r.Epoch = epoch
-	if err := s.db.SetRecorded([]string{k}, [][]byte{stored}, r, deadline, opRecord, encodeMetadata(r, deadline)); err != nil {
+	if err := s.install(owner, []string{k}, [][]byte{value}, s.recordOf(meta), deadline); err != nil {
 		return err
 	}
 	s.auditOp(audit.Record{

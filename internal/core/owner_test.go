@@ -233,8 +233,7 @@ func TestRestoreRefusesLegacyObjection(t *testing.T) {
 	s.SetBackupManager(m)
 	now := vclock(s).Now()
 	rec := appendMetadata(nil, &Metadata{
-		Owner: "bob", Purposes: []string{"ads", "billing"}, Objections: []string{"ads"},
-		Expiry: now.Add(time.Hour), Created: now,
+		Owner: "bob", Purposes: []string{"ads", "billing"}, Expiry: now.Add(time.Hour), Created: now,
 	})
 	if _, err := m.Create(func(emit func(string, ...[]byte) error) error {
 		return errors.Join(emit(opRecord, rec, []byte("pd:bob"), []byte("bob-data")), emit("GOBJ", []byte("bob"), []byte("ads")))
@@ -406,101 +405,4 @@ func TestOwnerRecordAppliesAlone(t *testing.T) {
 	if _, err := s.Get(svcCtx, "pd:bob:000"); err != nil {
 		t.Fatalf("a billing read of bob's record: %v", err)
 	}
-}
-
-// TestPreviousReleaseObjectionsFold: the previous release stamped every
-// record with its owner's objections, in its GREC and in a GMETA for each
-// record an objection restamped. Replay, the stream and RESTOREKEY unite
-// such a record's objections into its owner record, as OBJECT would, and
-// apply nothing else of a GMETA; a RESTOREKEY of one is a rights operation,
-// refused without the rights and then applying nothing. This release's
-// COMPACT keeps the objections in the owner records alone.
-func TestPreviousReleaseObjectionsFold(t *testing.T) {
-	now := time.Date(2019, 5, 16, 0, 0, 0, 0, time.UTC) // newFullStore's clock
-	purposes := []string{"ads", "billing", "marketing"}
-	// A GMETA restamping pd:alice:1 with terms it was never written under,
-	// and bob's record as the previous release wrote it.
-	gmeta := [][]byte{[]byte(opMeta), []byte("pd:alice:1"),
-		appendMetadata(nil, &Metadata{Owner: "alice", Purposes: []string{"other"}, Objections: []string{"ads"}, Created: now})}
-	grec := [][]byte{[]byte(opRecord),
-		appendMetadata(nil, &Metadata{Owner: "bob", Purposes: purposes, Objections: []string{"marketing"}, Expiry: now.Add(time.Hour), Created: now}),
-		[]byte("pd:bob:1"), []byte("bob-one")}
-	folded := func(t *testing.T, s *Store, how string) {
-		t.Helper()
-		if a, b := s.Objections("alice"), s.Objections("bob"); !slices.Equal(a, []string{"ads"}) || !slices.Equal(b, []string{"marketing"}) {
-			t.Fatalf("%s: alice objects to %v, bob to %v; want [ads] and [marketing]", how, a, b)
-		}
-		m, err := s.Metadata(ctlCtx, "pd:alice:1")
-		if err != nil || !slices.Equal(m.Purposes, purposes) || !slices.Equal(m.Objections, []string{"ads"}) {
-			t.Fatalf("%s: pd:alice:1 holds %+v, %v; want its own purposes and alice's objection", how, m, err)
-		}
-		if m, err := s.Metadata(ctlCtx, "pd:bob:1"); err != nil || !slices.Equal(m.Objections, []string{"marketing"}) {
-			t.Fatalf("%s: pd:bob:1 objects to %v, %v", how, m.Objections, err)
-		}
-	}
-	putAlice := func(s *Store) {
-		t.Helper()
-		if err := s.Put(ctlCtx, "pd:alice:1", []byte("alice-one"), PutOptions{Owner: "alice", Purposes: purposes}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	t.Run("replay", func(t *testing.T) {
-		path := tempAOF(t)
-		cfg := persistentCfg(path, clock.NewVirtual(now), nil)
-		s, err := Open(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addPrincipals(s)
-		putAlice(s)
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		appendRecords(t, path, gmeta, grec)
-		for _, step := range []string{"replayed", "compacted"} {
-			s, err := Open(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			addPrincipals(s)
-			folded(t, s, step)
-			if err := errors.Join(s.Compact(ctlCtx), s.Close()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := aof.Load(path, nil, func(name string, args [][]byte) error {
-			if m, err := decodeMetadata(args[0]); name == opRecord && (err != nil || (m.Owner != "" && len(m.Objections) > 0)) {
-				return fmt.Errorf("the compacted log holds %q listing objections %v (%v)", args[1], m.Objections, err)
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Run("stream", func(t *testing.T) {
-		s := newFullStore(t, nil)
-		putAlice(s)
-		for _, r := range [][][]byte{gmeta, grec} {
-			if err := s.ApplyReplicated(string(r[0]), r[1:]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		folded(t, s, "streamed")
-	})
-	t.Run("RESTOREKEY", func(t *testing.T) {
-		s := newFullStore(t, nil)
-		if err := s.RestoreRecord(svcCtx, grec, nil); !errors.Is(err, ErrDenied) {
-			t.Fatalf("RESTOREKEY of a record with objections by a writer: %v, want ErrDenied", err)
-		}
-		if got := s.Objections("bob"); got != nil || s.Exists("pd:bob:1") {
-			t.Fatalf("the refused restore left bob objecting to %v, pd:bob:1 exists %v", got, s.Exists("pd:bob:1"))
-		}
-		if err := s.RestoreRecord(ctlCtx, grec, nil); err != nil {
-			t.Fatal(err)
-		}
-		if m, err := s.Metadata(ctlCtx, "pd:bob:1"); err != nil || !slices.Equal(s.Objections("bob"), []string{"marketing"}) || !slices.Equal(m.Objections, []string{"marketing"}) {
-			t.Fatalf("restored: bob objects to %v, pd:bob:1 to %v, %v; want [marketing]", s.Objections("bob"), m.Objections, err)
-		}
-	})
 }

@@ -14,16 +14,23 @@ import (
 // primary can emit — the engine's data-plane records (SET/SETEX/DEL/...)
 // and the compliance layer's own (GREC/GFORGET) — identically, or a
 // replica's state would drift from what a primary restart reconstructs.
-// They take what today's writers emit, and the previous release's
-// record-level objections, which they fold into the owner record; an
-// earlier form, the GOBJ/GUNOBJ objection deltas and the GSHRED erasure
+// They take what today's writers emit and nothing else: an earlier form,
+// record-level objections (GMETA, and a GREC that lists objections for an
+// ordinary key), the GOBJ/GUNOBJ objection deltas and the GSHRED erasure
 // mark included, is refused (ErrRetiredFormat).
 
-// opMeta is the previous release's metadata-only update, GMETA key metadata,
-// which it wrote for an Expire and for each record an objection restamped.
-// No writer emits it; replay, the stream and a restore fold its objections
-// into the owner record.
-const opMeta = "GMETA"
+// recordObjections refuses an earlier release's record-level copy of its
+// owner's objections: a GREC for an ordinary key whose metadata lists them.
+// Today's writers keep a subject's objections in its owner record alone.
+func recordObjections(m *Metadata, key []byte) error {
+	if len(m.Objections) == 0 {
+		return nil
+	}
+	if _, owner := ReservedKey(string(key)); owner {
+		return nil
+	}
+	return fmt.Errorf("%w: GREC of %q listing objections", ErrRetiredFormat, key)
+}
 
 // applyRecord applies one journal record without re-journaling it, and
 // changes no key but the record's own. It is safe for a single applier
@@ -45,9 +52,7 @@ func (s *Store) applyRecord(name string, args [][]byte) error {
 		if owner, ok := ReservedKey(string(args[1])); ok { // written alone
 			return s.setOwner(owner, m.Objections, m.KeyEpoch, false)
 		}
-		// The previous release's record carried its owner's objections,
-		// which apply before the record is readable.
-		if err := s.objectTo(m.Owner, m.Objections, false); err != nil {
+		if err := recordObjections(&m, args[1]); err != nil {
 			return err
 		}
 		rec := s.recordOf(&m)
@@ -55,18 +60,7 @@ func (s *Store) applyRecord(name string, args [][]byte) error {
 			s.db.Restore(string(args[i]), args[i+1], rec, m.Expiry)
 		}
 		return nil
-	case opMeta:
-		if len(args) != 2 {
-			return errors.New("core: replay GMETA: need 2 args")
-		}
-		m, err := decodeMetadata(args[1])
-		if err != nil {
-			return fmt.Errorf("core: replay GMETA: %w", err)
-		}
-		// Its deadline is the EXPIREAT's before it, and the rest the
-		// record's own: only its objections are news.
-		return s.objectTo(m.Owner, m.Objections, false)
-	case "GMETAB", "GOBJ", "GUNOBJ", "GREINST", "GSHRED": // batch metadata; objection deltas; a reinstatement; an erasure mark
+	case "GMETA", "GMETAB", "GOBJ", "GUNOBJ", "GREINST", "GSHRED": // record-level metadata; objection deltas; a reinstatement; an erasure mark
 		return fmt.Errorf("%w: %s", ErrRetiredFormat, name)
 	case opKey:
 		if len(args) != 3 {
@@ -93,17 +87,11 @@ func (s *Store) applyRecord(name string, args [][]byte) error {
 		}
 		return s.keepKey(owner, epoch, args[1])
 	case opForget:
+		// A marker: the erased owner record before it queued the owner's
+		// records for the sweep (setOwner), or, in eager mode, the DELs
+		// before it took them.
 		if len(args) != 1 && len(args) != 2 {
 			return errors.New("core: replay GFORGET: need 1 or 2 args")
-		}
-		// An eager-mode marker follows the erasure's DELs in the stream,
-		// which took the owner's records with them. A crypto-shred one had
-		// no DELs before it: the erased owner record before it made the
-		// owner's records dead, and the sweep reclaims them, found by their
-		// epoch stamps.
-		owner := string(args[0])
-		if len(args) == 2 && string(args[1]) == forgetModeShred && s.keyring != nil && s.ix.ownerKeyCount(owner) > 0 {
-			s.markErasurePending(owner)
 		}
 		return nil
 	default:

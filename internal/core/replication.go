@@ -184,7 +184,7 @@ func (s *Store) RestoreBackup(ctx Ctx) (applied, skipped int, err error) {
 	// 6. One merge, through OBJECT's own locked half (lockAll holds the
 	// owner stripes): one owner record each.
 	for owner, set := range merge {
-		if err := s.objectTo(owner, set, true); err != nil {
+		if err := s.objectTo(owner, set); err != nil {
 			return applied, skipped, err
 		}
 	}
@@ -196,20 +196,29 @@ func (s *Store) RestoreBackup(ctx Ctx) (applied, skipped int, err error) {
 }
 
 // vetBackupRecord admits to a restore only what snapshotRecords writes, well
-// formed: anything else, key material above all, refuses the generation. An
-// objection delta (GOBJ/GUNOBJ) or an erasure mark (GSHRED) is refused as
-// retired, with its upgrade step.
+// formed: anything else, key material above all, refuses the generation.
+// An earlier release's record-level objections (a GREC listing them for an
+// ordinary key), an objection delta (GOBJ/GUNOBJ) or an erasure mark
+// (GSHRED) is refused as retired, with its upgrade step. No generation ever
+// held a GMETA.
 func vetBackupRecord(name string, args [][]byte) (err error) {
+	var retired error
 	switch {
 	case name == "SET" && len(args) == 2:
 	case name == "SETEX" && len(args) == 3:
 		_, err = store.DecodeDeadline(args[1])
 	case name == opRecord && len(args) >= 3 && len(args)%2 == 1:
-		_, err = decodeMetadata(args[0])
+		var m Metadata
+		if m, err = decodeMetadata(args[0]); err == nil {
+			retired = recordObjections(&m, args[1])
+		}
 	case name == "GOBJ" || name == "GUNOBJ" || name == "GSHRED":
-		err = fmt.Errorf("core: restore: %w: %s; restore the generation with the previous release and take a new one", ErrRetiredFormat, name)
+		retired = fmt.Errorf("%w: %s", ErrRetiredFormat, name)
 	default:
 		err = fmt.Errorf("core: restore: a backup generation may not hold %s with %d args", name, len(args))
+	}
+	if retired != nil {
+		err = fmt.Errorf("core: restore: %w; restore the generation with the previous release and take a new one", retired)
 	}
 	return err
 }

@@ -461,7 +461,7 @@ func (s *Store) setObjection(ctx Ctx, owner, purpose string, add bool) error {
 		return err
 	}
 	if add {
-		err = s.objectTo(owner, []string{purpose}, true)
+		err = s.objectTo(owner, []string{purpose})
 	} else {
 		rest := slices.DeleteFunc(slices.Clone(s.Objections(owner)), func(p string) bool { return p == purpose })
 		err = s.setOwner(owner, rest, 0, true)
@@ -584,14 +584,14 @@ func (s *Store) setOwner(owner string, set []string, erased uint64, journal bool
 }
 
 // objectTo unites objections into owner's standing objections, as OBJECT
-// does; journal is setOwner's.
-func (s *Store) objectTo(owner string, objections []string, journal bool) error {
+// does, and journals the owner record.
+func (s *Store) objectTo(owner string, objections []string) error {
 	if len(objections) == 0 {
 		return nil
 	}
 	set := append(slices.Clone(s.Objections(owner)), objections...)
 	slices.Sort(set)
-	return s.setOwner(owner, slices.Compact(set), 0, journal)
+	return s.setOwner(owner, slices.Compact(set), 0, true)
 }
 
 // eraseKey applies an erasure at epoch to owner's key: a key made before it

@@ -260,8 +260,8 @@ func TestPutBatchAllocBudget(t *testing.T) {
 		}
 	})
 	t.Logf("PutBatch allocations: %.0f for 8 keys", allocs)
-	if allocs > 26 {
-		t.Errorf("PutBatch: %.0f allocations for 8 keys, budget 26", allocs)
+	if allocs > 24 {
+		t.Errorf("PutBatch: %.0f allocations for 8 keys, budget 24", allocs)
 	}
 }
 

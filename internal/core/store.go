@@ -106,7 +106,6 @@ type Store struct {
 	streamJ atomic.Pointer[replica.Hub]
 	backups *backup.Manager
 
-	retention      atomic.Pointer[RetentionPolicy]
 	pendingRewrite atomic.Bool
 	closed         atomic.Bool
 	// replica is the store's replication role (SetReplica): while it is
@@ -353,12 +352,10 @@ func (s *Store) writeTerms(ctx Ctx, op, key string, opts PutOptions) (p *store.P
 		purposes = s.ix.defaultPurposes(opts.Owner, ctx.Purpose)
 	}
 
-	// Retention bound (Art. 5 storage limitation): the tightest of the
-	// requested TTL, the purpose-based retention policy, and the default.
 	// The clock is read once: the record has one creation time and one
 	// deadline, the one the engine enforces and the journal carries.
 	now = canonicalTime(s.cfg.Config.Clock.Now())
-	deadline = s.effectiveDeadline(now, opts, purposes)
+	deadline = s.effectiveDeadline(now, opts)
 	if s.cfg.requireTTL && deadline.IsZero() {
 		return nil, now, deadline, ErrNoTTL
 	}
@@ -393,44 +390,74 @@ func (s *Store) Put(ctx Ctx, key string, value []byte, opts PutOptions) error {
 		s.db.Set(key, value)
 		return nil
 	}
-	g, err := s.enter(key)
+	return s.put(ctx, "PUT", []string{key}, [][]byte{value}, opts)
+}
+
+// put is the one compliant write body, of Put (op PUT, one key) and
+// PutBatch (op MPUT): one gate stripe, by the first key, then the owner
+// stripe, one ACL decision, one set of terms (writeTerms), one install and
+// one audit record, whatever the number of keys. vals is the caller's own
+// and is overwritten.
+func (s *Store) put(ctx Ctx, op string, keys []string, vals [][]byte, opts PutOptions) error {
+	g, err := s.enter(keys[0])
 	if err != nil {
 		return err
 	}
 	defer g.RUnlock()
 	defer s.lockOwner(opts.Owner).Unlock()
-	if err := s.check(ctx, acl.OpWrite, opts.Owner, "PUT", key); err != nil {
+	if err := s.check(ctx, acl.OpWrite, opts.Owner, op, keys[0]); err != nil {
 		return err
 	}
-	p, now, deadline, err := s.writeTerms(ctx, "PUT", key, opts)
+	p, now, deadline, err := s.writeTerms(ctx, op, keys[0], opts)
 	if err != nil {
 		return err
 	}
-	rec := &store.Record{Policy: p, Created: createdNS(now)}
+	if err := s.install(opts.Owner, keys, vals, &store.Record{Policy: p, Created: createdNS(now)}, deadline); err != nil {
+		return err
+	}
+	r := audit.Record{
+		Actor: ctx.Actor, Op: op, Key: keys[0], Owner: opts.Owner,
+		Purpose: ctx.Purpose, Outcome: audit.OutcomeOK,
+	}
+	if op == "MPUT" {
+		r.Detail = fmt.Sprintf("batch=%d", len(keys))
+	}
+	s.auditOp(r)
+	return nil
+}
 
-	stored := value
-	if s.keyring != nil && opts.Owner != "" {
-		c, epoch, err := s.sealerFor(opts.Owner)
+// install is the one way a compliant record enters the engine: keys and
+// vals, which share rec and deadline, are sealed under owner's key when
+// envelope encryption is on, rec is stamped with that key's epoch (0:
+// stored in the clear), and one SetRecorded installs them, journaling one
+// GREC per touched engine shard, atomically per shard. Each value is sealed
+// with its key as the associated data, both in one buffer for the call (the
+// engine clones what it stores); the sealed values overwrite vals. Callers
+// hold owner's stripe and have refused an erased owner.
+func (s *Store) install(owner string, keys []string, vals [][]byte, rec *store.Record, deadline time.Time) error {
+	var epoch uint64
+	if s.keyring != nil && owner != "" {
+		c, e, err := s.sealerFor(owner)
 		if err != nil {
 			return err
 		}
-		rec.Epoch = epoch
-		// One buffer for the key (the sealing's associated data) and the
-		// ciphertext behind it.
-		buf := append(make([]byte, 0, len(key)+len(value)+cryptoutil.SealOverhead), key...)
-		if stored, err = c.Seal(buf[len(key):], value, buf); err != nil {
-			return err
+		epoch = e
+		size := 0
+		for i, v := range vals {
+			size += len(keys[i]) + len(v) + cryptoutil.SealOverhead
+		}
+		buf := make([]byte, 0, size)
+		for i, v := range vals {
+			k := len(buf) + len(keys[i])
+			buf = append(buf, keys[i]...)
+			if vals[i], err = c.Seal(buf[k:], v, buf[k-len(keys[i]):k]); err != nil {
+				return err
+			}
+			buf = buf[:k+len(vals[i])]
 		}
 	}
-
-	if err := s.db.SetRecorded([]string{key}, [][]byte{stored}, rec, deadline, opRecord, encodeMetadata(rec, deadline)); err != nil {
-		return err
-	}
-	s.auditOp(audit.Record{
-		Actor: ctx.Actor, Op: "PUT", Key: key, Owner: opts.Owner,
-		Purpose: ctx.Purpose, Outcome: audit.OutcomeOK,
-	})
-	return nil
+	rec.Epoch = epoch
+	return s.db.SetRecorded(keys, vals, rec, deadline, opRecord, encodeMetadata(rec, deadline))
 }
 
 // sealerFor returns the prepared cipher for a write to owner's records and

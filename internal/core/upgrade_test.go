@@ -14,6 +14,7 @@ import (
 	"gdprstore/internal/acl"
 	"gdprstore/internal/aof"
 	"gdprstore/internal/audit"
+	"gdprstore/internal/backup"
 	"gdprstore/internal/clock"
 )
 
@@ -23,12 +24,14 @@ import (
 // release in the chain compacted what the one before it had written: the
 // release that moved data keys into the key file compacted an earlier
 // COMPACT of legacy.aof, the one that moved standing objections into owner
-// records compacted that, and the previous release, which moved the
-// erasure into the owner record, compacted that in turn (the GKEY records
-// moving into the key file, the GOBJ deltas into owner records and bob's
-// GSHRED into his owner record, on the way). The previous release stamped every record with its owner's
-// objections, so alice's records carry hers. upgraded.golden is the state
-// all of them stand for, rendered by legacyDump. envelopeGKEYAOF is a log the release before the key file wrote
+// records compacted that, the one that moved the erasure into the owner
+// record compacted that in turn, and the previous release, which keeps a
+// subject's objections in its owner record alone, compacted that last (the
+// GKEY records moving into the key file, the GOBJ deltas into owner
+// records, bob's GSHRED into his owner record and the objections alice's
+// records carried into hers, on the way). upgraded.golden is the state all
+// of them stand for, rendered by legacyDump. envelopeGKEYAOF is a log the
+// release before the key file wrote
 // under legacyCfg, each data key journaled as a GKEY: Puts of pd:alice:1
 // "alice-one", pd:bob:1 "bob-one", pd:carol:1 "carol-one" and pd:alice:2
 // "alice-two" (purpose billing, TTL 365 days), Forget of bob and of carol,
@@ -93,9 +96,7 @@ func legacyDump(t *testing.T, s *Store) string {
 
 // TestUpgradedAOFOpens is the upgrade proof: the data dir the previous
 // release's COMPACT wrote opens on this one to the same state, values and
-// metadata, and its log holds only forms this release's writers emit, but
-// for the objections alice's records carry, which replay folds into her
-// owner record.
+// metadata, and its log holds only forms this release's writers emit.
 func TestUpgradedAOFOpens(t *testing.T) {
 	golden, err := os.ReadFile(upgradedDump)
 	if err != nil {
@@ -229,19 +230,27 @@ func dirBytes(t *testing.T, dir string) map[string]string {
 // TestRetiredAOFFormsRefused: replay stops at the first record in a form an
 // earlier release wrote, with ErrRetiredFormat and an error that names the
 // file, the record, the form and the upgrade step; the data dir is left
-// byte for byte as it was. Among them is the erasure mark GSHRED, with or
-// without its epoch: the previous release wrote none, and its COMPACT folded
-// each one it read into the owner record. The replication stream and a
-// restore refuse a GSHRED too.
+// byte for byte as it was. Among them are the erasure mark GSHRED, with or
+// without its epoch, and an earlier release's record-level objections, a
+// GMETA and a GREC listing objections for a data key: the previous release
+// wrote none of them, and its COMPACT folded each one it read into the
+// owner record. The replication stream, a restore and RESTOREKEY refuse
+// them too, and apply nothing.
 func TestRetiredAOFFormsRefused(t *testing.T) {
 	meta := appendMetadata(nil, &Metadata{Owner: "alice"})
+	created := time.Date(2019, 5, 16, 0, 0, 0, 0, time.UTC) // newFullStore's clock
+	objecting := appendMetadata(nil, &Metadata{
+		Owner: "bob", Purposes: []string{"ads", "billing"}, Objections: []string{"ads"},
+		Expiry: created.Add(time.Hour), Created: created,
+	})
 	cases := []struct {
 		name string
 		args [][]byte
 		form string
 	}{
 		{"GMETAB", [][]byte{meta, []byte("k")}, "GMETAB"},
-		{opMeta, [][]byte{[]byte("k"), []byte(`{"owner":"alice","created":"2026-09-25T12:00:00Z"}`)}, "JSON metadata"},
+		{"GMETA", [][]byte{[]byte("k"), []byte(`{"owner":"alice","created":"2026-09-25T12:00:00Z"}`)}, "GMETA"},
+		{opRecord, [][]byte{objecting, []byte("pd:bob:1"), []byte("bob-one")}, `GREC of "pd:bob:1" listing objections`},
 		{opKey, [][]byte{[]byte("alice"), []byte("wrapped")}, "GKEY (a data key in the AOF)"},
 		{opKey, [][]byte{[]byte("alice"), []byte("wrapped"), []byte("0")}, "GKEY (a data key in the AOF)"},
 		{"GSHRED", [][]byte{[]byte("alice")}, "GSHRED"},
@@ -306,16 +315,65 @@ func TestRetiredAOFFormsRefused(t *testing.T) {
 	if after, _ := os.ReadFile(path); !bytes.Equal(after, raw) {
 		t.Fatal("a refused Open changed legacy.aof")
 	}
-	s := newFullStore(t, func(c *Config) { c.Envelope, c.MasterKey = true, bytes.Repeat([]byte{6}, 32) })
-	shred := [][]byte{[]byte("alice"), []byte("1")}
-	if err := s.ApplyReplicated("GSHRED", shred); !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), "GSHRED") {
-		t.Fatalf("the stream applies GSHRED: %v; want ErrRetiredFormat", err)
+	dir, bdir := t.TempDir(), t.TempDir()
+	s := newFullStore(t, func(c *Config) {
+		c.Envelope, c.MasterKey = true, bytes.Repeat([]byte{6}, 32)
+		c.AOFPath = filepath.Join(dir, "gdpr.aof")
+	})
+	m, err := backup.NewManager(bdir, nil, s.Config().Clock)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := vetBackupRecord("GSHRED", shred); !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), "GSHRED") {
-		t.Fatalf("a restore admits GSHRED: %v; want ErrRetiredFormat", err)
+	s.SetBackupManager(m)
+	if err := s.Put(ctlCtx, "pd:alice:1", []byte("alice-one"), PutOptions{Owner: "alice"}); err != nil {
+		t.Fatal(err)
 	}
-	if s.Erased("alice") {
-		t.Fatal("a refused GSHRED erased alice")
+	for _, rec := range [][][]byte{
+		{[]byte("GSHRED"), []byte("alice"), []byte("1")},
+		{[]byte("GMETA"), []byte("pd:bob:1"), objecting},
+		{[]byte(opRecord), objecting, []byte("pd:bob:1"), []byte("bob-one")},
+	} {
+		name, args := string(rec[0]), rec[1:]
+		if err := s.ApplyReplicated(name, args); !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), name) {
+			t.Fatalf("the stream applies %s: %v; want ErrRetiredFormat", name, err)
+		}
+		// No generation ever held a GMETA: the restore refuses it as a
+		// record a generation may not hold.
+		if err := vetBackupRecord(name, args); err == nil || !strings.Contains(err.Error(), name) || errors.Is(err, ErrRetiredFormat) != (name != "GMETA") {
+			t.Fatalf("a restore admits %s: %v", name, err)
+		}
+		if _, err := m.Create(func(emit func(string, ...[]byte) error) error { return emit(name, args...) }); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Log().Sync(); err != nil {
+			t.Fatal(err)
+		}
+		before := [2]map[string]string{dirBytes(t, dir), dirBytes(t, bdir)}
+		if applied, _, err := s.RestoreBackup(ctlCtx); err == nil || !strings.Contains(err.Error(), name) || applied != 0 {
+			t.Fatalf("restore of a generation holding %s: applied %d, %v", name, applied, err)
+		}
+		// GSHRED and GMETA were never migration records.
+		err := s.RestoreRecord(ctlCtx, rec, nil)
+		if want := "not a migration record"; name == opRecord {
+			if !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), "GREC") || !strings.Contains(err.Error(), "upgrade the source node first") {
+				t.Fatalf("RESTOREKEY of %s: %v; want ErrRetiredFormat and the upgrade step", name, err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("RESTOREKEY of %s: %v; want %q", name, err, want)
+		}
+		if err := s.Log().Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if after := [2]map[string]string{dirBytes(t, dir), dirBytes(t, bdir)}; !reflect.DeepEqual(after, before) {
+			t.Fatalf("a refused %s changed the data dir or the generations", name)
+		}
+	}
+	if s.Erased("alice") || s.Objections("bob") != nil || s.Exists("pd:bob:1") {
+		t.Fatalf("the refused records applied: alice erased %v, bob objects to %v, pd:bob:1 exists %v",
+			s.Erased("alice"), s.Objections("bob"), s.Exists("pd:bob:1"))
+	}
+	if v, err := s.Get(ctlCtx, "pd:alice:1"); err != nil || string(v) != "alice-one" {
+		t.Fatalf("pd:alice:1 = %q, %v after the refusals", v, err)
 	}
 }
 
@@ -382,7 +440,7 @@ func TestDecodersRefuseParentJSON(t *testing.T) {
 // keptForms is every journal record this release's writers emit to the
 // AOF, by name, with the argument counts each takes: the one format
 // generation replay, the replication link and a restore accept. The stream
-// also carries GKEY, and replay still folds the previous release's GMETA.
+// also carries GKEY.
 var keptForms = map[string]func(argc int) bool{
 	opRecord: func(n int) bool { return n >= 3 && n%2 == 1 },
 	opForget: func(n int) bool { return n == 1 || n == 2 },
