@@ -406,3 +406,133 @@ func TestOwnerRecordAppliesAlone(t *testing.T) {
 		t.Fatalf("a billing read of bob's record: %v", err)
 	}
 }
+
+// TestRetiredObjectionFormsRefused: the previous release stamped every
+// record with its owner's objections, in its GREC and in a GMETA for each
+// record an objection restamped, and its COMPACT folded each one into the
+// owner record. Replay, the stream, a restore and RESTOREKEY refuse such a
+// record, with or without the rights, and apply nothing of it: its owner
+// objects to nothing, its key is not written, and the records already there
+// keep their own terms.
+func TestRetiredObjectionFormsRefused(t *testing.T) {
+	now := time.Date(2019, 5, 16, 0, 0, 0, 0, time.UTC) // newFullStore's clock
+	purposes := []string{"ads", "billing", "marketing"}
+	// A GMETA restamping pd:alice:1 with terms it was never written under,
+	// and bob's record as the previous release wrote it.
+	gmeta := [][]byte{[]byte("GMETA"), []byte("pd:alice:1"),
+		appendMetadata(nil, &Metadata{Owner: "alice", Purposes: []string{"other"}, Objections: []string{"ads"}, Created: now})}
+	grec := [][]byte{[]byte(opRecord),
+		appendMetadata(nil, &Metadata{Owner: "bob", Purposes: purposes, Objections: []string{"marketing"}, Expiry: now.Add(time.Hour), Created: now}),
+		[]byte("pd:bob:1"), []byte("bob-one")}
+	forms := map[string]string{"GMETA": "GMETA", opRecord: `GREC of "pd:bob:1" listing objections`}
+	unapplied := func(t *testing.T, s *Store, how string) {
+		t.Helper()
+		if a, b := s.Objections("alice"), s.Objections("bob"); a != nil || b != nil || s.Exists("pd:bob:1") {
+			t.Fatalf("%s: alice objects to %v, bob to %v, pd:bob:1 exists %v", how, a, b, s.Exists("pd:bob:1"))
+		}
+		if m, err := s.Metadata(ctlCtx, "pd:alice:1"); err != nil || !slices.Equal(m.Purposes, purposes) || len(m.Objections) != 0 {
+			t.Fatalf("%s: pd:alice:1 holds %+v, %v; want its own terms", how, m, err)
+		}
+	}
+	putAlice := func(t *testing.T, s *Store) {
+		t.Helper()
+		if err := s.Put(ctlCtx, "pd:alice:1", []byte("alice-one"), PutOptions{Owner: "alice", Purposes: purposes}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("replay", func(t *testing.T) {
+		for _, rec := range [][][]byte{gmeta, grec} {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "gdpr.aof")
+			cfg := persistentCfg(path, clock.NewVirtual(now), nil)
+			s, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			addPrincipals(s)
+			putAlice(t, s)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			written, err := aof.Load(path, nil, func(string, [][]byte) error { return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendRecords(t, path, rec)
+			before := dirBytes(t, dir)
+			name := string(rec[0])
+			if s, err = Open(cfg); !errors.Is(err, ErrRetiredFormat) || s != nil {
+				t.Fatalf("Open after a %s = %v, %v; want ErrRetiredFormat", name, s, err)
+			}
+			for _, want := range []string{path, fmt.Sprintf("record %d", written), forms[name]} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("the refusal of a %s does not name %q: %v", name, want, err)
+				}
+			}
+			if after := dirBytes(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatalf("a refused %s changed the data dir", name)
+			}
+		}
+	})
+	t.Run("stream", func(t *testing.T) {
+		s := newFullStore(t, nil)
+		putAlice(t, s)
+		for _, r := range [][][]byte{gmeta, grec} {
+			name := string(r[0])
+			if err := s.ApplyReplicated(name, r[1:]); !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), forms[name]) {
+				t.Fatalf("the stream applies %s: %v; want ErrRetiredFormat", name, err)
+			}
+		}
+		unapplied(t, s, "streamed")
+	})
+	t.Run("restore", func(t *testing.T) {
+		dir, bdir := t.TempDir(), t.TempDir()
+		s := newFullStore(t, func(c *Config) { c.AOFPath = filepath.Join(dir, "gdpr.aof") })
+		m, err := backup.NewManager(bdir, nil, s.Config().Clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetBackupManager(m)
+		putAlice(t, s)
+		for _, r := range [][][]byte{gmeta, grec} {
+			name, args := string(r[0]), r[1:]
+			// No generation ever held a GMETA: the restore refuses it as a
+			// record a generation may not hold.
+			if err := vetBackupRecord(name, args); err == nil || !strings.Contains(err.Error(), forms[name]) || errors.Is(err, ErrRetiredFormat) != (name == opRecord) {
+				t.Fatalf("a restore admits %s: %v", name, err)
+			}
+			if _, err := m.Create(func(emit func(string, ...[]byte) error) error { return emit(name, args...) }); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Log().Sync(); err != nil {
+				t.Fatal(err)
+			}
+			before := [2]map[string]string{dirBytes(t, dir), dirBytes(t, bdir)}
+			if applied, _, err := s.RestoreBackup(ctlCtx); err == nil || !strings.Contains(err.Error(), forms[name]) || applied != 0 {
+				t.Fatalf("restore of a generation holding %s: applied %d, %v", name, applied, err)
+			}
+			if err := s.Log().Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if after := [2]map[string]string{dirBytes(t, dir), dirBytes(t, bdir)}; !reflect.DeepEqual(after, before) {
+				t.Fatalf("a refused restore of %s changed the data dir or the generations", name)
+			}
+		}
+		unapplied(t, s, "restored")
+	})
+	t.Run("RESTOREKEY", func(t *testing.T) {
+		s := newFullStore(t, nil)
+		putAlice(t, s)
+		for _, ctx := range []Ctx{svcCtx, ctlCtx} {
+			if err := s.RestoreRecord(ctx, grec, nil); !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), forms[opRecord]) || !strings.Contains(err.Error(), "upgrade the source node first") {
+				t.Fatalf("RESTOREKEY of a record with objections by %s: %v; want ErrRetiredFormat and the upgrade step", ctx.Actor, err)
+			}
+		}
+		// A GMETA was never a migration record.
+		if err := s.RestoreRecord(ctlCtx, gmeta, nil); err == nil || !strings.Contains(err.Error(), "not a migration record") {
+			t.Fatalf("RESTOREKEY of a GMETA: %v", err)
+		}
+		unapplied(t, s, "restored by key")
+	})
+}

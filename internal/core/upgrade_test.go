@@ -230,19 +230,13 @@ func dirBytes(t *testing.T, dir string) map[string]string {
 // TestRetiredAOFFormsRefused: replay stops at the first record in a form an
 // earlier release wrote, with ErrRetiredFormat and an error that names the
 // file, the record, the form and the upgrade step; the data dir is left
-// byte for byte as it was. Among them are the erasure mark GSHRED, with or
-// without its epoch, and an earlier release's record-level objections, a
-// GMETA and a GREC listing objections for a data key: the previous release
-// wrote none of them, and its COMPACT folded each one it read into the
-// owner record. The replication stream, a restore and RESTOREKEY refuse
-// them too, and apply nothing.
+// byte for byte as it was. Among them is the erasure mark GSHRED, with or
+// without its epoch: the previous release wrote none, and its COMPACT folded
+// each one it read into the owner record. The replication stream, a restore
+// and RESTOREKEY refuse it too, and apply nothing. The previous release's
+// record-level objections are TestRetiredObjectionFormsRefused's.
 func TestRetiredAOFFormsRefused(t *testing.T) {
 	meta := appendMetadata(nil, &Metadata{Owner: "alice"})
-	created := time.Date(2019, 5, 16, 0, 0, 0, 0, time.UTC) // newFullStore's clock
-	objecting := appendMetadata(nil, &Metadata{
-		Owner: "bob", Purposes: []string{"ads", "billing"}, Objections: []string{"ads"},
-		Expiry: created.Add(time.Hour), Created: created,
-	})
 	cases := []struct {
 		name string
 		args [][]byte
@@ -250,7 +244,6 @@ func TestRetiredAOFFormsRefused(t *testing.T) {
 	}{
 		{"GMETAB", [][]byte{meta, []byte("k")}, "GMETAB"},
 		{"GMETA", [][]byte{[]byte("k"), []byte(`{"owner":"alice","created":"2026-09-25T12:00:00Z"}`)}, "GMETA"},
-		{opRecord, [][]byte{objecting, []byte("pd:bob:1"), []byte("bob-one")}, `GREC of "pd:bob:1" listing objections`},
 		{opKey, [][]byte{[]byte("alice"), []byte("wrapped")}, "GKEY (a data key in the AOF)"},
 		{opKey, [][]byte{[]byte("alice"), []byte("wrapped"), []byte("0")}, "GKEY (a data key in the AOF)"},
 		{"GSHRED", [][]byte{[]byte("alice")}, "GSHRED"},
@@ -328,49 +321,35 @@ func TestRetiredAOFFormsRefused(t *testing.T) {
 	if err := s.Put(ctlCtx, "pd:alice:1", []byte("alice-one"), PutOptions{Owner: "alice"}); err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range [][][]byte{
-		{[]byte("GSHRED"), []byte("alice"), []byte("1")},
-		{[]byte("GMETA"), []byte("pd:bob:1"), objecting},
-		{[]byte(opRecord), objecting, []byte("pd:bob:1"), []byte("bob-one")},
-	} {
-		name, args := string(rec[0]), rec[1:]
-		if err := s.ApplyReplicated(name, args); !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), name) {
-			t.Fatalf("the stream applies %s: %v; want ErrRetiredFormat", name, err)
-		}
-		// No generation ever held a GMETA: the restore refuses it as a
-		// record a generation may not hold.
-		if err := vetBackupRecord(name, args); err == nil || !strings.Contains(err.Error(), name) || errors.Is(err, ErrRetiredFormat) != (name != "GMETA") {
-			t.Fatalf("a restore admits %s: %v", name, err)
-		}
-		if _, err := m.Create(func(emit func(string, ...[]byte) error) error { return emit(name, args...) }); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Log().Sync(); err != nil {
-			t.Fatal(err)
-		}
-		before := [2]map[string]string{dirBytes(t, dir), dirBytes(t, bdir)}
-		if applied, _, err := s.RestoreBackup(ctlCtx); err == nil || !strings.Contains(err.Error(), name) || applied != 0 {
-			t.Fatalf("restore of a generation holding %s: applied %d, %v", name, applied, err)
-		}
-		// GSHRED and GMETA were never migration records.
-		err := s.RestoreRecord(ctlCtx, rec, nil)
-		if want := "not a migration record"; name == opRecord {
-			if !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), "GREC") || !strings.Contains(err.Error(), "upgrade the source node first") {
-				t.Fatalf("RESTOREKEY of %s: %v; want ErrRetiredFormat and the upgrade step", name, err)
-			}
-		} else if err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("RESTOREKEY of %s: %v; want %q", name, err, want)
-		}
-		if err := s.Log().Sync(); err != nil {
-			t.Fatal(err)
-		}
-		if after := [2]map[string]string{dirBytes(t, dir), dirBytes(t, bdir)}; !reflect.DeepEqual(after, before) {
-			t.Fatalf("a refused %s changed the data dir or the generations", name)
-		}
+	args := [][]byte{[]byte("alice"), []byte("1")}
+	if err := s.ApplyReplicated("GSHRED", args); !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), "GSHRED") {
+		t.Fatalf("the stream applies GSHRED: %v; want ErrRetiredFormat", err)
 	}
-	if s.Erased("alice") || s.Objections("bob") != nil || s.Exists("pd:bob:1") {
-		t.Fatalf("the refused records applied: alice erased %v, bob objects to %v, pd:bob:1 exists %v",
-			s.Erased("alice"), s.Objections("bob"), s.Exists("pd:bob:1"))
+	if err := vetBackupRecord("GSHRED", args); !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), "GSHRED") {
+		t.Fatalf("a restore admits GSHRED: %v", err)
+	}
+	if _, err := m.Create(func(emit func(string, ...[]byte) error) error { return emit("GSHRED", args...) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Log().Sync(); err != nil {
+		t.Fatal(err)
+	}
+	before := [2]map[string]string{dirBytes(t, dir), dirBytes(t, bdir)}
+	if applied, _, err := s.RestoreBackup(ctlCtx); err == nil || !strings.Contains(err.Error(), "GSHRED") || applied != 0 {
+		t.Fatalf("restore of a generation holding GSHRED: applied %d, %v", applied, err)
+	}
+	// GSHRED was never a migration record.
+	if err := s.RestoreRecord(ctlCtx, append([][]byte{[]byte("GSHRED")}, args...), nil); err == nil || !strings.Contains(err.Error(), "not a migration record") {
+		t.Fatalf("RESTOREKEY of GSHRED: %v", err)
+	}
+	if err := s.Log().Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if after := [2]map[string]string{dirBytes(t, dir), dirBytes(t, bdir)}; !reflect.DeepEqual(after, before) {
+		t.Fatal("a refused GSHRED changed the data dir or the generations")
+	}
+	if s.Erased("alice") {
+		t.Fatal("the refused GSHRED erased alice")
 	}
 	if v, err := s.Get(ctlCtx, "pd:alice:1"); err != nil || string(v) != "alice-one" {
 		t.Fatalf("pd:alice:1 = %q, %v after the refusals", v, err)
