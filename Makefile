@@ -14,19 +14,16 @@ build:
 test:
 	$(GO) test ./...
 
-# race mirrors the CI `race` job: the sharded engine and striped compliance
-# layer must stay race-clean. Its last four lines are the cluster-e2e job's
-# SDK dispatch drill and its peer-link and replica-resync drills.
+# race is the CI `race` job: the whole module once under the race detector,
+# then race-drills.txt, one `go test` per count and package of its lines.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 ./internal/audit -run 'Pipeline|Strict|Backpressure|Drop|Close|Order'
-	$(GO) test -race -count=5 ./internal/store ./internal/cryptoutil -run 'Differential|Expiry|Heap|CipherCache'
-	$(GO) test -race -count=10 ./internal/core -run 'CipherCache|ForgetCountsOnlyUnexpiredRecords|ResidentBytesPerRecord'
-	$(GO) test -race -count=10 ./internal/core -run 'TestGetUserConcurrentWithWrites|TestGetUserRacingForget|TestUnobjectDuringRightsReads|TestReadsReturnAfterJournalHandOff|TestCloseWaitsOutCallsInFlight|TestDeleteRacingCompactStaysDeleted|TestReplayKeepsRecordsWithTheirWriter|TestBackupIsCompliantSnapshot|TestRestoreKeepsLaterObjection|TestEventualForgetThenRestoreStaysErased|TestRestoreRefusesKeyMaterial|TestRestoreRefusesShortGeneration|TestRestoreReplacesLiveState|TestBackgroundExpiryIsAudited|TestReplicaKeepsNoErasureBacklog|TestForgetLeavesNoKeyOnDisk|TestInterruptedShredZeroesSlot|TestZeroedSlotWithoutShred|TestMissingKeyFileRefused|TestTornKeySlotZeroed|TestOwnerTooLongForKeySlot|TestEnvelopeGKEYRefused|TestFullSyncDropsStaleObjection|TestObjectionWithoutRecords|TestOwnerKeyReserved|TestObjectionSurvivesForget|TestRestoreRefusesLegacyObjection|TestOwnerRecordCutBeforeRestamps|TestLegacyObjectionsRefused|TestFullSyncZeroesReplicaStaleKey|TestRetiredAOFFormsRefused|TestRetiredObjectionFormsRefused|TestObjectionJournalsOneRecord|TestErasureSurvivesFlushAll'
-	$(GO) test -race -count=3 ./pkg/gdprkv
-	$(GO) test -race -count=3 -run 'TestClusterClient|TestClusterPipeline|TestClusterFailover' ./internal/server
-	$(GO) test -race -run 'TestClusterSlotMigrationWithAsk|TestClusterMigration|TestClusterForgetMidMigration|TestClusterForgetDuringMigrationRace|TestClusterGetUserRacingMigration|TestClusterUnobjectDuringMigration|TestClusterFailoverPromoteReplica|TestClusterPeer|TestClusterPlacementRefusesOffSlotWrite|TestClusterRightsRouteToOwnerSlot|TestClusterRefusesMisplacedData|TestClusterUnreadReplyDoesNotBlockMigration|TestRestoreKeyWithdrawalNeedsRights|TestClusterForgetWithNodeDown|TestClusterGetUserSkipsLaggingReplica|TestClusterReplicaRedirects|TestDemotedPrimaryStopsExpiring|TestPromotionResumesDuties' ./internal/server
-	$(GO) test -race -count=5 -run 'LastErr|PartialResync|FullSync' ./internal/replica
+	@awk '!/^#/ && NF == 3 { k = $$1 " " $$2; if (k in run) run[k] = run[k] "|" $$3; else { keys[n++] = k; run[k] = $$3 } } \
+		END { for (i = 0; i < n; i++) print keys[i], run[keys[i]] }' race-drills.txt | \
+	while read count pkg run; do \
+		echo "$(GO) test -race -count=$$count -run '$$run' $$pkg"; \
+		$(GO) test -race -count=$$count -run "$$run" $$pkg || exit 1; \
+	done
 
 bench:
 	$(GO) test -run NONE -bench . -benchmem ./...

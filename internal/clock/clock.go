@@ -8,8 +8,8 @@
 // function of the number of 100 ms cycles executed, not of real time, so
 // advancing a simulated clock preserves the measured delay exactly.
 //
-// Product code reads the time only through a Clock; guard_test.go fails on
-// a direct time.Now, time.Since or time.Until outside its exception list.
+// Product code reads the time only through a Clock; a row of
+// guardrails_test.go fails on time.Now, Since or Until outside its list.
 package clock
 
 import (
