@@ -384,8 +384,11 @@ func TestWallReadGuardFindsPlantedCalls(t *testing.T) {
 	const now = "package p\n\nimport \"time\"\n\nfunc F() { _ = time.Now() }\n"
 	at := func(path, src string) map[string]string { return map[string]string{path: src} }
 	runPlants(t, []plant{
+		{"time.Now in product code", at("internal/core/planted.go", now), 1},
 		{"aliased Since", at("internal/server/planted.go", "package p\n\nimport t \"time\"\n\nfunc F(x t.Time) t.Duration { return t.Since(x) }\n"), 1},
 		{"dot-imported Until", at("internal/ops/planted.go", "package p\n\nimport . \"time\"\n\nfunc F(x Time) Duration { return Until(x) }\n"), 1},
+		{"excepted directory", at("cmd/planted/main.go", now), 0},
+		{"excepted file", at("pkg/gdprkv/conn.go", now), 0},
 		{"method of another value", at("internal/core/planted.go", "package p\n\nimport \"time\"\n\ntype c struct{}\n\nfunc (c) Now() time.Time { return time.Time{} }\n\nfunc F() { _ = c{}.Now() }\n"), 0},
 		{"test file", at("internal/core/planted_test.go", now), 0},
 		{"testdata", at("internal/core/testdata/planted.go", now), 0},
