@@ -2,12 +2,13 @@
 // for the backup half of the paper's Article 17 requirement: erased
 // personal data must not survive in backups. A generation is one snapshot
 // stream, written as an AOF rewrite writes the log (aof.WriteSnapshot,
-// optionally encrypted at rest: the LUKS stand-in), closed by a trailer,
-// and read back with aof.Load; a generation that reads short is refused.
-// The package does not interpret it: the store supplies what a
-// generation holds and what a restore does. The compliance layer's stream
-// is each record with its GDPR metadata plus the standing objections, and
-// never a key, so two erasure strategies keep generations compliant:
+// optionally encrypted at rest: the LUKS stand-in) and closed by a
+// trailer, so aof.Load reads it back and a copy that lacks the trailer is
+// known to be cut short. Generations are written and refreshed, never read
+// back: the package does not interpret them, and the store supplies what
+// one holds. The compliance layer's stream is each record with its GDPR
+// metadata plus the standing objections, and never a key, so two erasure
+// strategies keep generations compliant:
 //
 //   - Refresh: re-snapshot after erasure and delete older generations, so
 //     no backup older than the erasure survives (what Google Cloud's
@@ -35,9 +36,8 @@ const stampLayout = "20060102T150405.000000000"
 
 // Manager keeps timestamped backup generations in a directory. All
 // methods are safe for concurrent use: a mutex serialises generation
-// numbering and the directory-level operations (create, purge, restore),
-// so concurrent Creates cannot race on seq and a restore cannot read a
-// generation Refresh is about to purge.
+// numbering and the directory-level operations (create, purge), so
+// concurrent Creates cannot race on seq.
 type Manager struct {
 	mu  sync.Mutex
 	dir string
@@ -68,7 +68,7 @@ func (m *Manager) Create(snapshot aof.SnapshotFunc) (string, error) {
 
 // trailer closes every generation. aof.Load takes a short read for a torn
 // tail, which a log may have; a generation read without its trailer is
-// truncated, damaged or read under the wrong key, and is refused.
+// truncated, damaged or read under the wrong key.
 const trailer = "BACKUPEND"
 
 // createLocked is Create's body; callers hold m.mu.
@@ -102,35 +102,6 @@ func (m *Manager) List() ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// RestoreLatest hands the newest generation's commands to fn, in the order
-// they were written, and returns the generation's path. fn decides what a
-// restore does; an error from it stops the read and is returned. A short
-// read is an error only after fn has seen what could be read, so a caller
-// that must not act on part of a generation reads it twice.
-func (m *Manager) RestoreLatest(fn aof.ReplayFunc) (string, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	gens, err := m.List()
-	if err != nil {
-		return "", err
-	}
-	if len(gens) == 0 {
-		return "", fmt.Errorf("backup: no generations in %s", m.dir)
-	}
-	latest := gens[len(gens)-1]
-	ended := false // the last command read was the trailer
-	_, err = aof.Load(latest, m.key, func(name string, args [][]byte) error {
-		if ended = name == trailer && len(args) == 0; ended {
-			return nil
-		}
-		return fn(name, args)
-	})
-	if err == nil && !ended {
-		err = fmt.Errorf("backup: %s reads short: no trailer", latest)
-	}
-	return latest, err
 }
 
 // Refresh implements post-erasure backup hygiene: snapshot the current

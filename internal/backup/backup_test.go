@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"gdprstore/internal/aof"
 	"gdprstore/internal/clock"
 )
 
@@ -30,10 +32,12 @@ func (d dataset) snapshot(emit func(name string, args ...[]byte) error) error {
 	return nil
 }
 
-// restoreLatest reads m's newest generation back as a dataset.
-func restoreLatest(m *Manager) (string, dataset, error) {
+// readGeneration reads the generation at path back with aof.Load, under
+// key, as the dataset it holds: everything before its trailer. A
+// generation that does not end in the trailer is an error.
+func readGeneration(path string, key []byte) (dataset, error) {
 	var got dataset
-	path, err := m.RestoreLatest(func(name string, args [][]byte) error {
+	_, err := aof.Load(path, key, func(name string, args [][]byte) error {
 		c := []string{name}
 		for _, a := range args {
 			c = append(c, string(a))
@@ -41,7 +45,13 @@ func restoreLatest(m *Manager) (string, dataset, error) {
 		got = append(got, c)
 		return nil
 	})
-	return path, got, err
+	if n := len(got); err == nil && (n == 0 || !reflect.DeepEqual(got[n-1], []string{trailer})) {
+		err = fmt.Errorf("%s ends without its trailer", path)
+	}
+	if err != nil {
+		return got, err
+	}
+	return got[:len(got)-1], nil
 }
 
 func newManager(t *testing.T, key []byte) (*Manager, *clock.Virtual) {
@@ -54,6 +64,9 @@ func newManager(t *testing.T, key []byte) (*Manager, *clock.Virtual) {
 	return m, vc
 }
 
+// TestWriteRestoreRoundTrip: a generation reads back with aof.Load as the
+// commands its snapshot emitted, then the trailer; a copy cut anywhere
+// reads without the trailer.
 func TestWriteRestoreRoundTrip(t *testing.T) {
 	m, _ := newManager(t, nil)
 	in := dataset{
@@ -62,17 +75,31 @@ func TestWriteRestoreRoundTrip(t *testing.T) {
 		{"GREC", "\xffbinary\r\nmetadata", "pd:alice", ""},
 		{"GOBJ", "alice", "marketing"},
 	}
-	if _, err := m.Create(in.snapshot); err != nil {
+	path, err := m.Create(in.snapshot)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, got, err := restoreLatest(m); err != nil || !reflect.DeepEqual(got, in) {
-		t.Fatalf("restored %q, %v; want %q", got, err, in)
+	if got, err := readGeneration(path, nil); err != nil || !reflect.DeepEqual(got, in) {
+		t.Fatalf("read back %q, %v; want %q", got, err, in)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := filepath.Join(t.TempDir(), "cut.snap")
+	for n := 0; n < len(raw); n++ {
+		if err := os.WriteFile(cut, raw[:n], 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := readGeneration(cut, nil); err == nil {
+			t.Fatalf("generation cut at byte %d of %d read whole as %q", n, len(raw), got)
+		}
 	}
 }
 
 func TestEncryptedBackupUnreadableWithoutKey(t *testing.T) {
 	key := bytes.Repeat([]byte{9}, 32)
-	m, vc := newManager(t, key)
+	m, _ := newManager(t, key)
 	secret := "super-secret-personal-data"
 	in := dataset{{"SET", "pd", secret}}
 	path, err := m.Create(in.snapshot)
@@ -86,17 +113,12 @@ func TestEncryptedBackupUnreadableWithoutKey(t *testing.T) {
 	if bytes.Contains(raw, []byte(secret)) {
 		t.Fatal("plaintext visible in encrypted backup")
 	}
-	// A manager over the same directory with the wrong key reads noise, and
-	// the read fails.
-	wrong, err := NewManager(m.dir, bytes.Repeat([]byte{8}, 32), vc)
-	if err != nil {
-		t.Fatal(err)
+	// Read under the wrong key, the generation is noise, and the read fails.
+	if _, err := readGeneration(path, bytes.Repeat([]byte{8}, 32)); err == nil {
+		t.Fatal("wrong key read the generation")
 	}
-	if _, _, err := restoreLatest(wrong); err == nil {
-		t.Fatal("wrong key restored successfully")
-	}
-	if _, got, err := restoreLatest(m); err != nil || !reflect.DeepEqual(got, in) {
-		t.Fatalf("restored %q, %v", got, err)
+	if got, err := readGeneration(path, key); err != nil || !reflect.DeepEqual(got, in) {
+		t.Fatalf("read back %q, %v", got, err)
 	}
 }
 
@@ -119,59 +141,8 @@ func TestManagerGenerations(t *testing.T) {
 	if len(gens) != 2 || gens[0] != p1 || gens[1] != p2 {
 		t.Fatalf("list = %v", gens)
 	}
-	path, got, err := restoreLatest(m)
-	if err != nil || path != p2 || !reflect.DeepEqual(got, v2) {
-		t.Fatalf("latest restore = %s %q, %v", path, got, err)
-	}
-}
-
-func TestRestoreLatestEmpty(t *testing.T) {
-	m, _ := newManager(t, nil)
-	if _, _, err := restoreLatest(m); err == nil {
-		t.Fatal("restore from empty dir accepted")
-	}
-}
-
-// TestRestoreLatestRefusesShortGeneration: a generation cut anywhere, at a
-// record boundary or inside a record, is an error, not a shorter dataset.
-func TestRestoreLatestRefusesShortGeneration(t *testing.T) {
-	m, _ := newManager(t, nil)
-	path, err := m.Create(dataset{{"SET", "a", "1"}, {"GOBJ", "alice", "marketing"}}.snapshot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := 0; cut < len(raw); cut++ {
-		if err := os.WriteFile(path, raw[:cut], 0o600); err != nil {
-			t.Fatal(err)
-		}
-		if _, got, err := restoreLatest(m); err == nil {
-			t.Fatalf("generation cut at byte %d of %d restored as %q", cut, len(raw), got)
-		}
-	}
-}
-
-// TestRestoreLatestStopsAtRefusal: a record the replay function refuses
-// stops the read, and the refusal is what RestoreLatest returns.
-func TestRestoreLatestStopsAtRefusal(t *testing.T) {
-	m, _ := newManager(t, nil)
-	if _, err := m.Create(dataset{{"SET", "a", "1"}, {"GKEY", "alice", "k"}, {"SET", "b", "2"}}.snapshot); err != nil {
-		t.Fatal(err)
-	}
-	refused := errors.New("refused")
-	var seen []string
-	_, err := m.RestoreLatest(func(name string, _ [][]byte) error {
-		seen = append(seen, name)
-		if name == "GKEY" {
-			return refused
-		}
-		return nil
-	})
-	if !errors.Is(err, refused) || !reflect.DeepEqual(seen, []string{"SET", "GKEY"}) {
-		t.Fatalf("err = %v after %v", err, seen)
+	if got, err := readGeneration(p2, nil); err != nil || !reflect.DeepEqual(got, v2) {
+		t.Fatalf("the newer generation holds %q, %v", got, err)
 	}
 }
 

@@ -91,7 +91,7 @@ var rules = []rule{
 		why: "each caller stops every call in flight, so the list only shrinks: compaction and full sync are to run without it",
 		allow: map[string]string{
 			"internal/core/locks.go:lockAll": "its declaration", "internal/core/maintain.go:Compact": "", "internal/core/maintain.go:maintain": "",
-			"internal/core/replication.go:StreamSnapshot": "", "internal/core/replication.go:Backup": "", "internal/core/replication.go:RestoreBackup": "",
+			"internal/core/replication.go:StreamSnapshot": "", "internal/core/replication.go:Backup": "",
 			"internal/core/replication.go:propagateErasure": "", "internal/core/store.go:Delete": "", "internal/core/store.go:Close": "",
 		}},
 }

@@ -118,7 +118,7 @@ var Articles = []Article{
 		Name:        "Right to data portability",
 		Requirement: "Transfer data to other controllers upon request",
 		Features:    []Feature{FeatureIndexing},
-		Modules:     []string{"core (Export, ImportExport)"},
+		Modules:     []string{"core (Export)"},
 	},
 	{
 		Number:      "21",

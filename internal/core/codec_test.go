@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -429,6 +430,9 @@ func TestGetClockReads(t *testing.T) {
 	}
 }
 
+// residentChild marks the process TestResidentBytesPerRecord measures in.
+const residentChild = "GDPRSTORE_RESIDENT_CHILD"
+
 // TestResidentBytesPerRecord bounds what one stored record costs in live
 // heap under the repo benchmark's configuration (EventualFull, envelope
 // encryption, AOF and trail on disk, 1 h TTL, 108 B of key and value, ten
@@ -438,7 +442,24 @@ func TestGetClockReads(t *testing.T) {
 // GDPR feature is charged in. A restart, which rebuilds every record by
 // replaying the AOF, must land on the same layout: the replayed records
 // share their owners' policies as the written ones did.
+//
+// It measures in a process of its own. A store an earlier test closed can
+// stay reachable for up to the trail's drain timeout: a stopped barrier
+// timer in the runtime's timer heap holds the trail, its 4096-slot queue
+// and its file buffer (≈ 650 KB). Read into the empty heap and released
+// while this test opens its first store, it is subtracted from every
+// replayed record (≈ 33 B each).
 func TestResidentBytesPerRecord(t *testing.T) {
+	if os.Getenv(residentChild) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestResidentBytesPerRecord$", "-test.count=1", "-test.v")
+		cmd.Env = append(os.Environ(), residentChild+"=1")
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("%v\n%s", err, out)
+		}
+		t.Logf("%s", out)
+		return
+	}
 	const records, perOwner = 20_000, 10
 	// Measured 439 B. With the owner and purpose sets in hash maps, not
 	// ordered chunks, it measured 483 B; with the metadata in a second
@@ -526,11 +547,15 @@ func TestResidentBytesPerRecord(t *testing.T) {
 	defer s.Close()
 	checkExpiry(s, "replayed")
 	// Replay seals and opens nothing, so the cipher cache starts empty;
-	// reading one record per owner fills it as the writes did.
+	// reading one record per owner fills it as the writes did. Their audit
+	// records are drained before the heap is read, as the writes' were.
 	for i := 0; i < records/perOwner; i++ {
 		if _, err := s.Get(ctx, fmt.Sprintf("k%07d", i)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := s.Trail().Sync(); err != nil {
+		t.Fatal(err)
 	}
 	replayed := (heap() - before - opened) / records
 	t.Logf("after a restart: %d B per record", replayed)

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -255,35 +257,40 @@ func TestAccessReport(t *testing.T) {
 	}
 }
 
-func TestExportImportPortability(t *testing.T) {
+// TestExportPortability: Article 20's export is JSON that carries each
+// record's key, value, owner, purposes and expiry.
+func TestExportPortability(t *testing.T) {
 	s := newFullStore(t, nil)
-	s.Put(ctlCtx, "a1", []byte("v1"), PutOptions{Owner: "alice", Purposes: []string{"billing"}, TTL: time.Hour})
+	if err := s.Put(ctlCtx, "a1", []byte("v1"), PutOptions{Owner: "alice", Purposes: []string{"billing"}, TTL: time.Hour}); err != nil {
+		t.Fatal(err)
+	}
 	out, err := s.Export(Ctx{Actor: "alice"}, "alice")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(out, []byte("gdprstore-export/v1")) {
-		t.Fatal("export missing format marker")
+	var got struct {
+		Format  string `json:"format"`
+		Owner   string `json:"owner"`
+		Records []struct {
+			Key      string `json:"key"`
+			Value    []byte `json:"value"`
+			Metadata struct {
+				Owner    string    `json:"owner"`
+				Purposes []string  `json:"purposes"`
+				Expiry   time.Time `json:"expiry"`
+			} `json:"metadata"`
+		} `json:"records"`
 	}
-	// A second controller imports the payload.
-	s2 := newFullStore(t, nil)
-	n, err := s2.ImportExport(ctlCtx, out)
-	if err != nil || n != 1 {
-		t.Fatalf("import n=%d err=%v", n, err)
+	if err := json.Unmarshal(out, &got); err != nil {
+		t.Fatal(err)
 	}
-	v, err := s2.Get(Ctx{Actor: "controller", Purpose: "billing"}, "a1")
-	if err != nil || string(v) != "v1" {
-		t.Fatalf("imported value = %q, %v", v, err)
+	if got.Format != "gdprstore-export/v1" || got.Owner != "alice" || len(got.Records) != 1 {
+		t.Fatalf("export = %s", out)
 	}
-}
-
-func TestImportRejectsGarbage(t *testing.T) {
-	s := newFullStore(t, nil)
-	if _, err := s.ImportExport(ctlCtx, []byte("{not an export}")); err == nil {
-		t.Fatal("garbage import accepted")
-	}
-	if _, err := s.ImportExport(ctlCtx, []byte(`{"format":"v999"}`)); err == nil {
-		t.Fatal("unknown format accepted")
+	r, expiry := got.Records[0], vclock(s).Now().Add(time.Hour)
+	if r.Key != "a1" || string(r.Value) != "v1" || r.Metadata.Owner != "alice" ||
+		!slices.Equal(r.Metadata.Purposes, []string{"billing"}) || !r.Metadata.Expiry.Equal(expiry) {
+		t.Fatalf("exported record = %+v; want a1=v1 for alice, [billing], expiring %v", r, expiry)
 	}
 }
 

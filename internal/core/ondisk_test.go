@@ -483,7 +483,7 @@ func TestFullSyncZeroesReplicaStaleKey(t *testing.T) {
 		}
 		t.Cleanup(func() { s.Close() })
 		addPrincipals(s)
-		hub, err := s.EnableStreamReplication(replica.HubOptions{})
+		hub, err := s.EnableStreamReplication()
 		if err != nil {
 			t.Fatal(err)
 		}

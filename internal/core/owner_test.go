@@ -13,7 +13,6 @@ import (
 
 	"gdprstore/internal/acl"
 	"gdprstore/internal/aof"
-	"gdprstore/internal/backup"
 	"gdprstore/internal/clock"
 	"gdprstore/internal/replica"
 	"gdprstore/internal/store"
@@ -26,7 +25,7 @@ import (
 // next for the subject reads the same on both.
 func TestFullSyncDropsStaleObjection(t *testing.T) {
 	s := newFullStore(t, nil)
-	hub, err := s.EnableStreamReplication(replica.HubOptions{})
+	hub, err := s.EnableStreamReplication()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,53 +216,6 @@ func TestObjectionSurvivesForget(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesLegacyObjection: a generation an earlier release wrote,
-// its objection a GOBJ after the records, is refused before the keyspace is
-// touched, with ErrRetiredFormat and the upgrade step (restore it with the
-// previous release, which folds the delta into the owner record, and take a
-// new generation): the live state stands, and the data dir, the AOF and the
-// generations, is left byte for byte as it was.
-func TestRestoreRefusesLegacyObjection(t *testing.T) {
-	dir, bdir := t.TempDir(), t.TempDir()
-	s := newFullStore(t, func(c *Config) { c.AOFPath = filepath.Join(dir, "gdpr.aof") })
-	m, err := backup.NewManager(bdir, nil, s.Config().Clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetBackupManager(m)
-	now := vclock(s).Now()
-	rec := appendMetadata(nil, &Metadata{
-		Owner: "bob", Purposes: []string{"ads", "billing"}, Expiry: now.Add(time.Hour), Created: now,
-	})
-	if _, err := m.Create(func(emit func(string, ...[]byte) error) error {
-		return errors.Join(emit(opRecord, rec, []byte("pd:bob"), []byte("bob-data")), emit("GOBJ", []byte("bob"), []byte("ads")))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := errors.Join(s.Object(Ctx{Actor: "bob"}, "bob", "billing"), s.Log().Sync()); err != nil {
-		t.Fatal(err)
-	}
-	before := [2]map[string]string{dirBytes(t, dir), dirBytes(t, bdir)}
-	applied, skipped, err := s.RestoreBackup(ctlCtx)
-	if !errors.Is(err, ErrRetiredFormat) || applied != 0 || skipped != 0 {
-		t.Fatalf("restore applied %d, skipped %d, %v; want ErrRetiredFormat and nothing applied", applied, skipped, err)
-	}
-	for _, want := range []string{"GOBJ", "previous release", "new one"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("the refusal does not name %q: %v", want, err)
-		}
-	}
-	if err := s.Log().Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if after := [2]map[string]string{dirBytes(t, dir), dirBytes(t, bdir)}; !reflect.DeepEqual(after, before) {
-		t.Fatal("a refused restore changed the data dir or the generations")
-	}
-	if got := s.Objections("bob"); !slices.Equal(got, []string{"billing"}) || s.Exists("pd:bob") {
-		t.Fatalf("after the refusal bob objects to %v (want [billing]), pd:bob exists %v", got, s.Exists("pd:bob"))
-	}
-}
-
 // TestOwnerRecordCutBeforeRestamps: a log cut right after an objection's
 // owner record replays to records that object, as the full log does: the
 // owner record is all an objection journals, and every record reads it.
@@ -410,8 +362,7 @@ func TestOwnerRecordAppliesAlone(t *testing.T) {
 // TestRetiredObjectionFormsRefused: the previous release stamped every
 // record with its owner's objections, in its GREC and in a GMETA for each
 // record an objection restamped, and its COMPACT folded each one into the
-// owner record. Replay, the stream, a restore and RESTOREKEY refuse such a
-// record, with or without the rights, and apply nothing of it: its owner
+// owner record. Replay, the stream and RESTOREKEY refuse such a record, with or without the rights, and apply nothing of it: its owner
 // objects to nothing, its key is not written, and the records already there
 // keep their own terms.
 func TestRetiredObjectionFormsRefused(t *testing.T) {
@@ -485,41 +436,6 @@ func TestRetiredObjectionFormsRefused(t *testing.T) {
 			}
 		}
 		unapplied(t, s, "streamed")
-	})
-	t.Run("restore", func(t *testing.T) {
-		dir, bdir := t.TempDir(), t.TempDir()
-		s := newFullStore(t, func(c *Config) { c.AOFPath = filepath.Join(dir, "gdpr.aof") })
-		m, err := backup.NewManager(bdir, nil, s.Config().Clock)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.SetBackupManager(m)
-		putAlice(t, s)
-		for _, r := range [][][]byte{gmeta, grec} {
-			name, args := string(r[0]), r[1:]
-			// No generation ever held a GMETA: the restore refuses it as a
-			// record a generation may not hold.
-			if err := vetBackupRecord(name, args); err == nil || !strings.Contains(err.Error(), forms[name]) || errors.Is(err, ErrRetiredFormat) != (name == opRecord) {
-				t.Fatalf("a restore admits %s: %v", name, err)
-			}
-			if _, err := m.Create(func(emit func(string, ...[]byte) error) error { return emit(name, args...) }); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Log().Sync(); err != nil {
-				t.Fatal(err)
-			}
-			before := [2]map[string]string{dirBytes(t, dir), dirBytes(t, bdir)}
-			if applied, _, err := s.RestoreBackup(ctlCtx); err == nil || !strings.Contains(err.Error(), forms[name]) || applied != 0 {
-				t.Fatalf("restore of a generation holding %s: applied %d, %v", name, applied, err)
-			}
-			if err := s.Log().Sync(); err != nil {
-				t.Fatal(err)
-			}
-			if after := [2]map[string]string{dirBytes(t, dir), dirBytes(t, bdir)}; !reflect.DeepEqual(after, before) {
-				t.Fatalf("a refused restore of %s changed the data dir or the generations", name)
-			}
-		}
-		unapplied(t, s, "restored")
 	})
 	t.Run("RESTOREKEY", func(t *testing.T) {
 		s := newFullStore(t, nil)

@@ -36,9 +36,9 @@ func recordObjections(m *Metadata, key []byte) error {
 // changes no key but the record's own. It is safe for a single applier
 // goroutine running concurrently with readers: a record is installed with
 // its value under the engine's shard lock, and the indexes follow the
-// engine; it takes no stripe (a restore holds them all). A written record
-// goes through the owner's shared policy, as a live write does, so a
-// replayed store shares policies as the live one did.
+// engine; it takes no stripe. A written record goes through the owner's
+// shared policy, as a live write does, so a replayed store shares policies
+// as the live one did.
 func (s *Store) applyRecord(name string, args [][]byte) error {
 	switch name {
 	case opRecord:

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 
 	"gdprstore/internal/audit"
 	"gdprstore/internal/backup"
@@ -18,8 +17,8 @@ func (s *Store) rechainJournal() {
 	if s.log != nil {
 		legs = append(legs, store.JournalFunc(s.log.Append))
 	}
-	if s.hub != nil {
-		legs = append(legs, s.hub)
+	if h := s.hub.Load(); h != nil {
+		legs = append(legs, h)
 	}
 	s.db.SetJournal(store.NewMultiJournal(legs...))
 }
@@ -30,28 +29,28 @@ func (s *Store) rechainJournal() {
 // ready for replicas to PSYNC. Enabled lazily — a server that never serves
 // a replica keeps the engine's no-journal fast path (when it also has no
 // AOF). Idempotent.
-func (s *Store) EnableStreamReplication(opts replica.HubOptions) (*replica.Hub, error) {
+func (s *Store) EnableStreamReplication() (*replica.Hub, error) {
 	s.gmu.Lock()
 	defer s.gmu.Unlock()
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
-	if s.hub != nil {
-		return s.hub, nil
+	if h := s.hub.Load(); h != nil {
+		return h, nil
 	}
-	s.hub = replica.NewHub(opts)
-	s.streamJ.Store(s.hub)
+	h := replica.NewHub()
+	s.hub.Store(h)
 	s.rechainJournal()
 	s.auditOp(audit.Record{
 		Actor: "system:replication", Op: "ENABLESTREAM", Outcome: audit.OutcomeOK,
 	})
-	return s.hub, nil
+	return h, nil
 }
 
 // Hub returns the network replication hub, or nil if stream replication
 // has not been enabled.
 func (s *Store) Hub() *replica.Hub {
-	return s.streamJ.Load()
+	return s.hub.Load()
 }
 
 // StreamSnapshot implements replica.SnapshotProvider over the full
@@ -122,105 +121,6 @@ func (s *Store) Backup() (string, error) {
 		Actor: "system:backup", Op: "BACKUP", Outcome: audit.OutcomeOK, Detail: path,
 	})
 	return path, nil
-}
-
-// RestoreBackup replaces the keyspace with the newest backup generation,
-// under the whole-store lock, and returns how many of its records it applied
-// and how many it skipped as crypto-erased. DESIGN.md §13 states its seven
-// rules; the steps below carry their numbers.
-func (s *Store) RestoreBackup(ctx Ctx) (applied, skipped int, err error) {
-	s.lockAll()
-	defer s.unlockAll()
-	if s.backups == nil {
-		return 0, 0, errNoBackups
-	}
-	if s.closed.Load() {
-		return 0, 0, ErrClosed
-	}
-	// 1. Paying owed erasure propagation refreshes the generations, so none
-	// taken before a Forget comes back.
-	if s.pendingRewrite.Load() {
-		if err := s.propagateErasureLocked(ctx); err != nil {
-			return 0, 0, err
-		}
-	}
-	// 2. The whole generation is read and vetted before the keyspace is
-	// touched. A second read then fills it one record at a time; lockAll
-	// keeps Backup and Refresh from writing a newer generation in between.
-	gen, err := s.backups.RestoreLatest(vetBackupRecord)
-	if err != nil {
-		return 0, 0, err
-	}
-	// 6. The live standing objections, merged into the generation's below.
-	// An erased owner record outlives the FLUSHALL itself.
-	merge := map[string][]string{}
-	for _, k := range s.db.Keys(ownerKeyPrefix + "*") {
-		owner, _ := ReservedKey(k)
-		merge[owner] = s.Objections(owner)
-	}
-	s.FlushAll() // 3. hands its FLUSHALL to the journal before it returns
-	_, err = s.backups.RestoreLatest(func(name string, args [][]byte) error {
-		if name == opRecord {
-			m, _ := decodeMetadata(args[0]) // vetted on the first read
-			// 5. Dead under the live keyring: erased since the backup.
-			if s.keyring != nil && m.Owner != "" && !s.keyring.RecordLive(m.Owner, m.KeyEpoch) {
-				skipped++
-				return nil
-			}
-		}
-		// 4. Applied as replay applies it and journaled, so the AOF, a
-		// restart and an attached replica converge.
-		err := s.applyRecord(name, args)
-		if err == nil {
-			if err = s.appendLog(name, args...); err == nil {
-				applied++
-			}
-		}
-		return err
-	})
-	if err != nil {
-		return applied, skipped, err
-	}
-	// 6. One merge, through OBJECT's own locked half (lockAll holds the
-	// owner stripes): one owner record each.
-	for owner, set := range merge {
-		if err := s.objectTo(owner, set); err != nil {
-			return applied, skipped, err
-		}
-	}
-	s.auditOp(audit.Record{ // 7.
-		Actor: ctx.Actor, Op: "RESTORE", Outcome: audit.OutcomeOK,
-		Detail: fmt.Sprintf("generation=%s applied=%d skipped=%d", filepath.Base(gen), applied, skipped),
-	})
-	return applied, skipped, nil
-}
-
-// vetBackupRecord admits to a restore only what snapshotRecords writes, well
-// formed: anything else, key material above all, refuses the generation.
-// An earlier release's record-level objections (a GREC listing them for an
-// ordinary key), an objection delta (GOBJ/GUNOBJ) or an erasure mark
-// (GSHRED) is refused as retired, with its upgrade step. No generation ever
-// held a GMETA.
-func vetBackupRecord(name string, args [][]byte) (err error) {
-	var retired error
-	switch {
-	case name == "SET" && len(args) == 2:
-	case name == "SETEX" && len(args) == 3:
-		_, err = store.DecodeDeadline(args[1])
-	case name == opRecord && len(args) >= 3 && len(args)%2 == 1:
-		var m Metadata
-		if m, err = decodeMetadata(args[0]); err == nil {
-			retired = recordObjections(&m, args[1])
-		}
-	case name == "GOBJ" || name == "GUNOBJ" || name == "GSHRED":
-		retired = fmt.Errorf("%w: %s", ErrRetiredFormat, name)
-	default:
-		err = fmt.Errorf("core: restore: a backup generation may not hold %s with %d args", name, len(args))
-	}
-	if retired != nil {
-		err = fmt.Errorf("core: restore: %w; restore the generation with the previous release and take a new one", retired)
-	}
-	return err
 }
 
 // propagateErasure completes an Article 17 erasure across the subsystems

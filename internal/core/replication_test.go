@@ -39,7 +39,7 @@ func (r *recorder) ApplyReplicated(name string, args [][]byte) error {
 // streams to it: every later write reaches it through the stream.
 func attachReplica(t *testing.T, s *Store, cfg Config) *recorder {
 	t.Helper()
-	hub, err := s.EnableStreamReplication(replica.HubOptions{})
+	hub, err := s.EnableStreamReplication()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,11 +72,13 @@ const (
 )
 
 // ownerReport is one owner-scoped pass's answer, in key order: keys and
-// values for reportValues, records otherwise.
+// values for reportValues, records otherwise, with the standing objections
+// every record's Metadata reports.
 type ownerReport struct {
-	keys   []string
-	values [][]byte
-	recs   []UserRecord
+	keys       []string
+	values     [][]byte
+	recs       []UserRecord
+	objections []string
 }
 
 // collectOwner is the one pass behind every owner-scoped read, audited as
@@ -107,14 +109,14 @@ func (s *Store) collectOwner(ctx Ctx, owner string, kind reportKind) (ownerRepor
 		defer os.Unlock()
 	}
 	var rep ownerReport
-	var keys, objections []string
+	var keys []string
 	var oc ownerCipher
 	err := s.check(ctx, acl.OpRights, owner, "GETUSER", "")
 	if err == nil {
 		keys = s.ix.ownerKeys(owner)
 		oc = s.ownerCipherFor(owner)
 		if kind == reportRecords {
-			objections = s.Objections(owner)
+			rep.objections = s.Objections(owner)
 		}
 	}
 	if s.keyring != nil {
@@ -154,7 +156,7 @@ func (s *Store) collectOwner(ctx Ctx, owner string, kind reportKind) (ownerRepor
 			rep.values = append(rep.values, v)
 		} else {
 			m := metadataOf(e.Record, e.Deadline)
-			m.Objections = objections
+			m.Objections = rep.objections
 			rep.recs = append(rep.recs, UserRecord{Key: k, Value: v, Metadata: m})
 		}
 		n++
@@ -215,7 +217,8 @@ type AccessReport struct {
 	Records []UserRecord `json:"records"`
 }
 
-// Access builds the Article 15 report for owner.
+// Access builds the Article 15 report for owner. Its Objections are the
+// ones every record in it reports, read once with the records.
 func (s *Store) Access(ctx Ctx, owner string) (AccessReport, error) {
 	g, err := s.enterRights(owner)
 	if err != nil {
@@ -231,7 +234,7 @@ func (s *Store) Access(ctx Ctx, owner string) (AccessReport, error) {
 		Owner:       owner,
 		GeneratedAt: s.cfg.Config.Clock.Now(),
 		RecordCount: len(recs),
-		Objections:  s.Objections(owner),
+		Objections:  pass.objections,
 		Records:     recs,
 	}
 	pset, rset := map[string]struct{}{}, map[string]struct{}{}
@@ -293,43 +296,6 @@ func (s *Store) Export(ctx Ctx, owner string) ([]byte, error) {
 		Outcome: audit.OutcomeOK, Detail: fmt.Sprintf("bytes=%d", len(b)),
 	})
 	return b, nil
-}
-
-// ImportExport ingests a portability payload produced by Export (the
-// receiving-controller half of Article 20). Records are written with their
-// original metadata; the importing context must be permitted to write for
-// each record's owner.
-func (s *Store) ImportExport(ctx Ctx, payload []byte) (int, error) {
-	var in struct {
-		Format  string       `json:"format"`
-		Owner   string       `json:"owner"`
-		Records []UserRecord `json:"records"`
-	}
-	if err := json.Unmarshal(payload, &in); err != nil {
-		return 0, fmt.Errorf("core: import: %w", err)
-	}
-	if in.Format != "gdprstore-export/v1" {
-		return 0, fmt.Errorf("core: import: unknown format %q", in.Format)
-	}
-	n := 0
-	for _, r := range in.Records {
-		opts := PutOptions{
-			Owner:              r.Metadata.Owner,
-			Purposes:           r.Metadata.Purposes,
-			Origin:             r.Metadata.Origin,
-			SharedWith:         r.Metadata.SharedWith,
-			Location:           r.Metadata.Location,
-			AutomatedDecisions: r.Metadata.AutomatedDecisions,
-		}
-		if !r.Metadata.Expiry.IsZero() {
-			opts.ExpireAt = r.Metadata.Expiry
-		}
-		if err := s.Put(ctx, r.Key, r.Value, opts); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
 }
 
 // Forget implements Article 17's right to be forgotten.

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -504,6 +505,52 @@ func TestUnobjectDuringRightsReads(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestAccessObjectionsAgreeWithRecords: an Access report's standing
+// objections are the ones each of its records reports, one snapshot taken
+// under the owner stripe, while OBJECT and UNOBJECT of the same subject
+// run beside it.
+func TestAccessObjectionsAgreeWithRecords(t *testing.T) {
+	s, err := Open(erasureCfg(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := Ctx{Actor: "app", Purpose: "service"}
+	putOwnerKeys(t, s, "dave", 16)
+	if err := s.Object(ctx, "dave", "ads"); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := errors.Join(s.Object(ctx, "dave", "profiling"), s.Unobject(ctx, "dave", "profiling")); err != nil {
+				t.Errorf("object/unobject: %v", err)
+				return
+			}
+		}
+	}()
+	defer func() { close(stop); wg.Wait() }()
+	for i := 0; i < 2000; i++ {
+		rep, err := s.Access(ctx, "dave")
+		if err != nil || rep.RecordCount != 16 {
+			t.Fatalf("Access: %d records, %v", rep.RecordCount, err)
+		}
+		for _, r := range rep.Records {
+			if !slices.Equal(r.Metadata.Objections, rep.Objections) {
+				t.Fatalf("report %d: the report objects to %v, its record %s to %v", i, rep.Objections, r.Key, r.Metadata.Objections)
+			}
+		}
+	}
 }
 
 // engineShard is key's engine shard in s. The engine routes keys with the

@@ -99,11 +99,10 @@ type Store struct {
 	keyring *cryptoutil.Keyring
 	keys    *aof.Keys // the keyring's durable home (nil: no AOF or no envelope)
 
-	// hub and backups are guarded by gmu. streamJ mirrors hub behind an
-	// atomic pointer so the hot appendLog path can reach the replication
-	// stream without taking gmu.
-	hub     *replica.Hub
-	streamJ atomic.Pointer[replica.Hub]
+	// hub is written under gmu and read without it, so the hot appendLog
+	// path reaches the replication stream lock-free. backups is guarded by
+	// gmu.
+	hub     atomic.Pointer[replica.Hub]
 	backups *backup.Manager
 
 	pendingRewrite atomic.Bool
@@ -303,7 +302,7 @@ func (s *Store) replay(path string, key []byte) error {
 // lock, where its place among the key's records is fixed. A nil log with no
 // stream attached is a no-op.
 func (s *Store) appendLog(name string, args ...[]byte) error {
-	if h := s.streamJ.Load(); h != nil {
+	if h := s.hub.Load(); h != nil {
 		_ = h.AppendOp(name, args...)
 	}
 	if s.log == nil {
@@ -479,7 +478,7 @@ func (s *Store) sealerFor(owner string) (cryptoutil.Cipher, uint64, error) {
 		if err := s.keepKey(owner, epoch, wrapped); err != nil {
 			return cryptoutil.Cipher{}, 0, err
 		}
-		if h := s.streamJ.Load(); h != nil {
+		if h := s.hub.Load(); h != nil {
 			_ = h.AppendOp(opKey, []byte(owner), wrapped, epochArg(epoch))
 		}
 	}
@@ -767,10 +766,9 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.lockAll()
-	hub := s.hub
 	s.unlockAll()
 	s.StopExpirer()
-	if hub != nil {
+	if hub := s.hub.Load(); hub != nil {
 		hub.Close()
 	}
 	var first error

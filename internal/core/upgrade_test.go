@@ -14,7 +14,6 @@ import (
 	"gdprstore/internal/acl"
 	"gdprstore/internal/aof"
 	"gdprstore/internal/audit"
-	"gdprstore/internal/backup"
 	"gdprstore/internal/clock"
 )
 
@@ -308,35 +307,21 @@ func TestRetiredAOFFormsRefused(t *testing.T) {
 	if after, _ := os.ReadFile(path); !bytes.Equal(after, raw) {
 		t.Fatal("a refused Open changed legacy.aof")
 	}
-	dir, bdir := t.TempDir(), t.TempDir()
+	dir := t.TempDir()
 	s := newFullStore(t, func(c *Config) {
 		c.Envelope, c.MasterKey = true, bytes.Repeat([]byte{6}, 32)
 		c.AOFPath = filepath.Join(dir, "gdpr.aof")
 	})
-	m, err := backup.NewManager(bdir, nil, s.Config().Clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetBackupManager(m)
 	if err := s.Put(ctlCtx, "pd:alice:1", []byte("alice-one"), PutOptions{Owner: "alice"}); err != nil {
-		t.Fatal(err)
-	}
-	args := [][]byte{[]byte("alice"), []byte("1")}
-	if err := s.ApplyReplicated("GSHRED", args); !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), "GSHRED") {
-		t.Fatalf("the stream applies GSHRED: %v; want ErrRetiredFormat", err)
-	}
-	if err := vetBackupRecord("GSHRED", args); !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), "GSHRED") {
-		t.Fatalf("a restore admits GSHRED: %v", err)
-	}
-	if _, err := m.Create(func(emit func(string, ...[]byte) error) error { return emit("GSHRED", args...) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Log().Sync(); err != nil {
 		t.Fatal(err)
 	}
-	before := [2]map[string]string{dirBytes(t, dir), dirBytes(t, bdir)}
-	if applied, _, err := s.RestoreBackup(ctlCtx); err == nil || !strings.Contains(err.Error(), "GSHRED") || applied != 0 {
-		t.Fatalf("restore of a generation holding GSHRED: applied %d, %v", applied, err)
+	before := dirBytes(t, dir)
+	args := [][]byte{[]byte("alice"), []byte("1")}
+	if err := s.ApplyReplicated("GSHRED", args); !errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), "GSHRED") {
+		t.Fatalf("the stream applies GSHRED: %v; want ErrRetiredFormat", err)
 	}
 	// GSHRED was never a migration record.
 	if err := s.RestoreRecord(ctlCtx, append([][]byte{[]byte("GSHRED")}, args...), nil); err == nil || !strings.Contains(err.Error(), "not a migration record") {
@@ -345,8 +330,8 @@ func TestRetiredAOFFormsRefused(t *testing.T) {
 	if err := s.Log().Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if after := [2]map[string]string{dirBytes(t, dir), dirBytes(t, bdir)}; !reflect.DeepEqual(after, before) {
-		t.Fatal("a refused GSHRED changed the data dir or the generations")
+	if after := dirBytes(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("a refused GSHRED changed the data dir")
 	}
 	if s.Erased("alice") {
 		t.Fatal("the refused GSHRED erased alice")

@@ -63,16 +63,6 @@ func EncodeRecord(name string, args ...[]byte) []byte {
 // implementation.
 type SnapshotProvider func(emit func(name string, args ...[]byte) error, cut func()) error
 
-// HubOptions configures a Hub.
-type HubOptions struct {
-	// BacklogSize bounds the partial-resync buffer; 0 means
-	// DefaultBacklogSize.
-	BacklogSize int
-	// LinkQueue bounds each link's outgoing frame queue; 0 means
-	// DefaultLinkQueue.
-	LinkQueue int
-}
-
 // LinkStat is one replica link's observable state (INFO replication).
 type LinkStat struct {
 	// Addr is the remote address of the link.
@@ -98,16 +88,12 @@ type Hub struct {
 	closed      bool
 }
 
-// NewHub creates a replication hub with a fresh replication ID.
-func NewHub(opts HubOptions) *Hub {
-	size := opts.BacklogSize
-	if size <= 0 {
-		size = DefaultBacklogSize
-	}
-	q := opts.LinkQueue
-	if q <= 0 {
-		q = DefaultLinkQueue
-	}
+// NewHub creates a replication hub with a fresh replication ID, a
+// DefaultBacklogSize backlog and DefaultLinkQueue frames per link.
+func NewHub() *Hub { return newHub(DefaultBacklogSize, DefaultLinkQueue) }
+
+// newHub is NewHub with the backlog's bytes and each link's frames given.
+func newHub(backlog, queue int) *Hub {
 	var idb [20]byte
 	if _, err := rand.Read(idb[:]); err != nil {
 		// A zero ID only weakens partial-resync matching, never safety.
@@ -115,8 +101,8 @@ func NewHub(opts HubOptions) *Hub {
 	}
 	return &Hub{
 		id:         hex.EncodeToString(idb[:]),
-		queueSize:  q,
-		backlogCap: size,
+		queueSize:  queue,
+		backlogCap: backlog,
 		links:      make(map[*link]struct{}),
 	}
 }

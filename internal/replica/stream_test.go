@@ -67,10 +67,9 @@ type testPrimary struct {
 	hold chan struct{}
 }
 
-func newTestPrimary(t *testing.T, opts HubOptions) *testPrimary {
+func newTestPrimary(t *testing.T, hub *Hub) *testPrimary {
 	t.Helper()
 	db := store.New(store.Options{Clock: clock.NewVirtual(time.Unix(0, 0)), Seed: 1})
-	hub := NewHub(opts)
 	db.SetJournal(hub)
 	t.Cleanup(hub.Close)
 	return &testPrimary{db: db, hub: hub}
@@ -156,7 +155,7 @@ func dialNode(t *testing.T, f Applier, addr string, opts NodeOptions) *Node {
 }
 
 func TestFullSyncThenLiveStream(t *testing.T) {
-	p := newTestPrimary(t, HubOptions{})
+	p := newTestPrimary(t, NewHub())
 	p.db.Set("seed", []byte("v0"))
 	addr := p.listen(t)
 	f := newFakeApplier()
@@ -189,7 +188,7 @@ func TestFullSyncThenLiveStream(t *testing.T) {
 }
 
 func TestAcksConvergeToMasterOffset(t *testing.T) {
-	p := newTestPrimary(t, HubOptions{})
+	p := newTestPrimary(t, NewHub())
 	addr := p.listen(t)
 	f := newFakeApplier()
 	dialNode(t, f, addr, NodeOptions{})
@@ -211,7 +210,7 @@ func TestAcksConvergeToMasterOffset(t *testing.T) {
 // built after the cut, the link's ack offset is below the snapshot's; once
 // it reaches it, the replica holds what the snapshot carried.
 func TestFullSyncAckWaitsForApply(t *testing.T) {
-	p := newTestPrimary(t, HubOptions{})
+	p := newTestPrimary(t, NewHub())
 	p.db.Set("seed", []byte("v0"))
 	p.hold = make(chan struct{})
 	addr := p.listen(t)
@@ -234,7 +233,7 @@ func TestFullSyncAckWaitsForApply(t *testing.T) {
 }
 
 func TestPartialResyncAfterLinkDrop(t *testing.T) {
-	p := newTestPrimary(t, HubOptions{})
+	p := newTestPrimary(t, NewHub())
 	addr := p.listen(t)
 	f := newFakeApplier()
 	n := dialNode(t, f, addr, NodeOptions{})
@@ -264,7 +263,7 @@ func TestPartialResyncAfterLinkDrop(t *testing.T) {
 }
 
 func TestBacklogOverflowFallsBackToFullResync(t *testing.T) {
-	p := newTestPrimary(t, HubOptions{BacklogSize: 128})
+	p := newTestPrimary(t, newHub(128, DefaultLinkQueue))
 	addr := p.listen(t)
 	f := newFakeApplier()
 	n := dialNode(t, f, addr, NodeOptions{})
@@ -286,7 +285,7 @@ func TestBacklogOverflowFallsBackToFullResync(t *testing.T) {
 }
 
 func TestSlowReplicaIsDisconnectedNotBlocking(t *testing.T) {
-	p := newTestPrimary(t, HubOptions{LinkQueue: 4})
+	p := newTestPrimary(t, newHub(DefaultBacklogSize, 4))
 	addr := p.listen(t)
 	f := newFakeApplier()
 	dialNode(t, f, addr, NodeOptions{})
@@ -322,7 +321,7 @@ func TestSlowReplicaIsDisconnectedNotBlocking(t *testing.T) {
 func TestErasurePropagatesToAllReplicas(t *testing.T) {
 	for _, mode := range []string{"sync", "async"} {
 		t.Run(mode, func(t *testing.T) {
-			p := newTestPrimary(t, HubOptions{})
+			p := newTestPrimary(t, NewHub())
 			addr := p.listen(t)
 			var reps []*fakeApplier
 			for i := 0; i < 3; i++ {
@@ -367,7 +366,7 @@ func TestErasurePropagatesToAllReplicas(t *testing.T) {
 // The hub is one leg of a journal chain: a single engine mutation reaches
 // both the AOF leg and the replicas streaming from the hub.
 func TestChainFansOutToAOFAndReplicas(t *testing.T) {
-	p := newTestPrimary(t, HubOptions{})
+	p := newTestPrimary(t, NewHub())
 	addr := p.listen(t)
 	f := newFakeApplier()
 	dialNode(t, f, addr, NodeOptions{})
@@ -396,7 +395,7 @@ func TestExpiryDeletionsReplicate(t *testing.T) {
 	vc := clock.NewVirtual(time.Unix(0, 0))
 	p := &testPrimary{
 		db:  store.New(store.Options{Clock: vc, Seed: 1, Strategy: store.ExpiryHeap}),
-		hub: NewHub(HubOptions{}),
+		hub: NewHub(),
 	}
 	p.db.SetJournal(p.hub)
 	t.Cleanup(p.hub.Close)
@@ -422,7 +421,7 @@ func TestExpiryDeletionsReplicate(t *testing.T) {
 // The hub encodes a record before AppendOp returns, so the journal caller
 // may reuse its argument buffers at once although links send asynchronously.
 func TestAsyncArgBuffersCopied(t *testing.T) {
-	p := newTestPrimary(t, HubOptions{})
+	p := newTestPrimary(t, NewHub())
 	addr := p.listen(t)
 	f := newFakeApplier()
 	dialNode(t, f, addr, NodeOptions{})
@@ -444,7 +443,7 @@ func TestAsyncArgBuffersCopied(t *testing.T) {
 // Closing a node stops the stream into its replica, which keeps what it had
 // applied (ready for promotion), and the hub drops the link.
 func TestDetachStopsStreaming(t *testing.T) {
-	p := newTestPrimary(t, HubOptions{})
+	p := newTestPrimary(t, NewHub())
 	addr := p.listen(t)
 	f := newFakeApplier()
 	n := dialNode(t, f, addr, NodeOptions{})
@@ -484,7 +483,7 @@ func (r rejecting) ApplyReplicated(name string, args [][]byte) error {
 // instead of replaying the record from the backlog, so the records after it
 // still arrive.
 func TestReplicaLastErrSurfacesBadOps(t *testing.T) {
-	p := newTestPrimary(t, HubOptions{})
+	p := newTestPrimary(t, NewHub())
 	addr := p.listen(t)
 	f := newFakeApplier()
 	n := dialNode(t, rejecting{f}, addr, NodeOptions{})

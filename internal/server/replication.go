@@ -170,7 +170,7 @@ func cmdPSync(ctx *Ctx) (resp.Value, error) {
 	if err != nil {
 		return resp.Value{}, err
 	}
-	hub, err := s.store.EnableStreamReplication(replica.HubOptions{})
+	hub, err := s.store.EnableStreamReplication()
 	if err != nil {
 		return resp.Value{}, err
 	}
