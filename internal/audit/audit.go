@@ -23,6 +23,7 @@
 package audit
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -160,8 +161,8 @@ type Options struct {
 	// Backpressure selects the full-queue policy (default Block).
 	Backpressure Backpressure
 	// MaskKey, if non-nil, pseudonymizes Key/Owner/Detail under this key
-	// before any sink sees the record (mask.go). Engine-side queries
-	// resolve pseudonyms through the in-memory reverse table.
+	// before any sink sees the record (mask.go). Queries read the
+	// pseudonyms back as written; Trail.Pseudonym computes one.
 	MaskKey []byte
 	// ExtraSinks are appended after the file or memory sink — e.g. a
 	// SocketSink exporting the trail to an external collector.
@@ -186,7 +187,10 @@ type Trail struct {
 	// mu guards head, n, backlog and closed, and orders changes of processed
 	// against the waiters on cond. Slots head..head+n (mod len) are occupied;
 	// the drainer reads them in place, unlocked: producers write free slots.
-	mu      sync.Mutex
+	// mu is allocated apart from the Trail, so that a barrier's timer, which
+	// holds mu and cond, keeps neither the ring nor the sinks of a closed
+	// trail alive.
+	mu      *sync.Mutex
 	cond    *sync.Cond // broadcast on release (space, barrier) and on Close
 	ring    []pending  // QueueDepth long, never reallocated
 	head, n int
@@ -196,10 +200,10 @@ type Trail struct {
 	window  *time.Timer   // one-shot drainWindow, armed by the first record of a backlog
 	seq     atomic.Uint64
 
-	file   *FileSink
-	mem    *MemSink
-	sink   Sink
-	masker *Masker
+	file    *FileSink
+	mem     *MemSink
+	sink    Sink
+	maskKey []byte // nil: unmasked
 
 	enqueued     atomic.Uint64
 	dropped      atomic.Uint64
@@ -218,11 +222,13 @@ func Open(opts Options) (*Trail, error) {
 		mode:         opts.Mode,
 		policy:       opts.Backpressure,
 		clk:          opts.Clock,
+		mu:           new(sync.Mutex),
+		maskKey:      bytes.Clone(opts.MaskKey),
 		wake:         make(chan struct{}, 1),
 		drained:      make(chan struct{}),
 		drainTimeout: opts.DrainTimeout,
 	}
-	t.cond = sync.NewCond(&t.mu)
+	t.cond = sync.NewCond(t.mu)
 	if t.clk == nil {
 		t.clk = clock.NewWall()
 	}
@@ -261,10 +267,6 @@ func Open(opts Options) (*Trail, error) {
 		t.seq.Store(last)
 		t.file = fs
 	}
-	if opts.MaskKey != nil {
-		t.masker = NewMasker(opts.MaskKey)
-	}
-
 	var sinks []Sink
 	if t.file != nil {
 		sinks = append(sinks, t.file)
@@ -376,8 +378,8 @@ func (t *Trail) drain() {
 			recs = recs[:0]
 			for _, q := range claim {
 				r := q.rec
-				if t.masker != nil {
-					r = t.masker.Mask(r)
+				if t.maskKey != nil {
+					r = t.mask(r)
 					t.masked.Add(1)
 				}
 				recs = append(recs, r)
@@ -428,7 +430,9 @@ func (t *Trail) setErr(err error) {
 
 // barrier waits, bounded by the drain timeout, until every record accepted
 // before the call has reached the sinks, so queries read their own writes.
-// It kicks the drainer rather than wait out the window.
+// It kicks the drainer rather than wait out the window. The timeout's timer
+// captures mu and cond, not t: the runtime may keep a stopped timer until it
+// would have fired.
 func (t *Trail) barrier() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -438,11 +442,12 @@ func (t *Trail) barrier() error {
 	}
 	t.kick()
 	expired := false
+	mu, cond := t.mu, t.cond
 	timeout := time.AfterFunc(t.drainTimeout, func() {
-		t.mu.Lock()
+		mu.Lock()
 		expired = true
-		t.cond.Broadcast()
-		t.mu.Unlock()
+		cond.Broadcast()
+		mu.Unlock()
 	})
 	defer timeout.Stop()
 	for t.processed.Load() < target {
@@ -488,15 +493,6 @@ func (t *Trail) LastErr() error {
 	return t.lastErr
 }
 
-// Mode returns the durability mode.
-func (t *Trail) Mode() SyncMode { return t.mode }
-
-// Policy returns the back-pressure policy.
-func (t *Trail) Policy() Backpressure { return t.policy }
-
-// Masker returns the PII masker, or nil when masking is disabled.
-func (t *Trail) Masker() *Masker { return t.masker }
-
 // Stats is a point-in-time view of the pipeline, the payload of the
 // server's INFO audit section.
 type Stats struct {
@@ -533,7 +529,7 @@ func (t *Trail) Stats() Stats {
 		Masked:      t.masked.Load(),
 		Syncs:       t.Syncs(),
 		Size:        t.Size(),
-		MaskEnabled: t.masker != nil,
+		MaskEnabled: t.maskKey != nil,
 	}
 	if err := t.LastErr(); err != nil {
 		st.LastErr = err.Error()

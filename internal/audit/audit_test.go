@@ -172,10 +172,11 @@ func (c *scriptClock) Now() time.Time {
 func (c *scriptClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
 
 // TestTrailReadsBackEveryField: every record a trail acknowledged reads
-// back through Query, Breach and RecoverLastSeq as it was appended, number,
+// back through Query, Breach and RecoverLastSeq as it was written, number,
 // time to the nanosecond (a zero one and a wall clock that steps back
 // included), outcome and six strings, on plain and encrypted files, masked
-// and not.
+// and not. Masked, it was written with Key, Owner and Detail pseudonymized,
+// and reads back so.
 func TestTrailReadsBackEveryField(t *testing.T) {
 	at := time.Date(2026, 10, 16, 8, 0, 0, 999, time.UTC)
 	in := []Record{
@@ -200,7 +201,7 @@ func TestTrailReadsBackEveryField(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want = append(want, r)
+				want = append(want, tr.mask(r))
 			}
 			got, err := tr.Query(Filter{})
 			if err != nil {
@@ -210,7 +211,7 @@ func TestTrailReadsBackEveryField(t *testing.T) {
 				t.Fatalf("key %v mask %v: query returned\n%+v\nwant\n%+v", key != nil, mask != nil, got, want)
 			}
 			rep, err := tr.Breach(time.Time{}, at.Add(time.Hour))
-			if err != nil || rep.Records != len(in) || rep.Denied != 1 || rep.AffectedOwners["bob"] != 2 || rep.Ops["GET"] != 3 {
+			if err != nil || rep.Records != len(in) || rep.Denied != 1 || rep.AffectedOwners[tr.Pseudonym("bob")] != 2 || rep.Ops["GET"] != 3 {
 				t.Fatalf("key %v mask %v: breach report %+v, %v", key != nil, mask != nil, rep, err)
 			}
 			if err := tr.Close(); err != nil {

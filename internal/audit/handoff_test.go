@@ -3,6 +3,7 @@ package audit
 import (
 	"errors"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -336,4 +337,59 @@ func TestAppendAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { tr.Append(rec) }); n != 0 {
 		t.Fatalf("non-strict Append allocates %v times, want 0", n)
 	}
+}
+
+// TestBarrierTimerHoldsNoClosedTrail: the timeout timer of a barrier that
+// returned reaches neither the ring nor the sinks. The runtime keeps a
+// stopped timer in its heap until it would have fired, unless the timer
+// sits at the heap's head or tail or stopped timers crowd the heap, so a
+// timer that reached the trail would keep a closed trail, its 4096-slot ring
+// included, alive for up to DrainTimeout (an hour here). The test runs on one
+// P, among armed timers that keep the stopped one inside the heap, and makes
+// no timer of its own while it waits for the ring to be freed.
+func TestBarrierTimerHoldsNoClosedTrail(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < 32; i++ {
+		defer time.AfterFunc(time.Hour, func() {}).Stop()
+	}
+	gs := newGateSink()
+	gs.writeGate = make(chan struct{})
+	tr, err := Open(Options{MemoryCap: -1, ExtraSinks: []Sink{gs}, DrainTimeout: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Append(Record{Op: "GET", Outcome: OutcomeOK}); err != nil {
+		t.Fatal(err)
+	}
+	<-gs.entered // the drainer holds the record in Write, unprocessed
+	synced := make(chan error)
+	go func() { synced <- tr.Sync() }()
+	for len(tr.wake) == 0 { // the barrier kicked the held drainer ...
+		runtime.Gosched()
+	}
+	tr.mu.Lock() // ... and, holding mu since, armed its timer and waits
+	tr.mu.Unlock()
+	for i := 0; i < 8; i++ { // due after the barrier's timer: the heap's tail
+		defer time.AfterFunc(2*time.Hour, func() {}).Stop()
+	}
+	close(gs.writeGate)
+	if err := <-synced; err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	freed := make(chan struct{})
+	runtime.SetFinalizer(&tr.ring[0], func(*pending) { close(freed) })
+	tr = nil
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		runtime.Gosched()
+		select {
+		case <-freed:
+			return
+		default:
+		}
+	}
+	t.Fatal("a closed trail's ring is still reachable after its barrier returned")
 }

@@ -4,101 +4,36 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/hex"
-	"strings"
-	"sync"
 )
 
-// maskPrefix tags pseudonymized fields so tooling (and Unmask) can tell a
-// pseudonym from a value that was never masked.
+// maskPrefix tags pseudonymized fields so tooling can tell a pseudonym
+// from a value that was never masked.
 const maskPrefix = "pii:"
 
-// Masker pseudonymizes the PII-bearing fields of audit records (Key,
-// Owner, Detail) before they reach any sink, closing the compliance hole
-// the paper flags: without it the audit trail is a second, plaintext copy
-// of personal data that is itself subject to Art. 17 erasure.
+// Pseudonym returns what a masked trail holds in place of v: HMAC-SHA256 of
+// v under the mask key, truncated to 128 bits, hex-encoded behind
+// maskPrefix. It is v itself when the trail is unmasked or v is empty.
 //
-// Pseudonyms are HMAC-SHA256 of the plaintext under a trail key,
-// truncated to 128 bits — deterministic, so the trail still supports
-// equality queries (all operations on one owner carry the same
-// pseudonym), but unlinkable to the plaintext without the key. The
-// reverse lookup table lives only in engine memory and is never
-// persisted: engine-side queries (Query/Breach) read through it, external
-// sinks and the on-disk trail see pseudonyms only, and dropping an
-// owner's entry (Forget) makes their old trail lines permanently
-// unresolvable — Art. 17 on the audit trail itself, without rewriting it.
-type Masker struct {
-	key []byte
-
-	mu  sync.RWMutex
-	rev map[string]string // pseudonym -> plaintext (engine memory only)
-}
-
-// NewMasker returns a masker keyed by key (any length; 32 bytes
-// recommended).
-func NewMasker(key []byte) *Masker {
-	k := append([]byte(nil), key...)
-	return &Masker{key: k, rev: make(map[string]string)}
-}
-
-// pseudonym computes the stable pseudonym for v and records the reverse
-// mapping.
-func (m *Masker) pseudonym(v string) string {
-	mac := hmac.New(sha256.New, m.key)
-	mac.Write([]byte(v))
-	p := maskPrefix + hex.EncodeToString(mac.Sum(nil)[:16])
-	m.mu.Lock()
-	m.rev[p] = v
-	m.mu.Unlock()
-	return p
-}
-
-// Mask returns a copy of r with Key, Owner and Detail pseudonymized.
-// Empty fields stay empty; Actor, Op, Purpose and Outcome are operational
-// (not data-subject) fields and stay legible for monitoring.
-func (m *Masker) Mask(r Record) Record {
-	if r.Key != "" {
-		r.Key = m.pseudonym(r.Key)
-	}
-	if r.Owner != "" {
-		r.Owner = m.pseudonym(r.Owner)
-	}
-	if r.Detail != "" {
-		r.Detail = m.pseudonym(r.Detail)
-	}
-	return r
-}
-
-// Unmask resolves pseudonymized fields back through the in-memory table.
-// Pseudonyms with no surviving mapping (a restart, or a Forget) are left
-// as-is — the record remains evidentiary without re-identifying the
-// subject.
-func (m *Masker) Unmask(r Record) Record {
-	r.Key = m.resolve(r.Key)
-	r.Owner = m.resolve(r.Owner)
-	r.Detail = m.resolve(r.Detail)
-	return r
-}
-
-func (m *Masker) resolve(v string) string {
-	if !strings.HasPrefix(v, maskPrefix) {
+// Pseudonyms are deterministic, so the trail still supports equality
+// queries (every operation on one owner carries the same pseudonym), and
+// unlinkable to the plaintext without the key. The trail keeps no table
+// back to the names: a reader that needs one derives it from what it
+// already holds, as core.Store.Breach does for live subjects, so an erased
+// subject stays a pseudonym.
+func (t *Trail) Pseudonym(v string) string {
+	if t.maskKey == nil || v == "" {
 		return v
 	}
-	m.mu.RLock()
-	plain, ok := m.rev[v]
-	m.mu.RUnlock()
-	if !ok {
-		return v
-	}
-	return plain
+	mac := hmac.New(sha256.New, t.maskKey)
+	mac.Write([]byte(v))
+	return maskPrefix + hex.EncodeToString(mac.Sum(nil)[:16])
 }
 
-// Forget erases the reverse mapping for plaintext v: every trail line
-// carrying its pseudonym becomes permanently unresolvable in this engine.
-func (m *Masker) Forget(v string) {
-	mac := hmac.New(sha256.New, m.key)
-	mac.Write([]byte(v))
-	p := maskPrefix + hex.EncodeToString(mac.Sum(nil)[:16])
-	m.mu.Lock()
-	delete(m.rev, p)
-	m.mu.Unlock()
+// mask returns r with Key, Owner and Detail pseudonymized, before any sink
+// sees it: without it the trail is a second, plaintext copy of personal
+// data. Actor, Op, Purpose and Outcome are operational (not data-subject)
+// fields and stay legible for monitoring.
+func (t *Trail) mask(r Record) Record {
+	r.Key, r.Owner, r.Detail = t.Pseudonym(r.Key), t.Pseudonym(r.Owner), t.Pseudonym(r.Detail)
+	return r
 }

@@ -246,8 +246,9 @@ func TestStrictFileSyncCoversAck(t *testing.T) {
 }
 
 // TestMaskedTrailHidesPII checks the masking acceptance criterion: with a
-// mask key set, no raw key/owner/detail bytes appear in the on-disk trail
-// or in an exported sink, while engine-side Query still resolves them.
+// mask key set, no raw key/owner/detail bytes appear in the on-disk trail,
+// in an exported sink or in what Query and Breach return, while Query by
+// the raw owner still finds the owner's records.
 func TestMaskedTrailHidesPII(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "audit.log")
 	export := &captureSink{}
@@ -290,35 +291,27 @@ func TestMaskedTrailHidesPII(t *testing.T) {
 		t.Fatalf("exported output carries no pseudonyms: %q", export.text())
 	}
 
-	// Engine-side query resolves the pseudonyms back.
-	recs, err := tr.Query(Filter{Owner: rawOwner})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Key != rawKey || recs[0].Detail != rawNote {
-		t.Fatalf("query did not unmask: %+v", recs)
+	// A query by the raw owner finds the record, as written.
+	for _, f := range []Filter{{Owner: rawOwner}, {Key: rawKey}} {
+		recs, err := tr.Query(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 1 || recs[0].Owner != tr.Pseudonym(rawOwner) || recs[0].Key != tr.Pseudonym(rawKey) || recs[0].Detail != tr.Pseudonym(rawNote) {
+			t.Fatalf("query %+v returned %+v, want the pseudonymized record", f, recs)
+		}
+		if !strings.HasPrefix(recs[0].Owner, maskPrefix) {
+			t.Fatalf("owner %q is no pseudonym", recs[0].Owner)
+		}
 	}
 
-	// Breach reports aggregate by real owner inside the engine.
+	// The trail's own breach report counts by pseudonym.
 	rep, err := tr.Breach(time.Time{}, time.Now().Add(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.AffectedOwners[rawOwner] != 1 {
-		t.Fatalf("breach report lost the unmasked owner: %+v", rep.AffectedOwners)
-	}
-
-	// After Forget, the pseudonym is permanently unresolvable.
-	tr.Masker().Forget(rawOwner)
-	recs, err = tr.Query(Filter{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Owner == rawOwner {
-		t.Fatalf("forgotten owner still resolvable: %+v", recs)
-	}
-	if !strings.HasPrefix(recs[0].Owner, maskPrefix) {
-		t.Fatalf("forgotten owner not left as pseudonym: %q", recs[0].Owner)
+	if len(rep.AffectedOwners) != 1 || rep.AffectedOwners[tr.Pseudonym(rawOwner)] != 1 {
+		t.Fatalf("breach report owners %+v, want the one pseudonym", rep.AffectedOwners)
 	}
 }
 

@@ -58,12 +58,12 @@ func (f Filter) Match(r Record) bool {
 // durable file when the trail is file-backed (so results are complete),
 // and from the in-memory ring, the only copy, when it is not. The pipeline
 // is drained first so a query observes every record appended before the
-// call, and pseudonymized fields are resolved back through the engine-held
-// masker table — the query path is inside the engine, so filters match on
-// real keys and owners while every sink (and the file itself) holds
-// pseudonyms only.
+// call. On a masked trail the records come back as written, pseudonyms and
+// all, and the filter's Owner and Key are names: Query masks them once, so
+// an equality query by name still finds its records.
 func (t *Trail) Query(f Filter) ([]Record, error) {
-	var out []Record
+	f.Owner, f.Key = t.Pseudonym(f.Owner), t.Pseudonym(f.Key)
+	out := []Record{}
 	err := t.Scan(func(r Record) error {
 		if f.Match(r) {
 			out = append(out, r)
@@ -73,29 +73,21 @@ func (t *Trail) Query(f Filter) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	if out == nil {
-		out = make([]Record, 0)
-	}
 	return out, nil
 }
 
-// Scan streams every record in the trail through fn in log order,
-// unmasking pseudonymized fields where the engine still holds the
-// mapping.
+// Scan streams every record in the trail through fn in log order, as
+// written: a masked trail's records carry pseudonyms.
 func (t *Trail) Scan(fn func(Record) error) error {
 	if err := t.barrier(); err != nil {
 		return err
-	}
-	emit := fn
-	if t.masker != nil {
-		emit = func(r Record) error { return fn(t.masker.Unmask(r)) }
 	}
 	if t.file == nil {
 		if t.mem == nil {
 			return nil
 		}
 		for _, r := range t.mem.Records() {
-			if err := emit(r); err != nil {
+			if err := fn(r); err != nil {
 				return err
 			}
 		}
@@ -107,7 +99,7 @@ func (t *Trail) Scan(fn func(Record) error) error {
 		t.setErr(err)
 		return err
 	}
-	return scanFile(t.file.Path(), t.file.key, emit)
+	return scanFile(t.file.Path(), t.file.key, fn)
 }
 
 // scanFile streams the records of the trail file at path through fn in file
@@ -184,7 +176,8 @@ type BreachReport struct {
 	Denied int
 }
 
-// Breach builds a BreachReport for the given window.
+// Breach builds a BreachReport for the given window in one pass over the
+// trail. On a masked trail AffectedOwners is keyed by pseudonym.
 func (t *Trail) Breach(from, to time.Time) (BreachReport, error) {
 	rep := BreachReport{
 		From:           from,
@@ -193,11 +186,11 @@ func (t *Trail) Breach(from, to time.Time) (BreachReport, error) {
 		Actors:         make(map[string]int),
 		Ops:            make(map[string]int),
 	}
-	recs, err := t.Query(Filter{From: from, To: to})
-	if err != nil {
-		return rep, err
-	}
-	for _, r := range recs {
+	window := Filter{From: from, To: to}
+	err := t.Scan(func(r Record) error {
+		if !window.Match(r) {
+			return nil
+		}
 		rep.Records++
 		if r.Owner != "" {
 			rep.AffectedOwners[r.Owner]++
@@ -209,6 +202,7 @@ func (t *Trail) Breach(from, to time.Time) (BreachReport, error) {
 		if r.Outcome == OutcomeDenied {
 			rep.Denied++
 		}
-	}
-	return rep, nil
+		return nil
+	})
+	return rep, err
 }

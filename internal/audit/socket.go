@@ -25,8 +25,8 @@ const (
 // (Dropped) and reported as errors for the pipeline's sink-error counter
 // — the durable FileSink, not the export feed, is the compliance record.
 //
-// Records reaching a SocketSink have already passed the Masker (when one
-// is configured), so the external collector never sees raw PII.
+// Records reaching a SocketSink are already masked (when a mask key is
+// configured), so the external collector never sees raw PII.
 type SocketSink struct {
 	network string
 	addr    string

@@ -87,6 +87,8 @@ var rules = []rule{
 	{name: "StartSweeper is StartExpirer", tests: true, ids: re(`^StartSweeper$`), uses: []string{"s.StartSweeper()"},
 		why:   "call StartExpirer, whose loop runs the sweep; the alias stays only while bench/ calls it",
 		allow: map[string]string{"bench/": "the one caller left", "internal/core/maintain.go": "the alias"}},
+	{name: "the trail keeps no plaintext it masked", in: []string{"internal/"}, ids: re(`^(Unmask|(New)?Masker)$`), uses: []string{"t.Unmask(r)", "audit.NewMasker(k)"},
+		why: "a masked trail is not a second copy of the names it masks (DESIGN.md §11): Trail.Pseudonym is a pure function, and a reader that needs a name derives it from what the store holds, as Store.Breach does for live subjects"},
 	{name: "lockAll's callers", in: []string{"internal/core/"}, ids: re(`^lockAll$`), uses: []string{"s.lockAll()"},
 		why: "each caller stops every call in flight, so the list only shrinks: compaction and full sync are to run without it",
 		allow: map[string]string{

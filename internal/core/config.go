@@ -107,9 +107,9 @@ type Config struct {
 	AuditBackpressure *audit.Backpressure
 	// AuditMask pseudonymizes Key/Owner/Detail in every audit record
 	// under a trail key before any sink sees it, so the trail is not a
-	// second plaintext copy of personal data. Engine-side queries
-	// (Breach, Query) still resolve real names through the in-memory
-	// reverse table.
+	// second plaintext copy of personal data. Trail queries return the
+	// pseudonyms; Breach names the live, unerased subjects among them from
+	// the owners the store holds, and keeps no table of its own.
 	AuditMask bool
 	// AuditSocket, when non-empty ("tcp://host:port" or "unix:///path"),
 	// exports the (masked) trail line-delimited to an external collector.

@@ -637,7 +637,10 @@ func (s *Store) OwnerKeys(ctx Ctx, owner string) ([]string, error) {
 	return out, nil
 }
 
-// Breach builds the Articles 33/34 breach report over [from, to).
+// Breach builds the Articles 33/34 breach report over [from, to). A masked
+// trail holds pseudonyms, and the report names the live subjects among them
+// from the owners the store holds records of: an erased subject, or one
+// the store no longer holds, stays a pseudonym.
 func (s *Store) Breach(ctx Ctx, from, to time.Time) (audit.BreachReport, error) {
 	if s.trail == nil {
 		return audit.BreachReport{}, ErrNotCompliant
@@ -645,5 +648,16 @@ func (s *Store) Breach(ctx Ctx, from, to time.Time) (audit.BreachReport, error) 
 	if err := s.check(ctx, acl.OpAudit, "", "BREACH", ""); err != nil {
 		return audit.BreachReport{}, err
 	}
-	return s.trail.Breach(from, to)
+	rep, err := s.trail.Breach(from, to)
+	if err != nil || !s.cfg.AuditMask {
+		return rep, err
+	}
+	for _, owner := range s.ix.owners() {
+		p := s.trail.Pseudonym(owner)
+		if n, ok := rep.AffectedOwners[p]; ok && !s.Erased(owner) {
+			delete(rep.AffectedOwners, p)
+			rep.AffectedOwners[owner] = n
+		}
+	}
+	return rep, nil
 }
