@@ -315,6 +315,49 @@ func TestMaskedTrailHidesPII(t *testing.T) {
 	}
 }
 
+// TestMaskedQueryByPseudonym: on a masked trail a query by the pseudonym a
+// breach report names, as for an erased subject, finds the records a query
+// by the name does, and on an unmasked trail a value that looks like a
+// pseudonym is matched as the name it is.
+func TestMaskedQueryByPseudonym(t *testing.T) {
+	for _, key := range [][]byte{[]byte("trail-mask-key"), nil} {
+		tr, err := Open(Options{Mode: SyncBatched, MaskKey: key})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []Record{
+			{Actor: "controller", Op: "PUT", Key: "pd:alice:1", Owner: "alice", Outcome: OutcomeOK},
+			{Actor: "controller", Op: "PUT", Key: "pd:bob:1", Owner: "bob", Outcome: OutcomeOK},
+			{Actor: "controller", Op: "PUT", Key: "pii:odd", Owner: "pii:odd", Outcome: OutcomeOK},
+		} {
+			if _, err := tr.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rep, err := tr.Breach(time.Time{}, time.Now().Add(time.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := rep.AffectedOwners[tr.Pseudonym("alice")]; !ok {
+			t.Fatalf("mask %q: breach report owners %v, no entry for alice", key, rep.AffectedOwners)
+		}
+		for _, f := range []Filter{
+			{Owner: "alice"}, {Owner: tr.Pseudonym("alice")},
+			{Key: "pd:alice:1"}, {Key: tr.Pseudonym("pd:alice:1")},
+			{Owner: tr.Pseudonym("pii:odd")},
+		} {
+			recs, err := tr.Query(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recs) != 1 {
+				t.Errorf("mask %q: Query(%+v) = %d records, want 1", key, f, len(recs))
+			}
+		}
+		tr.Close()
+	}
+}
+
 // captureSink buffers everything written, standing in for an external
 // collector.
 type captureSink struct {

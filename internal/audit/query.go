@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 	"time"
 
 	"gdprstore/internal/aof"
@@ -59,10 +60,16 @@ func (f Filter) Match(r Record) bool {
 // and from the in-memory ring, the only copy, when it is not. The pipeline
 // is drained first so a query observes every record appended before the
 // call. On a masked trail the records come back as written, pseudonyms and
-// all, and the filter's Owner and Key are names: Query masks them once, so
-// an equality query by name still finds its records.
+// all, and the filter's Owner and Key are names, which Query masks once, so
+// an equality query by name still finds its records, or pseudonyms (what
+// BREACH reports for an erased subject), which carry the mask prefix and
+// match as given.
 func (t *Trail) Query(f Filter) ([]Record, error) {
-	f.Owner, f.Key = t.Pseudonym(f.Owner), t.Pseudonym(f.Key)
+	for _, v := range []*string{&f.Owner, &f.Key} {
+		if !strings.HasPrefix(*v, maskPrefix) {
+			*v = t.Pseudonym(*v)
+		}
+	}
 	out := []Record{}
 	err := t.Scan(func(r Record) error {
 		if f.Match(r) {

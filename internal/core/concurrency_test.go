@@ -64,7 +64,7 @@ func TestConcurrentMixedOperations(t *testing.T) {
 	now := vclock(s).Now()
 	for i := 0; i < owners; i++ {
 		owner := fmt.Sprintf("owner%d", i)
-		for _, k := range s.ix.ownerKeys(owner) {
+		for _, k := range s.ix.ownerKeys(nil, owner) {
 			if e, ok := s.db.Peek(k, now); !ok || ownerOf(e.Record) != owner {
 				t.Fatalf("owner index inconsistent: %q -> %q", owner, k)
 			}
@@ -76,7 +76,7 @@ func TestConcurrentMixedOperations(t *testing.T) {
 	if err := s.db.SnapshotRecords(func(k string, e store.Entry) error {
 		if e.Record != nil {
 			records++
-			if !slices.Contains(s.ix.ownerKeys(e.Record.Policy.Owner), k) {
+			if !slices.Contains(s.ix.ownerKeys(nil, e.Record.Policy.Owner), k) {
 				t.Errorf("key %q (owner %q) missing from owner index", k, e.Record.Policy.Owner)
 			}
 			if !s.recordDead(e.Record) {

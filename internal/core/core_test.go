@@ -438,7 +438,7 @@ func TestExpiryDropsRecord(t *testing.T) {
 	if n := s.MetaCount(); n != 0 {
 		t.Fatalf("meta count after expiry = %d", n)
 	}
-	if keys := s.ix.ownerKeys("alice"); len(keys) != 0 {
+	if keys := s.ix.ownerKeys(nil, "alice"); len(keys) != 0 {
 		t.Fatalf("owner index after expiry: %v", keys)
 	}
 	if keys := s.ix.purposeKeys("billing"); len(keys) != 0 {

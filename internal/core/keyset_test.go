@@ -116,7 +116,7 @@ func TestLargeOwnerErasure(t *testing.T) {
 			if got := s.ix.purposeKeys("service"); len(got) != 0 {
 				t.Fatalf("purpose set after erasure holds %d keys, want none", len(got))
 			}
-			if got := s.ix.ownerKeys("big"); len(got) != 0 {
+			if got := s.ix.ownerKeys(nil, "big"); len(got) != 0 {
 				t.Fatalf("owner set after erasure holds %d keys, want none", len(got))
 			}
 		})

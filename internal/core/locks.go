@@ -113,7 +113,7 @@ func (s *Store) enterRights(owner string) (*gateStripe, error) {
 // walkKeys. It reads records, not data: the probe journals no READ.
 // Callers that need the key set frozen hold owner's stripe.
 func (s *Store) walkOwner(owner string, fn func(key string, e store.Entry) bool) bool {
-	return s.walkKeys(owner, s.ix.ownerKeys(owner), false, fn)
+	return s.walkKeys(owner, s.ix.ownerKeys(nil, owner), false, fn)
 }
 
 // walkBatch is how many keys walkKeys probes before it visits any of them:

@@ -257,20 +257,19 @@ func (sh *setShard) remove(name, key string) {
 	sh.mu.Unlock()
 }
 
-// keys returns the members of name's set in ascending order.
-func (sh *setShard) keys(name string) []string {
+// appendKeys appends the members of name's set to dst in ascending order.
+func (sh *setShard) appendKeys(dst []string, name string) []string {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	var out []string
 	if set := sh.m[name]; set != nil {
-		out = set.keys.appendTo(make([]string, 0, set.keys.n))
+		dst = set.keys.appendTo(slices.Grow(dst, set.keys.n))
 	}
-	return out
+	return dst
 }
 
-// ownerKeys returns the keys that hold a record of owner.
-func (ix *metaIndex) ownerKeys(owner string) []string {
-	return stripeOf(ix.byOwner, owner).keys(owner)
+// ownerKeys appends the keys that hold a record of owner to dst.
+func (ix *metaIndex) ownerKeys(dst []string, owner string) []string {
+	return stripeOf(ix.byOwner, owner).appendKeys(dst, owner)
 }
 
 // owners returns every owner the index holds a record of.
@@ -289,7 +288,7 @@ func (ix *metaIndex) owners() []string {
 
 // purposeKeys returns the keys whitelisted for purpose.
 func (ix *metaIndex) purposeKeys(purpose string) []string {
-	return stripeOf(ix.byPurpose, purpose).keys(purpose)
+	return stripeOf(ix.byPurpose, purpose).appendKeys(nil, purpose)
 }
 
 // ownerKeyCount returns how many keys hold a record of owner without

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 	"unsafe"
 
@@ -39,29 +40,31 @@ func (s *Store) GetUser(ctx Ctx, owner string) ([]UserRecord, error) {
 		return nil, err
 	}
 	defer g.RUnlock()
-	rep, err := s.collectOwner(ctx, owner, reportRecords)
+	var rep ownerReport
+	err = s.collectOwner(ctx, owner, reportRecords, &rep)
 	return rep.recs, err
 }
 
 // UserValues is GetUser for a caller that sends keys and values only (the
 // wire's GETUSER): the same pass and the same audit record, with no
-// Metadata built. values[i] is the value of keys[i]; the values share
-// memory as GetUser's do.
-func (s *Store) UserValues(ctx Ctx, owner string) (keys []string, values [][]byte, err error) {
+// Metadata built. It hands fn the report, values[i] the value of keys[i],
+// once the owner's gate stripe is released, and returns fn's error. The
+// report lives only for the call: its slices and the bytes of its values
+// are the next report's, so fn copies anything it keeps.
+func (s *Store) UserValues(ctx Ctx, owner string, fn func(keys []string, values [][]byte) error) error {
 	g, err := s.enterRights(owner)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	defer g.RUnlock()
-	rep, err := s.collectOwner(ctx, owner, reportValues)
-	return rep.keys, rep.values, err
+	rep := reportPool.Get().(*ownerReport)
+	defer rep.release()
+	err = s.collectOwner(ctx, owner, reportValues, rep)
+	g.RUnlock()
+	if err != nil {
+		return err
+	}
+	return fn(rep.keys, rep.values)
 }
-
-// valueChunk is how much value space collectOwner allocates at a time, so
-// a report costs one allocation per chunk instead of one per record. The
-// walk copies each record's stored bytes, nonce and tag included, into the
-// chunk; the value is then opened in place there.
-const valueChunk = 32 << 10
 
 // reportKind is what an owner-scoped pass gathers for its caller.
 type reportKind uint8
@@ -73,47 +76,71 @@ const (
 
 // ownerReport is one owner-scoped pass's answer, in key order: keys and
 // values for reportValues, records otherwise, with the standing objections
-// every record's Metadata reports.
+// every record's Metadata reports. keys begins as the owner's key snapshot;
+// buf holds every value the report returns, and ad the key a value is
+// opened with. A reportValues pass gathers into a report from reportPool,
+// so UserValues allocates none of them once warm.
 type ownerReport struct {
 	keys       []string
 	values     [][]byte
+	buf, ad    []byte
 	recs       []UserRecord
 	objections []string
 }
 
+// reportPool holds the reports UserValues reuses.
+var reportPool = sync.Pool{New: func() any { return new(ownerReport) }}
+
+// maxKeptReport is the largest report, in the bytes of its slices, that
+// reportPool keeps between calls, as a connection keeps its hold buffer.
+const maxKeptReport = 64 << 10
+
+// release hands rep back to reportPool, holding no reference into the
+// engine and no plaintext, unless it is too large to keep.
+func (rep *ownerReport) release() {
+	size := cap(rep.buf) + cap(rep.ad) + cap(rep.keys)*int(unsafe.Sizeof("")) + cap(rep.values)*int(unsafe.Sizeof([]byte(nil)))
+	if size > maxKeptReport {
+		return
+	}
+	clear(rep.keys[:cap(rep.keys)])
+	clear(rep.values[:cap(rep.values)])
+	clear(rep.buf[:cap(rep.buf)])
+	rep.keys, rep.values = rep.keys[:0], rep.values[:0]
+	reportPool.Put(rep)
+}
+
 // collectOwner is the one pass behind every owner-scoped read, audited as
-// one GETUSER; callers are through owner's gate stripe. Under the owner's
-// stripe it decides (ACL) and snapshots what the pass needs once: the
-// owner's key list, its data key and key epoch as a prepared cipher, and
-// for the kinds that build Metadata its standing objections, which every
-// record's Metadata reports. It then runs in three stages with the stripe
-// released (see locks.go):
+// one GETUSER, gathered into rep; callers are through owner's gate stripe.
+// Under the owner's stripe it decides (ACL) and snapshots what the pass
+// needs once: the owner's key list, its data key and key epoch as a
+// prepared cipher, and for the kinds that build Metadata its standing
+// objections, which every record's Metadata reports. It then runs in three
+// stages with the stripe released (see locks.go):
 //
 //  1. probe: walkKeys looks up a batch of keys at a time, one lock per
 //     engine shard, value and record together, judged at one clock
 //     reading (a record's retention deadline is judged as of the moment
 //     the report was asked for);
-//  2. gather: the visit checks owner and epoch and copies each live
-//     record's stored bytes, still sealed, into the report's own chunks,
+//  2. gather: the visit checks owner and epoch and keeps each live
+//     record's stored bytes, still sealed, as the engine lent them,
 //     building Metadata only for the kinds that return it;
-//  3. open: after the walk, each value is opened in place in those chunks.
-//     The engine's lent slices are only ever read.
+//  3. open: after the walk, the values are copied into rep.buf, sized to
+//     them all, and each is opened in place there. The engine's lent
+//     slices are only ever read.
 //
 // The key epoch is read again at the end: a Forget that got in between makes
 // the whole answer the erased one.
-func (s *Store) collectOwner(ctx Ctx, owner string, kind reportKind) (ownerReport, error) {
+func (s *Store) collectOwner(ctx Ctx, owner string, kind reportKind, rep *ownerReport) error {
 	os := s.lockOwner(owner)
 	if s.keyring == nil {
 		// No key epoch to re-read after the walk; the stripe is what keeps
 		// an eager Forget from deleting half of what the walk reports.
 		defer os.Unlock()
 	}
-	var rep ownerReport
-	var keys []string
 	var oc ownerCipher
 	err := s.check(ctx, acl.OpRights, owner, "GETUSER", "")
 	if err == nil {
-		keys = s.ix.ownerKeys(owner)
+		rep.keys = s.ix.ownerKeys(rep.keys[:0], owner)
 		oc = s.ownerCipherFor(owner)
 		if kind == reportRecords {
 			rep.objections = s.Objections(owner)
@@ -123,66 +150,62 @@ func (s *Store) collectOwner(ctx Ctx, owner string, kind reportKind) (ownerRepor
 		os.Unlock()
 	}
 	if err != nil {
-		return rep, err
+		return err
 	}
 
-	if kind == reportValues {
-		// The snapshot is this call's own copy and the walk visits it in
-		// order, so the reported keys compact into its front.
-		rep.keys = keys[:0]
-		rep.values = make([][]byte, 0, len(keys))
-	} else {
-		rep.recs = make([]UserRecord, 0, len(keys))
+	if kind == reportRecords {
+		rep.recs = make([]UserRecord, 0, len(rep.keys))
 	}
-	var buf []byte
-	n := 0
-	s.walkKeys(owner, keys, true, func(k string, e store.Entry) bool {
+	n, size := 0, 0
+	s.walkKeys(owner, rep.keys, true, func(k string, e store.Entry) bool {
 		if !oc.live(e.Record) {
 			// Crypto-erased, awaiting the sweep: the subject's report must
 			// not resurrect data they asked to be forgotten.
 			return true
 		}
-		v := e.Value
-		if cap(buf)-len(buf) < len(v) {
-			// Room for the records still to come if they are this size,
-			// a chunk at most, this record at least.
-			buf = make([]byte, 0, max(len(v), min(len(v)*(len(keys)-n), valueChunk)))
-		}
-		start := len(buf)
-		buf = append(buf, v...)
-		v = buf[start:len(buf):len(buf)]
 		if kind == reportValues {
-			rep.keys = append(rep.keys, k)
-			rep.values = append(rep.values, v)
+			// The walk visits the snapshot in order, so the reported keys
+			// compact into its front.
+			rep.keys[n] = k
+			rep.values = append(rep.values, e.Value)
 		} else {
 			m := metadataOf(e.Record, e.Deadline)
 			m.Objections = rep.objections
-			rep.recs = append(rep.recs, UserRecord{Key: k, Value: v, Metadata: m})
+			rep.recs = append(rep.recs, UserRecord{Key: k, Value: e.Value, Metadata: m})
 		}
-		n++
+		n, size = n+1, size+len(e.Value)
 		return true
 	})
-	if oc.sealed {
-		var ad []byte
-		open := func(k string, sealed []byte) ([]byte, error) {
-			ad = append(ad[:0], k...)
-			return oc.c.OpenInPlace(sealed, ad)
+	if kind == reportValues {
+		rep.keys = rep.keys[:n]
+	}
+	if cap(rep.buf) < size {
+		rep.buf = make([]byte, 0, size)
+	}
+	buf := rep.buf[:0]
+	own := func(k string, v []byte) ([]byte, error) {
+		start := len(buf)
+		buf = append(buf, v...)
+		if v = buf[start:len(buf):len(buf)]; !oc.sealed {
+			return v, nil
 		}
-		for i, k := range rep.keys {
-			if rep.values[i], err = open(k, rep.values[i]); err != nil {
-				return ownerReport{}, err
-			}
+		rep.ad = append(rep.ad[:0], k...)
+		return oc.c.OpenInPlace(v, rep.ad)
+	}
+	for i, k := range rep.keys[:len(rep.values)] {
+		if rep.values[i], err = own(k, rep.values[i]); err != nil {
+			return err
 		}
-		for i := range rep.recs {
-			if rep.recs[i].Value, err = open(rep.recs[i].Key, rep.recs[i].Value); err != nil {
-				return ownerReport{}, err
-			}
+	}
+	for i := range rep.recs {
+		if rep.recs[i].Value, err = own(rep.recs[i].Key, rep.recs[i].Value); err != nil {
+			return err
 		}
-		if !s.keyring.RecordLive(owner, oc.epoch) {
-			// A Forget shredded the key during the walk. The erasure is
-			// acknowledged (or about to be): answer as after it.
-			rep.keys, rep.values, rep.recs, n = rep.keys[:0], rep.values[:0], rep.recs[:0], 0
-		}
+	}
+	if oc.sealed && !s.keyring.RecordLive(owner, oc.epoch) {
+		// A Forget shredded the key during the walk. The erasure is
+		// acknowledged (or about to be): answer as after it.
+		rep.keys, rep.values, rep.recs, n = rep.keys[:0], rep.values[:0], rep.recs[:0], 0
 	}
 	// Formatted into a stack buffer: one allocation whatever n (fmt would
 	// box an n of 256 or more).
@@ -191,7 +214,7 @@ func (s *Store) collectOwner(ctx Ctx, owner string, kind reportKind) (ownerRepor
 		Actor: ctx.Actor, Op: "GETUSER", Owner: owner, Purpose: ctx.Purpose,
 		Outcome: audit.OutcomeOK, Detail: string(strconv.AppendInt(append(detail[:0], "records="...), int64(n), 10)),
 	})
-	return rep, nil
+	return nil
 }
 
 // AccessReport is the Article 15 disclosure: purposes of processing,
@@ -225,8 +248,8 @@ func (s *Store) Access(ctx Ctx, owner string) (AccessReport, error) {
 		return AccessReport{}, err
 	}
 	defer g.RUnlock()
-	pass, err := s.collectOwner(ctx, owner, reportRecords)
-	if err != nil {
+	var pass ownerReport
+	if err := s.collectOwner(ctx, owner, reportRecords, &pass); err != nil {
 		return AccessReport{}, err
 	}
 	recs := pass.recs
@@ -278,8 +301,8 @@ func (s *Store) Export(ctx Ctx, owner string) ([]byte, error) {
 		return nil, err
 	}
 	defer g.RUnlock()
-	pass, err := s.collectOwner(ctx, owner, reportRecords)
-	if err != nil {
+	var pass ownerReport
+	if err := s.collectOwner(ctx, owner, reportRecords, &pass); err != nil {
 		return nil, err
 	}
 	payload := struct {

@@ -2,7 +2,9 @@ package resp
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -38,6 +40,13 @@ var seedCorpus = []string{
 	"\x00\x01\x02",
 	"*2\r\n$3\r\nGET\r\n:5\r\n",
 	strings.Repeat("*1\r\n", 64) + ":1\r\n",
+	// key/value pairs (ReadPairs): a repeated key, a null value, an odd
+	// count, a value cut short, a forged giant value in a forged giant reply
+	"*4\r\n$1\r\na\r\n$2\r\nbc\r\n$1\r\na\r\n$0\r\n\r\n",
+	"*2\r\n$1\r\nk\r\n$-1\r\n",
+	"*3\r\n$1\r\na\r\n$1\r\nb\r\n$1\r\nc\r\n",
+	"*2\r\n$1\r\nk\r\n$5\r\nab",
+	"*1000000\r\n$536870912\r\nx",
 }
 
 // valuesEqual compares decoded values structurally.
@@ -61,15 +70,18 @@ func valuesEqual(a, b Value) bool {
 
 // FuzzReadValue asserts the core parser invariants on arbitrary bytes: it
 // never panics, never allocates proportionally to a forged header (the
-// guards turn those into errors), and every successfully parsed value
-// re-encodes to bytes that parse back to an identical value.
+// guards turn those into errors), every successfully parsed value
+// re-encodes to bytes that parse back to an identical value, and ReadPairs
+// decodes what ReadValue does (checkPairs).
 func FuzzReadValue(f *testing.F) {
 	for _, s := range seedCorpus {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewReader(bytes.NewReader(data))
+		src := bytes.NewReader(data)
+		r := NewReader(src)
 		v, err := r.ReadValue()
+		checkPairs(t, data, v, err, len(data)-src.Len()-r.Buffered())
 		if err != nil {
 			return
 		}
@@ -102,6 +114,52 @@ func FuzzReadValue(f *testing.F) {
 			*s = (*s)[:len(*s)-3]
 		}
 	})
+}
+
+// checkPairs holds ReadPairs to ReadValue, which read v from data, or
+// failed with err, consuming used bytes. Where ReadValue refuses, ReadPairs
+// refuses. Where it reads an array of key/value bulk strings, ReadPairs
+// returns each key's last value, capped at its length; where it reads
+// another array, ReadPairs refuses; any other value ReadPairs returns as it
+// is. Unless it refused, ReadPairs consumed the bytes ReadValue did.
+func checkPairs(t *testing.T, data []byte, v Value, err error, used int) {
+	src := bytes.NewReader(data)
+	r := NewReader(src)
+	m, pv, perr := r.ReadPairs()
+	isArray := err == nil && v.Type == Array && !v.Null
+	pairs := isArray && len(v.Array)%2 == 0
+	for _, e := range v.Array {
+		pairs = pairs && e.Type == BulkString && !e.Null
+	}
+	switch {
+	case err != nil:
+		if perr == nil {
+			t.Fatalf("ReadPairs accepted what ReadValue refused (%v): %v, %v", err, m, pv)
+		}
+		return
+	case pairs:
+		want := map[string][]byte{}
+		for i := 0; i < len(v.Array); i += 2 {
+			want[string(v.Array[i].Str)] = v.Array[i+1].Str
+		}
+		if perr != nil || m == nil || len(m) != len(want) {
+			t.Fatalf("ReadPairs = %d pairs, %v; ReadValue read %d distinct keys", len(m), perr, len(want))
+		}
+		for k, val := range m {
+			if w, ok := want[k]; !ok || !bytes.Equal(val, w) || cap(val) != len(val) {
+				t.Fatalf("ReadPairs[%q] = %q (cap %d); ReadValue read %q", k, val, cap(val), w)
+			}
+		}
+	case isArray:
+		if !errors.Is(perr, ErrProtocol) {
+			t.Fatalf("ReadPairs = %v, %v for an array that is not pairs, want a refusal", m, perr)
+		}
+	case perr != nil || m != nil || !valuesEqual(pv, v):
+		t.Fatalf("ReadPairs = %v, %#v, %v; ReadValue read %#v", m, pv, perr, v)
+	}
+	if got := len(data) - src.Len() - r.Buffered(); got != used {
+		t.Fatalf("ReadPairs consumed %d bytes, ReadValue %d", got, used)
+	}
 }
 
 // bulkStrings returns a pointer to each bulk string payload in v, depth first.
@@ -199,27 +257,34 @@ func FuzzReadCommand(f *testing.F) {
 	})
 }
 
-// TestForgedHeadersDoNotPreallocate pins the allocation guards directly:
-// headers declaring huge payloads must fail with bounded allocation once
-// the stream ends, instead of reserving the declared size up front.
+// TestForgedHeadersDoNotPreallocate pins the allocation guards of ReadValue
+// and ReadPairs directly: headers declaring huge payloads must fail with
+// bounded allocation once the stream ends, instead of reserving the
+// declared size up front.
 func TestForgedHeadersDoNotPreallocate(t *testing.T) {
 	cases := []string{
 		"$536870911\r\nonly-a-few-bytes",
 		"*1048576\r\n:1\r\n",
 		"$" + strings.Repeat("9", 14) + "\r\n",
 	}
-	for _, in := range cases {
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r := NewReader(strings.NewReader(in))
-				if _, err := r.ReadValue(); err == nil {
-					b.Fatalf("forged header %q accepted", in)
+	pairs := []string{"*1000000\r\n$536870912\r\nx", "*2\r\n$1\r\nk\r\n$536870911\r\nx"}
+	for _, in := range append(cases, pairs...) {
+		for name, read := range map[string]func(*Reader) error{
+			"ReadValue": func(r *Reader) error { _, err := r.ReadValue(); return err },
+			"ReadPairs": func(r *Reader) error { _, _, err := r.ReadPairs(); return err },
+		} {
+			const runs = 20
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				if err := read(NewReader(strings.NewReader(in))); err == nil {
+					t.Fatalf("forged header %q accepted", in)
 				}
 			}
-		})
-		if per := res.AllocedBytesPerOp(); per > 256<<10 {
-			t.Errorf("input %.20q allocates %d B/op — header-proportional allocation is back", in, per)
+			runtime.ReadMemStats(&after)
+			if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 256<<10 {
+				t.Errorf("%s of %.20q allocates %d B/op — header-proportional allocation is back", name, in, per)
+			}
 		}
 	}
 }

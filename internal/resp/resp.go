@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"unsafe"
 )
 
 // Type identifies a RESP value kind.
@@ -45,6 +46,7 @@ type Value struct {
 var (
 	ErrProtocol   = errors.New("resp: protocol error")
 	errNotCommand = fmt.Errorf("%w: expected command array", ErrProtocol)
+	errNotPairs   = fmt.Errorf("%w: expected an array of key/value bulk strings", ErrProtocol)
 	// MaxBulkLen bounds a single bulk string (512 MB, Redis's limit). A
 	// violated bound is a protocol error: the stream is unparseable past
 	// it, and servers reply before disconnecting on ErrProtocol.
@@ -305,51 +307,133 @@ func (r *Reader) ReadCommand() ([][]byte, error) {
 	return args, nil
 }
 
-// readN reads exactly n declared bytes, growing the buffer incrementally
-// (doubling from bulkPreallocLimit) so the allocation tracks bytes actually
-// received, never the declared length alone. Up to that limit, inside an
-// array, the bytes are cut from its shared buffer, whose next chunk holds
-// these n and the elements after them at the mean size cut so far, under
-// the same limit.
+// ReadPairs decodes the next value into a map when it is what a GETUSER
+// reply is: an array of an even number of bulk strings, none null, each
+// even element a key and the one after it its value. It builds no Value
+// tree: the values are cut from one buffer, each capped at its own length
+// as ReadValue's are, and the keys are substrings of one string. Any other
+// value it returns as ReadValue does, with a nil map (an error reply, say),
+// except an array of another shape, which it reads whole and then refuses.
+// It accepts and refuses what ReadValue would, as ReadCommand does.
+func (r *Reader) ReadPairs() (map[string][]byte, Value, error) {
+	if t, err := r.br.Peek(1); err != nil || Type(t[0]) != Array {
+		v, err := r.ReadValue()
+		return nil, v, err
+	}
+	_, _ = r.br.Discard(1)
+	n, err := r.readInt()
+	switch {
+	case err != nil:
+		return nil, Value{}, err
+	case n == -1:
+		return nil, Value{Type: Array, Null: true}, nil
+	case n < 0 || n > MaxArrayLen:
+		return nil, Value{}, fmt.Errorf("%w: invalid array length %d", ErrProtocol, n)
+	}
+	// slabs[0] gathers the keys' bytes and slabs[1] the values'; lens holds
+	// every element's length, in order.
+	var slabs [2][]byte
+	lens := make([]int32, 0, min(n, arrayPreallocLimit))
+	bad := n%2 != 0
+	for i := int64(0); i < n; i++ {
+		if t, err := r.br.Peek(1); err != nil || Type(t[0]) != BulkString {
+			// Every element parses before the shape is refused, as in
+			// ReadValue.
+			if _, err := r.readValue(1, nil); err != nil {
+				return nil, Value{}, err
+			}
+			bad = true
+			continue
+		}
+		_, _ = r.br.Discard(1)
+		m, err := r.readInt()
+		switch {
+		case err != nil:
+			return nil, Value{}, err
+		case m == -1:
+			bad = true
+			continue
+		case m < 0 || m > MaxBulkLen:
+			return nil, Value{}, errBulkTooLong
+		}
+		s := &slabs[i%2]
+		if int64(cap(*s)-len(*s)) < m+2 {
+			// Room for this string, its CRLF and the slab's strings after
+			// it at the mean size so far.
+			mean, left := (int64(len(*s))+m)/(i/2+1), (n-i-1)/2
+			*s = grow(*s, m+2+mean*left)
+		}
+		if *s, err = r.appendN(*s, m+2); err != nil {
+			return nil, Value{}, err
+		}
+		if end := len(*s) - 2; (*s)[end] != '\r' || (*s)[end+1] != '\n' {
+			return nil, Value{}, fmt.Errorf("%w: bulk string missing CRLF", ErrProtocol)
+		}
+		*s = (*s)[:len(*s)-2] // the next string overwrites the CRLF
+		lens = append(lens, int32(m))
+	}
+	if bad {
+		return nil, Value{}, errNotPairs
+	}
+	// The key slab is written no more, so it can back the keys' string.
+	keys, vals := unsafe.String(unsafe.SliceData(slabs[0]), len(slabs[0])), slabs[1]
+	out := make(map[string][]byte, len(lens)/2)
+	for i := 0; i < len(lens); i += 2 {
+		k, v := int(lens[i]), int(lens[i+1])
+		out[keys[:k]] = vals[:v:v]
+		keys, vals = keys[k:], vals[v:]
+	}
+	return out, Value{}, nil
+}
+
+// appendN appends the next n bytes of the stream to b, growing b only as
+// they arrive (grow).
+func (r *Reader) appendN(b []byte, n int64) ([]byte, error) {
+	for end := len(b) + int(n); len(b) < end; {
+		if len(b) == cap(b) {
+			b = grow(b, int64(end-len(b)))
+		}
+		m, err := io.ReadFull(r.br, b[len(b):min(cap(b), end)])
+		if b = b[:len(b)+m]; err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
+}
+
+// grow returns b with room for n more bytes, or for only as many as b
+// holds or bulkPreallocLimit, whichever is more: so the allocation tracks
+// bytes actually received, never a declared length alone, and doubles as
+// they arrive. Short of room, it copies b into a buffer of exactly that.
+func grow(b []byte, n int64) []byte {
+	n = min(n, max(int64(len(b)), bulkPreallocLimit))
+	if int64(cap(b)-len(b)) >= n {
+		return b
+	}
+	nb := make([]byte, len(b), len(b)+int(n))
+	copy(nb, b)
+	return nb
+}
+
+// readN reads exactly n declared bytes (appendN). Up to bulkPreallocLimit,
+// inside an array, the bytes are cut from its shared buffer, whose next
+// chunk holds these n and the elements after them at the mean size cut so
+// far, under the same limit; otherwise they get a buffer of their own.
 func (r *Reader) readN(n int64, sh *shared) ([]byte, error) {
-	if n <= bulkPreallocLimit {
-		if sh == nil {
-			sh = &shared{} // a buffer of its own, n bytes
-		}
-		if int64(cap(sh.buf)-len(sh.buf)) < n {
-			mean := (sh.size + n) / (sh.strs + 1)
-			sh.buf = make([]byte, 0, min(n+mean*sh.left, bulkPreallocLimit))
-		}
-		sh.size, sh.strs = sh.size+n, sh.strs+1
-		buf := sh.buf[len(sh.buf) : len(sh.buf)+int(n)]
-		sh.buf = sh.buf[:len(sh.buf)+int(n)]
-		if _, err := io.ReadFull(r.br, buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
+	if sh == nil || n > bulkPreallocLimit {
+		return r.appendN(nil, n)
 	}
-	buf := make([]byte, bulkPreallocLimit)
-	read := int64(0)
-	for read < n {
-		if read == int64(len(buf)) {
-			grown := int64(len(buf)) * 2
-			if grown > n {
-				grown = n
-			}
-			nb := make([]byte, grown)
-			copy(nb, buf)
-			buf = nb
-		}
-		m, err := r.br.Read(buf[read:])
-		read += int64(m)
-		if err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
+	if int64(cap(sh.buf)-len(sh.buf)) < n {
+		mean := (sh.size + n) / (sh.strs + 1)
+		sh.buf = make([]byte, 0, min(n+mean*sh.left, bulkPreallocLimit))
 	}
-	return buf[:n], nil
+	sh.size, sh.strs = sh.size+n, sh.strs+1
+	start := len(sh.buf)
+	var err error
+	if sh.buf, err = r.appendN(sh.buf, n); err != nil {
+		return nil, err
+	}
+	return sh.buf[start:], nil
 }
 
 func (r *Reader) readLine() ([]byte, error) {

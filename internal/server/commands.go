@@ -302,22 +302,21 @@ func okOr(err error) (resp.Value, error) {
 	return resp.SimpleStringValue("OK"), nil
 }
 
-// cmdGetUser serves GETUSER and GETUSERDATA. It reads the whole report
-// first, which is all that can fail, then writes it through ctx.Writer as
-// one array of key/value pairs, allocating nothing per record.
+// cmdGetUser serves GETUSER and GETUSERDATA. UserValues reads the whole
+// report first, which is all that can fail, then hands it to the render,
+// which writes it through ctx.Writer as one array of key/value pairs,
+// allocating nothing per record.
 func cmdGetUser(ctx *Ctx) (resp.Value, error) {
-	keys, values, err := ctx.Srv.store.UserValues(ctx.Core, string(ctx.Args[0]))
-	if err != nil {
-		return resp.Value{}, err
-	}
-	w := ctx.Writer()
-	err = w.WriteArrayHeader(2 * len(keys))
-	for i := 0; i < len(keys) && err == nil; i++ {
-		if err = w.WriteBulkString(keys[i]); err == nil {
-			err = w.WriteBulk(values[i])
+	return resp.Value{}, ctx.Srv.store.UserValues(ctx.Core, string(ctx.Args[0]), func(keys []string, values [][]byte) error {
+		w := ctx.Writer()
+		err := w.WriteArrayHeader(2 * len(keys))
+		for i := 0; i < len(keys) && err == nil; i++ {
+			if err = w.WriteBulkString(keys[i]); err == nil {
+				err = w.WriteBulk(values[i])
+			}
 		}
-	}
-	return resp.Value{}, err
+		return err
+	})
 }
 
 func jsonValue(v any) (resp.Value, error) {

@@ -36,8 +36,14 @@ func TestGetUserRenderAllocs(t *testing.T) {
 	ctx := &Ctx{Srv: &Server{store: st}, Cmd: commandTable["GETUSER"], Args: [][]byte{[]byte("alice")},
 		Core: cctx, Out: resp.NewWriter(io.Discard)}
 	report := testing.AllocsPerRun(100, func() {
-		if keys, _, err := st.UserValues(cctx, string(ctx.Args[0])); err != nil || len(keys) != 256 {
-			t.Fatalf("UserValues = %d keys, %v", len(keys), err)
+		err := st.UserValues(cctx, string(ctx.Args[0]), func(keys []string, _ [][]byte) error {
+			if len(keys) != 256 {
+				return fmt.Errorf("%d keys", len(keys))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("UserValues: %v", err)
 		}
 	})
 	handler := testing.AllocsPerRun(100, func() {

@@ -380,7 +380,8 @@ func TestGetUserWireMatchesCore(t *testing.T) {
 					t.Fatalf("put %s: %v", k, err)
 				}
 			}
-			// Values from empty to 6 KB: alice's report spans several chunks.
+			// Values from empty to 6 KB: alice's report, 82 KB, is larger than
+			// a pooled report may stay.
 			var keys []string
 			for i := 0; i < 40; i++ {
 				k := fmt.Sprintf("alice:%02d", i)
@@ -423,13 +424,15 @@ func TestGetUserWireMatchesCore(t *testing.T) {
 				for _, r := range got {
 					recs[r.Key] = r.Value
 				}
-				ks, vs, err := st.UserValues(ctx, owner)
+				vals = map[string][]byte{}
+				err = st.UserValues(ctx, owner, func(ks []string, vs [][]byte) error {
+					for i, k := range ks {
+						vals[k] = bytes.Clone(vs[i])
+					}
+					return nil
+				})
 				if err != nil {
 					t.Fatalf("UserValues %s: %v", owner, err)
-				}
-				vals = map[string][]byte{}
-				for i, k := range ks {
-					vals[k] = vs[i]
 				}
 				return wire, recs, vals
 			}

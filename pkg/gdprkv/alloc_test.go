@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -113,9 +114,12 @@ func readHeader(r *bufio.Reader) (int, error) {
 // the shape the wire-read benchmark drives. Measured 2 and 9: the key's
 // []byte and the reply's bulk string for GGet; for GPut the key plus the
 // rendered OWNER/TTL option tokens. Beside them, GetUser of a 256-record
-// report, the shape of the rights-under-write reads: a fixed count whatever
-// the record count, where one allocation per bulk string and per map key
-// cost 776.
+// report, the shape of the rights-under-write reads, which decodes the
+// reply straight into its map: a fixed count whatever the record count
+// (11, where one allocation per bulk string and per map key cost 776), and
+// 54 433 B for its 28 672 B of keys and values: the map, one buffer for the
+// values, one for the keys' string and one for their lengths. Decoded
+// through a resp.Value tree, it allocated 11 times and 98 713 B.
 func TestScalarCallAllocs(t *testing.T) {
 	c := dial(t, cannedServer(t), gdprkv.WithPoolSize(1))
 	opts := gdprkv.PutOptions{Owner: "alice", TTL: time.Hour}
@@ -123,11 +127,12 @@ func TestScalarCallAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		budget float64
+		bytes  float64 // 0: no bound
 		call   func() error
 	}{
-		{"GGet", 2, func() error { _, err := c.GGet(ctxb(), "pd:alice:1"); return err }},
-		{"GPut", 9, func() error { return c.GPut(ctxb(), "pd:alice:1", val, opts) }},
-		{"GetUser", 11, func() error {
+		{"GGet", 2, 0, func() error { _, err := c.GGet(ctxb(), "pd:alice:1"); return err }},
+		{"GPut", 9, 0, func() error { return c.GPut(ctxb(), "pd:alice:1", val, opts) }},
+		{"GetUser", 11, 60 << 10, func() error {
 			recs, err := c.GetUser(ctxb(), "alice")
 			if err == nil && len(recs) != 256 {
 				err = fmt.Errorf("GetUser = %d records, want 256", len(recs))
@@ -135,14 +140,32 @@ func TestScalarCallAllocs(t *testing.T) {
 			return err
 		}},
 	} {
-		n := testing.AllocsPerRun(1000, func() {
+		call := func() {
 			if err := tc.call(); err != nil {
 				t.Fatal(err)
 			}
-		})
-		t.Logf("%s allocates %.1f times per call", tc.name, n)
+		}
+		n, size := testing.AllocsPerRun(1000, call), bytesPerRun(1000, call)
+		t.Logf("%s allocates %.1f times and %.0f B per call", tc.name, n, size)
 		if n > tc.budget {
 			t.Errorf("%s allocates %.1f times per call, budget %.0f", tc.name, n, tc.budget)
 		}
+		if tc.bytes > 0 && size > tc.bytes {
+			t.Errorf("%s allocates %.0f B per call, budget %.0f", tc.name, size, tc.bytes)
+		}
 	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for the bytes allocated: the mean over
+// runs calls of f, after one call to warm up, with GOMAXPROCS at 1.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

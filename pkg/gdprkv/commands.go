@@ -413,30 +413,15 @@ func (c *Client) GDel(ctx context.Context, key string) error {
 
 // GetUser returns all key/value pairs of a data subject (Art. 15 right
 // of access), as the one node that holds the subject (the owner's slot
-// node, in cluster mode) answers. The values share one buffer, as the
-// reply's bulk strings do: read them, and copy one before changing it.
+// node, in cluster mode) answers. The reply decodes straight into the
+// map: the values share one buffer, so read them, and copy one before
+// changing it.
 func (c *Client) GetUser(ctx context.Context, owner string) (map[string][]byte, error) {
-	v, err := c.call(ctx, classWrite, owner, args("GETUSER", owner))
-	if err != nil {
-		return nil, err
-	}
-	// The keys are substrings of one string, built in one allocation.
-	var sb strings.Builder
-	size := 0
-	for i := 0; i+1 < len(v.Array); i += 2 {
-		size += len(v.Array[i].Str)
-	}
-	sb.Grow(size)
-	for i := 0; i+1 < len(v.Array); i += 2 {
-		sb.Write(v.Array[i].Str)
-	}
-	keys := sb.String()
-	out := make(map[string][]byte, len(v.Array)/2)
-	for i := 0; i+1 < len(v.Array); i += 2 {
-		n := len(v.Array[i].Str)
-		out[keys[:n]], keys = v.Array[i+1].Str, keys[n:]
-	}
-	return out, nil
+	var out map[string][]byte
+	cmds := [1][][]byte{args("GETUSER", owner)}
+	var res [1]PipeResult
+	c.send(ctx, target{class: classWrite, owner: c.route(owner), pairs: &out}, cmds[:], res[:])
+	return out, res[0].Err
 }
 
 // ExportUser returns the Art. 20 portability payload.

@@ -86,8 +86,9 @@ func deadline(ctx context.Context, timeout time.Duration) time.Time {
 // failures return an error, with the count of replies read before it.
 // Any early exit after the commands were written marks the conn broken:
 // unread replies would desync the next caller, so the pool must discard
-// it.
-func (c *conn) roundTrip(ctx context.Context, timeout time.Duration, asking bool, cmds [][][]byte, res []PipeResult) (int, error) {
+// it. With pairs set, a reply that is an array of key/value bulk strings
+// (GETUSER's) decodes straight into *pairs, with no Value tree.
+func (c *conn) roundTrip(ctx context.Context, timeout time.Duration, asking bool, pairs *map[string][]byte, cmds [][][]byte, res []PipeResult) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
@@ -118,7 +119,13 @@ func (c *conn) roundTrip(ctx context.Context, timeout time.Duration, asking bool
 			c.broken = true
 			return i, err
 		}
-		v, err := c.r.ReadValue()
+		var v resp.Value
+		var err error
+		if pairs != nil {
+			*pairs, v, err = c.r.ReadPairs()
+		} else {
+			v, err = c.r.ReadValue()
+		}
 		if err != nil {
 			return i, c.ioError(ctx, err)
 		}
@@ -138,7 +145,7 @@ func (c *conn) do(ctx context.Context, timeout time.Duration, args ...string) (r
 		raw[i] = []byte(a)
 	}
 	var res [1]PipeResult
-	if _, err := c.roundTrip(ctx, timeout, false, [][][]byte{raw}, res[:]); err != nil {
+	if _, err := c.roundTrip(ctx, timeout, false, nil, [][][]byte{raw}, res[:]); err != nil {
 		return resp.Value{}, err
 	}
 	return res[0].Value, res[0].Err

@@ -86,7 +86,8 @@ type target struct {
 	class  callClass
 	owner  *pool
 	asking bool
-	hops   int // redirects already followed on the way here
+	hops   int                // redirects already followed on the way here
+	pairs  *map[string][]byte // where a one-command call's key/value reply goes (roundTrip)
 }
 
 // route resolves key against the installed view: the owner of key's slot,
@@ -138,7 +139,7 @@ func (c *Client) send(ctx context.Context, t target, cmds [][][]byte, res []Pipe
 			}
 		}
 		var n int
-		n, err = c.exchange(ctx, t.owner, t.asking, cmds, res)
+		n, err = c.exchange(ctx, t, cmds, res)
 		fail(res[n:], err)
 		if err == nil || ctx.Err() != nil {
 			break
@@ -147,7 +148,7 @@ func (c *Client) send(ctx context.Context, t target, cmds [][][]byte, res []Pipe
 	}
 	for j := range res {
 		if next, asking, ok := c.redirect(ctx, res[j].Err, t.hops); ok {
-			hop := target{class: classPipe, owner: next, asking: asking, hops: t.hops + 1}
+			hop := target{class: classPipe, owner: next, asking: asking, hops: t.hops + 1, pairs: t.pairs}
 			c.send(ctx, hop, cmds[j:j+1], res[j:j+1])
 		}
 	}
@@ -180,17 +181,17 @@ func pause(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// exchange is one attempt on one node: check a connection out of p, run
-// cmds on it (behind a one-shot ASKING when asking), check it back in. It
-// returns how many replies it read; error replies are outcomes in res,
-// and only a transport failure is returned.
-func (c *Client) exchange(ctx context.Context, p *pool, asking bool, cmds [][][]byte, res []PipeResult) (int, error) {
-	cn, err := p.get(ctx)
+// exchange is one attempt on t's owner: check a connection out of its
+// pool, run cmds on it (behind a one-shot ASKING when t asks), check it
+// back in. It returns how many replies it read; error replies are
+// outcomes in res, and only a transport failure is returned.
+func (c *Client) exchange(ctx context.Context, t target, cmds [][][]byte, res []PipeResult) (int, error) {
+	cn, err := t.owner.get(ctx)
 	if err != nil {
 		return 0, err
 	}
-	n, err := cn.roundTrip(ctx, c.cfg.ioTimeout, asking, cmds, res)
-	p.put(cn)
+	n, err := cn.roundTrip(ctx, c.cfg.ioTimeout, t.asking, t.pairs, cmds, res)
+	t.owner.put(cn)
 	return n, err
 }
 

@@ -92,7 +92,7 @@ func joinAddrValue(v resp.Value) string {
 // dispatch loop: no counter, redirect or failover applies.
 func (c *Client) fetchTopology(ctx context.Context, p *pool) (Topology, error) {
 	var res [1]PipeResult
-	if _, err := c.exchange(ctx, p, false, [][][]byte{args("CLUSTER", "TOPOLOGY")}, res[:]); err != nil {
+	if _, err := c.exchange(ctx, target{owner: p}, [][][]byte{args("CLUSTER", "TOPOLOGY")}, res[:]); err != nil {
 		return Topology{}, err
 	}
 	if res[0].Err != nil {
