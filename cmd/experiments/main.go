@@ -11,6 +11,9 @@
 //	experiments -run ycsb -workload C -addr 127.0.0.1:7001 -pool 8 -cluster 127.0.0.1:7002,127.0.0.1:7003
 //	experiments -run personas -addr 127.0.0.1:6380 -role customer
 //	experiments -run retention-storm
+//
+// YCSB over the wire needs baseline servers; the personas, a server run with
+// -controller controller.
 package main
 
 import (
@@ -40,7 +43,7 @@ var (
 	seed    = flag.Int64("seed", 1, "deterministic seed")
 
 	// Store and server selection, shared by ycsb and personas.
-	mode      = flag.String("mode", "embedded", `ycsb: "embedded", "gdpr", or "network" (needs -addr or -cluster)`)
+	mode      = flag.String("mode", "embedded", `ycsb: "embedded", "gdpr", or "network" (needs -addr or -cluster of baseline servers: a compliant one refuses YCSB's raw commands)`)
 	addr      = flag.String("addr", "", "ycsb, personas: run against the server at this address via pkg/gdprkv")
 	clusterF  = flag.String("cluster", "", "ycsb, personas: comma-separated primary addresses; with -addr they form a hash-slot cluster")
 	timing    = flag.String("timing", "", "embedded compliant store: eventual|realtime (default: eventual for ycsb, realtime for personas)")

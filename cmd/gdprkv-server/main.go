@@ -4,39 +4,10 @@
 //
 //	gdprkv-server [flags]
 //
-//	-addr string        listen address (default "127.0.0.1:6380")
-//	-compliant          enable the GDPR compliance layer
-//	-timing string      "eventual" or "realtime" (default "eventual")
-//	-capability string  "partial" or "full" (default "full")
-//	-aof string         append-only file path ("" disables persistence)
-//	-aof-sync string    "no", "everysec", or "always" (default by timing)
-//	-journal-reads      log reads through the AOF (§4.1 retrofit)
-//	-audit string       audit trail path ("" keeps it in memory)
-//	-audit-queue int    audit records held accepted and not yet written (0 = default)
-//	-audit-backpressure "block" (default) or "drop" when the audit queue is full
-//	-audit-mask         pseudonymize key/owner/detail in every audit record
-//	-audit-sink string  export the trail to tcp://host:port or unix:///path
-//	-atrest-hex string  64-hex-char at-rest encryption key (LUKS stand-in)
-//	-envelope-hex string 64-hex-char master key for per-owner envelope
-//	                    encryption (enables O(1) crypto-shredding erasure)
-//	-erasure-sweep-budget int    max records one sweep cycle deletes (default 4096)
-//	-tls                front the server with a TLS tunnel (stunnel stand-in)
-//	-default-ttl dur    default retention bound for writes (e.g. 720h)
-//	-locations string   comma-separated allowed storage regions
-//	-shards int         engine lock-stripe count, power of two (0 = default; 1 = single mutex)
-//	-replicaof string   replicate from the primary at host:port (server starts read-only)
-//	-repl-actor string  actor presented during the replication handshake (AUTH)
-//	-cluster-node v     cluster topology entry id=host:port:slots[/replica,...]
-//	                    (repeatable; together the entries must cover all 1024
-//	                    slots exactly once; the optional suffix lists the
-//	                    primary's replica addresses)
-//	-cluster-self id    this server's node id in the topology (enables cluster
-//	                    mode; combined with -replicaof the server runs as a
-//	                    cluster replica of that node: it holds a copy of its
-//	                    slots, redirects reads to the primary and stands by
-//	                    for promotion)
-//	-ops-addr string    serve the HTTP ops surface (dashboard, /info JSON,
-//	                    /metrics Prometheus exposition, /events SSE) here
+// "gdprkv-server -h" lists the flags, each with its help: the flag
+// definitions below are their one description. On a -compliant server of
+// full capability (the default) access control is enforced, so every admin
+// command, ACL included, needs a controller: -controller names the first.
 package main
 
 import (
@@ -49,6 +20,7 @@ import (
 	"strings"
 	"syscall"
 
+	"gdprstore/internal/acl"
 	"gdprstore/internal/aof"
 	"gdprstore/internal/audit"
 	"gdprstore/internal/cluster"
@@ -87,7 +59,8 @@ func main() {
 		locations    = flag.String("locations", "", "comma-separated allowed storage regions")
 		shards       = flag.Int("shards", 0, "engine lock-stripe count, rounded up to a power of two (0 = default; 1 = single mutex)")
 		replicaof    = flag.String("replicaof", "", "replicate from the primary at host:port (server starts read-only)")
-		replActor    = flag.String("repl-actor", "", "actor presented during the replication handshake (AUTH)")
+		replActor    = flag.String("repl-actor", "", "actor presented during the replication handshake (AUTH); the primary must know it as a controller")
+		controller   = flag.String("controller", "", "principal registered as a controller at start-up (under access control every admin command, ACL included, needs one)")
 		clusterSelf  = flag.String("cluster-self", "", "this server's node id in the cluster topology (enables cluster mode)")
 		opsAddrF     = flag.String("ops-addr", "", "serve the HTTP ops surface (dashboard, /info, /metrics, /events) at this address")
 	)
@@ -178,6 +151,9 @@ func main() {
 		log.Fatalf("open store: %v", err)
 	}
 	defer st.Close()
+	if *controller != "" {
+		st.ACL().AddPrincipal(acl.Principal{ID: *controller, Role: acl.RoleController})
+	}
 
 	srv, err := server.Listen(*addr, st)
 	if err != nil {

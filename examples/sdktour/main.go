@@ -1,7 +1,8 @@
 // Sdktour walks the public pkg/gdprkv SDK surface end to end against an
 // in-process server: options-struct construction with an auto AUTH/
 // PURPOSE handshake, per-call context deadlines (a dead server can never
-// hang a caller), the typed error taxonomy under errors.Is, concurrent
+// hang a caller), the typed error taxonomy under errors.Is (a raw GET's
+// refusal included), concurrent
 // use of one pooled client, explicit pipelining, implicit micro-batching,
 // and the generic Do escape hatch. Run with:
 //
@@ -83,6 +84,9 @@ func main() {
 	fmt.Printf("3. off-purpose read: ErrBadPurpose=%v (%v)\n", errors.Is(err, gdprkv.ErrBadPurpose), err)
 	_, err = c.GGet(ctx, "user:nobody:email")
 	fmt.Printf("   missing key:      ErrNotFound=%v\n", errors.Is(err, gdprkv.ErrNotFound))
+	// A compliant server serves no raw engine command, even to a controller.
+	_, err = c.Get(ctx, "user:alice:address")
+	fmt.Printf("   raw GET:          ErrDenied=%v\n", errors.Is(err, gdprkv.ErrDenied))
 
 	// 4. Deadlines: a black-hole server (accepts, never replies) cannot
 	// hang a caller — the context deadline bounds the call.

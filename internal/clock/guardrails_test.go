@@ -20,7 +20,8 @@ import (
 // A rule holds one invariant over the repository's Go files (the root
 // module and bench/; test files only with tests): nothing it bans is used
 // outside where it allows it. ids and strs match identifiers and string
-// literal values; with pkg, ids match only that package's members. An allow
+// literal values, and exprs comparisons (a == b, as written); with pkg, ids
+// match only that package's members. An allow
 // site is a directory ("x/"), a file, or "file:func" ("file:" is the top
 // level); a use passed to a call needs "file:func:callee". A site's value is
 // its own reason ("": the rule's). With refusal, a literal may also stand in
@@ -31,6 +32,7 @@ type rule struct {
 	in             []string // path prefixes the rule covers; none: every file
 	pkg            string
 	ids, strs      *regexp.Regexp
+	exprs          *regexp.Regexp
 	allow          map[string]string
 	refusal, tests bool
 	uses           []string // expressions that break the rule, for the self-test
@@ -96,6 +98,10 @@ var rules = []rule{
 			"internal/core/replication.go:StreamSnapshot": "", "internal/core/replication.go:Backup": "",
 			"internal/core/replication.go:propagateErasure": "", "internal/core/store.go:Delete": "", "internal/core/store.go:Close": "",
 		}},
+	{name: "no handler re-checks", in: []string{"internal/server/"}, ids: re(`^Enforcing$`), exprs: re(`(?i)actor [!=]= ""|"" [!=]= \S*actor$`),
+		uses:  []string{"st.ACL().Enforcing()", `ctx.Core.Actor == ""`, `"" != s.actor`},
+		why:   "one gate admits every command (complianceMiddleware, DESIGN.md §3): a handler reads no enforcement flag and tests no actor for AUTH; a command that needs a role is FlagAdmin, or a CLUSTER subcommand marked admin",
+		allow: map[string]string{"internal/server/registry.go": "the gate itself"}},
 }
 
 // drillFile lists the race drills that `make race` runs.
@@ -251,6 +257,8 @@ func check(fset *token.FileSet, rel string, f *ast.File) []string {
 					if r.pkg == "" || local[r.pkg] == "." {
 						name = n.Name
 					}
+				case *ast.BinaryExpr:
+					name, re = types.ExprString(n), r.exprs
 				case *ast.BasicLit:
 					if s, err := strconv.Unquote(n.Value); err == nil && n.Kind == token.STRING {
 						name, re = s, r.strs

@@ -76,7 +76,7 @@ func (s *Store) GetBatch(ctx Ctx, keys []string) ([]BatchGetResult, error) {
 	// barrier waits out like every other data-path call. Each key is one
 	// engine probe; the batch as a whole is not an atomic snapshot (per-key
 	// reads never were, either).
-	g, err := s.enter(keys[0])
+	g, err := s.enter(keys...)
 	if err != nil {
 		return nil, err
 	}
@@ -100,6 +100,9 @@ func (s *Store) GetBatch(ctx Ctx, keys []string) ([]BatchGetResult, error) {
 		outcome := audit.OutcomeOK
 		if served == 0 {
 			outcome = audit.OutcomeMissing
+		}
+		if served+missing == 0 {
+			outcome = audit.OutcomeDenied // every key was refused
 		}
 		s.auditOp(audit.Record{
 			Actor: ctx.Actor, Op: "MGET", Key: keys[0],

@@ -71,9 +71,10 @@ func TestShredInvisibleBeforeSweep(t *testing.T) {
 	if err != nil || n != 8 {
 		t.Fatalf("Forget = %d, %v; want 8, nil", n, err)
 	}
-	// No sweep has run: the ciphertext is still physically present.
-	if got := s.Len(); got != 12 {
-		t.Fatalf("store len after shred = %d, want 12 (lazy delete)", got)
+	// No sweep has run: the ciphertext is still physically present (the
+	// engine also holds alice's owner record), and Len no longer counts it.
+	if got, held := s.Len(), s.Engine().Len(); got != 4 || held != 13 {
+		t.Fatalf("after shred: Len = %d, engine holds %d; want 4 and 13 (lazy delete)", got, held)
 	}
 
 	for _, k := range aliceKeys {

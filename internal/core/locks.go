@@ -78,14 +78,16 @@ func (s *Store) lockOwner(owner string) *ownerStripe {
 	return os
 }
 
-// enter admits one data-path call through the gate stripe of name, which
-// stays read-locked until the call releases it; once Close has begun, it
-// refuses. No call may name an owner record's key.
-func (s *Store) enter(name string) (*gateStripe, error) {
-	if _, ok := ReservedKey(name); ok {
-		return nil, ErrReservedKey
+// enter admits one data-path call through the gate stripe of its first name,
+// which stays read-locked until the call releases it; once Close has begun,
+// it refuses. No call may name an owner record's key, in any position.
+func (s *Store) enter(names ...string) (*gateStripe, error) {
+	for _, name := range names {
+		if _, ok := ReservedKey(name); ok {
+			return nil, ErrReservedKey
+		}
 	}
-	return s.gateOf(name)
+	return s.gateOf(names[0])
 }
 
 // gateOf is enter without the reserved-key refusal, for the slot migration

@@ -31,8 +31,8 @@ func (s *Store) recordDead(rec *store.Record) bool {
 }
 
 // KeyVisible reports whether key is currently visible to clients: an owner
-// record's is not, nor is one crypto-erased but not yet swept. SCAN, KEYS
-// and a slot's key list (so a migration) filter through this.
+// record's is not, nor is one crypto-erased but not yet swept. A slot's key
+// list (so a migration) filters through this.
 func (s *Store) KeyVisible(key string) bool {
 	if _, ok := ReservedKey(key); ok {
 		return false

@@ -41,15 +41,6 @@ import (
 // destination audits each RESTOREKEY — arrival of personal data on a new
 // node is a processing event in its own right.
 
-// AuthorizeMigration checks that the acting principal may drive slot
-// migration (an admin operation), auditing a denial.
-func (s *Store) AuthorizeMigration(ctx Ctx) error {
-	if !s.cfg.Compliant {
-		return nil
-	}
-	return s.check(ctx, acl.OpAdmin, "", "MIGRATESLOT", "")
-}
-
 // DumpForMigration extracts key as a migration record: the argv, name
 // first, that an envelope-off store journals for it (emitRecord). ok is
 // false when the key does not exist, is crypto-erased awaiting the sweep,

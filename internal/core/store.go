@@ -323,15 +323,36 @@ func (s *Store) auditOp(r audit.Record) {
 
 // check runs an ACL decision and audits denials.
 func (s *Store) check(ctx Ctx, op acl.OpClass, owner, opName, key string) error {
-	d := s.acl.Check(ctx.Actor, op, owner, ctx.Purpose)
-	if d.Allowed {
-		return nil
+	if d := s.acl.Check(ctx.Actor, op, owner, ctx.Purpose); !d.Allowed {
+		return s.deny(ctx, opName, key, owner, d.Reason)
 	}
+	return nil
+}
+
+// deny audits the refusal of op on key for reason and returns it as
+// ErrDenied.
+func (s *Store) deny(ctx Ctx, op, key, owner, reason string) error {
 	s.auditOp(audit.Record{
-		Actor: ctx.Actor, Op: opName, Key: key, Owner: owner,
-		Purpose: ctx.Purpose, Outcome: audit.OutcomeDenied, Detail: d.Reason,
+		Actor: ctx.Actor, Op: op, Key: key, Owner: owner,
+		Purpose: ctx.Purpose, Outcome: audit.OutcomeDenied, Detail: reason,
 	})
-	return fmt.Errorf("%w: %s", ErrDenied, d.Reason)
+	return fmt.Errorf("%w: %s", ErrDenied, reason)
+}
+
+// Authorize is the command gate's decision on op, a command that is none of
+// the compliance layer's own: a raw engine command (raw) is refused on a
+// compliant store, and an admin one needs acl.OpAdmin, or acl.OpAudit when
+// it only inspects (DESIGN.md §3). Every denial is audited.
+func (s *Store) Authorize(ctx Ctx, op string, raw, inspect bool) error {
+	switch {
+	case raw && s.cfg.Compliant:
+		return s.deny(ctx, op, "", "", "raw engine command on a compliant store")
+	case raw:
+		return nil
+	case inspect:
+		return s.check(ctx, acl.OpAudit, "", op, "")
+	}
+	return s.check(ctx, acl.OpAdmin, "", op, "")
 }
 
 // writeTerms resolves what a write for opts stores beside its values, from
@@ -398,7 +419,7 @@ func (s *Store) Put(ctx Ctx, key string, value []byte, opts PutOptions) error {
 // one audit record, whatever the number of keys. vals is the caller's own
 // and is overwritten.
 func (s *Store) put(ctx Ctx, op string, keys []string, vals [][]byte, opts PutOptions) error {
-	g, err := s.enter(keys[0])
+	g, err := s.enter(keys...)
 	if err != nil {
 		return err
 	}
@@ -723,10 +744,18 @@ func (s *Store) FlushAll() { s.db.FlushAll() }
 // Exists reports whether key is present and unexpired.
 func (s *Store) Exists(key string) bool { return s.db.Exists(key) }
 
-// Len returns the number of live keys a client can list: the engine's, less
-// the owner records that hold standing objections or an erasure (DESIGN.md
-// §5.2).
-func (s *Store) Len() int { return max(s.db.Len()-int(s.ix.ownerRecords.Load()), 0) }
+// Len returns the number of live keys a client can read: the engine's, less
+// the owner records that hold standing objections or an erasure, and less
+// the crypto-erased records the sweep has still to reclaim (DESIGN.md §5.2).
+func (s *Store) Len() int {
+	n := s.db.Len() - int(s.ix.ownerRecords.Load())
+	s.erasure.mu.Lock()
+	for owner := range s.erasure.pending {
+		n -= s.ix.ownerKeyCount(owner)
+	}
+	s.erasure.mu.Unlock()
+	return max(n, 0)
+}
 
 // ACL exposes the access-control list for principal and grant management.
 func (s *Store) ACL() *acl.List { return s.acl }

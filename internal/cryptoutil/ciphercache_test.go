@@ -212,7 +212,7 @@ func TestCipherCacheReplay(t *testing.T) {
 		t.Fatal(live.checkCipherCache(), kr.checkCipherCache())
 	}
 	// Every key in the ring is one a cipher can be prepared from.
-	short, err := Seal(kr.master, make([]byte, 16), []byte("wrap:alice"))
+	short, err := kr.master.Seal(nil, make([]byte, 16), []byte("wrap:alice"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -430,3 +430,27 @@ func TestKeyringCipherForAndSealerFor(t *testing.T) {
 		t.Fatalf("KeyEpoch after ImportAt at 3: %d, %v", e, ok)
 	}
 }
+
+// TestEnsureFreshOwnerAllocs pins what making a fresh owner's key allocates:
+// the key, its wrapped form and the caller's copy, with the ring's map
+// growth averaged in. The master key's cipher is built once, in NewKeyring,
+// so no Ensure expands an AES schedule: building it per call, under the
+// ring's write lock, cost two allocations more (6).
+func TestEnsureFreshOwnerAllocs(t *testing.T) {
+	kr := newTestKeyring(t)
+	const runs = 1000
+	owners := make([]string, runs+1)
+	for i := range owners {
+		owners[i] = "owner-" + hex.EncodeToString([]byte{byte(i >> 8), byte(i)})
+	}
+	i := 0
+	got := testing.AllocsPerRun(runs, func() {
+		if _, _, created, err := kr.Ensure(owners[i]); err != nil || !created {
+			t.Fatalf("Ensure(%s): created=%v err=%v", owners[i], created, err)
+		}
+		i++
+	})
+	if got > 4 {
+		t.Fatalf("Ensure of a fresh owner: %.1f allocations, budget 4", got)
+	}
+}

@@ -124,7 +124,7 @@ func Open(key, sealed, additionalData []byte) ([]byte, error) {
 // asks.
 type Keyring struct {
 	mu     sync.RWMutex
-	master []byte
+	master Cipher             // the master key's, built once: it wraps every data key
 	keys   map[string]dataKey // owner -> data key (unwrapped, in memory)
 
 	// ciphers caches prepared ciphers, direct-mapped by owner hash. A slot
@@ -165,11 +165,10 @@ type cipherSlot struct {
 
 // NewKeyring creates a keyring rooted at the given master key.
 func NewKeyring(master []byte) (*Keyring, error) {
-	if len(master) != BlockCipherKeySize {
-		return nil, ErrBadKeySize
+	m, err := NewCipher(master)
+	if err != nil {
+		return nil, err
 	}
-	m := make([]byte, len(master))
-	copy(m, master)
 	return &Keyring{
 		master: m,
 		keys:   make(map[string]dataKey),
@@ -298,7 +297,7 @@ func (kr *Keyring) ensureLocked(owner string) (dk dataKey, wrapped []byte, err e
 	if _, err := io.ReadFull(rand.Reader, k); err != nil {
 		return dataKey{}, nil, fmt.Errorf("cryptoutil: keygen: %w", err)
 	}
-	w, err := Seal(kr.master, k, []byte("wrap:"+owner))
+	w, err := kr.master.Seal(nil, k, []byte("wrap:"+owner))
 	if err != nil {
 		return dataKey{}, nil, err
 	}
@@ -312,7 +311,7 @@ func (kr *Keyring) ensureLocked(owner string) (dk dataKey, wrapped []byte, err e
 // key the ring held, so every surviving record is judged against the key it
 // was sealed under.
 func (kr *Keyring) ImportAt(owner string, wrapped []byte, epoch uint64) error {
-	k, err := Open(kr.master, wrapped, []byte("wrap:"+owner))
+	k, err := kr.master.Open(nil, wrapped, []byte("wrap:"+owner))
 	if err == nil && len(k) != BlockCipherKeySize {
 		err = ErrBadKeySize
 	}
@@ -342,7 +341,7 @@ func (kr *Keyring) ExportAll() (map[string][]byte, error) {
 	defer kr.mu.RUnlock()
 	out := make(map[string][]byte, len(kr.keys))
 	for o, dk := range kr.keys {
-		w, err := Seal(kr.master, dk.k, []byte("wrap:"+o))
+		w, err := kr.master.Seal(nil, dk.k, []byte("wrap:"+o))
 		if err != nil {
 			return nil, err
 		}

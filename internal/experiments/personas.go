@@ -305,16 +305,17 @@ func (s sdkTarget) do(c *personaCall) error {
 }
 
 // InstallPrincipalsNet installs the principal population of
-// InstallPrincipals on the node at addr. In cluster mode call it once per
-// node — ACL state is node-local.
+// InstallPrincipals on the node at addr, as the principal "controller",
+// which the node must already know as a controller (gdprkv-server
+// -controller controller) wherever access control is enforced. In cluster
+// mode call it once per node — ACL state is node-local.
 func InstallPrincipalsNet(ctx context.Context, addr string, subjects int) error {
-	c, err := gdprkv.Dial(ctx, addr, gdprkv.WithPoolSize(1))
+	c, err := gdprkv.Dial(ctx, addr, gdprkv.WithPoolSize(1), gdprkv.WithActor("controller"))
 	if err != nil {
 		return err
 	}
 	defer c.Close()
 	cmds := [][]string{
-		{"ACL", "ADDPRINCIPAL", "controller", "controller"},
 		{"ACL", "ADDPRINCIPAL", "processor", "processor"},
 		{"ACL", "ADDPRINCIPAL", "regulator", "regulator"},
 		{"ACL", "GRANT", "processor", "*"},

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"gdprstore/internal/acl"
 	"gdprstore/internal/clock"
 	"gdprstore/internal/cluster"
 	"gdprstore/internal/core"
@@ -130,7 +131,9 @@ func TestPurposeOfRoundTrip(t *testing.T) {
 	}
 }
 
-// startNode boots one compliant server and returns its address.
+// startNode boots one compliant server, with the principal "controller"
+// seeded in process as gdprkv-server -controller does, and returns its
+// address.
 func startNode(t *testing.T) (*server.Server, string) {
 	t.Helper()
 	st, err := core.Open(core.Config{
@@ -139,6 +142,7 @@ func startNode(t *testing.T) (*server.Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st.ACL().AddPrincipal(acl.Principal{ID: "controller", Role: acl.RoleController})
 	t.Cleanup(func() { st.Close() })
 	srv, err := server.Listen("127.0.0.1:0", st)
 	if err != nil {

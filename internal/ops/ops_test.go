@@ -114,7 +114,7 @@ func TestInfoParity(t *testing.T) {
 	o, c := startOps(t, fullConfig())
 	ctx := context.Background()
 	// Drive traffic so commandstats exists and the store has state.
-	if err := c.Set(ctx, "k1", []byte("v")); err != nil {
+	if err := c.GPut(ctx, "k1", []byte("v"), gdprkv.PutOptions{Owner: "o"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Do(ctx, "PING"); err != nil {
@@ -222,7 +222,7 @@ func TestAuditQueueGauges(t *testing.T) {
 	cfg := fullConfig()
 	cfg.AuditQueueDepth = 128
 	o, c := startOps(t, cfg)
-	if err := c.Set(context.Background(), "k1", []byte("v")); err != nil {
+	if err := c.GPut(context.Background(), "k1", []byte("v"), gdprkv.PutOptions{Owner: "o"}); err != nil {
 		t.Fatal(err)
 	}
 	status, body := opsGET(t, o, "/info/audit")
@@ -598,7 +598,7 @@ func benchOps(b *testing.B) *Server {
 	o, c := startOps(b, fullConfig())
 	ctx := context.Background()
 	for i := 0; i < 200; i++ {
-		if err := c.Set(ctx, fmt.Sprintf("k%d", i), []byte("v")); err != nil {
+		if err := c.GPut(ctx, fmt.Sprintf("k%d", i), []byte("v"), gdprkv.PutOptions{Owner: "o"}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -89,34 +89,43 @@ func TestGrantTTLFollowsStoreClock(t *testing.T) {
 // TestSecondsArgumentsRejectOverflow: a seconds count whose nanoseconds
 // overflow a time.Duration is refused with the command's own error, and
 // nothing is written. Unchecked, 9223372037 s wrapped to a negative TTL
-// and 18446744074 s (about 584 years) to 0.29 s.
+// and 18446744074 s (about 584 years) to 0.29 s. The raw commands run on a
+// baseline server, the rest on a compliant one as the controller.
 func TestSecondsArgumentsRejectOverflow(t *testing.T) {
+	bsrv, b := startServer(t, core.Baseline())
 	srv, c := startServer(t, core.Strict(""))
 	setupPrincipals(t, c)
 	c.Auth("controller")
 	c.Purpose("billing")
-	if err := c.Set("plain", []byte("v")); err != nil {
+	if err := b.Set("plain", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	absent := func(key string) func() bool {
-		return func() bool { v, err := c.Do("EXISTS", key); return err == nil && v.Int == 0 }
+	if err := c.GPut("rec", []byte("v"), gdprkv.PutOptions{Owner: "alice", Purposes: []string{"billing"}, TTL: time.Minute}); err != nil {
+		t.Fatal(err)
 	}
-	noTTL := func() bool { ttl, err := c.TTL("plain"); return err == nil && ttl == -1 }
+	absent := func(st *core.Store, key string) func() bool {
+		return func() bool { return !st.Exists(key) }
+	}
+	ttlIn := func(st *core.Store, key string, lo, hi time.Duration) func() bool {
+		return func() bool { d, _ := st.Engine().TTL(key); return st.Exists(key) && lo <= d && d <= hi }
+	}
 	oneGrant := func() bool { return len(srv.Store().ACL().Grants("svc")) == 1 }
 	for _, tc := range []struct {
+		c         *tclient
 		args      []string
 		err       string
 		unwritten func() bool
 	}{
-		{[]string{"EXPIRE", "plain", "9223372037"}, "value is not an integer", noTTL},
-		{[]string{"EXPIRE", "plain", "-9223372037"}, "value is not an integer", noTTL},
-		{[]string{"SET", "set", "v", "EX", "9223372037"}, "invalid expire time", absent("set")},
-		{[]string{"GPUT", "gput", "v", "OWNER", "alice", "PURPOSES", "billing", "TTL", "9223372037"}, "invalid ttl", absent("gput")},
-		{[]string{"GPUT", "gput", "v", "OWNER", "alice", "PURPOSES", "billing", "TTL", "18446744074"}, "invalid ttl", absent("gput")},
-		{[]string{"GMPUT", "1", "gmput", "v", "OWNER", "alice", "PURPOSES", "billing", "TTL", "9223372037"}, "invalid ttl", absent("gmput")},
-		{[]string{"ACL", "GRANT", "svc", "ads", "TTL", "9223372037"}, "invalid ttl", oneGrant},
+		{b, []string{"EXPIRE", "plain", "9223372037"}, "value is not an integer", ttlIn(bsrv.Store(), "plain", 0, 0)},
+		{b, []string{"EXPIRE", "plain", "-9223372037"}, "value is not an integer", ttlIn(bsrv.Store(), "plain", 0, 0)},
+		{b, []string{"SET", "set", "v", "EX", "9223372037"}, "invalid expire time", absent(bsrv.Store(), "set")},
+		{c, []string{"EXPIRE", "rec", "9223372037"}, "value is not an integer", ttlIn(srv.Store(), "rec", time.Second, time.Minute)},
+		{c, []string{"GPUT", "gput", "v", "OWNER", "alice", "PURPOSES", "billing", "TTL", "9223372037"}, "invalid ttl", absent(srv.Store(), "gput")},
+		{c, []string{"GPUT", "gput", "v", "OWNER", "alice", "PURPOSES", "billing", "TTL", "18446744074"}, "invalid ttl", absent(srv.Store(), "gput")},
+		{c, []string{"GMPUT", "1", "gmput", "v", "OWNER", "alice", "PURPOSES", "billing", "TTL", "9223372037"}, "invalid ttl", absent(srv.Store(), "gmput")},
+		{c, []string{"ACL", "GRANT", "svc", "ads", "TTL", "9223372037"}, "invalid ttl", oneGrant},
 	} {
-		if _, err := c.Do(tc.args...); err == nil || !strings.Contains(err.Error(), tc.err) {
+		if _, err := tc.c.Do(tc.args...); err == nil || !strings.Contains(err.Error(), tc.err) {
 			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.err)
 		}
 		if !tc.unwritten() {

@@ -33,7 +33,10 @@ type clusterSub struct {
 	// needsCluster rejects the subcommand while cluster mode is off (cs
 	// is non-nil in the handler when set).
 	needsCluster bool
-	handler      func(ctx *Ctx, cs *clusterState, args [][]byte) (resp.Value, error)
+	// admin puts the subcommand through the gate's FlagAdmin decision; the
+	// rest are open, TOPOLOGY for every cluster client's router.
+	admin   bool
+	handler func(ctx *Ctx, cs *clusterState, args [][]byte) (resp.Value, error)
 }
 
 // clusterSubs is the table, in HELP display order.
@@ -76,12 +79,12 @@ var clusterSubs = []clusterSub{
 	},
 	{
 		name: "SETSLOT", usage: "slot MIGRATING|IMPORTING node-id | STABLE | NODE node-id",
-		minArgs: 2, maxArgs: 3, needsCluster: true,
+		minArgs: 2, maxArgs: 3, needsCluster: true, admin: true,
 		summary: "advance a slot through the migration state machine (bumps the epoch)",
 		handler: cmdClusterSetSlot,
 	},
 	{
-		name: "SETNODE", usage: "node-id addr", minArgs: 2, maxArgs: 2, needsCluster: true,
+		name: "SETNODE", usage: "node-id addr", minArgs: 2, maxArgs: 2, needsCluster: true, admin: true,
 		summary: "re-point a node id at a new address after failover (bumps the epoch)",
 		handler: cmdClusterSetNode,
 	},
@@ -97,7 +100,7 @@ var clusterSubs = []clusterSub{
 		},
 	},
 	{
-		name: "GETKEYSINSLOT", usage: "slot count", minArgs: 2, maxArgs: 2, needsCluster: true,
+		name: "GETKEYSINSLOT", usage: "slot count", minArgs: 2, maxArgs: 2, needsCluster: true, admin: true,
 		summary: "up to count live local keys in a slot",
 		handler: func(ctx *Ctx, _ *clusterState, args [][]byte) (resp.Value, error) {
 			slot, err := parseSlot(args[0])
@@ -112,7 +115,7 @@ var clusterSubs = []clusterSub{
 		},
 	},
 	{
-		name: "MIGRATESLOT", usage: "slot", minArgs: 1, maxArgs: 1, needsCluster: true,
+		name: "MIGRATESLOT", usage: "slot", minArgs: 1, maxArgs: 1, needsCluster: true, admin: true,
 		summary: "stream a MIGRATING slot's keys to its destination (run on the source)",
 		handler: cmdClusterMigrateSlot,
 	},
@@ -140,7 +143,7 @@ var clusterSubByName = func() map[string]*clusterSub {
 func init() {
 	clusterSubByName["HELP"].handler = cmdClusterHelp
 	register(Command{
-		Name: "CLUSTER", MinArgs: 1, MaxArgs: -1, Flags: FlagReadonly | FlagAdmin,
+		Name: "CLUSTER", MinArgs: 1, MaxArgs: -1, Flags: FlagReadonly,
 		Summary: "cluster administration (see CLUSTER HELP)",
 		Handler: cmdCluster,
 	})
@@ -155,6 +158,11 @@ func cmdCluster(ctx *Ctx) (resp.Value, error) {
 	if len(args) < sub.minArgs || (sub.maxArgs >= 0 && len(args) > sub.maxArgs) {
 		return resp.Value{}, fmt.Errorf("wrong number of arguments for 'CLUSTER %s' (usage: CLUSTER %s)",
 			sub.name, strings.TrimSpace(sub.name+" "+sub.usage))
+	}
+	if sub.admin {
+		if err := ctx.Srv.store.Authorize(ctx.Core, "CLUSTER "+sub.name, false, false); err != nil {
+			return resp.Value{}, err
+		}
 	}
 	cs := ctx.Srv.clusterInfo()
 	if sub.needsCluster && cs == nil {

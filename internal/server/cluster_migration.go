@@ -54,9 +54,6 @@ func cmdClusterMigrateSlot(ctx *Ctx, cs *clusterState, args [][]byte) (resp.Valu
 	if !ok {
 		return resp.Value{}, fmt.Errorf("migration destination %q is not in the map", mg.PeerID)
 	}
-	if err := ctx.Srv.store.AuthorizeMigration(ctx.Core); err != nil {
-		return resp.Value{}, err
-	}
 	owners, moved, skipped, err := ctx.Srv.migrateSlot(ctx.Core, cs, slot, dest)
 	detail := fmt.Sprintf("slot=%d dest=%s owners=%d moved=%d skipped=%d", slot, dest.ID, owners, moved, skipped)
 	if err != nil {

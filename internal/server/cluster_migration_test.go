@@ -30,10 +30,12 @@ import (
 // and primary failover with replica promotion.
 
 // TestOwnerRecordOffTheKeyspace: the owner record that holds a subject's
-// standing objections is no key a client can list, name (with a GDPR or a
-// raw command, RESTOREKEY of anything but an owner record included) or read
-// back in a rights report. A slot's key list leaves it out too; a slot
-// migration moves it with its subject (TestClusterMigrationCarriesObjection).
+// standing objections is no key a client can list, name (with a GDPR
+// command in any key position, or RESTOREKEY of anything but an owner
+// record) or read back in a rights report. A slot's key list leaves it out
+// too; a slot migration moves it with its subject
+// (TestClusterMigrationCarriesObjection). A compliant store serves no raw
+// command at all (TestGateTable), so none names it either.
 func TestOwnerRecordOffTheKeyspace(t *testing.T) {
 	srvs, stores, _ := startCluster(t, 1)
 	ctx := context.Background()
@@ -49,16 +51,9 @@ func TestOwnerRecordOffTheKeyspace(t *testing.T) {
 		t.Fatal("OBJECT wrote no owner record")
 	}
 	want := []string{"pd:{bob}:1"}
-	scanned, _, err := c.Scan(ctx, 0, "*", 100)
-	if err != nil || !reflect.DeepEqual(scanned, want) {
-		t.Fatalf("SCAN = %q, %v; want %q", scanned, err, want)
-	}
 	ss := strconv.Itoa(int(cluster.Slot(ownerKey)))
-	for _, cmd := range [][]string{{"KEYS", "*"}, {"CLUSTER", "GETKEYSINSLOT", ss, "10"}} {
-		v, err := c.Do(ctx, cmd...)
-		if err != nil || len(v.Array) != 1 || v.Array[0].Text() != want[0] {
-			t.Fatalf("%v = %v, %v; want %q", cmd, v.Array, err, want)
-		}
+	if v, err := c.Do(ctx, "CLUSTER", "GETKEYSINSLOT", ss, "10"); err != nil || len(v.Array) != 1 || v.Array[0].Text() != want[0] {
+		t.Fatalf("GETKEYSINSLOT = %v, %v; want %q", v.Array, err, want)
 	}
 	if v, err := c.Do(ctx, "CLUSTER", "COUNTKEYSINSLOT", ss); err != nil || v.Int != 1 {
 		t.Fatalf("COUNTKEYSINSLOT = %d, %v; want 1", v.Int, err)
@@ -74,10 +69,6 @@ func TestOwnerRecordOffTheKeyspace(t *testing.T) {
 		{"GGET", ownerKey},
 		{"GETMETA", ownerKey},
 		{"RESTOREKEY", "SET", ownerKey, "v"},
-		{"GET", ownerKey},
-		{"SET", ownerKey, "v"},
-		{"DEL", "pd:{bob}:1", ownerKey},
-		{"MSET", "k", "v", ownerKey, "v"},
 		{"GMGET", "pd:{bob}:1", ownerKey},
 		{"GMPUT", "2", "pd:{bob}:2", "v", ownerKey, "v", "OWNER", "bob", "PURPOSES", "service"},
 	} {
@@ -292,7 +283,7 @@ func TestClusterSlotMigrationWithAsk(t *testing.T) {
 		t.Fatalf("Stats.Asks = %d, want 3 (miss, read, write)", asks)
 	}
 	// Pipelines follow ASK per-op too.
-	res, err := c.Pipeline().Get(keys[1]).Get(keys[2]).Exec(ctx)
+	res, err := c.Pipeline().GGet(keys[1]).GGet(keys[2]).Exec(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -899,11 +890,11 @@ func TestClusterMigrationCarriesObjection(t *testing.T) {
 	}
 }
 
-// TestClusterMigrationRefusedWithoutRights: carrying an objection is a
-// rights operation on the destination, and the owner record that carries
-// it goes ahead of the subject's records. A principal that may restore
-// records there but not exercise rights has its migration refused at the
-// owner record, with no key moved, and both ends audit the refusal.
+// TestClusterMigrationRefusedWithoutRights: RESTOREKEY is an admin command
+// on the destination, and the owner record goes ahead of the subject's
+// records. A principal that is no controller there, a processor granted
+// every purpose, has its migration refused at the owner record, with no
+// key moved, and both ends audit the refusal.
 func TestClusterMigrationRefusedWithoutRights(t *testing.T) {
 	srvs, stores, owner, ss, keys := startOwnerMigration(t)
 	ctx := context.Background()
@@ -933,7 +924,7 @@ func TestClusterMigrationRefusedWithoutRights(t *testing.T) {
 	if got := stores[1].Objections(owner); got != nil {
 		t.Fatalf("n2: %s objects to %v after the refusal, want none", owner, got)
 	}
-	if recs, err := stores[1].Trail().Query(audit.Filter{Op: "RESTOREKEY", Owner: owner, Outcome: audit.OutcomeDenied}); err != nil || len(recs) != 1 {
+	if recs, err := stores[1].Trail().Query(audit.Filter{Op: "RESTOREKEY", Actor: "ops", Outcome: audit.OutcomeDenied}); err != nil || len(recs) != 1 {
 		t.Fatalf("n2 denied RESTOREKEY audit records = %d, %v; want 1 (the owner record, ahead of the two keys)", len(recs), err)
 	}
 	aggr, err := stores[0].Trail().Query(audit.Filter{Op: "MIGRATESLOT", Outcome: audit.OutcomeError})
@@ -1142,21 +1133,21 @@ func TestClusterUnobjectDuringMigration(t *testing.T) {
 }
 
 // TestRestoreKeyWithdrawalNeedsRights: RESTOREKEY cannot withdraw an
-// objection for a principal that may only write. An owner record replaces
-// the subject's standing objections, so restoring one is a rights operation
-// whatever it holds; an ordinary record is stored objecting to what the
-// subject objects to here, as a GPUT would be. Both hold on a standalone
-// server, where no slot check runs.
+// objection for a principal that may only write: it is an admin command,
+// so a processor restores no record at all, and an owner record, which
+// replaces the subject's standing objections whatever it holds, stays a
+// rights operation in the core. An ordinary record a controller restores is
+// stored objecting to what the subject objects to here, as a GPUT would be.
+// Both hold on a standalone server, where no slot check runs.
 func TestRestoreKeyWithdrawalNeedsRights(t *testing.T) {
 	cfg := core.Config{Compliant: true, Capability: core.CapabilityFull, AuditEnabled: true}
 	srv, ctl := startServer(t, cfg)
 	st := srv.store
 	const owner = "eve"
 	for _, cmd := range [][]string{
-		{"ACL", "ADDPRINCIPAL", "ctl", "controller"},
+		{"AUTH", "controller"},
 		{"ACL", "ADDPRINCIPAL", "svc", "processor"},
 		{"ACL", "GRANT", "svc", "service"},
-		{"AUTH", "ctl"},
 		{"PURPOSE", "service"},
 		{"GPUT", "pd:{eve}:1", "v", "OWNER", owner, "PURPOSES", "service,ads", "TTL", "3600"},
 		{"OBJECT", owner, "ads"},
@@ -1204,16 +1195,29 @@ func TestRestoreKeyWithdrawalNeedsRights(t *testing.T) {
 	if err := svc.Purpose("service"); err != nil {
 		t.Fatal(err)
 	}
-	for _, args := range ownerRecords {
+	for _, args := range append(ownerRecords, record) {
 		if _, err := svc.Do(args...); !errors.Is(err, gdprkv.ErrDenied) {
-			t.Fatalf("RESTOREKEY of an owner record by a writer = %v, want ErrDenied", err)
+			t.Fatalf("RESTOREKEY by a writer = %v, want ErrDenied", err)
 		}
 		if got := st.Objections(owner); !reflect.DeepEqual(got, []string{"ads"}) {
 			t.Fatalf("%s objects to %v after the refused restore, want [ads]", owner, got)
 		}
 	}
-	if _, err := svc.Do(record...); err != nil {
-		t.Fatalf("RESTOREKEY of a record by a writer: %v", err)
+	if st.Exists("pd:{eve}:2") {
+		t.Fatal("a refused RESTOREKEY stored its record")
+	}
+	// Past the gate, the core refuses the writer each owner record too.
+	for _, args := range ownerRecords {
+		argv := make([][]byte, 0, len(args)-1)
+		for _, a := range args[1:] {
+			argv = append(argv, []byte(a))
+		}
+		if err := st.RestoreRecord(core.Ctx{Actor: "svc", Purpose: "service"}, argv, nil); !errors.Is(err, core.ErrDenied) {
+			t.Fatalf("core RestoreRecord of an owner record by a writer = %v, want ErrDenied", err)
+		}
+	}
+	if _, err := ctl.Do(record...); err != nil {
+		t.Fatalf("RESTOREKEY of a record by the controller: %v", err)
 	}
 	if err := ctl.Purpose("ads"); err != nil {
 		t.Fatal(err)

@@ -167,31 +167,33 @@ func TestClusterMovedAndCrossSlot(t *testing.T) {
 
 	// A key owned by another node is refused with MOVED naming the owner.
 	foreign := ownerOn(t, m, "n2")
-	err := c.Set(ctx, foreign, []byte("v"))
+	err := c.GPut(ctx, foreign, []byte("v"), gdprkv.PutOptions{Owner: foreign})
 	if !errors.Is(err, gdprkv.ErrMoved) {
-		t.Fatalf("mis-routed SET err = %v, want ErrMoved", err)
+		t.Fatalf("mis-routed GPUT err = %v, want ErrMoved", err)
 	}
 	var se *gdprkv.ServerError
 	if !errors.As(err, &se) || !strings.Contains(se.Message, m.NodeForKey(foreign).Addr) {
 		t.Fatalf("MOVED reply %v does not name the owner %s", err, m.NodeForKey(foreign).Addr)
 	}
 
-	// A batch spanning slots is refused with CROSSSLOT...
+	// A batch spanning slots is refused with CROSSSLOT (the key extractor
+	// parses GMPUT's pair count)...
 	local1, local2 := ownerOn(t, m, "n1"), ownerOn(t, m, "n2")
-	err = c.MSet(ctx, []string{local1, local2}, [][]byte{[]byte("1"), []byte("2")})
-	if !errors.Is(err, gdprkv.ErrCrossSlot) {
-		t.Fatalf("cross-slot MSET err = %v, want ErrCrossSlot", err)
-	}
-	// ...while owner-tagged keys co-locate and pass.
-	tagged := []string{"pd:{" + local1 + "}:a", "pd:{" + local1 + "}:b"}
-	if err := c.MSet(ctx, tagged, [][]byte{[]byte("1"), []byte("2")}); err != nil {
-		t.Fatalf("same-slot MSET: %v", err)
-	}
-
-	// GMPUT cross-slot is caught too (key extractor parses the pair count).
 	_, err = c.Do(ctx, "GMPUT", "2", local1, "v1", local2, "v2", "OWNER", "x")
 	if !errors.Is(err, gdprkv.ErrCrossSlot) {
 		t.Fatalf("cross-slot GMPUT err = %v, want ErrCrossSlot", err)
+	}
+	// ...while owner-tagged keys co-locate and pass.
+	tagged := []string{"pd:{" + local1 + "}:a", "pd:{" + local1 + "}:b"}
+	if err := c.GMPut(ctx, tagged, [][]byte{[]byte("1"), []byte("2")}, gdprkv.PutOptions{Owner: local1}); err != nil {
+		t.Fatalf("same-slot GMPUT: %v", err)
+	}
+
+	// A compliant cluster serves no raw command: the gate refuses a
+	// mis-routed SET before the cluster stage could redirect it.
+	err = c.Set(ctx, foreign, []byte("v"))
+	if !errors.Is(err, gdprkv.ErrDenied) {
+		t.Fatalf("raw SET on a compliant cluster err = %v, want ErrDenied", err)
 	}
 }
 
@@ -239,19 +241,23 @@ func TestClusterClientRouting(t *testing.T) {
 			t.Fatalf("GMGet[%d] = %q, %v", i, g.Value, g.Err)
 		}
 	}
-	// Vanilla MGet splits the same way.
-	if err := c.MSet(ctx, []string{owners[0], owners[1]}, [][]byte{[]byte("a"), []byte("b")}); err != nil {
+	if st, want := c.Stats(), (gdprkv.Stats{PrimaryReads: 15, Writes: 12}); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
+	}
+	// Vanilla MGet splits the same way, on a baseline cluster: a compliant
+	// one serves no raw command.
+	bsrvs, _, bm := startClusterWith(t, 3, core.Baseline())
+	bc := clusterClient(t, bsrvs)
+	owners = []string{ownerOn(t, bm, "n1"), ownerOn(t, bm, "n2")}
+	if err := bc.MSet(ctx, owners, [][]byte{[]byte("a"), []byte("b")}); err != nil {
 		t.Fatal(err)
 	}
-	vals, err := c.MGet(ctx, owners[1], owners[0], "pd:{missing}:x")
+	vals, err := bc.MGet(ctx, owners[1], owners[0], "pd:{missing}:x")
 	if err != nil || string(vals[0]) != "b" || string(vals[1]) != "a" || vals[2] != nil {
 		t.Fatalf("MGet = %q, %v", vals, err)
 	}
-	if st := c.Stats(); st.Redirects != 0 {
-		t.Fatalf("bootstrapped client followed %d redirects, want 0", st.Redirects)
-	}
-	if st, want := c.Stats(), (gdprkv.Stats{PrimaryReads: 18, Writes: 14}); st != want {
-		t.Fatalf("stats = %+v, want %+v", st, want)
+	if st, want := bc.Stats(), (gdprkv.Stats{PrimaryReads: 3, Writes: 2}); st != want {
+		t.Fatalf("baseline stats = %+v, want %+v", st, want)
 	}
 }
 
@@ -260,7 +266,7 @@ func TestClusterClientRouting(t *testing.T) {
 // the client refreshes its map from the redirect, and subsequent calls
 // route straight to the new owner.
 func TestClusterClientRedirectRefresh(t *testing.T) {
-	srvs, _, m := startCluster(t, 3)
+	srvs, _, m := startClusterWith(t, 3, core.Baseline()) // raw commands: a compliant cluster serves none
 	ctx := context.Background()
 	c := clusterClient(t, srvs)
 
@@ -317,7 +323,7 @@ func TestClusterClientRedirectRefresh(t *testing.T) {
 // the read is retried on its owner; under the default single attempt it
 // surfaces the transport error.
 func TestClusterClientReadRetryBudget(t *testing.T) {
-	srvs, _, m := startCluster(t, 3)
+	srvs, _, m := startClusterWith(t, 3, core.Baseline()) // raw commands: a compliant cluster serves none
 	ctx := context.Background()
 	fwd := newForwarder(t, srvs[0].Addr())
 	nodes := m.Nodes()
@@ -606,7 +612,7 @@ func TestClusterForgetWithNodeDown(t *testing.T) {
 // span all three primaries: Exec must split it per node, run the node
 // exchanges, and stitch the replies back in queue order.
 func TestClusterPipelineSplitsAndReassembles(t *testing.T) {
-	srvs, _, m := startCluster(t, 3)
+	srvs, _, m := startClusterWith(t, 3, core.Baseline()) // raw commands: a compliant cluster serves none
 	ctx := context.Background()
 	c := clusterClient(t, srvs)
 
@@ -664,7 +670,7 @@ func TestClusterPipelineSplitsAndReassembles(t *testing.T) {
 // queueing and Exec: the op answered with MOVED must be retried against
 // the new owner individually while every other slot keeps its reply.
 func TestClusterPipelineFollowsMovedMidPipeline(t *testing.T) {
-	srvs, _, m := startCluster(t, 3)
+	srvs, _, m := startClusterWith(t, 3, core.Baseline()) // raw commands: a compliant cluster serves none
 	ctx := context.Background()
 	c := clusterClient(t, srvs)
 

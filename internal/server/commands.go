@@ -86,17 +86,20 @@ func init() {
 			}
 			return resp.IntegerValue(int64(n)), nil
 		}})
-	register(Command{Name: "EXPIRE", MinArgs: 2, MaxArgs: 2, Flags: FlagWrite | FlagNoCompliance, Keys: keysFirst,
-		Summary: "set a TTL in seconds",
+	register(Command{Name: "EXPIRE", MinArgs: 2, MaxArgs: 2, Flags: FlagWrite, Keys: keysFirst,
+		Summary: "set a TTL in seconds (a compliant store checks and audits it as a write)",
 		Handler: func(ctx *Ctx) (resp.Value, error) {
 			ttl, ok := parseSeconds(ctx.Args[1])
 			if !ok {
 				return resp.Value{}, errors.New("value is not an integer")
 			}
-			if ctx.Srv.store.Engine().Expire(string(ctx.Args[0]), ttl) {
-				return resp.IntegerValue(1), nil
+			switch err := ctx.Srv.store.Expire(ctx.Core, string(ctx.Args[0]), ttl); {
+			case errors.Is(err, core.ErrNotFound):
+				return resp.IntegerValue(0), nil
+			case err != nil:
+				return resp.Value{}, err
 			}
-			return resp.IntegerValue(0), nil
+			return resp.IntegerValue(1), nil
 		}})
 	register(Command{Name: "EXPIREAT", MinArgs: 2, MaxArgs: 2, Flags: FlagWrite | FlagNoCompliance, Keys: keysFirst,
 		Summary: "set an absolute unix-seconds retention deadline",
@@ -134,18 +137,17 @@ func init() {
 	register(Command{Name: "KEYS", MinArgs: 1, MaxArgs: 1, Flags: FlagReadonly | FlagNoCompliance,
 		Summary: "glob-match the whole keyspace",
 		Handler: func(ctx *Ctx) (resp.Value, error) {
-			keys := ctx.Srv.store.Engine().Keys(string(ctx.Args[0]))
-			return stringsArray(visibleKeys(ctx.Srv.store, keys)), nil
+			return stringsArray(ctx.Srv.store.Engine().Keys(string(ctx.Args[0]))), nil
 		}})
 	register(Command{Name: "SCAN", MinArgs: 1, MaxArgs: -1, Flags: FlagReadonly | FlagNoCompliance,
 		Summary: "SCAN cursor [MATCH pattern] [COUNT n]: incremental keyspace iteration",
 		Handler: cmdScan})
-	register(Command{Name: "DBSIZE", MinArgs: 0, MaxArgs: 0, Flags: FlagReadonly | FlagNoCompliance,
-		Summary: "number of live keys",
+	register(Command{Name: "DBSIZE", MinArgs: 0, MaxArgs: 0, Flags: FlagReadonly | FlagAdmin,
+		Summary: "number of readable keys (owner records and erased records awaiting the sweep not counted)",
 		Handler: func(ctx *Ctx) (resp.Value, error) {
 			return resp.IntegerValue(int64(ctx.Srv.store.Len())), nil
 		}})
-	register(Command{Name: "FLUSHALL", MinArgs: 0, MaxArgs: 0, Flags: FlagWrite | FlagAdmin | FlagNoCompliance,
+	register(Command{Name: "FLUSHALL", MinArgs: 0, MaxArgs: 0, Flags: FlagWrite | FlagAdmin,
 		Summary: "remove every key and all GDPR metadata, standing objections included",
 		Handler: func(ctx *Ctx) (resp.Value, error) {
 			// Store-level flush: clears the engine AND the metadata index in
@@ -441,21 +443,8 @@ func cmdScan(ctx *Ctx) (resp.Value, error) {
 	keys, next := ctx.Srv.store.Engine().Scan(cursor, pattern, count)
 	return resp.ArrayValue(
 		resp.BulkStringValue(strconv.FormatUint(next, 10)),
-		stringsArray(visibleKeys(ctx.Srv.store, keys)),
+		stringsArray(keys),
 	), nil
-}
-
-// visibleKeys drops keys whose records were crypto-erased but not yet
-// reclaimed by the lazy-delete sweep: keyspace iteration must not reveal
-// that dead ciphertext still physically exists.
-func visibleKeys(st *core.Store, keys []string) []string {
-	out := keys[:0]
-	for _, k := range keys {
-		if st.KeyVisible(k) {
-			out = append(out, k)
-		}
-	}
-	return out
 }
 
 // parsePutOptions parses the GPUT/GMPUT option tail:

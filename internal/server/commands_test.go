@@ -108,6 +108,9 @@ func TestScanSyntaxErrors(t *testing.T) {
 
 func TestACLCommandSurface(t *testing.T) {
 	_, c := startServer(t, core.Strict(""))
+	if err := c.Auth("controller"); err != nil {
+		t.Fatal(err)
+	}
 	// Role parsing.
 	for _, role := range []string{"subject", "processor", "controller", "regulator"} {
 		if _, err := c.Do("ACL", "ADDPRINCIPAL", "p-"+role, role); err != nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -36,10 +35,11 @@ const (
 	// a non-compliant store, and with DENIED before AUTH when the store
 	// enforces access control.
 	FlagGDPR
-	// FlagAdmin marks operational commands (ACL, FLUSHALL, COMPACT, ...).
+	// FlagAdmin marks operational commands (ACL, FLUSHALL, COMPACT, ...):
+	// a controller's under ACL enforcement (DESIGN.md §3).
 	FlagAdmin
-	// FlagNoCompliance marks commands that bypass the compliance layer and
-	// hit the raw engine (the baseline benchmark surface).
+	// FlagNoCompliance marks the raw-engine surface, which bypasses the
+	// compliance layer: only a baseline store serves it.
 	FlagNoCompliance
 )
 
@@ -227,8 +227,8 @@ type CommandHook func(name string, args [][]byte, reply resp.Value, d time.Durat
 //  3. read-only    — while the server is a replica, rejects writes with
 //     READONLY (the replication link applies records directly, below the
 //     registry) and redirects data reads to the primary with MOVED
-//  4. compliance   — FlagGDPR enforcement (BASELINE on non-compliant
-//     stores, DENIED before AUTH under ACL enforcement), no owner record key
+//  4. compliance   — the one gate: FlagGDPR, FlagNoCompliance and FlagAdmin
+//     against the store's mode and the session's principal (DESIGN.md §3)
 //  5. cluster      — slot ownership (MOVED/ASK), cross-slot rejection
 //     (CROSSSLOT) and the slot's migration lock; inert unless
 //     EnableCluster was called
@@ -307,24 +307,22 @@ func (c *Ctx) readBack(out *resp.Writer, v resp.Value, err error, hooked bool) (
 // maxHeld is the largest hold buffer a connection keeps between commands.
 const maxHeld = 64 << 10
 
-// complianceMiddleware enforces FlagGDPR, and the reserved owner-record keys,
-// before the handler runs: one gate instead of each handler re-checking.
+// complianceMiddleware is the one gate every command passes, decided from
+// its flags, the store's mode and the session's principal (DESIGN.md §3):
+// no handler re-checks a role or AUTH. The core decides, and audits, the
+// raw-engine and admin refusals.
 func complianceMiddleware(next Handler) Handler {
 	return func(ctx *Ctx) (resp.Value, error) {
-		compliant := ctx.Srv.store.Config().Compliant
-		if ctx.Cmd.Flags&FlagGDPR != 0 {
-			if !compliant {
-				return resp.Value{}, fmt.Errorf("%w: %s needs the compliance layer", core.ErrNotCompliant, ctx.Cmd.Name)
+		st, f := ctx.Srv.store, ctx.Cmd.Flags
+		switch {
+		case f&FlagGDPR != 0 && !st.Config().Compliant:
+			return resp.Value{}, fmt.Errorf("%w: %s needs the compliance layer", core.ErrNotCompliant, ctx.Cmd.Name)
+		case f&FlagGDPR != 0 && ctx.Core.Actor == "" && st.ACL().Enforcing():
+			return resp.Value{}, fmt.Errorf("%w: AUTH required before %s", core.ErrDenied, ctx.Cmd.Name)
+		case f&(FlagNoCompliance|FlagAdmin) != 0:
+			if err := st.Authorize(ctx.Core, ctx.Cmd.Name, f&FlagNoCompliance != 0, f&FlagReadonly != 0); err != nil {
+				return resp.Value{}, err
 			}
-			if ctx.Core.Actor == "" && ctx.Srv.store.ACL().Enforcing() {
-				return resp.Value{}, fmt.Errorf("%w: AUTH required before %s", core.ErrDenied, ctx.Cmd.Name)
-			}
-		}
-		// No command names an owner record: a raw one would reach it in the
-		// engine, and a batch checks only its first key itself.
-		if compliant && ctx.Cmd.Keys != nil &&
-			slices.ContainsFunc(ctx.Cmd.Keys(ctx.Args), func(k []byte) bool { _, ok := core.ReservedKey(string(k)); return ok }) {
-			return resp.Value{}, fmt.Errorf("%w: %s", core.ErrReservedKey, ctx.Cmd.Name)
 		}
 		return next(ctx)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"gdprstore/internal/acl"
 	"gdprstore/internal/core"
 	"gdprstore/internal/resp"
 	"gdprstore/pkg/gdprkv"
@@ -374,11 +375,9 @@ func benchServer(b *testing.B) *tclient {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { srv.Close(); st.Close() })
+	st.ACL().AddPrincipal(acl.Principal{ID: "bench", Role: acl.RoleController})
 	c := tdial(b, srv.Addr())
-	for _, cmd := range [][]string{
-		{"ACL", "ADDPRINCIPAL", "bench", "controller"},
-		{"AUTH", "bench"}, {"PURPOSE", "billing"},
-	} {
+	for _, cmd := range [][]string{{"AUTH", "bench"}, {"PURPOSE", "billing"}} {
 		if _, err := c.Do(cmd...); err != nil {
 			b.Fatal(err)
 		}

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"gdprstore/internal/cluster"
-	"gdprstore/internal/core"
 	"gdprstore/internal/replica"
 	"gdprstore/internal/resp"
 )
@@ -119,7 +118,7 @@ func init() {
 		Handler: cmdReplConf,
 	})
 	register(Command{
-		Name: "PSYNC", MinArgs: 2, MaxArgs: 2, Flags: FlagReadonly | FlagAdmin,
+		Name: "PSYNC", MinArgs: 2, MaxArgs: 2, Flags: FlagAdmin,
 		Summary: "PSYNC replid offset: attach as a replica (full or partial resync + live stream)",
 		Handler: cmdPSync,
 	})
@@ -151,10 +150,9 @@ func cmdReplConf(ctx *Ctx) (resp.Value, error) {
 
 // cmdPSync attaches the calling connection as a replica link: it hijacks
 // the connection and blocks for the life of the link, streaming a full or
-// partial resync followed by the live journal stream. When the store
-// enforces access control, the replica must have presented an actor via
-// AUTH first — a replica receives every record, so an unauthenticated one
-// would be a bulk exfiltration channel.
+// partial resync followed by the live journal stream. PSYNC is FlagAdmin:
+// under access control only a controller attaches a replica, which
+// receives every record.
 func cmdPSync(ctx *Ctx) (resp.Value, error) {
 	s := ctx.Srv
 	if s.store.IsReplica() {
@@ -162,9 +160,6 @@ func cmdPSync(ctx *Ctx) (resp.Value, error) {
 		// to serve; accepting PSYNC here would hand out a silent, frozen
 		// feed. Chain replicas off the primary instead.
 		return resp.Value{}, errors.New("chained replication is not supported; PSYNC the primary")
-	}
-	if s.store.ACL().Enforcing() && ctx.Core.Actor == "" {
-		return resp.Value{}, fmt.Errorf("%w: AUTH required before PSYNC", core.ErrDenied)
 	}
 	replid, offset, err := replica.ParsePSYNCArgs(ctx.Args)
 	if err != nil {

@@ -210,7 +210,7 @@ func TestReplicaRejectsWritesUntilPromoted(t *testing.T) {
 	if err := p.rcl.PromoteToPrimary(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.rcl.Set("raw", []byte("x")); err != nil {
+	if err := p.rcl.GPut("direct", []byte("x"), gdprkv.PutOptions{Owner: "o", Purposes: []string{"p"}}); err != nil {
 		t.Fatalf("write after promotion: %v", err)
 	}
 	if p.rsrv.ReplNode() != nil {
@@ -250,27 +250,29 @@ func TestInfoReplicationSections(t *testing.T) {
 	}
 }
 
+// TestPSYNCRequiresAuthUnderACL: under access control only a controller
+// attaches a replica, which receives every record: PSYNC before AUTH, or as
+// a regulator, is refused, and a replica that presents a controller in its
+// handshake (gdprkv-server -repl-actor) syncs.
 func TestPSYNCRequiresAuthUnderACL(t *testing.T) {
-	st, err := core.Open(core.Config{
-		Compliant:    true,
-		Capability:   core.CapabilityFull,
-		AuditEnabled: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-	st.ACL().AddPrincipal(acl.Principal{ID: "dpo", Role: acl.RoleController})
-	srv, err := Listen("127.0.0.1:0", st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-
-	cl := tdial(t, srv.Addr())
+	cfg := core.Config{Compliant: true, Capability: core.CapabilityFull, AuditEnabled: true}
+	srv, cl := startServer(t, cfg)
+	srv.Store().ACL().AddPrincipal(acl.Principal{ID: "dpa", Role: acl.RoleRegulator})
 	if _, err := cl.Do("PSYNC", "?", "-1"); err == nil || !strings.Contains(err.Error(), "DENIED") {
 		t.Fatalf("unauthenticated PSYNC: err = %v, want DENIED", err)
 	}
+	cl.Auth("dpa")
+	if _, err := cl.Do("PSYNC", "?", "-1"); err == nil || !strings.Contains(err.Error(), "DENIED") {
+		t.Fatalf("a regulator's PSYNC: err = %v, want DENIED", err)
+	}
+	rsrv, _ := startServer(t, cfg)
+	rsrv.ReplicaOf(srv.Addr(), replica.NodeOptions{Actor: "controller"})
+	ctl := tdial(t, srv.Addr())
+	ctl.Auth("controller")
+	if err := ctl.GPut("k", []byte("v"), gdprkv.PutOptions{Owner: "o", Purposes: []string{"p"}, TTL: time.Hour}); err != nil {
+		t.Fatal(err)
+	}
+	testutil.Eventually(t, replWait, 0, func() bool { return rsrv.Store().Exists("k") }, "the controller's replica never synced")
 }
 
 // TestPromotionResumesDuties pins that the role alone gates the store's
@@ -310,7 +312,7 @@ func TestPromotionResumesDuties(t *testing.T) {
 	if p.rst.IsReplica() || !p.rst.RetentionStats().ExpirerRunning {
 		t.Fatalf("no-op promotion changed the role: replica=%v %+v", p.rst.IsReplica(), p.rst.RetentionStats())
 	}
-	if err := p.rcl.SetEX("own", []byte("v"), 60); err != nil {
+	if err := p.rcl.GPut("own", []byte("v"), gdprkv.PutOptions{Owner: "o", Purposes: []string{"p"}, TTL: time.Minute}); err != nil {
 		t.Fatal(err)
 	}
 	p.clk.Advance(2 * time.Minute)

@@ -11,20 +11,24 @@ import (
 	"testing"
 	"time"
 
+	"gdprstore/internal/acl"
 	"gdprstore/internal/clock"
 	"gdprstore/internal/core"
 	"gdprstore/internal/resp"
 	"gdprstore/pkg/gdprkv"
 )
 
-// startServer spins up a server over a store built from cfg, with standard
-// principals installed.
+// startServer spins up a server over a store built from cfg, with the
+// principal "controller" registered as a controller in process, as
+// gdprkv-server -controller does, and returns a client that has not sent
+// AUTH.
 func startServer(t *testing.T, cfg core.Config) (*Server, *tclient) {
 	t.Helper()
 	st, err := core.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	st.ACL().AddPrincipal(acl.Principal{ID: "controller", Role: acl.RoleController})
 	srv, err := Listen("127.0.0.1:0", st)
 	if err != nil {
 		t.Fatal(err)
@@ -36,15 +40,18 @@ func startServer(t *testing.T, cfg core.Config) (*Server, *tclient) {
 	return srv, tdial(t, srv.Addr())
 }
 
+// setupPrincipals installs the standard principals through ACL commands on
+// a connection of its own, as the controller; c's session is left as it was.
 func setupPrincipals(t *testing.T, c *tclient) {
 	t.Helper()
+	admin := tdial(t, c.addr)
 	for _, cmd := range [][]string{
-		{"ACL", "ADDPRINCIPAL", "controller", "controller"},
+		{"AUTH", "controller"},
 		{"ACL", "ADDPRINCIPAL", "svc", "processor"},
 		{"ACL", "ADDPRINCIPAL", "alice", "subject"},
 		{"ACL", "GRANT", "svc", "billing"},
 	} {
-		if _, err := c.Do(cmd...); err != nil {
+		if _, err := admin.Do(cmd...); err != nil {
 			t.Fatalf("%v: %v", cmd, err)
 		}
 	}
@@ -279,6 +286,9 @@ func TestWrongArity(t *testing.T) {
 
 func TestInfo(t *testing.T) {
 	_, c := startServer(t, core.Strict(""))
+	if err := c.Auth("controller"); err != nil {
+		t.Fatal(err)
+	}
 	v, err := c.Do("INFO")
 	if err != nil {
 		t.Fatal(err)
@@ -326,8 +336,8 @@ func TestConcurrentClients(t *testing.T) {
 func TestBreachOverNetwork(t *testing.T) {
 	_, c := startServer(t, core.Strict(""))
 	setupPrincipals(t, c)
-	c.Do("ACL", "ADDPRINCIPAL", "dpa", "regulator")
 	c.Auth("controller")
+	c.Do("ACL", "ADDPRINCIPAL", "dpa", "regulator")
 	c.Purpose("billing")
 	c.GPut("k", []byte("v"), gdprkv.PutOptions{Owner: "alice", Purposes: []string{"billing"}, TTL: time.Minute})
 	c.GGet("k")

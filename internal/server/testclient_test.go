@@ -15,7 +15,8 @@ import (
 // shim when that package was removed — the tests now drive the server
 // through the same code path real SDK users do.
 type tclient struct {
-	c *gdprkv.Client
+	c    *gdprkv.Client
+	addr string
 }
 
 func tdial(t testing.TB, addr string) *tclient {
@@ -25,7 +26,7 @@ func tdial(t testing.TB, addr string) *tclient {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return &tclient{c: c}
+	return &tclient{c: c, addr: addr}
 }
 
 func ctxb() context.Context { return context.Background() }

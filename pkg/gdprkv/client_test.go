@@ -77,12 +77,13 @@ func TestTypedErrorsEndToEnd(t *testing.T) {
 
 	app := dial(t, srv.Addr(), gdprkv.WithActor("app"), gdprkv.WithPurpose("ads"))
 
-	// Missing key → ErrNotFound, through GGet and Get alike.
+	// Missing key → ErrNotFound; a compliant server refuses the raw Get,
+	// even to a controller.
 	if _, err := app.GGet(ctxb(), "absent"); !errors.Is(err, gdprkv.ErrNotFound) {
 		t.Fatalf("GGet(absent) = %v, want ErrNotFound", err)
 	}
-	if _, err := app.Get(ctxb(), "absent"); !errors.Is(err, gdprkv.ErrNotFound) {
-		t.Fatalf("Get(absent) = %v, want ErrNotFound", err)
+	if _, err := app.Get(ctxb(), "absent"); !errors.Is(err, gdprkv.ErrDenied) {
+		t.Fatalf("Get(absent) = %v, want ErrDenied", err)
 	}
 
 	// A write without an owner violates policy.
