@@ -14,11 +14,11 @@ build:
 test:
 	$(GO) test ./...
 
-# smoke runs the rights-read benchmarks once (DESIGN.md §16 gives their stage
-# split) and the experiments command at tiny scale on the two targets it
-# drives by hand, so neither rots behind a green build.
+# smoke runs every package benchmark once and the experiments command at
+# tiny scale on the two targets it drives by hand, so neither rots behind a
+# green build: `go test ./...` compiles a benchmark but never runs its set-up.
 smoke:
-	$(GO) test -run '^$$' -bench GetUser -benchtime 1x ./internal/core ./internal/server
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	$(GO) run ./cmd/experiments -run ycsb -workload A -records 300 -ops 1000 -workers 2 -mode gdpr -batch 8
 	$(GO) run ./cmd/experiments -run personas -subjects 20 -records 4 -ops 300 -batch 4
 

@@ -7,13 +7,15 @@
 //
 //   - SyncAlways:   fsync after every append — the "strict real-time
 //     compliance" point that costs Redis 20× in the paper;
-//   - SyncEverySec: a background flusher fsyncs once per second — the
+//   - SyncEverySec: the file fsyncs itself once per second — the
 //     "eventual compliance" point, 6× faster, risking ≤1 s of log loss;
 //   - SyncNo:       leave flushing to the OS.
 //
-// The log writes through a File (file.go), the append-only file the audit
-// trail writes through too: transparently encrypted at rest through a
+// The log is a File (file.go) with a RESP encoder, and the audit trail
+// writes through a File too: transparently encrypted at rest through a
 // cryptoutil.OffsetCipher (the LUKS stand-in), with a sticky first error.
+// A File applies its policy itself, running the once-a-second Sync of
+// SyncEverySec, and fsyncs outside the lock its appends take.
 // Rewrite compacts it so that deleted personal data does not persist in the
 // log (§4.3's second concern). Beside it, Keys (keys.go) holds the
 // envelope keyring's wrapped data keys in slots an erasure zeroes in place;
@@ -28,7 +30,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"gdprstore/internal/cryptoutil"
 	"gdprstore/internal/resp"
@@ -41,8 +42,7 @@ type SyncPolicy int
 const (
 	// SyncNo lets the OS decide when to flush.
 	SyncNo SyncPolicy = iota
-	// SyncEverySec flushes and fsyncs once per second from a background
-	// goroutine.
+	// SyncEverySec flushes and fsyncs once per second, off the append path.
 	SyncEverySec
 	// SyncAlways flushes and fsyncs after every append.
 	SyncAlways
@@ -69,90 +69,32 @@ type Options struct {
 	Key []byte
 }
 
-// Log is an append-only command log: the RESP encoder, the fsync policy
-// and the everysec flusher over one File. All methods are safe for
-// concurrent use.
+// Log is an append-only command log: a File with a RESP encoder and
+// Rewrite. All methods are safe for concurrent use.
 type Log struct {
-	file        *File
-	enc         *resp.Writer // encodes commands into file, under its lock
-	policy      SyncPolicy
-	rewriteMu   sync.Mutex // serialises Rewrite invocations
-	stopFlusher chan struct{}
-	stopOnce    sync.Once
-	flusherDone chan struct{}
+	*File
+	enc       *resp.Writer // encodes commands into the File, under its lock
+	rewriteMu sync.Mutex   // serialises Rewrite invocations
 }
 
 // Open opens (creating if necessary) the append-only file at path.
 func Open(path string, opts Options) (*Log, error) {
-	f, err := OpenFile(path, opts.Key)
+	f, err := OpenFile(path, opts.Key, opts.Policy)
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{file: f, enc: resp.NewWriter(held{f}), policy: opts.Policy}
-	if opts.Policy == SyncEverySec {
-		l.stopFlusher = make(chan struct{})
-		l.flusherDone = make(chan struct{})
-		go l.flushLoop()
-	}
-	return l, nil
+	return &Log{File: f, enc: resp.NewWriter(held{f})}, nil
 }
 
 // Append encodes one command and applies the fsync policy. After a write
 // or fsync error it appends nothing and returns that error (LastErr).
 func (l *Log) Append(name string, args ...[]byte) error {
-	return l.file.append(func() error {
+	return l.append(func() error {
 		if err := l.enc.WriteRecord(name, args); err != nil {
 			return err
 		}
 		return l.enc.Flush() // resp buffer -> the file's buffer
-	}, l.policy == SyncAlways)
-}
-
-// Sync forces buffered data to stable storage regardless of policy. After
-// a write or fsync error it returns that error (LastErr).
-func (l *Log) Sync() error { return l.file.Sync() }
-
-// SyncFirst makes every fsync of the log, and every Rewrite, fsync k
-// first: a record that names a data key is never durable before the key.
-func (l *Log) SyncFirst(k *Keys) {
-	l.file.mu.Lock()
-	l.file.first = k
-	l.file.mu.Unlock()
-}
-
-// LastErr returns the first write or fsync error since Open (File), or nil.
-func (l *Log) LastErr() error { return l.file.LastErr() }
-
-func (l *Log) flushLoop() {
-	defer close(l.flusherDone)
-	t := time.NewTicker(time.Second)
-	defer t.Stop()
-	for {
-		select {
-		case <-l.stopFlusher:
-			return
-		case <-t.C:
-			_ = l.file.Sync() // sticks, for LastErr
-		}
-	}
-}
-
-// Size returns the logical size of the log in bytes.
-func (l *Log) Size() int64 { return l.file.Size() }
-
-// Appends returns the number of commands appended since Open.
-func (l *Log) Appends() uint64 { return l.file.Appends() }
-
-// Syncs returns the number of fsync calls issued since Open.
-func (l *Log) Syncs() uint64 { return l.file.Syncs() }
-
-// Close stops the flusher, then flushes, fsyncs and closes the file.
-func (l *Log) Close() error {
-	if l.stopFlusher != nil {
-		l.stopOnce.Do(func() { close(l.stopFlusher) })
-		<-l.flusherDone
-	}
-	return l.file.Close()
+	})
 }
 
 // ReplayFunc receives each command during Load. Returning an error aborts
@@ -259,10 +201,10 @@ func SyncDir(dir string) error {
 func (l *Log) Rewrite(snapshot SnapshotFunc) error {
 	l.rewriteMu.Lock()
 	defer l.rewriteMu.Unlock()
-	tmp, err := writeTemp(filepath.Dir(l.file.path), l.file.cipher, snapshot)
+	tmp, err := writeTemp(filepath.Dir(l.path), l.cipher, snapshot)
 	if err != nil {
 		return fmt.Errorf("aof: rewrite: %w", err)
 	}
 	defer os.Remove(tmp) // no-op after the rename
-	return l.file.swap(tmp)
+	return l.swap(tmp)
 }

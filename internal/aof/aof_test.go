@@ -340,3 +340,138 @@ func TestPolicyString(t *testing.T) {
 		t.Fatal("policy names wrong")
 	}
 }
+
+// TestDurabilityUnderConcurrency runs, on one Log and its key file,
+// appenders, Size/Syncs readers, the once-a-second loop (everysec),
+// explicit Syncs, key-slot writes, Rewrites and a Close that lands in the
+// middle of all of them. Syncs fsync outside the lock appends take, so
+// under -race this is the check that no descriptor is fsynced while a swap
+// or Close replaces or closes it. Appenders and Rewrite share a gate, as
+// the compliance layer serialises its writes around a compaction: the
+// snapshot holds every record acknowledged so far. After Close every
+// acknowledged record replays and no error has stuck.
+func TestDurabilityUnderConcurrency(t *testing.T) {
+	for _, tc := range []struct {
+		policy SyncPolicy
+		run    time.Duration
+	}{{SyncEverySec, 1100 * time.Millisecond}, {SyncAlways, 100 * time.Millisecond}} {
+		t.Run(tc.policy.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "appendonly.aof")
+			keys, err := OpenKeys(path+".keys", nil, func(string, []byte, uint64) error { return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer keys.Close()
+			if err := keys.Start(); err != nil {
+				t.Fatal(err)
+			}
+			l, err := Open(path, Options{Policy: tc.policy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			l.SyncFirst(keys)
+
+			var (
+				gate  sync.RWMutex // appenders share it, Rewrite holds it alone
+				ackMu sync.Mutex
+				acked [][]byte
+				wg    sync.WaitGroup
+				done  = make(chan struct{})
+			)
+			loop := func(f func(i int) bool) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; ; i++ {
+						select {
+						case <-done:
+							return
+						default:
+						}
+						if !f(i) {
+							return
+						}
+					}
+				}()
+			}
+			for g := 0; g < 4; g++ {
+				loop(func(i int) bool {
+					k := []byte(fmt.Sprintf("k%d-%d", g, i))
+					gate.RLock()
+					defer gate.RUnlock()
+					if err := l.Append("SET", k, []byte("v")); err != nil {
+						if err != errClosed {
+							t.Errorf("append: %v", err)
+						}
+						return false
+					}
+					ackMu.Lock()
+					acked = append(acked, k)
+					ackMu.Unlock()
+					return true
+				})
+			}
+			loop(func(int) bool { _, _ = l.Size(), l.Syncs(); return true })
+			loop(func(int) bool {
+				if err := l.Sync(); err != nil {
+					t.Errorf("sync: %v", err)
+					return false
+				}
+				time.Sleep(time.Millisecond)
+				return true
+			})
+			loop(func(i int) bool {
+				owner := fmt.Sprintf("owner-%d", i%8)
+				if err := keys.Put(owner, uint64(i), bytes.Repeat([]byte{byte(i)}, WrappedKeySize)); err != nil {
+					t.Errorf("key put: %v", err)
+					return false
+				}
+				time.Sleep(time.Millisecond)
+				return true
+			})
+			loop(func(int) bool {
+				gate.Lock()
+				err := l.Rewrite(func(emit func(string, ...[]byte) error) error {
+					for _, k := range acked {
+						if err := emit("SET", k, []byte("v")); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				gate.Unlock()
+				if err != nil {
+					if err != errClosed {
+						t.Errorf("rewrite: %v", err)
+					}
+					return false
+				}
+				time.Sleep(10 * time.Millisecond)
+				return true
+			})
+
+			time.Sleep(tc.run)
+			if err := l.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			close(done)
+			wg.Wait()
+			if err := l.LastErr(); err != nil {
+				t.Fatalf("an error stuck: %v", err)
+			}
+			got := map[string]bool{}
+			for _, r := range loadAll(t, path, nil) {
+				got[string(r.args[0])] = true
+			}
+			if len(acked) == 0 {
+				t.Fatal("no append was acknowledged")
+			}
+			for _, k := range acked {
+				if !got[string(k)] {
+					t.Fatalf("acknowledged %s is not in the log (%d acknowledged, %d replayed)", k, len(acked), len(got))
+				}
+			}
+		})
+	}
+}

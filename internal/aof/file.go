@@ -2,12 +2,14 @@ package aof
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sync"
+	"time"
 
 	"gdprstore/internal/cryptoutil"
 )
@@ -16,38 +18,62 @@ var errClosed = errors.New("aof: closed")
 
 // File is a durable append-only file, encrypted at rest by byte offset
 // under a non-nil key (the LUKS stand-in): the command log's and the audit
-// trail's. All methods are safe for concurrent use. The first write or
-// fsync error sticks, and every later append and sync returns it: a
-// retried fsync can report success for pages the kernel already dropped,
-// and a record appended past a lost range sits behind a hole that replay
-// and trail scans refuse as mid-file damage.
+// trail's. It applies its SyncPolicy itself, SyncEverySec's loop included,
+// and fsyncs outside the lock appends and readers take. All methods are
+// safe for concurrent use. The first write or fsync error sticks, and every
+// later append and sync returns it: a retried fsync can report success for
+// pages the kernel already dropped, and a record appended past a lost range
+// sits behind a hole that replay and trail scans refuse as mid-file damage.
 type File struct {
-	mu      sync.Mutex
+	mu      sync.Mutex // the buffer, the counters, err and closed
+	syncMu  sync.Mutex // one fsync at a time, never beside a swap or Close
 	path    string
-	f       *os.File
+	f       *os.File                 // replaced and closed under syncMu and mu
 	cipher  *cryptoutil.OffsetCipher // nil: plaintext
 	w       *bufio.Writer            // over the (encrypting) writer positioned at size
 	size    int64                    // logical bytes appended (plaintext == ciphertext length)
 	dirty   bool
+	always  bool // SyncAlways: each append returns after an fsync covering it
 	appends uint64
 	syncs   uint64
 	err     error // first write or fsync error, sticky
 	closed  bool
-	first   *Keys // fsynced before this file is, and before a swap (Log.SyncFirst)
+	first   *Keys         // fsynced before this file is, and before a swap; set under syncMu
+	stop    chan struct{} // SyncEverySec: closed by Close to stop the loop
+	stopped chan struct{} // closed by the loop as it exits
 }
 
-// OpenFile opens (creating if necessary) the file at path for appending.
-// A non-nil key must be 32 bytes.
-func OpenFile(path string, key []byte) (*File, error) {
+// OpenFile opens (creating if necessary) the file at path for appending
+// under policy. A non-nil key must be 32 bytes.
+func OpenFile(path string, key []byte, policy SyncPolicy) (*File, error) {
 	c, err := newCipher(key)
 	if err != nil {
 		return nil, err
 	}
-	f := &File{path: path, cipher: c}
+	f := &File{path: path, cipher: c, always: policy == SyncAlways}
 	if err := f.open(); err != nil {
 		return nil, fmt.Errorf("aof: open: %w", err)
 	}
+	if policy == SyncEverySec {
+		f.stop, f.stopped = make(chan struct{}), make(chan struct{})
+		go f.everySec()
+	}
 	return f, nil
+}
+
+// everySec is SyncEverySec's schedule: a Sync a second until Close.
+func (f *File) everySec() {
+	defer close(f.stopped)
+	t := time.NewTicker(time.Second)
+	defer t.Stop()
+	for {
+		select {
+		case <-f.stop:
+			return
+		case <-t.C:
+			_ = f.Sync() // sticks, for LastErr
+		}
+	}
 }
 
 func newCipher(key []byte) (*cryptoutil.OffsetCipher, error) {
@@ -94,32 +120,31 @@ func (h held) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Append appends p, buffered: Flush or Sync push it on.
+// Append appends p, buffered unless the policy is SyncAlways: Flush or
+// Sync push it on.
 func (f *File) Append(p []byte) error {
-	return f.append(func() error { _, err := held{f}.Write(p); return err }, false)
+	return f.append(func() error { _, err := held{f}.Write(p); return err })
 }
 
 // append runs write, which appends through held{f}, under the file's lock,
-// then syncs when sync is set. After the first error it runs nothing and
+// then, under SyncAlways, syncs. After the first error it runs nothing and
 // returns that error.
-func (f *File) append(write func() error, sync bool) error {
+func (f *File) append(write func() error) error {
 	f.mu.Lock()
-	defer f.mu.Unlock()
+	err := f.err
 	if f.closed {
-		return errClosed
+		err = errClosed
+	} else if err == nil {
+		if err = f.fail(write()); err == nil {
+			f.appends++
+			f.dirty = true
+		}
 	}
-	if f.err != nil {
-		return f.err
+	f.mu.Unlock()
+	if err != nil || !f.always {
+		return err
 	}
-	if err := write(); err != nil {
-		return f.fail(err)
-	}
-	f.appends++
-	f.dirty = true
-	if sync {
-		return f.syncLocked()
-	}
-	return nil
+	return f.Sync()
 }
 
 // Flush pushes buffered bytes to the OS without an fsync, for readers of
@@ -127,38 +152,62 @@ func (f *File) append(write func() error, sync bool) error {
 func (f *File) Flush() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.err != nil || !f.dirty {
-		return nil
-	}
-	if err := f.w.Flush(); err != nil {
-		return f.fail(err)
+	if f.err == nil && f.dirty {
+		return f.fail(f.w.Flush())
 	}
 	return nil
 }
 
-// Sync flushes and fsyncs. After the first error it returns that error.
+// Sync flushes, then fsyncs the key file (SyncFirst) and the file. After
+// the first error it returns that error.
 func (f *File) Sync() error {
+	f.syncMu.Lock()
+	defer f.syncMu.Unlock()
+	return f.sync()
+}
+
+// sync pushes the buffer on under mu and fsyncs outside it, under the
+// syncMu its callers hold: no swap or Close meets the fsync, and an append
+// whose bytes a concurrent sync took waits on syncMu for its fsync.
+func (f *File) sync() error {
+	f.mu.Lock()
+	flushed, fd := f.err == nil && f.dirty, f.f
+	if flushed {
+		f.dirty = false
+		flushed = f.fail(f.w.Flush()) == nil
+	}
+	err := f.err
+	f.mu.Unlock()
+	if !flushed {
+		return err
+	}
+	return f.fsync(fd)
+}
+
+// fsync fsyncs the key file (SyncFirst), then fd when it is non-nil, and
+// records the outcome: an error sticks. Callers hold syncMu and not mu.
+func (f *File) fsync(fd *os.File) error {
+	var err error
+	if f.first != nil {
+		err = f.first.Sync()
+	}
+	if err == nil && fd != nil {
+		err = fd.Sync()
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.syncLocked()
+	if err == nil && fd != nil {
+		f.syncs++
+	}
+	return f.fail(err)
 }
 
-func (f *File) syncLocked() error {
-	if f.err != nil || !f.dirty {
-		return f.err
-	}
-	if f.first != nil && f.fail(f.first.Sync()) != nil {
-		return f.err
-	}
-	if err := f.w.Flush(); err != nil {
-		return f.fail(err)
-	}
-	if err := f.f.Sync(); err != nil {
-		return f.fail(err)
-	}
-	f.dirty = false
-	f.syncs++
-	return nil
+// SyncFirst makes every fsync of the file, and every swap, fsync k first:
+// a record that names a data key is never durable before the key.
+func (f *File) SyncFirst(k *Keys) {
+	f.syncMu.Lock()
+	f.first = k
+	f.syncMu.Unlock()
 }
 
 // fail records err (nil: none) as the file's first error, if it is, and
@@ -201,33 +250,46 @@ func (f *File) Syncs() uint64 {
 // Path returns the file's path.
 func (f *File) Path() string { return f.path }
 
-// Close flushes, fsyncs and closes the file. Appends after it fail.
+// Close stops the once-a-second loop, then flushes, fsyncs and closes the
+// file. Appends after it fail.
 func (f *File) Close() error {
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
+	closed := f.closed
+	f.closed = true
+	f.mu.Unlock()
+	if closed {
 		return nil
 	}
-	f.closed = true
-	errSync := f.syncLocked()
-	errClose := f.f.Close()
-	if errSync != nil {
-		return errSync
+	if f.stop != nil {
+		close(f.stop)
+		<-f.stopped
 	}
-	return errClose
+	f.syncMu.Lock()
+	defer f.syncMu.Unlock()
+	return cmp.Or(f.sync(), f.f.Close())
 }
 
 // swap renames tmp over the file, drops the old file with whatever was
 // appended to it since, reopens for append and fsyncs the directory. A
 // failed reopen sticks (LastErr): the file has nothing left to write to.
 func (f *File) swap(tmp string) error {
+	f.syncMu.Lock()
+	defer f.syncMu.Unlock()
+	if err := f.fsync(nil); err != nil {
+		return err
+	}
+	if err := f.reopen(tmp); err != nil {
+		return err
+	}
+	return SyncDir(filepath.Dir(f.path))
+}
+
+// reopen renames tmp over the file and opens it for append.
+func (f *File) reopen(tmp string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
 		return errClosed
-	}
-	if f.first != nil && f.fail(f.first.Sync()) != nil {
-		return f.err
 	}
 	if err := os.Rename(tmp, f.path); err != nil {
 		return fmt.Errorf("aof: rewrite rename: %w", err)
@@ -237,7 +299,7 @@ func (f *File) swap(tmp string) error {
 	if err := f.open(); err != nil {
 		return f.fail(fmt.Errorf("aof: rewrite reopen: %w", err))
 	}
-	return SyncDir(filepath.Dir(f.path))
+	return nil
 }
 
 // Reader reads a File's bytes back, decrypted. A missing file reads as

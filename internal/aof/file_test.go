@@ -51,7 +51,7 @@ func TestFsyncErrorSticks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			file := aof.SwapFile(aof.FileOf(l), drainedPipe(t))
+			file := aof.SwapFile(l.File, drainedPipe(t))
 			defer func() {
 				l.Close() // closes the pipe's write end
 				file.Close()
@@ -84,7 +84,7 @@ func TestFsyncErrorSticks(t *testing.T) {
 
 	t.Run("strict-trail", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "audit.log")
-		sink, err := audit.NewFileSink(path, nil)
+		sink, err := audit.NewFileSink(path, nil, aof.SyncNo)
 		if err != nil {
 			t.Fatal(err)
 		}

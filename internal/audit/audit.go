@@ -8,7 +8,8 @@
 // This is the subsystem whose cost §4.1 of the paper measures: in strict
 // (real-time) mode every record is fsynced before the operation is
 // acknowledged, which turns every read into a read-plus-durable-write; in
-// eventual mode records are batched and flushed once per second.
+// eventual mode records are batched and the trail file (an aof.File)
+// fsyncs itself once per second.
 //
 // Append is an in-memory append onto a bounded ring and wakes nobody; one
 // drainer goroutine takes what has queued once per window (1 ms, or sooner
@@ -30,6 +31,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gdprstore/internal/aof"
 	"gdprstore/internal/clock"
 )
 
@@ -252,7 +254,11 @@ func Open(opts Options) (*Trail, error) {
 			t.mem = NewMemSink(memCap)
 		}
 	} else {
-		fs, err := NewFileSink(opts.Path, opts.Key)
+		policy := aof.SyncNo // strict mode syncs after each drainer pass
+		if opts.Mode == SyncBatched {
+			policy = aof.SyncEverySec
+		}
+		fs, err := NewFileSink(opts.Path, opts.Key, policy)
 		if err != nil {
 			return nil, err
 		}
@@ -339,31 +345,19 @@ func (t *Trail) kick() {
 	}
 }
 
-// drain is the pipeline's one goroutine. Each token (or, under SyncBatched,
-// the once-per-second durability tick) buys one pass over everything queued
-// at that moment. Records arriving during a pass wait for their own window
-// unless they bring the backlog to a quarter of the ring, are strict, or
-// Close follows them: each of those leaves a token, so the next pass starts
-// at once. The pass that finds the trail closed empties it and is the last.
+// drain is the pipeline's one goroutine. Each token buys one pass over
+// everything queued at that moment. Records arriving during a pass wait
+// for their own window unless they bring the backlog to a quarter of the
+// ring, are strict, or Close follows them: each of those leaves a token, so
+// the next pass starts at once. The pass that finds the trail closed
+// empties it and is the last.
 func (t *Trail) drain() {
 	defer close(t.drained)
-	var tick <-chan time.Time
-	if t.mode == SyncBatched {
-		ticker := time.NewTicker(time.Second)
-		defer ticker.Stop()
-		tick = ticker.C
-	}
 	recs := make([]Record, 0, workerBatch)
 	var enc []byte
 	var ce claimEncoder
 	var dones []chan error
-	for {
-		due := false
-		select {
-		case <-t.wake:
-		case <-tick:
-			due = true
-		}
+	for range t.wake {
 		t.mu.Lock()
 		at, left, closed := t.head, t.n, t.closed
 		t.backlog = 0
@@ -399,8 +393,8 @@ func (t *Trail) drain() {
 		}
 		// Strict: one fsync covers the pass before any handshake in it is
 		// acknowledged, even after a failed write (a MultiSink reports a dead
-		// export sink while the file sink took the batch). Batched: the tick.
-		if len(dones) > 0 || due {
+		// export sink while the file sink took the batch).
+		if len(dones) > 0 {
 			err = errors.Join(err, t.sinkFailed(t.sink.Sync()))
 		}
 		for _, done := range dones {

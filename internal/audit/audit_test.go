@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"gdprstore/internal/clock"
+	"gdprstore/internal/testutil"
 )
 
 func tempTrail(t *testing.T, opts Options) *Trail {
@@ -230,6 +231,27 @@ func TestSyncEveryOpCounts(t *testing.T) {
 	tr.Append(Record{Op: "B", Outcome: OutcomeOK})
 	if tr.Syncs() != 2 {
 		t.Fatalf("syncs = %d, want 2", tr.Syncs())
+	}
+}
+
+// TestBatchedFileSyncsItself: a batched trail's file fsyncs once a second
+// with no Sync call (the aof.File runs the schedule; the drainer has no
+// clock), and a SyncNone trail's never does.
+func TestBatchedFileSyncsItself(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits >1s for the file's once-a-second sync")
+	}
+	batched := tempTrail(t, Options{Mode: SyncBatched})
+	none := tempTrail(t, Options{Mode: SyncNone})
+	for _, tr := range []*Trail{batched, none} {
+		if _, err := tr.Append(Record{Op: "A", Outcome: OutcomeOK}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	testutil.Eventually(t, 3*time.Second, 20*time.Millisecond, func() bool { return batched.Syncs() > 0 },
+		"the batched trail's file never synced")
+	if n := none.Syncs(); n != 0 {
+		t.Fatalf("a SyncNone trail fsynced %d times", n)
 	}
 }
 

@@ -13,6 +13,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"gdprstore/internal/aof"
 )
 
 // sampleRecords covers what the quick generator rarely hits: every field
@@ -252,7 +254,7 @@ func TestRetiredTrailRefused(t *testing.T) {
 	for _, key := range [][]byte{nil, bytes.Repeat([]byte{4}, 32)} {
 		for name, raw := range map[string][]byte{"jsonl": lines, "per-record": perRecord} {
 			path := filepath.Join(t.TempDir(), "audit.log")
-			fs, err := NewFileSink(path, key)
+			fs, err := NewFileSink(path, key, aof.SyncNo)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -272,7 +274,7 @@ func TestRetiredTrailRefused(t *testing.T) {
 			}
 		}
 		path := filepath.Join(t.TempDir(), "audit.log")
-		fs, err := NewFileSink(path, key)
+		fs, err := NewFileSink(path, key, aof.SyncNo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +319,7 @@ func TestRecoverLastSeqLargeTornTrail(t *testing.T) {
 	for _, key := range [][]byte{nil, bytes.Repeat([]byte{9}, 32)} {
 		for _, cut := range []int{len(enc) - 1, len(enc) - 4, whole + 2, whole + 1, whole} {
 			path := filepath.Join(t.TempDir(), "audit.log")
-			fs, err := NewFileSink(path, key)
+			fs, err := NewFileSink(path, key, aof.SyncNo)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -359,7 +361,7 @@ func TestRecoverLastSeqWidensPastAHugeClaim(t *testing.T) {
 			want uint64
 		}{{len(file), 10 + workerBatch}, {len(file) - 1, 10}} {
 			path := filepath.Join(t.TempDir(), "audit.log")
-			fs, err := NewFileSink(path, key)
+			fs, err := NewFileSink(path, key, aof.SyncNo)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -37,10 +37,11 @@ type FileSink struct {
 	key []byte
 }
 
-// NewFileSink opens or appends to the trail file at path. A non-nil key
+// NewFileSink opens or appends to the trail file at path, which applies
+// policy itself (aof.SyncEverySec: it fsyncs once a second). A non-nil key
 // encrypts the file at rest (32 bytes, AES-CTR keyed by byte offset). A
 // trail an earlier release began is refused before anything is written.
-func NewFileSink(path string, key []byte) (*FileSink, error) {
+func NewFileSink(path string, key []byte, policy aof.SyncPolicy) (*FileSink, error) {
 	r, err := aof.OpenReader(path, key)
 	if err != nil {
 		return nil, fmt.Errorf("audit: open: %w", err)
@@ -55,7 +56,7 @@ func NewFileSink(path string, key []byte) (*FileSink, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := aof.OpenFile(path, key)
+	f, err := aof.OpenFile(path, key, policy)
 	if err != nil {
 		return nil, fmt.Errorf("audit: %w", err)
 	}

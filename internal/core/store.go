@@ -339,9 +339,9 @@ func (s *Store) deny(ctx Ctx, op, key, owner, reason string) error {
 	return fmt.Errorf("%w: %s", ErrDenied, reason)
 }
 
-// Authorize is the command gate's decision on op, a command that is none of
-// the compliance layer's own: a raw engine command (raw) is refused on a
-// compliant store, and an admin one needs acl.OpAdmin, or acl.OpAudit when
+// Authorize is the command gate's decision on op: a raw engine command
+// (raw) is refused on a compliant store, any other one before AUTH under
+// access control, and an admin one needs acl.OpAdmin, or acl.OpAudit when
 // it only inspects (DESIGN.md §3). Every denial is audited.
 func (s *Store) Authorize(ctx Ctx, op string, raw, inspect bool) error {
 	switch {
@@ -349,6 +349,8 @@ func (s *Store) Authorize(ctx Ctx, op string, raw, inspect bool) error {
 		return s.deny(ctx, op, "", "", "raw engine command on a compliant store")
 	case raw:
 		return nil
+	case ctx.Actor == "" && s.acl.Enforcing():
+		return s.deny(ctx, op, "", "", "AUTH required before "+op)
 	case inspect:
 		return s.check(ctx, acl.OpAudit, "", op, "")
 	}

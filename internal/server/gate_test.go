@@ -60,8 +60,8 @@ var gateTable = map[string]map[string][4]string{
 // server from the four gateRoles connections, with each handler but those
 // of the client's handshake (AUTH, PURPOSE, PING) replaced by a stub that
 // answers REACHED, so the reply shows
-// what the gate decided. Each raw or admin refusal writes exactly one denied
-// trail record; the refusal of a GDPR command before AUTH writes none. The
+// what the gate decided. Each refusal by the gate writes exactly one denied
+// trail record, the refusal of a GDPR command before AUTH too. The
 // stubs live only as long as the test, and this package's tests never run
 // in parallel, so no other test meets them.
 func TestGateTable(t *testing.T) {
@@ -125,7 +125,7 @@ func TestGateTable(t *testing.T) {
 					t.Errorf("%s: %s (%s) from %s: %s, want %s", mode, name, class, role.name, got, want)
 				}
 				wantRecs := 0
-				if got == "DENIED" && class != "gdpr" {
+				if got == "DENIED" {
 					wantRecs = 1
 				}
 				if n := denied() - before; n != wantRecs {

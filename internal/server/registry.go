@@ -310,16 +310,14 @@ const maxHeld = 64 << 10
 // complianceMiddleware is the one gate every command passes, decided from
 // its flags, the store's mode and the session's principal (DESIGN.md §3):
 // no handler re-checks a role or AUTH. The core decides, and audits, the
-// raw-engine and admin refusals.
+// raw-engine and admin refusals, and a GDPR command's before AUTH.
 func complianceMiddleware(next Handler) Handler {
 	return func(ctx *Ctx) (resp.Value, error) {
 		st, f := ctx.Srv.store, ctx.Cmd.Flags
 		switch {
 		case f&FlagGDPR != 0 && !st.Config().Compliant:
 			return resp.Value{}, fmt.Errorf("%w: %s needs the compliance layer", core.ErrNotCompliant, ctx.Cmd.Name)
-		case f&FlagGDPR != 0 && ctx.Core.Actor == "" && st.ACL().Enforcing():
-			return resp.Value{}, fmt.Errorf("%w: AUTH required before %s", core.ErrDenied, ctx.Cmd.Name)
-		case f&(FlagNoCompliance|FlagAdmin) != 0:
+		case f&(FlagNoCompliance|FlagAdmin) != 0, f&FlagGDPR != 0 && ctx.Core.Actor == "":
 			if err := st.Authorize(ctx.Core, ctx.Cmd.Name, f&FlagNoCompliance != 0, f&FlagReadonly != 0); err != nil {
 				return resp.Value{}, err
 			}
